@@ -16,9 +16,7 @@ import (
 	"repro/internal/modelcache"
 	"repro/internal/quorum"
 	"repro/internal/replay"
-	"repro/internal/strategy"
 	"repro/internal/trace"
-	"repro/internal/trace/colbin"
 )
 
 func quickEnv() experiments.Env { return experiments.QuickEnv() }
@@ -383,116 +381,6 @@ func BenchmarkSweepSharedCachePools(b *testing.B) {
 		}
 		b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
 	})
-}
-
-// BenchmarkSweepColbinSharded is the fast-trace sweep end to end: each
-// iteration decodes the colbin-encoded 68-pool market (zero-copy
-// column views materialized into a fresh Set) and replays the
-// 1h/3h/6h/12h interval sweep in parallel cells under the
-// region-sharded kernel, failure injection on. Like
-// BenchmarkReplayKernel it drives the Extra strategy, so the number on
-// record is the simulation pipeline's throughput — decode, event
-// kernel, billing — not Jupiter's model-estimation cost (that trade
-// stays pinned by BenchmarkSweepSharedCachePools). Metric: simulated
-// minutes per wall second across the whole sweep.
-func BenchmarkSweepColbinSharded(b *testing.B) {
-	env := experiments.QuickEnv()
-	env.Types = []market.InstanceType{market.M1Medium, market.C3Large, market.R3Large}
-	src, err := env.Traces(market.M1Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob := colbin.Encode(src)
-	spec := experiments.LockSpec()
-	intervals := []int64{1, 3, 6, 12}
-	b.ResetTimer()
-	var minutes int64
-	for i := 0; i < b.N; i++ {
-		file, _, err := colbin.Decode(blob, trace.Strict)
-		if err != nil {
-			b.Fatal(err)
-		}
-		set := file.Set()
-		var cellMinutes atomic.Int64
-		errs := make([]error, len(intervals))
-		var wg sync.WaitGroup
-		for ci, h := range intervals {
-			wg.Add(1)
-			go func(ci int, h int64) {
-				defer wg.Done()
-				res, err := replay.Run(replay.Config{
-					Traces: set, Start: env.TrainWeeks * experiments.Week,
-					Spec:            spec,
-					Strategy:        strategy.Extra{ExtraNodes: 2, Portion: 0.2},
-					IntervalMinutes: h * 60, Seed: env.Seed ^ uint64(h)<<32,
-					InjectHardwareFailures: true,
-					Kernel:                 replay.KernelSharded,
-				})
-				if err != nil {
-					errs[ci] = err
-					return
-				}
-				cellMinutes.Add(res.TotalMinutes)
-			}(ci, h)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		minutes += cellMinutes.Load()
-	}
-	b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
-}
-
-// BenchmarkReplayKernel compares the discrete-event replay kernel
-// against the legacy minute-polling loop on the paper's 11-week
-// lock-service replay (the Figures 6/7 workload: 13 training weeks,
-// 11 accounted weeks, failure injection on). The headline metric is
-// simulated minutes per second of wall clock.
-func BenchmarkReplayKernel(b *testing.B) {
-	env := experiments.DefaultEnv()
-	set, err := env.Traces(market.M1Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := experiments.LockSpec()
-	for _, k := range []struct {
-		name   string
-		kernel replay.Kernel
-	}{
-		{"Event", replay.KernelEvent},
-		{"Polling", replay.KernelPolling},
-	} {
-		// Injected is the paper workload: the FP'=0.01 failure model's
-		// per-minute Bernoulli draws are part of the semantics, so even
-		// the event kernel steps draw-eligible minutes individually.
-		// Clean shows the pure jump advantage on a failure-free market.
-		for _, inject := range []struct {
-			name string
-			on   bool
-		}{{"Injected", true}, {"Clean", false}} {
-			b.Run(k.name+"/"+inject.name, func(b *testing.B) {
-				var minutes int64
-				for i := 0; i < b.N; i++ {
-					res, err := replay.Run(replay.Config{
-						Traces: set, Start: env.TrainWeeks * experiments.Week,
-						Spec:            spec,
-						Strategy:        strategy.Extra{ExtraNodes: 2, Portion: 0.2},
-						IntervalMinutes: 3 * 60, Seed: env.Seed,
-						InjectHardwareFailures: inject.on,
-						Kernel:                 k.kernel,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					minutes += res.TotalMinutes
-				}
-				b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
-			})
-		}
-	}
 }
 
 // BenchmarkTournament runs the strategy arena at the quick scale with a

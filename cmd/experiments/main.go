@@ -6,7 +6,7 @@
 //
 //	experiments [-run all|table1|fig1|fig4|fig5|fig6|fig7|fig8|fig9|headline|example3] [-seed N] [-weeks N] [-j N] [-model-stats]
 //	            [-types a,b,c] [-min-vcpu N] [-min-mem G]
-//	            [-trace file] [-kernel event|polling|sharded] [-shard-workers N]
+//	            [-trace file]
 //	            [-chaos scenario] [-chaos-seed N]
 //	            [-events-out file.jsonl] [-manifest file.json] [-debug-addr host:port]
 //	            [-spans-out file.jsonl] [-spans-sample N] [-attrib-out file.json]
@@ -52,7 +52,6 @@ import (
 	"repro/internal/market"
 	"repro/internal/modelcache"
 	"repro/internal/provenance"
-	"repro/internal/replay"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -83,8 +82,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name or a JSON file")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	traceFile := flag.String("trace", "", "replay over this trace file instead of the synthetic market; format auto-detected (colbin binary, JSON, or CSV — CSV rows are filtered against the lock service's base type). Experiments whose spec needs a different base type fail with a clear error")
-	kernelFlag := flag.String("kernel", "event", "replay kernel for every cell: event, polling, or sharded (region-sharded, parallel)")
-	shardWorkers := flag.Int("shard-workers", 0, "with -kernel sharded, max goroutines advancing shards (0 = GOMAXPROCS; results are identical at every count)")
 	typesSpec := flag.String("types", "", "comma-separated extra instance types: every sweep bids across (zone, type) pools instead of zones only")
 	minVCPU := flag.Int("min-vcpu", 0, "minimum vCPUs an instance type must offer to host the services (0 = unconstrained)")
 	minMem := flag.Float64("min-mem", 0, "minimum memory in GiB an instance type must offer (0 = unconstrained)")
@@ -99,18 +96,6 @@ func main() {
 	env := experiments.Env{
 		Seed: *seed, TrainWeeks: *train, ReplayWeeks: *weeks, Jobs: *jobs,
 		Types: extraTypes, MinVCPU: *minVCPU, MinMemGiB: *minMem,
-		ShardWorkers: *shardWorkers,
-	}
-	switch *kernelFlag {
-	case "", "event":
-		env.Kernel = replay.KernelEvent
-	case "polling":
-		env.Kernel = replay.KernelPolling
-	case "sharded":
-		env.Kernel = replay.KernelSharded
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown kernel %q (want event, polling, or sharded)\n", *kernelFlag)
-		os.Exit(1)
 	}
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)

@@ -35,21 +35,6 @@ func main() {
 	}
 }
 
-// providerView adapts the cloud provider to the strategy interface.
-type providerView struct{ p *cloud.Provider }
-
-func (v providerView) Now() int64      { return v.p.Now() }
-func (v providerView) Zones() []string { return v.p.Zones() }
-func (v providerView) SpotPrice(zone string) (market.Money, error) {
-	return v.p.SpotPrice(zone)
-}
-func (v providerView) SpotPriceAge(zone string) (int64, error) {
-	return v.p.SpotPriceAge(zone)
-}
-func (v providerView) PriceHistory(zone string, from, to int64) (*trace.Trace, error) {
-	return v.p.PriceHistory(zone, from, to)
-}
-
 func run(service string, intervalHours int64, steps int, seed uint64, trainWeeks int64) error {
 	var spec strategy.ServiceSpec
 	switch service {
@@ -71,7 +56,6 @@ func run(service string, intervalHours int64, steps int, seed uint64, trainWeeks
 	}
 	provider := cloud.NewProvider(set, cloud.Config{Seed: seed})
 	provider.AdvanceTo(trainWeeks * experiments.Week)
-	view := providerView{p: provider}
 	j := core.New()
 
 	fmt.Printf("Jupiter bidding framework — %s service, %dh intervals\n", service, intervalHours)
@@ -80,7 +64,7 @@ func run(service string, intervalHours int64, steps int, seed uint64, trainWeeks
 
 	for s := 0; s < steps; s++ {
 		now := provider.Now()
-		d, err := j.Decide(view, spec, intervalHours*60)
+		d, err := j.Decide(provider, spec, intervalHours*60)
 		if err != nil {
 			return err
 		}

@@ -3,12 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -70,78 +66,6 @@ func TestReplayEventTraceGolden(t *testing.T) {
 	}
 	if got := goldenRun(t, nil); got != goldenEventsSHA256 {
 		t.Fatalf("event trace hash %s, want %s — the replay is no longer byte-identical", got, goldenEventsSHA256)
-	}
-}
-
-// shardedGoldenSHA256 pins the byte-exact JSONL event trace of the
-// same configuration under the region-sharded kernel. It differs from
-// goldenEventsSHA256 by construction (per-region RNG streams and ID
-// prefixes), but must be identical at every -shard-workers count and
-// must never change as a side effect of performance work.
-const shardedGoldenSHA256 = "a5cd3abad2ad717d559033c1669ed2608fabe13755e1d8bc55da1e1c9a9dfc5e"
-
-// shardedRun executes the golden configuration under the sharded
-// kernel and returns the event trace hash plus the manifest with its
-// wall-clock fields normalized away.
-func shardedRun(t *testing.T, workers int) (string, map[string]any) {
-	t.Helper()
-	manifestOut := filepath.Join(t.TempDir(), "manifest.json")
-	hash := goldenRun(t, func(o *options) {
-		o.kernel = "sharded"
-		o.shardWorkers = workers
-		o.manifestOut = manifestOut
-	})
-	data, err := os.ReadFile(manifestOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "started_at")
-	delete(m, "wall_seconds")
-	// Timing metrics measure wall clock and differ between any two
-	// runs; everything else in the snapshot is event-driven and must be
-	// worker-invariant.
-	if metrics, ok := m["metrics"].(map[string]any); ok {
-		if families, ok := metrics["families"].([]any); ok {
-			kept := families[:0]
-			for _, f := range families {
-				if fam, ok := f.(map[string]any); ok {
-					if name, _ := fam["name"].(string); strings.HasSuffix(name, "_seconds") {
-						continue
-					}
-				}
-				kept = append(kept, f)
-			}
-			metrics["families"] = kept
-		}
-	}
-	return hash, m
-}
-
-// TestReplayShardedGoldenWorkerInvariant pins the sharded kernel end
-// to end: the JSONL event trace and the manifest (wall clock aside)
-// must be identical at 1, 2, and GOMAXPROCS shard workers, and the
-// trace must match the pinned golden.
-func TestReplayShardedGoldenWorkerInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second full replays; skipped in -short")
-	}
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	refHash, refManifest := shardedRun(t, counts[0])
-	if refHash != shardedGoldenSHA256 {
-		t.Fatalf("sharded event trace hash %s, want %s — the sharded replay is no longer byte-identical", refHash, shardedGoldenSHA256)
-	}
-	for _, w := range counts[1:] {
-		hash, manifest := shardedRun(t, w)
-		if hash != refHash {
-			t.Fatalf("shard-workers=%d event trace hash %s differs from workers=%d hash %s", w, hash, counts[0], refHash)
-		}
-		if !reflect.DeepEqual(manifest, refManifest) {
-			t.Fatalf("shard-workers=%d manifest differs:\n%v\n%v", w, manifest, refManifest)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@
 //	replay [-strategy jupiter|baseline|extra] [-extra-nodes N] [-extra-portion P]
 //	       [-service lock|storage] [-interval H[,H...]] [-weeks N] [-train N] [-seed N]
 //	       [-types a,b,c] [-min-vcpu N] [-min-mem G]
-//	       [-kernel event|polling|sharded] [-shard-workers N]
 //	       [-trace file] [-workload file.csv] [-j N] [-model-stats]
 //	       [-chaos scenario] [-chaos-seed N]
 //	       [-events-out file.jsonl] [-manifest file.json] [-debug-addr host:port]
@@ -38,12 +37,6 @@
 // With several comma-separated intervals, the cells replay on a worker
 // pool of -j goroutines and a summary table is printed; a single
 // interval keeps the detailed report.
-//
-// -kernel selects the replay engine: the discrete-event kernel
-// (default), the minute-polling reference kernel, or the
-// region-sharded kernel, which partitions pools by region across
-// per-shard providers advanced concurrently (-shard-workers bounds
-// the parallelism; results are identical at every worker count).
 //
 // Telemetry: -events-out streams the run's event history as versioned
 // JSONL (byte-reproducible for a fixed seed and single interval; see
@@ -118,8 +111,6 @@ type options struct {
 	typesSpec    string
 	minVCPU      int
 	minMem       float64
-	kernel       string
-	shardWorkers int
 
 	// workloadArmed is set by run() when the workload's autoscaler plan
 	// actually moves the group size; trace metadata carries the workload
@@ -139,8 +130,6 @@ func main() {
 	flag.Int64Var(&o.train, "train", 13, "training prefix in weeks")
 	flag.Uint64Var(&o.seed, "seed", 2014, "seed")
 	flag.StringVar(&o.traceFile, "trace", "", "trace file, format auto-detected: colbin binary, JSON, or CSV (default: synthetic)")
-	flag.StringVar(&o.kernel, "kernel", "event", "replay kernel: event, polling, or sharded (region-sharded, parallel)")
-	flag.IntVar(&o.shardWorkers, "shard-workers", 0, "with -kernel sharded, max goroutines advancing shards (0 = GOMAXPROCS; results are identical at every count)")
 	flag.StringVar(&o.workloadFile, "workload", "", "request-rate CSV (minute,rps): autoscale the group to the traffic between interval boundaries")
 	flag.StringVar(&o.seriesOut, "series", "", "write per-interval downtime series CSV to this file ('-' = stdout); single interval only")
 	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "worker-pool width for an interval sweep (1 = sequential; results are identical either way)")
@@ -301,12 +290,6 @@ func traceMeta(o options) map[string]string {
 		"seed", strconv.FormatUint(o.seed, 10),
 		"trace", o.traceFile,
 	}
-	// The kernel key appears only off the default, so event-kernel
-	// headers stay byte-identical to earlier versions. shard-workers is
-	// never recorded: worker counts must not change any output byte.
-	if o.kernel != "" && o.kernel != "event" {
-		kv = append(kv, "kernel", o.kernel)
-	}
 	// Chaos keys appear only when the layer is armed, keeping no-chaos
 	// trace headers byte-identical to earlier versions.
 	if o.chaosSpec != "" {
@@ -372,18 +355,6 @@ func run(o options) error {
 	}
 	if _, err := mkStrat(); err != nil {
 		return err
-	}
-
-	var kernel replay.Kernel
-	switch o.kernel {
-	case "", "event":
-		kernel = replay.KernelEvent
-	case "polling":
-		kernel = replay.KernelPolling
-	case "sharded":
-		kernel = replay.KernelSharded
-	default:
-		return fmt.Errorf("unknown kernel %q (want event, polling, or sharded)", o.kernel)
 	}
 
 	intervals, err := parseIntervals(o.intervalSpec)
@@ -512,8 +483,6 @@ func run(o options) error {
 			IntervalMinutes:        hours * 60,
 			Seed:                   o.seed,
 			InjectHardwareFailures: true,
-			Kernel:                 kernel,
-			ShardWorkers:           o.shardWorkers,
 			Models:                 models,
 			Observers:              obs,
 			Chaos:                  chaosSc,

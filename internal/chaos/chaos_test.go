@@ -139,6 +139,81 @@ func TestTransformTracesSpike(t *testing.T) {
 	}
 }
 
+// spikedSurgeFingerprint pins the price-surge transform of a generated
+// single-type market, recorded while TransformTraces still rebuilt the
+// set with Set.Add: base-type traces key identically under AddPool, so
+// single-type output must stay byte-identical.
+const spikedSurgeFingerprint = uint64(0xf20c6a4ec692f1f1)
+
+func TestTransformTracesSingleTypeUnchanged(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 7, Type: market.M1Small, Zones: market.ExperimentZones(),
+		Start: 0, End: 7 * 24 * 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	surge, ok := Builtin("price-surge")
+	if !ok {
+		t.Fatal("price-surge builtin missing")
+	}
+	e, err := New(surge, 0, 24*60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.TransformTraces(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Zones(), set.Zones()) {
+		t.Fatalf("transform changed the pool keys: %v, want %v", out.Zones(), set.Zones())
+	}
+	if got := out.Fingerprint(); got != spikedSurgeFingerprint {
+		t.Fatalf("spiked single-type set fingerprints %#x, want %#x", got, spikedSurgeFingerprint)
+	}
+}
+
+// TestTransformTracesTypedPools is the -types regression: sibling-type
+// traces must survive the transform under their pool keys (Set.Add
+// used to reject them outright), and a zone-scoped spike must hit every
+// pool of that availability zone and no pool of any other.
+func TestTransformTracesTypedPools(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 7, Type: market.M1Small, Types: []market.InstanceType{market.M1Medium},
+		Zones: []string{"us-east-1a", "us-east-1b"},
+		Start: 0, End: 24 * 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Name: "s", Injectors: []Injector{
+		{Kind: PriceSpike, Zone: "us-east-1a", Factor: 3, From: 100, Until: 400},
+	}}
+	e, err := New(sc, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.TransformTraces(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Zones(), set.Zones()) {
+		t.Fatalf("transform changed the pool keys: %v, want %v", out.Zones(), set.Zones())
+	}
+	for _, key := range set.Zones() {
+		spiked := market.PoolZone(key) == "us-east-1a"
+		for _, m := range []int64{99, 100, 399, 400} {
+			want := set.ByZone[key].PriceAt(m)
+			if spiked && m >= 100 && m < 400 {
+				want = want.Scale(3)
+			}
+			if got := out.ByZone[key].PriceAt(m); got != want {
+				t.Errorf("pool %s minute %d: %v, want %v", key, m, got, want)
+			}
+		}
+	}
+}
+
 // TestStormDeterminism pins that the same scenario + seed reclaims the
 // same victims at the same minutes, run after run, and emits the fault
 // events that make the storm visible in traces.

@@ -56,16 +56,18 @@ func (e *Engine) TransformTraces(set *trace.Set) (*trace.Set, error) {
 		return set, nil
 	}
 	out := trace.NewSet(set.Type, set.Start, set.End)
-	for _, zone := range set.Zones() {
-		tr := set.ByZone[zone]
+	for _, key := range set.Zones() {
+		tr := set.ByZone[key]
 		for _, inj := range spikes {
-			if inj.Zone != "" && inj.Zone != zone {
+			// Like a blackout, a zone-scoped spike hits the whole
+			// availability zone: every pool in it, whatever the type.
+			if inj.Zone != "" && inj.Zone != market.PoolZone(key) {
 				continue
 			}
 			tr = spike(tr, e.abs(inj.From), e.abs(inj.Until), inj.Factor)
 		}
-		if err := out.Add(tr); err != nil {
-			return nil, fmt.Errorf("chaos: spiked trace for %s: %w", zone, err)
+		if err := out.AddPool(tr); err != nil {
+			return nil, fmt.Errorf("chaos: spiked trace for %s: %w", key, err)
 		}
 	}
 	return out, nil

@@ -116,11 +116,10 @@ type timer struct {
 
 // Provider is the simulated control plane over a fixed price trace set.
 type Provider struct {
-	traces   *trace.Set
-	now      int64
-	rng      *stats.RNG
-	nextID   int64
-	idPrefix string
+	traces *trace.Set
+	now    int64
+	rng    *stats.RNG
+	nextID int64
 
 	// cursors memoize the last price lookup per zone: the simulation
 	// clock only moves forward, so SpotPrice/SpotPriceAge and the
@@ -176,11 +175,6 @@ type Config struct {
 	// InjectHardwareFailures enables the SLA failure model (FP' = 0.01)
 	// on every instance, spot and on-demand alike.
 	InjectHardwareFailures bool
-	// IDPrefix, when non-empty, is spliced into minted instance and
-	// request IDs ("i-<prefix>-spot-000001", "sir-<prefix>-000001") so
-	// several providers — the sharded kernel runs one per region — mint
-	// globally distinct IDs. Empty keeps the legacy formats byte-exact.
-	IDPrefix string
 }
 
 // mttr and hazard chosen so steady-state unavailability matches the
@@ -197,7 +191,6 @@ func NewProvider(traces *trace.Set, cfg Config) *Provider {
 		traces:       traces,
 		now:          traces.Start,
 		rng:          stats.NewRNG(cfg.Seed),
-		idPrefix:     cfg.IDPrefix,
 		instances:    make(map[InstanceID]*Instance),
 		cursors:      make(map[string]*trace.Cursor, len(traces.ByZone)),
 		refulfilNext: engine.NoMinute,
@@ -557,9 +550,6 @@ func (p *Provider) PublishEvent(e engine.Event) {
 
 func (p *Provider) newID(kind string) InstanceID {
 	p.nextID++
-	if p.idPrefix != "" {
-		return InstanceID(fmt.Sprintf("i-%s-%s-%06d", p.idPrefix, kind, p.nextID))
-	}
 	return InstanceID(fmt.Sprintf("i-%s-%06d", kind, p.nextID))
 }
 

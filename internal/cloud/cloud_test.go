@@ -4,8 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/market"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
+
+// The provider is a strategy's market view as is: cmd/jupiter hands it
+// to Decide with no adapter in between.
+var _ strategy.MarketView = (*Provider)(nil)
 
 // flatSet builds a single-zone set with a hand-written price staircase.
 func flatSet(t *testing.T, pts []trace.PricePoint, end int64) *trace.Set {

@@ -48,12 +48,8 @@ func (p *Provider) RequestSpotPersistent(zone string, it market.InstanceType, bi
 		return "", fmt.Errorf("cloud: unknown zone %q", zone)
 	}
 	p.nextID++
-	rid := fmt.Sprintf("sir-%06d", p.nextID)
-	if p.idPrefix != "" {
-		rid = fmt.Sprintf("sir-%s-%06d", p.idPrefix, p.nextID)
-	}
 	req := &spotRequest{
-		ID:   RequestID(rid),
+		ID:   RequestID(fmt.Sprintf("sir-%06d", p.nextID)),
 		Zone: zone, Type: it, Bid: bid,
 		refulfilAt: engine.NoMinute,
 	}

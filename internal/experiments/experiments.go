@@ -77,11 +77,6 @@ type Env struct {
 	// generating one from Seed. Traces validates that the set carries
 	// the spec's base type and covers the train+replay span.
 	TraceSet *trace.Set
-	// Kernel and ShardWorkers select the replay engine of every cell
-	// (replay.Config.Kernel / ShardWorkers). The zero value keeps the
-	// default event kernel.
-	Kernel       replay.Kernel
-	ShardWorkers int
 	// Workload, when set, arms every replay cell with this request-rate
 	// trace (replay.Config.Workload): the cell autoscales the group
 	// between interval boundaries instead of holding the spec's fixed
@@ -187,8 +182,6 @@ func (e Env) replayOne(set *trace.Set, spec strategy.ServiceSpec, strat strategy
 		IntervalMinutes:        intervalHours * 60,
 		Seed:                   e.Seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name())),
 		InjectHardwareFailures: true,
-		Kernel:                 e.Kernel,
-		ShardWorkers:           e.ShardWorkers,
 		Models:                 e.Models,
 		Observers:              observers,
 		Chaos:                  e.Chaos,

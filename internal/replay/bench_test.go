@@ -60,6 +60,43 @@ func BenchmarkReplayWeekJupiter(b *testing.B) {
 	benchReplay(b, func() strategy.Strategy { return core.New() })
 }
 
+// BenchmarkReplayKernel compares the discrete-event replay kernel
+// against the minute-polling oracle on the paper's 11-week
+// lock-service replay (the Figures 6/7 workload: 13 training weeks,
+// 11 accounted weeks). The headline metric is simulated minutes per
+// second of wall clock.
+func BenchmarkReplayKernel(b *testing.B) {
+	set := genTraces(b, 2014, 11, market.M1Small)
+	for _, k := range kernels {
+		// Injected is the paper workload: the FP'=0.01 failure model's
+		// per-minute Bernoulli draws are part of the semantics, so even
+		// the event kernel steps draw-eligible minutes individually.
+		// Clean shows the pure jump advantage on a failure-free market.
+		for _, inject := range []struct {
+			name string
+			on   bool
+		}{{"Injected", true}, {"Clean", false}} {
+			b.Run(k.name+"/"+inject.name, func(b *testing.B) {
+				var minutes int64
+				for i := 0; i < b.N; i++ {
+					res, err := k.run(Config{
+						Traces: set, Start: 13 * week,
+						Spec:            lockSpec(),
+						Strategy:        strategy.Extra{ExtraNodes: 2, Portion: 0.2},
+						IntervalMinutes: 3 * 60, Seed: 2014,
+						InjectHardwareFailures: inject.on,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					minutes += res.TotalMinutes
+				}
+				b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
+			})
+		}
+	}
+}
+
 // BenchmarkReplayObservers pins the telemetry cost model: None is the
 // pay-nothing baseline (no observer attached — the event hot path must
 // not regress relative to the pre-telemetry kernel), Collector adds

@@ -9,19 +9,19 @@ import (
 
 // availTracker integrates service availability from the provider's
 // event stream. It mirrors the per-minute quorum evaluation of the
-// polling kernel exactly: a member slot is alive while its instance is
+// polling oracle exactly: a member slot is alive while its instance is
 // Running, in-bid, and not in an outage, and the service is down at
 // every minute the live count is under quorum (or the fleet is empty).
 // Aliveness only changes at instance-running, instance-terminated,
 // outage-start, and outage-end events, so integrating down-spans
 // between events reproduces the minute-by-minute count without
 // visiting the minutes in between. A minute's status is its status
-// after every event of that minute — the same thing the polling kernel
+// after every event of that minute — the same thing the polling oracle
 // observes evaluating after AdvanceTo.
 type availTracker struct {
 	engine.BaseObserver
 	spec strategy.ServiceSpec
-	p    controlPlane
+	p    *cloud.Provider
 	// emit reports quorum transitions (minute, down, live count).
 	emit func(minute int64, down bool, live int)
 
@@ -83,7 +83,7 @@ func (t *availTracker) OnInstance(e engine.Event) {
 
 // set flips one slot and updates the service's down status. Same-minute
 // flip pairs open and close zero-length spans, contributing nothing —
-// exactly the end-of-minute status the polling kernel samples.
+// exactly the end-of-minute status the polling oracle samples.
 func (t *availTracker) set(i int, v bool, minute int64) {
 	if t.alive[i] == v {
 		return

@@ -2,13 +2,43 @@ package replay
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/market"
 	"repro/internal/strategy"
+	"repro/internal/trace"
+	"repro/internal/trace/colbin"
 )
+
+// runPollingOracle replays cfg through the minute-polling reference
+// loop (kernel_polling_test.go). Set-up and final accounting are Run's
+// own newRun and finish; only the loop in between differs.
+func runPollingOracle(cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.runPolling(); err != nil {
+		return nil, err
+	}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return r.res, nil
+}
+
+// kernels pairs the production kernel with its oracle for the
+// agreement tests.
+var kernels = []struct {
+	name string
+	run  func(Config) (*Result, error)
+}{
+	{"Event", Run},
+	{"Polling", runPollingOracle},
+}
 
 // kernelCases spans the semantic corners of a replay: the semi-Markov
 // bidder, persistent requests with failure injection, the on-demand
@@ -41,13 +71,12 @@ func TestKernelsAgree(t *testing.T) {
 	for _, tc := range kernelCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var results [2]*Result
-			for i, k := range []Kernel{KernelEvent, KernelPolling} {
-				res, err := Run(Config{
+			for i, k := range kernels {
+				res, err := k.run(Config{
 					Traces: set, Start: 13 * week,
 					Spec: lockSpec(), Strategy: tc.mk(),
 					IntervalMinutes: 180, Seed: 42,
 					InjectHardwareFailures: tc.inj, PersistentRequests: tc.pers,
-					Kernel: k,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -65,13 +94,13 @@ func TestKernelsAgree(t *testing.T) {
 // demands deeply equal Results.
 func TestKernelSeedDeterminism(t *testing.T) {
 	set := genTraces(t, 9, 1, market.M1Small)
-	for _, k := range []Kernel{KernelEvent, KernelPolling} {
+	for _, k := range kernels {
 		run := func() *Result {
-			res, err := Run(Config{
+			res, err := k.run(Config{
 				Traces: set, Start: 13 * week,
 				Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 1, Portion: 0.2},
 				IntervalMinutes: 120, Seed: 9,
-				InjectHardwareFailures: true, Kernel: k,
+				InjectHardwareFailures: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -79,7 +108,52 @@ func TestKernelSeedDeterminism(t *testing.T) {
 			return res
 		}
 		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("kernel %d not deterministic: %+v vs %+v", k, a, b)
+			t.Fatalf("%s kernel not deterministic: %+v vs %+v", k.name, a, b)
+		}
+	}
+}
+
+// TestColbinMatchesCSVSet replays once over the generated set and once
+// over its colbin round-trip, in one-shot and persistent-request mode:
+// the binary format must be lossless all the way through a replay —
+// Result and event stream — not just through Fingerprint.
+func TestColbinMatchesCSVSet(t *testing.T) {
+	set := genTraces(t, 12, 1, market.M1Small)
+	file, _, err := colbin.Decode(colbin.Encode(set), trace.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, persistent := range []bool{false, true} {
+		replay := func(traces *trace.Set) (*Result, []engine.Event) {
+			// Model events stay out: they carry wall-clock durations.
+			var events []engine.Event
+			rec := func(e engine.Event) { events = append(events, e) }
+			res, err := Run(Config{
+				Traces: traces, Start: 13 * week,
+				Spec: lockSpec(), Strategy: core.New(),
+				IntervalMinutes: 360, Seed: 12,
+				InjectHardwareFailures: true,
+				PersistentRequests:     persistent,
+				Observers: []engine.Observer{&engine.Hooks{
+					Instance: rec, Decision: rec, Billing: rec, Quorum: rec,
+				}},
+			})
+			if err != nil {
+				t.Fatalf("persistent=%v: %v", persistent, err)
+			}
+			return res, events
+		}
+		direct, directEvents := replay(set)
+		viaColbin, colbinEvents := replay(file.Set())
+		if direct.Decisions == 0 || direct.SpotLaunch == 0 || len(directEvents) == 0 {
+			t.Fatalf("persistent=%v: degenerate reference run: %+v", persistent, direct)
+		}
+		if !reflect.DeepEqual(direct, viaColbin) {
+			t.Fatalf("persistent=%v: colbin round-trip changed the replay:\n%+v\n%+v", persistent, direct, viaColbin)
+		}
+		if !reflect.DeepEqual(directEvents, colbinEvents) {
+			t.Fatalf("persistent=%v: colbin round-trip changed the event stream (%d vs %d events)",
+				persistent, len(directEvents), len(colbinEvents))
 		}
 	}
 }
@@ -112,17 +186,32 @@ func TestEndDefaultsAndValidation(t *testing.T) {
 		t.Fatalf("explicit end accounted %d minutes, default %d", res2.TotalMinutes, res.TotalMinutes)
 	}
 
-	for name, end := range map[string]int64{
-		"end at start":     base.Start,
-		"end before start": base.Start - 60,
-		"negative end":     -1,
-		"end at trace end": set.End,
-		"end beyond trace": set.End + week,
+	// Every rejection happens in newRun, before either loop starts, so
+	// the kernel and its oracle must report the same first error for a
+	// config that is wrong in more than one way.
+	for _, tc := range []struct {
+		name       string
+		start, end int64
+		want       string
+	}{
+		{"end at start", base.Start, base.Start, "empty accounting window"},
+		{"end before start", base.Start, base.Start - 60, "empty accounting window"},
+		{"negative end", base.Start, -1, "negative end"},
+		{"end at trace end", base.Start, set.End, "beyond last simulable minute"},
+		{"end beyond trace", base.Start, set.End + week, "beyond last simulable minute"},
+		{"no lead room", set.Start + 5, 0, "no room for lead"},
+		{"end beyond trace and no lead room", set.Start + 5, set.End, "beyond last simulable minute"},
+		{"no lead room and empty window", set.Start + 5, set.Start + 5, "no room for lead"},
 	} {
 		bad := base
-		bad.End = end
-		if _, err := Run(bad); err == nil {
-			t.Errorf("%s (End=%d) accepted", name, end)
+		bad.Start, bad.End = tc.start, tc.end
+		for _, k := range kernels {
+			_, err := k.run(bad)
+			if err == nil {
+				t.Errorf("%s (Start=%d End=%d) accepted by the %s kernel", tc.name, tc.start, tc.end, k.name)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s kernel reports %q, want an error containing %q", tc.name, k.name, err, tc.want)
+			}
 		}
 	}
 }

@@ -6,14 +6,13 @@
 // certained with the given spot prices data, the result is the same as
 // real running the bidding framework".
 //
-// Two interchangeable kernels drive a replay. The event kernel (the
-// default) subscribes to the provider's discrete-event stream and only
-// wakes at interesting minutes — decision points, interval boundaries,
-// and the end of accounting — integrating availability from quorum
-// up/down transitions instead of polling every minute. The polling
-// kernel is the original minute-by-minute loop, kept as the reference
-// implementation and benchmark baseline. Both produce bit-identical
-// Results for the same Config.
+// One kernel drives a replay (kernel_event.go): it subscribes to the
+// provider's discrete-event stream and only wakes at interesting
+// minutes — decision points, interval boundaries, and the end of
+// accounting — integrating availability from quorum up/down
+// transitions instead of polling every minute. The original
+// minute-by-minute loop survives only as the test oracle the kernel is
+// verified against bit for bit (kernel_polling_test.go).
 package replay
 
 import (
@@ -28,29 +27,6 @@ import (
 	"repro/internal/strategy"
 	"repro/internal/trace"
 	"repro/internal/workload"
-)
-
-// Kernel selects the replay engine.
-type Kernel int
-
-const (
-	// KernelEvent is the discrete-event kernel: wakes only at decision
-	// points and interval boundaries, tracking availability through the
-	// provider's event stream. The default.
-	KernelEvent Kernel = iota
-	// KernelPolling is the original minute-by-minute loop, kept as the
-	// reference implementation the event kernel is verified against.
-	KernelPolling
-	// KernelSharded is the region-sharded event kernel: pools partition
-	// by region across per-shard providers that advance concurrently
-	// (bounded by ShardWorkers), with per-shard event buffers merged
-	// deterministically at every wake. The decision loop is the event
-	// kernel's; only the control plane underneath is sharded. Its event
-	// stream is deterministic and independent of ShardWorkers, but not
-	// byte-identical to KernelEvent's (per-shard RNG streams and ID
-	// prefixes differ); it is pinned by its own golden. Incompatible
-	// with Chaos.
-	KernelSharded
 )
 
 // Config parameterizes one replay run.
@@ -88,13 +64,6 @@ type Config struct {
 	// relaunches automatically when the price returns below the bid
 	// (auto-heal ablation; the paper's framework uses one-shot bids).
 	PersistentRequests bool
-	// Kernel selects the replay engine (default KernelEvent).
-	Kernel Kernel
-	// ShardWorkers bounds the goroutines advancing shards concurrently
-	// under KernelSharded (default GOMAXPROCS; 1 = sequential). The
-	// result and event stream are identical at every worker count.
-	// Ignored by the other kernels.
-	ShardWorkers int
 	// Observers receive the simulation event stream: instance
 	// lifecycle, out-of-bid reclaims, outages, billing closures from
 	// the provider, plus the replay's own bidding decisions, service
@@ -176,47 +145,19 @@ type IntervalStats struct {
 	DownMinutes int64 // downtime within this interval
 }
 
-// controlPlane is the slice of the provider surface the replay drives.
-// *cloud.Provider satisfies it directly (the single-shard kernels);
-// shardedCloud satisfies it by routing each call to the per-region
-// shard owning the zone, instance, or request.
-type controlPlane interface {
-	Now() int64
-	Zones() []string
-	SpotPrice(zone string) (market.Money, error)
-	SpotPriceAge(zone string) (int64, error)
-	PriceHistory(zone string, from, to int64) (*trace.Trace, error)
-	RequestSpot(zone string, it market.InstanceType, bid market.Money) (cloud.InstanceID, error)
-	RequestOnDemand(zone string, it market.InstanceType) (cloud.InstanceID, error)
-	RequestSpotPersistent(zone string, it market.InstanceType, bid market.Money) (cloud.RequestID, error)
-	CancelSpotRequest(id cloud.RequestID, terminate bool) error
-	RequestHistory(id cloud.RequestID) ([]cloud.InstanceID, error)
-	RequestAlive(id cloud.RequestID) bool
-	Terminate(id cloud.InstanceID) error
-	Instance(id cloud.InstanceID) (cloud.Instance, error)
-	Alive(id cloud.InstanceID) bool
-	LiveInstances() []cloud.InstanceID
-	Charge(id cloud.InstanceID) (market.Money, error)
-	AdvanceTo(minute int64)
-	Subscribe(o engine.Observer)
-}
-
 // marketView adapts the provider to the strategy's view interface. It
 // also implements the optional strategy.TraceIdentifier and
 // strategy.EventPublisher extensions: the replayed trace set's
 // fingerprint keys shared model caches, and strategy instrumentation
 // events (model training) reach the run's observers.
 type marketView struct {
-	p           controlPlane
+	p           *cloud.Provider
 	fingerprint uint64
 	obs         engine.Fanout
 	// chaos, when armed, rewrites observations inside injected trace
 	// gaps: the pre-gap price with growing age, history clamped to the
-	// gap start. Nil outside chaos runs. raw is the concrete provider
-	// the chaos engine is armed against (chaos never combines with the
-	// sharded control plane, so it is always p itself).
+	// gap start. Nil outside chaos runs.
 	chaos *chaos.Engine
-	raw   *cloud.Provider
 	// load, when armed, carries the workload autoscaler's target group
 	// size (strategy.LoadTargeter). Nil outside autoscaled runs, so the
 	// fixed-n path reports no target and strategies keep sizing by
@@ -228,7 +169,7 @@ func (v marketView) Now() int64      { return v.p.Now() }
 func (v marketView) Zones() []string { return v.p.Zones() }
 func (v marketView) SpotPrice(zone string) (market.Money, error) {
 	if v.chaos != nil {
-		if price, _, stale, err := v.chaos.StalePrice(v.raw, zone, v.p.Now()); stale || err != nil {
+		if price, _, stale, err := v.chaos.StalePrice(v.p, zone, v.p.Now()); stale || err != nil {
 			return price, err
 		}
 	}
@@ -236,7 +177,7 @@ func (v marketView) SpotPrice(zone string) (market.Money, error) {
 }
 func (v marketView) SpotPriceAge(zone string) (int64, error) {
 	if v.chaos != nil {
-		if _, age, stale, err := v.chaos.StalePrice(v.raw, zone, v.p.Now()); stale || err != nil {
+		if _, age, stale, err := v.chaos.StalePrice(v.p, zone, v.p.Now()); stale || err != nil {
 			return age, err
 		}
 	}
@@ -273,12 +214,13 @@ type member struct {
 	reqID    cloud.RequestID  // persistent-request mode only
 }
 
-// run is the shared state of one replay, manipulated by either kernel.
+// run is the state of one replay, built by newRun and driven by the
+// kernel.
 type run struct {
 	cfg      Config
 	lead     int64
 	end      int64
-	provider controlPlane
+	provider *cloud.Provider
 	view     marketView
 	res      *Result
 
@@ -303,6 +245,23 @@ type run struct {
 
 // Run executes the replay.
 func Run(cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.runEvent(); err != nil {
+		return nil, err
+	}
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return r.res, nil
+}
+
+// newRun validates cfg and builds the run: the (chaos-transformed)
+// provider, the strategy's market view, and the resize state machine
+// when a workload plan moves the group size. Nothing has advanced yet.
+func newRun(cfg Config) (*run, error) {
 	if cfg.Traces == nil || cfg.Strategy == nil {
 		return nil, fmt.Errorf("replay: traces and strategy are required")
 	}
@@ -346,9 +305,6 @@ func Run(cfg Config) (*Result, error) {
 	traces := cfg.Traces
 	var chaosEng *chaos.Engine
 	if cfg.Chaos != nil {
-		if cfg.Kernel == KernelSharded {
-			return nil, fmt.Errorf("replay: chaos scenarios require a single-shard kernel")
-		}
 		var cerr error
 		chaosEng, cerr = chaos.New(*cfg.Chaos, cfg.ChaosSeed, cfg.Start)
 		if cerr != nil {
@@ -358,25 +314,14 @@ func Run(cfg Config) (*Result, error) {
 			return nil, cerr
 		}
 	}
-	var provider controlPlane
-	var raw *cloud.Provider
-	if cfg.Kernel == KernelSharded {
-		sc, serr := newShardedCloud(traces, cfg)
-		if serr != nil {
-			return nil, serr
-		}
-		provider = sc
-	} else {
-		raw = cloud.NewProvider(traces, cloud.Config{
-			Seed:                   cfg.Seed,
-			InjectHardwareFailures: cfg.InjectHardwareFailures,
-		})
-		provider = raw
-	}
+	provider := cloud.NewProvider(traces, cloud.Config{
+		Seed:                   cfg.Seed,
+		InjectHardwareFailures: cfg.InjectHardwareFailures,
+	})
 	fingerprint := traces.Fingerprint()
 	if chaosEng != nil {
 		fingerprint ^= chaosEng.FingerprintSalt()
-		chaosEng.Arm(raw)
+		chaosEng.Arm(provider)
 		// Let a fault-aware strategy (Jupiter's staged degradation)
 		// watch the stream it must react to.
 		if obs, ok := cfg.Strategy.(engine.Observer); ok {
@@ -389,7 +334,7 @@ func Run(cfg Config) (*Result, error) {
 		lead:     lead,
 		end:      end,
 		provider: provider,
-		view:     marketView{p: provider, fingerprint: fingerprint, obs: userObs, chaos: chaosEng, raw: raw},
+		view:     marketView{p: provider, fingerprint: fingerprint, obs: userObs, chaos: chaosEng},
 		res:      &Result{Strategy: cfg.Strategy.Name(), IntervalMinutes: cfg.IntervalMinutes},
 		userObs:  userObs,
 	}
@@ -415,26 +360,7 @@ func Run(cfg Config) (*Result, error) {
 			r.resize = newResizer(r, plan)
 		}
 	}
-
-	var err error
-	switch cfg.Kernel {
-	case KernelPolling:
-		err = r.runPolling()
-	default:
-		err = r.runEvent()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	// Final accounting terminates instances without advancing the
-	// clock; flush those trailing events to the observers.
-	if sc, ok := r.provider.(*shardedCloud); ok {
-		sc.Flush()
-	}
-	return r.res, nil
+	return r, nil
 }
 
 // chooseInterval consults the strategy when it adapts its own bidding

@@ -3,7 +3,9 @@ package replay
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/market"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -17,7 +19,7 @@ func lockSpec() strategy.ServiceSpec {
 
 // genTraces builds a trace set with a 13-week training prefix plus the
 // given number of replay weeks.
-func genTraces(t *testing.T, seed uint64, replayWeeks int64, it market.InstanceType) *trace.Set {
+func genTraces(t testing.TB, seed uint64, replayWeeks int64, it market.InstanceType) *trace.Set {
 	t.Helper()
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: seed, Type: it,
@@ -214,5 +216,46 @@ func TestReplayStorageSpec(t *testing.T) {
 	}
 	if res.Availability < 0.99 {
 		t.Fatalf("storage availability %v", res.Availability)
+	}
+}
+
+// TestReplayStormSurgeOverTypedPools is the -types chaos regression:
+// the storm-surge builtin (a reclaim storm, then a market-wide price
+// spike) must replay over a two-type pool market. The spike transform
+// used to reject every sibling-type trace, failing the run before its
+// first minute.
+func TestReplayStormSurgeOverTypedPools(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 15, Type: market.M1Small, Types: []market.InstanceType{market.M1Medium},
+		Zones: market.ExperimentZones(),
+		Start: 0, End: 14 * week,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ok := chaos.Builtin("storm-surge")
+	if !ok {
+		t.Fatal("storm-surge builtin missing")
+	}
+	spikes := 0
+	res, err := Run(Config{
+		Traces: set, Start: 13 * week,
+		Spec: lockSpec(), Strategy: core.New(),
+		IntervalMinutes: 180, Seed: 15,
+		Chaos: &sc,
+		Observers: []engine.Observer{&engine.Hooks{Fault: func(e engine.Event) {
+			if e.Kind == engine.KindFaultInjected && e.Fault == chaos.PriceSpike {
+				spikes++
+			}
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalMinutes != week-1 || res.Decisions == 0 {
+		t.Fatalf("degenerate run: %+v", res)
+	}
+	if spikes != 1 {
+		t.Fatalf("observed %d price-spike injections, want 1", spikes)
 	}
 }

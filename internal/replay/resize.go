@@ -69,8 +69,8 @@ func (e *QuorumFloorError) Error() string {
 		e.Zone, e.AliveUnits, e.QuorumUnits)
 }
 
-// resizer is the gradual-resize state machine shared by both replay
-// kernels. Between interval boundaries it watches the autoscaler plan
+// resizer is the gradual-resize state machine the replay kernel (and
+// its polling test oracle) drives. Between interval boundaries it watches the autoscaler plan
 // and, when the target moves, re-runs the strategy at the new size and
 // reconciles the fleet toward the decision in availability-preserving
 // steps:
@@ -191,10 +191,10 @@ func (rz *resizer) nextWake(now, pauseFrom int64) int64 {
 
 // act runs every resize action due at the current minute, in machine
 // order: install, then drain, then (when idle and outside the
-// pre-boundary pause window, now < pauseFrom) a fresh trigger. Both
-// kernels call it with identical semantics — the event kernel at its
-// computed wake minutes, the polling kernel every minute — so the two
-// stay bit-identical under resize.
+// pre-boundary pause window, now < pauseFrom) a fresh trigger. The
+// event kernel calls it at its computed wake minutes and the polling
+// oracle every minute, with identical semantics, so the two stay
+// bit-identical under resize.
 func (rz *resizer) act(now, pauseFrom int64) error {
 	for {
 		switch {

@@ -46,26 +46,26 @@ func crowdWorkload(t *testing.T, start, end, from, dur int64, peak float64) *wor
 func TestFlatWorkloadBitIdenticalToFixedN(t *testing.T) {
 	set := genTraces(t, 21, 1, market.M1Small)
 	start := 13 * week
-	for _, k := range []Kernel{KernelEvent, KernelPolling} {
+	for _, k := range kernels {
 		base := Config{
 			Traces: set, Start: start,
 			Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 1, Portion: 0.15},
 			IntervalMinutes: 180, Seed: 21,
-			InjectHardwareFailures: true, Kernel: k,
+			InjectHardwareFailures: true,
 		}
-		fixed, err := Run(base)
+		fixed, err := k.run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flat := base
 		flat.Workload = flatWorkload(t, start, set.End)
 		flat.Strategy = strategy.Extra{ExtraNodes: 1, Portion: 0.15}
-		got, err := Run(flat)
+		got, err := k.run(flat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fixed, got) {
-			t.Fatalf("kernel %d: flat workload diverges from fixed-n:\nfixed: %+v\nflat:  %+v", k, fixed, got)
+			t.Fatalf("%s kernel: flat workload diverges from fixed-n:\nfixed: %+v\nflat:  %+v", k.name, fixed, got)
 		}
 	}
 }
@@ -95,14 +95,13 @@ func TestKernelsAgreeAutoscaled(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var results [2]*Result
-			for i, k := range []Kernel{KernelEvent, KernelPolling} {
-				res, err := Run(Config{
+			for i, k := range kernels {
+				res, err := k.run(Config{
 					Traces: set, Start: start,
 					Spec: lockSpec(), Strategy: tc.mk(),
 					IntervalMinutes: 180, Seed: 31,
 					InjectHardwareFailures: tc.name == "extra-crowd-injected",
 					Chaos:                  tc.sc, Workload: tc.wl,
-					Kernel: k,
 				})
 				if err != nil {
 					t.Fatal(err)
