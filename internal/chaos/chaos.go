@@ -62,8 +62,8 @@ type Injector struct {
 	Kind string `json:"kind"`
 	// Zone scopes the fault to one availability zone. Empty means
 	// every zone (not allowed for zone-blackout). On a (zone × type)
-	// pool market a zone-blackout or price-spike hits every pool of
-	// the zone, whatever the instance type.
+	// pool market the fault hits every pool of the zone, whatever the
+	// instance type.
 	Zone string `json:"zone,omitempty"`
 	// From is the injection minute, relative to the replay start.
 	From int64 `json:"from"`

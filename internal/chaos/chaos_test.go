@@ -327,3 +327,61 @@ func TestBlackoutEmitsWindowEvents(t *testing.T) {
 		t.Fatal("outage still active after window")
 	}
 }
+
+// TestZonedInjectorsHitTypedPools: a reclaim storm, a request gate and
+// a trace gap scoped to an availability zone reach every pool of that
+// zone — "us-east-1a" and "us-east-1a/m1.medium" alike — and no pool of
+// another, as the zoned price spike and blackout already do.
+func TestZonedInjectorsHitTypedPools(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 7, Type: market.M1Small, Types: []market.InstanceType{market.M1Medium},
+		Zones: []string{"us-east-1a", "us-east-1b"},
+		Start: 0, End: 24 * 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := []string{"us-east-1a", "us-east-1a/m1.medium", "us-east-1b", "us-east-1b/m1.medium"}
+	if !reflect.DeepEqual(set.Zones(), pools) {
+		t.Fatalf("market pools %v, want %v", set.Zones(), pools)
+	}
+	p := cloud.NewProvider(set, cloud.Config{Seed: 5})
+	request := func(pool string) (cloud.InstanceID, error) {
+		od, err := market.PoolOnDemandPrice(pool, market.M1Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.RequestSpot(pool, market.M1Small, od) // the highest bid allowed: never out of bid
+	}
+	live := make(map[string]cloud.InstanceID)
+	for _, pool := range pools {
+		id, err := request(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[pool] = id
+	}
+	sc := Scenario{Name: "zoned", Seed: 3, Injectors: []Injector{
+		{Kind: ReclaimStorm, Zone: "us-east-1a", Count: 4, From: 50},
+		{Kind: RequestLoss, Zone: "us-east-1a", From: 100, Until: 200},
+		{Kind: TraceGap, Zone: "us-east-1a", From: 100, Until: 200},
+	}}
+	e, err := New(sc, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Arm(p)
+	p.AdvanceTo(150)
+	for _, pool := range pools {
+		hit := market.PoolZone(pool) == "us-east-1a"
+		if inst, _ := p.Instance(live[pool]); (inst.State == cloud.Terminated) != hit {
+			t.Errorf("storm: pool %s instance state %v, want reclaimed = %v", pool, inst.State, hit)
+		}
+		if _, err := request(pool); (err != nil) != hit {
+			t.Errorf("request loss: pool %s request error %v, want lost = %v", pool, err, hit)
+		}
+		if _, gap := e.GapAt(pool, 150); gap != hit {
+			t.Errorf("trace gap: pool %s in gap = %v, want %v", pool, gap, hit)
+		}
+	}
+}

@@ -59,9 +59,7 @@ func (e *Engine) TransformTraces(set *trace.Set) (*trace.Set, error) {
 	for _, key := range set.Zones() {
 		tr := set.ByZone[key]
 		for _, inj := range spikes {
-			// Like a blackout, a zone-scoped spike hits the whole
-			// availability zone: every pool in it, whatever the type.
-			if inj.Zone != "" && inj.Zone != market.PoolZone(key) {
+			if !inj.covers(key) {
 				continue
 			}
 			tr = spike(tr, e.abs(inj.From), e.abs(inj.Until), inj.Factor)
@@ -201,6 +199,13 @@ func (e *Engine) scheduleClear(from, until int64, kind, zone string) {
 	})
 }
 
+// covers reports whether the injector's zone scope includes a pool: an
+// unscoped injector covers every pool, a zoned one the whole
+// availability zone — "us-east-1a" and "us-east-1a/c3.large" alike.
+func (inj Injector) covers(pool string) bool {
+	return inj.Zone == "" || inj.Zone == market.PoolZone(pool)
+}
+
 // storm picks the victims of one reclamation storm among the live spot
 // instances at the storm minute and reclaims each at a seeded offset
 // within the spread window.
@@ -216,7 +221,7 @@ func (e *Engine) storm(inj Injector, from int64) {
 		if err != nil || !inst.Spot {
 			continue
 		}
-		if inj.Zone != "" && inst.Zone != inj.Zone {
+		if !inj.covers(inst.Zone) {
 			continue
 		}
 		cands = append(cands, victim{id: id, zone: inst.Zone})
@@ -275,7 +280,7 @@ func (e *Engine) gateFunc(gates []gateWindow) func(minute int64, zone string, sp
 			if minute < g.from || minute >= g.until {
 				continue
 			}
-			if g.inj.Zone != "" && g.inj.Zone != zone {
+			if !g.inj.covers(zone) {
 				continue
 			}
 			if p := g.inj.Probability; p > 0 && p < 1 && !e.rng.Bool(p) {
@@ -299,17 +304,17 @@ func (e *Engine) gateFunc(gates []gateWindow) func(minute int64, zone string, sp
 	}
 }
 
-// GapAt reports whether the zone's price feed is inside an injected
-// trace gap at the given minute, and if so the absolute minute the gap
-// began (the last minute the feed was live). Overlapping gaps merge to
-// the earliest start.
+// GapAt reports whether the price feed of a zone, or of a pool in it,
+// is inside an injected trace gap at the given minute, and if so the
+// absolute minute the gap began (the last minute the feed was live).
+// Overlapping gaps merge to the earliest start.
 func (e *Engine) GapAt(zone string, minute int64) (int64, bool) {
 	start, found := int64(0), false
 	for _, inj := range e.sc.Injectors {
 		if inj.Kind != TraceGap {
 			continue
 		}
-		if inj.Zone != "" && inj.Zone != zone {
+		if !inj.covers(zone) {
 			continue
 		}
 		from, until := e.abs(inj.From), e.abs(inj.Until)

@@ -52,6 +52,42 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
+// BenchmarkDecidePools68 measures the capacity-weighted planner on the
+// benchmark's 68-pool market. Cold is what every replay pays once — a
+// fresh framework's first Decide: training, cold forecasts and an empty
+// fit memo. Warm is the steady state after nine Decides: forecasts
+// against trained models and rebids answered from the memo.
+func BenchmarkDecidePools68(b *testing.B) {
+	set := benchPoolSet(b)
+	spec := lockSpec()
+	b.Run("Cold", func(b *testing.B) {
+		view := traceView{set: set, now: 6 * week}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New().Decide(view, spec, 3*60); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Warm", func(b *testing.B) {
+		j := New()
+		var view traceView
+		for d := int64(0); d < 9; d++ {
+			view = traceView{set: set, now: 6*week + d*3*60}
+			if _, err := j.Decide(view, spec, 3*60); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := j.Decide(view, spec, 3*60); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkRefine measures the heterogeneous-bid descent in isolation:
 // n zones holding equal top-level bids, each with a staircase FP curve
 // over 40 price levels, so the descent has real work at every group

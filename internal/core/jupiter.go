@@ -100,6 +100,14 @@ type Jupiter struct {
 	lastBidFPs   map[string]float64
 	fpCache      map[fpKey]fpVal
 
+	// Weighted-planner state (pools.go): the memo of fitUniformFP, the
+	// scratch every candidate group of every Decide is evaluated in, and
+	// fit — always fitUniformFP outside the reference-oracle tests, which
+	// swap in the pre-memo implementation to pin decisions against it.
+	fitCache map[string]fpVal
+	ws       poolScratch
+	fit      func(t int, units []int, target float64) (float64, bool)
+
 	// health tracks observed faults for staged degradation. It stays
 	// nil until the first OnFault, so runs without a chaos subscription
 	// never touch the degradation paths.
@@ -118,6 +126,17 @@ type zoneModel struct {
 	trainedAt int64
 }
 
+// memoCap bounds fpCache and fitCache. Both hold pure functions of
+// their keys, so a full map is simply dropped and refilled.
+const memoCap = 4096
+
+func memoPut[K comparable](m map[K]fpVal, k K, v fpVal) {
+	if len(m) >= memoCap {
+		clear(m)
+	}
+	m[k] = v
+}
+
 // fpKey caches quorum inversions, which depend only on geometry and
 // target availability.
 type fpKey struct {
@@ -132,13 +151,16 @@ type fpVal struct {
 
 // New returns a Jupiter with the paper's defaults.
 func New() *Jupiter {
-	return &Jupiter{
+	j := &Jupiter{
 		FP0:            market.OnDemandFailureProbability,
 		TrainingWindow: 13 * 7 * 24 * 60,
 		RetrainEvery:   7 * 24 * 60,
 		zoneModels:     make(map[string]zoneModel),
 		fpCache:        make(map[fpKey]fpVal),
+		fitCache:       make(map[string]fpVal),
 	}
+	j.fit = j.fitUniformFP
+	return j
 }
 
 // UseModelCache implements modelcache.Consumer: the replay harness
@@ -165,7 +187,7 @@ func (j *Jupiter) invertFP(n, k int, target float64) (float64, bool) {
 		return v.fp, !v.err
 	}
 	fp, err := quorum.InvertEqualFP(n, k, target)
-	j.fpCache[key] = fpVal{fp: fp, err: err != nil}
+	memoPut(j.fpCache, key, fpVal{fp: fp, err: err != nil})
 	return fp, err == nil
 }
 

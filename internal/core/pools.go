@@ -13,6 +13,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/market"
@@ -26,6 +29,16 @@ import (
 type weightedPool struct {
 	*poolSnapshot
 	units int
+}
+
+// poolScratch is what the planner's exact-quorum checks run in: the DP
+// row, a group's unit and probability vectors, and the memo key under
+// construction. One per Jupiter, reused by every check.
+type poolScratch struct {
+	dp    quorum.WeightedDP
+	units []int
+	fps   []float64
+	key   []byte
 }
 
 // odPoolCand is an on-demand substitution candidate: a pool whose
@@ -156,8 +169,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// bills if the market holds still).
 	evaluate := func(spot []poolBid, spotUnits []int, od []odPoolCand) (market.Money, market.Money, bool) {
 		tot := 0
-		units := make([]int, 0, len(spot)+len(od))
-		fps := make([]float64, 0, len(spot)+len(od))
+		units, fps := j.ws.units[:0], j.ws.fps[:0]
 		var cost, curCost market.Money
 		for i, pb := range spot {
 			units = append(units, spotUnits[i])
@@ -174,11 +186,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			cost += oc.price
 			curCost += oc.price
 		}
+		j.ws.units, j.ws.fps = units, fps
 		t := spec.QuorumUnits(tot)
 		if t > tot {
 			return 0, 0, false // too little capacity to ever form a quorum
 		}
-		if quorum.WeightedThresholdAvailability(t, units, fps) < target {
+		if j.ws.dp.Availability(t, units, fps) < target {
 			return 0, 0, false
 		}
 		return cost, curCost, true
@@ -193,7 +206,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// then re-bids every spot member at that tighter probability.
 	rebid := func(spot []poolBid, spotUnits []int, od []odPoolCand) ([]poolBid, bool) {
 		tot := 0
-		units := make([]int, 0, len(spot)+len(od))
+		units := j.ws.units[:0]
 		for _, u := range spotUnits {
 			units = append(units, u)
 			tot += u
@@ -202,11 +215,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			units = append(units, oc.units)
 			tot += oc.units
 		}
+		j.ws.units = units
 		t := spec.QuorumUnits(tot)
 		if t > tot {
 			return nil, false
 		}
-		fp, ok := fitUniformFP(t, units, target)
+		fp, ok := j.fit(t, units, target)
 		if !ok || fp < j.FP0 {
 			return nil, false
 		}
@@ -554,30 +568,50 @@ func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec st
 // fitUniformFP bisects the largest uniform per-member failure
 // probability p at which a group with the given capacity units meets
 // the availability target under the exact unit-quorum rule (threshold
-// t). It mirrors quorum.InvertEqualFP's structure — 100 iterations,
-// keeping the feasible lower endpoint — so the returned probability is
-// conservative: the group evaluated at it is guaranteed to pass.
-func fitUniformFP(t int, units []int, target float64) (float64, bool) {
-	fps := make([]float64, len(units))
+// t). It mirrors quorum.InvertEqualFP's structure — up to 100
+// iterations, keeping the feasible lower endpoint — so the returned
+// probability is conservative: the group evaluated at it is guaranteed
+// to pass.
+//
+// The result is a pure function of (target, t, units in order) and is
+// memoised on exactly that: the DP's rounding depends on the fold
+// order, so the sequence is not canonicalised.
+func (j *Jupiter) fitUniformFP(t int, units []int, target float64) (float64, bool) {
+	key := binary.AppendUvarint(j.ws.key[:0], math.Float64bits(target))
+	key = binary.AppendVarint(key, int64(t))
+	for _, u := range units {
+		key = binary.AppendVarint(key, int64(u))
+	}
+	j.ws.key = key
+	if v, ok := j.fitCache[string(key)]; ok {
+		return v.fp, !v.err
+	}
+	fps := slices.Grow(j.ws.fps[:0], len(units))[:len(units)]
+	j.ws.fps = fps
 	availAt := func(p float64) float64 {
 		for i := range fps {
 			fps[i] = p
 		}
-		return quorum.WeightedThresholdAvailability(t, units, fps)
-	}
-	if availAt(0) < target {
-		return 0, false
+		return j.ws.dp.Availability(t, units, fps)
 	}
 	lo, hi := 0.0, 1.0
-	for i := 0; i < 100; i++ {
+	ok := !(availAt(0) < target) // not >=: a NaN target has always passed
+	for i := 0; ok && i < 100; i++ {
 		mid := (lo + hi) / 2
+		// Once the interval has collapsed the midpoint is an endpoint
+		// whose outcome is known — lo was probed feasible, hi infeasible
+		// unless it is still the unprobed 1 — and stays one for good.
+		if mid == lo || (mid == hi && hi < 1) {
+			break
+		}
 		if availAt(mid) >= target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo, true
+	memoPut(j.fitCache, string(key), fpVal{fp: lo, err: !ok})
+	return lo, ok
 }
 
 // refineBidsWeighted is refineBids over capacity units: bids descend

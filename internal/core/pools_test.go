@@ -197,6 +197,30 @@ func TestDecideSingleTypeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDecidePoolsAllocBudget pins the pool path's allocation budget on
+// the 68-pool market. A warmed Decide — models trained, every rebid
+// answered from the memo — checks its ~220 candidate groups in the
+// planner's one scratch row; what still allocates is the forecasts and
+// the per-size candidate lists (≈ 4 100 at GOMAXPROCS 2). A row or a
+// probability vector per check would add hundreds, one per bisection
+// probe ten thousand.
+func TestDecidePoolsAllocBudget(t *testing.T) {
+	view := traceView{set: benchPoolSet(t), now: 6 * week}
+	j := New()
+	spec := lockSpec()
+	if _, err := j.Decide(view, spec, 180); err != nil { // warm models + memos
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := j.Decide(view, spec, 180); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4500 {
+		t.Fatalf("typed-pool Decide allocates %.0f times, budget 4500", allocs)
+	}
+}
+
 // TestDecidePoolsUsesTypedPools: the heterogeneous path must actually
 // route through the pool planner — its candidate enumeration is keyed
 // in base-node equivalents and at least one typed pool appears among

@@ -17,11 +17,7 @@ func Availability(sys System, p []float64) float64 {
 	if n > 30 {
 		panic("quorum: exact availability limited to n <= 30")
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	checkProbabilities(p)
 	total := 0.0
 	for alive := uint64(0); alive < 1<<uint(n); alive++ {
 		if !sys.Accepts(alive) {
@@ -90,11 +86,7 @@ func ThresholdAvailability(k int, p []float64) float64 {
 	if k < 0 || k > n {
 		panic("quorum: k outside [0, n]")
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	checkProbabilities(p)
 	// dist[j] = P(exactly j of the first i nodes alive).
 	dist := make([]float64, n+1)
 	dist[0] = 1

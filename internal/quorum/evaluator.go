@@ -42,11 +42,7 @@ func NewThresholdEvaluator(k int, p []float64) *ThresholdEvaluator {
 	if k < 0 || k > n {
 		panic("quorum: k outside [0, n]")
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	checkProbabilities(p)
 	ev := &ThresholdEvaluator{
 		k: k, n: n,
 		prefix:  make([]float64, (n+1)*(n+2)/2),

@@ -30,14 +30,9 @@ func RSPaxosQuorumUnits(totalUnits, shardUnits int) int {
 	return (totalUnits + shardUnits + 1) / 2
 }
 
-// WeightedThresholdAvailability returns the probability that the unit
-// sum of live nodes reaches t, where node i fails independently with
-// probability p[i] and carries units[i] capacity units. t <= 0 is
-// trivially available; t beyond the total unit sum is unreachable.
-// Validation of p matches ThresholdAvailability; units must be
-// positive. O(n · total units).
-func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
-	n := len(p)
+// weightedTotal validates the capacity units of an n-node system and
+// returns their sum.
+func weightedTotal(units []int, n int) int {
 	if len(units) != n {
 		panic(fmt.Sprintf("quorum: %d unit weights for %d nodes", len(units), n))
 	}
@@ -48,32 +43,64 @@ func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 		}
 		total += u
 	}
+	return total
+}
+
+// checkProbabilities is the validation every availability routine of
+// the package applies to a failure-probability vector.
+func checkProbabilities(p []float64) {
 	for i, pi := range p {
 		if pi < 0 || pi > 1 || math.IsNaN(pi) {
 			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
 		}
 	}
+}
+
+// foldNode folds one node of u capacity units and failure probability
+// pi into dist, the survivor distribution over unit sums of the nodes
+// folded so far (cum includes this node), leaving entries below from
+// as they were. It is the ThresholdAvailability recurrence with a
+// stride of u, and the only copy of it: every weighted result in this
+// file rounds the same way because it comes out of this loop.
+func foldNode(dist []float64, from, cum, u int, pi float64) {
+	q := 1 - pi
+	for b, lo := cum, max(u, from); b >= lo; b-- {
+		dist[b] = dist[b]*pi + dist[b-u]*q
+	}
+	for b, lo := u-1, max(0, from); b >= lo; b-- {
+		dist[b] *= pi
+	}
+}
+
+// WeightedDP is WeightedThresholdAvailability with a reusable
+// survivor-distribution row, for callers that evaluate many groups in
+// a loop (the pool planner probes thousands per Decide). The zero value
+// is ready; results are bit-identical to the package function. Not safe
+// for concurrent use.
+type WeightedDP struct{ dist []float64 }
+
+// Availability is WeightedThresholdAvailability on the scratch row.
+func (d *WeightedDP) Availability(t int, units []int, p []float64) float64 {
+	total := weightedTotal(units, len(p))
+	checkProbabilities(p)
 	if t <= 0 {
 		return 1
 	}
 	if t > total {
 		return 0
 	}
-	// Survivor distribution over unit sums, folding one node at a time —
-	// the ThresholdAvailability recurrence with a stride of units[i].
-	dist := make([]float64, total+1)
+	if cap(d.dist) < total+1 {
+		d.dist = make([]float64, total+1)
+	}
+	dist := d.dist[:total+1]
+	clear(dist) // the row may hold a previous, longer group's distribution
 	dist[0] = 1
 	cum := 0
 	for i, pi := range p {
-		q := 1 - pi
-		u := units[i]
-		cum += u
-		for b := cum; b >= u; b-- {
-			dist[b] = dist[b]*pi + dist[b-u]*q
-		}
-		for b := u - 1; b >= 0; b-- {
-			dist[b] *= pi
-		}
+		cum += units[i]
+		// Unit sums below t-(total-cum) cannot reach t with the nodes
+		// still to fold, and no entry at or above is computed from one.
+		foldNode(dist, t-(total-cum), cum, units[i], pi)
 	}
 	sum := 0.0
 	for b := t; b <= total; b++ {
@@ -83,6 +110,17 @@ func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 		sum = 1
 	}
 	return sum
+}
+
+// WeightedThresholdAvailability returns the probability that the unit
+// sum of live nodes reaches t, where node i fails independently with
+// probability p[i] and carries units[i] capacity units. t <= 0 is
+// trivially available; t beyond the total unit sum is unreachable.
+// Validation of p matches ThresholdAvailability; units must be
+// positive. O(n · total units).
+func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
+	var d WeightedDP
+	return d.Availability(t, units, p)
 }
 
 // WeightedThresholdEvaluator is ThresholdEvaluator over capacity
@@ -110,24 +148,11 @@ type WeightedThresholdEvaluator struct {
 // t in [0, total units].
 func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThresholdEvaluator {
 	n := len(p)
-	if len(units) != n {
-		panic(fmt.Sprintf("quorum: %d unit weights for %d nodes", len(units), n))
-	}
-	totalU := 0
-	for i, u := range units {
-		if u < 1 {
-			panic(fmt.Sprintf("quorum: units[%d] = %d not positive", i, u))
-		}
-		totalU += u
-	}
+	totalU := weightedTotal(units, n)
 	if t < 0 || t > totalU {
 		panic(fmt.Sprintf("quorum: unit threshold %d outside [0, %d]", t, totalU))
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	checkProbabilities(p)
 	ev := &WeightedThresholdEvaluator{
 		t: t, n: n,
 		units:  append([]int(nil), units...),
@@ -144,23 +169,15 @@ func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThr
 	ev.prefix = make([]float64, preSize)
 	ev.sufTail = make([]float64, (n+1)*ev.stride)
 	// Prefix survivor distributions, extending one node at a time with
-	// the same in-place recurrence (and therefore the same rounding) as
-	// WeightedThresholdAvailability.
+	// the fold (and therefore the rounding) of WeightedThresholdAvailability.
 	dist := make([]float64, totalU+1)
 	dist[0] = 1
 	ev.prefix[0] = 1
 	off := 1
 	cum := 0
 	for i, pi := range p {
-		q := 1 - pi
-		u := units[i]
-		cum += u
-		for b := cum; b >= u; b-- {
-			dist[b] = dist[b]*pi + dist[b-u]*q
-		}
-		for b := u - 1; b >= 0; b-- {
-			dist[b] *= pi
-		}
+		cum += units[i]
+		foldNode(dist, 0, cum, units[i], pi)
 		copy(ev.prefix[off:off+cum+1], dist[:cum+1])
 		off += cum + 1
 	}
@@ -180,16 +197,8 @@ func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThr
 	ev.setTail(n, dist[:1])
 	m := 0
 	for i := n - 1; i >= 0; i-- {
-		pi := p[i]
-		q := 1 - pi
-		u := units[i]
-		m += u
-		for b := m; b >= u; b-- {
-			dist[b] = dist[b]*pi + dist[b-u]*q
-		}
-		for b := u - 1; b >= 0; b-- {
-			dist[b] *= pi
-		}
+		m += units[i]
+		foldNode(dist, 0, m, units[i], p[i])
 		ev.setTail(i, dist[:m+1])
 	}
 	return ev

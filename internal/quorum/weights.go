@@ -1,9 +1,6 @@
 package quorum
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // OptimalWeights computes the optimal availability vote assignment for
 // independent node failure probabilities p (paper §4.1, Equation 11,
@@ -23,11 +20,7 @@ func OptimalWeights(p []float64) []float64 {
 	if n == 0 {
 		panic("quorum: OptimalWeights on empty universe")
 	}
-	for i, pi := range p {
-		if pi < 0 || pi > 1 || math.IsNaN(pi) {
-			panic(fmt.Sprintf("quorum: p[%d] = %v outside [0, 1]", i, pi))
-		}
-	}
+	checkProbabilities(p)
 	allUnreliable := true
 	for _, pi := range p {
 		if pi < 0.5 {
