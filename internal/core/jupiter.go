@@ -320,9 +320,13 @@ type poolSnapshot struct {
 // implementations are not required to be goroutine-safe. The forecast
 // construction that follows — the semi-Markov DP, by far the dominant
 // cost on retrain minutes — is a pure function per zone, so it fans out
-// over a worker pool bounded by GOMAXPROCS. Results collect into a
-// slice indexed by zone order, keeping every downstream loop
-// deterministic.
+// over a worker pool bounded by GOMAXPROCS; each build draws its
+// per-minute scratch from a pool smc shares across models, so a worker
+// allocates only the profile table its model keeps. Training stays out
+// of the fan-out: at a weekly slide of a few hundred transitions it is
+// the smaller half of a retrain minute, but it is the sequential half
+// (ROADMAP item 2). Results collect into a slice indexed by zone order,
+// keeping every downstream loop deterministic.
 //
 // dt, when non-nil, receives one SpanPool per pool considered —
 // quarantined, no-history, forecast-failed, or ok. Span emission stays

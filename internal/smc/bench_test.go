@@ -130,3 +130,39 @@ func BenchmarkMinimalBid(b *testing.B) {
 		f.MinimalBid(0.02, 0.01, od)
 	}
 }
+
+// BenchmarkForecastAfterSlide is the retrain minute of the bidding
+// framework: a thirteen-week window slides one week forward, the counts
+// freeze into a model, and the first forecast builds the fresh-entry
+// profiles.
+func BenchmarkForecastAfterSlide(b *testing.B) {
+	const week = 7 * 24 * 60
+	tr := benchTrace(b, 13+8)
+	cur := tr.PriceAt(tr.End - 1)
+	var w *WindowedEstimator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		until := int64(13+i%8) * week
+		if i%8 == 0 {
+			// Back at the start of the trace: re-seat the window untimed.
+			b.StopTimer()
+			w = NewWindowedEstimator(0)
+			if err := w.Advance(tr, 0, until); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		until += week
+		if err := w.Advance(tr, until-13*week, until); err != nil {
+			b.Fatal(err)
+		}
+		m, err := w.Model()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Forecast(cur, 5, 360); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package smc
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/market"
 )
@@ -26,9 +27,13 @@ import (
 // reads once a model is warm, and *every* read when a shared modelcache
 // serves parallel sweep cells — take no lock at all. The model mutex
 // only serializes the builds themselves. The fresh-profile DP runs over
-// one flat []float64 with stride indexing instead of horizon×n separate
-// per-minute slices, preserving the original summation order exactly so
-// results stay bit-identical.
+// one flat []float64 with stride indexing, and compiles each state's
+// departures once per build into a flat hop list, so a minute's step
+// has no zero to skip and no table to search: it adds the hops to four
+// cells at a time, out of registers. The hops are in the order the
+// original per-minute slices added their terms — sojourn ascending,
+// then destination ascending — so the sums, and with them every
+// forecast, stay bit-identical (TestFreshMatchesReference).
 
 // stateDist is an occupancy vector over the model's price states.
 type stateDist []float64
@@ -86,29 +91,24 @@ func (m *Model) sojournLocked(i int) *sojournData {
 		m.soj[i].Store(sd)
 		return sd
 	}
-	durations := make([]int64, 0, len(m.kernel[i]))
-	for k := range m.kernel[i] {
-		durations = append(durations, k)
-	}
-	sort.Slice(durations, func(a, b int) bool { return durations[a] < durations[b] })
-	sd.durations = durations
-	sd.maxDur = durations[len(durations)-1]
-	sd.pmf = make([]float64, len(durations))
-	sd.next = make([]stateDist, len(durations))
-	for x, k := range durations {
-		entries := m.kernel[i][k]
-		var total int64
-		for _, e := range entries {
-			total += e.count
+	// The kernel rows are already ascending by sojourn and, within one,
+	// by destination, so the tables fill in one walk.
+	rows := m.kernel[i]
+	sd.durations = make([]int64, len(rows))
+	sd.pmf = make([]float64, len(rows))
+	sd.next = make([]stateDist, len(rows))
+	dists := make([]float64, len(rows)*n)
+	for x, r := range rows {
+		dist := dists[x*n : (x+1)*n : (x+1)*n]
+		for _, c := range r.cells {
+			dist[c.to] = float64(c.count) / float64(r.total)
+			sd.marginal[c.to] += float64(c.count) / float64(m.out[i])
 		}
-		dist := make(stateDist, n)
-		for _, e := range entries {
-			dist[e.to] = float64(e.count) / float64(total)
-			sd.marginal[e.to] += float64(e.count) / float64(m.out[i])
-		}
+		sd.durations[x] = r.k
 		sd.next[x] = dist
-		sd.pmf[x] = float64(total) / float64(m.out[i])
+		sd.pmf[x] = float64(r.total) / float64(m.out[i])
 	}
+	sd.maxDur = sd.durations[len(rows)-1]
 	// Cap the duration support so the fresh-profile DP stays cheap: a
 	// long tail of distinct sojourns merges into adjacent buckets with
 	// probability-weighted representative durations. This only coarsens
@@ -116,25 +116,21 @@ func (m *Model) sojournLocked(i int) *sojournData {
 	const maxDurations = 96
 	if len(sd.durations) > maxDurations {
 		group := (len(sd.durations) + maxDurations - 1) / maxDurations
-		var mk []int64
-		var mp []float64
-		var mn []stateDist
+		groups := (len(sd.durations) + group - 1) / group
+		mk := make([]int64, 0, groups)
+		mp := make([]float64, 0, groups)
+		mn := make([]stateDist, 0, groups)
+		dists := make([]float64, groups*n)
 		for lo := 0; lo < len(sd.durations); lo += group {
-			hi := lo + group
-			if hi > len(sd.durations) {
-				hi = len(sd.durations)
-			}
+			hi := min(lo+group, len(sd.durations))
 			var pSum, dSum float64
-			dist := make(stateDist, n)
+			dist := dists[len(mk)*n:][:n:n]
 			for x := lo; x < hi; x++ {
 				pSum += sd.pmf[x]
 				dSum += float64(sd.durations[x]) * sd.pmf[x]
 				for s, g := range sd.next[x] {
 					dist[s] += g * sd.pmf[x]
 				}
-			}
-			if pSum == 0 {
-				continue
 			}
 			for s := range dist {
 				dist[s] /= pSum
@@ -172,6 +168,42 @@ func (m *Model) sojournLocked(i int) *sojournData {
 	return sd
 }
 
+// hop is one term of a state's fresh-entry recursion: leaving after d
+// minutes for some destination adds wg times the destination's own
+// fresh occupancy d minutes earlier.
+type hop struct {
+	d   int     // sojourn before the jump, minutes
+	src int     // offset in occ of the destination's minute-(t-d) row, less t rows
+	wg  float64 // P(K = d) · P(destination | K = d)
+}
+
+// freshScratch is the working memory of one fresh-profile build: the
+// per-minute occupancy table and the compiled hop lists. Only the
+// cumulative table outlives a build, so the scratch is pooled across
+// builds and models.
+type freshScratch struct {
+	occ  []float64
+	hops []hop
+}
+
+var freshScratchPool = sync.Pool{New: func() any { return new(freshScratch) }}
+
+// addHops adds every hop's term to four adjacent cells of a minute-t
+// row: wg times the same four cells of the hop's source row, at being
+// the cells' offset within row t·np of state 0. The cells stay in
+// registers across the hops, and each still sums its terms in hop order.
+func addHops(v []float64, hops []hop, occ []float64, at int) {
+	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+	for _, hp := range hops {
+		s := occ[hp.src+at:][:4]
+		v0 += hp.wg * s[0]
+		v1 += hp.wg * s[1]
+		v2 += hp.wg * s[2]
+		v3 += hp.wg * s[3]
+	}
+	v[0], v[1], v[2], v[3] = v0, v1, v2, v3
+}
+
 // fresh returns (building if needed) fresh profiles covering at least
 // the requested horizon. The hit path is a single atomic load; a longer
 // horizon builds and publishes a replacement under the mutex, and
@@ -187,51 +219,66 @@ func (m *Model) fresh(horizon int64) *freshProfiles {
 	}
 	n := len(m.prices)
 	h := int(horizon)
-	// occ[(i*h+t)*n + s] is the minute-t occupancy of state s after
-	// entering state i: the same DP as the old per-minute slices, over
-	// one zero-initialized flat array, in the same summation order.
-	occ := make([]float64, n*h*n)
-	at := func(i int, t int64) []float64 {
-		off := (i*h + int(t)) * n
-		return occ[off : off+n : off+n]
-	}
-	for t := int64(0); t < horizon; t++ {
-		for i := 0; i < n; i++ {
-			sd := m.sojournLocked(i)
-			v := at(i, t)
-			// Still in the entered state through minute t iff K >= t+1.
-			v[i] = sd.survivalAt(t + 1)
-			// Departures at minute d <= t hand off to fresh profiles.
-			for x, d := range sd.durations {
-				if d > t {
-					break
-				}
-				w := sd.pmf[x]
-				if w == 0 {
-					continue
-				}
-				dest := sd.next[x]
-				for j, g := range dest {
-					if g == 0 {
-						continue
-					}
-					src := at(j, t-d)
-					wg := w * g
-					for s := range v {
-						v[s] += wg * src[s]
-					}
+	// occ[(i*h+t)*np + s] is the minute-t occupancy of state s after
+	// entering state i. Rows are padded to whole blocks of four cells
+	// (the padding stays zero), so the step below needs no remainder loop.
+	np := (n + 3) &^ 3
+	sc := freshScratchPool.Get().(*freshScratch)
+	defer freshScratchPool.Put(sc)
+
+	// Compile each state's departures once into a flat hop list, in the
+	// order the recursion adds them: sojourn ascending, then destination
+	// ascending. A hop of d >= horizon can never fire. first[i] is where
+	// state i's hops begin.
+	sds := make([]*sojournData, n)
+	first := make([]int, n+1)
+	hops := sc.hops[:0]
+	for i := range sds {
+		sd := m.sojournLocked(i)
+		sds[i] = sd
+		for x, d := range sd.durations {
+			if d >= horizon {
+				break
+			}
+			for j, g := range sd.next[x] {
+				if g != 0 {
+					hops = append(hops, hop{d: int(d), src: (j*h - int(d)) * np, wg: sd.pmf[x] * g})
 				}
 			}
 		}
+		first[i+1] = len(hops)
 	}
+	sc.hops = hops
+
+	// Minute t only reads minutes before t (every sojourn is at least a
+	// minute), so one pass in t fills the table, and each finished row
+	// is folded into the cumulative profile.
+	if cap(sc.occ) < n*h*np {
+		sc.occ = make([]float64, n*h*np)
+	}
+	occ := sc.occ[:n*h*np]
+	clear(occ)
 	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
-	for i := 0; i < n; i++ {
-		for t := int64(0); t < horizon; t++ {
-			prev := fp.at(i, t)
-			next := fp.at(i, t+1)
-			o := at(i, t)
-			for s := range next {
-				next[s] = prev[s] + o[s]
+	live := make([]int, n) // how many of state i's hops have d <= t
+	for t := 0; t < h; t++ {
+		for i, sd := range sds {
+			row := occ[(i*h+t)*np:][:np]
+			// Still in the entered state through minute t iff K >= t+1.
+			row[i] = sd.survivalAt(int64(t) + 1)
+			// Departures at minute d <= t hand off to fresh profiles.
+			hs := hops[first[i]:first[i+1]]
+			for live[i] < len(hs) && hs[live[i]].d <= t {
+				live[i]++
+			}
+			hs = hs[:live[i]]
+			for b := 0; b < np; b += 4 {
+				addHops(row[b:][:4], hs, occ, t*np+b)
+			}
+			v := row[:n]
+			prev := fp.cum[(i*(h+1)+t)*n:][:len(v)]
+			next := fp.cum[(i*(h+1)+t+1)*n:][:len(v)]
+			for s := range v {
+				next[s] = prev[s] + v[s]
 			}
 		}
 	}

@@ -1,16 +1,226 @@
 package smc
 
-// Reference (pre-fast-path) implementations of the interval forecaster:
-// the per-minute slice-of-slices DP and the linear out-of-bid scans
-// exactly as they were before the flat-matrix/suffix-sum rewrite. The
-// equality tests in forecast_fast_test.go pin the optimized paths
-// bit-identical to these.
+// Reference implementations, kept verbatim from the code they replaced,
+// that the equality tests pin the current paths bit-identical to:
+//
+//   - refEstimator / refModel / refWriteJSON: the three-level-map
+//     Equation 13 estimator, its map-of-maps kernel and its serializer,
+//     as they were before the flat kernel;
+//   - refSojourn: the per-state sojourn tables built by iterating and
+//     sorting those maps;
+//   - refFresh: the fresh-profile DP that scanned dense next[x] vectors
+//     through an `at` closure, as it was before the hop-compiled DP;
+//   - refFreshCum / refForecast / refOutOfBidFraction / refMinimalBid:
+//     the older slice-of-slices DP and the linear out-of-bid scans from
+//     before the flat-matrix/suffix-sum rewrite.
 
-import "repro/internal/market"
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"sort"
 
-// refSojourn rebuilds a state's sojourn tables from the kernel, fully
-// independently of the model's published cache.
-func refSojourn(m *Model, i int) *sojournData {
+	"repro/internal/market"
+	"repro/internal/trace"
+)
+
+type kernelEntry struct {
+	to    int
+	count int64
+}
+
+// refEstimator is the pre-flat-kernel Estimator.
+type refEstimator struct {
+	maxSojourn int64
+	// counts[i][j][k] = N^k_{i,j}: transitions from price i to price j
+	// after a sojourn of k minutes. Prices are keyed in micro-dollars.
+	counts map[market.Money]map[market.Money]map[int64]int64
+	// out[i] = N_i: observed departures from price i.
+	out          map[market.Money]int64
+	observations int64
+}
+
+func newRefEstimator(maxSojourn int64) *refEstimator {
+	if maxSojourn <= 0 {
+		maxSojourn = DefaultMaxSojourn
+	}
+	return &refEstimator{
+		maxSojourn: maxSojourn,
+		counts:     make(map[market.Money]map[market.Money]map[int64]int64),
+		out:        make(map[market.Money]int64),
+	}
+}
+
+func (e *refEstimator) Observe(tr *trace.Trace) {
+	runs := tr.Sojourns()
+	for i := 0; i+1 < len(runs); i++ {
+		k := runs[i].Minutes
+		if k < 1 {
+			k = 1
+		}
+		if k > e.maxSojourn {
+			k = e.maxSojourn
+		}
+		e.add(runs[i].Price, runs[i+1].Price, k)
+	}
+}
+
+func (e *refEstimator) add(from, to market.Money, k int64) {
+	byTo, ok := e.counts[from]
+	if !ok {
+		byTo = make(map[market.Money]map[int64]int64)
+		e.counts[from] = byTo
+	}
+	byK, ok := byTo[to]
+	if !ok {
+		byK = make(map[int64]int64)
+		byTo[to] = byK
+	}
+	byK[k]++
+	e.out[from]++
+	e.observations++
+}
+
+// refModel is the pre-flat-kernel Model: a map from sojourn to
+// destination entries per source state, plus the idx and sojPMF maps.
+type refModel struct {
+	maxSojourn int64
+	prices     []market.Money
+	idx        map[market.Money]int
+	out        []int64
+	kernel     []map[int64][]kernelEntry
+	sojPMF     []map[int64]float64
+}
+
+func (e *refEstimator) Model() (*refModel, error) {
+	if e.observations == 0 {
+		return nil, fmt.Errorf("smc: no transitions observed")
+	}
+	priceSet := map[market.Money]bool{}
+	for from, byTo := range e.counts {
+		priceSet[from] = true
+		for to := range byTo {
+			priceSet[to] = true
+		}
+	}
+	prices := make([]market.Money, 0, len(priceSet))
+	for p := range priceSet {
+		prices = append(prices, p)
+	}
+	sort.Slice(prices, func(a, b int) bool { return prices[a] < prices[b] })
+	idx := make(map[market.Money]int, len(prices))
+	for i, p := range prices {
+		idx[p] = i
+	}
+
+	n := len(prices)
+	m := &refModel{
+		maxSojourn: e.maxSojourn,
+		prices:     prices,
+		idx:        idx,
+		out:        make([]int64, n),
+		kernel:     make([]map[int64][]kernelEntry, n),
+		sojPMF:     make([]map[int64]float64, n),
+	}
+	for from, byTo := range e.counts {
+		i := idx[from]
+		m.out[i] = e.out[from]
+		byK := make(map[int64]map[int]int64)
+		for to, ks := range byTo {
+			j := idx[to]
+			for k, c := range ks {
+				if byK[k] == nil {
+					byK[k] = make(map[int]int64)
+				}
+				byK[k][j] += c
+			}
+		}
+		m.kernel[i] = make(map[int64][]kernelEntry)
+		m.sojPMF[i] = make(map[int64]float64)
+		for k, js := range byK {
+			var total int64
+			entries := make([]kernelEntry, 0, len(js))
+			for j, c := range js {
+				entries = append(entries, kernelEntry{to: j, count: c})
+				total += c
+			}
+			sort.Slice(entries, func(a, b int) bool { return entries[a].to < entries[b].to })
+			m.kernel[i][k] = entries
+			m.sojPMF[i][k] = float64(total) / float64(m.out[i])
+		}
+	}
+	return m, nil
+}
+
+func (m *refModel) Kernel(si, sj market.Money, k int64) float64 {
+	i, ok := m.idx[si]
+	if !ok || m.out[i] == 0 {
+		return 0
+	}
+	j, ok := m.idx[sj]
+	if !ok {
+		return 0
+	}
+	for _, e := range m.kernel[i][k] {
+		if e.to == j {
+			return float64(e.count) / float64(m.out[i])
+		}
+	}
+	return 0
+}
+
+func (m *refModel) SojournPMF(p market.Money, k int64) float64 {
+	i, ok := m.idx[p]
+	if !ok {
+		return 0
+	}
+	return m.sojPMF[i][k]
+}
+
+func (m *refModel) WriteJSON(w io.Writer) error {
+	jm := jsonModel{MaxSojourn: m.maxSojourn}
+	for _, p := range m.prices {
+		jm.Prices = append(jm.Prices, int64(p))
+	}
+	jm.Out = append(jm.Out, m.out...)
+	for i := range m.prices {
+		ks := make([]int64, 0, len(m.kernel[i]))
+		for k := range m.kernel[i] {
+			ks = append(ks, k)
+		}
+		sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
+		for _, k := range ks {
+			for _, e := range m.kernel[i][k] {
+				jm.Kernel = append(jm.Kernel, jsonKernelCell{
+					From: i, To: e.to, Sojourn: k, Count: e.count,
+				})
+			}
+		}
+	}
+	return json.NewEncoder(w).Encode(jm)
+}
+
+// refModelOf recasts a model's kernel in the map form the reference
+// code reads, for references that start from a trained Model.
+func refModelOf(m *Model) *refModel {
+	r := &refModel{
+		maxSojourn: m.maxSojourn,
+		prices:     m.prices,
+		out:        m.out,
+		kernel:     make([]map[int64][]kernelEntry, len(m.prices)),
+	}
+	for i := range r.kernel {
+		r.kernel[i] = make(map[int64][]kernelEntry)
+	}
+	for _, c := range m.cells {
+		r.kernel[c.from][c.k] = append(r.kernel[c.from][c.k], kernelEntry{to: c.to, count: c.count})
+	}
+	return r
+}
+
+// refSojourn rebuilds a state's sojourn tables from the map kernel,
+// fully independently of the model's published cache.
+func refSojourn(m *refModel, i int) *sojournData {
 	n := len(m.prices)
 	sd := &sojournData{marginal: make(stateDist, n)}
 	if m.out[i] == 0 {
@@ -107,7 +317,7 @@ func sortInt64s(s []int64) {
 
 // refFreshCum is the pre-rewrite fresh-profile DP: per-minute stateDist
 // allocations, cum[i][u] built by copy-then-add.
-func refFreshCum(m *Model, horizon int64, soj []*sojournData) [][]stateDist {
+func refFreshCum(m *refModel, horizon int64, soj []*sojournData) [][]stateDist {
 	n := len(m.prices)
 	occ := make([][]stateDist, n)
 	for i := range occ {
@@ -158,6 +368,62 @@ func refFreshCum(m *Model, horizon int64, soj []*sojournData) [][]stateDist {
 	return cum
 }
 
+// refFresh is the fresh-profile DP as it was before hop compilation: one
+// flat zero-initialized occ array read through an `at` closure, every
+// dense next[x] vector scanned for its non-zero destinations, and the
+// cumulative table built in a second pass. It returns the flat cum
+// table, indexed like freshProfiles.cum.
+func refFresh(m *Model, horizon int64) []float64 {
+	n := len(m.prices)
+	h := int(horizon)
+	occ := make([]float64, n*h*n)
+	at := func(i int, t int64) []float64 {
+		off := (i*h + int(t)) * n
+		return occ[off : off+n : off+n]
+	}
+	for t := int64(0); t < horizon; t++ {
+		for i := 0; i < n; i++ {
+			sd := m.sojourn(i)
+			v := at(i, t)
+			// Still in the entered state through minute t iff K >= t+1.
+			v[i] = sd.survivalAt(t + 1)
+			// Departures at minute d <= t hand off to fresh profiles.
+			for x, d := range sd.durations {
+				if d > t {
+					break
+				}
+				w := sd.pmf[x]
+				if w == 0 {
+					continue
+				}
+				dest := sd.next[x]
+				for j, g := range dest {
+					if g == 0 {
+						continue
+					}
+					src := at(j, t-d)
+					wg := w * g
+					for s := range v {
+						v[s] += wg * src[s]
+					}
+				}
+			}
+		}
+	}
+	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
+	for i := 0; i < n; i++ {
+		for t := int64(0); t < horizon; t++ {
+			prev := fp.at(i, t)
+			next := fp.at(i, t+1)
+			o := at(i, t)
+			for s := range next {
+				next[s] = prev[s] + o[s]
+			}
+		}
+	}
+	return fp.cum
+}
+
 // refForecast is the pre-rewrite Forecast: same conditioning and
 // convolution, reading the slice-of-slices profiles.
 func refForecast(m *Model, cur market.Money, age, horizon int64) *Forecast {
@@ -168,13 +434,14 @@ func refForecast(m *Model, cur market.Money, age, horizon int64) *Forecast {
 		age = m.maxSojourn
 	}
 	n := len(m.prices)
+	rm := refModelOf(m)
 	soj := make([]*sojournData, n)
 	for i := range soj {
-		soj[i] = refSojourn(m, i)
+		soj[i] = refSojourn(rm, i)
 	}
 	i := m.nearestState(cur)
 	sd := soj[i]
-	cum := refFreshCum(m, horizon, soj)
+	cum := refFreshCum(rm, horizon, soj)
 
 	tot := make(stateDist, n)
 	condSurv := sd.survivalAt(age)

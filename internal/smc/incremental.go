@@ -2,6 +2,7 @@ package smc
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/market"
 	"repro/internal/trace"
@@ -15,7 +16,10 @@ import (
 // WindowedEstimator instead maintains the counts under a sliding window
 // directly: new transitions are appended as history arrives and
 // transitions that age out of the window are subtracted, so a retrain
-// costs O(new + evicted) instead of O(window).
+// costs O(new + evicted) instead of O(window) — it reads only the price
+// points past the previous window end, picking up the run that was open
+// there from the remembered tail. TestAdvanceCostIndependentOfWindow
+// holds it to that.
 //
 // The maintained counts are pinned, by TestWindowedEstimatorMatchesScratch,
 // to be *identical* to those of a from-scratch estimator over the
@@ -34,18 +38,7 @@ type windowRec struct {
 // the window boundary, clamped to [1, maxSojourn] exactly as
 // Estimator.Observe clamps.
 func (r windowRec) effSojourn(winStart, maxSojourn int64) int64 {
-	s := r.start
-	if s < winStart {
-		s = winStart
-	}
-	k := r.end - s
-	if k < 1 {
-		k = 1
-	}
-	if k > maxSojourn {
-		k = maxSojourn
-	}
-	return k
+	return clampSojourn(r.end-max(r.start, winStart), maxSojourn)
 }
 
 // WindowedEstimator maintains an Estimator's transition counts over a
@@ -57,8 +50,18 @@ func (r windowRec) effSojourn(winStart, maxSojourn int64) int64 {
 // A WindowedEstimator is not safe for concurrent use; callers that
 // share one (the modelcache provider) must serialize Advance/Model.
 type WindowedEstimator struct {
-	est  *Estimator
-	recs []windowRec // live transitions, ascending by end minute
+	est *Estimator
+	// recs[head:] are the live transitions, ascending by end minute;
+	// recs[:head] is the space of evicted ones, kept for reuse.
+	recs []windowRec
+	head int
+
+	// tail is the price run still open at until: its price, and the
+	// minute it began (or the window start of the time, if it began
+	// before that — the truncation effSojourn applies anyway). It has
+	// departed nowhere yet, so it is in no count; the next Advance
+	// resumes it. Valid whenever until > from.
+	tail trace.PricePoint
 
 	from, until int64
 	inited      bool
@@ -83,19 +86,15 @@ func (w *WindowedEstimator) Observations() int64 { return w.est.Observations() }
 // calls do not mutate it.
 func (w *WindowedEstimator) Model() (*Model, error) { return w.est.Model() }
 
-func (w *WindowedEstimator) reset() {
-	w.est = NewEstimator(w.est.maxSojourn)
-	w.recs = nil
-}
-
 // Advance slides the window to [from, until), reading any new history
 // from tr, which must cover the whole window (tr.Start <= from and
 // tr.End >= until — the windowed history a MarketView.PriceHistory call
-// returns satisfies this). The window can only move forward: from and
-// until must each be at least their previous values. If the new window
-// has no overlap with the old one the estimator simply rebuilds from
-// scratch; that is a semantic no-op, just without the incremental
-// saving.
+// returns satisfies this) and be the same price history every call
+// reads: only its points from the previous until on are looked at. The
+// window can only move forward: from and until must each be at least
+// their previous values. If the new window has no overlap with the old
+// one the estimator simply rebuilds from scratch; that is a semantic
+// no-op, just without the incremental saving.
 func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	if tr == nil {
 		return fmt.Errorf("smc: Advance on nil trace")
@@ -109,82 +108,75 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	if tr.Start > from || tr.End < until {
 		return fmt.Errorf("smc: history [%d, %d) does not cover window [%d, %d)", tr.Start, tr.End, from, until)
 	}
-	if !w.inited || from >= w.until {
-		// First use, or the window slid completely past the old one.
-		w.reset()
+	// First use, or the window slid completely past the old one: the run
+	// covering from opens the window, and price changes count from the
+	// minute after. Otherwise the tail run is still open at the previous
+	// until, and reading resumes there.
+	restart := !w.inited || from >= w.until
+	resume := w.until
+	if restart {
+		resume = from + 1
+	}
+	next := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].Minute >= resume })
+	unread := tr.Points[next:]
+	unread = unread[:sort.Search(len(unread), func(i int) bool { return unread[i].Minute >= until })]
+	if restart {
+		if until > from && next == 0 {
+			return fmt.Errorf("smc: history [%d, %d) has no price at minute %d", tr.Start, tr.End, from)
+		}
+		w.est = NewEstimator(w.est.maxSojourn)
+		// Every unread point is at most one transition.
+		if cap(w.recs) < len(unread) {
+			w.recs = make([]windowRec, 0, len(unread))
+		}
+		w.recs, w.head = w.recs[:0], 0
 		w.from, w.until = from, from
 		w.inited = true
+		if until > from {
+			w.tail = trace.PricePoint{Minute: from, Price: tr.Points[next-1].Price}
+		}
 	}
 	prevFrom := w.from
 
 	// Evict transitions that left the window (source run hand-off at or
 	// before the new start).
-	for len(w.recs) > 0 && w.recs[0].end <= from {
-		r := w.recs[0]
+	for ; w.head < len(w.recs) && w.recs[w.head].end <= from; w.head++ {
+		r := w.recs[w.head]
 		w.est.remove(r.from, r.to, r.effSojourn(prevFrom, w.est.maxSojourn))
-		w.recs = w.recs[1:]
 	}
 	// Source runs tile time, so at most the first survivor can straddle
 	// the new window start; its counted sojourn shrinks to the new
 	// truncation.
-	if len(w.recs) > 0 && w.recs[0].start < from {
-		oldK := w.recs[0].effSojourn(prevFrom, w.est.maxSojourn)
-		newK := w.recs[0].effSojourn(from, w.est.maxSojourn)
+	if w.head < len(w.recs) && w.recs[w.head].start < from {
+		r := w.recs[w.head]
+		oldK := r.effSojourn(prevFrom, w.est.maxSojourn)
+		newK := r.effSojourn(from, w.est.maxSojourn)
 		if oldK != newK {
-			w.est.remove(w.recs[0].from, w.recs[0].to, oldK)
-			w.est.add(w.recs[0].from, w.recs[0].to, newK)
+			w.est.remove(r.from, r.to, oldK)
+			w.est.add(r.from, r.to, newK)
 		}
-	}
-	// Reclaim the space of evicted records once it dominates.
-	if len(w.recs) > 0 && cap(w.recs) > 4*len(w.recs) {
-		w.recs = append([]windowRec(nil), w.recs...)
 	}
 
-	// Fold in the new transitions: hand-offs at minute e with
-	// from < e < until that were not inside the previous window
-	// (e >= w.until).
-	runs := absRuns(tr)
-	for i := 0; i+1 < len(runs); i++ {
-		e := runs[i].end
-		if e < w.until || e <= from {
+	// Fold in the new transitions: every price change at a minute in
+	// [resume, until) ends the tail run and opens the next. Points
+	// repeating the tail's price merge into it, exactly like
+	// Trace.Sojourns.
+	for _, p := range unread {
+		if p.Price == w.tail.Price {
 			continue
 		}
-		if e >= until {
-			break
+		rec := windowRec{start: w.tail.Minute, end: p.Minute, from: w.tail.Price, to: p.Price}
+		if len(w.recs) == cap(w.recs) && w.head > 0 {
+			// Full: move the live records down over the evicted ones
+			// before growing. A window sliding at a steady pace settles
+			// into this and stops allocating.
+			w.recs, w.head = w.recs[:copy(w.recs, w.recs[w.head:])], 0
 		}
-		rec := windowRec{start: runs[i].start, end: e, from: runs[i].price, to: runs[i+1].price}
 		w.recs = append(w.recs, rec)
 		w.est.add(rec.from, rec.to, rec.effSojourn(from, w.est.maxSojourn))
+		w.tail = p
 	}
 
 	w.from, w.until = from, until
 	return nil
-}
-
-// absRun is a maximal constant-price run with absolute minutes.
-type absRun struct {
-	start, end int64
-	price      market.Money
-}
-
-// absRuns returns the trace's price runs with their absolute [start,
-// end) spans, merging adjacent points of equal price exactly like
-// Trace.Sojourns. The final run ends at tr.End (truncated).
-func absRuns(tr *trace.Trace) []absRun {
-	if len(tr.Points) == 0 {
-		return nil
-	}
-	var runs []absRun
-	cur := absRun{start: tr.Points[0].Minute, price: tr.Points[0].Price}
-	for _, p := range tr.Points[1:] {
-		if p.Price == cur.price {
-			continue
-		}
-		cur.end = p.Minute
-		runs = append(runs, cur)
-		cur = absRun{start: p.Minute, price: p.Price}
-	}
-	cur.end = tr.End
-	runs = append(runs, cur)
-	return runs
 }

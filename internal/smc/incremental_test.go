@@ -2,6 +2,8 @@ package smc
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -225,5 +227,127 @@ func TestModelConcurrentForecasts(t *testing.T) {
 					wkr, horizons[i], got[wkr][i], want[i])
 			}
 		}
+	}
+}
+
+// allocated reports the bytes and heap objects f allocates.
+func allocated(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestAdvanceCostIndependentOfWindow holds the sliding path to its
+// O(new + evicted) claim where a test can: the bytes and objects a
+// one-week slide plus Model() allocates are the same under a 13-week
+// and a 26-week window. The trace repeats one generated week, so both
+// windows hold the same kernel cells and Model() costs the same; what
+// is left to differ is whatever Advance does in proportion to the
+// window — which used to be a copy of all of its runs.
+func TestAdvanceCostIndependentOfWindow(t *testing.T) {
+	const week = 7 * 24 * 60
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: week,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := set.ByZone["us-east-1a"]
+	const weeks = 26 + 60
+	tr := &trace.Trace{Zone: one.Zone, Type: one.Type, Start: 0, End: weeks * week}
+	for k := int64(0); k < weeks; k++ {
+		for _, p := range one.Points {
+			tr.Points = append(tr.Points, trace.PricePoint{Minute: p.Minute + k*week, Price: p.Price})
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	cost := func(window int64) (bytes, objects uint64) {
+		w := NewWindowedEstimator(0)
+		until := window * week
+		if err := w.Advance(tr, 0, until); err != nil {
+			t.Fatal(err)
+		}
+		// Every slide does the same work, so the cheapest of a few is
+		// the one during which the runtime allocated nothing of its own.
+		// The first ones, unmeasured, let the record buffer reach the
+		// size it keeps.
+		bytes, objects = math.MaxUint64, math.MaxUint64
+		for i := int64(0); i < 2*window+8; i++ {
+			until += week
+			// The history is the window's own copy, as the model cache
+			// hands it over; making it is not the estimator's cost.
+			hist := tr.Window(until-window*week, until)
+			b, o := allocated(func() {
+				if err := w.Advance(hist, hist.Start, hist.End); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Model(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if i >= 2*window {
+				bytes, objects = min(bytes, b), min(objects, o)
+			}
+		}
+		return bytes, objects
+	}
+	b13, o13 := cost(13)
+	b26, o26 := cost(26)
+	t.Logf("a slide allocates %d B in %d objects under a 13-week window, %d B in %d under a 26-week one", b13, o13, b26, o26)
+	within := func(a, b uint64) bool { return 50*max(a, b) <= 51*min(a, b) }
+	if !within(b13, b26) || !within(o13, o26) {
+		t.Fatal("Advance costs in proportion to the window")
+	}
+}
+
+// TestRetrainAllocBudget bounds what one retrain allocates — a one-week
+// slide of the 13-week window, Model(), and the first Forecast with its
+// fresh-profile build. The budget is the measured 171 kB (the profile
+// table, the sojourn tables and the kernel, which the model keeps) plus
+// a tenth; the code this replaced spent 0.8 MB on the forecast alone.
+// The best of a few retrains counts, since a collection — or the race
+// detector — may empty the scratch pool between two of them.
+func TestRetrainAllocBudget(t *testing.T) {
+	const week = 7 * 24 * 60
+	const budget = 190_000
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: (13 + 6) * week,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := set.ByZone["us-east-1a"]
+	w := NewWindowedEstimator(0)
+	until := int64(13 * week)
+	if err := w.Advance(tr, 0, until); err != nil {
+		t.Fatal(err)
+	}
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 6; i++ {
+		until += week
+		bytes, _ := allocated(func() {
+			if err := w.Advance(tr, until-13*week, until); err != nil {
+				t.Fatal(err)
+			}
+			m, err := w.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Forecast(tr.PriceAt(until-1), 5, 360); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i > 0 { // the first retrain fills the pool
+			best = min(best, bytes)
+		}
+	}
+	t.Logf("best retrain allocates %d B", best)
+	if best > budget {
+		t.Fatalf("a retrain allocates %d B, budget %d", best, budget)
 	}
 }

@@ -1,0 +1,345 @@
+package smc
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/market"
+	"repro/internal/trace"
+)
+
+// The pins of the flat kernel, the hop-compiled fresh-entry DP and the
+// in-place sliding window against the code they replaced, which
+// forecast_reference_test.go keeps verbatim.
+
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// requireSojournEqual compares every field of two sojourn tables, the
+// floats by bit pattern.
+func requireSojournEqual(t *testing.T, where string, got, want *sojournData) {
+	t.Helper()
+	ok := got.absorbing == want.absorbing && got.maxDur == want.maxDur &&
+		slices.Equal(got.durations, want.durations) &&
+		bitsEqual(got.pmf, want.pmf) && bitsEqual(got.survival, want.survival) &&
+		bitsEqual(got.marginal, want.marginal) && len(got.next) == len(want.next)
+	for x := 0; ok && x < len(got.next); x++ {
+		ok = bitsEqual(got.next[x], want.next[x])
+	}
+	if !ok {
+		t.Fatalf("%s: sojourn tables differ\n got %+v\nwant %+v", where, got, want)
+	}
+}
+
+// randomTrace draws a price history over a small alphabet of levels, so
+// consecutive points often repeat a price (and must merge), with gaps
+// from a minute to well past a day (beyond the default sojourn cap).
+func randomTrace(rng *rand.Rand, levels int, points int) *trace.Trace {
+	tr := &trace.Trace{Zone: "test-1a", Type: market.M1Small}
+	prices := make([]market.Money, levels)
+	for i := range prices {
+		prices[i] = market.Money(1000 + 37*i + rng.Intn(30))
+	}
+	now := int64(rng.Intn(500))
+	tr.Start = now
+	for i := 0; i < points; i++ {
+		tr.Points = append(tr.Points, trace.PricePoint{Minute: now, Price: prices[rng.Intn(levels)]})
+		switch rng.Intn(10) {
+		case 0:
+			now += 1
+		case 1:
+			now += 1000 + rng.Int63n(2500)
+		default:
+			now += 1 + rng.Int63n(90)
+		}
+	}
+	tr.End = now
+	return tr
+}
+
+// oracleTraces is the training input of the kernel pins: generated
+// markets of two instance types (hundreds of distinct sojourns per
+// state, so the duration merge runs) and random small-alphabet traces.
+func oracleTraces(t *testing.T) []*trace.Trace {
+	t.Helper()
+	var out []*trace.Trace
+	for _, g := range []struct {
+		seed uint64
+		typ  market.InstanceType
+	}{{2014, market.M1Small}, {7, market.M3Large}} {
+		set, err := trace.Generate(trace.GenConfig{
+			Seed: g.seed, Type: g.typ, Zones: market.ExperimentZones()[:4],
+			Start: 0, End: 13 * 7 * 24 * 60,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, z := range set.Zones() {
+			out = append(out, set.ByZone[z])
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		out = append(out, randomTrace(rng, 1+rng.Intn(7), 2+rng.Intn(900)))
+	}
+	return out
+}
+
+// TestModelMatchesMapReference pins the flat Equation 13 kernel to the
+// map-of-maps one: the same serialized bytes, the same Kernel and
+// SojournPMF values, and sojourn tables equal in every field.
+func TestModelMatchesMapReference(t *testing.T) {
+	for ti, tr := range oracleTraces(t) {
+		for _, maxSojourn := range []int64{0, 45} {
+			ref := newRefEstimator(maxSojourn)
+			ref.Observe(tr)
+			est := NewEstimator(maxSojourn)
+			est.Observe(tr)
+			if est.Observations() != ref.observations {
+				t.Fatalf("trace %d: %d observations, reference %d", ti, est.Observations(), ref.observations)
+			}
+			rm, rerr := ref.Model()
+			m, err := est.Model()
+			if (err != nil) != (rerr != nil) {
+				t.Fatalf("trace %d: Model error %v, reference %v", ti, err, rerr)
+			}
+			if err != nil {
+				continue
+			}
+			var got, want bytes.Buffer
+			if err := m.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := rm.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("trace %d cap %d: serialized model differs\n got %s\nwant %s", ti, maxSojourn, got.Bytes(), want.Bytes())
+			}
+			probe := append([]market.Money{0, m.prices[0] + 1}, m.prices...)
+			for i, si := range probe {
+				for _, k := range []int64{0, 1, 2, 7, 45, 60, 1439, 1440, 5000} {
+					if g, w := m.SojournPMF(si, k), rm.SojournPMF(si, k); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("trace %d: SojournPMF(%v, %d) = %v, reference %v", ti, si, k, g, w)
+					}
+					for _, sj := range probe {
+						if g, w := m.Kernel(si, sj, k), rm.Kernel(si, sj, k); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("trace %d: Kernel(%v, %v, %d) = %v, reference %v", ti, si, sj, k, g, w)
+						}
+					}
+				}
+				if i >= 2 {
+					requireSojournEqual(t, "trained model", m.sojourn(i-2), refSojourn(rm, i-2))
+				}
+			}
+		}
+	}
+}
+
+// randomModel builds a model straight from random kernel cells: up to
+// seven states, some absorbing, some with more distinct sojourns than
+// the merge cap (so their next vectors come out dense), sojourns up to
+// the one-day cap, and the occasional self-transition only ReadModel
+// could introduce.
+func randomModel(rng *rand.Rand, n int) *Model {
+	prices := make([]market.Money, n)
+	for i := range prices {
+		prices[i] = market.Money(100*(i+1) + rng.Intn(50))
+	}
+	var cells []kernelCell
+	for i := 0; i < n; i++ {
+		if n > 1 && rng.Intn(5) == 0 {
+			continue // absorbing
+		}
+		durations := 1 + rng.Intn(30)
+		if rng.Intn(4) == 0 {
+			durations = 97 + rng.Intn(130)
+		}
+		span := int64(durations) + rng.Int63n(DefaultMaxSojourn-int64(durations)+1)
+		for _, k := range rng.Perm(int(span))[:durations] {
+			for _, j := range rng.Perm(n)[:1+rng.Intn(min(n, 3))] {
+				if j == i && n > 1 && rng.Intn(8) != 0 {
+					continue
+				}
+				cells = append(cells, kernelCell{from: i, to: j, k: int64(k) + 1, count: 1 + rng.Int63n(5)})
+			}
+		}
+	}
+	slices.SortFunc(cells, compareCells)
+	return newModel(DefaultMaxSojourn, prices, cells)
+}
+
+// TestFreshMatchesReference pins the hop-compiled fresh-entry DP to the
+// dense-scan one, cell for cell of the cumulative table, on seeded
+// random models — at a first horizon and then at a longer one on the
+// same model, which rebuilds the profiles with the pooled scratch
+// already dirty.
+func TestFreshMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	horizons := []int64{1, 60, 360, 720, 1000}
+	merged, absorbing := 0, 0
+	const models = 520
+	for trial := 0; trial < models; trial++ {
+		n := 1 + rng.Intn(7)
+		if trial < 20 {
+			n = 1 // the one-state model, absorbing or self-looping
+		}
+		m := randomModel(rng, n)
+		rm := refModelOf(m)
+		for i := range m.prices {
+			sd := m.sojourn(i)
+			requireSojournEqual(t, "random model", sd, refSojourn(rm, i))
+			if len(m.kernel[i]) > 96 {
+				merged++
+			}
+			if sd.absorbing {
+				absorbing++
+			}
+		}
+		first := trial % 4
+		for _, h := range []int64{horizons[first], horizons[first+1]} {
+			got := m.fresh(h)
+			if got.horizon != h || got.n != n {
+				t.Fatalf("trial %d: profiles for horizon %d over %d states, want %d over %d", trial, got.horizon, got.n, h, n)
+			}
+			want := refFresh(m, h)
+			if len(got.cum) != len(want) {
+				t.Fatalf("trial %d h=%d: %d cum cells, want %d", trial, h, len(got.cum), len(want))
+			}
+			for c := range want {
+				if math.Float64bits(got.cum[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("trial %d (n=%d) h=%d: cum[%d] = %v, want %v", trial, n, h, c, got.cum[c], want[c])
+				}
+			}
+		}
+	}
+	if merged < 50 || absorbing < 50 {
+		t.Fatalf("%d merged and %d absorbing states over %d models: the generator no longer covers them", merged, absorbing, models)
+	}
+}
+
+// TestWindowedEstimatorRandomSlides slides windows over random traces by
+// random steps — zero-length slides, single minutes, jumps past the
+// whole window — handing Advance now the window's own copy and now the
+// full trace, and requires the model to equal a from-scratch one over
+// the same window: the same bytes, the same forecast bits. The traces
+// repeat prices across any boundary, leave runs straddling the window
+// start, and hold sojourns beyond the cap.
+func TestWindowedEstimatorRandomSlides(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		tr := randomTrace(rng, 2+rng.Intn(5), 200+rng.Intn(1500))
+		maxSojourn := []int64{0, 30, 600}[rng.Intn(3)]
+		width := 1 + rng.Int63n((tr.End-tr.Start)/2)
+		w := NewWindowedEstimator(maxSojourn)
+		from, until := tr.Start, tr.Start
+		for step := 0; until < tr.End; step++ {
+			switch rng.Intn(8) {
+			case 0: // zero-length slide
+			case 1:
+				until++
+			case 2: // past the whole window
+				until += width + rng.Int63n(width)
+			default:
+				until += rng.Int63n(width/4 + 2)
+			}
+			until = min(until, tr.End)
+			from = max(from, until-width)
+			if rng.Intn(6) == 0 {
+				from = min(until, from+rng.Int63n(width)) // shrink the window too
+			}
+			hist := tr
+			if rng.Intn(2) == 0 {
+				hist = tr.Window(from, until)
+			}
+			if err := w.Advance(hist, from, until); err != nil {
+				t.Fatalf("trial %d step %d: Advance [%d, %d): %v", trial, step, from, until, err)
+			}
+			scratch := NewEstimator(maxSojourn)
+			scratch.Observe(tr.Window(from, until))
+			if got, want := w.Observations(), scratch.Observations(); got != want {
+				t.Fatalf("trial %d step %d [%d, %d): %d observations, from scratch %d", trial, step, from, until, got, want)
+			}
+			if scratch.Observations() == 0 {
+				continue
+			}
+			wm, err := w.Model()
+			inc := modelJSON(t, wm, err)
+			sm, err := scratch.Model()
+			if ref := modelJSON(t, sm, err); !bytes.Equal(inc, ref) {
+				t.Fatalf("trial %d step %d [%d, %d): incremental model diverges from scratch\nincremental: %s\nscratch:     %s",
+					trial, step, from, until, inc, ref)
+			}
+			if step%7 != 0 {
+				continue
+			}
+			cur, age := tr.PriceAt(until-1), tr.AgeAt(until-1)
+			got, err := wm.Forecast(cur, age, 90)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sm.Forecast(cur, age, 90)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(got.avgOcc, want.avgOcc) {
+				t.Fatalf("trial %d step %d: forecast %v, from scratch %v", trial, step, got.avgOcc, want.avgOcc)
+			}
+		}
+	}
+}
+
+// TestForecastColdConcurrentModels builds the fresh profiles of many
+// cold models at once, at mixed horizons, so the builds draw from and
+// return to the shared scratch pool concurrently; every forecast must
+// equal the one a model alone produces. Under -race this pins that a
+// pooled scratch is never shared between two builds.
+func TestForecastColdConcurrentModels(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(3)), 6, 4000)
+	cur, age := tr.PriceAt(tr.End-1), tr.AgeAt(tr.End-1)
+	train := func() *Model {
+		e := NewEstimator(0)
+		e.Observe(tr)
+		m, err := e.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	horizons := []int64{45, 360, 90, 720, 180}
+	want := make([]stateDist, len(horizons))
+	for x, h := range horizons {
+		f, err := train().Forecast(cur, age, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[x] = f.avgOcc
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		m := train()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				x := (g + round) % len(horizons)
+				f, err := m.Forecast(cur, age, horizons[x])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// A shorter horizon after a longer one reads the longer
+				// profiles, which sum in the same order.
+				if !bitsEqual(f.avgOcc, want[x]) {
+					t.Errorf("goroutine %d horizon %d: forecast %v, want %v", g, horizons[x], f.avgOcc, want[x])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/market"
 )
@@ -28,31 +27,30 @@ type jsonKernelCell struct {
 	Count   int64 `json:"count"`
 }
 
-// WriteJSON serializes the model.
+// WriteJSON serializes the model. Cells are written in the kernel's
+// canonical (from, sojourn, to) order, so equal models serialize to equal
+// bytes.
 func (m *Model) WriteJSON(w io.Writer) error {
-	jm := jsonModel{MaxSojourn: m.maxSojourn}
-	for _, p := range m.prices {
-		jm.Prices = append(jm.Prices, int64(p))
+	jm := jsonModel{
+		MaxSojourn: m.maxSojourn,
+		Prices:     make([]int64, len(m.prices)),
+		Out:        m.out,
+		// Stays nil, and so encodes as null, for a model with no cells.
+		Kernel: slices.Grow([]jsonKernelCell(nil), len(m.cells)),
 	}
-	jm.Out = append(jm.Out, m.out...)
-	for i := range m.prices {
-		ks := make([]int64, 0, len(m.kernel[i]))
-		for k := range m.kernel[i] {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
-		for _, k := range ks {
-			for _, e := range m.kernel[i][k] {
-				jm.Kernel = append(jm.Kernel, jsonKernelCell{
-					From: i, To: e.to, Sojourn: k, Count: e.count,
-				})
-			}
-		}
+	for i, p := range m.prices {
+		jm.Prices[i] = int64(p)
+	}
+	for _, c := range m.cells {
+		jm.Kernel = append(jm.Kernel, jsonKernelCell{From: c.from, To: c.to, Sojourn: c.k, Count: c.count})
 	}
 	return json.NewEncoder(w).Encode(jm)
 }
 
-// ReadModel deserializes a model written by WriteJSON.
+// ReadModel deserializes a model written by WriteJSON. Cells may come in
+// any order — they are sorted into the canonical one, so the loaded
+// model forecasts bit-identically to the one written — but each
+// (from, to, sojourn) may appear only once.
 func ReadModel(r io.Reader) (*Model, error) {
 	var jm jsonModel
 	if err := json.NewDecoder(r).Decode(&jm); err != nil {
@@ -68,51 +66,42 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("smc: invalid max sojourn %d", jm.MaxSojourn)
 	}
 	n := len(jm.Prices)
-	m := &Model{
-		maxSojourn: jm.MaxSojourn,
-		prices:     make([]market.Money, n),
-		idx:        make(map[market.Money]int, n),
-		out:        append([]int64(nil), jm.Out...),
-		kernel:     make([]map[int64][]kernelEntry, n),
-		sojPMF:     make([]map[int64]float64, n),
-		soj:        make([]atomic.Pointer[sojournData], n),
-	}
-	var prev market.Money = -1
+	prices := make([]market.Money, n)
+	prev := market.Money(-1)
 	for i, p := range jm.Prices {
-		mp := market.Money(p)
-		if mp <= prev {
+		prices[i] = market.Money(p)
+		if prices[i] <= prev {
 			return nil, fmt.Errorf("smc: prices not strictly ascending at %d", i)
 		}
-		prev = mp
-		m.prices[i] = mp
-		m.idx[mp] = i
-		m.kernel[i] = make(map[int64][]kernelEntry)
-		m.sojPMF[i] = make(map[int64]float64)
+		prev = prices[i]
 	}
-	for _, c := range jm.Kernel {
+	cells := make([]kernelCell, len(jm.Kernel))
+	for x, c := range jm.Kernel {
 		if c.From < 0 || c.From >= n || c.To < 0 || c.To >= n {
 			return nil, fmt.Errorf("smc: kernel cell references state outside [0, %d)", n)
 		}
 		if c.Sojourn < 1 || c.Sojourn > jm.MaxSojourn || c.Count < 1 {
 			return nil, fmt.Errorf("smc: invalid kernel cell %+v", c)
 		}
-		m.kernel[c.From][c.Sojourn] = append(m.kernel[c.From][c.Sojourn], kernelEntry{to: c.To, count: c.Count})
+		cells[x] = kernelCell{from: c.From, to: c.To, k: c.Sojourn, count: c.Count}
 	}
-	// Rebuild sojourn PMFs and validate out-counts.
-	for i := 0; i < n; i++ {
-		var total int64
-		for k, entries := range m.kernel[i] {
-			var kc int64
-			for _, e := range entries {
-				kc += e.count
+	slices.SortFunc(cells, compareCells)
+	for x := 1; x < len(cells); x++ {
+		if d := cells[x]; compareCells(cells[x-1], d) == 0 {
+			// Name the repeat by its position in the input.
+			at := -1
+			for y, c := range jm.Kernel {
+				if c.From == d.from && c.To == d.to && c.Sojourn == d.k {
+					at = y
+				}
 			}
-			total += kc
-			if m.out[i] > 0 {
-				m.sojPMF[i][k] = float64(kc) / float64(m.out[i])
-			}
+			return nil, fmt.Errorf("smc: kernel cell %d repeats (from %d, to %d, sojourn %d)", at, d.from, d.to, d.k)
 		}
-		if total != m.out[i] {
-			return nil, fmt.Errorf("smc: state %d kernel mass %d != out count %d", i, total, m.out[i])
+	}
+	m := newModel(jm.MaxSojourn, prices, cells)
+	for i, out := range jm.Out {
+		if m.out[i] != out {
+			return nil, fmt.Errorf("smc: state %d kernel mass %d != out count %d", i, m.out[i], out)
 		}
 	}
 	return m, nil

@@ -13,8 +13,9 @@
 package smc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,15 +28,21 @@ import (
 // conservative.
 const DefaultMaxSojourn int64 = 24 * 60
 
+// countKey names one Equation 13 counter N^k_{i,j}: transitions from
+// price from to price to after a sojourn of k minutes. Prices are keyed
+// in micro-dollars.
+type countKey struct {
+	from, to market.Money
+	k        int64
+}
+
 // Estimator accumulates observed price transitions from traces. Use one
 // estimator per (zone, instance type) pair.
 type Estimator struct {
 	maxSojourn int64
-	// counts[i][j][k] = N^k_{i,j}: transitions from price i to price j
-	// after a sojourn of k minutes. Prices are keyed in micro-dollars.
-	counts map[market.Money]map[market.Money]map[int64]int64
-	// out[i] = N_i: observed departures from price i.
-	out map[market.Money]int64
+	// counts holds the non-zero N^k_{i,j}; N_i and the price state space
+	// are derived from it when a model is frozen.
+	counts map[countKey]int64
 	// observations counts complete transitions seen.
 	observations int64
 }
@@ -46,73 +53,52 @@ func NewEstimator(maxSojourn int64) *Estimator {
 	if maxSojourn <= 0 {
 		maxSojourn = DefaultMaxSojourn
 	}
-	return &Estimator{
-		maxSojourn: maxSojourn,
-		counts:     make(map[market.Money]map[market.Money]map[int64]int64),
-		out:        make(map[market.Money]int64),
-	}
+	return &Estimator{maxSojourn: maxSojourn, counts: make(map[countKey]int64)}
 }
 
-// Observe folds a trace's complete price runs into the counts. The final
+// clampSojourn maps an observed run length onto the sojourn state space
+// [1, maxSojourn].
+func clampSojourn(k, maxSojourn int64) int64 {
+	return min(max(k, 1), maxSojourn)
+}
+
+// Observe folds a trace's complete price runs into the counts, merging
+// adjacent points of equal price exactly like Trace.Sojourns. The final
 // (truncated) run carries no departure information and is skipped.
 func (e *Estimator) Observe(tr *trace.Trace) {
-	runs := tr.Sojourns()
-	for i := 0; i+1 < len(runs); i++ {
-		k := runs[i].Minutes
-		if k < 1 {
-			k = 1
+	if len(tr.Points) == 0 {
+		return
+	}
+	run := tr.Points[0]
+	for _, p := range tr.Points[1:] {
+		if p.Price == run.Price {
+			continue
 		}
-		if k > e.maxSojourn {
-			k = e.maxSojourn
-		}
-		e.add(runs[i].Price, runs[i+1].Price, k)
+		e.add(run.Price, p.Price, clampSojourn(p.Minute-run.Minute, e.maxSojourn))
+		run = p
 	}
 }
 
 // add counts one observed transition from price `from` to price `to`
 // after a (pre-clamped) sojourn of k minutes.
 func (e *Estimator) add(from, to market.Money, k int64) {
-	byTo, ok := e.counts[from]
-	if !ok {
-		byTo = make(map[market.Money]map[int64]int64)
-		e.counts[from] = byTo
-	}
-	byK, ok := byTo[to]
-	if !ok {
-		byK = make(map[int64]int64)
-		byTo[to] = byK
-	}
-	byK[k]++
-	e.out[from]++
+	e.counts[countKey{from, to, k}]++
 	e.observations++
 }
 
 // remove undoes one add with the same arguments — the eviction half of
-// the sliding-window path. Emptied count entries are deleted so the
-// learned price state space shrinks exactly as a from-scratch estimator
-// over the narrower window would see it.
+// the sliding-window path. Emptied counters are deleted so the learned
+// price state space shrinks exactly as a from-scratch estimator over the
+// narrower window would see it.
 func (e *Estimator) remove(from, to market.Money, k int64) {
-	byTo := e.counts[from]
-	if byTo == nil {
-		panic(fmt.Sprintf("smc: removing unobserved transition %v -> %v", from, to))
-	}
-	byK := byTo[to]
-	if byK == nil || byK[k] == 0 {
+	key := countKey{from, to, k}
+	switch c := e.counts[key]; c {
+	case 0:
 		panic(fmt.Sprintf("smc: removing unobserved transition %v -> %v after %d min", from, to, k))
-	}
-	byK[k]--
-	if byK[k] == 0 {
-		delete(byK, k)
-		if len(byK) == 0 {
-			delete(byTo, to)
-			if len(byTo) == 0 {
-				delete(e.counts, from)
-			}
-		}
-	}
-	e.out[from]--
-	if e.out[from] == 0 {
-		delete(e.out, from)
+	case 1:
+		delete(e.counts, key)
+	default:
+		e.counts[key] = c - 1
 	}
 	e.observations--
 }
@@ -126,68 +112,90 @@ func (e *Estimator) Model() (*Model, error) {
 	if e.observations == 0 {
 		return nil, fmt.Errorf("smc: no transitions observed")
 	}
-	// Collect the price state space: every price seen as source or
-	// destination.
-	priceSet := map[market.Money]bool{}
-	for from, byTo := range e.counts {
-		priceSet[from] = true
-		for to := range byTo {
-			priceSet[to] = true
-		}
-	}
-	prices := make([]market.Money, 0, len(priceSet))
-	for p := range priceSet {
-		prices = append(prices, p)
-	}
-	sort.Slice(prices, func(a, b int) bool { return prices[a] < prices[b] })
-	idx := make(map[market.Money]int, len(prices))
-	for i, p := range prices {
-		idx[p] = i
-	}
-
-	n := len(prices)
-	m := &Model{
-		maxSojourn: e.maxSojourn,
-		prices:     prices,
-		idx:        idx,
-		out:        make([]int64, n),
-		kernel:     make([]map[int64][]kernelEntry, n),
-		sojPMF:     make([]map[int64]float64, n),
-		soj:        make([]atomic.Pointer[sojournData], n),
-	}
-	for from, byTo := range e.counts {
-		i := idx[from]
-		m.out[i] = e.out[from]
-		byK := make(map[int64]map[int]int64)
-		for to, ks := range byTo {
-			j := idx[to]
-			for k, c := range ks {
-				if byK[k] == nil {
-					byK[k] = make(map[int]int64)
-				}
-				byK[k][j] += c
+	// The price state space: every price seen as source or destination,
+	// ascending. It is a handful of levels, so sorted insertion is cheap.
+	var prices []market.Money
+	for key := range e.counts {
+		for _, p := range [2]market.Money{key.from, key.to} {
+			if x, ok := slices.BinarySearch(prices, p); !ok {
+				prices = slices.Insert(prices, x, p)
 			}
 		}
-		m.kernel[i] = make(map[int64][]kernelEntry)
-		m.sojPMF[i] = make(map[int64]float64)
-		for k, js := range byK {
-			var total int64
-			entries := make([]kernelEntry, 0, len(js))
-			for j, c := range js {
-				entries = append(entries, kernelEntry{to: j, count: c})
-				total += c
-			}
-			sort.Slice(entries, func(a, b int) bool { return entries[a].to < entries[b].to })
-			m.kernel[i][k] = entries
-			m.sojPMF[i][k] = float64(total) / float64(m.out[i])
-		}
 	}
-	return m, nil
+	cells := make([]kernelCell, 0, len(e.counts))
+	for key, c := range e.counts {
+		i, _ := slices.BinarySearch(prices, key.from)
+		j, _ := slices.BinarySearch(prices, key.to)
+		cells = append(cells, kernelCell{from: i, to: j, k: key.k, count: c})
+	}
+	slices.SortFunc(cells, compareCells)
+	return newModel(e.maxSojourn, prices, cells), nil
 }
 
-type kernelEntry struct {
-	to    int
-	count int64
+// kernelCell is one non-zero counter N^k_{i,j} over state indices.
+type kernelCell struct {
+	from, to int
+	k, count int64
+}
+
+// compareCells orders cells by (from, k, to): the order every reader of
+// the kernel — the sojourn tables, the serializer — walks it in.
+func compareCells(a, b kernelCell) int {
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	if a.k != b.k {
+		return cmp.Compare(a.k, b.k)
+	}
+	return cmp.Compare(a.to, b.to)
+}
+
+// kernelRow is the kernel of one (source state, sojourn) pair: the
+// cells reached after exactly k minutes, ascending by destination, and
+// their total count.
+type kernelRow struct {
+	k, total int64
+	cells    []kernelCell
+}
+
+// newModel builds a model over the ascending price levels from cells
+// sorted by compareCells, no two sharing (from, k, to). The model keeps
+// cells; each state's rows are windows into it.
+func newModel(maxSojourn int64, prices []market.Money, cells []kernelCell) *Model {
+	n := len(prices)
+	m := &Model{
+		maxSojourn: maxSojourn,
+		prices:     prices,
+		cells:      cells,
+		out:        make([]int64, n),
+		kernel:     make([][]kernelRow, n),
+		soj:        make([]atomic.Pointer[sojournData], n),
+	}
+	nrows := 0
+	for x, c := range cells {
+		if x == 0 || c.from != cells[x-1].from || c.k != cells[x-1].k {
+			nrows++
+		}
+	}
+	// Sized exactly, so the appends below never reallocate and the
+	// per-state windows stay valid.
+	rows := make([]kernelRow, 0, nrows)
+	for lo := 0; lo < len(cells); {
+		from, first := cells[lo].from, len(rows)
+		for lo < len(cells) && cells[lo].from == from {
+			row := kernelRow{k: cells[lo].k}
+			hi := lo
+			for ; hi < len(cells) && cells[hi].from == from && cells[hi].k == row.k; hi++ {
+				row.total += cells[hi].count
+			}
+			row.cells = cells[lo:hi:hi]
+			rows = append(rows, row)
+			m.out[from] += row.total
+			lo = hi
+		}
+		m.kernel[from] = rows[first:len(rows):len(rows)]
+	}
+	return m
 }
 
 // Model is a frozen semi-Markov chain estimated from price history.
@@ -202,10 +210,9 @@ type kernelEntry struct {
 type Model struct {
 	maxSojourn int64
 	prices     []market.Money
-	idx        map[market.Money]int
-	out        []int64                   // N_i
-	kernel     []map[int64][]kernelEntry // per source state: k -> destinations
-	sojPMF     []map[int64]float64       // per source state: k -> P(sojourn = k)
+	cells      []kernelCell  // every non-zero N^k_{i,j}, sorted by compareCells
+	out        []int64       // N_i
+	kernel     [][]kernelRow // per source state: rows ascending by k
 
 	mu       sync.Mutex                    // serializes the lazy builds below
 	soj      []atomic.Pointer[sojournData] // published per-state sojourn tables
@@ -217,20 +224,31 @@ func (m *Model) Prices() []market.Money {
 	return append([]market.Money(nil), m.prices...)
 }
 
+// row returns state i's kernel row for a sojourn of k minutes; the zero
+// row when none was observed.
+func (m *Model) row(i int, k int64) kernelRow {
+	rows := m.kernel[i]
+	x, ok := slices.BinarySearchFunc(rows, k, func(r kernelRow, k int64) int { return cmp.Compare(r.k, k) })
+	if !ok {
+		return kernelRow{}
+	}
+	return rows[x]
+}
+
 // Kernel evaluates q̂(i,j,k) = N^k_{i,j}/N_i for prices si, sj and
 // sojourn k (Equation 13). Unknown states or sojourns yield 0.
 func (m *Model) Kernel(si, sj market.Money, k int64) float64 {
-	i, ok := m.idx[si]
-	if !ok || m.out[i] == 0 {
-		return 0
-	}
-	j, ok := m.idx[sj]
+	i, ok := slices.BinarySearch(m.prices, si)
 	if !ok {
 		return 0
 	}
-	for _, e := range m.kernel[i][k] {
-		if e.to == j {
-			return float64(e.count) / float64(m.out[i])
+	j, ok := slices.BinarySearch(m.prices, sj)
+	if !ok {
+		return 0
+	}
+	for _, c := range m.row(i, k).cells {
+		if c.to == j {
+			return float64(c.count) / float64(m.out[i])
 		}
 	}
 	return 0
@@ -272,11 +290,15 @@ func (m *Model) SupportSummary(minDepartures int64) Support {
 // the row-marginal of the kernel over destinations. Unknown prices or
 // sojourns yield 0.
 func (m *Model) SojournPMF(p market.Money, k int64) float64 {
-	i, ok := m.idx[p]
+	i, ok := slices.BinarySearch(m.prices, p)
 	if !ok {
 		return 0
 	}
-	return m.sojPMF[i][k]
+	r := m.row(i, k)
+	if r.total == 0 {
+		return 0
+	}
+	return float64(r.total) / float64(m.out[i])
 }
 
 // MinimalBidOneStep searches the learned price levels for the smallest
@@ -303,15 +325,12 @@ func (m *Model) MinimalBidOneStep(cur market.Money, k int64, target, fp0 float64
 // exact match if known, otherwise the nearest learned price (ties go
 // upward, the conservative direction for failure estimation).
 func (m *Model) nearestState(p market.Money) int {
-	if i, ok := m.idx[p]; ok {
+	i, ok := slices.BinarySearch(m.prices, p)
+	if ok || i == 0 {
 		return i
 	}
-	i := sort.Search(len(m.prices), func(i int) bool { return m.prices[i] >= p })
 	if i == len(m.prices) {
 		return len(m.prices) - 1
-	}
-	if i == 0 {
-		return 0
 	}
 	if p-m.prices[i-1] < m.prices[i]-p {
 		return i - 1
@@ -333,9 +352,9 @@ func (m *Model) OneStepFP(cur market.Money, k int64, bid market.Money, fp0 float
 		k = m.maxSojourn
 	}
 	sum := 0.0
-	for _, e := range m.kernel[i][k] {
-		if m.prices[e.to] <= bid {
-			sum += float64(e.count) / float64(m.out[i])
+	for _, c := range m.row(i, k).cells {
+		if m.prices[c.to] <= bid {
+			sum += float64(c.count) / float64(m.out[i])
 		}
 	}
 	fp := 1 - (1-fp0)*sum

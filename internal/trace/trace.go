@@ -119,15 +119,15 @@ func (t *Trace) AppendPoints(dst []PricePoint, lo, hi int64) []PricePoint {
 	if lo == hi {
 		return dst
 	}
-	// First point covering lo.
-	i := sort.Search(len(t.Points), func(i int) bool {
-		return t.Points[i].Minute > lo
-	}) - 1
-	dst = append(dst, PricePoint{Minute: lo, Price: t.Points[i].Price})
-	for j := i + 1; j < len(t.Points) && t.Points[j].Minute < hi; j++ {
-		dst = append(dst, t.Points[j])
+	// The points strictly inside (lo, hi), behind one forced at lo with
+	// the covering price; dst grows once, to exactly that.
+	first := sort.Search(len(t.Points), func(i int) bool { return t.Points[i].Minute > lo })
+	end := first + sort.Search(len(t.Points)-first, func(i int) bool { return t.Points[first+i].Minute >= hi })
+	if need := 1 + end - first; cap(dst)-len(dst) < need {
+		dst = append(make([]PricePoint, 0, len(dst)+need), dst...)
 	}
-	return dst
+	dst = append(dst, PricePoint{Minute: lo, Price: t.Points[first-1].Price})
+	return append(dst, t.Points[first:end]...)
 }
 
 // Window returns the sub-trace over [lo, hi). The result owns fresh
