@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/engine"
 	"repro/internal/modelcache"
 	"repro/internal/provenance"
 	"repro/internal/strategy"
@@ -12,6 +13,12 @@ import (
 // market churns (so bids can track prices), long intervals when it is
 // calm (so instance-relaunch startup overhead is avoided).
 type Adaptive struct {
+	// BaseObserver makes the wrapper an engine.Observer, which is what
+	// the replay harness looks for when it subscribes a strategy to the
+	// event stream of a chaos-armed run; OnFault forwards to Inner, whose
+	// staged degradation would otherwise never see a fault.
+	engine.BaseObserver
+
 	// Inner is the wrapped bidding framework.
 	Inner *Jupiter
 	// MinMinutes/MaxMinutes clamp the chosen interval; defaults 60 and
@@ -51,6 +58,14 @@ func (a *Adaptive) UseModelCache(c *modelcache.Cache) { a.Inner.UseModelCache(c)
 // UseRecorder implements provenance.Consumer by delegating to the
 // wrapped framework.
 func (a *Adaptive) UseRecorder(r *provenance.Recorder) { a.Inner.UseRecorder(r) }
+
+// OnFault implements engine.Observer by delegating to the wrapped
+// framework's staged-degradation tracker.
+func (a *Adaptive) OnFault(e engine.Event) { a.Inner.OnFault(e) }
+
+// LastStage returns the degradation stage of the wrapped framework's
+// most recent Decide.
+func (a *Adaptive) LastStage() DegradeStage { return a.Inner.LastStage() }
 
 // ChooseInterval implements strategy.IntervalChooser: it measures the
 // median per-zone price-change period over the lookback window and

@@ -56,7 +56,10 @@ func BenchmarkDecide(b *testing.B) {
 // benchmark's 68-pool market. Cold is what every replay pays once — a
 // fresh framework's first Decide: training, cold forecasts and an empty
 // fit memo. Warm is the steady state after nine Decides: forecasts
-// against trained models and rebids answered from the memo.
+// against trained models and rebids answered from the memo. Day is what
+// one replay of the repo's benchmark (jupiter_pools68) pays in Decide: a
+// fresh framework's nine consecutive 3 h Decides, the memo filling and
+// its bisections resuming as the forecasts move.
 func BenchmarkDecidePools68(b *testing.B) {
 	set := benchPoolSet(b)
 	spec := lockSpec()
@@ -66,6 +69,18 @@ func BenchmarkDecidePools68(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := New().Decide(view, spec, 3*60); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Day", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := New()
+			for d := int64(0); d < 9; d++ {
+				view := traceView{set: set, now: 6*week + d*3*60}
+				if _, err := j.Decide(view, spec, 3*60); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -23,9 +23,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -100,11 +103,12 @@ type Jupiter struct {
 	lastBidFPs   map[string]float64
 	fpCache      map[fpKey]fpVal
 
-	// Weighted-planner state (pools.go): the memo of fitUniformFP, the
-	// scratch every candidate group of every Decide is evaluated in, and
-	// fit — always fitUniformFP outside the reference-oracle tests, which
-	// swap in the pre-memo implementation to pin decisions against it.
-	fitCache map[string]fpVal
+	// Weighted-planner state (pools.go): the memo of fitUniformFP's
+	// bisection paths, the scratch every candidate group of every Decide
+	// is evaluated in, and fit — nil outside the reference-oracle tests,
+	// which set it to the exhaustive bisection so that every rebid reads a
+	// converged answer and decisions can be pinned against it.
+	fitCache map[string]*fitState
 	ws       poolScratch
 	fit      func(t int, units []int, target float64) (float64, bool)
 
@@ -127,10 +131,11 @@ type zoneModel struct {
 }
 
 // memoCap bounds fpCache and fitCache. Both hold pure functions of
-// their keys, so a full map is simply dropped and refilled.
+// their keys — a fitCache entry is a prefix of a path its key fixes — so
+// a full map is simply dropped and refilled.
 const memoCap = 4096
 
-func memoPut[K comparable](m map[K]fpVal, k K, v fpVal) {
+func memoPut[K comparable, V any](m map[K]V, k K, v V) {
 	if len(m) >= memoCap {
 		clear(m)
 	}
@@ -151,16 +156,14 @@ type fpVal struct {
 
 // New returns a Jupiter with the paper's defaults.
 func New() *Jupiter {
-	j := &Jupiter{
+	return &Jupiter{
 		FP0:            market.OnDemandFailureProbability,
 		TrainingWindow: 13 * 7 * 24 * 60,
 		RetrainEvery:   7 * 24 * 60,
 		zoneModels:     make(map[string]zoneModel),
 		fpCache:        make(map[fpKey]fpVal),
-		fitCache:       make(map[string]fpVal),
+		fitCache:       make(map[string]*fitState),
 	}
-	j.fit = j.fitUniformFP
-	return j
 }
 
 // UseModelCache implements modelcache.Consumer: the replay harness
@@ -243,35 +246,6 @@ func (j *Jupiter) OnFault(e engine.Event) {
 // LastStage returns the degradation stage of the most recent Decide.
 func (j *Jupiter) LastStage() DegradeStage { return j.lastStage }
 
-// model returns a trained failure model for a zone, training or
-// retraining through the model provider as the cadence demands. The
-// per-zone cadence state (what this instance currently uses, trained
-// when) stays local; the training itself is keyed on (trace, zone,
-// window) in the provider, so concurrent framework instances over the
-// same history share one estimation pass.
-func (j *Jupiter) model(view strategy.MarketView, zone string) (*smc.Model, error) {
-	now := view.Now()
-	if zm, ok := j.zoneModels[zone]; ok {
-		if j.RetrainEvery == 0 || now-zm.trainedAt < j.RetrainEvery {
-			return zm.model, nil
-		}
-	}
-	from := now - j.TrainingWindow
-	key := modelcache.Key{Zone: zone, From: from, Until: now}
-	if ti, ok := view.(strategy.TraceIdentifier); ok {
-		key.Trace = ti.TraceFingerprint()
-	}
-	m, out, err := j.provider().Get(key, func() (*trace.Trace, error) {
-		return view.PriceHistory(zone, from, now)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: zone %s: %w", zone, err)
-	}
-	j.publishTrain(view, zone, now, out)
-	j.zoneModels[zone] = zoneModel{model: m, trainedAt: now}
-	return m, nil
-}
-
 // publishTrain surfaces a provider miss (an actual training pass) to
 // the view's observers, when the view accepts instrumentation events.
 func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64, out modelcache.Outcome) {
@@ -299,6 +273,23 @@ type poolBid struct {
 	bid  market.Money
 }
 
+// The planners sort with slices.SortFunc, which is not stable. It does
+// not need to be: every comparator in this package ends in a pool-key
+// (or zone) tiebreak and a Decide lists each pool once, so each order is
+// total and the sorted result is the same whatever the algorithm or the
+// input permutation (pinned by TestPlannerSortsAreTotalOrders).
+
+// cheapestBidFirst orders bids by price, then pool key.
+func cheapestBidFirst(a, b poolBid) int {
+	if c := cmp.Compare(a.bid, b.bid); c != 0 {
+		return c
+	}
+	return strings.Compare(a.zone, b.zone)
+}
+
+// byBidZone orders a decision's bids by pool key.
+func byBidZone(a, b strategy.Bid) int { return strings.Compare(a.Zone, b.Zone) }
+
 // poolSnapshot is one pool's failure estimator for the current
 // interval, shared across all group sizes of a Decide. zone holds the
 // pool key — the bare zone name for base-type pools, "zone/type"
@@ -314,64 +305,92 @@ type poolSnapshot struct {
 
 // buildPoolSnapshots assembles the per-pool estimators for one Decide.
 //
-// Model training and market reads run sequentially in zone order: they
-// mutate the retrain-cadence state and publish training events, whose
-// order is part of the deterministic event trace, and MarketView
-// implementations are not required to be goroutine-safe. The forecast
-// construction that follows — the semi-Markov DP, by far the dominant
-// cost on retrain minutes — is a pure function per zone, so it fans out
-// over a worker pool bounded by GOMAXPROCS; each build draws its
+// A sequential pass in pool order does everything that touches the
+// market view or this instance's state: the quarantine filter, the
+// retrain-cadence check and the current-price reads (MarketView
+// implementations are not required to be goroutine-safe). A pool whose
+// model is due for (re)training leaves that pass with a nil model, and
+// the rest — training through the provider, then the forecast, the
+// semi-Markov DP that dominates a retrain minute — fans out over a
+// worker pool bounded by GOMAXPROCS. The provider is safe for
+// concurrent use and a Decide asks it for one key per pool, so no two
+// workers share a series; the history fetch stays lazy (only on a
+// provider miss) and is serialised by a Decide-local mutex, so
+// PriceHistory calls never overlap. Each forecast build draws its
 // per-minute scratch from a pool smc shares across models, so a worker
-// allocates only the profile table its model keeps. Training stays out
-// of the fan-out: at a weekly slide of a few hundred transitions it is
-// the smaller half of a retrain minute, but it is the sequential half
-// (ROADMAP item 2). Results collect into a slice indexed by zone order,
-// keeping every downstream loop deterministic.
+// allocates only the profile table its model keeps.
 //
-// dt, when non-nil, receives one SpanPool per pool considered —
-// quarantined, no-history, forecast-failed, or ok. Span emission stays
-// out of the worker pool: skip spans fire in the sequential filter
-// above it, build outcomes in the sequential collection loop after it,
-// so span order is deterministic.
+// Everything whose order is observable happens after the workers are
+// done, in pool order: KindModelTrained events, the retrain-cadence
+// update, a deferred price-read error, and the spans. dt, when non-nil,
+// receives one SpanPool per pool considered — first the pools that never
+// reach a forecast (quarantined, no-history), then the build outcomes
+// (forecast-failed, ok) — exactly the order the sequential
+// train-then-read loop used to emit them in.
 func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.ServiceSpec, zones []string, now, intervalMinutes int64, dt *provenance.DecisionTrace) ([]*poolSnapshot, error) {
 	type zoneWork struct {
-		zone  string
-		model *smc.Model
-		cur   market.Money
-		age   int64
-		od    market.Money
+		zone    string
+		skip    string     // why the pool reaches no forecast: "quarantined" or "no-history"
+		model   *smc.Model // nil after the sequential pass: due for training, the worker's job
+		cur, od market.Money
+		age     int64
+		readErr error // a failed price read: fatal in pool order, unless the pool has no history
+
+		trained bool // the worker went to the provider, with this outcome
+		outcome modelcache.Outcome
 	}
-	work := make([]zoneWork, 0, len(zones))
-	for _, z := range zones {
+	work := make([]zoneWork, len(zones))
+	for i, z := range zones {
+		w := &work[i]
+		w.zone = z
 		if j.health != nil && j.health.quarantinedKey(z, now) {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanPool, Pool: z, Outcome: "quarantined"})
+			w.skip = "quarantined" // after faults; re-probed once the backoff expires
+			continue
+		}
+		if zm, ok := j.zoneModels[z]; ok && (j.RetrainEvery == 0 || now-zm.trainedAt < j.RetrainEvery) {
+			w.model = zm.model
+		}
+		if w.cur, w.readErr = view.SpotPrice(z); w.readErr == nil {
+			if w.age, w.readErr = view.SpotPriceAge(z); w.readErr == nil {
+				w.od, w.readErr = market.PoolOnDemandPrice(z, spec.Type)
 			}
-			continue // pool quarantined after faults; re-probed once the backoff expires
 		}
-		m, err := j.model(view, z)
-		if err != nil {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanPool, Pool: z, Outcome: "no-history"})
-			}
-			continue // pool unusable this round (no history yet)
-		}
-		cur, err := view.SpotPrice(z)
-		if err != nil {
-			return nil, err
-		}
-		age, err := view.SpotPriceAge(z)
-		if err != nil {
-			return nil, err
-		}
-		od, err := market.PoolOnDemandPrice(z, spec.Type)
-		if err != nil {
-			return nil, err
-		}
-		work = append(work, zoneWork{zone: z, model: m, cur: cur, age: age, od: od})
 	}
 
-	build := func(w zoneWork) *poolSnapshot {
+	// Training goes through the provider. The per-pool cadence state (what
+	// this instance uses, trained when) stays local to the instance; the
+	// training itself is keyed on (trace, pool, window) in the provider, so
+	// concurrent framework instances over the same history share one
+	// estimation pass.
+	models := j.provider()
+	key := modelcache.Key{From: now - j.TrainingWindow, Until: now}
+	if ti, ok := view.(strategy.TraceIdentifier); ok {
+		key.Trace = ti.TraceFingerprint()
+	}
+	var histMu sync.Mutex
+	train := func(w *zoneWork) {
+		k := key
+		k.Zone = w.zone
+		var err error
+		w.model, w.outcome, err = models.Get(k, func() (*trace.Trace, error) {
+			histMu.Lock()
+			defer histMu.Unlock()
+			return view.PriceHistory(w.zone, k.From, k.Until)
+		})
+		if err != nil {
+			w.skip = "no-history" // pool unusable this round
+			return
+		}
+		w.trained = true
+	}
+
+	build := func(w *zoneWork) *poolSnapshot {
+		if w.model == nil {
+			train(w)
+		}
+		if w.skip != "" || w.readErr != nil {
+			return nil
+		}
 		var f *smc.Forecast
 		var err error
 		switch j.Mode {
@@ -412,8 +431,10 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 
 	built := make([]*poolSnapshot, len(work))
 	if workers := min(runtime.GOMAXPROCS(0), len(work)); workers <= 1 {
-		for i, w := range work {
-			built[i] = build(w)
+		for i := range work {
+			if work[i].skip == "" {
+				built[i] = build(&work[i])
+			}
 		}
 	} else {
 		idx := make(chan int)
@@ -423,18 +444,40 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					built[i] = build(work[i])
+					built[i] = build(&work[i])
 				}
 			}()
 		}
 		for i := range work {
-			idx <- i
+			if work[i].skip == "" {
+				idx <- i
+			}
 		}
 		close(idx)
 		wg.Wait()
 	}
+
+	for i := range work {
+		w := &work[i]
+		if w.skip != "" {
+			if dt != nil {
+				dt.Emit(provenance.Span{Kind: provenance.SpanPool, Pool: w.zone, Outcome: w.skip})
+			}
+			continue
+		}
+		if w.trained {
+			j.publishTrain(view, w.zone, now, w.outcome)
+			j.zoneModels[w.zone] = zoneModel{model: w.model, trainedAt: now}
+		}
+		if w.readErr != nil {
+			return nil, w.readErr
+		}
+	}
 	states := built[:0]
 	for i, st := range built {
+		if work[i].skip != "" {
+			continue
+		}
 		if st == nil {
 			if dt != nil {
 				dt.Emit(provenance.Span{Kind: provenance.SpanPool, Pool: work[i].zone, Outcome: "forecast-failed"})
@@ -555,11 +598,11 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 			}
 			odPool = append(odPool, odZone{zone: z, price: od})
 		}
-		sort.Slice(odPool, func(a, b int) bool {
-			if odPool[a].price != odPool[b].price {
-				return odPool[a].price < odPool[b].price
+		slices.SortFunc(odPool, func(a, b odZone) int {
+			if c := cmp.Compare(a.price, b.price); c != 0 {
+				return c
 			}
-			return odPool[a].zone < odPool[b].zone
+			return strings.Compare(a.zone, b.zone)
 		})
 	}
 
@@ -595,12 +638,7 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 			}
 			bids = append(bids, poolBid{zone: st.zone, bid: bid})
 		}
-		sort.Slice(bids, func(a, b int) bool {
-			if bids[a].bid != bids[b].bid {
-				return bids[a].bid < bids[b].bid
-			}
-			return bids[a].zone < bids[b].zone
-		})
+		slices.SortFunc(bids, cheapestBidFirst)
 		var odPick []string
 		var odCost market.Money
 		if len(bids) < n && stage != StageHealthy {
@@ -683,7 +721,7 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 			j.lastBidFPs[zb.zone] = st.fpOf(zb.bid)
 		}
 	}
-	sort.Slice(out.Bids, func(a, b int) bool { return out.Bids[a].Zone < out.Bids[b].Zone })
+	slices.SortFunc(out.Bids, byBidZone)
 	out.OnDemand = append(out.OnDemand, bestOD...)
 	sort.Strings(out.OnDemand)
 	return out, nil
@@ -699,11 +737,11 @@ func hardenQuorum(bids []poolBid, od []string, spec strategy.ServiceSpec) ([]poo
 		return bids, od
 	}
 	byCost := append([]poolBid(nil), bids...)
-	sort.Slice(byCost, func(a, b int) bool {
-		if byCost[a].bid != byCost[b].bid {
-			return byCost[a].bid > byCost[b].bid
+	slices.SortFunc(byCost, func(a, b poolBid) int {
+		if c := cmp.Compare(b.bid, a.bid); c != 0 {
+			return c // most expensive first
 		}
-		return byCost[a].zone < byCost[b].zone
+		return strings.Compare(a.zone, b.zone)
 	})
 	convert := make(map[string]bool, k-len(od))
 	for i := 0; i < len(byCost) && len(od)+len(convert) < k; i++ {

@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/market"
 	"repro/internal/provenance"
@@ -153,11 +154,11 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			}
 			odPool = append(odPool, odPoolCand{key: z, price: od, units: u})
 		}
-		sort.Slice(odPool, func(a, b int) bool {
-			if c := perUnitCmp(odPool[a].price, odPool[a].units, odPool[b].price, odPool[b].units); c != 0 {
-				return c < 0
+		slices.SortFunc(odPool, func(a, b odPoolCand) int {
+			if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
+				return c
 			}
-			return odPool[a].key < odPool[b].key
+			return strings.Compare(a.key, b.key)
 		})
 	}
 
@@ -202,8 +203,17 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// base nodes; a group of fewer, heavier pools has fewer failure
 	// domains, so the equalized probability can be too loose for it.
 	// The repair bisects the largest uniform per-member failure
-	// probability at which THIS group's unit quorum meets the target,
+	// probability fp at which THIS group's unit quorum meets the target,
 	// then re-bids every spot member at that tighter probability.
+	//
+	// It bisects only as far as the bids can tell apart. All it does with
+	// fp is compare it with FP0 and hand it to each member's minBid, a
+	// step function of a few levels per pool that is monotone
+	// non-increasing in its target; so with fp known to lie in [lo, up],
+	// up < FP0 already fails the group, and lo >= FP0 with a member
+	// answering the same at lo and at up already is that member's answer
+	// at fp. Members are walked in order, as the converged rebid would;
+	// the first one the interval cannot yet decide buys one more probe.
 	rebid := func(spot []poolBid, spotUnits []int, od []odPoolCand) ([]poolBid, bool) {
 		tot := 0
 		units := j.ws.units[:0]
@@ -220,20 +230,44 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		if t > tot {
 			return nil, false
 		}
-		fp, ok := j.fit(t, units, target)
-		if !ok || fp < j.FP0 {
+		fit := j.fitUniformFP(t, units, target)
+		if !fit.ok {
 			return nil, false
 		}
-		out := make([]poolBid, len(spot))
-		for i, pb := range spot {
-			st := byKey[pb.zone]
-			bid, ok := st.minBid(fp)
-			if !ok || bid < st.cur {
+		var out []poolBid
+		// price walks the members with fp somewhere in [lo, up]: decided
+		// reports whether every answer it needed was the same at both ends.
+		price := func(lo, up float64) (ok, decided bool) {
+			if out == nil {
+				out = make([]poolBid, len(spot))
+			}
+			for i, pb := range spot {
+				st := byKey[pb.zone]
+				bid, ok := st.minBid(lo)
+				if lo != up {
+					if b, k := st.minBid(up); b != bid || k != ok {
+						return false, false
+					}
+				}
+				if !ok || bid < st.cur {
+					return false, true
+				}
+				out[i] = poolBid{zone: pb.zone, bid: bid}
+			}
+			return true, true
+		}
+		for {
+			lo, up := fit.bounds()
+			if up < j.FP0 {
 				return nil, false
 			}
-			out[i] = poolBid{zone: pb.zone, bid: bid}
+			if lo >= j.FP0 {
+				if ok, decided := price(lo, up); decided {
+					return out, ok
+				}
+			}
+			j.fitStep(fit, t, units, target)
 		}
-		return out, true
 	}
 
 	// poolSelection is one fully-priced candidate group.
@@ -377,12 +411,11 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		for i := range cands {
 			perUnit[i] = i
 		}
-		sort.Slice(perUnit, func(a, b int) bool {
-			ia, ib := perUnit[a], perUnit[b]
+		slices.SortFunc(perUnit, func(ia, ib int) int {
 			if c := perUnitCmp(cands[ia].bid, candUnits[ia], cands[ib].bid, candUnits[ib]); c != 0 {
-				return c < 0
+				return c
 			}
-			return cands[ia].zone < cands[ib].zone
+			return strings.Compare(cands[ia].zone, cands[ib].zone)
 		})
 		var baseOnly []int
 		for i := range cands {
@@ -390,13 +423,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 				baseOnly = append(baseOnly, i)
 			}
 		}
-		sort.Slice(baseOnly, func(a, b int) bool {
-			ia, ib := baseOnly[a], baseOnly[b]
-			if cands[ia].bid != cands[ib].bid {
-				return cands[ia].bid < cands[ib].bid
-			}
-			return cands[ia].zone < cands[ib].zone
-		})
+		slices.SortFunc(baseOnly, func(ia, ib int) int { return cheapestBidFirst(cands[ia], cands[ib]) })
 
 		for fi, build := range []func() ([]poolBid, []int, []odPoolCand, bool){
 			func() ([]poolBid, []int, []odPoolCand, bool) { return buildSel(baseOnly) },
@@ -504,7 +531,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			j.lastBidFPs[pb.zone] = st.fpOf(pb.bid)
 		}
 	}
-	sort.Slice(out.Bids, func(a, b int) bool { return out.Bids[a].Zone < out.Bids[b].Zone })
+	slices.SortFunc(out.Bids, byBidZone)
 	for _, oc := range bestOD {
 		out.OnDemand = append(out.OnDemand, oc.key)
 	}
@@ -533,12 +560,11 @@ func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec st
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if c := perUnitCmp(spot[ia].bid, spotUnits[ia], spot[ib].bid, spotUnits[ib]); c != 0 {
-			return c > 0 // most expensive per unit first
+	slices.SortFunc(idx, func(ia, ib int) int {
+		if c := perUnitCmp(spot[ib].bid, spotUnits[ib], spot[ia].bid, spotUnits[ia]); c != 0 {
+			return c // most expensive per unit first
 		}
-		return spot[ia].zone < spot[ib].zone
+		return strings.Compare(spot[ia].zone, spot[ib].zone)
 	})
 	convert := make(map[int]bool, len(idx))
 	for _, i := range idx {
@@ -565,53 +591,99 @@ func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec st
 	return keptSpot, keptUnits, od
 }
 
+// fitState is a prefix of fitUniformFP's bisection path: the interval
+// after iters probes. The path is a pure function of the memo key —
+// same midpoints, same collapse test, same iteration cap — so a state
+// can be resumed by whoever holds it next and dropped at any time.
+type fitState struct {
+	lo, hi float64 // lo probed feasible; hi probed infeasible, or the unprobed 1
+	iters  int     // bisection probes taken, of at most fitMaxIters
+	ok     bool    // the target is met at probability 0, so an answer exists
+	done   bool    // the path has ended and lo is the answer
+}
+
+// fitMaxIters caps a bisection, as quorum.InvertEqualFP's does.
+const fitMaxIters = 100
+
+// bounds returns the interval [lo, up] the path's final answer lies in.
+// lo only rises and hi only falls along the path, and the answer is a
+// probed-feasible point: never hi once hi has been probed.
+func (s *fitState) bounds() (lo, up float64) {
+	switch {
+	case s.done:
+		return s.lo, s.lo
+	case s.hi < 1:
+		return s.lo, math.Nextafter(s.hi, 0)
+	}
+	return s.lo, s.hi
+}
+
+// settle marks the path ended when the next step would not probe: the
+// iteration cap is spent, or the interval has collapsed and the midpoint
+// is an endpoint whose outcome is known — lo was probed feasible, hi
+// infeasible unless it is still the unprobed 1 — and stays one for good.
+func (s *fitState) settle() {
+	mid := (s.lo + s.hi) / 2
+	s.done = s.iters == fitMaxIters || mid == s.lo || (mid == s.hi && s.hi < 1)
+}
+
+// uniformAvailability is the exact unit-quorum availability of a group
+// whose every member fails with probability p.
+func (j *Jupiter) uniformAvailability(t int, units []int, p float64) float64 {
+	fps := slices.Grow(j.ws.fps[:0], len(units))[:len(units)]
+	j.ws.fps = fps
+	for i := range fps {
+		fps[i] = p
+	}
+	return j.ws.dp.Availability(t, units, fps)
+}
+
 // fitUniformFP bisects the largest uniform per-member failure
 // probability p at which a group with the given capacity units meets
 // the availability target under the exact unit-quorum rule (threshold
 // t). It mirrors quorum.InvertEqualFP's structure — up to 100
-// iterations, keeping the feasible lower endpoint — so the returned
+// iterations, keeping the feasible lower endpoint — so the final
 // probability is conservative: the group evaluated at it is guaranteed
 // to pass.
 //
-// The result is a pure function of (target, t, units in order) and is
-// memoised on exactly that: the DP's rounding depends on the fold
-// order, so the sequence is not canonicalised.
-func (j *Jupiter) fitUniformFP(t int, units []int, target float64) (float64, bool) {
+// It does so lazily. The call itself only decides whether an answer
+// exists (one probe, at 0) and returns the state of the bisection;
+// fitStep takes it one probe further. The path is a pure function of
+// (target, t, units in order) and is memoised on exactly that — the DP's
+// rounding depends on the fold order, so the sequence is not
+// canonicalised — which lets a later rebid of the same group, against
+// other forecasts, resume where this one stopped needing precision.
+func (j *Jupiter) fitUniformFP(t int, units []int, target float64) *fitState {
 	key := binary.AppendUvarint(j.ws.key[:0], math.Float64bits(target))
 	key = binary.AppendVarint(key, int64(t))
 	for _, u := range units {
 		key = binary.AppendVarint(key, int64(u))
 	}
 	j.ws.key = key
-	if v, ok := j.fitCache[string(key)]; ok {
-		return v.fp, !v.err
+	if s, ok := j.fitCache[string(key)]; ok {
+		return s
 	}
-	fps := slices.Grow(j.ws.fps[:0], len(units))[:len(units)]
-	j.ws.fps = fps
-	availAt := func(p float64) float64 {
-		for i := range fps {
-			fps[i] = p
-		}
-		return j.ws.dp.Availability(t, units, fps)
+	s := &fitState{hi: 1}
+	if j.fit != nil {
+		s.lo, s.ok = j.fit(t, units, target)
+		s.done = true
+	} else {
+		s.ok = !(j.uniformAvailability(t, units, 0) < target) // not >=: a NaN target has always passed
+		s.done = !s.ok
 	}
-	lo, hi := 0.0, 1.0
-	ok := !(availAt(0) < target) // not >=: a NaN target has always passed
-	for i := 0; ok && i < 100; i++ {
-		mid := (lo + hi) / 2
-		// Once the interval has collapsed the midpoint is an endpoint
-		// whose outcome is known — lo was probed feasible, hi infeasible
-		// unless it is still the unprobed 1 — and stays one for good.
-		if mid == lo || (mid == hi && hi < 1) {
-			break
-		}
-		if availAt(mid) >= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	memoPut(j.fitCache, string(key), s)
+	return s
+}
+
+// fitStep takes an unfinished bisection one probe further.
+func (j *Jupiter) fitStep(s *fitState, t int, units []int, target float64) {
+	if mid := (s.lo + s.hi) / 2; j.uniformAvailability(t, units, mid) >= target {
+		s.lo = mid
+	} else {
+		s.hi = mid
 	}
-	memoPut(j.fitCache, string(key), fpVal{fp: lo, err: !ok})
-	return lo, ok
+	s.iters++
+	s.settle()
 }
 
 // refineBidsWeighted is refineBids over capacity units: bids descend

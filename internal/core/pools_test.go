@@ -2,6 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -199,11 +204,11 @@ func TestDecideSingleTypeAllocBudget(t *testing.T) {
 
 // TestDecidePoolsAllocBudget pins the pool path's allocation budget on
 // the 68-pool market. A warmed Decide — models trained, every rebid
-// answered from the memo — checks its ~220 candidate groups in the
-// planner's one scratch row; what still allocates is the forecasts and
-// the per-size candidate lists (≈ 4 100 at GOMAXPROCS 2). A row or a
-// probability vector per check would add hundreds, one per bisection
-// probe ten thousand.
+// decided from the bisection prefix the memo holds — checks its ~220
+// candidate groups in the planner's one scratch row; what still
+// allocates is the forecasts and the per-size candidate lists (≈ 4 050
+// at GOMAXPROCS 2). A row or a probability vector per check would add
+// hundreds, one per bisection probe thousands.
 func TestDecidePoolsAllocBudget(t *testing.T) {
 	view := traceView{set: benchPoolSet(t), now: 6 * week}
 	j := New()
@@ -242,5 +247,64 @@ func TestDecidePoolsUsesTypedPools(t *testing.T) {
 	}
 	if typed == 0 {
 		t.Fatal("pool view exposes no typed pools; test is vacuous")
+	}
+}
+
+// shuffledView lists a view's pools in another order.
+type shuffledView struct {
+	traceView
+	zones []string
+}
+
+func (v shuffledView) Zones() []string { return v.zones }
+
+// TestPlannerSortsAreTotalOrders: the planners sort with the unstable
+// slices.SortFunc, which is safe only because every comparator ends in a
+// unique pool-key tiebreak. If one did not, the order of tied pools —
+// and with it the greedy fills, the DP fold order and the decision —
+// would follow the order the view lists its pools in. Both planners, at
+// every degradation stage (the on-demand ranking and the hardening sort
+// only run under faults), must decide the same whatever that order.
+func TestPlannerSortsAreTotalOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	zones := market.ExperimentZones()
+	for _, base := range []traceView{genView(t, 42, 13), {set: benchPoolSet(t), now: 6 * week}} {
+		for _, faulted := range [][]string{nil, zones[:1], zones[:13]} {
+			decide := func(view strategy.MarketView) (strategy.Decision, []CandidateCost) {
+				j := New()
+				for _, z := range faulted {
+					j.OnFault(fault(z, base.now-10))
+				}
+				d, err := j.Decide(view, lockSpec(), 180)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, j.LastCandidates()
+			}
+			want, wantCands := decide(base)
+			for shuffle := 0; shuffle < 4; shuffle++ {
+				pools := slices.Clone(base.Zones())
+				rng.Shuffle(len(pools), func(a, b int) { pools[a], pools[b] = pools[b], pools[a] })
+				got, gotCands := decide(shuffledView{traceView: base, zones: pools})
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCands, wantCands) {
+					t.Fatalf("%d pools, %d faulted zones, shuffle %d: decision %+v / %+v, in listed order %+v / %+v",
+						len(pools), len(faulted), shuffle, got, gotCands, want, wantCands)
+				}
+			}
+		}
+	}
+	// Equal bids across pools are rare on a generated market; pin the
+	// by-bid comparator's tiebreak directly.
+	bids := make([]poolBid, 40)
+	for i := range bids {
+		bids[i] = poolBid{zone: fmt.Sprintf("pool-%02d", i), bid: market.Money(100 * (1 + i%3))}
+	}
+	want := slices.Clone(bids)
+	sort.SliceStable(want, func(a, b int) bool { return want[a].bid < want[b].bid })
+	for shuffle := 0; shuffle < 4; shuffle++ {
+		rng.Shuffle(len(bids), func(a, b int) { bids[a], bids[b] = bids[b], bids[a] })
+		if slices.SortFunc(bids, cheapestBidFirst); !slices.Equal(bids, want) {
+			t.Fatalf("cheapestBidFirst, shuffle %d: %v, want %v", shuffle, bids, want)
+		}
 	}
 }

@@ -259,3 +259,43 @@ func TestReplayStormSurgeOverTypedPools(t *testing.T) {
 		t.Fatalf("observed %d price-spike injections, want 1", spikes)
 	}
 }
+
+// TestAdaptiveForwardsFaults: Run subscribes a strategy to a chaos-armed
+// run's events only if it is an engine.Observer, so a wrapper that is not
+// one leaves the framework it wraps deaf — Adaptive used to, and its
+// staged degradation never left StageHealthy. The same storm-surge run
+// must degrade the wrapped Jupiter as it degrades a bare one.
+func TestAdaptiveForwardsFaults(t *testing.T) {
+	set := genTraces(t, 15, 1, market.M1Small)
+	sc, ok := chaos.Builtin("storm-surge")
+	if !ok {
+		t.Fatal("storm-surge builtin missing")
+	}
+	worstStage := func(s strategy.Strategy, stage func() core.DegradeStage) core.DegradeStage {
+		worst := core.StageHealthy
+		_, err := Run(Config{
+			Traces: set, Start: 13 * week,
+			Spec: lockSpec(), Strategy: s,
+			IntervalMinutes: 180, Seed: 15,
+			Chaos: &sc,
+			Observers: []engine.Observer{&engine.Hooks{Decision: func(engine.Event) {
+				worst = max(worst, stage())
+			}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst
+	}
+	plain := core.New()
+	if got := worstStage(plain, plain.LastStage); got == core.StageHealthy {
+		t.Fatal("storm-surge never degraded plain Jupiter; the comparison is vacuous")
+	}
+	adaptive := core.NewAdaptive()
+	if got := worstStage(adaptive, adaptive.Inner.LastStage); got == core.StageHealthy {
+		t.Fatal("the Jupiter inside Adaptive stayed healthy through storm-surge: faults are not forwarded")
+	}
+	if adaptive.LastStage() != adaptive.Inner.LastStage() {
+		t.Fatal("Adaptive.LastStage disagrees with the framework it wraps")
+	}
+}

@@ -1,7 +1,9 @@
 package strategy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/market"
 )
@@ -31,15 +33,15 @@ func feasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
 // price_i/units_i < price_j/units_j, cross-multiplied to stay in
 // integers, ties broken by pool key. For a single-type view every pool
 // has equal units, so this is exactly the by-price order the paper's
-// strategies always used.
+// strategies always used. Pool keys are unique within a view, so the
+// order is total and the unstable sort has one possible result (pinned
+// by TestSortPerUnitIsATotalOrder).
 func sortPerUnit(pools []pricedPool) {
-	sort.Slice(pools, func(i, j int) bool {
-		a := int64(pools[i].price) * int64(pools[j].units)
-		b := int64(pools[j].price) * int64(pools[i].units)
-		if a != b {
-			return a < b
+	slices.SortFunc(pools, func(a, b pricedPool) int {
+		if c := cmp.Compare(int64(a.price)*int64(b.units), int64(b.price)*int64(a.units)); c != 0 {
+			return c
 		}
-		return pools[i].key < pools[j].key
+		return strings.Compare(a.key, b.key)
 	})
 }
 

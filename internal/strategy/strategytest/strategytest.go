@@ -3,8 +3,9 @@
 // from its canonical Example spec and driven through the contract
 // checks every Strategy must honour — determinism under an equal seed
 // and view, no peeking at price history past the view's now,
-// propagation of the typed market.ErrNoFeasiblePools, and well-formed
-// non-negative bids over known pools.
+// propagation of the typed market.ErrNoFeasiblePools, well-formed
+// non-negative bids over known pools, and fault events reaching a
+// wrapped fault-aware strategy.
 //
 // The harness sees only the strategy package's interface; callers that
 // want the full arena (the Jupiter family included) blank-import
@@ -17,6 +18,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/market"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -122,6 +124,7 @@ func Conformance(t *testing.T, reg *strategy.Registry) {
 			checkNames(t, builder)
 			checkDeterminismAndBids(t, builder)
 			checkNoFeasiblePools(t, builder)
+			checkWrapperObserves(t, builder)
 		})
 	}
 }
@@ -135,6 +138,35 @@ func checkNames(t *testing.T, builder strategy.Builder) {
 	}
 	if a.Name() != b.Name() {
 		t.Fatalf("unstable name: %q vs %q", a.Name(), b.Name())
+	}
+}
+
+// checkWrapperObserves: the replay harness subscribes a strategy to a
+// chaos-armed run's event stream only if the strategy itself is an
+// engine.Observer. A strategy that holds a fault-aware strategy in one
+// of its fields but is not an observer would leave the inner one deaf to
+// every fault, silently.
+func checkWrapperObserves(t *testing.T, builder strategy.Builder) {
+	t.Helper()
+	s := builder()
+	if _, ok := s.(engine.Observer); ok {
+		return
+	}
+	v := reflect.Indirect(reflect.ValueOf(s))
+	if v.Kind() != reflect.Struct {
+		return
+	}
+	strategyType := reflect.TypeOf((*strategy.Strategy)(nil)).Elem()
+	observerType := reflect.TypeOf((*engine.Observer)(nil)).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		ft := v.Field(i).Type()
+		if f := v.Field(i); f.Kind() == reflect.Interface && !f.IsNil() {
+			ft = f.Elem().Type()
+		}
+		if ft.Implements(strategyType) && ft.Implements(observerType) {
+			t.Fatalf("%T wraps the fault-aware %v (field %s) but is not an engine.Observer: replay.Run will never deliver it a fault",
+				s, ft, v.Type().Field(i).Name)
+		}
 	}
 }
 
