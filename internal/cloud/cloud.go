@@ -24,6 +24,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -117,6 +118,9 @@ type timer struct {
 // Provider is the simulated control plane over a fixed price trace set.
 type Provider struct {
 	traces *trace.Set
+	// zones is the sorted pool keys of traces, listed once: strategies
+	// ask for them on every decision.
+	zones  []string
 	now    int64
 	rng    *stats.RNG
 	nextID int64
@@ -189,6 +193,7 @@ const (
 func NewProvider(traces *trace.Set, cfg Config) *Provider {
 	p := &Provider{
 		traces:       traces,
+		zones:        traces.Zones(),
 		now:          traces.Start,
 		rng:          stats.NewRNG(cfg.Seed),
 		instances:    make(map[InstanceID]*Instance),
@@ -216,8 +221,9 @@ func (p *Provider) Now() int64 { return p.now }
 // End returns the last simulable minute (exclusive).
 func (p *Provider) End() int64 { return p.traces.End }
 
-// Zones lists the zones with price feeds, sorted.
-func (p *Provider) Zones() []string { return p.traces.Zones() }
+// Zones lists the zones with price feeds, sorted. The slice is the
+// caller's own.
+func (p *Provider) Zones() []string { return slices.Clone(p.zones) }
 
 // SpotPrice returns the current spot price in a zone.
 func (p *Provider) SpotPrice(zone string) (market.Money, error) {

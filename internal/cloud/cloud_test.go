@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/market"
@@ -29,6 +30,31 @@ func centsSet(t *testing.T) *trace.Set {
 		{Minute: 120, Price: market.FromDollars(0.012)},
 		{Minute: 180, Price: market.FromDollars(0.008)},
 	}, 24*60)
+}
+
+// TestZonesIsTheCallersOwn: the provider lists its pool keys once and
+// hands every caller a copy, sorted; a strategy that reorders or
+// truncates its copy changes nobody else's.
+func TestZonesIsTheCallersOwn(t *testing.T) {
+	s := trace.NewSet(market.M1Small, 0, 60)
+	for _, z := range []string{"us-west-2a", "eu-west-1b", "us-east-1a"} {
+		tr := &trace.Trace{Zone: z, Type: market.M1Small, Start: 0, End: 60,
+			Points: []trace.PricePoint{{Minute: 0, Price: market.FromDollars(0.008)}}}
+		if err := s.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewProvider(s, Config{Seed: 1})
+	want := []string{"eu-west-1b", "us-east-1a", "us-west-2a"}
+	got := p.Zones()
+	if !slices.Equal(got, want) {
+		t.Fatalf("Zones() = %v, want %v", got, want)
+	}
+	got[0], got[2] = "scribbled", got[0]
+	_ = append(got[:1], "over")
+	if again := p.Zones(); !slices.Equal(again, want) {
+		t.Fatalf("Zones() after a caller wrote to its copy = %v, want %v", again, want)
+	}
 }
 
 func TestRequestSpotLaunchesAfterStartup(t *testing.T) {

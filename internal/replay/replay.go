@@ -17,6 +17,7 @@ package replay
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/cloud"
@@ -152,7 +153,7 @@ type IntervalStats struct {
 // events (model training) reach the run's observers.
 type marketView struct {
 	p           *cloud.Provider
-	fingerprint uint64
+	fingerprint *traceFingerprint
 	obs         engine.Fanout
 	// chaos, when armed, rewrites observations inside injected trace
 	// gaps: the pre-gap price with growing age, history clamped to the
@@ -191,7 +192,23 @@ func (v marketView) PriceHistory(zone string, from, to int64) (*trace.Trace, err
 	}
 	return v.p.PriceHistory(zone, from, to)
 }
-func (v marketView) TraceFingerprint() uint64 { return v.fingerprint }
+func (v marketView) TraceFingerprint() uint64 { return v.fingerprint.get() }
+
+// traceFingerprint is the identity of the replayed price history —
+// trace.Set.Fingerprint, a hash over every price point, perturbed by
+// the chaos scenario's salt — computed when a strategy first asks for
+// it: most strategies never do.
+type traceFingerprint struct {
+	once   sync.Once
+	traces *trace.Set
+	salt   uint64
+	value  uint64
+}
+
+func (f *traceFingerprint) get() uint64 {
+	f.once.Do(func() { f.value = f.traces.Fingerprint() ^ f.salt })
+	return f.value
+}
 
 // TargetNodes implements strategy.LoadTargeter: the autoscaler's
 // current target when a workload plan is armed, no target otherwise.
@@ -318,9 +335,9 @@ func newRun(cfg Config) (*run, error) {
 		Seed:                   cfg.Seed,
 		InjectHardwareFailures: cfg.InjectHardwareFailures,
 	})
-	fingerprint := traces.Fingerprint()
+	fingerprint := &traceFingerprint{traces: traces}
 	if chaosEng != nil {
-		fingerprint ^= chaosEng.FingerprintSalt()
+		fingerprint.salt = chaosEng.FingerprintSalt()
 		chaosEng.Arm(provider)
 		// Let a fault-aware strategy (Jupiter's staged degradation)
 		// watch the stream it must react to.

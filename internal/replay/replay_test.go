@@ -299,3 +299,72 @@ func TestAdaptiveForwardsFaults(t *testing.T) {
 		t.Fatal("Adaptive.LastStage disagrees with the framework it wraps")
 	}
 }
+
+// TestTraceFingerprintOnDemand: the fingerprint of the replayed price
+// history — a hash over every point of it — is computed when a strategy
+// first asks, not when the run is set up. After a whole replay of a
+// strategy that never asks (Extra reads no trace identity) it has not
+// been computed at all; a Jupiter replay, which keys its model cache by
+// it, gets the value Set.Fingerprint gives — under chaos the transformed
+// set's, perturbed by the scenario's salt.
+func TestTraceFingerprintOnDemand(t *testing.T) {
+	set := genTraces(t, 21, 1, market.M1Small)
+	cfg := Config{
+		Traces: set, Start: 13 * week,
+		Spec: lockSpec(), IntervalMinutes: 360, Seed: 21,
+	}
+	replay := func(cfg Config) *traceFingerprint {
+		t.Helper()
+		r, err := newRun(cfg)
+		if err == nil {
+			err = r.runEvent()
+		}
+		if err == nil {
+			err = r.finish()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.res.Decisions == 0 {
+			t.Fatal("degenerate run: no decisions")
+		}
+		return r.view.fingerprint
+	}
+	// computed runs the holder's Once: it fires only if the run never did.
+	computed := func(f *traceFingerprint) bool {
+		fired := true
+		f.once.Do(func() { fired = false })
+		return fired
+	}
+
+	cfg.Strategy = strategy.Extra{ExtraNodes: 2, Portion: 0.2}
+	if computed(replay(cfg)) {
+		t.Fatal("a replay of Extra, which never asks for the trace fingerprint, computed it")
+	}
+
+	cfg.Strategy = core.New()
+	if f := replay(cfg); !computed(f) || f.value != set.Fingerprint() {
+		t.Fatalf("Jupiter replay: fingerprint %#x, want %#x", f.value, set.Fingerprint())
+	}
+
+	sc, ok := chaos.Builtin("storm-surge")
+	if !ok {
+		t.Fatal("storm-surge builtin missing")
+	}
+	eng, err := chaos.New(sc, cfg.ChaosSeed, cfg.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surged, err := eng.TransformTraces(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := surged.Fingerprint() ^ eng.FingerprintSalt()
+	if want == set.Fingerprint() {
+		t.Fatal("the scenario leaves the fingerprint alone; pick one that does not")
+	}
+	cfg.Strategy, cfg.Chaos = core.New(), &sc
+	if f := replay(cfg); !computed(f) || f.value != want {
+		t.Fatalf("Jupiter replay under chaos: fingerprint %#x, want %#x", f.value, want)
+	}
+}

@@ -1,6 +1,8 @@
 package smc
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/market"
@@ -29,15 +31,54 @@ func BenchmarkEstimatorObserve13Weeks(b *testing.B) {
 	}
 }
 
+// BenchmarkModelBuild freezes a model two ways: Scratch counts thirteen
+// weeks from nothing and freezes once; Slide is the weekly retrain — a
+// warm thirteen-week window moves one week on and freezes.
 func BenchmarkModelBuild(b *testing.B) {
-	tr := benchTrace(b, 13)
+	b.Run("Scratch", func(b *testing.B) {
+		tr := benchTrace(b, 13)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := NewEstimator(0)
+			e.Observe(tr)
+			if _, err := e.Model(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Slide", func(b *testing.B) {
+		tr := benchTrace(b, 13+8)
+		benchSlides(b, tr, func(w *WindowedEstimator) {
+			if _, err := w.Model(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+}
+
+// benchSlides times retrain after one-week slides of a thirteen-week
+// window over tr, which holds eight of them; each time the trace runs
+// out the window is re-seated at its start, untimed.
+func benchSlides(b *testing.B, tr *trace.Trace, retrain func(*WindowedEstimator)) {
+	const week = 7 * 24 * 60
+	var w *WindowedEstimator
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewEstimator(0)
-		e.Observe(tr)
-		if _, err := e.Model(); err != nil {
+		until := int64(13+i%8) * week
+		if i%8 == 0 {
+			b.StopTimer()
+			w = NewWindowedEstimator(0)
+			if err := w.Advance(tr, 0, until); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		until += week
+		if err := w.Advance(tr, until-13*week, until); err != nil {
 			b.Fatal(err)
 		}
+		retrain(w)
 	}
 }
 
@@ -136,27 +177,9 @@ func BenchmarkMinimalBid(b *testing.B) {
 // freeze into a model, and the first forecast builds the fresh-entry
 // profiles.
 func BenchmarkForecastAfterSlide(b *testing.B) {
-	const week = 7 * 24 * 60
 	tr := benchTrace(b, 13+8)
 	cur := tr.PriceAt(tr.End - 1)
-	var w *WindowedEstimator
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		until := int64(13+i%8) * week
-		if i%8 == 0 {
-			// Back at the start of the trace: re-seat the window untimed.
-			b.StopTimer()
-			w = NewWindowedEstimator(0)
-			if err := w.Advance(tr, 0, until); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		until += week
-		if err := w.Advance(tr, until-13*week, until); err != nil {
-			b.Fatal(err)
-		}
+	benchSlides(b, tr, func(w *WindowedEstimator) {
 		m, err := w.Model()
 		if err != nil {
 			b.Fatal(err)
@@ -164,5 +187,31 @@ func BenchmarkForecastAfterSlide(b *testing.B) {
 		if _, err := m.Forecast(cur, 5, 360); err != nil {
 			b.Fatal(err)
 		}
+	})
+}
+
+// BenchmarkForecastFreshBuild is the fresh-profile build alone, per row
+// width: the model and its sojourn tables are fixed, and the published
+// profiles are dropped before each build.
+func BenchmarkForecastFreshBuild(b *testing.B) {
+	for _, n := range []int{4, 5, 6, 7, 8, 10} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := NewEstimator(0)
+			e.Observe(randomTrace(rand.New(rand.NewSource(int64(n))), n, 80*n))
+			m, err := e.Model()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(m.prices) != n {
+				b.Fatalf("%d states, want %d", len(m.prices), n)
+			}
+			m.fresh(360)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.profiles.Store(nil)
+				m.fresh(360)
+			}
+		})
 	}
 }

@@ -29,11 +29,16 @@ import (
 // only serializes the builds themselves. The fresh-profile DP runs over
 // one flat []float64 with stride indexing, and compiles each state's
 // departures once per build into a flat hop list, so a minute's step
-// has no zero to skip and no table to search: it adds the hops to four
-// cells at a time, out of registers. The hops are in the order the
-// original per-minute slices added their terms — sojourn ascending,
-// then destination ascending — so the sums, and with them every
-// forecast, stay bit-identical (TestFreshMatchesReference).
+// has no zero to skip and no table to search: one pass over a state's
+// live hops finishes its whole row of n cells out of registers (rows
+// wider than eight are cut into chunks of four to eight). The hops are
+// in the order the original per-minute slices added their terms —
+// sojourn ascending, then destination ascending — and every cell adds
+// them to its survival term in that order, so the sums, and with them
+// every forecast, stay bit-identical (TestFreshMatchesReference). What
+// bounds the kernel is scalar floating-point issue — one multiply-add
+// per cell per hop, no padding lanes — and only SIMD assembly would go
+// below that, which this package does not want.
 
 // stateDist is an occupancy vector over the model's price states.
 type stateDist []float64
@@ -180,7 +185,8 @@ type hop struct {
 // freshScratch is the working memory of one fresh-profile build: the
 // per-minute occupancy table and the compiled hop lists. Only the
 // cumulative table outlives a build, so the scratch is pooled across
-// builds and models.
+// builds and models. A build writes every cell of the table before it
+// reads it, so what an earlier build left there does not matter.
 type freshScratch struct {
 	occ  []float64
 	hops []hop
@@ -188,11 +194,46 @@ type freshScratch struct {
 
 var freshScratchPool = sync.Pool{New: func() any { return new(freshScratch) }}
 
-// addHops adds every hop's term to four adjacent cells of a minute-t
-// row: wg times the same four cells of the hop's source row, at being
-// the cells' offset within row t·np of state 0. The cells stay in
-// registers across the hops, and each still sums its terms in hop order.
+// addRow adds every hop's term to the cells of a minute-t row: wg
+// times the same cells of the hop's source row, at being the row's
+// offset within the minute-t row of state 0. Each cell sums its terms
+// in hop order. A row of four to eight cells is one pass over the hops
+// with all of it in registers; a wider one is cut into as few such
+// chunks as cover it, sized evenly (nine cells are 5 + 4, never 8 + 1:
+// a pass costs the same whether it carries one cell or four).
+func addRow(row []float64, hops []hop, occ []float64, at int) {
+	if len(row) < 4 {
+		for _, hp := range hops {
+			s := occ[hp.src+at:][:len(row)]
+			for c := range row {
+				row[c] += hp.wg * s[c]
+			}
+		}
+		return
+	}
+	for chunks := (len(row) + 7) / 8; chunks > 0; chunks-- {
+		w := (len(row) + chunks - 1) / chunks
+		switch w {
+		case 4:
+			addHops(row, hops, occ, at)
+		case 5:
+			addHops5(row, hops, occ, at)
+		case 6:
+			addHops6(row, hops, occ, at)
+		case 7:
+			addHops7(row, hops, occ, at)
+		case 8:
+			addHops8(row, hops, occ, at)
+		}
+		row, at = row[w:], at+w
+	}
+}
+
+// addHops is the four-cell kernel: v[0:4] += wg · occ[src+at:][0:4]
+// over the hops, the cells held in registers throughout. addHops5 to
+// addHops8 are the same kernel over five to eight cells.
 func addHops(v []float64, hops []hop, occ []float64, at int) {
+	v = v[:4]
 	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
 	for _, hp := range hops {
 		s := occ[hp.src+at:][:4]
@@ -202,6 +243,68 @@ func addHops(v []float64, hops []hop, occ []float64, at int) {
 		v3 += hp.wg * s[3]
 	}
 	v[0], v[1], v[2], v[3] = v0, v1, v2, v3
+}
+
+func addHops5(v []float64, hops []hop, occ []float64, at int) {
+	v = v[:5]
+	v0, v1, v2, v3, v4 := v[0], v[1], v[2], v[3], v[4]
+	for _, hp := range hops {
+		s := occ[hp.src+at:][:5]
+		v0 += hp.wg * s[0]
+		v1 += hp.wg * s[1]
+		v2 += hp.wg * s[2]
+		v3 += hp.wg * s[3]
+		v4 += hp.wg * s[4]
+	}
+	v[0], v[1], v[2], v[3], v[4] = v0, v1, v2, v3, v4
+}
+
+func addHops6(v []float64, hops []hop, occ []float64, at int) {
+	v = v[:6]
+	v0, v1, v2, v3, v4, v5 := v[0], v[1], v[2], v[3], v[4], v[5]
+	for _, hp := range hops {
+		s := occ[hp.src+at:][:6]
+		v0 += hp.wg * s[0]
+		v1 += hp.wg * s[1]
+		v2 += hp.wg * s[2]
+		v3 += hp.wg * s[3]
+		v4 += hp.wg * s[4]
+		v5 += hp.wg * s[5]
+	}
+	v[0], v[1], v[2], v[3], v[4], v[5] = v0, v1, v2, v3, v4, v5
+}
+
+func addHops7(v []float64, hops []hop, occ []float64, at int) {
+	v = v[:7]
+	v0, v1, v2, v3, v4, v5, v6 := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
+	for _, hp := range hops {
+		s := occ[hp.src+at:][:7]
+		v0 += hp.wg * s[0]
+		v1 += hp.wg * s[1]
+		v2 += hp.wg * s[2]
+		v3 += hp.wg * s[3]
+		v4 += hp.wg * s[4]
+		v5 += hp.wg * s[5]
+		v6 += hp.wg * s[6]
+	}
+	v[0], v[1], v[2], v[3], v[4], v[5], v[6] = v0, v1, v2, v3, v4, v5, v6
+}
+
+func addHops8(v []float64, hops []hop, occ []float64, at int) {
+	v = v[:8]
+	v0, v1, v2, v3, v4, v5, v6, v7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
+	for _, hp := range hops {
+		s := occ[hp.src+at:][:8]
+		v0 += hp.wg * s[0]
+		v1 += hp.wg * s[1]
+		v2 += hp.wg * s[2]
+		v3 += hp.wg * s[3]
+		v4 += hp.wg * s[4]
+		v5 += hp.wg * s[5]
+		v6 += hp.wg * s[6]
+		v7 += hp.wg * s[7]
+	}
+	v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = v0, v1, v2, v3, v4, v5, v6, v7
 }
 
 // fresh returns (building if needed) fresh profiles covering at least
@@ -217,14 +320,19 @@ func (m *Model) fresh(horizon int64) *freshProfiles {
 	if fp := m.profiles.Load(); fp != nil && fp.horizon >= horizon {
 		return fp
 	}
+	sc := freshScratchPool.Get().(*freshScratch)
+	fp := m.buildFresh(horizon, sc)
+	freshScratchPool.Put(sc)
+	m.profiles.Store(fp)
+	return fp
+}
+
+// buildFresh runs the fresh-entry DP over horizon minutes in the given
+// scratch, whatever it holds, and returns the cumulative profiles. The
+// caller holds m.mu.
+func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	n := len(m.prices)
 	h := int(horizon)
-	// occ[(i*h+t)*np + s] is the minute-t occupancy of state s after
-	// entering state i. Rows are padded to whole blocks of four cells
-	// (the padding stays zero), so the step below needs no remainder loop.
-	np := (n + 3) &^ 3
-	sc := freshScratchPool.Get().(*freshScratch)
-	defer freshScratchPool.Put(sc)
 
 	// Compile each state's departures once into a flat hop list, in the
 	// order the recursion adds them: sojourn ascending, then destination
@@ -242,7 +350,7 @@ func (m *Model) fresh(horizon int64) *freshProfiles {
 			}
 			for j, g := range sd.next[x] {
 				if g != 0 {
-					hops = append(hops, hop{d: int(d), src: (j*h - int(d)) * np, wg: sd.pmf[x] * g})
+					hops = append(hops, hop{d: int(d), src: (j*h - int(d)) * n, wg: sd.pmf[x] * g})
 				}
 			}
 		}
@@ -250,19 +358,21 @@ func (m *Model) fresh(horizon int64) *freshProfiles {
 	}
 	sc.hops = hops
 
-	// Minute t only reads minutes before t (every sojourn is at least a
-	// minute), so one pass in t fills the table, and each finished row
-	// is folded into the cumulative profile.
-	if cap(sc.occ) < n*h*np {
-		sc.occ = make([]float64, n*h*np)
+	// occ[(i*h+t)*n + s] is the minute-t occupancy of state s after
+	// entering state i. Minute t only reads minutes before t (every
+	// sojourn is at least a minute) and writes its own rows whole, so
+	// one pass in t fills the table, and each finished row is folded
+	// into the cumulative profile.
+	if cap(sc.occ) < n*h*n {
+		sc.occ = make([]float64, n*h*n)
 	}
-	occ := sc.occ[:n*h*np]
-	clear(occ)
+	occ := sc.occ[:n*h*n]
 	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
 	live := make([]int, n) // how many of state i's hops have d <= t
 	for t := 0; t < h; t++ {
 		for i, sd := range sds {
-			row := occ[(i*h+t)*np:][:np]
+			row := occ[(i*h+t)*n:][:n]
+			clear(row)
 			// Still in the entered state through minute t iff K >= t+1.
 			row[i] = sd.survivalAt(int64(t) + 1)
 			// Departures at minute d <= t hand off to fresh profiles.
@@ -270,19 +380,14 @@ func (m *Model) fresh(horizon int64) *freshProfiles {
 			for live[i] < len(hs) && hs[live[i]].d <= t {
 				live[i]++
 			}
-			hs = hs[:live[i]]
-			for b := 0; b < np; b += 4 {
-				addHops(row[b:][:4], hs, occ, t*np+b)
-			}
-			v := row[:n]
-			prev := fp.cum[(i*(h+1)+t)*n:][:len(v)]
-			next := fp.cum[(i*(h+1)+t+1)*n:][:len(v)]
-			for s := range v {
-				next[s] = prev[s] + v[s]
+			addRow(row, hs[:live[i]], occ, t*n)
+			prev := fp.cum[(i*(h+1)+t)*n:][:n]
+			next := fp.cum[(i*(h+1)+t+1)*n:][:n]
+			for s, v := range row {
+				next[s] = prev[s] + v
 			}
 		}
 	}
-	m.profiles.Store(fp)
 	return fp
 }
 
@@ -375,8 +480,14 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 		}
 	} else {
 		// Stay term: still in state i during interval minute t iff
-		// K >= age + t + 1.
-		for t := int64(0); t < horizon; t++ {
+		// K >= age + t + 1. Past the longest observed sojourn that is
+		// exactly zero, and adding zero moves no bit, so the sum stops
+		// there.
+		stay := horizon
+		if !sd.absorbing {
+			stay = min(horizon, sd.maxDur+1-age)
+		}
+		for t := int64(0); t < stay; t++ {
 			tot[i] += sd.survivalAt(age+t+1) / condSurv
 		}
 		// Departure terms: K = age + d for d in [0, horizon).

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -141,11 +142,11 @@ func TestModelMatchesMapReference(t *testing.T) {
 	}
 }
 
-// randomModel builds a model straight from random kernel cells: up to
-// seven states, some absorbing, some with more distinct sojourns than
-// the merge cap (so their next vectors come out dense), sojourns up to
-// the one-day cap, and the occasional self-transition only ReadModel
-// could introduce.
+// randomModel builds a model straight from random kernel cells over n
+// states, some absorbing, some with more distinct sojourns than the
+// merge cap (so their next vectors come out dense), sojourns up to the
+// one-day cap, and the occasional self-transition only ReadModel could
+// introduce.
 func randomModel(rng *rand.Rand, n int) *Model {
 	prices := make([]market.Money, n)
 	for i := range prices {
@@ -174,21 +175,35 @@ func randomModel(rng *rand.Rand, n int) *Model {
 	return newModel(DefaultMaxSojourn, prices, cells)
 }
 
+// requireFreshEqual compares a built cumulative table with the
+// reference DP's, cell for cell by bit pattern.
+func requireFreshEqual(t *testing.T, where string, got *freshProfiles, want []float64) {
+	t.Helper()
+	if len(got.cum) != len(want) {
+		t.Fatalf("%s: %d cum cells, want %d", where, len(got.cum), len(want))
+	}
+	for c := range want {
+		if math.Float64bits(got.cum[c]) != math.Float64bits(want[c]) {
+			t.Fatalf("%s: cum[%d] = %v, want %v", where, c, got.cum[c], want[c])
+		}
+	}
+}
+
 // TestFreshMatchesReference pins the hop-compiled fresh-entry DP to the
 // dense-scan one, cell for cell of the cumulative table, on seeded
-// random models — at a first horizon and then at a longer one on the
-// same model, which rebuilds the profiles with the pooled scratch
-// already dirty.
+// random models of one to thirteen states — every row kernel, the plain
+// loop below four cells and the chunked rows above eight — at a first
+// horizon and then at a longer one on the same model, which rebuilds
+// the profiles with the pooled scratch already dirty.
 func TestFreshMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	horizons := []int64{1, 60, 360, 720, 1000}
 	merged, absorbing := 0, 0
-	const models = 520
+	const models, widths = 260, 13
+	var perWidth [widths + 1]int
 	for trial := 0; trial < models; trial++ {
-		n := 1 + rng.Intn(7)
-		if trial < 20 {
-			n = 1 // the one-state model, absorbing or self-looping
-		}
+		n := 1 + trial%widths
+		perWidth[n]++
 		m := randomModel(rng, n)
 		rm := refModelOf(m)
 		for i := range m.prices {
@@ -201,21 +216,18 @@ func TestFreshMatchesReference(t *testing.T) {
 				absorbing++
 			}
 		}
-		first := trial % 4
+		first := (trial / widths) % 4
 		for _, h := range []int64{horizons[first], horizons[first+1]} {
 			got := m.fresh(h)
 			if got.horizon != h || got.n != n {
 				t.Fatalf("trial %d: profiles for horizon %d over %d states, want %d over %d", trial, got.horizon, got.n, h, n)
 			}
-			want := refFresh(m, h)
-			if len(got.cum) != len(want) {
-				t.Fatalf("trial %d h=%d: %d cum cells, want %d", trial, h, len(got.cum), len(want))
-			}
-			for c := range want {
-				if math.Float64bits(got.cum[c]) != math.Float64bits(want[c]) {
-					t.Fatalf("trial %d (n=%d) h=%d: cum[%d] = %v, want %v", trial, n, h, c, got.cum[c], want[c])
-				}
-			}
+			requireFreshEqual(t, fmt.Sprintf("trial %d (n=%d) h=%d", trial, n, h), got, refFresh(m, h))
+		}
+	}
+	for n, models := range perWidth[1:] {
+		if models < 20 {
+			t.Fatalf("%d models of %d states, want at least 20 at every width", models, n+1)
 		}
 	}
 	if merged < 50 || absorbing < 50 {
@@ -223,21 +235,84 @@ func TestFreshMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFreshIgnoresScratchContents: a build reads no cell of its scratch
+// that it has not written, so what the pool hands it — here NaN in
+// every cell and hop, then whatever a wider and longer build left
+// behind — changes no bit of the profiles.
+func TestFreshIgnoresScratchContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	build := func(m *Model, h int64, sc *freshScratch) *freshProfiles {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.buildFresh(h, sc)
+	}
+	for _, n := range []int{1, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
+		m := randomModel(rng, n)
+		const h = 150
+		want := refFresh(m, h)
+
+		sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096)}
+		for c := range sc.occ {
+			sc.occ[c] = math.NaN()
+		}
+		for x := range sc.hops {
+			sc.hops[x] = hop{d: 1, src: -1 << 40, wg: math.NaN()}
+		}
+		requireFreshEqual(t, fmt.Sprintf("n=%d over NaN", n), build(m, h, sc), want)
+
+		sc = new(freshScratch)
+		build(randomModel(rng, 13), 2*h, sc)
+		requireFreshEqual(t, fmt.Sprintf("n=%d over a larger build", n), build(m, h, sc), want)
+	}
+}
+
+// comebacks follows a set from one look at it to the next and counts
+// the members that, having been in it and then out of it, are in it
+// again.
+type comebacks[K comparable] struct {
+	seen, gone map[K]bool
+}
+
+func (c *comebacks[K]) observe(now []K) (back int) {
+	if c.seen == nil {
+		c.seen, c.gone = map[K]bool{}, map[K]bool{}
+	}
+	for k := range c.seen {
+		if !slices.Contains(now, k) {
+			c.gone[k] = true
+		}
+	}
+	for _, k := range now {
+		if c.seen[k] = true; c.gone[k] {
+			delete(c.gone, k)
+			back++
+		}
+	}
+	return back
+}
+
 // TestWindowedEstimatorRandomSlides slides windows over random traces by
 // random steps — zero-length slides, single minutes, jumps past the
 // whole window — handing Advance now the window's own copy and now the
-// full trace, and requires the model to equal a from-scratch one over
-// the same window: the same bytes, the same forecast bits. The traces
-// repeat prices across any boundary, leave runs straddling the window
-// start, and hold sojourns beyond the cap.
+// full trace, and after every slide requires the model to equal a
+// from-scratch one over the same window: the same bytes, the same
+// forecast bits. The traces repeat prices across any boundary, leave
+// runs straddling the window start, and hold sojourns beyond the cap;
+// and while one estimator lives (no jump re-seats it) counters empty
+// and later come back, and price levels leave the state space and
+// return — the kernel order the estimator keeps has to follow both.
 func TestWindowedEstimatorRandomSlides(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	keysBack, pricesBack := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 200+rng.Intn(1500))
 		maxSojourn := []int64{0, 30, 600}[rng.Intn(3)]
 		width := 1 + rng.Int63n((tr.End-tr.Start)/2)
 		w := NewWindowedEstimator(maxSojourn)
 		from, until := tr.Start, tr.Start
+		var est *Estimator
+		var keys comebacks[countKey]
+		var prices comebacks[market.Money]
 		for step := 0; until < tr.End; step++ {
 			switch rng.Intn(8) {
 			case 0: // zero-length slide
@@ -269,6 +344,15 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 				continue
 			}
 			wm, err := w.Model()
+			if w.est != est {
+				est, keys, prices = w.est, comebacks[countKey]{}, comebacks[market.Money]{}
+			}
+			live := make([]countKey, len(wm.cells))
+			for x, c := range wm.cells {
+				live[x] = countKey{wm.prices[c.from], wm.prices[c.to], c.k}
+			}
+			keysBack += keys.observe(live)
+			pricesBack += prices.observe(wm.prices)
 			inc := modelJSON(t, wm, err)
 			sm, err := scratch.Model()
 			if ref := modelJSON(t, sm, err); !bytes.Equal(inc, ref) {
@@ -291,6 +375,47 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 				t.Fatalf("trial %d step %d: forecast %v, from scratch %v", trial, step, got.avgOcc, want.avgOcc)
 			}
 		}
+	}
+	if keysBack < 100 || pricesBack < 10 {
+		t.Fatalf("%d counters and %d price levels came back to a live estimator: the slides no longer cover it", keysBack, pricesBack)
+	}
+}
+
+// TestEstimatorForgetsOrderUnderChurn: the list of counters created
+// since the last freeze may not grow without bound while a window
+// slides and nobody asks for a model; once it outgrows the counters the
+// estimator drops what it remembered, and the next model — sorted
+// afresh — still equals a from-scratch one.
+func TestEstimatorForgetsOrderUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := randomTrace(rng, 4, 6000)
+	const width = 3000
+	w := NewWindowedEstimator(0)
+	until := tr.Start + width
+	if err := w.Advance(tr, tr.Start, until); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Model(); err != nil {
+		t.Fatal(err)
+	}
+	forgot := false
+	for until+width < tr.End {
+		until += width / 3
+		if err := w.Advance(tr, until-width, until); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.est.created) > len(w.est.counts)+1 {
+			t.Fatalf("%d counters listed as created over %d live ones", len(w.est.created), len(w.est.counts))
+		}
+		forgot = forgot || w.est.frozen == nil
+	}
+	if !forgot {
+		t.Fatal("the slides never made the estimator forget its order: the test no longer covers it")
+	}
+	scratch := NewEstimator(0)
+	scratch.Observe(tr.Window(until-width, until))
+	if got, want := mustJSON(t, w.Model), mustJSON(t, scratch.Model); !bytes.Equal(got, want) {
+		t.Fatalf("model after churn diverges from scratch\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -36,6 +36,18 @@ type countKey struct {
 	k        int64
 }
 
+// compareKeys orders counters by (from, k, to). Price order is state
+// order, so this is the order of compareCells.
+func compareKeys(a, b countKey) int {
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	if a.k != b.k {
+		return cmp.Compare(a.k, b.k)
+	}
+	return cmp.Compare(a.to, b.to)
+}
+
 // Estimator accumulates observed price transitions from traces. Use one
 // estimator per (zone, instance type) pair.
 type Estimator struct {
@@ -43,6 +55,16 @@ type Estimator struct {
 	// counts holds the non-zero N^k_{i,j}; N_i and the price state space
 	// are derived from it when a model is frozen.
 	counts map[countKey]int64
+	// frozen and prices are the kernel and the price levels of the last
+	// model frozen, shared with it and never written; created lists the
+	// counters that have come into being since. Between them they name
+	// every non-zero counter, so the next freeze merges two sorted lists
+	// where the first sorted the whole map: a window sliding by a week
+	// creates or empties a handful of the few hundred counters a zone
+	// has. All nil until a model has been frozen.
+	frozen  []kernelCell
+	prices  []market.Money
+	created []countKey
 	// observations counts complete transitions seen.
 	observations int64
 }
@@ -82,8 +104,21 @@ func (e *Estimator) Observe(tr *trace.Trace) {
 // add counts one observed transition from price `from` to price `to`
 // after a (pre-clamped) sojourn of k minutes.
 func (e *Estimator) add(from, to market.Money, k int64) {
-	e.counts[countKey{from, to, k}]++
+	key := countKey{from, to, k}
+	known := len(e.counts)
+	e.counts[key]++
 	e.observations++
+	if e.frozen == nil || len(e.counts) == known {
+		return
+	}
+	// A counter the last frozen kernel does not list, or lists as one
+	// that has emptied since. Should the list outgrow the counters — no
+	// model frozen through a long churn — the next freeze sorts afresh.
+	if len(e.created) > len(e.counts) {
+		e.frozen, e.prices, e.created = nil, nil, nil
+		return
+	}
+	e.created = append(e.created, key)
 }
 
 // remove undoes one add with the same arguments — the eviction half of
@@ -112,24 +147,85 @@ func (e *Estimator) Model() (*Model, error) {
 	if e.observations == 0 {
 		return nil, fmt.Errorf("smc: no transitions observed")
 	}
-	// The price state space: every price seen as source or destination,
-	// ascending. It is a handful of levels, so sorted insertion is cheap.
-	var prices []market.Money
-	for key := range e.counts {
+	// The price levels the counters may name, ascending: a handful, so
+	// sorted insertion is cheap. Past the first freeze these are the last
+	// model's and those of the counters created since, some of which the
+	// emptied counters may have left unused.
+	levels := slices.Clone(e.prices)
+	name := func(key countKey) {
 		for _, p := range [2]market.Money{key.from, key.to} {
-			if x, ok := slices.BinarySearch(prices, p); !ok {
-				prices = slices.Insert(prices, x, p)
+			if x, ok := slices.BinarySearch(levels, p); !ok {
+				levels = slices.Insert(levels, x, p)
 			}
 		}
 	}
-	cells := make([]kernelCell, 0, len(e.counts))
-	for key, c := range e.counts {
-		i, _ := slices.BinarySearch(prices, key.from)
-		j, _ := slices.BinarySearch(prices, key.to)
-		cells = append(cells, kernelCell{from: i, to: j, k: key.k, count: c})
+	cell := func(key countKey, c int64) kernelCell {
+		i, _ := slices.BinarySearch(levels, key.from)
+		j, _ := slices.BinarySearch(levels, key.to)
+		return kernelCell{from: i, to: j, k: key.k, count: c}
 	}
-	slices.SortFunc(cells, compareCells)
-	return newModel(e.maxSojourn, prices, cells), nil
+	cells := make([]kernelCell, 0, len(e.counts))
+	if e.frozen == nil {
+		for key := range e.counts {
+			name(key)
+		}
+		for key, c := range e.counts {
+			cells = append(cells, cell(key, c))
+		}
+		slices.SortFunc(cells, compareCells)
+	} else {
+		slices.SortFunc(e.created, compareKeys)
+		for _, key := range e.created {
+			name(key)
+		}
+		// Merge the last kernel with the created counters, both in kernel
+		// order; a counter that emptied and came back is in both, one that
+		// emptied is in either and no longer in the map.
+		old, created := e.frozen, e.created
+		var last countKey
+		for len(old) > 0 || len(created) > 0 {
+			var key countKey
+			if len(old) > 0 {
+				key = countKey{e.prices[old[0].from], e.prices[old[0].to], old[0].k}
+			}
+			if len(old) == 0 || (len(created) > 0 && compareKeys(created[0], key) < 0) {
+				key, created = created[0], created[1:]
+			} else {
+				old = old[1:]
+			}
+			if c := e.counts[key]; c > 0 && (len(cells) == 0 || key != last) {
+				cells = append(cells, cell(key, c))
+				last = key
+			}
+		}
+		levels = dropUnusedLevels(levels, cells)
+	}
+	e.frozen, e.prices, e.created = cells, levels, e.created[:0]
+	return newModel(e.maxSojourn, levels, cells), nil
+}
+
+// dropUnusedLevels removes the price levels no cell names as source or
+// destination and renumbers the cells' states to match.
+func dropUnusedLevels(levels []market.Money, cells []kernelCell) []market.Money {
+	used := make([]bool, len(levels))
+	for _, c := range cells {
+		used[c.from], used[c.to] = true, true
+	}
+	if !slices.Contains(used, false) {
+		return levels
+	}
+	state := make([]int, len(levels))
+	kept := levels[:0]
+	for x, p := range levels {
+		state[x] = len(kept)
+		if used[x] {
+			kept = append(kept, p)
+		}
+	}
+	for x := range cells {
+		cells[x].from, cells[x].to = state[cells[x].from], state[cells[x].to]
+	}
+	return kept
 }
 
 // kernelCell is one non-zero counter N^k_{i,j} over state indices.
