@@ -6,8 +6,6 @@ package repro
 // reproduction of the whole evaluation.
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/market"
 	"repro/internal/modelcache"
 	"repro/internal/quorum"
-	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -252,159 +249,4 @@ func BenchmarkJupiterTrain(b *testing.B) {
 		shared := modelcache.New()
 		run(b, func() *modelcache.Cache { return shared })
 	})
-}
-
-// BenchmarkSweepSharedCache compares a Jupiter-only interval sweep —
-// parallel replay cells at 1h/3h/6h/12h, the Figures 6/7 inner loop —
-// with and without a shared model provider. The 1/3/6/12-hour cells
-// retrain at identical weekly boundaries, so under the shared provider
-// each (zone, window) model is estimated once and served to the other
-// three cells; PerCell estimates it four times. Metric: simulated
-// minutes per wall second across the whole sweep.
-func BenchmarkSweepSharedCache(b *testing.B) {
-	env := experiments.QuickEnv()
-	set, err := env.Traces(market.M1Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := experiments.LockSpec()
-	intervals := []int64{1, 3, 6, 12}
-	sweep := func(models *modelcache.Cache) (int64, error) {
-		var minutes atomic.Int64
-		errs := make([]error, len(intervals))
-		var wg sync.WaitGroup
-		for i, h := range intervals {
-			wg.Add(1)
-			go func(i int, h int64) {
-				defer wg.Done()
-				res, err := replay.Run(replay.Config{
-					Traces: set, Start: env.TrainWeeks * experiments.Week,
-					Spec:            spec,
-					Strategy:        core.New(),
-					IntervalMinutes: h * 60, Seed: env.Seed ^ uint64(h)<<32,
-					InjectHardwareFailures: true,
-					Models:                 models,
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				minutes.Add(res.TotalMinutes)
-			}(i, h)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return minutes.Load(), nil
-	}
-	b.Run("PerCell", func(b *testing.B) {
-		var minutes int64
-		for i := 0; i < b.N; i++ {
-			n, err := sweep(nil) // each cell's framework uses a private cache
-			if err != nil {
-				b.Fatal(err)
-			}
-			minutes += n
-		}
-		b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
-	})
-	b.Run("Shared", func(b *testing.B) {
-		var minutes int64
-		for i := 0; i < b.N; i++ {
-			n, err := sweep(modelcache.New())
-			if err != nil {
-				b.Fatal(err)
-			}
-			minutes += n
-		}
-		b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
-	})
-}
-
-// BenchmarkSweepSharedCachePools is the heterogeneous counterpart of
-// BenchmarkSweepSharedCache: the same Jupiter-only interval sweep over
-// the 4-type × 17-zone pool market (m1.small base plus three sibling
-// types per zone — 68 pools, 68 price models per training window), so
-// the pools-vs-zones cost of the capacity-weighted planner is on
-// record next to the zone-only figure.
-func BenchmarkSweepSharedCachePools(b *testing.B) {
-	env := experiments.QuickEnv()
-	env.Types = []market.InstanceType{market.M1Medium, market.C3Large, market.R3Large}
-	set, err := env.Traces(market.M1Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := experiments.LockSpec()
-	intervals := []int64{1, 3, 6, 12}
-	sweep := func(models *modelcache.Cache) (int64, error) {
-		var minutes atomic.Int64
-		errs := make([]error, len(intervals))
-		var wg sync.WaitGroup
-		for i, h := range intervals {
-			wg.Add(1)
-			go func(i int, h int64) {
-				defer wg.Done()
-				res, err := replay.Run(replay.Config{
-					Traces: set, Start: env.TrainWeeks * experiments.Week,
-					Spec:            spec,
-					Strategy:        core.New(),
-					IntervalMinutes: h * 60, Seed: env.Seed ^ uint64(h)<<32,
-					InjectHardwareFailures: true,
-					Models:                 models,
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				minutes.Add(res.TotalMinutes)
-			}(i, h)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return minutes.Load(), nil
-	}
-	b.Run("Shared", func(b *testing.B) {
-		var minutes int64
-		for i := 0; i < b.N; i++ {
-			n, err := sweep(modelcache.New())
-			if err != nil {
-				b.Fatal(err)
-			}
-			minutes += n
-		}
-		b.ReportMetric(float64(minutes)/b.Elapsed().Seconds(), "sim-min/s")
-	})
-}
-
-// BenchmarkTournament runs the strategy arena at the quick scale with a
-// reduced two-seed grid (full roster, every builtin chaos scenario) and
-// reports Jupiter's headline numbers: scenarios where it meets the
-// availability bound, and its mean replay cost in dollars.
-func BenchmarkTournament(b *testing.B) {
-	env := quickEnv()
-	env.Jobs = 4
-	var met, cost float64
-	for i := 0; i < b.N; i++ {
-		res, err := env.Tournament(experiments.TournamentConfig{
-			Seeds: []uint64{2014, 2015},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Strategy == "Jupiter" {
-				met = float64(row.ScenariosMet)
-				cost = row.MeanCostDollars
-			}
-		}
-	}
-	b.ReportMetric(met, "jupiter-scenarios-met")
-	b.ReportMetric(cost, "jupiter-mean-cost-$")
 }

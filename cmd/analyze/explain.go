@@ -229,7 +229,7 @@ func renderDecision(out io.Writer, ds []provenance.Span) {
 		fmt.Fprintln(tw, "  POOL\tBID\tCURRENT\tFP")
 		for _, s := range bids {
 			if s.Outcome == "on-demand" {
-				fmt.Fprintf(tw, "  %s\ton-demand\t%s\t%.6g\n", s.Pool, odPrice(s), s.FP)
+				fmt.Fprintf(tw, "  %s\ton-demand\t%s\t%.6g\n", s.Pool, market.Money(s.BidMicroUSD), s.FP)
 				continue
 			}
 			fmt.Fprintf(tw, "  %s\t%s\t%s\t%.6g\n",
@@ -243,17 +243,10 @@ func renderDecision(out io.Writer, ds []provenance.Span) {
 			fmt.Fprintf(out, "\nchosen: fallback to all on-demand (%s)\n", s.Detail)
 			continue
 		}
-		fmt.Fprintf(out, "\nchosen: %d nodes, spot bid sum %s\n", s.Nodes, market.Money(s.CostMicroUSD))
+		fmt.Fprintf(out, "\nchosen: %d nodes, planned cost %s (bids + on-demand prices)\n", s.Nodes, market.Money(s.CostMicroUSD))
 		fmt.Fprintf(out, "availability %.9f vs target %.9f -> Eq. 10 margin %+.3g\n",
 			s.Availability, s.Target, s.Margin)
 	}
-}
-
-func odPrice(s provenance.Span) string {
-	if s.BidMicroUSD > 0 {
-		return market.Money(s.BidMicroUSD).String()
-	}
-	return ""
 }
 
 func byKind(ds []provenance.Span, kind string) []provenance.Span {

@@ -12,5 +12,6 @@
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured
 // results. The root-level bench_test.go regenerates each table and
-// figure as a benchmark.
+// figure as a go-test benchmark, as a smoke reproduction; performance is
+// measured by the one benchmark in bench/ (BENCHMARK.json).
 package repro

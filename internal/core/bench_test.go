@@ -104,7 +104,7 @@ func BenchmarkDecidePools68(b *testing.B) {
 }
 
 // BenchmarkRefine measures the heterogeneous-bid descent in isolation:
-// n zones holding equal top-level bids, each with a staircase FP curve
+// n base-type zones holding equal top-level bids, each with a staircase FP curve
 // over 40 price levels, so the descent has real work at every group
 // size.
 func BenchmarkRefine(b *testing.B) {
@@ -115,10 +115,11 @@ func BenchmarkRefine(b *testing.B) {
 			for i := range levels {
 				levels[i] = market.Money(100 * (i + 1))
 			}
-			zones := make([]*refineZone, n)
+			zones := make([]*poolSnapshot, n)
 			for z := range zones {
 				z := z
-				zones[z] = &refineZone{
+				zones[z] = &poolSnapshot{
+					zone: fmt.Sprintf("z%02d", z),
 					fpOf: func(bid market.Money) float64 {
 						// Staircase from ~0.3 down to ~1e-4, shifted per zone.
 						fp := 0.3
@@ -135,13 +136,8 @@ func BenchmarkRefine(b *testing.B) {
 					},
 					levels: levels,
 					cur:    levels[0],
+					units:  market.UnitsPerNode,
 				}
-			}
-			byName := make(map[string]*refineZone, n)
-			names := make([]string, n)
-			for z := range zones {
-				names[z] = fmt.Sprintf("z%02d", z)
-				byName[names[z]] = zones[z]
 			}
 			k := n/2 + 1
 			// Target sits below the all-top-level availability so the
@@ -156,11 +152,9 @@ func BenchmarkRefine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bids := make([]poolBid, n)
 				for z := range bids {
-					bids[z] = poolBid{zone: names[z], bid: levels[nLevels-1]}
+					bids[z] = poolBid{pool: zones[z], bid: levels[nLevels-1]}
 				}
-				refineBids(bids, k, target, func(zone string) *refineZone {
-					return byName[zone]
-				})
+				refineBidsWeighted(bids, k*market.UnitsPerNode, target)
 			}
 		})
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/market"
+	"repro/internal/provenance"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -187,29 +189,194 @@ func zonesOf(bids []strategy.Bid) []string {
 	return zs
 }
 
-// oscillatingView builds a five-zone market whose price flips between a
-// cheap level and one far above the on-demand price every half hour: no
-// bid the on-demand cap allows can survive an interval, so every group
-// size is infeasible despite fully trained models.
-func oscillatingView(t *testing.T) traceView {
+// oscillatingSet builds a five-zone market, with one pool per zone of the
+// base type and of each extra type, whose price flips between a cheap
+// level and one far above the on-demand price every half hour: no bid the
+// on-demand cap allows can survive an interval, so every spot group is
+// infeasible despite fully trained models.
+func oscillatingSet(t *testing.T, base market.InstanceType, extra ...market.InstanceType) *trace.Set {
 	t.Helper()
-	zones := market.ExperimentZones()[:5]
-	end := 4 * week
-	set := trace.NewSet(market.M1Small, 0, end)
-	low, high := market.FromDollars(0.008), market.FromDollars(1.0)
-	for _, z := range zones {
-		tr := &trace.Trace{Zone: z, Type: market.M1Small, Start: 0, End: end}
-		for m := int64(0); m < end; m += 60 {
-			tr.Points = append(tr.Points,
-				trace.PricePoint{Minute: m, Price: low},
-				trace.PricePoint{Minute: m + 30, Price: high})
-		}
-		if err := set.Add(tr); err != nil {
-			t.Fatal(err)
+	set := trace.NewSet(base, 0, 4*week)
+	for _, z := range market.ExperimentZones()[:5] {
+		for _, it := range append([]market.InstanceType{base}, extra...) {
+			if err := set.AddPool(oscillating(z, it, set.Start, set.End)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Position inside a low phase so bids clear the current price.
-	return traceView{set: set, now: 4*week - 55}
+	return set
+}
+
+// oscillating is one such pool's price series.
+func oscillating(zone string, it market.InstanceType, start, end int64) *trace.Trace {
+	tr := &trace.Trace{Zone: zone, Type: it, Start: start, End: end}
+	for m := start; m < end; m += 60 {
+		tr.Points = append(tr.Points,
+			trace.PricePoint{Minute: m, Price: market.FromDollars(0.008)},
+			trace.PricePoint{Minute: m + 30, Price: market.FromDollars(1.0)})
+	}
+	return tr
+}
+
+// oscillatingView is that market with m1.small zones only, positioned
+// inside a low phase so bids clear the current price.
+func oscillatingView(t *testing.T) traceView {
+	return traceView{set: oscillatingSet(t, market.M1Small), now: 4*week - 55}
+}
+
+// TestCriticalBaselineGroupIsFeasible: a critical-stage Decide whose only
+// group of BaseNodes base-node equivalents is five base-type on-demand
+// nodes must choose it, at five on-demand prices. That group IS the
+// baseline the availability target was computed from, and the exact DP
+// reads it one ulp below that target (quorum's
+// TestBaselineReadsOneUlpBelowItsOwnTarget) — a planner that gates it on
+// the DP pays for a sixth node or gives up, which the pool planner did on
+// typed markets whose cheapest-per-unit on-demand pools are base-type
+// until it stopped putting W base nodes to the DP.
+func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spec  strategy.ServiceSpec
+		extra []market.InstanceType
+	}{
+		{"lock zone-only", lockSpec(), nil},
+		{"lock typed", lockSpec(), []market.InstanceType{market.M1Medium}},
+		{"theta(3,5) zone-only", strategy.ServiceSpec{Type: market.M3Large, BaseNodes: 5, DataShards: 3}, nil},
+		{"theta(3,5) typed", strategy.ServiceSpec{Type: market.M3Large, BaseNodes: 5, DataShards: 3}, []market.InstanceType{market.M1Medium}},
+	} {
+		view := traceView{set: oscillatingSet(t, c.spec.Type, c.extra...), now: 4*week - 55}
+		j := New()
+		for i := 0; i < 3; i++ {
+			j.OnFault(fault("", view.now-10)) // market-wide: pressure, no quarantine
+		}
+		d, err := j.Decide(view, c.spec, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.LastStage() != StageCritical {
+			t.Fatalf("%s: stage %v, want critical", c.name, j.LastStage())
+		}
+		zones := market.ExperimentZones()[:5]
+		var want market.Money
+		for _, z := range zones {
+			od, err := market.OnDemandPrice(z, c.spec.Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += od
+			// The cell is about base-type on-demand pools being the
+			// cheapest per capacity unit; make sure the catalog agrees.
+			for _, it := range c.extra {
+				key := market.PoolKey(z, it, c.spec.Type)
+				price, perr := market.PoolOnDemandPrice(key, c.spec.Type)
+				units, uerr := market.PoolCapacityUnits(key, c.spec.Type)
+				if perr != nil || uerr != nil || perUnitCmp(od, market.UnitsPerNode, price, units) >= 0 {
+					t.Fatalf("%s: on-demand %s is not dearer per unit than the base type; the cell is vacuous", c.name, key)
+				}
+			}
+		}
+		if len(d.Bids) != 0 || !reflect.DeepEqual(d.OnDemand, zones) {
+			t.Errorf("%s: decision %+v, want the five base-type on-demand nodes %v", c.name, d, zones)
+		}
+		found := false
+		for _, cand := range j.LastCandidates() {
+			if cand.Nodes == c.spec.BaseNodes {
+				found = true
+				if !cand.Feasible || cand.CostUpper != want {
+					t.Errorf("%s: size %d candidate %+v, want feasible at %v", c.name, cand.Nodes, cand, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: size %d not enumerated: %+v", c.name, c.spec.BaseNodes, j.LastCandidates())
+		}
+	}
+}
+
+// TestChosenSpanCarriesWinningCandidateCost pins the one chosen-span
+// schema on padded decisions, on a zone-only and on a typed market: the
+// chosen span's cost is the planned cost of the group — bids plus
+// on-demand prices, the figure its winning candidate span carried — and
+// every on-demand member's bid span carries that member's price. (The
+// zone planner's emitter left on-demand prices out of both, so analyze
+// explain printed a sum below the candidate that won.) Each market has
+// seven zones, two of which no bid survives in; one live zone faults, and once its
+// quarantine has expired with the stage still degraded, a load target
+// above the market's capacity makes the group every pool there is — the
+// unbiddable ones as on-demand padding.
+func TestChosenSpanCarriesWinningCandidateCost(t *testing.T) {
+	const (
+		trainWeeks = 3
+		interval   = 180
+		decides    = 8
+	)
+	spec := lockSpec()
+	zones := market.ExperimentZones()[:7]
+	for _, c := range []struct {
+		name  string
+		types []market.InstanceType
+	}{
+		{"zone-only", nil},
+		{"typed", []market.InstanceType{market.M1Medium}},
+	} {
+		set, err := trace.Generate(trace.GenConfig{
+			Seed: 2014, Type: spec.Type, Types: c.types, Zones: zones,
+			Start: 0, End: trainWeeks*week + decides*interval,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, tr := range set.ByZone {
+			if tr.Zone == zones[5] || tr.Zone == zones[6] {
+				set.ByZone[key] = oscillating(tr.Zone, tr.Type, set.Start, set.End)
+			}
+		}
+		j := New()
+		j.UseRecorder(provenance.NewRecorder(1))
+		j.OnFault(fault(zones[0], trainWeeks*week-1))
+		padded := 0
+		for d := int64(0); d < decides; d++ {
+			view := loadView{traceView: traceView{set: set, now: trainWeeks*week + d*interval}, target: 1000}
+			dec, err := j.Decide(view, spec, interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.LastStage() != StageDegraded || len(dec.Bids) == 0 || len(dec.OnDemand) == 0 {
+				continue
+			}
+			padded++
+			var winner, chosen *provenance.Span
+			priced := 0
+			for _, s := range j.prov.Spans() {
+				s := s
+				switch {
+				case s.Decision != d+1:
+				case s.Kind == provenance.SpanCandidate && s.Outcome == "feasible" && (winner == nil || s.CostMicroUSD < winner.CostMicroUSD):
+					winner = &s
+				case s.Kind == provenance.SpanChosen:
+					chosen = &s
+				case s.Kind == provenance.SpanBid && s.Outcome == "on-demand":
+					od, err := market.PoolOnDemandPrice(s.Pool, spec.Type)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.BidMicroUSD != int64(od) {
+						t.Errorf("%s decision %d: on-demand member %s priced %d, want %d", c.name, d+1, s.Pool, s.BidMicroUSD, od)
+					}
+					priced++
+				}
+			}
+			if winner == nil || chosen == nil || chosen.CostMicroUSD != winner.CostMicroUSD {
+				t.Errorf("%s decision %d: chosen span %+v, winning candidate %+v", c.name, d+1, chosen, winner)
+			}
+			if priced != len(dec.OnDemand) {
+				t.Errorf("%s decision %d: %d on-demand bid spans for %d on-demand members", c.name, d+1, priced, len(dec.OnDemand))
+			}
+		}
+		if padded == 0 {
+			t.Errorf("%s: no degraded decision was padded with on-demand members; the pin is vacuous", c.name)
+		}
+	}
 }
 
 // TestJupiterFallbackWhenNoFeasibleBids forces the second fallback

@@ -95,23 +95,18 @@ func TestDecideParallelMatchesSequential(t *testing.T) {
 }
 
 // naiveRefineBids is the pre-evaluator implementation — linear next-level
-// scan, full availability DP per probe — kept as the oracle for the
-// incremental descent.
-func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone string) *refineZone) []poolBid {
+// scan, full node-count availability DP per probe — kept as the oracle
+// for the incremental descent.
+func naiveRefineBids(bids []poolBid, k int, target float64) []poolBid {
 	n := len(bids)
-	infos := make([]*refineZone, n)
 	fps := make([]float64, n)
 	for i, zb := range bids {
-		infos[i] = zoneInfo(zb.zone)
-		if infos[i] == nil {
-			return bids
-		}
-		fps[i] = infos[i].fpOf(zb.bid)
+		fps[i] = zb.pool.fpOf(zb.bid)
 	}
 	nextLower := func(i int) (market.Money, bool) {
 		var best market.Money = -1
-		for _, lv := range infos[i].levels {
-			if lv < bids[i].bid && lv >= infos[i].cur && lv > best {
+		for _, lv := range bids[i].pool.levels {
+			if lv < bids[i].bid && lv >= bids[i].pool.cur && lv > best {
 				best = lv
 			}
 		}
@@ -130,7 +125,7 @@ func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone s
 			if !ok {
 				continue
 			}
-			newFP := infos[i].fpOf(lower)
+			newFP := bids[i].pool.fpOf(lower)
 			old := fps[i]
 			fps[i] = newFP
 			feasible := quorum.ThresholdAvailability(k, fps) >= target
@@ -155,7 +150,8 @@ func naiveRefineBids(bids []poolBid, k int, target float64, zoneInfo func(zone s
 }
 
 // TestRefineBidsMatchesNaive property-tests the evaluator-backed
-// descent against the O(n³) original on random staircase FP curves:
+// weighted descent, over base nodes (the unit threshold is k whole nodes),
+// against the O(n³) node-count original on random staircase FP curves:
 // same bids, same order, every trial.
 func TestRefineBidsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -169,7 +165,6 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 			levels[i] = p
 			p += market.Money(1 + rng.Intn(150))
 		}
-		zones := make(map[string]*refineZone, n)
 		bids := make([]poolBid, n)
 		naiveBids := make([]poolBid, n)
 		for zi := 0; zi < n; zi++ {
@@ -181,7 +176,8 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 				v *= rng.Float64()
 			}
 			lv := append([]market.Money(nil), levels...)
-			zones[names[zi]] = &refineZone{
+			pool := &poolSnapshot{
+				zone: names[zi],
 				fpOf: func(bid market.Money) float64 {
 					best := 1.0
 					for li, l := range lv {
@@ -193,26 +189,26 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 				},
 				levels: lv,
 				cur:    levels[rng.Intn(nLevels/2+1)],
+				units:  market.UnitsPerNode,
 			}
 			start := levels[nLevels/2+rng.Intn(nLevels-nLevels/2)]
-			bids[zi] = poolBid{zone: names[zi], bid: start}
+			bids[zi] = poolBid{pool: pool, bid: start}
 			naiveBids[zi] = bids[zi]
 		}
 		k := n/2 + 1
 		// A target the starting configuration meets with a little slack.
 		startFPs := make([]float64, n)
 		for zi := range bids {
-			startFPs[zi] = zones[bids[zi].zone].fpOf(bids[zi].bid)
+			startFPs[zi] = bids[zi].pool.fpOf(bids[zi].bid)
 		}
 		target := quorum.ThresholdAvailability(k, startFPs) * (0.97 + 0.02*rng.Float64())
 
-		lookup := func(z string) *refineZone { return zones[z] }
-		got := refineBids(bids, k, target, lookup)
-		want := naiveRefineBids(naiveBids, k, target, lookup)
-		for i := range got {
-			if got[i] != want[i] {
+		refineBidsWeighted(bids, k*market.UnitsPerNode, target)
+		want := naiveRefineBids(naiveBids, k, target)
+		for i := range bids {
+			if bids[i] != want[i] {
 				t.Fatalf("trial %d (n=%d k=%d target=%v): bid %d = %+v, naive %+v",
-					trial, n, k, target, i, got[i], want[i])
+					trial, n, k, target, i, bids[i], want[i])
 			}
 		}
 	}

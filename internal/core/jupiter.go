@@ -20,14 +20,18 @@
 // instances, Jupiter falls back to on-demand instances, matching the
 // paper's rule of preferring an on-demand instance over an even higher
 // spot bid.
+//
+// This file holds the framework's state, model training and the
+// per-pool forecasts; the enumeration itself (steps 1, 3 and 4) is the
+// one planner in pools.go, which plans heterogeneous (zone × type) pools
+// by capacity and a single-type market as the case where every pool is
+// one base node.
 package core
 
 import (
 	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -103,7 +107,7 @@ type Jupiter struct {
 	lastBidFPs   map[string]float64
 	fpCache      map[fpKey]fpVal
 
-	// Weighted-planner state (pools.go): the memo of fitUniformFP's
+	// Planner state (pools.go): the memo of fitUniformFP's
 	// bisection paths, the scratch every candidate group of every Decide
 	// is evaluated in, and fit — nil outside the reference-oracle tests,
 	// which set it to the exhaustive bisection so that every rebid reads a
@@ -266,25 +270,25 @@ func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64,
 	})
 }
 
-// poolBid is a pool's minimal adequate bid for some failure target.
-// zone holds the pool key — the bare zone name for base-type pools.
+// poolBid is a bid on a pool: its minimal adequate bid for some failure
+// target, until a rebid or the refinement descent moves it.
 type poolBid struct {
-	zone string
+	pool *poolSnapshot
 	bid  market.Money
 }
 
-// The planners sort with slices.SortFunc, which is not stable. It does
+// The planner sorts with slices.SortFunc, which is not stable. It does
 // not need to be: every comparator in this package ends in a pool-key
-// (or zone) tiebreak and a Decide lists each pool once, so each order is
-// total and the sorted result is the same whatever the algorithm or the
-// input permutation (pinned by TestPlannerSortsAreTotalOrders).
+// tiebreak and a Decide lists each pool once, so each order is total and
+// the sorted result is the same whatever the algorithm or the input
+// permutation (pinned by TestPlannerSortsAreTotalOrders).
 
 // cheapestBidFirst orders bids by price, then pool key.
 func cheapestBidFirst(a, b poolBid) int {
 	if c := cmp.Compare(a.bid, b.bid); c != 0 {
 		return c
 	}
-	return strings.Compare(a.zone, b.zone)
+	return strings.Compare(a.pool.zone, b.pool.zone)
 }
 
 // byBidZone orders a decision's bids by pool key.
@@ -294,13 +298,15 @@ func byBidZone(a, b strategy.Bid) int { return strings.Compare(a.Zone, b.Zone) }
 // interval, shared across all group sizes of a Decide. zone holds the
 // pool key — the bare zone name for base-type pools, "zone/type"
 // otherwise — and every lookup downstream (models, prices, quarantine)
-// is keyed by it.
+// is keyed by it. units is the pool's integer capacity
+// (market.UnitsPerNode for a base-type pool), filled in by the planner.
 type poolSnapshot struct {
 	zone   string
 	minBid func(target float64) (market.Money, bool)
 	fpOf   func(bid market.Money) float64
 	levels []market.Money
 	cur    market.Money
+	units  int
 }
 
 // buildPoolSnapshots assembles the per-pool estimators for one Decide.
@@ -493,337 +499,24 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 }
 
 // Decide implements strategy.Strategy — the Fig. 3 online bidding
-// algorithm.
+// algorithm. Every view, single-type or not, is planned by decidePools.
 func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, intervalMinutes int64) (strategy.Decision, error) {
 	if intervalMinutes <= 0 {
 		return strategy.Decision{}, fmt.Errorf("core: interval %d <= 0", intervalMinutes)
 	}
-	zones := view.Zones()
+	pools := view.Zones()
 	// Minimum-shape constraint: drop pools whose instance type is too
 	// small for the service. An unsatisfiable constraint is a
 	// configuration error (market.ErrNoFeasiblePools), surfaced rather
 	// than silently falling back to on-demand.
 	if spec.Constrained() {
-		filtered, err := market.FilterPools(zones, spec.Type, spec.MinVCPU, spec.MinMemGiB)
+		filtered, err := market.FilterPools(pools, spec.Type, spec.MinVCPU, spec.MinMemGiB)
 		if err != nil {
 			return strategy.Decision{}, err
 		}
-		zones = filtered
+		pools = filtered
 	}
-	// A view exposing typed pools routes through the capacity-weighted
-	// path (pools.go). Views of only bare-zone pools — every single-type
-	// deployment — take the zone path below, byte-identical to the
-	// pre-pool framework.
-	for _, z := range zones {
-		if market.IsTypedPoolKey(z) {
-			return j.decidePools(view, spec, zones, intervalMinutes)
-		}
-	}
-	target := spec.TargetAvailability()
-	now := view.Now()
-
-	// Staged degradation (health.go): stays StageHealthy — and changes
-	// nothing below — unless faults have been observed via OnFault.
-	stage := StageHealthy
-	if j.health != nil && j.health.faults > 0 {
-		stage = j.health.stage(now)
-	}
-	prevStage := j.lastStage
-	j.lastStage = stage
-
-	dt := j.prov.Begin(now)
-	if dt != nil {
-		emitStage(dt, prevStage, stage)
-	}
-
-	// One failure estimator per zone, shared across all group sizes.
-	// Forecast construction fans out over a bounded worker pool; the
-	// result is ordered by zone so every loop below is deterministic.
-	states, err := j.buildPoolSnapshots(view, spec, zones, now, intervalMinutes, dt)
-	if err != nil {
-		return strategy.Decision{}, err
-	}
-	if len(states) == 0 {
-		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
-	}
-	byZone := make(map[string]*poolSnapshot, len(states))
-	for _, st := range states {
-		byZone[st.zone] = st
-	}
-
-	maxNodes := j.MaxNodes
-	if maxNodes <= 0 || maxNodes > len(zones) {
-		maxNodes = len(zones)
-	}
-	minNodes := spec.DataShards
-	if minNodes < 1 {
-		minNodes = 1
-	}
-	// A workload load target (strategy.LoadTargeter) raises the floor:
-	// the autoscaler's target group size is the least the decision may
-	// provision, clamped to what the market can host. Fixed-n runs
-	// attach no targeter and enumerate exactly as before.
-	if lt, ok := view.(strategy.LoadTargeter); ok {
-		if t, ok := lt.TargetNodes(); ok {
-			if t > maxNodes {
-				t = maxNodes
-			}
-			if t > minNodes {
-				minNodes = t
-				if dt != nil {
-					dt.Emit(provenance.Span{Kind: provenance.SpanResize, Nodes: minNodes})
-				}
-			}
-		}
-	}
-
-	// Under degradation, candidate sets that quarantine leaves short of
-	// adequate spot zones are padded with on-demand instances from the
-	// cheapest non-quarantined zones. An on-demand node fails with
-	// FP0 <= fpTarget (targets below FP0 are rejected), so a padded
-	// group still meets the equalized availability bound of Equation 10.
-	type odZone struct {
-		zone  string
-		price market.Money
-	}
-	var odPool []odZone
-	if stage != StageHealthy {
-		for _, z := range zones {
-			if j.health.quarantined(z, now) {
-				continue
-			}
-			od, err := market.OnDemandPrice(z, spec.Type)
-			if err != nil {
-				continue
-			}
-			odPool = append(odPool, odZone{zone: z, price: od})
-		}
-		slices.SortFunc(odPool, func(a, b odZone) int {
-			if c := cmp.Compare(a.price, b.price); c != 0 {
-				return c
-			}
-			return strings.Compare(a.zone, b.zone)
-		})
-	}
-
-	j.lastDecision = j.lastDecision[:0]
-	bestCost := market.Money(0)
-	found := false
-	var bestBids []poolBid
-	var bestOD []string
-	for n := minNodes; n <= maxNodes; n++ {
-		k := spec.QuorumSize(n)
-		cand := CandidateCost{Nodes: n}
-		fpTarget, ok := j.invertFP(n, k, target)
-		if !ok || fpTarget < j.FP0 {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "infeasible-target"})
-			}
-			j.lastDecision = append(j.lastDecision, cand)
-			continue
-		}
-		cand.FPTarget = fpTarget
-		var bids []poolBid
-		for _, st := range states {
-			bid, ok := st.minBid(fpTarget)
-			if !ok {
-				continue
-			}
-			// Constraint (9): the bid must clear the current price so
-			// the instance launches at all. st.cur is the price already
-			// fetched for the forecast — the market cannot move within a
-			// Decide, so a second SpotPrice lookup would be redundant.
-			if bid < st.cur {
-				continue
-			}
-			bids = append(bids, poolBid{zone: st.zone, bid: bid})
-		}
-		slices.SortFunc(bids, cheapestBidFirst)
-		var odPick []string
-		var odCost market.Money
-		if len(bids) < n && stage != StageHealthy {
-			taken := make(map[string]bool, len(bids))
-			for _, zb := range bids {
-				taken[zb.zone] = true
-			}
-			for _, oz := range odPool {
-				if len(bids)+len(odPick) == n {
-					break
-				}
-				if taken[oz.zone] {
-					continue
-				}
-				odPick = append(odPick, oz.zone)
-				odCost += oz.price
-			}
-		}
-		if len(bids)+len(odPick) < n {
-			if dt != nil {
-				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "short", FPTarget: fpTarget})
-			}
-			j.lastDecision = append(j.lastDecision, cand)
-			continue
-		}
-		spot := bids
-		if len(spot) > n {
-			spot = bids[:n]
-		}
-		cost := odCost
-		for _, zb := range spot {
-			cost += zb.bid
-		}
-		cand.Feasible = true
-		cand.CostUpper = cost
-		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: n, Outcome: "feasible", FPTarget: fpTarget, CostMicroUSD: int64(cost)})
-		}
-		j.lastDecision = append(j.lastDecision, cand)
-		if !found || cost < bestCost {
-			found = true
-			bestCost = cost
-			bestBids = spot
-			bestOD = odPick
-		}
-	}
-	if !found {
-		return j.fallbackTraced(view, spec, dt, "no-feasible-group")
-	}
-	if stage == StageCritical {
-		bestBids, bestOD = hardenQuorum(bestBids, bestOD, spec)
-	}
-	// The heterogeneous descent models spot bids only; a mixed
-	// spot/on-demand group keeps its equalized solution.
-	if j.Refine && len(bestOD) == 0 && len(bestBids) > 0 {
-		k := spec.QuorumSize(len(bestBids))
-		var before market.Money
-		if dt != nil {
-			before = bidSum(bestBids)
-		}
-		bestBids = refineBids(bestBids, k, target, func(zone string) *refineZone {
-			st := byZone[zone]
-			if st == nil {
-				return nil
-			}
-			return &refineZone{fpOf: st.fpOf, levels: st.levels, cur: st.cur}
-		})
-		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(bestBids))})
-		}
-	}
-	if dt != nil {
-		j.emitChosenZone(dt, spec, byZone, bestBids, bestOD, target)
-	}
-	out := strategy.Decision{}
-	j.lastBidFPs = make(map[string]float64, len(bestBids))
-	for _, zb := range bestBids {
-		out.Bids = append(out.Bids, strategy.Bid{Zone: zb.zone, Price: zb.bid})
-		if st := byZone[zb.zone]; st != nil && st.fpOf != nil {
-			j.lastBidFPs[zb.zone] = st.fpOf(zb.bid)
-		}
-	}
-	slices.SortFunc(out.Bids, byBidZone)
-	out.OnDemand = append(out.OnDemand, bestOD...)
-	sort.Strings(out.OnDemand)
-	return out, nil
-}
-
-// hardenQuorum converts spot members to on-demand, most expensive bid
-// first, until a full quorum of the group runs on-demand — the
-// StageCritical posture, which keeps the service up even if every spot
-// member is lost at once (a correlated reclamation storm).
-func hardenQuorum(bids []poolBid, od []string, spec strategy.ServiceSpec) ([]poolBid, []string) {
-	k := spec.QuorumSize(len(bids) + len(od))
-	if len(od) >= k {
-		return bids, od
-	}
-	byCost := append([]poolBid(nil), bids...)
-	slices.SortFunc(byCost, func(a, b poolBid) int {
-		if c := cmp.Compare(b.bid, a.bid); c != 0 {
-			return c // most expensive first
-		}
-		return strings.Compare(a.zone, b.zone)
-	})
-	convert := make(map[string]bool, k-len(od))
-	for i := 0; i < len(byCost) && len(od)+len(convert) < k; i++ {
-		convert[byCost[i].zone] = true
-	}
-	kept := bids[:0:0]
-	for _, zb := range bids {
-		if convert[zb.zone] {
-			od = append(od, zb.zone)
-			continue
-		}
-		kept = append(kept, zb)
-	}
-	return kept, od
-}
-
-// refineZone is the per-zone information the descent needs.
-type refineZone struct {
-	fpOf   func(bid market.Money) float64
-	levels []market.Money
-	cur    market.Money
-}
-
-// refineBids lowers bids one price level at a time — always the largest
-// available saving first — while the exact heterogeneous k-of-n
-// availability stays at or above the target. Each descent iteration
-// builds one quorum.ThresholdEvaluator over the current probability
-// vector and probes every zone's next level with its O(n) leave-one-out
-// query, so an iteration costs O(n²) where the swap-and-recompute DP
-// was O(n³).
-func refineBids(bids []poolBid, k int, target float64, zoneInfo func(zone string) *refineZone) []poolBid {
-	n := len(bids)
-	infos := make([]*refineZone, n)
-	fps := make([]float64, n)
-	for i, zb := range bids {
-		infos[i] = zoneInfo(zb.zone)
-		if infos[i] == nil {
-			return bids // cannot evaluate; keep the equalized solution
-		}
-		fps[i] = infos[i].fpOf(zb.bid)
-	}
-	// nextLower returns the largest candidate level strictly below the
-	// current bid but not below the zone's current spot price. Levels
-	// are the model's learned prices, strictly ascending, so the
-	// predecessor of the first level >= bid is the only candidate.
-	nextLower := func(i int) (market.Money, bool) {
-		levels := infos[i].levels
-		x := sort.Search(len(levels), func(j int) bool { return levels[j] >= bids[i].bid })
-		if x == 0 || levels[x-1] < infos[i].cur {
-			return 0, false
-		}
-		return levels[x-1], true
-	}
-	for iter := 0; iter < 64*n; iter++ {
-		ev := quorum.NewThresholdEvaluator(k, fps)
-		bestIdx := -1
-		var bestSave market.Money
-		var bestBid market.Money
-		var bestFP float64
-		for i := range bids {
-			lower, ok := nextLower(i)
-			if !ok {
-				continue
-			}
-			newFP := infos[i].fpOf(lower)
-			if ev.WithNode(i, newFP) < target {
-				continue
-			}
-			if save := bids[i].bid - lower; save > bestSave {
-				bestSave = save
-				bestIdx = i
-				bestBid = lower
-				bestFP = newFP
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		bids[bestIdx].bid = bestBid
-		fps[bestIdx] = bestFP
-	}
-	return bids
+	return j.decidePools(view, spec, pools, intervalMinutes)
 }
 
 // fallback runs the service on on-demand instances when no spot

@@ -1,15 +1,17 @@
-// Capacity-weighted pool bidding: the Fig. 3 algorithm generalized to
-// heterogeneous (zone × instance type) pools. A pool of capacity
-// weight w plays the role of w base nodes — Equation 11's observation
-// that a node of weight w counts as w survivors — so group sizes are
-// enumerated in base-node equivalents W, candidate pools are ranked by
-// bid per capacity unit, and feasibility is checked exactly with the
-// unit-sum quorum rule (quorum.WeightedThresholdAvailability) instead
-// of being implied by the equalized per-node target alone.
+// The planner: the Fig. 3 algorithm over capacity-weighted (zone ×
+// instance type) pools. A pool of capacity weight w plays the role of w
+// base nodes — Equation 11's observation that a node of weight w counts
+// as w survivors — so group sizes are enumerated in base-node
+// equivalents W, candidate pools are ranked by bid per capacity unit,
+// and a group that is not simply W base nodes is checked exactly with
+// the unit-sum quorum rule (quorum.WeightedThresholdAvailability)
+// instead of being trusted to the equalized per-node target.
 //
-// Decide routes here only when the market view exposes typed pools;
-// single-type views take the zone path in jupiter.go, byte-identical
-// to the pre-pool framework.
+// It is the only planner. A single-type market is the case where every
+// pool carries market.UnitsPerNode units: the per-unit orders are then
+// the cheapest-bid order, every group is W base nodes, and what runs is
+// the paper's algorithm as printed — no exact check, no rebid, one
+// candidate family (DESIGN.md §2.6).
 package core
 
 import (
@@ -25,21 +27,19 @@ import (
 	"repro/internal/strategy"
 )
 
-// weightedPool couples a pool snapshot with its integer capacity units
-// (market.UnitsPerNode for a base-type pool).
-type weightedPool struct {
-	*poolSnapshot
-	units int
-}
-
-// poolScratch is what the planner's exact-quorum checks run in: the DP
-// row, a group's unit and probability vectors, and the memo key under
-// construction. One per Jupiter, reused by every check.
+// poolScratch is what the planner works in, one per Jupiter and reused by
+// every Decide: the exact-quorum checks' DP row, a group's unit and
+// probability vectors and the memo key under construction; and a group
+// size's candidate lists, which only the selection that becomes the best
+// so far is copied out of.
 type poolScratch struct {
 	dp    quorum.WeightedDP
 	units []int
 	fps   []float64
 	key   []byte
+
+	base, perUnit, fit []poolBid
+	used               []bool
 }
 
 // odPoolCand is an on-demand substitution candidate: a pool whose
@@ -65,12 +65,31 @@ func perUnitCmp(pa market.Money, ua int, pb market.Money, ub int) int {
 	return 0
 }
 
-// decidePools is the capacity-weighted counterpart of the zone path in
-// Decide. pools has already passed the spec's minimum-shape filter.
+// cheapestPerUnitFirst orders bids by price per capacity unit, then pool
+// key. Over pools of equal units it is cheapestBidFirst.
+func cheapestPerUnitFirst(a, b poolBid) int {
+	if c := perUnitCmp(a.bid, a.pool.units, b.bid, b.pool.units); c != 0 {
+		return c
+	}
+	return strings.Compare(a.pool.zone, b.pool.zone)
+}
+
+// poolSelection is one fully-priced candidate group.
+type poolSelection struct {
+	found     bool
+	cost, cur market.Money
+	spot      []poolBid
+	od        []odPoolCand
+}
+
+// decidePools is the enumeration behind Decide. pools has already passed
+// the spec's minimum-shape filter.
 func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpec, pools []string, intervalMinutes int64) (strategy.Decision, error) {
 	target := spec.TargetAvailability()
 	now := view.Now()
 
+	// Staged degradation (health.go): stays StageHealthy — and changes
+	// nothing below — unless faults have been observed via OnFault.
 	stage := StageHealthy
 	if j.health != nil && j.health.faults > 0 {
 		stage = j.health.stage(now)
@@ -83,43 +102,81 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		emitStage(dt, prevStage, stage)
 	}
 
+	// One failure estimator per pool, shared across all group sizes, in
+	// pool order so every loop below is deterministic.
 	snaps, err := j.buildPoolSnapshots(view, spec, pools, now, intervalMinutes, dt)
 	if err != nil {
 		return strategy.Decision{}, err
 	}
-	states := make([]weightedPool, 0, len(snaps))
-	totalUnits := 0
+	// allBase: every spot and on-demand candidate of this Decide is one
+	// base node. The three candidate families below then build the same
+	// group, so one of them runs.
+	allBase := true
+	states := snaps[:0]
 	for _, st := range snaps {
 		u, uerr := market.PoolCapacityUnits(st.zone, spec.Type)
 		if uerr != nil {
 			continue // pool key outside the catalog; unusable
 		}
-		states = append(states, weightedPool{poolSnapshot: st, units: u})
-		totalUnits += u
+		st.units = u
+		allBase = allBase && u == market.UnitsPerNode
+		states = append(states, st)
 	}
 	if len(states) == 0 {
 		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
 	}
-	byKey := make(map[string]*poolSnapshot, len(states))
-	for _, st := range states {
-		byKey[st.zone] = st.poolSnapshot
-	}
 
-	// W enumerates target capacity in base-node equivalents, capped by
-	// what the candidate pools can supply.
+	// One pass over the pools that passed the shape filter, usable this
+	// round or not, for two things. capUnits, what they could supply
+	// together, caps the enumeration below: quarantine shortens groups,
+	// not the enumeration, so a size it leaves unfillable is listed short
+	// and a load target clamps where it would on the healthy market. And
+	// odPool: under degradation, groups that quarantine leaves short of
+	// adequate spot capacity are padded with on-demand instances from the
+	// cheapest-per-unit non-quarantined pools. An on-demand node fails
+	// with FP0 <= fpTarget (targets below FP0 are rejected), so a padded
+	// group of W base nodes still meets the equalized bound of Equation 10.
+	capUnits := 0
+	var odPool []odPoolCand
+	for _, p := range pools {
+		u, uerr := market.PoolCapacityUnits(p, spec.Type)
+		if uerr != nil {
+			continue
+		}
+		capUnits += u
+		if stage == StageHealthy || j.health.quarantinedKey(p, now) {
+			continue
+		}
+		od, perr := market.PoolOnDemandPrice(p, spec.Type)
+		if perr != nil {
+			continue
+		}
+		allBase = allBase && u == market.UnitsPerNode
+		odPool = append(odPool, odPoolCand{key: p, price: od, units: u})
+	}
+	slices.SortFunc(odPool, func(a, b odPoolCand) int {
+		if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+
+	// W enumerates target capacity in base-node equivalents.
 	maxW := j.MaxNodes
 	if maxW <= 0 || maxW > len(pools) {
 		maxW = len(pools)
 	}
-	if c := totalUnits / market.UnitsPerNode; maxW > c {
+	if c := capUnits / market.UnitsPerNode; maxW > c {
 		maxW = c
 	}
 	minW := spec.DataShards
 	if minW < 1 {
 		minW = 1
 	}
-	// A workload load target raises the floor on the weighted path too,
-	// in base-node equivalents (see the zone path in Decide).
+	// A workload load target (strategy.LoadTargeter) raises the floor:
+	// the autoscaler's target group size, in base-node equivalents, is
+	// the least the decision may provision, clamped to what the market
+	// can host. Fixed-n runs attach no targeter and enumerate as before.
 	if lt, ok := view.(strategy.LoadTargeter); ok {
 		if t, ok := lt.TargetNodes(); ok {
 			if t > maxW {
@@ -134,68 +191,53 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 	}
 
-	// Under degradation, groups short of adequate spot capacity are
-	// padded with on-demand instances from the cheapest-per-unit
-	// non-quarantined compatible pools (the pool generalization of the
-	// zone path's OD padding; the min-shape filter already ran).
-	var odPool []odPoolCand
-	if stage != StageHealthy {
-		for _, z := range pools {
-			if j.health.quarantinedKey(z, now) {
-				continue
-			}
-			od, perr := market.PoolOnDemandPrice(z, spec.Type)
-			if perr != nil {
-				continue
-			}
-			u, uerr := market.PoolCapacityUnits(z, spec.Type)
-			if uerr != nil {
-				continue
-			}
-			odPool = append(odPool, odPoolCand{key: z, price: od, units: u})
-		}
-		slices.SortFunc(odPool, func(a, b odPoolCand) int {
-			if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
-				return c
-			}
-			return strings.Compare(a.key, b.key)
-		})
-	}
-
-	// evaluate prices a candidate group and gates it on the exact
-	// weighted quorum availability. On-demand members fail at FP0. It
+	// evaluate prices a candidate group for W base-node equivalents and
+	// says whether it meets the target. On-demand members fail at FP0. It
 	// returns both the planned cost (the sum of bids — the group's
-	// worst-case spend, the figure the Fig. 3 enumeration minimizes)
-	// and the expected cost (the sum of current prices — what the group
-	// bills if the market holds still).
-	evaluate := func(spot []poolBid, spotUnits []int, od []odPoolCand) (market.Money, market.Money, bool) {
-		tot := 0
-		units, fps := j.ws.units[:0], j.ws.fps[:0]
-		var cost, curCost market.Money
-		for i, pb := range spot {
-			units = append(units, spotUnits[i])
-			tot += spotUnits[i]
-			st := byKey[pb.zone]
-			fps = append(fps, st.fpOf(pb.bid))
+	// worst-case spend, the figure the Fig. 3 enumeration minimizes) and
+	// the expected cost (the sum of current prices — what the group bills
+	// if the market holds still).
+	//
+	// A group of exactly W base nodes meets Equation 10 by monotonicity:
+	// every member was bid to (minBid's contract), or as an on-demand node
+	// sits at FP0 which is no worse than, the W-node equalized target. That
+	// is the paper's own argument, and such a group is not put to the DP —
+	// which reads the on-demand baseline itself one ulp below the target
+	// computed from it (quorum.TestBaselineReadsOneUlpBelowItsOwnTarget).
+	// Any other group has fewer, heavier failure domains than the
+	// inversion assumed and is gated on the exact unit-quorum availability.
+	evaluate := func(W int, spot []poolBid, od []odPoolCand) (cost, curCost market.Money, ok bool) {
+		tot, baseNodes := 0, true
+		for _, pb := range spot {
+			tot += pb.pool.units
+			baseNodes = baseNodes && pb.pool.units == market.UnitsPerNode
 			cost += pb.bid
-			curCost += st.cur
+			curCost += pb.pool.cur
 		}
 		for _, oc := range od {
-			units = append(units, oc.units)
 			tot += oc.units
-			fps = append(fps, j.FP0)
+			baseNodes = baseNodes && oc.units == market.UnitsPerNode
 			cost += oc.price
 			curCost += oc.price
 		}
-		j.ws.units, j.ws.fps = units, fps
+		if baseNodes && len(spot)+len(od) == W {
+			return cost, curCost, true
+		}
 		t := spec.QuorumUnits(tot)
 		if t > tot {
 			return 0, 0, false // too little capacity to ever form a quorum
 		}
-		if j.ws.dp.Availability(t, units, fps) < target {
-			return 0, 0, false
+		units, fps := j.ws.units[:0], j.ws.fps[:0]
+		for _, pb := range spot {
+			units = append(units, pb.pool.units)
+			fps = append(fps, pb.pool.fpOf(pb.bid))
 		}
-		return cost, curCost, true
+		for _, oc := range od {
+			units = append(units, oc.units)
+			fps = append(fps, j.FP0)
+		}
+		j.ws.units, j.ws.fps = units, fps
+		return cost, curCost, j.ws.dp.Availability(t, units, fps) >= target
 	}
 
 	// rebid repairs a group that fails the exact check at the equalized
@@ -214,12 +256,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// answering the same at lo and at up already is that member's answer
 	// at fp. Members are walked in order, as the converged rebid would;
 	// the first one the interval cannot yet decide buys one more probe.
-	rebid := func(spot []poolBid, spotUnits []int, od []odPoolCand) ([]poolBid, bool) {
+	rebid := func(spot []poolBid, od []odPoolCand) ([]poolBid, bool) {
 		tot := 0
 		units := j.ws.units[:0]
-		for _, u := range spotUnits {
-			units = append(units, u)
-			tot += u
+		for _, pb := range spot {
+			units = append(units, pb.pool.units)
+			tot += pb.pool.units
 		}
 		for _, oc := range od {
 			units = append(units, oc.units)
@@ -242,17 +284,16 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 				out = make([]poolBid, len(spot))
 			}
 			for i, pb := range spot {
-				st := byKey[pb.zone]
-				bid, ok := st.minBid(lo)
+				bid, ok := pb.pool.minBid(lo)
 				if lo != up {
-					if b, k := st.minBid(up); b != bid || k != ok {
+					if b, k := pb.pool.minBid(up); b != bid || k != ok {
 						return false, false
 					}
 				}
-				if !ok || bid < st.cur {
+				if !ok || bid < pb.pool.cur {
 					return false, true
 				}
-				out[i] = poolBid{zone: pb.zone, bid: bid}
+				out[i] = poolBid{pool: pb.pool, bid: bid}
 			}
 			return true, true
 		}
@@ -270,16 +311,8 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 	}
 
-	// poolSelection is one fully-priced candidate group.
-	type poolSelection struct {
-		found     bool
-		cost, cur market.Money
-		spot      []poolBid
-		spotUnits []int
-		od        []odPoolCand
-	}
-	// bestBase tracks the base-weight family — the selection the
-	// zone-only planner would make — and bestHet the heterogeneous
+	// bestBase tracks the base-weight family — cheapest base-type pools
+	// only, the paper's selection — and bestHet the heterogeneous
 	// families, both minimized by planned cost.
 	var bestBase, bestHet poolSelection
 
@@ -297,29 +330,90 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 		cand.FPTarget = fpTarget
 
-		// Per-pool minimal bids at the equalized per-node target.
-		// Constraint (9): the bid must clear the pool's current price.
-		var cands []poolBid
-		var candUnits []int
+		// Per-pool minimal bids at the equalized per-node target, listed
+		// twice: the base-type pools cheapest bid first, and — unless that
+		// is all there is — every pool cheapest per capacity unit first.
+		// Constraint (9): the bid must clear the pool's current price,
+		// which is the one already fetched for the forecast — the market
+		// cannot move within a Decide.
+		base, perUnit := j.ws.base[:0], j.ws.perUnit[:0]
 		for _, st := range states {
 			bid, ok := st.minBid(fpTarget)
 			if !ok || bid < st.cur {
 				continue
 			}
-			cands = append(cands, poolBid{zone: st.zone, bid: bid})
-			candUnits = append(candUnits, st.units)
+			if st.units == market.UnitsPerNode {
+				base = append(base, poolBid{pool: st, bid: bid})
+			}
+			if !allBase {
+				perUnit = append(perUnit, poolBid{pool: st, bid: bid})
+			}
 		}
+		slices.SortFunc(base, cheapestBidFirst)
+		slices.SortFunc(perUnit, cheapestPerUnitFirst)
+		j.ws.base, j.ws.perUnit = base, perUnit
 		needUnits := W * market.UnitsPerNode
 
-		// padOD tops a short spot group up with on-demand pools (only
-		// available under degradation) and reports whether the target
-		// capacity was reached.
-		padOD := func(spot []poolBid, got int) ([]odPoolCand, bool) {
+		// greedy fills the target capacity from the front of an ordering.
+		greedy := func(order []poolBid) ([]poolBid, int) {
+			got := 0
+			for i, pb := range order {
+				if got >= needUnits {
+					return order[:i], got
+				}
+				got += pb.pool.units
+			}
+			return order, got
+		}
+
+		// fitFirst walks the ordering but only takes pools that fit inside
+		// the remaining capacity gap, so a cheap-per-unit heavy pool taken
+		// early doesn't force paying for a large overshoot. When nothing
+		// fits the residual gap, it is closed with the cheapest absolute
+		// bid still unused.
+		fitFirst := func(order []poolBid) ([]poolBid, int) {
+			used := slices.Grow(j.ws.used[:0], len(order))[:len(order)]
+			clear(used)
+			spot, got := j.ws.fit[:0], 0
+			for got < needUnits {
+				picked := -1
+				for i, pb := range order {
+					if !used[i] && pb.pool.units <= needUnits-got {
+						picked = i
+						break
+					}
+				}
+				if picked < 0 {
+					for i, pb := range order {
+						if !used[i] && (picked < 0 || cheapestBidFirst(pb, order[picked]) < 0) {
+							picked = i
+						}
+					}
+					if picked < 0 {
+						break
+					}
+				}
+				used[picked] = true
+				spot = append(spot, order[picked])
+				got += order[picked].pool.units
+			}
+			j.ws.used, j.ws.fit = used, spot
+			return spot, got
+		}
+
+		// consider builds one family's group for this W, tops it up with
+		// on-demand pools if it is short of the target capacity (only
+		// possible under degradation), prices and checks it — repairing
+		// its bids once if the exact check fails — and keeps it if it is
+		// the family's cheapest so far. The group lives in scratch until
+		// then.
+		consider := func(best *poolSelection, fill func([]poolBid) ([]poolBid, int), order []poolBid) {
+			spot, got := fill(order)
 			var odPick []odPoolCand
 			if got < needUnits && len(odPool) > 0 {
 				taken := make(map[string]bool, len(spot))
 				for _, pb := range spot {
-					taken[pb.zone] = true
+					taken[pb.pool.zone] = true
 				}
 				for _, oc := range odPool {
 					if got >= needUnits {
@@ -332,128 +426,38 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 					got += oc.units
 				}
 			}
-			return odPick, got >= needUnits
-		}
-
-		// Greedy fill from an ordering of candidate indices.
-		buildSel := func(order []int) ([]poolBid, []int, []odPoolCand, bool) {
-			var spot []poolBid
-			var su []int
-			got := 0
-			for _, i := range order {
-				if got >= needUnits {
-					break
-				}
-				spot = append(spot, cands[i])
-				su = append(su, candUnits[i])
-				got += candUnits[i]
+			if got < needUnits {
+				return
 			}
-			odPick, ok := padOD(spot, got)
-			if !ok {
-				return nil, nil, nil, false
-			}
-			return spot, su, odPick, true
-		}
-
-		// Fit-first fill: walk the ordering but only take pools that fit
-		// inside the remaining capacity gap, so a cheap-per-unit heavy
-		// pool taken early doesn't force paying for a large overshoot.
-		// When nothing fits the residual gap, it is closed with the
-		// cheapest absolute bid still unused.
-		buildFit := func(order []int) ([]poolBid, []int, []odPoolCand, bool) {
-			used := make([]bool, len(cands))
-			var spot []poolBid
-			var su []int
-			got := 0
-			for got < needUnits {
-				picked := -1
-				for _, i := range order {
-					if used[i] || candUnits[i] > needUnits-got {
-						continue
-					}
-					picked = i
-					break
-				}
-				if picked < 0 {
-					for _, i := range order {
-						if used[i] {
-							continue
-						}
-						if picked < 0 || cands[i].bid < cands[picked].bid ||
-							(cands[i].bid == cands[picked].bid && cands[i].zone < cands[picked].zone) {
-							picked = i
-						}
-					}
-					if picked < 0 {
-						break
-					}
-				}
-				used[picked] = true
-				spot = append(spot, cands[picked])
-				su = append(su, candUnits[picked])
-				got += candUnits[picked]
-			}
-			odPick, ok := padOD(spot, got)
-			if !ok {
-				return nil, nil, nil, false
-			}
-			return spot, su, odPick, true
-		}
-
-		// Three candidate families race per W: (a) cheapest bid per
-		// capacity unit over every pool — the heterogeneous portfolio;
-		// (b) cheapest base-weight pools only — the selection the
-		// homogeneous zone path would make; (c) the fit-first variant of
-		// (a), which avoids paying for overshoot. Keeping (b) in the
-		// race means the planned cost never exceeds the zone-only
-		// planner's over the same models.
-		perUnit := make([]int, len(cands))
-		for i := range cands {
-			perUnit[i] = i
-		}
-		slices.SortFunc(perUnit, func(ia, ib int) int {
-			if c := perUnitCmp(cands[ia].bid, candUnits[ia], cands[ib].bid, candUnits[ib]); c != 0 {
-				return c
-			}
-			return strings.Compare(cands[ia].zone, cands[ib].zone)
-		})
-		var baseOnly []int
-		for i := range cands {
-			if candUnits[i] == market.UnitsPerNode {
-				baseOnly = append(baseOnly, i)
-			}
-		}
-		slices.SortFunc(baseOnly, func(ia, ib int) int { return cheapestBidFirst(cands[ia], cands[ib]) })
-
-		for fi, build := range []func() ([]poolBid, []int, []odPoolCand, bool){
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildSel(baseOnly) },
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildSel(perUnit) },
-			func() ([]poolBid, []int, []odPoolCand, bool) { return buildFit(perUnit) },
-		} {
-			spot, su, odPick, ok := build()
-			if !ok {
-				continue
-			}
-			cost, curCost, feasible := evaluate(spot, su, odPick)
+			cost, curCost, feasible := evaluate(W, spot, odPick)
 			if !feasible {
-				if spot, ok = rebid(spot, su, odPick); !ok {
-					continue
+				var repaired bool
+				if spot, repaired = rebid(spot, odPick); !repaired {
+					return
 				}
-				if cost, curCost, feasible = evaluate(spot, su, odPick); !feasible {
-					continue
+				if cost, curCost, feasible = evaluate(W, spot, odPick); !feasible {
+					return
 				}
 			}
 			if !cand.Feasible || cost < cand.CostUpper {
 				cand.Feasible = true
 				cand.CostUpper = cost
 			}
-			best := &bestHet
-			if fi == 0 {
-				best = &bestBase
-			}
 			if !best.found || cost < best.cost {
-				*best = poolSelection{found: true, cost: cost, cur: curCost, spot: spot, spotUnits: su, od: odPick}
+				*best = poolSelection{found: true, cost: cost, cur: curCost, spot: append(best.spot[:0], spot...), od: odPick}
 			}
+		}
+
+		// Three candidate families race per W: (a) cheapest base-weight
+		// pools only — the paper's selection; (b) cheapest bid per
+		// capacity unit over every pool — the heterogeneous portfolio;
+		// (c) the fit-first variant of (b), which avoids paying for
+		// overshoot. Keeping (a) in the race means the planned cost never
+		// exceeds a base-type-only plan's over the same models.
+		consider(&bestBase, greedy, base)
+		if !allBase {
+			consider(&bestHet, greedy, perUnit)
+			consider(&bestHet, fitFirst, perUnit)
 		}
 		if dt != nil {
 			s := provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, FPTarget: fpTarget}
@@ -472,8 +476,8 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// sum) AND its expected spend (current-price sum) are no higher.
 	// Bids cap charges but the market bills at its own price, so a
 	// lower bid sum alone can still realize a costlier interval; the
-	// dominance test keeps heterogeneous runs at or below the zone-only
-	// planner's cost on both axes.
+	// dominance test keeps heterogeneous runs at or below a
+	// base-type-only plan's cost on both axes.
 	hetWins := bestHet.found && (!bestBase.found ||
 		(bestHet.cost <= bestBase.cost && bestHet.cur <= bestBase.cur))
 	sel := bestBase
@@ -494,42 +498,34 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	if !sel.found {
 		return j.fallbackTraced(view, spec, dt, "no-feasible-group")
 	}
-	bestSpot, bestSpotUnits, bestOD := sel.spot, sel.spotUnits, sel.od
+	bestSpot, bestOD := sel.spot, sel.od
 	if stage == StageCritical {
-		bestSpot, bestSpotUnits, bestOD = hardenQuorumPools(bestSpot, bestSpotUnits, bestOD, spec)
+		bestSpot, bestOD = hardenQuorumPools(bestSpot, bestOD, spec)
 	}
-	// The weighted descent models spot bids only; a mixed group keeps
-	// its equalized solution, as in the zone path.
+	// The heterogeneous descent models spot bids only; a mixed
+	// spot/on-demand group keeps its equalized solution.
 	if j.Refine && len(bestOD) == 0 && len(bestSpot) > 0 {
 		tot := 0
-		for _, u := range bestSpotUnits {
-			tot += u
+		for _, pb := range bestSpot {
+			tot += pb.pool.units
 		}
 		var before market.Money
 		if dt != nil {
 			before = bidSum(bestSpot)
 		}
-		bestSpot = refineBidsWeighted(bestSpot, bestSpotUnits, spec.QuorumUnits(tot), target, func(key string) *refineZone {
-			st := byKey[key]
-			if st == nil {
-				return nil
-			}
-			return &refineZone{fpOf: st.fpOf, levels: st.levels, cur: st.cur}
-		})
+		refineBidsWeighted(bestSpot, spec.QuorumUnits(tot), target)
 		if dt != nil {
 			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(bestSpot))})
 		}
 	}
 	if dt != nil {
-		j.emitChosenPools(dt, spec, byKey, bestSpot, bestSpotUnits, bestOD, target)
+		j.emitChosenPools(dt, spec, bestSpot, bestOD, target)
 	}
 	out := strategy.Decision{}
 	j.lastBidFPs = make(map[string]float64, len(bestSpot))
 	for _, pb := range bestSpot {
-		out.Bids = append(out.Bids, strategy.Bid{Zone: pb.zone, Price: pb.bid})
-		if st := byKey[pb.zone]; st != nil && st.fpOf != nil {
-			j.lastBidFPs[pb.zone] = st.fpOf(pb.bid)
-		}
+		out.Bids = append(out.Bids, strategy.Bid{Zone: pb.pool.zone, Price: pb.bid})
+		j.lastBidFPs[pb.pool.zone] = pb.pool.fpOf(pb.bid)
 	}
 	slices.SortFunc(out.Bids, byBidZone)
 	for _, oc := range bestOD {
@@ -539,14 +535,14 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	return out, nil
 }
 
-// hardenQuorumPools is the StageCritical posture over pools: convert
-// spot members to on-demand, most expensive per capacity unit first,
-// until a full unit quorum of the group runs on-demand — the weighted
-// counterpart of hardenQuorum.
-func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec strategy.ServiceSpec) ([]poolBid, []int, []odPoolCand) {
+// hardenQuorumPools is the StageCritical posture: convert spot members
+// to on-demand, most expensive per capacity unit first, until a full unit
+// quorum of the group runs on-demand — which keeps the service up even
+// if every spot member is lost at once (a correlated reclamation storm).
+func hardenQuorumPools(spot []poolBid, od []odPoolCand, spec strategy.ServiceSpec) ([]poolBid, []odPoolCand) {
 	tot, odUnits := 0, 0
-	for _, u := range spotUnits {
-		tot += u
+	for _, pb := range spot {
+		tot += pb.pool.units
 	}
 	for _, oc := range od {
 		tot += oc.units
@@ -554,41 +550,35 @@ func hardenQuorumPools(spot []poolBid, spotUnits []int, od []odPoolCand, spec st
 	}
 	tUnits := spec.QuorumUnits(tot)
 	if odUnits >= tUnits {
-		return spot, spotUnits, od
+		return spot, od
 	}
-	idx := make([]int, len(spot))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(ia, ib int) int {
-		if c := perUnitCmp(spot[ib].bid, spotUnits[ib], spot[ia].bid, spotUnits[ia]); c != 0 {
+	byCost := slices.Clone(spot)
+	slices.SortFunc(byCost, func(a, b poolBid) int {
+		if c := perUnitCmp(b.bid, b.pool.units, a.bid, a.pool.units); c != 0 {
 			return c // most expensive per unit first
 		}
-		return strings.Compare(spot[ia].zone, spot[ib].zone)
+		return strings.Compare(a.pool.zone, b.pool.zone)
 	})
-	convert := make(map[int]bool, len(idx))
-	for _, i := range idx {
+	convert := make(map[*poolSnapshot]bool, len(byCost))
+	for _, pb := range byCost {
 		if odUnits >= tUnits {
 			break
 		}
-		price, err := market.PoolOnDemandPrice(spot[i].zone, spec.Type)
+		price, err := market.PoolOnDemandPrice(pb.pool.zone, spec.Type)
 		if err != nil {
 			continue
 		}
-		od = append(od, odPoolCand{key: spot[i].zone, price: price, units: spotUnits[i]})
-		odUnits += spotUnits[i]
-		convert[i] = true
+		od = append(od, odPoolCand{key: pb.pool.zone, price: price, units: pb.pool.units})
+		odUnits += pb.pool.units
+		convert[pb.pool] = true
 	}
-	keptSpot := spot[:0:0]
-	keptUnits := spotUnits[:0:0]
-	for i := range spot {
-		if convert[i] {
-			continue
+	kept := spot[:0:0]
+	for _, pb := range spot {
+		if !convert[pb.pool] {
+			kept = append(kept, pb)
 		}
-		keptSpot = append(keptSpot, spot[i])
-		keptUnits = append(keptUnits, spotUnits[i])
 	}
-	return keptSpot, keptUnits, od
+	return kept, od
 }
 
 // fitState is a prefix of fitUniformFP's bisection path: the interval
@@ -686,26 +676,29 @@ func (j *Jupiter) fitStep(s *fitState, t int, units []int, target float64) {
 	s.settle()
 }
 
-// refineBidsWeighted is refineBids over capacity units: bids descend
-// one price level at a time, largest saving first, while the exact
-// weighted quorum availability (unit threshold t) stays at or above
-// the target. Each iteration builds one WeightedThresholdEvaluator and
-// probes every pool's next level with its leave-one-out query.
-func refineBidsWeighted(bids []poolBid, units []int, t int, target float64, poolInfo func(key string) *refineZone) []poolBid {
+// refineBidsWeighted lowers bids one price level at a time — always the
+// largest available saving first — while the exact weighted quorum
+// availability (unit threshold t) stays at or above the target. Each
+// iteration builds one quorum.WeightedThresholdEvaluator over the current
+// probability vector and probes every pool's next level with its
+// leave-one-out query, so on n base nodes an iteration costs O(n²) where
+// swap-and-recompute was O(n³).
+func refineBidsWeighted(bids []poolBid, t int, target float64) {
 	n := len(bids)
-	infos := make([]*refineZone, n)
+	units := make([]int, n)
 	fps := make([]float64, n)
 	for i, pb := range bids {
-		infos[i] = poolInfo(pb.zone)
-		if infos[i] == nil {
-			return bids // cannot evaluate; keep the equalized solution
-		}
-		fps[i] = infos[i].fpOf(pb.bid)
+		units[i] = pb.pool.units
+		fps[i] = pb.pool.fpOf(pb.bid)
 	}
+	// nextLower returns the largest candidate level strictly below the
+	// current bid but not below the pool's current spot price. Levels
+	// are the model's learned prices, strictly ascending, so the
+	// predecessor of the first level >= bid is the only candidate.
 	nextLower := func(i int) (market.Money, bool) {
-		levels := infos[i].levels
+		levels := bids[i].pool.levels
 		x := sort.Search(len(levels), func(j int) bool { return levels[j] >= bids[i].bid })
-		if x == 0 || levels[x-1] < infos[i].cur {
+		if x == 0 || levels[x-1] < bids[i].pool.cur {
 			return 0, false
 		}
 		return levels[x-1], true
@@ -721,7 +714,7 @@ func refineBidsWeighted(bids []poolBid, units []int, t int, target float64, pool
 			if !ok {
 				continue
 			}
-			newFP := infos[i].fpOf(lower)
+			newFP := bids[i].pool.fpOf(lower)
 			if ev.WithNode(i, newFP) < target {
 				continue
 			}
@@ -738,5 +731,4 @@ func refineBidsWeighted(bids []poolBid, units []int, t int, target float64, pool
 		bids[bestIdx].bid = bestBid
 		fps[bestIdx] = bestFP
 	}
-	return bids
 }

@@ -88,10 +88,10 @@ func TestJupiterDecidePoolsFeasible(t *testing.T) {
 	}
 }
 
-// TestJupiterPoolPlanningCostNotWorse pins the family-(b) guarantee:
-// over the same zones and models, the heterogeneous planner never plans
-// a costlier group than the zone-only planner, because the zone-only
-// selection itself stays in the candidate race.
+// TestJupiterPoolPlanningCostNotWorse pins the base-family guarantee:
+// over the same zones and models, the planner never plans a costlier
+// group on a heterogeneous market than on the zone-only one, because the
+// base-type-only selection itself stays in the candidate race.
 func TestJupiterPoolPlanningCostNotWorse(t *testing.T) {
 	const seed, weeks = 42, 13
 	spec := lockSpec()
@@ -182,9 +182,11 @@ func TestJupiterPoolsMinShapeFilter(t *testing.T) {
 	}
 }
 
-// TestDecideSingleTypeAllocBudget pins the zone path's allocation
-// budget: adding the pool dispatch must not regress the warmed
-// fast-path Decide beyond 300 allocations.
+// TestDecideSingleTypeAllocBudget pins the single-type market's
+// allocation budget through the one planner: planning zones as
+// unit-weight pools must not cost the warmed Decide more than the 300
+// allocations the zone planner was held to (≈ 120: the per-size
+// candidate lists live in poolScratch).
 func TestDecideSingleTypeAllocBudget(t *testing.T) {
 	view := genView(t, 42, 13)
 	j := New()
@@ -202,13 +204,13 @@ func TestDecideSingleTypeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecidePoolsAllocBudget pins the pool path's allocation budget on
-// the 68-pool market. A warmed Decide — models trained, every rebid
-// decided from the bisection prefix the memo holds — checks its ~220
-// candidate groups in the planner's one scratch row; what still
-// allocates is the forecasts and the per-size candidate lists (≈ 4 050
-// at GOMAXPROCS 2). A row or a probability vector per check would add
-// hundreds, one per bisection probe thousands.
+// TestDecidePoolsAllocBudget pins the planner's allocation budget on the
+// 68-pool market. A warmed Decide — models trained, every rebid decided
+// from the bisection prefix the memo holds — builds its ~220 candidate
+// groups in scratch lists and checks them in one scratch row; what still
+// allocates is the forecasts, the rebid outputs and the selections kept
+// (≈ 510 at GOMAXPROCS 2). A list per size would add thousands, as would
+// a row per bisection probe.
 func TestDecidePoolsAllocBudget(t *testing.T) {
 	view := traceView{set: benchPoolSet(t), now: 6 * week}
 	j := New()
@@ -226,10 +228,9 @@ func TestDecidePoolsAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecidePoolsUsesTypedPools: the heterogeneous path must actually
-// route through the pool planner — its candidate enumeration is keyed
-// in base-node equivalents and at least one typed pool appears among
-// the candidates the planner could select from.
+// TestDecidePoolsUsesTypedPools: over a heterogeneous view the planner
+// enumerates candidates in base-node equivalents and at least one typed
+// pool appears among the candidates it could select from.
 func TestDecidePoolsUsesTypedPools(t *testing.T) {
 	view := genPoolView(t, 42, 13)
 	j := New()
@@ -237,7 +238,7 @@ func TestDecidePoolsUsesTypedPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(j.LastCandidates()) == 0 {
-		t.Fatal("pool path recorded no candidate group sizes")
+		t.Fatal("the planner recorded no candidate group sizes")
 	}
 	typed := 0
 	for _, z := range view.Zones() {
@@ -258,13 +259,14 @@ type shuffledView struct {
 
 func (v shuffledView) Zones() []string { return v.zones }
 
-// TestPlannerSortsAreTotalOrders: the planners sort with the unstable
+// TestPlannerSortsAreTotalOrders: the planner sorts with the unstable
 // slices.SortFunc, which is safe only because every comparator ends in a
 // unique pool-key tiebreak. If one did not, the order of tied pools —
 // and with it the greedy fills, the DP fold order and the decision —
-// would follow the order the view lists its pools in. Both planners, at
-// every degradation stage (the on-demand ranking and the hardening sort
-// only run under faults), must decide the same whatever that order.
+// would follow the order the view lists its pools in. On a zone-only and
+// on a typed market, at every degradation stage (the on-demand ranking
+// and the hardening sort only run under faults), it must decide the same
+// whatever that order.
 func TestPlannerSortsAreTotalOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	zones := market.ExperimentZones()
@@ -297,7 +299,7 @@ func TestPlannerSortsAreTotalOrders(t *testing.T) {
 	// by-bid comparator's tiebreak directly.
 	bids := make([]poolBid, 40)
 	for i := range bids {
-		bids[i] = poolBid{zone: fmt.Sprintf("pool-%02d", i), bid: market.Money(100 * (1 + i%3))}
+		bids[i] = poolBid{pool: &poolSnapshot{zone: fmt.Sprintf("pool-%02d", i)}, bid: market.Money(100 * (1 + i%3))}
 	}
 	want := slices.Clone(bids)
 	sort.SliceStable(want, func(a, b int) bool { return want[a].bid < want[b].bid })

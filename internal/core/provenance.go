@@ -1,4 +1,4 @@
-// Decision-provenance emission helpers for the two Decide paths. Every
+// Decision-provenance emission helpers for the planner (pools.go). Every
 // call site is guarded on a non-nil *provenance.DecisionTrace, so
 // unobserved runs never reach this file.
 package core
@@ -37,55 +37,24 @@ func bidSum(bids []poolBid) market.Money {
 	return sum
 }
 
-// emitChosenZone records the chosen group of the homogeneous zone
-// path: one bid span per member and the closing chosen span with the
-// exact k-of-n availability and its Eq. 10 margin over the target.
-func (j *Jupiter) emitChosenZone(dt *provenance.DecisionTrace, spec strategy.ServiceSpec, byZone map[string]*poolSnapshot, spot []poolBid, od []string, target float64) {
-	n := len(spot) + len(od)
-	fps := make([]float64, 0, n)
-	var cost market.Money
-	for _, zb := range spot {
-		fp := j.FP0
-		var cur market.Money
-		if st := byZone[zb.zone]; st != nil {
-			fp = st.fpOf(zb.bid)
-			cur = st.cur
-		}
-		fps = append(fps, fp)
-		cost += zb.bid
-		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: zb.zone, BidMicroUSD: int64(zb.bid), CurMicroUSD: int64(cur), FP: fp})
-	}
-	for _, z := range od {
-		fps = append(fps, j.FP0)
-		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: z, Outcome: "on-demand", FP: j.FP0})
-	}
-	avail := quorum.ThresholdAvailability(spec.QuorumSize(n), fps)
-	dt.Emit(provenance.Span{
-		Kind: provenance.SpanChosen, Outcome: "ok", Nodes: n,
-		CostMicroUSD: int64(cost), Availability: avail, Target: target, Margin: avail - target,
-	})
-}
-
-// emitChosenPools is emitChosenZone over capacity-weighted pools: the
-// availability comes from the exact unit-quorum rule, and on-demand
-// members carry their fixed price as the bid.
-func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.ServiceSpec, byKey map[string]*poolSnapshot, spot []poolBid, spotUnits []int, od []odPoolCand, target float64) {
+// emitChosenPools records the chosen group: one bid span per member —
+// an on-demand member carries its fixed price as the bid — and the
+// closing chosen span with the group's planned cost (the figure its
+// candidate span carried, unless hardening or the descent moved it
+// since), its exact unit-quorum availability and the Eq. 10 margin over
+// the target.
+func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.ServiceSpec, spot []poolBid, od []odPoolCand, target float64) {
 	units := make([]int, 0, len(spot)+len(od))
 	fps := make([]float64, 0, len(spot)+len(od))
 	tot := 0
 	var cost market.Money
-	for i, pb := range spot {
-		fp := j.FP0
-		var cur market.Money
-		if st := byKey[pb.zone]; st != nil {
-			fp = st.fpOf(pb.bid)
-			cur = st.cur
-		}
-		units = append(units, spotUnits[i])
-		tot += spotUnits[i]
+	for _, pb := range spot {
+		fp := pb.pool.fpOf(pb.bid)
+		units = append(units, pb.pool.units)
+		tot += pb.pool.units
 		fps = append(fps, fp)
 		cost += pb.bid
-		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: pb.zone, BidMicroUSD: int64(pb.bid), CurMicroUSD: int64(cur), FP: fp})
+		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: pb.pool.zone, BidMicroUSD: int64(pb.bid), CurMicroUSD: int64(pb.pool.cur), FP: fp})
 	}
 	for _, oc := range od {
 		units = append(units, oc.units)

@@ -12,8 +12,9 @@ func TestRefineBidsLowersCostWithinTarget(t *testing.T) {
 	// its levels. The descent should lower some bids while the 2-of-3
 	// availability stays above target.
 	levels := []market.Money{100, 200, 300}
-	mkZone := func(fpAt map[market.Money]float64) *refineZone {
-		return &refineZone{
+	mkZone := func(zone string, fpAt map[market.Money]float64) *poolSnapshot {
+		return &poolSnapshot{
+			zone: zone,
 			fpOf: func(bid market.Money) float64 {
 				best := 1.0
 				for lv, fp := range fpAt {
@@ -25,22 +26,22 @@ func TestRefineBidsLowersCostWithinTarget(t *testing.T) {
 			},
 			levels: levels,
 			cur:    100,
+			units:  market.UnitsPerNode,
 		}
 	}
-	zones := map[string]*refineZone{
-		"a": mkZone(map[market.Money]float64{100: 0.20, 200: 0.02, 300: 0.001}),
-		"b": mkZone(map[market.Money]float64{100: 0.05, 200: 0.01, 300: 0.001}),
-		"c": mkZone(map[market.Money]float64{100: 0.02, 200: 0.01, 300: 0.001}),
+	out := []poolBid{
+		{pool: mkZone("a", map[market.Money]float64{100: 0.20, 200: 0.02, 300: 0.001}), bid: 300},
+		{pool: mkZone("b", map[market.Money]float64{100: 0.05, 200: 0.01, 300: 0.001}), bid: 300},
+		{pool: mkZone("c", map[market.Money]float64{100: 0.02, 200: 0.01, 300: 0.001}), bid: 300},
 	}
-	bids := []poolBid{{zone: "a", bid: 300}, {zone: "b", bid: 300}, {zone: "c", bid: 300}}
 	target := 0.999
-	out := refineBids(bids, 2, target, func(z string) *refineZone { return zones[z] })
+	refineBidsWeighted(out, 2*market.UnitsPerNode, target)
 
 	var totalBefore, totalAfter market.Money = 900, 0
 	fps := make([]float64, len(out))
 	for i, zb := range out {
 		totalAfter += zb.bid
-		fps[i] = zones[zb.zone].fpOf(zb.bid)
+		fps[i] = zb.pool.fpOf(zb.bid)
 		if zb.bid < 100 {
 			t.Fatalf("bid %v below current price", zb.bid)
 		}
@@ -55,7 +56,7 @@ func TestRefineBidsLowersCostWithinTarget(t *testing.T) {
 
 func TestRefineBidsRespectsTarget(t *testing.T) {
 	// With a target achievable only at the top level, nothing lowers.
-	z := &refineZone{
+	z := &poolSnapshot{
 		fpOf: func(bid market.Money) float64 {
 			if bid >= 300 {
 				return 0.001
@@ -64,9 +65,10 @@ func TestRefineBidsRespectsTarget(t *testing.T) {
 		},
 		levels: []market.Money{100, 200, 300},
 		cur:    100,
+		units:  market.UnitsPerNode,
 	}
-	bids := []poolBid{{zone: "a", bid: 300}, {zone: "b", bid: 300}, {zone: "c", bid: 300}}
-	out := refineBids(bids, 2, 0.9999, func(string) *refineZone { return z })
+	out := []poolBid{{pool: z, bid: 300}, {pool: z, bid: 300}, {pool: z, bid: 300}}
+	refineBidsWeighted(out, 2*market.UnitsPerNode, 0.9999)
 	for _, zb := range out {
 		if zb.bid != 300 {
 			t.Fatalf("bid lowered to %v despite tight target", zb.bid)

@@ -45,21 +45,26 @@ const (
 	// FP0), "short" (not enough adequate pools), or "feasible" (with
 	// the bid-sum cost upper bound).
 	SpanCandidate = "candidate"
-	// SpanDominance reports the pool planner's both-axes rule between
-	// the base-weight family (Cost/Cur fields) and the heterogeneous
+	// SpanDominance reports the planner's both-axes rule between the
+	// base-weight family (Cost/Cur fields) and the heterogeneous
 	// families (Alt fields); Outcome names the winner, "base" or "het".
+	// A Decide whose every candidate is one base node has one family
+	// and emits none.
 	SpanDominance = "dominance"
 	// SpanRefine reports the heterogeneous-bid descent: AltMicroUSD is
 	// the bid sum before, CostMicroUSD after.
 	SpanRefine = "refine"
 	// SpanBid reports one member of the chosen group: the placed bid,
 	// the pool's current price, and the bid's estimated per-interval
-	// failure probability. On-demand members carry Outcome "on-demand".
+	// failure probability. On-demand members carry Outcome "on-demand"
+	// and their fixed price as the bid.
 	SpanBid = "bid"
 	// SpanChosen closes a decision: Outcome "ok" with the group size,
-	// bid-sum cost, exact quorum availability, target, and Eq. 10
-	// margin — or "fallback" with Detail naming why the framework went
-	// all on-demand.
+	// planned cost (bids plus on-demand members' prices, the figure the
+	// winning candidate span carried unless hardening or refinement
+	// moved it), exact quorum availability, target, and Eq. 10 margin —
+	// or "fallback" with Detail naming why the framework went all
+	// on-demand.
 	SpanChosen = "chosen"
 	// SpanResize reports that a workload load target raised the
 	// decision's minimum group size above the spec's quorum floor:
@@ -89,8 +94,8 @@ type Span struct {
 	Pool     string `json:"pool,omitempty"`
 	Outcome  string `json:"outcome,omitempty"`
 	Detail   string `json:"detail,omitempty"`
-	// Nodes is the group size (base-node equivalents W on the pool
-	// path) of candidate and chosen spans.
+	// Nodes is the group size of candidate and chosen spans: base-node
+	// equivalents W on a candidate, members on a chosen span.
 	Nodes int `json:"nodes,omitempty"`
 	// FPTarget is the equalized per-node failure target of a candidate;
 	// FP the estimated failure probability of a placed bid.

@@ -291,6 +291,37 @@ func TestAvailabilityEqualMatchesThresholdDP(t *testing.T) {
 	}
 }
 
+// TestBaselineReadsOneUlpBelowItsOwnTarget records why a planner may not
+// gate the on-demand baseline on the DP. The availability target of a
+// service is the closed form at the baseline (AvailabilityEqual: BaseNodes
+// nodes at FP'); the same five nodes through either DP come out one ulp
+// lower, for both shipped specs. A group of exactly W base nodes, each no
+// worse than the W-node equalized target, therefore meets Equation 10 by
+// monotonicity and is not put to the DP (core/pools.go, evaluate) — put
+// to it, the baseline the target was computed from is rejected.
+func TestBaselineReadsOneUlpBelowItsOwnTarget(t *testing.T) {
+	const fp0 = 0.01 // market.OnDemandFailureProbability
+	for _, c := range []struct {
+		name       string
+		k          int // of 5
+		closed, dp uint64
+	}{
+		{"lock, majority of 5", 3, 0x3fefffeb577fd84d, 0x3fefffeb577fd84c},
+		{"theta(3,5) storage", 4, 0x3feff7f87a30bae1, 0x3feff7f87a30bae0},
+	} {
+		p := []float64{fp0, fp0, fp0, fp0, fp0}
+		if got := math.Float64bits(AvailabilityEqual(5, c.k, fp0)); got != c.closed {
+			t.Errorf("%s: closed form %#x, recorded %#x", c.name, got, c.closed)
+		}
+		if got := math.Float64bits(ThresholdAvailability(c.k, p)); got != c.dp {
+			t.Errorf("%s: DP %#x, recorded %#x", c.name, got, c.dp)
+		}
+		if got := math.Float64bits(WeightedThresholdAvailability(16*c.k, []int{16, 16, 16, 16, 16}, p)); got != c.dp {
+			t.Errorf("%s: weighted DP %#x, recorded %#x", c.name, got, c.dp)
+		}
+	}
+}
+
 // binom computes C(n, k) exactly for small arguments. It was once a
 // production helper; the closed forms all moved to running-term sums,
 // so it survives only as the oracle for their coefficient tests.

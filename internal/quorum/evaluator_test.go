@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// ones is the unit vector of an unweighted k-of-n system: the evaluator
+// is the weighted one, and these tests hold it, at unit weights, to the
+// node-count oracle ThresholdAvailability.
+func ones(n int) []int {
+	u := make([]int, n)
+	for i := range u {
+		u[i] = 1
+	}
+	return u
+}
+
 func randProbs(rng *rand.Rand, n int) []float64 {
 	p := make([]float64, n)
 	for i := range p {
@@ -30,7 +41,7 @@ func TestEvaluatorAvailabilityBitIdentical(t *testing.T) {
 		n := 1 + rng.Intn(24)
 		k := rng.Intn(n + 1)
 		p := randProbs(rng, n)
-		ev := NewThresholdEvaluator(k, p)
+		ev := NewWeightedThresholdEvaluator(k, ones(n), p)
 		if got, want := ev.Availability(), ThresholdAvailability(k, p); got != want {
 			t.Fatalf("trial %d (n=%d k=%d): Availability %v, oracle %v", trial, n, k, got, want)
 		}
@@ -47,7 +58,7 @@ func TestEvaluatorWithNode(t *testing.T) {
 		n := 1 + rng.Intn(20)
 		k := rng.Intn(n + 1)
 		p := randProbs(rng, n)
-		ev := NewThresholdEvaluator(k, p)
+		ev := NewWeightedThresholdEvaluator(k, ones(n), p)
 		for i := 0; i < n; i++ {
 			for _, pi := range []float64{0, 1, rng.Float64(), p[i]} {
 				sub := append([]float64(nil), p...)
@@ -71,7 +82,7 @@ func TestEvaluatorWithNodeUnchanged(t *testing.T) {
 		n := 1 + rng.Intn(16)
 		k := rng.Intn(n + 1)
 		p := randProbs(rng, n)
-		ev := NewThresholdEvaluator(k, p)
+		ev := NewWeightedThresholdEvaluator(k, ones(n), p)
 		base := ev.Availability()
 		for i := 0; i < n; i++ {
 			if got := ev.WithNode(i, p[i]); math.Abs(got-base) > 1e-12 {
@@ -85,7 +96,7 @@ func TestEvaluatorWithNodeUnchanged(t *testing.T) {
 // TestEvaluatorEdgeCases covers the degenerate thresholds directly.
 func TestEvaluatorEdgeCases(t *testing.T) {
 	// k = 0: always available, whatever the probe.
-	ev := NewThresholdEvaluator(0, []float64{0.3, 0.9})
+	ev := NewWeightedThresholdEvaluator(0, ones(2), []float64{0.3, 0.9})
 	if a := ev.Availability(); a != 1 {
 		t.Fatalf("k=0 availability %v", a)
 	}
@@ -94,7 +105,7 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 	}
 	// k = n with a certain failure: unavailable unless that node is probed
 	// back to certainty.
-	ev = NewThresholdEvaluator(2, []float64{0, 1})
+	ev = NewWeightedThresholdEvaluator(2, ones(2), []float64{0, 1})
 	if a := ev.Availability(); a != 0 {
 		t.Fatalf("certain-failure availability %v", a)
 	}
@@ -102,12 +113,50 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 		t.Fatalf("probe to p=0: %v", a)
 	}
 	// Single node.
-	ev = NewThresholdEvaluator(1, []float64{0.25})
+	ev = NewWeightedThresholdEvaluator(1, ones(1), []float64{0.25})
 	if a := ev.Availability(); a != 0.75 {
 		t.Fatalf("1-of-1 availability %v", a)
 	}
 	if a := ev.WithNode(0, 0.5); a != 0.5 {
 		t.Fatalf("1-of-1 probe %v", a)
+	}
+}
+
+// TestEvaluatorGCDNormalisationIsExact: the constructor sizes its tables
+// in units of the weights' gcd. Against the same tables built in the
+// units given — once per group, below — every answer is the same to the
+// bit: the benchmark's four type weights (gcd 2), a fleet of base-type
+// nodes (gcd 16, which is what a zone-only market's refinement descent
+// builds), and coprime weights the normalisation leaves alone.
+func TestEvaluatorGCDNormalisationIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, palette := range [][]int{{16, 24, 34, 68}, {16}, {3, 5, 7}} {
+		for trial := 0; trial < 100; trial++ {
+			n := 1 + rng.Intn(15)
+			units := make([]int, n)
+			total := 0
+			for i := range units {
+				units[i] = palette[rng.Intn(len(palette))]
+				total += units[i]
+			}
+			p := randProbs(rng, n)
+			thr := rng.Intn(total + 1)
+			got := NewWeightedThresholdEvaluator(thr, units, p)
+			want := newWeightedEvaluator(thr, units, p)
+			if palette[0] == 16 && len(got.sufTail) >= len(want.sufTail) {
+				t.Fatalf("units %v: %d table entries, un-normalised %d", units, len(got.sufTail), len(want.sufTail))
+			}
+			if g, w := math.Float64bits(got.Availability()), math.Float64bits(want.Availability()); g != w {
+				t.Fatalf("units %v t=%d: Availability %x, un-normalised %x", units, thr, g, w)
+			}
+			for i := 0; i < n; i++ {
+				for _, pi := range []float64{0, 1, rng.Float64(), p[i]} {
+					if g, w := math.Float64bits(got.WithNode(i, pi)), math.Float64bits(want.WithNode(i, pi)); g != w {
+						t.Fatalf("units %v t=%d p=%v: WithNode(%d, %v) %x, un-normalised %x", units, thr, p, i, pi, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -121,11 +170,11 @@ func BenchmarkEvaluatorProbe(b *testing.B) {
 		for i := range p {
 			p[i] = rng.Float64() * 0.1
 		}
-		k := n/2 + 1
+		k, units := n/2+1, ones(n)
 		b.Run("evaluator/n="+itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for it := 0; it < b.N; it++ {
-				ev := NewThresholdEvaluator(k, p)
+				ev := NewWeightedThresholdEvaluator(k, units, p)
 				for i := 0; i < n; i++ {
 					_ = ev.WithNode(i, p[i]*0.5)
 				}

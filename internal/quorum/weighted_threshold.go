@@ -13,9 +13,8 @@ import (
 // survivors carries over verbatim — the Poisson-binomial survivor-count
 // DP simply walks unit sums instead of node counts.
 //
-// The weighted recurrences below intentionally perform the exact
-// floating-point operation sequence of their unweighted counterparts
-// (ThresholdAvailability, ThresholdEvaluator) whenever every unit is 1,
+// The weighted DP below intentionally performs the exact floating-point
+// operation sequence of ThresholdAvailability whenever every unit is 1,
 // so an all-equal-weight fleet evaluates bit-identically; the property
 // tests pin this.
 
@@ -123,18 +122,31 @@ func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 	return d.Availability(t, units, p)
 }
 
-// WeightedThresholdEvaluator is ThresholdEvaluator over capacity
-// units: it answers "what is the availability of the unit-threshold-t
-// system if node i's failure probability were pi?" in O(total units)
-// per query. Build cost is O(n · total units).
+// WeightedThresholdEvaluator answers "what is the availability of the
+// unit-threshold-t system if node i's failure probability were pi?" in
+// O(total units) per query, against a fixed baseline probability
+// vector. The heterogeneous-bid descent in the bidding framework probes
+// every node's next-lower price level on every iteration; with the plain
+// DP each probe costs O(n · total units). The evaluator pays that once,
+// for prefix survivor distributions and suffix tail tables, after which
+// a leave-one-out probe combines the two halves around the probed node.
+//
+// For node i of u units with probability replaced by pi:
+//
+//	avail = (1-pi)·P(S₋ᵢ ≥ t-u) + pi·P(S₋ᵢ ≥ t)
+//
+// where S₋ᵢ is the live unit sum of all other nodes, and
+//
+//	P(S₋ᵢ ≥ b) = Σₐ prefix[i][a] · sufTail[i+1][b-a]
+//
+// sums over a, the live unit sum among nodes before i.
 type WeightedThresholdEvaluator struct {
 	t, n  int
 	units []int
-	// prefix rows: row i (length preU[i]+1, at offset preOff[i]) holds
+	// prefix rows: row i (from offset preOff[i] up to preOff[i+1]) holds
 	// P(exactly b units of nodes 0..i-1 alive).
 	prefix []float64
 	preOff []int
-	preU   []int
 	// sufTail rows: row i (stride totalUnits+2) holds P(at least b
 	// units of nodes i..n-1 alive) for b = 0..totalUnits+1.
 	sufTail []float64
@@ -146,40 +158,58 @@ type WeightedThresholdEvaluator struct {
 // unit-threshold-t system over failure probabilities p and capacity
 // units. Validation matches WeightedThresholdAvailability, with
 // t in [0, total units].
+//
+// The tables are sized in units of the weights' greatest common divisor
+// g, with the threshold rounded up to ⌈t/g⌉: a fleet of base-type nodes
+// (every unit market.UnitsPerNode) costs what a fleet of unit weights
+// costs. This is exact, not approximate. Live unit sums are multiples of
+// g, so every table entry off that lattice is +0, and each one the
+// un-normalised evaluator reads it either adds to a running sum or
+// multiplies by a finite factor and adds, which moves no bit; and a unit
+// sum reaches t exactly when it reaches the next multiple of g.
 func NewWeightedThresholdEvaluator(t int, units []int, p []float64) *WeightedThresholdEvaluator {
-	n := len(p)
-	totalU := weightedTotal(units, n)
+	totalU := weightedTotal(units, len(p))
 	if t < 0 || t > totalU {
 		panic(fmt.Sprintf("quorum: unit threshold %d outside [0, %d]", t, totalU))
 	}
 	checkProbabilities(p)
-	ev := &WeightedThresholdEvaluator{
-		t: t, n: n,
-		units:  append([]int(nil), units...),
-		preOff: make([]int, n+1),
-		preU:   make([]int, n+1),
-		stride: totalU + 2,
+	g := 0
+	for _, u := range units {
+		for u != 0 { // Euclid: g = gcd(g, units[i])
+			g, u = u, g%u
+		}
 	}
-	preSize := 1
+	g = max(g, 1) // no nodes at all
+	scaled := make([]int, len(units))
 	for i, u := range units {
-		ev.preOff[i+1] = ev.preOff[i] + ev.preU[i] + 1
-		ev.preU[i+1] = ev.preU[i] + u
-		preSize += ev.preU[i+1] + 1
+		scaled[i] = u / g
 	}
-	ev.prefix = make([]float64, preSize)
+	return newWeightedEvaluator((t+g-1)/g, scaled, p)
+}
+
+// newWeightedEvaluator builds the tables over validated inputs, in the
+// units given; it keeps units.
+func newWeightedEvaluator(t int, units []int, p []float64) *WeightedThresholdEvaluator {
+	n := len(p)
+	ev := &WeightedThresholdEvaluator{t: t, n: n, units: units, preOff: make([]int, n+1)}
+	totalU := 0
+	for i, u := range units {
+		ev.preOff[i+1] = ev.preOff[i] + totalU + 1
+		totalU += u
+	}
+	ev.stride = totalU + 2
+	ev.prefix = make([]float64, ev.preOff[n]+totalU+1)
 	ev.sufTail = make([]float64, (n+1)*ev.stride)
 	// Prefix survivor distributions, extending one node at a time with
 	// the fold (and therefore the rounding) of WeightedThresholdAvailability.
 	dist := make([]float64, totalU+1)
 	dist[0] = 1
 	ev.prefix[0] = 1
-	off := 1
 	cum := 0
 	for i, pi := range p {
 		cum += units[i]
 		foldNode(dist, 0, cum, units[i], pi)
-		copy(ev.prefix[off:off+cum+1], dist[:cum+1])
-		off += cum + 1
+		copy(ev.prefix[ev.preOff[i+1]:], dist[:cum+1])
 	}
 	// The full-vector availability from the completed distribution —
 	// bit-identical to WeightedThresholdAvailability by construction.
@@ -218,7 +248,7 @@ func (ev *WeightedThresholdEvaluator) tailWithout(i, t int) float64 {
 	if t <= 0 {
 		return 1
 	}
-	pre := ev.prefix[ev.preOff[i] : ev.preOff[i]+ev.preU[i]+1]
+	pre := ev.prefix[ev.preOff[i]:ev.preOff[i+1]]
 	suf := ev.sufTail[(i+1)*ev.stride : (i+2)*ev.stride]
 	s := 0.0
 	for a, pa := range pre {
