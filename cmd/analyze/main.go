@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	analyze [-trace file.csv] [-type m1.small] [-weeks N] [-seed N] [-zones a,b,c]
+//	analyze [-trace file] [-type m1.small] [-weeks N] [-seed N] [-zones a,b,c] [-lenient-traces]
 //	analyze diff a.jsonl b.jsonl
 //	analyze explain [-minute M | -decision N] [-strategy s] [-scenario c] [-seed N] spans.jsonl
 //	analyze attribute [-json] [-end M] attrib.json|events.jsonl
 //
-// Without -trace a synthetic trace set is generated.
+// Without -trace a synthetic trace set is generated. A -trace file may
+// be CSV (read against -type and -weeks, which CSV rows cannot declare)
+// or colbin (self-describing); the format is detected from its bytes.
 //
 // The diff subcommand compares two JSONL event traces written by
 // `replay -events-out` (or `experiments -events-out`): equal-seed runs
@@ -46,6 +48,7 @@ import (
 	"repro/internal/spotstats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/trace/colbin"
 )
 
 func main() {
@@ -75,7 +78,7 @@ func main() {
 		return
 	}
 
-	traceFile := flag.String("trace", "", "CSV trace file (default: synthetic)")
+	traceFile := flag.String("trace", "", "trace file, CSV or colbin (default: synthetic)")
 	itype := flag.String("type", "m1.small", "instance type")
 	weeks := flag.Int64("weeks", 13, "synthetic trace length in weeks")
 	seed := flag.Uint64("seed", 2014, "synthetic generator seed")
@@ -137,10 +140,8 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 			mode = trace.Lenient
 		}
 		var rep *trace.ReadReport
-		set, rep, err = trace.ReadCSVMode(f, it, 0, weeks*7*24*60, mode)
-		if rep != nil && rep.Quarantined > 0 {
-			fmt.Fprintf(os.Stderr, "analyze: quarantined %d malformed trace rows: %v\n", rep.Quarantined, rep.Reasons)
-		}
+		set, rep, err = colbin.ReadAny(f, it, nil, 0, weeks*7*24*60, mode)
+		fmt.Fprint(os.Stderr, rep.Summary("analyze", "trace"))
 	} else {
 		set, err = trace.Generate(trace.GenConfig{
 			Seed: seed, Type: it, Zones: zs,
@@ -157,7 +158,7 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 		if err != nil {
 			return err
 		}
-		fmt.Printf("== %s (%s) ==\n", zone, it)
+		fmt.Printf("== %s (%s) ==\n", zone, tr.Type)
 		fmt.Printf("  span: %d minutes, %d price changes (%.2f/hour)\n",
 			rep.Minutes, rep.Changes, rep.ChangesPerHour)
 		fmt.Printf("  price: mean %s, max %s, on-demand %s, above-OD fraction %.4f\n",

@@ -103,16 +103,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		set, report, err := colbin.ReadAny(f, experiments.LockSpec().Type, extraTypes,
+		set, _, err := colbin.ReadAny(f, experiments.LockSpec().Type, extraTypes,
 			0, (*train+*weeks)*experiments.Week, trace.Strict)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
-		}
-		if report != nil && report.Quarantined > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: quarantined %d malformed trace rows: %v\n",
-				report.Quarantined, report.Reasons)
 		}
 		env.TraceSet = set
 	}

@@ -365,6 +365,10 @@ func run(o options) error {
 		return fmt.Errorf("-series needs a single -interval")
 	}
 
+	mode := trace.Strict
+	if o.lenient {
+		mode = trace.Lenient
+	}
 	var set *trace.Set
 	var readReport *trace.ReadReport
 	if o.traceFile != "" {
@@ -373,14 +377,10 @@ func run(o options) error {
 			return ferr
 		}
 		defer f.Close()
-		mode := trace.Strict
-		if o.lenient {
-			mode = trace.Lenient
-		}
 		set, readReport, err = colbin.ReadAny(f, spec.Type, extraTypes, 0, (o.train+o.weeks)*experiments.Week, mode)
-		// Binary and JSON traces are self-describing; the CSV reader
-		// already filters on the base type, so this only rejects a
-		// mismatched binary/JSON file.
+		// A colbin trace is self-describing; the CSV reader already
+		// filters on the base type, so this only rejects a mismatched
+		// colbin file.
 		if err == nil && set.Type != spec.Type {
 			err = fmt.Errorf("trace file %s holds %s pools, service needs %s", o.traceFile, set.Type, spec.Type)
 		}
@@ -398,10 +398,6 @@ func run(o options) error {
 		f, werr := os.Open(o.workloadFile)
 		if werr != nil {
 			return werr
-		}
-		mode := trace.Strict
-		if o.lenient {
-			mode = trace.Lenient
 		}
 		wl, wlReport, err = workload.ReadCSVMode(f, o.train*experiments.Week, (o.train+o.weeks)*experiments.Week, mode)
 		f.Close()
@@ -431,16 +427,10 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	if readReport != nil && readReport.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "replay: quarantined %d malformed trace rows: %v\n",
-			readReport.Quarantined, readReport.Reasons)
-		telemetry.RecordQuarantinedRows(sink.reg, o.traceFile, readReport)
-	}
-	if wlReport != nil && wlReport.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "replay: quarantined %d malformed workload rows: %v\n",
-			wlReport.Quarantined, wlReport.Reasons)
-		telemetry.RecordQuarantinedRows(sink.reg, o.workloadFile, wlReport)
-	}
+	// Both are silent no-ops for a clean or absent report.
+	fmt.Fprint(os.Stderr, readReport.Summary("replay", "trace"), wlReport.Summary("replay", "workload"))
+	telemetry.RecordQuarantinedRows(sink.reg, o.traceFile, readReport)
+	telemetry.RecordQuarantinedRows(sink.reg, o.workloadFile, wlReport)
 
 	// Decision provenance: one recorder/ledger pair per sweep cell,
 	// indexed by interval so the outputs keep input order under -j.

@@ -1,20 +1,20 @@
 // Command tracegen generates calibrated synthetic spot-price traces
 // (the repository's substitute for the paper's 2014 AWS price history)
-// and writes them as CSV, JSON, or the columnar binary format.
+// and writes them as CSV or the columnar binary format.
 //
 // Usage:
 //
-//	tracegen [-type m1.small|m3.large] [-types a,b,c] [-weeks N] [-seed N] [-zones a,b,c] [-format csv|json|colbin] [-o file]
-//	tracegen convert -in file [-format csv|json|colbin] [-type t] [-types a,b,c] [-weeks N] [-lenient] [-o file]
+//	tracegen [-type m1.small|m3.large] [-types a,b,c] [-weeks N] [-seed N] [-zones a,b,c] [-format csv|colbin] [-o file]
+//	tracegen convert -in file [-format csv|colbin] [-type t] [-types a,b,c] [-weeks N] [-lenient] [-o file]
 //	tracegen workload [-weeks N] [-seed N] [-base-rps R] [-amplitude A]
 //	         [-crowds-per-week C] [-flash-factor F] [-flash-minutes M] [-o file]
 //
 // -types adds correlated sibling pools: each listed type gets its own
 // price column per zone, sharing the zone's demand shocks (level-walk
 // timing and spikes) with per-type level jitter, rendered on the
-// type's own price ladder. Rows for non-base types carry a fourth
-// (CSV) / "type" (JSON) column; zone-only output is byte-identical to
-// a run without -types.
+// type's own price ladder. Every CSV row names its type in the second
+// column; the base type's rows are byte-identical to a run without
+// -types.
 //
 // -format colbin writes the columnar binary trace format
 // (internal/trace/colbin): delta-encoded minute and price columns per
@@ -23,9 +23,9 @@
 // large sweeps.
 //
 // The "convert" subcommand rewrites an existing trace file between the
-// three formats, detecting the input format from its bytes. Binary and
-// JSON inputs are self-describing; a CSV input is read against -type,
-// -types, and -weeks (the span CSV rows cannot declare themselves).
+// two formats, detecting the input format from its bytes. A binary
+// input is self-describing; a CSV input is read against -type, -types,
+// and -weeks (the span CSV rows cannot declare themselves).
 //
 // The "workload" subcommand generates a synthetic request-rate trace
 // instead — a diurnal sinusoid overlaid with seeded flash crowds — in
@@ -66,7 +66,7 @@ func main() {
 	weeks := flag.Int64("weeks", 13, "trace length in weeks")
 	seed := flag.Uint64("seed", 2014, "generator seed")
 	zones := flag.String("zones", "", "comma-separated zones (default: the 17 experiment zones)")
-	format := flag.String("format", "csv", "output format: csv, json, or colbin (columnar binary)")
+	format := flag.String("format", "csv", "output format: csv or colbin (columnar binary)")
 	out := flag.String("o", "-", "output file ('-' = stdout)")
 	flag.Parse()
 
@@ -119,13 +119,11 @@ func run(itype, types string, weeks int64, seed uint64, zones, format, out strin
 	return closeOut()
 }
 
-// writeSet renders a trace set in one of the three supported formats.
+// writeSet renders a trace set in one of the two supported formats.
 func writeSet(w io.Writer, set *trace.Set, format string) error {
 	switch format {
 	case "csv":
 		return set.WriteCSV(w)
-	case "json":
-		return set.WriteJSON(w)
 	case "colbin":
 		return colbin.Write(w, set)
 	default:
@@ -134,12 +132,12 @@ func writeSet(w io.Writer, set *trace.Set, format string) error {
 }
 
 // runConvert is the "convert" subcommand: rewrite a trace file between
-// CSV, JSON, and the columnar binary format. The input format is
-// detected from the file's bytes.
+// CSV and the columnar binary format. The input format is detected from
+// the file's bytes.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("tracegen convert", flag.ExitOnError)
 	in := fs.String("in", "", "input trace file (required); format auto-detected")
-	format := fs.String("format", "colbin", "output format: csv, json, or colbin")
+	format := fs.String("format", "colbin", "output format: csv or colbin")
 	itype := fs.String("type", "m1.small", "base instance type of a CSV input (self-describing inputs carry their own)")
 	types := fs.String("types", "", "comma-separated extra instance types to admit from a CSV input")
 	weeks := fs.Int64("weeks", 13, "span of a CSV input in weeks (CSV rows cannot declare their own span)")
@@ -172,10 +170,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	if report != nil && report.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: convert: quarantined %d malformed rows: %v\n",
-			report.Quarantined, report.Reasons)
-	}
+	fmt.Fprint(os.Stderr, report.Summary("tracegen: convert", "input"))
 	w, closeOut, err := openOut(*out)
 	if err != nil {
 		return err

@@ -23,11 +23,3 @@ func BenchmarkOnDemandPriceLookup(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkParseMoney(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseMoney("$0.0071"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -68,11 +68,3 @@ func OnDemandCharge(hourly Money, start, end int64) Money {
 	}
 	return hourly * Money(hours)
 }
-
-// InstanceHours reports how many whole billing hours fit in [start, end).
-func InstanceHours(start, end int64) int64 {
-	if end <= start {
-		return 0
-	}
-	return (end - start) / MinutesPerHour
-}

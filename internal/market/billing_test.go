@@ -115,15 +115,6 @@ func TestOnDemandCharge(t *testing.T) {
 	}
 }
 
-func TestInstanceHours(t *testing.T) {
-	if h := InstanceHours(0, 150); h != 2 {
-		t.Fatalf("InstanceHours(0,150) = %d, want 2", h)
-	}
-	if h := InstanceHours(10, 5); h != 0 {
-		t.Fatalf("InstanceHours(10,5) = %d, want 0", h)
-	}
-}
-
 // Property: a provider-terminated run never costs more than a
 // user-terminated run of the same span, and spot charges are bounded by
 // price ceiling × started hours.
@@ -142,7 +133,7 @@ func TestSpotChargeProperties(t *testing.T) {
 		if user > price*Money(startedHours) {
 			return false
 		}
-		wholeHours := InstanceHours(start, end)
+		wholeHours := (end - start) / MinutesPerHour
 		return prov == price*Money(wholeHours)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -166,16 +166,6 @@ func OnDemandPrice(zone string, it InstanceType) (Money, error) {
 	return prices[ri], nil
 }
 
-// MaxBid returns the EC2 cap on a spot bid: four times the on-demand
-// price (§2.1).
-func MaxBid(zone string, it InstanceType) (Money, error) {
-	od, err := OnDemandPrice(zone, it)
-	if err != nil {
-		return 0, err
-	}
-	return od * 4, nil
-}
-
 // OnDemandFailureProbability is the per-time-unit failure probability of
 // an on-demand instance implied by the EC2 SLA (99% availability), used
 // as FP' throughout the paper.

@@ -128,14 +128,3 @@ func TestOnDemandPriceUnknowns(t *testing.T) {
 		t.Error("unknown type accepted")
 	}
 }
-
-func TestMaxBid(t *testing.T) {
-	od, _ := OnDemandPrice("us-east-1a", M1Small)
-	mb, err := MaxBid("us-east-1a", M1Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mb != od*4 {
-		t.Fatalf("MaxBid = %v, want 4x on-demand %v", mb, od)
-	}
-}

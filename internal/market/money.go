@@ -7,9 +7,7 @@
 package market
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -18,12 +16,8 @@ import (
 // most four decimal places, which micro-dollars represent exactly.
 type Money int64
 
-// Common money constants.
-const (
-	MicroDollar Money = 1
-	Cent        Money = 10_000
-	Dollar      Money = 1_000_000
-)
+// Dollar is one US dollar in Money's micro-dollar units.
+const Dollar Money = 1_000_000
 
 // FromDollars converts a float dollar amount to Money, rounding to the
 // nearest micro-dollar.
@@ -54,44 +48,6 @@ func (m Money) String() string {
 		return "-$" + s
 	}
 	return "$" + s
-}
-
-// ParseMoney parses strings like "$0.0071", "0.044", or "-$1.25".
-func ParseMoney(s string) (Money, error) {
-	t := strings.TrimSpace(s)
-	neg := false
-	if strings.HasPrefix(t, "-") {
-		neg = true
-		t = t[1:]
-	}
-	t = strings.TrimPrefix(t, "$")
-	if t == "" {
-		return 0, errors.New("market: empty money string")
-	}
-	parts := strings.SplitN(t, ".", 2)
-	whole, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("market: bad money %q: %v", s, err)
-	}
-	var frac int64
-	if len(parts) == 2 {
-		f := parts[1]
-		if len(f) > 6 {
-			f = f[:6]
-		}
-		for len(f) < 6 {
-			f += "0"
-		}
-		frac, err = strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("market: bad money %q: %v", s, err)
-		}
-	}
-	v := Money(whole)*Dollar + Money(frac)
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
 // MulFrac scales the amount by num/den with round-half-up, used for

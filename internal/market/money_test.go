@@ -2,6 +2,8 @@ package market
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,43 +46,14 @@ func TestMoneyString(t *testing.T) {
 	}
 }
 
-func TestParseMoney(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Money
-	}{
-		{"$0.0071", 7100},
-		{"0.044", 44000},
-		{" $1.25 ", 1_250_000},
-		{"-$0.5", -500_000},
-		{"3", 3 * Dollar},
-		{"0.1234567", 123456}, // truncates beyond micro-dollars
-	}
-	for _, c := range cases {
-		got, err := ParseMoney(c.in)
-		if err != nil {
-			t.Errorf("ParseMoney(%q) error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseMoney(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseMoneyErrors(t *testing.T) {
-	for _, s := range []string{"", "$", "abc", "1.2.3", "$x.y"} {
-		if _, err := ParseMoney(s); err == nil {
-			t.Errorf("ParseMoney(%q) succeeded, want error", s)
-		}
-	}
-}
-
 func TestMoneyRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		m := Money(v % 1_000_000_000_000)
-		parsed, err := ParseMoney(m.String())
-		return err == nil && parsed == m
+		// String prints every micro-dollar digit, and below 10¹² of them a
+		// float64 holds the printed dollars well inside FromDollars's
+		// rounding, so the pair is an exact inverse.
+		d, err := strconv.ParseFloat(strings.Replace(m.String(), "$", "", 1), 64)
+		return err == nil && FromDollars(d) == m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

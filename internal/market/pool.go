@@ -1,12 +1,9 @@
 package market
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -150,25 +147,6 @@ func PoolZone(key string) string {
 	return key
 }
 
-// IsTypedPoolKey reports whether the key names a non-base typed pool
-// (contains a '/'). Allocation-free.
-func IsTypedPoolKey(key string) bool {
-	return strings.IndexByte(key, '/') >= 0
-}
-
-// ValidatePool checks that a pool key names a cataloged zone and
-// instance type under the given base type.
-func ValidatePool(key string, base InstanceType) error {
-	zone, it := ParsePool(key, base)
-	if _, err := RegionOfZone(zone); err != nil {
-		return err
-	}
-	if _, err := Shape(it); err != nil {
-		return err
-	}
-	return nil
-}
-
 // PoolOnDemandPrice returns the hourly on-demand price of a pool: the
 // pool's own type in the pool's zone. Bare zone keys price the base
 // type, so the call is exactly OnDemandPrice for single-type
@@ -194,35 +172,6 @@ func PoolMaxBid(key string, base InstanceType) (Money, error) {
 func PoolCapacityUnits(key string, base InstanceType) (int, error) {
 	_, it := ParsePool(key, base)
 	return CapacityUnits(it, base)
-}
-
-// PoolsIn returns the pool keys of the given types in one zone, base
-// type first, remaining types in the order given (deduplicated).
-func PoolsIn(zone string, types []InstanceType, base InstanceType) []string {
-	keys := []string{PoolKey(zone, base, base)}
-	seen := map[InstanceType]bool{base: true}
-	for _, it := range types {
-		if seen[it] {
-			continue
-		}
-		seen[it] = true
-		keys = append(keys, PoolKey(zone, it, base))
-	}
-	return keys
-}
-
-// AllPools returns the pool keys of the given types across the given
-// zones (every catalog zone when zones is nil), sorted.
-func AllPools(zones []string, types []InstanceType, base InstanceType) []string {
-	if zones == nil {
-		zones = AllZones()
-	}
-	var keys []string
-	for _, z := range zones {
-		keys = append(keys, PoolsIn(z, types, base)...)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // ErrNoFeasiblePools reports that a minimum-shape constraint rejected
@@ -279,38 +228,6 @@ func ParseTypes(s string) ([]InstanceType, error) {
 		}
 		seen[it] = true
 		out = append(out, it)
-	}
-	return out, nil
-}
-
-// ParsePoolList reads a pool list, one pool key per line ('#' starts a
-// comment, blank lines are skipped), validating each key against the
-// catalog under the given base type and rejecting duplicates. Errors
-// name the offending line.
-func ParsePoolList(r io.Reader, base InstanceType) ([]string, error) {
-	var out []string
-	seen := map[string]bool{}
-	sc := bufio.NewScanner(r)
-	for line := 1; sc.Scan(); line++ {
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		key := strings.TrimSpace(text)
-		if key == "" {
-			continue
-		}
-		if err := ValidatePool(key, base); err != nil {
-			return nil, fmt.Errorf("market: pool list line %d: %w", line, err)
-		}
-		if seen[key] {
-			return nil, fmt.Errorf("market: pool list line %d: duplicate pool %q", line, key)
-		}
-		seen[key] = true
-		out = append(out, key)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("market: reading pool list: %w", err)
 	}
 	return out, nil
 }

@@ -30,9 +30,6 @@ func TestPoolKeyRoundTrip(t *testing.T) {
 		if got := PoolZone(key); got != c.zone {
 			t.Errorf("PoolZone(%q) = %q, want %q", key, got, c.zone)
 		}
-		if got := IsTypedPoolKey(key); got != (c.it != c.base) {
-			t.Errorf("IsTypedPoolKey(%q) = %v", key, got)
-		}
 	}
 }
 
@@ -102,29 +99,6 @@ func TestDerivedOnDemandPrices(t *testing.T) {
 	}
 }
 
-func TestPoolsInAndAllPools(t *testing.T) {
-	types := []InstanceType{C3Large, M1Small, C3Large} // base and dup must dedupe
-	in := PoolsIn("us-east-1a", types, M1Small)
-	want := []string{"us-east-1a", "us-east-1a/c3.large"}
-	if len(in) != len(want) {
-		t.Fatalf("PoolsIn = %v, want %v", in, want)
-	}
-	for i := range want {
-		if in[i] != want[i] {
-			t.Fatalf("PoolsIn = %v, want %v", in, want)
-		}
-	}
-	all := AllPools([]string{"us-east-1a", "us-east-1b"}, []InstanceType{C3Large}, M1Small)
-	if len(all) != 4 {
-		t.Fatalf("AllPools = %v, want 4 pools", all)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1] >= all[i] {
-			t.Fatalf("AllPools not sorted: %v", all)
-		}
-	}
-}
-
 func TestFilterPools(t *testing.T) {
 	keys := []string{"us-east-1a", "us-east-1a/c3.large", "us-east-1b/r3.large"}
 	// min 2 vCPU drops the m1.small base pool.
@@ -165,36 +139,5 @@ func TestParseTypes(t *testing.T) {
 	}
 	if _, err := ParseTypes("c3.large,c3.large"); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate type error = %v", err)
-	}
-}
-
-func TestParsePoolList(t *testing.T) {
-	in := "# comment\nus-east-1a\nus-east-1a/c3.large  # inline\n\nus-west-2b/r3.large\n"
-	got, err := ParsePoolList(strings.NewReader(in), M1Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"us-east-1a", "us-east-1a/c3.large", "us-west-2b/r3.large"}
-	if len(got) != len(want) {
-		t.Fatalf("ParsePoolList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ParsePoolList = %v, want %v", got, want)
-		}
-	}
-	// Duplicates are rejected with the line number.
-	_, err = ParsePoolList(strings.NewReader("us-east-1a\n\nus-east-1a\n"), M1Small)
-	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate pool error = %v, want line 3 named", err)
-	}
-	// Unknown types are rejected with the line number.
-	_, err = ParsePoolList(strings.NewReader("us-east-1a\nus-east-1a/z9.huge\n"), M1Small)
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("unknown type error = %v, want line 2 named", err)
-	}
-	// Unknown zones are rejected too.
-	if _, err := ParsePoolList(strings.NewReader("xx-north-9z\n"), M1Small); err == nil {
-		t.Fatal("unknown zone accepted")
 	}
 }

@@ -203,9 +203,6 @@ func (n *Node) IsLeader() bool { return n.isLeader && !n.stopped }
 // Frontier returns the apply frontier: all slots below it are applied.
 func (n *Node) Frontier() uint64 { return n.frontier }
 
-// LeaderHint returns the node currently believed to lead.
-func (n *Node) LeaderHint() simnet.NodeID { return n.leaderHint }
-
 // --- timers ---
 
 func (n *Node) scheduleTick() {

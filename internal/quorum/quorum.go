@@ -123,9 +123,6 @@ func NewWeighted(weights []float64) Weighted {
 // N implements System.
 func (w Weighted) N() int { return len(w.weights) }
 
-// Weights returns a copy of the vote weights.
-func (w Weighted) Weights() []float64 { return append([]float64(nil), w.weights...) }
-
 // Accepts implements System.
 func (w Weighted) Accepts(alive uint64) bool {
 	// Compare the live and dead sides directly (each summed in index

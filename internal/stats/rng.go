@@ -121,36 +121,6 @@ func (r *RNG) LogNormFloat64(mu, sigma float64) float64 {
 	return math.Exp(r.NormFloat64(mu, sigma))
 }
 
-// Pareto returns a Pareto-distributed value with scale xm > 0 and shape
-// alpha > 0. Heavy-tailed; used for occasional price spikes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("stats: Pareto requires xm > 0 and alpha > 0")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials, i.e. a value in {0, 1, 2, ...}. Panics unless
-// 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -127,44 +127,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestParetoLowerBound(t *testing.T) {
-	r := NewRNG(13)
-	for i := 0; i < 10000; i++ {
-		x := r.Pareto(1.5, 2.0)
-		if x < 1.5 {
-			t.Fatalf("Pareto sample %v below scale 1.5", x)
-		}
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(17)
-	const p = 0.25
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
-		if g < 0 {
-			t.Fatalf("geometric sample negative: %d", g)
-		}
-		sum += float64(g)
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of failures-before-success
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricPOne(t *testing.T) {
-	r := NewRNG(19)
-	for i := 0; i < 100; i++ {
-		if g := r.Geometric(1); g != 0 {
-			t.Fatalf("Geometric(1) = %d, want 0", g)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(23)
 	f := func(nRaw uint8) bool {

@@ -91,50 +91,3 @@ func Percentile(sorted []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-width binning of float64 observations.
-type Histogram struct {
-	Lo, Hi float64 // inclusive range covered by the bins
-	Counts []int64 // len(Counts) bins of equal width
-	Under  int64   // observations below Lo
-	Over   int64   // observations above Hi
-	total  int64
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over
-// [lo, hi]. It panics if nbins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: NewHistogram requires nbins > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, nbins)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x > h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // x == Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}

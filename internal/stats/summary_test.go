@@ -96,40 +96,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Observe(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under=%d over=%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total=%d, want 8", h.Total())
-	}
-	var inRange int64
-	for _, c := range h.Counts {
-		inRange += c
-	}
-	if inRange != 6 {
-		t.Fatalf("in-range count=%d, want 6", inRange)
-	}
-	// x == Hi lands in the last bin.
-	if h.Counts[4] < 2 {
-		t.Fatalf("last bin=%d, want >=2 (9.99 and 10)", h.Counts[4])
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", c)
-	}
-	if c := h.BinCenter(4); c != 9 {
-		t.Fatalf("BinCenter(4) = %v, want 9", c)
-	}
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	weights := []float64{1, 2, 3, 4}
 	c := NewCategorical(weights)

@@ -129,23 +129,10 @@ func (r *Registry) BuildSpecs(specs []string) ([]Builder, error) {
 	return out, nil
 }
 
-// BuildList parses a comma-separated spec list ("jupiter, extra(2,0.2),
-// baseline") — commas inside parentheses bind to their spec — rejecting
-// unknown names, bad arguments, and duplicate specs, with entry-numbered
-// errors in the style of market.ParseTypes. Empty input and blank
-// elements yield an empty list.
-func (r *Registry) BuildList(s string) ([]Builder, error) {
-	specs, err := SplitSpecList(s)
-	if err != nil {
-		return nil, err
-	}
-	return r.BuildSpecs(specs)
-}
-
 // ParseStrategyList reads a strategy roster, one spec per line ('#'
 // starts a comment, blank lines are skipped), resolving each spec
 // against the registry and rejecting duplicates. Errors name the
-// offending line, in the style of market.ParsePoolList.
+// offending line.
 func (r *Registry) ParseStrategyList(rd io.Reader) ([]Builder, []string, error) {
 	var builders []Builder
 	var specs []string
@@ -298,14 +285,3 @@ var Default = NewRegistry()
 
 // Register adds a family to the Default registry, panicking on error.
 func Register(reg Registration) { Default.MustRegister(reg) }
-
-// MustBuild resolves a spec against the Default registry, panicking on
-// error — for canonical rosters fixed at compile time, where a failure
-// is a programming error.
-func MustBuild(spec string) Builder {
-	b, err := Default.Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}

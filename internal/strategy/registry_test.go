@@ -169,16 +169,26 @@ feedback(0.05)
 	}
 }
 
+// TestBuildList builds a comma-separated roster the way the tournament
+// command does: SplitSpecList, then BuildSpecs, whose errors number the
+// entry.
 func TestBuildList(t *testing.T) {
 	r := testRegistry(t)
-	builders, err := r.BuildList("baseline, extra(2, 0.2)")
+	build := func(list string) ([]Builder, error) {
+		specs, err := SplitSpecList(list)
+		if err != nil {
+			return nil, err
+		}
+		return r.BuildSpecs(specs)
+	}
+	builders, err := build("baseline, extra(2, 0.2)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(builders) != 2 {
-		t.Fatalf("BuildList built %d, want 2", len(builders))
+		t.Fatalf("built %d, want 2", len(builders))
 	}
-	if _, err := r.BuildList("baseline, nosuch"); err == nil || !strings.Contains(err.Error(), "entry 2") {
+	if _, err := build("baseline, nosuch"); err == nil || !strings.Contains(err.Error(), "entry 2") {
 		t.Errorf("want entry-numbered error, got %v", err)
 	}
 }

@@ -127,7 +127,6 @@ type TraceWriter struct {
 	w      *bufio.Writer
 	closer io.Closer
 	err    error
-	events int64
 }
 
 // NewTraceWriter writes the header and returns a streaming writer. The
@@ -171,9 +170,7 @@ func (tw *TraceWriter) write(e engine.Event) {
 	line = append(line, '\n')
 	if _, err := tw.w.Write(line); err != nil {
 		tw.err = err
-		return
 	}
-	tw.events++
 }
 
 // OnInstance records lifecycle events. Out-of-bid reclaims arrive here
@@ -195,13 +192,6 @@ func (tw *TraceWriter) OnModel(e engine.Event) { tw.write(e) }
 
 // OnFault records chaos fault injections and clearances.
 func (tw *TraceWriter) OnFault(e engine.Event) { tw.write(e) }
-
-// Events returns the number of events written so far.
-func (tw *TraceWriter) Events() int64 {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	return tw.events
-}
 
 // Close flushes the stream (closing the underlying writer if it is a
 // Closer) and returns the first error encountered.

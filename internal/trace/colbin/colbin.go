@@ -1,6 +1,7 @@
-// Package colbin is the columnar binary trace format: a compact,
-// mmap-friendly serialization of trace.Set for fleet-scale replay,
-// where CSV/JSON decode time dominates the run.
+// Package colbin is the columnar binary trace format: a compact
+// serialization of trace.Set for replays of large markets, where CSV
+// parse time would dominate the run. It is also the door every command
+// reads a trace file through (ReadAny).
 //
 // Layout (all integers varint-encoded, little-endian base-128):
 //
@@ -23,12 +24,12 @@
 //	            price column:  zigzag(price[0] micro-USD),
 //	                           then N-1 × zigzag(price[i] - price[i-1])
 //
-// The directory gives O(1) pool lookup without touching column bytes;
-// prices are exact (micro-USD integers, no float round-trip); minute
+// Prices are exact (micro-USD integers, no float round-trip); minute
 // and price deltas are small in real traces, so the format is typically
 // 4-6× smaller than the CSV and decodes an order of magnitude faster.
-// Readers hand out PoolView windows over the decoded columns without
-// materializing []trace.PricePoint per query (see reader.go).
+// Decode (reader.go) walks each group's two columns in step, straight
+// into the []trace.PricePoint of the trace.Set it returns; nothing is
+// mapped and no columnar copy is kept.
 package colbin
 
 import (
@@ -36,7 +37,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/market"
 	"repro/internal/trace"
@@ -123,12 +123,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// ReadAny reads a trace set in any supported format, sniffing colbin by
-// its magic bytes and JSON by its leading '{'; anything else parses as
-// CSV (pool-aware when types is non-empty). The base type, types, and
-// span parameters apply only to CSV, which is not self-describing;
-// colbin and JSON carry their own — callers that require a particular
-// type or span must check the returned set.
+// ReadAny reads a trace set in either supported format: colbin, sniffed
+// by its magic bytes, and otherwise CSV. The base type, types, and span
+// parameters apply only to CSV, which is not self-describing; colbin
+// carries its own — callers that require a particular type or span must
+// check the returned set.
 func ReadAny(r io.Reader, base market.InstanceType, types []market.InstanceType, start, end int64, mode trace.ReadMode) (*trace.Set, *trace.ReadReport, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -141,16 +140,5 @@ func ReadAny(r io.Reader, base market.InstanceType, types []market.InstanceType,
 		}
 		return f.Set(), rep, nil
 	}
-	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
-		return trace.ReadJSONMode(bytes.NewReader(data), mode)
-	}
-	if len(types) > 0 {
-		return trace.ReadCSVPoolsMode(bytes.NewReader(data), base, types, start, end, mode)
-	}
-	return trace.ReadCSVMode(bytes.NewReader(data), base, start, end, mode)
-}
-
-// sortPools orders decoded pools by key, matching Set.Zones order.
-func sortPools(pools []PoolView) {
-	sort.Slice(pools, func(i, j int) bool { return pools[i].Key < pools[j].Key })
+	return trace.ReadCSVPoolsMode(bytes.NewReader(data), base, types, start, end, mode)
 }

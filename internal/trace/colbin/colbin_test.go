@@ -3,6 +3,8 @@ package colbin
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,77 +73,64 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPoolViewMatchesTrace drives PriceAt and AppendPoints on the
-// zero-copy views against the materialized traces.
-func TestPoolViewMatchesTrace(t *testing.T) {
-	set := genSet(t)
-	f, _, err := Decode(Encode(set), trace.Strict)
+// TestReadAnyDetectsFormats is the cross-format differential: a
+// zone-only and a typed generated set, as CSV bytes and as colbin bytes,
+// through ReadAny in both modes, must all come back as the original —
+// same fingerprint, same points, nothing quarantined — and CSV → colbin
+// → CSV must reproduce the CSV byte for byte.
+func TestReadAnyDetectsFormats(t *testing.T) {
+	zoneOnly, err := trace.Generate(trace.GenConfig{
+		Seed: 2014, Type: market.M1Small, Zones: []string{"us-east-1a", "eu-west-1a"}, Start: 0, End: 14 * 24 * 60,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Zones()) != len(set.Zones()) {
-		t.Fatalf("zones: got %d, want %d", len(f.Zones()), len(set.Zones()))
-	}
-	var buf, want []trace.PricePoint
-	for _, key := range set.Zones() {
-		v := f.Pool(key)
-		if v == nil {
-			t.Fatalf("pool %s missing from file", key)
+	for name, tc := range map[string]struct {
+		set   *trace.Set
+		types []market.InstanceType
+	}{
+		"zone-only": {zoneOnly, nil},
+		"typed":     {genSet(t), []market.InstanceType{market.C3Large, market.R3Large}},
+	} {
+		set := tc.set
+		var csvBuf bytes.Buffer
+		if err := set.WriteCSV(&csvBuf); err != nil {
+			t.Fatal(err)
 		}
-		tr := set.ByZone[key]
-		if v.Len() != len(tr.Points) {
-			t.Fatalf("pool %s: %d points, want %d", key, v.Len(), len(tr.Points))
-		}
-		for m := tr.Start; m < tr.End; m += 97 {
-			if v.PriceAt(m) != tr.PriceAt(m) {
-				t.Fatalf("pool %s: PriceAt(%d) differs", key, m)
+		for format, data := range map[string][]byte{"colbin": Encode(set), "csv": csvBuf.Bytes()} {
+			for _, mode := range []trace.ReadMode{trace.Strict, trace.Lenient} {
+				got, rep, err := ReadAny(bytes.NewReader(data), set.Type, tc.types, set.Start, set.End, mode)
+				if err != nil {
+					t.Fatalf("%s %s mode %d: %v", name, format, mode, err)
+				}
+				if rep.Quarantined != 0 {
+					t.Fatalf("%s %s mode %d: quarantined %d", name, format, mode, rep.Quarantined)
+				}
+				if got.Fingerprint() != set.Fingerprint() {
+					t.Fatalf("%s %s mode %d: fingerprint mismatch", name, format, mode)
+				}
+				for key, want := range set.ByZone {
+					tr := got.ByZone[key]
+					if tr == nil || tr.Zone != want.Zone || tr.Type != want.Type || !slices.Equal(tr.Points, want.Points) {
+						t.Fatalf("%s %s mode %d: pool %s differs", name, format, mode, key)
+					}
+				}
 			}
 		}
-		lo, hi := tr.Start+1000, tr.End-1000
-		buf = v.AppendPoints(buf[:0], lo, hi)
-		want = tr.AppendPoints(want[:0], lo, hi)
-		if len(buf) != len(want) {
-			t.Fatalf("pool %s: window sizes differ: %d vs %d", key, len(buf), len(want))
-		}
-		for i := range buf {
-			if buf[i] != want[i] {
-				t.Fatalf("pool %s: window point %d differs", key, i)
-			}
-		}
-	}
-	if f.Pool("no-such-pool") != nil {
-		t.Fatal("lookup of absent pool returned a view")
-	}
-}
-
-// TestReadAnyDetectsFormats feeds the same set as colbin, JSON, and CSV
-// bytes through ReadAny and checks all three decode to the same set.
-func TestReadAnyDetectsFormats(t *testing.T) {
-	set := genSet(t)
-	types := []market.InstanceType{market.C3Large, market.R3Large}
-
-	var csvBuf, jsonBuf bytes.Buffer
-	if err := set.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	inputs := map[string][]byte{
-		"colbin": Encode(set),
-		"json":   jsonBuf.Bytes(),
-		"csv":    csvBuf.Bytes(),
-	}
-	for name, data := range inputs {
-		got, rep, err := ReadAny(bytes.NewReader(data), set.Type, types, set.Start, set.End, trace.Strict)
+		fromCSV, _, err := ReadAny(bytes.NewReader(csvBuf.Bytes()), set.Type, tc.types, set.Start, set.End, trace.Strict)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if rep.Quarantined != 0 {
-			t.Fatalf("%s: quarantined %d", name, rep.Quarantined)
+		viaColbin, _, err := ReadAny(bytes.NewReader(Encode(fromCSV)), "", nil, 0, 0, trace.Strict)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Fingerprint() != set.Fingerprint() {
-			t.Fatalf("%s: fingerprint mismatch", name)
+		var back bytes.Buffer
+		if err := viaColbin.WriteCSV(&back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Bytes(), csvBuf.Bytes()) {
+			t.Fatalf("%s: CSV → colbin → CSV is not byte-identical", name)
 		}
 	}
 }
@@ -152,6 +141,7 @@ type handPool struct {
 	zone, typ string
 	minutes   []int64
 	prices    []int64
+	declare   uint64 // directory point count when it should lie; 0 = len(minutes)
 }
 
 func handBuild(base string, start, end int64, pools []handPool) []byte {
@@ -184,7 +174,11 @@ func handBuild(base string, start, end int64, pools []handPool) []byte {
 	for i, p := range pools {
 		out = appendString(out, p.zone)
 		out = appendString(out, p.typ)
-		out = binary.AppendUvarint(out, uint64(len(p.minutes)))
+		n := uint64(len(p.minutes))
+		if p.declare != 0 {
+			n = p.declare
+		}
+		out = binary.AppendUvarint(out, n)
 		out = binary.AppendUvarint(out, uint64(off))
 		out = binary.AppendUvarint(out, uint64(len(groups[i])))
 		off += len(groups[i])
@@ -283,35 +277,92 @@ func TestDecodeMalformed(t *testing.T) {
 			}),
 			wantErr: "want start", hardErr: true, // lenient drops the only pool → no usable zones
 		},
+		// The four rows below are PR 19's regressions. The first panicked
+		// Decode (2⁶³ declared points doubled to 0, passed the size guard,
+		// and make() took the 2⁶³); the second decoded "cleanly" to minutes
+		// 0, 30, 20 — an unsigned delta of 2⁶⁴−10 is −10 once it is an
+		// int64 — and panicked File.Set(), that is ReadAny.
+		"declared points wrap the size guard": {
+			data: handBuild("m1.small", 0, 100, []handPool{{
+				zone: "us-east-1a", minutes: []int64{0}, prices: []int64{1000}, declare: 1 << 63,
+			}}),
+			wantErr: "declared points exceed input size", hardErr: true,
+		},
+		"minute delta of 2^64-10": {
+			data: handBuild("m1.small", 0, 100, []handPool{{
+				zone: "us-east-1a", minutes: []int64{0, 30, 20}, prices: []int64{1000, 2000, 3000},
+			}}),
+			wantErr: "pool us-east-1a point 2: minute delta leaves int64", quarantine: trace.ReasonOutOfOrder,
+		},
+		"running minute leaves int64": {
+			data: handBuild("m1.small", 0, 100, []handPool{
+				{zone: "us-east-1a", minutes: []int64{0}, prices: []int64{1000}},
+				{zone: "us-east-1b", minutes: []int64{0, math.MaxInt64, math.MinInt64 + 4}, prices: []int64{1000, 2000, 3000}},
+			}),
+			wantErr: "pool us-east-1b point 2: minute delta leaves int64", quarantine: trace.ReasonOutOfOrder,
+		},
+		"running price leaves int64": {
+			data: handBuild("m1.small", 0, 100, []handPool{{
+				zone: "us-east-1a", minutes: []int64{0, 30, 60}, prices: []int64{1000, math.MaxInt64, math.MinInt64},
+			}}),
+			wantErr: "pool us-east-1a point 2: price delta leaves int64", quarantine: trace.ReasonBadPrice,
+		},
 		"valid": {data: valid()},
+	}
+	// Every row goes through both doors: Decode, and ReadAny as the
+	// commands call it.
+	doors := map[string]func([]byte, trace.ReadMode) (*trace.Set, *trace.ReadReport, error){
+		"Decode": func(data []byte, mode trace.ReadMode) (*trace.Set, *trace.ReadReport, error) {
+			f, rep, err := Decode(data, mode)
+			if err != nil {
+				return nil, nil, err
+			}
+			return f.Set(), rep, nil
+		},
+		"ReadAny": func(data []byte, mode trace.ReadMode) (*trace.Set, *trace.ReadReport, error) {
+			return ReadAny(bytes.NewReader(data), market.M1Small, nil, 0, 100, mode)
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := Decode(tc.data, trace.Strict)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("strict: unexpected error %v", err)
-				}
-			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("strict: error %v, want substring %q", err, tc.wantErr)
-			}
-			f, rep, err := Decode(tc.data, trace.Lenient)
-			switch {
-			case tc.hardErr:
-				if err == nil {
-					t.Fatalf("lenient: expected error, got pools %v", f.Zones())
-				}
-			case tc.quarantine != "":
-				if err != nil {
-					t.Fatalf("lenient: %v", err)
-				}
-				if rep.Reasons[tc.quarantine] == 0 {
-					t.Fatalf("lenient: reasons %v, want %s counted", rep.Reasons, tc.quarantine)
-				}
-			default:
-				if err != nil || rep.Quarantined != 0 {
-					t.Fatalf("lenient: err %v, quarantined %d", err, rep.Quarantined)
-				}
+			for door, read := range doors {
+				t.Run(door, func(t *testing.T) {
+					wantErr := tc.wantErr
+					if !IsColbin(tc.data) && door == "ReadAny" {
+						wantErr = "trace: " // not colbin to the sniffer, so the CSV reader's to reject
+					}
+					_, _, err := read(tc.data, trace.Strict)
+					if tc.wantErr == "" {
+						if err != nil {
+							t.Fatalf("strict: unexpected error %v", err)
+						}
+					} else if err == nil || !strings.Contains(err.Error(), wantErr) {
+						t.Fatalf("strict: error %v, want substring %q", err, wantErr)
+					}
+					set, rep, err := read(tc.data, trace.Lenient)
+					switch {
+					case tc.hardErr:
+						if err == nil {
+							t.Fatalf("lenient: expected error, got pools %v", set.Zones())
+						}
+					case tc.quarantine != "":
+						if err != nil {
+							t.Fatalf("lenient: %v", err)
+						}
+						if rep.Reasons[tc.quarantine] == 0 {
+							t.Fatalf("lenient: reasons %v, want %s counted", rep.Reasons, tc.quarantine)
+						}
+						for key, tr := range set.ByZone {
+							if err := tr.Validate(); err != nil {
+								t.Fatalf("lenient: kept pool %s invalid: %v", key, err)
+							}
+						}
+					default:
+						if err != nil || rep.Quarantined != 0 {
+							t.Fatalf("lenient: err %v, quarantined %d", err, rep.Quarantined)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -330,17 +381,10 @@ func TestLenientKeepsGoodPoints(t *testing.T) {
 	if rep.Reasons[trace.ReasonNonPositivePrice] != 1 {
 		t.Fatalf("reasons %v", rep.Reasons)
 	}
-	v := f.Pool("us-east-1a")
-	if v.Len() != 3 {
-		t.Fatalf("kept %d points, want 3", v.Len())
-	}
-	wantMinutes := []int64{0, 40, 60}
-	wantPrices := []market.Money{1000, 3000, 4000}
-	for i := 0; i < v.Len(); i++ {
-		p := v.Point(i)
-		if p.Minute != wantMinutes[i] || p.Price != wantPrices[i] {
-			t.Fatalf("point %d = %+v", i, p)
-		}
+	got := f.Set().ByZone["us-east-1a"].Points
+	want := []trace.PricePoint{{Minute: 0, Price: 1000}, {Minute: 40, Price: 3000}, {Minute: 60, Price: 4000}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("kept %+v, want %+v", got, want)
 	}
 }
 
@@ -355,5 +399,30 @@ func TestEmptySpanRoundTrip(t *testing.T) {
 	}
 	if got := f.Set().Fingerprint(); got != set.Fingerprint() {
 		t.Fatal("empty-span fingerprint mismatch")
+	}
+}
+
+// BenchmarkDecode is the in-tree measure of the decoder: the benchmark's
+// 68-pool market (17 zones × 4 types) over the paper's 24 weeks.
+func BenchmarkDecode(b *testing.B) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 2014, Type: market.M1Small, Zones: market.ExperimentZones(), Start: 0, End: 24 * 7 * 24 * 60,
+		Types: []market.InstanceType{market.M1Medium, market.C3Large, market.R3Large},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := Encode(set)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _, err := Decode(data, trace.Strict)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(f.Set().ByZone) != 68 {
+			b.Fatalf("decoded %d pools, want 68", len(f.Set().ByZone))
+		}
 	}
 }

@@ -34,6 +34,14 @@ func FuzzReadColbin(f *testing.F) {
 		{zone: "us-east-1a", typ: "z9.mega", minutes: []int64{5}, prices: []int64{-1}},
 	}))
 	f.Add([]byte("XXXXnot a colbin stream"))
+	// PR 19's two panics: a point count that wraps the size guard, and an
+	// unsigned minute delta that is negative as an int64.
+	f.Add(handBuild("m1.small", 0, 100, []handPool{{
+		zone: "us-east-1a", minutes: []int64{0}, prices: []int64{1000}, declare: 1 << 63,
+	}}))
+	f.Add(handBuild("m1.small", 0, 100, []handPool{{
+		zone: "us-east-1a", minutes: []int64{0, 30, 20}, prices: []int64{1000, 2000, 3000},
+	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strictFile, strictRep, strictErr := Decode(data, trace.Strict)

@@ -3,135 +3,22 @@ package colbin
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/market"
 	"repro/internal/trace"
 )
 
-// Decode size caps: a directory that declares more bytes of content
-// than the input holds is corrupt, so these bound allocation before any
-// column bytes are trusted (every encoded point costs at least two
-// bytes, one per column).
-const (
-	maxNameLen = 256
-)
+// maxNameLen bounds a zone or type name before its bytes are read.
+const maxNameLen = 256
 
-// PoolView is one pool's decoded columns: parallel minute and price
-// slices over the file's arena, queried without materializing
-// []trace.PricePoint. Views share backing storage with the File; treat
-// them as read-only.
-type PoolView struct {
-	Key   string
-	Zone  string
-	Type  market.InstanceType
-	Start int64 // inclusive, the file span
-	End   int64 // exclusive
+// File is a decoded colbin stream: a holder for the trace.Set that
+// Decode built.
+type File struct{ set *trace.Set }
 
-	minutes []int64
-	prices  []market.Money
-}
-
-// Len returns the number of price points.
-func (v *PoolView) Len() int { return len(v.minutes) }
-
-// Point returns the i-th price point.
-func (v *PoolView) Point(i int) trace.PricePoint {
-	return trace.PricePoint{Minute: v.minutes[i], Price: v.prices[i]}
-}
-
-// indexAt returns the index of the last point at or before minute,
-// panicking outside [Start, End) like trace.Trace.PriceAt.
-func (v *PoolView) indexAt(minute int64) int {
-	if minute < v.Start || minute >= v.End {
-		panic(fmt.Sprintf("colbin: minute %d outside [%d, %d)", minute, v.Start, v.End))
-	}
-	return sort.Search(len(v.minutes), func(i int) bool {
-		return v.minutes[i] > minute
-	}) - 1
-}
-
-// PriceAt returns the price in effect at minute, straight off the
-// column. Panics outside [Start, End).
-func (v *PoolView) PriceAt(minute int64) market.Money {
-	return v.prices[v.indexAt(minute)]
-}
-
-// AppendPoints appends the window [lo, hi) to dst, the first point
-// forced to (lo, covering price) — the same contract as
-// trace.Trace.AppendPoints, without an intermediate Trace.
-func (v *PoolView) AppendPoints(dst []trace.PricePoint, lo, hi int64) []trace.PricePoint {
-	if lo < v.Start || hi > v.End || lo > hi {
-		panic(fmt.Sprintf("colbin: window [%d, %d) outside [%d, %d)", lo, hi, v.Start, v.End))
-	}
-	if lo == hi {
-		return dst
-	}
-	i := v.indexAt(lo)
-	dst = append(dst, trace.PricePoint{Minute: lo, Price: v.prices[i]})
-	for j := i + 1; j < len(v.minutes) && v.minutes[j] < hi; j++ {
-		dst = append(dst, trace.PricePoint{Minute: v.minutes[j], Price: v.prices[j]})
-	}
-	return dst
-}
-
-// File is a decoded colbin stream: the pool directory plus every
-// pool's columns, decoded into two shared arenas.
-type File struct {
-	Base  market.InstanceType
-	Start int64
-	End   int64
-
-	pools []PoolView
-	byKey map[string]int
-}
-
-// Zones returns the pool keys present, sorted — the same keys and
-// order trace.Set.Zones would report.
-func (f *File) Zones() []string {
-	zs := make([]string, len(f.pools))
-	for i := range f.pools {
-		zs[i] = f.pools[i].Key
-	}
-	return zs
-}
-
-// Pool returns the view for a pool key, or nil when absent. O(1).
-func (f *File) Pool(key string) *PoolView {
-	i, ok := f.byKey[key]
-	if !ok {
-		return nil
-	}
-	return &f.pools[i]
-}
-
-// Pools returns every pool view in key order.
-func (f *File) Pools() []PoolView { return f.pools }
-
-// Set materializes the file as a trace.Set for consumers that need
-// one (the cloud provider, model training). Points for all pools share
-// a single arena allocation.
-func (f *File) Set() *trace.Set {
-	set := trace.NewSet(f.Base, f.Start, f.End)
-	total := 0
-	for i := range f.pools {
-		total += f.pools[i].Len()
-	}
-	arena := make([]trace.PricePoint, 0, total)
-	for i := range f.pools {
-		v := &f.pools[i]
-		lo := len(arena)
-		for j := 0; j < v.Len(); j++ {
-			arena = append(arena, v.Point(j))
-		}
-		t := &trace.Trace{Zone: v.Zone, Type: v.Type, Start: f.Start, End: f.End, Points: arena[lo:len(arena):len(arena)]}
-		if err := set.AddPool(t); err != nil {
-			// Decode validated every pool; a failure here is a bug.
-			panic(fmt.Sprintf("colbin: materializing validated pool %s: %v", v.Key, err))
-		}
-	}
-	return set
-}
+// Set returns the decoded set. Decode filled it; nothing is copied or
+// checked here, and every pool's points share one arena allocation.
+func (f *File) Set() *trace.Set { return f.set }
 
 // decoder walks the raw bytes with bounds-checked varint reads.
 type decoder struct {
@@ -173,20 +60,28 @@ func (d *decoder) str(what string) (string, error) {
 	return s, nil
 }
 
-// Read decodes a colbin stream from r; see Decode.
-func Read(data []byte) (*File, error) {
-	f, _, err := Decode(data, trace.Strict)
-	return f, err
+// advance adds delta to *sum and reports true, unless the result would
+// leave int64: then *sum is untouched and it reports false.
+func advance(sum *int64, delta int64) bool {
+	s := *sum + delta
+	if (s > *sum) != (delta > 0) {
+		return false
+	}
+	*sum = s
+	return true
 }
 
-// Decode parses a colbin stream. Structural corruption — bad magic,
-// truncated varints, directory entries pointing outside the column
-// section — is an error in both modes. Per-point violations
-// (non-positive price, duplicate minute) and per-pool violations
-// (unknown type, duplicate pool, span mismatch) follow the
-// Strict/Lenient contract of trace.ReadCSVMode: Strict fails on the
-// first one naming the pool and point, Lenient quarantines the point
-// or drops the pool and counts it in the ReadReport.
+// Decode parses a colbin stream into the trace.Set it describes.
+// Structural corruption — bad magic, truncated varints, a directory
+// that declares more points than the input has bytes for or points
+// outside the column section — is an error in both modes. Per-point
+// violations (non-positive price, duplicate minute, a delta or running
+// sum that leaves int64) and per-pool violations (unknown type, and
+// whatever trace.Assemble rejects: duplicate pool, first point off the
+// span start, last point beyond its end) follow the Strict/Lenient
+// contract of trace.ReadCSVPoolsMode: Strict fails on the first one
+// naming the pool and point, Lenient quarantines the point or drops the
+// pool and counts it in the ReadReport.
 func Decode(data []byte, mode trace.ReadMode) (*File, *trace.ReadReport, error) {
 	if !IsColbin(data) {
 		return nil, nil, fmt.Errorf("colbin: bad magic")
@@ -231,6 +126,11 @@ func Decode(data []byte, mode trace.ReadMode) (*File, *trace.ReadReport, error) 
 		off, length int
 	}
 	dir := make([]dirEntry, 0, nPools)
+	// Every point costs at least one minute byte and one price byte, so
+	// no honest directory declares more than len(data)/2 of them. Holding
+	// each count and the running total to that bound before anything is
+	// allocated also keeps the total from wrapping.
+	maxPoints := uint64(len(data)) / 2
 	var totalPoints uint64
 	for i := uint64(0); i < nPools; i++ {
 		var e dirEntry
@@ -244,11 +144,10 @@ func Decode(data []byte, mode trace.ReadMode) (*File, *trace.ReadReport, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		totalPoints += n
-		// Each point costs at least one minute byte and one price byte.
-		if totalPoints*2 > uint64(len(data)) {
+		if n > maxPoints || totalPoints+n > maxPoints {
 			return nil, nil, fmt.Errorf("colbin: declared points exceed input size")
 		}
+		totalPoints += n
 		e.n = int(n)
 		off, err := d.uvarint("group offset")
 		if err != nil {
@@ -267,145 +166,98 @@ func Decode(data []byte, mode trace.ReadMode) (*File, *trace.ReadReport, error) 
 	colStart := d.off
 
 	report := &trace.ReadReport{}
-	// Pool views alias subslices of these arenas, so they must never
-	// reallocate: capacity is the directory's declared total, each pool
-	// appends at most its declared count, and lenient compaction only
-	// shrinks.
-	minuteArena := make([]int64, 0, totalPoints)
-	priceArena := make([]market.Money, 0, totalPoints)
-	f := &File{Base: base, Start: start, End: end, byKey: make(map[string]int, len(dir))}
+	// One arena holds every pool's points; the declared total is its
+	// capacity and each pool appends at most its declared count, so it
+	// never reallocates under the pools already cut from it.
+	arena := make([]trace.PricePoint, 0, totalPoints)
+	pools := make([]*trace.Trace, 0, len(dir))
 	for _, e := range dir {
 		lo := colStart + e.off
 		hi := lo + e.length
 		if lo > len(data) || hi > len(data) || hi < lo {
 			return nil, nil, fmt.Errorf("colbin: pool %s/%s column group outside input", e.zone, e.typ)
 		}
-		g := &decoder{data: data[:hi], off: lo}
-
 		typ := base
 		if e.typ != "" {
 			typ = market.InstanceType(e.typ)
 			if _, terr := market.Shape(typ); terr != nil {
-				if mode == trace.Lenient {
-					report.Add(trace.ReasonTypeMismatch)
-					continue
+				if err := report.Violation(mode, trace.ReasonTypeMismatch, "colbin: pool %s: %v", e.zone, terr); err != nil {
+					return nil, nil, err
 				}
-				return nil, nil, fmt.Errorf("colbin: pool %s: %v", e.zone, terr)
+				continue
 			}
 		}
 		key := market.PoolKey(e.zone, typ, base)
 
-		mLo := len(minuteArena)
-		minute := start
+		// The price column starts where the n-th minute varint ends; with
+		// that offset known the two columns are walked in step and each
+		// point is checked and stored once.
+		priceLo := lo
+		for left := e.n; left > 0; priceLo++ {
+			if priceLo >= hi {
+				return nil, nil, fmt.Errorf("colbin: pool %s: truncated minute column", key)
+			}
+			if data[priceLo] < 0x80 {
+				left--
+			}
+		}
+		gm := &decoder{data: data[:priceLo], off: lo}
+		gp := &decoder{data: data[:hi], off: priceLo}
+		first := len(arena)
+		minute, price := start, int64(0)
 		for i := 0; i < e.n; i++ {
-			var delta int64
+			var dm int64
+			okMinute := true
 			if i == 0 {
-				delta, err = g.varint("minute")
+				dm, err = gm.varint("minute")
 			} else {
 				var ud uint64
-				ud, err = g.uvarint("minute delta")
-				delta = int64(ud)
+				ud, err = gm.uvarint("minute delta")
+				dm, okMinute = int64(ud), ud <= math.MaxInt64
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("colbin: pool %s: %w", key, err)
 			}
-			minute += delta
-			minuteArena = append(minuteArena, minute)
-		}
-		pLo := len(priceArena)
-		var price int64
-		for i := 0; i < e.n; i++ {
-			delta, err := g.varint("price delta")
+			dp, err := gp.varint("price delta")
 			if err != nil {
 				return nil, nil, fmt.Errorf("colbin: pool %s: %w", key, err)
 			}
-			price += delta
-			priceArena = append(priceArena, market.Money(price))
-		}
-		if g.off != hi {
-			return nil, nil, fmt.Errorf("colbin: pool %s: %d trailing bytes in column group", key, hi-g.off)
-		}
-
-		// Per-point validation over the decoded columns, compacting the
-		// kept points in place. Minute deltas are unsigned, so the only
-		// order violation a stream can express is a duplicate.
-		minutes := minuteArena[mLo:]
-		prices := priceArena[pLo:]
-		quarantine := func(i int, reason, format string, args ...any) error {
-			if mode == trace.Lenient {
-				report.Add(reason)
-				return nil
-			}
-			return fmt.Errorf("colbin: pool %s point %d: %s", key, i, fmt.Sprintf(format, args...))
-		}
-		kept := 0
-		for i := 0; i < len(minutes); i++ {
-			if prices[i] <= 0 {
-				if err := quarantine(i, trace.ReasonNonPositivePrice, "price %d micro-USD not positive", prices[i]); err != nil {
-					return nil, nil, err
-				}
+			// A delta the running sums cannot absorb is the point's fault
+			// and is not applied: the chain carries on from the last
+			// representable value, never from a wrapped one.
+			okMinute = okMinute && advance(&minute, dm)
+			okPrice := advance(&price, dp)
+			var reason, detail string
+			switch {
+			case !okMinute:
+				reason, detail = trace.ReasonOutOfOrder, "minute delta leaves int64"
+			case !okPrice:
+				reason, detail = trace.ReasonBadPrice, "price delta leaves int64"
+			case price <= 0:
+				reason, detail = trace.ReasonNonPositivePrice, fmt.Sprintf("price %d micro-USD not positive", price)
+			case len(arena) > first && minute == arena[len(arena)-1].Minute:
+				// Deltas are unsigned and checked, so the running minute
+				// never falls: a repeat is the only order violation left.
+				reason, detail = trace.ReasonDuplicateMinute, fmt.Sprintf("minute %d repeated", minute)
+			default:
+				arena = append(arena, trace.PricePoint{Minute: minute, Price: market.Money(price)})
 				continue
 			}
-			if kept > 0 && minutes[i] == minutes[kept-1] {
-				if err := quarantine(i, trace.ReasonDuplicateMinute, "minute %d repeated", minutes[i]); err != nil {
-					return nil, nil, err
-				}
-				continue
+			if err := report.Violation(mode, reason, "colbin: pool %s point %d: %s", key, i, detail); err != nil {
+				return nil, nil, err
 			}
-			minutes[kept] = minutes[i]
-			prices[kept] = prices[i]
-			kept++
 		}
-		minuteArena = minuteArena[:mLo+kept]
-		priceArena = priceArena[:pLo+kept]
-		minutes = minuteArena[mLo:]
-		prices = priceArena[pLo:]
-
-		// Pool-level validation mirroring Set.AddPool + Trace.Validate.
-		drop := func(format string, args ...any) error {
-			if mode == trace.Lenient {
-				report.Add(trace.ReasonZoneDropped)
-				minuteArena = minuteArena[:mLo]
-				priceArena = priceArena[:pLo]
-				return nil
-			}
-			return fmt.Errorf("colbin: pool %s: %s", key, fmt.Sprintf(format, args...))
+		if gp.off != hi {
+			return nil, nil, fmt.Errorf("colbin: pool %s: %d trailing bytes in column group", key, hi-gp.off)
 		}
-		_, dup := f.byKey[key]
-		switch {
-		case dup:
-			if err := drop("duplicate pool"); err != nil {
-				return nil, nil, err
-			}
-			continue
-		case end > start && kept == 0:
-			if err := drop("non-empty span with no points"); err != nil {
-				return nil, nil, err
-			}
-			continue
-		case kept > 0 && minutes[0] != start:
-			if err := drop("first point at %d, want start %d", minutes[0], start); err != nil {
-				return nil, nil, err
-			}
-			continue
-		case kept > 0 && minutes[kept-1] >= end:
-			if err := drop("last point %d at or beyond end %d", minutes[kept-1], end); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		f.byKey[key] = len(f.pools)
-		f.pools = append(f.pools, PoolView{
-			Key: key, Zone: e.zone, Type: typ, Start: start, End: end,
-			minutes: minutes, prices: prices,
-		})
+		// Capped, so an append to one pool's Points cannot write into the
+		// next pool's.
+		pools = append(pools, &trace.Trace{Zone: e.zone, Type: typ, Start: start, End: end,
+			Points: arena[first:len(arena):len(arena)]})
 	}
-	if len(f.pools) == 0 {
-		return nil, nil, fmt.Errorf("trace: no usable zones")
+	set, err := trace.Assemble(base, start, end, pools, mode, report)
+	if err != nil {
+		return nil, nil, fmt.Errorf("colbin: %w", err)
 	}
-	sortPools(f.pools)
-	for i := range f.pools {
-		f.byKey[f.pools[i].Key] = i
-	}
-	return f, report, nil
+	return &File{set: set}, report, nil
 }

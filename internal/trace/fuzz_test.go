@@ -11,13 +11,17 @@ import (
 // FuzzReadCSV pins two properties of the CSV reader under arbitrary
 // input: it never panics, and the two modes stay coherent — whatever
 // Strict accepts, Lenient accepts identically with an empty quarantine
-// report. The seed corpus covers the interesting shapes by hand: a
-// valid generated trace, truncated rows, NaN and non-positive prices,
-// out-of-order and duplicate minutes, a dangling quote, emptiness.
+// report. It reads with a non-empty type list, the typed path every
+// pool market takes, and the seed corpus covers the interesting shapes
+// by hand: a valid generated typed trace, truncated rows, NaN and
+// non-positive prices, out-of-order and duplicate minutes, a dangling
+// quote, emptiness, the three-column layout and rows of the other
+// layout's width.
 func FuzzReadCSV(f *testing.F) {
 	s, err := Generate(GenConfig{
 		Seed: 9, Type: market.M1Small,
 		Zones: []string{"us-east-1a", "eu-west-1b"},
+		Types: []market.InstanceType{market.C3Large},
 		Start: 0, End: 6 * 60,
 	})
 	if err != nil {
@@ -36,9 +40,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(csvHeader + "us-east-1a,m1.small,0,0.01\nus-east-1a,m1.small,0,0.01\n")
 	f.Add(csvHeader + `"unclosed quote`)
 	f.Add("")
+	f.Add("zone,minute,price_usd\nus-east-1a,0,0.01\nus-east-1a,10,0.012\n")
+	f.Add("zone,minute,price_usd\nus-east-1a,0,0.01\nus-east-1a,c3.large,10,0.012\n")
+	f.Add(csvHeader + "us-east-1a,c3.large,0,0.1\nus-east-1a,r3.large,0,0.1\nus-east-1a,0,0.01\n")
+	types := []market.InstanceType{market.C3Large}
 	f.Fuzz(func(t *testing.T, input string) {
-		strictSet, _, strictErr := ReadCSVMode(strings.NewReader(input), market.M1Small, 0, 6*60, Strict)
-		lenSet, rep, lenErr := ReadCSVMode(strings.NewReader(input), market.M1Small, 0, 6*60, Lenient)
+		strictSet, _, strictErr := ReadCSVPoolsMode(strings.NewReader(input), market.M1Small, types, 0, 6*60, Strict)
+		lenSet, rep, lenErr := ReadCSVPoolsMode(strings.NewReader(input), market.M1Small, types, 0, 6*60, Lenient)
 		if strictErr == nil {
 			if strictSet == nil {
 				t.Fatal("strict success returned a nil set")
@@ -53,44 +61,6 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if lenErr == nil && lenSet == nil {
 			t.Fatal("lenient success returned a nil set")
-		}
-	})
-}
-
-// FuzzReadJSON is the JSON-side no-panic pin with the same mode
-// coherence property.
-func FuzzReadJSON(f *testing.F) {
-	s, err := Generate(GenConfig{
-		Seed: 9, Type: market.M1Small,
-		Zones: []string{"us-east-1a"},
-		Start: 0, End: 6 * 60,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var valid bytes.Buffer
-	if err := s.WriteJSON(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.String())
-	f.Add(`{"type":"m1.small","start":0,"end":100,"traces":[{"zone":"z","points":[{"minute":0,"price_micro_usd":-1}]}]}`)
-	f.Add(`{"type":"m1.small","start":0,"end":100,"traces":[{"zone":"z","points":[{"minute":5,"price_micro_usd":1},{"minute":5,"price_micro_usd":1}]}]}`)
-	f.Add(`{nope`)
-	f.Add(``)
-	f.Fuzz(func(t *testing.T, input string) {
-		strictSet, _, strictErr := ReadJSONMode(strings.NewReader(input), Strict)
-		lenSet, rep, lenErr := ReadJSONMode(strings.NewReader(input), Lenient)
-		if strictErr == nil {
-			if strictSet == nil {
-				t.Fatal("strict success returned a nil set")
-			}
-			if lenErr != nil {
-				t.Fatalf("strict accepted what lenient rejected: %v", lenErr)
-			}
-			if rep.Quarantined != 0 {
-				t.Fatalf("strictly-clean input quarantined %d points: %+v", rep.Quarantined, rep.Reasons)
-			}
-			setsEqual(t, strictSet, lenSet)
 		}
 	})
 }

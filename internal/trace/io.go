@@ -1,18 +1,22 @@
 package trace
 
+// This file is the reader regime every input of the repository goes
+// through: the Strict/Lenient decision (ReadReport.Violation), the CSV
+// record loop (ScanCSV, also internal/workload's), the CSV trace writer
+// and reader, and the pool assembler (Assemble, also colbin.Decode's).
+
 import (
 	"encoding/csv"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/market"
 )
 
-// ReadMode selects how the trace readers treat malformed input rows.
+// ReadMode selects how the readers treat malformed input rows.
 type ReadMode int
 
 const (
@@ -50,17 +54,104 @@ type ReadReport struct {
 	Reasons map[string]int
 }
 
-func (r *ReadReport) add(reason string) {
-	if r.Reasons == nil {
-		r.Reasons = make(map[string]int)
+// Violation is the one place a reader's mode is consulted, for every
+// reader in the repository (CSV rows, colbin points and pools, workload
+// rows): Strict turns the violation into an error — format and args
+// must locate it, "trace: line 7: …", "colbin: pool us-east-1a point
+// 3: …" — and Lenient counts it under a Reason* constant and returns
+// nil, so the caller skips the row and carries on.
+func (r *ReadReport) Violation(mode ReadMode, reason, format string, args ...any) error {
+	if mode == Lenient {
+		if r.Reasons == nil {
+			r.Reasons = make(map[string]int)
+		}
+		r.Quarantined++
+		r.Reasons[reason]++
+		return nil
 	}
-	r.Quarantined++
-	r.Reasons[reason]++
+	return fmt.Errorf(format, args...)
 }
 
-// Add counts one quarantined row under a Reason* constant, for readers
-// living outside this package (the colbin binary reader).
-func (r *ReadReport) Add(reason string) { r.add(reason) }
+// Summary is the line a command prints to stderr after a read: empty
+// for a nil or clean report, otherwise "prog: quarantined N malformed
+// <what> rows: map[reason:count …]" and a newline.
+func (r *ReadReport) Summary(prog, what string) string {
+	if r == nil || r.Quarantined == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%s: quarantined %d malformed %s rows: %v\n", prog, r.Quarantined, what, r.Reasons)
+}
+
+// ScanCSV is the one CSV record loop; price traces (below) and request
+// rates (internal/workload) are its clients, so these rules are written
+// once. The header row must satisfy known and fixes the width of every
+// row after it. A record encoding/csv cannot parse (*csv.ParseError: a
+// stray or unclosed quote) or of another width is a truncated-row
+// violation; any other read error is the underlying reader failing, not
+// a bad row, and is returned in both modes — quarantining it would
+// retry a failing reader forever. A well-formed record goes to row,
+// which returns "" to keep it or a Reason* and a detail to reject it;
+// row's last check must be after, which holds each series to strictly
+// ascending minutes among the rows kept so far. Violations are located
+// by physical line (blank lines and quoted newlines count), the line
+// the record starts on.
+func ScanCSV(r io.Reader, pkg string, mode ReadMode, known func(header []string) bool,
+	row func(fields []string, after func(series string, minute int64) (reason, detail string)) (reason, detail string),
+) (*ReadReport, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // a row of the wrong width is a violation to report, not a parse error
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("%s: empty CSV", pkg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: reading CSV: %w", pkg, err)
+	}
+	if !known(header) {
+		return nil, fmt.Errorf("%s: unexpected CSV header %v", pkg, header)
+	}
+	last := map[string]int64{}
+	after := func(series string, minute int64) (string, string) {
+		if prev, seen := last[series]; seen && minute <= prev {
+			reason := ReasonOutOfOrder
+			if minute == prev {
+				reason = ReasonDuplicateMinute
+			}
+			return reason, fmt.Sprintf("minute %d not after %d", minute, prev)
+		}
+		last[series] = minute
+		return "", ""
+	}
+	report := &ReadReport{}
+	for {
+		fields, err := cr.Read()
+		if err == io.EOF {
+			return report, nil
+		}
+		var line int
+		var reason, detail string
+		var perr *csv.ParseError
+		switch {
+		case errors.As(err, &perr):
+			line, reason, detail = perr.StartLine, ReasonTruncatedRow, perr.Err.Error()
+		case err != nil:
+			return nil, fmt.Errorf("%s: reading CSV: %w", pkg, err)
+		case len(fields) != len(header):
+			reason, detail = ReasonTruncatedRow, fmt.Sprintf("%d fields, want %d", len(fields), len(header))
+		default:
+			reason, detail = row(fields, after)
+		}
+		if reason == "" {
+			continue
+		}
+		if line == 0 {
+			line, _ = cr.FieldPos(0)
+		}
+		if err := report.Violation(mode, reason, "%s: line %d: %s", pkg, line, detail); err != nil {
+			return nil, err
+		}
+	}
+}
 
 // checkPrice classifies a price in dollars; ok rows return "".
 func checkPrice(dollars float64) string {
@@ -73,27 +164,13 @@ func checkPrice(dollars float64) string {
 	return ""
 }
 
-// checkOrder classifies a minute against the zone's previous one;
-// ok rows return "". prev is nil for a zone's first row.
-func checkOrder(prev *int64, minute int64) string {
-	if prev == nil {
-		return ""
-	}
-	if minute == *prev {
-		return ReasonDuplicateMinute
-	}
-	if minute < *prev {
-		return ReasonOutOfOrder
-	}
-	return ""
-}
-
 // CSV layout: header "zone,type,minute,price_usd" followed by one row per
 // price point, grouped by zone in ascending minute order. Typed pools
-// write their real zone and type per row; ReadCSVPools reconstructs
-// the pool keys from them.
+// write their real zone and type per row; ReadCSVPoolsMode reconstructs
+// the pool keys from them. A file whose header is "zone,minute,price_usd"
+// has no type column and every row of it is a base-type point.
 
-// WriteCSV serializes the set in the CSV layout above.
+// WriteCSV serializes the set in the four-column CSV layout above.
 func (s *Set) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"zone", "type", "minute", "price_usd"}); err != nil {
@@ -117,348 +194,94 @@ func (s *Set) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace set written by WriteCSV in Strict mode. Span
-// boundaries are supplied by the caller because the CSV stores only
-// change points.
-func ReadCSV(r io.Reader, it market.InstanceType, start, end int64) (*Set, error) {
-	set, _, err := ReadCSVMode(r, it, start, end, Strict)
+// ReadCSVPools parses a CSV trace set in Strict mode; see
+// ReadCSVPoolsMode.
+func ReadCSVPools(r io.Reader, base market.InstanceType, types []market.InstanceType, start, end int64) (*Set, error) {
+	set, _, err := ReadCSVPoolsMode(r, base, types, start, end, Strict)
 	return set, err
 }
 
-// ReadCSVMode parses a trace set written by WriteCSV. Rows must arrive
-// in ascending minute order per zone; prices must be positive finite
-// numbers. Strict mode rejects the first violation with its line
-// number; Lenient mode quarantines violating rows and reports them.
-func ReadCSVMode(r io.Reader, it market.InstanceType, start, end int64, mode ReadMode) (*Set, *ReadReport, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // field count is checked per row below
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, nil, fmt.Errorf("trace: empty CSV")
+// ReadCSVPoolsMode is the CSV trace reader: it parses a set written by
+// WriteCSV into pool-keyed traces. The span is supplied by the caller
+// because the CSV stores only change points. Under the four-column
+// header a row naming base is a bare-zone pool and a row naming a type
+// in types a "zone/type" pool; any other type is a type-mismatch
+// violation, so a single-type read is this reader with no types. Under
+// the three-column header every row is a base-type point. Rows must
+// arrive in ascending minute order per pool with positive finite
+// prices; Strict rejects the first violation with its line number,
+// Lenient quarantines violating rows and reports them (see ScanCSV).
+func ReadCSVPoolsMode(r io.Reader, base market.InstanceType, types []market.InstanceType, start, end int64, mode ReadMode) (*Set, *ReadReport, error) {
+	allowed := map[market.InstanceType]bool{base: true}
+	for _, it := range types {
+		allowed[it] = true
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: reading CSV: %w", err)
+	known := func(h []string) bool {
+		return len(h) == 4 && h[0] == "zone" && h[2] == "minute" ||
+			len(h) == 3 && h[0] == "zone" && h[1] == "minute"
 	}
-	if len(header) != 4 || header[0] != "zone" || header[2] != "minute" {
-		return nil, nil, fmt.Errorf("trace: unexpected CSV header %v", header)
-	}
-	report := &ReadReport{}
-	byZone := map[string][]PricePoint{}
-	lastMinute := map[string]*int64{}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
+	byKey := map[string]*Trace{}
+	var pools []*Trace // in order of first appearance, so a Strict pool error does not depend on map order
+	report, err := ScanCSV(r, "trace", mode, known, func(row []string, after func(string, int64) (string, string)) (string, string) {
+		typ, rest := base, row[1:]
+		if len(row) == 4 {
+			typ, rest = market.InstanceType(row[1]), row[2:]
+			if !allowed[typ] {
+				return ReasonTypeMismatch, fmt.Sprintf("type %q not among requested types", row[1])
+			}
 		}
+		minute, err := strconv.ParseInt(rest[0], 10, 64)
 		if err != nil {
-			if mode == Lenient {
-				report.add(ReasonTruncatedRow)
-				continue
-			}
-			return nil, nil, fmt.Errorf("trace: reading CSV: %w", err)
+			return ReasonBadMinute, fmt.Sprintf("minute: %v", err)
 		}
-		quarantine := func(reason, format string, args ...any) error {
-			if mode == Lenient {
-				report.add(reason)
-				return nil
-			}
-			return fmt.Errorf("trace: line %d: %s", line, fmt.Sprintf(format, args...))
-		}
-		if len(row) != 4 {
-			if err := quarantine(ReasonTruncatedRow, "%d fields, want 4", len(row)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if market.InstanceType(row[1]) != it {
-			if err := quarantine(ReasonTypeMismatch, "type %q, want %q", row[1], it); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		minute, perr := strconv.ParseInt(row[2], 10, 64)
-		if perr != nil {
-			if err := quarantine(ReasonBadMinute, "minute: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		dollars, perr := strconv.ParseFloat(row[3], 64)
-		if perr != nil {
-			if err := quarantine(ReasonBadPrice, "price: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
+		dollars, err := strconv.ParseFloat(rest[1], 64)
+		if err != nil {
+			return ReasonBadPrice, fmt.Sprintf("price: %v", err)
 		}
 		if reason := checkPrice(dollars); reason != "" {
-			if err := quarantine(reason, "price %v is not a positive finite number", row[3]); err != nil {
-				return nil, nil, err
-			}
-			continue
+			return reason, fmt.Sprintf("price %v is not a positive finite number", rest[1])
 		}
-		zone := row[0]
-		if reason := checkOrder(lastMinute[zone], minute); reason != "" {
-			if err := quarantine(reason, "zone %s minute %d not after %d", zone, minute, *lastMinute[zone]); err != nil {
-				return nil, nil, err
-			}
-			continue
+		key := market.PoolKey(row[0], typ, base)
+		if reason, detail := after(key, minute); reason != "" {
+			return reason, detail
 		}
-		m := minute
-		lastMinute[zone] = &m
-		byZone[zone] = append(byZone[zone], PricePoint{Minute: minute, Price: market.FromDollars(dollars)})
+		t := byKey[key]
+		if t == nil {
+			t = &Trace{Zone: row[0], Type: typ, Start: start, End: end}
+			byKey[key] = t
+			pools = append(pools, t)
+		}
+		t.Points = append(t.Points, PricePoint{Minute: minute, Price: market.FromDollars(dollars)})
+		return "", ""
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	set, err := assembleSet(it, start, end, byZone, mode, report)
+	set, err := Assemble(base, start, end, pools, mode, report)
 	if err != nil {
 		return nil, nil, err
 	}
 	return set, report, nil
 }
 
-// assembleSet validates per-pool points into a Set; map keys are pool
-// keys (bare zone names for the base type). In Lenient mode a pool that
-// fails validation (for example, every row quarantined, or a first
-// point past the span start) is dropped and counted rather than failing
-// the read; a set left with no pools at all is still an error.
-func assembleSet(it market.InstanceType, start, end int64, byZone map[string][]PricePoint, mode ReadMode, report *ReadReport) (*Set, error) {
-	set := NewSet(it, start, end)
-	keys := make([]string, 0, len(byZone))
-	for z := range byZone {
-		keys = append(keys, z)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		zone, typ := market.ParsePool(key, it)
-		t := &Trace{Zone: zone, Type: typ, Start: start, End: end, Points: byZone[key]}
-		if err := set.addKeyed(key, t); err != nil {
-			if mode == Lenient {
-				report.add(ReasonZoneDropped)
-				continue
+// Assemble builds the Set a reader returns from the pools it decoded
+// (the CSV reader above, colbin.Decode): Set.AddPool — span, no
+// duplicate, Trace.Validate — is the one definition of a valid pool. A
+// pool that fails it (first point past the span start once a bad row
+// was quarantined, say) is a zone-dropped violation: an error in
+// Strict, dropped and counted in Lenient. A set left with no pools at
+// all is an error in both modes.
+func Assemble(base market.InstanceType, start, end int64, pools []*Trace, mode ReadMode, report *ReadReport) (*Set, error) {
+	set := NewSet(base, start, end)
+	for _, t := range pools {
+		if err := set.AddPool(t); err != nil {
+			if err := report.Violation(mode, ReasonZoneDropped, "%w", err); err != nil {
+				return nil, err
 			}
-			return nil, err
 		}
 	}
 	if len(set.ByZone) == 0 {
 		return nil, fmt.Errorf("trace: no usable zones")
 	}
 	return set, nil
-}
-
-// ReadCSVPools parses a heterogeneous pool trace set in Strict mode;
-// see ReadCSVPoolsMode.
-func ReadCSVPools(r io.Reader, base market.InstanceType, types []market.InstanceType, start, end int64) (*Set, error) {
-	set, _, err := ReadCSVPoolsMode(r, base, types, start, end, Strict)
-	return set, err
-}
-
-// ReadCSVPoolsMode parses a trace set that may span several instance
-// types into pool-keyed traces. The type column is optional: 3-field
-// rows (zone, minute, price) map to the base type, as do 4-field rows
-// naming it; 4-field rows naming another type in types become
-// "zone/type" pools. Rows naming a type outside {base} ∪ types are
-// type-mismatch violations. Row discipline and Strict/Lenient handling
-// match ReadCSVMode, per pool.
-func ReadCSVPoolsMode(r io.Reader, base market.InstanceType, types []market.InstanceType, start, end int64, mode ReadMode) (*Set, *ReadReport, error) {
-	allowed := map[market.InstanceType]bool{base: true}
-	for _, it := range types {
-		allowed[it] = true
-	}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // field count is checked per row below
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, nil, fmt.Errorf("trace: empty CSV")
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	switch {
-	case len(header) == 4 && header[0] == "zone" && header[2] == "minute":
-	case len(header) == 3 && header[0] == "zone" && header[1] == "minute":
-	default:
-		return nil, nil, fmt.Errorf("trace: unexpected CSV header %v", header)
-	}
-	report := &ReadReport{}
-	byKey := map[string][]PricePoint{}
-	lastMinute := map[string]*int64{}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if mode == Lenient {
-				report.add(ReasonTruncatedRow)
-				continue
-			}
-			return nil, nil, fmt.Errorf("trace: reading CSV: %w", err)
-		}
-		quarantine := func(reason, format string, args ...any) error {
-			if mode == Lenient {
-				report.add(reason)
-				return nil
-			}
-			return fmt.Errorf("trace: line %d: %s", line, fmt.Sprintf(format, args...))
-		}
-		if len(row) != 3 && len(row) != 4 {
-			if err := quarantine(ReasonTruncatedRow, "%d fields, want 3 or 4", len(row)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		typ := base
-		minuteCol, priceCol := 1, 2
-		if len(row) == 4 {
-			typ = market.InstanceType(row[1])
-			minuteCol, priceCol = 2, 3
-			if !allowed[typ] {
-				if err := quarantine(ReasonTypeMismatch, "type %q not among requested types", row[1]); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-		}
-		minute, perr := strconv.ParseInt(row[minuteCol], 10, 64)
-		if perr != nil {
-			if err := quarantine(ReasonBadMinute, "minute: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		dollars, perr := strconv.ParseFloat(row[priceCol], 64)
-		if perr != nil {
-			if err := quarantine(ReasonBadPrice, "price: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if reason := checkPrice(dollars); reason != "" {
-			if err := quarantine(reason, "price %v is not a positive finite number", row[priceCol]); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		key := market.PoolKey(row[0], typ, base)
-		if reason := checkOrder(lastMinute[key], minute); reason != "" {
-			if err := quarantine(reason, "pool %s minute %d not after %d", key, minute, *lastMinute[key]); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		m := minute
-		lastMinute[key] = &m
-		byKey[key] = append(byKey[key], PricePoint{Minute: minute, Price: market.FromDollars(dollars)})
-	}
-	set, err := assembleSet(base, start, end, byKey, mode, report)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, report, nil
-}
-
-// jsonSet mirrors Set for encoding/json with explicit field names.
-type jsonSet struct {
-	Type   market.InstanceType `json:"type"`
-	Start  int64               `json:"start"`
-	End    int64               `json:"end"`
-	Traces []jsonTrace         `json:"traces"`
-}
-
-type jsonTrace struct {
-	Zone string `json:"zone"`
-	// Type is set only for pools of a non-base type; base-type traces
-	// omit it, keeping single-type output byte-identical to the
-	// pre-pool format.
-	Type   market.InstanceType `json:"type,omitempty"`
-	Points []jsonPoint         `json:"points"`
-}
-
-type jsonPoint struct {
-	Minute int64 `json:"minute"`
-	Micro  int64 `json:"price_micro_usd"`
-}
-
-// WriteJSON serializes the set as JSON with prices in micro-dollars.
-func (s *Set) WriteJSON(w io.Writer) error {
-	js := jsonSet{Type: s.Type, Start: s.Start, End: s.End}
-	for _, zone := range s.Zones() {
-		t := s.ByZone[zone]
-		jt := jsonTrace{Zone: t.Zone}
-		if t.Type != s.Type {
-			jt.Type = t.Type
-		}
-		for _, p := range t.Points {
-			jt.Points = append(jt.Points, jsonPoint{Minute: p.Minute, Micro: int64(p.Price)})
-		}
-		js.Traces = append(js.Traces, jt)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(js)
-}
-
-// ReadJSON parses a set written by WriteJSON in Strict mode.
-func ReadJSON(r io.Reader) (*Set, error) {
-	set, _, err := ReadJSONMode(r, Strict)
-	return set, err
-}
-
-// ReadJSONMode parses a set written by WriteJSON, enforcing the same
-// row discipline as ReadCSVMode: positive prices and strictly
-// ascending minutes per zone. Strict mode rejects the first violation,
-// naming the zone and point index; Lenient mode quarantines violating
-// points and reports them.
-func ReadJSONMode(r io.Reader, mode ReadMode) (*Set, *ReadReport, error) {
-	var js jsonSet
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return nil, nil, fmt.Errorf("trace: reading JSON: %w", err)
-	}
-	report := &ReadReport{}
-	byZone := map[string][]PricePoint{}
-	for _, jt := range js.Traces {
-		if jt.Type != "" {
-			if _, terr := market.Shape(jt.Type); terr != nil {
-				if mode == Lenient {
-					report.add(ReasonTypeMismatch)
-					continue
-				}
-				return nil, nil, fmt.Errorf("trace: zone %s: %v", jt.Zone, terr)
-			}
-		}
-		key := jt.Zone
-		if jt.Type != "" {
-			key = market.PoolKey(jt.Zone, jt.Type, js.Type)
-		}
-		var last *int64
-		for i, p := range jt.Points {
-			quarantine := func(reason, format string, args ...any) error {
-				if mode == Lenient {
-					report.add(reason)
-					return nil
-				}
-				return fmt.Errorf("trace: zone %s point %d: %s", jt.Zone, i, fmt.Sprintf(format, args...))
-			}
-			if p.Micro <= 0 {
-				if err := quarantine(ReasonNonPositivePrice, "price %d micro-USD not positive", p.Micro); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			if reason := checkOrder(last, p.Minute); reason != "" {
-				if err := quarantine(reason, "minute %d not after %d", p.Minute, *last); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			m := p.Minute
-			last = &m
-			byZone[key] = append(byZone[key], PricePoint{Minute: p.Minute, Price: market.Money(p.Micro)})
-		}
-		if byZone[key] == nil {
-			byZone[key] = []PricePoint{} // keep the pool so an all-quarantined one is counted as dropped
-		}
-	}
-	set, err := assembleSet(js.Type, js.Start, js.End, byZone, mode, report)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, report, nil
 }

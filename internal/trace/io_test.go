@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"repro/internal/market"
 )
@@ -51,7 +55,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf, market.M1Small, s.Start, s.End)
+	got, err := ReadCSVPools(&buf, market.M1Small, nil, s.Start, s.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVHeaderCheck(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader("a,b\n1,2\n"), market.M1Small, 0, 10)
+	_, err := ReadCSVPools(strings.NewReader("a,b\n1,2\n"), market.M1Small, nil, 0, 10)
 	if err == nil {
 		t.Fatal("bad header accepted")
 	}
@@ -71,13 +75,13 @@ func TestCSVTypeMismatch(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCSV(&buf, market.M3Large, s.Start, s.End); err == nil {
+	if _, err := ReadCSVPools(&buf, market.M3Large, nil, s.Start, s.End); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
 }
 
 func TestCSVEmpty(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader(""), market.M1Small, 0, 10); err == nil {
+	if _, err := ReadCSVPools(strings.NewReader(""), market.M1Small, nil, 0, 10); err == nil {
 		t.Fatal("empty CSV accepted")
 	}
 }
@@ -88,7 +92,7 @@ func TestCSVBadRows(t *testing.T) {
 		"zone,type,minute,price_usd\nus-east-1a,m1.small,0,abc\n",
 	}
 	for _, csvText := range bad {
-		if _, err := ReadCSV(strings.NewReader(csvText), market.M1Small, 0, 10); err == nil {
+		if _, err := ReadCSVPools(strings.NewReader(csvText), market.M1Small, nil, 0, 10); err == nil {
 			t.Fatalf("bad CSV accepted: %q", csvText)
 		}
 	}
@@ -97,7 +101,10 @@ func TestCSVBadRows(t *testing.T) {
 const csvHeader = "zone,type,minute,price_usd\n"
 
 // TestCSVStrictRejectsWithLineNumbers pins strict mode's contract: the
-// first malformed row fails the read with an error naming its line.
+// first malformed row fails the read with an error naming its line —
+// the physical line, so blank lines and a newline inside a quoted field
+// count (records were counted until PR 19, which named line 3 for both
+// of the last two rows).
 func TestCSVStrictRejectsWithLineNumbers(t *testing.T) {
 	cases := []struct{ name, rows, wantLine string }{
 		{"nan-price", "us-east-1a,m1.small,0,NaN\n", "line 2"},
@@ -108,10 +115,13 @@ func TestCSVStrictRejectsWithLineNumbers(t *testing.T) {
 		{"out-of-order-minute", "us-east-1a,m1.small,0,0.01\nus-east-1a,m1.small,10,0.02\nus-east-1a,m1.small,5,0.02\n", "line 4"},
 		{"truncated-row", "us-east-1a,m1.small,0,0.01\nus-east-1a,m1.small,5\n", "line 3"},
 		{"bad-minute", "us-east-1a,m1.small,later,0.01\n", "line 2"},
+		{"after-blank-lines", "us-east-1a,m1.small,0,0.01\n\n\nus-east-1a,m1.small,5,abc\n", "line 5"},
+		{"after-quoted-newline", "\"us-east\n-1a\",m1.small,0,0.01\nus-east-1b,m1.small,0,abc\n", "line 4"},
+		{"stray-quote", "us-east-1a,m1.small,0,0.01\n\nus-east-1a,m1.sm\"all,5,0.01\n", "line 4"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadCSV(strings.NewReader(csvHeader+c.rows), market.M1Small, 0, 24*60)
+			_, err := ReadCSVPools(strings.NewReader(csvHeader+c.rows), market.M1Small, nil, 0, 24*60)
 			if err == nil {
 				t.Fatal("malformed CSV accepted")
 			}
@@ -136,7 +146,7 @@ func TestCSVLenientQuarantinesAndKeepsRest(t *testing.T) {
 		"us-east-1a,m1.small,30\n" + // truncated-row
 		"us-east-1a,m1.small,later,0.01\n" + // bad-minute
 		"us-east-1a,m3.large,40,0.01\n" // type-mismatch
-	set, rep, err := ReadCSVMode(strings.NewReader(body), market.M1Small, 0, 24*60, Lenient)
+	set, rep, err := ReadCSVPoolsMode(strings.NewReader(body), market.M1Small, nil, 0, 24*60, Lenient)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestCSVLenientDropsUnusableZone(t *testing.T) {
 		"eu-west-1b,m1.small,0,-1\n" + // quarantined, leaving the zone to start at 10
 		"eu-west-1b,m1.small,10,0.02\n" +
 		"us-east-1a,m1.small,0,0.01\n"
-	set, rep, err := ReadCSVMode(strings.NewReader(body), market.M1Small, 0, 24*60, Lenient)
+	set, rep, err := ReadCSVPoolsMode(strings.NewReader(body), market.M1Small, nil, 0, 24*60, Lenient)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,75 +192,69 @@ func TestCSVLenientDropsUnusableZone(t *testing.T) {
 	// When every zone is unusable, even a lenient read must fail rather
 	// than return an empty set.
 	empty := csvHeader + "us-east-1a,m1.small,5,0.01\n" // first point after span start
-	if _, _, err := ReadCSVMode(strings.NewReader(empty), market.M1Small, 0, 24*60, Lenient); err == nil {
+	if _, _, err := ReadCSVPoolsMode(strings.NewReader(empty), market.M1Small, nil, 0, 24*60, Lenient); err == nil {
 		t.Fatal("zone-less lenient read accepted")
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	s := genSmallSet(t)
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setsEqual(t, s, got)
-}
-
-func TestJSONGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("garbage JSON accepted")
-	}
-}
-
-// TestJSONStrictRejectsBadPoints mirrors the CSV strictness for the
-// JSON reader: violations name the zone and point index.
-func TestJSONStrictRejectsBadPoints(t *testing.T) {
-	cases := []struct{ name, body, wantSub string }{
-		{"non-positive-price",
-			`{"type":"m1.small","start":0,"end":100,"traces":[{"zone":"us-east-1a","points":[{"minute":0,"price_micro_usd":9000},{"minute":10,"price_micro_usd":-5}]}]}`,
-			"zone us-east-1a point 1"},
-		{"duplicate-minute",
-			`{"type":"m1.small","start":0,"end":100,"traces":[{"zone":"us-east-1a","points":[{"minute":0,"price_micro_usd":9000},{"minute":0,"price_micro_usd":8000}]}]}`,
-			"zone us-east-1a point 1"},
-		{"out-of-order-minute",
-			`{"type":"m1.small","start":0,"end":100,"traces":[{"zone":"us-east-1a","points":[{"minute":0,"price_micro_usd":9000},{"minute":20,"price_micro_usd":8000},{"minute":10,"price_micro_usd":7000}]}]}`,
-			"zone us-east-1a point 2"},
+// TestCSVHeaderFixesRowWidth: the header decides how wide a row is, so
+// a row of the other layout's width is a truncated-row in both layouts
+// (the pool reader used to parse "zone,type,minute" under the
+// four-column header as zone,minute,price and call it bad-minute) and a
+// file that mixes the two is not a valid file.
+func TestCSVHeaderFixesRowWidth(t *testing.T) {
+	cases := []struct{ name, body, want string }{
+		{"three-under-four", csvHeader + "us-east-1a,m1.small,0,0.01\nus-east-1a,m1.small,5\n", "line 3: 3 fields, want 4"},
+		{"four-under-three", "zone,minute,price_usd\nus-east-1a,0,0.01\nus-east-1a,m1.small,5,0.02\n", "line 3: 4 fields, want 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadJSON(strings.NewReader(c.body))
-			if err == nil {
-				t.Fatal("malformed JSON trace accepted")
+			_, err := ReadCSVPools(strings.NewReader(c.body), market.M1Small, nil, 0, 24*60)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("strict error %v, want %q", err, c.want)
 			}
-			if !strings.Contains(err.Error(), c.wantSub) {
-				t.Fatalf("error %q does not name %s", err, c.wantSub)
+			set, rep, err := ReadCSVPoolsMode(strings.NewReader(c.body), market.M1Small, nil, 0, 24*60, Lenient)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Quarantined != 1 || rep.Reasons[ReasonTruncatedRow] != 1 {
+				t.Fatalf("report %+v, want one truncated-row", rep.Reasons)
+			}
+			if n := len(set.ByZone["us-east-1a"].Points); n != 1 {
+				t.Fatalf("kept %d points, want 1", n)
 			}
 		})
 	}
 }
 
-// TestJSONLenientQuarantinesAndDropsZones: bad points are skipped and
-// counted; a zone left with no usable points at all is dropped.
-func TestJSONLenientQuarantinesAndDropsZones(t *testing.T) {
-	body := `{"type":"m1.small","start":0,"end":100,"traces":[` +
-		`{"zone":"us-east-1a","points":[{"minute":0,"price_micro_usd":9000},{"minute":10,"price_micro_usd":-5},{"minute":20,"price_micro_usd":8000}]},` +
-		`{"zone":"eu-west-1b","points":[{"minute":5,"price_micro_usd":0}]}]}`
-	set, rep, err := ReadJSONMode(strings.NewReader(body), Lenient)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := set.ByZone["us-east-1a"].Points
-	if len(pts) != 2 || pts[0].Minute != 0 || pts[1].Minute != 20 {
-		t.Fatalf("kept points %+v, want minutes 0 and 20", pts)
-	}
-	if _, ok := set.ByZone["eu-west-1b"]; ok {
-		t.Fatal("all-quarantined zone kept")
-	}
-	if rep.Reasons[ReasonNonPositivePrice] != 2 || rep.Reasons[ReasonZoneDropped] != 1 {
-		t.Fatalf("report %+v, want 2 non-positive-price and 1 zone-dropped", rep.Reasons)
+// TestCSVReadErrorIsNotARow: a reader that fails mid-stream is not a
+// malformed row. Both modes return the error; Lenient used to book every
+// failed read as a truncated-row and retry it forever, so the read runs
+// under a deadline.
+func TestCSVReadErrorIsNotARow(t *testing.T) {
+	ioErr := errors.New("disk on fire")
+	for _, mode := range []ReadMode{Strict, Lenient} {
+		r := io.MultiReader(strings.NewReader(csvHeader+"us-east-1a,m1.small,0,0.01\n"), iotest.ErrReader(ioErr))
+		type result struct {
+			set *Set
+			rep *ReadReport
+			err error
+		}
+		done := make(chan result, 1) // buffered: the reader may finish after the deadline gave up on it
+		go func() {
+			set, rep, err := ReadCSVPoolsMode(r, market.M1Small, nil, 0, 24*60, mode)
+			done <- result{set, rep, err}
+		}()
+		select {
+		case got := <-done:
+			if !errors.Is(got.err, ioErr) || !strings.Contains(got.err.Error(), "trace: reading CSV") {
+				t.Fatalf("mode %d: error %v, want the reader's wrapped as a CSV read error", mode, got.err)
+			}
+			if got.set != nil || got.rep != nil {
+				t.Fatalf("mode %d: a failed read returned set %v, report %+v", mode, got.set, got.rep)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("mode %d: still reading a failing reader after 2 s", mode)
+		}
 	}
 }

@@ -124,11 +124,8 @@ func TestCSVPoolsRoundTrip(t *testing.T) {
 	if got.Fingerprint() != set.Fingerprint() {
 		t.Fatal("pool CSV round trip changed the set fingerprint")
 	}
-	// The typed rows are invisible to a single-type Strict read…
-	if _, err := ReadCSV(bytes.NewReader(buf.Bytes()), market.M1Small, 0, poolWeek); err == nil {
-		t.Fatal("strict single-type read accepted typed rows")
-	}
-	// …and to the pool reader when the type is not requested.
+	// A single-type read is the same reader with no extra types: the
+	// typed rows are a type mismatch to it.
 	if _, err := ReadCSVPools(bytes.NewReader(buf.Bytes()), market.M1Small, nil, 0, poolWeek); err == nil {
 		t.Fatal("pool read accepted a type outside the requested set")
 	}
@@ -145,38 +142,6 @@ func TestCSVPoolsOptionalTypeColumn(t *testing.T) {
 	tr := set.ByZone["us-east-1a"]
 	if tr == nil || tr.Type != market.M1Small || len(tr.Points) != 2 {
 		t.Fatalf("3-field read = %+v", tr)
-	}
-}
-
-// TestJSONPoolsRoundTrip checks the omitempty type field: base traces
-// serialize exactly as before, typed pools round-trip.
-func TestJSONPoolsRoundTrip(t *testing.T) {
-	set, err := Generate(poolGenConfig(market.R3Large))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := set.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint() != set.Fingerprint() {
-		t.Fatal("pool JSON round trip changed the set fingerprint")
-	}
-	// Single-type JSON output must not mention types per trace.
-	single, err := Generate(poolGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := single.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte(`"type"`)); n != 1 { // the set-level field only
-		t.Fatalf("single-type JSON mentions \"type\" %d times, want 1", n)
 	}
 }
 

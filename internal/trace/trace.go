@@ -1,6 +1,8 @@
 // Package trace represents spot-price histories: per-availability-zone
 // sequences of (minute, price) change points, with piecewise-constant
-// interpolation, windowing, and CSV/JSON serialization.
+// interpolation, windowing, and CSV serialization (io.go; the binary
+// format lives in the colbin subpackage and reads through the same row
+// discipline).
 //
 // It also provides a calibrated synthetic generator (gen.go) that stands
 // in for the proprietary 2014 Amazon EC2 price history the paper trained

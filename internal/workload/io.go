@@ -54,103 +54,36 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a workload trace written by WriteCSV in Strict mode.
-// The span is supplied by the caller, exactly as for price traces.
-func ReadCSV(r io.Reader, start, end int64) (*Trace, error) {
-	t, _, err := ReadCSVMode(r, start, end, trace.Strict)
-	return t, err
-}
-
-// ReadCSVMode parses a workload trace written by WriteCSV. Rows must
-// arrive in strictly ascending minute order with non-negative finite
-// rates. Strict mode rejects the first violation with its line
-// number; Lenient mode quarantines violating rows — counting each by
-// reason in the returned report — and keeps whatever parses.
+// ReadCSVMode parses a workload trace written by WriteCSV; the span is
+// supplied by the caller, exactly as for price traces. Rows must arrive
+// in strictly ascending minute order with non-negative finite rates.
+// Strict mode rejects the first violation with its line number; Lenient
+// mode quarantines violating rows — counting each by reason in the
+// returned report — and keeps whatever parses (see trace.ScanCSV, the
+// record loop this shares with the price-trace reader).
 func ReadCSVMode(r io.Reader, start, end int64, mode trace.ReadMode) (*Trace, *trace.ReadReport, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1 // field count is checked per row below
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, nil, fmt.Errorf("workload: empty CSV")
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("workload: reading CSV: %w", err)
-	}
-	if len(header) != 2 || header[0] != csvHeader[0] || header[1] != csvHeader[1] {
-		return nil, nil, fmt.Errorf("workload: unexpected CSV header %v", header)
-	}
-	report := &trace.ReadReport{}
-	add := func(reason string) {
-		if report.Reasons == nil {
-			report.Reasons = make(map[string]int)
-		}
-		report.Quarantined++
-		report.Reasons[reason]++
-	}
+	known := func(h []string) bool { return len(h) == 2 && h[0] == csvHeader[0] && h[1] == csvHeader[1] }
 	var points []Point
-	var lastMinute *int64
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
+	report, err := trace.ScanCSV(r, "workload", mode, known, func(row []string, after func(string, int64) (string, string)) (string, string) {
+		minute, err := strconv.ParseInt(row[0], 10, 64)
 		if err != nil {
-			if mode == trace.Lenient {
-				add(trace.ReasonTruncatedRow)
-				continue
-			}
-			return nil, nil, fmt.Errorf("workload: reading CSV: %w", err)
+			return trace.ReasonBadMinute, fmt.Sprintf("minute: %v", err)
 		}
-		quarantine := func(reason, format string, args ...any) error {
-			if mode == trace.Lenient {
-				add(reason)
-				return nil
-			}
-			return fmt.Errorf("workload: line %d: %s", line, fmt.Sprintf(format, args...))
-		}
-		if len(row) != 2 {
-			if err := quarantine(trace.ReasonTruncatedRow, "%d fields, want 2", len(row)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		minute, perr := strconv.ParseInt(row[0], 10, 64)
-		if perr != nil {
-			if err := quarantine(trace.ReasonBadMinute, "minute: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		rps, perr := strconv.ParseFloat(row[1], 64)
-		if perr != nil {
-			if err := quarantine(ReasonBadRPS, "rps: %v", perr); err != nil {
-				return nil, nil, err
-			}
-			continue
+		rps, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			return ReasonBadRPS, fmt.Sprintf("rps: %v", err)
 		}
 		if reason := checkRPS(rps); reason != "" {
-			if err := quarantine(reason, "rps %v is not a non-negative finite number", row[1]); err != nil {
-				return nil, nil, err
-			}
-			continue
+			return reason, fmt.Sprintf("rps %v is not a non-negative finite number", row[1])
 		}
-		if lastMinute != nil {
-			if minute == *lastMinute {
-				if err := quarantine(trace.ReasonDuplicateMinute, "minute %d repeats", minute); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			if minute < *lastMinute {
-				if err := quarantine(trace.ReasonOutOfOrder, "minute %d not after %d", minute, *lastMinute); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
+		if reason, detail := after("", minute); reason != "" {
+			return reason, detail
 		}
-		m := minute
-		lastMinute = &m
 		points = append(points, Point{Minute: minute, RPS: rps})
+		return "", ""
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	t, err := New(start, end, points)
 	if err != nil {

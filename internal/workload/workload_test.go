@@ -2,10 +2,15 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -88,7 +93,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := gen.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(bytes.NewReader(buf.Bytes()), gen.Start, gen.End)
+	got, _, err := ReadCSVMode(bytes.NewReader(buf.Bytes()), gen.Start, gen.End, trace.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +131,39 @@ func TestReadCSVLenientQuarantines(t *testing.T) {
 	}
 	if _, _, err := ReadCSVMode(strings.NewReader(in), 0, 100, trace.Strict); err == nil {
 		t.Error("strict read accepted malformed input")
+	}
+	// Strict names the physical line: the bad rate below sits on line 5,
+	// behind two blank lines (the third record, which is what used to be
+	// reported).
+	_, _, err = ReadCSVMode(strings.NewReader("minute,rps\n0,10\n\n\n5,abc\n"), 0, 100, trace.Strict)
+	if err == nil || !strings.Contains(err.Error(), "workload: line 5: rps:") {
+		t.Errorf("strict error %v, want it to name line 5", err)
+	}
+}
+
+// TestReadCSVReadErrorIsNotARow is the workload side of the trace
+// reader's test of the same name: a reader failing mid-stream is
+// returned in both modes, not quarantined and retried forever.
+func TestReadCSVReadErrorIsNotARow(t *testing.T) {
+	ioErr := errors.New("disk on fire")
+	for _, mode := range []trace.ReadMode{trace.Strict, trace.Lenient} {
+		r := io.MultiReader(strings.NewReader("minute,rps\n0,10\n"), iotest.ErrReader(ioErr))
+		done := make(chan error, 1) // buffered: the reader may finish after the deadline gave up on it
+		go func() {
+			tr, rep, err := ReadCSVMode(r, 0, 100, mode)
+			if tr != nil || rep != nil {
+				err = fmt.Errorf("a failed read returned trace %v, report %+v (err %v)", tr, rep, err)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ioErr) || !strings.Contains(err.Error(), "workload: reading CSV") {
+				t.Fatalf("mode %d: error %v, want the reader's wrapped as a CSV read error", mode, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("mode %d: still reading a failing reader after 2 s", mode)
+		}
 	}
 }
 
