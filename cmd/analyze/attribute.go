@@ -16,7 +16,7 @@ import (
 
 // runAttribute renders cost/downtime attribution tables. The input is
 // either an attribution document (replay -attrib-out, experiments
-// -attrib-out, tournament -attrib) or a raw event trace (-events-out),
+// -attrib-out, tournament -attrib-out) or a raw event trace (-events-out),
 // which is folded through a fresh ledger on the spot.
 func runAttribute(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("attribute", flag.ContinueOnError)

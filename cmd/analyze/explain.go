@@ -16,7 +16,7 @@ import (
 
 // runExplain reconstructs one decision — "why this bid at minute M" —
 // from a decision-provenance spans stream (replay -spans-out,
-// experiments -spans-out, experiments tournament -spans).
+// experiments -spans-out, experiments tournament -spans-out).
 func runExplain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	strat := fs.String("strategy", "", "filter spans by strategy stamp")
@@ -42,9 +42,14 @@ func runExplain(args []string, out io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	_, spans, err := provenance.ReadSpans(f)
+	hdr, spans, err := provenance.ReadSpans(f)
 	if err != nil {
 		return err
+	}
+	if len(spans) == 0 {
+		// Only strategies that implement provenance.Consumer (the Jupiter
+		// family) record their decisions; a rival's stream is a header.
+		return fmt.Errorf("the stream holds no spans: strategy %q records no decision provenance (try analyze attribute on the run's -attrib-out)", hdr.Meta["strategy"])
 	}
 
 	var kept []provenance.Span

@@ -24,7 +24,7 @@
 //
 // The explain subcommand reconstructs "why this bid at minute M" from
 // a decision-provenance spans stream (`replay -spans-out`,
-// `experiments -spans-out`, `experiments tournament -spans`): the
+// `experiments -spans-out`, `experiments tournament -spans-out`): the
 // pools considered, the candidate group sizes and their feasibility,
 // the dominance rule that rejected the losing candidate family, the
 // refine descent, and the chosen bids with their exact Eq. 10
@@ -32,7 +32,7 @@
 //
 // The attribute subcommand renders the cost/downtime attribution
 // ledger — every billed cent and downtime minute in one (pool, cause)
-// cell — from an attribution document (`-attrib-out`/`-attrib`), or
+// cell — from an attribution document (`-attrib-out`), or
 // directly from an event trace by folding it through a fresh ledger.
 // See DESIGN.md §2.8.
 package main

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|fig1|fig4|fig5|fig6|fig7|fig8|fig9|headline|example3] [-seed N] [-weeks N] [-j N] [-model-stats]
+//	experiments [-run all|table1|fig1|fig4|fig5|fig6|fig7|fig8|fig9|headline|example3|ablation|adaptive|refine|weighted]
+//	            [-csv file] [-seed N] [-weeks N] [-train N] [-j N] [-model-stats]
 //	            [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	            [-trace file]
 //	            [-chaos scenario] [-chaos-seed N]
@@ -13,7 +14,7 @@
 //	experiments tournament [-strategies specs | -roster file] [-scenarios names]
 //	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-epsilon F] [-j N]
 //	            [-autoscale] [-json file] [-manifest file] [-list]
-//	            [-spans file.jsonl] [-spans-sample N] [-attrib file.json]
+//	            [-spans-out file.jsonl] [-spans-sample N] [-attrib-out file.json]
 //
 // The tournament subcommand runs the strategy arena: every registered
 // strategy of the roster replays under every chaos scenario and seed,
@@ -23,13 +24,22 @@
 // (diurnal sinusoid plus flash crowds), so strategies are judged while
 // their fleets resize gradually (DESIGN.md §2.9).
 //
+// Everything from -seed down is the shared flag set of
+// internal/experiments.Flags — cmd/replay takes the same flags, the
+// tournament the subset it lists — and every record is written by the
+// one experiments.Sink, cells in grid order whatever -j is. A -trace
+// file (colbin or CSV, detected from its bytes; CSV rows are filtered
+// against the lock service's base type) replaces the synthetic market;
+// experiments whose spec needs a different base type fail with a clear
+// error.
+//
 // Telemetry: -events-out streams every replay cell's event history to
 // one JSONL file (cells of a parallel sweep interleave; use -j 1 for a
 // reproducible ordering), -manifest writes an end-of-run summary
-// (config, seed, wall time, metric snapshot; "-" = stdout), and
-// -debug-addr serves live /metrics and /debug/pprof while the
-// experiments run — the per-cell series are kept apart by
-// service/strategy/interval labels.
+// (config, seed, wall time, metric snapshot), and -debug-addr serves
+// live /metrics and /debug/pprof while the experiments run — the
+// per-cell series are kept apart by service/strategy/interval labels.
+// "-" sends an output to stdout, and several may share it.
 //
 // Provenance: -spans-out records every replay cell's decision spans
 // (why each bid was chosen; inspect with "analyze explain"), and
@@ -40,23 +50,18 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/market"
-	"repro/internal/modelcache"
-	"repro/internal/provenance"
-	"repro/internal/strategy"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/trace/colbin"
 )
+
+// options carries the parsed command line: the shared flag set plus
+// the figure selection.
+type options struct {
+	experiments.Flags
+	run string
+	csv string
+}
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "tournament" {
@@ -66,211 +71,29 @@ func main() {
 		}
 		return
 	}
-	runFlag := flag.String("run", "all", "experiment to run: all, table1, fig1, fig4, fig5, fig6, fig7, fig8, fig9, headline, example3, ablation, adaptive, refine, weighted")
-	seed := flag.Uint64("seed", 2014, "master seed for trace generation and replay")
-	weeks := flag.Int64("weeks", 11, "replay length in weeks (paper: 11)")
-	train := flag.Int64("train", 13, "training prefix in weeks (paper: ~13)")
-	csvOut := flag.String("csv", "", "also write sweep rows (figs 6-9) as CSV to this file")
-	jobs := flag.Int("j", runtime.NumCPU(), "worker-pool width for sweep cells (1 = sequential; results are identical either way)")
-	modelStats := flag.Bool("model-stats", false, "share one price-model cache across all experiments and print its hit/train counters at the end")
-	eventsOut := flag.String("events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout)")
-	spansOut := flag.String("spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file (see cmd/analyze explain)")
-	spansSample := flag.Int("spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
-	attribOut := flag.String("attrib-out", "", "write the per-cell cost/downtime attribution as JSON to this file ('-' = stdout)")
-	manifestOut := flag.String("manifest", "", "write an end-of-run summary manifest (JSON) to this file ('-' = stdout)")
-	debugAddr := flag.String("debug-addr", "", "serve live /metrics and /debug/pprof on this address (e.g. localhost:6060) for the duration of the run")
-	chaosSpec := flag.String("chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name or a JSON file")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
-	traceFile := flag.String("trace", "", "replay over this trace file instead of the synthetic market; format auto-detected (colbin binary, JSON, or CSV — CSV rows are filtered against the lock service's base type). Experiments whose spec needs a different base type fail with a clear error")
-	typesSpec := flag.String("types", "", "comma-separated extra instance types: every sweep bids across (zone, type) pools instead of zones only")
-	minVCPU := flag.Int("min-vcpu", 0, "minimum vCPUs an instance type must offer to host the services (0 = unconstrained)")
-	minMem := flag.Float64("min-mem", 0, "minimum memory in GiB an instance type must offer (0 = unconstrained)")
+	var o options
+	o.Register(flag.CommandLine, experiments.DefaultEnv())
+	flag.StringVar(&o.run, "run", "all", "experiment to run: all, table1, fig1, fig4, fig5, fig6, fig7, fig8, fig9, headline, example3, ablation, adaptive, refine, weighted")
+	flag.StringVar(&o.csv, "csv", "", "also write sweep rows (figs 6-9) as CSV to this file")
 	flag.Parse()
 
-	start := time.Now()
-	extraTypes, err := market.ParseTypes(*typesSpec)
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	env := experiments.Env{
-		Seed: *seed, TrainWeeks: *train, ReplayWeeks: *weeks, Jobs: *jobs,
-		Types: extraTypes, MinVCPU: *minVCPU, MinMemGiB: *minMem,
-	}
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		set, _, err := colbin.ReadAny(f, experiments.LockSpec().Type, extraTypes,
-			0, (*train+*weeks)*experiments.Week, trace.Strict)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		env.TraceSet = set
-	}
-	if *chaosSpec != "" {
-		sc, err := chaos.Load(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		env.Chaos = &sc
-		env.ChaosSeed = *chaosSeed
-		fmt.Fprintf(os.Stderr, "experiments: chaos scenario %q armed (%d injectors)\n", sc.Name, len(sc.Injectors))
-	}
-	if *modelStats {
-		env.Models = modelcache.New()
-	}
+}
 
-	var reg *telemetry.Registry
-	var writer *telemetry.TraceWriter
-	var debug *telemetry.DebugServer
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	if *manifestOut != "" || *debugAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	if *eventsOut != "" {
-		var w io.Writer = os.Stdout
-		if *eventsOut != "-" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fail(err)
-			}
-			w = f
-		}
-		kv := []string{
-			"command", "experiments",
-			"run", *runFlag,
-			"seed", strconv.FormatUint(*seed, 10),
-			"weeks", strconv.FormatInt(*weeks, 10),
-			"train", strconv.FormatInt(*train, 10),
-		}
-		if *chaosSpec != "" {
-			kv = append(kv,
-				"chaos", *chaosSpec,
-				"chaos-seed", strconv.FormatUint(*chaosSeed, 10))
-		}
-		// Pool keys appear only on heterogeneous runs, keeping zone-only
-		// trace headers byte-identical.
-		if *typesSpec != "" {
-			kv = append(kv, "types", *typesSpec)
-		}
-		if *minVCPU > 0 {
-			kv = append(kv, "min-vcpu", strconv.Itoa(*minVCPU))
-		}
-		if *minMem > 0 {
-			kv = append(kv, "min-mem", strconv.FormatFloat(*minMem, 'g', -1, 64))
-		}
-		tw, err := telemetry.NewTraceWriter(w, telemetry.SortedMeta(kv...))
-		if err != nil {
-			fail(err)
-		}
-		writer = tw
-	}
-	if *debugAddr != "" {
-		d, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			fail(err)
-		}
-		debug = d
-		fmt.Fprintf(os.Stderr, "experiments: serving /metrics and /debug/pprof on http://%s\n", d.Addr())
-	}
-	var sink *provSink
-	if *spansOut != "" || *attribOut != "" {
-		sink = newProvSink(*spansSample, *seed)
-		env.Spans = sink.recorder
-	}
-	if reg != nil || writer != nil || sink != nil {
-		// One collector per replay cell: the collector keeps per-run
-		// state, while the registry and trace writer are shared sinks.
-		env.Observe = func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer {
-			var obs []engine.Observer
-			if reg != nil {
-				obs = append(obs, telemetry.NewCollector(reg, telemetry.Labels{
-					Service:  serviceName(spec),
-					Strategy: strategyName,
-					Interval: fmt.Sprintf("%dh", intervalHours),
-				}))
-			}
-			if writer != nil {
-				obs = append(obs, writer)
-			}
-			if sink != nil {
-				obs = append(obs, sink.observe(spec, strategyName, intervalHours))
-			}
-			return obs
-		}
-	}
-
-	err = run(env, *runFlag, *csvOut)
-	if writer != nil {
-		if werr := writer.Close(); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if sink != nil && err == nil {
-		if *spansOut != "" {
-			f, serr := os.Create(*spansOut)
-			if serr == nil {
-				kv := []string{
-					"command", "experiments",
-					"run", *runFlag,
-					"seed", strconv.FormatUint(*seed, 10),
-					"spans-sample", strconv.Itoa(*spansSample),
-				}
-				serr = provenance.WriteSpans(f, telemetry.SortedMeta(kv...), sink.spans())
-				if cerr := f.Close(); serr == nil {
-					serr = cerr
-				}
-			}
-			if serr != nil {
-				err = serr
-			} else {
-				fmt.Println("wrote decision spans to", *spansOut)
-			}
-		}
-		if *attribOut != "" && err == nil {
-			err = writeAttribution(*attribOut, sink.attribution())
-		}
-	}
-	if *manifestOut != "" {
-		m := telemetry.NewManifest("experiments", *seed, map[string]string{
-			"run":   *runFlag,
-			"weeks": strconv.FormatInt(*weeks, 10),
-			"train": strconv.FormatInt(*train, 10),
-			"jobs":  strconv.Itoa(*jobs),
-		}, start, reg)
-		if merr := m.WriteFile(*manifestOut); merr != nil && err == nil {
-			err = merr
-		}
-	}
-	if debug != nil {
-		debug.Close()
-	}
+// run opens the shared surface, prints the figures, and closes the run.
+func run(o options) error {
+	env, sink, err := o.Open("experiments", experiments.LockSpec(), "run", o.run)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if env.Models != nil {
-		fmt.Println(env.Models.Stats())
-	}
+	return sink.Close(figures(env, o.run, o.csv))
 }
 
-// serviceName maps a spec back to the experiment's service label.
-func serviceName(spec strategy.ServiceSpec) string {
-	if spec.DataShards > 1 {
-		return "storage"
-	}
-	return "lock"
-}
-
-func run(env experiments.Env, which, csvOut string) error {
+// figures prints the selected tables and figures.
+func figures(env experiments.Env, which, csvOut string) error {
 	var lockRows, storageRows []experiments.SweepRow
 	needLock := which == "all" || which == "fig6" || which == "fig7" || which == "headline"
 	needStorage := which == "all" || which == "fig8" || which == "fig9" || which == "headline"

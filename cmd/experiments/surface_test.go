@@ -1,0 +1,163 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/provenance"
+	"repro/internal/telemetry"
+	"repro/internal/trace/colbin"
+)
+
+// quick is the Figures 6/7 sweep at the quick scale, seed 2014.
+func quick() options {
+	return options{
+		Flags: experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 2, SpansSample: 1},
+		run:   "fig6",
+	}
+}
+
+// runCaptured runs the command in-process with a temp file standing in
+// for stdout and returns what it printed.
+func runCaptured(t *testing.T, o options) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	runErr := run(o)
+	os.Stdout = old
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestStdoutSurvives: with the event trace, the attribution and the
+// manifest all on "-", the figures still print, nothing is lost to a
+// closed stream, and the manifest comes last.
+func TestStdoutSurvives(t *testing.T) {
+	o := quick()
+	o.EventsOut, o.AttribOut, o.Manifest = "-", "-", "-"
+	out, err := runCaptured(t, o)
+	if err != nil {
+		t.Fatalf("run with three outputs on stdout: %v", err)
+	}
+	for _, want := range []string{`{"schema":"jupiter-events"`, "== Figures 6 and 7 ==", `"schema": "jupiter-attribution"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %s", want)
+		}
+	}
+	i := strings.LastIndex(out, "{\n  \"schema\": \"jupiter-manifest\"")
+	if i < 0 {
+		t.Fatal("stdout carries no manifest")
+	}
+	m, err := telemetry.ReadManifest(strings.NewReader(out[i:]))
+	if err != nil {
+		t.Fatalf("stdout does not end with a parseable manifest: %v", err)
+	}
+	if m.Command != "experiments" || m.Config["run"] != "fig6" {
+		t.Errorf("manifest command %q, run %q", m.Command, m.Config["run"])
+	}
+}
+
+// TestRecordsIdentifyTheirRun: every shared flag set away from its
+// default shows in the manifest config, the event-trace header and the
+// spans header — the same keys cmd/replay writes, from the same
+// function — and a default run carries none of the optional ones.
+func TestRecordsIdentifyTheirRun(t *testing.T) {
+	set, err := experiments.Env{Seed: 7, TrainWeeks: 6, ReplayWeeks: 1}.Traces(experiments.LockSpec().Type)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceFile := filepath.Join(t.TempDir(), "market.colbin")
+	if err := os.WriteFile(traceFile, colbin.Encode(set), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	records := func(t *testing.T, o options) map[string]map[string]string {
+		t.Helper()
+		dir := t.TempDir()
+		o.EventsOut = filepath.Join(dir, "events.jsonl")
+		o.SpansOut = filepath.Join(dir, "spans.jsonl")
+		o.Manifest = filepath.Join(dir, "manifest.json")
+		if _, err := runCaptured(t, o); err != nil {
+			t.Fatal(err)
+		}
+		mf, err := os.Open(o.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mf.Close()
+		m, err := telemetry.ReadManifest(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ef, err := os.Open(o.EventsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ef.Close()
+		tr, err := telemetry.OpenTrace(ef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := os.Open(o.SpansOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sf.Close()
+		hdr, _, err := provenance.ReadSpans(sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]map[string]string{
+			"manifest config": m.Config, "events header": tr.Header().Meta, "spans header": hdr.Meta,
+		}
+	}
+
+	cases := []struct {
+		key, want string
+		set       func(*options)
+	}{
+		{"chaos", "reclaim-storm", func(o *options) { o.Chaos = "reclaim-storm" }},
+		{"chaos-seed", "9", func(o *options) { o.Chaos, o.ChaosSeed = "calm", 9 }},
+		{"types", "m1.medium", func(o *options) { o.Types = "m1.medium" }},
+		{"min-vcpu", "1", func(o *options) { o.MinVCPU = 1 }},
+		{"min-mem", "1.5", func(o *options) { o.MinMem = 1.5 }},
+		{"trace", traceFile, func(o *options) { o.Trace = traceFile }},
+		{"seed", "7", func(o *options) { o.Seed = 7 }},
+		{"train", "5", func(o *options) { o.Train = 5 }},
+		{"weeks", "2", func(o *options) { o.Train, o.Weeks = 5, 2 }},
+		{"spans-sample", "4", func(o *options) { o.SpansSample = 4 }},
+	}
+	for _, c := range cases {
+		t.Run(c.key, func(t *testing.T) {
+			o := quick()
+			c.set(&o)
+			for name, meta := range records(t, o) {
+				if meta[c.key] != c.want {
+					t.Errorf("%s: %s = %q, want %q (%v)", name, c.key, meta[c.key], c.want, meta)
+				}
+			}
+		})
+	}
+
+	for name, meta := range records(t, quick()) {
+		for _, key := range []string{"chaos", "chaos-seed", "types", "min-vcpu", "min-mem", "trace", "workload"} {
+			if v, ok := meta[key]; ok {
+				t.Errorf("default run's %s carries %s = %q", name, key, v)
+			}
+		}
+		if meta["run"] != "fig6" || meta["seed"] != "2014" {
+			t.Errorf("%s: run = %q, seed = %q", name, meta["run"], meta["seed"])
+		}
+	}
+}

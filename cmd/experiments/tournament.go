@@ -4,16 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
-	"repro/internal/provenance"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 )
 
 // runTournament is the "experiments tournament" subcommand: the
@@ -26,17 +22,12 @@ func runTournament(args []string) error {
 	roster := fs.String("roster", "", "read the roster from a strategy-list file (one spec per line, '#' comments); mutually exclusive with -strategies")
 	scenarios := fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
 	seedsSpec := fs.String("seeds", "", "comma-separated replay seeds (default 2014,2015,2016)")
-	weeks := fs.Int64("weeks", 1, "replay length in weeks")
-	train := fs.Int64("train", 6, "training prefix in weeks")
-	jobs := fs.Int("j", runtime.NumCPU(), "worker-pool width for grid cells")
 	interval := fs.Int64("interval", 3, "bidding interval in hours")
 	epsilon := fs.Float64("epsilon", experiments.DefaultTournamentEpsilon, "availability slack below the clean baseline")
 	autoscale := fs.Bool("autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
-	manifestOut := fs.String("manifest", "", "write an end-of-run telemetry manifest (JSON) to this file ('-' = stdout)")
-	spansOut := fs.String("spans", "", "write every cell's decision-provenance spans as JSONL to this file (see cmd/analyze explain)")
-	spansSample := fs.Int("spans-sample", 1, "with -spans, trace every Nth decision per cell (1 = all)")
-	attribOut := fs.String("attrib", "", "write the per-(strategy, scenario) cost/downtime attribution as JSON to this file ('-' = stdout)")
+	var shared experiments.Flags
+	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-out", "spans-sample", "attrib-out")
 	list := fs.Bool("list", false, "list registered strategies and builtin scenarios, then exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments tournament [flags]")
@@ -59,7 +50,6 @@ func runTournament(args []string) error {
 		return nil
 	}
 
-	start := time.Now()
 	cfg := experiments.TournamentConfig{
 		IntervalHours: *interval,
 		Epsilon:       *epsilon,
@@ -82,12 +72,6 @@ func runTournament(args []string) error {
 		}
 		cfg.Specs = specs
 	}
-	if *spansOut != "" {
-		cfg.SpanSample = *spansSample
-	}
-	if *attribOut != "" {
-		cfg.Attribute = true
-	}
 	if *scenarios != "" {
 		for _, s := range strings.Split(*scenarios, ",") {
 			if s = strings.TrimSpace(s); s != "" {
@@ -108,85 +92,59 @@ func runTournament(args []string) error {
 			cfg.Seeds = append(cfg.Seeds, seed)
 		}
 	}
-	var reg *telemetry.Registry
-	if *manifestOut != "" {
-		reg = telemetry.NewRegistry()
-		cfg.Registry = reg
+	// The run's record names the grid as resolved: the manifest's seed is
+	// the first market's, and its config and the spans header carry every
+	// seed and scenario.
+	if len(cfg.Seeds) == 0 {
+		cfg.Seeds = experiments.DefaultTournamentSeeds
 	}
+	if len(cfg.Scenarios) == 0 {
+		cfg.Scenarios = chaos.BuiltinNames()
+	}
+	seeds := make([]string, len(cfg.Seeds))
+	for i, s := range cfg.Seeds {
+		seeds[i] = strconv.FormatUint(s, 10)
+	}
+	kv := []string{
+		"seeds", strings.Join(seeds, ","),
+		"scenarios", strings.Join(cfg.Scenarios, ","),
+		"interval", strconv.FormatInt(*interval, 10),
+	}
+	if *autoscale {
+		kv = append(kv, "autoscale", "true")
+	}
+	shared.Seed = cfg.Seeds[0]
+	env, sink, err := shared.Open("experiments tournament", experiments.LockSpec(), kv...)
+	if err != nil {
+		return err
+	}
+	return sink.Close(arena(env, cfg, *jsonOut))
+}
 
-	env := experiments.Env{TrainWeeks: *train, ReplayWeeks: *weeks, Jobs: *jobs}
+// arena runs the grid and prints the leaderboard, as a table and — with
+// -json — for machines.
+func arena(env experiments.Env, cfg experiments.TournamentConfig, jsonOut string) error {
 	res, err := env.Tournament(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Println("== Strategy arena ==")
 	fmt.Println(experiments.RenderTournament(res))
-	if *jsonOut != "" {
-		b, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		if *jsonOut == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*jsonOut, b, 0o644); err != nil {
-			return err
-		} else {
-			fmt.Println("wrote leaderboard to", *jsonOut)
-		}
+	if jsonOut == "" {
+		return nil
 	}
-	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			return err
-		}
-		meta := telemetry.SortedMeta(
-			"command", "experiments tournament",
-			"interval", strconv.FormatInt(*interval, 10),
-			"spans-sample", strconv.Itoa(*spansSample),
-		)
-		if err := provenance.WriteSpans(f, meta, res.Spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote decision spans to", *spansOut)
+	b, err := res.JSON()
+	if err != nil {
+		return err
 	}
-	if *attribOut != "" {
-		runs := make([]provenance.DocCell, len(res.Attributions))
-		for i, a := range res.Attributions {
-			runs[i] = provenance.DocCell{
-				Strategy: a.Strategy, Scenario: a.Scenario,
-				Service: res.Service, Interval: fmt.Sprintf("%dh", res.IntervalHours),
-				Attribution: a.Attribution,
-			}
-		}
-		if err := writeAttribution(*attribOut, provenance.NewDoc(runs)); err != nil {
-			return err
-		}
+	if jsonOut == "-" {
+		_, err = os.Stdout.Write(b)
+		return err
 	}
-	if *manifestOut != "" {
-		seeds := make([]string, len(res.Seeds))
-		for i, s := range res.Seeds {
-			seeds[i] = strconv.FormatUint(s, 10)
-		}
-		kv := map[string]string{
-			"seeds":     strings.Join(seeds, ","),
-			"scenarios": strings.Join(res.Scenarios, ","),
-			"weeks":     strconv.FormatInt(*weeks, 10),
-			"train":     strconv.FormatInt(*train, 10),
-			"interval":  strconv.FormatInt(*interval, 10),
-			"jobs":      strconv.Itoa(*jobs),
-		}
-		if *autoscale {
-			kv["autoscale"] = "true"
-		}
-		m := telemetry.NewManifest("experiments tournament", res.Seeds[0], kv, start, reg)
-		if err := m.WriteFile(*manifestOut); err != nil {
-			return err
-		}
+	if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
+		return err
 	}
+	fmt.Println("wrote leaderboard to", jsonOut)
 	return nil
 }
 

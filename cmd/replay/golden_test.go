@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // goldenEventsSHA256 pins the byte-exact JSONL event trace of a fixed
@@ -24,14 +26,10 @@ func goldenRun(t *testing.T, tweak func(*options)) string {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "events.jsonl")
 	o := options{
-		stratName:    "jupiter",
-		service:      "lock",
-		intervalSpec: "3",
-		weeks:        2,
-		train:        6,
-		seed:         2014,
-		jobs:         1,
-		eventsOut:    out,
+		Flags:     experiments.Flags{Seed: 2014, Train: 6, Weeks: 2, Jobs: 1, EventsOut: out},
+		strategy:  "jupiter",
+		service:   "lock",
+		intervals: "3",
 	}
 	if tweak != nil {
 		tweak(&o)
@@ -81,7 +79,7 @@ func TestReplayEventTraceGoldenFlatWorkload(t *testing.T) {
 	if err := os.WriteFile(wlFile, []byte("minute,rps\n0,3000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := goldenRun(t, func(o *options) { o.workloadFile = wlFile })
+	got := goldenRun(t, func(o *options) { o.Workload = wlFile })
 	if got != goldenEventsSHA256 {
 		t.Fatalf("flat-workload event trace hash %s, want %s — the constant workload perturbed the run", got, goldenEventsSHA256)
 	}

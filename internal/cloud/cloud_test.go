@@ -9,8 +9,8 @@ import (
 	"repro/internal/trace"
 )
 
-// The provider is a strategy's market view as is: cmd/jupiter hands it
-// to Decide with no adapter in between.
+// The provider is a strategy's market view as is: the replay kernel
+// hands it to Decide with no adapter in between.
 var _ strategy.MarketView = (*Provider)(nil)
 
 // flatSet builds a single-zone set with a hand-written price staircase.

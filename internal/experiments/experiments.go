@@ -97,12 +97,10 @@ type Env struct {
 	// unobserved — the replay hot path skips event construction
 	// entirely.
 	Observe func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer
-	// Spans, when set, supplies each replay cell's decision-provenance
-	// recorder (replay.Config.Spans). Called once per cell like
-	// Observe, under the same concurrency rules; a recorder belongs to
-	// one run, so the factory must return a fresh (or per-cell) one.
-	// Nil leaves decisions untraced.
-	Spans func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) *provenance.Recorder
+	// sink, set by Flags.Open, is where every replay cell of this Env
+	// reports: the cell's collector, event trace, span recorder and
+	// ledger come from it, after Observe's. Nil records nothing.
+	sink *Sink
 }
 
 // DefaultEnv matches the paper's scale.
@@ -164,23 +162,50 @@ func (e Env) applyConstraints(spec strategy.ServiceSpec) strategy.ServiceSpec {
 	return spec
 }
 
-// replayOne runs a single strategy/interval combination.
+// serviceName maps a spec back to the experiment's service label.
+func serviceName(spec strategy.ServiceSpec) string {
+	if spec.DataShards > 1 {
+		return "storage"
+	}
+	return "lock"
+}
+
+// cellSeed derives a sweep cell's replay seed from the master seed and
+// the cell's coordinates, so no two cells of a figure share jitter.
+func (e Env) cellSeed(strat strategy.Strategy, intervalHours int64) uint64 {
+	return e.Seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name()))
+}
+
+// replayOne runs a single strategy/interval combination on its derived
+// cell seed, in the sink's next free slot — for callers that replay
+// their cells one after another.
 func (e Env) replayOne(set *trace.Set, spec strategy.ServiceSpec, strat strategy.Strategy, intervalHours int64) (*replay.Result, error) {
+	return e.replayCell(set, spec, strat, intervalHours, e.cellSeed(strat, intervalHours), e.sink.reserve(1), "")
+}
+
+// replayCell is the one cell runner: every replay any command drives
+// goes through it. The replay seed is the caller's — sweeps derive one
+// per cell, cmd/replay passes -seed as typed. slot is the cell's
+// reserved place in the sink (its grid index, so output order never
+// depends on the worker count) and scenario the chaos label a
+// tournament grid stamps on the cell's records.
+func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strategy.Strategy, intervalHours int64, seed uint64, slot int, scenario string) (*replay.Result, error) {
 	var observers []engine.Observer
 	if e.Observe != nil {
 		observers = e.Observe(spec, strat.Name(), intervalHours)
 	}
-	var spans *provenance.Recorder
-	if e.Spans != nil {
-		spans = e.Spans(spec, strat.Name(), intervalHours)
-	}
+	obs, spans := e.sink.cell(slot, provenance.Stamp{
+		Strategy: strat.Name(), Scenario: scenario, Service: serviceName(spec),
+		Interval: fmt.Sprintf("%dh", intervalHours), Seed: e.Seed,
+	})
+	observers = append(observers, obs...)
 	res, err := replay.Run(replay.Config{
 		Traces:                 set,
 		Start:                  e.TrainWeeks * Week,
 		Spec:                   spec,
 		Strategy:               strat,
 		IntervalMinutes:        intervalHours * 60,
-		Seed:                   e.Seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name())),
+		Seed:                   seed,
 		InjectHardwareFailures: true,
 		Models:                 e.Models,
 		Observers:              observers,
@@ -191,8 +216,9 @@ func (e Env) replayOne(set *trace.Set, spec strategy.ServiceSpec, strat strategy
 		Scaler:                 e.Scaler,
 	})
 	if err == nil {
-		// Per-run observers (telemetry.Collector) finalize open state —
-		// e.g. a quorum-down span still open at the end of accounting.
+		// Per-run observers (telemetry.Collector, provenance.Ledger)
+		// finalize open state — e.g. a quorum-down span still open at the
+		// end of accounting.
 		for _, o := range observers {
 			if c, ok := o.(interface{ CloseRun(endMinute int64) }); ok {
 				c.CloseRun(e.TrainWeeks*Week + res.TotalMinutes)
@@ -200,6 +226,32 @@ func (e Env) replayOne(set *trace.Set, spec strategy.ServiceSpec, strat strategy
 		}
 	}
 	return res, err
+}
+
+// ReplayIntervals replays one strategy at each of the given bidding
+// intervals — a one-strategy sweep: cells on the Env's worker pool over
+// one shared model cache, results in input order, every cell on
+// Env.Seed itself (cmd/replay's -seed, not a derived cell seed).
+func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, intervals []int64) ([]*replay.Result, error) {
+	spec = e.applyConstraints(spec)
+	set, err := e.Traces(spec.Type)
+	if err != nil {
+		return nil, err
+	}
+	if e.Models == nil {
+		e.Models = modelcache.New()
+	}
+	results := make([]*replay.Result, len(intervals))
+	base := e.sink.reserve(len(intervals))
+	err = forEachCell(len(intervals), e.Jobs, func(i int) error {
+		res, err := e.replayCell(set, spec, build(), intervals[i], e.Seed, base+i, "")
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // SweepRow is one cell of the Figures 6–9 matrices.
@@ -324,9 +376,10 @@ func (e Env) Sweep(spec strategy.ServiceSpec, serviceName string) ([]SweepRow, e
 		}
 	}
 	rows := make([]SweepRow, len(cells))
+	base := e.sink.reserve(len(cells))
 	err = forEachCell(len(cells), e.Jobs, func(i int) error {
 		strat := cells[i].mk()
-		res, err := e.replayOne(set, spec, strat, cells[i].hours)
+		res, err := e.replayCell(set, spec, strat, cells[i].hours, e.cellSeed(strat, cells[i].hours), base+i, "")
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%s/%dh: %w", serviceName, strat.Name(), cells[i].hours, err)
 		}

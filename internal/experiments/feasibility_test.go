@@ -140,8 +140,7 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 	}
 }
 
-// providerView adapts the cloud provider to the strategy view (shared
-// with cmd/jupiter).
+// providerView adapts the cloud provider to the strategy view.
 type providerView struct{ p *cloud.Provider }
 
 func (v providerView) Now() int64      { return v.p.Now() }

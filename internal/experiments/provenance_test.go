@@ -3,17 +3,16 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/market"
 	"repro/internal/modelcache"
-	"repro/internal/provenance"
-	"repro/internal/strategy"
 	"repro/internal/telemetry"
 )
 
@@ -65,32 +64,22 @@ func TestLedgerReconciliation(t *testing.T) {
 				// are exercised under every scenario.
 				e.Workload = cruiseWorkload(t, e)
 
-				reg := telemetry.NewRegistry()
-				rec := provenance.NewRecorder(1)
-				led := provenance.NewLedger()
-				led.WatchStages(rec)
-				scenario := name
-				e.Observe = func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer {
-					return []engine.Observer{
-						telemetry.NewCollector(reg, telemetry.Labels{
-							Service:  "lock",
-							Strategy: strategyName,
-							Interval: fmt.Sprintf("%dh", intervalHours),
-							Scenario: scenario,
-						}),
-						led,
-					}
-				}
-				e.Spans = func(strategy.ServiceSpec, string, int64) *provenance.Recorder { return rec }
+				// The one sink, armed as -manifest and -attrib-out arm it: a
+				// collector on its registry, a recorder, and a ledger watching
+				// the recorder's stage spans, all opened by the cell runner.
+				sink := &Sink{flags: Flags{AttribOut: "-"}, reg: telemetry.NewRegistry()}
+				e.sink = sink
 
 				set, err := e.Traces(market.M1Small)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := e.replayOne(set, LockSpec(), core.New(), 3)
+				strat := core.New()
+				res, err := e.replayCell(set, LockSpec(), strat, 3, e.cellSeed(strat, 3), sink.reserve(1), name)
 				if err != nil {
 					t.Fatal(err)
 				}
+				reg, led := sink.reg, sink.ledger(0)
 
 				a := led.Attribution()
 				var cellCost, cellDown int64
@@ -125,19 +114,25 @@ func TestLedgerReconciliation(t *testing.T) {
 }
 
 // TestTournamentProvenanceJIdentity pins the determinism contract for
-// the observability outputs: a tournament run with spans and
-// attribution enabled emits byte-identical leaderboard JSON and
-// byte-identical span streams at any worker-pool width.
+// the observability outputs: a tournament run with -spans-out and
+// -attrib-out, opened and closed through the one sink as the command
+// does, emits byte-identical leaderboard JSON, spans file and
+// attribution document at any worker-pool width.
 func TestTournamentProvenanceJIdentity(t *testing.T) {
-	run := func(jobs int) (leaderboard, spans []byte) {
-		e := QuickEnv()
-		e.Jobs = jobs
+	run := func(jobs int) (leaderboard, spans, attrib []byte) {
+		dir := t.TempDir()
+		f := Flags{
+			Train: 6, Weeks: 1, Jobs: jobs, SpansSample: 4,
+			SpansOut: filepath.Join(dir, "spans.jsonl"), AttribOut: filepath.Join(dir, "attrib.json"),
+		}
+		e, sink, err := f.Open("j-identity", LockSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := e.Tournament(TournamentConfig{
-			Specs:      []string{"jupiter", "baseline"},
-			Scenarios:  []string{"calm", "reclaim-storm"},
-			Seeds:      []uint64{2014},
-			SpanSample: 4,
-			Attribute:  true,
+			Specs:     []string{"jupiter", "baseline"},
+			Scenarios: []string{"calm", "reclaim-storm"},
+			Seeds:     []uint64{2014},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -146,19 +141,30 @@ func TestTournamentProvenanceJIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := provenance.WriteSpans(&buf, telemetry.SortedMeta("suite", "j-identity"), res.Spans); err != nil {
+		if err := sink.Close(nil); err != nil {
 			t.Fatal(err)
 		}
-		return js, buf.Bytes()
+		if spans, err = os.ReadFile(f.SpansOut); err != nil {
+			t.Fatal(err)
+		}
+		if attrib, err = os.ReadFile(f.AttribOut); err != nil {
+			t.Fatal(err)
+		}
+		return js, spans, attrib
 	}
-	j1, s1 := run(1)
-	j4, s4 := run(4)
+	j1, s1, a1 := run(1)
+	j4, s4, a4 := run(4)
 	if !bytes.Equal(j1, j4) {
 		t.Errorf("leaderboard JSON differs between -j 1 and -j 4: %d vs %d bytes", len(j1), len(j4))
 	}
 	if !bytes.Equal(s1, s4) {
 		t.Errorf("span stream differs between -j 1 and -j 4: %d vs %d bytes", len(s1), len(s4))
+	}
+	if !bytes.Equal(a1, a4) {
+		t.Errorf("attribution document differs between -j 1 and -j 4: %d vs %d bytes", len(a1), len(a4))
+	}
+	if !bytes.Contains(j1, []byte(`"attributions"`)) || !bytes.Contains(a1, []byte(`"scenario": "reclaim-storm"`)) {
+		t.Error("leaderboard or attribution document carries no per-scenario attribution")
 	}
 	// Sanity: the stream actually carries stamped spans from both cells.
 	for _, want := range []string{`"scenario":"reclaim-storm"`, `"scenario":"calm"`, `"strategy":"Jupiter"`} {

@@ -1,0 +1,426 @@
+package experiments
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/engine"
+	"repro/internal/market"
+	"repro/internal/modelcache"
+	"repro/internal/provenance"
+	"repro/internal/strategy"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/trace/colbin"
+	"repro/internal/workload"
+)
+
+// Flags is the command surface cmd/replay, cmd/experiments and
+// "experiments tournament" share: which market to replay, at what
+// scale, and which records of the run to write. Register declares the
+// flags, Open turns their values into an Env and the run's Sink.
+type Flags struct {
+	Seed      uint64  // -seed
+	Train     int64   // -train, weeks
+	Weeks     int64   // -weeks
+	Jobs      int     // -j
+	Trace     string  // -trace: replay this file instead of the synthetic market
+	Types     string  // -types: extra instance types, comma-separated
+	MinVCPU   int     // -min-vcpu
+	MinMem    float64 // -min-mem, GiB
+	Chaos     string  // -chaos: builtin scenario name or JSON file
+	ChaosSeed uint64  // -chaos-seed
+
+	ModelStats  bool   // -model-stats
+	EventsOut   string // -events-out
+	SpansOut    string // -spans-out
+	SpansSample int    // -spans-sample
+	AttribOut   string // -attrib-out
+	Manifest    string // -manifest
+	DebugAddr   string // -debug-addr
+
+	// Lenient and Workload are inputs only cmd/replay offers (as
+	// -lenient-traces and -workload); Register leaves them alone.
+	// Lenient quarantines malformed rows of the trace and workload
+	// files instead of failing the read; Workload names a request-rate
+	// CSV that arms every cell's autoscaler.
+	Lenient  bool
+	Workload string
+
+	// only is Register's subset; keys of flags a command does not have
+	// stay out of its run metadata.
+	only []string
+}
+
+// Register declares the shared flags on fs — all seventeen, or only
+// the named ones — bound to f's fields. def supplies the seed and scale
+// defaults (DefaultEnv for the paper's scale, QuickEnv for the arena).
+func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
+	f.only = only
+	all := flag.NewFlagSet("", flag.ContinueOnError)
+	all.Uint64Var(&f.Seed, "seed", def.Seed, "master seed for trace generation and replay")
+	all.Int64Var(&f.Train, "train", def.TrainWeeks, "training prefix in weeks (paper: ~13)")
+	all.Int64Var(&f.Weeks, "weeks", def.ReplayWeeks, "replay length in weeks (paper: 11)")
+	all.IntVar(&f.Jobs, "j", runtime.NumCPU(), "worker-pool width for replay cells (1 = sequential; results are identical either way)")
+	all.StringVar(&f.Trace, "trace", "", "replay over this trace file instead of the synthetic market; format auto-detected, colbin binary or CSV (CSV rows are filtered against the service's base type and -types)")
+	all.StringVar(&f.Types, "types", "", "comma-separated extra instance types: bid across (zone, type) pools instead of zones only")
+	all.IntVar(&f.MinVCPU, "min-vcpu", 0, "minimum vCPUs an instance type must offer to host the service (0 = unconstrained)")
+	all.Float64Var(&f.MinMem, "min-mem", 0, "minimum memory in GiB an instance type must offer (0 = unconstrained)")
+	all.StringVar(&f.Chaos, "chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name ("+strings.Join(chaos.BuiltinNames(), ", ")+") or a JSON scenario file")
+	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
+	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")
+	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout)")
+	all.StringVar(&f.SpansOut, "spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file ('-' = stdout; see cmd/analyze explain)")
+	all.IntVar(&f.SpansSample, "spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
+	all.StringVar(&f.AttribOut, "attrib-out", "", "write the per-cell cost/downtime attribution as JSON to this file ('-' = stdout; see cmd/analyze attribute)")
+	all.StringVar(&f.Manifest, "manifest", "", "write an end-of-run summary manifest (JSON) to this file ('-' = stdout)")
+	all.StringVar(&f.DebugAddr, "debug-addr", "", "serve live /metrics and /debug/pprof on this address (e.g. localhost:6060) for the duration of the run")
+	all.VisitAll(func(fl *flag.Flag) {
+		if f.has(fl.Name) {
+			fs.Var(fl.Value, fl.Name, fl.Usage)
+		}
+	})
+}
+
+// has reports whether the command offers the named shared flag.
+func (f *Flags) has(name string) bool {
+	return len(f.only) == 0 || slices.Contains(f.only, name)
+}
+
+// meta builds the run's metadata — the event-trace header, the spans
+// header and the manifest config are all this one map — from the
+// command's own key-value pairs and the shared flags. Seed and scale
+// are always present; every other key appears only when its flag is
+// set, so a default run's headers never grow.
+func (f *Flags) meta(command string, kv []string) map[string]string {
+	kv = append([]string{"command", command}, kv...)
+	add := func(name, value string, set bool) {
+		if set && f.has(name) {
+			kv = append(kv, name, value)
+		}
+	}
+	add("seed", strconv.FormatUint(f.Seed, 10), true)
+	add("train", strconv.FormatInt(f.Train, 10), true)
+	add("weeks", strconv.FormatInt(f.Weeks, 10), true)
+	add("trace", f.Trace, f.Trace != "")
+	add("chaos", f.Chaos, f.Chaos != "")
+	add("chaos-seed", strconv.FormatUint(f.ChaosSeed, 10), f.Chaos != "")
+	add("types", f.Types, f.Types != "")
+	add("min-vcpu", strconv.Itoa(f.MinVCPU), f.MinVCPU > 0)
+	add("min-mem", strconv.FormatFloat(f.MinMem, 'g', -1, 64), f.MinMem > 0)
+	add("spans-sample", strconv.Itoa(f.SpansSample), f.SpansSample > 1)
+	return telemetry.SortedMeta(kv...)
+}
+
+// Open turns the parsed flags into the run: the Env (types parsed,
+// constraints stamped, chaos loaded, the trace file read through
+// colbin.ReadAny against spec's base type, the workload read over the
+// replay span) and the Sink every replay cell of that Env reports to.
+// kv are the command's own metadata pairs ("run", "fig6"); the run's
+// clock starts here. Close the Sink when the run ends.
+func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (Env, *Sink, error) {
+	s := &Sink{flags: f, command: command, start: time.Now()}
+	types, err := market.ParseTypes(f.Types)
+	if err != nil {
+		return Env{}, nil, err
+	}
+	e := Env{
+		Seed: f.Seed, TrainWeeks: f.Train, ReplayWeeks: f.Weeks, Jobs: f.Jobs,
+		Types: types, MinVCPU: f.MinVCPU, MinMemGiB: f.MinMem, sink: s,
+	}
+	if f.ModelStats {
+		s.models = modelcache.New()
+		e.Models = s.models
+	}
+	if f.Chaos != "" {
+		sc, err := chaos.Load(f.Chaos)
+		if err != nil {
+			return Env{}, nil, err
+		}
+		e.Chaos, e.ChaosSeed = &sc, f.ChaosSeed
+		fmt.Fprintf(os.Stderr, "%s: chaos scenario %q armed (%d injectors)\n", command, sc.Name, len(sc.Injectors))
+	}
+	if f.Manifest != "" || f.DebugAddr != "" {
+		s.reg = telemetry.NewRegistry()
+	}
+
+	mode := trace.Strict
+	if f.Lenient {
+		mode = trace.Lenient
+	}
+	span := (f.Train + f.Weeks) * Week
+	if f.Trace != "" {
+		file, err := os.Open(f.Trace)
+		if err != nil {
+			return Env{}, nil, err
+		}
+		set, rep, err := colbin.ReadAny(file, spec.Type, types, 0, span, mode)
+		file.Close()
+		if err != nil {
+			return Env{}, nil, err
+		}
+		s.quarantined("trace", f.Trace, rep)
+		e.TraceSet = set
+	}
+	if f.Workload != "" {
+		file, err := os.Open(f.Workload)
+		if err != nil {
+			return Env{}, nil, err
+		}
+		wl, rep, err := workload.ReadCSVMode(file, f.Train*Week, span, mode)
+		file.Close()
+		if err != nil {
+			return Env{}, nil, err
+		}
+		s.quarantined("workload", f.Workload, rep)
+		e.Workload = wl
+		// The workload key mirrors the replay kernel's arming rule: it
+		// appears only when the plan can move the group size at all, so a
+		// flat workload's headers stay byte-identical to a fixed-n run's.
+		plan, err := workload.DefaultAutoscaler(spec.BaseNodes).Plan(wl)
+		if err != nil {
+			return Env{}, nil, err
+		}
+		if !plan.Constant() || plan.TargetAt(plan.Start) != spec.BaseNodes {
+			kv = append(kv, "workload", f.Workload)
+		}
+	}
+	s.meta = f.meta(command, kv)
+
+	if f.EventsOut != "" {
+		// Stdout is the caller's: wrapped, it is no io.Closer, so the
+		// trace writer flushes it and leaves it open for the manifest.
+		var w io.Writer = struct{ io.Writer }{os.Stdout}
+		if f.EventsOut != "-" {
+			file, err := os.Create(f.EventsOut)
+			if err != nil {
+				return Env{}, nil, err
+			}
+			w = file
+		}
+		if s.writer, err = telemetry.NewTraceWriter(w, s.meta); err != nil {
+			return Env{}, nil, err
+		}
+	}
+	if f.DebugAddr != "" {
+		if s.debug, err = telemetry.ServeDebug(f.DebugAddr, s.reg); err != nil {
+			return Env{}, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "%s: serving /metrics and /debug/pprof on http://%s\n", command, s.debug.Addr())
+	}
+	return e, s, nil
+}
+
+// Sink is the one place a run's records are assembled. Every replay
+// cell opens once — a Collector on the shared Registry, the shared
+// event TraceWriter, a fresh provenance Recorder and a fresh Ledger
+// watching its stage spans, each only if a flag asked for it — in a
+// slot fixed by the cell's place in the grid, and Close writes the
+// slots out in that order: the bytes of every file are the same at any
+// -j. A nil *Sink, or one no flag armed, leaves cells unobserved and
+// the replay hot path event-free.
+type Sink struct {
+	flags   Flags
+	command string
+	meta    map[string]string
+	start   time.Time
+
+	reg    *telemetry.Registry
+	writer *telemetry.TraceWriter
+	debug  *telemetry.DebugServer
+	models *modelcache.Cache
+
+	mu    sync.Mutex
+	cells []*sinkCell
+}
+
+// sinkCell is one replay's provenance: its label, spans and ledger.
+type sinkCell struct {
+	label provenance.Stamp
+	rec   *provenance.Recorder
+	led   *provenance.Ledger
+}
+
+// provenance reports whether cells record spans and keep a ledger.
+func (s *Sink) provenance() bool {
+	return s != nil && (s.flags.SpansOut != "" || s.flags.AttribOut != "")
+}
+
+// quarantined reports a lenient read's quarantined rows: one line on
+// stderr and, on an instrumented run, the
+// jupiter_trace_rows_quarantined_total counter. Silent for a clean read.
+func (s *Sink) quarantined(input, source string, rep *trace.ReadReport) {
+	fmt.Fprint(os.Stderr, rep.Summary(s.command, input))
+	telemetry.RecordQuarantinedRows(s.reg, source, rep)
+}
+
+// reserve claims n consecutive cell slots and returns the first. It is
+// called sequentially, before the cells fan out to workers, so a cell's
+// slot — and with it the order of everything Close writes — is fixed by
+// the grid and never by the scheduler.
+func (s *Sink) reserve(n int) int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	base := len(s.cells)
+	s.cells = append(s.cells, make([]*sinkCell, n)...)
+	return base
+}
+
+// cell opens one replay cell in a reserved slot and returns its
+// observers and its span recorder (nil when the run records none).
+// Safe for concurrent calls: per-run state is built fresh, the registry
+// and trace writer are shared sinks that lock for themselves.
+func (s *Sink) cell(slot int, label provenance.Stamp) ([]engine.Observer, *provenance.Recorder) {
+	if s == nil {
+		return nil, nil
+	}
+	var obs []engine.Observer
+	if s.reg != nil {
+		obs = append(obs, telemetry.NewCollector(s.reg, telemetry.Labels{
+			Service: label.Service, Strategy: label.Strategy, Interval: label.Interval, Scenario: label.Scenario,
+		}))
+	}
+	if s.writer != nil {
+		obs = append(obs, s.writer)
+	}
+	if !s.provenance() {
+		return obs, nil
+	}
+	c := &sinkCell{label: label, rec: provenance.NewRecorder(s.flags.SpansSample), led: provenance.NewLedger()}
+	c.led.WatchStages(c.rec)
+	s.mu.Lock()
+	s.cells[slot] = c
+	s.mu.Unlock()
+	return append(obs, c.led), c.rec
+}
+
+// ledger returns the ledger of an opened slot.
+func (s *Sink) ledger(slot int) *provenance.Ledger { return s.cells[slot].led }
+
+// spans stamps every cell's spans with its label and concatenates them
+// in slot order.
+func (s *Sink) spans() []provenance.Span {
+	var out []provenance.Span
+	for _, c := range s.cells {
+		if c != nil {
+			c.rec.Stamp(c.label)
+			out = append(out, c.rec.Spans()...)
+		}
+	}
+	return out
+}
+
+// attribution folds the ledgers into one document in slot order. Cells
+// that differ only in seed — a figure replayed twice by "-run all", the
+// seeds of one tournament (strategy, scenario) pair — merge into the
+// first of them, which keeps its seed only if all of them share it.
+func (s *Sink) attribution() provenance.Doc {
+	var runs []provenance.DocCell
+	at := map[provenance.Stamp]int{}
+	for _, c := range s.cells {
+		if c == nil {
+			continue
+		}
+		key := c.label
+		key.Seed = 0
+		if i, ok := at[key]; ok {
+			runs[i].Attribution = runs[i].Attribution.Merge(c.led.Attribution())
+			if runs[i].Seed != c.label.Seed {
+				runs[i].Seed = 0
+			}
+			continue
+		}
+		at[key] = len(runs)
+		runs = append(runs, provenance.DocCell{
+			Strategy: key.Strategy, Scenario: key.Scenario, Service: key.Service, Interval: key.Interval,
+			Seed: c.label.Seed, Attribution: c.led.Attribution(),
+		})
+	}
+	return provenance.NewDoc(runs)
+}
+
+// Close ends the run: it prints the model-cache counters (-model-stats),
+// flushes the event trace, writes — after a successful run — the spans
+// and the attribution, then the manifest, and stops the debug endpoint.
+// It returns runErr, or else the first error of its own. Stdout is
+// never closed, so "-" works for several outputs at once, the manifest
+// last.
+func (s *Sink) Close(runErr error) error {
+	ok := runErr == nil
+	keep := func(err error) {
+		if runErr == nil {
+			runErr = err
+		}
+	}
+	if ok && s.models != nil {
+		fmt.Println(s.models.Stats())
+	}
+	if s.writer != nil {
+		keep(s.writer.Close())
+	}
+	if ok && s.flags.SpansOut != "" {
+		meta := s.runMeta("spans-sample", strconv.Itoa(s.flags.SpansSample))
+		keep(writeOut(s.flags.SpansOut, "decision spans", func(w io.Writer) error {
+			return provenance.WriteSpans(w, meta, s.spans())
+		}))
+	}
+	if ok && s.flags.AttribOut != "" {
+		keep(writeOut(s.flags.AttribOut, "attribution", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(s.attribution())
+		}))
+	}
+	if s.flags.Manifest != "" {
+		cfg := s.runMeta("jobs", strconv.Itoa(s.flags.Jobs))
+		delete(cfg, "command")
+		keep(telemetry.NewManifest(s.command, s.flags.Seed, cfg, s.start, s.reg).WriteFile(s.flags.Manifest))
+	}
+	if s.debug != nil {
+		keep(s.debug.Close())
+	}
+	return runErr
+}
+
+// runMeta copies the run's metadata with one more pair.
+func (s *Sink) runMeta(key, value string) map[string]string {
+	m := map[string]string{key: value}
+	for k, v := range s.meta {
+		m[k] = v
+	}
+	return m
+}
+
+// writeOut writes one end-of-run document to path; "-" is stdout, which
+// stays open.
+func writeOut(path, what string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println("wrote", what, "to", path)
+	return nil
+}

@@ -7,11 +7,9 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/engine"
 	"repro/internal/modelcache"
 	"repro/internal/provenance"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -38,21 +36,6 @@ type TournamentConfig struct {
 	// paper's Eq. 10 guarantee measured the way the chaos suite
 	// measures it (default chaosGuaranteeEpsilon).
 	Epsilon float64
-	// Registry, when set, attaches a telemetry.Collector to every cell
-	// with the scenario name as a fourth base label, so the metric
-	// snapshot (and any manifest built from it) keys series by
-	// service/strategy/interval/scenario.
-	Registry *telemetry.Registry
-	// SpanSample, when positive, records decision-provenance spans for
-	// every cell, tracing every SpanSample-th decision (1 = all), and
-	// returns them stamped with the cell coordinates in
-	// TournamentResult.Spans — in grid order, so the stream is
-	// byte-identical at any Jobs setting.
-	SpanSample int
-	// Attribute attaches a provenance.Ledger to every cell and returns
-	// per-(strategy, scenario) cost/downtime attribution merged across
-	// seeds, so leaderboard rows can cite which cause broke each rival.
-	Attribute bool
 	// Autoscale arms every cell — and the clean on-demand baseline —
 	// with a synthetic diurnal+flash-crowd request-rate trace generated
 	// per seed (workload.Generate), so the whole arena competes on
@@ -105,9 +88,9 @@ type ScenarioScore struct {
 	// MeetsBound is the availability verdict: mean availability at
 	// least the clean baseline's minus epsilon.
 	MeetsBound bool `json:"meets_bound"`
-	// WorstCause, when the tournament ran with Attribute, names the
-	// attribution cause with the most downtime minutes under this
-	// scenario ("" when the strategy had none).
+	// WorstCause, when the run's sink kept ledgers (-spans-out or
+	// -attrib-out), names the attribution cause with the most downtime
+	// minutes under this scenario ("" when the strategy had none).
 	WorstCause string `json:"worst_cause,omitempty"`
 }
 
@@ -146,14 +129,10 @@ type TournamentResult struct {
 	Bound                float64          `json:"bound"`
 	Rows                 []TournamentRow  `json:"rows"`
 	Cells                []TournamentCell `json:"cells"`
-	// Attributions, with TournamentConfig.Attribute, carries the
+	// Attributions, when the run's sink kept ledgers, carries the
 	// per-(strategy, scenario) cost/downtime ledger merged across
 	// seeds, in grid order.
 	Attributions []StrategyAttribution `json:"attributions,omitempty"`
-	// Spans, with TournamentConfig.SpanSample, carries every cell's
-	// stamped decision spans in grid order. Excluded from the
-	// leaderboard JSON — write them with provenance.WriteSpans.
-	Spans []provenance.Span `json:"-"`
 }
 
 // StrategyAttribution is one (strategy, scenario) attribution of the
@@ -177,7 +156,10 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 // and seed — the strategy arena — and ranks them: most availability
 // bounds met first, mean cost as the tiebreaker. The Env's TrainWeeks,
 // ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, and
-// Observe are superseded by the grid coordinates.
+// Observe are superseded by the grid coordinates. Grid cells report to
+// the Env's sink labelled with their scenario — one slot per cell in
+// grid order, so spans, attribution and metrics are byte-identical at
+// any Jobs setting; the clean baseline replays stay unrecorded.
 func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	specs := cfg.Specs
 	if len(specs) == 0 {
@@ -256,6 +238,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		se := e
 		se.Seed = seed
 		se.Workload = workloads[seed]
+		se.sink = nil
 		res, err := se.replayOne(sets[seed], spec, strategy.OnDemand{}, hours)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: tournament baseline seed %d: %w", seed, err)
@@ -268,16 +251,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	// The grid, strategy-major so each strategy's cells are contiguous.
 	nS, nC, nK := len(builders), len(scenarios), len(seeds)
 	cells := make([]TournamentCell, nS*nC*nK)
-	// Provenance state lives in cell-indexed slices: each cell fills
-	// only its own slot, and everything is stamped and merged in grid
-	// order afterwards, so spans and attributions stay byte-identical
-	// at any Jobs setting.
-	var recs []*provenance.Recorder
-	var leds []*provenance.Ledger
-	if cfg.SpanSample > 0 || cfg.Attribute {
-		recs = make([]*provenance.Recorder, len(cells))
-		leds = make([]*provenance.Ledger, len(cells))
-	}
+	base := e.sink.reserve(len(cells))
 	err = forEachCell(len(cells), e.Jobs, func(i int) error {
 		si := i / (nC * nK)
 		ci := (i / nK) % nC
@@ -286,39 +260,9 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		ce.Seed = seeds[ki]
 		ce.Chaos = &scenarios[ci]
 		ce.Workload = workloads[seeds[ki]]
-		if cfg.Registry != nil {
-			reg, scenario := cfg.Registry, scenarioNames[ci]
-			ce.Observe = func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer {
-				return []engine.Observer{telemetry.NewCollector(reg, telemetry.Labels{
-					Service:  "lock",
-					Strategy: strategyName,
-					Interval: fmt.Sprintf("%dh", intervalHours),
-					Scenario: scenario,
-				})}
-			}
-		} else {
-			ce.Observe = nil
-		}
-		if recs != nil {
-			// A sample of 0 (Attribute without spans) still records at
-			// sample 1: the ledger reads stage spans for quarantine
-			// evidence.
-			rec := provenance.NewRecorder(cfg.SpanSample)
-			led := provenance.NewLedger()
-			led.WatchStages(rec)
-			recs[i], leds[i] = rec, led
-			ce.Spans = func(strategy.ServiceSpec, string, int64) *provenance.Recorder { return rec }
-			inner := ce.Observe
-			ce.Observe = func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer {
-				var obs []engine.Observer
-				if inner != nil {
-					obs = inner(spec, strategyName, intervalHours)
-				}
-				return append(obs, led)
-			}
-		}
+		ce.Observe = nil
 		strat := builders[si]()
-		res, err := ce.replayOne(sets[seeds[ki]], spec, strat, hours)
+		res, err := ce.replayCell(sets[seeds[ki]], spec, strat, hours, ce.cellSeed(strat, hours), base+i, scenarioNames[ci])
 		if err != nil {
 			return fmt.Errorf("experiments: tournament %s/%s/seed %d: %w",
 				names[si], scenarioNames[ci], seeds[ki], err)
@@ -337,34 +281,19 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		return nil, err
 	}
 
-	// Stamp and concatenate spans, and merge per-(strategy, scenario)
-	// attributions across seeds, in grid order.
-	var allSpans []provenance.Span
+	// Merge per-(strategy, scenario) attributions across seeds, in grid
+	// order, so leaderboard rows can cite which cause broke each rival.
 	var attribs []StrategyAttribution
-	if recs != nil {
-		if cfg.SpanSample > 0 {
-			for i, rec := range recs {
-				si := i / (nC * nK)
-				ci := (i / nK) % nC
-				ki := i % nK
-				rec.Stamp(provenance.Stamp{
-					Strategy: names[si], Scenario: scenarioNames[ci],
-					Service: "lock", Interval: fmt.Sprintf("%dh", hours), Seed: seeds[ki],
-				})
-				allSpans = append(allSpans, rec.Spans()...)
-			}
-		}
-		if cfg.Attribute {
-			for si := 0; si < nS; si++ {
-				for ci := 0; ci < nC; ci++ {
-					var merged provenance.Attribution
-					for ki := 0; ki < nK; ki++ {
-						merged = merged.Merge(leds[(si*nC+ci)*nK+ki].Attribution())
-					}
-					attribs = append(attribs, StrategyAttribution{
-						Strategy: names[si], Scenario: scenarioNames[ci], Attribution: merged,
-					})
+	if e.sink.provenance() {
+		for si := 0; si < nS; si++ {
+			for ci := 0; ci < nC; ci++ {
+				var merged provenance.Attribution
+				for ki := 0; ki < nK; ki++ {
+					merged = merged.Merge(e.sink.ledger(base + (si*nC+ci)*nK + ki).Attribution())
 				}
+				attribs = append(attribs, StrategyAttribution{
+					Strategy: names[si], Scenario: scenarioNames[ci], Attribution: merged,
+				})
 			}
 		}
 	}
@@ -383,7 +312,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 			score.MeanCostDollars /= float64(nK)
 			score.MeanAvailability /= float64(nK)
 			score.MeetsBound = score.MeanAvailability >= bound
-			if cfg.Attribute {
+			if attribs != nil {
 				score.WorstCause = attribs[si*nC+ci].WorstCause()
 			}
 			if score.MeetsBound {
@@ -441,7 +370,6 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		Rows:                 rows,
 		Cells:                cells,
 		Attributions:         attribs,
-		Spans:                allSpans,
 	}, nil
 }
 

@@ -10,11 +10,12 @@ import (
 
 // quickTournament runs the shipped arena — the full default roster,
 // every builtin scenario, the default three seeds — at the quick scale.
-func quickTournament(t *testing.T, reg *telemetry.Registry) *TournamentResult {
+func quickTournament(t *testing.T, sink *Sink) *TournamentResult {
 	t.Helper()
 	e := QuickEnv()
 	e.Jobs = 4
-	res, err := e.Tournament(TournamentConfig{Registry: reg})
+	e.sink = sink
+	res, err := e.Tournament(TournamentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +143,14 @@ func TestTournamentAutoscaledCell(t *testing.T) {
 	}
 }
 
-// TestTournamentScenarioLabel: with a registry attached, every cell's
-// collector stamps the scenario as a fourth base label, so the
-// deterministic snapshot keys series per scenario.
+// TestTournamentScenarioLabel: with the sink's registry armed (as
+// -manifest arms it), every cell's collector stamps the scenario as a
+// fourth base label, so the deterministic snapshot keys series per
+// scenario.
 func TestTournamentScenarioLabel(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	res := quickTournament(t, reg)
-	snap := reg.Snapshot()
+	sink := &Sink{reg: telemetry.NewRegistry()}
+	res := quickTournament(t, sink)
+	snap := sink.reg.Snapshot()
 	found := map[string]bool{}
 	for _, fam := range snap.Families {
 		for _, s := range fam.Series {
