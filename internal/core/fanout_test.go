@@ -21,7 +21,8 @@ import (
 )
 
 // guardedView fails the test if PriceHistory is entered while another
-// call is in flight, counts the calls, and records published events.
+// call is in flight, counts the calls by how many minutes they asked
+// for, and records published events.
 // Pools in noHistory have nothing to train on; pools in noPrice fail
 // their SpotPrice read.
 type guardedView struct {
@@ -29,6 +30,7 @@ type guardedView struct {
 	t         *testing.T
 	inFlight  atomic.Bool
 	fetches   int
+	asked     map[int64]int // to - from of every PriceHistory call
 	noHistory map[string]bool
 	noPrice   map[string]bool
 	events    []engine.Event
@@ -50,6 +52,10 @@ func (v *guardedView) PriceHistory(zone string, from, to int64) (*trace.Trace, e
 	defer v.inFlight.Store(false)
 	runtime.Gosched() // widen the window an overlapping call would land in
 	v.fetches++
+	if v.asked == nil {
+		v.asked = make(map[int64]int)
+	}
+	v.asked[to-from]++
 	if v.noHistory[zone] {
 		return nil, errors.New("no history")
 	}
@@ -82,7 +88,9 @@ func nineDecides(t *testing.T, j *Jupiter, view *guardedView) {
 
 // TestTrainingFanOutNeverOverlapsHistoryFetches: eight workers training
 // 68 pools, and the view sees one PriceHistory call at a time — exactly
-// one per provider miss.
+// one per provider miss, for the whole training window when the pool's
+// series starts and for the twelve hours since the last retrain when it
+// continues.
 func TestTrainingFanOutNeverOverlapsHistoryFetches(t *testing.T) {
 	view := &guardedView{traceView: traceView{set: benchPoolSet(t)}, t: t}
 	j := New()
@@ -93,6 +101,10 @@ func TestTrainingFanOutNeverOverlapsHistoryFetches(t *testing.T) {
 	}
 	if uint64(view.fetches) != st.Misses {
 		t.Fatalf("%d history fetches for %d provider misses", view.fetches, st.Misses)
+	}
+	if whole, suffix := view.asked[j.TrainingWindow], view.asked[j.RetrainEvery]; uint64(whole) != st.ScratchTrains || uint64(suffix) != st.IncrementalTrains {
+		t.Fatalf("%d whole-window and %d twelve-hour fetches (by minutes asked: %v) for %d scratch and %d incremental trains",
+			whole, suffix, view.asked, st.ScratchTrains, st.IncrementalTrains)
 	}
 }
 

@@ -315,16 +315,24 @@ type poolSnapshot struct {
 // market view or this instance's state: the quarantine filter, the
 // retrain-cadence check and the current-price reads (MarketView
 // implementations are not required to be goroutine-safe). A pool whose
-// model is due for (re)training leaves that pass with a nil model, and
-// the rest — training through the provider, then the forecast, the
-// semi-Markov DP that dominates a retrain minute — fans out over a
-// worker pool bounded by GOMAXPROCS. The provider is safe for
-// concurrent use and a Decide asks it for one key per pool, so no two
-// workers share a series; the history fetch stays lazy (only on a
-// provider miss) and is serialised by a Decide-local mutex, so
-// PriceHistory calls never overlap. Each forecast build draws its
-// per-minute scratch from a pool smc shares across models, so a worker
-// allocates only the profile table its model keeps.
+// model is due for (re)training leaves that pass with a nil model.
+//
+// Who runs the rest is read off that pass. When some pool is due — a
+// retrain minute — training through the provider and the forecast, the
+// semi-Markov DP that dominates such a minute, fan out over a worker
+// pool bounded by GOMAXPROCS. When none is, every forecast is a
+// convolution against profiles the model already holds, a few
+// microseconds each, and they run inline on the caller: a warm Decide
+// starts no goroutine. Results land in pool order either way.
+//
+// The provider is safe for concurrent use and a Decide asks it for one
+// key per pool, so no two workers share a series; the history fetch
+// stays lazy (only on a provider miss, and only from the minute the
+// provider names — the week a continuing series has not read) and is
+// serialised by a Decide-local mutex, taken inside the provider's series
+// lock, so PriceHistory calls never overlap. Each forecast build draws
+// its per-minute scratch from a pool smc shares across models, so a
+// worker allocates only the profile table its model keeps.
 //
 // Everything whose order is observable happens after the workers are
 // done, in pool order: KindModelTrained events, the retrain-cadence
@@ -346,6 +354,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		outcome modelcache.Outcome
 	}
 	work := make([]zoneWork, len(zones))
+	retrain := false // some pool is due for training
 	for i, z := range zones {
 		w := &work[i]
 		w.zone = z
@@ -355,6 +364,8 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		}
 		if zm, ok := j.zoneModels[z]; ok && (j.RetrainEvery == 0 || now-zm.trainedAt < j.RetrainEvery) {
 			w.model = zm.model
+		} else {
+			retrain = true
 		}
 		if w.cur, w.readErr = view.SpotPrice(z); w.readErr == nil {
 			if w.age, w.readErr = view.SpotPriceAge(z); w.readErr == nil {
@@ -378,10 +389,10 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		k := key
 		k.Zone = w.zone
 		var err error
-		w.model, w.outcome, err = models.Get(k, func() (*trace.Trace, error) {
+		w.model, w.outcome, err = models.GetFrom(k, func(since int64) (*trace.Trace, error) {
 			histMu.Lock()
 			defer histMu.Unlock()
-			return view.PriceHistory(w.zone, k.From, k.Until)
+			return view.PriceHistory(w.zone, since, k.Until)
 		})
 		if err != nil {
 			w.skip = "no-history" // pool unusable this round
@@ -436,7 +447,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 	}
 
 	built := make([]*poolSnapshot, len(work))
-	if workers := min(runtime.GOMAXPROCS(0), len(work)); workers <= 1 {
+	if workers := min(runtime.GOMAXPROCS(0), len(work)); workers <= 1 || !retrain {
 		for i := range work {
 			if work[i].skip == "" {
 				built[i] = build(&work[i])

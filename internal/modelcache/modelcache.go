@@ -16,11 +16,12 @@
 // Training itself is incremental where possible: per (trace, zone,
 // sojourn-cap) series the cache keeps a sliding-window estimator
 // (smc.WindowedEstimator), so a weekly retrain folds in one week of new
-// transitions instead of re-scanning the whole thirteen-week window.
-// Requests whose window is behind the series position (parallel cells
-// retrain at slightly different minutes) fall back to from-scratch
-// estimation without disturbing the series; the two paths are pinned
-// equivalent, so cache results never depend on request order.
+// transitions instead of re-scanning the whole thirteen-week window —
+// and asks the history fetcher for that week only (GetFrom). Requests
+// whose window is behind the series position (parallel cells retrain at
+// slightly different minutes) fall back to from-scratch estimation
+// without disturbing the series; the two paths are pinned equivalent, so
+// cache results never depend on request order.
 package modelcache
 
 import (
@@ -107,10 +108,14 @@ type seriesKey struct {
 	maxSojourn int64
 }
 
-// series is the per-history incremental estimator state.
+// series is the per-history incremental estimator state. reqFrom is the
+// Key.From of the request that last moved est: while requested starts do
+// not decrease, the start the fetcher would clamp the next one to is
+// max(its From, the window start est holds), with no fetch to read it off.
 type series struct {
-	mu  sync.Mutex
-	est *smc.WindowedEstimator
+	mu      sync.Mutex
+	est     *smc.WindowedEstimator
+	reqFrom int64
 }
 
 // Cache is the shared model provider. The zero value is not usable;
@@ -140,12 +145,31 @@ func normalize(k Key) Key {
 	return k
 }
 
-// Get returns the trained model for the key, invoking fetch for the
-// window's price history only when the model is not already cached.
-// Concurrent calls for the same key train once and share the result;
-// errors (from fetch, or estimation on an empty window) are cached per
-// key like models, since they are equally a function of the key.
+// Get is GetFrom for a fetcher that can only produce the whole window.
 func (c *Cache) Get(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, Outcome, error) {
+	return c.GetFrom(k, func(int64) (*trace.Trace, error) { return fetch() })
+}
+
+// GetFrom returns the trained model for the key, invoking fetch for
+// price history only when the model is not already cached. Concurrent
+// calls for the same key train once and share the result; errors (from
+// fetch, or estimation on an empty window) are cached per key like
+// models, since they are equally a function of the key.
+//
+// fetch(since) returns the key's history from minute since to Until,
+// clamped to what has been observed. A window that continues its series
+// — it overlaps and ends past the series' window, and starts no earlier
+// than the last request did — asks for since = the series' until, the
+// only stretch the sliding-window estimator reads. Every other window
+// (new series, behind it, disjoint from it) asks once for since = From.
+// So does a continuing one whose suffix came back with nothing new in it
+// or not starting at since — a feed gone stale before the series' until
+// — and that second call is the only one a miss ever adds. A fetcher may
+// ignore since and return the whole window every time, as Get's does:
+// history reaching back before the minute asked for is taken as the
+// window. fetch runs with the series locked, so it must not call back
+// into the cache.
+func (c *Cache) GetFrom(k Key, fetch func(since int64) (*trace.Trace, error)) (*smc.Model, Outcome, error) {
 	k = normalize(k)
 	c.mu.Lock()
 	e, ok := c.entries[k]
@@ -178,16 +202,9 @@ func (c *Cache) Get(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, Outc
 
 // train estimates the key's model, advancing the series' incremental
 // estimator when the requested window continues it and falling back to
-// a from-scratch pass otherwise.
-func (c *Cache) train(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, bool, time.Duration, error) {
-	hist, err := fetch()
-	if err != nil {
-		return nil, false, 0, err
-	}
-	if hist == nil {
-		return nil, false, 0, fmt.Errorf("modelcache: fetch returned no history for zone %s", k.Zone)
-	}
-
+// a from-scratch pass otherwise. The reported duration starts when the
+// last fetch returns.
+func (c *Cache) train(k Key, fetch func(since int64) (*trace.Trace, error)) (*smc.Model, bool, time.Duration, error) {
 	sk := seriesKey{trace: k.Trace, zone: k.Zone, maxSojourn: k.MaxSojourn}
 	c.mu.Lock()
 	s, ok := c.series[sk]
@@ -197,43 +214,84 @@ func (c *Cache) train(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, bo
 	}
 	c.mu.Unlock()
 
-	start := time.Now()
+	var fetched time.Time
 	s.mu.Lock()
-	incremental := false
-	if s.est != nil {
-		// Continue the series when the window slides forward from it.
-		if err := s.est.Advance(hist, hist.Start, hist.End); err == nil {
-			incremental = true
-			m, merr := s.est.Model()
-			s.mu.Unlock()
-			return m, incremental, time.Since(start), merr
-		}
-		if _, until := s.est.Window(); hist.End >= until {
-			// The series cannot serve this window (e.g. its start moved
-			// backward after a reset elsewhere); rebuild it here so the
-			// next retrain is incremental again.
-			s.est = nil
-		}
-		// Otherwise the request is behind the series position: train a
-		// standalone model and leave the series where it is.
+	m, incremental, hist, err := s.train(k, func(since int64) (*trace.Trace, error) {
+		h, err := fetch(since)
+		fetched = time.Now()
+		return h, err
+	})
+	s.mu.Unlock()
+	if err != nil {
+		return nil, false, 0, err
 	}
-	if s.est == nil {
-		s.est = smc.NewWindowedEstimator(k.MaxSojourn)
-		if err := s.est.Advance(hist, hist.Start, hist.End); err != nil {
-			s.est = nil
-			s.mu.Unlock()
+	if m == nil {
+		// Behind the series position: a standalone model.
+		est := smc.NewEstimator(k.MaxSojourn)
+		est.Observe(hist)
+		if m, err = est.Model(); err != nil {
 			return nil, false, 0, err
 		}
-		m, merr := s.est.Model()
-		s.mu.Unlock()
-		return m, false, time.Since(start), merr
 	}
-	s.mu.Unlock()
+	return m, incremental, time.Since(fetched), nil
+}
 
-	est := smc.NewEstimator(k.MaxSojourn)
-	est.Observe(hist)
-	m, merr := est.Model()
-	return m, false, time.Since(start), merr
+// train is the part of a miss that runs with the series locked: the
+// fetch, and the training when it is the series' own estimator that
+// does it. A nil model with a nil error hands back the window's history
+// instead: the request is behind the series, which stays where it is.
+func (s *series) train(k Key, fetch func(since int64) (*trace.Trace, error)) (m *smc.Model, incremental bool, hist *trace.Trace, err error) {
+	if s.est != nil {
+		if from, until := s.est.Window(); k.From >= s.reqFrom && k.From < until && k.Until > until {
+			var suffix *trace.Trace
+			if suffix, err = fetch(until); err != nil {
+				return nil, false, nil, err
+			}
+			switch {
+			case suffix == nil || suffix.End <= until || suffix.Start > until:
+				// Nothing usable past the series: ask for the whole window.
+			case suffix.Start < until:
+				hist = suffix // the fetcher returned the window, not the suffix
+			default:
+				if s.est.Advance(suffix, max(k.From, from), suffix.End) == nil {
+					s.reqFrom = k.From
+					m, err = s.est.Model()
+					return m, true, nil, err
+				}
+			}
+		}
+	}
+	if hist == nil {
+		if hist, err = fetch(k.From); err != nil {
+			return nil, false, nil, err
+		}
+		if hist == nil {
+			return nil, false, nil, fmt.Errorf("modelcache: fetch returned no history for zone %s", k.Zone)
+		}
+	}
+
+	if s.est != nil {
+		// Continue the series when the window slides forward from it.
+		if s.est.Advance(hist, hist.Start, hist.End) == nil {
+			s.reqFrom = k.From
+			m, err = s.est.Model()
+			return m, true, nil, err
+		}
+		if _, until := s.est.Window(); hist.End < until {
+			return nil, false, hist, nil
+		}
+		// The series cannot serve this window (e.g. its start moved
+		// backward after a reset elsewhere); rebuild it here so the next
+		// retrain is incremental again.
+	}
+	s.est = smc.NewWindowedEstimator(k.MaxSojourn)
+	if err = s.est.Advance(hist, hist.Start, hist.End); err != nil {
+		s.est = nil
+		return nil, false, nil, err
+	}
+	s.reqFrom = k.From
+	m, err = s.est.Model()
+	return m, false, nil, err
 }
 
 // Stats snapshots the cumulative counters.

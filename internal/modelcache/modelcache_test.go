@@ -3,9 +3,12 @@ package modelcache
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/market"
 	"repro/internal/smc"
@@ -34,6 +37,74 @@ func modelJSON(t *testing.T, m *smc.Model) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// feed stands in for a market view: PriceHistory clamps the way
+// cloud.Provider's does (to the trace start, and to cut — the provider's
+// now, or the minute a stale feed stopped), and records every minute a
+// fetch asked history from.
+type feed struct {
+	tr    *trace.Trace
+	cut   int64
+	delay time.Duration
+	asked []int64
+}
+
+func (f *feed) PriceHistory(from, to int64) *trace.Trace {
+	from = max(from, f.tr.Start)
+	to = max(min(to, f.cut), from)
+	return f.tr.Window(from, to)
+}
+
+func (f *feed) fetch(k Key) func(int64) (*trace.Trace, error) {
+	return func(since int64) (*trace.Trace, error) {
+		f.asked = append(f.asked, since)
+		time.Sleep(f.delay)
+		return f.PriceHistory(since, k.Until), nil
+	}
+}
+
+// get trains k through GetFrom and returns the minutes the fetch was
+// asked from.
+func (f *feed) get(t *testing.T, c *Cache, k Key) (*smc.Model, Outcome, []int64) {
+	t.Helper()
+	f.asked = nil
+	m, out, err := c.GetFrom(k, f.fetch(k))
+	if err != nil {
+		t.Fatalf("GetFrom %+v: %v", k, err)
+	}
+	return m, out, f.asked
+}
+
+// requireScratch holds a model to what a from-scratch Estimator over the
+// feed's PriceHistory(From, Until) yields: the same kernel bytes and,
+// bit for bit, the same forecast at every learned level.
+func (f *feed) requireScratch(t *testing.T, where string, m *smc.Model, k Key) {
+	t.Helper()
+	hist := f.PriceHistory(k.From, k.Until)
+	scratch := smc.NewEstimator(k.MaxSojourn)
+	scratch.Observe(hist)
+	want, err := scratch.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(modelJSON(t, m), modelJSON(t, want)) {
+		t.Fatalf("%s: model differs from from-scratch estimation over [%d, %d)", where, hist.Start, hist.End)
+	}
+	cur := hist.PriceAt(hist.End - 1)
+	got, err := m.Forecast(cur, 7, 360)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := want.Forecast(cur, 7, 360)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range ref.Levels() {
+		if g, w := got.OutOfBidFraction(lv), ref.OutOfBidFraction(lv); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: forecast above %v is %v, from scratch %v", where, lv, g, w)
+		}
+	}
 }
 
 func TestGetTrainsOnceThenHits(t *testing.T) {
@@ -109,6 +180,30 @@ func TestIncrementalRetrainMatchesScratch(t *testing.T) {
 	if s.IncrementalTrains != 1 || s.ScratchTrains != 1 {
 		t.Fatalf("stats %+v, want 1 incremental / 1 scratch", s)
 	}
+
+	// Through GetFrom the retrain fetches the week it reads: one call,
+	// from the series' previous until and never earlier. Six weeks of
+	// trace under a 13-week window — every From precedes the trace start,
+	// every clamped window starts at it — continue the series all the same.
+	for _, window := range []int64{3 * week, 13 * week} {
+		f := &feed{tr: tr, cut: tr.End}
+		c := New()
+		prev := int64(-1)
+		for until := 3 * week; until <= 6*week; until += week / 2 {
+			f.cut = until // the provider's now
+			k := Key{Zone: "a", From: until - window, Until: until}
+			m, out, asked := f.get(t, c, k)
+			if prev < 0 {
+				if out.Incremental || !slices.Equal(asked, []int64{k.From}) {
+					t.Fatalf("window %d: first train asked from %v (incremental %v), want the whole window once", window, asked, out.Incremental)
+				}
+			} else if !out.Incremental || !slices.Equal(asked, []int64{prev}) {
+				t.Fatalf("window %d until %d: retrain asked from %v (incremental %v), want once from the previous until %d", window, until, asked, out.Incremental, prev)
+			}
+			f.requireScratch(t, "incremental retrain", m, k)
+			prev = until
+		}
+	}
 }
 
 // A request behind the series position trains standalone and leaves the
@@ -143,6 +238,114 @@ func TestBehindSeriesRequestDoesNotDisturbIt(t *testing.T) {
 	// The series still sits at 4w and keeps advancing incrementally.
 	if _, out, err := c.Get(Key{Zone: "a", From: 2 * week, Until: 5 * week}, win(2*week, 5*week)); err != nil || !out.Incremental {
 		t.Fatalf("series lost its position: err %v, outcome %+v", err, out)
+	}
+}
+
+// TestWholeWindowFallbacks: every window that does not continue its
+// series is trained on one whole-window fetch, and the model is the one
+// a from-scratch estimator over that window's history yields — a
+// request behind the series (which stays put), one that starts earlier
+// than the last, one disjoint from the series (whose estimator rebuilds
+// over it inside Advance, which still counts as incremental). A
+// continuing window whose suffix comes back with nothing in it — the
+// feed went stale before the series' until, or exactly at it — is the
+// one case that fetches twice: the suffix, then the window.
+func TestWholeWindowFallbacks(t *testing.T) {
+	tr := genTrace(t, 12)
+	f := &feed{tr: tr, cut: tr.End}
+	c := New()
+	at := func(from, until int64) Key { return Key{Zone: "a", From: from, Until: until} }
+	seat := at(week, 4*week)
+	f.get(t, c, seat)
+
+	steps := []struct {
+		name        string
+		k           Key
+		cut         int64 // where the feed stops, if before k.Until
+		asked       []int64
+		incremental bool
+	}{
+		{name: "behind the series", k: at(0, 2*week), asked: []int64{0}},
+		{name: "series undisturbed", k: at(2*week, 5*week), asked: []int64{4 * week}, incremental: true},
+		{name: "start moved back", k: at(week, 5*week+60), asked: []int64{week}},
+		{name: "series rebuilt there", k: at(week, 5*week+120), asked: []int64{5*week + 60}, incremental: true},
+		{name: "stale before the series", k: at(2*week, 6*week), cut: 5 * week, asked: []int64{5*week + 120, 2 * week}},
+		{name: "stale at the series", k: at(2*week, 6*week+60), cut: 5*week + 120, asked: []int64{5*week + 120, 2 * week}, incremental: true},
+		{name: "feed back", k: at(2*week, 6*week+120), asked: []int64{5*week + 120}, incremental: true},
+		{name: "disjoint", k: at(8*week, 10*week), asked: []int64{8 * week}, incremental: true},
+		{name: "series re-seated", k: at(9*week, 11*week), asked: []int64{10 * week}, incremental: true},
+	}
+	for _, st := range steps {
+		f.cut = tr.End
+		if st.cut != 0 {
+			f.cut = st.cut
+		}
+		m, out, asked := f.get(t, c, st.k)
+		if out.Hit || out.Incremental != st.incremental || !slices.Equal(asked, st.asked) {
+			t.Fatalf("%s: outcome %+v, history asked from %v; want incremental %v, asked from %v", st.name, out, asked, st.incremental, st.asked)
+		}
+		f.requireScratch(t, st.name, m, st.k)
+	}
+}
+
+// TestTrainTimeExcludesFetch: Outcome.TrainTime is estimation only,
+// however long the history took to arrive — on the suffix path and on
+// the path that fetches twice.
+func TestTrainTimeExcludesFetch(t *testing.T) {
+	tr := genTrace(t, 6)
+	f := &feed{tr: tr, cut: tr.End, delay: 150 * time.Millisecond}
+	c := New()
+	f.get(t, c, Key{Zone: "a", From: 0, Until: 3 * week})
+	_, out, asked := f.get(t, c, Key{Zone: "a", From: week, Until: 4 * week})
+	if !out.Incremental || len(asked) != 1 || out.TrainTime >= f.delay {
+		t.Fatalf("suffix retrain: outcome %+v after %d fetches of %v each", out, len(asked), f.delay)
+	}
+	f.cut = 3 * week // stale: the suffix is empty, the window is fetched too
+	_, out, asked = f.get(t, c, Key{Zone: "a", From: 2 * week, Until: 5 * week})
+	if len(asked) != 2 || out.TrainTime >= f.delay {
+		t.Fatalf("stale retrain: outcome %+v after %d fetches of %v each", out, len(asked), f.delay)
+	}
+}
+
+// TestConcurrentSeriesWalkers: four sweep cells walk one series through
+// a shared cache, each retraining weekly at its own offset, so that a
+// request finds the series behind it, ahead of it or re-seated by a
+// neighbour, and fetches under the series lock while the others wait.
+// Whatever the interleaving, every model is the from-scratch one.
+func TestConcurrentSeriesWalkers(t *testing.T) {
+	tr := genTrace(t, 10)
+	c := New()
+	type trained struct {
+		k Key
+		m *smc.Model
+	}
+	var cells [4][]trained
+	var wg sync.WaitGroup
+	for cell := range cells {
+		wg.Add(1)
+		go func(cell int) {
+			defer wg.Done()
+			f := &feed{tr: tr}
+			for until := 4*week + int64(cell)*90; until < 10*week; until += week {
+				f.cut = until
+				k := Key{Zone: "a", From: until - 4*week, Until: until}
+				m, _, err := c.GetFrom(k, f.fetch(k))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cells[cell] = append(cells[cell], trained{k, m})
+			}
+		}(cell)
+	}
+	wg.Wait()
+	for _, models := range cells {
+		for _, tm := range models {
+			(&feed{tr: tr, cut: tm.k.Until}).requireScratch(t, "walker", tm.m, tm.k)
+		}
+	}
+	if s := c.Stats(); s.Misses != 4*6 || s.IncrementalTrains == 0 {
+		t.Fatalf("stats %+v, want 24 misses, some of them incremental", s)
 	}
 }
 

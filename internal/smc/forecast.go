@@ -61,16 +61,31 @@ func (fp *freshProfiles) at(i int, u int64) []float64 {
 	return fp.cum[off : off+fp.n : off+fp.n]
 }
 
-// fitted per-state sojourn data derived lazily from the kernel.
+// sojournData is one state's sojourn tables, derived lazily from the
+// kernel. The destinations of durations[x] are the range
+// next[first[x]:first[x+1]] of one flat list: only the destinations with
+// a non-zero probability, ascending — a kernel row names one or two of
+// the n states, so dense rows would be mostly zeros that every reader
+// skips anyway.
 type sojournData struct {
-	durations []int64     // sorted distinct observed sojourns
-	pmf       []float64   // P(K = durations[x])
-	next      []stateDist // destination distribution given K = durations[x]
-	survival  []float64   // survival[a] = P(K >= a), a in [0, maxDur+1]
-	marginal  stateDist   // destination distribution ignoring K
+	durations []int64   // sorted distinct observed sojourns
+	pmf       []float64 // P(K = durations[x])
+	first     []int     // len(durations)+1 offsets into next
+	next      []dest    // P(destination | K = durations[x]), non-zeros only
+	survival  []float64 // survival[a] = P(K >= a), a in [0, maxDur+1]
+	marginal  stateDist // destination distribution ignoring K
 	maxDur    int64
 	absorbing bool // state observed only as a destination: never departs
 }
+
+// dest is one non-zero entry of a destination distribution.
+type dest struct {
+	to int
+	g  float64
+}
+
+// dests returns the destination distribution given K = durations[x].
+func (sd *sojournData) dests(x int) []dest { return sd.next[sd.first[x]:sd.first[x+1]] }
 
 // sojourn returns (building if needed) the per-state sojourn tables.
 // The hit path is a single atomic load; builds happen under the model's
@@ -97,63 +112,62 @@ func (m *Model) sojournLocked(i int) *sojournData {
 		return sd
 	}
 	// The kernel rows are already ascending by sojourn and, within one,
-	// by destination, so the tables fill in one walk.
-	rows := m.kernel[i]
-	sd.durations = make([]int64, len(rows))
-	sd.pmf = make([]float64, len(rows))
-	sd.next = make([]stateDist, len(rows))
-	dists := make([]float64, len(rows)*n)
-	for x, r := range rows {
-		dist := dists[x*n : (x+1)*n : (x+1)*n]
-		for _, c := range r.cells {
-			dist[c.to] = float64(c.count) / float64(r.total)
-			sd.marginal[c.to] += float64(c.count) / float64(m.out[i])
-		}
-		sd.durations[x] = r.k
-		sd.next[x] = dist
-		sd.pmf[x] = float64(r.total) / float64(m.out[i])
-	}
-	sd.maxDur = sd.durations[len(rows)-1]
-	// Cap the duration support so the fresh-profile DP stays cheap: a
-	// long tail of distinct sojourns merges into adjacent buckets with
-	// probability-weighted representative durations. This only coarsens
-	// *when* within the interval a transition lands, never whether.
+	// by destination, so the tables fill in one walk. Cap the duration
+	// support so the fresh-profile DP stays cheap: a long tail of distinct
+	// sojourns merges, group adjacent rows at a time, into buckets with
+	// probability-weighted representative durations and destinations. This
+	// only coarsens *when* within the interval a transition lands, never
+	// whether.
 	const maxDurations = 96
-	if len(sd.durations) > maxDurations {
-		group := (len(sd.durations) + maxDurations - 1) / maxDurations
-		groups := (len(sd.durations) + group - 1) / group
-		mk := make([]int64, 0, groups)
-		mp := make([]float64, 0, groups)
-		mn := make([]stateDist, 0, groups)
-		dists := make([]float64, groups*n)
-		for lo := 0; lo < len(sd.durations); lo += group {
-			hi := min(lo+group, len(sd.durations))
-			var pSum, dSum float64
-			dist := dists[len(mk)*n:][:n:n]
-			for x := lo; x < hi; x++ {
-				pSum += sd.pmf[x]
-				dSum += float64(sd.durations[x]) * sd.pmf[x]
-				for s, g := range sd.next[x] {
-					dist[s] += g * sd.pmf[x]
+	rows := m.kernel[i]
+	group := (len(rows) + maxDurations - 1) / maxDurations
+	groups := (len(rows) + group - 1) / group
+	ncells := 0
+	for _, r := range rows {
+		ncells += len(r.cells)
+	}
+	out := float64(m.out[i])
+	sd.durations = make([]int64, groups)
+	sd.pmf = make([]float64, groups)
+	sd.first = make([]int, groups+1)
+	sd.next = make([]dest, 0, min(ncells, groups*n))
+	var dist stateDist // a merged bucket's destinations, cleared as they are read out
+	if group > 1 {
+		dist = make(stateDist, n)
+	}
+	for x := range sd.durations {
+		bucket := rows[x*group : min((x+1)*group, len(rows))]
+		var pSum, dSum float64
+		for _, r := range bucket {
+			p := float64(r.total) / out
+			pSum += p
+			dSum += float64(r.k) * p
+			for _, c := range r.cells {
+				g := float64(c.count) / float64(r.total)
+				sd.marginal[c.to] += float64(c.count) / out
+				if group == 1 {
+					sd.next = append(sd.next, dest{to: c.to, g: g})
+				} else {
+					dist[c.to] += g * p
 				}
 			}
-			for s := range dist {
-				dist[s] /= pSum
-			}
-			d := int64(dSum/pSum + 0.5)
-			if d < 1 {
-				d = 1
-			}
-			if len(mk) > 0 && mk[len(mk)-1] >= d {
-				d = mk[len(mk)-1] + 1
-			}
-			mk = append(mk, d)
-			mp = append(mp, pSum)
-			mn = append(mn, dist)
 		}
-		sd.durations, sd.pmf, sd.next = mk, mp, mn
-		sd.maxDur = mk[len(mk)-1]
+		d := bucket[0].k
+		if group > 1 {
+			for s, v := range dist {
+				if g := v / pSum; g != 0 {
+					sd.next = append(sd.next, dest{to: s, g: g})
+				}
+				dist[s] = 0
+			}
+			d = max(int64(dSum/pSum+0.5), 1)
+			if x > 0 && sd.durations[x-1] >= d {
+				d = sd.durations[x-1] + 1
+			}
+		}
+		sd.durations[x], sd.pmf[x], sd.first[x+1] = d, pSum, len(sd.next)
 	}
+	sd.maxDur = sd.durations[groups-1]
 	// survival[a] = P(K >= a): survival[0] = survival[1] = 1 since K >= 1.
 	sd.survival = make([]float64, sd.maxDur+2)
 	tail := 1.0
@@ -348,10 +362,8 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 			if d >= horizon {
 				break
 			}
-			for j, g := range sd.next[x] {
-				if g != 0 {
-					hops = append(hops, hop{d: int(d), src: (j*h - int(d)) * n, wg: sd.pmf[x] * g})
-				}
+			for _, e := range sd.dests(x) {
+				hops = append(hops, hop{d: int(d), src: (e.to*h - int(d)) * n, wg: sd.pmf[x] * e.g})
 			}
 		}
 		first[i+1] = len(hops)
@@ -504,12 +516,9 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 				continue
 			}
 			rem := horizon - d
-			for j, g := range sd.next[x] {
-				if g == 0 {
-					continue
-				}
-				c := fp.at(j, rem)
-				wg := w * g
+			for _, e := range sd.dests(x) {
+				c := fp.at(e.to, rem)
+				wg := w * e.g
 				for s := range tot {
 					tot[s] += wg * c[s]
 				}

@@ -6,10 +6,12 @@ package smc
 //   - refEstimator / refModel / refWriteJSON: the three-level-map
 //     Equation 13 estimator, its map-of-maps kernel and its serializer,
 //     as they were before the flat kernel;
-//   - refSojourn: the per-state sojourn tables built by iterating and
-//     sorting those maps;
-//   - refFresh: the fresh-profile DP that scanned dense next[x] vectors
-//     through an `at` closure, as it was before the hop-compiled DP;
+//   - refSojournData / refSojourn: the per-state sojourn tables built by
+//     iterating and sorting those maps, with one dense n-wide destination
+//     vector per duration, as they were before the flat non-zero ranges;
+//   - refFresh: the fresh-profile DP that scanned those dense next[x]
+//     vectors through an `at` closure, as it was before the hop-compiled
+//     DP;
 //   - refFreshCum / refForecast / refOutOfBidFraction / refMinimalBid:
 //     the older slice-of-slices DP and the linear out-of-bid scans from
 //     before the flat-matrix/suffix-sum rewrite.
@@ -218,11 +220,36 @@ func refModelOf(m *Model) *refModel {
 	return r
 }
 
+// refSojournData is sojournData with the dense destination table:
+// next[x][j] = P(destination j | K = durations[x]), zeros included.
+type refSojournData struct {
+	durations []int64
+	pmf       []float64
+	next      []stateDist
+	survival  []float64
+	marginal  stateDist
+	maxDur    int64
+	absorbing bool
+}
+
+func (sd *refSojournData) survivalAt(a int64) float64 {
+	if sd.absorbing {
+		return 1
+	}
+	if a < 0 {
+		a = 0
+	}
+	if a >= int64(len(sd.survival)) {
+		return 0
+	}
+	return sd.survival[a]
+}
+
 // refSojourn rebuilds a state's sojourn tables from the map kernel,
 // fully independently of the model's published cache.
-func refSojourn(m *refModel, i int) *sojournData {
+func refSojourn(m *refModel, i int) *refSojournData {
 	n := len(m.prices)
-	sd := &sojournData{marginal: make(stateDist, n)}
+	sd := &refSojournData{marginal: make(stateDist, n)}
 	if m.out[i] == 0 {
 		sd.absorbing = true
 		return sd
@@ -317,7 +344,7 @@ func sortInt64s(s []int64) {
 
 // refFreshCum is the pre-rewrite fresh-profile DP: per-minute stateDist
 // allocations, cum[i][u] built by copy-then-add.
-func refFreshCum(m *refModel, horizon int64, soj []*sojournData) [][]stateDist {
+func refFreshCum(m *refModel, horizon int64, soj []*refSojournData) [][]stateDist {
 	n := len(m.prices)
 	occ := make([][]stateDist, n)
 	for i := range occ {
@@ -381,9 +408,14 @@ func refFresh(m *Model, horizon int64) []float64 {
 		off := (i*h + int(t)) * n
 		return occ[off : off+n : off+n]
 	}
+	rm := refModelOf(m)
+	soj := make([]*refSojournData, n)
+	for i := range soj {
+		soj[i] = refSojourn(rm, i)
+	}
 	for t := int64(0); t < horizon; t++ {
 		for i := 0; i < n; i++ {
-			sd := m.sojourn(i)
+			sd := soj[i]
 			v := at(i, t)
 			// Still in the entered state through minute t iff K >= t+1.
 			v[i] = sd.survivalAt(t + 1)
@@ -435,7 +467,7 @@ func refForecast(m *Model, cur market.Money, age, horizon int64) *Forecast {
 	}
 	n := len(m.prices)
 	rm := refModelOf(m)
-	soj := make([]*sojournData, n)
+	soj := make([]*refSojournData, n)
 	for i := range soj {
 		soj[i] = refSojourn(rm, i)
 	}

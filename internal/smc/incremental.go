@@ -87,14 +87,16 @@ func (w *WindowedEstimator) Observations() int64 { return w.est.Observations() }
 func (w *WindowedEstimator) Model() (*Model, error) { return w.est.Model() }
 
 // Advance slides the window to [from, until), reading any new history
-// from tr, which must cover the whole window (tr.Start <= from and
-// tr.End >= until — the windowed history a MarketView.PriceHistory call
-// returns satisfies this) and be the same price history every call
-// reads: only its points from the previous until on are looked at. The
-// window can only move forward: from and until must each be at least
-// their previous values. If the new window has no overlap with the old
-// one the estimator simply rebuilds from scratch; that is a semantic
-// no-op, just without the incremental saving.
+// from tr, which must be the same price history every call reads. Only
+// its points from the previous until on are looked at, so that is all tr
+// has to cover: [previous until, until) when the new window overlaps the
+// old one — the suffix a MarketView.PriceHistory call from the previous
+// until returns will do, and so will the whole window — and all of
+// [from, until) on first use or when the window slid completely past
+// the old one, where the estimator simply rebuilds from scratch; that is
+// a semantic no-op, just without the incremental saving. The window can
+// only move forward: from and until must each be at least their
+// previous values.
 func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	if tr == nil {
 		return fmt.Errorf("smc: Advance on nil trace")
@@ -105,17 +107,17 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	if w.inited && (from < w.from || until < w.until) {
 		return fmt.Errorf("smc: window [%d, %d) moves backward from [%d, %d)", from, until, w.from, w.until)
 	}
-	if tr.Start > from || tr.End < until {
-		return fmt.Errorf("smc: history [%d, %d) does not cover window [%d, %d)", tr.Start, tr.End, from, until)
-	}
 	// First use, or the window slid completely past the old one: the run
 	// covering from opens the window, and price changes count from the
 	// minute after. Otherwise the tail run is still open at the previous
 	// until, and reading resumes there.
 	restart := !w.inited || from >= w.until
-	resume := w.until
+	resume, covered := w.until, w.until
 	if restart {
-		resume = from + 1
+		resume, covered = from+1, from
+	}
+	if tr.Start > covered || tr.End < until {
+		return fmt.Errorf("smc: history [%d, %d) does not cover [%d, %d) of window [%d, %d)", tr.Start, tr.End, covered, until, from, until)
 	}
 	next := sort.Search(len(tr.Points), func(i int) bool { return tr.Points[i].Minute >= resume })
 	unread := tr.Points[next:]

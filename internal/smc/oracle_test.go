@@ -21,16 +21,40 @@ func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// requireSojournEqual compares every field of two sojourn tables, the
-// floats by bit pattern.
-func requireSojournEqual(t *testing.T, where string, got, want *sojournData) {
+// denseRows expands a state's destination ranges into one n-wide row
+// per duration. ok is false unless the ranges tile the flat list in
+// order and each lists non-zero entries at ascending destinations.
+func denseRows(sd *sojournData, n int) (rows []stateDist, ok bool) {
+	at := 0
+	for x := range sd.durations {
+		if sd.first[x] != at {
+			return nil, false
+		}
+		row, last := make(stateDist, n), -1
+		for _, e := range sd.dests(x) {
+			if e.to <= last || e.to >= n || e.g == 0 {
+				return nil, false
+			}
+			row[e.to], last = e.g, e.to
+		}
+		rows, at = append(rows, row), sd.first[x+1]
+	}
+	return rows, at == len(sd.next)
+}
+
+// requireSojournEqual compares a state's sojourn tables with the dense
+// reference's, the floats by bit pattern: every field, and range by
+// range the destination list against the dense row it stands for — a
+// cell is listed exactly when the row holds a non-zero there.
+func requireSojournEqual(t *testing.T, where string, got *sojournData, want *refSojournData) {
 	t.Helper()
-	ok := got.absorbing == want.absorbing && got.maxDur == want.maxDur &&
+	rows, ok := denseRows(got, len(want.marginal))
+	ok = ok && got.absorbing == want.absorbing && got.maxDur == want.maxDur &&
 		slices.Equal(got.durations, want.durations) &&
 		bitsEqual(got.pmf, want.pmf) && bitsEqual(got.survival, want.survival) &&
-		bitsEqual(got.marginal, want.marginal) && len(got.next) == len(want.next)
-	for x := 0; ok && x < len(got.next); x++ {
-		ok = bitsEqual(got.next[x], want.next[x])
+		bitsEqual(got.marginal, want.marginal) && len(rows) == len(want.next)
+	for x := 0; ok && x < len(rows); x++ {
+		ok = bitsEqual(rows[x], want.next[x])
 	}
 	if !ok {
 		t.Fatalf("%s: sojourn tables differ\n got %+v\nwant %+v", where, got, want)
@@ -175,6 +199,39 @@ func randomModel(rng *rand.Rand, n int) *Model {
 	return newModel(DefaultMaxSojourn, prices, cells)
 }
 
+// TestSojournRangesMatchDense: over seeded random models, every state's
+// flat destination ranges are the dense reference rows with the zeros
+// left out — states with few durations (one range per kernel row),
+// states with more than 96 (the merge, whose buckets are built through
+// the n-wide scratch and come out with up to n destinations) and
+// absorbing states (no range at all).
+func TestSojournRangesMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	plain, merged, absorbing := 0, 0, 0
+	for trial := 0; trial < 130; trial++ {
+		m := randomModel(rng, 1+trial%13)
+		rm := refModelOf(m)
+		for i := range m.prices {
+			sd := m.sojourn(i)
+			requireSojournEqual(t, fmt.Sprintf("trial %d state %d", trial, i), sd, refSojourn(rm, i))
+			switch {
+			case sd.absorbing:
+				absorbing++
+			case len(m.kernel[i]) > 96:
+				merged++
+				if len(sd.durations) > 96 || len(sd.durations) == len(m.kernel[i]) {
+					t.Fatalf("trial %d state %d: %d kernel rows left %d durations", trial, i, len(m.kernel[i]), len(sd.durations))
+				}
+			default:
+				plain++
+			}
+		}
+	}
+	if plain < 50 || merged < 50 || absorbing < 50 {
+		t.Fatalf("%d plain, %d merged and %d absorbing states: the generator no longer covers all three", plain, merged, absorbing)
+	}
+}
+
 // requireFreshEqual compares a built cumulative table with the
 // reference DP's, cell for cell by bit pattern.
 func requireFreshEqual(t *testing.T, where string, got *freshProfiles, want []float64) {
@@ -205,14 +262,11 @@ func TestFreshMatchesReference(t *testing.T) {
 		n := 1 + trial%widths
 		perWidth[n]++
 		m := randomModel(rng, n)
-		rm := refModelOf(m)
 		for i := range m.prices {
-			sd := m.sojourn(i)
-			requireSojournEqual(t, "random model", sd, refSojourn(rm, i))
 			if len(m.kernel[i]) > 96 {
 				merged++
 			}
-			if sd.absorbing {
+			if m.out[i] == 0 {
 				absorbing++
 			}
 		}
@@ -293,8 +347,9 @@ func (c *comebacks[K]) observe(now []K) (back int) {
 
 // TestWindowedEstimatorRandomSlides slides windows over random traces by
 // random steps — zero-length slides, single minutes, jumps past the
-// whole window — handing Advance now the window's own copy and now the
-// full trace, and after every slide requires the model to equal a
+// whole window — handing Advance now the window's own copy, now the full
+// trace and, when the window continues the last one, now only the suffix
+// past the previous until, and after every slide requires the model to equal a
 // from-scratch one over the same window: the same bytes, the same
 // forecast bits. The traces repeat prices across any boundary, leave
 // runs straddling the window start, and hold sojourns beyond the cap;
@@ -303,7 +358,7 @@ func (c *comebacks[K]) observe(now []K) (back int) {
 // return — the kernel order the estimator keeps has to follow both.
 func TestWindowedEstimatorRandomSlides(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	keysBack, pricesBack := 0, 0
+	keysBack, pricesBack, suffixes := 0, 0, 0
 	for trial := 0; trial < 60; trial++ {
 		tr := randomTrace(rng, 2+rng.Intn(5), 200+rng.Intn(1500))
 		maxSojourn := []int64{0, 30, 600}[rng.Intn(3)]
@@ -314,6 +369,7 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 		var keys comebacks[countKey]
 		var prices comebacks[market.Money]
 		for step := 0; until < tr.End; step++ {
+			prevUntil := until
 			switch rng.Intn(8) {
 			case 0: // zero-length slide
 			case 1:
@@ -331,6 +387,9 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 			hist := tr
 			if rng.Intn(2) == 0 {
 				hist = tr.Window(from, until)
+			} else if step%2 == 1 && from < prevUntil {
+				hist = tr.Window(prevUntil, until)
+				suffixes++
 			}
 			if err := w.Advance(hist, from, until); err != nil {
 				t.Fatalf("trial %d step %d: Advance [%d, %d): %v", trial, step, from, until, err)
@@ -376,8 +435,8 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 			}
 		}
 	}
-	if keysBack < 100 || pricesBack < 10 {
-		t.Fatalf("%d counters and %d price levels came back to a live estimator: the slides no longer cover it", keysBack, pricesBack)
+	if keysBack < 100 || pricesBack < 10 || suffixes < 100 {
+		t.Fatalf("%d counters and %d price levels came back to a live estimator, %d slides read a suffix: the slides no longer cover it", keysBack, pricesBack, suffixes)
 	}
 }
 
