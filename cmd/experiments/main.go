@@ -9,7 +9,7 @@
 //	            [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	            [-trace file]
 //	            [-chaos scenario] [-chaos-seed N]
-//	            [-events-out file.jsonl] [-manifest file.json] [-debug-addr host:port]
+//	            [-events-out file.jsonl] [-manifest file.json]
 //	            [-spans-out file.jsonl] [-spans-sample N] [-attrib-out file.json]
 //	experiments tournament [-strategies specs | -roster file] [-scenarios names]
 //	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-epsilon F] [-j N]
@@ -33,13 +33,19 @@
 // experiments whose spec needs a different base type fail with a clear
 // error.
 //
-// Telemetry: -events-out streams every replay cell's event history to
-// one JSONL file (cells of a parallel sweep interleave; use -j 1 for a
-// reproducible ordering), -manifest writes an end-of-run summary
-// (config, seed, wall time, metric snapshot), and -debug-addr serves
-// live /metrics and /debug/pprof while the experiments run — the
-// per-cell series are kept apart by service/strategy/interval labels.
-// "-" sends an output to stdout, and several may share it.
+// -run names one section of the experiment index (DESIGN.md §3) or
+// "all" of them, in index order; fig6 and fig7 print the same section,
+// as do fig8 and fig9. An unknown name is an error, and so is -csv with
+// a selection that replays no sweep.
+//
+// Telemetry: -events-out writes every replay cell's event history to
+// one JSONL file, cell after cell in grid order. The trace names the
+// cell that trained each price model the cells share, so with it the
+// cells replay one at a time and the file is the same bytes at any -j.
+// -manifest writes an end-of-run summary (config, seed, wall time,
+// metric snapshot; the per-cell series are kept apart by
+// service/strategy/interval labels). "-" sends an output to stdout, and
+// several may share it.
 //
 // Provenance: -spans-out records every replay cell's decision spans
 // (why each bid was chosen; inspect with "analyze explain"), and
@@ -51,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -73,8 +80,8 @@ func main() {
 	}
 	var o options
 	o.Register(flag.CommandLine, experiments.DefaultEnv())
-	flag.StringVar(&o.run, "run", "all", "experiment to run: all, table1, fig1, fig4, fig5, fig6, fig7, fig8, fig9, headline, example3, ablation, adaptive, refine, weighted")
-	flag.StringVar(&o.csv, "csv", "", "also write sweep rows (figs 6-9) as CSV to this file")
+	flag.StringVar(&o.run, "run", "all", "experiment to run: "+strings.Join(experiments.RunNames(), ", "))
+	flag.StringVar(&o.csv, "csv", "", "also write the sweep rows (figs 6-9) the selection replays as CSV to this file ('-' = stdout)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -83,140 +90,16 @@ func main() {
 	}
 }
 
-// run opens the shared surface, prints the figures, and closes the run.
+// run resolves the selection against the experiment index, opens the
+// shared surface, prints the sections, and closes the run.
 func run(o options) error {
+	sel, err := experiments.Select(o.run, o.csv != "")
+	if err != nil {
+		return err
+	}
 	env, sink, err := o.Open("experiments", experiments.LockSpec(), "run", o.run)
 	if err != nil {
 		return err
 	}
-	return sink.Close(figures(env, o.run, o.csv))
-}
-
-// figures prints the selected tables and figures.
-func figures(env experiments.Env, which, csvOut string) error {
-	var lockRows, storageRows []experiments.SweepRow
-	needLock := which == "all" || which == "fig6" || which == "fig7" || which == "headline"
-	needStorage := which == "all" || which == "fig8" || which == "fig9" || which == "headline"
-
-	if which == "all" || which == "table1" {
-		fmt.Println("== Table 1 ==")
-		fmt.Println(experiments.RenderTable1())
-	}
-	if which == "all" || which == "fig1" {
-		out, err := env.RenderFig1()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 1 ==")
-		fmt.Println(out)
-	}
-	if which == "all" || which == "fig4" {
-		out, err := env.RenderFig4()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 4 ==")
-		fmt.Println(out)
-	}
-	if which == "all" || which == "fig5" {
-		out, err := env.RenderFig5()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 5 ==")
-		fmt.Println(out)
-	}
-	if needLock {
-		rows, err := env.Fig6and7()
-		if err != nil {
-			return err
-		}
-		lockRows = rows
-		if which != "headline" {
-			fmt.Println("== Figures 6 and 7 ==")
-			fmt.Println(experiments.RenderSweep(rows, "lock"))
-		}
-	}
-	if needStorage {
-		rows, err := env.Fig8and9()
-		if err != nil {
-			return err
-		}
-		storageRows = rows
-		if which != "headline" {
-			fmt.Println("== Figures 8 and 9 ==")
-			fmt.Println(experiments.RenderSweep(rows, "storage"))
-		}
-	}
-	if which == "all" || which == "headline" {
-		var hs []experiments.Headline
-		if lockRows != nil {
-			h, err := experiments.HeadlineFrom(lockRows, "lock", experiments.LockSpec().TargetAvailability())
-			if err != nil {
-				return err
-			}
-			hs = append(hs, h)
-		}
-		if storageRows != nil {
-			h, err := experiments.HeadlineFrom(storageRows, "storage", experiments.StorageSpec().TargetAvailability())
-			if err != nil {
-				return err
-			}
-			hs = append(hs, h)
-		}
-		fmt.Println("== Headline ==")
-		fmt.Println(experiments.RenderHeadline(hs))
-	}
-	if which == "all" || which == "example3" {
-		out, err := env.RenderExample3()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Section 3 worked example ==")
-		fmt.Println(out)
-	}
-	if csvOut != "" && (lockRows != nil || storageRows != nil) {
-		f, err := os.Create(csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiments.WriteSweepCSV(f, append(append([]experiments.SweepRow{}, lockRows...), storageRows...)); err != nil {
-			return err
-		}
-		fmt.Println("wrote sweep CSV to", csvOut)
-	}
-	if which == "all" || which == "ablation" {
-		rows, err := env.AblationEstimators()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Ablation: failure estimator ==")
-		fmt.Println(experiments.RenderAblation(rows))
-	}
-	if which == "all" || which == "adaptive" {
-		rows, err := env.AblationAdaptiveInterval()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Extension: adaptive bidding interval ==")
-		fmt.Println(experiments.RenderAdaptive(rows))
-	}
-	if which == "all" || which == "refine" {
-		rows, err := env.AblationRefinement()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Extension: heterogeneous-bid refinement ==")
-		fmt.Println(experiments.RenderRefinement(rows))
-	}
-	if which == "all" || which == "weighted" {
-		rep, err := env.WeightedVotingAnalysis()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Analysis: weighted voting (paper 4.1) ==")
-		fmt.Println(experiments.RenderWeightedVoting(rep))
-	}
-	return nil
+	return sink.Close(env.Print(os.Stdout, sel, o.csv))
 }

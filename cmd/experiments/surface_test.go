@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,5 +160,89 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		if meta["run"] != "fig6" || meta["seed"] != "2014" {
 			t.Errorf("%s: run = %q, seed = %q", name, meta["run"], meta["seed"])
 		}
+	}
+}
+
+// TestUnknownRunIsAnError: -run is checked against the experiment
+// index before anything runs; a typo is an error that lists every valid
+// name, and prints nothing.
+func TestUnknownRunIsAnError(t *testing.T) {
+	o := quick()
+	o.run = "nosuch"
+	out, err := runCaptured(t, o)
+	if err == nil || !strings.Contains(err.Error(), `unknown -run "nosuch"`) ||
+		!strings.Contains(err.Error(), strings.Join(experiments.RunNames(), ", ")) {
+		t.Errorf("-run nosuch: %v", err)
+	}
+	if out != "" {
+		t.Errorf("-run nosuch printed %q", out)
+	}
+}
+
+// TestCSVNeedsASweep: -csv writes the sweep rows the selection
+// replays, so a selection that replays none is an error before
+// anything runs, and no file is written.
+func TestCSVNeedsASweep(t *testing.T) {
+	o := quick()
+	o.run = "fig4"
+	o.csv = filepath.Join(t.TempDir(), "sweep.csv")
+	out, err := runCaptured(t, o)
+	if err == nil || !strings.Contains(err.Error(), "-run fig4 replays no sweep") {
+		t.Errorf("-run fig4 -csv: %v", err)
+	}
+	if out != "" {
+		t.Errorf("-run fig4 -csv printed %q", out)
+	}
+	if _, err := os.Stat(o.csv); !os.IsNotExist(err) {
+		t.Errorf("-run fig4 -csv left a file behind: %v", err)
+	}
+}
+
+// TestSweepIdenticalAcrossJobs: every cell of a figure fills a slot
+// fixed by its place in the grid, so the tables, the sweep CSV, the
+// event trace, the spans and the attribution are the same bytes at any
+// -j.
+func TestSweepIdenticalAcrossJobs(t *testing.T) {
+	sweep := func(jobs int) (stdout string, files [][]byte) {
+		dir := t.TempDir()
+		o := quick()
+		o.Jobs = jobs
+		o.csv = filepath.Join(dir, "sweep.csv")
+		o.SpansOut = filepath.Join(dir, "spans.jsonl")
+		o.AttribOut = filepath.Join(dir, "attrib.json")
+		out, err := runCaptured(t, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// -events-out replays the cells one at a time, so it runs on its
+		// own: the records above come from a pool jobs wide.
+		traced := quick()
+		traced.Jobs = jobs
+		traced.EventsOut = filepath.Join(dir, "events.jsonl")
+		if _, err := runCaptured(t, traced); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{o.csv, traced.EventsOut, o.SpansOut, o.AttribOut} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, b)
+		}
+		// The "wrote ... to <temp path>" lines name the run's own files.
+		return strings.ReplaceAll(out, dir, ""), files
+	}
+	o1, f1 := sweep(1)
+	o8, f8 := sweep(8)
+	if o1 != o8 {
+		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
+	}
+	for i, flag := range []string{"-csv", "-events-out", "-spans-out", "-attrib-out"} {
+		if !bytes.Equal(f1[i], f8[i]) {
+			t.Errorf("%s differs between -j 1 and -j 8: %d vs %d bytes", flag, len(f1[i]), len(f8[i]))
+		}
+	}
+	if !strings.Contains(o1, "== Figures 6 and 7 ==") || !strings.Contains(o1, "wrote sweep CSV to") {
+		t.Errorf("-run fig6 -csv printed:\n%s", o1)
 	}
 }

@@ -9,9 +9,8 @@
 //	       [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	       [-trace file] [-lenient-traces] [-workload file.csv] [-series file.csv]
 //	       [-chaos scenario] [-chaos-seed N]
-//	       [-events-out file.jsonl] [-manifest file.json] [-debug-addr host:port]
+//	       [-events-out file.jsonl] [-manifest file.json]
 //	       [-spans-out file.jsonl] [-spans-sample N] [-attrib-out file.json]
-//	       [-mutex-profile-fraction N] [-block-profile-rate N]
 //
 // -strategy takes a strategy-registry spec, the same strings
 // "experiments tournament -strategies" takes: jupiter, baseline,
@@ -50,14 +49,13 @@
 // internal/experiments.Flags — cmd/experiments takes the same ones, and
 // every record below is written by the one experiments.Sink.
 //
-// Telemetry: -events-out streams the run's event history as versioned
-// JSONL (byte-reproducible for a fixed seed and single interval; see
-// `analyze diff`), -manifest writes an end-of-run summary (config,
-// seed, wall time, metric snapshot), and -debug-addr serves live
-// /metrics and /debug/pprof over HTTP while the run is in flight
-// (-mutex-profile-fraction / -block-profile-rate turn on the runtime's
-// contention sampling for the mutex and block profiles). "-" sends an
-// output to stdout, and several may share it.
+// Telemetry: -events-out writes the run's event history as versioned
+// JSONL (see `analyze diff`), one cell after another in -interval
+// order. The trace names the cell that trained each price model the
+// cells share, so with it the cells replay one at a time and the file
+// is the same bytes at any -j. -manifest writes an end-of-run summary
+// (config, seed, wall time, metric snapshot). "-" sends an output to
+// stdout, and several may share it.
 //
 // Provenance: -spans-out records every decision's provenance spans —
 // the candidate groups considered, the dominance rule that rejected
@@ -73,7 +71,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -90,8 +87,6 @@ type options struct {
 	service   string
 	intervals string
 	series    string
-	mutexFrac int
-	blockRate int
 }
 
 func main() {
@@ -102,8 +97,6 @@ func main() {
 	flag.StringVar(&o.intervals, "interval", "1", "bidding interval in hours; comma-separate several to sweep them")
 	flag.StringVar(&o.Workload, "workload", "", "request-rate CSV (minute,rps): autoscale the group to the traffic between interval boundaries")
 	flag.StringVar(&o.series, "series", "", "write per-interval downtime series CSV to this file ('-' = stdout); single interval only")
-	flag.IntVar(&o.mutexFrac, "mutex-profile-fraction", 0, "with -debug-addr, sample 1/N of mutex contention events for /debug/pprof/mutex (0 = off)")
-	flag.IntVar(&o.blockRate, "block-profile-rate", 0, "with -debug-addr, sample blocking events >= N ns for /debug/pprof/block (0 = off)")
 	flag.BoolVar(&o.Lenient, "lenient-traces", false, "quarantine malformed trace rows instead of failing the read (default: strict, first bad row is an error)")
 	flag.Parse()
 
@@ -161,12 +154,6 @@ func run(o options) error {
 	}
 	if len(intervals) > 1 && o.series != "" {
 		return fmt.Errorf("-series needs a single -interval")
-	}
-	if o.DebugAddr != "" {
-		// The mutex and block profiles are empty unless the runtime
-		// samples them; both only matter alongside a live pprof endpoint.
-		runtime.SetMutexProfileFraction(o.mutexFrac)
-		runtime.SetBlockProfileRate(o.blockRate)
 	}
 
 	// The strategy key is the spec as typed; replay's headers have always

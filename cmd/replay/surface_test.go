@@ -250,10 +250,10 @@ func TestParentPins(t *testing.T) {
 }
 
 // TestSweepIdenticalAcrossJobs: the cells of an interval sweep fill
-// slots fixed by their place in -interval, so the table, the spans and
-// the attribution are the same bytes at any -j.
+// slots fixed by their place in -interval, so the table, the event
+// trace, the spans and the attribution are the same bytes at any -j.
 func TestSweepIdenticalAcrossJobs(t *testing.T) {
-	sweep := func(jobs int) (stdout string, spans, attrib []byte) {
+	sweep := func(jobs int) (stdout string, events, spans, attrib []byte) {
 		dir := t.TempDir()
 		o := quick("jupiter", "1,3,6")
 		o.Jobs = jobs
@@ -263,21 +263,33 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, err = os.ReadFile(o.SpansOut)
-		if err != nil {
+		if spans, err = os.ReadFile(o.SpansOut); err != nil {
 			t.Fatal(err)
 		}
-		attrib, err = os.ReadFile(o.AttribOut)
-		if err != nil {
+		if attrib, err = os.ReadFile(o.AttribOut); err != nil {
+			t.Fatal(err)
+		}
+		// -events-out replays the cells one at a time, so it runs on its
+		// own: the records above come from a pool jobs wide.
+		traced := quick("jupiter", "1,3,6")
+		traced.Jobs = jobs
+		traced.EventsOut = filepath.Join(dir, "events.jsonl")
+		if _, err := runCaptured(t, traced); err != nil {
+			t.Fatal(err)
+		}
+		if events, err = os.ReadFile(traced.EventsOut); err != nil {
 			t.Fatal(err)
 		}
 		// The "wrote ... to <temp path>" lines name the run's own files.
-		return strings.ReplaceAll(out, dir, ""), spans, attrib
+		return strings.ReplaceAll(out, dir, ""), events, spans, attrib
 	}
-	o1, s1, a1 := sweep(1)
-	o8, s8, a8 := sweep(8)
+	o1, e1, s1, a1 := sweep(1)
+	o8, e8, s8, a8 := sweep(8)
 	if o1 != o8 {
 		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
+	}
+	if !bytes.Equal(e1, e8) {
+		t.Errorf("-events-out differs between -j 1 and -j 8: %d vs %d bytes", len(e1), len(e8))
 	}
 	if !bytes.Equal(s1, s8) {
 		t.Errorf("-spans-out differs between -j 1 and -j 8: %d vs %d bytes", len(s1), len(s8))

@@ -140,8 +140,8 @@ func (e Env) AblationRefinement() ([]RefineRow, error) {
 	return rows, nil
 }
 
-// RenderRefinement prints the refinement comparison.
-func RenderRefinement(rows []RefineRow) string {
+// renderRefinement prints the refinement comparison.
+func renderRefinement(rows []RefineRow) string {
 	var b strings.Builder
 	b.WriteString("Extension: heterogeneous-bid refinement (lock service, 6h interval)\n")
 	fmt.Fprintf(&b, "%-16s %-12s %-14s %s\n", "variant", "cost", "availability", "out-of-bid")
@@ -151,8 +151,8 @@ func RenderRefinement(rows []RefineRow) string {
 	return b.String()
 }
 
-// RenderAdaptive prints the interval ablation table.
-func RenderAdaptive(rows []AdaptiveRow) string {
+// renderAdaptive prints the interval ablation table.
+func renderAdaptive(rows []AdaptiveRow) string {
 	var b strings.Builder
 	b.WriteString("Extension: adaptive bidding interval (lock service)\n")
 	fmt.Fprintf(&b, "%-12s %-12s %-14s %s\n", "variant", "cost", "availability", "decisions")
@@ -162,8 +162,8 @@ func RenderAdaptive(rows []AdaptiveRow) string {
 	return b.String()
 }
 
-// RenderAblation prints the estimator ablation table.
-func RenderAblation(rows []AblationRow) string {
+// renderAblation prints the estimator ablation table.
+func renderAblation(rows []AblationRow) string {
 	var b strings.Builder
 	b.WriteString("Ablation: Jupiter failure estimator (lock service, 6h interval)\n")
 	fmt.Fprintf(&b, "%-12s %-12s %-14s %s\n", "estimator", "cost", "availability", "out-of-bid")

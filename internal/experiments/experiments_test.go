@@ -22,7 +22,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if total != 24 {
 		t.Fatalf("%d zones, want 24", total)
 	}
-	out := RenderTable1()
+	out := renderTable1()
 	for _, want := range []string{"us-east-1", "Virginia", "Sao Paulo"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 rendering missing %q", want)
@@ -44,11 +44,7 @@ func TestFig1Window(t *testing.T) {
 	if len(tr.Points) == 0 {
 		t.Fatal("Fig 1 window empty")
 	}
-	out, err := quick().RenderFig1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "us-east-1a") {
+	if out := renderFig1(tr); !strings.Contains(out, "us-east-1a") {
 		t.Error("rendering missing zone")
 	}
 }
@@ -163,11 +159,11 @@ func TestSweepShapesHold(t *testing.T) {
 	if h.ReductionPercent < 50 {
 		t.Errorf("headline reduction %.1f%%, want > 50%%", h.ReductionPercent)
 	}
-	out := RenderSweep(rows, "lock")
+	out := renderSweep(rows, "lock")
 	if !strings.Contains(out, "Jupiter") || !strings.Contains(out, "availability") {
 		t.Error("sweep rendering incomplete")
 	}
-	if RenderHeadline([]Headline{h}) == "" {
+	if renderHeadline([]Headline{h}) == "" {
 		t.Error("headline rendering empty")
 	}
 }
@@ -188,9 +184,8 @@ func TestExample3Numbers(t *testing.T) {
 	if r.NaiveDowntimeSec < 1500 {
 		t.Errorf("naive downtime %.0f s, want > 1500 (paper §3)", r.NaiveDowntimeSec)
 	}
-	out, err := quick().RenderExample3()
-	if err != nil || out == "" {
-		t.Errorf("rendering: %v", err)
+	if renderExample3(r) == "" {
+		t.Error("rendering empty")
 	}
 }
 

@@ -11,92 +11,26 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current implementation")
 
-// renderAllDrivers runs every experiment driver (T1, F1, F4–F9, H1, X1,
-// A1–A4) at the given environment and concatenates their rendered
-// outputs. Every number the drivers emit flows into this string, so a
-// byte-level comparison against the recorded golden file proves the
-// whole evaluation pipeline — trace generation, the simulated control
-// plane, the replay kernel, and every strategy — is unchanged.
-func renderAllDrivers(t *testing.T, env Env) string {
-	t.Helper()
-	var b strings.Builder
-	section := func(name, body string) {
-		fmt.Fprintf(&b, "== %s ==\n%s\n", name, body)
-	}
-	must := func(out string, err error) string {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	section("Table 1", RenderTable1())
-	section("Figure 1", must(env.RenderFig1()))
-	section("Figure 4", must(env.RenderFig4()))
-	section("Figure 5", must(env.RenderFig5()))
-
-	lockRows, err := env.Fig6and7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Figures 6 and 7", RenderSweep(lockRows, "lock"))
-	storageRows, err := env.Fig8and9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Figures 8 and 9", RenderSweep(storageRows, "storage"))
-
-	var hs []Headline
-	for _, svc := range []struct {
-		name   string
-		rows   []SweepRow
-		target float64
-	}{
-		{"lock", lockRows, LockSpec().TargetAvailability()},
-		{"storage", storageRows, StorageSpec().TargetAvailability()},
-	} {
-		h, err := HeadlineFrom(svc.rows, svc.name, svc.target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
-	section("Headline", RenderHeadline(hs))
-	section("Section 3 worked example", must(env.RenderExample3()))
-
-	ablation, err := env.AblationEstimators()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Ablation: failure estimator", RenderAblation(ablation))
-	adaptive, err := env.AblationAdaptiveInterval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Extension: adaptive bidding interval", RenderAdaptive(adaptive))
-	refine, err := env.AblationRefinement()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Extension: heterogeneous-bid refinement", RenderRefinement(refine))
-	weighted, err := env.WeightedVotingAnalysis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	section("Analysis: weighted voting", RenderWeightedVoting(weighted))
-	return b.String()
-}
-
-// TestGoldenDrivers locks every experiment driver's output to the
-// recorded golden file. The file was captured from the pre-event-kernel
-// per-minute implementation, so this test is the before/after witness
-// that the discrete-event refactor reproduces the original evaluation
-// exactly. Regenerate deliberately with:
+// TestGoldenDrivers locks the printed evaluation to the recorded golden
+// file: it prints the whole index, as "cmd/experiments -run all -train
+// 6 -weeks 1" does, so every number the experiments emit — trace
+// generation, the simulated control plane, the replay kernel and every
+// strategy — is in the comparison. The file was captured from the
+// pre-event-kernel per-minute implementation, so this test is also the
+// before/after witness that the discrete-event refactor reproduces the
+// original evaluation exactly. Regenerate deliberately with:
 //
 //	go test ./internal/experiments -run TestGoldenDrivers -update
 func TestGoldenDrivers(t *testing.T) {
-	got := renderAllDrivers(t, QuickEnv())
+	sel, err := Select("all", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := QuickEnv().Print(&b, sel, ""); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
 	path := filepath.Join("testdata", "golden_quick.txt")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -16,29 +14,27 @@ import (
 	"repro/internal/telemetry"
 )
 
-// seriesSum adds up every sample of one metric family in a Prometheus
-// exposition — the family's mass regardless of how many label
-// combinations it split into.
-func seriesSum(t *testing.T, exposition, family string) float64 {
+// familyMass adds up one metric family of a registry snapshot over
+// every series — a counter's values, a histogram's sums — the family's
+// mass however many label combinations it split into.
+func familyMass(t *testing.T, snap telemetry.Snapshot, family string) float64 {
 	t.Helper()
-	var sum float64
-	found := false
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, family+"{") && !strings.HasPrefix(line, family+" ") {
+	for _, f := range snap.Families {
+		if f.Name != family {
 			continue
 		}
-		i := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("unparseable sample %q: %v", line, err)
+		var sum float64
+		for _, s := range f.Series {
+			if f.Kind == "histogram" {
+				sum += s.Sum
+			} else {
+				sum += s.Value
+			}
 		}
-		sum += v
-		found = true
+		return sum
 	}
-	if !found {
-		t.Fatalf("metric family %q absent from exposition", family)
-	}
-	return sum
+	t.Fatalf("metric family %q absent from the snapshot", family)
+	return 0
 }
 
 // TestLedgerReconciliation is the attribution ledger's accounting
@@ -98,14 +94,11 @@ func TestLedgerReconciliation(t *testing.T) {
 					t.Errorf("attributed downtime %d min != run downtime %d min", a.TotalDownMinutes, res.DownMinutes)
 				}
 
-				var sb strings.Builder
-				if err := reg.WritePrometheus(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if billed := seriesSum(t, sb.String(), "jupiter_billing_microusd_total"); int64(billed) != a.TotalCostMicroUSD {
+				snap := reg.Snapshot()
+				if billed := familyMass(t, snap, "jupiter_billing_microusd_total"); int64(billed) != a.TotalCostMicroUSD {
 					t.Errorf("billing counter mass %v µ$ != attributed cost %d µ$", billed, a.TotalCostMicroUSD)
 				}
-				if down := seriesSum(t, sb.String(), "jupiter_downtime_minutes_sum"); int64(down) != a.TotalDownMinutes {
+				if down := familyMass(t, snap, "jupiter_downtime_minutes"); int64(down) != a.TotalDownMinutes {
 					t.Errorf("downtime histogram mass %v min != attributed downtime %d min", down, a.TotalDownMinutes)
 				}
 			})

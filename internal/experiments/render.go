@@ -5,10 +5,12 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/trace"
 )
 
-// WriteSweepCSV emits sweep rows as CSV for external plotting.
-func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
+// writeSweepCSV emits sweep rows as CSV for external plotting.
+func writeSweepCSV(w io.Writer, rows []SweepRow) error {
 	if _, err := fmt.Fprintln(w, "service,strategy,interval_hours,cost_usd,availability,out_of_bid,mean_group_size"); err != nil {
 		return err
 	}
@@ -21,8 +23,8 @@ func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
 	return nil
 }
 
-// RenderTable1 prints the region catalog in the paper's Table 1 shape.
-func RenderTable1() string {
+// renderTable1 prints the region catalog in the paper's Table 1 shape.
+func renderTable1() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-12s %s\n", "Region", "Location", "Availability Zones")
 	for _, r := range Table1() {
@@ -31,55 +33,43 @@ func RenderTable1() string {
 	return b.String()
 }
 
-// RenderFig1 prints the price sample as minute/price rows.
-func (e Env) RenderFig1() (string, error) {
-	tr, err := e.Fig1()
-	if err != nil {
-		return "", err
-	}
+// renderFig1 prints the price sample as minute/price rows.
+func renderFig1(tr *trace.Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 1: spot price history, %s %s, 2h window [%d, %d)\n", tr.Zone, tr.Type, tr.Start, tr.End)
 	fmt.Fprintf(&b, "%-10s %s\n", "minute", "price")
 	for _, p := range tr.Points {
 		fmt.Fprintf(&b, "%-10d %s\n", p.Minute, p.Price)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-// RenderFig4 prints the micro-benchmark rows.
-func (e Env) RenderFig4() (string, error) {
-	rows, err := e.Fig4()
-	if err != nil {
-		return "", err
-	}
+// renderFig4 prints the micro-benchmark rows.
+func renderFig4(rows []Fig4Row) string {
 	var b strings.Builder
 	b.WriteString("Fig 4: measured out-of-bid failure probability under estimated FP = 0.01\n")
 	fmt.Fprintf(&b, "%-18s %-10s %-10s %-10s %s\n", "zone", "type", "bid", "target", "measured")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-18s %-10s %-10s %-10.4f %.6f\n", r.Zone, r.Type, r.Bid, r.TargetFP, r.Measured)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-// RenderFig5 prints the one-week cost bars.
-func (e Env) RenderFig5() (string, error) {
-	rows, err := e.Fig5()
-	if err != nil {
-		return "", err
-	}
+// renderFig5 prints the one-week cost bars.
+func renderFig5(rows []Fig5Row) string {
 	var b strings.Builder
 	b.WriteString("Fig 5: one-week spot instance cost per strategy\n")
 	fmt.Fprintf(&b, "%-10s %-14s %-12s %s\n", "service", "strategy", "cost", "availability")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10s %-14s %-12s %.6f\n", r.Service, r.Strategy, r.Cost, r.Availability)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-// RenderSweep prints the Figures 6–9 matrices for one service: a cost
+// renderSweep prints the Figures 6–9 matrices for one service: a cost
 // table and an availability table, strategies as columns and intervals
 // as rows.
-func RenderSweep(rows []SweepRow, service string) string {
+func renderSweep(rows []SweepRow, service string) string {
 	strategies := []string{}
 	seen := map[string]bool{}
 	for _, r := range rows {
@@ -135,9 +125,9 @@ func RenderSweep(rows []SweepRow, service string) string {
 	return b.String()
 }
 
-// RenderHeadline prints the headline cost reductions, including the
+// renderHeadline prints the headline cost reductions, including the
 // comparison against a reserved-instance baseline (§5.2).
-func RenderHeadline(hs []Headline) string {
+func renderHeadline(hs []Headline) string {
 	var b strings.Builder
 	b.WriteString("Headline: Jupiter cost reduction vs on-demand baseline\n")
 	fmt.Fprintf(&b, "%-10s %-14s %-14s %-10s %-12s %s\n",
@@ -157,17 +147,13 @@ func RenderHeadline(hs []Headline) string {
 	return b.String()
 }
 
-// RenderExample3 prints the §3 worked-example numbers.
-func (e Env) RenderExample3() (string, error) {
-	r, err := e.Example3()
-	if err != nil {
-		return "", err
-	}
+// renderExample3 prints the §3 worked-example numbers.
+func renderExample3(r Example3Result) string {
 	var b strings.Builder
 	b.WriteString("§3 worked example\n")
 	fmt.Fprintf(&b, "5-node on-demand availability: %.10f (downtime %.1f s/month)\n",
 		r.OnDemandAvailability, r.OnDemandDowntimeSec)
 	fmt.Fprintf(&b, "naive spot-price bidding:      %.6f (downtime %.0f s/month)\n",
 		r.NaiveAvailability, r.NaiveDowntimeSec)
-	return b.String(), nil
+	return b.String()
 }

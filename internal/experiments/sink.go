@@ -47,7 +47,6 @@ type Flags struct {
 	SpansSample int    // -spans-sample
 	AttribOut   string // -attrib-out
 	Manifest    string // -manifest
-	DebugAddr   string // -debug-addr
 
 	// Lenient and Workload are inputs only cmd/replay offers (as
 	// -lenient-traces and -workload); Register leaves them alone.
@@ -62,7 +61,7 @@ type Flags struct {
 	only []string
 }
 
-// Register declares the shared flags on fs — all seventeen, or only
+// Register declares the shared flags on fs — all sixteen, or only
 // the named ones — bound to f's fields. def supplies the seed and scale
 // defaults (DefaultEnv for the paper's scale, QuickEnv for the arena).
 func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
@@ -79,12 +78,11 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.StringVar(&f.Chaos, "chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name ("+strings.Join(chaos.BuiltinNames(), ", ")+") or a JSON scenario file")
 	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")
-	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout)")
+	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, so the file is the same at any -j")
 	all.StringVar(&f.SpansOut, "spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file ('-' = stdout; see cmd/analyze explain)")
 	all.IntVar(&f.SpansSample, "spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
 	all.StringVar(&f.AttribOut, "attrib-out", "", "write the per-cell cost/downtime attribution as JSON to this file ('-' = stdout; see cmd/analyze attribute)")
 	all.StringVar(&f.Manifest, "manifest", "", "write an end-of-run summary manifest (JSON) to this file ('-' = stdout)")
-	all.StringVar(&f.DebugAddr, "debug-addr", "", "serve live /metrics and /debug/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	all.VisitAll(func(fl *flag.Flag) {
 		if f.has(fl.Name) {
 			fs.Var(fl.Value, fl.Name, fl.Usage)
@@ -129,6 +127,13 @@ func (f *Flags) meta(command string, kv []string) map[string]string {
 // kv are the command's own metadata pairs ("run", "fig6"); the run's
 // clock starts here. Close the Sink when the run ends.
 func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (Env, *Sink, error) {
+	if f.EventsOut != "" {
+		// The trace names the cell that trained each model of a shared
+		// price-model cache, and cells on a worker pool race to train
+		// them: only cells replayed one at a time, in grid order, give
+		// the same bytes at any -j.
+		f.Jobs = 1
+	}
 	s := &Sink{flags: f, command: command, start: time.Now()}
 	types, err := market.ParseTypes(f.Types)
 	if err != nil {
@@ -150,7 +155,7 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		e.Chaos, e.ChaosSeed = &sc, f.ChaosSeed
 		fmt.Fprintf(os.Stderr, "%s: chaos scenario %q armed (%d injectors)\n", command, sc.Name, len(sc.Injectors))
 	}
-	if f.Manifest != "" || f.DebugAddr != "" {
+	if f.Manifest != "" {
 		s.reg = telemetry.NewRegistry()
 	}
 
@@ -212,12 +217,6 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 			return Env{}, nil, err
 		}
 	}
-	if f.DebugAddr != "" {
-		if s.debug, err = telemetry.ServeDebug(f.DebugAddr, s.reg); err != nil {
-			return Env{}, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "%s: serving /metrics and /debug/pprof on http://%s\n", command, s.debug.Addr())
-	}
 	return e, s, nil
 }
 
@@ -237,7 +236,6 @@ type Sink struct {
 
 	reg    *telemetry.Registry
 	writer *telemetry.TraceWriter
-	debug  *telemetry.DebugServer
 	models *modelcache.Cache
 
 	mu    sync.Mutex
@@ -354,10 +352,9 @@ func (s *Sink) attribution() provenance.Doc {
 
 // Close ends the run: it prints the model-cache counters (-model-stats),
 // flushes the event trace, writes — after a successful run — the spans
-// and the attribution, then the manifest, and stops the debug endpoint.
-// It returns runErr, or else the first error of its own. Stdout is
-// never closed, so "-" works for several outputs at once, the manifest
-// last.
+// and the attribution, then the manifest. It returns runErr, or else
+// the first error of its own. Stdout is never closed, so "-" works for
+// several outputs at once, the manifest last.
 func (s *Sink) Close(runErr error) error {
 	ok := runErr == nil
 	keep := func(err error) {
@@ -388,9 +385,6 @@ func (s *Sink) Close(runErr error) error {
 		cfg := s.runMeta("jobs", strconv.Itoa(s.flags.Jobs))
 		delete(cfg, "command")
 		keep(telemetry.NewManifest(s.command, s.flags.Seed, cfg, s.start, s.reg).WriteFile(s.flags.Manifest))
-	}
-	if s.debug != nil {
-		keep(s.debug.Close())
 	}
 	return runErr
 }

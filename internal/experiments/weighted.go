@@ -65,8 +65,8 @@ func (e Env) WeightedVotingAnalysis() (*WeightedVotingReport, error) {
 	return rep, nil
 }
 
-// RenderWeightedVoting prints the analysis.
-func RenderWeightedVoting(r *WeightedVotingReport) string {
+// renderWeightedVoting prints the analysis.
+func renderWeightedVoting(r *WeightedVotingReport) string {
 	var b strings.Builder
 	b.WriteString("Analysis: simple majority vs optimal weighted voting (§4.1)\n")
 	fmt.Fprintf(&b, "%-18s %s\n", "zone", "per-interval FP at chosen bid")

@@ -34,7 +34,7 @@ func TestWeightedVotingAnalysis(t *testing.T) {
 	if rep.MajorityAvailability < 0.999 {
 		t.Fatalf("majority availability %v", rep.MajorityAvailability)
 	}
-	out := RenderWeightedVoting(rep)
+	out := renderWeightedVoting(rep)
 	if !strings.Contains(out, "majority availability") {
 		t.Fatal("rendering incomplete")
 	}
@@ -45,7 +45,7 @@ func TestWriteSweepCSV(t *testing.T) {
 		{Service: "lock", Strategy: "Jupiter", IntervalHours: 6, Availability: 0.9999, OutOfBid: 3, MeanGroupSize: 5.2},
 	}
 	var buf bytes.Buffer
-	if err := WriteSweepCSV(&buf, rows); err != nil {
+	if err := writeSweepCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,7 +77,7 @@ func TestAblationEstimators(t *testing.T) {
 			t.Fatalf("mode %s missing", m)
 		}
 	}
-	if RenderAblation(rows) == "" {
+	if renderAblation(rows) == "" {
 		t.Fatal("empty ablation rendering")
 	}
 }
@@ -102,7 +102,7 @@ func TestAblationAdaptiveInterval(t *testing.T) {
 	if adaptive.Availability < 0.99 {
 		t.Fatalf("adaptive availability %v", adaptive.Availability)
 	}
-	if RenderAdaptive(rows) == "" {
+	if renderAdaptive(rows) == "" {
 		t.Fatal("empty adaptive rendering")
 	}
 }

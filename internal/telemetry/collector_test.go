@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +39,8 @@ func scriptedEvents() []engine.Event {
 }
 
 // TestCollectorGoldenSnapshot replays the scripted sequence through a
-// Collector and pins the resulting Prometheus exposition. The golden
-// text doubles as documentation of the full metric vocabulary.
+// Collector and pins the resulting registry snapshot. The table doubles
+// as documentation of the full metric vocabulary.
 func TestCollectorGoldenSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCollector(reg, Labels{Service: "lock", Strategy: "Jupiter", Interval: "3h"})
@@ -49,58 +50,62 @@ func TestCollectorGoldenSnapshot(t *testing.T) {
 	}
 	c.CloseRun(100)
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	base := `service="lock",strategy="Jupiter",interval="3h"`
-	for _, want := range []string{
+	snap := reg.Snapshot()
+	value := func(s SeriesSnapshot) float64 { return s.Value }
+	sum := func(s SeriesSnapshot) float64 { return s.Sum }
+	count := func(s SeriesSnapshot) float64 { return float64(s.Count) }
+	for _, want := range []struct {
+		family string
+		stat   func(SeriesSnapshot) float64
+		labels []string // after the base service, strategy, interval
+		v      float64
+	}{
 		// every kind is counted
-		`jupiter_events_total{` + base + `,kind="instance-launched"} 3`,
-		`jupiter_events_total{` + base + `,kind="instance-terminated"} 2`,
-		`jupiter_events_total{` + base + `,kind="model-trained"} 2`,
-		`jupiter_events_total{` + base + `,kind="request-fulfilled"} 1`,
+		{"jupiter_events_total", value, []string{"instance-launched"}, 3},
+		{"jupiter_events_total", value, []string{"instance-terminated"}, 2},
+		{"jupiter_events_total", value, []string{"model-trained"}, 2},
+		{"jupiter_events_total", value, []string{"request-fulfilled"}, 1},
 		// launches split by zone and tier; the bid lands in the histogram
-		`jupiter_instance_launches_total{` + base + `,zone="us-east-1a",tier="spot"} 1`,
-		`jupiter_instance_launches_total{` + base + `,zone="us-east-1a",tier="on-demand"} 1`,
-		`jupiter_instance_launches_total{` + base + `,zone="us-west-2b",tier="spot"} 1`,
-		`jupiter_spot_bid_dollars_count{` + base + `,zone="us-west-2b"} 1`,
+		{"jupiter_instance_launches_total", value, []string{"us-east-1a", "spot"}, 1},
+		{"jupiter_instance_launches_total", value, []string{"us-east-1a", "on-demand"}, 1},
+		{"jupiter_instance_launches_total", value, []string{"us-west-2b", "spot"}, 1},
+		{"jupiter_spot_bid_dollars", count, []string{"us-west-2b"}, 1},
 		// the reclaim shows up as interruption AND provider-caused termination
-		`jupiter_out_of_bid_total{` + base + `,zone="us-west-2b"} 1`,
-		`jupiter_terminations_total{` + base + `,zone="us-west-2b",cause="provider"} 1`,
-		`jupiter_terminations_total{` + base + `,zone="us-east-1a",cause="user"} 1`,
+		{"jupiter_out_of_bid_total", value, []string{"us-west-2b"}, 1},
+		{"jupiter_terminations_total", value, []string{"us-west-2b", "provider"}, 1},
+		{"jupiter_terminations_total", value, []string{"us-east-1a", "user"}, 1},
 		// outage count and duration (30 minutes)
-		`jupiter_outages_total{` + base + `,zone="us-east-1a"} 1`,
-		`jupiter_outage_minutes_sum{` + base + `,zone="us-east-1a"} 30`,
+		{"jupiter_outages_total", value, []string{"us-east-1a"}, 1},
+		{"jupiter_outage_minutes", sum, []string{"us-east-1a"}, 30},
 		// billing totals in micro-dollars: $0.01 and $0.018
-		`jupiter_billing_microusd_total{` + base + `,zone="us-west-2b",tier="spot"} 10000`,
-		`jupiter_billing_microusd_total{` + base + `,zone="us-east-1a",tier="spot"} 18000`,
+		{"jupiter_billing_microusd_total", value, []string{"us-west-2b", "spot"}, 10000},
+		{"jupiter_billing_microusd_total", value, []string{"us-east-1a", "spot"}, 18000},
 		// one decision of size 3
-		`jupiter_decisions_total{` + base + `} 1`,
-		`jupiter_group_size_sum{` + base + `} 3`,
+		{"jupiter_decisions_total", value, nil, 1},
+		{"jupiter_group_size", sum, nil, 3},
 		// quorum transitions and the 10-minute down interval
-		`jupiter_quorum_transitions_total{` + base + `,direction="down"} 1`,
-		`jupiter_quorum_transitions_total{` + base + `,direction="up"} 1`,
-		`jupiter_downtime_minutes_sum{` + base + `} 10`,
-		`jupiter_quorum_live{` + base + `} 2`,
+		{"jupiter_quorum_transitions_total", value, []string{"down"}, 1},
+		{"jupiter_quorum_transitions_total", value, []string{"up"}, 1},
+		{"jupiter_downtime_minutes", sum, nil, 10},
+		{"jupiter_quorum_live", value, nil, 2},
 		// chaos faults by zone, fault kind, and phase
-		`jupiter_events_total{` + base + `,kind="fault-injected"} 1`,
-		`jupiter_events_total{` + base + `,kind="fault-cleared"} 1`,
-		`jupiter_faults_total{` + base + `,zone="us-west-2b",fault="reclaim-storm",phase="injected"} 1`,
-		`jupiter_faults_total{` + base + `,zone="us-east-1a",fault="zone-blackout",phase="cleared"} 1`,
+		{"jupiter_events_total", value, []string{"fault-injected"}, 1},
+		{"jupiter_events_total", value, []string{"fault-cleared"}, 1},
+		{"jupiter_faults_total", value, []string{"us-west-2b", "reclaim-storm", "injected"}, 1},
+		{"jupiter_faults_total", value, []string{"us-east-1a", "zone-blackout", "cleared"}, 1},
 		// model trainings split by mode, wall time in seconds
-		`jupiter_model_trainings_total{` + base + `,zone="us-east-1a",mode="scratch"} 1`,
-		`jupiter_model_trainings_total{` + base + `,zone="us-east-1a",mode="incremental"} 1`,
-		`jupiter_model_train_seconds_sum{` + base + `,mode="scratch"} 0.002`,
-		`jupiter_model_train_seconds_sum{` + base + `,mode="incremental"} 0.0005`,
+		{"jupiter_model_trainings_total", value, []string{"us-east-1a", "scratch"}, 1},
+		{"jupiter_model_trainings_total", value, []string{"us-east-1a", "incremental"}, 1},
+		{"jupiter_model_train_seconds", sum, []string{"scratch"}, 0.002},
+		{"jupiter_model_train_seconds", sum, []string{"incremental"}, 0.0005},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
+		labels := append([]string{"lock", "Jupiter", "3h"}, want.labels...)
+		if _, s, ok := lookup(snap, want.family, labels...); !ok || want.stat(s) != want.v {
+			t.Errorf("%s%v = %+v (found %v), want %g", want.family, labels, s, ok, want.v)
 		}
 	}
 	if t.Failed() {
-		t.Logf("full exposition:\n%s", out)
+		t.Logf("full snapshot:\n%+v", snap)
 	}
 }
 
@@ -111,12 +116,8 @@ func TestCollectorCloseRunOpenSpan(t *testing.T) {
 	c := NewCollector(reg, Labels{Service: "lock", Strategy: "Jupiter", Interval: "1h"})
 	engine.Dispatch(c, engine.Event{Minute: 10, Kind: engine.KindQuorumDown, Size: 0})
 	c.CloseRun(35)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `jupiter_downtime_minutes_sum{service="lock",strategy="Jupiter",interval="1h"} 25`) {
-		t.Fatalf("open down span not closed:\n%s", sb.String())
+	if _, s, ok := lookup(reg.Snapshot(), "jupiter_downtime_minutes", "lock", "Jupiter", "1h"); !ok || s.Sum != 25 {
+		t.Fatalf("open down span not closed: %+v (found %v), want 25 minutes", s, ok)
 	}
 }
 
@@ -141,14 +142,10 @@ func TestCollectorsSharedRegistry(t *testing.T) {
 		}(iv)
 	}
 	wg.Wait()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
+	snap := reg.Snapshot()
 	for _, iv := range intervals {
-		want := `jupiter_out_of_bid_total{service="lock",strategy="Jupiter",interval="` + iv + `",zone="us-east-1a"} 500`
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("missing %q", want)
+		if _, s, ok := lookup(snap, "jupiter_out_of_bid_total", "lock", "Jupiter", iv, "us-east-1a"); !ok || s.Value != 500 {
+			t.Errorf("out-of-bid series of %s = %+v (found %v), want 500", iv, s, ok)
 		}
 	}
 }
@@ -164,13 +161,9 @@ func TestCollectorScenarioLabel(t *testing.T) {
 	f := engine.Fanout{c}
 	f.Publish(engine.Event{Minute: 1, Kind: engine.KindInstanceTerminated,
 		Zone: "us-east-1a", Spot: true, Cause: market.TerminatedByProvider})
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `jupiter_out_of_bid_total{service="lock",strategy="Jupiter",interval="3h",scenario="storm-surge",zone="us-east-1a"} 1`
-	if !strings.Contains(sb.String(), want) {
-		t.Fatalf("missing scenario-labelled series %q in:\n%s", want, sb.String())
+	fam, s, ok := lookup(reg.Snapshot(), "jupiter_out_of_bid_total", "lock", "Jupiter", "3h", "storm-surge", "us-east-1a")
+	if !ok || s.Value != 1 || !slices.Equal(fam.Labels, []string{"service", "strategy", "interval", "scenario", "zone"}) {
+		t.Fatalf("scenario-labelled out-of-bid series = %+v %+v (found %v), want 1 under {service,strategy,interval,scenario,zone}", fam, s, ok)
 	}
 
 	defer func() {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -18,17 +17,10 @@ func TestRecordQuarantinedRows(t *testing.T) {
 	}
 	RecordQuarantinedRows(reg, "prices.csv", rep)
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`jupiter_trace_rows_quarantined_total{source="prices.csv",reason="nan-price"} 2`,
-		`jupiter_trace_rows_quarantined_total{source="prices.csv",reason="bad-minute"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
+	snap := reg.Snapshot()
+	for reason, want := range map[string]float64{"nan-price": 2, "bad-minute": 1} {
+		if _, s, ok := lookup(snap, "jupiter_trace_rows_quarantined_total", "prices.csv", reason); !ok || s.Value != want {
+			t.Errorf("quarantined rows for %s = %+v (found %v), want %g", reason, s, ok, want)
 		}
 	}
 }
@@ -41,11 +33,7 @@ func TestRecordQuarantinedRowsNoOps(t *testing.T) {
 	reg := NewRegistry()
 	RecordQuarantinedRows(reg, "x", nil)
 	RecordQuarantinedRows(reg, "x", &trace.ReadReport{})
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "jupiter_trace_rows_quarantined_total") {
-		t.Fatalf("clean reads registered the quarantine family:\n%s", sb.String())
+	if snap := reg.Snapshot(); len(snap.Families) != 0 {
+		t.Fatalf("clean reads registered a metric family: %+v", snap)
 	}
 }

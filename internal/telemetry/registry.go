@@ -2,9 +2,8 @@
 // event stream: a small labeled-metrics registry (counters, gauges,
 // log-bucketed histograms), a Collector that folds every engine.Event
 // kind into metrics, a versioned JSONL event-trace writer/reader with a
-// structural differ, a Prometheus text exposition writer with an
-// optional live debug HTTP endpoint, and an end-of-run summary
-// manifest.
+// structural differ, and the end-of-run summary manifest — the
+// registry's one reader.
 //
 // The layer is strictly pay-for-what-you-use: with no observer
 // attached, publishers skip event construction entirely
@@ -225,8 +224,7 @@ func (h *Histogram) Observe(x float64) {
 
 // Snapshot is a point-in-time copy of every series in a registry,
 // ordered deterministically (families by name, series by label
-// values). It feeds both the Prometheus exposition writer and the run
-// manifest.
+// values). It is what the run manifest records.
 type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`
 }
@@ -297,7 +295,7 @@ func (r *Registry) Snapshot() Snapshot {
 				ss.Sum = s.hist.Sum()
 				// Cumulative buckets: observations under the covered
 				// range belong to every bucket; the implicit +Inf
-				// bucket is the total and is added at exposition.
+				// bucket is the total, Count.
 				cum := s.hist.Under
 				for i, c := range s.hist.Counts {
 					cum += c

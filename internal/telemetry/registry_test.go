@@ -1,9 +1,12 @@
 package telemetry
 
 import (
-	"strings"
+	"bytes"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -103,51 +106,75 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusFormat(t *testing.T) {
+// lookup finds one series of a snapshot by family name and label
+// values.
+func lookup(snap Snapshot, family string, labels ...string) (FamilySnapshot, SeriesSnapshot, bool) {
+	for _, f := range snap.Families {
+		if f.Name != family {
+			continue
+		}
+		for _, s := range f.Series {
+			if slices.Equal(s.LabelValues, labels) {
+				return f, s, true
+			}
+		}
+	}
+	return FamilySnapshot{}, SeriesSnapshot{}, false
+}
+
+// TestSnapshotShape pins what the manifest records of each metric kind:
+// kind names, label schemas, counter and gauge values, and a
+// histogram's cumulative buckets, sum and count — deterministically.
+func TestSnapshotShape(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "events seen", "zone", "tier").With("us-east-1a", "spot").Add(7)
 	reg.Gauge("b_live", "live nodes").With().Set(3)
 	h := reg.Histogram("c_minutes", "down minutes", 1, 100, 1, "svc").With("lock")
 	h.Observe(5)
-	h.Observe(500) // over range: lands only in +Inf
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	h.Observe(500) // over range: counted only in the implicit +Inf bucket, Count
+	snap := reg.Snapshot()
+
+	if f, s, ok := lookup(snap, "a_total", "us-east-1a", "spot"); !ok || f.Kind != "counter" ||
+		!slices.Equal(f.Labels, []string{"zone", "tier"}) || s.Value != 7 {
+		t.Errorf("a_total = %+v %+v (found %v), want counter{zone,tier} 7", f, s, ok)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE a_total counter",
-		`a_total{zone="us-east-1a",tier="spot"} 7`,
-		"# TYPE b_live gauge",
-		"b_live 3",
-		"# TYPE c_minutes histogram",
-		`c_minutes_bucket{svc="lock",le="10"} 1`,
-		`c_minutes_bucket{svc="lock",le="+Inf"} 2`,
-		`c_minutes_sum{svc="lock"} 505`,
-		`c_minutes_count{svc="lock"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
+	if f, s, ok := lookup(snap, "b_live"); !ok || f.Kind != "gauge" || s.Value != 3 {
+		t.Errorf("b_live = %+v %+v (found %v), want gauge 3", f, s, ok)
+	}
+	f, s, ok := lookup(snap, "c_minutes", "lock")
+	if !ok || f.Kind != "histogram" || s.Sum != 505 || s.Count != 2 {
+		t.Fatalf("c_minutes = %+v %+v (found %v), want histogram sum 505 count 2", f, s, ok)
+	}
+	le10 := false
+	for _, b := range s.Buckets {
+		if b.UpperBound == 10 {
+			le10 = b.Cumulative == 1
 		}
 	}
-	// Deterministic output: a second render is byte-identical.
-	var sb2 strings.Builder
-	if err := reg.WritePrometheus(&sb2); err != nil {
-		t.Fatal(err)
+	if !le10 {
+		t.Errorf("c_minutes buckets %+v: want le=10 holding 1", s.Buckets)
 	}
-	if sb2.String() != out {
-		t.Error("exposition is not deterministic across renders")
+	// Deterministic: a second snapshot is identical.
+	if again := reg.Snapshot(); !reflect.DeepEqual(again, snap) {
+		t.Error("snapshot is not deterministic across calls")
 	}
 }
 
+// TestLabelEscaping: a label value with quotes, a backslash and a
+// newline reaches the manifest verbatim — JSON does the escaping.
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("esc_total", "", "path").With(`a"b\c` + "\n").Inc()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	raw := `a"b\c` + "\n"
+	reg.Counter("esc_total", "", "path").With(raw).Inc()
+	var buf bytes.Buffer
+	if err := NewManifest("replay", 1, nil, time.Now(), reg).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `esc_total{path="a\"b\\c\n"} 1`) {
-		t.Fatalf("bad escaping:\n%s", sb.String())
+	m, err := ReadManifest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, s, ok := lookup(m.Metrics, "esc_total", raw); !ok || s.Value != 1 {
+		t.Fatalf("label %q lost in the manifest: %+v", raw, m.Metrics)
 	}
 }
