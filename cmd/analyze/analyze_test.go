@@ -71,6 +71,63 @@ func TestExplainReconstructsTheDecision(t *testing.T) {
 	}
 }
 
+// TestExplainPrintsTheCut: the enumeration stops at the first group size
+// whose constraint-(9) lower bound reaches the cheapest group found, and
+// explain prints that size as the last candidate row, "pruned", with the
+// bound in the COST-BOUND column — one row after the last size priced, and
+// no cheaper than the cheapest feasible one.
+func TestExplainPrintsTheCut(t *testing.T) {
+	spans, _, _ := record(t, "jupiter", 6)
+	var out bytes.Buffer
+	if err := runExplain([]string{"-decision", "1", spans}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	_, table, ok := strings.Cut(text, "candidate group sizes:\n")
+	if !ok {
+		t.Fatalf("no candidate table:\n%s", text)
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := strings.Split(table, "\n")[1:] // below the header
+	row := regexp.MustCompile(`^  (\d+) +(\S+) +(?:\S+ +)?(\$\d+\.\d+)?$`)
+	var nodes []int
+	var outcomes, costs []string
+	for _, r := range rows {
+		m := row.FindStringSubmatch(r)
+		if m == nil {
+			t.Fatalf("unreadable candidate row %q:\n%s", r, text)
+		}
+		n, _ := strconv.Atoi(m[1])
+		nodes, outcomes, costs = append(nodes, n), append(outcomes, m[2]), append(costs, m[3])
+	}
+	last := len(rows) - 1
+	if last < 1 || outcomes[last] != "pruned" || costs[last] == "" || nodes[last] != nodes[last-1]+1 {
+		t.Fatalf("the last candidate row is not the cut, one size past the last priced, with its bound:\n%s", table)
+	}
+	if strings.Count(table, "pruned") != 1 {
+		t.Fatalf("more than one pruned row:\n%s", table)
+	}
+	bound := dollars(t, costs[last])
+	cheapest := -1.0
+	for i, o := range outcomes[:last] {
+		if o == "feasible" && (cheapest < 0 || dollars(t, costs[i]) < cheapest) {
+			cheapest = dollars(t, costs[i])
+		}
+	}
+	if cheapest < 0 || bound < cheapest {
+		t.Fatalf("bound %v under the cheapest feasible candidate %v:\n%s", bound, cheapest, table)
+	}
+}
+
+func dollars(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimPrefix(s, "$"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestExplainRefusesAmbiguousStreams: a stream holding two runs must be
 // narrowed, and the error lists both stamps — the strategy's Name(),
 // whichever command wrote the file.

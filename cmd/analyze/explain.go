@@ -208,7 +208,7 @@ func renderDecision(out io.Writer, ds []provenance.Span) {
 			if s.FPTarget > 0 {
 				fpt = fmt.Sprintf("%.6g", s.FPTarget)
 			}
-			if s.Outcome == "feasible" {
+			if s.Outcome == "feasible" || s.Outcome == "pruned" {
 				cost = market.Money(s.CostMicroUSD).String()
 			}
 			fmt.Fprintf(tw, "  %d\t%s\t%s\t%s\n", s.Nodes, s.Outcome, fpt, cost)

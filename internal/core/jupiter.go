@@ -16,6 +16,10 @@
 //     bound for that n (the paper's objective, Equation 8).
 //  4. Return the bids of the n with the lowest upper bound.
 //
+// n runs up from the quorum floor to at most the pool count, and stops at
+// the first n whose constraint-(9) floor — the n cheapest current prices
+// — reaches the lowest upper bound found: no larger n can win.
+//
 // When no group size can meet the availability target with spot
 // instances, Jupiter falls back to on-demand instances, matching the
 // paper's rule of preferring an on-demand instance over an even higher
@@ -31,6 +35,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -79,8 +84,6 @@ type Jupiter struct {
 	// RetrainEvery forces model refreshes at this cadence in minutes
 	// (default weekly); 0 trains once and never refreshes.
 	RetrainEvery int64
-	// MaxNodes caps the group-size enumeration (0 = number of zones).
-	MaxNodes int
 	// Mode selects the failure estimator (ablation hook).
 	Mode EstimatorMode
 	// Refine enables the heterogeneous-bid descent after the Fig. 3
@@ -109,12 +112,14 @@ type Jupiter struct {
 
 	// Planner state (pools.go): the memo of fitUniformFP's
 	// bisection paths, the scratch every candidate group of every Decide
-	// is evaluated in, and fit — nil outside the reference-oracle tests,
-	// which set it to the exhaustive bisection so that every rebid reads a
-	// converged answer and decisions can be pinned against it.
+	// is evaluated in, and two test hooks, nil in production: fit, the
+	// exhaustive bisection every rebid reads in the reference-oracle
+	// tests, and priced, which shows the cut's property test each group
+	// priced at size W, first bid or rebid.
 	fitCache map[string]*fitState
 	ws       poolScratch
 	fit      func(t int, units []int, target float64) (float64, bool)
+	priced   func(W int, cost market.Money, rebid bool)
 
 	// health tracks observed faults for staged degradation. It stays
 	// nil until the first OnFault, so runs without a chaos subscription
@@ -226,11 +231,7 @@ func (j *Jupiter) LastCandidates() []CandidateCost {
 // placed bid — the heterogeneous p vector the weighted-voting analysis
 // (paper §4.1) evaluates.
 func (j *Jupiter) LastBidFailureProbabilities() map[string]float64 {
-	out := make(map[string]float64, len(j.lastBidFPs))
-	for z, fp := range j.lastBidFPs {
-		out[z] = fp
-	}
-	return out
+	return maps.Clone(j.lastBidFPs)
 }
 
 // OnFault implements engine.Observer: injected faults feed the staged
@@ -528,13 +529,6 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 		pools = filtered
 	}
 	return j.decidePools(view, spec, pools, intervalMinutes)
-}
-
-// fallback runs the service on on-demand instances when no spot
-// configuration meets the availability constraint (§4.2's preference
-// for on-demand over over-bidding).
-func (j *Jupiter) fallback(view strategy.MarketView, spec strategy.ServiceSpec) (strategy.Decision, error) {
-	return strategy.OnDemand{}.Decide(view, spec, 0)
 }
 
 // TrainOn pre-trains zone models from a trace set, for tools that have

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/market"
 	"repro/internal/modelcache"
+	"repro/internal/provenance"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -113,33 +114,55 @@ func TestJupiterBidsAreCheap(t *testing.T) {
 	}
 }
 
+// TestJupiterCandidatesEnumerated: the group sizes run contiguously from
+// the quorum floor until the constraint-(9) bound cuts the enumeration,
+// the cheapest of them is the decision, and exactly one pruned span names
+// the first size not priced, with a bound no lower than that decision.
 func TestJupiterCandidatesEnumerated(t *testing.T) {
 	view := genView(t, 42, 13)
 	j := New()
-	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
+	j.UseRecorder(provenance.NewRecorder(1))
+	d, err := j.Decide(view, lockSpec(), 60)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cands := j.LastCandidates()
-	if len(cands) != len(market.ExperimentZones()) {
-		t.Fatalf("enumerated %d group sizes, want %d", len(cands), len(market.ExperimentZones()))
+	if len(cands) == 0 {
+		t.Fatal("no group size enumerated")
 	}
-	// Small n are infeasible (tiny FP targets below FP0); some larger n
-	// must be feasible; the chosen upper bound is the minimum.
-	feasible := 0
-	var best market.Money = -1
-	for _, c := range cands {
-		if c.Feasible {
-			feasible++
-			if best < 0 || c.CostUpper < best {
-				best = c.CostUpper
-			}
+	for i, c := range cands {
+		if c.Nodes != lockSpec().DataShards+i {
+			t.Fatalf("row %d is n=%d, want the sizes contiguous from %d: %+v", i, c.Nodes, lockSpec().DataShards, cands)
 		}
 	}
-	if feasible == 0 {
-		t.Fatal("no feasible group size")
-	}
-	if cands[0].Feasible && cands[0].Nodes == 1 {
+	if cands[0].Feasible {
 		t.Fatal("n=1 should not meet a five-nines-ish target with FP0=0.01")
+	}
+	var best market.Money = -1
+	for _, c := range cands {
+		if c.Feasible && (best < 0 || c.CostUpper < best) {
+			best = c.CostUpper
+		}
+	}
+	var planned market.Money
+	for _, b := range d.Bids {
+		planned += b.Price
+	}
+	if best < 0 || len(d.OnDemand) > 0 || planned != best {
+		t.Fatalf("decision %+v plans %v, the cheapest candidate %v", d, planned, best)
+	}
+	var pruned []provenance.Span
+	for _, s := range j.prov.Spans() {
+		if s.Kind == provenance.SpanCandidate && s.Outcome == "pruned" {
+			pruned = append(pruned, s)
+		}
+	}
+	next := cands[len(cands)-1].Nodes + 1
+	if len(pruned) != 1 || pruned[0].Nodes != next || market.Money(pruned[0].CostMicroUSD) < best {
+		t.Fatalf("pruned spans %+v, want one at n=%d with a bound of at least %v", pruned, next, best)
+	}
+	if next > len(market.ExperimentZones()) {
+		t.Fatalf("the cut at n=%d is past the %d zones: nothing was pruned", next, len(market.ExperimentZones()))
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // every Decide: the exact-quorum checks' DP row, a group's unit and
 // probability vectors and the memo key under construction; and a group
 // size's candidate lists, which only the selection that becomes the best
-// so far is copied out of.
+// so far is copied out of, and the price list of the enumeration's cut.
 type poolScratch struct {
 	dp    quorum.WeightedDP
 	units []int
@@ -40,6 +40,30 @@ type poolScratch struct {
 
 	base, perUnit, fit []poolBid
 	used               []bool
+	floor              []unitPrice
+}
+
+// unitPrice is the least a group pays for a pool's capacity units.
+type unitPrice struct {
+	price market.Money
+	units int
+}
+
+// cheapestFill is the fractional fill of need units from items sorted by
+// perUnitCmp (whole items, then the floor of a pro-rated last one): no
+// selection paying at least the listed prices costs less. It never
+// decreases in need, and items of one price per unit fill at one rate,
+// so their order is immaterial.
+func cheapestFill(items []unitPrice, need int) market.Money {
+	var cost market.Money
+	for _, it := range items {
+		if need <= it.units {
+			return cost + market.Money(int64(it.price)*int64(need)/int64(it.units))
+		}
+		cost += it.price
+		need -= it.units
+	}
+	return cost
 }
 
 // odPoolCand is an on-demand substitution candidate: a pool whose
@@ -110,9 +134,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	}
 	// allBase: every spot and on-demand candidate of this Decide is one
 	// base node. The three candidate families below then build the same
-	// group, so one of them runs.
+	// group, so one of them runs. floor prices each candidate at the least
+	// a group pays for it, for the enumeration's cut: constraint (9) puts
+	// no spot bid under its pool's current price (the list filter and the
+	// rebid both refuse one), and an on-demand member pays its own price.
 	allBase := true
-	states := snaps[:0]
+	states, floor := snaps[:0], j.ws.floor[:0]
 	for _, st := range snaps {
 		u, uerr := market.PoolCapacityUnits(st.zone, spec.Type)
 		if uerr != nil {
@@ -121,6 +148,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		st.units = u
 		allBase = allBase && u == market.UnitsPerNode
 		states = append(states, st)
+		floor = append(floor, unitPrice{st.cur, u})
 	}
 	if len(states) == 0 {
 		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
@@ -153,6 +181,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 		allBase = allBase && u == market.UnitsPerNode
 		odPool = append(odPool, odPoolCand{key: p, price: od, units: u})
+		floor = append(floor, unitPrice{od, u})
 	}
 	slices.SortFunc(odPool, func(a, b odPoolCand) int {
 		if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
@@ -160,29 +189,19 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 		return strings.Compare(a.key, b.key)
 	})
+	slices.SortFunc(floor, func(a, b unitPrice) int { return perUnitCmp(a.price, a.units, b.price, b.units) })
+	j.ws.floor = floor
 
 	// W enumerates target capacity in base-node equivalents.
-	maxW := j.MaxNodes
-	if maxW <= 0 || maxW > len(pools) {
-		maxW = len(pools)
-	}
-	if c := capUnits / market.UnitsPerNode; maxW > c {
-		maxW = c
-	}
-	minW := spec.DataShards
-	if minW < 1 {
-		minW = 1
-	}
+	maxW := min(len(pools), capUnits/market.UnitsPerNode)
+	minW := max(spec.DataShards, 1)
 	// A workload load target (strategy.LoadTargeter) raises the floor:
 	// the autoscaler's target group size, in base-node equivalents, is
 	// the least the decision may provision, clamped to what the market
 	// can host. Fixed-n runs attach no targeter and enumerate as before.
 	if lt, ok := view.(strategy.LoadTargeter); ok {
 		if t, ok := lt.TargetNodes(); ok {
-			if t > maxW {
-				t = maxW
-			}
-			if t > minW {
+			if t = min(t, maxW); t > minW {
 				minW = t
 				if dt != nil {
 					dt.Emit(provenance.Span{Kind: provenance.SpanResize, Nodes: minW})
@@ -206,7 +225,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// computed from it (quorum.TestBaselineReadsOneUlpBelowItsOwnTarget).
 	// Any other group has fewer, heavier failure domains than the
 	// inversion assumed and is gated on the exact unit-quorum availability.
-	evaluate := func(W int, spot []poolBid, od []odPoolCand) (cost, curCost market.Money, ok bool) {
+	evaluate := func(W int, spot []poolBid, od []odPoolCand, repaired bool) (cost, curCost market.Money, ok bool) {
 		tot, baseNodes := 0, true
 		for _, pb := range spot {
 			tot += pb.pool.units
@@ -219,6 +238,9 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			baseNodes = baseNodes && oc.units == market.UnitsPerNode
 			cost += oc.price
 			curCost += oc.price
+		}
+		if j.priced != nil {
+			j.priced(W, cost, repaired)
 		}
 		if baseNodes && len(spot)+len(od) == W {
 			return cost, curCost, true
@@ -319,6 +341,17 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	j.lastDecision = j.lastDecision[:0]
 
 	for W := minW; W <= maxW; W++ {
+		// The cut: every group at W or above costs at least the cheapest
+		// fill of W·UnitsPerNode units, and a family keeps only a strictly
+		// cheaper group, so once that bound reaches every running family's
+		// best, nothing larger can win. A family with no group holds it off.
+		lb := cheapestFill(floor, W*market.UnitsPerNode)
+		if bestBase.found && lb >= bestBase.cost && (allBase || bestHet.found && lb >= bestHet.cost) {
+			if dt != nil {
+				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, Outcome: "pruned", CostMicroUSD: int64(lb)})
+			}
+			break
+		}
 		cand := CandidateCost{Nodes: W}
 		fpTarget, ok := j.invertFP(W, spec.QuorumSize(W), target)
 		if !ok || fpTarget < j.FP0 {
@@ -429,13 +462,13 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			if got < needUnits {
 				return
 			}
-			cost, curCost, feasible := evaluate(W, spot, odPick)
+			cost, curCost, feasible := evaluate(W, spot, odPick, false)
 			if !feasible {
 				var repaired bool
 				if spot, repaired = rebid(spot, odPick); !repaired {
 					return
 				}
-				if cost, curCost, feasible = evaluate(W, spot, odPick); !feasible {
+				if cost, curCost, feasible = evaluate(W, spot, odPick, true); !feasible {
 					return
 				}
 			}

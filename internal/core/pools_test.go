@@ -237,11 +237,13 @@ func TestDecideSingleTypeAllocBudget(t *testing.T) {
 
 // TestDecidePoolsAllocBudget pins the planner's allocation budget on the
 // 68-pool market. A warmed Decide — models trained, every rebid decided
-// from the bisection prefix the memo holds — builds its ~220 candidate
-// groups in scratch lists and checks them in one scratch row; what still
+// from the bisection prefix the memo holds — builds its candidate groups
+// in scratch lists and checks them in one scratch row; what still
 // allocates is the forecasts, the rebid outputs and the selections kept:
-// 506 allocations, and the budget is that plus 15 %. A list per size
-// would add thousands, as would a row per bisection probe.
+// 506 allocations while every size was priced (≈ 220 groups), 435 since
+// the enumeration stops at the first size that cannot win, and the
+// budget is the former plus 15 %. A list per size would add thousands,
+// as would a row per bisection probe.
 func TestDecidePoolsAllocBudget(t *testing.T) {
 	requireWarmDecideBudget(t, traceView{set: benchPoolSet(t), now: 6 * week}, 180, 582)
 }
@@ -326,5 +328,77 @@ func TestPlannerSortsAreTotalOrders(t *testing.T) {
 		if slices.SortFunc(bids, cheapestBidFirst); !slices.Equal(bids, want) {
 			t.Fatalf("cheapestBidFirst, shuffle %d: %v, want %v", shuffle, bids, want)
 		}
+	}
+}
+
+// TestFillBoundsEveryPricedGroup is the exactness argument of the
+// enumeration's cut as a property. On seeded zone-only and 68-pool
+// markets, for both services, healthy, degraded and critical, every group
+// the enumeration prices at size W — as first bid and again after a
+// rebid — costs at least cheapestFill at W over the Decide's price list,
+// and that bound never decreases in W.
+func TestFillBoundsEveryPricedGroup(t *testing.T) {
+	const (
+		trainWeeks = 3
+		interval   = 180
+		decides    = 8
+	)
+	zones := market.ExperimentZones()
+	faultLoads := []struct {
+		zones []string
+		stage DegradeStage
+	}{{nil, StageHealthy}, {zones[:1], StageDegraded}, {zones[:13], StageCritical}}
+	specs := []strategy.ServiceSpec{lockSpec(), {Type: market.M3Large, BaseNodes: 5, DataShards: 3}}
+	var priced, rebids int
+	for _, types := range [][]market.InstanceType{nil, {market.M1Medium, market.C3Large, market.R3Large}} {
+		for m := 0; m < 2; m++ {
+			seed := 2014 + uint64(m)*0x9E3779B97F4A7C15
+			for _, spec := range specs {
+				set, err := trace.Generate(trace.GenConfig{
+					Seed: seed, Type: spec.Type, Types: types, Zones: zones,
+					Start: 0, End: trainWeeks*week + decides*interval,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, load := range faultLoads {
+					name := fmt.Sprintf("%d pools, seed %d, %s, stage %v", len(set.ByZone), seed, spec.Type, load.stage)
+					j := New()
+					for _, z := range load.zones {
+						j.OnFault(fault(z, trainWeeks*week-1))
+					}
+					j.priced = func(W int, cost market.Money, rebid bool) {
+						if lb := cheapestFill(j.ws.floor, W*market.UnitsPerNode); cost < lb {
+							t.Fatalf("%s: a group of %d base nodes (rebid %v) costs %v, under the bound %v", name, W, rebid, cost, lb)
+						}
+						priced++
+						if rebid {
+							rebids++
+						}
+					}
+					for d := int64(0); d < decides; d++ {
+						view := traceView{set: set, now: trainWeeks*week + d*interval}
+						if _, err := j.Decide(view, spec, interval); err != nil {
+							t.Fatal(err)
+						}
+						if d == 0 && j.LastStage() != load.stage {
+							t.Fatalf("%s: first Decide at stage %v", name, j.LastStage())
+						}
+						var prev market.Money
+						for W := 1; W <= len(set.ByZone)+1; W++ {
+							lb := cheapestFill(j.ws.floor, W*market.UnitsPerNode)
+							if lb < prev {
+								t.Fatalf("%s decision %d: bound %v at n=%d, %v at n=%d", name, d, lb, W, prev, W-1)
+							}
+							prev = lb
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d groups priced, %d of them after a rebid", priced, rebids)
+	if rebids == 0 {
+		t.Fatal("no group was priced after a rebid; the pin is vacuous")
 	}
 }

@@ -20,13 +20,15 @@ func emitStage(dt *provenance.DecisionTrace, prev, cur DegradeStage) {
 	dt.Emit(s)
 }
 
-// fallbackTraced is fallback with a closing "chosen" span naming why
-// no spot configuration was usable.
+// fallbackTraced runs the service on on-demand instances when no spot
+// configuration meets the availability constraint (§4.2's preference
+// for on-demand over over-bidding), closing the trace with a "chosen"
+// span naming why.
 func (j *Jupiter) fallbackTraced(view strategy.MarketView, spec strategy.ServiceSpec, dt *provenance.DecisionTrace, reason string) (strategy.Decision, error) {
 	if dt != nil {
 		dt.Emit(provenance.Span{Kind: provenance.SpanChosen, Outcome: "fallback", Detail: reason})
 	}
-	return j.fallback(view, spec)
+	return strategy.OnDemand{}.Decide(view, spec, 0)
 }
 
 func bidSum(bids []poolBid) market.Money {

@@ -43,7 +43,9 @@ const (
 	// SpanCandidate reports one enumerated group size: Outcome
 	// "infeasible-target" (the equalized inversion failed or fell below
 	// FP0), "short" (not enough adequate pools), or "feasible" (with
-	// the bid-sum cost upper bound).
+	// the bid-sum cost upper bound) — or, at most once per decision and
+	// last, "pruned": the first size not priced, with the constraint-(9)
+	// lower bound that no group of it or any larger size can undercut.
 	SpanCandidate = "candidate"
 	// SpanDominance reports the planner's both-axes rule between the
 	// base-weight family (Cost/Cur fields) and the heterogeneous

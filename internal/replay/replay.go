@@ -275,6 +275,18 @@ func Run(cfg Config) (*Result, error) {
 	return r.res, nil
 }
 
+// SpecTypeError refuses a spec whose type is not the trace set's base
+// type, the type its pool keys are relative to (market.PoolKey). Over a
+// set with no pool of the spec's type, an unchecked replay places no
+// instance and reports $0 at availability 0 as if it had run.
+type SpecTypeError struct {
+	Traces, Spec market.InstanceType
+}
+
+func (e *SpecTypeError) Error() string {
+	return fmt.Sprintf("replay: trace set holds %s pools, spec needs %s", e.Traces, e.Spec)
+}
+
 // newRun validates cfg and builds the run: the (chaos-transformed)
 // provider, the strategy's market view, and the resize state machine
 // when a workload plan moves the group size. Nothing has advanced yet.
@@ -284,6 +296,9 @@ func newRun(cfg Config) (*run, error) {
 	}
 	if cfg.IntervalMinutes <= 0 {
 		return nil, fmt.Errorf("replay: interval %d <= 0", cfg.IntervalMinutes)
+	}
+	if cfg.Traces.Type != cfg.Spec.Type {
+		return nil, &SpecTypeError{Traces: cfg.Traces.Type, Spec: cfg.Spec.Type}
 	}
 	lead := cfg.LeadMinutes
 	if lead <= 0 {

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -216,6 +218,29 @@ func TestReplayStorageSpec(t *testing.T) {
 	}
 	if res.Availability < 0.99 {
 		t.Fatalf("storage availability %v", res.Availability)
+	}
+}
+
+// TestReplayRejectsSpecOfAnotherType: the storage spec (m3.large)
+// replayed over an m1.small market has no pool to run in. Run refuses it
+// with a *SpecTypeError naming both types, for any strategy, instead of
+// returning a $0 run at availability 0.
+func TestReplayRejectsSpecOfAnotherType(t *testing.T) {
+	set := genTraces(t, 8, 1, market.M1Small)
+	spec := strategy.ServiceSpec{Type: market.M3Large, BaseNodes: 5, DataShards: 3}
+	for _, strat := range []strategy.Strategy{core.New(), strategy.OnDemand{}} {
+		res, err := Run(Config{
+			Traces: set, Start: 13 * week,
+			Spec: spec, Strategy: strat,
+			IntervalMinutes: 60, Seed: 8,
+		})
+		var typeErr *SpecTypeError
+		if !errors.As(err, &typeErr) || typeErr.Traces != market.M1Small || typeErr.Spec != market.M3Large {
+			t.Fatalf("%s: result %+v, error %v; want a *SpecTypeError (m1.small pools, m3.large spec)", strat.Name(), res, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "m1.small") || !strings.Contains(msg, "m3.large") {
+			t.Errorf("%s: error %q does not name both types", strat.Name(), msg)
+		}
 	}
 }
 
