@@ -39,9 +39,10 @@
 // a selection that replays no sweep.
 //
 // Telemetry: -events-out writes every replay cell's event history to
-// one JSONL file, cell after cell in grid order. The trace names the
-// cell that trained each price model the cells share, so with it the
-// cells replay one at a time and the file is the same bytes at any -j.
+// one JSONL file, cell after cell, a sweep's longest interval first
+// (the order its cells are dispatched in). The trace names the cell
+// that trained each price model the cells share, so with it the cells
+// replay one at a time and the file is the same bytes at any -j.
 // -manifest writes an end-of-run summary (config, seed, wall time,
 // metric snapshot; the per-cell series are kept apart by
 // service/strategy/interval labels). "-" sends an output to stdout, and

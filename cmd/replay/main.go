@@ -50,10 +50,11 @@
 // every record below is written by the one experiments.Sink.
 //
 // Telemetry: -events-out writes the run's event history as versioned
-// JSONL (see `analyze diff`), one cell after another in -interval
-// order. The trace names the cell that trained each price model the
-// cells share, so with it the cells replay one at a time and the file
-// is the same bytes at any -j. -manifest writes an end-of-run summary
+// JSONL (see `analyze diff`), one cell after another, longest
+// -interval first (the order the cells are dispatched in). The trace
+// names the cell that trained each price model the cells share, so with
+// it the cells replay one at a time and the file is the same bytes at
+// any -j. -manifest writes an end-of-run summary
 // (config, seed, wall time, metric snapshot). "-" sends an output to
 // stdout, and several may share it.
 //

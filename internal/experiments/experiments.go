@@ -13,8 +13,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -230,8 +232,9 @@ func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strateg
 
 // ReplayIntervals replays one strategy at each of the given bidding
 // intervals — a one-strategy sweep: cells on the Env's worker pool over
-// one shared model cache, results in input order, every cell on
-// Env.Seed itself (cmd/replay's -seed, not a derived cell seed).
+// one shared model cache, dispatched longest interval first
+// (longestFirst), results in input order, every cell on Env.Seed itself
+// (cmd/replay's -seed, not a derived cell seed).
 func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, intervals []int64) ([]*replay.Result, error) {
 	spec = e.applyConstraints(spec)
 	set, err := e.Traces(spec.Type)
@@ -243,11 +246,11 @@ func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, 
 	}
 	results := make([]*replay.Result, len(intervals))
 	base := e.sink.reserve(len(intervals))
-	err = forEachCell(len(intervals), e.Jobs, func(i int) error {
+	err = forEachCell(len(intervals), e.Jobs, longestFirst(intervals, func(i int) error {
 		res, err := e.replayCell(set, spec, build(), intervals[i], e.Seed, base+i, "")
 		results[i] = res
 		return err
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -306,6 +309,23 @@ func runCell(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
+// longestFirst maps forEachCell's dispatch index onto an interval grid,
+// where hours[i] is grid cell i's bidding interval: dispatch runs the
+// cells longest interval first, grid order kept among equal intervals.
+// A price model the cells share is then first asked for its forecast
+// profile at the longest horizon any cell will ask, and every shorter
+// cell reads a prefix of that table instead of rebuilding it — bit for
+// bit the table its own build would give (smc.Model.fresh). fn still
+// receives grid indices, so output slots keep the grid order.
+func longestFirst(hours []int64, fn func(i int) error) func(k int) error {
+	order := make([]int, len(hours))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(hours[b], hours[a]) })
+	return func(k int) error { return fn(order[k]) }
+}
+
 // forEachCell runs fn for every index in [0, n) on a pool of jobs
 // workers. Output slots are indexed, and the first error by index wins
 // regardless of completion order, so a parallel run returns exactly
@@ -352,8 +372,9 @@ func forEachCell(n, jobs int, fn func(i int) error) error {
 // 6/7 for the lock service, 8/9 for storage). Cells — one replay per
 // (interval, strategy) pair — are independent: each builds its own
 // strategy and provider over the shared read-only trace set, so with
-// Env.Jobs > 1 they run concurrently and still produce the rows of the
-// sequential interval-major order.
+// Env.Jobs > 1 they run concurrently. They are dispatched longest
+// interval first (longestFirst), and the rows come back in the grid's
+// interval-major order at any Jobs.
 func (e Env) Sweep(spec strategy.ServiceSpec, serviceName string) ([]SweepRow, error) {
 	spec = e.applyConstraints(spec)
 	set, err := e.Traces(spec.Type)
@@ -365,35 +386,32 @@ func (e Env) Sweep(spec strategy.ServiceSpec, serviceName string) ([]SweepRow, e
 		// workers share it, so coinciding retrains train once.
 		e.Models = modelcache.New()
 	}
-	type cell struct {
-		hours int64
-		mk    func() strategy.Strategy
-	}
-	var cells []cell
-	for _, hours := range SweepIntervals {
+	var hours []int64
+	var mks []func() strategy.Strategy
+	for _, h := range SweepIntervals {
 		for _, mk := range sweepStrategies() {
-			cells = append(cells, cell{hours: hours, mk: mk})
+			hours, mks = append(hours, h), append(mks, mk)
 		}
 	}
-	rows := make([]SweepRow, len(cells))
-	base := e.sink.reserve(len(cells))
-	err = forEachCell(len(cells), e.Jobs, func(i int) error {
-		strat := cells[i].mk()
-		res, err := e.replayCell(set, spec, strat, cells[i].hours, e.cellSeed(strat, cells[i].hours), base+i, "")
+	rows := make([]SweepRow, len(hours))
+	base := e.sink.reserve(len(hours))
+	err = forEachCell(len(hours), e.Jobs, longestFirst(hours, func(i int) error {
+		strat := mks[i]()
+		res, err := e.replayCell(set, spec, strat, hours[i], e.cellSeed(strat, hours[i]), base+i, "")
 		if err != nil {
-			return fmt.Errorf("experiments: %s/%s/%dh: %w", serviceName, strat.Name(), cells[i].hours, err)
+			return fmt.Errorf("experiments: %s/%s/%dh: %w", serviceName, strat.Name(), hours[i], err)
 		}
 		rows[i] = SweepRow{
 			Service:       serviceName,
 			Strategy:      strat.Name(),
-			IntervalHours: cells[i].hours,
+			IntervalHours: hours[i],
 			Cost:          res.Cost,
 			Availability:  res.Availability,
 			OutOfBid:      res.OutOfBid,
 			MeanGroupSize: res.MeanGroupSize,
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

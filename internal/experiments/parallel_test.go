@@ -3,11 +3,16 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/modelcache"
+	"repro/internal/replay"
+	"repro/internal/strategy"
 )
 
 // TestSweepParallelMatchesSequential is the determinism regression test
@@ -74,6 +79,80 @@ func TestSweepSharedCacheAcrossWorkers(t *testing.T) {
 	if s.ScratchTrains+s.IncrementalTrains != s.Misses {
 		t.Fatalf("trains (%d scratch + %d incremental) != misses (%d)",
 			s.ScratchTrains, s.IncrementalTrains, s.Misses)
+	}
+}
+
+// dispatched arms env to record, in call order, the interval of every
+// cell it replays.
+func dispatched(env *Env) func() []int64 {
+	var mu sync.Mutex
+	var got []int64
+	env.Observe = func(_ strategy.ServiceSpec, _ string, hours int64) []engine.Observer {
+		mu.Lock()
+		got = append(got, hours)
+		mu.Unlock()
+		return nil
+	}
+	return func() []int64 { return got }
+}
+
+// TestSweepDispatchesLongestIntervalFirst pins the dispatch order that
+// lets every shorter cell read a shared model's longer forecast table:
+// a sequential sweep replays its cells longest interval first, the
+// roster's order kept within an interval, while the rows stay in the
+// grid's interval-major order. ReplayIntervals dispatches its input the
+// same way and returns results in input order, the same at any Jobs.
+func TestSweepDispatchesLongestIntervalFirst(t *testing.T) {
+	env := QuickEnv()
+	env.Jobs = 1
+	order := dispatched(&env)
+	rows, err := env.Sweep(LockSpec(), "lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, grid []int64
+	for i := len(SweepIntervals) - 1; i >= 0; i-- {
+		for range sweepSpecs {
+			want = append(want, SweepIntervals[i])
+		}
+	}
+	for _, r := range rows {
+		grid = append(grid, r.IntervalHours)
+	}
+	if got := order(); !slices.Equal(got, want) {
+		t.Fatalf("cells replayed at intervals %v, want longest first %v", got, want)
+	}
+	if slices.Reverse(want); !slices.Equal(grid, want) {
+		t.Fatalf("rows at intervals %v, want grid order %v", grid, want)
+	}
+
+	builders, err := strategy.Default.BuildSpecs([]string{"jupiter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intervals := []int64{12, 1, 6}
+	var first []*replay.Result
+	for _, jobs := range []int{1, 3} {
+		env := QuickEnv()
+		env.Jobs = jobs
+		order := dispatched(&env)
+		res, err := env.ReplayIntervals(LockSpec(), builders[0], intervals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.IntervalMinutes != intervals[i]*60 {
+				t.Fatalf("Jobs=%d: result %d at %d min, want input order %v h", jobs, i, r.IntervalMinutes, intervals)
+			}
+		}
+		if jobs == 1 {
+			if got := order(); !slices.Equal(got, []int64{12, 6, 1}) {
+				t.Fatalf("ReplayIntervals replayed %v, want 12, 6, 1", got)
+			}
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("ReplayIntervals at Jobs=%d differs from Jobs=1", jobs)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.StringVar(&f.Chaos, "chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name ("+strings.Join(chaos.BuiltinNames(), ", ")+") or a JSON scenario file")
 	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")
-	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, so the file is the same at any -j")
+	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, a sweep's longest interval first, so the file is the same at any -j")
 	all.StringVar(&f.SpansOut, "spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file ('-' = stdout; see cmd/analyze explain)")
 	all.IntVar(&f.SpansSample, "spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
 	all.StringVar(&f.AttribOut, "attrib-out", "", "write the per-cell cost/downtime attribution as JSON to this file ('-' = stdout; see cmd/analyze attribute)")
@@ -130,8 +130,9 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 	if f.EventsOut != "" {
 		// The trace names the cell that trained each model of a shared
 		// price-model cache, and cells on a worker pool race to train
-		// them: only cells replayed one at a time, in grid order, give
-		// the same bytes at any -j.
+		// them: only cells replayed one at a time give the same bytes at
+		// any -j. A sweep streams them longest interval first (the
+		// dispatch order of longestFirst), not in grid order.
 		f.Jobs = 1
 	}
 	s := &Sink{flags: f, command: command, start: time.Now()}

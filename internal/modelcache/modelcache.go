@@ -305,13 +305,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len reports the number of cached entries (including cached errors).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Consumer is implemented by strategies that can route their model
 // training through a shared cache; the replay harness wires
 // replay.Config.Models into any strategy that implements it.

@@ -141,8 +141,8 @@ func TestGetTrainsOnceThenHits(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 || s.ScratchTrains != 1 || s.IncrementalTrains != 0 {
 		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 scratch", s)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Fatalf("%d entries, want 1", len(c.entries))
 	}
 }
 

@@ -77,10 +77,6 @@ func NewWindowedEstimator(maxSojourn int64) *WindowedEstimator {
 // zero before the first Advance.
 func (w *WindowedEstimator) Window() (from, until int64) { return w.from, w.until }
 
-// Observations reports the number of transitions currently in the
-// window.
-func (w *WindowedEstimator) Observations() int64 { return w.est.Observations() }
-
 // Model freezes the current window's counts into a queryable model; see
 // Estimator.Model. The model is an independent snapshot: later Advance
 // calls do not mutate it.

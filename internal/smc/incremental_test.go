@@ -66,11 +66,11 @@ func TestWindowedEstimatorMatchesScratch(t *testing.T) {
 				}
 				scratch := NewEstimator(0)
 				scratch.Observe(hist)
-				if got, want := w.Observations(), scratch.Observations(); got != want {
+				if got, want := w.est.observations, scratch.observations; got != want {
 					t.Fatalf("seed %d zone %s step %d: %d observations incrementally, %d from scratch",
 						seed, zone, stepIdx, got, want)
 				}
-				if w.Observations() == 0 {
+				if w.est.observations == 0 {
 					continue
 				}
 				inc := mustJSON(t, w.Model)
@@ -108,9 +108,9 @@ func TestWindowedEstimatorSmallSojournCap(t *testing.T) {
 		}
 		scratch := NewEstimator(30)
 		scratch.Observe(hist)
-		if w.Observations() == 0 {
-			if scratch.Observations() != 0 {
-				t.Fatalf("now %d: incremental empty, scratch has %d", now, scratch.Observations())
+		if w.est.observations == 0 {
+			if scratch.observations != 0 {
+				t.Fatalf("now %d: incremental empty, scratch has %d", now, scratch.observations)
 			}
 			continue
 		}
@@ -221,7 +221,7 @@ func TestModelConcurrentForecasts(t *testing.T) {
 					return
 				}
 				got[wkr][i] = f.FailureProbability(cur, 0.01)
-				shared.Kernel(cur, cur, 10)
+				kernelProb(shared, cur, cur, 10)
 				if _, err := shared.Stationary(); err != nil {
 					return
 				}

@@ -125,8 +125,8 @@ func TestModelMatchesMapReference(t *testing.T) {
 			ref.Observe(tr)
 			est := NewEstimator(maxSojourn)
 			est.Observe(tr)
-			if est.Observations() != ref.observations {
-				t.Fatalf("trace %d: %d observations, reference %d", ti, est.Observations(), ref.observations)
+			if est.observations != ref.observations {
+				t.Fatalf("trace %d: %d observations, reference %d", ti, est.observations, ref.observations)
 			}
 			rm, rerr := ref.Model()
 			m, err := est.Model()
@@ -149,11 +149,11 @@ func TestModelMatchesMapReference(t *testing.T) {
 			probe := append([]market.Money{0, m.prices[0] + 1}, m.prices...)
 			for i, si := range probe {
 				for _, k := range []int64{0, 1, 2, 7, 45, 60, 1439, 1440, 5000} {
-					if g, w := m.SojournPMF(si, k), rm.SojournPMF(si, k); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := sojournPMF(m, si, k), rm.SojournPMF(si, k); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("trace %d: SojournPMF(%v, %d) = %v, reference %v", ti, si, k, g, w)
 					}
 					for _, sj := range probe {
-						if g, w := m.Kernel(si, sj, k), rm.Kernel(si, sj, k); math.Float64bits(g) != math.Float64bits(w) {
+						if g, w := kernelProb(m, si, sj, k), rm.Kernel(si, sj, k); math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("trace %d: Kernel(%v, %v, %d) = %v, reference %v", ti, si, sj, k, g, w)
 						}
 					}
@@ -320,6 +320,42 @@ func TestFreshIgnoresScratchContents(t *testing.T) {
 	}
 }
 
+// TestFreshServesShorterHorizons pins the reuse a sweep dispatched
+// longest interval first relies on: once a model holds profiles of
+// horizon H, fresh(h) for any h <= H returns that same published table
+// and builds nothing, and its first h minutes are bit for bit the
+// table a build at h alone would give — minute t's row reads only
+// hops with d <= t, so a longer build's prefix is the shorter build.
+func TestFreshServesShorterHorizons(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{1, 4, 9, 13} {
+		m := randomModel(rng, n)
+		const H = 720
+		long := m.fresh(H)
+		for _, h := range []int64{1, 60, 180, 360, H} {
+			if got := m.fresh(h); got != long {
+				t.Fatalf("n=%d: fresh(%d) after fresh(%d) returned a new table of horizon %d", n, h, H, got.horizon)
+			}
+			if m.profiles.Load() != long {
+				t.Fatalf("n=%d: fresh(%d) published a new table", n, h)
+			}
+			m.mu.Lock()
+			short := m.buildFresh(h, new(freshScratch))
+			m.mu.Unlock()
+			for i := 0; i < n; i++ {
+				for u := int64(0); u <= h; u++ {
+					a, b := long.at(i, u), short.at(i, u)
+					for s := range a {
+						if math.Float64bits(a[s]) != math.Float64bits(b[s]) {
+							t.Fatalf("n=%d h=%d: state %d minute %d cell %d = %v from the %d-minute table, %v built alone", n, h, i, u, s, a[s], H, b[s])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // comebacks follows a set from one look at it to the next and counts
 // the members that, having been in it and then out of it, are in it
 // again.
@@ -396,10 +432,10 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 			}
 			scratch := NewEstimator(maxSojourn)
 			scratch.Observe(tr.Window(from, until))
-			if got, want := w.Observations(), scratch.Observations(); got != want {
+			if got, want := w.est.observations, scratch.observations; got != want {
 				t.Fatalf("trial %d step %d [%d, %d): %d observations, from scratch %d", trial, step, from, until, got, want)
 			}
-			if scratch.Observations() == 0 {
+			if scratch.observations == 0 {
 				continue
 			}
 			wm, err := w.Model()

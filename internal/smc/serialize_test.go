@@ -48,7 +48,7 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	for _, si := range op {
 		for _, sj := range op {
 			for k := int64(1); k < 200; k++ {
-				if a, b := orig.Kernel(si, sj, k), loaded.Kernel(si, sj, k); a != b {
+				if a, b := kernelProb(orig, si, sj, k), kernelProb(loaded, si, sj, k); a != b {
 					t.Fatalf("kernel(%v,%v,%d): %v vs %v", si, sj, k, a, b)
 				}
 			}

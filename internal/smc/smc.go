@@ -138,9 +138,6 @@ func (e *Estimator) remove(from, to market.Money, k int64) {
 	e.observations--
 }
 
-// Observations reports the number of complete transitions folded in.
-func (e *Estimator) Observations() int64 { return e.observations }
-
 // Model freezes the counts into a queryable semi-Markov model. It
 // errors when no transition has been observed.
 func (e *Estimator) Model() (*Model, error) {
@@ -331,25 +328,6 @@ func (m *Model) row(i int, k int64) kernelRow {
 	return rows[x]
 }
 
-// Kernel evaluates q̂(i,j,k) = N^k_{i,j}/N_i for prices si, sj and
-// sojourn k (Equation 13). Unknown states or sojourns yield 0.
-func (m *Model) Kernel(si, sj market.Money, k int64) float64 {
-	i, ok := slices.BinarySearch(m.prices, si)
-	if !ok {
-		return 0
-	}
-	j, ok := slices.BinarySearch(m.prices, sj)
-	if !ok {
-		return 0
-	}
-	for _, c := range m.row(i, k).cells {
-		if c.to == j {
-			return float64(c.count) / float64(m.out[i])
-		}
-	}
-	return 0
-}
-
 // Support summarizes how much training data backs each state — the
 // "estimation improves with more spot prices data" observation of the
 // paper made quantitative. States with few observed departures produce
@@ -380,21 +358,6 @@ func (m *Model) SupportSummary(minDepartures int64) Support {
 		s.MinStateDepartures = 0
 	}
 	return s
-}
-
-// SojournPMF returns P(sojourn = k minutes | current price = p), i.e.
-// the row-marginal of the kernel over destinations. Unknown prices or
-// sojourns yield 0.
-func (m *Model) SojournPMF(p market.Money, k int64) float64 {
-	i, ok := slices.BinarySearch(m.prices, p)
-	if !ok {
-		return 0
-	}
-	r := m.row(i, k)
-	if r.total == 0 {
-		return 0
-	}
-	return float64(r.total) / float64(m.out[i])
 }
 
 // MinimalBidOneStep searches the learned price levels for the smallest

@@ -2,11 +2,46 @@ package smc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/market"
 	"repro/internal/trace"
 )
+
+// kernelProb evaluates q̂(i,j,k) = N^k_{i,j}/N_i for prices si, sj and
+// sojourn k (Equation 13). Unknown states or sojourns yield 0.
+func kernelProb(m *Model, si, sj market.Money, k int64) float64 {
+	i, ok := slices.BinarySearch(m.prices, si)
+	if !ok {
+		return 0
+	}
+	j, ok := slices.BinarySearch(m.prices, sj)
+	if !ok {
+		return 0
+	}
+	for _, c := range m.row(i, k).cells {
+		if c.to == j {
+			return float64(c.count) / float64(m.out[i])
+		}
+	}
+	return 0
+}
+
+// sojournPMF returns P(sojourn = k minutes | current price = p), the
+// row-marginal of the kernel over destinations. Unknown prices or
+// sojourns yield 0.
+func sojournPMF(m *Model, p market.Money, k int64) float64 {
+	i, ok := slices.BinarySearch(m.prices, p)
+	if !ok {
+		return 0
+	}
+	r := m.row(i, k)
+	if r.total == 0 {
+		return 0
+	}
+	return float64(r.total) / float64(m.out[i])
+}
 
 // alternating builds a trace flipping between priceA (durA minutes) and
 // priceB (durB minutes) for the given number of cycles.
@@ -43,7 +78,7 @@ func TestEstimatorCountsTransitions(t *testing.T) {
 	e := NewEstimator(0)
 	e.Observe(alternating(pA, pB, 10, 5, 3))
 	// 6 runs, last truncated: 5 complete transitions.
-	if got := e.Observations(); got != 5 {
+	if got := e.observations; got != 5 {
 		t.Fatalf("Observations = %d, want 5", got)
 	}
 }
@@ -57,19 +92,19 @@ func TestEmptyEstimatorErrors(t *testing.T) {
 func TestKernelValues(t *testing.T) {
 	m := altModel(t)
 	// Every departure from A is to B after exactly 10 minutes.
-	if q := m.Kernel(pA, pB, 10); math.Abs(q-1) > 1e-12 {
+	if q := kernelProb(m, pA, pB, 10); math.Abs(q-1) > 1e-12 {
 		t.Errorf("q(A->B, 10) = %v, want 1", q)
 	}
-	if q := m.Kernel(pA, pB, 5); q != 0 {
+	if q := kernelProb(m, pA, pB, 5); q != 0 {
 		t.Errorf("q(A->B, 5) = %v, want 0", q)
 	}
-	if q := m.Kernel(pB, pA, 5); math.Abs(q-1) > 1e-12 {
+	if q := kernelProb(m, pB, pA, 5); math.Abs(q-1) > 1e-12 {
 		t.Errorf("q(B->A, 5) = %v, want 1", q)
 	}
-	if q := m.Kernel(pA, market.Money(123), 10); q != 0 {
+	if q := kernelProb(m, pA, market.Money(123), 10); q != 0 {
 		t.Errorf("unknown destination kernel = %v, want 0", q)
 	}
-	if q := m.Kernel(market.Money(123), pA, 10); q != 0 {
+	if q := kernelProb(m, market.Money(123), pA, 10); q != 0 {
 		t.Errorf("unknown source kernel = %v, want 0", q)
 	}
 }
@@ -97,7 +132,7 @@ func TestKernelRowsSumToOne(t *testing.T) {
 		sum := 0.0
 		for k := int64(1); k <= m.maxSojourn; k++ {
 			for _, dst := range m.prices {
-				sum += m.Kernel(src, dst, k)
+				sum += kernelProb(m, src, dst, k)
 			}
 		}
 		if math.Abs(sum-1) > 1e-9 {
@@ -108,13 +143,13 @@ func TestKernelRowsSumToOne(t *testing.T) {
 
 func TestSojournPMF(t *testing.T) {
 	m := altModel(t)
-	if got := m.SojournPMF(pA, 10); math.Abs(got-1) > 1e-12 {
+	if got := sojournPMF(m, pA, 10); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SojournPMF(A, 10) = %v, want 1", got)
 	}
-	if got := m.SojournPMF(pA, 9); got != 0 {
+	if got := sojournPMF(m, pA, 9); got != 0 {
 		t.Errorf("SojournPMF(A, 9) = %v, want 0", got)
 	}
-	if got := m.SojournPMF(market.Money(1), 10); got != 0 {
+	if got := sojournPMF(m, market.Money(1), 10); got != 0 {
 		t.Errorf("unknown price pmf = %v, want 0", got)
 	}
 }
@@ -159,10 +194,10 @@ func TestMaxSojournClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10-minute runs are clamped to 8.
-	if q := m.Kernel(pA, pB, 8); q == 0 {
+	if q := kernelProb(m, pA, pB, 8); q == 0 {
 		t.Error("clamped sojourn not recorded at the cap")
 	}
-	if q := m.Kernel(pA, pB, 10); q != 0 {
+	if q := kernelProb(m, pA, pB, 10); q != 0 {
 		t.Error("sojourn recorded beyond the cap")
 	}
 }
