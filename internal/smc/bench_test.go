@@ -33,10 +33,14 @@ func BenchmarkEstimatorObserve13Weeks(b *testing.B) {
 
 // BenchmarkModelBuild freezes a model two ways: Scratch counts thirteen
 // weeks from nothing and freezes once; Slide is the weekly retrain — a
-// warm thirteen-week window moves one week on and freezes.
+// warm thirteen-week window moves one week on and freezes. The levels=N
+// rows train from scratch on 6 000 points of a random N-level trace,
+// where each level sees a few dozen departures and most see a sojourn
+// past the one-day cap.
 func BenchmarkModelBuild(b *testing.B) {
 	b.Run("Scratch", func(b *testing.B) {
 		tr := benchTrace(b, 13)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e := NewEstimator(0)
@@ -54,6 +58,20 @@ func BenchmarkModelBuild(b *testing.B) {
 			}
 		})
 	})
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("levels=%d", n), func(b *testing.B) {
+			tr := randomTrace(rand.New(rand.NewSource(int64(n))), n, 6000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := NewEstimator(0)
+				e.Observe(tr)
+				if _, err := e.Model(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchSlides times retrain after one-week slides of a thirteen-week

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/market"
 	"repro/internal/trace"
 )
 
@@ -28,9 +27,10 @@ import (
 
 // windowRec is one complete observed transition: the source price run
 // occupied [start, end) and handed off to price `to` at minute end.
+// Prices are the estimator's level ids.
 type windowRec struct {
 	start, end int64
-	from, to   market.Money
+	from, to   int32
 }
 
 // effSojourn is the sojourn the Equation 13 counts see for a record
@@ -60,8 +60,10 @@ type WindowedEstimator struct {
 	// minute it began (or the window start of the time, if it began
 	// before that — the truncation effSojourn applies anyway). It has
 	// departed nowhere yet, so it is in no count; the next Advance
-	// resumes it. Valid whenever until > from.
-	tail trace.PricePoint
+	// resumes it. Valid whenever until > from, as is tailLevel, its
+	// price's level id.
+	tail      trace.PricePoint
+	tailLevel int32
 
 	from, until int64
 	inited      bool
@@ -132,6 +134,7 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 		w.inited = true
 		if until > from {
 			w.tail = trace.PricePoint{Minute: from, Price: tr.Points[next-1].Price}
+			w.tailLevel = w.est.level(w.tail.Price)
 		}
 	}
 	prevFrom := w.from
@@ -163,7 +166,8 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 		if p.Price == w.tail.Price {
 			continue
 		}
-		rec := windowRec{start: w.tail.Minute, end: p.Minute, from: w.tail.Price, to: p.Price}
+		to := w.est.level(p.Price)
+		rec := windowRec{start: w.tail.Minute, end: p.Minute, from: w.tailLevel, to: to}
 		if len(w.recs) == cap(w.recs) && w.head > 0 {
 			// Full: move the live records down over the evicted ones
 			// before growing. A window sliding at a steady pace settles
@@ -172,7 +176,7 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 		}
 		w.recs = append(w.recs, rec)
 		w.est.add(rec.from, rec.to, rec.effSojourn(from, w.est.maxSojourn))
-		w.tail = p
+		w.tail, w.tailLevel = p, to
 	}
 
 	w.from, w.until = from, until

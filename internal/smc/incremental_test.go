@@ -317,17 +317,48 @@ func TestAdvanceCostIndependentOfWindow(t *testing.T) {
 	}
 }
 
+// TestScratchTrainAllocBudget bounds what training from nothing
+// allocates — Observe over a six-week window and Model(), the miss of
+// every pool a replay meets first. The budget is the measured 43.3 kB
+// (the per-level sojourn tables, the counters and the kernel) plus 10 %.
+func TestScratchTrainAllocBudget(t *testing.T) {
+	const week = 7 * 24 * 60
+	const budget = 47_500
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: 6 * week,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := set.ByZone["us-east-1a"]
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		bytes, _ := allocated(func() {
+			e := NewEstimator(0)
+			e.Observe(tr)
+			if _, err := e.Model(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		best = min(best, bytes)
+	}
+	t.Logf("a scratch train allocates %d B", best)
+	if best > budget {
+		t.Fatalf("a scratch train allocates %d B, budget %d", best, budget)
+	}
+}
+
 // TestRetrainAllocBudget bounds what one retrain allocates — a one-week
 // slide of the 13-week window, Model(), and the first Forecast with its
 // fresh-profile build. The budget is the measured 152 kB (the profile
 // table, the sojourn tables and the kernel, which the model keeps) plus
-// 15 %; dense destination rows in the sojourn tables alone put it at
+// 10 %; dense destination rows in the sojourn tables alone put it at
 // 171 kB.
 // The best of a few retrains counts, since a collection — or the race
 // detector — may empty the scratch pool between two of them.
 func TestRetrainAllocBudget(t *testing.T) {
 	const week = 7 * 24 * 60
-	const budget = 175_000
+	const budget = 167_500
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: (13 + 6) * week,
 	})

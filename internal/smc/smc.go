@@ -10,6 +10,14 @@
 // over a bidding interval (the discretization of Equation 5, computed by
 // forward-propagating the chain and averaging per-minute out-of-bid
 // probability).
+//
+// The estimator counts Equation 13 with neither a hash nor a sort: each
+// price gets a level id once, each level a table indexed by sojourn k
+// whose slot chains that (i, k)'s destinations by price. Walking levels
+// by price, k ascending, each chain in order lists the non-zero counts
+// in kernel order (compareCells), and they are the integers any store
+// would hold, so every model is bit for bit a from-scratch one
+// (TestModelMatchesMapReference, FuzzWindowedEstimator).
 package smc
 
 import (
@@ -28,45 +36,39 @@ import (
 // conservative.
 const DefaultMaxSojourn int64 = 24 * 60
 
-// countKey names one Equation 13 counter N^k_{i,j}: transitions from
-// price from to price to after a sojourn of k minutes. Prices are keyed
-// in micro-dollars.
-type countKey struct {
-	from, to market.Money
-	k        int64
-}
-
-// compareKeys orders counters by (from, k, to). Price order is state
-// order, so this is the order of compareCells.
-func compareKeys(a, b countKey) int {
-	if a.from != b.from {
-		return cmp.Compare(a.from, b.from)
-	}
-	if a.k != b.k {
-		return cmp.Compare(a.k, b.k)
-	}
-	return cmp.Compare(a.to, b.to)
-}
-
 // Estimator accumulates observed price transitions from traces. Use one
 // estimator per (zone, instance type) pair.
 type Estimator struct {
 	maxSojourn int64
-	// counts holds the non-zero N^k_{i,j}; N_i and the price state space
-	// are derived from it when a model is frozen.
-	counts map[countKey]int64
-	// frozen and prices are the kernel and the price levels of the last
-	// model frozen, shared with it and never written; created lists the
-	// counters that have come into being since. Between them they name
-	// every non-zero counter, so the next freeze merges two sorted lists
-	// where the first sorted the whole map: a window sliding by a week
-	// creates or empties a handful of the few hundred counters a zone
-	// has. All nil until a model has been frozen.
-	frozen  []kernelCell
-	prices  []market.Money
-	created []countKey
+	// levels are the prices seen, by id in order of first sight; sorted
+	// holds them ascending, byPrice the id of each.
+	levels  []level
+	sorted  []market.Money
+	byPrice []int32
+	// counters holds the N^k_{i,j}, chained per (i, k): counter x is
+	// counters[x-1], 0 ends a chain, and emptied ones chain from free.
+	counters []counter
+	free     int32
+	live     int
 	// observations counts complete transitions seen.
 	observations int64
+}
+
+// level is one price and the counters that leave it: bySojourn[k-1]
+// heads the chain of N^k_{i,j}, ascending by destination price, grown
+// to the longest sojourn seen. out and in count the transitions that
+// leave and enter the level; a level neither names is in no model.
+type level struct {
+	price     market.Money
+	bySojourn []int32
+	out, in   int64
+}
+
+// counter is one N^k_{i,j}: its destination level, its count and the
+// next counter of the same (i, k).
+type counter struct {
+	to, next int32
+	count    int64
 }
 
 // NewEstimator creates an estimator with the given sojourn cap in
@@ -75,7 +77,21 @@ func NewEstimator(maxSojourn int64) *Estimator {
 	if maxSojourn <= 0 {
 		maxSojourn = DefaultMaxSojourn
 	}
-	return &Estimator{maxSojourn: maxSojourn, counts: make(map[countKey]int64)}
+	return &Estimator{maxSojourn: maxSojourn}
+}
+
+// level returns the id of price p, giving it the next one on first
+// sight.
+func (e *Estimator) level(p market.Money) int32 {
+	x, ok := slices.BinarySearch(e.sorted, p)
+	if ok {
+		return e.byPrice[x]
+	}
+	id := int32(len(e.levels))
+	e.levels = append(e.levels, level{price: p})
+	e.sorted = slices.Insert(e.sorted, x, p)
+	e.byPrice = slices.Insert(e.byPrice, x, id)
+	return id
 }
 
 // clampSojourn maps an observed run length onto the sojourn state space
@@ -92,137 +108,113 @@ func (e *Estimator) Observe(tr *trace.Trace) {
 		return
 	}
 	run := tr.Points[0]
+	from := e.level(run.Price)
 	for _, p := range tr.Points[1:] {
 		if p.Price == run.Price {
 			continue
 		}
-		e.add(run.Price, p.Price, clampSojourn(p.Minute-run.Minute, e.maxSojourn))
-		run = p
+		to := e.level(p.Price)
+		e.add(from, to, clampSojourn(p.Minute-run.Minute, e.maxSojourn))
+		run, from = p, to
 	}
 }
 
-// add counts one observed transition from price `from` to price `to`
+// add counts one observed transition from level `from` to level `to`
 // after a (pre-clamped) sojourn of k minutes.
-func (e *Estimator) add(from, to market.Money, k int64) {
-	key := countKey{from, to, k}
-	known := len(e.counts)
-	e.counts[key]++
+func (e *Estimator) add(from, to int32, k int64) {
+	src := &e.levels[from]
+	if n := int64(len(src.bySojourn)); n < k {
+		src.bySojourn = append(src.bySojourn, make([]int32, k-n)...)
+	}
+	src.out++
+	e.levels[to].in++
 	e.observations++
-	if e.frozen == nil || len(e.counts) == known {
-		return
+	if e.free == 0 && len(e.counters) == cap(e.counters) {
+		e.counters = slices.Grow(e.counters, 1) // so link stays valid
 	}
-	// A counter the last frozen kernel does not list, or lists as one
-	// that has emptied since. Should the list outgrow the counters — no
-	// model frozen through a long churn — the next freeze sorts afresh.
-	if len(e.created) > len(e.counts) {
-		e.frozen, e.prices, e.created = nil, nil, nil
-		return
+	// link ends at the counter, or where it would keep the chain
+	// ascending by destination price.
+	link := &src.bySojourn[k-1]
+	for x := *link; x != 0; x = *link {
+		c := &e.counters[x-1]
+		if c.to == to {
+			c.count++
+			return
+		}
+		if e.levels[c.to].price > e.levels[to].price {
+			break
+		}
+		link = &c.next
 	}
-	e.created = append(e.created, key)
+	x := e.free
+	if x != 0 {
+		e.free = e.counters[x-1].next
+	} else {
+		e.counters = append(e.counters, counter{})
+		x = int32(len(e.counters))
+	}
+	e.counters[x-1] = counter{to: to, next: *link, count: 1}
+	*link = x
+	e.live++
 }
 
 // remove undoes one add with the same arguments — the eviction half of
-// the sliding-window path. Emptied counters are deleted so the learned
-// price state space shrinks exactly as a from-scratch estimator over the
-// narrower window would see it.
-func (e *Estimator) remove(from, to market.Money, k int64) {
-	key := countKey{from, to, k}
-	switch c := e.counts[key]; c {
-	case 0:
-		panic(fmt.Sprintf("smc: removing unobserved transition %v -> %v after %d min", from, to, k))
-	case 1:
-		delete(e.counts, key)
-	default:
-		e.counts[key] = c - 1
+// the sliding-window path. A counter that empties leaves its chain for
+// the free one at once, and a level no counter names leaves the model,
+// so the learned price state space shrinks exactly as a from-scratch
+// estimator over the narrower window would see it.
+func (e *Estimator) remove(from, to int32, k int64) {
+	src := &e.levels[from]
+	link := &src.bySojourn[k-1]
+	for *link != 0 && e.counters[*link-1].to != to {
+		link = &e.counters[*link-1].next
 	}
+	x := *link
+	if x == 0 {
+		panic(fmt.Sprintf("smc: removing unobserved transition %v -> %v after %d min", src.price, e.levels[to].price, k))
+	}
+	if c := &e.counters[x-1]; c.count == 1 {
+		*link, c.next, e.free = c.next, e.free, x
+		e.live--
+	} else {
+		c.count--
+	}
+	src.out--
+	e.levels[to].in--
 	e.observations--
 }
 
 // Model freezes the counts into a queryable semi-Markov model. It
-// errors when no transition has been observed.
+// errors when no transition has been observed. The levels some counter
+// names become the states, in price order; walking them in that order,
+// each by sojourn and each chain by destination price, lists the cells
+// in compareCells order, so nothing is sorted.
 func (e *Estimator) Model() (*Model, error) {
 	if e.observations == 0 {
 		return nil, fmt.Errorf("smc: no transitions observed")
 	}
-	// The price levels the counters may name, ascending: a handful, so
-	// sorted insertion is cheap. Past the first freeze these are the last
-	// model's and those of the counters created since, some of which the
-	// emptied counters may have left unused.
-	levels := slices.Clone(e.prices)
-	name := func(key countKey) {
-		for _, p := range [2]market.Money{key.from, key.to} {
-			if x, ok := slices.BinarySearch(levels, p); !ok {
-				levels = slices.Insert(levels, x, p)
+	state := make([]int, len(e.levels))
+	prices := make([]market.Money, 0, len(e.levels))
+	for _, id := range e.byPrice {
+		if lv := &e.levels[id]; lv.out > 0 || lv.in > 0 {
+			state[id] = len(prices)
+			prices = append(prices, lv.price)
+		}
+	}
+	cells := make([]kernelCell, 0, e.live)
+	for _, id := range e.byPrice {
+		lv := &e.levels[id]
+		if lv.out == 0 {
+			continue
+		}
+		for k, x := range lv.bySojourn {
+			for ; x != 0; x = e.counters[x-1].next {
+				c := &e.counters[x-1]
+				cells = append(cells, kernelCell{from: state[id], to: state[c.to], k: int64(k) + 1, count: c.count})
 			}
 		}
 	}
-	cell := func(key countKey, c int64) kernelCell {
-		i, _ := slices.BinarySearch(levels, key.from)
-		j, _ := slices.BinarySearch(levels, key.to)
-		return kernelCell{from: i, to: j, k: key.k, count: c}
-	}
-	cells := make([]kernelCell, 0, len(e.counts))
-	if e.frozen == nil {
-		for key := range e.counts {
-			name(key)
-		}
-		for key, c := range e.counts {
-			cells = append(cells, cell(key, c))
-		}
-		slices.SortFunc(cells, compareCells)
-	} else {
-		slices.SortFunc(e.created, compareKeys)
-		for _, key := range e.created {
-			name(key)
-		}
-		// Merge the last kernel with the created counters, both in kernel
-		// order; a counter that emptied and came back is in both, one that
-		// emptied is in either and no longer in the map.
-		old, created := e.frozen, e.created
-		var last countKey
-		for len(old) > 0 || len(created) > 0 {
-			var key countKey
-			if len(old) > 0 {
-				key = countKey{e.prices[old[0].from], e.prices[old[0].to], old[0].k}
-			}
-			if len(old) == 0 || (len(created) > 0 && compareKeys(created[0], key) < 0) {
-				key, created = created[0], created[1:]
-			} else {
-				old = old[1:]
-			}
-			if c := e.counts[key]; c > 0 && (len(cells) == 0 || key != last) {
-				cells = append(cells, cell(key, c))
-				last = key
-			}
-		}
-		levels = dropUnusedLevels(levels, cells)
-	}
-	e.frozen, e.prices, e.created = cells, levels, e.created[:0]
-	return newModel(e.maxSojourn, levels, cells), nil
-}
-
-// dropUnusedLevels removes the price levels no cell names as source or
-// destination and renumbers the cells' states to match.
-func dropUnusedLevels(levels []market.Money, cells []kernelCell) []market.Money {
-	used := make([]bool, len(levels))
-	for _, c := range cells {
-		used[c.from], used[c.to] = true, true
-	}
-	if !slices.Contains(used, false) {
-		return levels
-	}
-	state := make([]int, len(levels))
-	kept := levels[:0]
-	for x, p := range levels {
-		state[x] = len(kept)
-		if used[x] {
-			kept = append(kept, p)
-		}
-	}
-	for x := range cells {
-		cells[x].from, cells[x].to = state[cells[x].from], state[cells[x].to]
-	}
-	return kept
+	return newModel(e.maxSojourn, prices, cells), nil
 }
 
 // kernelCell is one non-zero counter N^k_{i,j} over state indices.
