@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -10,20 +9,21 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/provenance"
 	"repro/internal/replay"
 	"repro/internal/strategy"
 )
 
 // record replays the lock service at the quick scale through the shared
-// command surface — the path "replay -spans-out -attrib-out" takes —
-// and returns the spans file, the attribution file and the results.
-func record(t *testing.T, spec string, intervals ...int64) (spans, attrib string, results []*replay.Result) {
+// command surface — the path "replay -spans-out -manifest -events-out"
+// takes — and returns the spans file, the manifest, the event trace and
+// the results.
+func record(t *testing.T, spec string, intervals ...int64) (spans, manifest, events string, results []*replay.Result) {
 	t.Helper()
 	dir := t.TempDir()
 	f := experiments.Flags{
 		Seed: 2014, Train: 6, Weeks: 1, Jobs: 1, SpansSample: 1,
-		SpansOut: filepath.Join(dir, "spans.jsonl"), AttribOut: filepath.Join(dir, "attrib.json"),
+		SpansOut: filepath.Join(dir, "spans.jsonl"), Manifest: filepath.Join(dir, "manifest.json"),
+		EventsOut: filepath.Join(dir, "events.jsonl"),
 	}
 	env, sink, err := f.Open("replay", experiments.LockSpec(), "strategy", spec)
 	if err != nil {
@@ -37,7 +37,7 @@ func record(t *testing.T, spec string, intervals ...int64) (spans, attrib string
 	if err := sink.Close(err); err != nil {
 		t.Fatal(err)
 	}
-	return f.SpansOut, f.AttribOut, results
+	return f.SpansOut, f.Manifest, f.EventsOut, results
 }
 
 // TestExplainReconstructsTheDecision: "replay -spans-out" followed by
@@ -46,7 +46,7 @@ func record(t *testing.T, spec string, intervals ...int64) (spans, attrib string
 // the chosen bids — so the pair's first decision of the 6 h lock cell is
 // pinned: five nodes at the FP' = 0.01 target, five bids placed.
 func TestExplainReconstructsTheDecision(t *testing.T) {
-	spans, _, _ := record(t, "jupiter", 6)
+	spans, _, _, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", spans}, &out); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestExplainReconstructsTheDecision(t *testing.T) {
 // bound in the COST-BOUND column — one row after the last size priced, and
 // no cheaper than the cheapest feasible one.
 func TestExplainPrintsTheCut(t *testing.T) {
-	spans, _, _ := record(t, "jupiter", 6)
+	spans, _, _, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", spans}, &out); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func dollars(t *testing.T, s string) float64 {
 // narrowed, and the error lists both stamps — the strategy's Name(),
 // whichever command wrote the file.
 func TestExplainRefusesAmbiguousStreams(t *testing.T) {
-	spans, _, _ := record(t, "jupiter", 3, 6)
+	spans, _, _, _ := record(t, "jupiter", 3, 6)
 	var out bytes.Buffer
 	err := runExplain([]string{spans}, &out)
 	if err == nil {
@@ -155,7 +155,7 @@ func TestExplainRefusesAmbiguousStreams(t *testing.T) {
 // TestExplainEmptyStream: a rival that records no decision provenance
 // leaves a header-only stream; explain says so instead of "no match".
 func TestExplainEmptyStream(t *testing.T) {
-	spans, _, _ := record(t, "feedback", 3)
+	spans, _, _, _ := record(t, "feedback", 3)
 	err := runExplain([]string{spans}, new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), `strategy "feedback" records no decision provenance`) {
 		t.Errorf("header-only stream: %v", err)
@@ -164,12 +164,14 @@ func TestExplainEmptyStream(t *testing.T) {
 
 // TestAttributeTotalsMatchTheRun: the rendered attribution's TOTAL row
 // is the replay's bill and downtime — for a rival as for Jupiter, since
-// the ledger is an observer and needs nothing from the strategy.
+// the ledger is an observer and needs nothing from the strategy — and
+// folding the run's event trace offline gives the manifest record's
+// table line for line.
 func TestAttributeTotalsMatchTheRun(t *testing.T) {
 	for _, spec := range []string{"jupiter", "feedback"} {
-		_, attrib, results := record(t, spec, 3)
-		var out bytes.Buffer
-		if err := runAttribute([]string{attrib}, &out); err != nil {
+		_, manifest, events, results := record(t, spec, 3)
+		var out, folded bytes.Buffer
+		if err := runAttribute([]string{manifest}, &out); err != nil {
 			t.Fatal(err)
 		}
 		res := results[0]
@@ -181,20 +183,33 @@ func TestAttributeTotalsMatchTheRun(t *testing.T) {
 			t.Errorf("%s: TOTAL row %s / %s min, run billed %s and was down %d min",
 				spec, total[1], total[2], res.Cost, res.DownMinutes)
 		}
-		var raw bytes.Buffer
-		if err := runAttribute([]string{"-json", attrib}, &raw); err != nil {
-			t.Fatal(err)
-		}
-		var doc provenance.Doc
-		if err := json.Unmarshal(raw.Bytes(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		if len(doc.Runs) != 1 || doc.Runs[0].TotalCostMicroUSD != int64(res.Cost) || doc.Runs[0].TotalDownMinutes != res.DownMinutes {
-			t.Errorf("%s: attribution totals do not reconcile with the run (%d µ$, %d min): %+v",
-				spec, int64(res.Cost), res.DownMinutes, doc.Runs)
-		}
 		if !strings.Contains(out.String(), "== strategy "+res.Strategy+", service lock, interval 3h, seed 2014 ==") {
 			t.Errorf("%s: run label missing:\n%s", spec, out.String())
 		}
+		// The trace header names the strategy as typed, the manifest by
+		// its Name(): the tables below the label are the same.
+		if err := runAttribute([]string{events}, &folded); err != nil {
+			t.Fatal(err)
+		}
+		_, table, _ := strings.Cut(out.String(), "\n")
+		_, foldedTable, _ := strings.Cut(folded.String(), "\n")
+		if table != foldedTable {
+			t.Errorf("%s: the event trace folds to\n%s\nthe manifest records\n%s", spec, foldedTable, table)
+		}
+	}
+}
+
+// TestAttributeRefusesMultiRunTrace: a sweep's event trace holds its
+// cells one after another, so its minute goes backwards where a cell
+// begins; folding it would add the cells into one table, and is an
+// error naming the line and both minutes that points to the manifest.
+func TestAttributeRefusesMultiRunTrace(t *testing.T) {
+	_, _, events, _ := record(t, "jupiter", 1, 3)
+	err := runAttribute([]string{events}, new(bytes.Buffer))
+	if err == nil {
+		t.Fatal("a two-cell event trace folded without error")
+	}
+	if !regexp.MustCompile(`^event trace line \d+: minute \d+ after minute \d+: .*-manifest`).MatchString(err.Error()) {
+		t.Errorf("multi-run trace error = %q", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/market"
 	"repro/internal/provenance"
+	"repro/internal/telemetry"
 )
 
 // runExplain reconstructs one decision — "why this bid at minute M" —
@@ -42,14 +43,14 @@ func runExplain(args []string, out io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	hdr, spans, err := provenance.ReadSpans(f)
+	hdr, spans, err := telemetry.ReadStream[provenance.Span](f, telemetry.SpansSchema)
 	if err != nil {
 		return err
 	}
 	if len(spans) == 0 {
 		// Only strategies that implement provenance.Consumer (the Jupiter
 		// family) record their decisions; a rival's stream is a header.
-		return fmt.Errorf("the stream holds no spans: strategy %q records no decision provenance (try analyze attribute on the run's -attrib-out)", hdr.Meta["strategy"])
+		return fmt.Errorf("the stream holds no spans: strategy %q records no decision provenance (try analyze attribute on the run's -manifest)", hdr.Meta["strategy"])
 	}
 
 	var kept []provenance.Span
@@ -109,7 +110,7 @@ func spanCells(spans []provenance.Span) []string {
 	seen := map[string]bool{}
 	var cells []string
 	for _, s := range spans {
-		c := stampLabel(s)
+		c := stampLabel(spanStamp(s))
 		if !seen[c] {
 			seen[c] = true
 			cells = append(cells, c)
@@ -119,7 +120,13 @@ func spanCells(spans []provenance.Span) []string {
 	return cells
 }
 
-func stampLabel(s provenance.Span) string {
+// spanStamp is the run coordinate set a span is stamped with.
+func spanStamp(s provenance.Span) provenance.Stamp {
+	return provenance.Stamp{Strategy: s.Strategy, Scenario: s.Scenario, Service: s.Service, Interval: s.Interval, Seed: s.Seed}
+}
+
+// stampLabel names one replay cell.
+func stampLabel(s provenance.Stamp) string {
 	var parts []string
 	if s.Strategy != "" {
 		parts = append(parts, "strategy "+s.Strategy)
@@ -171,7 +178,7 @@ func pickDecision(spans []provenance.Span, decision, minute int64) int64 {
 // decision's span set, in pipeline order.
 func renderDecision(out io.Writer, ds []provenance.Span) {
 	head := ds[0]
-	fmt.Fprintf(out, "run: %s\n", stampLabel(head))
+	fmt.Fprintf(out, "run: %s\n", stampLabel(spanStamp(head)))
 	fmt.Fprintf(out, "decision %d at minute %d", head.Decision, head.Minute)
 	for _, s := range ds {
 		if s.Kind == provenance.SpanStage {

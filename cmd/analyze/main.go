@@ -9,7 +9,7 @@
 //	analyze [-trace file] [-type m1.small] [-weeks N] [-seed N] [-zones a,b,c] [-lenient-traces]
 //	analyze diff a.jsonl b.jsonl
 //	analyze explain [-minute M | -decision N] [-strategy s] [-scenario c] [-seed N] spans.jsonl
-//	analyze attribute [-json] [-end M] attrib.json|events.jsonl
+//	analyze attribute [-end M] manifest.json|events.jsonl
 //
 // Without -trace a synthetic trace set is generated. A -trace file may
 // be CSV (read against -type and -weeks, which CSV rows cannot declare)
@@ -32,9 +32,11 @@
 //
 // The attribute subcommand renders the cost/downtime attribution
 // ledger — every billed cent and downtime minute in one (pool, cause)
-// cell — from an attribution document (`-attrib-out`), or
-// directly from an event trace by folding it through a fresh ledger.
-// See DESIGN.md §2.8.
+// cell — for every replay cell a run manifest (`-manifest`) records, or
+// for the one run of an event trace (`-events-out`), folded through a
+// fresh ledger into the table that run's manifest record carries. A
+// trace holding several runs (a sweep's cells) is an error: the
+// manifest keeps them apart. See DESIGN.md §2.8.
 package main
 
 import (

@@ -2,13 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/provenance"
 	"repro/internal/telemetry"
 	"repro/internal/trace/colbin"
 )
@@ -41,17 +41,17 @@ func runCaptured(t *testing.T, o options) (string, error) {
 	return string(out), runErr
 }
 
-// TestStdoutSurvives: with the event trace, the attribution and the
-// manifest all on "-", the figures still print, nothing is lost to a
-// closed stream, and the manifest comes last.
+// TestStdoutSurvives: with the event trace, the spans and the manifest
+// all on "-", the figures still print, nothing is lost to a closed
+// stream, and the manifest comes last.
 func TestStdoutSurvives(t *testing.T) {
 	o := quick()
-	o.EventsOut, o.AttribOut, o.Manifest = "-", "-", "-"
+	o.EventsOut, o.SpansOut, o.Manifest = "-", "-", "-"
 	out, err := runCaptured(t, o)
 	if err != nil {
 		t.Fatalf("run with three outputs on stdout: %v", err)
 	}
-	for _, want := range []string{`{"schema":"jupiter-events"`, "== Figures 6 and 7 ==", `"schema": "jupiter-attribution"`} {
+	for _, want := range []string{`{"schema":"jupiter-events"`, "== Figures 6 and 7 ==", `{"schema":"jupiter-spans"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %s", want)
 		}
@@ -60,7 +60,7 @@ func TestStdoutSurvives(t *testing.T) {
 	if i < 0 {
 		t.Fatal("stdout carries no manifest")
 	}
-	m, err := telemetry.ReadManifest(strings.NewReader(out[i:]))
+	m, err := experiments.ReadManifest(strings.NewReader(out[i:]))
 	if err != nil {
 		t.Fatalf("stdout does not end with a parseable manifest: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mf.Close()
-		m, err := telemetry.ReadManifest(mf)
+		m, err := experiments.ReadManifest(mf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +115,12 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sf.Close()
-		hdr, _, err := provenance.ReadSpans(sf)
+		sr, err := telemetry.OpenStream(sf, telemetry.SpansSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return map[string]map[string]string{
-			"manifest config": m.Config, "events header": tr.Header().Meta, "spans header": hdr.Meta,
+			"manifest config": m.Config, "events header": tr.Header().Meta, "spans header": sr.Header().Meta,
 		}
 	}
 
@@ -200,8 +200,8 @@ func TestCSVNeedsASweep(t *testing.T) {
 
 // TestSweepIdenticalAcrossJobs: every cell of a figure fills a slot
 // fixed by its place in the grid, so the tables, the sweep CSV, the
-// event trace, the spans and the attribution are the same bytes at any
-// -j.
+// event trace, the spans and the manifest's records are the same bytes
+// at any -j.
 func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	sweep := func(jobs int) (stdout string, files [][]byte) {
 		dir := t.TempDir()
@@ -209,7 +209,7 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		o.Jobs = jobs
 		o.csv = filepath.Join(dir, "sweep.csv")
 		o.SpansOut = filepath.Join(dir, "spans.jsonl")
-		o.AttribOut = filepath.Join(dir, "attrib.json")
+		o.Manifest = filepath.Join(dir, "manifest.json")
 		out, err := runCaptured(t, o)
 		if err != nil {
 			t.Fatal(err)
@@ -222,22 +222,38 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		if _, err := runCaptured(t, traced); err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range []string{o.csv, traced.EventsOut, o.SpansOut, o.AttribOut} {
+		for _, path := range []string{o.csv, traced.EventsOut, o.SpansOut} {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			files = append(files, b)
 		}
+		mf, err := os.Open(o.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mf.Close()
+		m, err := experiments.ReadManifest(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(experiments.SweepIntervals) * 4; len(m.Runs) != n {
+			t.Fatalf("manifest holds %d records, want one per cell of the sweep, %d", len(m.Runs), n)
+		}
+		records, err := json.Marshal(m.Runs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The "wrote ... to <temp path>" lines name the run's own files.
-		return strings.ReplaceAll(out, dir, ""), files
+		return strings.ReplaceAll(out, dir, ""), append(files, records)
 	}
 	o1, f1 := sweep(1)
 	o8, f8 := sweep(8)
 	if o1 != o8 {
 		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
 	}
-	for i, flag := range []string{"-csv", "-events-out", "-spans-out", "-attrib-out"} {
+	for i, flag := range []string{"-csv", "-events-out", "-spans-out", "-manifest records"} {
 		if !bytes.Equal(f1[i], f8[i]) {
 			t.Errorf("%s differs between -j 1 and -j 8: %d vs %d bytes", flag, len(f1[i]), len(f8[i]))
 		}

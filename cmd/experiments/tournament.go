@@ -27,7 +27,7 @@ func runTournament(args []string) error {
 	autoscale := fs.Bool("autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
 	var shared experiments.Flags
-	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-out", "spans-sample", "attrib-out")
+	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-out", "spans-sample")
 	list := fs.Bool("list", false, "list registered strategies and builtin scenarios, then exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments tournament [flags]")

@@ -10,7 +10,7 @@
 //	       [-trace file] [-lenient-traces] [-workload file.csv] [-series file.csv]
 //	       [-chaos scenario] [-chaos-seed N]
 //	       [-events-out file.jsonl] [-manifest file.json]
-//	       [-spans-out file.jsonl] [-spans-sample N] [-attrib-out file.json]
+//	       [-spans-out file.jsonl] [-spans-sample N]
 //
 // -strategy takes a strategy-registry spec, the same strings
 // "experiments tournament -strategies" takes: jupiter, baseline,
@@ -54,17 +54,16 @@
 // -interval first (the order the cells are dispatched in). The trace
 // names the cell that trained each price model the cells share, so with
 // it the cells replay one at a time and the file is the same bytes at
-// any -j. -manifest writes an end-of-run summary
-// (config, seed, wall time, metric snapshot). "-" sends an output to
-// stdout, and several may share it.
+// any -j. -manifest writes the run's end-of-run record: config, seed,
+// wall time, metric snapshot, and one record per -interval cell with
+// its result and its cost/downtime attribution — every billed cent and
+// downtime minute in one (pool, cause) cell (render with "analyze
+// attribute"). "-" sends an output to stdout, and several may share it.
 //
 // Provenance: -spans-out records every decision's provenance spans —
 // the candidate groups considered, the dominance rule that rejected
 // alternatives, the chosen bids and their Eq. 10 margin — as versioned
-// JSONL (inspect with "analyze explain"), and -attrib-out writes the
-// cost/downtime attribution ledger, every billed cent and downtime
-// minute folded into (pool, cause) cells (render with "analyze
-// attribute"). See DESIGN.md §2.8.
+// JSONL (inspect with "analyze explain"). See DESIGN.md §2.8.
 package main
 
 import (

@@ -48,22 +48,24 @@ func runCaptured(t *testing.T, o options) (string, error) {
 
 // TestStdoutSurvives: "-" may name stdout for several outputs at once.
 // The sink flushes the event trace without closing the stream, so the
-// attribution and the manifest — written last — still land on it.
+// spans and the manifest — written last — still land on it.
 func TestStdoutSurvives(t *testing.T) {
 	o := quick("jupiter", "3")
-	o.EventsOut, o.AttribOut, o.Manifest = "-", "-", "-"
+	o.EventsOut, o.SpansOut, o.Manifest = "-", "-", "-"
 	out, err := runCaptured(t, o)
 	if err != nil {
 		t.Fatalf("run with three outputs on stdout: %v", err)
 	}
-	if !strings.Contains(out, `{"schema":"jupiter-events"`) {
-		t.Error("stdout carries no event-trace header")
+	for _, want := range []string{`{"schema":"jupiter-events"`, `{"schema":"jupiter-spans"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %s", want)
+		}
 	}
 	i := strings.LastIndex(out, "{\n  \"schema\": \"jupiter-manifest\"")
 	if i < 0 {
 		t.Fatal("stdout carries no manifest")
 	}
-	m, err := telemetry.ReadManifest(strings.NewReader(out[i:]))
+	m, err := experiments.ReadManifest(strings.NewReader(out[i:]))
 	if err != nil {
 		t.Fatalf("stdout does not end with a parseable manifest: %v", err)
 	}
@@ -101,7 +103,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mf.Close()
-		m, err := telemetry.ReadManifest(mf)
+		m, err := experiments.ReadManifest(mf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sf.Close()
-		hdr, ss, err := provenance.ReadSpans(sf)
+		hdr, stamps, err := telemetry.ReadStream[provenance.Span](sf, telemetry.SpansSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +135,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 				}
 			}
 		}
-		return m.Config, tr.Header().Meta, hdr.Meta, labels, ss
+		return m.Config, tr.Header().Meta, hdr.Meta, labels, stamps
 	}
 
 	cases := []struct {
@@ -251,14 +253,15 @@ func TestParentPins(t *testing.T) {
 
 // TestSweepIdenticalAcrossJobs: the cells of an interval sweep fill
 // slots fixed by their place in -interval, so the table, the event
-// trace, the spans and the attribution are the same bytes at any -j.
+// trace, the spans and the manifest's records are the same bytes at any
+// -j.
 func TestSweepIdenticalAcrossJobs(t *testing.T) {
-	sweep := func(jobs int) (stdout string, events, spans, attrib []byte) {
+	sweep := func(jobs int) (stdout string, events, spans, records []byte) {
 		dir := t.TempDir()
 		o := quick("jupiter", "1,3,6")
 		o.Jobs = jobs
 		o.SpansOut = filepath.Join(dir, "spans.jsonl")
-		o.AttribOut = filepath.Join(dir, "attrib.json")
+		o.Manifest = filepath.Join(dir, "manifest.json")
 		out, err := runCaptured(t, o)
 		if err != nil {
 			t.Fatal(err)
@@ -266,9 +269,7 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		if spans, err = os.ReadFile(o.SpansOut); err != nil {
 			t.Fatal(err)
 		}
-		if attrib, err = os.ReadFile(o.AttribOut); err != nil {
-			t.Fatal(err)
-		}
+		records = manifestRecords(t, o.Manifest, 3)
 		// -events-out replays the cells one at a time, so it runs on its
 		// own: the records above come from a pool jobs wide.
 		traced := quick("jupiter", "1,3,6")
@@ -281,10 +282,10 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The "wrote ... to <temp path>" lines name the run's own files.
-		return strings.ReplaceAll(out, dir, ""), events, spans, attrib
+		return strings.ReplaceAll(out, dir, ""), events, spans, records
 	}
-	o1, e1, s1, a1 := sweep(1)
-	o8, e8, s8, a8 := sweep(8)
+	o1, e1, s1, r1 := sweep(1)
+	o8, e8, s8, r8 := sweep(8)
 	if o1 != o8 {
 		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
 	}
@@ -294,16 +295,33 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	if !bytes.Equal(s1, s8) {
 		t.Errorf("-spans-out differs between -j 1 and -j 8: %d vs %d bytes", len(s1), len(s8))
 	}
-	if !bytes.Equal(a1, a8) {
-		t.Errorf("-attrib-out differs between -j 1 and -j 8")
+	if !bytes.Equal(r1, r8) {
+		t.Errorf("manifest records differ between -j 1 and -j 8:\n%s\nvs\n%s", r1, r8)
 	}
-	var doc provenance.Doc
-	if err := json.Unmarshal(a1, &doc); err != nil {
+}
+
+// manifestRecords reads a manifest's records, checks there are want of
+// them in -interval order, and returns them as JSON — the part of the
+// manifest that is the same at any -j (its wall time is not).
+func manifestRecords(t *testing.T, path string, want int) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Runs) != 3 || doc.Runs[0].Interval != "1h" || doc.Runs[2].Interval != "6h" {
-		t.Errorf("attribution runs not in -interval order: %+v", doc.Runs)
+	defer f.Close()
+	m, err := experiments.ReadManifest(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(m.Runs) != want || m.Runs[0].Interval != "1h" || m.Runs[want-1].Interval != "6h" {
+		t.Fatalf("manifest records not one per cell in -interval order: %+v", m.Runs)
+	}
+	b, err := json.Marshal(m.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestStrategyErrorsAreTheRegistrys: there is no second name table; a

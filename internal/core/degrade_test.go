@@ -122,10 +122,23 @@ func TestJupiterDegradedAvoidsQuarantinedZone(t *testing.T) {
 	}
 }
 
+// stageView records the stage transitions a Decide publishes.
+type stageView struct {
+	traceView
+	stages *[]engine.Event
+}
+
+func (v stageView) PublishEvent(e engine.Event) {
+	if e.Kind == engine.KindStage {
+		*v.stages = append(*v.stages, e)
+	}
+}
+
 // TestJupiterCriticalHardensQuorumAndRecovers drives the framework
 // through the full degradation arc: a storm's worth of faults forces a
 // quorum of on-demand members; after the pressure decays the framework
-// returns to pure spot bidding.
+// returns to pure spot bidding. Each stage change, and nothing else,
+// publishes a stage event.
 func TestJupiterCriticalHardensQuorumAndRecovers(t *testing.T) {
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: 42, Type: market.M1Small,
@@ -135,7 +148,8 @@ func TestJupiterCriticalHardensQuorumAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := traceView{set: set, now: 13*week - 1}
+	var stages []engine.Event
+	view := stageView{traceView{set: set, now: 13*week - 1}, &stages}
 
 	j := New()
 	faulted := market.ExperimentZones()[:4]
@@ -175,6 +189,16 @@ func TestJupiterCriticalHardensQuorumAndRecovers(t *testing.T) {
 	}
 	if len(d.OnDemand) != 0 {
 		t.Fatalf("recovered decision still holds on-demand members: %v", d.OnDemand)
+	}
+	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
+		t.Fatal(err)
+	}
+	want := []engine.Event{
+		{Minute: 13*week - 1, Kind: engine.KindStage, Fault: "critical"},
+		{Minute: 16*week - 1, Kind: engine.KindStage, Fault: "healthy"},
+	}
+	if !reflect.DeepEqual(stages, want) {
+		t.Fatalf("stage events %+v, want %+v", stages, want)
 	}
 	if len(d.Bids) < 5 {
 		t.Fatalf("recovered decision placed only %d bids", len(d.Bids))

@@ -271,6 +271,15 @@ func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64,
 	})
 }
 
+// publishStage surfaces a degradation-stage transition to the view's
+// observers — the attribution ledger reads quarantine evidence from it —
+// when the view accepts instrumentation events.
+func publishStage(view strategy.MarketView, now int64, stage DegradeStage) {
+	if pub, ok := view.(strategy.EventPublisher); ok {
+		pub.PublishEvent(engine.Event{Minute: now, Kind: engine.KindStage, Fault: stage.String()})
+	}
+}
+
 // poolBid is a bid on a pool: its minimal adequate bid for some failure
 // target, until a rebid or the refinement descent moves it.
 type poolBid struct {

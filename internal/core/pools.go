@@ -120,6 +120,9 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	}
 	prevStage := j.lastStage
 	j.lastStage = stage
+	if stage != prevStage {
+		publishStage(view, now, stage)
+	}
 
 	dt := j.prov.Begin(now)
 	if dt != nil {

@@ -78,6 +78,10 @@ const (
 	// Instance the detached member where one exists, Zone its pool, and
 	// Size the fleet size after the step.
 	KindResizeStep
+	// KindStage: a fault-aware strategy's degradation stage changed.
+	// Fault carries the new stage ("healthy", "degraded", "critical").
+	// A run that never leaves healthy publishes none.
+	KindStage
 
 	// KindCount is one past the last declared Kind. Consumers that map
 	// every kind (telemetry, exhaustiveness tests) iterate
@@ -118,6 +122,8 @@ func (k Kind) String() string {
 		return "resize-target"
 	case KindResizeStep:
 		return "resize-step"
+	case KindStage:
+		return "stage"
 	default:
 		return "event(?)"
 	}
@@ -155,8 +161,9 @@ type Event struct {
 	// Fault names the injector behind KindFaultInjected and
 	// KindFaultCleared events ("zone-blackout", "reclaim-storm",
 	// "price-spike", "request-delay", "request-loss", "trace-gap",
-	// "flash-crowd") and the phase of KindResizeStep events
-	// ("install", "detach", "hold", "settled").
+	// "flash-crowd"), the phase of KindResizeStep events
+	// ("install", "detach", "hold", "settled") and the new stage of
+	// KindStage events.
 	Fault string
 }
 
@@ -194,10 +201,10 @@ func Dispatch(o Observer, e Event) {
 		if e.Cause == market.TerminatedByProvider {
 			o.OnOutOfBid(e)
 		}
-	case KindDecision, KindResizeTarget, KindResizeStep:
-		// Resize events ride the decision hook: they are control-plane
-		// choices of the same pipeline, and every existing consumer that
-		// cares distinguishes by Kind.
+	case KindDecision, KindResizeTarget, KindResizeStep, KindStage:
+		// Resize and stage events ride the decision hook: they are
+		// control-plane choices of the same pipeline, and every consumer
+		// that counts decisions counts KindDecision alone.
 		o.OnDecision(e)
 	case KindBillingClose:
 		o.OnBilling(e)

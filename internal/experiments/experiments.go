@@ -85,9 +85,6 @@ type Env struct {
 	// size. A flat trace (or nil) reproduces the fixed-size runs
 	// byte-identically.
 	Workload *workload.Trace
-	// Scaler overrides the autoscaler mapping the Workload to group-size
-	// targets. Nil uses workload.DefaultAutoscaler for the spec.
-	Scaler *workload.Autoscaler
 	// Observe, when set, builds the observers of each replay cell: it
 	// is called once per cell, before the replay starts, with the
 	// cell's coordinates, and its return value receives that cell's
@@ -101,7 +98,8 @@ type Env struct {
 	Observe func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer
 	// sink, set by Flags.Open, is where every replay cell of this Env
 	// reports: the cell's collector, event trace, span recorder and
-	// ledger come from it, after Observe's. Nil records nothing.
+	// ledger come from it, after Observe's, and its result goes back to
+	// it. Nil records nothing.
 	sink *Sink
 }
 
@@ -215,7 +213,6 @@ func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strateg
 		ChaosSeed:              e.ChaosSeed,
 		Spans:                  spans,
 		Workload:               e.Workload,
-		Scaler:                 e.Scaler,
 	})
 	if err == nil {
 		// Per-run observers (telemetry.Collector, provenance.Ledger)
@@ -226,6 +223,7 @@ func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strateg
 				c.CloseRun(e.TrainWeeks*Week + res.TotalMinutes)
 			}
 		}
+		e.sink.done(slot, res)
 	}
 	return res, err
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/market"
 	"repro/internal/modelcache"
 	"repro/internal/provenance"
+	"repro/internal/replay"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -45,7 +46,6 @@ type Flags struct {
 	EventsOut   string // -events-out
 	SpansOut    string // -spans-out
 	SpansSample int    // -spans-sample
-	AttribOut   string // -attrib-out
 	Manifest    string // -manifest
 
 	// Lenient and Workload are inputs only cmd/replay offers (as
@@ -61,7 +61,7 @@ type Flags struct {
 	only []string
 }
 
-// Register declares the shared flags on fs — all sixteen, or only
+// Register declares the shared flags on fs — all fifteen, or only
 // the named ones — bound to f's fields. def supplies the seed and scale
 // defaults (DefaultEnv for the paper's scale, QuickEnv for the arena).
 func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
@@ -81,8 +81,7 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, a sweep's longest interval first, so the file is the same at any -j")
 	all.StringVar(&f.SpansOut, "spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file ('-' = stdout; see cmd/analyze explain)")
 	all.IntVar(&f.SpansSample, "spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
-	all.StringVar(&f.AttribOut, "attrib-out", "", "write the per-cell cost/downtime attribution as JSON to this file ('-' = stdout; see cmd/analyze attribute)")
-	all.StringVar(&f.Manifest, "manifest", "", "write an end-of-run summary manifest (JSON) to this file ('-' = stdout)")
+	all.StringVar(&f.Manifest, "manifest", "", "write the end-of-run manifest (JSON) to this file ('-' = stdout): config, seed, wall time, metric snapshot, and one record per replay cell with its result and cost/downtime attribution (see cmd/analyze attribute)")
 	all.VisitAll(func(fl *flag.Flag) {
 		if f.has(fl.Name) {
 			fs.Var(fl.Value, fl.Name, fl.Usage)
@@ -223,12 +222,11 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 
 // Sink is the one place a run's records are assembled. Every replay
 // cell opens once — a Collector on the shared Registry, the shared
-// event TraceWriter, a fresh provenance Recorder and a fresh Ledger
-// watching its stage spans, each only if a flag asked for it — in a
-// slot fixed by the cell's place in the grid, and Close writes the
-// slots out in that order: the bytes of every file are the same at any
-// -j. A nil *Sink, or one no flag armed, leaves cells unobserved and
-// the replay hot path event-free.
+// event TraceWriter, a fresh provenance Recorder, a fresh Ledger, each
+// only if a flag asked for it — in a slot fixed by the cell's place in
+// the grid, and Close writes the slots out in that order: the bytes of
+// every record are the same at any -j. A nil *Sink, or one no flag
+// armed, leaves cells unobserved and the replay hot path event-free.
 type Sink struct {
 	flags   Flags
 	command string
@@ -243,16 +241,13 @@ type Sink struct {
 	cells []*sinkCell
 }
 
-// sinkCell is one replay's provenance: its label, spans and ledger.
+// sinkCell is one replay's records: its label, its spans (-spans-out),
+// and its ledger and result (-manifest).
 type sinkCell struct {
 	label provenance.Stamp
 	rec   *provenance.Recorder
 	led   *provenance.Ledger
-}
-
-// provenance reports whether cells record spans and keep a ledger.
-func (s *Sink) provenance() bool {
-	return s != nil && (s.flags.SpansOut != "" || s.flags.AttribOut != "")
+	res   *replay.Result
 }
 
 // quarantined reports a lenient read's quarantined rows: one line on
@@ -279,9 +274,10 @@ func (s *Sink) reserve(n int) int {
 }
 
 // cell opens one replay cell in a reserved slot and returns its
-// observers and its span recorder (nil when the run records none).
-// Safe for concurrent calls: per-run state is built fresh, the registry
-// and trace writer are shared sinks that lock for themselves.
+// observers and its span recorder (nil unless -spans-out). The ledger,
+// when kept, observes last. Safe for concurrent calls: per-run state is
+// built fresh, the registry and trace writer are shared sinks that lock
+// for themselves.
 func (s *Sink) cell(slot int, label provenance.Stamp) ([]engine.Observer, *provenance.Recorder) {
 	if s == nil {
 		return nil, nil
@@ -295,67 +291,44 @@ func (s *Sink) cell(slot int, label provenance.Stamp) ([]engine.Observer, *prove
 	if s.writer != nil {
 		obs = append(obs, s.writer)
 	}
-	if !s.provenance() {
-		return obs, nil
+	c := &sinkCell{label: label}
+	if s.flags.SpansOut != "" {
+		c.rec = provenance.NewRecorder(s.flags.SpansSample)
 	}
-	c := &sinkCell{label: label, rec: provenance.NewRecorder(s.flags.SpansSample), led: provenance.NewLedger()}
-	c.led.WatchStages(c.rec)
+	if s.flags.Manifest != "" {
+		c.led = provenance.NewLedger()
+		obs = append(obs, c.led)
+	}
 	s.mu.Lock()
 	s.cells[slot] = c
 	s.mu.Unlock()
-	return append(obs, c.led), c.rec
+	return obs, c.rec
 }
 
-// ledger returns the ledger of an opened slot.
-func (s *Sink) ledger(slot int) *provenance.Ledger { return s.cells[slot].led }
-
-// spans stamps every cell's spans with its label and concatenates them
-// in slot order.
-func (s *Sink) spans() []provenance.Span {
-	var out []provenance.Span
-	for _, c := range s.cells {
-		if c != nil {
-			c.rec.Stamp(c.label)
-			out = append(out, c.rec.Spans()...)
-		}
+// done records an opened slot's result.
+func (s *Sink) done(slot int, res *replay.Result) {
+	if s == nil {
+		return
 	}
-	return out
+	s.mu.Lock()
+	s.cells[slot].res = res
+	s.mu.Unlock()
 }
 
-// attribution folds the ledgers into one document in slot order. Cells
-// that differ only in seed — a figure replayed twice by "-run all", the
-// seeds of one tournament (strategy, scenario) pair — merge into the
-// first of them, which keeps its seed only if all of them share it.
-func (s *Sink) attribution() provenance.Doc {
-	var runs []provenance.DocCell
-	at := map[provenance.Stamp]int{}
-	for _, c := range s.cells {
-		if c == nil {
-			continue
-		}
-		key := c.label
-		key.Seed = 0
-		if i, ok := at[key]; ok {
-			runs[i].Attribution = runs[i].Attribution.Merge(c.led.Attribution())
-			if runs[i].Seed != c.label.Seed {
-				runs[i].Seed = 0
-			}
-			continue
-		}
-		at[key] = len(runs)
-		runs = append(runs, provenance.DocCell{
-			Strategy: key.Strategy, Scenario: key.Scenario, Service: key.Service, Interval: key.Interval,
-			Seed: c.label.Seed, Attribution: c.led.Attribution(),
-		})
+// attribution returns an opened slot's ledger table, or false when the
+// run keeps no ledgers (no -manifest).
+func (s *Sink) attribution(slot int) (provenance.Attribution, bool) {
+	if s == nil || s.cells[slot].led == nil {
+		return provenance.Attribution{}, false
 	}
-	return provenance.NewDoc(runs)
+	return s.cells[slot].led.Attribution(), true
 }
 
 // Close ends the run: it prints the model-cache counters (-model-stats),
-// flushes the event trace, writes — after a successful run — the spans
-// and the attribution, then the manifest. It returns runErr, or else
-// the first error of its own. Stdout is never closed, so "-" works for
-// several outputs at once, the manifest last.
+// flushes the event trace, writes — after a successful run — the spans,
+// then the manifest. It returns runErr, or else the first error of its
+// own. Stdout is never closed, so "-" works for several outputs at
+// once, the manifest last.
 func (s *Sink) Close(runErr error) error {
 	ok := runErr == nil
 	keep := func(err error) {
@@ -370,24 +343,52 @@ func (s *Sink) Close(runErr error) error {
 		keep(s.writer.Close())
 	}
 	if ok && s.flags.SpansOut != "" {
-		meta := s.runMeta("spans-sample", strconv.Itoa(s.flags.SpansSample))
-		keep(writeOut(s.flags.SpansOut, "decision spans", func(w io.Writer) error {
-			return provenance.WriteSpans(w, meta, s.spans())
-		}))
-	}
-	if ok && s.flags.AttribOut != "" {
-		keep(writeOut(s.flags.AttribOut, "attribution", func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(s.attribution())
-		}))
+		keep(writeOut(s.flags.SpansOut, "decision spans", s.writeSpans))
 	}
 	if s.flags.Manifest != "" {
-		cfg := s.runMeta("jobs", strconv.Itoa(s.flags.Jobs))
-		delete(cfg, "command")
-		keep(telemetry.NewManifest(s.command, s.flags.Seed, cfg, s.start, s.reg).WriteFile(s.flags.Manifest))
+		keep(writeOut(s.flags.Manifest, "manifest", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(s.manifest())
+		}))
 	}
 	return runErr
+}
+
+// writeSpans writes every cell's spans, stamped with its label, in slot
+// order through the event trace's codec.
+func (s *Sink) writeSpans(w io.Writer) error {
+	sw, err := telemetry.NewStreamWriter(w, telemetry.SpansSchema, s.runMeta("spans-sample", strconv.Itoa(s.flags.SpansSample)))
+	if err != nil {
+		return err
+	}
+	for _, c := range s.cells {
+		if c != nil {
+			c.rec.Stamp(c.label)
+			for _, sp := range c.rec.Spans() {
+				sw.Encode(sp)
+			}
+		}
+	}
+	return sw.Close()
+}
+
+// manifest assembles the run's metadata and metrics, and one record per
+// finished replay cell in slot order.
+func (s *Sink) manifest() Manifest {
+	cfg := s.runMeta("jobs", strconv.Itoa(s.flags.Jobs))
+	delete(cfg, "command")
+	m := Manifest{
+		Schema: ManifestSchema, Version: ManifestVersion, Command: s.command,
+		StartedAt: s.start.UTC().Format(time.RFC3339), WallSeconds: time.Since(s.start).Seconds(),
+		Seed: s.flags.Seed, Config: cfg, Metrics: s.reg.Snapshot(),
+	}
+	for _, c := range s.cells {
+		if c != nil && c.res != nil {
+			m.Runs = append(m.Runs, Record{Stamp: c.label, Result: c.res, Attribution: c.led.Attribution()})
+		}
+	}
+	return m
 }
 
 // runMeta copies the run's metadata with one more pair.
@@ -399,17 +400,17 @@ func (s *Sink) runMeta(key, value string) map[string]string {
 	return m
 }
 
-// writeOut writes one end-of-run document to path; "-" is stdout, which
-// stays open.
+// writeOut writes one end-of-run output to path; "-" is stdout, which
+// stays open. write never sees an io.Closer: writeOut closes the file.
 func writeOut(path, what string, write func(io.Writer) error) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(struct{ io.Writer }{os.Stdout})
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := write(struct{ io.Writer }{f}); err != nil {
 		f.Close()
 		return err
 	}

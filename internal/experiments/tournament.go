@@ -88,9 +88,9 @@ type ScenarioScore struct {
 	// MeetsBound is the availability verdict: mean availability at
 	// least the clean baseline's minus epsilon.
 	MeetsBound bool `json:"meets_bound"`
-	// WorstCause, when the run's sink kept ledgers (-spans-out or
-	// -attrib-out), names the attribution cause with the most downtime
-	// minutes under this scenario ("" when the strategy had none).
+	// WorstCause, when the run's sink kept ledgers (-manifest), names
+	// the attribution cause with the most downtime minutes under this
+	// scenario, over its seeds ("" when the strategy had none).
 	WorstCause string `json:"worst_cause,omitempty"`
 }
 
@@ -129,18 +129,6 @@ type TournamentResult struct {
 	Bound                float64          `json:"bound"`
 	Rows                 []TournamentRow  `json:"rows"`
 	Cells                []TournamentCell `json:"cells"`
-	// Attributions, when the run's sink kept ledgers, carries the
-	// per-(strategy, scenario) cost/downtime ledger merged across
-	// seeds, in grid order.
-	Attributions []StrategyAttribution `json:"attributions,omitempty"`
-}
-
-// StrategyAttribution is one (strategy, scenario) attribution of the
-// tournament grid, merged across its seeds.
-type StrategyAttribution struct {
-	Strategy string `json:"strategy"`
-	Scenario string `json:"scenario"`
-	provenance.Attribution
 }
 
 // JSON renders the leaderboard for machines (leaderboard.json).
@@ -158,8 +146,8 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 // ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, and
 // Observe are superseded by the grid coordinates. Grid cells report to
 // the Env's sink labelled with their scenario — one slot per cell in
-// grid order, so spans, attribution and metrics are byte-identical at
-// any Jobs setting; the clean baseline replays stay unrecorded.
+// grid order, so spans, records and metrics are byte-identical at any
+// Jobs setting; the clean baseline replays stay unrecorded.
 func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	specs := cfg.Specs
 	if len(specs) == 0 {
@@ -281,21 +269,19 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		return nil, err
 	}
 
-	// Merge per-(strategy, scenario) attributions across seeds, in grid
-	// order, so leaderboard rows can cite which cause broke each rival.
-	var attribs []StrategyAttribution
-	if e.sink.provenance() {
-		for si := 0; si < nS; si++ {
-			for ci := 0; ci < nC; ci++ {
-				var merged provenance.Attribution
-				for ki := 0; ki < nK; ki++ {
-					merged = merged.Merge(e.sink.ledger(base + (si*nC+ci)*nK + ki).Attribution())
-				}
-				attribs = append(attribs, StrategyAttribution{
-					Strategy: names[si], Scenario: scenarioNames[ci], Attribution: merged,
-				})
+	// With the sink's ledgers kept, a score cites the cause that cost its
+	// (strategy, scenario) pair the most downtime over the seeds — which
+	// cause broke each rival.
+	worstCause := func(si, ci int) string {
+		var merged provenance.Attribution
+		for ki := 0; ki < nK; ki++ {
+			a, ok := e.sink.attribution(base + (si*nC+ci)*nK + ki)
+			if !ok {
+				return ""
 			}
+			merged = merged.Merge(a)
 		}
+		return merged.WorstCause()
 	}
 
 	// Fold cells into per-strategy rows.
@@ -312,9 +298,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 			score.MeanCostDollars /= float64(nK)
 			score.MeanAvailability /= float64(nK)
 			score.MeetsBound = score.MeanAvailability >= bound
-			if attribs != nil {
-				score.WorstCause = attribs[si*nC+ci].WorstCause()
-			}
+			score.WorstCause = worstCause(si, ci)
 			if score.MeetsBound {
 				row.ScenariosMet++
 			}
@@ -369,7 +353,6 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		Bound:                bound,
 		Rows:                 rows,
 		Cells:                cells,
-		Attributions:         attribs,
 	}, nil
 }
 

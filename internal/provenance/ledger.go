@@ -29,8 +29,8 @@ const (
 	// their view-change/startup delay and nothing else went wrong.
 	CauseStartup = "view-change/startup"
 	// CauseQuarantine: downtime with no direct event evidence while
-	// Jupiter's degradation machinery reported a non-healthy stage —
-	// capacity was constrained by quarantined pools.
+	// Jupiter's degradation machinery was in a non-healthy stage
+	// (engine.KindStage) — capacity was constrained by quarantined pools.
 	CauseQuarantine = "quarantine"
 	// CauseResize: spot instance time ended by a gradual-resize detach,
 	// and downtime overlapping an in-flight resize window with no
@@ -39,14 +39,6 @@ const (
 	// CauseUnattributed: downtime with no evidence at all; a non-zero
 	// cell here means the taxonomy is missing a mechanism.
 	CauseUnattributed = "unattributed"
-)
-
-// AttribSchema and AttribVersion identify the attribution JSON
-// document (Doc) written by cmd/replay, cmd/experiments, and the
-// tournament.
-const (
-	AttribSchema  = "jupiter-attribution"
-	AttribVersion = 1
 )
 
 type cellKey struct {
@@ -67,8 +59,8 @@ type AttributionCell struct {
 // Attribution is a run's ledger snapshot: every billed micro-dollar
 // and every downtime minute in exactly one cell, cells sorted by
 // (pool, cause). The invariant — test-enforced per builtin chaos
-// scenario — is TotalCostMicroUSD == the run manifest's billing total
-// and TotalDownMinutes == the Collector's downtime histogram mass.
+// scenario — is TotalCostMicroUSD == the run's billed total and
+// TotalDownMinutes == the Collector's downtime histogram mass.
 type Attribution struct {
 	Cells             []AttributionCell `json:"cells"`
 	TotalCostMicroUSD int64             `json:"total_cost_microusd"`
@@ -149,30 +141,6 @@ func RenderAttribution(w io.Writer, a Attribution) error {
 	return tw.Flush()
 }
 
-// Doc is the attribution JSON document: one stamped cell per run, so a
-// sweep's file carries every (strategy, scenario, service, interval,
-// seed) ledger side by side.
-type Doc struct {
-	Schema  string    `json:"schema"`
-	Version int       `json:"version"`
-	Runs    []DocCell `json:"runs"`
-}
-
-// DocCell is one run's attribution plus its sweep coordinates.
-type DocCell struct {
-	Strategy string `json:"strategy,omitempty"`
-	Scenario string `json:"scenario,omitempty"`
-	Service  string `json:"service,omitempty"`
-	Interval string `json:"interval,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-	Attribution
-}
-
-// NewDoc wraps stamped cells in a versioned document.
-func NewDoc(runs []DocCell) Doc {
-	return Doc{Schema: AttribSchema, Version: AttribVersion, Runs: runs}
-}
-
 // Ledger is an engine.Observer that folds a run's event stream into
 // (pool, cause) attribution cells. Like telemetry.Collector it belongs
 // to ONE run and relies on the kernel's deterministic event order:
@@ -216,9 +184,9 @@ type Ledger struct {
 	// resizing is true between a resize target and its settle/abort.
 	resizing bool
 
-	// stages, when set via WatchStages, supplies degradation-stage
-	// spans for quarantine evidence.
-	stages *Recorder
+	// stages logs the run's degradation-stage transitions in minute
+	// order, for quarantine evidence.
+	stages []stageMark
 
 	// Open downtime span state.
 	downSince  int64
@@ -228,6 +196,13 @@ type Ledger struct {
 	evStartup  bool
 	evResize   bool
 	evZone     string
+}
+
+// stageMark is one degradation-stage transition: from minute on, the
+// strategy ran healthy or not.
+type stageMark struct {
+	minute  int64
+	healthy bool
 }
 
 // NewLedger returns an empty ledger for one run.
@@ -244,10 +219,10 @@ func NewLedger() *Ledger {
 	}
 }
 
-// WatchStages lets the ledger consult the run's decision spans for
-// degradation-stage evidence when a downtime span has no direct event
-// evidence. The recorder must belong to the same run.
-func (l *Ledger) WatchStages(r *Recorder) { l.stages = r }
+// WatchStages does nothing: the ledger reads degradation stages from
+// the event stream (engine.KindStage), never from spans. It is kept
+// only because the benchmark (bench/workloads.go) still calls it.
+func (l *Ledger) WatchStages(*Recorder) {}
 
 // OnFault records fault windows and per-victim markers.
 func (l *Ledger) OnFault(e engine.Event) {
@@ -263,13 +238,15 @@ func (l *Ledger) OnFault(e engine.Event) {
 	}
 }
 
-// OnDecision tracks gradual-resize windows. A resize target opens one;
-// its settle or abort step closes it. Detach steps mark the retired
-// member (by instance and by persistent request) so its
-// user-termination bills to the resize, and count as resize evidence
-// for an open downtime span.
+// OnDecision logs degradation-stage transitions and tracks
+// gradual-resize windows. A resize target opens one; its settle or
+// abort step closes it. Detach steps mark the retired member (by
+// instance and by persistent request) so its user-termination bills to
+// the resize, and count as resize evidence for an open downtime span.
 func (l *Ledger) OnDecision(e engine.Event) {
 	switch e.Kind {
+	case engine.KindStage:
+		l.stages = append(l.stages, stageMark{minute: e.Minute, healthy: e.Fault == "healthy"})
 	case engine.KindResizeTarget:
 		l.resizing = true
 	case engine.KindResizeStep:
@@ -386,8 +363,8 @@ func (l *Ledger) OnQuorum(e engine.Event) {
 // in mechanism order: a named fault beats the ordinary out-of-bid
 // market, which beats an SLA outage, which beats a pure startup
 // window, which beats an in-flight resize window; with no event
-// evidence at all, a non-healthy degradation stage (via WatchStages)
-// marks the span as quarantine-constrained.
+// evidence at all, a non-healthy degradation stage at the span's
+// opening minute marks it as quarantine-constrained.
 func (l *Ledger) closeSpan(endMinute int64) {
 	minutes := endMinute - l.downSince
 	cause, pool := CauseUnattributed, ""
@@ -415,17 +392,14 @@ func (l *Ledger) closeSpan(endMinute int64) {
 	l.downSince = -1
 }
 
-// quarantinedAt reports whether the last stage span at or before the
-// given minute was non-healthy.
+// quarantinedAt reports whether the stage ruling at the given minute —
+// set by the last transition at or before it — was non-healthy. It is
+// asked at span close, so a transition published later in the span's
+// opening minute still counts. Before any transition the run is healthy.
 func (l *Ledger) quarantinedAt(minute int64) bool {
-	if l.stages == nil {
-		return false
-	}
-	spans := l.stages.Spans()
-	for i := len(spans) - 1; i >= 0; i-- {
-		s := spans[i]
-		if s.Kind == SpanStage && s.Minute <= minute {
-			return s.Outcome != "healthy"
+	for i := len(l.stages) - 1; i >= 0; i-- {
+		if l.stages[i].minute <= minute {
+			return !l.stages[i].healthy
 		}
 	}
 	return false

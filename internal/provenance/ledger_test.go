@@ -127,35 +127,62 @@ func TestLedgerDowntimeEvidence(t *testing.T) {
 }
 
 // TestLedgerQuarantineEvidence: with no event evidence, a non-healthy
-// degradation stage at the span's opening minute marks the downtime
-// quarantine-constrained.
+// degradation stage ruling at the span's opening minute marks the
+// downtime quarantine-constrained. Stages come from the event stream
+// alone; a transition published later in the opening minute still
+// counts, one after it does not.
 func TestLedgerQuarantineEvidence(t *testing.T) {
-	rec := NewRecorder(1)
-	dt := rec.Begin(90)
-	dt.Emit(Span{Kind: SpanStage, Outcome: "degraded", Detail: "from healthy"})
+	down := func(stages ...engine.Event) Attribution {
+		l := NewLedger()
+		publish(l, append(stages,
+			engine.Event{Minute: 100, Kind: engine.KindQuorumDown, Size: 2},
+			engine.Event{Minute: 120, Kind: engine.KindQuorumUp, Size: 3},
+		))
+		return l.Attribution()
+	}
+	stage := func(minute int64, name string) engine.Event {
+		return engine.Event{Minute: minute, Kind: engine.KindStage, Fault: name}
+	}
+	for _, c := range []struct {
+		name   string
+		stages []engine.Event
+		want   string
+	}{
+		{"degraded before", []engine.Event{stage(90, "degraded")}, CauseQuarantine},
+		{"critical before", []engine.Event{stage(60, "degraded"), stage(90, "critical")}, CauseQuarantine},
+		{"healed before", []engine.Event{stage(60, "degraded"), stage(90, "healthy")}, CauseUnattributed},
+		{"never left healthy", nil, CauseUnattributed},
+		{"degraded after", []engine.Event{stage(110, "degraded")}, CauseUnattributed},
+	} {
+		a := down(c.stages...)
+		if len(a.Cells) != 1 || a.Cells[0].Cause != c.want || a.Cells[0].DownMinutes != 20 {
+			t.Errorf("%s: attribution = %+v, want 20 min %s", c.name, a.Cells, c.want)
+		}
+	}
 
+	// Same-minute ordering: the down transition comes first in the
+	// stream, the decision's stage event after it.
 	l := NewLedger()
+	publish(l, []engine.Event{
+		{Minute: 100, Kind: engine.KindQuorumDown, Size: 2},
+		stage(100, "degraded"),
+		{Minute: 120, Kind: engine.KindQuorumUp, Size: 3},
+	})
+	if a := l.Attribution(); len(a.Cells) != 1 || a.Cells[0].Cause != CauseQuarantine {
+		t.Errorf("same-minute stage: attribution = %+v", a.Cells)
+	}
+
+	// Spans are no evidence: WatchStages is a no-op.
+	rec := NewRecorder(1)
+	rec.Begin(90).Emit(Span{Kind: SpanStage, Outcome: "degraded", Detail: "from healthy"})
+	l = NewLedger()
 	l.WatchStages(rec)
 	publish(l, []engine.Event{
 		{Minute: 100, Kind: engine.KindQuorumDown, Size: 2},
 		{Minute: 120, Kind: engine.KindQuorumUp, Size: 3},
 	})
-	a := l.Attribution()
-	if len(a.Cells) != 1 || a.Cells[0].Cause != CauseQuarantine || a.Cells[0].DownMinutes != 20 {
-		t.Fatalf("quarantine attribution = %+v", a.Cells)
-	}
-
-	// A healthy stage before the span means no quarantine evidence.
-	rec2 := NewRecorder(1)
-	rec2.Begin(90).Emit(Span{Kind: SpanStage, Outcome: "healthy"})
-	l2 := NewLedger()
-	l2.WatchStages(rec2)
-	publish(l2, []engine.Event{
-		{Minute: 100, Kind: engine.KindQuorumDown, Size: 2},
-		{Minute: 120, Kind: engine.KindQuorumUp, Size: 3},
-	})
-	if a2 := l2.Attribution(); len(a2.Cells) != 1 || a2.Cells[0].Cause != CauseUnattributed {
-		t.Fatalf("healthy-stage attribution = %+v", a2.Cells)
+	if a := l.Attribution(); len(a.Cells) != 1 || a.Cells[0].Cause != CauseUnattributed {
+		t.Errorf("stage span without stage event: attribution = %+v", a.Cells)
 	}
 }
 

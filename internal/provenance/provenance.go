@@ -8,28 +8,22 @@
 // enumeration per group size, the dominance rule between candidate
 // families, the quorum refine descent, degradation-stage transitions,
 // and the chosen configuration with its exact Eq. 10 availability
-// margin. The stream serializes to versioned JSONL next to the event
-// trace (see WriteSpans) and `analyze explain` reconstructs decisions
+// margin. The stream is written as JSONL by the event trace's own codec
+// (telemetry.SpansSchema) and `analyze explain` reconstructs decisions
 // from it.
 //
 // The ledger (ledger.go) answers "where did every cent and every
-// downtime minute go": it folds billing closures and quorum-down
-// intervals into (pool, cause) cells reconciled exactly against the
-// run's cost and the telemetry Collector's downtime mass.
+// downtime minute go": a pure fold of the simulation event stream, it
+// puts billing closures and quorum-down intervals into (pool, cause)
+// cells reconciled exactly against the run's cost and the telemetry
+// Collector's downtime mass. It reads no spans, so a run attributes the
+// same at any span sampling rate, and folding the run's event trace
+// offline gives the same table.
 //
 // The no-observer hot path pays nothing: Begin on a nil *Recorder
 // returns a nil *DecisionTrace, every emission site is guarded on it,
 // and BenchmarkReplayObservers pins the unobserved replay.
 package provenance
-
-// SpansSchema and SpansVersion identify the JSONL span-stream format:
-// line 1 is a SpansHeader, every further line one Span. Encoding is
-// deterministic — fixed field order, sorted meta keys — so equal runs
-// write byte-identical files, like the telemetry event trace.
-const (
-	SpansSchema  = "jupiter-spans"
-	SpansVersion = 1
-)
 
 // Span kinds, in rough pipeline order.
 const (
@@ -116,13 +110,14 @@ type Span struct {
 	Margin       float64 `json:"margin,omitempty"`
 }
 
-// Stamp is the run coordinate set stamped onto a recorder's spans.
+// Stamp is the run coordinate set stamped onto a recorder's spans and
+// naming a replay cell's record in the run manifest.
 type Stamp struct {
-	Strategy string
-	Scenario string
-	Service  string
-	Interval string
-	Seed     uint64
+	Strategy string `json:"strategy"`
+	Scenario string `json:"scenario,omitempty"`
+	Service  string `json:"service"`
+	Interval string `json:"interval"`
+	Seed     uint64 `json:"seed"`
 }
 
 // Recorder collects the spans of one run. Like telemetry.Collector it

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestRecorderNilSafety(t *testing.T) {
@@ -65,6 +67,24 @@ func TestRecorderStampAndEmit(t *testing.T) {
 	}
 }
 
+// writeSpans writes a spans stream through the event trace's codec, as
+// the run sink does.
+func writeSpans(t *testing.T, meta map[string]string, spans []Span) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := telemetry.NewStreamWriter(&buf, telemetry.SpansSchema, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range spans {
+		w.Encode(s)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestSpansRoundTrip(t *testing.T) {
 	spans := []Span{
 		{Decision: 1, Minute: 60, Kind: SpanStage, Outcome: "healthy"},
@@ -74,22 +94,22 @@ func TestSpansRoundTrip(t *testing.T) {
 	}
 	meta := map[string]string{"command": "test", "seed": "2014"}
 
-	var a, b bytes.Buffer
-	if err := WriteSpans(&a, meta, spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSpans(&b, meta, spans); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a, b := writeSpans(t, meta, spans), writeSpans(t, meta, spans)
+	if !bytes.Equal(a, b) {
 		t.Fatalf("equal inputs wrote different streams")
 	}
+	// One header line naming the schema, then one span per line.
+	want := `{"schema":"jupiter-spans","version":1,"meta":{"command":"test","seed":"2014"}}` + "\n" +
+		`{"decision":1,"minute":60,"kind":"stage","outcome":"healthy"}` + "\n"
+	if !strings.HasPrefix(string(a), want) {
+		t.Fatalf("stream starts\n%s\nwant\n%s", a, want)
+	}
 
-	hdr, got, err := ReadSpans(bytes.NewReader(a.Bytes()))
+	hdr, got, err := telemetry.ReadStream[Span](bytes.NewReader(a), telemetry.SpansSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Schema != SpansSchema || hdr.Version != SpansVersion || hdr.Meta["seed"] != "2014" {
+	if hdr.Schema != telemetry.SpansSchema || hdr.Version != telemetry.TraceVersion || hdr.Meta["seed"] != "2014" {
 		t.Fatalf("header round-trip = %+v", hdr)
 	}
 	if len(got) != len(spans) {
@@ -103,22 +123,22 @@ func TestSpansRoundTrip(t *testing.T) {
 }
 
 func TestReadSpansErrors(t *testing.T) {
-	if _, _, err := ReadSpans(strings.NewReader("")); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(""), telemetry.SpansSchema); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty stream error = %v", err)
 	}
-	if _, _, err := ReadSpans(strings.NewReader(`{"schema":"other","version":1}` + "\n")); err == nil ||
-		!strings.Contains(err.Error(), "not a spans stream") {
+	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(`{"schema":"jupiter-events","version":1}`+"\n"), telemetry.SpansSchema); err == nil ||
+		!strings.Contains(err.Error(), "not a jupiter-spans stream") {
 		t.Fatalf("wrong schema error = %v", err)
 	}
-	if _, _, err := ReadSpans(strings.NewReader(`{"schema":"jupiter-spans","version":99}` + "\n")); err == nil ||
+	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(`{"schema":"jupiter-spans","version":99}`+"\n"), telemetry.SpansSchema); err == nil ||
 		!strings.Contains(err.Error(), "newer than supported") {
 		t.Fatalf("newer version error = %v", err)
 	}
 	bad := `{"schema":"jupiter-spans","version":1}` + "\n" +
 		`{"decision":1,"minute":60,"kind":"stage"}` + "\n" +
 		`not json` + "\n"
-	if _, _, err := ReadSpans(strings.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "spans line 3") {
+	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(bad), telemetry.SpansSchema); err == nil ||
+		!strings.Contains(err.Error(), "jupiter-spans line 3") {
 		t.Fatalf("malformed line error = %v, want line 3", err)
 	}
 }

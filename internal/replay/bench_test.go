@@ -152,10 +152,8 @@ func BenchmarkReplayObservers(b *testing.B) {
 		run(b, func(b *testing.B) []engine.Observer {
 			return []engine.Observer{led}
 		}, func(b *testing.B) *provenance.Recorder {
-			rec := provenance.NewRecorder(1)
 			led = provenance.NewLedger()
-			led.WatchStages(rec)
-			return rec
+			return provenance.NewRecorder(1)
 		})
 	})
 }

@@ -196,9 +196,9 @@ func (r *run) runEvent() error {
 	}
 
 	// Pre-roll to the first decision point.
-	r.provider.AdvanceTo(r.cfg.Start - r.lead)
+	r.provider.AdvanceTo(r.cfg.Start - leadMinutes)
 	if rz != nil {
-		if err := rz.prepareDecision(r.cfg.Start - r.lead); err != nil {
+		if err := rz.prepareDecision(r.cfg.Start - leadMinutes); err != nil {
 			return err
 		}
 	}
@@ -233,7 +233,7 @@ func (r *run) runEvent() error {
 			wake = nextBoundary
 		}
 		if rz != nil {
-			if w := rz.nextWake(r.provider.Now(), nextBoundary-r.lead); w < wake {
+			if w := rz.nextWake(r.provider.Now(), nextBoundary-leadMinutes); w < wake {
 				wake = w
 				if now := r.provider.Now(); wake < now {
 					wake = now
@@ -262,7 +262,7 @@ func (r *run) runEvent() error {
 				return err
 			}
 			nextBoundary = wake + intervalLen
-			nextDecision = nextBoundary - r.lead
+			nextDecision = nextBoundary - leadMinutes
 			if nextDecision < wake {
 				// An interval shorter than the lead leaves no minute to
 				// decide at; the polling loop never fires such a
@@ -282,7 +282,7 @@ func (r *run) runEvent() error {
 			nextDecision = engine.NoMinute // next one set at the boundary
 		}
 		if rz != nil {
-			if err := rz.act(wake, nextBoundary-r.lead); err != nil {
+			if err := rz.act(wake, nextBoundary-leadMinutes); err != nil {
 				return err
 			}
 		}

@@ -16,9 +16,9 @@ func (r *run) runPolling() error {
 	}
 
 	// Pre-roll to the first decision point.
-	r.provider.AdvanceTo(r.cfg.Start - r.lead)
+	r.provider.AdvanceTo(r.cfg.Start - leadMinutes)
 	if rz != nil {
-		if err := rz.prepareDecision(r.cfg.Start - r.lead); err != nil {
+		if err := rz.prepareDecision(r.cfg.Start - leadMinutes); err != nil {
 			return err
 		}
 	}
@@ -30,7 +30,7 @@ func (r *run) runPolling() error {
 	end := r.end
 	res := r.res
 	nextBoundary := r.cfg.Start + intervalLen
-	nextDecision := nextBoundary - r.lead
+	nextDecision := nextBoundary - leadMinutes
 	boundaryPending := true // install the first fleet at Start
 	intervalStart := r.cfg.Start
 	intervalDown := int64(0)
@@ -86,7 +86,7 @@ func (r *run) runPolling() error {
 					return err
 				}
 			}
-			if err := rz.act(minute, nextBoundary-r.lead); err != nil {
+			if err := rz.act(minute, nextBoundary-leadMinutes); err != nil {
 				return err
 			}
 			if fleetDirty {
@@ -128,7 +128,7 @@ func (r *run) runPolling() error {
 			flushInterval(minute + 1)
 			boundaryPending = true
 			nextBoundary += intervalLen
-			nextDecision = nextBoundary - r.lead
+			nextDecision = nextBoundary - leadMinutes
 		}
 	}
 	if intervalStart < end {

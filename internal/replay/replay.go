@@ -52,10 +52,6 @@ type Config struct {
 	// IntervalMinutes is the bidding interval (the paper sweeps 1, 3,
 	// 6, 9, 12 hours).
 	IntervalMinutes int64
-	// LeadMinutes is how long before each interval boundary decisions
-	// are made and replacement instances launched (make-before-break,
-	// §4); it must exceed the worst startup delay. Default 15.
-	LeadMinutes int64
 	// Seed drives startup jitter and failure injection.
 	Seed uint64
 	// InjectHardwareFailures enables the FP' = 0.01 outage model.
@@ -98,9 +94,9 @@ type Config struct {
 	// to ONE run; sweeps allocate one per cell and stamp/merge after.
 	Spans *provenance.Recorder
 	// Workload, when set, drives traffic-driven autoscaling: the
-	// requests/sec trace is mapped to a target group-size plan (by
-	// Scaler, or workload.DefaultAutoscaler(Spec.BaseNodes) when nil),
-	// every strategy decision sizes for the target ruling at its
+	// requests/sec trace is mapped to a target group-size plan by
+	// workload.DefaultAutoscaler(Spec.BaseNodes), every strategy
+	// decision sizes for the target ruling at its
 	// minute, and between interval boundaries the fleet resizes
 	// gradually — scale-ups join quorum only after their startup delay,
 	// scale-downs detach one member at a time with the Eq. 10
@@ -108,32 +104,35 @@ type Config struct {
 	// A workload whose plan never leaves Spec.BaseNodes — or a nil
 	// Workload — leaves the run bit-identical to the fixed-n path.
 	Workload *workload.Trace
-	// Scaler overrides the default autoscaler mapping Workload to the
-	// group-size plan. Ignored without a Workload.
-	Scaler *workload.Autoscaler
 }
 
-// Result is the outcome of a replay.
+// leadMinutes is how long before each interval boundary decisions are
+// made and replacement instances launched (make-before-break, §4); it
+// exceeds the worst startup delay.
+const leadMinutes = 15
+
+// Result is the outcome of a replay. Its scalars are a replay cell's
+// record in the run manifest; the series stays out of it.
 type Result struct {
-	Strategy        string
-	IntervalMinutes int64
+	Strategy        string `json:"strategy"`
+	IntervalMinutes int64  `json:"interval_minutes"`
 	// Cost is the total bill across all instances ever launched.
-	Cost market.Money
+	Cost market.Money `json:"cost_microusd"`
 	// Availability is the fraction of accounted minutes the service
 	// had a live quorum.
-	Availability   float64
-	TotalMinutes   int64
-	DownMinutes    int64
-	Decisions      int
-	OutOfBid       int // provider-terminated instances
-	FailedRequests int // bids below market at request time
-	OnDemandLaunch int
-	SpotLaunch     int
-	MeanGroupSize  float64
-	MaxGroupSize   int
+	Availability   float64 `json:"availability"`
+	TotalMinutes   int64   `json:"total_minutes"`
+	DownMinutes    int64   `json:"down_minutes"`
+	Decisions      int     `json:"decisions"`
+	OutOfBid       int     `json:"out_of_bid"`      // provider-terminated instances
+	FailedRequests int     `json:"failed_requests"` // bids below market at request time
+	OnDemandLaunch int     `json:"on_demand_launches"`
+	SpotLaunch     int     `json:"spot_launches"`
+	MeanGroupSize  float64 `json:"mean_group_size"`
+	MaxGroupSize   int     `json:"max_group_size"`
 	// Series records one row per bidding interval, for time-series
 	// inspection and plotting.
-	Series []IntervalStats
+	Series []IntervalStats `json:"-"`
 }
 
 // IntervalStats is the per-interval slice of a replay.
@@ -150,7 +149,7 @@ type IntervalStats struct {
 // also implements the optional strategy.TraceIdentifier and
 // strategy.EventPublisher extensions: the replayed trace set's
 // fingerprint keys shared model caches, and strategy instrumentation
-// events (model training) reach the run's observers.
+// events (model training, degradation stages) reach the run's observers.
 type marketView struct {
 	p           *cloud.Provider
 	fingerprint *traceFingerprint
@@ -235,7 +234,6 @@ type member struct {
 // kernel.
 type run struct {
 	cfg      Config
-	lead     int64
 	end      int64
 	provider *cloud.Provider
 	view     marketView
@@ -300,10 +298,6 @@ func newRun(cfg Config) (*run, error) {
 	if cfg.Traces.Type != cfg.Spec.Type {
 		return nil, &SpecTypeError{Traces: cfg.Traces.Type, Spec: cfg.Spec.Type}
 	}
-	lead := cfg.LeadMinutes
-	if lead <= 0 {
-		lead = 15
-	}
 	end := cfg.End
 	switch {
 	case end == 0:
@@ -317,8 +311,8 @@ func newRun(cfg Config) (*run, error) {
 		return nil, fmt.Errorf("replay: end %d beyond last simulable minute %d (trace ends at %d)",
 			end, cfg.Traces.End-1, cfg.Traces.End)
 	}
-	if cfg.Start-lead < cfg.Traces.Start {
-		return nil, fmt.Errorf("replay: start %d leaves no room for lead %d", cfg.Start, lead)
+	if cfg.Start-leadMinutes < cfg.Traces.Start {
+		return nil, fmt.Errorf("replay: start %d leaves no room for lead %d", cfg.Start, leadMinutes)
 	}
 	if end <= cfg.Start {
 		return nil, fmt.Errorf("replay: empty accounting window [%d, %d)", cfg.Start, end)
@@ -363,7 +357,6 @@ func newRun(cfg Config) (*run, error) {
 	userObs := engine.Fanout(cfg.Observers)
 	r := &run{
 		cfg:      cfg,
-		lead:     lead,
 		end:      end,
 		provider: provider,
 		view:     marketView{p: provider, fingerprint: fingerprint, obs: userObs, chaos: chaosEng},
@@ -375,12 +368,7 @@ func newRun(cfg Config) (*run, error) {
 		if chaosEng != nil {
 			wl = chaosEng.TransformWorkload(wl)
 		}
-		sc := cfg.Scaler
-		if sc == nil {
-			d := workload.DefaultAutoscaler(cfg.Spec.BaseNodes)
-			sc = &d
-		}
-		plan, perr := sc.Plan(wl)
+		plan, perr := workload.DefaultAutoscaler(cfg.Spec.BaseNodes).Plan(wl)
 		if perr != nil {
 			return nil, perr
 		}
@@ -401,7 +389,7 @@ func (r *run) chooseInterval() int64 {
 	if ic, ok := r.cfg.Strategy.(strategy.IntervalChooser); ok {
 		// Intervals shorter than twice the decision lead cannot be
 		// scheduled; fall back to the configured one then.
-		if iv := ic.ChooseInterval(r.view, r.cfg.Spec); iv > 2*r.lead {
+		if iv := ic.ChooseInterval(r.view, r.cfg.Spec); iv > 2*leadMinutes {
 			return iv
 		}
 	}

@@ -319,7 +319,7 @@ func (rz *resizer) installReady(now int64) int64 {
 	p := rz.r.provider
 	ready := now
 	for _, mb := range rz.adds {
-		at := now + rz.r.lead
+		at := now + leadMinutes
 		switch {
 		case mb.id != "":
 			if inst, err := p.Instance(mb.id); err == nil {

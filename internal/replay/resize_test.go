@@ -205,7 +205,6 @@ func detachFixture(t *testing.T, n int, dead ...int) (*run, []string) {
 		cfg:      Config{Spec: spec, Strategy: probedStrategy{}},
 		provider: p,
 		res:      &Result{},
-		lead:     15,
 	}
 	zones := market.ExperimentZones()
 	for i := 0; i < n; i++ {

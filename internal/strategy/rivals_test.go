@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/market"
 	"repro/internal/strategy"
-	"repro/internal/strategy/strategytest"
 	"repro/internal/trace"
 )
 
@@ -49,7 +48,7 @@ func TestFeedbackInitialMarginAndPricedOut(t *testing.T) {
 	set := spikeView(t, 0.01, 1.0, 2000)
 	f := strategy.NewFeedbackControl(0.03)
 
-	before, err := f.Decide(&strategytest.View{Set: set, Minute: 1500}, rivalSpec(), 180)
+	before, err := f.Decide(&View{Set: set, Minute: 1500}, rivalSpec(), 180)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestFeedbackInitialMarginAndPricedOut(t *testing.T) {
 		}
 	}
 
-	after, err := f.Decide(&strategytest.View{Set: set, Minute: 2100}, rivalSpec(), 180)
+	after, err := f.Decide(&View{Set: set, Minute: 2100}, rivalSpec(), 180)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestFeedbackSteersTowardTarget(t *testing.T) {
 	// seeded low bid has been out of bid for half the lookback window.
 	set := spikeView(t, 0.01, 0.05, 1000)
 	f := strategy.NewFeedbackControl(0.03)
-	first, err := f.Decide(&strategytest.View{Set: set, Minute: 500}, rivalSpec(), 180)
+	first, err := f.Decide(&View{Set: set, Minute: 500}, rivalSpec(), 180)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestFeedbackSteersTowardTarget(t *testing.T) {
 			seeded = b.Price
 		}
 	}
-	second, err := f.Decide(&strategytest.View{Set: set, Minute: 3000}, rivalSpec(), 180)
+	second, err := f.Decide(&View{Set: set, Minute: 3000}, rivalSpec(), 180)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestFeedbackSteersTowardTarget(t *testing.T) {
 // live units), a starvation cap falls back to the cheapest split —
 // all-spot, nothing on demand.
 func TestPortfolioBudgetSplit(t *testing.T) {
-	view := strategytest.GenView(t, 2014, 2)
+	view := GenView(t, 2014, 2)
 	spec := rivalSpec()
 
 	rich := strategy.NewPortfolioContract(10)
@@ -142,7 +141,7 @@ func TestPortfolioBudgetSplit(t *testing.T) {
 // on-demand], and a punishing restart cost never buys a lower bid than
 // a free one — restarts only push the bid up.
 func TestCheckpointBidBounds(t *testing.T) {
-	view := strategytest.GenView(t, 2014, 2)
+	view := GenView(t, 2014, 2)
 	spec := rivalSpec()
 	cheap := strategy.NewCheckpointRestart(0)
 	costly := strategy.NewCheckpointRestart(600)

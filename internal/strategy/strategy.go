@@ -50,9 +50,10 @@ type TraceIdentifier interface {
 
 // EventPublisher is an optional MarketView extension: views wired into
 // an observed simulation (internal/replay) accept instrumentation
-// events from the strategy — e.g. model-training events
-// (engine.KindModelTrained) — and fan them out to the run's observers
-// at the current simulated minute.
+// events from the strategy — model-training events
+// (engine.KindModelTrained) and degradation-stage transitions
+// (engine.KindStage) — and fan them out to the run's observers at the
+// current simulated minute.
 type EventPublisher interface {
 	PublishEvent(engine.Event)
 }

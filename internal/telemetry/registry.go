@@ -1,9 +1,10 @@
 // Package telemetry is the observability layer over the simulation
 // event stream: a small labeled-metrics registry (counters, gauges,
 // log-bucketed histograms), a Collector that folds every engine.Event
-// kind into metrics, a versioned JSONL event-trace writer/reader with a
-// structural differ, and the end-of-run summary manifest — the
-// registry's one reader.
+// kind into metrics, and a versioned JSONL stream writer/reader — the
+// event trace, with a structural differ, and the decision-span stream.
+// The registry's one reader is the run manifest
+// (internal/experiments), which records its Snapshot.
 //
 // The layer is strictly pay-for-what-you-use: with no observer
 // attached, publishers skip event construction entirely

@@ -12,18 +12,22 @@ import (
 	"repro/internal/market"
 )
 
-// TraceSchema and TraceVersion identify the JSONL event-trace format:
-// line 1 is a TraceHeader, every further line one TraceEvent. The
-// encoding is deterministic — fixed field order, sorted meta keys — so
-// two runs with identical inputs write byte-identical files, making
-// event traces diffable across runs, binaries, and machines (the
-// cross-process version of the in-process TestKernelsAgree pin).
+// This file's codec writes and reads the run's JSONL streams: line 1 is
+// a TraceHeader naming the stream's schema, every further line one JSON
+// value — a TraceEvent in an event trace (TraceSchema), a
+// provenance.Span in a decision-span stream (SpansSchema). TraceVersion
+// versions the codec. The encoding is deterministic — fixed field
+// order, sorted meta keys — so two runs with identical inputs write
+// byte-identical files, making streams diffable across runs, binaries,
+// and machines (the cross-process version of the in-process
+// TestKernelsAgree pin).
 const (
 	TraceSchema  = "jupiter-events"
+	SpansSchema  = "jupiter-spans"
 	TraceVersion = 1
 )
 
-// TraceHeader is the first line of an event trace.
+// TraceHeader is the first line of a stream.
 type TraceHeader struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
@@ -115,8 +119,8 @@ func (te TraceEvent) Event() (engine.Event, error) {
 	return e, nil
 }
 
-// TraceWriter streams the event stream of a run to JSONL. It
-// implements engine.Observer; attach it to replay.Config.Observers (or
+// TraceWriter streams JSONL. As an event trace it implements
+// engine.Observer; attach it to replay.Config.Observers (or
 // experiments.Env) and Close it when the run ends. The writer is
 // mutex-guarded so the cells of a parallel sweep may share one file,
 // but only a single-run (or -j 1) trace is byte-reproducible — cell
@@ -129,16 +133,22 @@ type TraceWriter struct {
 	err    error
 }
 
-// NewTraceWriter writes the header and returns a streaming writer. The
-// meta map is copied with sorted keys (encoding/json sorts map keys),
-// keeping the header deterministic. If w is an io.Closer, Close closes
-// it.
+// NewTraceWriter writes an event trace's header and returns its
+// streaming writer.
 func NewTraceWriter(w io.Writer, meta map[string]string) (*TraceWriter, error) {
+	return NewStreamWriter(w, TraceSchema, meta)
+}
+
+// NewStreamWriter writes the header of a stream of the given schema and
+// returns a writer whose Encode appends its lines. The meta map is
+// copied with sorted keys (encoding/json sorts map keys), keeping the
+// header deterministic. If w is an io.Closer, Close closes it.
+func NewStreamWriter(w io.Writer, schema string, meta map[string]string) (*TraceWriter, error) {
 	tw := &TraceWriter{w: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		tw.closer = c
 	}
-	hdr, err := json.Marshal(TraceHeader{Schema: TraceSchema, Version: TraceVersion, Meta: meta})
+	hdr, err := json.Marshal(TraceHeader{Schema: schema, Version: TraceVersion, Meta: meta})
 	if err != nil {
 		return nil, err
 	}
@@ -149,20 +159,25 @@ func NewTraceWriter(w io.Writer, meta map[string]string) (*TraceWriter, error) {
 	return tw, nil
 }
 
-// write appends one event line; the first write error sticks and is
-// returned by Close.
+// write appends one event line.
 func (tw *TraceWriter) write(e engine.Event) {
 	// The trace records simulated history, so wall-clock fields are
 	// normalized away: they vary run to run and would break the
 	// byte-identity of equal-seed traces. Wall time lives in the
 	// Collector's histograms instead.
 	e.DurationNanos = 0
+	tw.Encode(Record(e))
+}
+
+// Encode appends v as one JSON line; the first error sticks and is
+// returned by Close.
+func (tw *TraceWriter) Encode(v any) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	if tw.err != nil {
 		return
 	}
-	line, err := json.Marshal(Record(e))
+	line, err := json.Marshal(v)
 	if err != nil {
 		tw.err = err
 		return
@@ -223,54 +238,87 @@ func SortedMeta(kv ...string) map[string]string {
 	return m
 }
 
-// TraceReader streams an event trace back in.
+// TraceReader streams a JSONL stream back in.
 type TraceReader struct {
 	header TraceHeader
 	sc     *bufio.Scanner
 	line   int
 }
 
-// OpenTrace validates the header line and returns a reader positioned
-// at the first event.
-func OpenTrace(r io.Reader) (*TraceReader, error) {
+// OpenTrace opens an event trace.
+func OpenTrace(r io.Reader) (*TraceReader, error) { return OpenStream(r, TraceSchema) }
+
+// OpenStream validates the header line against schema and returns a
+// reader positioned at the first line after it.
+func OpenStream(r io.Reader, schema string) (*TraceReader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("telemetry: empty trace")
+		return nil, fmt.Errorf("telemetry: empty %s stream", schema)
 	}
 	var hdr TraceHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("telemetry: bad trace header: %w", err)
+		return nil, fmt.Errorf("telemetry: bad %s header: %w", schema, err)
 	}
-	if hdr.Schema != TraceSchema {
-		return nil, fmt.Errorf("telemetry: not an event trace (schema %q, want %q)", hdr.Schema, TraceSchema)
+	if hdr.Schema != schema {
+		return nil, fmt.Errorf("telemetry: not a %s stream (schema %q)", schema, hdr.Schema)
 	}
 	if hdr.Version > TraceVersion {
-		return nil, fmt.Errorf("telemetry: trace version %d newer than supported %d", hdr.Version, TraceVersion)
+		return nil, fmt.Errorf("telemetry: %s version %d newer than supported %d", schema, hdr.Version, TraceVersion)
 	}
 	return &TraceReader{header: hdr, sc: sc, line: 1}, nil
 }
 
-// Header returns the trace header.
+// ReadStream reads a whole stream of the given schema: its header and
+// every line decoded as a T.
+func ReadStream[T any](r io.Reader, schema string) (TraceHeader, []T, error) {
+	tr, err := OpenStream(r, schema)
+	if err != nil {
+		return TraceHeader{}, nil, err
+	}
+	var out []T
+	for {
+		var v T
+		if err := tr.Decode(&v); err == io.EOF {
+			return tr.header, out, nil
+		} else if err != nil {
+			return TraceHeader{}, nil, err
+		}
+		out = append(out, v)
+	}
+}
+
+// Header returns the stream header.
 func (tr *TraceReader) Header() TraceHeader { return tr.header }
 
-// Next returns the next event, or io.EOF after the last one.
+// Line returns the number of the line read last; the header is line 1.
+func (tr *TraceReader) Line() int { return tr.line }
+
+// Next returns the next event of an event trace, or io.EOF after the
+// last one.
 func (tr *TraceReader) Next() (TraceEvent, error) {
+	var te TraceEvent
+	err := tr.Decode(&te)
+	return te, err
+}
+
+// Decode reads the next line into v, or returns io.EOF after the last
+// one. A malformed line is an error naming its number.
+func (tr *TraceReader) Decode(v any) error {
 	if !tr.sc.Scan() {
 		if err := tr.sc.Err(); err != nil {
-			return TraceEvent{}, err
+			return err
 		}
-		return TraceEvent{}, io.EOF
+		return io.EOF
 	}
 	tr.line++
-	var te TraceEvent
-	if err := json.Unmarshal(tr.sc.Bytes(), &te); err != nil {
-		return TraceEvent{}, fmt.Errorf("telemetry: trace line %d: %w", tr.line, err)
+	if err := json.Unmarshal(tr.sc.Bytes(), v); err != nil {
+		return fmt.Errorf("telemetry: %s line %d: %w", tr.header.Schema, tr.line, err)
 	}
-	return te, nil
+	return nil
 }
 
 // metaDiff lists human-readable header meta differences.
