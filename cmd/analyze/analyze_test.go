@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -14,16 +15,15 @@ import (
 )
 
 // record replays the lock service at the quick scale through the shared
-// command surface — the path "replay -spans-out -manifest -events-out"
-// takes — and returns the spans file, the manifest, the event trace and
+// command surface — the path "replay -manifest -spans-sample 1
+// -events-out" takes — and returns the manifest, the event trace and
 // the results.
-func record(t *testing.T, spec string, intervals ...int64) (spans, manifest, events string, results []*replay.Result) {
+func record(t *testing.T, spec string, intervals ...int64) (manifest, events string, results []*replay.Result) {
 	t.Helper()
 	dir := t.TempDir()
 	f := experiments.Flags{
 		Seed: 2014, Train: 6, Weeks: 1, Jobs: 1, SpansSample: 1,
-		SpansOut: filepath.Join(dir, "spans.jsonl"), Manifest: filepath.Join(dir, "manifest.json"),
-		EventsOut: filepath.Join(dir, "events.jsonl"),
+		Manifest: filepath.Join(dir, "manifest.json"), EventsOut: filepath.Join(dir, "events.jsonl"),
 	}
 	env, sink, err := f.Open("replay", experiments.LockSpec(), "strategy", spec)
 	if err != nil {
@@ -37,18 +37,19 @@ func record(t *testing.T, spec string, intervals ...int64) (spans, manifest, eve
 	if err := sink.Close(err); err != nil {
 		t.Fatal(err)
 	}
-	return f.SpansOut, f.Manifest, f.EventsOut, results
+	return f.Manifest, f.EventsOut, results
 }
 
-// TestExplainReconstructsTheDecision: "replay -spans-out" followed by
-// "analyze explain" is what replaced cmd/jupiter — every group size with
-// its outcome, failure-probability target and cost bound, the pools, and
-// the chosen bids — so the pair's first decision of the 6 h lock cell is
-// pinned: five nodes at the FP' = 0.01 target, five bids placed.
+// TestExplainReconstructsTheDecision: "replay -manifest -spans-sample 1"
+// followed by "analyze explain" is what replaced cmd/jupiter — every
+// group size with its outcome, failure-probability target and cost
+// bound, the pools, and the chosen bids — so the pair's first decision
+// of the 6 h lock cell is pinned: five nodes at the FP' = 0.01 target,
+// five bids placed.
 func TestExplainReconstructsTheDecision(t *testing.T) {
-	spans, _, _, _ := record(t, "jupiter", 6)
+	manifest, _, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
-	if err := runExplain([]string{"-decision", "1", spans}, &out); err != nil {
+	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -77,9 +78,9 @@ func TestExplainReconstructsTheDecision(t *testing.T) {
 // bound in the COST-BOUND column — one row after the last size priced, and
 // no cheaper than the cheapest feasible one.
 func TestExplainPrintsTheCut(t *testing.T) {
-	spans, _, _, _ := record(t, "jupiter", 6)
+	manifest, _, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
-	if err := runExplain([]string{"-decision", "1", spans}, &out); err != nil {
+	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -128,15 +129,15 @@ func dollars(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestExplainRefusesAmbiguousStreams: a stream holding two runs must be
-// narrowed, and the error lists both stamps — the strategy's Name(),
-// whichever command wrote the file.
+// TestExplainRefusesAmbiguousStreams: a manifest holding two traced
+// runs must be narrowed, and the error lists both stamps — the
+// strategy's Name(), whichever command wrote the file.
 func TestExplainRefusesAmbiguousStreams(t *testing.T) {
-	spans, _, _, _ := record(t, "jupiter", 3, 6)
+	manifest, _, _ := record(t, "jupiter", 3, 6)
 	var out bytes.Buffer
-	err := runExplain([]string{spans}, &out)
+	err := runExplain([]string{manifest}, &out)
 	if err == nil {
-		t.Fatalf("two-run stream explained without a filter:\n%s", out.String())
+		t.Fatalf("two-run manifest explained without a filter:\n%s", out.String())
 	}
 	for _, want := range []string{
 		"narrow with -strategy/",
@@ -147,18 +148,60 @@ func TestExplainRefusesAmbiguousStreams(t *testing.T) {
 			t.Errorf("error lacks %q: %v", want, err)
 		}
 	}
-	if err := runExplain([]string{"-strategy", "Jupiter", "-interval", "6h", spans}, &out); err != nil {
-		t.Errorf("narrowed stream: %v", err)
+	if err := runExplain([]string{"-strategy", "Jupiter", "-interval", "6h", manifest}, &out); err != nil {
+		t.Errorf("narrowed manifest: %v", err)
 	}
 }
 
 // TestExplainEmptyStream: a rival that records no decision provenance
-// leaves a header-only stream; explain says so instead of "no match".
+// leaves a record without spans; explain says so instead of "no match".
+// A run without -spans-sample recorded none at all, and explain says
+// that instead.
 func TestExplainEmptyStream(t *testing.T) {
-	spans, _, _, _ := record(t, "feedback", 3)
-	err := runExplain([]string{spans}, new(bytes.Buffer))
-	if err == nil || !strings.Contains(err.Error(), `strategy "feedback" records no decision provenance`) {
-		t.Errorf("header-only stream: %v", err)
+	manifest, _, _ := record(t, "feedback", 3)
+	err := runExplain([]string{manifest}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), `strategy "Feedback(0.03)" records no decision provenance`) {
+		t.Errorf("a record without spans: %v", err)
+	}
+
+	f := experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 1, Manifest: filepath.Join(t.TempDir(), "manifest.json")}
+	env, sink, err := f.Open("replay", experiments.LockSpec(), "strategy", "jupiter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, err := strategy.Default.Build("jupiter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = env.ReplayIntervals(experiments.LockSpec(), build, []int64{3})
+	if err := sink.Close(err); err != nil {
+		t.Fatal(err)
+	}
+	err = runExplain([]string{f.Manifest}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), "rerun it with -spans-sample N") {
+		t.Errorf("a run without -spans-sample: %v", err)
+	}
+}
+
+// TestExplainMatchesTheSpansStream: explain over the manifest prints,
+// byte for byte, what it printed for the same cell's first decision
+// from the separate JSONL spans stream the manifest replaced. The pin
+// was recorded at commit 63d825d, the last with that stream: replay
+// -strategy jupiter-refine -interval 6 -weeks 1 -train 6 -seed 2014,
+// its spans written to s.jsonl, then "analyze explain -decision 1
+// s.jsonl".
+func TestExplainMatchesTheSpansStream(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "explain_jupiter_refine_decision1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, _ := record(t, "jupiter-refine", 6)
+	var out bytes.Buffer
+	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("explain prints\n%s\nthe spans stream explained as\n%s", out.String(), want)
 	}
 }
 
@@ -169,7 +212,7 @@ func TestExplainEmptyStream(t *testing.T) {
 // table line for line.
 func TestAttributeTotalsMatchTheRun(t *testing.T) {
 	for _, spec := range []string{"jupiter", "feedback"} {
-		_, manifest, events, results := record(t, spec, 3)
+		manifest, events, results := record(t, spec, 3)
 		var out, folded bytes.Buffer
 		if err := runAttribute([]string{manifest}, &out); err != nil {
 			t.Fatal(err)
@@ -204,7 +247,7 @@ func TestAttributeTotalsMatchTheRun(t *testing.T) {
 // begins; folding it would add the cells into one table, and is an
 // error naming the line and both minutes that points to the manifest.
 func TestAttributeRefusesMultiRunTrace(t *testing.T) {
-	_, _, events, _ := record(t, "jupiter", 1, 3)
+	_, events, _ := record(t, "jupiter", 1, 3)
 	err := runAttribute([]string{events}, new(bytes.Buffer))
 	if err == nil {
 		t.Fatal("a two-cell event trace folded without error")

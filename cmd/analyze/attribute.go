@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,18 +35,24 @@ func runAttribute(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	var m experiments.Manifest
-	if jerr := json.Unmarshal(data, &m); jerr != nil || m.Schema != experiments.ManifestSchema {
-		rec, err := attributeTrace(bytes.NewReader(data), *end)
+	var runs []experiments.Record
+	if tr, terr := telemetry.OpenTrace(bytes.NewReader(data)); terr == nil {
+		rec, err := attributeTrace(tr, *end)
 		if err != nil {
 			return err
 		}
-		m.Runs = []experiments.Record{rec}
-	} else if len(m.Runs) == 0 {
-		return fmt.Errorf("the manifest (version %d) holds no replay records", m.Version)
+		runs = []experiments.Record{rec}
+	} else {
+		m, err := experiments.ReadManifest(bytes.NewReader(data))
+		if err != nil {
+			return fmt.Errorf("%s is neither an event trace (%v) nor a run manifest: %w", fs.Arg(0), terr, err)
+		}
+		if len(m.Runs) == 0 {
+			return fmt.Errorf("the manifest (version %d) holds no replay records", m.Version)
+		}
+		runs = m.Runs
 	}
-	for i, run := range m.Runs {
+	for i, run := range runs {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
@@ -67,11 +72,7 @@ func runAttribute(args []string, out io.Writer) error {
 // means the trace holds several runs — a sweep's cells, one after
 // another — and is an error: only the manifest keeps their records
 // apart.
-func attributeTrace(r io.Reader, end int64) (experiments.Record, error) {
-	tr, err := telemetry.OpenTrace(r)
-	if err != nil {
-		return experiments.Record{}, fmt.Errorf("input is neither a run manifest nor an event trace: %w", err)
-	}
+func attributeTrace(tr *telemetry.TraceReader, end int64) (experiments.Record, error) {
 	led := provenance.NewLedger()
 	last := int64(0)
 	for {

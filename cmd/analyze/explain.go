@@ -6,89 +6,92 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/experiments"
 	"repro/internal/market"
 	"repro/internal/provenance"
-	"repro/internal/telemetry"
 )
 
 // runExplain reconstructs one decision — "why this bid at minute M" —
-// from a decision-provenance spans stream (replay -spans-out,
-// experiments -spans-out, experiments tournament -spans-out).
+// from the decision spans a run manifest's replay records carry (replay,
+// experiments or experiments tournament, run with -manifest and
+// -spans-sample).
 func runExplain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	strat := fs.String("strategy", "", "filter spans by strategy stamp")
-	scenario := fs.String("scenario", "", "filter spans by chaos-scenario stamp")
-	service := fs.String("service", "", "filter spans by service stamp")
-	interval := fs.String("interval", "", "filter spans by interval stamp (e.g. 3h)")
-	seed := fs.Uint64("seed", 0, "filter spans by seed stamp (0 = any)")
+	strat := fs.String("strategy", "", "filter replay records by strategy stamp")
+	scenario := fs.String("scenario", "", "filter replay records by chaos-scenario stamp")
+	service := fs.String("service", "", "filter replay records by service stamp")
+	interval := fs.String("interval", "", "filter replay records by interval stamp (e.g. 3h)")
+	seed := fs.Uint64("seed", 0, "filter replay records by seed stamp (0 = any)")
 	decision := fs.Int64("decision", 0, "explain this decision sequence number (0 = pick by -minute)")
 	minute := fs.Int64("minute", -1, "explain the last decision at or before this simulated minute (-1 = the run's last decision)")
 	jsonOut := fs.Bool("json", false, "print the decision's raw spans as JSON instead of the report")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: analyze explain [flags] spans.jsonl")
+		fmt.Fprintln(fs.Output(), "usage: analyze explain [flags] manifest.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("want exactly one spans file, got %d args", fs.NArg())
+		return fmt.Errorf("want exactly one manifest file, got %d args", fs.NArg())
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	hdr, spans, err := telemetry.ReadStream[provenance.Span](f, telemetry.SpansSchema)
+	m, err := experiments.ReadManifest(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
-	if len(spans) == 0 {
-		// Only strategies that implement provenance.Consumer (the Jupiter
-		// family) record their decisions; a rival's stream is a header.
-		return fmt.Errorf("the stream holds no spans: strategy %q records no decision provenance (try analyze attribute on the run's -manifest)", hdr.Meta["strategy"])
+	if m.Config["spans-sample"] == "" {
+		return fmt.Errorf("the run recorded no decision spans: rerun it with -spans-sample N beside -manifest")
 	}
 
-	var kept []provenance.Span
-	for _, s := range spans {
-		if *strat != "" && s.Strategy != *strat {
-			continue
+	var kept []experiments.Record
+	for _, r := range m.Runs {
+		if (*strat == "" || r.Strategy == *strat) && (*scenario == "" || r.Scenario == *scenario) &&
+			(*service == "" || r.Service == *service) && (*interval == "" || r.Interval == *interval) &&
+			(*seed == 0 || r.Seed == *seed) {
+			kept = append(kept, r)
 		}
-		if *scenario != "" && s.Scenario != *scenario {
-			continue
-		}
-		if *service != "" && s.Service != *service {
-			continue
-		}
-		if *interval != "" && s.Interval != *interval {
-			continue
-		}
-		if *seed != 0 && s.Seed != *seed {
-			continue
-		}
-		kept = append(kept, s)
 	}
 	if len(kept) == 0 {
-		return fmt.Errorf("no spans match the filters")
+		return fmt.Errorf("no replay record matches the filters")
 	}
-	if cells := spanCells(kept); len(cells) > 1 {
+	var traced []experiments.Record
+	for _, r := range kept {
+		if len(r.Spans) > 0 {
+			traced = append(traced, r)
+		}
+	}
+	if len(traced) == 0 {
+		// Only strategies that implement provenance.Consumer (the Jupiter
+		// family) record their decisions.
+		return fmt.Errorf("the records hold no spans: strategy %q records no decision provenance (try analyze attribute on the manifest)", kept[0].Strategy)
+	}
+	if len(traced) > 1 {
+		cells := make([]string, len(traced))
+		for i, r := range traced {
+			cells[i] = stampLabel(r.Stamp)
+		}
 		return fmt.Errorf("spans from %d runs match — narrow with -strategy/-scenario/-service/-interval/-seed:\n  %s",
 			len(cells), strings.Join(cells, "\n  "))
 	}
+	run := traced[0]
 
-	target := pickDecision(kept, *decision, *minute)
+	target := pickDecision(run.Spans, *decision, *minute)
 	if target == 0 {
 		if *decision > 0 {
-			return fmt.Errorf("decision %d not in the stream (sampled out, or the run was shorter)", *decision)
+			return fmt.Errorf("decision %d not in the record (sampled out, or the run was shorter)", *decision)
 		}
-		return fmt.Errorf("no decision at or before minute %d in the stream", *minute)
+		return fmt.Errorf("no decision at or before minute %d in the record", *minute)
 	}
 	var ds []provenance.Span
-	for _, s := range kept {
+	for _, s := range run.Spans {
 		if s.Decision == target {
 			ds = append(ds, s)
 		}
@@ -101,28 +104,8 @@ func runExplain(args []string, out io.Writer) error {
 		_, err = fmt.Fprintln(out, string(b))
 		return err
 	}
-	renderDecision(out, ds)
+	renderDecision(out, run.Stamp, ds)
 	return nil
-}
-
-// spanCells lists the distinct run stamps of a span set.
-func spanCells(spans []provenance.Span) []string {
-	seen := map[string]bool{}
-	var cells []string
-	for _, s := range spans {
-		c := stampLabel(spanStamp(s))
-		if !seen[c] {
-			seen[c] = true
-			cells = append(cells, c)
-		}
-	}
-	sort.Strings(cells)
-	return cells
-}
-
-// spanStamp is the run coordinate set a span is stamped with.
-func spanStamp(s provenance.Span) provenance.Stamp {
-	return provenance.Stamp{Strategy: s.Strategy, Scenario: s.Scenario, Service: s.Service, Interval: s.Interval, Seed: s.Seed}
 }
 
 // stampLabel names one replay cell.
@@ -175,10 +158,10 @@ func pickDecision(spans []provenance.Span, decision, minute int64) int64 {
 }
 
 // renderDecision writes the human-readable reconstruction of one
-// decision's span set, in pipeline order.
-func renderDecision(out io.Writer, ds []provenance.Span) {
+// decision's span set, in pipeline order, under its run's stamp.
+func renderDecision(out io.Writer, run provenance.Stamp, ds []provenance.Span) {
 	head := ds[0]
-	fmt.Fprintf(out, "run: %s\n", stampLabel(spanStamp(head)))
+	fmt.Fprintf(out, "run: %s\n", stampLabel(run))
 	fmt.Fprintf(out, "decision %d at minute %d", head.Decision, head.Minute)
 	for _, s := range ds {
 		if s.Kind == provenance.SpanStage {

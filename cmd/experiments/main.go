@@ -9,12 +9,10 @@
 //	            [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	            [-trace file]
 //	            [-chaos scenario] [-chaos-seed N]
-//	            [-events-out file.jsonl] [-manifest file.json]
-//	            [-spans-out file.jsonl] [-spans-sample N]
+//	            [-events-out file.jsonl] [-manifest file.json [-spans-sample N]]
 //	experiments tournament [-strategies specs | -roster file] [-scenarios names]
 //	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-epsilon F] [-j N]
-//	            [-autoscale] [-json file] [-manifest file] [-list]
-//	            [-spans-out file.jsonl] [-spans-sample N]
+//	            [-autoscale] [-json file] [-manifest file [-spans-sample N]] [-list]
 //
 // The tournament subcommand runs the strategy arena: every registered
 // strategy of the roster replays under every chaos scenario and seed,
@@ -43,17 +41,17 @@
 // (the order its cells are dispatched in). The trace names the cell
 // that trained each price model the cells share, so with it the cells
 // replay one at a time and the file is the same bytes at any -j.
-// -manifest writes the run's end-of-run record: config, seed, wall time,
-// metric snapshot (the per-cell series kept apart by
-// service/strategy/interval labels), and one record per replay cell, in
+// -manifest writes the run's one record: config, seed, wall time, the
+// rows a lenient read quarantined, and one record per replay cell, in
 // grid order and never merged, with its result and its cost/downtime
 // attribution (render with "analyze attribute"); with it the
 // tournament's leaderboard cites each missed scenario's worst cause.
 // "-" sends an output to stdout, and several may share it.
 //
-// Provenance: -spans-out records every replay cell's decision spans
-// (why each bid was chosen; inspect with "analyze explain"). See
-// DESIGN.md §2.8.
+// Provenance: -spans-sample N puts every Nth decision's provenance
+// spans (why each bid was chosen) into its replay cell's manifest
+// record; inspect them with "analyze explain manifest.json". It needs
+// -manifest, and 0, the default, records none. See DESIGN.md §2.8.
 package main
 
 import (

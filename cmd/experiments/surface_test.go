@@ -16,7 +16,7 @@ import (
 // quick is the Figures 6/7 sweep at the quick scale, seed 2014.
 func quick() options {
 	return options{
-		Flags: experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 2, SpansSample: 1},
+		Flags: experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 2},
 		run:   "fig6",
 	}
 }
@@ -41,17 +41,17 @@ func runCaptured(t *testing.T, o options) (string, error) {
 	return string(out), runErr
 }
 
-// TestStdoutSurvives: with the event trace, the spans and the manifest
-// all on "-", the figures still print, nothing is lost to a closed
+// TestStdoutSurvives: with the event trace and the manifest, spans and
+// all, on "-", the figures still print, nothing is lost to a closed
 // stream, and the manifest comes last.
 func TestStdoutSurvives(t *testing.T) {
 	o := quick()
-	o.EventsOut, o.SpansOut, o.Manifest = "-", "-", "-"
+	o.EventsOut, o.Manifest, o.SpansSample = "-", "-", 1
 	out, err := runCaptured(t, o)
 	if err != nil {
-		t.Fatalf("run with three outputs on stdout: %v", err)
+		t.Fatalf("run with two outputs on stdout: %v", err)
 	}
-	for _, want := range []string{`{"schema":"jupiter-events"`, "== Figures 6 and 7 ==", `{"schema":"jupiter-spans"`} {
+	for _, want := range []string{`{"schema":"jupiter-events"`, "== Figures 6 and 7 =="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %s", want)
 		}
@@ -67,12 +67,15 @@ func TestStdoutSurvives(t *testing.T) {
 	if m.Command != "experiments" || m.Config["run"] != "fig6" {
 		t.Errorf("manifest command %q, run %q", m.Command, m.Config["run"])
 	}
+	if len(m.Runs) == 0 || len(m.Runs[0].Spans) == 0 {
+		t.Errorf("the manifest's records carry no spans: %d records", len(m.Runs))
+	}
 }
 
 // TestRecordsIdentifyTheirRun: every shared flag set away from its
-// default shows in the manifest config, the event-trace header and the
-// spans header — the same keys cmd/replay writes, from the same
-// function — and a default run carries none of the optional ones.
+// default shows in the manifest config and the event-trace header — the
+// same keys cmd/replay writes, from the same function — and a default
+// run carries none of the optional ones.
 func TestRecordsIdentifyTheirRun(t *testing.T) {
 	set, err := experiments.Env{Seed: 7, TrainWeeks: 6, ReplayWeeks: 1}.Traces(experiments.LockSpec().Type)
 	if err != nil {
@@ -87,7 +90,6 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		t.Helper()
 		dir := t.TempDir()
 		o.EventsOut = filepath.Join(dir, "events.jsonl")
-		o.SpansOut = filepath.Join(dir, "spans.jsonl")
 		o.Manifest = filepath.Join(dir, "manifest.json")
 		if _, err := runCaptured(t, o); err != nil {
 			t.Fatal(err)
@@ -110,18 +112,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf, err := os.Open(o.SpansOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sf.Close()
-		sr, err := telemetry.OpenStream(sf, telemetry.SpansSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]map[string]string{
-			"manifest config": m.Config, "events header": tr.Header().Meta, "spans header": sr.Header().Meta,
-		}
+		return map[string]map[string]string{"manifest config": m.Config, "events header": tr.Header().Meta}
 	}
 
 	cases := []struct {
@@ -152,7 +143,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 	}
 
 	for name, meta := range records(t, quick()) {
-		for _, key := range []string{"chaos", "chaos-seed", "types", "min-vcpu", "min-mem", "trace", "workload"} {
+		for _, key := range []string{"chaos", "chaos-seed", "types", "min-vcpu", "min-mem", "trace", "workload", "spans-sample"} {
 			if v, ok := meta[key]; ok {
 				t.Errorf("default run's %s carries %s = %q", name, key, v)
 			}
@@ -200,15 +191,15 @@ func TestCSVNeedsASweep(t *testing.T) {
 
 // TestSweepIdenticalAcrossJobs: every cell of a figure fills a slot
 // fixed by its place in the grid, so the tables, the sweep CSV, the
-// event trace, the spans and the manifest's records are the same bytes
-// at any -j.
+// event trace and the manifest's records, spans included, are the same
+// bytes at any -j.
 func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	sweep := func(jobs int) (stdout string, files [][]byte) {
 		dir := t.TempDir()
 		o := quick()
 		o.Jobs = jobs
 		o.csv = filepath.Join(dir, "sweep.csv")
-		o.SpansOut = filepath.Join(dir, "spans.jsonl")
+		o.SpansSample = 1
 		o.Manifest = filepath.Join(dir, "manifest.json")
 		out, err := runCaptured(t, o)
 		if err != nil {
@@ -222,7 +213,7 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		if _, err := runCaptured(t, traced); err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range []string{o.csv, traced.EventsOut, o.SpansOut} {
+		for _, path := range []string{o.csv, traced.EventsOut} {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -241,6 +232,9 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 		if n := len(experiments.SweepIntervals) * 4; len(m.Runs) != n {
 			t.Fatalf("manifest holds %d records, want one per cell of the sweep, %d", len(m.Runs), n)
 		}
+		if len(m.Runs[0].Spans) == 0 {
+			t.Fatalf("%+v: no spans in the record", m.Runs[0].Stamp)
+		}
 		records, err := json.Marshal(m.Runs)
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +247,7 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 	if o1 != o8 {
 		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
 	}
-	for i, flag := range []string{"-csv", "-events-out", "-spans-out", "-manifest records"} {
+	for i, flag := range []string{"-csv", "-events-out", "-manifest records"} {
 		if !bytes.Equal(f1[i], f8[i]) {
 			t.Errorf("%s differs between -j 1 and -j 8: %d vs %d bytes", flag, len(f1[i]), len(f8[i]))
 		}

@@ -27,7 +27,7 @@ func runTournament(args []string) error {
 	autoscale := fs.Bool("autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
 	var shared experiments.Flags
-	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-out", "spans-sample")
+	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-sample")
 	list := fs.Bool("list", false, "list registered strategies and builtin scenarios, then exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments tournament [flags]")
@@ -93,8 +93,7 @@ func runTournament(args []string) error {
 		}
 	}
 	// The run's record names the grid as resolved: the manifest's seed is
-	// the first market's, and its config and the spans header carry every
-	// seed and scenario.
+	// the first market's, and its config carries every seed and scenario.
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = experiments.DefaultTournamentSeeds
 	}

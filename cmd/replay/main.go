@@ -9,15 +9,16 @@
 //	       [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	       [-trace file] [-lenient-traces] [-workload file.csv] [-series file.csv]
 //	       [-chaos scenario] [-chaos-seed N]
-//	       [-events-out file.jsonl] [-manifest file.json]
-//	       [-spans-out file.jsonl] [-spans-sample N]
+//	       [-events-out file.jsonl] [-manifest file.json [-spans-sample N]]
 //
 // -strategy takes a strategy-registry spec, the same strings
 // "experiments tournament -strategies" takes: jupiter, baseline,
 // "extra(2, 0.2)", jupiter-refine, jupiter-adaptive, feedback,
 // "portfolio(0.4)", checkpoint, ... ("experiments tournament -list"
-// prints them all). Any registered strategy can be replayed, traced
-// (-spans-out) and explained ("analyze explain") one cell at a time.
+// prints them all). Any registered strategy can be replayed and
+// attributed ("analyze attribute") one cell at a time, and the Jupiter
+// family's decisions traced (-spans-sample) and explained ("analyze
+// explain").
 //
 // -types widens the market into heterogeneous (zone × instance type)
 // pools: each listed type adds one correlated pool per zone (synthetic
@@ -54,16 +55,19 @@
 // -interval first (the order the cells are dispatched in). The trace
 // names the cell that trained each price model the cells share, so with
 // it the cells replay one at a time and the file is the same bytes at
-// any -j. -manifest writes the run's end-of-run record: config, seed,
-// wall time, metric snapshot, and one record per -interval cell with
-// its result and its cost/downtime attribution — every billed cent and
-// downtime minute in one (pool, cause) cell (render with "analyze
-// attribute"). "-" sends an output to stdout, and several may share it.
+// any -j. -manifest writes the run's one record: config, seed, wall
+// time, the rows a lenient read quarantined, and one record per
+// -interval cell with its result and its cost/downtime attribution —
+// every billed cent and downtime minute in one (pool, cause) cell
+// (render with "analyze attribute"). "-" sends an output to stdout, and
+// several may share it.
 //
-// Provenance: -spans-out records every decision's provenance spans —
-// the candidate groups considered, the dominance rule that rejected
-// alternatives, the chosen bids and their Eq. 10 margin — as versioned
-// JSONL (inspect with "analyze explain"). See DESIGN.md §2.8.
+// Provenance: -spans-sample N puts every Nth decision's provenance
+// spans — the candidate groups considered, the dominance rule that
+// rejected alternatives, the chosen bids and their Eq. 10 margin — into
+// the cell's manifest record (inspect with "analyze explain
+// manifest.json"). It needs -manifest; 0, the default, records none.
+// See DESIGN.md §2.8.
 package main
 
 import (

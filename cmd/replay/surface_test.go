@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/provenance"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace/colbin"
@@ -19,7 +18,7 @@ import (
 // replay week after six training weeks, seed 2014, the lock service.
 func quick(strategySpec, intervals string) options {
 	return options{
-		Flags:     experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 1, SpansSample: 1},
+		Flags:     experiments.Flags{Seed: 2014, Train: 6, Weeks: 1, Jobs: 1},
 		strategy:  strategySpec,
 		service:   "lock",
 		intervals: intervals,
@@ -46,20 +45,18 @@ func runCaptured(t *testing.T, o options) (string, error) {
 	return string(out), runErr
 }
 
-// TestStdoutSurvives: "-" may name stdout for several outputs at once.
+// TestStdoutSurvives: "-" may name stdout for both outputs at once.
 // The sink flushes the event trace without closing the stream, so the
-// spans and the manifest — written last — still land on it.
+// manifest — written last, spans and all — still lands on it.
 func TestStdoutSurvives(t *testing.T) {
 	o := quick("jupiter", "3")
-	o.EventsOut, o.SpansOut, o.Manifest = "-", "-", "-"
+	o.EventsOut, o.Manifest, o.SpansSample = "-", "-", 1
 	out, err := runCaptured(t, o)
 	if err != nil {
-		t.Fatalf("run with three outputs on stdout: %v", err)
+		t.Fatalf("run with two outputs on stdout: %v", err)
 	}
-	for _, want := range []string{`{"schema":"jupiter-events"`, `{"schema":"jupiter-spans"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stdout lacks %s", want)
-		}
+	if !strings.Contains(out, `{"schema":"jupiter-events"`) {
+		t.Error("stdout lacks the event trace")
 	}
 	i := strings.LastIndex(out, "{\n  \"schema\": \"jupiter-manifest\"")
 	if i < 0 {
@@ -72,13 +69,15 @@ func TestStdoutSurvives(t *testing.T) {
 	if m.Command != "replay" || m.Config["strategy"] != "jupiter" {
 		t.Errorf("manifest command %q, strategy %q", m.Command, m.Config["strategy"])
 	}
+	if len(m.Runs) != 1 || len(m.Runs[0].Spans) == 0 {
+		t.Errorf("the manifest's records carry no spans: %d records", len(m.Runs))
+	}
 }
 
 // TestRecordsIdentifyTheirRun: every shared flag set away from its
-// default shows in the manifest config, the event-trace header and the
-// spans header; a default run carries none of those keys; and labels
-// and span stamps carry the strategy's own Name(), whatever spec
-// spelling built it.
+// default shows in the manifest config and the event-trace header; a
+// default run carries none of those keys; and record stamps carry the
+// strategy's own Name(), whatever spec spelling built it.
 func TestRecordsIdentifyTheirRun(t *testing.T) {
 	dir := t.TempDir()
 	set, err := experiments.Env{Seed: 7, TrainWeeks: 6, ReplayWeeks: 1}.Traces(experiments.LockSpec().Type)
@@ -90,10 +89,9 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	records := func(t *testing.T, o options) (config, events, spans map[string]string, labels map[string]bool, stamps []provenance.Span) {
+	records := func(t *testing.T, o options) (config, events map[string]string, runs []experiments.Record) {
 		t.Helper()
 		o.EventsOut = filepath.Join(t.TempDir(), "events.jsonl")
-		o.SpansOut = filepath.Join(t.TempDir(), "spans.jsonl")
 		o.Manifest = filepath.Join(t.TempDir(), "manifest.json")
 		if _, err := runCaptured(t, o); err != nil {
 			t.Fatal(err)
@@ -116,26 +114,7 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf, err := os.Open(o.SpansOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sf.Close()
-		hdr, stamps, err := telemetry.ReadStream[provenance.Span](sf, telemetry.SpansSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels = map[string]bool{}
-		for _, fam := range m.Metrics.Families {
-			for _, series := range fam.Series {
-				for i, l := range fam.Labels {
-					if l == "strategy" {
-						labels[series.LabelValues[i]] = true
-					}
-				}
-			}
-		}
-		return m.Config, tr.Header().Meta, hdr.Meta, labels, stamps
+		return m.Config, tr.Header().Meta, m.Runs
 	}
 
 	cases := []struct {
@@ -157,8 +136,8 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		t.Run(c.key, func(t *testing.T) {
 			o := quick("extra(2, 0.2)", "3")
 			c.set(&o)
-			config, events, spans, _, _ := records(t, o)
-			for name, meta := range map[string]map[string]string{"manifest config": config, "events header": events, "spans header": spans} {
+			config, events, _ := records(t, o)
+			for name, meta := range map[string]map[string]string{"manifest config": config, "events header": events} {
 				if meta[c.key] != c.want {
 					t.Errorf("%s: %s = %q, want %q (%v)", name, c.key, meta[c.key], c.want, meta)
 				}
@@ -166,9 +145,9 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 		})
 	}
 
-	config, events, spans, labels, _ := records(t, quick("extra(2, 0.2)", "3"))
-	for name, meta := range map[string]map[string]string{"manifest config": config, "events header": events, "spans header": spans} {
-		for _, key := range []string{"chaos", "chaos-seed", "types", "min-vcpu", "min-mem", "workload"} {
+	config, events, runs := records(t, quick("extra(2, 0.2)", "3"))
+	for name, meta := range map[string]map[string]string{"manifest config": config, "events header": events} {
+		for _, key := range []string{"chaos", "chaos-seed", "types", "min-vcpu", "min-mem", "workload", "spans-sample"} {
 			if v, ok := meta[key]; ok {
 				t.Errorf("default run's %s carries %s = %q", name, key, v)
 			}
@@ -177,14 +156,13 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 			t.Errorf("%s: strategy = %q, want the spec as typed", name, meta["strategy"])
 		}
 	}
-	if _, ok := events["spans-sample"]; ok {
-		t.Error("default run's events header carries spans-sample")
+	if len(runs) != 1 || runs[0].Strategy != "Extra(2, 0.2)" {
+		t.Errorf("records = %+v, want one stamped with the strategy's Name()", runs)
 	}
-	if len(labels) != 1 || !labels["Extra(2, 0.2)"] {
-		t.Errorf("metric strategy labels = %v, want the strategy's Name()", labels)
-	}
-	if _, _, _, _, stamps := records(t, quick("jupiter", "3")); len(stamps) == 0 || stamps[0].Strategy != "Jupiter" {
-		t.Errorf("span stamps = %d spans, first %+v; want the strategy's Name()", len(stamps), stamps[:min(1, len(stamps))])
+	traced := quick("jupiter", "3")
+	traced.SpansSample = 1
+	if _, _, runs := records(t, traced); len(runs) != 1 || runs[0].Strategy != "Jupiter" || len(runs[0].Spans) == 0 {
+		t.Errorf("traced records = %d; want one stamped with the strategy's Name(), carrying spans", len(runs))
 	}
 }
 
@@ -253,20 +231,17 @@ func TestParentPins(t *testing.T) {
 
 // TestSweepIdenticalAcrossJobs: the cells of an interval sweep fill
 // slots fixed by their place in -interval, so the table, the event
-// trace, the spans and the manifest's records are the same bytes at any
-// -j.
+// trace and the manifest's records, spans included, are the same bytes
+// at any -j.
 func TestSweepIdenticalAcrossJobs(t *testing.T) {
-	sweep := func(jobs int) (stdout string, events, spans, records []byte) {
+	sweep := func(jobs int) (stdout string, events, records []byte) {
 		dir := t.TempDir()
 		o := quick("jupiter", "1,3,6")
 		o.Jobs = jobs
-		o.SpansOut = filepath.Join(dir, "spans.jsonl")
+		o.SpansSample = 1
 		o.Manifest = filepath.Join(dir, "manifest.json")
 		out, err := runCaptured(t, o)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if spans, err = os.ReadFile(o.SpansOut); err != nil {
 			t.Fatal(err)
 		}
 		records = manifestRecords(t, o.Manifest, 3)
@@ -282,18 +257,15 @@ func TestSweepIdenticalAcrossJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The "wrote ... to <temp path>" lines name the run's own files.
-		return strings.ReplaceAll(out, dir, ""), events, spans, records
+		return strings.ReplaceAll(out, dir, ""), events, records
 	}
-	o1, e1, s1, r1 := sweep(1)
-	o8, e8, s8, r8 := sweep(8)
+	o1, e1, r1 := sweep(1)
+	o8, e8, r8 := sweep(8)
 	if o1 != o8 {
 		t.Errorf("stdout differs between -j 1 and -j 8:\n%s\nvs\n%s", o1, o8)
 	}
 	if !bytes.Equal(e1, e8) {
 		t.Errorf("-events-out differs between -j 1 and -j 8: %d vs %d bytes", len(e1), len(e8))
-	}
-	if !bytes.Equal(s1, s8) {
-		t.Errorf("-spans-out differs between -j 1 and -j 8: %d vs %d bytes", len(s1), len(s8))
 	}
 	if !bytes.Equal(r1, r8) {
 		t.Errorf("manifest records differ between -j 1 and -j 8:\n%s\nvs\n%s", r1, r8)
@@ -317,11 +289,31 @@ func manifestRecords(t *testing.T, path string, want int) []byte {
 	if len(m.Runs) != want || m.Runs[0].Interval != "1h" || m.Runs[want-1].Interval != "6h" {
 		t.Fatalf("manifest records not one per cell in -interval order: %+v", m.Runs)
 	}
+	for _, r := range m.Runs {
+		if len(r.Spans) == 0 {
+			t.Fatalf("%+v: no spans in the record", r.Stamp)
+		}
+	}
 	b, err := json.Marshal(m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestSpansSampleNeedsManifest: spans are recorded only into the
+// manifest's records, so -spans-sample without -manifest, or below 0,
+// is a usage error before anything replays.
+func TestSpansSampleNeedsManifest(t *testing.T) {
+	o := quick("jupiter", "3")
+	o.SpansSample = 1
+	if out, err := runCaptured(t, o); err == nil || !strings.Contains(err.Error(), "needs -manifest") || out != "" {
+		t.Errorf("-spans-sample 1 without -manifest: %v, printed %q", err, out)
+	}
+	o.SpansSample, o.Manifest = -1, filepath.Join(t.TempDir(), "manifest.json")
+	if _, err := runCaptured(t, o); err == nil || !strings.Contains(err.Error(), "-spans-sample -1") {
+		t.Errorf("-spans-sample -1: %v", err)
+	}
 }
 
 // TestStrategyErrorsAreTheRegistrys: there is no second name table; a

@@ -323,8 +323,8 @@ func TestBlackoutEmitsWindowEvents(t *testing.T) {
 	if faults[1].Kind != engine.KindFaultCleared || faults[1].Minute != 200 {
 		t.Fatalf("cleared marker = %+v", faults[1])
 	}
-	if p.ZoneOutageUntil("us-east-1a") != 0 {
-		t.Fatal("outage still active after window")
+	if _, err := p.RequestOnDemand("us-east-1a", market.M1Small); err != nil {
+		t.Fatalf("launch refused after the window: %v", err)
 	}
 }
 

@@ -71,13 +71,13 @@ func TestZoneOutageKillsAndRefuses(t *testing.T) {
 	if _, err := p.RequestOnDemand("us-east-1a", market.M1Small); err == nil {
 		t.Fatal("on-demand launch accepted during zone outage")
 	}
-	if until := p.ZoneOutageUntil("us-east-1a"); until != 90 {
-		t.Fatalf("ZoneOutageUntil = %d, want 90", until)
+	if down, until := p.zoneDown("us-east-1a"); !down || until != 90 {
+		t.Fatalf("zone down %v until %d, want until 90", down, until)
 	}
 
 	p.AdvanceTo(90)
-	if until := p.ZoneOutageUntil("us-east-1a"); until != 0 {
-		t.Fatalf("ZoneOutageUntil after end = %d, want 0", until)
+	if down, _ := p.zoneDown("us-east-1a"); down {
+		t.Fatal("zone still down at the outage end")
 	}
 	if _, err := p.RequestSpot("us-east-1a", market.M1Small, market.FromDollars(0.010)); err != nil {
 		t.Fatalf("spot launch after outage end: %v", err)
@@ -93,16 +93,16 @@ func TestZoneOutageDefersPersistentRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := p.RequestInstance(req)
+	first := current(t, p, req)
 	p.AdvanceTo(20)
 	p.ScheduleAction(30, func() { p.StartZoneOutage("us-east-1a", 60) })
 
 	p.AdvanceTo(59)
-	if cur, _ := p.RequestInstance(req); cur != "" {
+	if cur := current(t, p, req); cur != "" {
 		t.Fatalf("request relaunched during outage: %s", cur)
 	}
 	p.AdvanceTo(61)
-	cur, _ := p.RequestInstance(req)
+	cur := current(t, p, req)
 	if cur == "" || cur == first {
 		t.Fatalf("request not relaunched after outage (current %q)", cur)
 	}

@@ -520,15 +520,6 @@ func (p *Provider) StartZoneOutage(zone string, until int64) {
 	}
 }
 
-// ZoneOutageUntil returns the end minute of the zone's injected
-// capacity outage, or 0 when none is active.
-func (p *Provider) ZoneOutageUntil(zone string) int64 {
-	if down, until := p.zoneDown(zone); down {
-		return until
-	}
-	return 0
-}
-
 // ForceReclaim terminates an instance as a provider-initiated
 // interruption regardless of its bid — the reclamation-storm injector.
 // Terminated instances are left alone.

@@ -143,15 +143,6 @@ func (p *Provider) CancelSpotRequest(id RequestID, terminate bool) error {
 	return nil
 }
 
-// RequestInstance returns the request's current instance ("" if none).
-func (p *Provider) RequestInstance(id RequestID) (InstanceID, error) {
-	req, ok := p.requests[id]
-	if !ok {
-		return "", fmt.Errorf("cloud: unknown spot request %s", id)
-	}
-	return req.Current, nil
-}
-
 // RequestAlive reports whether the request currently backs a live
 // instance.
 func (p *Provider) RequestAlive(id RequestID) bool {
@@ -169,22 +160,4 @@ func (p *Provider) RequestHistory(id RequestID) ([]InstanceID, error) {
 		return nil, fmt.Errorf("cloud: unknown spot request %s", id)
 	}
 	return append([]InstanceID(nil), req.History...), nil
-}
-
-// RequestCharge totals the bills of every instance the request
-// launched.
-func (p *Provider) RequestCharge(id RequestID) (market.Money, error) {
-	req, ok := p.requests[id]
-	if !ok {
-		return 0, fmt.Errorf("cloud: unknown spot request %s", id)
-	}
-	var total market.Money
-	for _, iid := range req.History {
-		c, err := p.Charge(iid)
-		if err != nil {
-			return 0, err
-		}
-		total += c
-	}
-	return total, nil
 }

@@ -7,6 +7,17 @@ import (
 	"repro/internal/strategy"
 )
 
+// The adaptive chooser's tuning. The interval is clamped to the paper's
+// 1h–12h sweep range, measured over the last two days of history, and
+// sized so roughly targetChangesPerInterval price changes happen per
+// zone per interval.
+const (
+	adaptiveMinMinutes       = 60
+	adaptiveMaxMinutes       = 720
+	adaptiveLookbackMinutes  = 2 * 24 * 60
+	targetChangesPerInterval = 6
+)
+
 // Adaptive implements the paper's §5.5 future-work extension: it wraps
 // Jupiter and chooses the next bidding interval from the observed
 // frequency of spot-price fluctuation — short intervals when the
@@ -21,31 +32,11 @@ type Adaptive struct {
 
 	// Inner is the wrapped bidding framework.
 	Inner *Jupiter
-	// MinMinutes/MaxMinutes clamp the chosen interval; defaults 60 and
-	// 720 (the paper's 1h–12h sweep range).
-	MinMinutes int64
-	MaxMinutes int64
-	// LookbackMinutes is how much recent history to measure; default
-	// two days.
-	LookbackMinutes int64
-	// TargetChangesPerInterval calibrates the choice: the interval is
-	// sized so roughly this many price changes happen per zone per
-	// interval; default 6.
-	TargetChangesPerInterval float64
-
-	lastInterval int64
 }
 
-// NewAdaptive returns an adaptive wrapper with the paper-scale
-// defaults.
+// NewAdaptive returns an adaptive wrapper around a fresh Jupiter.
 func NewAdaptive() *Adaptive {
-	return &Adaptive{
-		Inner:                    New(),
-		MinMinutes:               60,
-		MaxMinutes:               720,
-		LookbackMinutes:          2 * 24 * 60,
-		TargetChangesPerInterval: 6,
-	}
+	return &Adaptive{Inner: New()}
 }
 
 // Name implements strategy.Strategy.
@@ -69,11 +60,11 @@ func (a *Adaptive) LastStage() DegradeStage { return a.Inner.LastStage() }
 
 // ChooseInterval implements strategy.IntervalChooser: it measures the
 // median per-zone price-change period over the lookback window and
-// sizes the interval to TargetChangesPerInterval periods, clamped and
+// sizes the interval to targetChangesPerInterval periods, clamped and
 // rounded to whole hours.
 func (a *Adaptive) ChooseInterval(view strategy.MarketView, spec strategy.ServiceSpec) int64 {
 	now := view.Now()
-	from := now - a.LookbackMinutes
+	from := now - adaptiveLookbackMinutes
 	var periods []float64
 	for _, z := range view.Zones() {
 		hist, err := view.PriceHistory(z, from, now)
@@ -86,26 +77,15 @@ func (a *Adaptive) ChooseInterval(view strategy.MarketView, spec strategy.Servic
 		}
 		periods = append(periods, float64(hist.End-hist.Start)/float64(changes))
 	}
-	interval := a.MaxMinutes
+	interval := int64(adaptiveMaxMinutes)
 	if len(periods) > 0 {
 		// Median change period across zones.
-		med := median(periods)
-		interval = int64(med * a.TargetChangesPerInterval)
+		interval = int64(median(periods) * targetChangesPerInterval)
 	}
 	// Round to whole hours, clamp to the sweep range.
 	interval = (interval + 30) / 60 * 60
-	if interval < a.MinMinutes {
-		interval = a.MinMinutes
-	}
-	if interval > a.MaxMinutes {
-		interval = a.MaxMinutes
-	}
-	a.lastInterval = interval
-	return interval
+	return min(max(interval, adaptiveMinMinutes), adaptiveMaxMinutes)
 }
-
-// LastInterval reports the most recently chosen interval in minutes.
-func (a *Adaptive) LastInterval() int64 { return a.lastInterval }
 
 // Decide implements strategy.Strategy by delegating to the wrapped
 // Jupiter at the chosen horizon.

@@ -11,14 +11,11 @@ func TestAdaptiveChoosesWithinRange(t *testing.T) {
 	view := genView(t, 42, 13)
 	a := NewAdaptive()
 	iv := a.ChooseInterval(view, lockSpec())
-	if iv < a.MinMinutes || iv > a.MaxMinutes {
-		t.Fatalf("chose %d minutes, outside [%d, %d]", iv, a.MinMinutes, a.MaxMinutes)
+	if iv < adaptiveMinMinutes || iv > adaptiveMaxMinutes {
+		t.Fatalf("chose %d minutes, outside [%d, %d]", iv, adaptiveMinMinutes, adaptiveMaxMinutes)
 	}
 	if iv%60 != 0 {
 		t.Fatalf("chose %d, want whole hours", iv)
-	}
-	if a.LastInterval() != iv {
-		t.Fatalf("LastInterval = %d, want %d", a.LastInterval(), iv)
 	}
 }
 
@@ -53,10 +50,10 @@ func TestAdaptiveRespondsToChurn(t *testing.T) {
 	if churnIv >= calmIv {
 		t.Fatalf("churny interval %d >= calm interval %d", churnIv, calmIv)
 	}
-	if churnIv != a.MinMinutes {
+	if churnIv != adaptiveMinMinutes {
 		t.Fatalf("10-minute churn should pin the minimum, got %d", churnIv)
 	}
-	if calmIv != a.MaxMinutes {
+	if calmIv != adaptiveMaxMinutes {
 		t.Fatalf("12-hour sojourns should pin the maximum, got %d", calmIv)
 	}
 }
@@ -89,7 +86,7 @@ func TestAdaptiveNoHistoryFallsToMax(t *testing.T) {
 	}
 	view := traceView{set: set, now: 5}
 	a := NewAdaptive()
-	if iv := a.ChooseInterval(view, lockSpec()); iv != a.MaxMinutes {
-		t.Fatalf("chose %d with no history, want max %d", iv, a.MaxMinutes)
+	if iv := a.ChooseInterval(view, lockSpec()); iv != adaptiveMaxMinutes {
+		t.Fatalf("chose %d with no history, want max %d", iv, adaptiveMaxMinutes)
 	}
 }

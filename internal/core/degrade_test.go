@@ -269,7 +269,7 @@ func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
 		{"theta(3,5) typed", strategy.ServiceSpec{Type: market.M3Large, BaseNodes: 5, DataShards: 3}, []market.InstanceType{market.M1Medium}},
 	} {
 		view := traceView{set: oscillatingSet(t, c.spec.Type, c.extra...), now: 4*week - 55}
-		j := New()
+		j := traced(New())
 		for i := 0; i < 3; i++ {
 			j.OnFault(fault("", view.now-10)) // market-wide: pressure, no quarantine
 		}
@@ -303,7 +303,7 @@ func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
 			t.Errorf("%s: decision %+v, want the five base-type on-demand nodes %v", c.name, d, zones)
 		}
 		found := false
-		for _, cand := range j.LastCandidates() {
+		for _, cand := range lastCandidates(j) {
 			if cand.Nodes == c.spec.BaseNodes {
 				found = true
 				if !cand.Feasible || cand.CostUpper != want {
@@ -312,7 +312,7 @@ func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("%s: size %d not enumerated: %+v", c.name, c.spec.BaseNodes, j.LastCandidates())
+			t.Errorf("%s: size %d not enumerated: %+v", c.name, c.spec.BaseNodes, lastCandidates(j))
 		}
 	}
 }
@@ -409,7 +409,7 @@ func TestChosenSpanCarriesWinningCandidateCost(t *testing.T) {
 // decision must be the full on-demand baseline.
 func TestJupiterFallbackWhenNoFeasibleBids(t *testing.T) {
 	view := oscillatingView(t)
-	j := New()
+	j := traced(New())
 	d, err := j.Decide(view, lockSpec(), 60)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestJupiterFallbackWhenNoFeasibleBids(t *testing.T) {
 	}
 	// The candidate table proves this was the no-feasible-n trigger, not
 	// the no-models one: sizes were enumerated and all rejected.
-	cands := j.LastCandidates()
+	cands := lastCandidates(j)
 	if len(cands) != 5 {
 		t.Fatalf("enumerated %d candidates, want 5", len(cands))
 	}
@@ -452,7 +452,7 @@ func TestJupiterFallbackWhenNoModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := traceView{set: set, now: 1}
-	j := New()
+	j := traced(New())
 	d, err := j.Decide(view, lockSpec(), 60)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestJupiterFallbackWhenNoModels(t *testing.T) {
 	if len(d.OnDemand) != 5 || len(d.Bids) != 0 {
 		t.Fatalf("fallback decision = %d bids, %d on-demand, want 0/5", len(d.Bids), len(d.OnDemand))
 	}
-	if len(j.LastCandidates()) != 0 {
+	if len(lastCandidates(j)) != 0 {
 		t.Fatal("no-model fallback enumerated candidates")
 	}
 }

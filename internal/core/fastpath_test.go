@@ -54,7 +54,7 @@ func TestDecideParallelMatchesSequential(t *testing.T) {
 	// Force the pool on, even on single-proc hosts: goroutines still
 	// interleave, which is what the determinism claim is about.
 	prev := runtime.GOMAXPROCS(4)
-	jp := New()
+	jp := traced(New())
 	dp, err := jp.Decide(view, lockSpec(), 180)
 	if err != nil {
 		runtime.GOMAXPROCS(prev)
@@ -62,7 +62,7 @@ func TestDecideParallelMatchesSequential(t *testing.T) {
 	}
 
 	runtime.GOMAXPROCS(1)
-	js := New()
+	js := traced(New())
 	ds, err := js.Decide(view, lockSpec(), 180)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestDecideParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("bid %d: parallel %+v, sequential %+v", i, dp.Bids[i], ds.Bids[i])
 		}
 	}
-	cp, cs := jp.LastCandidates(), js.LastCandidates()
+	cp, cs := lastCandidates(jp), lastCandidates(js)
 	if len(cp) != len(cs) {
 		t.Fatalf("candidate tables differ in length: %d vs %d", len(cp), len(cs))
 	}

@@ -105,10 +105,9 @@ type Jupiter struct {
 	// zoneModels is this instance's current model per zone plus when it
 	// was trained — the retrain-cadence state. The models themselves
 	// live in (and may be shared through) the provider.
-	zoneModels   map[string]zoneModel
-	lastDecision []CandidateCost
-	lastBidFPs   map[string]float64
-	fpCache      map[fpKey]fpVal
+	zoneModels map[string]zoneModel
+	lastBidFPs map[string]float64
+	fpCache    map[fpKey]fpVal
 
 	// Planner state (pools.go): the memo of fitUniformFP's
 	// bisection paths, the scratch every candidate group of every Decide
@@ -209,21 +208,6 @@ func (j *Jupiter) Name() string {
 		return "Jupiter+refine"
 	}
 	return "Jupiter"
-}
-
-// CandidateCost records the evaluated upper-bound cost per group size,
-// exposed for ablation and debugging.
-type CandidateCost struct {
-	Nodes     int
-	FPTarget  float64
-	Feasible  bool
-	CostUpper market.Money
-}
-
-// LastCandidates returns the per-n cost table from the most recent
-// Decide call.
-func (j *Jupiter) LastCandidates() []CandidateCost {
-	return append([]CandidateCost(nil), j.lastDecision...)
 }
 
 // LastBidFailureProbabilities returns, for the zones chosen by the most

@@ -12,6 +12,34 @@ import (
 
 const week = int64(7 * 24 * 60)
 
+// candidate is one row of a decision's candidate table — a group size
+// the planner priced or rejected — as its candidate span records it.
+type candidate struct {
+	Nodes     int
+	FPTarget  float64
+	Feasible  bool
+	CostUpper market.Money
+}
+
+// traced attaches a fresh recorder to j, tracing every decision.
+func traced(j *Jupiter) *Jupiter {
+	j.UseRecorder(provenance.NewRecorder(1))
+	return j
+}
+
+// lastCandidates is the candidate table of the last decision j's
+// recorder traced: its candidate spans in enumeration order, the pruned
+// size skipped.
+func lastCandidates(j *Jupiter) []candidate {
+	var out []candidate
+	for _, s := range j.prov.Spans() {
+		if s.Decision == j.prov.Decisions() && s.Kind == provenance.SpanCandidate && s.Outcome != "pruned" {
+			out = append(out, candidate{s.Nodes, s.FPTarget, s.Outcome == "feasible", market.Money(s.CostMicroUSD)})
+		}
+	}
+	return out
+}
+
 // traceView serves a generated trace set as a market view positioned at
 // a given minute.
 type traceView struct {
@@ -120,13 +148,12 @@ func TestJupiterBidsAreCheap(t *testing.T) {
 // the first size not priced, with a bound no lower than that decision.
 func TestJupiterCandidatesEnumerated(t *testing.T) {
 	view := genView(t, 42, 13)
-	j := New()
-	j.UseRecorder(provenance.NewRecorder(1))
+	j := traced(New())
 	d, err := j.Decide(view, lockSpec(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := j.LastCandidates()
+	cands := lastCandidates(j)
 	if len(cands) == 0 {
 		t.Fatal("no group size enumerated")
 	}
@@ -168,14 +195,14 @@ func TestJupiterCandidatesEnumerated(t *testing.T) {
 
 func TestJupiterFPTargetsGrowWithN(t *testing.T) {
 	view := genView(t, 42, 13)
-	j := New()
+	j := traced(New())
 	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
 		t.Fatal(err)
 	}
 	// Monotone over odd n (even n wastes a node in a majority quorum,
 	// so parity changes can dip).
 	var prev float64
-	for _, c := range j.LastCandidates() {
+	for _, c := range lastCandidates(j) {
 		if c.FPTarget == 0 || c.Nodes%2 == 0 {
 			continue
 		}

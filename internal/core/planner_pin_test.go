@@ -24,7 +24,9 @@ import (
 // planned by a second enumeration inside Decide (hardenQuorum,
 // refineBids, emitChosenZone); the pool planner now plans every view.
 // The zone pin was first recorded at 29f1590, with every feasible row of
-// LastCandidates() in the line. The planner has since stopped pricing
+// the candidate table in the line, then read from an accessor on
+// Jupiter; the rows now come from the decision's candidate spans, which
+// carry the same figures. The planner has since stopped pricing
 // the group sizes that cannot win, so the rows after the cheapest are no
 // longer listed: the pin was re-recorded at commit 1035ab1 — which still
 // listed them, and matched the 29f1590 pin — under the truncated
@@ -56,8 +58,9 @@ type loadView struct {
 func (v loadView) TargetNodes() (int, bool) { return v.target, true }
 
 // renderDecide writes one Decide's observable outcome as a line: the
-// decision, the feasible rows of LastCandidates() up to the first with
-// the lowest cost bound, and the bid failure probabilities' bits.
+// decision, the feasible rows of its candidate table (j traced it) up to
+// the first with the lowest cost bound, and the bid failure
+// probabilities' bits.
 func renderDecide(j *Jupiter, d strategy.Decision, err error) string {
 	var b strings.Builder
 	if err != nil {
@@ -69,7 +72,7 @@ func renderDecide(j *Jupiter, d strategy.Decision, err error) string {
 		fmt.Fprintf(&b, " %s=%d", bid.Zone, bid.Price)
 	}
 	fmt.Fprintf(&b, " | on-demand %s | feasible", strings.Join(d.OnDemand, ","))
-	cands := j.LastCandidates()
+	cands := lastCandidates(j)
 	cheapest := -1
 	for i, c := range cands {
 		if c.Feasible && (cheapest < 0 || c.CostUpper < cands[cheapest].CostUpper) {
@@ -175,6 +178,7 @@ func pinPlanner(t *testing.T, markets int, types []market.InstanceType, pinShort
 							if c.loadTarget > 0 {
 								view = loadView{traceView: base, target: c.loadTarget}
 							}
+							traced(j) // a fresh recorder per Decide keeps one decision's spans
 							dec, err := j.Decide(view, sp.spec, interval)
 							c.lines = append(c.lines, renderDecide(j, dec, err))
 						}

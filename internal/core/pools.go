@@ -341,8 +341,6 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// families, both minimized by planned cost.
 	var bestBase, bestHet poolSelection
 
-	j.lastDecision = j.lastDecision[:0]
-
 	for W := minW; W <= maxW; W++ {
 		// The cut: every group at W or above costs at least the cheapest
 		// fill of W·UnitsPerNode units, and a family keeps only a strictly
@@ -355,16 +353,13 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			}
 			break
 		}
-		cand := CandidateCost{Nodes: W}
 		fpTarget, ok := j.invertFP(W, spec.QuorumSize(W), target)
 		if !ok || fpTarget < j.FP0 {
 			if dt != nil {
 				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, Outcome: "infeasible-target"})
 			}
-			j.lastDecision = append(j.lastDecision, cand)
 			continue
 		}
-		cand.FPTarget = fpTarget
 
 		// Per-pool minimal bids at the equalized per-node target, listed
 		// twice: the base-type pools cheapest bid first, and — unless that
@@ -442,7 +437,10 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		// possible under degradation), prices and checks it — repairing
 		// its bids once if the exact check fails — and keeps it if it is
 		// the family's cheapest so far. The group lives in scratch until
-		// then.
+		// then. wCost, the cheapest group cost of any family at this W, is
+		// what the size's candidate span records; -1 while none is
+		// feasible.
+		wCost := market.Money(-1)
 		consider := func(best *poolSelection, fill func([]poolBid) ([]poolBid, int), order []poolBid) {
 			spot, got := fill(order)
 			var odPick []odPoolCand
@@ -475,9 +473,8 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 					return
 				}
 			}
-			if !cand.Feasible || cost < cand.CostUpper {
-				cand.Feasible = true
-				cand.CostUpper = cost
+			if wCost < 0 || cost < wCost {
+				wCost = cost
 			}
 			if !best.found || cost < best.cost {
 				*best = poolSelection{found: true, cost: cost, cur: curCost, spot: append(best.spot[:0], spot...), od: odPick}
@@ -496,16 +493,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			consider(&bestHet, fitFirst, perUnit)
 		}
 		if dt != nil {
-			s := provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, FPTarget: fpTarget}
-			if cand.Feasible {
-				s.Outcome = "feasible"
-				s.CostMicroUSD = int64(cand.CostUpper)
-			} else {
-				s.Outcome = "short"
+			s := provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, FPTarget: fpTarget, Outcome: "short"}
+			if wCost >= 0 {
+				s.Outcome, s.CostMicroUSD = "feasible", int64(wCost)
 			}
 			dt.Emit(s)
 		}
-		j.lastDecision = append(j.lastDecision, cand)
 	}
 	// A heterogeneous portfolio displaces the base-weight selection only
 	// when it dominates on both cost figures: its worst-case spend (bid

@@ -293,8 +293,8 @@ func TestDecidePoolsMatchesReferenceFit(t *testing.T) {
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s decision %d: %+v, reference %+v", name, d, got, want)
 						}
-						if !reflect.DeepEqual(fast.LastCandidates(), ref.LastCandidates()) {
-							t.Fatalf("%s decision %d: candidates %+v, reference %+v", name, d, fast.LastCandidates(), ref.LastCandidates())
+						if !reflect.DeepEqual(lastCandidates(fast), lastCandidates(ref)) {
+							t.Fatalf("%s decision %d: candidates %+v, reference %+v", name, d, lastCandidates(fast), lastCandidates(ref))
 						}
 						if !reflect.DeepEqual(fast.LastBidFailureProbabilities(), ref.LastBidFailureProbabilities()) {
 							t.Fatalf("%s decision %d: bid failure probabilities %+v, reference %+v", name, d,

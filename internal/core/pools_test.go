@@ -253,11 +253,11 @@ func TestDecidePoolsAllocBudget(t *testing.T) {
 // pool appears among the candidates it could select from.
 func TestDecidePoolsUsesTypedPools(t *testing.T) {
 	view := genPoolView(t, 42, 13)
-	j := New()
+	j := traced(New())
 	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.LastCandidates()) == 0 {
+	if len(lastCandidates(j)) == 0 {
 		t.Fatal("the planner recorded no candidate group sizes")
 	}
 	typed := 0
@@ -292,8 +292,8 @@ func TestPlannerSortsAreTotalOrders(t *testing.T) {
 	zones := market.ExperimentZones()
 	for _, base := range []traceView{genView(t, 42, 13), {set: benchPoolSet(t), now: 6 * week}} {
 		for _, faulted := range [][]string{nil, zones[:1], zones[:13]} {
-			decide := func(view strategy.MarketView) (strategy.Decision, []CandidateCost) {
-				j := New()
+			decide := func(view strategy.MarketView) (strategy.Decision, []candidate) {
+				j := traced(New())
 				for _, z := range faulted {
 					j.OnFault(fault(z, base.now-10))
 				}
@@ -301,7 +301,7 @@ func TestPlannerSortsAreTotalOrders(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return d, j.LastCandidates()
+				return d, lastCandidates(j)
 			}
 			want, wantCands := decide(base)
 			for shuffle := 0; shuffle < 4; shuffle++ {

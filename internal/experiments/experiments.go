@@ -97,9 +97,9 @@ type Env struct {
 	// entirely.
 	Observe func(spec strategy.ServiceSpec, strategyName string, intervalHours int64) []engine.Observer
 	// sink, set by Flags.Open, is where every replay cell of this Env
-	// reports: the cell's collector, event trace, span recorder and
-	// ledger come from it, after Observe's, and its result goes back to
-	// it. Nil records nothing.
+	// reports: the cell's event trace, ledger and span recorder come
+	// from it, after Observe's, and its result goes back to it. Nil
+	// records nothing.
 	sink *Sink
 }
 
@@ -215,7 +215,7 @@ func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strateg
 		Workload:               e.Workload,
 	})
 	if err == nil {
-		// Per-run observers (telemetry.Collector, provenance.Ledger)
+		// Per-run observers (e.g. provenance.Ledger)
 		// finalize open state — e.g. a quorum-down span still open at the
 		// end of accounting.
 		for _, o := range observers {

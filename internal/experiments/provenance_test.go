@@ -82,16 +82,20 @@ func TestLedgerReconciliation(t *testing.T) {
 				// are exercised under every scenario.
 				e.Workload = cruiseWorkload(t, e)
 
-				// The one sink, armed as -manifest and -events-out arm it:
-				// a collector on its registry, the event trace and a ledger,
-				// all opened by the cell runner.
+				// The one sink, armed as -manifest and -events-out arm it —
+				// the event trace and a ledger, opened by the cell runner —
+				// beside a Collector the cell's Observe hook adds.
 				var events bytes.Buffer
 				w, err := telemetry.NewTraceWriter(&events, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sink := &Sink{flags: Flags{Manifest: "-"}, reg: telemetry.NewRegistry(), writer: w}
+				sink := &Sink{flags: Flags{Manifest: "-"}, writer: w}
 				e.sink = sink
+				reg := telemetry.NewRegistry()
+				e.Observe = func(_ strategy.ServiceSpec, name string, _ int64) []engine.Observer {
+					return []engine.Observer{telemetry.NewCollector(reg, telemetry.Labels{Service: "lock", Strategy: name, Interval: "3h"})}
+				}
 
 				set, err := e.Traces(market.M1Small)
 				if err != nil {
@@ -105,7 +109,6 @@ func TestLedgerReconciliation(t *testing.T) {
 				if err := sink.writer.Close(); err != nil {
 					t.Fatal(err)
 				}
-				reg := sink.reg
 				a, _ := sink.attribution(0)
 
 				var cellCost, cellDown int64
@@ -195,14 +198,14 @@ func runManifest(t *testing.T, f Flags, fn func(Env) error) *Manifest {
 }
 
 // TestAttributionIgnoresSpanSampling: the ledger reads the degradation
-// stage from the event stream, so a cell's attribution is the same
-// whether spans are recorded at every decision, every 3rd, every 16th,
-// or not at all. The cell is one whose downtime has no event evidence
-// but a degraded stage: quarantine, 300 minutes, as recorded when
-// spans at every decision were the stage's only source.
+// stage from the event stream, so a cell's result and attribution are
+// the same whether spans are recorded at every decision, every 3rd,
+// every 16th, or not at all. The cell is one whose downtime has no
+// event evidence but a degraded stage: quarantine, 300 minutes, as
+// recorded when spans at every decision were the stage's only source.
 func TestAttributionIgnoresSpanSampling(t *testing.T) {
-	run := func(spansOut string, sample int) Record {
-		f := Flags{Train: 6, Weeks: 2, Jobs: 1, SpansOut: spansOut, SpansSample: sample}
+	run := func(sample int) Record {
+		f := Flags{Train: 6, Weeks: 2, Jobs: 1, SpansSample: sample}
 		m := runManifest(t, f, func(e Env) error {
 			_, err := e.Tournament(TournamentConfig{
 				Specs: []string{"jupiter-adaptive"}, Scenarios: []string{"flaky-market"}, Seeds: []uint64{2015},
@@ -214,7 +217,10 @@ func TestAttributionIgnoresSpanSampling(t *testing.T) {
 		}
 		return m.Runs[0]
 	}
-	want := run("", 1)
+	want := run(0)
+	if want.Spans != nil {
+		t.Fatalf("-spans-sample 0 recorded %d spans", len(want.Spans))
+	}
 	quarantine := false
 	for _, c := range want.Attribution.Cells {
 		quarantine = quarantine || (c.Cause == provenance.CauseQuarantine && c.DownMinutes == 300)
@@ -223,7 +229,11 @@ func TestAttributionIgnoresSpanSampling(t *testing.T) {
 		t.Fatalf("no 300-minute quarantine cell: %+v", want.Attribution.Cells)
 	}
 	for _, sample := range []int{1, 3, 16} {
-		got := run(filepath.Join(t.TempDir(), "spans.jsonl"), sample)
+		got := run(sample)
+		if len(got.Spans) == 0 {
+			t.Errorf("-spans-sample %d recorded no spans", sample)
+		}
+		got.Spans = nil
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("-spans-sample %d: record\n%+v\nwithout spans\n%+v", sample, got, want)
 		}
@@ -264,14 +274,13 @@ func TestManifestRecordsEveryReplay(t *testing.T) {
 }
 
 // TestTournamentProvenanceJIdentity pins the determinism contract for
-// the observability outputs: a tournament run with -spans-out and
-// -manifest, opened and closed through the one sink as the command
-// does, emits byte-identical leaderboard JSON, spans file and manifest
-// records at any worker-pool width.
+// the observability outputs: a tournament run with -manifest and
+// -spans-sample, opened and closed through the one sink as the command
+// does, emits byte-identical leaderboard JSON and manifest records,
+// their decision spans included, at any worker-pool width.
 func TestTournamentProvenanceJIdentity(t *testing.T) {
-	run := func(jobs int) (leaderboard, spans, records []byte) {
-		spansOut := filepath.Join(t.TempDir(), "spans.jsonl")
-		f := Flags{Train: 6, Weeks: 1, Jobs: jobs, SpansSample: 4, SpansOut: spansOut}
+	run := func(jobs int) (leaderboard, records []byte) {
+		f := Flags{Train: 6, Weeks: 1, Jobs: jobs, SpansSample: 4}
 		m := runManifest(t, f, func(e Env) error {
 			res, err := e.Tournament(TournamentConfig{
 				Specs:     []string{"jupiter", "baseline"},
@@ -283,36 +292,31 @@ func TestTournamentProvenanceJIdentity(t *testing.T) {
 			}
 			return err
 		})
-		var err error
-		if spans, err = os.ReadFile(spansOut); err != nil {
-			t.Fatal(err)
-		}
-		if records, err = json.Marshal(m.Runs); err != nil {
-			t.Fatal(err)
-		}
 		if len(m.Runs) != 4 {
 			t.Errorf("manifest holds %d records, want one per grid cell, 4", len(m.Runs))
 		}
-		return leaderboard, spans, records
+		// Sanity: the Jupiter cells of both scenarios carry spans, the
+		// baseline's none.
+		for _, r := range m.Runs {
+			if (r.Strategy == "Jupiter") != (len(r.Spans) > 0) {
+				t.Errorf("%+v: %d spans", r.Stamp, len(r.Spans))
+			}
+		}
+		var err error
+		if records, err = json.Marshal(m.Runs); err != nil {
+			t.Fatal(err)
+		}
+		return leaderboard, records
 	}
-	j1, s1, r1 := run(1)
-	j8, s8, r8 := run(8)
+	j1, r1 := run(1)
+	j8, r8 := run(8)
 	if !bytes.Equal(j1, j8) {
 		t.Errorf("leaderboard JSON differs between -j 1 and -j 8: %d vs %d bytes", len(j1), len(j8))
-	}
-	if !bytes.Equal(s1, s8) {
-		t.Errorf("span stream differs between -j 1 and -j 8: %d vs %d bytes", len(s1), len(s8))
 	}
 	if !bytes.Equal(r1, r8) {
 		t.Errorf("manifest records differ between -j 1 and -j 8:\n%s\nvs\n%s", r1, r8)
 	}
 	if !bytes.Contains(j1, []byte(`"worst_cause"`)) || !bytes.Contains(r1, []byte(`"scenario":"reclaim-storm"`)) {
 		t.Error("leaderboard cites no worst cause, or the records carry no scenario")
-	}
-	// Sanity: the stream actually carries stamped spans from both cells.
-	for _, want := range []string{`"scenario":"reclaim-storm"`, `"scenario":"calm"`, `"strategy":"Jupiter"`} {
-		if !bytes.Contains(s1, []byte(want)) {
-			t.Errorf("span stream missing %s", want)
-		}
 	}
 }

@@ -44,7 +44,6 @@ type Flags struct {
 
 	ModelStats  bool   // -model-stats
 	EventsOut   string // -events-out
-	SpansOut    string // -spans-out
 	SpansSample int    // -spans-sample
 	Manifest    string // -manifest
 
@@ -61,7 +60,7 @@ type Flags struct {
 	only []string
 }
 
-// Register declares the shared flags on fs — all fifteen, or only
+// Register declares the shared flags on fs — all fourteen, or only
 // the named ones — bound to f's fields. def supplies the seed and scale
 // defaults (DefaultEnv for the paper's scale, QuickEnv for the arena).
 func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
@@ -79,9 +78,8 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")
 	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, a sweep's longest interval first, so the file is the same at any -j")
-	all.StringVar(&f.SpansOut, "spans-out", "", "write every replay cell's decision-provenance spans as JSONL to this file ('-' = stdout; see cmd/analyze explain)")
-	all.IntVar(&f.SpansSample, "spans-sample", 1, "with -spans-out, trace every Nth decision per cell (1 = all)")
-	all.StringVar(&f.Manifest, "manifest", "", "write the end-of-run manifest (JSON) to this file ('-' = stdout): config, seed, wall time, metric snapshot, and one record per replay cell with its result and cost/downtime attribution (see cmd/analyze attribute)")
+	all.IntVar(&f.SpansSample, "spans-sample", 0, "with -manifest, record every Nth decision's provenance spans in its replay cell's record (1 = all, 0 = none; see cmd/analyze explain)")
+	all.StringVar(&f.Manifest, "manifest", "", "write the run's record (JSON) to this file ('-' = stdout): config, seed, wall time, and one record per replay cell with its result, its cost/downtime attribution (see cmd/analyze attribute) and, with -spans-sample, its decision spans")
 	all.VisitAll(func(fl *flag.Flag) {
 		if f.has(fl.Name) {
 			fs.Var(fl.Value, fl.Name, fl.Usage)
@@ -94,8 +92,8 @@ func (f *Flags) has(name string) bool {
 	return len(f.only) == 0 || slices.Contains(f.only, name)
 }
 
-// meta builds the run's metadata — the event-trace header, the spans
-// header and the manifest config are all this one map — from the
+// meta builds the run's metadata — the event-trace header and the
+// manifest config are both this one map — from the
 // command's own key-value pairs and the shared flags. Seed and scale
 // are always present; every other key appears only when its flag is
 // set, so a default run's headers never grow.
@@ -115,7 +113,7 @@ func (f *Flags) meta(command string, kv []string) map[string]string {
 	add("types", f.Types, f.Types != "")
 	add("min-vcpu", strconv.Itoa(f.MinVCPU), f.MinVCPU > 0)
 	add("min-mem", strconv.FormatFloat(f.MinMem, 'g', -1, 64), f.MinMem > 0)
-	add("spans-sample", strconv.Itoa(f.SpansSample), f.SpansSample > 1)
+	add("spans-sample", strconv.Itoa(f.SpansSample), f.SpansSample > 0)
 	return telemetry.SortedMeta(kv...)
 }
 
@@ -126,6 +124,14 @@ func (f *Flags) meta(command string, kv []string) map[string]string {
 // kv are the command's own metadata pairs ("run", "fig6"); the run's
 // clock starts here. Close the Sink when the run ends.
 func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (Env, *Sink, error) {
+	if f.SpansSample < 0 {
+		return Env{}, nil, fmt.Errorf("-spans-sample %d: want 0 (no spans) or N >= 1 (every Nth decision)", f.SpansSample)
+	}
+	if f.SpansSample > 0 && f.Manifest == "" {
+		// Spans live in the manifest's replay records: with no manifest
+		// they would go nowhere.
+		return Env{}, nil, fmt.Errorf("-spans-sample records spans in the run manifest; it needs -manifest")
+	}
 	if f.EventsOut != "" {
 		// The trace names the cell that trained each model of a shared
 		// price-model cache, and cells on a worker pool race to train
@@ -155,10 +161,6 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		e.Chaos, e.ChaosSeed = &sc, f.ChaosSeed
 		fmt.Fprintf(os.Stderr, "%s: chaos scenario %q armed (%d injectors)\n", command, sc.Name, len(sc.Injectors))
 	}
-	if f.Manifest != "" {
-		s.reg = telemetry.NewRegistry()
-	}
-
 	mode := trace.Strict
 	if f.Lenient {
 		mode = trace.Lenient
@@ -221,28 +223,30 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 }
 
 // Sink is the one place a run's records are assembled. Every replay
-// cell opens once — a Collector on the shared Registry, the shared
-// event TraceWriter, a fresh provenance Recorder, a fresh Ledger, each
-// only if a flag asked for it — in a slot fixed by the cell's place in
-// the grid, and Close writes the slots out in that order: the bytes of
-// every record are the same at any -j. A nil *Sink, or one no flag
-// armed, leaves cells unobserved and the replay hot path event-free.
+// cell opens once — the shared event TraceWriter, a fresh Ledger, a
+// fresh provenance Recorder, each only if a flag asked for it — in a
+// slot fixed by the cell's place in the grid, and Close writes the
+// manifest's records in that order: their bytes are the same at any -j.
+// A nil *Sink, or one no flag armed, leaves cells unobserved and the
+// replay hot path event-free.
 type Sink struct {
 	flags   Flags
 	command string
 	meta    map[string]string
 	start   time.Time
 
-	reg    *telemetry.Registry
 	writer *telemetry.TraceWriter
 	models *modelcache.Cache
+	// quarantine holds each lenient read's quarantined-row counts by
+	// reason, keyed by the file read.
+	quarantine map[string]map[string]int
 
 	mu    sync.Mutex
 	cells []*sinkCell
 }
 
-// sinkCell is one replay's records: its label, its spans (-spans-out),
-// and its ledger and result (-manifest).
+// sinkCell is one replay's record: its label, its ledger and result,
+// and its spans (-spans-sample).
 type sinkCell struct {
 	label provenance.Stamp
 	rec   *provenance.Recorder
@@ -251,11 +255,16 @@ type sinkCell struct {
 }
 
 // quarantined reports a lenient read's quarantined rows: one line on
-// stderr and, on an instrumented run, the
-// jupiter_trace_rows_quarantined_total counter. Silent for a clean read.
+// stderr, and the counts by reason for the manifest. Silent for a clean
+// read.
 func (s *Sink) quarantined(input, source string, rep *trace.ReadReport) {
 	fmt.Fprint(os.Stderr, rep.Summary(s.command, input))
-	telemetry.RecordQuarantinedRows(s.reg, source, rep)
+	if rep != nil && rep.Quarantined > 0 {
+		if s.quarantine == nil {
+			s.quarantine = map[string]map[string]int{}
+		}
+		s.quarantine[source] = rep.Reasons
+	}
 }
 
 // reserve claims n consecutive cell slots and returns the first. It is
@@ -274,25 +283,20 @@ func (s *Sink) reserve(n int) int {
 }
 
 // cell opens one replay cell in a reserved slot and returns its
-// observers and its span recorder (nil unless -spans-out). The ledger,
-// when kept, observes last. Safe for concurrent calls: per-run state is
-// built fresh, the registry and trace writer are shared sinks that lock
-// for themselves.
+// observers and its span recorder (nil unless -spans-sample). The
+// ledger, when kept, observes last. Safe for concurrent calls: per-run
+// state is built fresh, the trace writer is a shared sink that locks
+// for itself.
 func (s *Sink) cell(slot int, label provenance.Stamp) ([]engine.Observer, *provenance.Recorder) {
 	if s == nil {
 		return nil, nil
 	}
 	var obs []engine.Observer
-	if s.reg != nil {
-		obs = append(obs, telemetry.NewCollector(s.reg, telemetry.Labels{
-			Service: label.Service, Strategy: label.Strategy, Interval: label.Interval, Scenario: label.Scenario,
-		}))
-	}
 	if s.writer != nil {
 		obs = append(obs, s.writer)
 	}
 	c := &sinkCell{label: label}
-	if s.flags.SpansOut != "" {
+	if s.flags.SpansSample > 0 {
 		c.rec = provenance.NewRecorder(s.flags.SpansSample)
 	}
 	if s.flags.Manifest != "" {
@@ -325,10 +329,9 @@ func (s *Sink) attribution(slot int) (provenance.Attribution, bool) {
 }
 
 // Close ends the run: it prints the model-cache counters (-model-stats),
-// flushes the event trace, writes — after a successful run — the spans,
-// then the manifest. It returns runErr, or else the first error of its
-// own. Stdout is never closed, so "-" works for several outputs at
-// once, the manifest last.
+// flushes the event trace, then writes the manifest. It returns runErr,
+// or else the first error of its own. Stdout is never closed, so "-"
+// works for several outputs at once, the manifest last.
 func (s *Sink) Close(runErr error) error {
 	ok := runErr == nil
 	keep := func(err error) {
@@ -342,9 +345,6 @@ func (s *Sink) Close(runErr error) error {
 	if s.writer != nil {
 		keep(s.writer.Close())
 	}
-	if ok && s.flags.SpansOut != "" {
-		keep(writeOut(s.flags.SpansOut, "decision spans", s.writeSpans))
-	}
 	if s.flags.Manifest != "" {
 		keep(writeOut(s.flags.Manifest, "manifest", func(w io.Writer) error {
 			enc := json.NewEncoder(w)
@@ -355,47 +355,24 @@ func (s *Sink) Close(runErr error) error {
 	return runErr
 }
 
-// writeSpans writes every cell's spans, stamped with its label, in slot
-// order through the event trace's codec.
-func (s *Sink) writeSpans(w io.Writer) error {
-	sw, err := telemetry.NewStreamWriter(w, telemetry.SpansSchema, s.runMeta("spans-sample", strconv.Itoa(s.flags.SpansSample)))
-	if err != nil {
-		return err
-	}
-	for _, c := range s.cells {
-		if c != nil {
-			c.rec.Stamp(c.label)
-			for _, sp := range c.rec.Spans() {
-				sw.Encode(sp)
-			}
+// manifest assembles the run's metadata, and one record per finished
+// replay cell in slot order.
+func (s *Sink) manifest() Manifest {
+	cfg := map[string]string{"jobs": strconv.Itoa(s.flags.Jobs)}
+	for k, v := range s.meta {
+		if k != "command" {
+			cfg[k] = v
 		}
 	}
-	return sw.Close()
-}
-
-// manifest assembles the run's metadata and metrics, and one record per
-// finished replay cell in slot order.
-func (s *Sink) manifest() Manifest {
-	cfg := s.runMeta("jobs", strconv.Itoa(s.flags.Jobs))
-	delete(cfg, "command")
 	m := Manifest{
 		Schema: ManifestSchema, Version: ManifestVersion, Command: s.command,
 		StartedAt: s.start.UTC().Format(time.RFC3339), WallSeconds: time.Since(s.start).Seconds(),
-		Seed: s.flags.Seed, Config: cfg, Metrics: s.reg.Snapshot(),
+		Seed: s.flags.Seed, Config: cfg, Quarantined: s.quarantine,
 	}
 	for _, c := range s.cells {
 		if c != nil && c.res != nil {
-			m.Runs = append(m.Runs, Record{Stamp: c.label, Result: c.res, Attribution: c.led.Attribution()})
+			m.Runs = append(m.Runs, Record{Stamp: c.label, Result: c.res, Attribution: c.led.Attribution(), Spans: c.rec.Spans()})
 		}
-	}
-	return m
-}
-
-// runMeta copies the run's metadata with one more pair.
-func (s *Sink) runMeta(key, value string) map[string]string {
-	m := map[string]string{key: value}
-	for k, v := range s.meta {
-		m[k] = v
 	}
 	return m
 }

@@ -146,8 +146,9 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 // ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, and
 // Observe are superseded by the grid coordinates. Grid cells report to
 // the Env's sink labelled with their scenario — one slot per cell in
-// grid order, so spans, records and metrics are byte-identical at any
-// Jobs setting; the clean baseline replays stay unrecorded.
+// grid order, so the manifest's records, spans included, are
+// byte-identical at any Jobs setting; the clean baseline replays stay
+// unrecorded.
 func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	specs := cfg.Specs
 	if len(specs) == 0 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // quickTournament runs the shipped arena — the full default roster,
@@ -143,27 +141,19 @@ func TestTournamentAutoscaledCell(t *testing.T) {
 	}
 }
 
-// TestTournamentScenarioLabel: with the sink's registry armed (as
-// -manifest arms it), every cell's collector stamps the scenario as a
-// fourth base label, so the deterministic snapshot keys series per
-// scenario.
+// TestTournamentScenarioLabel: with the sink armed as -manifest arms
+// it, every cell's record stamps the scenario beside strategy, service,
+// interval and seed, so the manifest keys records per scenario.
 func TestTournamentScenarioLabel(t *testing.T) {
-	sink := &Sink{reg: telemetry.NewRegistry()}
+	sink := &Sink{flags: Flags{Manifest: "-"}}
 	res := quickTournament(t, sink)
-	snap := sink.reg.Snapshot()
 	found := map[string]bool{}
-	for _, fam := range snap.Families {
-		for _, s := range fam.Series {
-			for i, l := range fam.Labels {
-				if l == "scenario" {
-					found[s.LabelValues[i]] = true
-				}
-			}
-		}
+	for _, r := range sink.manifest().Runs {
+		found[r.Scenario] = true
 	}
 	for _, sc := range res.Scenarios {
 		if !found[sc] {
-			t.Errorf("no series labeled scenario=%q in the snapshot", sc)
+			t.Errorf("no record stamped scenario=%q in the manifest", sc)
 		}
 	}
 }

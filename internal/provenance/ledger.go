@@ -415,15 +415,6 @@ func (l *Ledger) CloseRun(endMinute int64) {
 	}
 }
 
-// TotalCost returns the billed total folded so far.
-func (l *Ledger) TotalCost() market.Money {
-	var sum market.Money
-	for _, v := range l.costs {
-		sum += v
-	}
-	return sum
-}
-
 // Attribution snapshots the ledger into its sorted cell table.
 func (l *Ledger) Attribution() Attribution {
 	byKey := map[cellKey]AttributionCell{}

@@ -8,9 +8,9 @@
 // enumeration per group size, the dominance rule between candidate
 // families, the quorum refine descent, degradation-stage transitions,
 // and the chosen configuration with its exact Eq. 10 availability
-// margin. The stream is written as JSONL by the event trace's own codec
-// (telemetry.SpansSchema) and `analyze explain` reconstructs decisions
-// from it.
+// margin. A run's spans go into its replay cell's record in the run
+// manifest (internal/experiments), and `analyze explain` reconstructs
+// decisions from there.
 //
 // The ledger (ledger.go) answers "where did every cent and every
 // downtime minute go": a pure fold of the simulation event stream, it
@@ -69,18 +69,9 @@ const (
 )
 
 // Span is one step of one decision. It is a flat struct with a fixed
-// JSON field order; unset fields are omitted, so spans from single-run
-// streams stay compact and multi-run streams carry their cell
-// coordinates in the stamping fields.
+// JSON field order; unset fields are omitted, so spans stay compact.
+// The replay cell a span belongs to is its record's Stamp.
 type Span struct {
-	// Stamping fields: the replay cell the span belongs to, filled by
-	// Recorder.Stamp when streams of several runs share one file.
-	Strategy string `json:"strategy,omitempty"`
-	Scenario string `json:"scenario,omitempty"`
-	Service  string `json:"service,omitempty"`
-	Interval string `json:"interval,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-
 	// Decision is the 1-based Decide sequence number within the run;
 	// Minute is the simulated minute the decision ran at. Both are
 	// stamped by DecisionTrace.Emit.
@@ -110,8 +101,8 @@ type Span struct {
 	Margin       float64 `json:"margin,omitempty"`
 }
 
-// Stamp is the run coordinate set stamped onto a recorder's spans and
-// naming a replay cell's record in the run manifest.
+// Stamp is the run coordinate set naming a replay cell's record in the
+// run manifest.
 type Stamp struct {
 	Strategy string `json:"strategy"`
 	Scenario string `json:"scenario,omitempty"`
@@ -189,21 +180,6 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// Stamp writes the run coordinates onto every recorded span, so spans
-// of several runs can share one stream and still key apart.
-func (r *Recorder) Stamp(st Stamp) {
-	if r == nil {
-		return
-	}
-	for i := range r.spans {
-		r.spans[i].Strategy = st.Strategy
-		r.spans[i].Scenario = st.Scenario
-		r.spans[i].Service = st.Service
-		r.spans[i].Interval = st.Interval
-		r.spans[i].Seed = st.Seed
-	}
 }
 
 // Consumer is implemented by strategies that can record decision

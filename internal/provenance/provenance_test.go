@@ -2,10 +2,9 @@ package provenance
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func TestRecorderNilSafety(t *testing.T) {
@@ -18,7 +17,6 @@ func TestRecorderNilSafety(t *testing.T) {
 	if r.Decisions() != 0 || r.Spans() != nil {
 		t.Fatalf("nil recorder leaked state")
 	}
-	r.Stamp(Stamp{Strategy: "x"}) // must not panic
 }
 
 func TestRecorderSampling(t *testing.T) {
@@ -45,13 +43,14 @@ func TestRecorderSampling(t *testing.T) {
 	}
 }
 
+// TestRecorderStampAndEmit: Emit stamps each span with its decision's
+// sequence number and minute.
 func TestRecorderStampAndEmit(t *testing.T) {
 	r := NewRecorder(1)
 	dt := r.Begin(60)
 	dt.Emit(Span{Kind: SpanPool, Pool: "us-east-1a", Outcome: "ok"})
 	dt = r.Begin(120)
 	dt.Emit(Span{Kind: SpanChosen, Outcome: "ok", Nodes: 5})
-	r.Stamp(Stamp{Strategy: "Jupiter", Scenario: "calm", Service: "lock", Interval: "3h", Seed: 2014})
 
 	spans := r.Spans()
 	if len(spans) != 2 {
@@ -60,31 +59,10 @@ func TestRecorderStampAndEmit(t *testing.T) {
 	if spans[0].Decision != 1 || spans[0].Minute != 60 || spans[1].Decision != 2 || spans[1].Minute != 120 {
 		t.Fatalf("decision/minute stamping wrong: %+v", spans)
 	}
-	for _, s := range spans {
-		if s.Strategy != "Jupiter" || s.Scenario != "calm" || s.Service != "lock" || s.Interval != "3h" || s.Seed != 2014 {
-			t.Fatalf("run stamp missing on %+v", s)
-		}
-	}
 }
 
-// writeSpans writes a spans stream through the event trace's codec, as
-// the run sink does.
-func writeSpans(t *testing.T, meta map[string]string, spans []Span) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := telemetry.NewStreamWriter(&buf, telemetry.SpansSchema, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range spans {
-		w.Encode(s)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
+// TestSpansRoundTrip: spans reach the run manifest as JSON, compact —
+// unset fields omitted — deterministic, and read back unchanged.
 func TestSpansRoundTrip(t *testing.T) {
 	spans := []Span{
 		{Decision: 1, Minute: 60, Kind: SpanStage, Outcome: "healthy"},
@@ -92,25 +70,24 @@ func TestSpansRoundTrip(t *testing.T) {
 		{Decision: 1, Minute: 60, Kind: SpanChosen, Outcome: "ok", Nodes: 5,
 			CostMicroUSD: 56200, Availability: 0.9999923, Target: 0.9999901, Margin: 2.2e-06},
 	}
-	meta := map[string]string{"command": "test", "seed": "2014"}
-
-	a, b := writeSpans(t, meta, spans), writeSpans(t, meta, spans)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("equal inputs wrote different streams")
-	}
-	// One header line naming the schema, then one span per line.
-	want := `{"schema":"jupiter-spans","version":1,"meta":{"command":"test","seed":"2014"}}` + "\n" +
-		`{"decision":1,"minute":60,"kind":"stage","outcome":"healthy"}` + "\n"
-	if !strings.HasPrefix(string(a), want) {
-		t.Fatalf("stream starts\n%s\nwant\n%s", a, want)
-	}
-
-	hdr, got, err := telemetry.ReadStream[Span](bytes.NewReader(a), telemetry.SpansSchema)
+	a, err := json.Marshal(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Schema != telemetry.SpansSchema || hdr.Version != telemetry.TraceVersion || hdr.Meta["seed"] != "2014" {
-		t.Fatalf("header round-trip = %+v", hdr)
+	b, err := json.Marshal(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("equal inputs encoded differently")
+	}
+	want := `[{"decision":1,"minute":60,"kind":"stage","outcome":"healthy"},`
+	if !strings.HasPrefix(string(a), want) {
+		t.Fatalf("spans encode as\n%s\nwant the prefix\n%s", a, want)
+	}
+	var got []Span
+	if err := json.Unmarshal(a, &got); err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(spans) {
 		t.Fatalf("got %d spans, want %d", len(got), len(spans))
@@ -119,27 +96,6 @@ func TestSpansRoundTrip(t *testing.T) {
 		if got[i] != spans[i] {
 			t.Fatalf("span %d round-trip: got %+v, want %+v", i, got[i], spans[i])
 		}
-	}
-}
-
-func TestReadSpansErrors(t *testing.T) {
-	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(""), telemetry.SpansSchema); err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Fatalf("empty stream error = %v", err)
-	}
-	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(`{"schema":"jupiter-events","version":1}`+"\n"), telemetry.SpansSchema); err == nil ||
-		!strings.Contains(err.Error(), "not a jupiter-spans stream") {
-		t.Fatalf("wrong schema error = %v", err)
-	}
-	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(`{"schema":"jupiter-spans","version":99}`+"\n"), telemetry.SpansSchema); err == nil ||
-		!strings.Contains(err.Error(), "newer than supported") {
-		t.Fatalf("newer version error = %v", err)
-	}
-	bad := `{"schema":"jupiter-spans","version":1}` + "\n" +
-		`{"decision":1,"minute":60,"kind":"stage"}` + "\n" +
-		`not json` + "\n"
-	if _, _, err := telemetry.ReadStream[Span](strings.NewReader(bad), telemetry.SpansSchema); err == nil ||
-		!strings.Contains(err.Error(), "jupiter-spans line 3") {
-		t.Fatalf("malformed line error = %v, want line 3", err)
 	}
 }
 

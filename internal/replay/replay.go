@@ -135,14 +135,15 @@ type Result struct {
 	Series []IntervalStats `json:"-"`
 }
 
-// IntervalStats is the per-interval slice of a replay.
+// IntervalStats is the per-interval slice of a replay: when the
+// interval starts, how long it is, the group size decided for it, and
+// the quorum's downtime within it. It carries no cost; the bill is the
+// Result's, and the manifest's attribution splits it by pool.
 type IntervalStats struct {
 	StartMinute     int64
 	IntervalMinutes int64
 	GroupSize       int
-	// CostSoFar is the cumulative bill of all instances ever launched,
-	// evaluated at the interval boundary.
-	DownMinutes int64 // downtime within this interval
+	DownMinutes     int64
 }
 
 // marketView adapts the provider to the strategy's view interface. It

@@ -1,10 +1,12 @@
 // Package telemetry is the observability layer over the simulation
 // event stream: a small labeled-metrics registry (counters, gauges,
 // log-bucketed histograms), a Collector that folds every engine.Event
-// kind into metrics, and a versioned JSONL stream writer/reader — the
-// event trace, with a structural differ, and the decision-span stream.
-// The registry's one reader is the run manifest
-// (internal/experiments), which records its Snapshot.
+// kind into metrics, and the versioned JSONL event trace's writer and
+// reader, with a structural differ. The event trace is the run's
+// determinism pin; the run's record is the manifest
+// (internal/experiments), which holds no metrics. The Registry and the
+// Collector have no caller outside the benchmark harness (bench/) and
+// their tests.
 //
 // The layer is strictly pay-for-what-you-use: with no observer
 // attached, publishers skip event construction entirely
@@ -225,7 +227,7 @@ func (h *Histogram) Observe(x float64) {
 
 // Snapshot is a point-in-time copy of every series in a registry,
 // ordered deterministically (families by name, series by label
-// values). It is what the run manifest records.
+// values).
 type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`
 }

@@ -12,22 +12,19 @@ import (
 	"repro/internal/market"
 )
 
-// This file's codec writes and reads the run's JSONL streams: line 1 is
-// a TraceHeader naming the stream's schema, every further line one JSON
-// value — a TraceEvent in an event trace (TraceSchema), a
-// provenance.Span in a decision-span stream (SpansSchema). TraceVersion
-// versions the codec. The encoding is deterministic — fixed field
-// order, sorted meta keys — so two runs with identical inputs write
-// byte-identical files, making streams diffable across runs, binaries,
-// and machines (the cross-process version of the in-process
-// TestKernelsAgree pin).
+// This file's codec writes and reads the run's JSONL event trace: line 1
+// is a TraceHeader naming the schema (TraceSchema), every further line
+// one TraceEvent. TraceVersion versions the codec. The encoding is
+// deterministic — fixed field order, sorted meta keys — so two runs with
+// identical inputs write byte-identical files, making traces diffable
+// across runs, binaries, and machines (the cross-process version of the
+// in-process TestKernelsAgree pin).
 const (
 	TraceSchema  = "jupiter-events"
-	SpansSchema  = "jupiter-spans"
 	TraceVersion = 1
 )
 
-// TraceHeader is the first line of a stream.
+// TraceHeader is the first line of a trace.
 type TraceHeader struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
@@ -119,7 +116,7 @@ func (te TraceEvent) Event() (engine.Event, error) {
 	return e, nil
 }
 
-// TraceWriter streams JSONL. As an event trace it implements
+// TraceWriter streams an event trace as JSONL. It implements
 // engine.Observer; attach it to replay.Config.Observers (or
 // experiments.Env) and Close it when the run ends. The writer is
 // mutex-guarded so the cells of a parallel sweep may share one file,
@@ -134,21 +131,15 @@ type TraceWriter struct {
 }
 
 // NewTraceWriter writes an event trace's header and returns its
-// streaming writer.
+// streaming writer. The meta map is written with sorted keys
+// (encoding/json sorts map keys), keeping the header deterministic. If
+// w is an io.Closer, Close closes it.
 func NewTraceWriter(w io.Writer, meta map[string]string) (*TraceWriter, error) {
-	return NewStreamWriter(w, TraceSchema, meta)
-}
-
-// NewStreamWriter writes the header of a stream of the given schema and
-// returns a writer whose Encode appends its lines. The meta map is
-// copied with sorted keys (encoding/json sorts map keys), keeping the
-// header deterministic. If w is an io.Closer, Close closes it.
-func NewStreamWriter(w io.Writer, schema string, meta map[string]string) (*TraceWriter, error) {
 	tw := &TraceWriter{w: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		tw.closer = c
 	}
-	hdr, err := json.Marshal(TraceHeader{Schema: schema, Version: TraceVersion, Meta: meta})
+	hdr, err := json.Marshal(TraceHeader{Schema: TraceSchema, Version: TraceVersion, Meta: meta})
 	if err != nil {
 		return nil, err
 	}
@@ -159,25 +150,19 @@ func NewStreamWriter(w io.Writer, schema string, meta map[string]string) (*Trace
 	return tw, nil
 }
 
-// write appends one event line.
+// write appends one event line; the first error sticks and is returned
+// by Close.
 func (tw *TraceWriter) write(e engine.Event) {
 	// The trace records simulated history, so wall-clock fields are
 	// normalized away: they vary run to run and would break the
-	// byte-identity of equal-seed traces. Wall time lives in the
-	// Collector's histograms instead.
+	// byte-identity of equal-seed traces.
 	e.DurationNanos = 0
-	tw.Encode(Record(e))
-}
-
-// Encode appends v as one JSON line; the first error sticks and is
-// returned by Close.
-func (tw *TraceWriter) Encode(v any) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	if tw.err != nil {
 		return
 	}
-	line, err := json.Marshal(v)
+	line, err := json.Marshal(Record(e))
 	if err != nil {
 		tw.err = err
 		return
@@ -208,7 +193,7 @@ func (tw *TraceWriter) OnModel(e engine.Event) { tw.write(e) }
 // OnFault records chaos fault injections and clearances.
 func (tw *TraceWriter) OnFault(e engine.Event) { tw.write(e) }
 
-// Close flushes the stream (closing the underlying writer if it is a
+// Close flushes the trace (closing the underlying writer if it is a
 // Closer) and returns the first error encountered.
 func (tw *TraceWriter) Close() error {
 	tw.mu.Lock()
@@ -238,87 +223,58 @@ func SortedMeta(kv ...string) map[string]string {
 	return m
 }
 
-// TraceReader streams a JSONL stream back in.
+// TraceReader streams an event trace back in.
 type TraceReader struct {
 	header TraceHeader
 	sc     *bufio.Scanner
 	line   int
 }
 
-// OpenTrace opens an event trace.
-func OpenTrace(r io.Reader) (*TraceReader, error) { return OpenStream(r, TraceSchema) }
-
-// OpenStream validates the header line against schema and returns a
-// reader positioned at the first line after it.
-func OpenStream(r io.Reader, schema string) (*TraceReader, error) {
+// OpenTrace validates an event trace's header line and returns a reader
+// positioned at the first event.
+func OpenTrace(r io.Reader) (*TraceReader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("telemetry: empty %s stream", schema)
+		return nil, fmt.Errorf("telemetry: empty %s stream", TraceSchema)
 	}
 	var hdr TraceHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("telemetry: bad %s header: %w", schema, err)
+		return nil, fmt.Errorf("telemetry: bad %s header: %w", TraceSchema, err)
 	}
-	if hdr.Schema != schema {
-		return nil, fmt.Errorf("telemetry: not a %s stream (schema %q)", schema, hdr.Schema)
+	if hdr.Schema != TraceSchema {
+		return nil, fmt.Errorf("telemetry: not a %s stream (schema %q)", TraceSchema, hdr.Schema)
 	}
 	if hdr.Version > TraceVersion {
-		return nil, fmt.Errorf("telemetry: %s version %d newer than supported %d", schema, hdr.Version, TraceVersion)
+		return nil, fmt.Errorf("telemetry: %s version %d newer than supported %d", TraceSchema, hdr.Version, TraceVersion)
 	}
 	return &TraceReader{header: hdr, sc: sc, line: 1}, nil
 }
 
-// ReadStream reads a whole stream of the given schema: its header and
-// every line decoded as a T.
-func ReadStream[T any](r io.Reader, schema string) (TraceHeader, []T, error) {
-	tr, err := OpenStream(r, schema)
-	if err != nil {
-		return TraceHeader{}, nil, err
-	}
-	var out []T
-	for {
-		var v T
-		if err := tr.Decode(&v); err == io.EOF {
-			return tr.header, out, nil
-		} else if err != nil {
-			return TraceHeader{}, nil, err
-		}
-		out = append(out, v)
-	}
-}
-
-// Header returns the stream header.
+// Header returns the trace header.
 func (tr *TraceReader) Header() TraceHeader { return tr.header }
 
 // Line returns the number of the line read last; the header is line 1.
 func (tr *TraceReader) Line() int { return tr.line }
 
-// Next returns the next event of an event trace, or io.EOF after the
-// last one.
+// Next returns the next event, or io.EOF after the last one. A
+// malformed line is an error naming its number.
 func (tr *TraceReader) Next() (TraceEvent, error) {
 	var te TraceEvent
-	err := tr.Decode(&te)
-	return te, err
-}
-
-// Decode reads the next line into v, or returns io.EOF after the last
-// one. A malformed line is an error naming its number.
-func (tr *TraceReader) Decode(v any) error {
 	if !tr.sc.Scan() {
 		if err := tr.sc.Err(); err != nil {
-			return err
+			return te, err
 		}
-		return io.EOF
+		return te, io.EOF
 	}
 	tr.line++
-	if err := json.Unmarshal(tr.sc.Bytes(), v); err != nil {
-		return fmt.Errorf("telemetry: %s line %d: %w", tr.header.Schema, tr.line, err)
+	if err := json.Unmarshal(tr.sc.Bytes(), &te); err != nil {
+		return te, fmt.Errorf("telemetry: %s line %d: %w", TraceSchema, tr.line, err)
 	}
-	return nil
+	return te, nil
 }
 
 // metaDiff lists human-readable header meta differences.

@@ -119,6 +119,33 @@ func TestOpenTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestTraceReaderErrors: each way a trace can be unreadable has its own
+// message, and a malformed event line names its number.
+func TestTraceReaderErrors(t *testing.T) {
+	for input, want := range map[string]string{
+		"": "empty jupiter-events stream",
+		`{"schema":"jupiter-manifest","version":1}` + "\n": "not a jupiter-events stream",
+		`{"schema":"jupiter-events","version":99}` + "\n":  "newer than supported",
+	} {
+		if _, err := OpenTrace(strings.NewReader(input)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenTrace(%q) = %v, want %q", input, err, want)
+		}
+	}
+	bad := `{"schema":"jupiter-events","version":1}` + "\n" +
+		`{"minute":1,"kind":"decision"}` + "\n" +
+		`not json` + "\n"
+	tr, err := OpenTrace(strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Next(); err == nil || !strings.Contains(err.Error(), "jupiter-events line 3") {
+		t.Fatalf("malformed line error = %v, want line 3", err)
+	}
+}
+
 func TestDiffEqualTraces(t *testing.T) {
 	meta := map[string]string{"seed": "1"}
 	a := writeScripted(t, meta, scriptedEvents())

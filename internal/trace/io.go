@@ -44,8 +44,8 @@ const (
 )
 
 // ReadReport accounts the rows a lenient read quarantined, by reason.
-// Surface it through the telemetry registry with
-// telemetry.RecordQuarantinedRows when the run is instrumented.
+// A command prints its Summary, and the run manifest records its
+// Reasons.
 type ReadReport struct {
 	// Quarantined is the total number of skipped rows (zone drops count
 	// once per zone).
