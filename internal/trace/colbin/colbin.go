@@ -26,10 +26,18 @@
 //
 // Prices are exact (micro-USD integers, no float round-trip); minute
 // and price deltas are small in real traces, so the format is typically
-// 4-6× smaller than the CSV and decodes an order of magnitude faster.
-// Decode (reader.go) walks each group's two columns in step, straight
-// into the []trace.PricePoint of the trace.Set it returns; nothing is
-// mapped and no columnar copy is kept.
+// 4-6× smaller than the CSV and decodes over an order of magnitude
+// faster.
+//
+// Decode (reader.go) finds each group's price column by counting the
+// minute column's varint terminators eight bytes at a time, then walks
+// the two columns in step, straight into the []trace.PricePoint of the
+// trace.Set it returns; nothing is mapped and no columnar copy is kept.
+// An inner loop without calls reads the common point — a one- or
+// two-byte minute delta, a one- to three-byte price delta, nothing to
+// quarantine — inline; every other point goes through the general
+// step, which reads through decoder and owns every error and
+// violation.
 package colbin
 
 import (

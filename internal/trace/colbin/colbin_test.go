@@ -402,9 +402,101 @@ func TestEmptySpanRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode is the in-tree measure of the decoder: the benchmark's
-// 68-pool market (17 zones × 4 types) over the paper's 24 weeks.
-func BenchmarkDecode(b *testing.B) {
+// mutationPools are the pools of mutationBlob. Between them they hold
+// every per-point violation (duplicate minute, non-positive price, a
+// minute and a price delta that leave int64), every per-pool one (an
+// unknown type, a first point after the start, a last point at the end,
+// a duplicate pool), and minute and price varints of 1, 2, 3, 4 and 10
+// bytes; the long clean pool keeps Decode's inner loop busy.
+func mutationPools() []handPool {
+	long := handPool{zone: "sa-east-1a", typ: "c3.large"}
+	minute, price := int64(0), int64(500000)
+	steps := []int64{10, 200, 1, 30000, 5, 7}
+	moves := []int64{3, -40000, 5000, -100, 1, 0}
+	for i := 0; i < 12; i++ {
+		long.minutes = append(long.minutes, minute)
+		long.prices = append(long.prices, price)
+		minute += steps[i%len(steps)]
+		price += moves[i%len(moves)]
+	}
+	// Sums that leave int64 on one-byte deltas, where the inner loop
+	// would otherwise take them: a price at i = 1, a minute at i = 3.
+	over := handPool{zone: "us-west-1a"}
+	minute, price = 0, math.MaxInt64-1
+	for _, d := range [][2]int64{{0, 0}, {10, 5}, {math.MaxInt64 - 20, -7}, {20, -1}, {1, -1}, {1, -1}, {1, -1}} {
+		minute, price = minute+d[0], price+d[1] // wrapping, so each encoded delta is d
+		over.minutes = append(over.minutes, minute)
+		over.prices = append(over.prices, price)
+	}
+	return []handPool{
+		{zone: "us-east-1a", minutes: []int64{0, 1, 130, 20130, 3020130}, prices: []int64{44000, 44001, 44100, 1000000, 100000000}},
+		{zone: "us-east-1b", minutes: []int64{0, 30, 30, 60, 20, 90, 120, 150},
+			prices: []int64{1000, 2000, 3000, -5, 4000, 5000, math.MaxInt64, math.MinInt64}},
+		long,
+		over,
+		{zone: "eu-west-1a", typ: "z9.mega", minutes: []int64{0}, prices: []int64{1000}},
+		{zone: "us-east-1c", minutes: []int64{5}, prices: []int64{1000}},
+		{zone: "ap-northeast-1a", typ: "c3.large", minutes: []int64{0, 10000000}, prices: []int64{1000, 2000}},
+		{zone: "us-east-1a", minutes: []int64{0}, prices: []int64{7}},
+	}
+}
+
+func mutationBlob() []byte { return handBuild("m1.small", 0, 10000000, mutationPools()) }
+
+// TestDecodeMatchesReference feeds Decode and the reference decoder
+// every single-byte mutation and every truncation of mutationBlob, in
+// both modes: they must agree on each — the same pools, ReadReport and
+// error text.
+func TestDecodeMatchesReference(t *testing.T) {
+	// The blob holds what its comment promises.
+	widths := map[int]bool{}
+	for _, p := range mutationPools() {
+		for i := range p.minutes {
+			if i > 0 {
+				widths[len(binary.AppendUvarint(nil, uint64(p.minutes[i]-p.minutes[i-1])))] = true
+			}
+			d := p.prices[i]
+			if i > 0 {
+				d -= p.prices[i-1]
+			}
+			widths[len(binary.AppendVarint(nil, d))] = true
+		}
+	}
+	for _, w := range []int{1, 2, 3, 4, 10} {
+		if !widths[w] {
+			t.Fatalf("no %d-byte varint in the blob (widths %v)", w, widths)
+		}
+	}
+	blob := mutationBlob()
+	_, rep, err := Decode(blob, trace.Lenient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reason := range []string{trace.ReasonDuplicateMinute, trace.ReasonNonPositivePrice, trace.ReasonOutOfOrder,
+		trace.ReasonBadPrice, trace.ReasonTypeMismatch, trace.ReasonZoneDropped} {
+		if rep.Reasons[reason] == 0 {
+			t.Fatalf("lenient decode counts no %s (reasons %v)", reason, rep.Reasons)
+		}
+	}
+
+	data := make([]byte, len(blob))
+	for _, mode := range []trace.ReadMode{trace.Strict, trace.Lenient} {
+		for n := 0; n <= len(blob); n++ {
+			checkReference(t, blob[:n], mode)
+		}
+		for i := range blob {
+			for b := 0; b < 256; b++ {
+				copy(data, blob)
+				data[i] = byte(b)
+				checkReference(t, data, mode)
+			}
+		}
+	}
+}
+
+// benchMarket is the benchmark's 68-pool market (17 zones × 4 types)
+// over the paper's 24 weeks.
+func benchMarket(b *testing.B) *trace.Set {
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: 2014, Type: market.M1Small, Zones: market.ExperimentZones(), Start: 0, End: 24 * 7 * 24 * 60,
 		Types: []market.InstanceType{market.M1Medium, market.C3Large, market.R3Large},
@@ -412,7 +504,12 @@ func BenchmarkDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := Encode(set)
+	return set
+}
+
+// BenchmarkDecode is the in-tree measure of the decoder, on benchMarket.
+func BenchmarkDecode(b *testing.B) {
+	data := Encode(benchMarket(b))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -424,5 +521,20 @@ func BenchmarkDecode(b *testing.B) {
 		if len(f.Set().ByZone) != 68 {
 			b.Fatalf("decoded %d pools, want 68", len(f.Set().ByZone))
 		}
+	}
+}
+
+// fingerprintSink keeps BenchmarkSetFingerprint's call from being
+// optimized away.
+var fingerprintSink uint64
+
+// BenchmarkSetFingerprint measures Set.Fingerprint, the model-cache key
+// a Jupiter replay computes, on the same market.
+func BenchmarkSetFingerprint(b *testing.B) {
+	set := benchMarket(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = set.Fingerprint()
 	}
 }

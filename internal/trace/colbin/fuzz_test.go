@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzReadColbin is the binary-reader analogue of FuzzReadCSV: no
-// panics on arbitrary bytes, and mode coherence — whenever Strict
-// decodes successfully, Lenient must decode the identical set with
-// nothing quarantined.
+// panics on arbitrary bytes; in both modes Decode returns what the
+// reference decoder returns — the same pools, ReadReport and error
+// text; and mode coherence — whenever Strict decodes successfully,
+// Lenient must decode the identical set with nothing quarantined.
 func FuzzReadColbin(f *testing.F) {
 	set, err := trace.Generate(trace.GenConfig{
 		Seed:  7,
@@ -43,7 +44,11 @@ func FuzzReadColbin(f *testing.F) {
 		zone: "us-east-1a", minutes: []int64{0, 30, 20}, prices: []int64{1000, 2000, 3000},
 	}}))
 
+	f.Add(mutationBlob())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReference(t, data, trace.Strict)
+		checkReference(t, data, trace.Lenient)
 		strictFile, strictRep, strictErr := Decode(data, trace.Strict)
 		lenFile, lenRep, lenErr := Decode(data, trace.Lenient)
 

@@ -3,7 +3,7 @@ package trace
 // This file is the reader regime every input of the repository goes
 // through: the Strict/Lenient decision (ReadReport.Violation), the CSV
 // record loop (ScanCSV, also internal/workload's), the CSV trace writer
-// and reader, and the pool assembler (Assemble, also colbin.Decode's).
+// and reader, and the pool assembler (Assembler, also colbin.Decode's).
 
 import (
 	"encoding/csv"
@@ -265,23 +265,58 @@ func ReadCSVPoolsMode(r io.Reader, base market.InstanceType, types []market.Inst
 }
 
 // Assemble builds the Set a reader returns from the pools it decoded
-// (the CSV reader above, colbin.Decode): Set.AddPool — span, no
-// duplicate, Trace.Validate — is the one definition of a valid pool. A
-// pool that fails it (first point past the span start once a bad row
-// was quarantined, say) is a zone-dropped violation: an error in
-// Strict, dropped and counted in Lenient. A set left with no pools at
-// all is an error in both modes.
+// (the CSV reader above), through an Assembler.
 func Assemble(base market.InstanceType, start, end int64, pools []*Trace, mode ReadMode, report *ReadReport) (*Set, error) {
-	set := NewSet(base, start, end)
+	a := NewAssembler(base, start, end, mode, report)
 	for _, t := range pools {
-		if err := set.AddPool(t); err != nil {
-			if err := report.Violation(mode, ReasonZoneDropped, "%w", err); err != nil {
-				return nil, err
-			}
-		}
+		a.Add(t)
 	}
-	if len(set.ByZone) == 0 {
+	return a.Set()
+}
+
+// An Assembler builds the Set a reader returns, one decoded pool at a
+// time (Assemble, colbin.Decode): Set.AddPool — span, no duplicate,
+// Trace.Validate — is the one definition of a valid pool. A pool that
+// fails it (first point past the span start once a bad row was
+// quarantined, say) is a zone-dropped violation: dropped and counted in
+// Lenient; in Strict the first one is the error Set returns, and later
+// pools are ignored. A set left with no pools at all is an error in
+// both modes.
+//
+// Holding the Strict error until Set lets a reader add each pool as
+// soon as it is decoded, while its points are still in cache, and
+// still report an error that a later pool's decoding raises first — as
+// decoding every pool before assembling any would.
+type Assembler struct {
+	set    *Set
+	mode   ReadMode
+	report *ReadReport
+	err    error
+}
+
+// NewAssembler starts an empty set of the given base type and span.
+func NewAssembler(base market.InstanceType, start, end int64, mode ReadMode, report *ReadReport) *Assembler {
+	return &Assembler{set: NewSet(base, start, end), mode: mode, report: report}
+}
+
+// Add adds one pool, or books it as a zone-dropped violation.
+func (a *Assembler) Add(t *Trace) {
+	if a.err != nil {
+		return
+	}
+	if err := a.set.AddPool(t); err != nil {
+		a.err = a.report.Violation(a.mode, ReasonZoneDropped, "%w", err)
+	}
+}
+
+// Set returns the assembled set, or the first Strict violation, or an
+// error if no pool was usable.
+func (a *Assembler) Set() (*Set, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
+	if len(a.set.ByZone) == 0 {
 		return nil, fmt.Errorf("trace: no usable zones")
 	}
-	return set, nil
+	return a.set, nil
 }

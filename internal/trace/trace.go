@@ -10,9 +10,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/market"
@@ -50,18 +49,23 @@ func (t *Trace) Validate() error {
 	if t.Points[0].Minute != t.Start {
 		return fmt.Errorf("trace %s/%s: first point at %d, want start %d", t.Zone, t.Type, t.Points[0].Minute, t.Start)
 	}
-	for i := 1; i < len(t.Points); i++ {
-		if t.Points[i].Minute <= t.Points[i-1].Minute {
+	// One pass. An order violation ends it; the lowest price waits
+	// until after the span-end check, so the first error is always the
+	// earliest of: not increasing, last point past End, negative price.
+	pts := t.Points
+	prev, low := pts[0].Minute, pts[0].Price
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Minute <= prev {
 			return fmt.Errorf("trace %s/%s: points not strictly increasing at index %d", t.Zone, t.Type, i)
 		}
+		prev, low = pts[i].Minute, min(low, pts[i].Price)
 	}
-	if last := t.Points[len(t.Points)-1].Minute; last >= t.End {
-		return fmt.Errorf("trace %s/%s: last point %d at or beyond end %d", t.Zone, t.Type, last, t.End)
+	if prev >= t.End {
+		return fmt.Errorf("trace %s/%s: last point %d at or beyond end %d", t.Zone, t.Type, prev, t.End)
 	}
-	for _, p := range t.Points {
-		if p.Price < 0 {
-			return fmt.Errorf("trace %s/%s: negative price at minute %d", t.Zone, t.Type, p.Minute)
-		}
+	if low < 0 {
+		i := slices.IndexFunc(pts, func(p PricePoint) bool { return p.Price < 0 })
+		return fmt.Errorf("trace %s/%s: negative price at minute %d", t.Zone, t.Type, pts[i].Minute)
 	}
 	return nil
 }
@@ -278,26 +282,49 @@ func (s *Set) Zones() []string {
 // internal/modelcache). Two sets with equal contents fingerprint
 // equally regardless of construction order; any differing point
 // changes the value with overwhelming probability. O(total points).
+//
+// The value is an in-process cache key only (modelcache.Key.Trace): no
+// file, golden or digest records it. It folds 64-bit words through
+// fpMix — the type, then the span, then per pool key in sorted order
+// the key, the point count and each point's minute and price; a name
+// is its length and then its bytes, eight to a word.
 func (s *Set) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(s.Type))
-	word(uint64(s.Start))
-	word(uint64(s.End))
+	h := fpString(0, string(s.Type))
+	h = fpMix(h, uint64(s.Start))
+	h = fpMix(h, uint64(s.End))
 	for _, z := range s.Zones() {
-		h.Write([]byte(z))
+		h = fpString(h, z)
 		tr := s.ByZone[z]
-		word(uint64(len(tr.Points)))
+		h = fpMix(h, uint64(len(tr.Points)))
 		for _, p := range tr.Points {
-			word(uint64(p.Minute))
-			word(uint64(p.Price))
+			h = fpMix(h, uint64(p.Minute))
+			h = fpMix(h, uint64(p.Price))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// fpMix folds one word into the fingerprint state: xor, an odd
+// multiply, an xor-shift that carries the high bits down. Each step is
+// a bijection of the state for a fixed word and of the word for a fixed
+// state, so changing any single word always changes the fingerprint.
+func fpMix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// fpString folds a name's length, then its bytes eight to a
+// little-endian word, the last one zero-padded.
+func fpString(h uint64, s string) uint64 {
+	h = fpMix(h, uint64(len(s)))
+	for ; len(s) > 0; s = s[min(8, len(s)):] {
+		var w uint64
+		for i := 0; i < len(s) && i < 8; i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h = fpMix(h, w)
+	}
+	return h
 }
 
 // Window returns the set restricted to [lo, hi).

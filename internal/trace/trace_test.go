@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/market"
@@ -204,5 +205,116 @@ func TestSetWindow(t *testing.T) {
 	}
 	if w.ByZone["us-east-1a"].PriceAt(20) != market.FromDollars(0.0071) {
 		t.Fatal("window price mismatch")
+	}
+}
+
+// TestValidateErrorOrder pins which error Validate returns when a trace
+// has several defects: points not increasing, then a last point at or
+// past End, then a negative price (the first one). Each row removes the
+// defect the row before it reported.
+func TestValidateErrorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		end    int64
+		points []PricePoint
+		want   string
+	}{
+		{10, []PricePoint{{0, 1}, {5, -3}, {5, 2}, {10, -4}},
+			"trace z/m1.small: points not strictly increasing at index 2"},
+		{10, []PricePoint{{0, 1}, {5, -3}, {7, 2}, {10, -4}},
+			"trace z/m1.small: last point 10 at or beyond end 10"},
+		{11, []PricePoint{{0, 1}, {5, -3}, {7, 2}, {10, -4}},
+			"trace z/m1.small: negative price at minute 5"},
+		{11, []PricePoint{{0, 1}, {5, 3}, {7, 2}, {10, -4}},
+			"trace z/m1.small: negative price at minute 10"},
+		{11, []PricePoint{{0, 1}, {5, 3}, {7, 2}, {10, 4}}, ""},
+	} {
+		tr := &Trace{Zone: "z", Type: market.M1Small, Start: 0, End: tc.end, Points: tc.points}
+		err := tr.Validate()
+		if got := fmt.Sprint(err); (err == nil) != (tc.want == "") || (err != nil && got != tc.want) {
+			t.Errorf("Validate(%v, end %d) = %v, want %q", tc.points, tc.end, err, tc.want)
+		}
+	}
+}
+
+// fingerprintSet is a small typed market: two zones, two types, two
+// days.
+func fingerprintSet(t *testing.T) *Set {
+	t.Helper()
+	set, err := Generate(GenConfig{
+		Seed: 2014, Type: market.M1Small, Zones: []string{"us-east-1a", "eu-west-1a"},
+		Start: 0, End: 2 * 24 * 60, Types: []market.InstanceType{market.C3Large},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestFingerprintPinned pins the value for one generated set, so a
+// change to the word mix or to the field order is a visible decision.
+func TestFingerprintPinned(t *testing.T) {
+	const want = 0x5511f4a3fa3324eb
+	if got := fingerprintSet(t).Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %#x, want %#x", got, want)
+	}
+}
+
+// TestFingerprintSeesEveryField: a ±1 change to any one point's minute
+// or price, a renamed zone or type, or a moved span edge each change
+// the fingerprint, and undoing the change restores it.
+func TestFingerprintSeesEveryField(t *testing.T) {
+	set := fingerprintSet(t)
+	base := set.Fingerprint()
+	differs := func(what string) {
+		t.Helper()
+		if set.Fingerprint() == base {
+			t.Fatalf("%s: fingerprint unchanged", what)
+		}
+	}
+	points := 0
+	for _, key := range set.Zones() {
+		pts := set.ByZone[key].Points
+		for i := range pts {
+			p := pts[i]
+			for _, d := range []int64{-1, 1} {
+				pts[i].Minute = p.Minute + d
+				differs(fmt.Sprintf("%s point %d minute %+d", key, i, d))
+				pts[i] = p
+				pts[i].Price = p.Price + market.Money(d)
+				differs(fmt.Sprintf("%s point %d price %+d", key, i, d))
+				pts[i] = p
+			}
+			points++
+		}
+	}
+	if points < 100 {
+		t.Fatalf("only %d points checked", points)
+	}
+	rekey := func(from, to string) {
+		set.ByZone[to] = set.ByZone[from]
+		delete(set.ByZone, from)
+	}
+	for _, r := range [][2]string{
+		{"us-east-1a", "us-east-1b"},                   // zone of a base-type pool
+		{"eu-west-1a/c3.large", "eu-west-1b/c3.large"}, // zone of a typed pool
+		{"eu-west-1a/c3.large", "eu-west-1a/r3.large"}, // type of a typed pool
+	} {
+		rekey(r[0], r[1])
+		differs("rename " + r[0] + " to " + r[1])
+		rekey(r[1], r[0])
+	}
+	set.Type = market.M1Medium
+	differs("base type renamed")
+	set.Type = market.M1Small
+	for _, d := range []int64{-1, 1} {
+		set.Start += d
+		differs(fmt.Sprintf("start %+d", d))
+		set.Start -= d
+		set.End += d
+		differs(fmt.Sprintf("end %+d", d))
+		set.End -= d
+	}
+	if set.Fingerprint() != base {
+		t.Fatal("undoing every change did not restore the fingerprint")
 	}
 }
