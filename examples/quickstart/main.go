@@ -15,21 +15,6 @@ import (
 	"repro/internal/trace"
 )
 
-// view adapts the simulated cloud provider to the strategy interface.
-type view struct{ p *cloud.Provider }
-
-func (v view) Now() int64      { return v.p.Now() }
-func (v view) Zones() []string { return v.p.Zones() }
-func (v view) SpotPrice(zone string) (market.Money, error) {
-	return v.p.SpotPrice(zone)
-}
-func (v view) SpotPriceAge(zone string) (int64, error) {
-	return v.p.SpotPriceAge(zone)
-}
-func (v view) PriceHistory(zone string, from, to int64) (*trace.Trace, error) {
-	return v.p.PriceHistory(zone, from, to)
-}
-
 func main() {
 	// 1. A market: 13 weeks of per-zone spot price history across the
 	//    paper's 17 availability zones (synthetic, deterministic).
@@ -52,9 +37,11 @@ func main() {
 	spec := strategy.ServiceSpec{Type: market.M1Small, BaseNodes: 5, DataShards: 1}
 	fmt.Printf("availability target: %.7f\n", spec.TargetAvailability())
 
-	// 3. Ask Jupiter for bids covering the next 1-hour interval.
+	// 3. Ask Jupiter for bids covering the next 1-hour interval. The
+	//    provider is the market view: Jupiter trains on the history it
+	//    has accumulated.
 	j := core.New()
-	decision, err := j.Decide(view{provider}, spec, 60)
+	decision, err := j.Decide(provider, spec, 60)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"repro/internal/engine"
-	"repro/internal/modelcache"
-	"repro/internal/provenance"
-	"repro/internal/strategy"
-)
+import "repro/internal/strategy"
 
 // The adaptive chooser's tuning. The interval is clamped to the paper's
 // 1h–12h sweep range, measured over the last two days of history, and
@@ -23,40 +18,22 @@ const (
 // frequency of spot-price fluctuation — short intervals when the
 // market churns (so bids can track prices), long intervals when it is
 // calm (so instance-relaunch startup overhead is avoided).
+//
+// Embedding gives it every method of the framework it wraps — Decide
+// and each optional extension the replay harness looks for (fault
+// observation, the shared model cache, provenance, failure probes) —
+// so none can be left unforwarded.
 type Adaptive struct {
-	// BaseObserver makes the wrapper an engine.Observer, which is what
-	// the replay harness looks for when it subscribes a strategy to the
-	// event stream of a chaos-armed run; OnFault forwards to Inner, whose
-	// staged degradation would otherwise never see a fault.
-	engine.BaseObserver
-
-	// Inner is the wrapped bidding framework.
-	Inner *Jupiter
+	*Jupiter
 }
 
 // NewAdaptive returns an adaptive wrapper around a fresh Jupiter.
 func NewAdaptive() *Adaptive {
-	return &Adaptive{Inner: New()}
+	return &Adaptive{New()}
 }
 
 // Name implements strategy.Strategy.
 func (a *Adaptive) Name() string { return "Jupiter-adaptive" }
-
-// UseModelCache implements modelcache.Consumer by delegating to the
-// wrapped framework.
-func (a *Adaptive) UseModelCache(c *modelcache.Cache) { a.Inner.UseModelCache(c) }
-
-// UseRecorder implements provenance.Consumer by delegating to the
-// wrapped framework.
-func (a *Adaptive) UseRecorder(r *provenance.Recorder) { a.Inner.UseRecorder(r) }
-
-// OnFault implements engine.Observer by delegating to the wrapped
-// framework's staged-degradation tracker.
-func (a *Adaptive) OnFault(e engine.Event) { a.Inner.OnFault(e) }
-
-// LastStage returns the degradation stage of the wrapped framework's
-// most recent Decide.
-func (a *Adaptive) LastStage() DegradeStage { return a.Inner.LastStage() }
 
 // ChooseInterval implements strategy.IntervalChooser: it measures the
 // median per-zone price-change period over the lookback window and
@@ -85,12 +62,6 @@ func (a *Adaptive) ChooseInterval(view strategy.MarketView, spec strategy.Servic
 	// Round to whole hours, clamp to the sweep range.
 	interval = (interval + 30) / 60 * 60
 	return min(max(interval, adaptiveMinMinutes), adaptiveMaxMinutes)
-}
-
-// Decide implements strategy.Strategy by delegating to the wrapped
-// Jupiter at the chosen horizon.
-func (a *Adaptive) Decide(view strategy.MarketView, spec strategy.ServiceSpec, intervalMinutes int64) (strategy.Decision, error) {
-	return a.Inner.Decide(view, spec, intervalMinutes)
 }
 
 func median(xs []float64) float64 {

@@ -3,7 +3,11 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/market"
+	"repro/internal/modelcache"
+	"repro/internal/provenance"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -88,5 +92,35 @@ func TestAdaptiveNoHistoryFallsToMax(t *testing.T) {
 	a := NewAdaptive()
 	if iv := a.ChooseInterval(view, lockSpec()); iv != adaptiveMaxMinutes {
 		t.Fatalf("chose %d with no history, want max %d", iv, adaptiveMaxMinutes)
+	}
+}
+
+// TestJupiterFamilyImplementsTheSameExtensions: the replay harness finds
+// a strategy's optional extensions by type assertion, so a family member
+// that lacks one silently runs without it — as Adaptive once ran deaf to
+// faults, and later without failure probes, so the resize gate priced its
+// spot members at the on-demand figure. Every registered member must
+// implement each extension *Jupiter does.
+func TestJupiterFamilyImplementsTheSameExtensions(t *testing.T) {
+	extensions := []struct {
+		name string
+		has  func(strategy.Strategy) bool
+	}{
+		{"strategy.FailureProber", func(s strategy.Strategy) bool { _, ok := s.(strategy.FailureProber); return ok }},
+		{"engine.Observer", func(s strategy.Strategy) bool { _, ok := s.(engine.Observer); return ok }},
+		{"modelcache.Consumer", func(s strategy.Strategy) bool { _, ok := s.(modelcache.Consumer); return ok }},
+		{"provenance.Consumer", func(s strategy.Strategy) bool { _, ok := s.(provenance.Consumer); return ok }},
+	}
+	for _, spec := range []string{"jupiter", "jupiter-refine", "jupiter-adaptive"} {
+		build, err := strategy.Default.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := build()
+		for _, ext := range extensions {
+			if !ext.has(s) {
+				t.Errorf("%s (%T) does not implement %s", spec, s, ext.name)
+			}
+		}
 	}
 }

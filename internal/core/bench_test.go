@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/market"
-	"repro/internal/quorum"
 	"repro/internal/trace"
 )
 
@@ -146,7 +145,7 @@ func BenchmarkRefine(b *testing.B) {
 			for i := range top {
 				top[i] = zones[i].fpOf(levels[nLevels-1])
 			}
-			target := quorum.ThresholdAvailability(k, top) * 0.999
+			target := thresholdAvailability(k, top) * 0.999
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -29,13 +29,13 @@ func TestHealthTrackerStagesAndDecay(t *testing.T) {
 	if h == nil {
 		t.Fatal("OnFault created no tracker")
 	}
-	if got := h.stage(100); got != StageDegraded {
+	if got := h.stage(100); got != stageDegraded {
 		t.Fatalf("one fault: stage %v, want degraded", got)
 	}
 	for _, z := range []string{"z2", "z3", "z4"} {
 		j.OnFault(fault(z, 101))
 	}
-	if got := h.stage(101); got != StageCritical {
+	if got := h.stage(101); got != stageCritical {
 		t.Fatalf("four faults: stage %v, want critical", got)
 	}
 	// Each faulted zone is quarantined for quarantineBase +- 25% jitter.
@@ -59,7 +59,7 @@ func TestHealthTrackerStagesAndDecay(t *testing.T) {
 	}
 	// Pressure decays: ten half-lives later everything is healthy again.
 	later := refault + 10*healthHalfLife
-	if got := h.stage(later); got != StageHealthy {
+	if got := h.stage(later); got != stageHealthy {
 		t.Fatalf("stage %v after ten half-lives, want healthy", got)
 	}
 	if h.quarantined("z1", later) {
@@ -104,8 +104,8 @@ func TestJupiterDegradedAvoidsQuarantinedZone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.LastStage() != StageDegraded {
-		t.Fatalf("stage %v, want degraded", j.LastStage())
+	if j.lastStage != stageDegraded {
+		t.Fatalf("stage %v, want degraded", j.lastStage)
 	}
 	for _, b := range d.Bids {
 		if b.Zone == bad {
@@ -160,8 +160,8 @@ func TestJupiterCriticalHardensQuorumAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.LastStage() != StageCritical {
-		t.Fatalf("stage %v, want critical", j.LastStage())
+	if j.lastStage != stageCritical {
+		t.Fatalf("stage %v, want critical", j.lastStage)
 	}
 	n := len(d.Bids) + len(d.OnDemand)
 	k := lockSpec().QuorumSize(n)
@@ -184,8 +184,8 @@ func TestJupiterCriticalHardensQuorumAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.LastStage() != StageHealthy {
-		t.Fatalf("stage %v after recovery, want healthy", j.LastStage())
+	if j.lastStage != stageHealthy {
+		t.Fatalf("stage %v after recovery, want healthy", j.lastStage)
 	}
 	if len(d.OnDemand) != 0 {
 		t.Fatalf("recovered decision still holds on-demand members: %v", d.OnDemand)
@@ -277,8 +277,8 @@ func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.LastStage() != StageCritical {
-			t.Fatalf("%s: stage %v, want critical", c.name, j.LastStage())
+		if j.lastStage != stageCritical {
+			t.Fatalf("%s: stage %v, want critical", c.name, j.lastStage)
 		}
 		zones := market.ExperimentZones()[:5]
 		var want market.Money
@@ -365,7 +365,7 @@ func TestChosenSpanCarriesWinningCandidateCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if j.LastStage() != StageDegraded || len(dec.Bids) == 0 || len(dec.OnDemand) == 0 {
+			if j.lastStage != stageDegraded || len(dec.Bids) == 0 || len(dec.OnDemand) == 0 {
 				continue
 			}
 			padded++

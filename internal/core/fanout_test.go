@@ -77,7 +77,7 @@ func withProcs(n int, f func()) {
 // and incremental training pass through the fan-out.
 func nineDecides(t *testing.T, j *Jupiter, view *guardedView) {
 	t.Helper()
-	j.RetrainEvery = 12 * 60
+	j.retrainEvery = 12 * 60
 	for d := int64(0); d < 9; d++ {
 		view.now = 6*week + d*180
 		if _, err := j.Decide(view, lockSpec(), 180); err != nil {
@@ -95,14 +95,14 @@ func TestTrainingFanOutNeverOverlapsHistoryFetches(t *testing.T) {
 	view := &guardedView{traceView: traceView{set: benchPoolSet(t)}, t: t}
 	j := New()
 	withProcs(8, func() { nineDecides(t, j, view) })
-	st := j.Models.Stats()
+	st := j.provider().Stats()
 	if st.Misses == 0 || st.IncrementalTrains == 0 {
 		t.Fatalf("no training ran through the fan-out: %v", st)
 	}
 	if uint64(view.fetches) != st.Misses {
 		t.Fatalf("%d history fetches for %d provider misses", view.fetches, st.Misses)
 	}
-	if whole, suffix := view.asked[j.TrainingWindow], view.asked[j.RetrainEvery]; uint64(whole) != st.ScratchTrains || uint64(suffix) != st.IncrementalTrains {
+	if whole, suffix := view.asked[trainingWindow], view.asked[j.retrainEvery]; uint64(whole) != st.ScratchTrains || uint64(suffix) != st.IncrementalTrains {
 		t.Fatalf("%d whole-window and %d twelve-hour fetches (by minutes asked: %v) for %d scratch and %d incremental trains",
 			whole, suffix, view.asked, st.ScratchTrains, st.IncrementalTrains)
 	}
@@ -115,14 +115,14 @@ func TestWarmProviderFetchesNoHistory(t *testing.T) {
 	shared := modelcache.New()
 	first := &guardedView{traceView: traceView{set: set}, t: t}
 	a := New()
-	a.Models = shared
+	a.UseModelCache(shared)
 	withProcs(8, func() { nineDecides(t, a, first) })
 	if first.fetches == 0 {
 		t.Fatal("the first cell trained nothing")
 	}
 	second := &guardedView{traceView: traceView{set: set}, t: t}
 	b := New()
-	b.Models = shared
+	b.UseModelCache(shared)
 	withProcs(8, func() { nineDecides(t, b, second) })
 	if second.fetches != 0 {
 		t.Fatalf("%d history fetches against a warm provider", second.fetches)
@@ -167,7 +167,7 @@ func TestTrainingFanOutOrderIsPoolOrder(t *testing.T) {
 			}
 			out.events = append(out.events, trained{e.Zone, e.Minute, e.Size})
 		}
-		out.stats = j.Models.Stats()
+		out.stats = j.provider().Stats()
 		out.stats.TrainTime = 0
 		out.spans = j.prov.Spans()
 		return out

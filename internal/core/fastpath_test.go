@@ -128,7 +128,7 @@ func naiveRefineBids(bids []poolBid, k int, target float64) []poolBid {
 			newFP := bids[i].pool.fpOf(lower)
 			old := fps[i]
 			fps[i] = newFP
-			feasible := quorum.ThresholdAvailability(k, fps) >= target
+			feasible := thresholdAvailability(k, fps) >= target
 			fps[i] = old
 			if !feasible {
 				continue
@@ -201,7 +201,7 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 		for zi := range bids {
 			startFPs[zi] = bids[zi].pool.fpOf(bids[zi].bid)
 		}
-		target := quorum.ThresholdAvailability(k, startFPs) * (0.97 + 0.02*rng.Float64())
+		target := thresholdAvailability(k, startFPs) * (0.97 + 0.02*rng.Float64())
 
 		refineBidsWeighted(bids, k*market.UnitsPerNode, target)
 		want := naiveRefineBids(naiveBids, k, target)
@@ -212,4 +212,15 @@ func TestRefineBidsMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// thresholdAvailability is the k-of-n rule over per-node failure
+// probabilities: the weighted DP at unit weights, which the quorum tests
+// pin bit-identical to the node-count DP.
+func thresholdAvailability(k int, p []float64) float64 {
+	units := make([]int, len(p))
+	for i := range units {
+		units[i] = 1
+	}
+	return quorum.WeightedThresholdAvailability(k, units, p)
 }

@@ -10,8 +10,8 @@
 //     seeded, exponentially backed-off re-probe time), and candidate
 //     group sizes that quarantine leaves short of spot zones are padded
 //     with on-demand instances. An on-demand node's failure probability
-//     is FP0, which never exceeds the equalized per-node target (Decide
-//     rejects targets below FP0), so a padded group still meets the
+//     is fp0, which never exceeds the equalized per-node target (Decide
+//     rejects targets below fp0), so a padded group still meets the
 //     availability constraint of Equation 10 by construction.
 //  3. Critical — heavy recent fault pressure: the decision places a
 //     full quorum of the group on on-demand instances, so the service
@@ -36,25 +36,25 @@ import (
 	"repro/internal/stats"
 )
 
-// DegradeStage is the framework's current degradation stage.
-type DegradeStage int
+// degradeStage is the framework's current degradation stage.
+type degradeStage int
 
 const (
-	// StageHealthy runs the unmodified bidding algorithm.
-	StageHealthy DegradeStage = iota
-	// StageDegraded quarantines faulty zones and pads short candidate
+	// stageHealthy runs the unmodified bidding algorithm.
+	stageHealthy degradeStage = iota
+	// stageDegraded quarantines faulty zones and pads short candidate
 	// sets with on-demand instances.
-	StageDegraded
-	// StageCritical additionally places a full quorum on on-demand.
-	StageCritical
+	stageDegraded
+	// stageCritical additionally places a full quorum on on-demand.
+	stageCritical
 )
 
 // String implements fmt.Stringer.
-func (s DegradeStage) String() string {
+func (s degradeStage) String() string {
 	switch s {
-	case StageDegraded:
+	case stageDegraded:
 		return "degraded"
-	case StageCritical:
+	case stageCritical:
 		return "critical"
 	default:
 		return "healthy"
@@ -171,15 +171,15 @@ func (t *healthTracker) observe(e engine.Event) {
 }
 
 // stage maps the decayed global pressure to a degradation stage.
-func (t *healthTracker) stage(now int64) DegradeStage {
+func (t *healthTracker) stage(now int64) degradeStage {
 	t.decayTo(now)
 	switch {
 	case t.pressure >= criticalAt:
-		return StageCritical
+		return stageCritical
 	case t.pressure >= degradedAt:
-		return StageDegraded
+		return stageDegraded
 	}
-	return StageHealthy
+	return stageHealthy
 }
 
 // quarantined reports whether a zone is currently quarantined.

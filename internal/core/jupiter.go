@@ -66,24 +66,17 @@ const (
 	ModeOneStep
 )
 
-// Jupiter is the bidding framework. It trains one semi-Markov failure
-// model per availability zone from observed price history and retrains
-// on a fixed cadence as more data arrives.
+// Jupiter is the bidding framework. Decide is its one way in: it trains
+// one semi-Markov failure model per pool on the history the view has
+// observed and retrains weekly as more data arrives, the paper's Fig. 3
+// loop. Outside a replay, a cloud.Provider advanced to the decision
+// minute is the view.
 type Jupiter struct {
-	// BaseObserver makes the framework an engine.Observer: the replay
+	// baseObserver makes the framework an engine.Observer: the replay
 	// harness subscribes it to the event stream of chaos-armed runs so
 	// OnFault can feed the staged-degradation tracker (health.go).
-	engine.BaseObserver
+	baseObserver
 
-	// FP0 is the baseline failure probability of an instance absent
-	// out-of-bid failures (the on-demand SLA figure, 0.01).
-	FP0 float64
-	// TrainingWindow is how much history to train on, in minutes
-	// (default 13 weeks, the paper's "about three months").
-	TrainingWindow int64
-	// RetrainEvery forces model refreshes at this cadence in minutes
-	// (default weekly); 0 trains once and never refreshes.
-	RetrainEvery int64
 	// Mode selects the failure estimator (ablation hook).
 	Mode EstimatorMode
 	// Refine enables the heterogeneous-bid descent after the Fig. 3
@@ -92,15 +85,13 @@ type Jupiter struct {
 	// quorum availability still meets the target. An extension beyond
 	// the paper's equalized targets.
 	Refine bool
-	// Models is the model provider training is routed through. Leave
-	// nil for a private cache (the single-replay default); point several
-	// framework instances at one shared cache — replay.Config.Models
-	// does this — so identical (zone, window) models train once and are
-	// served to every instance. A shared cache spanning more than one
-	// price history requires views that implement
-	// strategy.TraceIdentifier, so models from different histories key
-	// apart.
-	Models *modelcache.Cache
+
+	// models is the model provider training is routed through: a
+	// private cache until UseModelCache points it at a shared one.
+	models *modelcache.Cache
+	// retrainEvery is the model-refresh cadence in minutes: weekly, as
+	// New sets it; tests shorten it.
+	retrainEvery int64
 
 	// zoneModels is this instance's current model per zone plus when it
 	// was trained — the retrain-cadence state. The models themselves
@@ -124,13 +115,28 @@ type Jupiter struct {
 	// nil until the first OnFault, so runs without a chaos subscription
 	// never touch the degradation paths.
 	health    *healthTracker
-	lastStage DegradeStage
+	lastStage degradeStage
 
 	// prov, when set via UseRecorder, receives decision-provenance
 	// spans. It stays nil on unobserved runs, where Begin returns a nil
 	// trace and every emission site is skipped without building spans.
 	prov *provenance.Recorder
 }
+
+// baseObserver is engine.BaseObserver under a name that keeps the
+// embedded field unexported: Mode and Refine are Jupiter's only exported
+// fields.
+type baseObserver = engine.BaseObserver
+
+// The paper's fixed inputs to every decision: fp0 is the failure
+// probability of an instance absent out-of-bid failures (the on-demand
+// SLA figure, FP' = 0.01), and trainingWindow is how much history each
+// model trains on, in minutes — 13 weeks, the paper's "about three
+// months".
+const (
+	fp0            = market.OnDemandFailureProbability
+	trainingWindow = 13 * 7 * 24 * 60
+)
 
 // zoneModel is one zone's current model and its training minute.
 type zoneModel struct {
@@ -165,18 +171,20 @@ type fpVal struct {
 // New returns a Jupiter with the paper's defaults.
 func New() *Jupiter {
 	return &Jupiter{
-		FP0:            market.OnDemandFailureProbability,
-		TrainingWindow: 13 * 7 * 24 * 60,
-		RetrainEvery:   7 * 24 * 60,
-		zoneModels:     make(map[string]zoneModel),
-		fpCache:        make(map[fpKey]fpVal),
-		fitCache:       make(map[string]*fitState),
+		retrainEvery: 7 * 24 * 60,
+		zoneModels:   make(map[string]zoneModel),
+		fpCache:      make(map[fpKey]fpVal),
+		fitCache:     make(map[string]*fitState),
 	}
 }
 
 // UseModelCache implements modelcache.Consumer: the replay harness
-// calls it to point the framework at the run's shared provider.
-func (j *Jupiter) UseModelCache(c *modelcache.Cache) { j.Models = c }
+// calls it to point the framework at the run's shared provider, so
+// identical (zone, window) models train once and are served to every
+// instance. A shared cache spanning more than one price history requires
+// views that implement strategy.TraceIdentifier, so models from
+// different histories key apart.
+func (j *Jupiter) UseModelCache(c *modelcache.Cache) { j.models = c }
 
 // UseRecorder implements provenance.Consumer: the replay harness calls
 // it to collect decision-provenance spans for the run.
@@ -185,10 +193,10 @@ func (j *Jupiter) UseRecorder(r *provenance.Recorder) { j.prov = r }
 // provider returns the configured shared cache, or a lazily created
 // private one.
 func (j *Jupiter) provider() *modelcache.Cache {
-	if j.Models == nil {
-		j.Models = modelcache.New()
+	if j.models == nil {
+		j.models = modelcache.New()
 	}
-	return j.Models
+	return j.models
 }
 
 // invertFP is quorum.InvertEqualFP with memoization.
@@ -232,9 +240,6 @@ func (j *Jupiter) OnFault(e engine.Event) {
 	j.health.observe(e)
 }
 
-// LastStage returns the degradation stage of the most recent Decide.
-func (j *Jupiter) LastStage() DegradeStage { return j.lastStage }
-
 // publishTrain surfaces a provider miss (an actual training pass) to
 // the view's observers, when the view accepts instrumentation events.
 func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64, out modelcache.Outcome) {
@@ -258,7 +263,7 @@ func (j *Jupiter) publishTrain(view strategy.MarketView, zone string, now int64,
 // publishStage surfaces a degradation-stage transition to the view's
 // observers — the attribution ledger reads quarantine evidence from it —
 // when the view accepts instrumentation events.
-func publishStage(view strategy.MarketView, now int64, stage DegradeStage) {
+func publishStage(view strategy.MarketView, now int64, stage degradeStage) {
 	if pub, ok := view.(strategy.EventPublisher); ok {
 		pub.PublishEvent(engine.Event{Minute: now, Kind: engine.KindStage, Fault: stage.String()})
 	}
@@ -356,7 +361,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 			w.skip = "quarantined" // after faults; re-probed once the backoff expires
 			continue
 		}
-		if zm, ok := j.zoneModels[z]; ok && (j.RetrainEvery == 0 || now-zm.trainedAt < j.RetrainEvery) {
+		if zm, ok := j.zoneModels[z]; ok && now-zm.trainedAt < j.retrainEvery {
 			w.model = zm.model
 		} else {
 			retrain = true
@@ -374,7 +379,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 	// concurrent framework instances over the same history share one
 	// estimation pass.
 	models := j.provider()
-	key := modelcache.Key{From: now - j.TrainingWindow, Until: now}
+	key := modelcache.Key{From: now - trainingWindow, Until: now}
 	if ti, ok := view.(strategy.TraceIdentifier); ok {
 		key.Trace = ti.TraceFingerprint()
 	}
@@ -412,10 +417,10 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 			return &poolSnapshot{
 				zone: w.zone,
 				minBid: func(target float64) (market.Money, bool) {
-					return model.MinimalBidOneStep(cur, age, target, j.FP0, od)
+					return model.MinimalBidOneStep(cur, age, target, fp0, od)
 				},
 				fpOf: func(bid market.Money) float64 {
-					return model.OneStepFP(cur, age, bid, j.FP0)
+					return model.OneStepFP(cur, age, bid, fp0)
 				},
 				levels: model.Prices(),
 				cur:    cur,
@@ -430,10 +435,10 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		return &poolSnapshot{
 			zone: w.zone,
 			minBid: func(target float64) (market.Money, bool) {
-				return fc.MinimalBid(target, j.FP0, od)
+				return fc.MinimalBid(target, fp0, od)
 			},
 			fpOf: func(bid market.Money) float64 {
-				return fc.FailureProbability(bid, j.FP0)
+				return fc.FailureProbability(bid, fp0)
 			},
 			levels: fc.Levels(),
 			cur:    w.cur,
@@ -509,35 +514,12 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 	if intervalMinutes <= 0 {
 		return strategy.Decision{}, fmt.Errorf("core: interval %d <= 0", intervalMinutes)
 	}
-	pools := view.Zones()
-	// Minimum-shape constraint: drop pools whose instance type is too
-	// small for the service. An unsatisfiable constraint is a
-	// configuration error (market.ErrNoFeasiblePools), surfaced rather
-	// than silently falling back to on-demand.
-	if spec.Constrained() {
-		filtered, err := market.FilterPools(pools, spec.Type, spec.MinVCPU, spec.MinMemGiB)
-		if err != nil {
-			return strategy.Decision{}, err
-		}
-		pools = filtered
+	// Minimum-shape constraint: an unsatisfiable one is a configuration
+	// error (market.ErrNoFeasiblePools), surfaced rather than silently
+	// falling back to on-demand.
+	pools, err := strategy.FeasiblePools(view, spec)
+	if err != nil {
+		return strategy.Decision{}, err
 	}
 	return j.decidePools(view, spec, pools, intervalMinutes)
-}
-
-// TrainOn pre-trains zone models from a trace set, for tools that have
-// bulk history on disk rather than a live market view. The models go
-// through the provider like decision-time training, so repeated
-// pre-training over the same set is served from cache.
-func (j *Jupiter) TrainOn(set *trace.Set) error {
-	fp := set.Fingerprint()
-	for zone, tr := range set.ByZone {
-		tr := tr
-		key := modelcache.Key{Trace: fp, Zone: zone, From: set.Start, Until: set.End}
-		m, _, err := j.provider().Get(key, func() (*trace.Trace, error) { return tr, nil })
-		if err != nil {
-			return fmt.Errorf("core: pre-training %s: %w", zone, err)
-		}
-		j.zoneModels[zone] = zoneModel{model: m, trainedAt: set.End}
-	}
-	return nil
 }

@@ -267,57 +267,8 @@ func TestJupiterRejectsBadInterval(t *testing.T) {
 	}
 }
 
-func TestJupiterTrainOn(t *testing.T) {
-	view := genView(t, 42, 13)
-	j := New()
-	j.RetrainEvery = 0 // rely solely on pre-training
-	if err := j.TrainOn(view.set); err != nil {
-		t.Fatal(err)
-	}
-	d, err := j.Decide(view, lockSpec(), 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Bids) == 0 && len(d.OnDemand) == 0 {
-		t.Fatal("pre-trained Jupiter made no decision")
-	}
-}
-
-// TestJupiterNeverRetrainsWhenCadenceZero pins the documented
-// RetrainEvery == 0 contract: train once, never refresh, no matter how
-// far the view advances.
-func TestJupiterNeverRetrainsWhenCadenceZero(t *testing.T) {
-	view := genView(t, 42, 15)
-	view.now = 13 * week
-	j := New()
-	j.RetrainEvery = 0
-	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
-		t.Fatal(err)
-	}
-	if len(j.zoneModels) == 0 {
-		t.Fatal("first decision trained no models")
-	}
-	before := make(map[string]zoneModel, len(j.zoneModels))
-	for z, zm := range j.zoneModels {
-		before[z] = zm
-	}
-	view.now = 13*week + 2*week - 1 // two weeks later, well past any weekly cadence
-	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
-		t.Fatal(err)
-	}
-	for z, zm := range j.zoneModels {
-		prev, ok := before[z]
-		if !ok {
-			t.Fatalf("zone %s trained only on the second decision", z)
-		}
-		if zm.model != prev.model || zm.trainedAt != prev.trainedAt {
-			t.Fatalf("zone %s retrained despite RetrainEvery == 0", z)
-		}
-	}
-}
-
 // TestJupiterRetrainBoundary pins the cadence comparison: one minute
-// before trainedAt+RetrainEvery keeps the old model, the boundary
+// before trainedAt+retrainEvery keeps the old model, the boundary
 // minute itself retrains.
 func TestJupiterRetrainBoundary(t *testing.T) {
 	const cadence = int64(24 * 60)
@@ -325,7 +276,7 @@ func TestJupiterRetrainBoundary(t *testing.T) {
 	start := 13 * week
 	view.now = start
 	j := New()
-	j.RetrainEvery = cadence
+	j.retrainEvery = cadence
 	if _, err := j.Decide(view, lockSpec(), 60); err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,8 @@ func pinPlanner(t *testing.T, markets int, types []market.InstanceType, pinShort
 					defer wg.Done()
 					for c := range next {
 						j := New()
-						j.Mode, j.Refine, j.Models = c.mode, c.refine, models
+						j.Mode, j.Refine = c.mode, c.refine
+						j.UseModelCache(models)
 						for _, z := range c.faulted {
 							j.OnFault(fault(z, trainWeeks*week-1))
 						}

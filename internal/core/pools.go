@@ -112,9 +112,9 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	target := spec.TargetAvailability()
 	now := view.Now()
 
-	// Staged degradation (health.go): stays StageHealthy — and changes
+	// Staged degradation (health.go): stays stageHealthy — and changes
 	// nothing below — unless faults have been observed via OnFault.
-	stage := StageHealthy
+	stage := stageHealthy
 	if j.health != nil && j.health.faults > 0 {
 		stage = j.health.stage(now)
 	}
@@ -165,7 +165,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// odPool: under degradation, groups that quarantine leaves short of
 	// adequate spot capacity are padded with on-demand instances from the
 	// cheapest-per-unit non-quarantined pools. An on-demand node fails
-	// with FP0 <= fpTarget (targets below FP0 are rejected), so a padded
+	// with fp0 <= fpTarget (targets below fp0 are rejected), so a padded
 	// group of W base nodes still meets the equalized bound of Equation 10.
 	capUnits := 0
 	var odPool []odPoolCand
@@ -175,7 +175,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			continue
 		}
 		capUnits += u
-		if stage == StageHealthy || j.health.quarantinedKey(p, now) {
+		if stage == stageHealthy || j.health.quarantinedKey(p, now) {
 			continue
 		}
 		od, perr := market.PoolOnDemandPrice(p, spec.Type)
@@ -214,7 +214,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	}
 
 	// evaluate prices a candidate group for W base-node equivalents and
-	// says whether it meets the target. On-demand members fail at FP0. It
+	// says whether it meets the target. On-demand members fail at fp0. It
 	// returns both the planned cost (the sum of bids — the group's
 	// worst-case spend, the figure the Fig. 3 enumeration minimizes) and
 	// the expected cost (the sum of current prices — what the group bills
@@ -222,7 +222,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	//
 	// A group of exactly W base nodes meets Equation 10 by monotonicity:
 	// every member was bid to (minBid's contract), or as an on-demand node
-	// sits at FP0 which is no worse than, the W-node equalized target. That
+	// sits at fp0 which is no worse than, the W-node equalized target. That
 	// is the paper's own argument, and such a group is not put to the DP —
 	// which reads the on-demand baseline itself one ulp below the target
 	// computed from it (quorum.TestBaselineReadsOneUlpBelowItsOwnTarget).
@@ -259,7 +259,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 		for _, oc := range od {
 			units = append(units, oc.units)
-			fps = append(fps, j.FP0)
+			fps = append(fps, fp0)
 		}
 		j.ws.units, j.ws.fps = units, fps
 		return cost, curCost, j.ws.dp.Availability(t, units, fps) >= target
@@ -274,10 +274,10 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	// then re-bids every spot member at that tighter probability.
 	//
 	// It bisects only as far as the bids can tell apart. All it does with
-	// fp is compare it with FP0 and hand it to each member's minBid, a
+	// fp is compare it with fp0 and hand it to each member's minBid, a
 	// step function of a few levels per pool that is monotone
 	// non-increasing in its target; so with fp known to lie in [lo, up],
-	// up < FP0 already fails the group, and lo >= FP0 with a member
+	// up < fp0 already fails the group, and lo >= fp0 with a member
 	// answering the same at lo and at up already is that member's answer
 	// at fp. Members are walked in order, as the converged rebid would;
 	// the first one the interval cannot yet decide buys one more probe.
@@ -324,10 +324,10 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		}
 		for {
 			lo, up := fit.bounds()
-			if up < j.FP0 {
+			if up < fp0 {
 				return nil, false
 			}
-			if lo >= j.FP0 {
+			if lo >= fp0 {
 				if ok, decided := price(lo, up); decided {
 					return out, ok
 				}
@@ -354,7 +354,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 			break
 		}
 		fpTarget, ok := j.invertFP(W, spec.QuorumSize(W), target)
-		if !ok || fpTarget < j.FP0 {
+		if !ok || fpTarget < fp0 {
 			if dt != nil {
 				dt.Emit(provenance.Span{Kind: provenance.SpanCandidate, Nodes: W, Outcome: "infeasible-target"})
 			}
@@ -528,7 +528,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		return j.fallbackTraced(view, spec, dt, "no-feasible-group")
 	}
 	bestSpot, bestOD := sel.spot, sel.od
-	if stage == StageCritical {
+	if stage == stageCritical {
 		bestSpot, bestOD = hardenQuorumPools(bestSpot, bestOD, spec)
 	}
 	// The heterogeneous descent models spot bids only; a mixed
@@ -564,7 +564,7 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	return out, nil
 }
 
-// hardenQuorumPools is the StageCritical posture: convert spot members
+// hardenQuorumPools is the stageCritical posture: convert spot members
 // to on-demand, most expensive per capacity unit first, until a full unit
 // quorum of the group runs on-demand — which keeps the service up even
 // if every spot member is lost at once (a correlated reclamation storm).

@@ -239,11 +239,11 @@ func TestDecidePoolsMatchesReferenceFit(t *testing.T) {
 	faultLoads := []struct {
 		name  string
 		zones []string
-		stage DegradeStage
+		stage degradeStage
 	}{
-		{"healthy", nil, StageHealthy},
-		{"degraded", zones[:1], StageDegraded},
-		{"critical", zones[:13], StageCritical},
+		{"healthy", nil, stageHealthy},
+		{"degraded", zones[:1], stageDegraded},
+		{"critical", zones[:13], stageCritical},
 	}
 	var rebids, padded atomic.Int64
 	pinMarket := func(t *testing.T, seed uint64) {
@@ -271,7 +271,8 @@ func TestDecidePoolsMatchesReferenceFit(t *testing.T) {
 					fast, ref := New(), New()
 					ref.fit = refFit
 					for _, j := range []*Jupiter{fast, ref} {
-						j.Mode, j.Refine, j.Models = mode, refine, models
+						j.Mode, j.Refine = mode, refine
+						j.UseModelCache(models)
 						j.UseRecorder(provenance.NewRecorder(1))
 						for _, z := range load.zones {
 							j.OnFault(fault(z, trainWeeks*week-1))
@@ -287,8 +288,8 @@ func TestDecidePoolsMatchesReferenceFit(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d == 0 && fast.LastStage() != load.stage {
-							t.Fatalf("%s: first Decide at stage %v", name, fast.LastStage())
+						if d == 0 && fast.lastStage != load.stage {
+							t.Fatalf("%s: first Decide at stage %v", name, fast.lastStage)
 						}
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s decision %d: %+v, reference %+v", name, d, got, want)

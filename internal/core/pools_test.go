@@ -18,15 +18,10 @@ import (
 	"repro/internal/trace"
 )
 
-// allExtraTypes is every cataloged type beyond m1.small.
+// allExtraTypes is every cataloged type beyond m1.small, in catalog
+// order.
 func allExtraTypes() []market.InstanceType {
-	var out []market.InstanceType
-	for _, it := range market.Types() {
-		if it != market.M1Small {
-			out = append(out, it)
-		}
-	}
-	return out
+	return []market.InstanceType{market.M3Large, market.M1Medium, market.M3Medium, market.C3Large, market.R3Large}
 }
 
 // genPoolView builds a heterogeneous market view: every experiment zone
@@ -154,7 +149,7 @@ func TestJupiterPoolsMinShapeFilter(t *testing.T) {
 	total := 0
 	for _, b := range d.Bids {
 		_, typ := market.ParsePool(b.Zone, spec.Type)
-		if !spec.Feasible(typ) {
+		if !market.ShapeSatisfies(typ, spec.MinVCPU, spec.MinMemGiB) {
 			t.Fatalf("bid on infeasible pool %q (type %s)", b.Zone, typ)
 		}
 		u, err := market.PoolCapacityUnits(b.Zone, spec.Type)
@@ -173,7 +168,7 @@ func TestJupiterPoolsMinShapeFilter(t *testing.T) {
 	}
 	for _, z := range d.OnDemand {
 		_, typ := market.ParsePool(z, spec.Type)
-		if !spec.Feasible(typ) {
+		if !market.ShapeSatisfies(typ, spec.MinVCPU, spec.MinMemGiB) {
 			t.Fatalf("on-demand in infeasible pool %q (type %s)", z, typ)
 		}
 	}
@@ -346,8 +341,8 @@ func TestFillBoundsEveryPricedGroup(t *testing.T) {
 	zones := market.ExperimentZones()
 	faultLoads := []struct {
 		zones []string
-		stage DegradeStage
-	}{{nil, StageHealthy}, {zones[:1], StageDegraded}, {zones[:13], StageCritical}}
+		stage degradeStage
+	}{{nil, stageHealthy}, {zones[:1], stageDegraded}, {zones[:13], stageCritical}}
 	specs := []strategy.ServiceSpec{lockSpec(), {Type: market.M3Large, BaseNodes: 5, DataShards: 3}}
 	var priced, rebids int
 	for _, types := range [][]market.InstanceType{nil, {market.M1Medium, market.C3Large, market.R3Large}} {
@@ -381,8 +376,8 @@ func TestFillBoundsEveryPricedGroup(t *testing.T) {
 						if _, err := j.Decide(view, spec, interval); err != nil {
 							t.Fatal(err)
 						}
-						if d == 0 && j.LastStage() != load.stage {
-							t.Fatalf("%s: first Decide at stage %v", name, j.LastStage())
+						if d == 0 && j.lastStage != load.stage {
+							t.Fatalf("%s: first Decide at stage %v", name, j.lastStage)
 						}
 						var prev market.Money
 						for W := 1; W <= len(set.ByZone)+1; W++ {

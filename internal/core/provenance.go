@@ -12,7 +12,7 @@ import (
 
 // emitStage records the degradation stage a decision ran under,
 // marking transitions with the stage it moved from.
-func emitStage(dt *provenance.DecisionTrace, prev, cur DegradeStage) {
+func emitStage(dt *provenance.DecisionTrace, prev, cur degradeStage) {
 	s := provenance.Span{Kind: provenance.SpanStage, Outcome: cur.String()}
 	if cur != prev {
 		s.Detail = "from " + prev.String()
@@ -61,9 +61,9 @@ func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.Se
 	for _, oc := range od {
 		units = append(units, oc.units)
 		tot += oc.units
-		fps = append(fps, j.FP0)
+		fps = append(fps, fp0)
 		cost += oc.price
-		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: oc.key, Outcome: "on-demand", BidMicroUSD: int64(oc.price), FP: j.FP0})
+		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: oc.key, Outcome: "on-demand", BidMicroUSD: int64(oc.price), FP: fp0})
 	}
 	avail := quorum.WeightedThresholdAvailability(spec.QuorumUnits(tot), units, fps)
 	dt.Emit(provenance.Span{

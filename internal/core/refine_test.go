@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/market"
-	"repro/internal/quorum"
 )
 
 func TestRefineBidsLowersCostWithinTarget(t *testing.T) {
@@ -49,7 +48,7 @@ func TestRefineBidsLowersCostWithinTarget(t *testing.T) {
 	if totalAfter >= totalBefore {
 		t.Fatalf("refinement saved nothing: %v -> %v", totalBefore, totalAfter)
 	}
-	if a := quorum.ThresholdAvailability(2, fps); a < target {
+	if a := thresholdAvailability(2, fps); a < target {
 		t.Fatalf("refined availability %v below target %v", a, target)
 	}
 }
@@ -121,7 +120,7 @@ func TestJupiterRefineEndToEnd(t *testing.T) {
 		vec = append(vec, fp)
 	}
 	k := lockSpec().QuorumSize(len(vec))
-	if a := quorum.ThresholdAvailability(k, vec); a < lockSpec().TargetAvailability() {
+	if a := thresholdAvailability(k, vec); a < lockSpec().TargetAvailability() {
 		t.Fatalf("refined decision availability %v below target", a)
 	}
 }

@@ -421,11 +421,6 @@ func (e Env) Fig6and7() ([]SweepRow, error) {
 	return e.Sweep(LockSpec(), "lock")
 }
 
-// Fig8and9 reproduces the storage-service sweep.
-func (e Env) Fig8and9() ([]SweepRow, error) {
-	return e.Sweep(StorageSpec(), "storage")
-}
-
 // Headline summarizes the paper's headline claim from sweep rows: the
 // best-interval Jupiter cost versus the baseline.
 type Headline struct {

@@ -27,9 +27,8 @@ func TestFeasibilityStorageEndToEnd(t *testing.T) {
 
 	j := core.New()
 	spec := StorageSpec()
-	view := providerView{p: provider}
 
-	decision, err := j.Decide(view, spec, 60)
+	decision, err := j.Decide(provider, spec, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestFeasibilityStorageEndToEnd(t *testing.T) {
 	const intervals = 4
 	for interval := 0; interval < intervals; interval++ {
 		provider.AdvanceTo(provider.Now() + 60)
-		decision, err := j.Decide(view, spec, 60)
+		decision, err := j.Decide(provider, spec, 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lockservice"
 	"repro/internal/market"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // TestFeasibilityEndToEnd is the §5.4 experiment in miniature, closing
@@ -30,10 +29,9 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 
 	j := core.New()
 	spec := LockSpec()
-	view := providerView{p: provider}
 
 	// First decision establishes the founding membership.
-	decision, err := j.Decide(view, spec, 60)
+	decision, err := j.Decide(provider, spec, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +80,7 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 			}
 		}
 		// Bid for the next interval and rotate membership.
-		decision, err := j.Decide(view, spec, 60)
+		decision, err := j.Decide(provider, spec, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,19 +136,4 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 	if err != nil || !released {
 		t.Fatalf("final release: ok=%v err=%v", released, err)
 	}
-}
-
-// providerView adapts the cloud provider to the strategy view.
-type providerView struct{ p *cloud.Provider }
-
-func (v providerView) Now() int64      { return v.p.Now() }
-func (v providerView) Zones() []string { return v.p.Zones() }
-func (v providerView) SpotPrice(zone string) (market.Money, error) {
-	return v.p.SpotPrice(zone)
-}
-func (v providerView) SpotPriceAge(zone string) (int64, error) {
-	return v.p.SpotPriceAge(zone)
-}
-func (v providerView) PriceHistory(zone string, from, to int64) (*trace.Trace, error) {
-	return v.p.PriceHistory(zone, from, to)
 }

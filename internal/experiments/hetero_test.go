@@ -94,7 +94,7 @@ func TestEnvConstraintsPropagate(t *testing.T) {
 	if spec.MinVCPU != 1024 {
 		t.Fatalf("constraint not applied: %+v", spec)
 	}
-	if spec.Feasible(market.M1Small) {
+	if market.ShapeSatisfies(market.M1Small, spec.MinVCPU, spec.MinMemGiB) {
 		t.Fatal("m1.small cannot satisfy 1024 vCPUs")
 	}
 }

@@ -191,14 +191,15 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		}
 		s.quarantined("workload", f.Workload, rep)
 		e.Workload = wl
-		// The workload key mirrors the replay kernel's arming rule: it
-		// appears only when the plan can move the group size at all, so a
-		// flat workload's headers stay byte-identical to a fixed-n run's.
+		// The workload key follows the replay kernel's arming rule
+		// (workload.Plan.Holds): it appears only when the plan can move
+		// the group size at all, so a flat workload's headers stay
+		// byte-identical to a fixed-n run's.
 		plan, err := workload.DefaultAutoscaler(spec.BaseNodes).Plan(wl)
 		if err != nil {
 			return Env{}, nil, err
 		}
-		if !plan.Constant() || plan.TargetAt(plan.Start) != spec.BaseNodes {
+		if !plan.Holds(spec.BaseNodes) {
 			kv = append(kv, "workload", f.Workload)
 		}
 	}

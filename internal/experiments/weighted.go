@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/market"
 	"repro/internal/quorum"
-	"repro/internal/trace"
 )
 
 // WeightedVotingReport quantifies the §4.1 design discussion: Jupiter
@@ -29,18 +29,20 @@ type WeightedVotingReport struct {
 }
 
 // WeightedVotingAnalysis runs one Jupiter decision on the lock-service
-// market and compares quorum rules over the chosen instance set.
+// market, at the end of the training weeks and trained on them, and
+// compares quorum rules over the chosen instance set.
 func (e Env) WeightedVotingAnalysis() (*WeightedVotingReport, error) {
 	set, err := e.Traces(market.M1Small)
 	if err != nil {
 		return nil, err
 	}
-	j := core.New()
-	if err := j.TrainOn(set.Window(set.Start, e.TrainWeeks*Week)); err != nil {
-		return nil, err
+	now := e.TrainWeeks * Week
+	if now < set.Start || now >= set.End {
+		return nil, fmt.Errorf("experiments: weighted-voting decision at minute %d outside the market [%d, %d)", now, set.Start, set.End)
 	}
-	j.RetrainEvery = 0
-	view := setView{set: set, now: e.TrainWeeks * Week}
+	view := cloud.NewProvider(set, cloud.Config{})
+	view.AdvanceTo(now)
+	j := core.New()
 	decision, err := j.Decide(view, LockSpec(), 60)
 	if err != nil {
 		return nil, err
@@ -77,47 +79,4 @@ func renderWeightedVoting(r *WeightedVotingReport) string {
 	fmt.Fprintf(&b, "weighted-voting availability: %.10f\n", r.WeightedAvailability)
 	fmt.Fprintf(&b, "downtime given up by majority: %.2f s/month\n", r.GapDowntimeSecMonth)
 	return b.String()
-}
-
-// setView serves a static trace set as a market view positioned at a
-// given minute.
-type setView struct {
-	set *trace.Set
-	now int64
-}
-
-func (v setView) Now() int64      { return v.now }
-func (v setView) Zones() []string { return v.set.Zones() }
-
-func (v setView) SpotPrice(zone string) (market.Money, error) {
-	tr, ok := v.set.ByZone[zone]
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown zone %q", zone)
-	}
-	return tr.PriceAt(v.now), nil
-}
-
-func (v setView) SpotPriceAge(zone string) (int64, error) {
-	tr, ok := v.set.ByZone[zone]
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown zone %q", zone)
-	}
-	return tr.AgeAt(v.now), nil
-}
-
-func (v setView) PriceHistory(zone string, from, to int64) (*trace.Trace, error) {
-	tr, ok := v.set.ByZone[zone]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown zone %q", zone)
-	}
-	if from < tr.Start {
-		from = tr.Start
-	}
-	if to > v.now {
-		to = v.now
-	}
-	if to < from {
-		to = from
-	}
-	return tr.Window(from, to), nil
 }

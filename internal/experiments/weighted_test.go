@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// TestWeightedVotingNeedsAMarketPastTraining: the decision is made at the
+// end of the training weeks, so a run with no replay weeks has no minute
+// to decide at — an error, not a panic in the provider.
+func TestWeightedVotingNeedsAMarketPastTraining(t *testing.T) {
+	e := quick()
+	e.ReplayWeeks = 0
+	if _, err := e.WeightedVotingAnalysis(); err == nil || !strings.Contains(err.Error(), "outside the market") {
+		t.Fatalf("err = %v, want the decision minute outside the market", err)
+	}
+}
+
 func TestWeightedVotingAnalysis(t *testing.T) {
 	rep, err := quick().WeightedVotingAnalysis()
 	if err != nil {

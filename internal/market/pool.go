@@ -69,16 +69,6 @@ func Shape(it InstanceType) (TypeShape, error) {
 	return TypeShape{}, fmt.Errorf("market: unknown instance type %q", it)
 }
 
-// Types returns every instance type in the catalog, in table order
-// (paper types first).
-func Types() []InstanceType {
-	out := make([]InstanceType, len(typeSpecs))
-	for i, ts := range typeSpecs {
-		out[i] = ts.shape.Type
-	}
-	return out
-}
-
 // UnitsPerNode is the integer capacity-unit quantum: a node of the
 // service's base type counts as exactly UnitsPerNode units, and every
 // other type's weight is rounded to whole units. Quorum arithmetic runs

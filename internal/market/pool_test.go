@@ -141,3 +141,13 @@ func TestParseTypes(t *testing.T) {
 		t.Fatalf("duplicate type error = %v", err)
 	}
 }
+
+// Types returns every instance type in the catalog, in table order
+// (paper types first).
+func Types() []InstanceType {
+	out := make([]InstanceType, len(typeSpecs))
+	for i, ts := range typeSpecs {
+		out[i] = ts.shape.Type
+	}
+	return out
+}

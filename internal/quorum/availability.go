@@ -77,36 +77,6 @@ func AvailabilityEqual(n, k int, p float64) float64 {
 	return total
 }
 
-// ThresholdAvailability evaluates a k-of-n threshold system under
-// heterogeneous failure probabilities in O(n²) via the Poisson-binomial
-// survivor-count DP — exact like Availability, but fast enough for
-// optimization loops over large universes.
-func ThresholdAvailability(k int, p []float64) float64 {
-	n := len(p)
-	if k < 0 || k > n {
-		panic("quorum: k outside [0, n]")
-	}
-	checkProbabilities(p)
-	// dist[j] = P(exactly j of the first i nodes alive).
-	dist := make([]float64, n+1)
-	dist[0] = 1
-	for i, pi := range p {
-		q := 1 - pi
-		for j := i + 1; j >= 1; j-- {
-			dist[j] = dist[j]*pi + dist[j-1]*q
-		}
-		dist[0] *= pi
-	}
-	total := 0.0
-	for j := k; j <= n; j++ {
-		total += dist[j]
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total
-}
-
 // InvertEqualFP returns the largest common node failure probability p
 // such that a k-of-n threshold system still achieves the target
 // availability. This is the node_failure_pr step of the paper's online
@@ -141,65 +111,3 @@ func DowntimeSeconds(availability, periodSeconds float64) float64 {
 
 // SecondsPerMonth is a 30-day month, the paper's downtime yardstick.
 const SecondsPerMonth = 30 * 24 * 3600.0
-
-// MinimalQuorums enumerates the minimal accepted sets S(A) of a system:
-// accepted sets none of whose proper subsets are accepted (Definition 1).
-// Exponential in n; intended for small universes and tests.
-func MinimalQuorums(sys System) []uint64 {
-	n := sys.N()
-	if n > 24 {
-		panic("quorum: MinimalQuorums limited to n <= 24")
-	}
-	var out []uint64
-	for s := uint64(1); s < 1<<uint(n); s++ {
-		if !sys.Accepts(s) {
-			continue
-		}
-		minimal := true
-		for b := s; b != 0 && minimal; b &= b - 1 {
-			low := b & (-b)
-			if sys.Accepts(s &^ low) {
-				minimal = false
-			}
-		}
-		if minimal {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// IsMonotone verifies Definition 1's monotonicity over the whole lattice:
-// every superset of an accepted set is accepted. Exponential in n.
-func IsMonotone(sys System) bool {
-	n := sys.N()
-	if n > 20 {
-		panic("quorum: IsMonotone limited to n <= 20")
-	}
-	for s := uint64(0); s < 1<<uint(n); s++ {
-		if !sys.Accepts(s) {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			sup := s | 1<<uint(i)
-			if !sys.Accepts(sup) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Intersects verifies Definition 1's intersection property: any two
-// accepted sets share a node. Exponential in n.
-func Intersects(sys System) bool {
-	qs := MinimalQuorums(sys)
-	for i, a := range qs {
-		for _, b := range qs[i+1:] {
-			if a&b == 0 {
-				return false
-			}
-		}
-	}
-	return len(qs) > 0
-}

@@ -361,3 +361,33 @@ func TestDowntimeSeconds(t *testing.T) {
 		t.Errorf("99%% of 100s downtime = %v, want 1", d)
 	}
 }
+
+// ThresholdAvailability evaluates a k-of-n threshold system under
+// heterogeneous failure probabilities in O(n²) via the Poisson-binomial
+// survivor-count DP — exact like Availability. It is the oracle for the
+// weighted DP's unit-weight case, which must match it bit for bit.
+func ThresholdAvailability(k int, p []float64) float64 {
+	n := len(p)
+	if k < 0 || k > n {
+		panic("quorum: k outside [0, n]")
+	}
+	checkProbabilities(p)
+	// dist[j] = P(exactly j of the first i nodes alive).
+	dist := make([]float64, n+1)
+	dist[0] = 1
+	for i, pi := range p {
+		q := 1 - pi
+		for j := i + 1; j >= 1; j-- {
+			dist[j] = dist[j]*pi + dist[j-1]*q
+		}
+		dist[0] *= pi
+	}
+	total := 0.0
+	for j := k; j <= n; j++ {
+		total += dist[j]
+	}
+	if total > 1 {
+		total = 1
+	}
+	return total
+}

@@ -68,25 +68,11 @@ func RSPaxosQuorumSize(n, m int) int {
 	return (n + m + 1) / 2
 }
 
-// RSPaxos returns the quorum system of an RS-Paxos group with n nodes
-// and m data chunks. θ(3,5) yields 4-of-5: it tolerates only one node
-// failure, unlike replication's two (paper §5.1.2).
-func RSPaxos(n, m int) Threshold {
-	if m < 1 || m > n {
-		panic(fmt.Sprintf("quorum: RS-Paxos m=%d outside [1, %d]", m, n))
-	}
-	return NewThreshold(n, RSPaxosQuorumSize(n, m))
-}
-
 // N implements System.
 func (t Threshold) N() int { return t.n }
 
 // K returns the quorum size.
 func (t Threshold) K() int { return t.k }
-
-// FaultTolerance returns the largest number of simultaneous node
-// failures the system survives.
-func (t Threshold) FaultTolerance() int { return t.n - t.k }
 
 // Accepts implements System.
 func (t Threshold) Accepts(alive uint64) bool {
@@ -148,32 +134,6 @@ func (w Weighted) Accepts(alive uint64) bool {
 type Explicit struct {
 	n       int
 	quorums []uint64
-}
-
-// NewExplicit builds an explicit system from quorum bitmasks. It panics
-// when the collection is empty, a quorum is empty or out of range, or
-// two quorums fail to intersect (Definition 1 would be violated by
-// monotone closure).
-func NewExplicit(n int, quorums []uint64) Explicit {
-	checkN(n)
-	if len(quorums) == 0 {
-		panic("quorum: explicit system needs at least one quorum")
-	}
-	m := mask(n)
-	for i, q := range quorums {
-		if q == 0 {
-			panic("quorum: empty quorum")
-		}
-		if q&^m != 0 {
-			panic(fmt.Sprintf("quorum: quorum %d references nodes outside universe", i))
-		}
-		for _, r := range quorums[i+1:] {
-			if q&r == 0 {
-				panic("quorum: quorums do not pairwise intersect")
-			}
-		}
-	}
-	return Explicit{n: n, quorums: append([]uint64(nil), quorums...)}
 }
 
 // N implements System.

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -275,4 +276,106 @@ func TestSystemsAreValidQuorumSystems(t *testing.T) {
 	if err := quick.Check(g, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RSPaxos returns the quorum system of an RS-Paxos group with n nodes
+// and m data chunks. θ(3,5) yields 4-of-5: it tolerates only one node
+// failure, unlike replication's two (paper §5.1.2).
+func RSPaxos(n, m int) Threshold {
+	if m < 1 || m > n {
+		panic(fmt.Sprintf("quorum: RS-Paxos m=%d outside [1, %d]", m, n))
+	}
+	return NewThreshold(n, RSPaxosQuorumSize(n, m))
+}
+
+// FaultTolerance returns the largest number of simultaneous node
+// failures the system survives.
+func (t Threshold) FaultTolerance() int { return t.n - t.k }
+
+// NewExplicit builds an explicit system from quorum bitmasks. It panics
+// when the collection is empty, a quorum is empty or out of range, or
+// two quorums fail to intersect (Definition 1 would be violated by
+// monotone closure).
+func NewExplicit(n int, quorums []uint64) Explicit {
+	checkN(n)
+	if len(quorums) == 0 {
+		panic("quorum: explicit system needs at least one quorum")
+	}
+	m := mask(n)
+	for i, q := range quorums {
+		if q == 0 {
+			panic("quorum: empty quorum")
+		}
+		if q&^m != 0 {
+			panic(fmt.Sprintf("quorum: quorum %d references nodes outside universe", i))
+		}
+		for _, r := range quorums[i+1:] {
+			if q&r == 0 {
+				panic("quorum: quorums do not pairwise intersect")
+			}
+		}
+	}
+	return Explicit{n: n, quorums: append([]uint64(nil), quorums...)}
+}
+
+// MinimalQuorums enumerates the minimal accepted sets S(A) of a system:
+// accepted sets none of whose proper subsets are accepted (Definition 1).
+// Exponential in n; intended for small universes and tests.
+func MinimalQuorums(sys System) []uint64 {
+	n := sys.N()
+	if n > 24 {
+		panic("quorum: MinimalQuorums limited to n <= 24")
+	}
+	var out []uint64
+	for s := uint64(1); s < 1<<uint(n); s++ {
+		if !sys.Accepts(s) {
+			continue
+		}
+		minimal := true
+		for b := s; b != 0 && minimal; b &= b - 1 {
+			low := b & (-b)
+			if sys.Accepts(s &^ low) {
+				minimal = false
+			}
+		}
+		if minimal {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// IsMonotone verifies Definition 1's monotonicity over the whole lattice:
+// every superset of an accepted set is accepted. Exponential in n.
+func IsMonotone(sys System) bool {
+	n := sys.N()
+	if n > 20 {
+		panic("quorum: IsMonotone limited to n <= 20")
+	}
+	for s := uint64(0); s < 1<<uint(n); s++ {
+		if !sys.Accepts(s) {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			sup := s | 1<<uint(i)
+			if !sys.Accepts(sup) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Intersects verifies Definition 1's intersection property: any two
+// accepted sets share a node. Exponential in n.
+func Intersects(sys System) bool {
+	qs := MinimalQuorums(sys)
+	for i, a := range qs {
+		for _, b := range qs[i+1:] {
+			if a&b == 0 {
+				return false
+			}
+		}
+	}
+	return len(qs) > 0
 }

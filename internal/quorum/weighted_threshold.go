@@ -14,9 +14,11 @@ import (
 // DP simply walks unit sums instead of node counts.
 //
 // The weighted DP below intentionally performs the exact floating-point
-// operation sequence of ThresholdAvailability whenever every unit is 1,
-// so an all-equal-weight fleet evaluates bit-identically; the property
-// tests pin this.
+// operation sequence of the node-count survivor DP (dist[j] =
+// dist[j]·p + dist[j-1]·q) whenever every unit is 1, so an
+// all-equal-weight fleet evaluates bit-identically to the k-of-n rule;
+// the property tests pin this against that DP, which they keep as their
+// oracle.
 
 // RSPaxosQuorumUnits is RSPaxosQuorumSize over capacity units: the
 // minimal live unit sum for an RS-Paxos group with totalUnits units of
@@ -58,8 +60,8 @@ func checkProbabilities(p []float64) {
 // foldNode folds one node of u capacity units and failure probability
 // pi into dist, the survivor distribution over unit sums of the nodes
 // folded so far (cum includes this node), leaving entries below from
-// as they were. It is the ThresholdAvailability recurrence with a
-// stride of u, and the only copy of it: every weighted result in this
+// as they were. It is the node-count survivor recurrence with a stride
+// of u, and the only copy of it: every weighted result in this
 // file rounds the same way because it comes out of this loop.
 func foldNode(dist []float64, from, cum, u int, pi float64) {
 	q := 1 - pi
@@ -115,8 +117,8 @@ func (d *WeightedDP) Availability(t int, units []int, p []float64) float64 {
 // sum of live nodes reaches t, where node i fails independently with
 // probability p[i] and carries units[i] capacity units. t <= 0 is
 // trivially available; t beyond the total unit sum is unreachable.
-// Validation of p matches ThresholdAvailability; units must be
-// positive. O(n · total units).
+// Every p[i] must lie in [0, 1] and units must be positive.
+// O(n · total units).
 func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 	var d WeightedDP
 	return d.Availability(t, units, p)

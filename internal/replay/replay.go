@@ -376,7 +376,7 @@ func newRun(cfg Config) (*run, error) {
 		// A plan that holds the spec's own size forever is the fixed-n
 		// world: arming nothing keeps the run byte-identical to a
 		// workload-less one.
-		if !plan.Constant() || plan.TargetAt(plan.Start) != cfg.Spec.BaseNodes {
+		if !plan.Holds(cfg.Spec.BaseNodes) {
 			r.view.load = &loadTarget{n: cfg.Spec.BaseNodes}
 			r.resize = newResizer(r, plan)
 		}

@@ -1,6 +1,7 @@
 package spotstats
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/market"
@@ -38,7 +39,11 @@ func TestMemorylessnessAcceptsExponentialSojourns(t *testing.T) {
 	prices := []market.Money{100, 200}
 	for i := 0; i < 3000; i++ {
 		tr.Points = append(tr.Points, trace.PricePoint{Minute: now, Price: prices[i%2]})
-		d := int64(r.ExpFloat64(1.0/30.0)) + 1 // ~Exp(mean 30), floored
+		u := r.Float64()
+		for u == 0 {
+			u = r.Float64()
+		}
+		d := int64(-math.Log(u)/(1.0/30.0)) + 1 // ~Exp(mean 30), floored
 		now += d
 	}
 	tr.End = now

@@ -88,20 +88,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
-func (r *RNG) ExpFloat64(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("stats: ExpFloat64 called with lambda <= 0")
-	}
-	u := r.Float64()
-	// Guard against log(0).
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
-}
-
 // NormFloat64 returns a normally distributed value with the given mean and
 // standard deviation, using the Marsaglia polar method.
 func (r *RNG) NormFloat64(mean, stddev float64) float64 {

@@ -163,3 +163,17 @@ func TestSplitIndependence(t *testing.T) {
 		t.Fatalf("split stream matches parent %d/100 times", same)
 	}
 }
+
+// ExpFloat64 returns an exponentially distributed value with rate lambda
+// (mean 1/lambda). It panics if lambda <= 0.
+func (r *RNG) ExpFloat64(lambda float64) float64 {
+	if lambda <= 0 {
+		panic("stats: ExpFloat64 called with lambda <= 0")
+	}
+	u := r.Float64()
+	// Guard against log(0).
+	for u == 0 {
+		u = r.Float64()
+	}
+	return -math.Log(u) / lambda
+}

@@ -55,7 +55,7 @@ func (c *CheckpointRestart) Name() string {
 
 // Decide implements Strategy.
 func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := feasiblePools(view, spec)
+	keys, err := FeasiblePools(view, spec)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -27,7 +27,7 @@ func (e Extra) Name() string {
 
 // Decide implements Strategy.
 func (e Extra) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := feasiblePools(view, spec)
+	keys, err := FeasiblePools(view, spec)
 	if err != nil {
 		return Decision{}, err
 	}

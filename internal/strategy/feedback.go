@@ -67,7 +67,7 @@ const integralClamp = 0.5
 
 // Decide implements Strategy.
 func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := feasiblePools(view, spec)
+	keys, err := FeasiblePools(view, spec)
 	if err != nil {
 		return Decision{}, err
 	}

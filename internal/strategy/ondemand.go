@@ -15,7 +15,7 @@ func (OnDemand) Name() string { return "Baseline" }
 
 // Decide implements Strategy.
 func (OnDemand) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := feasiblePools(view, spec)
+	keys, err := FeasiblePools(view, spec)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -17,11 +17,11 @@ type pricedPool struct {
 	units int
 }
 
-// feasiblePools returns the view's candidate pools after the spec's
+// FeasiblePools returns the view's candidate pools after the spec's
 // minimum-shape constraint (market.FilterPools). Unconstrained specs
 // see the view untouched, so single-type decisions stay byte-identical
 // to the pre-filter behaviour.
-func feasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
+func FeasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
 	pools := view.Zones()
 	if !spec.Constrained() {
 		return pools, nil

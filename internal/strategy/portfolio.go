@@ -64,7 +64,7 @@ type portfolioPool struct {
 
 // Decide implements Strategy.
 func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := feasiblePools(view, spec)
+	keys, err := FeasiblePools(view, spec)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -124,12 +124,6 @@ func (s ServiceSpec) QuorumUnits(totalUnits int) int {
 	return quorum.RSPaxosQuorumUnits(totalUnits, s.DataShards*market.UnitsPerNode)
 }
 
-// Feasible reports whether an instance type satisfies the spec's
-// minimum shape.
-func (s ServiceSpec) Feasible(it market.InstanceType) bool {
-	return market.ShapeSatisfies(it, s.MinVCPU, s.MinMemGiB)
-}
-
 // Constrained reports whether the spec carries a minimum-shape
 // constraint at all.
 func (s ServiceSpec) Constrained() bool {

@@ -70,11 +70,12 @@ func (p *Plan) TargetAt(minute int64) int {
 	return p.Steps[lo].Target
 }
 
-// Constant reports whether the plan never changes size — the case in
-// which the replay harness must fall back to the fixed-n path
-// byte-identically.
-func (p *Plan) Constant() bool {
-	return len(p.Steps) == 1
+// Holds reports whether the plan keeps the group at n nodes for its
+// whole span. That is the autoscale arming rule: the replay harness arms
+// no resizing for such a plan, and the commands stamp no workload on its
+// run, so both stay byte-identical to a fixed-n run.
+func (p *Plan) Holds(n int) bool {
+	return len(p.Steps) == 1 && p.TargetAt(p.Start) == n
 }
 
 // NextDeviation returns the first minute at or after from where the

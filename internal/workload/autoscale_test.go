@@ -18,11 +18,11 @@ func TestPlanConstantWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Constant() {
-		t.Fatalf("flat workload produced a moving plan: %+v", plan.Steps)
+	if !plan.Holds(5) {
+		t.Fatalf("flat 3000 rps under a 5-node floor: plan %+v, want the floor throughout", plan.Steps)
 	}
-	if got := plan.TargetAt(0); got != 5 {
-		t.Errorf("flat 3000 rps under 5-node floor -> %d nodes, want the floor", got)
+	if plan.Holds(6) {
+		t.Fatal("a plan holding 5 nodes also holds 6")
 	}
 }
 
