@@ -17,7 +17,8 @@
 // hardware-failure model, whose per-minute Bernoulli draws are the
 // model itself: they are preserved exactly (same RNG consumption, in
 // instance-creation order) so that results are bit-identical to the
-// original minute-stepping implementation. Observers subscribed via
+// original minute-stepping implementation, and made in one tight loop
+// per stretch of minutes between two scheduled transitions. Observers subscribed via
 // Subscribe receive a typed event at the exact simulated minute of
 // every transition.
 package cloud
@@ -137,6 +138,9 @@ type Provider struct {
 	// draws and LiveInstances.
 	active      []*Instance
 	activeDirty bool
+	// drawSet is drawSpan's reused list of the instances drawing
+	// through a hazard-only span.
+	drawSet []*Instance
 
 	// timers holds every scheduled future transition.
 	timers engine.Queue[timer]
@@ -626,11 +630,13 @@ func (p *Provider) Alive(id InstanceID) bool {
 // exact minutes. It panics on attempts to move backwards or beyond the
 // trace span.
 //
-// With hardware-failure injection off, time jumps straight between
-// scheduled transitions. With it on, minutes at which at least one
-// instance is draw-eligible are stepped individually so the per-minute
-// Bernoulli draws consume the RNG stream exactly as the original
-// implementation did.
+// Time jumps from one scheduled transition to the next. With
+// hardware-failure injection on, the minutes in between are
+// hazard-only: no timer fires and no request relaunches there, so the
+// set of instances that draw cannot change except by a hit. drawSpan
+// makes those minutes' Bernoulli draws in one loop over that fixed set,
+// consuming the RNG stream exactly as stepping minute by minute did
+// (advanceReference in the tests keeps that stepping as the oracle).
 func (p *Provider) AdvanceTo(minute int64) {
 	if minute < p.now {
 		panic(fmt.Sprintf("cloud: time moving backwards (%d -> %d)", p.now, minute))
@@ -639,35 +645,50 @@ func (p *Provider) AdvanceTo(minute int64) {
 		panic(fmt.Sprintf("cloud: minute %d beyond trace end %d", minute, p.traces.End))
 	}
 	for p.now < minute {
-		next := minute
-		if p.hazardPerMinute > 0 && p.drawEligibleNextMinute() {
+		next := min(p.timers.NextMinute(), p.refulfilNext, minute)
+		if next <= p.now {
 			next = p.now + 1
-		} else {
-			if t := p.timers.NextMinute(); t < next {
-				next = t
-			}
-			if p.refulfilNext < next {
-				next = p.refulfilNext
-			}
-			if next <= p.now {
-				next = p.now + 1
-			}
+		}
+		if p.hazardPerMinute > 0 && p.drawSpan(next) {
+			continue // a hit: p.now is its minute, already finished
 		}
 		p.now = next
 		p.processMinute()
 	}
 }
 
-// drawEligibleNextMinute reports whether any instance will take a
-// hazard draw at minute now+1: Running (so promoted at or before now)
-// and not in an outage extending past now+1.
-func (p *Provider) drawEligibleNextMinute() bool {
+// drawSpan makes the hazard draws of the minutes after now and before
+// end, none of which holds a scheduled transition. The instances that
+// draw there are the running ones out of any outage by now: an outage
+// healing inside the span would have its tOutageEnd timer there. At the
+// first hit drawSpan moves now to the hit's minute, finishes that
+// minute as processMinute would (the later instances' draws, then the
+// request scan) and reports true; otherwise it leaves now alone.
+func (p *Provider) drawSpan(end int64) bool {
+	set := p.drawSet[:0]
 	for _, inst := range p.active {
-		if inst.State == Running && inst.downUntil <= p.now+1 {
-			return true
+		if inst.State == Running && inst.downUntil <= p.now {
+			set = append(set, inst)
 		}
 	}
-	return false
+	p.drawSet = set
+	n := int64(len(set))
+	draws := (end - p.now - 1) * n
+	if draws <= 0 {
+		return false
+	}
+	// The span's draws run minute by minute, each minute over set in
+	// order: draw k is minute now+1+k/n, instance k%n.
+	k := p.rng.FalseRun(p.hazardPerMinute, draws)
+	if k == draws {
+		return false
+	}
+	p.now += 1 + k/n
+	i := k % n
+	p.startOutage(set[i])
+	p.drawMinute(set[i+1:])
+	p.finishMinute()
+	return true
 }
 
 // processMinute applies everything that happens at minute p.now, in the
@@ -675,37 +696,53 @@ func (p *Provider) drawEligibleNextMinute() bool {
 // draws over instances in creation order, then the persistent-request
 // relaunch scan.
 func (p *Provider) processMinute() {
-	m := p.now
 	for {
-		tm, ok := p.timers.PopDue(m)
+		tm, ok := p.timers.PopDue(p.now)
 		if !ok {
 			break
 		}
 		p.applyTimer(tm.Payload)
 	}
 	if p.hazardPerMinute > 0 {
-		for _, inst := range p.active {
-			// Draw-eligible: running since before this minute and not in
-			// an outage. Instances promoted or reclaimed at this minute
-			// were already handled by their timers above.
-			if inst.State == Running && inst.RunningAt < m && inst.downUntil <= m {
-				if p.rng.Bool(p.hazardPerMinute) {
-					inst.downUntil = m + 1 + p.rng.Int63n(2*p.mttrMinutes)
-					p.timers.Schedule(inst.downUntil, int(tOutageEnd), timer{
-						kind: tOutageEnd, inst: inst, until: inst.downUntil,
-					})
-					if p.observers.Active() {
-						p.observers.Publish(engine.Event{
-							Minute: m, Kind: engine.KindOutageStart,
-							Instance: string(inst.ID), Zone: inst.Zone, Spot: inst.Spot,
-							Until: inst.downUntil, Request: reqID(inst.req),
-						})
-					}
-				}
-			}
+		p.drawMinute(p.active)
+	}
+	p.finishMinute()
+}
+
+// drawMinute makes minute p.now's hazard draws over insts, in order.
+// Draw-eligible: running since before this minute and not in an
+// outage. Instances promoted or reclaimed at this minute were already
+// handled by their timers.
+func (p *Provider) drawMinute(insts []*Instance) {
+	m := p.now
+	for _, inst := range insts {
+		if inst.State == Running && inst.RunningAt < m && inst.downUntil <= m && p.rng.Bool(p.hazardPerMinute) {
+			p.startOutage(inst)
 		}
 	}
-	if p.refulfilNext <= m {
+}
+
+// startOutage begins a hardware outage of inst at minute p.now, its
+// length drawn from the FP' model's repair time.
+func (p *Provider) startOutage(inst *Instance) {
+	inst.downUntil = p.now + 1 + p.rng.Int63n(2*p.mttrMinutes)
+	p.timers.Schedule(inst.downUntil, int(tOutageEnd), timer{
+		kind: tOutageEnd, inst: inst, until: inst.downUntil,
+	})
+	if p.observers.Active() {
+		p.observers.Publish(engine.Event{
+			Minute: p.now, Kind: engine.KindOutageStart,
+			Instance: string(inst.ID), Zone: inst.Zone, Spot: inst.Spot,
+			Until: inst.downUntil, Request: reqID(inst.req),
+		})
+	}
+}
+
+// finishMinute closes minute p.now: the persistent-request relaunch
+// scan when one is due, then dropping terminated instances from the
+// draw order.
+func (p *Provider) finishMinute() {
+	if p.refulfilNext <= p.now {
 		p.stepRequests()
 	}
 	if p.activeDirty {

@@ -61,12 +61,20 @@ var typeSpecs = []typeSpec{
 // Shape returns the capacity shape of an instance type, or an error for
 // a type outside the catalog.
 func Shape(it InstanceType) (TypeShape, error) {
-	for _, ts := range typeSpecs {
-		if ts.shape.Type == it {
-			return ts.shape, nil
-		}
+	if i, ok := typeIndex(it); ok {
+		return typeSpecs[i].shape, nil
 	}
 	return TypeShape{}, fmt.Errorf("market: unknown instance type %q", it)
+}
+
+// typeIndex returns the catalog row of an instance type.
+func typeIndex(it InstanceType) (int, bool) {
+	for i, ts := range typeSpecs {
+		if ts.shape.Type == it {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // UnitsPerNode is the integer capacity-unit quantum: a node of the
@@ -157,11 +165,38 @@ func PoolMaxBid(key string, base InstanceType) (Money, error) {
 	return od * 4, nil
 }
 
+// unitsTable[i][j] is CapacityUnits(typeSpecs[i], typeSpecs[j]): every
+// pool weight the catalog defines, worked out once at package
+// initialization, so the per-pool decision path reads it with no lock.
+var unitsTable = func() [][]int {
+	t := make([][]int, len(typeSpecs))
+	for i, it := range typeSpecs {
+		t[i] = make([]int, len(typeSpecs))
+		for j, base := range typeSpecs {
+			u, err := CapacityUnits(it.shape.Type, base.shape.Type)
+			if err != nil {
+				panic(err) // both types come from the catalog
+			}
+			t[i][j] = u
+		}
+	}
+	return t
+}()
+
 // PoolCapacityUnits returns the integer capacity units of a pool
-// relative to the base type. Allocation-free.
+// relative to the base type, CapacityUnits read from the catalog's
+// table. Allocation-free.
 func PoolCapacityUnits(key string, base InstanceType) (int, error) {
 	_, it := ParsePool(key, base)
-	return CapacityUnits(it, base)
+	if it == base {
+		return UnitsPerNode, nil
+	}
+	i, ok := typeIndex(it)
+	j, okBase := typeIndex(base)
+	if !ok || !okBase {
+		return CapacityUnits(it, base) // the unknown type's error
+	}
+	return unitsTable[i][j], nil
 }
 
 // ErrNoFeasiblePools reports that a minimum-shape constraint rejected

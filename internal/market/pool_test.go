@@ -2,6 +2,8 @@ package market
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -120,6 +122,53 @@ func TestFilterPools(t *testing.T) {
 	// An unsatisfiable constraint surfaces the typed error.
 	if _, err := FilterPools(keys, M1Small, 64, 0); !errors.Is(err, ErrNoFeasiblePools) {
 		t.Fatalf("FilterPools(min 64 vCPU) error = %v, want ErrNoFeasiblePools", err)
+	}
+}
+
+// TestPoolCapacityUnitsTable: the table PoolCapacityUnits reads holds
+// round(UnitsPerNode·√(v/v₀ · m/m₀)) for every (type, base) pair of the
+// catalog, through bare and typed pool keys alike; unknown types give
+// CapacityUnits' errors, as before the table; and a lookup allocates
+// nothing.
+func TestPoolCapacityUnitsTable(t *testing.T) {
+	for _, it := range Types() {
+		for _, base := range Types() {
+			s, _ := Shape(it)
+			b, _ := Shape(base)
+			want := int(math.Round(UnitsPerNode * math.Sqrt(float64(s.VCPU)/float64(b.VCPU)*(s.MemGiB/b.MemGiB))))
+			if it == base {
+				want = UnitsPerNode
+			}
+			key := PoolKey("us-east-1a", it, base)
+			if got, err := PoolCapacityUnits(key, base); err != nil || got != want {
+				t.Errorf("PoolCapacityUnits(%q, %s) = %d, %v; want %d", key, base, got, err, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		key  string
+		base InstanceType
+	}{
+		{"us-east-1a/t1.micro", M1Small},
+		{"us-east-1a/m1.small", "t1.micro"},
+		{"us-east-1a/t1.micro", "z9.huge"},
+		{"us-east-1a", "t1.micro"},
+		{"nowhere-1z/c3.large", M1Small},
+		{"", R3Large},
+	} {
+		_, it := ParsePool(c.key, c.base)
+		wantU, wantErr := CapacityUnits(it, c.base)
+		u, err := PoolCapacityUnits(c.key, c.base)
+		if u != wantU || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("PoolCapacityUnits(%q, %s) = %d, %v; want %d, %v", c.key, c.base, u, err, wantU, wantErr)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PoolCapacityUnits("us-east-1a/r3.large", M1Small); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("PoolCapacityUnits allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -88,6 +88,40 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// FalseRun makes up to n Bool(p) draws and returns how many came up
+// false before the first true one, n when none did. It consumes exactly
+// the draws the Bool calls would have, min(k+1, n) for a result k < n,
+// and leaves the stream where they would have left it. Bool's test
+// Float64() < p is the same as (Uint64()>>11) < ⌈p·2⁵³⌉, so the loop
+// compares integers and runs Uint64's step inline with the state in
+// locals: a long run of rare events costs a few instructions a draw.
+func (r *RNG) FalseRun(p float64, n int64) int64 {
+	var below uint64 // ⌈p·2⁵³⌉, clamped to [0, 2⁵³]
+	switch {
+	case p >= 1:
+		below = 1 << 53
+	case p > 0:
+		below = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	k := int64(0)
+	for ; k < n; k++ {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if result>>11 < below {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return k
+}
+
 // NormFloat64 returns a normally distributed value with the given mean and
 // standard deviation, using the Marsaglia polar method.
 func (r *RNG) NormFloat64(mean, stddev float64) float64 {

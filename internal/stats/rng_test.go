@@ -44,6 +44,48 @@ func TestRNGZeroSeed(t *testing.T) {
 	}
 }
 
+// TestFalseRunMatchesBool: FalseRun returns the index of the first true
+// Bool(p) among n draws and leaves the stream exactly where those Bool
+// calls leave it, at probabilities from never through tiny, the
+// ⌈p·2⁵³⌉ boundary and certain.
+func TestFalseRunMatchesBool(t *testing.T) {
+	ps := []float64{math.NaN(), -1, 0, 1e-300, 0x1p-53, 0x1.8p-53, 3.4e-4, 0.01, 0.5, 1 - 0x1p-53, 1, 2}
+	for seed := uint64(0); seed < 40; seed++ {
+		for _, p := range ps {
+			for _, n := range []int64{0, 1, 7, 1000} {
+				a, b := NewRNG(seed), NewRNG(seed)
+				want := n
+				for k := int64(0); k < n; k++ {
+					if a.Bool(p) {
+						want = k
+						break
+					}
+				}
+				if got := b.FalseRun(p, n); got != want {
+					t.Fatalf("seed %d p %g n %d: FalseRun = %d, Bool loop %d", seed, p, n, got, want)
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatalf("seed %d p %g n %d: streams differ after the run", seed, p, n)
+				}
+			}
+		}
+	}
+	// At the boundary: a draw whose Float64 equals p is a miss, and it
+	// hits at the next float up.
+	for seed := uint64(0); seed < 200; seed++ {
+		p := NewRNG(seed).Float64()
+		for _, q := range []float64{p, math.Nextafter(p, 2)} {
+			want := int64(1)
+			if NewRNG(seed).Bool(q) {
+				want = 0
+			}
+			if got := NewRNG(seed).FalseRun(q, 1); got != want {
+				t.Fatalf("seed %d p %v: FalseRun = %d, want %d", seed, q, got, want)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 100000; i++ {

@@ -60,7 +60,7 @@ func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMi
 		return Decision{}, err
 	}
 	now := view.Now()
-	pools := make([]pricedPool, 0, len(keys))
+	sel := cheapestUnits{need: TargetNodes(view, spec) * market.UnitsPerNode}
 	for _, z := range keys {
 		cur, err := view.SpotPrice(z)
 		if err != nil {
@@ -78,11 +78,10 @@ func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMi
 		if hist, err := view.PriceHistory(z, now-c.LookbackMinutes, now); err == nil && hist != nil && hist.End > hist.Start {
 			bid = c.chooseBid(hist, cur, od, intervalMinutes)
 		}
-		pools = append(pools, pricedPool{key: z, price: bid, units: u})
+		sel.offer(pricedPool{key: z, price: bid, units: u})
 	}
-	sortPerUnit(pools)
 	var bids []Bid
-	for _, z := range fillUnits(pools, TargetNodes(view, spec)*market.UnitsPerNode) {
+	for _, z := range sel.picked {
 		bids = append(bids, Bid{Zone: z.key, Price: z.price})
 	}
 	return Decision{Bids: bids}, nil

@@ -31,7 +31,7 @@ func (e Extra) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) 
 	if err != nil {
 		return Decision{}, err
 	}
-	pools := make([]pricedPool, 0, len(keys))
+	sel := cheapestUnits{need: (TargetNodes(view, spec) + e.ExtraNodes) * market.UnitsPerNode}
 	for _, z := range keys {
 		p, err := view.SpotPrice(z)
 		if err != nil {
@@ -41,11 +41,10 @@ func (e Extra) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) 
 		if err != nil {
 			return Decision{}, err
 		}
-		pools = append(pools, pricedPool{key: z, price: p, units: u})
+		sel.offer(pricedPool{key: z, price: p, units: u})
 	}
-	sortPerUnit(pools)
 	var bids []Bid
-	for _, z := range fillUnits(pools, (TargetNodes(view, spec)+e.ExtraNodes)*market.UnitsPerNode) {
+	for _, z := range sel.picked {
 		bids = append(bids, Bid{Zone: z.key, Price: z.price.Scale(1 + e.Portion)})
 	}
 	return Decision{Bids: bids}, nil

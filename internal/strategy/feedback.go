@@ -75,7 +75,7 @@ func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinu
 		f.state = make(map[string]*feedbackState, len(keys))
 	}
 	now := view.Now()
-	var candidates []pricedPool
+	sel := cheapestUnits{need: TargetNodes(view, spec) * market.UnitsPerNode}
 	for _, z := range keys {
 		cur, err := view.SpotPrice(z)
 		if err != nil {
@@ -127,11 +127,10 @@ func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinu
 			// The bid stays put so recovery is driven by measurement.
 			continue
 		}
-		candidates = append(candidates, pricedPool{key: z, price: st.bid, units: u})
+		sel.offer(pricedPool{key: z, price: st.bid, units: u})
 	}
-	sortPerUnit(candidates)
 	var bids []Bid
-	for _, z := range fillUnits(candidates, TargetNodes(view, spec)*market.UnitsPerNode) {
+	for _, z := range sel.picked {
 		bids = append(bids, Bid{Zone: z.key, Price: z.price})
 	}
 	return Decision{Bids: bids}, nil

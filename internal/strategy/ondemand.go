@@ -19,7 +19,7 @@ func (OnDemand) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64)
 	if err != nil {
 		return Decision{}, err
 	}
-	pools := make([]pricedPool, 0, len(keys))
+	sel := cheapestUnits{need: TargetNodes(view, spec) * market.UnitsPerNode}
 	for _, z := range keys {
 		od, err := market.PoolOnDemandPrice(z, spec.Type)
 		if err != nil {
@@ -29,11 +29,10 @@ func (OnDemand) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64)
 		if err != nil {
 			return Decision{}, err
 		}
-		pools = append(pools, pricedPool{key: z, price: od, units: u})
+		sel.offer(pricedPool{key: z, price: od, units: u})
 	}
-	sortPerUnit(pools)
 	var zones []string
-	for _, z := range fillUnits(pools, TargetNodes(view, spec)*market.UnitsPerNode) {
+	for _, z := range sel.picked {
 		zones = append(zones, z.key)
 	}
 	return Decision{OnDemand: zones}, nil

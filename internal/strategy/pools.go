@@ -29,34 +29,62 @@ func FeasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
 	return market.FilterPools(pools, spec.Type, spec.MinVCPU, spec.MinMemGiB)
 }
 
-// sortPerUnit orders pools cheapest per capacity unit first:
-// price_i/units_i < price_j/units_j, cross-multiplied to stay in
-// integers, ties broken by pool key. For a single-type view every pool
-// has equal units, so this is exactly the by-price order the paper's
-// strategies always used. Pool keys are unique within a view, so the
-// order is total and the unstable sort has one possible result (pinned
-// by TestSortPerUnitIsATotalOrder).
-func sortPerUnit(pools []pricedPool) {
-	slices.SortFunc(pools, func(a, b pricedPool) int {
-		if c := cmp.Compare(int64(a.price)*int64(b.units), int64(b.price)*int64(a.units)); c != 0 {
-			return c
-		}
-		return strings.Compare(a.key, b.key)
-	})
+// comparePerUnit is the order every rival ranks pools in: cheapest per
+// capacity unit first, price_a/units_a against price_b/units_b
+// cross-multiplied to stay in integers, ties broken by pool key. For a
+// single-type view every pool has equal units, so this is exactly the
+// by-price order the paper's strategies always used. Pool keys are
+// unique within a view, so the order is total (pinned by
+// TestSortPerUnitIsATotalOrder).
+func comparePerUnit(a, b pricedPool) int {
+	if c := cmp.Compare(int64(a.price)*int64(b.units), int64(b.price)*int64(a.units)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.key, b.key)
 }
 
-// fillUnits takes the prefix of (already ranked) pools that covers the
-// requested capacity units — one instance per pool, each contributing
-// its full unit weight.
-func fillUnits(pools []pricedPool, units int) []pricedPool {
-	need := units
-	out := pools[:0:0]
-	for _, p := range pools {
-		if need <= 0 {
-			break
-		}
-		out = append(out, p)
-		need -= p.units
+// cheapestUnits selects, from pools offered to it one at a time, the
+// shortest comparePerUnit-ordered prefix that covers need capacity units
+// — one instance per pool, each contributing its full unit weight — or
+// every offered pool when together they fall short. That is the
+// selection of sorting all offered pools and filling need units from
+// the front, made without holding or sorting them all: a pool ranked
+// after a covering prefix can never enter it.
+type cheapestUnits struct {
+	need   int
+	have   int          // units of picked
+	picked []pricedPool // in comparePerUnit order
+}
+
+// offer considers one more pool.
+func (c *cheapestUnits) offer(p pricedPool) {
+	if c.need <= 0 {
+		return
 	}
-	return out
+	i := len(c.picked)
+	if c.have >= c.need && comparePerUnit(p, c.picked[i-1]) > 0 {
+		return
+	}
+	for i > 0 && comparePerUnit(p, c.picked[i-1]) < 0 {
+		i--
+	}
+	if c.picked == nil {
+		c.picked = make([]pricedPool, 0, 8)
+	}
+	c.picked = slices.Insert(c.picked, i, p)
+	c.have += p.units
+	for n := len(c.picked); c.have-c.picked[n-1].units >= c.need; n-- {
+		c.have -= c.picked[n-1].units
+		c.picked = c.picked[:n-1]
+	}
+}
+
+// prefix returns the shortest prefix of the picked pools that covers
+// units; a smaller need's selection is a prefix of a larger one's.
+func (c *cheapestUnits) prefix(units int) []pricedPool {
+	n := 0
+	for need := units; need > 0 && n < len(c.picked); n++ {
+		need -= c.picked[n].units
+	}
+	return c.picked[:n]
 }

@@ -92,14 +92,16 @@ func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMi
 		pools = append(pools, pp)
 	}
 
-	// On-demand tranche candidates cheapest-per-unit first; spot
+	targetNodes := TargetNodes(view, spec)
+	wantUnits := targetNodes * market.UnitsPerNode
+	// On-demand tranche candidates cheapest-per-unit first: every
+	// tranche below fills a prefix of the full group's selection. Spot
 	// tranche candidates by expected live units per expected dollar —
 	// i.e. prefer reliable-and-cheap pools.
-	odRank := make([]pricedPool, len(pools))
-	for i, pp := range pools {
-		odRank[i] = pricedPool{key: pp.key, price: pp.od, units: pp.units}
+	odRank := cheapestUnits{need: wantUnits}
+	for _, pp := range pools {
+		odRank.offer(pricedPool{key: pp.key, price: pp.od, units: pp.units})
 	}
-	sortPerUnit(odRank)
 	spotRank := append([]portfolioPool(nil), pools...)
 	sort.Slice(spotRank, func(i, j int) bool {
 		a, b := spotRank[i], spotRank[j]
@@ -113,10 +115,8 @@ func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMi
 		return a.key < b.key
 	})
 
-	targetNodes := TargetNodes(view, spec)
-	wantUnits := targetNodes * market.UnitsPerNode
 	fullOD := market.Money(0)
-	for _, z := range fillUnits(odRank, wantUnits) {
+	for _, z := range odRank.picked {
 		fullOD += z.price
 	}
 	budget := fullOD.Scale(p.CostCapFraction)
@@ -132,7 +132,7 @@ func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMi
 	for odNodes := 0; odNodes <= targetNodes; odNodes++ {
 		var pl plan
 		taken := map[string]bool{}
-		for _, z := range fillUnits(odRank, odNodes*market.UnitsPerNode) {
+		for _, z := range odRank.prefix(odNodes * market.UnitsPerNode) {
 			pl.od = append(pl.od, z.key)
 			pl.cost += z.price
 			pl.expected += float64(z.units)
