@@ -11,25 +11,22 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/replay"
-	"repro/internal/strategy"
 )
 
 // record replays the lock service at the quick scale through the shared
-// command surface — the path "replay -manifest -spans-sample 1
-// -events-out" takes — and returns the manifest, the event trace and
-// the results.
-func record(t *testing.T, spec string, intervals ...int64) (manifest, events string, results []*replay.Result) {
+// command surface — the path "replay -manifest -spans-sample 1" takes —
+// and returns the manifest and the results.
+func record(t *testing.T, spec string, intervals ...int64) (manifest string, results []*replay.Result) {
 	t.Helper()
-	dir := t.TempDir()
 	f := experiments.Flags{
 		Seed: 2014, Train: 6, Weeks: 1, Jobs: 1, SpansSample: 1,
-		Manifest: filepath.Join(dir, "manifest.json"), EventsOut: filepath.Join(dir, "events.jsonl"),
+		Manifest: filepath.Join(t.TempDir(), "manifest.json"),
 	}
 	env, sink, err := f.Open("replay", experiments.LockSpec(), "strategy", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, err := strategy.Default.Build(spec)
+	build, err := experiments.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func record(t *testing.T, spec string, intervals ...int64) (manifest, events str
 	if err := sink.Close(err); err != nil {
 		t.Fatal(err)
 	}
-	return f.Manifest, f.EventsOut, results
+	return f.Manifest, results
 }
 
 // TestExplainReconstructsTheDecision: "replay -manifest -spans-sample 1"
@@ -47,7 +44,7 @@ func record(t *testing.T, spec string, intervals ...int64) (manifest, events str
 // of the 6 h lock cell is pinned: five nodes at the FP' = 0.01 target,
 // five bids placed.
 func TestExplainReconstructsTheDecision(t *testing.T) {
-	manifest, _, _ := record(t, "jupiter", 6)
+	manifest, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)
@@ -78,7 +75,7 @@ func TestExplainReconstructsTheDecision(t *testing.T) {
 // bound in the COST-BOUND column — one row after the last size priced, and
 // no cheaper than the cheapest feasible one.
 func TestExplainPrintsTheCut(t *testing.T) {
-	manifest, _, _ := record(t, "jupiter", 6)
+	manifest, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)
@@ -133,7 +130,7 @@ func dollars(t *testing.T, s string) float64 {
 // runs must be narrowed, and the error lists both stamps — the
 // strategy's Name(), whichever command wrote the file.
 func TestExplainRefusesAmbiguousStreams(t *testing.T) {
-	manifest, _, _ := record(t, "jupiter", 3, 6)
+	manifest, _ := record(t, "jupiter", 3, 6)
 	var out bytes.Buffer
 	err := runExplain([]string{manifest}, &out)
 	if err == nil {
@@ -158,7 +155,7 @@ func TestExplainRefusesAmbiguousStreams(t *testing.T) {
 // A run without -spans-sample recorded none at all, and explain says
 // that instead.
 func TestExplainEmptyStream(t *testing.T) {
-	manifest, _, _ := record(t, "feedback", 3)
+	manifest, _ := record(t, "feedback", 3)
 	err := runExplain([]string{manifest}, new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), `strategy "Feedback(0.03)" records no decision provenance`) {
 		t.Errorf("a record without spans: %v", err)
@@ -169,7 +166,7 @@ func TestExplainEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, err := strategy.Default.Build("jupiter")
+	build, err := experiments.Build("jupiter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +192,7 @@ func TestExplainMatchesTheSpansStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, _, _ := record(t, "jupiter-refine", 6)
+	manifest, _ := record(t, "jupiter-refine", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)
@@ -207,13 +204,11 @@ func TestExplainMatchesTheSpansStream(t *testing.T) {
 
 // TestAttributeTotalsMatchTheRun: the rendered attribution's TOTAL row
 // is the replay's bill and downtime — for a rival as for Jupiter, since
-// the ledger is an observer and needs nothing from the strategy — and
-// folding the run's event trace offline gives the manifest record's
-// table line for line.
+// the ledger is an observer and needs nothing from the strategy.
 func TestAttributeTotalsMatchTheRun(t *testing.T) {
 	for _, spec := range []string{"jupiter", "feedback"} {
-		manifest, events, results := record(t, spec, 3)
-		var out, folded bytes.Buffer
+		manifest, results := record(t, spec, 3)
+		var out bytes.Buffer
 		if err := runAttribute([]string{manifest}, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -229,30 +224,5 @@ func TestAttributeTotalsMatchTheRun(t *testing.T) {
 		if !strings.Contains(out.String(), "== strategy "+res.Strategy+", service lock, interval 3h, seed 2014 ==") {
 			t.Errorf("%s: run label missing:\n%s", spec, out.String())
 		}
-		// The trace header names the strategy as typed, the manifest by
-		// its Name(): the tables below the label are the same.
-		if err := runAttribute([]string{events}, &folded); err != nil {
-			t.Fatal(err)
-		}
-		_, table, _ := strings.Cut(out.String(), "\n")
-		_, foldedTable, _ := strings.Cut(folded.String(), "\n")
-		if table != foldedTable {
-			t.Errorf("%s: the event trace folds to\n%s\nthe manifest records\n%s", spec, foldedTable, table)
-		}
-	}
-}
-
-// TestAttributeRefusesMultiRunTrace: a sweep's event trace holds its
-// cells one after another, so its minute goes backwards where a cell
-// begins; folding it would add the cells into one table, and is an
-// error naming the line and both minutes that points to the manifest.
-func TestAttributeRefusesMultiRunTrace(t *testing.T) {
-	_, events, _ := record(t, "jupiter", 1, 3)
-	err := runAttribute([]string{events}, new(bytes.Buffer))
-	if err == nil {
-		t.Fatal("a two-cell event trace folded without error")
-	}
-	if !regexp.MustCompile(`^event trace line \d+: minute \d+ after minute \d+: .*-manifest`).MatchString(err.Error()) {
-		t.Errorf("multi-run trace error = %q", err)
 	}
 }

@@ -10,12 +10,14 @@
 //	            [-trace file]
 //	            [-chaos scenario] [-chaos-seed N]
 //	            [-events-out file.jsonl] [-manifest file.json [-spans-sample N]]
-//	experiments tournament [-strategies specs | -roster file] [-scenarios names]
+//	experiments tournament [-strategies specs] [-scenarios names]
 //	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-epsilon F] [-j N]
 //	            [-autoscale] [-json file] [-manifest file [-spans-sample N]] [-list]
 //
-// The tournament subcommand runs the strategy arena: every registered
-// strategy of the roster replays under every chaos scenario and seed,
+// The tournament subcommand runs the strategy arena: every strategy of
+// the roster — a comma-separated -strategies list of specs, each naming
+// a family of the strategy table (-list prints them), or the shipped
+// arena roster — replays under every chaos scenario and seed,
 // and a leaderboard ranks them by availability bounds met, then mean
 // cost (see DESIGN.md §2.7). With -autoscale, every cell and the
 // clean baseline replay under a per-seed synthetic request-rate trace

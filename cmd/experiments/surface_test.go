@@ -24,6 +24,12 @@ func quick() options {
 // runCaptured runs the command in-process with a temp file standing in
 // for stdout and returns what it printed.
 func runCaptured(t *testing.T, o options) (string, error) {
+	return captured(t, func() error { return run(o) })
+}
+
+// captured runs fn with a temp file standing in for stdout and returns
+// what it printed.
+func captured(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
@@ -32,7 +38,7 @@ func runCaptured(t *testing.T, o options) (string, error) {
 	defer f.Close()
 	old := os.Stdout
 	os.Stdout = f
-	runErr := run(o)
+	runErr := fn()
 	os.Stdout = old
 	out, err := os.ReadFile(f.Name())
 	if err != nil {

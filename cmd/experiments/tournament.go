@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
-	"repro/internal/strategy"
 )
 
 // runTournament is the "experiments tournament" subcommand: the
@@ -19,7 +18,6 @@ import (
 func runTournament(args []string) error {
 	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
 	strategies := fs.String("strategies", "", "comma-separated strategy specs (default: the shipped arena roster); see -list")
-	roster := fs.String("roster", "", "read the roster from a strategy-list file (one spec per line, '#' comments); mutually exclusive with -strategies")
 	scenarios := fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
 	seedsSpec := fs.String("seeds", "", "comma-separated replay seeds (default 2014,2015,2016)")
 	interval := fs.Int64("interval", 3, "bidding interval in hours")
@@ -38,9 +36,8 @@ func runTournament(args []string) error {
 	}
 	if *list {
 		fmt.Println("strategies:")
-		for _, name := range strategy.Default.Names() {
-			reg, _ := strategy.Default.Lookup(name)
-			fmt.Printf("  %-20s %s\n", reg.Usage, reg.Description)
+		for _, f := range experiments.Families {
+			fmt.Printf("  %-20s %s\n", f.Usage, f.Description)
 		}
 		fmt.Println("scenarios:")
 		for _, name := range chaos.BuiltinNames() {
@@ -55,18 +52,8 @@ func runTournament(args []string) error {
 		Epsilon:       *epsilon,
 		Autoscale:     *autoscale,
 	}
-	if *strategies != "" && *roster != "" {
-		return fmt.Errorf("tournament: -strategies and -roster are mutually exclusive")
-	}
 	if *strategies != "" {
-		specs, err := strategy.SplitSpecList(*strategies)
-		if err != nil {
-			return err
-		}
-		cfg.Specs = specs
-	}
-	if *roster != "" {
-		specs, err := loadRoster(*roster)
+		specs, err := experiments.SplitSpecList(*strategies)
 		if err != nil {
 			return err
 		}
@@ -145,22 +132,4 @@ func arena(env experiments.Env, cfg experiments.TournamentConfig, jsonOut string
 	}
 	fmt.Println("wrote leaderboard to", jsonOut)
 	return nil
-}
-
-// loadRoster reads a strategy-list file into registry specs; parse
-// errors carry the offending line number.
-func loadRoster(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	_, specs, err := strategy.Default.ParseStrategyList(f)
-	if err != nil {
-		return nil, fmt.Errorf("tournament: roster %s: %w", path, err)
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("tournament: roster %s: no strategies", path)
-	}
-	return specs, nil
 }

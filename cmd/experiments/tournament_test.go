@@ -1,58 +1,37 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
-func writeRoster(t *testing.T, content string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "roster.txt")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadRoster pins the -roster file format: one registry spec per
-// line, '#' comments and blank lines skipped, and every parse error
-// naming the offending line.
-func TestLoadRoster(t *testing.T) {
-	specs, err := loadRoster(writeRoster(t, "# arena roster\njupiter\n\nextra(2, 0.2)  # the paper's rival\nbaseline\n"))
+// TestStrategyListingsUnchanged pins, byte for byte, the strategy block
+// of "tournament -list" and the family names replay's -strategy help
+// lists, as both printed before the strategy table replaced the plug-in
+// registry they were read from.
+func TestStrategyListingsUnchanged(t *testing.T) {
+	out, err := captured(t, func() error { return runTournament([]string{"-list"}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"jupiter", "extra(2, 0.2)", "baseline"}
-	if len(specs) != len(want) {
-		t.Fatalf("specs = %v, want %v", specs, want)
+	const want = `strategies:
+  baseline             paper §5.2 baseline: BaseNodes' worth of on-demand capacity, never bids
+  checkpoint | checkpoint(restartMinutes) low-bid checkpoint/restart bidder with restart-cost accounting (Voorsluys & Buyya)
+  extra(m, p)          paper §5.2 heuristic: n+m cheapest pools at spot price times (1+p)
+  feedback | feedback(epsilon) PI-controller bidding toward a target out-of-bid fraction (arXiv 1708.01391)
+  jupiter              the paper's bidding framework: availability-model DP over bid levels (§3–4)
+  jupiter-adaptive     jupiter wrapped with the volatility-driven interval chooser
+  jupiter-refine       jupiter with the §4.3 refinement pass over adjacent bid levels
+  portfolio | portfolio(beta) optimized on-demand/spot portfolio under an expected-cost cap (arXiv 1811.12901)
+scenarios:
+`
+	if !strings.HasPrefix(out, want) {
+		t.Errorf("tournament -list prints\n%s\nwant it to start\n%s", out, want)
 	}
-	for i := range want {
-		if specs[i] != want[i] {
-			t.Fatalf("specs = %v, want %v", specs, want)
-		}
-	}
-
-	// An unknown strategy errors with its line number.
-	_, err = loadRoster(writeRoster(t, "jupiter\nbaseline\nno-such-strategy\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("unknown-strategy error = %v, want line 3", err)
-	}
-
-	// So does a duplicate.
-	_, err = loadRoster(writeRoster(t, "jupiter\n# twice\njupiter\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate error = %v, want duplicate at line 3", err)
-	}
-
-	// A roster of only comments resolves to nothing, which is an error.
-	_, err = loadRoster(writeRoster(t, "# nothing here\n\n"))
-	if err == nil || !strings.Contains(err.Error(), "no strategies") {
-		t.Fatalf("empty roster error = %v", err)
-	}
-
-	if _, err := loadRoster(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
-		t.Fatal("missing roster file did not error")
+	const names = "baseline, checkpoint, extra, feedback, jupiter, jupiter-adaptive, jupiter-refine, portfolio"
+	if got := strings.Join(experiments.Names(), ", "); got != names {
+		t.Errorf("replay -strategy help lists %q, want %q", got, names)
 	}
 }

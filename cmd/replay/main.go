@@ -11,14 +11,14 @@
 //	       [-chaos scenario] [-chaos-seed N]
 //	       [-events-out file.jsonl] [-manifest file.json [-spans-sample N]]
 //
-// -strategy takes a strategy-registry spec, the same strings
-// "experiments tournament -strategies" takes: jupiter, baseline,
-// "extra(2, 0.2)", jupiter-refine, jupiter-adaptive, feedback,
-// "portfolio(0.4)", checkpoint, ... ("experiments tournament -list"
-// prints them all). Any registered strategy can be replayed and
-// attributed ("analyze attribute") one cell at a time, and the Jupiter
-// family's decisions traced (-spans-sample) and explained ("analyze
-// explain").
+// -strategy takes a strategy spec, the same strings "experiments
+// tournament -strategies" takes: jupiter, baseline, "extra(2, 0.2)",
+// jupiter-refine, jupiter-adaptive, feedback, "portfolio(0.4)",
+// checkpoint, ... ("experiments tournament -list" prints every family
+// of the one strategy table, internal/experiments.Families). Any of
+// them can be replayed and attributed ("analyze attribute") one cell
+// at a time, and the Jupiter family's decisions traced (-spans-sample)
+// and explained ("analyze explain").
 //
 // -types widens the market into heterogeneous (zone × instance type)
 // pools: each listed type adds one correlated pool per zone (synthetic
@@ -71,9 +71,9 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -96,7 +96,7 @@ type options struct {
 func main() {
 	var o options
 	o.Register(flag.CommandLine, experiments.DefaultEnv())
-	flag.StringVar(&o.strategy, "strategy", "jupiter", "strategy registry spec: jupiter, baseline, \"extra(2, 0.2)\", feedback, ... (one of "+strings.Join(strategy.Default.Names(), ", ")+")")
+	flag.StringVar(&o.strategy, "strategy", "jupiter", "strategy registry spec: jupiter, baseline, \"extra(2, 0.2)\", feedback, ... (one of "+strings.Join(experiments.Names(), ", ")+")")
 	flag.StringVar(&o.service, "service", "lock", "lock or storage")
 	flag.StringVar(&o.intervals, "interval", "1", "bidding interval in hours; comma-separate several to sweep them")
 	flag.StringVar(&o.Workload, "workload", "", "request-rate CSV (minute,rps): autoscale the group to the traffic between interval boundaries")
@@ -148,7 +148,7 @@ func run(o options) error {
 	}
 	// Strategies may cache model state, so each replay cell builds its
 	// own instance.
-	build, err := strategy.Default.Build(o.strategy)
+	build, err := experiments.Build(o.strategy)
 	if err != nil {
 		return err
 	}
@@ -198,20 +198,31 @@ func report(results []*replay.Result, spec strategy.ServiceSpec, service string,
 		res.SpotLaunch, res.OutOfBid, res.FailedRequests)
 	fmt.Printf("on-demand:        %d launches\n", res.OnDemandLaunch)
 	fmt.Printf("group size:       mean %.2f, max %d\n", res.MeanGroupSize, res.MaxGroupSize)
-	if seriesOut != "" {
-		var w io.Writer = os.Stdout
-		if seriesOut != "-" {
-			f, err := os.Create(seriesOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+	if seriesOut == "" {
+		return nil
+	}
+	f := os.Stdout
+	if seriesOut != "-" {
+		var err error
+		if f, err = os.Create(seriesOut); err != nil {
+			return err
 		}
-		fmt.Fprintln(w, "start_minute,interval_minutes,group_size,down_minutes")
-		for _, row := range res.Series {
-			fmt.Fprintf(w, "%d,%d,%d,%d\n", row.StartMinute, row.IntervalMinutes, row.GroupSize, row.DownMinutes)
+	}
+	// The buffer keeps the first write error and Flush returns it, so a
+	// full disk fails the run instead of leaving a truncated CSV.
+	w := bufio.NewWriter(f)
+	fmt.Fprintln(w, "start_minute,interval_minutes,group_size,down_minutes")
+	for _, row := range res.Series {
+		fmt.Fprintf(w, "%d,%d,%d,%d\n", row.StartMinute, row.IntervalMinutes, row.GroupSize, row.DownMinutes)
+	}
+	err := w.Flush()
+	if f != os.Stdout {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("-series %s: %w", seriesOut, err)
 	}
 	return nil
 }

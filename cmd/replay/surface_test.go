@@ -3,13 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/trace/colbin"
 )
@@ -166,24 +167,28 @@ func TestRecordsIdentifyTheirRun(t *testing.T) {
 	}
 }
 
-// TestEveryRegisteredStrategyReplays: -strategy is the registry's door,
-// so every registered family's example spec replays from the CLI and
-// the report names the strategy that ran.
+// TestEveryRegisteredStrategyReplays: -strategy is the strategy
+// table's door, so every family replays from the CLI — from its bare
+// name, or an example spec where it needs arguments — and the report
+// names the strategy that ran.
 func TestEveryRegisteredStrategyReplays(t *testing.T) {
-	for _, name := range strategy.Default.Names() {
-		reg, _ := strategy.Default.Lookup(name)
+	for _, name := range experiments.Names() {
+		spec := name
+		if name == "extra" {
+			spec = "extra(2, 0.2)"
+		}
 		t.Run(name, func(t *testing.T) {
-			build, err := strategy.Default.Build(reg.Example)
+			build, err := experiments.Build(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := runCaptured(t, quick(reg.Example, "3"))
+			out, err := runCaptured(t, quick(spec, "3"))
 			if err != nil {
-				t.Fatalf("-strategy %q: %v", reg.Example, err)
+				t.Fatalf("-strategy %q: %v", spec, err)
 			}
 			want := "strategy:         " + build().Name() + "\n"
 			if !strings.HasPrefix(out, want) {
-				t.Errorf("-strategy %q report starts %q, want %q", reg.Example, strings.SplitN(out, "\n", 2)[0], want)
+				t.Errorf("-strategy %q report starts %q, want %q", spec, strings.SplitN(out, "\n", 2)[0], want)
 			}
 		})
 	}
@@ -317,7 +322,7 @@ func TestSpansSampleNeedsManifest(t *testing.T) {
 }
 
 // TestStrategyErrorsAreTheRegistrys: there is no second name table; a
-// bad -strategy gets the registry's own message.
+// bad -strategy gets the strategy table's own message.
 func TestStrategyErrorsAreTheRegistrys(t *testing.T) {
 	_, err := runCaptured(t, quick("extra", "3"))
 	if err == nil || !strings.Contains(err.Error(), "want 2 argument(s) as extra(m, p)") {
@@ -325,7 +330,7 @@ func TestStrategyErrorsAreTheRegistrys(t *testing.T) {
 	}
 	_, err = runCaptured(t, quick("nosuch", "3"))
 	if err == nil || !strings.Contains(err.Error(), `unknown strategy "nosuch"`) ||
-		!strings.Contains(err.Error(), strings.Join(strategy.Default.Names(), ", ")) {
+		!strings.Contains(err.Error(), strings.Join(experiments.Names(), ", ")) {
 		t.Errorf("-strategy nosuch: %v", err)
 	}
 }
@@ -356,5 +361,20 @@ func TestLenientFlagReachesTheReader(t *testing.T) {
 	o.Lenient = true
 	if _, err := runCaptured(t, o); err != nil {
 		t.Errorf("lenient read of a malformed row: %v", err)
+	}
+}
+
+// TestSeriesWriteErrorFails: a -series file the disk cannot hold fails
+// the run with the write error, instead of leaving a truncated CSV and
+// exit status 0.
+func TestSeriesWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	o := quick("baseline", "3")
+	o.series = "/dev/full"
+	_, err := runCaptured(t, o)
+	if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), "no space left on device") {
+		t.Errorf("-series /dev/full: %v, want ENOSPC", err)
 	}
 }

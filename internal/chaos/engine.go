@@ -35,9 +35,6 @@ func New(sc Scenario, seedOverride uint64, start int64) (*Engine, error) {
 	return &Engine{sc: sc, start: start, rng: stats.NewRNG(seed)}, nil
 }
 
-// Scenario returns the bound scenario.
-func (e *Engine) Scenario() Scenario { return e.sc }
-
 // abs converts a scenario-relative minute to an absolute one.
 func (e *Engine) abs(m int64) int64 { return e.start + m }
 

@@ -99,7 +99,7 @@ func TestAdaptiveNoHistoryFallsToMax(t *testing.T) {
 // a strategy's optional extensions by type assertion, so a family member
 // that lacks one silently runs without it — as Adaptive once ran deaf to
 // faults, and later without failure probes, so the resize gate priced its
-// spot members at the on-demand figure. Every registered member must
+// spot members at the on-demand figure. Every member must
 // implement each extension *Jupiter does.
 func TestJupiterFamilyImplementsTheSameExtensions(t *testing.T) {
 	extensions := []struct {
@@ -111,15 +111,12 @@ func TestJupiterFamilyImplementsTheSameExtensions(t *testing.T) {
 		{"modelcache.Consumer", func(s strategy.Strategy) bool { _, ok := s.(modelcache.Consumer); return ok }},
 		{"provenance.Consumer", func(s strategy.Strategy) bool { _, ok := s.(provenance.Consumer); return ok }},
 	}
-	for _, spec := range []string{"jupiter", "jupiter-refine", "jupiter-adaptive"} {
-		build, err := strategy.Default.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := build()
+	refine := New()
+	refine.Refine = true
+	for _, s := range []strategy.Strategy{New(), refine, NewAdaptive()} {
 		for _, ext := range extensions {
 			if !ext.has(s) {
-				t.Errorf("%s (%T) does not implement %s", spec, s, ext.name)
+				t.Errorf("%s (%T) does not implement %s", s.Name(), s, ext.name)
 			}
 		}
 	}

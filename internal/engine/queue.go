@@ -26,9 +26,6 @@ type Queue[T any] struct {
 	nextSeq uint64
 }
 
-// Len returns the number of scheduled timers.
-func (q *Queue[T]) Len() int { return len(q.heap) }
-
 // Schedule adds a timer.
 func (q *Queue[T]) Schedule(minute int64, prio int, payload T) {
 	q.nextSeq++

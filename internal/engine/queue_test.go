@@ -113,3 +113,6 @@ func TestQueueDeterministicUnderLoad(t *testing.T) {
 		t.Fatalf("drained %d, want 500", len(a))
 	}
 }
+
+// Len returns the number of scheduled timers.
+func (q *Queue[T]) Len() int { return len(q.heap) }

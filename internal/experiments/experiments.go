@@ -269,28 +269,21 @@ type SweepRow struct {
 // SweepIntervals are the bidding intervals of §5.5.
 var SweepIntervals = []int64{1, 3, 6, 9, 12}
 
-// sweepSpecs is the §5.5 roster as registry specs, in the paper's
-// figure order. The specs resolve against strategy.Default — core's
-// Jupiter registration rides in on this package's core import — so the
-// sweep roster is the same construction path as any user-supplied
+// sweepSpecs is the §5.5 roster as strategy specs, in the paper's
+// figure order: the same construction path as any user-supplied
 // strategy list.
 var sweepSpecs = []string{"jupiter", "extra(0, 0.2)", "extra(2, 0.2)", "baseline"}
 
-// sweepStrategies builds the §5.5 strategy roster from the registry.
-// Each builder constructs a fresh instance per run so model caches and
-// controller state never leak across runs.
-func sweepStrategies() []func() strategy.Strategy {
-	builders, err := strategy.Default.BuildSpecs(sweepSpecs)
+// sweepStrategies builds the §5.5 strategy roster. Each builder
+// constructs a fresh instance per run so model caches and controller
+// state never leak across runs.
+func sweepStrategies() []strategy.Builder {
+	builders, err := BuildSpecs(sweepSpecs)
 	if err != nil {
-		// The roster is fixed at compile time; a resolution failure is a
-		// programming error (e.g. core's registration import dropped).
+		// The roster is fixed at compile time.
 		panic(err)
 	}
-	out := make([]func() strategy.Strategy, len(builders))
-	for i, b := range builders {
-		out[i] = b
-	}
-	return out
+	return builders
 }
 
 // runCell invokes one cell, converting a panic into an error carrying

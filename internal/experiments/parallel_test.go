@@ -126,7 +126,7 @@ func TestSweepDispatchesLongestIntervalFirst(t *testing.T) {
 		t.Fatalf("rows at intervals %v, want grid order %v", grid, want)
 	}
 
-	builders, err := strategy.Default.BuildSpecs([]string{"jupiter"})
+	builders, err := BuildSpecs([]string{"jupiter"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,7 @@ func familyMass(t *testing.T, snap telemetry.Snapshot, family string) float64 {
 // downtime histogram mass). Every billed cent and every down minute
 // lands in exactly one cell — nothing double-counted, nothing dropped.
 //
-// The ledger is a pure fold of the event stream, so folding the cell's
-// written event trace offline gives the in-run table cell for cell; and
-// the table is the one testdata/ledger_attribution.json records for the
+// The table is the one testdata/ledger_attribution.json records for the
 // cell, taken when quarantine evidence still came from decision spans
 // recorded at every decision.
 func TestLedgerReconciliation(t *testing.T) {
@@ -135,42 +133,12 @@ func TestLedgerReconciliation(t *testing.T) {
 					t.Errorf("downtime histogram mass %v min != attributed downtime %d min", down, a.TotalDownMinutes)
 				}
 
-				if folded := foldTrace(t, &events, e.TrainWeeks*Week+res.TotalMinutes); !reflect.DeepEqual(folded, a) {
-					t.Errorf("the event trace folds to\n%+v\nthe run attributed\n%+v", folded, a)
-				}
 				if want, ok := recorded[cell]; !ok || !reflect.DeepEqual(a, want) {
 					t.Errorf("attribution\n%+v\nwant the recorded\n%+v", a, want)
 				}
 			})
 		}
 	}
-}
-
-// foldTrace folds a written event trace through a fresh ledger, closed
-// at the run's end minute — what "analyze attribute" does with one.
-func foldTrace(t *testing.T, r io.Reader, end int64) provenance.Attribution {
-	t.Helper()
-	tr, err := telemetry.OpenTrace(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	led := provenance.NewLedger()
-	for {
-		te, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := te.Event()
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine.Dispatch(led, e)
-	}
-	led.CloseRun(end)
-	return led.Attribution()
 }
 
 // runManifest runs fn on an Env opened from f with -manifest set to a

@@ -18,7 +18,7 @@ import (
 // roster replays under every chaos scenario and every seed, and the
 // per-cell results fold into a leaderboard.
 type TournamentConfig struct {
-	// Specs is the roster as registry specs ("jupiter", "extra(2, 0.2)",
+	// Specs is the roster as strategy specs ("jupiter", "extra(2, 0.2)",
 	// ...). Empty means DefaultTournamentSpecs().
 	Specs []string
 	// Scenarios lists chaos scenarios — builtin names or JSON files,
@@ -154,7 +154,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	if len(specs) == 0 {
 		specs = DefaultTournamentSpecs()
 	}
-	builders, err := strategy.Default.BuildSpecs(specs)
+	builders, err := BuildSpecs(specs)
 	if err != nil {
 		return nil, err
 	}

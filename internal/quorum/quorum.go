@@ -71,9 +71,6 @@ func RSPaxosQuorumSize(n, m int) int {
 // N implements System.
 func (t Threshold) N() int { return t.n }
 
-// K returns the quorum size.
-func (t Threshold) K() int { return t.k }
-
 // Accepts implements System.
 func (t Threshold) Accepts(alive uint64) bool {
 	return bits.OnesCount64(alive&mask(t.n)) >= t.k

@@ -379,3 +379,6 @@ func Intersects(sys System) bool {
 	}
 	return len(qs) > 0
 }
+
+// K returns the quorum size.
+func (t Threshold) K() int { return t.k }

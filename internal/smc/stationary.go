@@ -1,10 +1,6 @@
 package smc
 
-import (
-	"fmt"
-
-	"repro/internal/market"
-)
+import "fmt"
 
 // Stationary returns the long-run time-average price occupancy of the
 // learned chain as a Forecast, suitable for month-scale failure
@@ -110,10 +106,4 @@ func (m *Model) Stationary() (*Forecast, error) {
 		occ[i] /= norm
 	}
 	return newForecast(m.prices, occ, 0), nil
-}
-
-// FractionAbove exposes a Forecast's expected time fraction above a
-// price, an alias of OutOfBidFraction for use with Stationary results.
-func (f *Forecast) FractionAbove(price market.Money) float64 {
-	return f.OutOfBidFraction(price)
 }

@@ -16,10 +16,10 @@ func TestStationaryAlternation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.FractionAbove(pA); math.Abs(got-1.0/3.0) > 1e-9 {
+	if got := f.OutOfBidFraction(pA); math.Abs(got-1.0/3.0) > 1e-9 {
 		t.Fatalf("stationary P(price > A) = %v, want 1/3", got)
 	}
-	if got := f.FractionAbove(pB); got != 0 {
+	if got := f.OutOfBidFraction(pB); got != 0 {
 		t.Fatalf("stationary P(price > B) = %v, want 0", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestStationaryMatchesEmpiricalOccupancy(t *testing.T) {
 	}
 	for _, p := range m.Prices() {
 		want := tr.FractionAbove(p)
-		got := f.FractionAbove(p)
+		got := f.OutOfBidFraction(p)
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("price %v: stationary %v vs empirical %v", p, got, want)
 		}

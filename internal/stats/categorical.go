@@ -72,9 +72,6 @@ func NewCategorical(weights []float64) *Categorical {
 	return c
 }
 
-// Len returns the number of outcomes.
-func (c *Categorical) Len() int { return len(c.prob) }
-
 // Sample draws an outcome index according to the weights.
 func (c *Categorical) Sample(r *RNG) int {
 	i := r.Intn(len(c.prob))

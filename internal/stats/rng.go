@@ -21,7 +21,7 @@ func splitMix64(state *uint64) uint64 {
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256** by Blackman and Vigna. It is NOT safe for concurrent use;
-// create one RNG per goroutine (see Split).
+// create one RNG per goroutine.
 type RNG struct {
 	s [4]uint64
 }
@@ -39,12 +39,6 @@ func NewRNG(seed uint64) *RNG {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// Split derives a new, statistically independent RNG from this one.
-// The parent stream advances by one step.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -219,3 +219,9 @@ func (r *RNG) ExpFloat64(lambda float64) float64 {
 	}
 	return -math.Log(u) / lambda
 }
+
+// Split derives a new, statistically independent RNG from this one.
+// The parent stream advances by one step.
+func (r *RNG) Split() *RNG {
+	return NewRNG(r.Uint64())
+}

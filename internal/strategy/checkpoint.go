@@ -157,29 +157,3 @@ func upwardCrossings(hist *trace.Trace, b market.Money) int {
 	}
 	return n
 }
-
-func init() {
-	Register(Registration{
-		Name:        "checkpoint",
-		Description: "low-bid checkpoint/restart bidder with restart-cost accounting (Voorsluys & Buyya)",
-		Usage:       "checkpoint | checkpoint(restartMinutes)",
-		Example:     "checkpoint",
-		Build: func(args []string) (Builder, error) {
-			if err := WantArgs("checkpoint(restartMinutes)", args, 0, 1); err != nil {
-				return nil, err
-			}
-			restart := 30
-			if len(args) == 1 {
-				r, err := ArgInt("restartMinutes", args[0])
-				if err != nil {
-					return nil, err
-				}
-				if r < 0 {
-					return nil, fmt.Errorf("argument restartMinutes: %d < 0", r)
-				}
-				restart = r
-			}
-			return func() Strategy { return NewCheckpointRestart(int64(restart)) }, nil
-		},
-	})
-}

@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/market"
 	"repro/internal/strategy"
 	"repro/internal/trace"
-
-	// The Jupiter family registers itself on the Default registry at
-	// init; importing core is what puts it on the conformance roster.
-	_ "repro/internal/core"
 )
 
 // TestRegisteredStrategyConformance is the conformance harness for
-// bidding strategies: every family registered on the Default registry
-// — the paper's strategies, the Jupiter variants, and the literature
-// rivals alike — is built from its canonical Example spec and driven
+// bidding strategies: every family of the strategy table
+// (experiments.Families) — the paper's strategies, the Jupiter
+// variants, and the literature rivals alike — is built from its bare
+// name, or an example spec where it needs arguments, and driven
 // through the contract checks every Strategy must honour: determinism
 // under an equal seed and view, no peeking at price history past the
 // view's now, propagation of the typed market.ErrNoFeasiblePools,
@@ -27,7 +25,23 @@ import (
 // reaching a wrapped fault-aware strategy. The checks see only the
 // strategy package's interface.
 func TestRegisteredStrategyConformance(t *testing.T) {
-	conformance(t, strategy.Default)
+	examples := map[string]string{"extra": "extra(2, 0.2)"}
+	for _, f := range experiments.Families {
+		t.Run(f.Name, func(t *testing.T) {
+			spec, ok := examples[f.Name]
+			if !ok {
+				spec = f.Name
+			}
+			builder, err := experiments.Build(spec)
+			if err != nil {
+				t.Fatalf("building spec %q: %v", spec, err)
+			}
+			checkNames(t, builder)
+			checkDeterminismAndBids(t, builder)
+			checkNoFeasiblePools(t, builder)
+			checkWrapperObserves(t, builder)
+		})
+	}
 }
 
 // week is one week of minutes.
@@ -108,31 +122,6 @@ func GenView(tb testing.TB, seed uint64, weeks int64) *View {
 // paper's lock service.
 func conformanceSpec() strategy.ServiceSpec {
 	return strategy.ServiceSpec{Type: market.M1Small, BaseNodes: 5, DataShards: 1}
-}
-
-// conformance runs the contract checks against every family registered
-// in reg, one subtest per family, each built from its Example spec.
-func conformance(t *testing.T, reg *strategy.Registry) {
-	names := reg.Names()
-	if len(names) == 0 {
-		t.Fatal("conformance: empty registry")
-	}
-	for _, name := range names {
-		entry, ok := reg.Lookup(name)
-		if !ok {
-			t.Fatalf("conformance: %q listed but not found", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			builder, err := reg.Build(entry.Example)
-			if err != nil {
-				t.Fatalf("building example spec %q: %v", entry.Example, err)
-			}
-			checkNames(t, builder)
-			checkDeterminismAndBids(t, builder)
-			checkNoFeasiblePools(t, builder)
-			checkWrapperObserves(t, builder)
-		})
-	}
 }
 
 // checkNames: fresh instances of one family carry one stable name.

@@ -49,32 +49,3 @@ func (e Extra) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) 
 	}
 	return Decision{Bids: bids}, nil
 }
-
-func init() {
-	Register(Registration{
-		Name:        "extra",
-		Description: "paper §5.2 heuristic: n+m cheapest pools at spot price times (1+p)",
-		Usage:       "extra(m, p)",
-		Example:     "extra(2, 0.2)",
-		Build: func(args []string) (Builder, error) {
-			if err := WantArgs("extra(m, p)", args, 2, 2); err != nil {
-				return nil, err
-			}
-			m, err := ArgInt("m", args[0])
-			if err != nil {
-				return nil, err
-			}
-			if m < 0 {
-				return nil, fmt.Errorf("argument m: %d < 0", m)
-			}
-			p, err := ArgFloat("p", args[1])
-			if err != nil {
-				return nil, err
-			}
-			if p < 0 {
-				return nil, fmt.Errorf("argument p: %g < 0", p)
-			}
-			return func() Strategy { return Extra{ExtraNodes: m, Portion: p} }, nil
-		},
-	})
-}

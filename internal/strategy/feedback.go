@@ -135,29 +135,3 @@ func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinu
 	}
 	return Decision{Bids: bids}, nil
 }
-
-func init() {
-	Register(Registration{
-		Name:        "feedback",
-		Description: "PI-controller bidding toward a target out-of-bid fraction (arXiv 1708.01391)",
-		Usage:       "feedback | feedback(epsilon)",
-		Example:     "feedback",
-		Build: func(args []string) (Builder, error) {
-			if err := WantArgs("feedback(epsilon)", args, 0, 1); err != nil {
-				return nil, err
-			}
-			target := 0.03
-			if len(args) == 1 {
-				t, err := ArgFloat("epsilon", args[0])
-				if err != nil {
-					return nil, err
-				}
-				if t <= 0 || t >= 1 {
-					return nil, fmt.Errorf("argument epsilon: %g outside (0, 1)", t)
-				}
-				target = t
-			}
-			return func() Strategy { return NewFeedbackControl(target) }, nil
-		},
-	})
-}

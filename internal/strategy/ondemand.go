@@ -37,18 +37,3 @@ func (OnDemand) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64)
 	}
 	return Decision{OnDemand: zones}, nil
 }
-
-func init() {
-	Register(Registration{
-		Name:        "baseline",
-		Description: "paper §5.2 baseline: BaseNodes' worth of on-demand capacity, never bids",
-		Usage:       "baseline",
-		Example:     "baseline",
-		Build: func(args []string) (Builder, error) {
-			if err := WantArgs("baseline", args, 0, 0); err != nil {
-				return nil, err
-			}
-			return func() Strategy { return OnDemand{} }, nil
-		},
-	})
-}

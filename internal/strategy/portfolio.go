@@ -203,29 +203,3 @@ func quantilePrice(t *trace.Trace, q float64) market.Money {
 	}
 	return sojourns[len(sojourns)-1].Price
 }
-
-func init() {
-	Register(Registration{
-		Name:        "portfolio",
-		Description: "optimized on-demand/spot portfolio under an expected-cost cap (arXiv 1811.12901)",
-		Usage:       "portfolio | portfolio(beta)",
-		Example:     "portfolio",
-		Build: func(args []string) (Builder, error) {
-			if err := WantArgs("portfolio(beta)", args, 0, 1); err != nil {
-				return nil, err
-			}
-			beta := 0.6
-			if len(args) == 1 {
-				b, err := ArgFloat("beta", args[0])
-				if err != nil {
-					return nil, err
-				}
-				if b <= 0 {
-					return nil, fmt.Errorf("argument beta: %g <= 0", b)
-				}
-				beta = b
-			}
-			return func() Strategy { return NewPortfolioContract(beta) }, nil
-		},
-	})
-}

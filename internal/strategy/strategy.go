@@ -1,13 +1,13 @@
 // Package strategy defines the bidding-strategy interface the replay
-// harness drives, a plug-in Registry the experiment sweeps and the
-// tournament build their rosters from, and the comparison strategies:
-// the paper's Extra(m, p) heuristics and on-demand baseline (§5.2),
-// plus rivals from the related literature — feedback-control bidding
+// harness drives and the comparison strategies: the paper's
+// Extra(m, p) heuristics and on-demand baseline (§5.2), plus rivals
+// from the related literature — feedback-control bidding
 // (feedback.go), optimized on-demand/spot portfolio contracts
 // (portfolio.go), and checkpoint/restart low bidding (checkpoint.go).
-// The paper's own framework, Jupiter, lives in internal/core,
-// implements the same interface, and registers itself in the Default
-// registry.
+// The paper's own framework, Jupiter, lives in internal/core and
+// implements the same interface. The spec strings that name them all
+// ("jupiter", "extra(2, 0.2)", ...) are parsed by one table,
+// internal/experiments.Families.
 package strategy
 
 import (
@@ -161,6 +161,11 @@ type Strategy interface {
 	// length in minutes.
 	Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error)
 }
+
+// Builder constructs a fresh Strategy instance. Sweeps and tournaments
+// build one instance per replay cell through a Builder so strategy
+// state (model caches, controller integrals) never leaks across runs.
+type Builder func() Strategy
 
 // IntervalChooser is an optional Strategy extension: a strategy that
 // picks its own next bidding interval, in minutes, from observed market

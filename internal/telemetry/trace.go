@@ -77,45 +77,6 @@ func Record(e engine.Event) TraceEvent {
 	return te
 }
 
-// kindsByName inverts Kind.String for the reader.
-var kindsByName = func() map[string]engine.Kind {
-	m := make(map[string]engine.Kind, int(engine.KindCount))
-	for k := engine.Kind(0); k < engine.KindCount; k++ {
-		m[k.String()] = k
-	}
-	return m
-}()
-
-// Event converts a trace event back to its engine form.
-func (te TraceEvent) Event() (engine.Event, error) {
-	k, ok := kindsByName[te.Kind]
-	if !ok {
-		return engine.Event{}, fmt.Errorf("telemetry: unknown event kind %q", te.Kind)
-	}
-	e := engine.Event{
-		Minute:        te.Minute,
-		Kind:          k,
-		Instance:      te.Instance,
-		Request:       te.Request,
-		Zone:          te.Zone,
-		Spot:          te.Spot,
-		Fault:         te.Fault,
-		Amount:        market.Money(te.AmountMicroUSD),
-		Until:         te.Until,
-		Size:          te.Size,
-		DurationNanos: te.DurationNanos,
-	}
-	switch te.Cause {
-	case "", "provider":
-		e.Cause = market.TerminatedByProvider
-	case "user":
-		e.Cause = market.TerminatedByUser
-	default:
-		return engine.Event{}, fmt.Errorf("telemetry: unknown termination cause %q", te.Cause)
-	}
-	return e, nil
-}
-
 // TraceWriter streams an event trace as JSONL. It implements
 // engine.Observer; attach it to replay.Config.Observers (or
 // experiments.Env) and Close it when the run ends. The writer is

@@ -50,11 +50,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := te.Event()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
+		got = append(got, eventOf(t, te))
 	}
 	if len(got) != len(events) {
 		t.Fatalf("read %d events, wrote %d", len(got), len(events))
@@ -215,4 +211,39 @@ func TestDiffPrefixTrace(t *testing.T) {
 	if !strings.Contains(d.Report(), "(trace ended)") {
 		t.Fatalf("report = %q", d.Report())
 	}
+}
+
+// eventOf converts a trace event back to its engine form, the inverse
+// of Record.
+func eventOf(t *testing.T, te TraceEvent) engine.Event {
+	t.Helper()
+	k := engine.Kind(0)
+	for k < engine.KindCount && k.String() != te.Kind {
+		k++
+	}
+	if k == engine.KindCount {
+		t.Fatalf("unknown event kind %q", te.Kind)
+	}
+	e := engine.Event{
+		Minute:        te.Minute,
+		Kind:          k,
+		Instance:      te.Instance,
+		Request:       te.Request,
+		Zone:          te.Zone,
+		Spot:          te.Spot,
+		Fault:         te.Fault,
+		Amount:        market.Money(te.AmountMicroUSD),
+		Until:         te.Until,
+		Size:          te.Size,
+		DurationNanos: te.DurationNanos,
+	}
+	switch te.Cause {
+	case "", "provider":
+		e.Cause = market.TerminatedByProvider
+	case "user":
+		e.Cause = market.TerminatedByUser
+	default:
+		t.Fatalf("unknown termination cause %q", te.Cause)
+	}
+	return e
 }

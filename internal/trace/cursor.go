@@ -20,9 +20,6 @@ func NewCursor(t *Trace) *Cursor {
 	return &Cursor{t: t}
 }
 
-// Trace returns the underlying trace.
-func (c *Cursor) Trace() *Trace { return c.t }
-
 // maxScan bounds the linear walk from the memoized index before the
 // cursor gives up and binary-searches. Spot price changes are minutes
 // to hours apart, so consecutive simulation minutes almost always land

@@ -202,17 +202,6 @@ func (m *ZoneModel) walk(r *stats.RNG, start, end int64) []walkStep {
 	return steps
 }
 
-// Generate draws one trace from the ground-truth process over
-// [start, end). The caller supplies the RNG so multiple draws from the
-// same model are independent.
-func (m *ZoneModel) Generate(r *stats.RNG, start, end int64) *Trace {
-	t := &Trace{Zone: m.Zone, Type: m.Type, Start: start, End: end}
-	for _, s := range m.walk(r, start, end) {
-		t.Points = append(t.Points, PricePoint{Minute: s.minute, Price: m.Levels[s.level]})
-	}
-	return t
-}
-
 // renderWalk renders a sibling type's trace from the zone's shared
 // level walk: the same change minutes and base levels (the demand
 // shock), the sibling's own price ladder, plus a deterministic

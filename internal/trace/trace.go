@@ -87,11 +87,6 @@ func (t *Trace) PriceAt(minute int64) market.Money {
 	return t.Points[t.indexAt(minute)].Price
 }
 
-// PriceFunc adapts the trace to the billing engine's PriceFunc.
-func (t *Trace) PriceFunc() market.PriceFunc {
-	return t.PriceAt
-}
-
 // AgeAt returns how many minutes the price in effect at the given
 // minute has held, merging adjacent points with equal price. It panics
 // outside [Start, End).
@@ -325,13 +320,4 @@ func fpString(h uint64, s string) uint64 {
 		h = fpMix(h, w)
 	}
 	return h
-}
-
-// Window returns the set restricted to [lo, hi).
-func (s *Set) Window(lo, hi int64) *Set {
-	w := NewSet(s.Type, lo, hi)
-	for z, t := range s.ByZone {
-		w.ByZone[z] = t.Window(lo, hi)
-	}
-	return w
 }

@@ -318,3 +318,12 @@ func TestFingerprintSeesEveryField(t *testing.T) {
 		t.Fatal("undoing every change did not restore the fingerprint")
 	}
 }
+
+// Window returns the set restricted to [lo, hi).
+func (s *Set) Window(lo, hi int64) *Set {
+	w := NewSet(s.Type, lo, hi)
+	for z, t := range s.ByZone {
+		w.ByZone[z] = t.Window(lo, hi)
+	}
+	return w
+}

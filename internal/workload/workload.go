@@ -65,18 +65,6 @@ func (t *Trace) RPSAt(minute int64) float64 {
 	return t.Points[i].RPS
 }
 
-// Constant reports whether the trace holds a single rate over its
-// whole span — the degenerate workload under which autoscaling must
-// reduce to the paper's fixed-n deployment.
-func (t *Trace) Constant() bool {
-	for _, p := range t.Points[1:] {
-		if p.RPS != t.Points[0].RPS {
-			return false
-		}
-	}
-	return true
-}
-
 // Scale returns a copy of the trace with every rate inside
 // [from, until) multiplied by factor — the chaos layer's flash-crowd
 // overlay. Change points are inserted at the window edges so rates

@@ -208,3 +208,15 @@ func TestGenerateShape(t *testing.T) {
 		t.Errorf("generated swing %v -> %v too flat for a diurnal cycle", min, max)
 	}
 }
+
+// Constant reports whether the trace holds a single rate over its
+// whole span — the degenerate workload under which autoscaling must
+// reduce to the paper's fixed-n deployment.
+func (t *Trace) Constant() bool {
+	for _, p := range t.Points[1:] {
+		if p.RPS != t.Points[0].RPS {
+			return false
+		}
+	}
+	return true
+}
