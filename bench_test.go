@@ -182,7 +182,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 		// Availability advantage of the interval mode over one-step.
 		var interval, oneStep float64
 		for _, r := range rows {
-			switch r.Mode {
+			switch r.Strategy {
 			case "interval":
 				interval = r.Availability
 			case "one-step":

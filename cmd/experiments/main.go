@@ -39,7 +39,7 @@
 // a selection that replays no sweep.
 //
 // Telemetry: -events-out writes every replay cell's event history to
-// one JSONL file, cell after cell, a sweep's longest interval first
+// one JSONL file, cell after cell, each grid's longest interval first
 // (the order its cells are dispatched in). The trace names the cell
 // that trained each price model the cells share, so with it the cells
 // replay one at a time and the file is the same bytes at any -j.

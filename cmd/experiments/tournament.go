@@ -26,7 +26,7 @@ func runTournament(args []string) error {
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
 	var shared experiments.Flags
 	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-sample")
-	list := fs.Bool("list", false, "list registered strategies and builtin scenarios, then exit")
+	list := fs.Bool("list", false, "list the strategy table's families and the builtin scenarios, then exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments tournament [flags]")
 		fs.PrintDefaults()

@@ -6,169 +6,84 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/market"
-	"repro/internal/modelcache"
+	"repro/internal/strategy"
 )
 
-// AblationRow compares Jupiter under different failure estimators
-// (DESIGN.md §6): the interval forecast (the framework's default), the
-// stationary occupancy, and the paper's raw one-step Equation 14.
-type AblationRow struct {
-	Mode         string
-	Cost         market.Money
-	Availability float64
-	OutOfBid     int
+// variant is one row of a labelled-variant table — the
+// failure-estimator ablation (DESIGN.md §6), the adaptive-interval and
+// refinement extensions: a Jupiter variant replaying the lock service
+// at a bidding interval.
+type variant struct {
+	label string
+	hours int64
+	build strategy.Builder
 }
 
-// AblationEstimators replays the lock service under each estimator
-// mode with a 6-hour interval, where the modes differ most.
-func (e Env) AblationEstimators() ([]AblationRow, error) {
+// variants replays the lock service once per variant, as one grid; each
+// row's Strategy is its variant's label.
+func (e Env) variants(vs []variant) ([]SweepRow, error) {
 	set, err := e.Traces(market.M1Small)
 	if err != nil {
 		return nil, err
 	}
-	if e.Models == nil {
-		e.Models = modelcache.New()
+	cells := make([]cell, len(vs))
+	labels := make([]string, len(vs))
+	for i, v := range vs {
+		cells[i], labels[i] = e.cell(set, LockSpec(), v.build, v.hours), v.label
 	}
-	modes := []struct {
-		name string
-		mode core.EstimatorMode
-	}{
-		{"interval", core.ModeInterval},
-		{"stationary", core.ModeStationary},
-		{"one-step", core.ModeOneStep},
-	}
-	var rows []AblationRow
-	for _, m := range modes {
-		j := core.New()
-		j.Mode = m.mode
-		res, err := e.replayOne(set, LockSpec(), j, 6)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", m.name, err)
-		}
-		rows = append(rows, AblationRow{
-			Mode:         m.name,
-			Cost:         res.Cost,
-			Availability: res.Availability,
-			OutOfBid:     res.OutOfBid,
-		})
-	}
-	return rows, nil
+	return e.tabulate(cells, labels...)
 }
 
-// AdaptiveRow compares fixed bidding intervals against the adaptive
-// interval extension (paper §5.5 future work).
-type AdaptiveRow struct {
-	Variant      string
-	Cost         market.Money
-	Availability float64
-	Decisions    int
-}
-
-// AblationAdaptiveInterval replays the lock service under fixed 1h, 6h,
-// and 12h intervals and under the adaptive chooser.
-func (e Env) AblationAdaptiveInterval() ([]AdaptiveRow, error) {
-	set, err := e.Traces(market.M1Small)
-	if err != nil {
-		return nil, err
-	}
-	if e.Models == nil {
-		e.Models = modelcache.New()
-	}
-	var rows []AdaptiveRow
-	for _, hours := range []int64{1, 6, 12} {
-		res, err := e.replayOne(set, LockSpec(), core.New(), hours)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AdaptiveRow{
-			Variant:      fmt.Sprintf("fixed-%dh", hours),
-			Cost:         res.Cost,
-			Availability: res.Availability,
-			Decisions:    res.Decisions,
-		})
-	}
-	res, err := e.replayOne(set, LockSpec(), core.NewAdaptive(), 6)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AdaptiveRow{
-		Variant:      "adaptive",
-		Cost:         res.Cost,
-		Availability: res.Availability,
-		Decisions:    res.Decisions,
+// AblationEstimators compares Jupiter under its failure estimators: the
+// interval forecast (the framework's default), the stationary
+// occupancy, and the paper's raw one-step Equation 14 — at a 6-hour
+// interval, where the modes differ most.
+func (e Env) AblationEstimators() ([]SweepRow, error) {
+	return e.variants([]variant{
+		{"interval", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeInterval; return j }},
+		{"stationary", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeStationary; return j }},
+		{"one-step", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeOneStep; return j }},
 	})
-	return rows, nil
 }
 
-// RefineRow compares the equalized-target Fig. 3 algorithm against the
-// heterogeneous-bid refinement descent (an extension beyond the paper).
-type RefineRow struct {
-	Variant      string
-	Cost         market.Money
-	Availability float64
-	OutOfBid     int
+// AblationAdaptiveInterval compares fixed 1h, 6h and 12h bidding
+// intervals against the adaptive interval chooser (paper §5.5 future
+// work).
+func (e Env) AblationAdaptiveInterval() ([]SweepRow, error) {
+	fixed := func() strategy.Strategy { return core.New() }
+	return e.variants([]variant{
+		{"fixed-1h", 1, fixed},
+		{"fixed-6h", 6, fixed},
+		{"fixed-12h", 12, fixed},
+		{"adaptive", 6, func() strategy.Strategy { return core.NewAdaptive() }},
+	})
 }
 
-// AblationRefinement replays the lock service with and without the
-// refinement pass at a 6-hour interval.
-func (e Env) AblationRefinement() ([]RefineRow, error) {
-	set, err := e.Traces(market.M1Small)
-	if err != nil {
-		return nil, err
-	}
-	if e.Models == nil {
-		e.Models = modelcache.New()
-	}
-	variants := []func() *core.Jupiter{
-		func() *core.Jupiter { return core.New() },
-		func() *core.Jupiter { j := core.New(); j.Refine = true; return j },
-	}
-	var rows []RefineRow
-	for _, mk := range variants {
-		j := mk()
-		res, err := e.replayOne(set, LockSpec(), j, 6)
-		if err != nil {
-			return nil, err
+// AblationRefinement compares the equalized-target Fig. 3 algorithm
+// against the heterogeneous-bid refinement descent (an extension beyond
+// the paper) at a 6-hour interval.
+func (e Env) AblationRefinement() ([]SweepRow, error) {
+	return e.variants([]variant{
+		{"Jupiter", 6, func() strategy.Strategy { return core.New() }},
+		{"Jupiter+refine", 6, func() strategy.Strategy { j := core.New(); j.Refine = true; return j }},
+	})
+}
+
+// variantTable renders a labelled-variant table under title: the
+// variant column headed label and width wide, then cost, availability,
+// and count — "out-of-bid" or "decisions".
+func variantTable(title, label string, width int, count string) func([]SweepRow) string {
+	return func(rows []SweepRow) string {
+		var b strings.Builder
+		b.WriteString(title + "\n")
+		fmt.Fprintf(&b, "%-*s %-12s %-14s %s\n", width, label, "cost", "availability", count)
+		for _, r := range rows {
+			n := r.OutOfBid
+			if count == "decisions" {
+				n = r.Decisions
+			}
+			fmt.Fprintf(&b, "%-*s %-12s %-14.6f %d\n", width, r.Strategy, r.Cost, r.Availability, n)
 		}
-		rows = append(rows, RefineRow{
-			Variant:      j.Name(),
-			Cost:         res.Cost,
-			Availability: res.Availability,
-			OutOfBid:     res.OutOfBid,
-		})
+		return b.String()
 	}
-	return rows, nil
-}
-
-// renderRefinement prints the refinement comparison.
-func renderRefinement(rows []RefineRow) string {
-	var b strings.Builder
-	b.WriteString("Extension: heterogeneous-bid refinement (lock service, 6h interval)\n")
-	fmt.Fprintf(&b, "%-16s %-12s %-14s %s\n", "variant", "cost", "availability", "out-of-bid")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-12s %-14.6f %d\n", r.Variant, r.Cost, r.Availability, r.OutOfBid)
-	}
-	return b.String()
-}
-
-// renderAdaptive prints the interval ablation table.
-func renderAdaptive(rows []AdaptiveRow) string {
-	var b strings.Builder
-	b.WriteString("Extension: adaptive bidding interval (lock service)\n")
-	fmt.Fprintf(&b, "%-12s %-12s %-14s %s\n", "variant", "cost", "availability", "decisions")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-12s %-14.6f %d\n", r.Variant, r.Cost, r.Availability, r.Decisions)
-	}
-	return b.String()
-}
-
-// renderAblation prints the estimator ablation table.
-func renderAblation(rows []AblationRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: Jupiter failure estimator (lock service, 6h interval)\n")
-	fmt.Fprintf(&b, "%-12s %-12s %-14s %s\n", "estimator", "cost", "availability", "out-of-bid")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-12s %-14.6f %d\n", r.Mode, r.Cost, r.Availability, r.OutOfBid)
-	}
-	return b.String()
 }

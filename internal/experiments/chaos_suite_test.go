@@ -13,6 +13,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func chaosQuickRun(t *testing.T, sc *chaos.Scenario, strat strategy.Strategy, mo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.replayOne(set, LockSpec(), strat, 3)
+	res, err := replayOnce(e, set, LockSpec(), strat, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +55,17 @@ func chaosQuickRun(t *testing.T, sc *chaos.Scenario, strat strategy.Strategy, mo
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res
+}
+
+// replayOnce replays strat on set as a one-cell grid of e. With
+// e.Models nil the grid creates its own model cache, so its models are
+// per-run.
+func replayOnce(e Env, set *trace.Set, spec strategy.ServiceSpec, strat strategy.Strategy, hours int64) (*replay.Result, error) {
+	results, err := e.runGrid([]cell{e.cell(set, spec, func() strategy.Strategy { return strat }, hours)})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
 // TestChaosTraceByteDeterminism pins the chaos determinism contract:
@@ -250,7 +262,7 @@ func TestChaosFlashCrowdGuarantee(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := re.replayOne(set, LockSpec(), strat, 3)
+					res, err := replayOnce(re, set, LockSpec(), strat, 3)
 					if err != nil {
 						t.Fatal(err)
 					}

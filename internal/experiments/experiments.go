@@ -41,18 +41,21 @@ type Env struct {
 	// TrainWeeks is the model-training prefix (the paper used ~3
 	// months of price history).
 	TrainWeeks int64
-	// ReplayWeeks is the accounted span (11 in the paper's §5.5).
+	// ReplayWeeks is the accounted span (11 in the paper's §5.5): every
+	// replay cell accounts weeks [TrainWeeks, TrainWeeks+ReplayWeeks),
+	// however far its trace set runs. Zero accounts to the set's end
+	// instead — a sub-week replay over a TraceSet.
 	ReplayWeeks int64
-	// Jobs is the worker-pool width for sweeps: independent
-	// (strategy, interval) cells replay concurrently. Zero or one means
-	// sequential. Every cell seeds its own provider RNG, so results are
-	// identical at any parallelism.
+	// Jobs is the worker-pool width for grids: independent cells
+	// replay concurrently. Zero or one means sequential. Every cell
+	// seeds its own provider RNG, so results are identical at any
+	// parallelism.
 	Jobs int
 	// Models is the shared price-model provider. Every replay this Env
 	// drives routes model training through it, so cells that request
 	// the same (zone, training window) — Jupiter variants at intervals
 	// whose retrain boundaries coincide — estimate it once. Nil makes
-	// each sweep create its own cache; set it to share across sweeps
+	// each grid create its own cache; set it to share across grids
 	// (the trace fingerprint in the cache key keys different services'
 	// histories apart) or to read hit/train counters afterwards.
 	Models *modelcache.Cache
@@ -170,82 +173,52 @@ func serviceName(spec strategy.ServiceSpec) string {
 	return "lock"
 }
 
-// cellSeed derives a sweep cell's replay seed from the master seed and
-// the cell's coordinates, so no two cells of a figure share jitter.
-func (e Env) cellSeed(strat strategy.Strategy, intervalHours int64) uint64 {
-	return e.Seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name()))
+// cell is one replay of a grid: a strategy at one bidding interval on
+// one market, with the labels its records carry.
+type cell struct {
+	set   *trace.Set
+	spec  strategy.ServiceSpec
+	build strategy.Builder
+	hours int64
+	// seed is the master seed the cell's market was drawn from, stamped
+	// on its records. The cell replays on cellSeed of it — or, with
+	// typed, on seed itself (cmd/replay's -seed as typed).
+	seed  uint64
+	typed bool
+	// chaos and workload arm the cell, and scenario is the chaos label
+	// its records carry (the tournament's grid coordinates).
+	chaos    *chaos.Scenario
+	workload *workload.Trace
+	scenario string
 }
 
-// replayOne runs a single strategy/interval combination on its derived
-// cell seed, in the sink's next free slot — for callers that replay
-// their cells one after another.
-func (e Env) replayOne(set *trace.Set, spec strategy.ServiceSpec, strat strategy.Strategy, intervalHours int64) (*replay.Result, error) {
-	return e.replayCell(set, spec, strat, intervalHours, e.cellSeed(strat, intervalHours), e.sink.reserve(1), "")
+// cell makes a grid cell armed as the Env is: its seed, chaos scenario
+// and workload.
+func (e Env) cell(set *trace.Set, spec strategy.ServiceSpec, build strategy.Builder, hours int64) cell {
+	return cell{set: set, spec: spec, build: build, hours: hours, seed: e.Seed, chaos: e.Chaos, workload: e.Workload}
 }
 
-// replayCell is the one cell runner: every replay any command drives
-// goes through it. The replay seed is the caller's — sweeps derive one
-// per cell, cmd/replay passes -seed as typed. slot is the cell's
-// reserved place in the sink (its grid index, so output order never
-// depends on the worker count) and scenario the chaos label a
-// tournament grid stamps on the cell's records.
-func (e Env) replayCell(set *trace.Set, spec strategy.ServiceSpec, strat strategy.Strategy, intervalHours int64, seed uint64, slot int, scenario string) (*replay.Result, error) {
-	var observers []engine.Observer
-	if e.Observe != nil {
-		observers = e.Observe(spec, strat.Name(), intervalHours)
-	}
-	obs, spans := e.sink.cell(slot, provenance.Stamp{
-		Strategy: strat.Name(), Scenario: scenario, Service: serviceName(spec),
-		Interval: fmt.Sprintf("%dh", intervalHours), Seed: e.Seed,
-	})
-	observers = append(observers, obs...)
-	res, err := replay.Run(replay.Config{
-		Traces:                 set,
-		Start:                  e.TrainWeeks * Week,
-		Spec:                   spec,
-		Strategy:               strat,
-		IntervalMinutes:        intervalHours * 60,
-		Seed:                   seed,
-		InjectHardwareFailures: true,
-		Models:                 e.Models,
-		Observers:              observers,
-		Chaos:                  e.Chaos,
-		ChaosSeed:              e.ChaosSeed,
-		Spans:                  spans,
-		Workload:               e.Workload,
-	})
-	if err == nil {
-		// Per-run observers (e.g. provenance.Ledger)
-		// finalize open state — e.g. a quorum-down span still open at the
-		// end of accounting.
-		for _, o := range observers {
-			if c, ok := o.(interface{ CloseRun(endMinute int64) }); ok {
-				c.CloseRun(e.TrainWeeks*Week + res.TotalMinutes)
-			}
-		}
-		e.sink.done(slot, res)
-	}
-	return res, err
+// cellSeed derives a cell's replay seed from its master seed and its
+// coordinates, so no two cells of a figure share jitter.
+func cellSeed(seed uint64, strat strategy.Strategy, intervalHours int64) uint64 {
+	return seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name()))
 }
 
-// ReplayIntervals replays one strategy at each of the given bidding
-// intervals — a one-strategy sweep: cells on the Env's worker pool over
-// one shared model cache, dispatched longest interval first
-// (longestFirst), results in input order, every cell on Env.Seed itself
-// (cmd/replay's -seed, not a derived cell seed).
-func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, intervals []int64) ([]*replay.Result, error) {
-	spec = e.applyConstraints(spec)
-	set, err := e.Traces(spec.Type)
-	if err != nil {
-		return nil, err
-	}
+// runGrid is the one grid runner: every replay any command drives is a
+// cell of a grid it runs. It reserves the cells' sink slots in grid
+// order, shares one model cache across them (Env.Models, or a fresh one
+// per grid, so coinciding retrains train once), dispatches them on
+// Env.Jobs workers longest interval first (longestFirst), and returns
+// their results in grid order — the same at any Jobs. A failed cell's
+// error names the cell.
+func (e Env) runGrid(cells []cell) ([]*replay.Result, error) {
 	if e.Models == nil {
 		e.Models = modelcache.New()
 	}
-	results := make([]*replay.Result, len(intervals))
-	base := e.sink.reserve(len(intervals))
-	err = forEachCell(len(intervals), e.Jobs, longestFirst(intervals, func(i int) error {
-		res, err := e.replayCell(set, spec, build(), intervals[i], e.Seed, base+i, "")
+	results := make([]*replay.Result, len(cells))
+	base := e.sink.reserve(len(cells))
+	err := forEachCell(len(cells), e.Jobs, longestFirst(cells, func(i int) error {
+		res, err := e.replayCell(cells[i], base+i)
 		results[i] = res
 		return err
 	}))
@@ -255,7 +228,82 @@ func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, 
 	return results, nil
 }
 
-// SweepRow is one cell of the Figures 6–9 matrices.
+// replayCell replays one cell in its reserved sink slot (its grid
+// index, so output order never depends on the worker count), over the
+// Env's accounting window (ReplayWeeks).
+func (e Env) replayCell(c cell, slot int) (*replay.Result, error) {
+	strat := c.build()
+	seed := c.seed
+	if !c.typed {
+		seed = cellSeed(c.seed, strat, c.hours)
+	}
+	var end int64 // zero: replay.Run's default, the set's last simulable minute
+	if e.ReplayWeeks > 0 {
+		end = (e.TrainWeeks+e.ReplayWeeks)*Week - 1
+	}
+	var observers []engine.Observer
+	if e.Observe != nil {
+		observers = e.Observe(c.spec, strat.Name(), c.hours)
+	}
+	obs, spans := e.sink.cell(slot, provenance.Stamp{
+		Strategy: strat.Name(), Scenario: c.scenario, Service: serviceName(c.spec),
+		Interval: fmt.Sprintf("%dh", c.hours), Seed: c.seed,
+	})
+	observers = append(observers, obs...)
+	res, err := replay.Run(replay.Config{
+		Traces:                 c.set,
+		Start:                  e.TrainWeeks * Week,
+		End:                    end,
+		Spec:                   c.spec,
+		Strategy:               strat,
+		IntervalMinutes:        c.hours * 60,
+		Seed:                   seed,
+		InjectHardwareFailures: true,
+		Models:                 e.Models,
+		Observers:              observers,
+		Chaos:                  c.chaos,
+		ChaosSeed:              e.ChaosSeed,
+		Spans:                  spans,
+		Workload:               c.workload,
+	})
+	if err != nil {
+		label := fmt.Sprintf("%s/%s/%dh seed %d", serviceName(c.spec), strat.Name(), c.hours, c.seed)
+		if c.scenario != "" {
+			label += " under " + c.scenario
+		}
+		return nil, fmt.Errorf("experiments: %s: %w", label, err)
+	}
+	// Per-run observers (e.g. provenance.Ledger) finalize open state —
+	// e.g. a quorum-down span still open at the end of accounting.
+	for _, o := range observers {
+		if cl, ok := o.(interface{ CloseRun(endMinute int64) }); ok {
+			cl.CloseRun(e.TrainWeeks*Week + res.TotalMinutes)
+		}
+	}
+	e.sink.done(slot, res)
+	return res, nil
+}
+
+// ReplayIntervals replays one strategy at each of the given bidding
+// intervals — a one-strategy grid, results in input order, every cell
+// on Env.Seed itself (cmd/replay's -seed, not a derived cell seed).
+func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, intervals []int64) ([]*replay.Result, error) {
+	spec = e.applyConstraints(spec)
+	set, err := e.Traces(spec.Type)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]cell, len(intervals))
+	for i, h := range intervals {
+		cells[i] = e.cell(set, spec, build, h)
+		cells[i].typed = true
+	}
+	return e.runGrid(cells)
+}
+
+// SweepRow is one replay cell of a printed table: a Figures 6–9 sweep
+// cell, a Figure 5 bar, or a labelled variant of an ablation (Strategy
+// then holds the variant's label).
 type SweepRow struct {
 	Service       string
 	Strategy      string
@@ -263,7 +311,34 @@ type SweepRow struct {
 	Cost          market.Money
 	Availability  float64
 	OutOfBid      int
+	Decisions     int
 	MeanGroupSize float64
+}
+
+// tabulate runs a grid and folds each cell's result into a row,
+// labelled labels[i] when labels are given, by its strategy otherwise.
+func (e Env) tabulate(cells []cell, labels ...string) ([]SweepRow, error) {
+	results, err := e.runGrid(cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SweepRow, len(cells))
+	for i, res := range results {
+		rows[i] = SweepRow{
+			Service:       serviceName(cells[i].spec),
+			Strategy:      res.Strategy,
+			IntervalHours: cells[i].hours,
+			Cost:          res.Cost,
+			Availability:  res.Availability,
+			OutOfBid:      res.OutOfBid,
+			Decisions:     res.Decisions,
+			MeanGroupSize: res.MeanGroupSize,
+		}
+		if labels != nil {
+			rows[i].Strategy = labels[i]
+		}
+	}
+	return rows, nil
 }
 
 // SweepIntervals are the bidding intervals of §5.5.
@@ -271,20 +346,8 @@ var SweepIntervals = []int64{1, 3, 6, 9, 12}
 
 // sweepSpecs is the §5.5 roster as strategy specs, in the paper's
 // figure order: the same construction path as any user-supplied
-// strategy list.
+// strategy list, each builder a fresh instance per cell.
 var sweepSpecs = []string{"jupiter", "extra(0, 0.2)", "extra(2, 0.2)", "baseline"}
-
-// sweepStrategies builds the §5.5 strategy roster. Each builder
-// constructs a fresh instance per run so model caches and controller
-// state never leak across runs.
-func sweepStrategies() []strategy.Builder {
-	builders, err := BuildSpecs(sweepSpecs)
-	if err != nil {
-		// The roster is fixed at compile time.
-		panic(err)
-	}
-	return builders
-}
 
 // runCell invokes one cell, converting a panic into an error carrying
 // the cell index and stack. Isolation matters most for the worker pool:
@@ -300,39 +363,29 @@ func runCell(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
-// longestFirst maps forEachCell's dispatch index onto an interval grid,
-// where hours[i] is grid cell i's bidding interval: dispatch runs the
-// cells longest interval first, grid order kept among equal intervals.
-// A price model the cells share is then first asked for its forecast
-// profile at the longest horizon any cell will ask, and every shorter
-// cell reads a prefix of that table instead of rebuilding it — bit for
-// bit the table its own build would give (smc.Model.fresh). fn still
-// receives grid indices, so output slots keep the grid order.
-func longestFirst(hours []int64, fn func(i int) error) func(k int) error {
-	order := make([]int, len(hours))
+// longestFirst maps forEachCell's dispatch index onto a grid: dispatch
+// runs the cells longest interval first, grid order kept among equal
+// intervals. A price model the cells share is then first asked for its
+// forecast profile at the longest horizon any cell will ask, and every
+// shorter cell reads a prefix of that table instead of rebuilding it —
+// bit for bit the table its own build would give (smc.Model.fresh). fn
+// still receives grid indices, so output slots keep the grid order.
+func longestFirst(cells []cell, fn func(i int) error) func(k int) error {
+	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(hours[b], hours[a]) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cells[b].hours, cells[a].hours) })
 	return func(k int) error { return fn(order[k]) }
 }
 
 // forEachCell runs fn for every index in [0, n) on a pool of jobs
-// workers. Output slots are indexed, and the first error by index wins
+// workers; zero or one is one worker, which runs the cells in index
+// order. Output slots are indexed, and the first error by index wins
 // regardless of completion order, so a parallel run returns exactly
 // what the sequential one would.
 func forEachCell(n, jobs int, fn func(i int) error) error {
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := runCell(i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	jobs = max(1, min(jobs, n))
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)
@@ -360,53 +413,29 @@ func forEachCell(n, jobs int, fn func(i int) error) error {
 }
 
 // Sweep reproduces one service's cost/availability matrices (Figures
-// 6/7 for the lock service, 8/9 for storage). Cells — one replay per
-// (interval, strategy) pair — are independent: each builds its own
-// strategy and provider over the shared read-only trace set, so with
-// Env.Jobs > 1 they run concurrently. They are dispatched longest
-// interval first (longestFirst), and the rows come back in the grid's
-// interval-major order at any Jobs.
+// 6/7 for the lock service, 8/9 for storage): one grid of (interval,
+// strategy) cells, the rows in its interval-major order at any Jobs.
 func (e Env) Sweep(spec strategy.ServiceSpec, serviceName string) ([]SweepRow, error) {
 	spec = e.applyConstraints(spec)
 	set, err := e.Traces(spec.Type)
 	if err != nil {
 		return nil, err
 	}
-	if e.Models == nil {
-		// One provider across every cell of this sweep: all Env.Jobs
-		// workers share it, so coinciding retrains train once.
-		e.Models = modelcache.New()
-	}
-	var hours []int64
-	var mks []func() strategy.Strategy
-	for _, h := range SweepIntervals {
-		for _, mk := range sweepStrategies() {
-			hours, mks = append(hours, h), append(mks, mk)
-		}
-	}
-	rows := make([]SweepRow, len(hours))
-	base := e.sink.reserve(len(hours))
-	err = forEachCell(len(hours), e.Jobs, longestFirst(hours, func(i int) error {
-		strat := mks[i]()
-		res, err := e.replayCell(set, spec, strat, hours[i], e.cellSeed(strat, hours[i]), base+i, "")
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s/%dh: %w", serviceName, strat.Name(), hours[i], err)
-		}
-		rows[i] = SweepRow{
-			Service:       serviceName,
-			Strategy:      strat.Name(),
-			IntervalHours: hours[i],
-			Cost:          res.Cost,
-			Availability:  res.Availability,
-			OutOfBid:      res.OutOfBid,
-			MeanGroupSize: res.MeanGroupSize,
-		}
-		return nil
-	}))
+	builders, err := BuildSpecs(sweepSpecs)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	var cells []cell
+	for _, h := range SweepIntervals {
+		for _, build := range builders {
+			cells = append(cells, e.cell(set, spec, build, h))
+		}
+	}
+	rows, err := e.tabulate(cells)
+	for i := range rows {
+		rows[i].Service = serviceName
+	}
+	return rows, err
 }
 
 // Fig6and7 reproduces the lock-service sweep.
@@ -422,8 +451,8 @@ type Headline struct {
 	JupiterBestCost  market.Money
 	JupiterBestHours int64
 	ReductionPercent float64
-	// AvailabilityKept is true when Jupiter's availability at the best
-	// interval is within epsilon of the baseline's.
+	// JupiterAvailability and BaselineAvailability are the measured
+	// availabilities of the two costs compared.
 	JupiterAvailability  float64
 	BaselineAvailability float64
 }
@@ -436,7 +465,6 @@ type Headline struct {
 func HeadlineFrom(rows []SweepRow, service string, targetAvailability float64) (Headline, error) {
 	h := Headline{Service: service}
 	var haveBase, haveJup bool
-	bestAvail := -1.0
 	for _, r := range rows {
 		if r.Service != service {
 			continue
@@ -449,24 +477,16 @@ func HeadlineFrom(rows []SweepRow, service string, targetAvailability float64) (
 				haveBase = true
 			}
 		case "Jupiter":
+			// Preference: meeting the target, then the lower cost among
+			// intervals that meet it, the higher availability among
+			// intervals that do not.
 			meets := r.Availability >= targetAvailability
-			curMeets := haveJup && h.JupiterAvailability >= targetAvailability
-			better := false
-			switch {
-			case !haveJup:
-				better = true
-			case meets && !curMeets:
-				better = true
-			case meets == curMeets && meets && r.Cost < h.JupiterBestCost:
-				better = true
-			case !meets && !curMeets && r.Availability > bestAvail:
-				better = true
-			}
-			if better {
+			curMeets := h.JupiterAvailability >= targetAvailability
+			if !haveJup || meets && (!curMeets || r.Cost < h.JupiterBestCost) ||
+				!meets && !curMeets && r.Availability > h.JupiterAvailability {
 				h.JupiterBestCost = r.Cost
 				h.JupiterBestHours = r.IntervalHours
 				h.JupiterAvailability = r.Availability
-				bestAvail = r.Availability
 				haveJup = true
 			}
 		}

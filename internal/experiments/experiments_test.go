@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,5 +193,39 @@ func TestExample3Numbers(t *testing.T) {
 func TestHeadlineFromMissingRows(t *testing.T) {
 	if _, err := HeadlineFrom(nil, "lock", 0.999); err == nil {
 		t.Fatal("empty rows accepted")
+	}
+}
+
+// TestReplayAccountsTheWindowOnly pins the accounting window: a cell
+// accounts weeks [TrainWeeks, TrainWeeks+ReplayWeeks) however far its
+// trace set runs, so a replay over a set two weeks longer — a trace
+// file that outlasts -train + -weeks — gives the synthetic run's Result
+// exactly (trace.Generate is prefix-stable).
+func TestReplayAccountsTheWindowOnly(t *testing.T) {
+	long := quick()
+	long.ReplayWeeks += 2
+	set, err := long.Traces(market.M1Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"jupiter", "extra(0, 0.2)"} {
+		build, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := quick().ReplayIntervals(LockSpec(), build, []int64{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := quick()
+		e.TraceSet = set
+		got, err := e.ReplayIntervals(LockSpec(), build, []int64{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0], want[0]) {
+			t.Errorf("%s over a set two weeks longer: cost %s over %d minutes, want the synthetic run's %s over %d",
+				spec, got[0].Cost, got[0].TotalMinutes, want[0].Cost, want[0].TotalMinutes)
+		}
 	}
 }

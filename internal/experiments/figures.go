@@ -35,16 +35,9 @@ func (e Env) Fig1() (*trace.Trace, error) {
 	lo := day + 9*60
 	hi := lo + 2*60
 	if hi >= tr.End {
-		lo, hi = tr.Start, min64(tr.Start+120, tr.End)
+		lo, hi = tr.Start, min(tr.Start+120, tr.End)
 	}
 	return tr.Window(lo, hi), nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- Figure 4 ---
@@ -116,54 +109,27 @@ func (e Env) Fig4() ([]Fig4Row, error) {
 
 // --- Figure 5 ---
 
-// Fig5Row is one bar of Figure 5: one-week cost per service and
-// strategy, with the observed availability alongside.
-type Fig5Row struct {
-	Service      string
-	Strategy     string
-	Cost         market.Money
-	Availability float64
-}
-
 // Fig5 reproduces the one-week feasibility run (§5.4): Jupiter vs
 // Extra(0, 0.1) vs the on-demand baseline, with 1-hour bidding
-// intervals, for both experimental services.
-func (e Env) Fig5() ([]Fig5Row, error) {
-	week1 := e
-	week1.ReplayWeeks = 1
-	specs := []struct {
-		name string
-		spec strategy.ServiceSpec
-	}{
-		{"lock", LockSpec()},
-		{"storage", StorageSpec()},
-	}
-	strategies := []func() strategy.Strategy{
-		func() strategy.Strategy { return core.New() },
-		func() strategy.Strategy { return strategy.Extra{ExtraNodes: 0, Portion: 0.1} },
-		func() strategy.Strategy { return strategy.OnDemand{} },
-	}
-	var rows []Fig5Row
-	for _, sp := range specs {
-		set, err := week1.Traces(sp.spec.Type)
+// intervals, for both experimental services: one bar per service and
+// strategy, with the observed availability alongside.
+func (e Env) Fig5() ([]SweepRow, error) {
+	e.ReplayWeeks = 1
+	var cells []cell
+	for _, spec := range []strategy.ServiceSpec{LockSpec(), StorageSpec()} {
+		set, err := e.Traces(spec.Type)
 		if err != nil {
 			return nil, err
 		}
-		for _, mk := range strategies {
-			strat := mk()
-			res, err := week1.replayOne(set, sp.spec, strat, 1)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Fig5Row{
-				Service:      sp.name,
-				Strategy:     strat.Name(),
-				Cost:         res.Cost,
-				Availability: res.Availability,
-			})
+		for _, build := range []strategy.Builder{
+			func() strategy.Strategy { return core.New() },
+			func() strategy.Strategy { return strategy.Extra{ExtraNodes: 0, Portion: 0.1} },
+			func() strategy.Strategy { return strategy.OnDemand{} },
+		} {
+			cells = append(cells, e.cell(set, spec, build, 1))
 		}
 	}
-	return rows, nil
+	return e.tabulate(cells)
 }
 
 // --- §3 worked example ---
@@ -187,19 +153,18 @@ func (e Env) Example3() (Example3Result, error) {
 
 	// Naive spot bidding: bid exactly the spot price (Extra(0, 0)) and
 	// replay one month.
-	monthEnv := e
-	monthEnv.TrainWeeks = 2
-	monthEnv.ReplayWeeks = 4
-	set, err := monthEnv.Traces(market.M1Small)
+	e.TrainWeeks, e.ReplayWeeks = 2, 4
+	set, err := e.Traces(market.M1Small)
 	if err != nil {
 		return out, err
 	}
-	res, err := monthEnv.replayOne(set, LockSpec(), strategy.Extra{ExtraNodes: 0, Portion: 0}, 1)
+	naive := func() strategy.Strategy { return strategy.Extra{ExtraNodes: 0, Portion: 0} }
+	results, err := e.runGrid([]cell{e.cell(set, LockSpec(), naive, 1)})
 	if err != nil {
 		return out, err
 	}
-	out.NaiveAvailability = res.Availability
+	out.NaiveAvailability = results[0].Availability
 	// Scale measured downtime to a 30-day month.
-	out.NaiveDowntimeSec = (1 - res.Availability) * quorum.SecondsPerMonth
+	out.NaiveDowntimeSec = (1 - out.NaiveAvailability) * quorum.SecondsPerMonth
 	return out, nil
 }

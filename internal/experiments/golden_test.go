@@ -15,7 +15,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // file: it prints the whole index, as "cmd/experiments -run all -train
 // 6 -weeks 1" does, so every number the experiments emit — trace
 // generation, the simulated control plane, the replay kernel and every
-// strategy — is in the comparison. The file was captured from the
+// strategy — is in the comparison. It prints it twice, sequentially and
+// on four workers, and both must match: every grid returns its results
+// in grid order at any Jobs. The file was captured from the
 // pre-event-kernel per-minute implementation, so this test is also the
 // before/after witness that the discrete-event refactor reproduces the
 // original evaluation exactly. Regenerate deliberately with:
@@ -26,29 +28,33 @@ func TestGoldenDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := QuickEnv().Print(&b, sel, ""); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
 	path := filepath.Join("testdata", "golden_quick.txt")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	for _, jobs := range []int{0, 4} {
+		env := QuickEnv()
+		env.Jobs = jobs
+		var b strings.Builder
+		if err := env.Print(&b, sel, ""); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
+		got := b.String()
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d bytes)", path, len(got))
+			return
 		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("driver output diverged from golden file %s.\nDiff the output of `go test -run TestGoldenDrivers -update` against git to inspect.\ngot %d bytes, want %d bytes\nfirst divergence: %s",
-			path, len(got), len(want), firstDiff(got, string(want)))
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		if got != string(want) {
+			t.Fatalf("driver output at Jobs=%d diverged from golden file %s.\nDiff the output of `go test -run TestGoldenDrivers -update` against git to inspect.\ngot %d bytes, want %d bytes\nfirst divergence: %s",
+				jobs, path, len(got), len(want), firstDiff(got, string(want)))
+		}
 	}
 }
 

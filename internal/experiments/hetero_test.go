@@ -30,7 +30,7 @@ func TestHeteroSweepNotWorseThanZoneOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rz, err := ez.replayOne(setz, spec, core.New(), hours)
+		rz, err := replayOnce(ez, setz, spec, core.New(), hours)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestHeteroSweepNotWorseThanZoneOnly(t *testing.T) {
 		if got, want := len(seth.Zones()), 4*len(market.ExperimentZones()); got != want {
 			t.Fatalf("heterogeneous market has %d pools, want %d (4 types x 17 zones)", got, want)
 		}
-		rh, err := eh.replayOne(seth, spec, core.New(), hours)
+		rh, err := replayOnce(eh, seth, spec, core.New(), hours)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,12 @@ var index = []Experiment{
 	{names: []string{"fig8", "fig9"}, title: "Figures 8 and 9", sweep: true, render: sweepTables("storage")},
 	{names: []string{"headline"}, title: "Headline", sweep: true, render: (*memo).headline},
 	{names: []string{"example3"}, title: "Section 3 worked example", render: table(Env.Example3, renderExample3)},
-	{names: []string{"ablation"}, title: "Ablation: failure estimator", render: table(Env.AblationEstimators, renderAblation)},
-	{names: []string{"adaptive"}, title: "Extension: adaptive bidding interval", render: table(Env.AblationAdaptiveInterval, renderAdaptive)},
-	{names: []string{"refine"}, title: "Extension: heterogeneous-bid refinement", render: table(Env.AblationRefinement, renderRefinement)},
+	{names: []string{"ablation"}, title: "Ablation: failure estimator", render: table(Env.AblationEstimators,
+		variantTable("Ablation: Jupiter failure estimator (lock service, 6h interval)", "estimator", 12, "out-of-bid"))},
+	{names: []string{"adaptive"}, title: "Extension: adaptive bidding interval", render: table(Env.AblationAdaptiveInterval,
+		variantTable("Extension: adaptive bidding interval (lock service)", "variant", 12, "decisions"))},
+	{names: []string{"refine"}, title: "Extension: heterogeneous-bid refinement", render: table(Env.AblationRefinement,
+		variantTable("Extension: heterogeneous-bid refinement (lock service, 6h interval)", "variant", 16, "out-of-bid"))},
 	{names: []string{"weighted"}, title: "Analysis: weighted voting", render: table(Env.WeightedVotingAnalysis, renderWeightedVoting)},
 }
 

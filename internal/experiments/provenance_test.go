@@ -68,8 +68,8 @@ func TestLedgerReconciliation(t *testing.T) {
 	models := modelcache.New() // scenarios and seeds salt the trace fingerprint, so sharing is safe
 	for _, name := range chaos.BuiltinNames() {
 		for _, seed := range []uint64{2014, 2015} {
-			cell := fmt.Sprintf("%s/seed-%d", name, seed)
-			t.Run(cell, func(t *testing.T) {
+			key := fmt.Sprintf("%s/seed-%d", name, seed)
+			t.Run(key, func(t *testing.T) {
 				sc := mustBuiltin(t, name)
 				e := QuickEnv()
 				e.Seed = seed
@@ -99,15 +99,17 @@ func TestLedgerReconciliation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				strat := core.New()
-				res, err := e.replayCell(set, LockSpec(), strat, 3, e.cellSeed(strat, 3), sink.reserve(1), name)
+				c := e.cell(set, LockSpec(), func() strategy.Strategy { return core.New() }, 3)
+				c.scenario = name
+				results, err := e.runGrid([]cell{c})
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := results[0]
 				if err := sink.writer.Close(); err != nil {
 					t.Fatal(err)
 				}
-				a, _ := sink.attribution(0)
+				a, _ := sink.attribution(res)
 
 				var cellCost, cellDown int64
 				for _, c := range a.Cells {
@@ -133,7 +135,7 @@ func TestLedgerReconciliation(t *testing.T) {
 					t.Errorf("downtime histogram mass %v min != attributed downtime %d min", down, a.TotalDownMinutes)
 				}
 
-				if want, ok := recorded[cell]; !ok || !reflect.DeepEqual(a, want) {
+				if want, ok := recorded[key]; !ok || !reflect.DeepEqual(a, want) {
 					t.Errorf("attribution\n%+v\nwant the recorded\n%+v", a, want)
 				}
 			})

@@ -56,7 +56,7 @@ func renderFig4(rows []Fig4Row) string {
 }
 
 // renderFig5 prints the one-week cost bars.
-func renderFig5(rows []Fig5Row) string {
+func renderFig5(rows []SweepRow) string {
 	var b strings.Builder
 	b.WriteString("Fig 5: one-week spot instance cost per strategy\n")
 	fmt.Fprintf(&b, "%-10s %-14s %-12s %s\n", "service", "strategy", "cost", "availability")
@@ -79,7 +79,7 @@ func renderSweep(rows []SweepRow, service string) string {
 		}
 	}
 	sort.Strings(strategies)
-	cell := func(interval int64, strat string) (SweepRow, bool) {
+	find := func(interval int64, strat string) (SweepRow, bool) {
 		for _, r := range rows {
 			if r.Service == service && r.IntervalHours == interval && r.Strategy == strat {
 				return r, true
@@ -88,39 +88,30 @@ func renderSweep(rows []SweepRow, service string) string {
 		return SweepRow{}, false
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s service: cost ($)\n", service)
-	fmt.Fprintf(&b, "%-10s", "interval")
-	for _, s := range strategies {
-		fmt.Fprintf(&b, " %-14s", s)
-	}
-	b.WriteString("\n")
-	for _, h := range SweepIntervals {
-		fmt.Fprintf(&b, "%-10s", fmt.Sprintf("%dh", h))
+	for _, table := range []struct {
+		name   string
+		format func(SweepRow) string
+	}{
+		{"cost ($)", func(r SweepRow) string { return fmt.Sprintf(" %-14.2f", r.Cost.Dollars()) }},
+		{"availability", func(r SweepRow) string { return fmt.Sprintf(" %-14.6f", r.Availability) }},
+	} {
+		fmt.Fprintf(&b, "%s service: %s\n", service, table.name)
+		fmt.Fprintf(&b, "%-10s", "interval")
 		for _, s := range strategies {
-			if r, ok := cell(h, s); ok {
-				fmt.Fprintf(&b, " %-14.2f", r.Cost.Dollars())
-			} else {
-				fmt.Fprintf(&b, " %-14s", "-")
-			}
+			fmt.Fprintf(&b, " %-14s", s)
 		}
 		b.WriteString("\n")
-	}
-	fmt.Fprintf(&b, "%s service: availability\n", service)
-	fmt.Fprintf(&b, "%-10s", "interval")
-	for _, s := range strategies {
-		fmt.Fprintf(&b, " %-14s", s)
-	}
-	b.WriteString("\n")
-	for _, h := range SweepIntervals {
-		fmt.Fprintf(&b, "%-10s", fmt.Sprintf("%dh", h))
-		for _, s := range strategies {
-			if r, ok := cell(h, s); ok {
-				fmt.Fprintf(&b, " %-14.6f", r.Availability)
-			} else {
-				fmt.Fprintf(&b, " %-14s", "-")
+		for _, h := range SweepIntervals {
+			fmt.Fprintf(&b, "%-10s", fmt.Sprintf("%dh", h))
+			for _, s := range strategies {
+				if r, ok := find(h, s); ok {
+					b.WriteString(table.format(r))
+				} else {
+					fmt.Fprintf(&b, " %-14s", "-")
+				}
 			}
+			b.WriteString("\n")
 		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -77,7 +77,7 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.StringVar(&f.Chaos, "chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name ("+strings.Join(chaos.BuiltinNames(), ", ")+") or a JSON scenario file")
 	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")
-	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, a sweep's longest interval first, so the file is the same at any -j")
+	all.StringVar(&f.EventsOut, "events-out", "", "write every replay cell's event trace as JSONL to this file ('-' = stdout); cells then replay one at a time, each grid's longest interval first, so the file is the same at any -j")
 	all.IntVar(&f.SpansSample, "spans-sample", 0, "with -manifest, record every Nth decision's provenance spans in its replay cell's record (1 = all, 0 = none; see cmd/analyze explain)")
 	all.StringVar(&f.Manifest, "manifest", "", "write the run's record (JSON) to this file ('-' = stdout): config, seed, wall time, and one record per replay cell with its result, its cost/downtime attribution (see cmd/analyze attribute) and, with -spans-sample, its decision spans")
 	all.VisitAll(func(fl *flag.Flag) {
@@ -136,7 +136,7 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		// The trace names the cell that trained each model of a shared
 		// price-model cache, and cells on a worker pool race to train
 		// them: only cells replayed one at a time give the same bytes at
-		// any -j. A sweep streams them longest interval first (the
+		// any -j. Every grid streams them longest interval first (the
 		// dispatch order of longestFirst), not in grid order.
 		f.Jobs = 1
 	}
@@ -320,13 +320,17 @@ func (s *Sink) done(slot int, res *replay.Result) {
 	s.mu.Unlock()
 }
 
-// attribution returns an opened slot's ledger table, or false when the
-// run keeps no ledgers (no -manifest).
-func (s *Sink) attribution(slot int) (provenance.Attribution, bool) {
-	if s == nil || s.cells[slot].led == nil {
-		return provenance.Attribution{}, false
+// attribution returns the ledger table of the cell that produced res,
+// or false when the run keeps no ledgers (no -manifest).
+func (s *Sink) attribution(res *replay.Result) (provenance.Attribution, bool) {
+	if s != nil {
+		for _, c := range s.cells {
+			if c != nil && c.res == res && c.led != nil {
+				return c.led.Attribution(), true
+			}
+		}
 	}
-	return s.cells[slot].led.Attribution(), true
+	return provenance.Attribution{}, false
 }
 
 // Close ends the run: it prints the model-cache counters (-model-stats),

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/modelcache"
 	"repro/internal/provenance"
 	"repro/internal/strategy"
 	"repro/internal/trace"
@@ -143,9 +142,9 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 // Tournament replays every roster strategy under every chaos scenario
 // and seed — the strategy arena — and ranks them: most availability
 // bounds met first, mean cost as the tiebreaker. The Env's TrainWeeks,
-// ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, and
-// Observe are superseded by the grid coordinates. Grid cells report to
-// the Env's sink labelled with their scenario — one slot per cell in
+// ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, Workload
+// and Observe are superseded by the grid coordinates. Grid cells report
+// to the Env's sink labelled with their scenario — one slot per cell in
 // grid order, so the manifest's records, spans included, are
 // byte-identical at any Jobs setting; the clean baseline replays stay
 // unrecorded.
@@ -157,10 +156,6 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	builders, err := BuildSpecs(specs)
 	if err != nil {
 		return nil, err
-	}
-	names := make([]string, len(builders))
-	for i, b := range builders {
-		names[i] = b().Name()
 	}
 	scenarioNames := cfg.Scenarios
 	if len(scenarioNames) == 0 {
@@ -188,27 +183,24 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	}
 
 	spec := e.applyConstraints(LockSpec())
-	if e.Models == nil {
-		// One cache for the whole grid: chaos overlays and seeds salt
-		// the trace fingerprints, so cells never read each other's
-		// models by accident — they only deduplicate identical training.
-		e.Models = modelcache.New()
-	}
 
 	// Per-seed market histories, generated once and shared read-only by
-	// every cell of that seed's grid.
+	// every cell of that seed; sc nil is the clean market.
 	sets := make(map[uint64]*trace.Set, len(seeds))
 	workloads := make(map[uint64]*workload.Trace, len(seeds))
+	cellAt := func(build strategy.Builder, sc *chaos.Scenario, name string, seed uint64) cell {
+		return cell{set: sets[seed], spec: spec, build: build, hours: hours, seed: seed,
+			chaos: sc, workload: workloads[seed], scenario: name}
+	}
+	var baseline []cell
 	for _, seed := range seeds {
 		se := e
 		se.Seed = seed
-		set, err := se.Traces(spec.Type)
-		if err != nil {
+		if sets[seed], err = se.Traces(spec.Type); err != nil {
 			return nil, err
 		}
-		sets[seed] = set
 		if cfg.Autoscale {
-			wl, err := workload.Generate(workload.GenConfig{
+			workloads[seed], err = workload.Generate(workload.GenConfig{
 				Seed:  seed,
 				Start: e.TrainWeeks * Week,
 				End:   (e.TrainWeeks + e.ReplayWeeks) * Week,
@@ -216,90 +208,79 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			workloads[seed] = wl
 		}
+		baseline = append(baseline, cellAt(func() strategy.Strategy { return strategy.OnDemand{} }, nil, "", seed))
 	}
 
 	// The availability bound: the clean on-demand baseline, per seed,
-	// chaos-free — what the paper's Eq. 10 guarantee promises to match.
+	// chaos-free and unrecorded — what the paper's Eq. 10 guarantee
+	// promises to match.
+	clean := e
+	clean.sink = nil
+	base, err := clean.runGrid(baseline)
+	if err != nil {
+		return nil, err
+	}
 	var baseAvail float64
-	for _, seed := range seeds {
-		se := e
-		se.Seed = seed
-		se.Workload = workloads[seed]
-		se.sink = nil
-		res, err := se.replayOne(sets[seed], spec, strategy.OnDemand{}, hours)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: tournament baseline seed %d: %w", seed, err)
-		}
+	for _, res := range base {
 		baseAvail += res.Availability
 	}
 	baseAvail /= float64(len(seeds))
 	bound := baseAvail - eps
 
 	// The grid, strategy-major so each strategy's cells are contiguous.
+	// One model cache serves it: chaos overlays and seeds salt the trace
+	// fingerprints, so cells never read each other's models by accident —
+	// they only deduplicate identical training.
 	nS, nC, nK := len(builders), len(scenarios), len(seeds)
-	cells := make([]TournamentCell, nS*nC*nK)
-	base := e.sink.reserve(len(cells))
-	err = forEachCell(len(cells), e.Jobs, func(i int) error {
-		si := i / (nC * nK)
-		ci := (i / nK) % nC
-		ki := i % nK
-		ce := e
-		ce.Seed = seeds[ki]
-		ce.Chaos = &scenarios[ci]
-		ce.Workload = workloads[seeds[ki]]
-		ce.Observe = nil
-		strat := builders[si]()
-		res, err := ce.replayCell(sets[seeds[ki]], spec, strat, hours, ce.cellSeed(strat, hours), base+i, scenarioNames[ci])
-		if err != nil {
-			return fmt.Errorf("experiments: tournament %s/%s/seed %d: %w",
-				names[si], scenarioNames[ci], seeds[ki], err)
+	var grid []cell
+	for _, build := range builders {
+		for ci := range scenarios {
+			for _, seed := range seeds {
+				grid = append(grid, cellAt(build, &scenarios[ci], scenarioNames[ci], seed))
+			}
 		}
+	}
+	e.Observe = nil
+	results, err := e.runGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]TournamentCell, len(grid))
+	for i, res := range results {
 		cells[i] = TournamentCell{
-			Strategy:     names[si],
-			Scenario:     scenarioNames[ci],
-			Seed:         seeds[ki],
+			Strategy:     res.Strategy,
+			Scenario:     grid[i].scenario,
+			Seed:         grid[i].seed,
 			CostDollars:  res.Cost.Dollars(),
 			Availability: res.Availability,
 			OutOfBid:     res.OutOfBid,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
-	// With the sink's ledgers kept, a score cites the cause that cost its
-	// (strategy, scenario) pair the most downtime over the seeds — which
-	// cause broke each rival.
-	worstCause := func(si, ci int) string {
-		var merged provenance.Attribution
-		for ki := 0; ki < nK; ki++ {
-			a, ok := e.sink.attribution(base + (si*nC+ci)*nK + ki)
-			if !ok {
-				return ""
-			}
-			merged = merged.Merge(a)
-		}
-		return merged.WorstCause()
-	}
-
-	// Fold cells into per-strategy rows.
+	// Fold cells into per-strategy rows. With the sink's ledgers kept, a
+	// score cites the cause that cost its (strategy, scenario) pair the
+	// most downtime over the seeds — which cause broke each rival.
 	rows := make([]TournamentRow, nS)
 	for si := 0; si < nS; si++ {
-		row := TournamentRow{Strategy: names[si], Spec: specs[si]}
+		row := TournamentRow{Strategy: cells[si*nC*nK].Strategy, Spec: specs[si]}
 		for ci := 0; ci < nC; ci++ {
 			score := ScenarioScore{Scenario: scenarioNames[ci]}
+			var merged provenance.Attribution
+			ledgers := true
 			for ki := 0; ki < nK; ki++ {
-				c := cells[(si*nC+ci)*nK+ki]
-				score.MeanCostDollars += c.CostDollars
-				score.MeanAvailability += c.Availability
+				i := (si*nC+ci)*nK + ki
+				score.MeanCostDollars += cells[i].CostDollars
+				score.MeanAvailability += cells[i].Availability
+				a, ok := e.sink.attribution(results[i])
+				merged, ledgers = merged.Merge(a), ledgers && ok
 			}
 			score.MeanCostDollars /= float64(nK)
 			score.MeanAvailability /= float64(nK)
 			score.MeetsBound = score.MeanAvailability >= bound
-			score.WorstCause = worstCause(si, ci)
+			if ledgers {
+				score.WorstCause = merged.WorstCause()
+			}
 			if score.MeetsBound {
 				row.ScenariosMet++
 			}

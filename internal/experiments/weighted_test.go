@@ -73,14 +73,14 @@ func TestAblationEstimators(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
-	seen := map[string]AblationRow{}
+	seen := map[string]SweepRow{}
 	for _, r := range rows {
-		seen[r.Mode] = r
+		seen[r.Strategy] = r
 		if r.Availability < 0.9 {
-			t.Errorf("mode %s availability %v", r.Mode, r.Availability)
+			t.Errorf("mode %s availability %v", r.Strategy, r.Availability)
 		}
 		if r.Cost <= 0 {
-			t.Errorf("mode %s cost %v", r.Mode, r.Cost)
+			t.Errorf("mode %s cost %v", r.Strategy, r.Cost)
 		}
 	}
 	for _, m := range []string{"interval", "stationary", "one-step"} {
@@ -88,7 +88,7 @@ func TestAblationEstimators(t *testing.T) {
 			t.Fatalf("mode %s missing", m)
 		}
 	}
-	if renderAblation(rows) == "" {
+	if variantTable("estimators", "estimator", 12, "out-of-bid")(rows) == "" {
 		t.Fatal("empty ablation rendering")
 	}
 }
@@ -101,9 +101,9 @@ func TestAblationAdaptiveInterval(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("%d adaptive rows", len(rows))
 	}
-	var adaptive *AdaptiveRow
+	var adaptive *SweepRow
 	for i := range rows {
-		if rows[i].Variant == "adaptive" {
+		if rows[i].Strategy == "adaptive" {
 			adaptive = &rows[i]
 		}
 	}
@@ -113,7 +113,7 @@ func TestAblationAdaptiveInterval(t *testing.T) {
 	if adaptive.Availability < 0.99 {
 		t.Fatalf("adaptive availability %v", adaptive.Availability)
 	}
-	if renderAdaptive(rows) == "" {
+	if variantTable("adaptive", "variant", 12, "decisions")(rows) == "" {
 		t.Fatal("empty adaptive rendering")
 	}
 }
