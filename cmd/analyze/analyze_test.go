@@ -150,6 +150,52 @@ func TestExplainRefusesAmbiguousStreams(t *testing.T) {
 	}
 }
 
+// TestExplainPicksRecordByIndex: -record N picks the manifest's N-th
+// record, so two records of one stamp — a cell replayed twice — can be
+// told apart, and the ambiguity error names each record by its index.
+func TestExplainPicksRecordByIndex(t *testing.T) {
+	manifest, _ := record(t, "jupiter", 3, 6, 3)
+	err := runExplain([]string{"-interval", "3h", manifest}, new(bytes.Buffer))
+	if err == nil {
+		t.Fatal("two records of one stamp explained without -record")
+	}
+	for _, want := range []string{
+		"or -record:",
+		"record 1: strategy Jupiter, service lock, interval 3h, seed 2014",
+		"record 3: strategy Jupiter, service lock, interval 3h, seed 2014",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q: %v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "record 2:") {
+		t.Errorf("error lists the 6h record the filter dropped: %v", err)
+	}
+	var out bytes.Buffer
+	if err := runExplain([]string{"-record", "2", "-decision", "1", manifest}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "run: strategy Jupiter, service lock, interval 6h, seed 2014\n") {
+		t.Errorf("-record 2 explains another record:\n%s", out.String())
+	}
+	var first, third bytes.Buffer
+	if err := runExplain([]string{"-record", "1", manifest}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExplain([]string{"-record", "3", "-interval", "3h", manifest}, &third); err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() == 0 || first.String() != third.String() {
+		t.Errorf("one cell replayed twice explains differently:\n%s\n%s", first.String(), third.String())
+	}
+	if err := runExplain([]string{"-record", "2", "-interval", "3h", manifest}, &out); err == nil || !strings.Contains(err.Error(), "no replay record matches") {
+		t.Errorf("-record 2 with a filter it fails: %v", err)
+	}
+	if err := runExplain([]string{"-record", "4", manifest}, &out); err == nil || !strings.Contains(err.Error(), "holds 3 replay records") {
+		t.Errorf("-record past the manifest: %v", err)
+	}
+}
+
 // TestExplainEmptyStream: a rival that records no decision provenance
 // leaves a record without spans; explain says so instead of "no match".
 // A run without -spans-sample recorded none at all, and explain says

@@ -25,6 +25,7 @@ func runExplain(args []string, out io.Writer) error {
 	service := fs.String("service", "", "filter replay records by service stamp")
 	interval := fs.String("interval", "", "filter replay records by interval stamp (e.g. 3h)")
 	seed := fs.Uint64("seed", 0, "filter replay records by seed stamp (0 = any)")
+	record := fs.Int("record", 0, "pick the manifest's N-th replay record, counting from 1 (0 = any)")
 	decision := fs.Int64("decision", 0, "explain this decision sequence number (0 = pick by -minute)")
 	minute := fs.Int64("minute", -1, "explain the last decision at or before this simulated minute (-1 = the run's last decision)")
 	jsonOut := fs.Bool("json", false, "print the decision's raw spans as JSON instead of the report")
@@ -51,37 +52,40 @@ func runExplain(args []string, out io.Writer) error {
 		return fmt.Errorf("the run recorded no decision spans: rerun it with -spans-sample N beside -manifest")
 	}
 
-	var kept []experiments.Record
-	for _, r := range m.Runs {
-		if (*strat == "" || r.Strategy == *strat) && (*scenario == "" || r.Scenario == *scenario) &&
+	if *record < 0 || *record > len(m.Runs) {
+		return fmt.Errorf("-record %d: the manifest holds %d replay records", *record, len(m.Runs))
+	}
+	// Records are named by their 1-based index in the manifest, the one
+	// coordinate two records of the same stamp do not share.
+	var kept, traced []int
+	for i, r := range m.Runs {
+		if (*record == 0 || i+1 == *record) &&
+			(*strat == "" || r.Strategy == *strat) && (*scenario == "" || r.Scenario == *scenario) &&
 			(*service == "" || r.Service == *service) && (*interval == "" || r.Interval == *interval) &&
 			(*seed == 0 || r.Seed == *seed) {
-			kept = append(kept, r)
+			kept = append(kept, i)
+			if len(r.Spans) > 0 {
+				traced = append(traced, i)
+			}
 		}
 	}
 	if len(kept) == 0 {
 		return fmt.Errorf("no replay record matches the filters")
 	}
-	var traced []experiments.Record
-	for _, r := range kept {
-		if len(r.Spans) > 0 {
-			traced = append(traced, r)
-		}
-	}
 	if len(traced) == 0 {
 		// Only strategies that implement provenance.Consumer (the Jupiter
 		// family) record their decisions.
-		return fmt.Errorf("the records hold no spans: strategy %q records no decision provenance (try analyze attribute on the manifest)", kept[0].Strategy)
+		return fmt.Errorf("the records hold no spans: strategy %q records no decision provenance (try analyze attribute on the manifest)", m.Runs[kept[0]].Strategy)
 	}
 	if len(traced) > 1 {
 		cells := make([]string, len(traced))
-		for i, r := range traced {
-			cells[i] = stampLabel(r.Stamp)
+		for k, i := range traced {
+			cells[k] = fmt.Sprintf("record %d: %s", i+1, stampLabel(m.Runs[i].Stamp))
 		}
-		return fmt.Errorf("spans from %d runs match — narrow with -strategy/-scenario/-service/-interval/-seed:\n  %s",
+		return fmt.Errorf("spans from %d runs match — narrow with -strategy/-scenario/-service/-interval/-seed or -record:\n  %s",
 			len(cells), strings.Join(cells, "\n  "))
 	}
-	run := traced[0]
+	run := m.Runs[traced[0]]
 
 	target := pickDecision(run.Spans, *decision, *minute)
 	if target == 0 {

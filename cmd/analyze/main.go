@@ -8,7 +8,7 @@
 //
 //	analyze [-trace file] [-type m1.small] [-weeks N] [-seed N] [-zones a,b,c] [-lenient-traces]
 //	analyze diff a.jsonl b.jsonl
-//	analyze explain [-minute M | -decision N] [-strategy s] [-scenario c] [-seed N] manifest.json
+//	analyze explain [-minute M | -decision N] [-record N] [-strategy s] [-scenario c] [-seed N] manifest.json
 //	analyze attribute manifest.json
 //
 // Without -trace a synthetic trace set is generated. A -trace file may
@@ -25,11 +25,11 @@
 // The explain subcommand reconstructs "why this bid at minute M" from
 // the decision spans a run manifest's replay records carry (`replay`,
 // `experiments` or `experiments tournament` run with `-manifest` and
-// `-spans-sample N`), one record picked by its stamp: the pools
-// considered, the candidate group sizes and their feasibility, the
-// dominance rule that rejected the losing candidate family, the refine
-// descent, and the chosen bids with their exact Eq. 10 availability
-// margin.
+// `-spans-sample N`), one record picked by its stamp or by its index in
+// the manifest (`-record N`): the pools considered, the candidate group
+// sizes and their feasibility, the dominance rule that rejected the
+// losing candidate family, the refine descent, and the chosen bids with
+// their exact Eq. 10 availability margin.
 //
 // The attribute subcommand renders the cost/downtime attribution
 // ledger — every billed cent and downtime minute in one (pool, cause)

@@ -41,7 +41,8 @@ func (e *Engine) abs(m int64) int64 { return e.start + m }
 // TransformTraces applies the price-spike injectors, returning a new
 // set with change points inserted at the window boundaries. Without
 // spike injectors the input set is returned unchanged, so the
-// zero-injector path keeps the original traces (and fingerprint).
+// zero-injector path keeps the original traces (and fingerprint); a
+// pool no spike changes keeps its *Trace.
 func (e *Engine) TransformTraces(set *trace.Set) (*trace.Set, error) {
 	var spikes []Injector
 	for _, inj := range e.sc.Injectors {
@@ -53,62 +54,76 @@ func (e *Engine) TransformTraces(set *trace.Set) (*trace.Set, error) {
 		return set, nil
 	}
 	out := trace.NewSet(set.Type, set.Start, set.End)
+	var wins []window
 	for _, key := range set.Zones() {
 		tr := set.ByZone[key]
+		wins = wins[:0]
 		for _, inj := range spikes {
-			if !inj.covers(key) {
-				continue
+			// A window clamped empty, or a factor of 1, changes nothing.
+			w := window{max(e.abs(inj.From), tr.Start), min(e.abs(inj.Until), tr.End), inj.Factor}
+			if inj.covers(key) && w.from < w.until && w.factor != 1 {
+				wins = append(wins, w)
 			}
-			tr = spike(tr, e.abs(inj.From), e.abs(inj.Until), inj.Factor)
 		}
-		if err := out.AddPool(tr); err != nil {
+		if err := out.AddPool(spike(tr, wins)); err != nil {
 			return nil, fmt.Errorf("chaos: spiked trace for %s: %w", key, err)
 		}
 	}
 	return out, nil
 }
 
-// spike scales a trace's price by factor over [from, until), clamped
-// to the trace span, preserving the piecewise-constant change-point
-// representation.
-func spike(tr *trace.Trace, from, until int64, factor float64) *trace.Trace {
-	if from < tr.Start {
-		from = tr.Start
-	}
-	if until > tr.End {
-		until = tr.End
-	}
-	if from >= until || factor == 1 {
+// window is one price-spike injector clamped to a trace's span.
+type window struct {
+	from, until int64
+	factor      float64
+}
+
+// spike scales a trace's price over each window in turn, in one forward
+// pass over its change points and the window edges, merging equal
+// neighbours. No window returns the trace itself.
+func spike(tr *trace.Trace, wins []window) *trace.Trace {
+	if len(wins) == 0 {
 		return tr
 	}
-	// Breakpoints: the original change points plus the window edges.
-	minutes := make([]int64, 0, len(tr.Points)+2)
-	for _, pt := range tr.Points {
-		minutes = append(minutes, pt.Minute)
-	}
-	for _, m := range []int64{from, until} {
-		if m > tr.Start && m < tr.End {
-			minutes = append(minutes, m)
+	pts := tr.Points
+	out := &trace.Trace{Zone: tr.Zone, Type: tr.Type, Start: tr.Start, End: tr.End,
+		Points: make([]trace.PricePoint, 0, len(pts)+2*len(wins))}
+	edge := nextEdge(wins, tr.Start, tr.End)
+	for m, i := tr.Start, 0; ; {
+		price := pts[i].Price
+		for _, w := range wins {
+			if m >= w.from && m < w.until {
+				price = price.Scale(w.factor)
+			}
+		}
+		if n := len(out.Points); n == 0 || out.Points[n-1].Price != price {
+			out.Points = append(out.Points, trace.PricePoint{Minute: m, Price: price})
+		}
+		next := edge
+		if i+1 < len(pts) && pts[i+1].Minute <= next {
+			next = pts[i+1].Minute
+			i++
+		}
+		if next >= tr.End {
+			return out
+		}
+		if m = next; m == edge {
+			edge = nextEdge(wins, m, tr.End)
 		}
 	}
-	sortInt64(minutes)
-	out := &trace.Trace{Zone: tr.Zone, Type: tr.Type, Start: tr.Start, End: tr.End}
-	var prev int64 = -1
-	for _, m := range minutes {
-		if m == prev {
-			continue
+}
+
+// nextEdge returns the first window edge after minute m, or end.
+func nextEdge(wins []window, m, end int64) int64 {
+	for _, w := range wins {
+		switch {
+		case w.from > m:
+			end = min(end, w.from)
+		case w.until > m:
+			end = min(end, w.until)
 		}
-		prev = m
-		price := tr.PriceAt(m)
-		if m >= from && m < until {
-			price = price.Scale(factor)
-		}
-		if n := len(out.Points); n > 0 && out.Points[n-1].Price == price {
-			continue
-		}
-		out.Points = append(out.Points, trace.PricePoint{Minute: m, Price: price})
 	}
-	return out
+	return end
 }
 
 // TransformWorkload applies the flash-crowd injectors to the replay's
@@ -126,14 +141,6 @@ func (e *Engine) TransformWorkload(t *workload.Trace) *workload.Trace {
 		}
 	}
 	return t
-}
-
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Arm schedules the scenario's faults on the provider: blackout and

@@ -6,7 +6,6 @@ package core
 import (
 	"repro/internal/market"
 	"repro/internal/provenance"
-	"repro/internal/quorum"
 	"repro/internal/strategy"
 )
 
@@ -44,10 +43,9 @@ func bidSum(bids []poolBid) market.Money {
 // closing chosen span with the group's planned cost (the figure its
 // candidate span carried, unless hardening or the descent moved it
 // since), its exact unit-quorum availability and the Eq. 10 margin over
-// the target.
+// the target. It evaluates in the planner's scratch vectors and row.
 func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.ServiceSpec, spot []poolBid, od []odPoolCand, target float64) {
-	units := make([]int, 0, len(spot)+len(od))
-	fps := make([]float64, 0, len(spot)+len(od))
+	units, fps := j.ws.units[:0], j.ws.fps[:0]
 	tot := 0
 	var cost market.Money
 	for _, pb := range spot {
@@ -65,7 +63,8 @@ func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.Se
 		cost += oc.price
 		dt.Emit(provenance.Span{Kind: provenance.SpanBid, Pool: oc.key, Outcome: "on-demand", BidMicroUSD: int64(oc.price), FP: fp0})
 	}
-	avail := quorum.WeightedThresholdAvailability(spec.QuorumUnits(tot), units, fps)
+	avail := j.ws.dp.Availability(spec.QuorumUnits(tot), units, fps)
+	j.ws.units, j.ws.fps = units, fps
 	dt.Emit(provenance.Span{
 		Kind: provenance.SpanChosen, Outcome: "ok", Nodes: len(spot) + len(od),
 		CostMicroUSD: int64(cost), Availability: avail, Target: target, Margin: avail - target,

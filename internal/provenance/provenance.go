@@ -115,10 +115,24 @@ type Stamp struct {
 // belongs to ONE run: Begin/Emit are called synchronously from the
 // run's decision path and take no locks. A nil *Recorder is a valid
 // receiver everywhere — Begin returns nil and the run records nothing.
+//
+// Spans are stored in a list of fixed chunks, so Emit writes each span
+// once and never copies or re-zeroes earlier ones, as a growing slice
+// would at every doubling.
 type Recorder struct {
-	sample    int
-	decisions int64
-	spans     []Span
+	sample     int
+	decisions  int64
+	n          int // spans recorded
+	head, tail *spanChunk
+}
+
+// chunkSpans is the capacity of one storage chunk: 192 spans of 168
+// bytes plus the link stay under the runtime's 32 KB large-object size.
+const chunkSpans = 192
+
+type spanChunk struct {
+	spans [chunkSpans]Span
+	next  *spanChunk
 }
 
 // NewRecorder returns a recorder tracing every sample-th decision
@@ -162,7 +176,19 @@ func (d *DecisionTrace) Emit(s Span) {
 	}
 	s.Decision = d.decision
 	s.Minute = d.minute
-	d.r.spans = append(d.r.spans, s)
+	r := d.r
+	i := r.n % chunkSpans
+	if i == 0 {
+		c := new(spanChunk)
+		if r.tail == nil {
+			r.head = c
+		} else {
+			r.tail.next = c
+		}
+		r.tail = c
+	}
+	r.tail.spans[i] = s
+	r.n++
 }
 
 // Decisions returns how many decisions the run made (sampled or not).
@@ -173,13 +199,18 @@ func (r *Recorder) Decisions() int64 {
 	return r.decisions
 }
 
-// Spans returns the recorded spans in emission order. The slice is the
-// recorder's own; callers that mutate it should copy first.
+// Spans returns the recorded spans in emission order, assembled into a
+// fresh slice on every call (nil when there are none): the caller owns
+// it, and later emissions do not reach it.
 func (r *Recorder) Spans() []Span {
-	if r == nil {
+	if r == nil || r.n == 0 {
 		return nil
 	}
-	return r.spans
+	out := make([]Span, 0, r.n)
+	for c := r.head; c != nil; c = c.next {
+		out = append(out, c.spans[:min(chunkSpans, r.n-len(out))]...)
+	}
+	return out
 }
 
 // Consumer is implemented by strategies that can record decision

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRecorderNilSafety(t *testing.T) {
@@ -25,7 +26,8 @@ func TestRecorderSampling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if dt := r.Begin(int64(100 * i)); dt != nil {
 			dt.Emit(Span{Kind: SpanStage})
-			traced = append(traced, r.spans[len(r.spans)-1].Decision)
+			spans := r.Spans()
+			traced = append(traced, spans[len(spans)-1].Decision)
 		}
 	}
 	if r.Decisions() != 10 {
@@ -58,6 +60,67 @@ func TestRecorderStampAndEmit(t *testing.T) {
 	}
 	if spans[0].Decision != 1 || spans[0].Minute != 60 || spans[1].Decision != 2 || spans[1].Minute != 120 {
 		t.Fatalf("decision/minute stamping wrong: %+v", spans)
+	}
+}
+
+// TestRecorderAcrossChunks: spans keep their emission order, stamps and
+// sampling across chunk boundaries, and Spans hands out a fresh slice
+// that later emissions do not reach.
+func TestRecorderAcrossChunks(t *testing.T) {
+	for _, n := range []int{1, chunkSpans - 1, chunkSpans, chunkSpans + 1, 3*chunkSpans + 7} {
+		r := NewRecorder(2)
+		var want []Span
+		for i := 0; len(want) < n; i++ {
+			dt := r.Begin(int64(10 * i))
+			for k := 0; k < 5 && len(want) < n && dt != nil; k++ {
+				s := Span{Kind: SpanPool, Nodes: len(want)}
+				dt.Emit(s)
+				s.Decision, s.Minute = int64(i+1), int64(10*i)
+				want = append(want, s)
+			}
+		}
+		got := r.Spans()
+		if len(got) != n {
+			t.Fatalf("n=%d: %d spans", n, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: span %d = %+v, want %+v", n, i, got[i], want[i])
+			}
+			if got[i].Decision%2 != 1 {
+				t.Fatalf("n=%d: span %d from unsampled decision %d", n, i, got[i].Decision)
+			}
+		}
+		got[0].Kind = "mutated"
+		dt := r.Begin(1 << 20)
+		if dt == nil {
+			dt = r.Begin(1 << 20)
+		}
+		dt.Emit(Span{Kind: SpanChosen})
+		if again := r.Spans(); len(again) != n+1 || again[0].Kind != SpanPool || again[n].Kind != SpanChosen {
+			t.Fatalf("n=%d: a caller's slice aliases the recorder", n)
+		}
+	}
+}
+
+// TestRecorderEmitAllocs: recording N spans allocates one chunk per
+// chunkSpans of them and the decision's trace handle, nothing more.
+func TestRecorderEmitAllocs(t *testing.T) {
+	if sz := unsafe.Sizeof(spanChunk{}); sz > 32<<10-8 {
+		t.Fatalf("a chunk is %d bytes, a large object", sz)
+	}
+	for _, n := range []int{1, chunkSpans, 5*chunkSpans + 1} {
+		budget := float64((n+chunkSpans-1)/chunkSpans + 1)
+		allocs := testing.AllocsPerRun(20, func() {
+			dt := NewRecorder(1).Begin(0)
+			for i := 0; i < n; i++ {
+				dt.Emit(Span{Kind: SpanCandidate, Nodes: i})
+			}
+		})
+		// The recorder itself is one more allocation, not the recording's.
+		if allocs-1 > budget {
+			t.Errorf("recording %d spans: %v allocations, want at most %v", n, allocs-1, budget)
+		}
 	}
 }
 

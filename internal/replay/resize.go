@@ -111,6 +111,8 @@ type resizer struct {
 
 	outgoing   map[string]bool // zones queued to leave the fleet
 	nextDetach int64           // earliest minute of the next detach try
+
+	dp quorum.WeightedDP // the Eq. 10 gate's survivor row
 }
 
 func newResizer(r *run, plan *workload.Plan) *resizer {
@@ -432,7 +434,7 @@ func (rz *resizer) detachOne(now int64) error {
 		return &QuorumFloorError{Zone: victim.zone, AliveUnits: aliveUnits, QuorumUnits: quorumUnits}
 	}
 	target := r.cfg.Spec.TargetAvailability()
-	if avail := quorum.WeightedThresholdAvailability(quorumUnits, units, rz.failureProbabilities(rest, alive)); avail < target {
+	if avail := rz.dp.Availability(quorumUnits, units, rz.failureProbabilities(rest, alive)); avail < target {
 		return &QuorumFloorError{
 			Zone: victim.zone, AliveUnits: aliveUnits, QuorumUnits: quorumUnits,
 			Availability: avail, Target: target,

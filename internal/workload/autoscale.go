@@ -146,11 +146,21 @@ func (a Autoscaler) Plan(t *Trace) (*Plan, error) {
 		return clamp(n)
 	}
 
-	cur := clamp(sized(t.RPSAt(t.Start)))
+	// rpsAt is t.RPSAt for ascending minutes: a forward cursor over the
+	// points in place of a binary search per minute.
+	pts, i := t.Points, 0
+	rpsAt := func(m int64) float64 {
+		for i+1 < len(pts) && pts[i+1].Minute <= m {
+			i++
+		}
+		return pts[i].RPS
+	}
+
+	cur := clamp(sized(rpsAt(t.Start)))
 	plan := &Plan{Start: t.Start, End: t.End, Steps: []TargetStep{{Minute: t.Start, Target: cur}}}
 	lastChange := t.Start
 	for m := t.Start + 1; m < t.End; m++ {
-		rps := t.RPSAt(m)
+		rps := rpsAt(m)
 		capacity := float64(cur) * a.NodeRPS
 		want := cur
 		switch {

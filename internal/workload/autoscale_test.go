@@ -121,3 +121,95 @@ func TestPlanRejectsBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// planReference is the oracle of Plan: the same controller, reading
+// the rate with RPSAt's binary search at every minute.
+func planReference(a Autoscaler, t *Trace) *Plan {
+	min, up, down, hold := max(a.MinNodes, 1), a.UpFraction, a.DownFraction, a.HoldMinutes
+	if up == 0 {
+		up = 0.75
+	}
+	if down == 0 {
+		down = 0.45
+	}
+	if hold == 0 {
+		hold = 60
+	}
+	clamp := func(n int) int {
+		if n < min {
+			n = min
+		}
+		if a.MaxNodes > 0 && n > a.MaxNodes {
+			n = a.MaxNodes
+		}
+		return n
+	}
+	sized := func(rps float64) int {
+		n := min
+		for float64(n)*a.NodeRPS*up < rps {
+			n++
+			if a.MaxNodes > 0 && n >= a.MaxNodes {
+				break
+			}
+		}
+		return clamp(n)
+	}
+	cur := clamp(sized(t.RPSAt(t.Start)))
+	plan := &Plan{Start: t.Start, End: t.End, Steps: []TargetStep{{Minute: t.Start, Target: cur}}}
+	lastChange := t.Start
+	for m := t.Start + 1; m < t.End; m++ {
+		rps := t.RPSAt(m)
+		capacity := float64(cur) * a.NodeRPS
+		want := cur
+		switch {
+		case rps > capacity*up:
+			want = sized(rps)
+		case rps < capacity*down && m-lastChange >= hold:
+			want = sized(rps)
+			if want >= cur {
+				want = cur
+			}
+		}
+		if want != cur {
+			cur = want
+			lastChange = m
+			plan.Steps = append(plan.Steps, TargetStep{Minute: m, Target: cur})
+		}
+	}
+	return plan
+}
+
+// TestPlanMatchesPerMinuteReference: the forward cursor plans exactly
+// what reading RPSAt every minute plans — on a trace whose first point
+// comes after Start, a single-point trace, points past End, generated
+// diurnal traces and the same under a flash-crowd overlay.
+func TestPlanMatchesPerMinuteReference(t *testing.T) {
+	gen, err := Generate(GenConfig{Seed: 9, Start: 0, End: 7 * 24 * 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]*Trace{
+		"first point after start": mustTrace(t, 0, 3000, []Point{{400, 9000}, {700, 2000}, {1500, 6500}}),
+		"single point":            mustTrace(t, 0, 3000, []Point{{0, 7000}}),
+		"single late point":       mustTrace(t, 100, 3000, []Point{{2000, 100}}),
+		"points past end":         mustTrace(t, 0, 1000, []Point{{0, 3000}, {600, 9000}, {1200, 100}, {1500, 8000}}),
+		"generated":               gen,
+		"flash crowd":             gen.Scale(2000, 2240, 3.5).Scale(5000, 5100, 0.2),
+	}
+	scalers := []Autoscaler{
+		DefaultAutoscaler(5),
+		{NodeRPS: 700, MinNodes: 2, MaxNodes: 9, UpFraction: 0.8, DownFraction: 0.3, HoldMinutes: 15},
+		{NodeRPS: 1500},
+	}
+	for name, tr := range traces {
+		for i, a := range scalers {
+			got, err := a.Plan(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := planReference(a, tr); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, autoscaler %d: plan %+v, want %+v", name, i, got.Steps, want.Steps)
+			}
+		}
+	}
+}
