@@ -192,15 +192,12 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 			fmt.Printf("  model support: %d states, %d transitions, min per-state %d, sparse(<30) %d\n",
 				sup.States, sup.TotalTransitions, sup.MinStateDepartures, sup.SparseStates)
 			if f, ferr := model.Stationary(); ferr == nil {
-				sugs, serr := spotstats.SuggestBids(tr, []float64{0.10, 0.05, 0.01}, f)
-				if serr == nil {
-					fmt.Printf("  suggested bids (stationary, out-of-bid targets):\n")
-					for _, s := range sugs {
-						if s.OK {
-							fmt.Printf("    FP <= %-5.2f -> bid %s\n", s.TargetFP, s.Bid)
-						} else {
-							fmt.Printf("    FP <= %-5.2f -> unreachable below on-demand\n", s.TargetFP)
-						}
+				fmt.Printf("  suggested bids (stationary, out-of-bid targets):\n")
+				for _, target := range []float64{0.10, 0.05, 0.01} {
+					if bid, ok := f.MinimalBid(target, 0, rep.OnDemand); ok {
+						fmt.Printf("    FP <= %-5.2f -> bid %s\n", target, bid)
+					} else {
+						fmt.Printf("    FP <= %-5.2f -> unreachable below on-demand\n", target)
 					}
 				}
 			}

@@ -62,7 +62,9 @@ const (
 	// ModeStationary uses the chain's long-run occupancy, ignoring the
 	// current price's position in its sojourn.
 	ModeStationary
-	// ModeOneStep uses the raw Equation 14 single-time-unit estimate.
+	// ModeOneStep reads the interval forecast over one minute: the
+	// Equation 14 single-time-unit estimate, applied to the whole
+	// interval.
 	ModeOneStep
 )
 
@@ -413,18 +415,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 		case ModeStationary:
 			f, err = w.model.Stationary()
 		case ModeOneStep:
-			model, cur, age, od := w.model, w.cur, w.age, w.od
-			return &poolSnapshot{
-				zone: w.zone,
-				minBid: func(target float64) (market.Money, bool) {
-					return model.MinimalBidOneStep(cur, age, target, fp0, od)
-				},
-				fpOf: func(bid market.Money) float64 {
-					return model.OneStepFP(cur, age, bid, fp0)
-				},
-				levels: model.Prices(),
-				cur:    cur,
-			}
+			f, err = w.model.Forecast(w.cur, w.age, 1)
 		default:
 			f, err = w.model.Forecast(w.cur, w.age, intervalMinutes)
 		}

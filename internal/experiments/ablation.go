@@ -10,9 +10,8 @@ import (
 )
 
 // variant is one row of a labelled-variant table — the
-// failure-estimator ablation (DESIGN.md §6), the adaptive-interval and
-// refinement extensions: a Jupiter variant replaying the lock service
-// at a bidding interval.
+// adaptive-interval and refinement extensions: a Jupiter variant
+// replaying the lock service at a bidding interval.
 type variant struct {
 	label string
 	hours int64
@@ -34,16 +33,32 @@ func (e Env) variants(vs []variant) ([]SweepRow, error) {
 	return e.tabulate(cells, labels...)
 }
 
-// AblationEstimators compares Jupiter under its failure estimators: the
-// interval forecast (the framework's default), the stationary
-// occupancy, and the paper's raw one-step Equation 14 — at a 6-hour
-// interval, where the modes differ most.
+// AblationEstimators compares Jupiter under its failure estimators
+// (DESIGN.md §6) — the interval forecast (the framework's default),
+// the stationary occupancy, and the forecast over one minute, the
+// paper's one-step Equation 14 — as one grid: every estimator at 1, 6
+// and 12 h bidding intervals for both services, each row labelled like
+// "storage 12h one-step".
 func (e Env) AblationEstimators() ([]SweepRow, error) {
-	return e.variants([]variant{
-		{"interval", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeInterval; return j }},
-		{"stationary", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeStationary; return j }},
-		{"one-step", 6, func() strategy.Strategy { j := core.New(); j.Mode = core.ModeOneStep; return j }},
-	})
+	modes := []struct {
+		name string
+		mode core.EstimatorMode
+	}{{"interval", core.ModeInterval}, {"stationary", core.ModeStationary}, {"one-step", core.ModeOneStep}}
+	var cells []cell
+	var labels []string
+	for _, spec := range []strategy.ServiceSpec{LockSpec(), StorageSpec()} {
+		set, err := e.Traces(spec.Type)
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range []int64{1, 6, 12} {
+			for _, m := range modes {
+				cells = append(cells, e.cell(set, spec, func() strategy.Strategy { j := core.New(); j.Mode = m.mode; return j }, h))
+				labels = append(labels, fmt.Sprintf("%s %dh %s", serviceName(spec), h, m.name))
+			}
+		}
+	}
+	return e.tabulate(cells, labels...)
 }
 
 // AblationAdaptiveInterval compares fixed 1h, 6h and 12h bidding

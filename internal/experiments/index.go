@@ -32,7 +32,7 @@ var index = []Experiment{
 	{names: []string{"headline"}, title: "Headline", sweep: true, render: (*memo).headline},
 	{names: []string{"example3"}, title: "Section 3 worked example", render: table(Env.Example3, renderExample3)},
 	{names: []string{"ablation"}, title: "Ablation: failure estimator", render: table(Env.AblationEstimators,
-		variantTable("Ablation: Jupiter failure estimator (lock service, 6h interval)", "estimator", 12, "out-of-bid"))},
+		variantTable("Ablation: Jupiter failure estimator (lock and storage services, 1h/6h/12h intervals)", "estimator", 22, "out-of-bid"))},
 	{names: []string{"adaptive"}, title: "Extension: adaptive bidding interval", render: table(Env.AblationAdaptiveInterval,
 		variantTable("Extension: adaptive bidding interval (lock service)", "variant", 12, "decisions"))},
 	{names: []string{"refine"}, title: "Extension: heterogeneous-bid refinement", render: table(Env.AblationRefinement,

@@ -70,25 +70,33 @@ func TestAblationEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 18 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
 	seen := map[string]SweepRow{}
 	for _, r := range rows {
 		seen[r.Strategy] = r
-		if r.Availability < 0.9 {
-			t.Errorf("mode %s availability %v", r.Strategy, r.Availability)
-		}
 		if r.Cost <= 0 {
-			t.Errorf("mode %s cost %v", r.Strategy, r.Cost)
+			t.Errorf("%s cost %v", r.Strategy, r.Cost)
 		}
 	}
-	for _, m := range []string{"interval", "stationary", "one-step"} {
-		if _, ok := seen[m]; !ok {
-			t.Fatalf("mode %s missing", m)
+	// The one-step estimate applies one minute's risk to the whole
+	// interval: it bids lower and loses availability.
+	for _, svc := range []string{"lock", "storage"} {
+		for _, h := range []string{"1h", "6h", "12h"} {
+			for _, mode := range []string{"interval", "stationary", "one-step"} {
+				if _, ok := seen[svc+" "+h+" "+mode]; !ok {
+					t.Fatalf("%s %s %s missing", svc, h, mode)
+				}
+			}
+			interval, oneStep := seen[svc+" "+h+" interval"], seen[svc+" "+h+" one-step"]
+			if oneStep.Cost >= interval.Cost || oneStep.Availability >= interval.Availability {
+				t.Errorf("%s %s: one-step %v at %v, interval %v at %v; want one-step cheaper and less available",
+					svc, h, oneStep.Cost, oneStep.Availability, interval.Cost, interval.Availability)
+			}
 		}
 	}
-	if variantTable("estimators", "estimator", 12, "out-of-bid")(rows) == "" {
+	if variantTable("estimators", "estimator", 22, "out-of-bid")(rows) == "" {
 		t.Fatal("empty ablation rendering")
 	}
 }

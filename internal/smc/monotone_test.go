@@ -102,13 +102,17 @@ func TestMinimalBidOneStepNonIncreasingInTarget(t *testing.T) {
 			cur := prices[rng.Intn(len(prices))]
 			k := 1 + rng.Int63n(2*DefaultMaxSojourn)
 			fp0 := []float64{0, 0.01, 0.2}[rng.Intn(3)]
+			f, err := m.Forecast(cur, k, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var steps []float64
-			for _, p := range prices {
-				steps = append(steps, m.OneStepFP(cur, k, p, fp0))
+			for x := 0; x <= len(prices); x++ {
+				steps = append(steps, f.failureAt(x, fp0))
 			}
 			for _, cap := range capsFor(rng, prices) {
-				checkNonIncreasing(t, "MinimalBidOneStep", around(append(steps, m.OneStepFP(cur, k, cap, fp0))), func(target float64) (market.Money, bool) {
-					return m.MinimalBidOneStep(cur, k, target, fp0, cap)
+				checkNonIncreasing(t, "one-minute MinimalBid", around(steps), func(target float64) (market.Money, bool) {
+					return f.MinimalBid(target, fp0, cap)
 				})
 			}
 		}

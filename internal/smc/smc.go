@@ -6,10 +6,11 @@
 //	q̂(i,j,k) = N^k_{i,j} / N_i,
 //
 // and used to estimate the out-of-bid failure probability of a spot
-// instance under a bid, both for a single time unit (Equation 14) and
-// over a bidding interval (the discretization of Equation 5, computed by
-// forward-propagating the chain and averaging per-minute out-of-bid
-// probability).
+// instance under a bid over a bidding interval (the discretization of
+// Equation 5, computed by forward-propagating the chain and averaging
+// per-minute out-of-bid probability). A one-minute interval is the
+// single-time-unit estimate of Equation 14, conditioned on the current
+// run's age.
 //
 // The estimator counts Equation 13 with neither a hash nor a sort: each
 // price gets a level id once, each level a table indexed by sojourn k
@@ -309,17 +310,6 @@ func (m *Model) Prices() []market.Money {
 	return append([]market.Money(nil), m.prices...)
 }
 
-// row returns state i's kernel row for a sojourn of k minutes; the zero
-// row when none was observed.
-func (m *Model) row(i int, k int64) kernelRow {
-	rows := m.kernel[i]
-	x, ok := slices.BinarySearchFunc(rows, k, func(r kernelRow, k int64) int { return cmp.Compare(r.k, k) })
-	if !ok {
-		return kernelRow{}
-	}
-	return rows[x]
-}
-
 // Support summarizes how much training data backs each state — the
 // "estimation improves with more spot prices data" observation of the
 // paper made quantitative. States with few observed departures produce
@@ -352,26 +342,6 @@ func (m *Model) SupportSummary(minDepartures int64) Support {
 	return s
 }
 
-// MinimalBidOneStep searches the learned price levels for the smallest
-// bid whose Equation 14 one-step failure probability meets the target —
-// the paper's raw per-time-unit estimate, exposed for ablation against
-// the interval forecaster. ok is false when no bid at or below cap
-// qualifies.
-func (m *Model) MinimalBidOneStep(cur market.Money, k int64, target, fp0 float64, cap market.Money) (market.Money, bool) {
-	for _, p := range m.prices {
-		if p > cap {
-			break
-		}
-		if m.OneStepFP(cur, k, p, fp0) <= target {
-			return p, true
-		}
-	}
-	if m.OneStepFP(cur, k, cap, fp0) <= target {
-		return cap, true
-	}
-	return 0, false
-}
-
 // nearestState maps an arbitrary price onto the learned state space:
 // exact match if known, otherwise the nearest learned price (ties go
 // upward, the conservative direction for failure estimation).
@@ -387,33 +357,4 @@ func (m *Model) nearestState(p market.Money) int {
 		return i - 1
 	}
 	return i
-}
-
-// OneStepFP evaluates Equation 14 directly: the failure probability of a
-// spot instance for one time unit under bid b, when the current price is
-// cur with observed sojourn k, composed with the on-demand failure
-// probability fp0. Exposed for comparison with the interval estimator;
-// the bidding framework uses Forecast.
-func (m *Model) OneStepFP(cur market.Money, k int64, bid market.Money, fp0 float64) float64 {
-	if bid <= cur {
-		return 1
-	}
-	i := m.nearestState(cur)
-	if k > m.maxSojourn {
-		k = m.maxSojourn
-	}
-	sum := 0.0
-	for _, c := range m.row(i, k).cells {
-		if m.prices[c.to] <= bid {
-			sum += float64(c.count) / float64(m.out[i])
-		}
-	}
-	fp := 1 - (1-fp0)*sum
-	if fp < 0 {
-		return 0
-	}
-	if fp > 1 {
-		return 1
-	}
-	return fp
 }

@@ -1,6 +1,7 @@
 package smc
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -20,12 +21,23 @@ func kernelProb(m *Model, si, sj market.Money, k int64) float64 {
 	if !ok {
 		return 0
 	}
-	for _, c := range m.row(i, k).cells {
+	for _, c := range kernelRowAt(m, i, k).cells {
 		if c.to == j {
 			return float64(c.count) / float64(m.out[i])
 		}
 	}
 	return 0
+}
+
+// kernelRowAt returns state i's kernel row for a sojourn of k minutes;
+// the zero row when none was observed.
+func kernelRowAt(m *Model, i int, k int64) kernelRow {
+	rows := m.kernel[i]
+	x, ok := slices.BinarySearchFunc(rows, k, func(r kernelRow, k int64) int { return cmp.Compare(r.k, k) })
+	if !ok {
+		return kernelRow{}
+	}
+	return rows[x]
 }
 
 // sojournPMF returns P(sojourn = k minutes | current price = p), the
@@ -36,7 +48,7 @@ func sojournPMF(m *Model, p market.Money, k int64) float64 {
 	if !ok {
 		return 0
 	}
-	r := m.row(i, k)
+	r := kernelRowAt(m, i, k)
 	if r.total == 0 {
 		return 0
 	}
@@ -202,21 +214,85 @@ func TestMaxSojournClamp(t *testing.T) {
 	}
 }
 
-func TestOneStepFP(t *testing.T) {
-	m := altModel(t)
-	// Bid at or below the current price always fails.
-	if fp := m.OneStepFP(pA, 10, pA, 0.01); fp != 1 {
-		t.Errorf("bid == cur: FP = %v, want 1", fp)
+// TestOneMinuteForecastIsConditionalOneStep pins the one-minute forecast
+// to Equation 14 read conditionally on the run's age k: from state i,
+// the price either holds past k, with mass S(k+1), or jumps at k into
+// level j, with mass N^k_{i,j}/N_i, both over S(k) = P(K >= k). The
+// oracle sums the raw counts; the models keep at most 96 distinct
+// sojourns per state, so the forecast's sojourn tables are unbucketed.
+func TestOneMinuteForecastIsConditionalOneStep(t *testing.T) {
+	models := []*Model{altModel(t)}
+	for _, seed := range []uint64{1, 2, 3} {
+		m, _ := fastTestModel(t, seed, 1)
+		models = append(models, m)
 	}
-	// Current price A held 10 minutes, bid above B: the only transition
-	// at k=10 goes to B <= bid, so FP = fp0.
-	if fp := m.OneStepFP(pA, 10, pB, 0.01); math.Abs(fp-0.01) > 1e-12 {
-		t.Errorf("covering bid: FP = %v, want 0.01", fp)
+	checked := 0
+	for mi, m := range models {
+		for i, pi := range m.prices {
+			// surv[k] counts the departures from i after at least k
+			// minutes, jumps[k] the N^k_{i,j} by destination.
+			var surv []int64
+			jumps := map[int64]map[int]int64{}
+			for _, c := range m.cells {
+				if c.from != i {
+					continue
+				}
+				for int64(len(surv)) <= c.k {
+					surv = append(surv, 0)
+				}
+				for a := int64(0); a <= c.k; a++ {
+					surv[a] += c.count
+				}
+				if jumps[c.k] == nil {
+					jumps[c.k] = map[int]int64{}
+				}
+				jumps[c.k][c.to] += c.count
+			}
+			if len(surv) == 0 {
+				continue // absorbing
+			}
+			if len(jumps) > 96 {
+				t.Fatalf("model %d state %d: %d distinct sojourns, the forecast would bucket them", mi, i, len(jumps))
+			}
+			n := float64(surv[0]) // N_i
+			S := func(k int64) float64 {
+				if k >= int64(len(surv)) {
+					return 0
+				}
+				return float64(surv[k]) / n
+			}
+			for k := int64(1); S(k) > 0; k++ {
+				f, err := m.Forecast(pi, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fp0 := range []float64{0, 0.01} {
+					for _, b := range m.prices {
+						held := 0.0
+						if pi <= b {
+							held = S(k + 1)
+						}
+						for j, c := range jumps[k] {
+							if m.prices[j] <= b {
+								held += float64(c) / n
+							}
+						}
+						want := 1 - (1-fp0)*held/S(k)
+						got := f.FailureProbability(b, fp0)
+						if math.Abs(got-want) > 1e-12 {
+							t.Fatalf("model %d state %v age %d bid %v fp0 %v: FP %v, conditional one-step %v", mi, pi, k, b, fp0, got, want)
+						}
+						if b == pi && S(k+1) > 0 && got >= 1 {
+							t.Fatalf("model %d state %v age %d: bid at the current price fails surely, yet the price may hold", mi, pi, k)
+						}
+						checked++
+					}
+				}
+			}
+		}
 	}
-	// Bid between A and B at k=10: transition leaves the bid behind.
-	mid := (pA + pB) / 2
-	if fp := m.OneStepFP(pA, 10, mid, 0.01); fp != 1 {
-		t.Errorf("mid bid at departure time: FP = %v, want 1", fp)
+	if checked == 0 {
+		t.Fatal("no state checked")
 	}
 }
 

@@ -301,29 +301,3 @@ func Memorylessness(tr *trace.Trace) (*MemorylessnessReport, error) {
 		CoefficientOfVariation: sd / mean,
 	}, nil
 }
-
-// SuggestedBids returns, for a list of failure-probability targets, the
-// minimal stationary-model bid in each — the analysis a bidder would
-// run before trusting a zone.
-type BidSuggestion struct {
-	TargetFP float64
-	Bid      market.Money
-	OK       bool
-}
-
-// SuggestBids trains a stationary model on the trace and evaluates the
-// given out-of-bid probability targets.
-func SuggestBids(tr *trace.Trace, targets []float64, estimator interface {
-	MinimalBid(target, fp0 float64, cap market.Money) (market.Money, bool)
-}) ([]BidSuggestion, error) {
-	od, err := market.OnDemandPrice(tr.Zone, tr.Type)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BidSuggestion, 0, len(targets))
-	for _, t := range targets {
-		bid, ok := estimator.MinimalBid(t, 0, od)
-		out = append(out, BidSuggestion{TargetFP: t, Bid: bid, OK: ok})
-	}
-	return out, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/market"
-	"repro/internal/smc"
 	"repro/internal/trace"
 )
 
@@ -177,33 +176,5 @@ func TestCorrelationShortOverlap(t *testing.T) {
 	b := a.Window(a.End-90, a.End)
 	if _, err := Correlation(a, b); err == nil {
 		t.Fatal("short overlap accepted")
-	}
-}
-
-func TestSuggestBids(t *testing.T) {
-	tr := genZone(t, "sa-east-1a", 6, 13)
-	e := smc.NewEstimator(0)
-	e.Observe(tr)
-	m, err := e.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sug, err := SuggestBids(tr, []float64{0.10, 0.01}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sug) != 2 {
-		t.Fatalf("%d suggestions", len(sug))
-	}
-	if !sug[0].OK || !sug[1].OK {
-		t.Fatalf("suggestions not feasible: %+v", sug)
-	}
-	// Tighter targets need equal-or-higher bids.
-	if sug[1].Bid < sug[0].Bid {
-		t.Fatalf("1%% bid %v below 10%% bid %v", sug[1].Bid, sug[0].Bid)
 	}
 }
