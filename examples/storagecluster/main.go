@@ -23,16 +23,19 @@ func main() {
 	}
 
 	// Write objects: each replica stores only its θ(3,5) shard.
-	objects := map[string][]byte{
-		"users/1":  []byte(`{"name":"ada","role":"admin"}`),
-		"users/2":  []byte(`{"name":"grace","role":"dev"}`),
-		"blobs/42": bytes.Repeat([]byte("spot-market-data "), 40),
+	objects := []struct {
+		key   string
+		value []byte
+	}{
+		{"users/1", []byte(`{"name":"ada","role":"admin"}`)},
+		{"users/2", []byte(`{"name":"grace","role":"dev"}`)},
+		{"blobs/42", bytes.Repeat([]byte("spot-market-data "), 40)},
 	}
-	for k, v := range objects {
-		if err := svc.Put(k, v); err != nil {
+	for _, o := range objects {
+		if err := svc.Put(o.key, o.value); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("put %-10s (%d bytes)\n", k, len(v))
+		fmt.Printf("put %-10s (%d bytes)\n", o.key, len(o.value))
 	}
 
 	// Reads gather any 3 shards and reconstruct.
@@ -40,7 +43,7 @@ func main() {
 	if err != nil || !found {
 		log.Fatalf("get: %v %v", found, err)
 	}
-	fmt.Printf("get blobs/42: %d bytes, matches=%v\n", len(v), bytes.Equal(v, objects["blobs/42"]))
+	fmt.Printf("get blobs/42: %d bytes, matches=%v\n", len(v), bytes.Equal(v, objects[2].value))
 
 	// θ(3,5) tolerates one node failure (paper §5.1.2).
 	net.Crash("az-c")
@@ -60,10 +63,10 @@ func main() {
 	}
 	fmt.Println("rotated az-a, az-b out; az-f, az-g in (rebalanced)")
 
-	for k, want := range objects {
-		got, found, err := svc.Get(k)
-		if err != nil || !found || !bytes.Equal(got, want) {
-			log.Fatalf("post-rotation get %s: found=%v err=%v", k, found, err)
+	for _, o := range objects {
+		got, found, err := svc.Get(o.key)
+		if err != nil || !found || !bytes.Equal(got, o.value) {
+			log.Fatalf("post-rotation get %s: found=%v err=%v", o.key, found, err)
 		}
 	}
 	fmt.Println("all objects intact after rotation")

@@ -2,6 +2,8 @@ package erasure
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +121,28 @@ func TestMatrixSingular(t *testing.T) {
 }
 
 // --- Reed-Solomon ---
+
+// DataShards returns m.
+func (c *Code) DataShards() int { return c.m }
+
+// TotalShards returns n.
+func (c *Code) TotalShards() int { return c.n }
+
+// ParityShards returns n - m.
+func (c *Code) ParityShards() int { return c.n - c.m }
+
+// Join reassembles an object of the given length from the data shards
+// Split produced; the length travels out of band.
+func (c *Code) Join(data [][]byte, length int) ([]byte, error) {
+	if len(data) != c.m {
+		return nil, fmt.Errorf("erasure: Join got %d shards, want %d", len(data), c.m)
+	}
+	joined := bytes.Join(data, nil)
+	if len(joined) < length {
+		return nil, fmt.Errorf("erasure: shards hold %d bytes, need %d", len(joined), length)
+	}
+	return joined[:length], nil
+}
 
 func TestNewCodeValidation(t *testing.T) {
 	for _, c := range []struct{ m, n int }{{0, 5}, {3, 2}, {1, 300}, {-1, 4}} {
@@ -323,5 +347,55 @@ func TestRSRandomizedRoundTrip(t *testing.T) {
 				t.Fatalf("θ(%d,%d) trial %d: object mismatch", g.m, g.n, trial)
 			}
 		}
+	}
+}
+
+// TestValueRoundTrip: a coded value decodes from every m-subset of its
+// n shards, for empty, short and multi-shard values; a frame shorter
+// than its 8-byte length or claiming more bytes than it holds is an
+// error, not a slice panic.
+func TestValueRoundTrip(t *testing.T) {
+	const m, n = 3, 5
+	for _, v := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 100)} {
+		shards, err := EncodeValue(m, n, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != n {
+			t.Fatalf("%d shards, want %d", len(shards), n)
+		}
+		for mask := 0; mask < 1<<n; mask++ {
+			subset := map[int][]byte{}
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) != 0 {
+					subset[i] = shards[i]
+				}
+			}
+			if len(subset) != m {
+				continue
+			}
+			got, err := DecodeValue(m, n, subset)
+			if err != nil {
+				t.Fatalf("%q from shards %05b: %v", v, mask, err)
+			}
+			if !bytes.Equal(got, v) {
+				t.Fatalf("%q from shards %05b decoded as %q", v, mask, got)
+			}
+		}
+	}
+	if _, err := DecodeValue(1, 1, map[int][]byte{0: {1, 2}}); err == nil {
+		t.Fatal("short frame accepted")
+	}
+	oversized := make([]byte, 8+3)
+	binary.LittleEndian.PutUint64(oversized, 4)
+	if _, err := DecodeValue(1, 1, map[int][]byte{0: oversized}); err == nil {
+		t.Fatal("frame claiming 4 bytes of 3 accepted")
+	}
+	shards, err := EncodeValue(m, n, []byte("value"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeValue(m, n, map[int][]byte{0: shards[0], 4: shards[4]}); err == nil {
+		t.Fatal("decoded from 2 < m shards")
 	}
 }

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -40,17 +41,9 @@ func seq(n int) []int {
 	return s
 }
 
-// DataShards returns m.
-func (c *Code) DataShards() int { return c.m }
-
-// TotalShards returns n.
-func (c *Code) TotalShards() int { return c.n }
-
-// ParityShards returns n - m.
-func (c *Code) ParityShards() int { return c.n - c.m }
-
 // Split divides an object into m equal-sized data shards, zero-padding
-// the tail. The original length must be carried out of band (see Join).
+// the tail. The original length must be carried out of band (EncodeValue
+// frames it).
 func (c *Code) Split(object []byte) [][]byte {
 	shardLen := (len(object) + c.m - 1) / c.m
 	if shardLen == 0 {
@@ -65,22 +58,6 @@ func (c *Code) Split(object []byte) [][]byte {
 		}
 	}
 	return shards
-}
-
-// Join reassembles the original object of the given length from data
-// shards produced by Split.
-func (c *Code) Join(data [][]byte, length int) ([]byte, error) {
-	if len(data) != c.m {
-		return nil, fmt.Errorf("erasure: Join got %d shards, want %d", len(data), c.m)
-	}
-	var buf bytes.Buffer
-	for _, s := range data {
-		buf.Write(s)
-	}
-	if buf.Len() < length {
-		return nil, fmt.Errorf("erasure: shards hold %d bytes, need %d", buf.Len(), length)
-	}
-	return buf.Bytes()[:length], nil
 }
 
 // Encode computes the n-m parity shards for the given m data shards.
@@ -188,4 +165,51 @@ func (c *Code) checkShards(shards [][]byte, want int) error {
 		}
 	}
 	return nil
+}
+
+// EncodeValue codes a value θ(m, n): an 8-byte little-endian length
+// frame and the value are split into m data shards, followed by n-m
+// parity shards. DecodeValue restores the value from any m of them.
+func EncodeValue(m, n int, value []byte) ([][]byte, error) {
+	c, err := NewCode(m, n)
+	if err != nil {
+		return nil, err
+	}
+	framed := make([]byte, 8+len(value))
+	binary.LittleEndian.PutUint64(framed, uint64(len(value)))
+	copy(framed[8:], value)
+	data := c.Split(framed)
+	parity, err := c.Encode(data)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, parity...), nil
+}
+
+// DecodeValue reconstructs a value EncodeValue coded θ(m, n) from at
+// least m of its shards, keyed by shard index: it joins the data shards
+// and strips the length frame.
+func DecodeValue(m, n int, shards map[int][]byte) ([]byte, error) {
+	c, err := NewCode(m, n)
+	if err != nil {
+		return nil, err
+	}
+	all := make([][]byte, n)
+	for idx, sh := range shards {
+		if idx >= 0 && idx < n {
+			all[idx] = sh
+		}
+	}
+	if err := c.Reconstruct(all); err != nil {
+		return nil, err
+	}
+	joined := bytes.Join(all[:m], nil)
+	if len(joined) < 8 {
+		return nil, fmt.Errorf("erasure: framed value too short")
+	}
+	l := binary.LittleEndian.Uint64(joined)
+	if l > uint64(len(joined)-8) {
+		return nil, fmt.Errorf("erasure: framed length %d exceeds payload", l)
+	}
+	return joined[8 : 8+l], nil
 }

@@ -1,69 +1,83 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/lockservice"
-	"repro/internal/market"
+	"repro/internal/paxos"
 	"repro/internal/simnet"
+	"repro/internal/storage"
+	"repro/internal/strategy"
 )
 
-// TestFeasibilityEndToEnd is the §5.4 experiment in miniature, closing
-// the loop between the bidding layer and the replicated service layer:
-// the Jupiter framework bids against the simulated market, and its
-// decisions drive a REAL Paxos-replicated lock service over the
-// simulated network — out-of-bid terminations crash replicas, interval
-// rotations run make-before-break view changes — while lock state must
-// stay consistent throughout.
-func TestFeasibilityEndToEnd(t *testing.T) {
-	env := Env{Seed: 2014, TrainWeeks: 6, ReplayWeeks: 1}
-	set, err := env.Traces(market.M1Small)
+// rotatingService is what the feasibility driver needs of a replicated
+// service: make-before-break rotation onto fresh replicas, and the
+// Paxos cluster to settle between intervals.
+type rotatingService interface {
+	Rotate(add, remove []simnet.NodeID) error
+	Cluster() *paxos.Cluster
+}
+
+// driveFeasibility is the §5.4 experiment in miniature, closing the
+// loop between the bidding layer and the replicated service layer: the
+// Jupiter framework bids against the simulated market, and its
+// decisions drive a REAL Paxos-replicated service over the simulated
+// network — out-of-bid terminations crash replicas, interval rotations
+// run make-before-break view changes. start builds the service on the
+// founding members; check asserts it is still correct after each
+// interval's rotation.
+func driveFeasibility(t *testing.T, env Env, spec strategy.ServiceSpec, intervals int,
+	start func(net *simnet.Network, members []simnet.NodeID) rotatingService, check func(interval int)) {
+	t.Helper()
+	set, err := env.Traces(spec.Type)
 	if err != nil {
 		t.Fatal(err)
 	}
 	provider := cloud.NewProvider(set, cloud.Config{Seed: env.Seed})
 	provider.AdvanceTo(env.TrainWeeks * Week)
-
 	j := core.New()
-	spec := LockSpec()
-
-	// First decision establishes the founding membership.
-	decision, err := j.Decide(provider, spec, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decision.Bids) == 0 {
-		t.Fatal("Jupiter fell back to on-demand on the first decision")
-	}
-	replicaOf := func(zone string) simnet.NodeID {
-		return simnet.NodeID("replica@" + zone)
-	}
-	instances := map[string]cloud.InstanceID{}
-	var members []simnet.NodeID
-	for _, b := range decision.Bids {
-		id, err := provider.RequestSpot(b.Zone, spec.Type, b.Price)
+	decide := func() []strategy.Bid {
+		t.Helper()
+		decision, err := j.Decide(provider, spec, 60)
 		if err != nil {
-			t.Fatalf("initial bid %s in %s: %v", b.Price, b.Zone, err)
+			t.Fatal(err)
 		}
-		instances[b.Zone] = id
-		members = append(members, replicaOf(b.Zone))
+		if len(decision.Bids) < spec.DataShards {
+			t.Fatalf("Jupiter fell back to on-demand (%d bids)", len(decision.Bids))
+		}
+		return decision.Bids
+	}
+	replicaOf := func(zone string) simnet.NodeID { return simnet.NodeID("replica@" + zone) }
+	instances := map[string]cloud.InstanceID{}
+	// launch places the bids in zones without an instance and returns
+	// the replicas of those that were granted.
+	launch := func(bids []strategy.Bid) []simnet.NodeID {
+		var added []simnet.NodeID
+		for _, b := range bids {
+			if _, have := instances[b.Zone]; have {
+				continue
+			}
+			id, err := provider.RequestSpot(b.Zone, spec.Type, b.Price)
+			if err != nil {
+				continue // zone skipped this interval
+			}
+			instances[b.Zone] = id
+			added = append(added, replicaOf(b.Zone))
+		}
+		return added
+	}
+
+	bids := decide()
+	members := launch(bids)
+	if len(members) != len(bids) {
+		t.Fatalf("only %d of the %d initial bids were granted", len(members), len(bids))
 	}
 	snet := simnet.New(env.Seed)
-	svc := lockservice.New(snet, members)
-
-	// A client takes a lock that must survive the whole run.
-	ok, seq, err := svc.Acquire("durable-client", "/anchor", 0)
-	if err != nil || !ok {
-		t.Fatalf("anchor acquire: ok=%v err=%v", ok, err)
-	}
-	if seq == 0 {
-		t.Fatal("zero sequencer")
-	}
-
-	const intervals = 6
+	svc := start(snet, members)
 	for interval := 0; interval < intervals; interval++ {
 		// Advance the market by one bidding interval; out-of-bid
 		// terminations crash the corresponding service replicas.
@@ -71,37 +85,19 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 		for minute := provider.Now() + 1; minute <= target; minute++ {
 			provider.AdvanceTo(minute)
 			for zone, id := range instances {
-				if !provider.Alive(id) && !snet.Crashed(replicaOf(zone)) {
-					inst, _ := provider.Instance(id)
-					if inst.State == cloud.Terminated {
-						snet.Crash(replicaOf(zone))
-					}
+				if inst, _ := provider.Instance(id); inst.State == cloud.Terminated {
+					snet.Crash(replicaOf(zone))
 				}
 			}
 		}
 		// Bid for the next interval and rotate membership.
-		decision, err := j.Decide(provider, spec, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(decision.Bids) == 0 {
-			t.Fatal("Jupiter fell back mid-run")
-		}
+		bids := decide()
 		next := map[string]bool{}
-		for _, b := range decision.Bids {
+		for _, b := range bids {
 			next[b.Zone] = true
 		}
-		var add, remove []simnet.NodeID
-		for _, b := range decision.Bids {
-			if _, have := instances[b.Zone]; !have {
-				id, err := provider.RequestSpot(b.Zone, spec.Type, b.Price)
-				if err != nil {
-					continue // zone skipped this interval
-				}
-				instances[b.Zone] = id
-				add = append(add, replicaOf(b.Zone))
-			}
-		}
+		add := launch(bids)
+		var remove []simnet.NodeID
 		for zone, id := range instances {
 			if !next[zone] {
 				_ = provider.Terminate(id)
@@ -115,9 +111,27 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 			}
 		}
 		svc.Cluster().Settle(100000)
+		check(interval)
+	}
+}
 
-		// The service must stay correct: the anchor lock is held, and
-		// fresh operations commit.
+// TestFeasibilityEndToEnd drives the Paxos lock service: a lock taken
+// before the first interval must stay held throughout, and fresh locks
+// commit with mutual exclusion after every rotation.
+func TestFeasibilityEndToEnd(t *testing.T) {
+	var svc *lockservice.Service
+	start := func(net *simnet.Network, members []simnet.NodeID) rotatingService {
+		svc = lockservice.New(net, members)
+		ok, seq, err := svc.Acquire("durable-client", "/anchor", 0)
+		if err != nil || !ok {
+			t.Fatalf("anchor acquire: ok=%v err=%v", ok, err)
+		}
+		if seq == 0 {
+			t.Fatal("zero sequencer")
+		}
+		return svc
+	}
+	check := func(interval int) {
 		if h := svc.Holder("/anchor"); h != "durable-client" {
 			t.Fatalf("interval %d: anchor lock lost (holder %q)", interval, h)
 		}
@@ -130,10 +144,48 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 			t.Fatalf("interval %d: mutual exclusion violated", interval)
 		}
 	}
+	driveFeasibility(t, Env{Seed: 2014, TrainWeeks: 6, ReplayWeeks: 1}, LockSpec(), 6, start, check)
 
 	// Finally the anchor releases cleanly.
 	released, err := svc.Release("durable-client", "/anchor")
 	if err != nil || !released {
 		t.Fatalf("final release: ok=%v err=%v", released, err)
 	}
+}
+
+// TestFeasibilityStorageEndToEnd drives the erasure-coded storage
+// service (RS-Paxos, θ(3, n)): rotations re-encode data onto each new
+// membership, every object must stay readable across the whole run, and
+// new writes commit after every rotation.
+func TestFeasibilityStorageEndToEnd(t *testing.T) {
+	spec := StorageSpec()
+	var svc *storage.Service
+	objects := map[string][]byte{}
+	put := func(k string, v []byte) {
+		t.Helper()
+		if err := svc.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		objects[k] = v
+	}
+	start := func(net *simnet.Network, members []simnet.NodeID) rotatingService {
+		var err error
+		if svc, err = storage.New(net, members, spec.DataShards); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			put(fmt.Sprintf("obj-%d", i), bytes.Repeat([]byte{byte('A' + i)}, 100+i*37))
+		}
+		return svc
+	}
+	check := func(interval int) {
+		for k, want := range objects {
+			got, found, err := svc.Get(k)
+			if err != nil || !found || !bytes.Equal(got, want) {
+				t.Fatalf("interval %d: Get(%s): found=%v err=%v", interval, k, found, err)
+			}
+		}
+		put(fmt.Sprintf("interval-%d", interval), []byte(fmt.Sprintf("written at interval %d", interval)))
+	}
+	driveFeasibility(t, Env{Seed: 77, TrainWeeks: 6, ReplayWeeks: 1}, spec, 4, start, check)
 }

@@ -212,13 +212,11 @@ func (s *Service) do(o op) (bool, uint64, error) {
 	return res.OK, res.Sequence, nil
 }
 
-// lookupResult reads the command verdict from any replica that applied
-// it — deterministic replication guarantees they all agree.
+// lookupResult reads the command verdict from the most caught-up live
+// replica: the command is applied on a quorum, so that replica applied
+// it too, and deterministic replication makes every replica agree.
 func (s *Service) lookupResult(cmdID uint64) (result, error) {
-	for id, m := range s.sms {
-		if s.cluster.Net.Crashed(id) {
-			continue
-		}
+	if m := s.freshest(); m != nil {
 		if res, ok := m.results[cmdID]; ok {
 			return res, nil
 		}
@@ -226,21 +224,19 @@ func (s *Service) lookupResult(cmdID uint64) (result, error) {
 	return result{}, fmt.Errorf("lockservice: command %d result not found", cmdID)
 }
 
+// freshest returns the lock table of the most caught-up live replica,
+// or nil when none runs.
+func (s *Service) freshest() *sm {
+	if n := s.cluster.Freshest(); n != nil {
+		return s.sms[n.ID]
+	}
+	return nil
+}
+
 // Holder reports the current owner of a lock as seen by the most
 // caught-up live replica, with "" for unheld.
 func (s *Service) Holder(lock string) string {
-	var best *sm
-	bestFrontier := uint64(0)
-	for id, m := range s.sms {
-		n := s.cluster.Node(id)
-		if n == nil || s.cluster.Net.Crashed(id) {
-			continue
-		}
-		if n.Frontier() >= bestFrontier {
-			bestFrontier = n.Frontier()
-			best = m
-		}
-	}
+	best := s.freshest()
 	if best == nil {
 		return ""
 	}
@@ -258,34 +254,5 @@ func (s *Service) Holder(lock string) string {
 // replacement: add the new members, commit the view change, then retire
 // the old instances.
 func (s *Service) Rotate(add, remove []simnet.NodeID) error {
-	current := map[simnet.NodeID]bool{}
-	var anyNode *paxos.Node
-	for id, n := range s.cluster.Nodes() {
-		_ = id
-		anyNode = n
-		break
-	}
-	if anyNode == nil {
-		return fmt.Errorf("lockservice: empty cluster")
-	}
-	for _, id := range anyNode.CurrentView() {
-		current[id] = true
-	}
-	for _, id := range add {
-		current[id] = true
-	}
-	for _, id := range remove {
-		delete(current, id)
-	}
-	var next []simnet.NodeID
-	for id := range current {
-		next = append(next, id)
-	}
-	if err := s.cluster.Reconfigure(next); err != nil {
-		return err
-	}
-	for _, id := range remove {
-		s.cluster.StopNode(id)
-	}
-	return nil
+	return s.cluster.Rotate(add, remove, nil)
 }

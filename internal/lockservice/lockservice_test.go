@@ -226,3 +226,39 @@ func TestManyLocksIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestSameSeedSameRun replays one failure-and-rotation sequence several
+// times in one process: a seeded network must deliver the same number of
+// messages and end with the same lock holder every time, so the layer's
+// own iteration order never leaks into the run.
+func TestSameSeedSameRun(t *testing.T) {
+	run := func() (int64, string) {
+		net := simnet.New(7)
+		s := New(net, []simnet.NodeID{"az-a", "az-b", "az-c", "az-d", "az-e"})
+		if ok, _, err := s.Acquire("alice", "/db/leader", 0); err != nil || !ok {
+			t.Fatalf("acquire: ok=%v err=%v", ok, err)
+		}
+		net.Crash("az-a")
+		net.Crash("az-b")
+		if ok, _, err := s.Acquire("bob", "/jobs/runner", 0); err != nil || !ok {
+			t.Fatalf("acquire with 2 down: ok=%v err=%v", ok, err)
+		}
+		net.Restart("az-a")
+		net.Restart("az-b")
+		if err := s.Rotate([]simnet.NodeID{"az-f", "az-g"}, []simnet.NodeID{"az-a", "az-b"}); err != nil {
+			t.Fatal(err)
+		}
+		s.Cluster().Settle(100000)
+		delivered, _ := net.Stats()
+		return delivered, s.Holder("/db/leader")
+	}
+	wantMsgs, wantHolder := run()
+	for i := 1; i < 10; i++ {
+		if msgs, holder := run(); msgs != wantMsgs || holder != wantHolder {
+			t.Fatalf("run %d: %d messages, holder %q; run 0: %d messages, holder %q", i, msgs, holder, wantMsgs, wantHolder)
+		}
+	}
+	if wantHolder != "alice" {
+		t.Fatalf("holder %q, want alice", wantHolder)
+	}
+}

@@ -35,7 +35,7 @@ func TestCompactionBoundsLogSize(t *testing.T) {
 			t.Errorf("node %s retains %d log entries after compaction", id, len(n.log))
 		}
 		if n.compactedBelow == 0 {
-			t.Errorf("node %s never compacted (frontier %d)", id, n.Frontier())
+			t.Errorf("node %s never compacted (frontier %d)", id, n.frontier)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/simnet"
 )
@@ -10,9 +11,12 @@ import (
 // replicas, submitting commands, waiting for commits, and changing
 // membership. It is the harness the lock and storage services build on.
 type Cluster struct {
-	Net     *simnet.Network
-	Opts    Options
-	nodes   map[simnet.NodeID]*Node
+	Net   *simnet.Network
+	Opts  Options
+	nodes map[simnet.NodeID]*Node
+	// order lists every replica ID ever created, sorted, so scans over
+	// the replicas replay the same for the same seed.
+	order   []simnet.NodeID
 	smMake  func(id simnet.NodeID) StateMachine
 	nextCmd uint64
 	// maxEvents bounds each wait loop.
@@ -30,9 +34,21 @@ func NewCluster(net *simnet.Network, members []simnet.NodeID, smMake func(id sim
 		maxEvents: 200000,
 	}
 	for _, id := range members {
-		c.nodes[id] = NewNode(id, members, net, smMake(id), opts)
+		c.add(id, members)
 	}
 	return c
+}
+
+// add creates the replica id with the given initial view.
+func (c *Cluster) add(id simnet.NodeID, members []simnet.NodeID) {
+	c.nodes[id] = NewNode(id, members, c.Net, c.smMake(id), c.Opts)
+	i, _ := slices.BinarySearch(c.order, id)
+	c.order = slices.Insert(c.order, i, id)
+}
+
+// running reports whether a replica is neither stopped nor crashed.
+func (c *Cluster) running(n *Node) bool {
+	return !n.stopped && !c.Net.Crashed(n.ID)
 }
 
 // Node returns the replica with the given ID, or nil.
@@ -41,14 +57,40 @@ func (c *Cluster) Node(id simnet.NodeID) *Node { return c.nodes[id] }
 // Nodes returns all replicas, including stopped ones.
 func (c *Cluster) Nodes() map[simnet.NodeID]*Node { return c.nodes }
 
-// Leader returns the current leader if one is established.
+// Leader returns the current leader if one is established: among the
+// live replicas that believe they lead, the one with the highest ballot
+// (a restarted former leader may still claim a superseded ballot).
 func (c *Cluster) Leader() *Node {
+	var best *Node
 	for _, n := range c.nodes {
-		if n.IsLeader() && !c.Net.Crashed(n.ID) {
-			return n
+		if n.isLeader && c.running(n) && (best == nil || best.ballot.Less(n.ballot)) {
+			best = n
+		}
+	}
+	return best
+}
+
+// View returns the membership as the first running replica in ID order
+// sees it, or nil when no replica runs.
+func (c *Cluster) View() []simnet.NodeID {
+	for _, id := range c.order {
+		if n := c.nodes[id]; c.running(n) {
+			return n.CurrentView()
 		}
 	}
 	return nil
+}
+
+// Freshest returns the running replica with the highest apply frontier
+// (the first in ID order on a tie), or nil when no replica runs.
+func (c *Cluster) Freshest() *Node {
+	var best *Node
+	for _, id := range c.order {
+		if n := c.nodes[id]; c.running(n) && (best == nil || n.frontier > best.frontier) {
+			best = n
+		}
+	}
+	return best
 }
 
 // WaitForLeader runs the network until a leader emerges.
@@ -103,17 +145,10 @@ func (c *Cluster) proposeWithID(kind CmdKind, cmdID uint64, meta, payload []byte
 // appliedOnQuorum reports whether a quorum of live current-view replicas
 // has applied the command.
 func (c *Cluster) appliedOnQuorum(cmdID uint64) bool {
-	var any *Node
-	for _, n := range c.nodes {
-		if !n.stopped {
-			any = n
-			break
-		}
-	}
-	if any == nil {
+	view := c.View()
+	if view == nil {
 		return false
 	}
-	view := any.CurrentView()
 	count := 0
 	for _, id := range view {
 		n := c.nodes[id]
@@ -124,7 +159,7 @@ func (c *Cluster) appliedOnQuorum(cmdID uint64) bool {
 			count++
 		}
 	}
-	return count >= any.quorum(len(view))
+	return count >= quorum(c.Opts.DataShards, len(view))
 }
 
 // Reconfigure proposes a membership change to the given member set,
@@ -135,11 +170,43 @@ func (c *Cluster) Reconfigure(members []simnet.NodeID) error {
 		if _, ok := c.nodes[id]; !ok {
 			// New members start with only themselves excluded from the
 			// view; they learn the real view from the leader snapshot.
-			c.nodes[id] = NewNode(id, members, c.Net, c.smMake(id), c.Opts)
+			c.add(id, members)
 		}
 	}
 	cmdID := c.NextCmdID()
 	return c.proposeWithID(KindReconfig, cmdID, nil, EncodeMembers(members))
+}
+
+// Rotate replaces replicas make-before-break, the way the bidding
+// framework moves a service between bidding intervals: one view change
+// adds add and drops remove, then runs then (when non-nil) while the
+// removed replicas still serve, and only then stops them. It refuses a
+// view smaller than the code's m.
+func (c *Cluster) Rotate(add, remove []simnet.NodeID, then func() error) error {
+	view := c.View()
+	if view == nil {
+		return fmt.Errorf("paxos: no running replica")
+	}
+	next := slices.DeleteFunc(append(view, add...), func(id simnet.NodeID) bool {
+		return slices.Contains(remove, id)
+	})
+	slices.Sort(next)
+	next = slices.Compact(next)
+	if len(next) < c.Opts.DataShards {
+		return fmt.Errorf("paxos: view of %d below m=%d", len(next), c.Opts.DataShards)
+	}
+	if err := c.Reconfigure(next); err != nil {
+		return err
+	}
+	if then != nil {
+		if err := then(); err != nil {
+			return err
+		}
+	}
+	for _, id := range remove {
+		c.StopNode(id)
+	}
+	return nil
 }
 
 // StopNode terminates a replica permanently (spot instance reclaimed).

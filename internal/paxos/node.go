@@ -1,7 +1,8 @@
 package paxos
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,18 +27,20 @@ type StateMachine interface {
 	Restore(snapshot []byte)
 }
 
-// Options tunes a node. Times are in simnet ticks.
+// Timing in simnet ticks: the local timer resolution, the leader's
+// heartbeat period, and the minimum silence before campaigning (each
+// node adds a stable stagger to avoid duels).
+const (
+	tickEvery           = 10
+	heartbeatEvery      = 20
+	electionTimeoutBase = 100
+)
+
+// Options tunes a node.
 type Options struct {
 	// DataShards is m of the θ(m, n) value code; 1 means classic
 	// replication with full copies.
 	DataShards int
-	// HeartbeatEvery is the leader's heartbeat period.
-	HeartbeatEvery int64
-	// ElectionTimeoutBase is the minimum silence before campaigning;
-	// each node adds a stable stagger to avoid duels.
-	ElectionTimeoutBase int64
-	// TickEvery is the local timer resolution.
-	TickEvery int64
 	// CompactEvery trims applied log entries every this many slots
 	// (0 = never). Catch-up below the compaction point is served by
 	// full snapshot instead of per-slot replay.
@@ -49,12 +52,7 @@ type Options struct {
 
 // DefaultOptions returns the tuning used by tests and services.
 func DefaultOptions(dataShards int) Options {
-	return Options{
-		DataShards:          dataShards,
-		HeartbeatEvery:      20,
-		ElectionTimeoutBase: 100,
-		TickEvery:           10,
-	}
+	return Options{DataShards: dataShards}
 }
 
 // entry is one log slot as stored at this node.
@@ -177,10 +175,11 @@ func (n *Node) CurrentView() []simnet.NodeID {
 	return append([]simnet.NodeID(nil), n.viewAt(^uint64(0))...)
 }
 
-// quorum returns the read/write quorum size for a view of size vn:
-// ceil((n + m) / 2), which is the simple majority when m = 1.
-func (n *Node) quorum(vn int) int {
-	return (vn + n.opts.DataShards + 1) / 2
+// quorum returns the read/write quorum size for a view of size vn
+// under a θ(m, vn) code: ceil((vn + m) / 2), which is the simple
+// majority when m = 1.
+func quorum(m, vn int) int {
+	return (vn + m + 1) / 2
 }
 
 func indexOf(view []simnet.NodeID, id simnet.NodeID) int {
@@ -200,16 +199,13 @@ func (n *Node) InView() bool {
 // IsLeader reports current leadership belief.
 func (n *Node) IsLeader() bool { return n.isLeader && !n.stopped }
 
-// Frontier returns the apply frontier: all slots below it are applied.
-func (n *Node) Frontier() uint64 { return n.frontier }
-
 // --- timers ---
 
 func (n *Node) scheduleTick() {
 	// The timer is unowned so the chain survives crashes (an owned
 	// timer firing while its node is crashed is dropped and never
 	// rescheduled); crash state is checked explicitly instead.
-	n.net.After(n.opts.TickEvery, "", func() {
+	n.net.After(tickEvery, "", func() {
 		if n.stopped {
 			return
 		}
@@ -226,13 +222,13 @@ func (n *Node) electionTimeout() int64 {
 	if idx < 0 {
 		idx = 0
 	}
-	return n.opts.ElectionTimeoutBase + int64(idx)*n.opts.HeartbeatEvery
+	return electionTimeoutBase + int64(idx)*heartbeatEvery
 }
 
 func (n *Node) tick() {
 	now := n.net.Now()
 	if n.isLeader {
-		if now-n.lastTickSent >= n.opts.HeartbeatEvery {
+		if now-n.lastTickSent >= heartbeatEvery {
 			n.lastTickSent = now
 			hb := heartbeatMsg{Ballot: n.ballot, Committed: n.frontier}
 			for _, m := range n.CurrentView() {
@@ -242,8 +238,8 @@ func (n *Node) tick() {
 			}
 			// Retransmit accepts for proposals that lost messages —
 			// without this a single dropped accept wedges the slot.
-			for _, p := range n.proposals {
-				if now-p.lastSent >= 2*n.opts.HeartbeatEvery {
+			for _, slot := range sortedKeys(n.proposals) {
+				if p := n.proposals[slot]; now-p.lastSent >= 2*heartbeatEvery {
 					n.sendAccepts(p)
 				}
 			}
@@ -325,7 +321,7 @@ func (n *Node) onPromise(pm promiseMsg) {
 	}
 	n.promises[pm.From] = &pm
 	view := n.viewAt(n.campaignAt)
-	if len(n.promises) < n.quorum(len(view)) {
+	if len(n.promises) < quorum(n.opts.DataShards, len(view)) {
 		return
 	}
 	// Won the election.
@@ -355,7 +351,9 @@ func (n *Node) recoverSlots() {
 	// value, and its older-ballot shards still reconstruct it.
 	info := map[uint64]*slotInfo{}
 	maxSlot := n.frontier
-	for _, pm := range n.promises {
+	from := sortedKeys(n.promises)
+	for _, id := range from {
+		pm := n.promises[id]
 		for _, sv := range pm.Accepted {
 			si := info[sv.Slot]
 			if si == nil || si.ballot.Less(sv.Ballot) {
@@ -370,8 +368,8 @@ func (n *Node) recoverSlots() {
 			}
 		}
 	}
-	for _, pm := range n.promises {
-		for _, sv := range pm.Accepted {
+	for _, id := range from {
+		for _, sv := range n.promises[id].Accepted {
 			si := info[sv.Slot]
 			if si == nil || sv.CmdID != si.cmdID || sv.Kind != si.kind {
 				continue
@@ -386,12 +384,7 @@ func (n *Node) recoverSlots() {
 		}
 	}
 	n.nextSlot = maxSlot
-	slots := make([]uint64, 0, len(info))
-	for s := range info {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, s := range slots {
+	for _, s := range sortedKeys(info) {
 		if s < n.frontier {
 			continue // already applied locally
 		}
@@ -399,14 +392,7 @@ func (n *Node) recoverSlots() {
 		full := si.full
 		kind := si.kind
 		if full == nil && si.kind == KindApp && n.opts.DataShards > 1 {
-			view := n.viewAt(s)
-			rec, err := reconstructFull(n.opts.DataShards, len(view), si.shards)
-			if err == nil {
-				full = rec
-			} else {
-				kind = KindNoop
-				full = nil
-			}
+			full, _ = erasure.DecodeValue(n.opts.DataShards, len(n.viewAt(s)), si.shards)
 		}
 		if full == nil && kind == KindApp {
 			kind = KindNoop
@@ -424,56 +410,6 @@ func (n *Node) recoverSlots() {
 			}
 		}
 	}
-}
-
-func reconstructFull(m, viewSize int, shards map[int][]byte) ([]byte, error) {
-	if len(shards) < m {
-		return nil, fmt.Errorf("paxos: %d shards < m=%d", len(shards), m)
-	}
-	code, err := erasure.NewCode(m, viewSize)
-	if err != nil {
-		return nil, err
-	}
-	slots := make([][]byte, viewSize)
-	for idx, sh := range shards {
-		if idx >= 0 && idx < viewSize {
-			slots[idx] = sh
-		}
-	}
-	if err := code.Reconstruct(slots); err != nil {
-		return nil, err
-	}
-	// Full value = framed join of data shards (see encodeFull).
-	return unframe(slots[:m])
-}
-
-// frame/unframe wrap a value so coded round trips restore exact length.
-func frame(value []byte) []byte {
-	out := make([]byte, 8+len(value))
-	l := uint64(len(value))
-	for i := 0; i < 8; i++ {
-		out[i] = byte(l >> (8 * uint(i)))
-	}
-	copy(out[8:], value)
-	return out
-}
-
-func unframe(dataShards [][]byte) ([]byte, error) {
-	var joined []byte
-	for _, s := range dataShards {
-		joined = append(joined, s...)
-	}
-	if len(joined) < 8 {
-		return nil, fmt.Errorf("paxos: framed value too short")
-	}
-	var l uint64
-	for i := 0; i < 8; i++ {
-		l |= uint64(joined[i]) << (8 * uint(i))
-	}
-	if int(l) > len(joined)-8 {
-		return nil, fmt.Errorf("paxos: framed length %d exceeds payload", l)
-	}
-	return joined[8 : 8+l], nil
 }
 
 // --- proposing ---
@@ -542,31 +478,18 @@ func (n *Node) proposeSlot(slot uint64, kind CmdKind, cmdID uint64, meta, full [
 func (n *Node) sendAccepts(p *proposal) {
 	view := n.viewAt(p.slot)
 	p.lastSent = n.net.Now()
-	coded := p.kind == KindApp && n.opts.DataShards > 1 && len(view) >= n.opts.DataShards
+	// A view smaller than m cannot hold the code: the value goes whole.
 	var shards [][]byte
-	if coded {
-		code, err := erasure.NewCode(n.opts.DataShards, len(view))
-		if err != nil {
-			coded = false
-		} else {
-			data := code.Split(frame(p.full))
-			parity, perr := code.Encode(data)
-			if perr != nil {
-				coded = false
-			} else {
-				shards = append(data, parity...)
-			}
-		}
+	if p.kind == KindApp && n.opts.DataShards > 1 {
+		shards, _ = erasure.EncodeValue(n.opts.DataShards, len(view), p.full)
 	}
 	for i, m := range view {
 		if p.acks[m] {
 			continue
 		}
-		payload := p.full
-		shardIdx := -1
-		if coded {
-			payload = shards[i]
-			shardIdx = i
+		payload, shardIdx := p.full, -1
+		if shards != nil {
+			payload, shardIdx = shards[i], i
 		}
 		msg := acceptMsg{
 			Ballot: n.ballot, Slot: p.slot, Kind: p.kind, CmdID: p.cmdID,
@@ -630,7 +553,7 @@ func (n *Node) onAccepted(am acceptedMsg) {
 	}
 	p.acks[am.From] = true
 	view := n.viewAt(am.Slot)
-	if len(p.acks) < n.quorum(len(view)) {
+	if len(p.acks) < quorum(n.opts.DataShards, len(view)) {
 		return
 	}
 	delete(n.proposals, am.Slot)
@@ -764,16 +687,11 @@ func (n *Node) applyReconfig(slot uint64, members []simnet.NodeID) {
 }
 
 func (n *Node) sendSnapshot(to simnet.NodeID) {
-	dedup := make([]uint64, 0, len(n.dedup))
-	for id := range n.dedup {
-		dedup = append(dedup, id)
-	}
-	sort.Slice(dedup, func(i, j int) bool { return dedup[i] < dedup[j] })
 	n.net.Send(n.ID, to, snapshotMsg{
 		Ballot:   n.ballot,
 		Frontier: n.frontier,
 		SMState:  n.sm.Snapshot(),
-		Dedup:    dedup,
+		Dedup:    sortedKeys(n.dedup),
 		Views:    n.views,
 	})
 }
@@ -839,22 +757,7 @@ func (n *Node) onCatchupRequest(from simnet.NodeID, req catchupRequestMsg) {
 				})
 				continue
 			}
-			// Re-encode the requester's shard.
-			view := n.viewAt(slot)
-			idx := indexOf(view, from)
-			payload := full
-			shardIdx := -1
-			if idx >= 0 {
-				if code, err := erasure.NewCode(n.opts.DataShards, len(view)); err == nil {
-					data := code.Split(frame(full))
-					parity, perr := code.Encode(data)
-					if perr == nil {
-						shards := append(data, parity...)
-						payload = shards[idx]
-						shardIdx = idx
-					}
-				}
-			}
+			payload, shardIdx := n.shardOf(slot, from, full)
 			n.net.Send(n.ID, from, learnMsg{Ballot: e.ballot, Slot: slot, Kind: e.kind, CmdID: e.cmdID, Meta: e.meta, Payload: payload, ShardIdx: shardIdx})
 			continue
 		}
@@ -938,23 +841,9 @@ func (n *Node) onShardReply(r shardReplyMsg) {
 		g[r.ShardIdx] = r.Payload
 	}
 	if len(g) >= n.opts.DataShards {
-		full, err := reconstructFull(n.opts.DataShards, r.ViewSize, g)
+		full, err := erasure.DecodeValue(n.opts.DataShards, r.ViewSize, g)
 		if err == nil {
-			view := n.viewAt(r.Slot)
-			idx := indexOf(view, n.ID)
-			payload := full
-			shardIdx := -1
-			if idx >= 0 {
-				if code, cerr := erasure.NewCode(n.opts.DataShards, len(view)); cerr == nil {
-					data := code.Split(frame(full))
-					parity, perr := code.Encode(data)
-					if perr == nil {
-						shards := append(data, parity...)
-						payload = shards[idx]
-						shardIdx = idx
-					}
-				}
-			}
+			payload, shardIdx := n.shardOf(r.Slot, n.ID, full)
 			n.log[r.Slot] = &entry{
 				ballot: n.gatherBallot[r.Slot], kind: r.Kind, cmdID: r.CmdID,
 				meta: r.Meta, payload: payload, shardIdx: shardIdx, committed: true,
@@ -964,6 +853,22 @@ func (n *Node) onShardReply(r shardReplyMsg) {
 			n.applyFrontier()
 		}
 	}
+}
+
+// shardOf re-encodes a committed coded value under the slot's view and
+// returns member's shard and its index, or the full value and -1 when
+// member is outside that view or the view cannot hold the code.
+func (n *Node) shardOf(slot uint64, member simnet.NodeID, full []byte) ([]byte, int) {
+	view := n.viewAt(slot)
+	idx := indexOf(view, member)
+	if idx < 0 {
+		return full, -1
+	}
+	shards, err := erasure.EncodeValue(n.opts.DataShards, len(view), full)
+	if err != nil {
+		return full, -1
+	}
+	return shards[idx], idx
 }
 
 // --- dispatch ---
@@ -1029,6 +934,17 @@ func (n *Node) onHeartbeat(from simnet.NodeID, hb heartbeatMsg) {
 			n.net.Send(n.ID, from, m)
 		}
 	}
+}
+
+// sortedKeys returns a map's keys in ascending order, so a walk over
+// the map sends the same messages for the same seed.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // --- membership encoding ---

@@ -455,19 +455,3 @@ func TestEncodeDecodeMembers(t *testing.T) {
 		t.Fatal("decode of empty payload should be nil")
 	}
 }
-
-func TestFrameUnframe(t *testing.T) {
-	for _, v := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 100)} {
-		f := frame(v)
-		got, err := unframe([][]byte{f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, v) && !(len(got) == 0 && len(v) == 0) {
-			t.Fatalf("frame round trip: %q -> %q", v, got)
-		}
-	}
-	if _, err := unframe([][]byte{{1, 2}}); err == nil {
-		t.Fatal("short frame accepted")
-	}
-}

@@ -98,18 +98,7 @@ func reconstructSlot(t *testing.T, sms map[simnet.NodeID]*shardSM, slot uint64, 
 	if len(shards) < m {
 		t.Fatalf("slot %d: only %d shards stored", slot, len(shards))
 	}
-	code, err := erasure.NewCode(m, viewSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([][]byte, viewSize)
-	for idx, sh := range shards {
-		all[idx] = sh
-	}
-	if err := code.Reconstruct(all); err != nil {
-		t.Fatal(err)
-	}
-	full, err := unframe(all[:m])
+	full, err := erasure.DecodeValue(m, viewSize, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/erasure"
 	"repro/internal/paxos"
@@ -237,15 +238,10 @@ func (s *Service) Get(key string) ([]byte, bool, error) {
 }
 
 func (s *Service) getOnce(key string) ([]byte, bool, error) {
-	var anyNode *paxos.Node
-	for _, n := range s.cluster.Nodes() {
-		anyNode = n
-		break
+	view := s.cluster.View()
+	if view == nil {
+		return nil, false, fmt.Errorf("storage: no running replica")
 	}
-	if anyNode == nil {
-		return nil, false, fmt.Errorf("storage: empty cluster")
-	}
-	view := anyNode.CurrentView()
 	s.nextReq++
 	reqID := s.nextReq
 	net := s.cluster.Net
@@ -311,24 +307,7 @@ func (s *Service) getOnce(key string) ([]byte, bool, error) {
 	if len(shards) < s.m {
 		return nil, false, fmt.Errorf("storage: key %q slot %d: only %d/%d shards", key, maxSlot, len(shards), s.m)
 	}
-	code, err := erasure.NewCode(s.m, viewSize)
-	if err != nil {
-		return nil, false, err
-	}
-	all := make([][]byte, viewSize)
-	for idx, sh := range shards {
-		if idx < viewSize {
-			all[idx] = sh
-		}
-	}
-	if err := code.Reconstruct(all); err != nil {
-		return nil, false, err
-	}
-	var joined []byte
-	for _, sh := range all[:s.m] {
-		joined = append(joined, sh...)
-	}
-	value, err := unframeValue(joined)
+	value, err := erasure.DecodeValue(s.m, viewSize, shards)
 	if err != nil {
 		return nil, false, err
 	}
@@ -365,87 +344,28 @@ func decodable(reps []getRep, m int) bool {
 	return shards >= m
 }
 
-// unframeValue decodes the 8-byte little-endian length prefix the Paxos
-// engine frames coded values with.
-func unframeValue(joined []byte) ([]byte, error) {
-	if len(joined) < 8 {
-		return nil, fmt.Errorf("storage: framed value too short")
-	}
-	var l uint64
-	for i := 0; i < 8; i++ {
-		l |= uint64(joined[i]) << (8 * uint(i))
-	}
-	if int(l) > len(joined)-8 {
-		return nil, fmt.Errorf("storage: framed length %d exceeds payload", l)
-	}
-	return joined[8 : 8+l], nil
-}
-
 // Keys lists keys known to the most caught-up live replica (including
-// shardless records awaiting repair, excluding deletions).
+// shardless records awaiting repair, excluding deletions), in order.
 func (s *Service) Keys() []string {
-	var best *kvSM
-	bestFrontier := uint64(0)
-	for id, m := range s.sms {
-		n := s.cluster.Node(id)
-		if n == nil || s.cluster.Net.Crashed(id) {
-			continue
-		}
-		if n.Frontier() >= bestFrontier {
-			bestFrontier = n.Frontier()
-			best = m
-		}
-	}
-	if best == nil {
+	n := s.cluster.Freshest()
+	if n == nil {
 		return nil
 	}
 	var keys []string
-	for k, rec := range best.keys {
+	for k, rec := range s.sms[n.ID].keys {
 		if !rec.deleted {
 			keys = append(keys, k)
 		}
 	}
+	slices.Sort(keys)
 	return keys
 }
 
 // Rotate swaps members (make-before-break) and rebalances all keys onto
-// the new view so shard placement matches current membership.
+// the new view, while the old members still serve their shards, so
+// shard placement matches current membership.
 func (s *Service) Rotate(add, remove []simnet.NodeID) error {
-	var anyNode *paxos.Node
-	for _, n := range s.cluster.Nodes() {
-		anyNode = n
-		break
-	}
-	if anyNode == nil {
-		return fmt.Errorf("storage: empty cluster")
-	}
-	current := map[simnet.NodeID]bool{}
-	for _, id := range anyNode.CurrentView() {
-		current[id] = true
-	}
-	for _, id := range add {
-		current[id] = true
-	}
-	for _, id := range remove {
-		delete(current, id)
-	}
-	var next []simnet.NodeID
-	for id := range current {
-		next = append(next, id)
-	}
-	if len(next) < s.m {
-		return fmt.Errorf("storage: view of %d below m=%d", len(next), s.m)
-	}
-	if err := s.cluster.Reconfigure(next); err != nil {
-		return err
-	}
-	if err := s.Rebalance(); err != nil {
-		return err
-	}
-	for _, id := range remove {
-		s.cluster.StopNode(id)
-	}
-	return nil
+	return s.cluster.Rotate(add, remove, s.Rebalance)
 }
 
 // Rebalance re-writes every key under the current view, restoring the

@@ -218,9 +218,6 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 // Header returns the trace header.
 func (tr *TraceReader) Header() TraceHeader { return tr.header }
 
-// Line returns the number of the line read last; the header is line 1.
-func (tr *TraceReader) Line() int { return tr.line }
-
 // Next returns the next event, or io.EOF after the last one. A
 // malformed line is an error naming its number.
 func (tr *TraceReader) Next() (TraceEvent, error) {
