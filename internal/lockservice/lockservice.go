@@ -27,29 +27,30 @@ type op struct {
 
 // holder records the current owner of a lock.
 type holder struct {
-	client   string
-	sequence uint64 // Chubby-style lock sequencer, increases per grant
-	expires  int64  // 0 = no lease
+	Client   string `json:"client"`
+	Sequence uint64 `json:"sequence"` // Chubby-style lock sequencer, increases per grant
+	Expires  int64  `json:"expires"`  // 0 = no lease
 }
 
 // result is the outcome of one command, recorded per cmdID so clients
 // can read their command's verdict after it commits.
 type result struct {
-	OK       bool
-	Sequence uint64
-	Holder   string
+	OK       bool   `json:"ok"`
+	Sequence uint64 `json:"sequence"`
+	Holder   string `json:"holder,omitempty"`
 }
 
 // sm is the lock table state machine; one per replica, all
-// deterministic replicas of each other.
+// deterministic replicas of each other. Its JSON encoding is its
+// snapshot.
 type sm struct {
-	locks   map[string]*holder
-	results map[uint64]result
-	nextSeq uint64
+	Locks   map[string]*holder `json:"locks"`
+	Results map[uint64]result  `json:"results"`
+	NextSeq uint64             `json:"next_seq"`
 }
 
 func newSM() *sm {
-	return &sm{locks: make(map[string]*holder), results: make(map[uint64]result)}
+	return &sm{Locks: make(map[string]*holder), Results: make(map[uint64]result)}
 }
 
 // Apply implements paxos.StateMachine.
@@ -59,85 +60,55 @@ func (s *sm) Apply(slot uint64, kind paxos.CmdKind, cmdID uint64, meta, payload 
 	}
 	var o op
 	if err := json.Unmarshal(payload, &o); err != nil {
-		s.results[cmdID] = result{OK: false}
+		s.Results[cmdID] = result{OK: false}
 		return
 	}
-	h := s.locks[o.Lock]
+	h := s.Locks[o.Lock]
 	// Lazy lease expiry against the deterministic command timestamp.
-	if h != nil && h.expires != 0 && o.Now >= h.expires {
-		delete(s.locks, o.Lock)
+	if h != nil && h.Expires != 0 && o.Now >= h.Expires {
+		delete(s.Locks, o.Lock)
 		h = nil
 	}
 	switch o.Op {
 	case "acquire":
-		if h != nil && h.client != o.Client {
-			s.results[cmdID] = result{OK: false, Holder: h.client}
+		if h != nil && h.Client != o.Client {
+			s.Results[cmdID] = result{OK: false, Holder: h.Client}
 			return
 		}
-		if h != nil && h.client == o.Client {
+		if h != nil && h.Client == o.Client {
 			// Re-acquire refreshes the lease, keeping the sequencer.
 			if o.LeaseTicks > 0 {
-				h.expires = o.Now + o.LeaseTicks
+				h.Expires = o.Now + o.LeaseTicks
 			}
-			s.results[cmdID] = result{OK: true, Sequence: h.sequence}
+			s.Results[cmdID] = result{OK: true, Sequence: h.Sequence}
 			return
 		}
-		s.nextSeq++
-		nh := &holder{client: o.Client, sequence: s.nextSeq}
+		s.NextSeq++
+		nh := &holder{Client: o.Client, Sequence: s.NextSeq}
 		if o.LeaseTicks > 0 {
-			nh.expires = o.Now + o.LeaseTicks
+			nh.Expires = o.Now + o.LeaseTicks
 		}
-		s.locks[o.Lock] = nh
-		s.results[cmdID] = result{OK: true, Sequence: nh.sequence}
+		s.Locks[o.Lock] = nh
+		s.Results[cmdID] = result{OK: true, Sequence: nh.Sequence}
 	case "release":
-		if h == nil || h.client != o.Client {
+		if h == nil || h.Client != o.Client {
 			curr := ""
 			if h != nil {
-				curr = h.client
+				curr = h.Client
 			}
-			s.results[cmdID] = result{OK: false, Holder: curr}
+			s.Results[cmdID] = result{OK: false, Holder: curr}
 			return
 		}
-		delete(s.locks, o.Lock)
-		s.results[cmdID] = result{OK: true, Sequence: h.sequence}
+		delete(s.Locks, o.Lock)
+		s.Results[cmdID] = result{OK: true, Sequence: h.Sequence}
 	default:
-		s.results[cmdID] = result{OK: false}
+		s.Results[cmdID] = result{OK: false}
 	}
-}
-
-// jsonSM mirrors sm for snapshot serialization.
-type jsonSM struct {
-	Locks   map[string]jsonHolder `json:"locks"`
-	Results map[uint64]jsonResult `json:"results"`
-	NextSeq uint64                `json:"next_seq"`
-}
-
-type jsonHolder struct {
-	Client   string `json:"client"`
-	Sequence uint64 `json:"sequence"`
-	Expires  int64  `json:"expires"`
-}
-
-type jsonResult struct {
-	OK       bool   `json:"ok"`
-	Sequence uint64 `json:"sequence"`
-	Holder   string `json:"holder,omitempty"`
 }
 
 // Snapshot implements paxos.StateMachine.
 func (s *sm) Snapshot() []byte {
-	js := jsonSM{
-		Locks:   map[string]jsonHolder{},
-		Results: map[uint64]jsonResult{},
-		NextSeq: s.nextSeq,
-	}
-	for k, h := range s.locks {
-		js.Locks[k] = jsonHolder{Client: h.client, Sequence: h.sequence, Expires: h.expires}
-	}
-	for id, r := range s.results {
-		js.Results[id] = jsonResult{OK: r.OK, Sequence: r.Sequence, Holder: r.Holder}
-	}
-	data, err := json.Marshal(js)
+	data, err := json.Marshal(s)
 	if err != nil {
 		panic("lockservice: snapshot encoding: " + err.Error())
 	}
@@ -146,19 +117,11 @@ func (s *sm) Snapshot() []byte {
 
 // Restore implements paxos.StateMachine.
 func (s *sm) Restore(snapshot []byte) {
-	var js jsonSM
-	if err := json.Unmarshal(snapshot, &js); err != nil {
+	fresh := newSM()
+	if err := json.Unmarshal(snapshot, fresh); err != nil {
 		panic("lockservice: snapshot decoding: " + err.Error())
 	}
-	s.locks = map[string]*holder{}
-	s.results = map[uint64]result{}
-	s.nextSeq = js.NextSeq
-	for k, h := range js.Locks {
-		s.locks[k] = &holder{client: h.Client, sequence: h.Sequence, expires: h.Expires}
-	}
-	for id, r := range js.Results {
-		s.results[id] = result{OK: r.OK, Sequence: r.Sequence, Holder: r.Holder}
-	}
+	*s = *fresh
 }
 
 // Service is the client-facing lock service handle. Operations drive
@@ -217,7 +180,7 @@ func (s *Service) do(o op) (bool, uint64, error) {
 // it too, and deterministic replication makes every replica agree.
 func (s *Service) lookupResult(cmdID uint64) (result, error) {
 	if m := s.freshest(); m != nil {
-		if res, ok := m.results[cmdID]; ok {
+		if res, ok := m.Results[cmdID]; ok {
 			return res, nil
 		}
 	}
@@ -240,14 +203,14 @@ func (s *Service) Holder(lock string) string {
 	if best == nil {
 		return ""
 	}
-	h := best.locks[lock]
+	h := best.Locks[lock]
 	if h == nil {
 		return ""
 	}
-	if h.expires != 0 && s.cluster.Net.Now() >= h.expires {
+	if h.Expires != 0 && s.cluster.Net.Now() >= h.Expires {
 		return ""
 	}
-	return h.client
+	return h.Client
 }
 
 // Rotate performs the bidding framework's make-before-break instance

@@ -1,9 +1,11 @@
 package lockservice
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"repro/internal/paxos"
 	"repro/internal/simnet"
 )
 
@@ -260,5 +262,76 @@ func TestSameSeedSameRun(t *testing.T) {
 	}
 	if wantHolder != "alice" {
 		t.Fatalf("holder %q, want alice", wantHolder)
+	}
+}
+
+// TestRestartedLeaderStepsDown replays the examples/lockcluster
+// sequence: a replica restarted after a crash must not claim leadership
+// it held before, and over the following 2 000 events no two running
+// replicas may claim it at once.
+func TestRestartedLeaderStepsDown(t *testing.T) {
+	net := simnet.New(7)
+	ids := []simnet.NodeID{"az-a", "az-b", "az-c", "az-d", "az-e"}
+	s := New(net, ids)
+	if ok, _, err := s.Acquire("alice", "/db/leader", 0); err != nil || !ok {
+		t.Fatalf("acquire: ok=%v err=%v", ok, err)
+	}
+	net.Crash("az-a")
+	net.Crash("az-b")
+	if ok, _, err := s.Acquire("bob", "/jobs/runner", 0); err != nil || !ok {
+		t.Fatalf("acquire with 2 down: ok=%v err=%v", ok, err)
+	}
+	for _, id := range []simnet.NodeID{"az-a", "az-b"} {
+		net.Restart(id)
+		if s.Cluster().Node(id).IsLeader() {
+			t.Fatalf("%s claims leadership right after its restart", id)
+		}
+	}
+	for event := 1; event <= 2000; event++ {
+		net.Step()
+		var leaders []simnet.NodeID
+		for _, id := range ids {
+			if !net.Crashed(id) && s.Cluster().Node(id).IsLeader() {
+				leaders = append(leaders, id)
+			}
+		}
+		if len(leaders) > 1 {
+			t.Fatalf("event %d after the restarts: %v all claim leadership", event, leaders)
+		}
+	}
+	if err := s.Rotate([]simnet.NodeID{"az-f", "az-g"}, []simnet.NodeID{"az-a", "az-b"}); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Holder("/db/leader"); h != "alice" {
+		t.Fatalf("holder %q after rotation, want alice", h)
+	}
+}
+
+// TestSnapshotIsTheTable pins the lock table's snapshot encoding and
+// that Restore rebuilds a table with the same snapshot.
+func TestSnapshotIsTheTable(t *testing.T) {
+	s := newSM()
+	ops := []op{
+		{Op: "acquire", Lock: "/a", Client: "alice", LeaseTicks: 50, Now: 10},
+		{Op: "acquire", Lock: "/a", Client: "bob", Now: 12},
+		{Op: "acquire", Lock: "/c", Client: "carol", Now: 14},
+	}
+	for i, o := range ops {
+		payload, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Apply(uint64(i), paxos.KindApp, uint64(i+1), nil, payload, -1, 5)
+	}
+	const want = `{"locks":{"/a":{"client":"alice","sequence":1,"expires":60},"/c":{"client":"carol","sequence":2,"expires":0}},` +
+		`"results":{"1":{"ok":true,"sequence":1},"2":{"ok":false,"sequence":0,"holder":"alice"},"3":{"ok":true,"sequence":2}},"next_seq":2}`
+	if got := string(s.Snapshot()); got != want {
+		t.Fatalf("snapshot\n%s\nwant\n%s", got, want)
+	}
+	r := newSM()
+	r.Apply(0, paxos.KindApp, 9, nil, []byte(`{"op":"acquire","lock":"/z","client":"zed","now":0}`), -1, 5)
+	r.Restore(s.Snapshot())
+	if got := string(r.Snapshot()); got != want {
+		t.Fatalf("restored snapshot\n%s\nwant\n%s", got, want)
 	}
 }

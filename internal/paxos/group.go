@@ -54,20 +54,15 @@ func (c *Cluster) running(n *Node) bool {
 // Node returns the replica with the given ID, or nil.
 func (c *Cluster) Node(id simnet.NodeID) *Node { return c.nodes[id] }
 
-// Nodes returns all replicas, including stopped ones.
-func (c *Cluster) Nodes() map[simnet.NodeID]*Node { return c.nodes }
-
-// Leader returns the current leader if one is established: among the
-// live replicas that believe they lead, the one with the highest ballot
-// (a restarted former leader may still claim a superseded ballot).
+// Leader returns the first running replica in ID order that leads, or
+// nil when none does.
 func (c *Cluster) Leader() *Node {
-	var best *Node
-	for _, n := range c.nodes {
-		if n.isLeader && c.running(n) && (best == nil || best.ballot.Less(n.ballot)) {
-			best = n
+	for _, id := range c.order {
+		if n := c.nodes[id]; n.IsLeader() && c.running(n) {
+			return n
 		}
 	}
-	return best
+	return nil
 }
 
 // View returns the membership as the first running replica in ID order

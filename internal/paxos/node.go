@@ -91,8 +91,9 @@ type Node struct {
 	// applyFrontierSlot: every slot below it is committed and applied.
 	frontier uint64
 
-	// Leadership.
-	isLeader            bool
+	// Leadership: ballot is this node's latest campaign, won the one
+	// whose phase 1 it won; it leads while won is still what it promised.
+	won                 Ballot
 	ballot              Ballot
 	promises            map[simnet.NodeID]*promiseMsg
 	campaignAt          uint64 // FromSlot of the in-flight campaign
@@ -145,15 +146,22 @@ func NewNode(id simnet.NodeID, members []simnet.NodeID, net *simnet.Network, sm 
 	}
 	n.lastHeartbeat = net.Now() // grant a full election timeout at birth
 	net.Register(id, simnet.HandlerFunc(n.receive))
+	net.OnRestart(id, n.restart)
 	n.scheduleTick()
 	return n
 }
 
 // Stop removes the node from further participation (used when an
 // instance is terminated).
-func (n *Node) Stop() {
-	n.stopped = true
-	n.isLeader = false
+func (n *Node) Stop() { n.stopped = true }
+
+// restart runs when the node comes back from a crash: its promises and
+// log persist, but it forgets the leadership and the campaign it had,
+// and waits a full election timeout before campaigning.
+func (n *Node) restart() {
+	n.won = Ballot{}
+	n.promises = nil
+	n.lastHeartbeat = n.net.Now()
 }
 
 // --- views and quorums ---
@@ -196,8 +204,9 @@ func (n *Node) InView() bool {
 	return indexOf(n.CurrentView(), n.ID) >= 0
 }
 
-// IsLeader reports current leadership belief.
-func (n *Node) IsLeader() bool { return n.isLeader && !n.stopped }
+// IsLeader reports current leadership belief: the node won phase 1 of
+// the highest ballot it has promised.
+func (n *Node) IsLeader() bool { return !n.stopped && !n.won.IsZero() && n.won == n.promised }
 
 // --- timers ---
 
@@ -227,7 +236,7 @@ func (n *Node) electionTimeout() int64 {
 
 func (n *Node) tick() {
 	now := n.net.Now()
-	if n.isLeader {
+	if n.IsLeader() {
 		if now-n.lastTickSent >= heartbeatEvery {
 			n.lastTickSent = now
 			hb := heartbeatMsg{Ballot: n.ballot, Committed: n.frontier}
@@ -265,7 +274,6 @@ func (n *Node) campaign() {
 	n.ballot = Ballot{Round: round + 1, Proposer: n.ID}
 	n.promises = make(map[simnet.NodeID]*promiseMsg)
 	n.campaignAt = n.frontier
-	n.isLeader = false
 	msg := prepareMsg{Ballot: n.ballot, FromSlot: n.campaignAt}
 	for _, m := range n.viewAt(n.campaignAt) {
 		if m == n.ID {
@@ -316,7 +324,7 @@ func (n *Node) onPrepare(from simnet.NodeID, p prepareMsg) {
 }
 
 func (n *Node) onPromise(pm promiseMsg) {
-	if pm.Ballot != n.ballot || n.isLeader || n.promises == nil {
+	if pm.Ballot != n.ballot || n.won == n.ballot || n.promises == nil {
 		return
 	}
 	n.promises[pm.From] = &pm
@@ -325,7 +333,7 @@ func (n *Node) onPromise(pm promiseMsg) {
 		return
 	}
 	// Won the election.
-	n.isLeader = true
+	n.won = n.ballot
 	n.leaderHint = n.ID
 	n.recoverSlots()
 	n.flushPending()
@@ -422,7 +430,7 @@ func (n *Node) Submit(kind CmdKind, cmdID uint64, meta, payload []byte) {
 		return
 	}
 	msg := submitMsg{Kind: kind, CmdID: cmdID, Meta: meta, Payload: payload}
-	if n.isLeader {
+	if n.IsLeader() {
 		n.handleSubmit(msg)
 		return
 	}
@@ -434,7 +442,7 @@ func (n *Node) Submit(kind CmdKind, cmdID uint64, meta, payload []byte) {
 }
 
 func (n *Node) handleSubmit(msg submitMsg) {
-	if !n.isLeader {
+	if !n.IsLeader() {
 		n.pending = append(n.pending, msg)
 		return
 	}
@@ -458,7 +466,7 @@ func (n *Node) flushPending() {
 	queued := n.pending
 	n.pending = nil
 	for _, msg := range queued {
-		if n.isLeader {
+		if n.IsLeader() {
 			n.handleSubmit(msg)
 		} else {
 			n.Submit(msg.Kind, msg.CmdID, msg.Meta, msg.Payload)
@@ -516,9 +524,6 @@ func (n *Node) onAccept(from simnet.NodeID, a acceptMsg) {
 	if from != n.ID {
 		n.leaderHint = from
 		n.lastHeartbeat = n.net.Now()
-		if n.isLeader && n.ballot.Less(a.Ballot) {
-			n.isLeader = false
-		}
 	}
 	e := n.log[a.Slot]
 	if e != nil && e.committed {
@@ -544,7 +549,7 @@ func (n *Node) onAccept(from simnet.NodeID, a acceptMsg) {
 }
 
 func (n *Node) onAccepted(am acceptedMsg) {
-	if !n.isLeader || am.Ballot != n.ballot {
+	if !n.IsLeader() || am.Ballot != n.ballot {
 		return
 	}
 	p, ok := n.proposals[am.Slot]
@@ -668,7 +673,7 @@ func (n *Node) applyReconfig(slot uint64, members []simnet.NodeID) {
 	if !dup {
 		n.views = append(n.views, viewEpoch{FromSlot: slot + 1, Members: ms})
 	}
-	if n.isLeader {
+	if n.IsLeader() {
 		if n.reconfigPendingSlot == slot {
 			n.reconfigPendingSlot = 0
 		}
@@ -681,7 +686,7 @@ func (n *Node) applyReconfig(slot uint64, members []simnet.NodeID) {
 		n.flushPending()
 		if indexOf(ms, n.ID) < 0 {
 			// Led ourselves out of the view.
-			n.isLeader = false
+			n.won = Ballot{}
 		}
 	}
 }
@@ -727,7 +732,7 @@ func (n *Node) onSnapshot(s snapshotMsg) {
 	}
 	// Abandon any in-flight campaign from the stale frontier.
 	n.promises = nil
-	n.isLeader = false
+	n.won = Ballot{}
 	n.applyFrontier()
 	n.lastHeartbeat = n.net.Now()
 }
@@ -884,7 +889,6 @@ func (n *Node) receive(_ *simnet.Network, msg simnet.Message) {
 		n.onPromise(m)
 	case rejectMsg:
 		if n.ballot.Less(m.Ballot) {
-			n.isLeader = false
 			n.promises = nil
 			if n.promised.Less(m.Ballot) {
 				n.promised = m.Ballot // raise the floor for the next campaign
@@ -920,14 +924,11 @@ func (n *Node) onHeartbeat(from simnet.NodeID, hb heartbeatMsg) {
 	n.promised = hb.Ballot
 	n.leaderHint = from
 	n.lastHeartbeat = n.net.Now()
-	if n.isLeader && n.ballot.Less(hb.Ballot) {
-		n.isLeader = false
-	}
 	if hb.Committed > n.frontier {
 		n.net.Send(n.ID, from, catchupRequestMsg{From: n.frontier, To: hb.Committed})
 	}
 	// A follower with queued submissions can now forward them.
-	if len(n.pending) > 0 && !n.isLeader {
+	if len(n.pending) > 0 && !n.IsLeader() {
 		queued := n.pending
 		n.pending = nil
 		for _, m := range queued {

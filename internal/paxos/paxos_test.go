@@ -9,6 +9,9 @@ import (
 	"repro/internal/simnet"
 )
 
+// Nodes returns all replicas, including stopped ones.
+func (c *Cluster) Nodes() map[simnet.NodeID]*Node { return c.nodes }
+
 // logSM records applied entries for assertions.
 type logSM struct {
 	id      simnet.NodeID

@@ -73,6 +73,8 @@ type Network struct {
 	queue   eventQueue
 	nodes   map[NodeID]Handler
 	crashed map[NodeID]bool
+	// onRestart holds each node's hook for coming back from a crash.
+	onRestart map[NodeID]func()
 	// partition maps each node to a group; messages cross groups only
 	// when partitioned is false.
 	partitioned bool
@@ -93,6 +95,7 @@ func New(seed uint64) *Network {
 	return &Network{
 		nodes:      make(map[NodeID]Handler),
 		crashed:    make(map[NodeID]bool),
+		onRestart:  make(map[NodeID]func()),
 		group:      make(map[NodeID]int),
 		minLatency: 1,
 		maxLatency: 1,
@@ -112,10 +115,11 @@ func (n *Network) Register(id NodeID, h Handler) {
 	n.nodes[id] = h
 }
 
-// Deregister removes a node entirely.
+// Deregister removes a node entirely, its restart hook included.
 func (n *Network) Deregister(id NodeID) {
 	delete(n.nodes, id)
 	delete(n.crashed, id)
+	delete(n.onRestart, id)
 	delete(n.group, id)
 }
 
@@ -140,9 +144,22 @@ func (n *Network) SetDropProbability(p float64) {
 // Restart.
 func (n *Network) Crash(id NodeID) { n.crashed[id] = true }
 
-// Restart brings a crashed node back; its handler state is whatever the
-// handler kept (the handler decides what persisted).
-func (n *Network) Restart(id NodeID) { delete(n.crashed, id) }
+// Restart brings a crashed node back and runs its restart hook, if any;
+// its handler state is whatever the handler kept (the handler decides
+// what persisted). Restarting a node that is not crashed does nothing.
+func (n *Network) Restart(id NodeID) {
+	if !n.crashed[id] {
+		return
+	}
+	delete(n.crashed, id)
+	if fn := n.onRestart[id]; fn != nil {
+		fn()
+	}
+}
+
+// OnRestart sets the hook Restart runs when id comes back from a crash,
+// replacing any earlier one. Deregister drops it.
+func (n *Network) OnRestart(id NodeID, fn func()) { n.onRestart[id] = fn }
 
 // Crashed reports whether the node is currently crashed.
 func (n *Network) Crashed(id NodeID) bool { return n.crashed[id] }
@@ -264,6 +281,3 @@ func (n *Network) RunUntil(cond func() bool, maxEvents int) bool {
 func (n *Network) Stats() (delivered, dropped int64) {
 	return n.delivered, n.dropped
 }
-
-// Pending returns the number of queued events.
-func (n *Network) Pending() int { return n.queue.Len() }

@@ -206,6 +206,40 @@ func TestDeregister(t *testing.T) {
 	}
 }
 
+// TestRestartHook pins when a node hears of its own restart: once per
+// crash → restart, never on a Restart of a running node, and never
+// after Deregister.
+func TestRestartHook(t *testing.T) {
+	n := New(1)
+	n.Register("a", &recorder{})
+	runs := 0
+	n.OnRestart("a", func() { runs++ })
+	n.Restart("a")
+	if runs != 0 {
+		t.Fatalf("hook ran %d times on a Restart of a running node", runs)
+	}
+	n.Crash("a")
+	n.Restart("a")
+	n.Restart("a")
+	if runs != 1 {
+		t.Fatalf("hook ran %d times for one crash → restart, want 1", runs)
+	}
+	n.Crash("a")
+	n.Crash("a")
+	n.Restart("a")
+	if runs != 2 {
+		t.Fatalf("hook ran %d times after two crash → restarts, want 2", runs)
+	}
+	n.Crash("a")
+	n.Deregister("a")
+	n.Register("a", &recorder{})
+	n.Crash("a")
+	n.Restart("a")
+	if runs != 2 {
+		t.Fatalf("hook ran after Deregister (%d runs)", runs)
+	}
+}
+
 func TestStepEmptyQueue(t *testing.T) {
 	n := New(1)
 	if n.Step() {
@@ -215,3 +249,6 @@ func TestStepEmptyQueue(t *testing.T) {
 		t.Fatal("Pending != 0")
 	}
 }
+
+// Pending returns the number of queued events.
+func (n *Network) Pending() int { return n.queue.Len() }

@@ -1,8 +1,8 @@
 // Package storage implements an erasure-code based distributed storage
 // service (paper §5.1.2) over RS-Paxos: writes replicate a θ(m, n) coded
 // value — each replica stores only its shard — through Paxos with
-// enlarged quorums (ceil((n+m)/2)), and reads gather any m shards and
-// reconstruct. The standard configuration is 5 nodes with θ(3, 5),
+// enlarged quorums (ceil((n+m)/2)), and reads take the newest version
+// held by a running read quorum and reconstruct it from any m shards. The standard configuration is 5 nodes with θ(3, 5),
 // which tolerates one node failure.
 //
 // Because shards are tied to the view that accepted them, membership
@@ -118,60 +118,11 @@ func (s *kvSM) Restore(snapshot []byte) {
 	}
 }
 
-// --- networked read path ---
-
-// kvAddr returns the replica's read endpoint address.
-func kvAddr(id simnet.NodeID) simnet.NodeID { return id + "#kv" }
-
-type getReq struct {
-	ReqID uint64
-	Key   string
-	Reply simnet.NodeID
-}
-
-type getRep struct {
-	ReqID    uint64
-	From     simnet.NodeID
-	Found    bool
-	Deleted  bool
-	Slot     uint64
-	ShardIdx int
-	ViewSize int
-	Payload  []byte
-}
-
-// kvEndpoint serves shard reads for one replica.
-type kvEndpoint struct {
-	id simnet.NodeID
-	sm *kvSM
-}
-
-func (e *kvEndpoint) Receive(net *simnet.Network, msg simnet.Message) {
-	req, ok := msg.Payload.(getReq)
-	if !ok {
-		return
-	}
-	rec := e.sm.keys[req.Key]
-	rep := getRep{ReqID: req.ReqID, From: e.id}
-	if rec != nil {
-		rep.Found = true
-		rep.Deleted = rec.deleted
-		rep.Slot = rec.slot
-		rep.ShardIdx = rec.shardIdx
-		rep.ViewSize = rec.viewSize
-		rep.Payload = rec.payload
-	}
-	net.Send(kvAddr(e.id), req.Reply, rep)
-}
-
 // Service is the client-facing storage handle.
 type Service struct {
 	cluster *paxos.Cluster
 	sms     map[simnet.NodeID]*kvSM
 	m       int
-	client  simnet.NodeID
-	nextReq uint64
-	replies map[uint64][]getRep
 }
 
 // New builds a storage service with θ(m, len(members)) coding.
@@ -179,23 +130,12 @@ func New(net *simnet.Network, members []simnet.NodeID, m int) (*Service, error) 
 	if m < 1 || m > len(members) {
 		return nil, fmt.Errorf("storage: θ(%d, %d) invalid", m, len(members))
 	}
-	s := &Service{
-		sms:     make(map[simnet.NodeID]*kvSM),
-		m:       m,
-		client:  "storage-client",
-		replies: make(map[uint64][]getRep),
-	}
+	s := &Service{sms: make(map[simnet.NodeID]*kvSM), m: m}
 	s.cluster = paxos.NewCluster(net, members, func(id simnet.NodeID) paxos.StateMachine {
 		sm := newKVSM(id)
 		s.sms[id] = sm
-		net.Register(kvAddr(id), &kvEndpoint{id: id, sm: sm})
 		return sm
 	}, paxos.DefaultOptions(m))
-	net.Register(s.client, simnet.HandlerFunc(func(_ *simnet.Network, msg simnet.Message) {
-		if rep, ok := msg.Payload.(getRep); ok {
-			s.replies[rep.ReqID] = append(s.replies[rep.ReqID], rep)
-		}
-	}))
 	return s, nil
 }
 
@@ -220,9 +160,10 @@ func (s *Service) Delete(key string) error {
 	return err
 }
 
-// Get reads a key by gathering shards from a read quorum of replicas
-// and reconstructing. It returns (nil, false, nil) for absent or
-// deleted keys.
+// Get reads a key from the running replicas of the current view: it
+// needs a read quorum of them running, takes the newest version they
+// hold and reconstructs it from their shards. It returns
+// (nil, false, nil) for absent or deleted keys.
 func (s *Service) Get(key string) ([]byte, bool, error) {
 	const attempts = 4
 	var lastErr error
@@ -242,106 +183,53 @@ func (s *Service) getOnce(key string) ([]byte, bool, error) {
 	if view == nil {
 		return nil, false, fmt.Errorf("storage: no running replica")
 	}
-	s.nextReq++
-	reqID := s.nextReq
-	net := s.cluster.Net
+	var recs []*record
+	running := 0
 	for _, id := range view {
-		net.Send(s.client, kvAddr(id), getReq{ReqID: reqID, Key: key, Reply: s.client})
+		if s.cluster.Net.Crashed(id) {
+			continue
+		}
+		running++
+		if rec := s.sms[id].keys[key]; rec != nil {
+			recs = append(recs, rec)
+		}
 	}
 	quorum := (len(view) + s.m + 1) / 2
-	// A quorum of replies alone may not carry m shards (replicas that
-	// joined after the write hold only metadata), so wait until the
-	// value is actually decodable or every member has answered.
-	net.RunUntil(func() bool {
-		reps := s.replies[reqID]
-		if len(reps) >= len(view) {
-			return true
-		}
-		return len(reps) >= quorum && decodable(reps, s.m)
-	}, 200000)
-	reps := s.replies[reqID]
-	delete(s.replies, reqID)
-	if len(reps) < quorum {
-		return nil, false, fmt.Errorf("storage: read quorum %d not reached (%d replies)", quorum, len(reps))
+	if running < quorum {
+		return nil, false, fmt.Errorf("storage: read quorum %d not reached (%d running)", quorum, running)
 	}
-	// Latest version among the quorum wins.
-	var maxSlot uint64
-	found := false
-	for _, r := range reps {
-		if r.Found && r.Slot >= maxSlot {
-			maxSlot = r.Slot
-			found = true
+	// Latest version among the running replicas wins.
+	var newest *record
+	for _, r := range recs {
+		if newest == nil || r.slot > newest.slot {
+			newest = r
 		}
 	}
-	if !found {
+	if newest == nil || newest.deleted {
 		return nil, false, nil
 	}
 	shards := map[int][]byte{}
 	viewSize := 0
-	deleted := false
-	var full []byte
-	haveFull := false
-	for _, r := range reps {
-		if !r.Found || r.Slot != maxSlot {
-			continue
-		}
-		if r.Deleted {
-			deleted = true
+	for _, r := range recs {
+		if r.slot != newest.slot {
 			continue
 		}
 		switch {
-		case r.ShardIdx >= 0:
-			shards[r.ShardIdx] = r.Payload
-			viewSize = r.ViewSize
-		case r.ShardIdx == -1 && r.Payload != nil:
-			full = r.Payload
-			haveFull = true
+		case r.shardIdx >= 0:
+			shards[r.shardIdx] = r.payload
+			viewSize = r.viewSize
+		case r.shardIdx == -1 && r.payload != nil:
+			return r.payload, true, nil
 		}
 	}
-	if deleted {
-		return nil, false, nil
-	}
-	if haveFull {
-		return full, true, nil
-	}
 	if len(shards) < s.m {
-		return nil, false, fmt.Errorf("storage: key %q slot %d: only %d/%d shards", key, maxSlot, len(shards), s.m)
+		return nil, false, fmt.Errorf("storage: key %q slot %d: only %d/%d shards", key, newest.slot, len(shards), s.m)
 	}
 	value, err := erasure.DecodeValue(s.m, viewSize, shards)
 	if err != nil {
 		return nil, false, err
 	}
 	return value, true, nil
-}
-
-// decodable reports whether the replies gathered so far suffice to
-// answer: the newest version is absent/deleted, available as a full
-// copy, or covered by at least m shards.
-func decodable(reps []getRep, m int) bool {
-	var maxSlot uint64
-	found := false
-	for _, r := range reps {
-		if r.Found && r.Slot >= maxSlot {
-			maxSlot = r.Slot
-			found = true
-		}
-	}
-	if !found {
-		return true
-	}
-	shards := 0
-	for _, r := range reps {
-		if !r.Found || r.Slot != maxSlot {
-			continue
-		}
-		if r.Deleted || (r.ShardIdx == -1 && r.Payload != nil) {
-			return true
-		}
-		if r.ShardIdx >= 0 {
-			shards++
-		}
-	}
-	return shards >= m
 }
 
 // Keys lists keys known to the most caught-up live replica (including

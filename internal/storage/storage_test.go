@@ -144,6 +144,24 @@ func TestToleratesOneFailure(t *testing.T) {
 	}
 }
 
+// TestReadsNeedARunningQuorum pins the crash model of reads: θ(3, 5)
+// serves a read with one replica crashed and refuses it with two, since
+// only four of five replicas make its read quorum.
+func TestReadsNeedARunningQuorum(t *testing.T) {
+	s := newStore(t, 5, 3, 13)
+	if err := s.Put("k", []byte("precious")); err != nil {
+		t.Fatal(err)
+	}
+	s.cluster.Net.Crash("store-0")
+	if got, found, err := s.Get("k"); err != nil || !found || string(got) != "precious" {
+		t.Fatalf("Get with 1 down = %q, %v, %v", got, found, err)
+	}
+	s.cluster.Net.Crash("store-3")
+	if got, found, err := s.Get("k"); err == nil {
+		t.Fatalf("Get with 2 down = %q, %v, want an error", got, found)
+	}
+}
+
 func TestKeysListing(t *testing.T) {
 	s := newStore(t, 5, 3, 7)
 	for i := 0; i < 5; i++ {
