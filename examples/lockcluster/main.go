@@ -41,7 +41,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bob acquires a new lock with 2 replicas down: ok=%v\n", ok)
-	fmt.Printf("holder of /db/leader is still: %q\n", svc.Holder("/db/leader"))
+	holder, err := svc.Holder("/db/leader")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("holder of /db/leader is still: %q\n", holder)
 
 	// The bidding framework decided to move to fresh spot instances:
 	// make-before-break rotation via Paxos view change.
@@ -53,7 +57,10 @@ func main() {
 	svc.Cluster().Settle(100000)
 	fmt.Println("rotated az-a, az-b out; az-f, az-g in")
 
-	fmt.Printf("holder of /db/leader after rotation: %q\n", svc.Holder("/db/leader"))
+	if holder, err = svc.Holder("/db/leader"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("holder of /db/leader after rotation: %q\n", holder)
 	released, err := svc.Release("alice", "/db/leader")
 	if err != nil {
 		log.Fatal(err)

@@ -132,8 +132,8 @@ func TestFeasibilityEndToEnd(t *testing.T) {
 		return svc
 	}
 	check := func(interval int) {
-		if h := svc.Holder("/anchor"); h != "durable-client" {
-			t.Fatalf("interval %d: anchor lock lost (holder %q)", interval, h)
+		if h, err := svc.Holder("/anchor"); err != nil || h != "durable-client" {
+			t.Fatalf("interval %d: anchor lock lost (holder %q) (err %v)", interval, h, err)
 		}
 		lock := fmt.Sprintf("/interval-%d", interval)
 		ok, _, err := svc.Acquire("worker", lock, 0)

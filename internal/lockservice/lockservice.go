@@ -175,42 +175,35 @@ func (s *Service) do(o op) (bool, uint64, error) {
 	return res.OK, res.Sequence, nil
 }
 
-// lookupResult reads the command verdict from the most caught-up live
-// replica: the command is applied on a quorum, so that replica applied
-// it too, and deterministic replication makes every replica agree.
+// lookupResult reads the command verdict from the most caught-up member
+// of a running read quorum: the command is applied on a quorum, so that
+// replica applied it too, and deterministic replication makes every
+// replica agree.
 func (s *Service) lookupResult(cmdID uint64) (result, error) {
-	if m := s.freshest(); m != nil {
-		if res, ok := m.Results[cmdID]; ok {
-			return res, nil
-		}
+	n, err := s.cluster.Freshest()
+	if err != nil {
+		return result{}, err
 	}
-	return result{}, fmt.Errorf("lockservice: command %d result not found", cmdID)
+	res, ok := s.sms[n.ID].Results[cmdID]
+	if !ok {
+		return result{}, fmt.Errorf("lockservice: command %d result not found", cmdID)
+	}
+	return res, nil
 }
 
-// freshest returns the lock table of the most caught-up live replica,
-// or nil when none runs.
-func (s *Service) freshest() *sm {
-	if n := s.cluster.Freshest(); n != nil {
-		return s.sms[n.ID]
+// Holder reports the current owner of a lock, with "" for unheld, as
+// the most caught-up member of a running read quorum sees it. It fails
+// when no read quorum runs.
+func (s *Service) Holder(lock string) (string, error) {
+	n, err := s.cluster.Freshest()
+	if err != nil {
+		return "", err
 	}
-	return nil
-}
-
-// Holder reports the current owner of a lock as seen by the most
-// caught-up live replica, with "" for unheld.
-func (s *Service) Holder(lock string) string {
-	best := s.freshest()
-	if best == nil {
-		return ""
+	h := s.sms[n.ID].Locks[lock]
+	if h == nil || h.Expires != 0 && s.cluster.Net.Now() >= h.Expires {
+		return "", nil
 	}
-	h := best.Locks[lock]
-	if h == nil {
-		return ""
-	}
-	if h.Expires != 0 && s.cluster.Net.Now() >= h.Expires {
-		return ""
-	}
-	return h.Client
+	return h.Client, nil
 }
 
 // Rotate performs the bidding framework's make-before-break instance

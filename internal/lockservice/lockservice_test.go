@@ -32,8 +32,8 @@ func TestAcquireRelease(t *testing.T) {
 	if !ok || seq == 0 {
 		t.Fatalf("acquire: ok=%v seq=%d", ok, seq)
 	}
-	if h := s.Holder("/locks/db"); h != "alice" {
-		t.Fatalf("holder = %q", h)
+	if h, err := s.Holder("/locks/db"); err != nil || h != "alice" {
+		t.Fatalf("holder = %q (err %v)", h, err)
 	}
 	released, err := s.Release("alice", "/locks/db")
 	if err != nil {
@@ -42,8 +42,8 @@ func TestAcquireRelease(t *testing.T) {
 	if !released {
 		t.Fatal("release failed")
 	}
-	if h := s.Holder("/locks/db"); h != "" {
-		t.Fatalf("holder after release = %q", h)
+	if h, err := s.Holder("/locks/db"); err != nil || h != "" {
+		t.Fatalf("holder after release = %q (err %v)", h, err)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestReleaseByNonHolderFails(t *testing.T) {
 	if ok {
 		t.Fatal("non-holder release succeeded")
 	}
-	if h := s.Holder("/l"); h != "a" {
-		t.Fatalf("holder = %q after bogus release", h)
+	if h, err := s.Holder("/l"); err != nil || h != "a" {
+		t.Fatalf("holder = %q after bogus release (err %v)", h, err)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestSurvivesTwoReplicaFailures(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("acquire with 2 down: ok=%v err=%v", ok, err)
 	}
-	if h := s.Holder("/l"); h != "a" {
-		t.Fatalf("state lost after failures: holder=%q", h)
+	if h, err := s.Holder("/l"); err != nil || h != "a" {
+		t.Fatalf("state lost after failures: holder=%q (err %v)", h, err)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestRotationKeepsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cluster.Settle(100000)
-	if h := s.Holder("/l"); h != "a" {
-		t.Fatalf("lock state lost in rotation: holder=%q", h)
+	if h, err := s.Holder("/l"); err != nil || h != "a" {
+		t.Fatalf("lock state lost in rotation: holder=%q (err %v)", h, err)
 	}
 	// New membership works for new commands.
 	ok, _, err := s.Acquire("b", "/m", 0)
@@ -223,8 +223,30 @@ func TestManyLocksIndependent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		lock := fmt.Sprintf("/locks/%d", i)
 		want := fmt.Sprintf("client-%d", i%3)
-		if h := s.Holder(lock); h != want {
-			t.Fatalf("holder(%s) = %q, want %q", lock, h, want)
+		if h, err := s.Holder(lock); err != nil || h != want {
+			t.Fatalf("holder(%s) = %q, want %q (err %v)", lock, h, want, err)
+		}
+	}
+}
+
+// TestHolderNeedsARunningQuorum pins the read rule of the lock table: a
+// minority of replicas does not answer for the lock. Five replicas
+// survive two crashes; with three crashed, Holder must fail rather than
+// report alice's lock as unheld.
+func TestHolderNeedsARunningQuorum(t *testing.T) {
+	net := simnet.New(7)
+	s := New(net, members(5))
+	if ok, _, err := s.Acquire("alice", "/l", 0); err != nil || !ok {
+		t.Fatalf("acquire: ok=%v err=%v", ok, err)
+	}
+	for i, id := range members(3) {
+		net.Crash(id)
+		h, err := s.Holder("/l")
+		if i < 2 && (err != nil || h != "alice") {
+			t.Fatalf("holder with %d down = %q, %v, want alice", i+1, h, err)
+		}
+		if i == 2 && err == nil {
+			t.Fatalf("holder with 3 of 5 down = %q, want an error", h)
 		}
 	}
 }
@@ -252,7 +274,11 @@ func TestSameSeedSameRun(t *testing.T) {
 		}
 		s.Cluster().Settle(100000)
 		delivered, _ := net.Stats()
-		return delivered, s.Holder("/db/leader")
+		h, err := s.Holder("/db/leader")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return delivered, h
 	}
 	wantMsgs, wantHolder := run()
 	for i := 1; i < 10; i++ {
@@ -302,8 +328,8 @@ func TestRestartedLeaderStepsDown(t *testing.T) {
 	if err := s.Rotate([]simnet.NodeID{"az-f", "az-g"}, []simnet.NodeID{"az-a", "az-b"}); err != nil {
 		t.Fatal(err)
 	}
-	if h := s.Holder("/db/leader"); h != "alice" {
-		t.Fatalf("holder %q after rotation, want alice", h)
+	if h, err := s.Holder("/db/leader"); err != nil || h != "alice" {
+		t.Fatalf("holder %q after rotation, want alice (err %v)", h, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/quorum"
 	"repro/internal/simnet"
 )
 
@@ -76,16 +77,42 @@ func (c *Cluster) View() []simnet.NodeID {
 	return nil
 }
 
-// Freshest returns the running replica with the highest apply frontier
-// (the first in ID order on a tie), or nil when no replica runs.
-func (c *Cluster) Freshest() *Node {
-	var best *Node
+// ReadQuorum returns the running members of the current view that
+// satisfy ok, in ID order, or an error when fewer of them qualify than
+// the view's quorum.RSPaxosQuorumSize under the code's m: the one rule
+// every read of the group, and every wait for a commit, goes through.
+func (c *Cluster) ReadQuorum(ok func(*Node) bool) ([]*Node, error) {
+	view := c.View()
+	if view == nil {
+		return nil, fmt.Errorf("paxos: no running replica")
+	}
+	var nodes []*Node
 	for _, id := range c.order {
-		if n := c.nodes[id]; c.running(n) && (best == nil || n.frontier > best.frontier) {
+		if n := c.nodes[id]; slices.Contains(view, id) && c.running(n) && ok(n) {
+			nodes = append(nodes, n)
+		}
+	}
+	if need := quorum.RSPaxosQuorumSize(len(view), c.Opts.DataShards); len(nodes) < need {
+		return nil, fmt.Errorf("paxos: read quorum %d of a %d-member view not reached (%d qualify)", need, len(view), len(nodes))
+	}
+	return nodes, nil
+}
+
+// Freshest returns the member of a running read quorum with the highest
+// apply frontier (the first in ID order on a tie), or an error when no
+// read quorum runs.
+func (c *Cluster) Freshest() (*Node, error) {
+	nodes, err := c.ReadQuorum(func(*Node) bool { return true })
+	if err != nil {
+		return nil, err
+	}
+	best := nodes[0]
+	for _, n := range nodes[1:] {
+		if n.frontier > best.frontier {
 			best = n
 		}
 	}
-	return best
+	return best, nil
 }
 
 // WaitForLeader runs the network until a leader emerges.
@@ -129,32 +156,15 @@ func (c *Cluster) proposeWithID(kind CmdKind, cmdID uint64, meta, payload []byte
 			}
 		}
 		target.Submit(kind, cmdID, meta, payload)
-		applied := func() bool { return c.appliedOnQuorum(cmdID) }
+		applied := func() bool {
+			_, err := c.ReadQuorum(func(n *Node) bool { return n.dedup[cmdID] })
+			return err == nil
+		}
 		if c.Net.RunUntil(applied, c.maxEvents/attempts) {
 			return nil
 		}
 	}
 	return fmt.Errorf("paxos: command %d not applied after %d attempts", cmdID, attempts)
-}
-
-// appliedOnQuorum reports whether a quorum of live current-view replicas
-// has applied the command.
-func (c *Cluster) appliedOnQuorum(cmdID uint64) bool {
-	view := c.View()
-	if view == nil {
-		return false
-	}
-	count := 0
-	for _, id := range view {
-		n := c.nodes[id]
-		if n == nil || c.Net.Crashed(id) {
-			continue
-		}
-		if n.dedup[cmdID] {
-			count++
-		}
-	}
-	return count >= quorum(c.Opts.DataShards, len(view))
 }
 
 // Reconfigure proposes a membership change to the given member set,

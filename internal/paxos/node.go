@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/erasure"
+	"repro/internal/quorum"
 	"repro/internal/simnet"
 )
 
@@ -183,13 +184,6 @@ func (n *Node) CurrentView() []simnet.NodeID {
 	return append([]simnet.NodeID(nil), n.viewAt(^uint64(0))...)
 }
 
-// quorum returns the read/write quorum size for a view of size vn
-// under a θ(m, vn) code: ceil((vn + m) / 2), which is the simple
-// majority when m = 1.
-func quorum(m, vn int) int {
-	return (vn + m + 1) / 2
-}
-
 func indexOf(view []simnet.NodeID, id simnet.NodeID) int {
 	for i, m := range view {
 		if m == id {
@@ -329,7 +323,7 @@ func (n *Node) onPromise(pm promiseMsg) {
 	}
 	n.promises[pm.From] = &pm
 	view := n.viewAt(n.campaignAt)
-	if len(n.promises) < quorum(n.opts.DataShards, len(view)) {
+	if len(n.promises) < quorum.RSPaxosQuorumSize(len(view), n.opts.DataShards) {
 		return
 	}
 	// Won the election.
@@ -558,7 +552,7 @@ func (n *Node) onAccepted(am acceptedMsg) {
 	}
 	p.acks[am.From] = true
 	view := n.viewAt(am.Slot)
-	if len(p.acks) < quorum(n.opts.DataShards, len(view)) {
+	if len(p.acks) < quorum.RSPaxosQuorumSize(len(view), n.opts.DataShards) {
 		return
 	}
 	delete(n.proposals, am.Slot)

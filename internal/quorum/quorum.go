@@ -126,37 +126,6 @@ func (w Weighted) Accepts(alive uint64) bool {
 	return alive&1 != 0
 }
 
-// Explicit is a quorum system given by an explicit collection of quorums
-// (bitmasks); a live set is accepted when it contains one of them.
-type Explicit struct {
-	n       int
-	quorums []uint64
-}
-
-// N implements System.
-func (e Explicit) N() int { return e.n }
-
-// Accepts implements System.
-func (e Explicit) Accepts(alive uint64) bool {
-	for _, q := range e.quorums {
-		if alive&q == q {
-			return true
-		}
-	}
-	return false
-}
-
-// Monarchy is the single-king quorum system: the service is up exactly
-// when the king is. Optimal when every failure probability is >= 1/2
-// (Amir & Wool).
-func Monarchy(n, king int) Explicit {
-	checkN(n)
-	if king < 0 || king >= n {
-		panic("quorum: king outside universe")
-	}
-	return Explicit{n: n, quorums: []uint64{1 << uint(king)}}
-}
-
 func mask(n int) uint64 {
 	if n == 64 {
 		return ^uint64(0)

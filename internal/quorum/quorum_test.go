@@ -124,6 +124,28 @@ func TestOptimalWeightsMonarchy(t *testing.T) {
 	if sys.Accepts(0b101) {
 		t.Error("non-king nodes should not form a quorum")
 	}
+	// The weighted vote is the monarchy of the first most reliable node
+	// on every live set, ties among kings included.
+	for _, p := range [][]float64{
+		{0.9, 0.6, 0.7},
+		{0.5, 0.5, 0.5, 0.5},
+		{1, 0.75, 0.75, 0.99, 0.5},
+		{0.6},
+		{1, 1},
+	} {
+		king := 0
+		for i, pi := range p {
+			if pi < p[king] {
+				king = i
+			}
+		}
+		sys, want := OptimalSystem(p), Monarchy(len(p), king)
+		for alive := uint64(0); alive < 1<<uint(len(p)); alive++ {
+			if got := sys.Accepts(alive); got != want.Accepts(alive) {
+				t.Fatalf("p=%v alive=%b: OptimalSystem accepts %v, Monarchy(%d, %d) %v", p, alive, got, len(p), king, !got)
+			}
+		}
+	}
 }
 
 func TestOptimalWeightsDummies(t *testing.T) {
@@ -291,6 +313,37 @@ func RSPaxos(n, m int) Threshold {
 // FaultTolerance returns the largest number of simultaneous node
 // failures the system survives.
 func (t Threshold) FaultTolerance() int { return t.n - t.k }
+
+// Explicit is a quorum system given by an explicit collection of quorums
+// (bitmasks); a live set is accepted when it contains one of them.
+type Explicit struct {
+	n       int
+	quorums []uint64
+}
+
+// N implements System.
+func (e Explicit) N() int { return e.n }
+
+// Accepts implements System.
+func (e Explicit) Accepts(alive uint64) bool {
+	for _, q := range e.quorums {
+		if alive&q == q {
+			return true
+		}
+	}
+	return false
+}
+
+// Monarchy is the single-king quorum system: the service is up exactly
+// when the king is. Optimal when every failure probability is >= 1/2
+// (Amir & Wool).
+func Monarchy(n, king int) Explicit {
+	checkN(n)
+	if king < 0 || king >= n {
+		panic("quorum: king outside universe")
+	}
+	return Explicit{n: n, quorums: []uint64{1 << uint(king)}}
+}
 
 // NewExplicit builds an explicit system from quorum bitmasks. It panics
 // when the collection is empty, a quorum is empty or out of range, or

@@ -62,20 +62,9 @@ func OptimalWeights(p []float64) []float64 {
 
 // OptimalSystem builds the optimal availability acceptance set
 // (Definition 2) for the given failure probabilities: weighted voting
-// with the Equation 11 weights, degenerating to a monarchy when every
-// node has p >= 1/2.
+// with the Equation 11 weights. When every node has p >= 1/2 the
+// weights are one-hot, and the weighted vote accepts exactly the sets
+// that hold the king: the monarchy.
 func OptimalSystem(p []float64) System {
-	w := OptimalWeights(p)
-	nonzero := 0
-	king := -1
-	for i, wi := range w {
-		if wi > 0 {
-			nonzero++
-			king = i
-		}
-	}
-	if nonzero == 1 {
-		return Monarchy(len(p), king)
-	}
-	return NewWeighted(w)
+	return NewWeighted(OptimalWeights(p))
 }

@@ -142,9 +142,6 @@ func New(net *simnet.Network, members []simnet.NodeID, m int) (*Service, error) 
 // Cluster exposes the underlying Paxos cluster.
 func (s *Service) Cluster() *paxos.Cluster { return s.cluster }
 
-// DataShards returns m of the θ(m, n) code.
-func (s *Service) DataShards() int { return s.m }
-
 // Put stores value under key, driving the network until the write is
 // committed by the RS-Paxos quorum.
 func (s *Service) Put(key string, value []byte) error {
@@ -163,40 +160,18 @@ func (s *Service) Delete(key string) error {
 // Get reads a key from the running replicas of the current view: it
 // needs a read quorum of them running, takes the newest version they
 // hold and reconstructs it from their shards. It returns
-// (nil, false, nil) for absent or deleted keys.
+// (nil, false, nil) for absent or deleted keys. A refused read returns
+// at once, without running the network.
 func (s *Service) Get(key string) ([]byte, bool, error) {
-	const attempts = 4
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		value, found, err := s.getOnce(key)
-		if err == nil {
-			return value, found, nil
-		}
-		lastErr = err
-		s.cluster.Settle(20000) // let commits and repairs land, retry
-	}
-	return nil, false, lastErr
-}
-
-func (s *Service) getOnce(key string) ([]byte, bool, error) {
-	view := s.cluster.View()
-	if view == nil {
-		return nil, false, fmt.Errorf("storage: no running replica")
+	nodes, err := s.cluster.ReadQuorum(func(*paxos.Node) bool { return true })
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: %w", err)
 	}
 	var recs []*record
-	running := 0
-	for _, id := range view {
-		if s.cluster.Net.Crashed(id) {
-			continue
-		}
-		running++
-		if rec := s.sms[id].keys[key]; rec != nil {
+	for _, n := range nodes {
+		if rec := s.sms[n.ID].keys[key]; rec != nil {
 			recs = append(recs, rec)
 		}
-	}
-	quorum := (len(view) + s.m + 1) / 2
-	if running < quorum {
-		return nil, false, fmt.Errorf("storage: read quorum %d not reached (%d running)", quorum, running)
 	}
 	// Latest version among the running replicas wins.
 	var newest *record
@@ -232,12 +207,13 @@ func (s *Service) getOnce(key string) ([]byte, bool, error) {
 	return value, true, nil
 }
 
-// Keys lists keys known to the most caught-up live replica (including
-// shardless records awaiting repair, excluding deletions), in order.
-func (s *Service) Keys() []string {
-	n := s.cluster.Freshest()
-	if n == nil {
-		return nil
+// Keys lists keys known to the most caught-up member of a running read
+// quorum (including shardless records awaiting repair, excluding
+// deletions), in order, or fails when no read quorum runs.
+func (s *Service) Keys() ([]string, error) {
+	n, err := s.cluster.Freshest()
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	var keys []string
 	for k, rec := range s.sms[n.ID].keys {
@@ -246,7 +222,7 @@ func (s *Service) Keys() []string {
 		}
 	}
 	slices.Sort(keys)
-	return keys
+	return keys, nil
 }
 
 // Rotate swaps members (make-before-break) and rebalances all keys onto
@@ -260,7 +236,11 @@ func (s *Service) Rotate(add, remove []simnet.NodeID) error {
 // coded layout after membership changes. Old instances must still be
 // reachable while it runs (they hold the shards being read).
 func (s *Service) Rebalance() error {
-	for _, key := range s.Keys() {
+	keys, err := s.Keys()
+	if err != nil {
+		return err
+	}
+	for _, key := range keys {
 		value, found, err := s.Get(key)
 		if err != nil {
 			return fmt.Errorf("storage: rebalance read %q: %w", key, err)

@@ -145,8 +145,10 @@ func TestToleratesOneFailure(t *testing.T) {
 }
 
 // TestReadsNeedARunningQuorum pins the crash model of reads: θ(3, 5)
-// serves a read with one replica crashed and refuses it with two, since
-// only four of five replicas make its read quorum.
+// serves a read or a key listing with one replica crashed and refuses
+// both with two, since only four of five replicas make its read quorum.
+// A refused read is refused at once: it delivers no message and leaves
+// the virtual clock where it was.
 func TestReadsNeedARunningQuorum(t *testing.T) {
 	s := newStore(t, 5, 3, 13)
 	if err := s.Put("k", []byte("precious")); err != nil {
@@ -156,9 +158,20 @@ func TestReadsNeedARunningQuorum(t *testing.T) {
 	if got, found, err := s.Get("k"); err != nil || !found || string(got) != "precious" {
 		t.Fatalf("Get with 1 down = %q, %v, %v", got, found, err)
 	}
+	if keys, err := s.Keys(); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Fatalf("Keys with 1 down = %v, %v", keys, err)
+	}
 	s.cluster.Net.Crash("store-3")
+	delivered, _ := s.cluster.Net.Stats()
+	now := s.cluster.Net.Now()
 	if got, found, err := s.Get("k"); err == nil {
 		t.Fatalf("Get with 2 down = %q, %v, want an error", got, found)
+	}
+	if d, _ := s.cluster.Net.Stats(); d != delivered || s.cluster.Net.Now() != now {
+		t.Fatalf("refused Get delivered %d messages and advanced %d ticks, want none", d-delivered, s.cluster.Net.Now()-now)
+	}
+	if keys, err := s.Keys(); err == nil {
+		t.Fatalf("Keys with 2 down = %v, want an error", keys)
 	}
 }
 
@@ -172,9 +185,9 @@ func TestKeysListing(t *testing.T) {
 	if err := s.Delete("key-0"); err != nil {
 		t.Fatal(err)
 	}
-	keys := s.Keys()
-	if len(keys) != 4 {
-		t.Fatalf("Keys() = %v", keys)
+	keys, err := s.Keys()
+	if err != nil || len(keys) != 4 {
+		t.Fatalf("Keys() = %v, %v", keys, err)
 	}
 	for _, k := range keys {
 		if k == "key-0" {
