@@ -169,7 +169,7 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 			fmt.Printf("    %-10s %6.2f%%\n", ls.Price, 100*ls.Share)
 		}
 
-		ck, err := spotstats.ChapmanKolmogorov(tr, 0)
+		ck, err := spotstats.ChapmanKolmogorov(tr)
 		if err == nil {
 			fmt.Printf("  Markov check (Chapman-Kolmogorov): %d states, mean |dev| %.4f, max |dev| %.4f\n",
 				ck.States, ck.MeanAbsDiff, ck.MaxAbsDiff)
@@ -188,9 +188,9 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 		est := smc.NewEstimator(0)
 		est.Observe(tr)
 		if model, merr := est.Model(); merr == nil {
-			sup := model.SupportSummary(30)
-			fmt.Printf("  model support: %d states, %d transitions, min per-state %d, sparse(<30) %d\n",
-				sup.States, sup.TotalTransitions, sup.MinStateDepartures, sup.SparseStates)
+			sup := model.SupportSummary()
+			fmt.Printf("  model support: %d states, %d transitions, min per-state %d, sparse(<%d) %d\n",
+				sup.States, sup.TotalTransitions, sup.MinStateDepartures, smc.SparseDepartures, sup.SparseStates)
 			if f, ferr := model.Stationary(); ferr == nil {
 				fmt.Printf("  suggested bids (stationary, out-of-bid targets):\n")
 				for _, target := range []float64{0.10, 0.05, 0.01} {

@@ -17,12 +17,13 @@ import (
 // met, then mean cost.
 func runTournament(args []string) error {
 	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
+	cfg := experiments.DefaultTournamentConfig()
 	strategies := fs.String("strategies", "", "comma-separated strategy specs (default: the shipped arena roster); see -list")
 	scenarios := fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
-	seedsSpec := fs.String("seeds", "", "comma-separated replay seeds (default 2014,2015,2016)")
-	interval := fs.Int64("interval", 3, "bidding interval in hours")
-	epsilon := fs.Float64("epsilon", experiments.DefaultTournamentEpsilon, "availability slack below the clean baseline")
-	autoscale := fs.Bool("autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
+	seedsSpec := fs.String("seeds", "", "comma-separated replay seeds (default "+joinSeeds(cfg.Seeds)+")")
+	fs.Int64Var(&cfg.IntervalHours, "interval", cfg.IntervalHours, "bidding interval in hours (at least 1)")
+	fs.Float64Var(&cfg.Epsilon, "epsilon", cfg.Epsilon, "availability slack below the clean baseline (at least 0)")
+	fs.BoolVar(&cfg.Autoscale, "autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
 	var shared experiments.Flags
 	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-sample")
@@ -47,11 +48,6 @@ func runTournament(args []string) error {
 		return nil
 	}
 
-	cfg := experiments.TournamentConfig{
-		IntervalHours: *interval,
-		Epsilon:       *epsilon,
-		Autoscale:     *autoscale,
-	}
 	if *strategies != "" {
 		specs, err := experiments.SplitSpecList(*strategies)
 		if err != nil {
@@ -60,13 +56,18 @@ func runTournament(args []string) error {
 		cfg.Specs = specs
 	}
 	if *scenarios != "" {
+		var names []string
 		for _, s := range strings.Split(*scenarios, ",") {
 			if s = strings.TrimSpace(s); s != "" {
-				cfg.Scenarios = append(cfg.Scenarios, s)
+				names = append(names, s)
 			}
+		}
+		if len(names) > 0 {
+			cfg.Scenarios = names
 		}
 	}
 	if *seedsSpec != "" {
+		var seeds []uint64
 		for _, s := range strings.Split(*seedsSpec, ",") {
 			s = strings.TrimSpace(s)
 			if s == "" {
@@ -76,27 +77,20 @@ func runTournament(args []string) error {
 			if err != nil {
 				return fmt.Errorf("tournament: bad seed %q: %w", s, err)
 			}
-			cfg.Seeds = append(cfg.Seeds, seed)
+			seeds = append(seeds, seed)
+		}
+		if len(seeds) > 0 {
+			cfg.Seeds = seeds
 		}
 	}
-	// The run's record names the grid as resolved: the manifest's seed is
-	// the first market's, and its config carries every seed and scenario.
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = experiments.DefaultTournamentSeeds
-	}
-	if len(cfg.Scenarios) == 0 {
-		cfg.Scenarios = chaos.BuiltinNames()
-	}
-	seeds := make([]string, len(cfg.Seeds))
-	for i, s := range cfg.Seeds {
-		seeds[i] = strconv.FormatUint(s, 10)
-	}
+	// The run's record names the grid: the manifest's seed is the first
+	// market's, and its config carries every seed and scenario.
 	kv := []string{
-		"seeds", strings.Join(seeds, ","),
+		"seeds", joinSeeds(cfg.Seeds),
 		"scenarios", strings.Join(cfg.Scenarios, ","),
-		"interval", strconv.FormatInt(*interval, 10),
+		"interval", strconv.FormatInt(cfg.IntervalHours, 10),
 	}
-	if *autoscale {
+	if cfg.Autoscale {
 		kv = append(kv, "autoscale", "true")
 	}
 	shared.Seed = cfg.Seeds[0]
@@ -105,6 +99,15 @@ func runTournament(args []string) error {
 		return err
 	}
 	return sink.Close(arena(env, cfg, *jsonOut))
+}
+
+// joinSeeds renders seeds the way -seeds takes them.
+func joinSeeds(seeds []uint64) string {
+	s := make([]string, len(seeds))
+	for i, seed := range seeds {
+		s[i] = strconv.FormatUint(seed, 10)
+	}
+	return strings.Join(s, ",")
 }
 
 // arena runs the grid and prints the leaderboard, as a table and — with

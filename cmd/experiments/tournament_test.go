@@ -35,3 +35,13 @@ scenarios:
 		t.Errorf("replay -strategy help lists %q, want %q", got, names)
 	}
 }
+
+// TestTournamentFlagsRejected: -interval below 1 and a negative
+// -epsilon are errors, not silently replaced by the defaults.
+func TestTournamentFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-interval", "0"}, {"-epsilon", "-0.5"}} {
+		if _, err := captured(t, func() error { return runTournament(args) }); err == nil {
+			t.Errorf("tournament %v: no error", args)
+		}
+	}
+}

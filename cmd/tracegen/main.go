@@ -6,8 +6,7 @@
 //
 //	tracegen [-type m1.small|m3.large] [-types a,b,c] [-weeks N] [-seed N] [-zones a,b,c] [-format csv|colbin] [-o file]
 //	tracegen convert -in file [-format csv|colbin] [-type t] [-types a,b,c] [-weeks N] [-lenient] [-o file]
-//	tracegen workload [-weeks N] [-seed N] [-base-rps R] [-amplitude A]
-//	         [-crowds-per-week C] [-flash-factor F] [-flash-minutes M] [-o file]
+//	tracegen workload [-weeks N] [-seed N] [-o file]
 //
 // -types adds correlated sibling pools: each listed type gets its own
 // price column per zone, sharing the zone's demand shocks (level-walk
@@ -188,25 +187,11 @@ func runWorkload(args []string) error {
 	fs := flag.NewFlagSet("tracegen workload", flag.ExitOnError)
 	weeks := fs.Int64("weeks", 1, "workload length in weeks")
 	seed := fs.Uint64("seed", 2014, "generator seed")
-	baseRPS := fs.Float64("base-rps", 0, "diurnal mean request rate (0 = generator default)")
-	amplitude := fs.Float64("amplitude", 0, "daily sinusoid swing in [0, 1) (0 = generator default)")
-	crowds := fs.Float64("crowds-per-week", 0, "expected flash crowds per week (0 = generator default)")
-	flashFactor := fs.Float64("flash-factor", 0, "maximum flash-crowd rate multiplier (0 = generator default)")
-	flashMinutes := fs.Int64("flash-minutes", 0, "mean flash-crowd duration in minutes (0 = generator default)")
 	out := fs.String("o", "-", "output file ('-' = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	wl, err := workload.Generate(workload.GenConfig{
-		Seed:               *seed,
-		Start:              0,
-		End:                *weeks * 7 * 24 * 60,
-		BaseRPS:            *baseRPS,
-		DailyAmplitude:     *amplitude,
-		FlashCrowdsPerWeek: *crowds,
-		FlashFactor:        *flashFactor,
-		FlashMinutes:       *flashMinutes,
-	})
+	wl, err := workload.Generate(workload.GenConfig{Seed: *seed, End: *weeks * 7 * 24 * 60})
 	if err != nil {
 		return err
 	}

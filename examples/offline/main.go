@@ -30,7 +30,7 @@ func main() {
 	fmt.Println("assumption checks:")
 	for _, z := range zones {
 		tr := set.ByZone[z]
-		ck, err := spotstats.ChapmanKolmogorov(tr, 0)
+		ck, err := spotstats.ChapmanKolmogorov(tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func main() {
 			log.Fatal(err)
 		}
 		models[z] = reloaded
-		sup := reloaded.SupportSummary(30)
+		sup := reloaded.SupportSummary()
 		fmt.Printf("model %-12s: %d states, %d transitions (%d bytes serialized)\n",
 			z, sup.States, sup.TotalTransitions, size)
 	}

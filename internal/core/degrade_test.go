@@ -294,7 +294,7 @@ func TestCriticalBaselineGroupIsFeasible(t *testing.T) {
 				key := market.PoolKey(z, it, c.spec.Type)
 				price, perr := market.PoolOnDemandPrice(key, c.spec.Type)
 				units, uerr := market.PoolCapacityUnits(key, c.spec.Type)
-				if perr != nil || uerr != nil || perUnitCmp(od, market.UnitsPerNode, price, units) >= 0 {
+				if perr != nil || uerr != nil || market.ComparePerUnit(od, market.UnitsPerNode, price, units) >= 0 {
 					t.Fatalf("%s: on-demand %s is not dearer per unit than the base type; the cell is vacuous", c.name, key)
 				}
 			}

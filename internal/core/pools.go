@@ -50,10 +50,10 @@ type unitPrice struct {
 }
 
 // cheapestFill is the fractional fill of need units from items sorted by
-// perUnitCmp (whole items, then the floor of a pro-rated last one): no
-// selection paying at least the listed prices costs less. It never
-// decreases in need, and items of one price per unit fill at one rate,
-// so their order is immaterial.
+// market.ComparePerUnit (whole items, then the floor of a pro-rated last
+// one): no selection paying at least the listed prices costs less. It
+// never decreases in need, and items of one price per unit fill at one
+// rate, so their order is immaterial.
 func cheapestFill(items []unitPrice, need int) market.Money {
 	var cost market.Money
 	for _, it := range items {
@@ -74,25 +74,10 @@ type odPoolCand struct {
 	units int
 }
 
-// perUnitCmp orders (price, units) pairs by price per capacity unit
-// without division: price_a/units_a vs price_b/units_b cross-multiplied
-// to stay in exact integers.
-func perUnitCmp(pa market.Money, ua int, pb market.Money, ub int) int {
-	a := int64(pa) * int64(ub)
-	b := int64(pb) * int64(ua)
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // cheapestPerUnitFirst orders bids by price per capacity unit, then pool
 // key. Over pools of equal units it is cheapestBidFirst.
 func cheapestPerUnitFirst(a, b poolBid) int {
-	if c := perUnitCmp(a.bid, a.pool.units, b.bid, b.pool.units); c != 0 {
+	if c := market.ComparePerUnit(a.bid, a.pool.units, b.bid, b.pool.units); c != 0 {
 		return c
 	}
 	return strings.Compare(a.pool.zone, b.pool.zone)
@@ -187,12 +172,12 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		floor = append(floor, unitPrice{od, u})
 	}
 	slices.SortFunc(odPool, func(a, b odPoolCand) int {
-		if c := perUnitCmp(a.price, a.units, b.price, b.units); c != 0 {
+		if c := market.ComparePerUnit(a.price, a.units, b.price, b.units); c != 0 {
 			return c
 		}
 		return strings.Compare(a.key, b.key)
 	})
-	slices.SortFunc(floor, func(a, b unitPrice) int { return perUnitCmp(a.price, a.units, b.price, b.units) })
+	slices.SortFunc(floor, func(a, b unitPrice) int { return market.ComparePerUnit(a.price, a.units, b.price, b.units) })
 	j.ws.floor = floor
 
 	// W enumerates target capacity in base-node equivalents.
@@ -583,7 +568,7 @@ func hardenQuorumPools(spot []poolBid, od []odPoolCand, spec strategy.ServiceSpe
 	}
 	byCost := slices.Clone(spot)
 	slices.SortFunc(byCost, func(a, b poolBid) int {
-		if c := perUnitCmp(b.bid, b.pool.units, a.bid, a.pool.units); c != 0 {
+		if c := market.ComparePerUnit(b.bid, b.pool.units, a.bid, a.pool.units); c != 0 {
 			return c // most expensive per unit first
 		}
 		return strings.Compare(a.pool.zone, b.pool.zone)

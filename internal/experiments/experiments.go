@@ -198,8 +198,10 @@ func (e Env) cell(set *trace.Set, spec strategy.ServiceSpec, build strategy.Buil
 	return cell{set: set, spec: spec, build: build, hours: hours, seed: e.Seed, chaos: e.Chaos, workload: e.Workload}
 }
 
-// cellSeed derives a cell's replay seed from its master seed and its
-// coordinates, so no two cells of a figure share jitter.
+// cellSeed derives a cell's replay seed from its master seed, its
+// interval and the length of its strategy's name. Two strategies whose
+// names are equally long share jitter at every interval: Extra(0, 0.2)
+// and Extra(2, 0.2) replay on one seed.
 func cellSeed(seed uint64, strat strategy.Strategy, intervalHours int64) uint64 {
 	return seed ^ uint64(intervalHours)<<32 ^ uint64(len(strat.Name()))
 }

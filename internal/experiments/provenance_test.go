@@ -177,9 +177,9 @@ func TestAttributionIgnoresSpanSampling(t *testing.T) {
 	run := func(sample int) Record {
 		f := Flags{Train: 6, Weeks: 2, Jobs: 1, SpansSample: sample}
 		m := runManifest(t, f, func(e Env) error {
-			_, err := e.Tournament(TournamentConfig{
-				Specs: []string{"jupiter-adaptive"}, Scenarios: []string{"flaky-market"}, Seeds: []uint64{2015},
-			})
+			cfg := DefaultTournamentConfig()
+			cfg.Specs, cfg.Scenarios, cfg.Seeds = []string{"jupiter-adaptive"}, []string{"flaky-market"}, []uint64{2015}
+			_, err := e.Tournament(cfg)
 			return err
 		})
 		if len(m.Runs) != 1 {
@@ -252,11 +252,9 @@ func TestTournamentProvenanceJIdentity(t *testing.T) {
 	run := func(jobs int) (leaderboard, records []byte) {
 		f := Flags{Train: 6, Weeks: 1, Jobs: jobs, SpansSample: 4}
 		m := runManifest(t, f, func(e Env) error {
-			res, err := e.Tournament(TournamentConfig{
-				Specs:     []string{"jupiter", "baseline"},
-				Scenarios: []string{"calm", "reclaim-storm"},
-				Seeds:     []uint64{2014},
-			})
+			cfg := DefaultTournamentConfig()
+			cfg.Specs, cfg.Scenarios, cfg.Seeds = []string{"jupiter", "baseline"}, []string{"calm", "reclaim-storm"}, []uint64{2014}
+			res, err := e.Tournament(cfg)
 			if err == nil {
 				leaderboard, err = res.JSON()
 			}

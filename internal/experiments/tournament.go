@@ -15,25 +15,24 @@ import (
 
 // TournamentConfig shapes a strategy tournament: every strategy of the
 // roster replays under every chaos scenario and every seed, and the
-// per-cell results fold into a leaderboard.
+// per-cell results fold into a leaderboard. Env.Tournament takes it as
+// given; DefaultTournamentConfig holds the defaults.
 type TournamentConfig struct {
 	// Specs is the roster as strategy specs ("jupiter", "extra(2, 0.2)",
-	// ...). Empty means DefaultTournamentSpecs().
+	// ...).
 	Specs []string
 	// Scenarios lists chaos scenarios — builtin names or JSON files,
-	// resolved through chaos.Load. Empty means every builtin.
+	// resolved through chaos.Load.
 	Scenarios []string
 	// Seeds drive trace generation and replay jitter, one full
-	// strategy x scenario grid per seed. Empty means
-	// DefaultTournamentSeeds.
+	// strategy x scenario grid per seed; at least one.
 	Seeds []uint64
-	// IntervalHours is the bidding interval (default 3, the chaos
-	// suite's interval).
+	// IntervalHours is the bidding interval, at least 1.
 	IntervalHours int64
 	// Epsilon is the availability slack below the clean on-demand
 	// baseline a strategy may keep and still "meet the bound" — the
 	// paper's Eq. 10 guarantee measured the way the chaos suite
-	// measures it (default chaosGuaranteeEpsilon).
+	// measures it; at least 0.
 	Epsilon float64
 	// Autoscale arms every cell — and the clean on-demand baseline —
 	// with a synthetic diurnal+flash-crowd request-rate trace generated
@@ -42,10 +41,6 @@ type TournamentConfig struct {
 	Autoscale bool
 }
 
-// DefaultTournamentSeeds replays three independent markets; the first
-// is the seed every other experiment uses.
-var DefaultTournamentSeeds = []uint64{2014, 2015, 2016}
-
 // DefaultTournamentEpsilon is the default availability slack under
 // fault injection, matching the chaos guarantee suite: decisions land
 // only at interval boundaries, so a mid-interval fault can structurally
@@ -53,18 +48,26 @@ var DefaultTournamentSeeds = []uint64{2014, 2015, 2016}
 // make-before-break repair.
 const DefaultTournamentEpsilon = 0.02
 
-// DefaultTournamentSpecs is the shipped arena roster: the Jupiter
-// family's main variants, the paper's §5.2 comparisons, and the rival
-// strategies from the literature.
-func DefaultTournamentSpecs() []string {
-	return []string{
-		"jupiter",
-		"jupiter-adaptive",
-		"extra(2, 0.2)",
-		"baseline",
-		"feedback",
-		"portfolio",
-		"checkpoint",
+// DefaultTournamentConfig is the shipped arena: the Jupiter family's
+// main variants, the paper's §5.2 comparisons and the rival strategies
+// from the literature, under every builtin scenario, over three
+// independent markets (the first is the seed every other experiment
+// uses), at the chaos suite's 3-hour interval.
+func DefaultTournamentConfig() TournamentConfig {
+	return TournamentConfig{
+		Specs: []string{
+			"jupiter",
+			"jupiter-adaptive",
+			"extra(2, 0.2)",
+			"baseline",
+			"feedback",
+			"portfolio",
+			"checkpoint",
+		},
+		Scenarios:     chaos.BuiltinNames(),
+		Seeds:         []uint64{2014, 2015, 2016},
+		IntervalHours: 3,
+		Epsilon:       DefaultTournamentEpsilon,
 	}
 }
 
@@ -149,17 +152,19 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 // byte-identical at any Jobs setting; the clean baseline replays stay
 // unrecorded.
 func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
-	specs := cfg.Specs
-	if len(specs) == 0 {
-		specs = DefaultTournamentSpecs()
+	if cfg.IntervalHours < 1 {
+		return nil, fmt.Errorf("experiments: interval %d h below 1", cfg.IntervalHours)
 	}
+	if !(cfg.Epsilon >= 0) {
+		return nil, fmt.Errorf("experiments: epsilon %v below 0", cfg.Epsilon)
+	}
+	if len(cfg.Seeds) == 0 {
+		return nil, fmt.Errorf("experiments: no seeds")
+	}
+	specs, scenarioNames, seeds, hours := cfg.Specs, cfg.Scenarios, cfg.Seeds, cfg.IntervalHours
 	builders, err := BuildSpecs(specs)
 	if err != nil {
 		return nil, err
-	}
-	scenarioNames := cfg.Scenarios
-	if len(scenarioNames) == 0 {
-		scenarioNames = chaos.BuiltinNames()
 	}
 	scenarios := make([]chaos.Scenario, len(scenarioNames))
 	for i, s := range scenarioNames {
@@ -168,18 +173,6 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 			return nil, err
 		}
 		scenarios[i] = sc
-	}
-	seeds := cfg.Seeds
-	if len(seeds) == 0 {
-		seeds = DefaultTournamentSeeds
-	}
-	hours := cfg.IntervalHours
-	if hours == 0 {
-		hours = 3
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = DefaultTournamentEpsilon
 	}
 
 	spec := e.applyConstraints(LockSpec())
@@ -226,7 +219,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		baseAvail += res.Availability
 	}
 	baseAvail /= float64(len(seeds))
-	bound := baseAvail - eps
+	bound := baseAvail - cfg.Epsilon
 
 	// The grid, strategy-major so each strategy's cells are contiguous.
 	// One model cache serves it: chaos overlays and seeds salt the trace
@@ -328,7 +321,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	return &TournamentResult{
 		Service:              "lock",
 		IntervalHours:        hours,
-		Epsilon:              eps,
+		Epsilon:              cfg.Epsilon,
 		Seeds:                seeds,
 		Scenarios:            scenarioNames,
 		BaselineAvailability: baseAvail,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func quickTournament(t *testing.T, sink *Sink) *TournamentResult {
 	e := QuickEnv()
 	e.Jobs = 4
 	e.sink = sink
-	res, err := e.Tournament(TournamentConfig{})
+	res, err := e.Tournament(DefaultTournamentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestTournamentDeterminism(t *testing.T) {
 	a := quickTournament(t, nil)
 	e := QuickEnv()
 	e.Jobs = 1 // sequential must equal parallel
-	b, err := e.Tournament(TournamentConfig{})
+	b, err := e.Tournament(DefaultTournamentConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,8 @@ func TestTournamentDeterminism(t *testing.T) {
 // the fixed-size one.
 func TestTournamentAutoscaledCell(t *testing.T) {
 	e := QuickEnv()
-	cfg := TournamentConfig{
-		Specs:     []string{"jupiter", "baseline"},
-		Scenarios: []string{"flash-crowd"},
-		Seeds:     []uint64{2014},
-	}
+	cfg := DefaultTournamentConfig()
+	cfg.Specs, cfg.Scenarios, cfg.Seeds = []string{"jupiter", "baseline"}, []string{"flash-crowd"}, []uint64{2014}
 	fixed, err := e.Tournament(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +152,39 @@ func TestTournamentScenarioLabel(t *testing.T) {
 	for _, sc := range res.Scenarios {
 		if !found[sc] {
 			t.Errorf("no record stamped scenario=%q in the manifest", sc)
+		}
+	}
+}
+
+// TestTournamentZeroEpsilon: an epsilon of 0 is honoured, not replaced
+// by the default slack — the bound is the clean baseline itself.
+func TestTournamentZeroEpsilon(t *testing.T) {
+	res, err := QuickEnv().Tournament(TournamentConfig{
+		Specs: []string{"baseline"}, Scenarios: []string{"calm"}, Seeds: []uint64{2014},
+		IntervalHours: 3, Epsilon: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epsilon != 0 || res.Bound != res.BaselineAvailability {
+		t.Errorf("epsilon %v, bound %v, want 0 and the baseline's %v", res.Epsilon, res.Bound, res.BaselineAvailability)
+	}
+}
+
+// TestTournamentRejectsBadConfig: an interval below one hour, a
+// negative or NaN epsilon and an empty seed list are errors.
+func TestTournamentRejectsBadConfig(t *testing.T) {
+	for name, edit := range map[string]func(*TournamentConfig){
+		"zero interval":     func(c *TournamentConfig) { c.IntervalHours = 0 },
+		"negative interval": func(c *TournamentConfig) { c.IntervalHours = -3 },
+		"negative epsilon":  func(c *TournamentConfig) { c.Epsilon = -0.01 },
+		"NaN epsilon":       func(c *TournamentConfig) { c.Epsilon = math.NaN() },
+		"no seeds":          func(c *TournamentConfig) { c.Seeds = nil },
+	} {
+		cfg := DefaultTournamentConfig()
+		edit(&cfg)
+		if _, err := QuickEnv().Tournament(cfg); err == nil || !strings.HasPrefix(err.Error(), "experiments: ") {
+			t.Errorf("%s: error %v, want a config error", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -197,6 +198,13 @@ func PoolCapacityUnits(key string, base InstanceType) (int, error) {
 		return CapacityUnits(it, base) // the unknown type's error
 	}
 	return unitsTable[i][j], nil
+}
+
+// ComparePerUnit orders (price, units) pairs by price per capacity
+// unit without division: price_a/units_a against price_b/units_b
+// cross-multiplied to stay in exact integers.
+func ComparePerUnit(pa Money, ua int, pb Money, ub int) int {
+	return cmp.Compare(int64(pa)*int64(ub), int64(pb)*int64(ua))
 }
 
 // ErrNoFeasiblePools reports that a minimum-shape constraint rejected

@@ -1,8 +1,8 @@
 // Package modelcache is the shared price-model provider: a
 // concurrency-safe cache of trained semi-Markov spot-price models
 // (internal/smc) keyed by what a model is a pure function of — the
-// underlying price history's identity, the zone, the training window,
-// and the sojourn cap.
+// underlying price history's identity, the zone and the training
+// window. Every model is trained at smc.DefaultMaxSojourn.
 //
 // The bidding framework retrains one model per availability zone on a
 // fixed cadence; a parallel experiment sweep runs many framework
@@ -13,8 +13,8 @@
 // (smc.Model is safe for concurrent readers) — and serves every later
 // request from memory.
 //
-// Training itself is incremental where possible: per (trace, zone,
-// sojourn-cap) series the cache keeps a sliding-window estimator
+// Training itself is incremental where possible: per (trace, zone)
+// series the cache keeps a sliding-window estimator
 // (smc.WindowedEstimator), so a weekly retrain folds in one week of new
 // transitions instead of re-scanning the whole thirteen-week window —
 // and asks the history fetcher for that week only (GetFrom). Requests
@@ -50,9 +50,6 @@ type Key struct {
 	Zone string
 	// From and Until bound the training window in minutes.
 	From, Until int64
-	// MaxSojourn is the estimator's sojourn cap; 0 means
-	// smc.DefaultMaxSojourn.
-	MaxSojourn int64
 }
 
 // Outcome reports how one Get was served, for instrumentation.
@@ -103,9 +100,8 @@ type entry struct {
 // seriesKey identifies a price-history series whose windows share one
 // incremental estimator.
 type seriesKey struct {
-	trace      uint64
-	zone       string
-	maxSojourn int64
+	trace uint64
+	zone  string
 }
 
 // series is the per-history incremental estimator state. reqFrom is the
@@ -137,14 +133,6 @@ func New() *Cache {
 	}
 }
 
-// normalize applies Key defaults so equivalent requests share a slot.
-func normalize(k Key) Key {
-	if k.MaxSojourn <= 0 {
-		k.MaxSojourn = smc.DefaultMaxSojourn
-	}
-	return k
-}
-
 // Get is GetFrom for a fetcher that can only produce the whole window.
 func (c *Cache) Get(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, Outcome, error) {
 	return c.GetFrom(k, func(int64) (*trace.Trace, error) { return fetch() })
@@ -170,7 +158,6 @@ func (c *Cache) Get(k Key, fetch func() (*trace.Trace, error)) (*smc.Model, Outc
 // window. fetch runs with the series locked, so it must not call back
 // into the cache.
 func (c *Cache) GetFrom(k Key, fetch func(since int64) (*trace.Trace, error)) (*smc.Model, Outcome, error) {
-	k = normalize(k)
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if !ok {
@@ -205,7 +192,7 @@ func (c *Cache) GetFrom(k Key, fetch func(since int64) (*trace.Trace, error)) (*
 // a from-scratch pass otherwise. The reported duration starts when the
 // last fetch returns.
 func (c *Cache) train(k Key, fetch func(since int64) (*trace.Trace, error)) (*smc.Model, bool, time.Duration, error) {
-	sk := seriesKey{trace: k.Trace, zone: k.Zone, maxSojourn: k.MaxSojourn}
+	sk := seriesKey{trace: k.Trace, zone: k.Zone}
 	c.mu.Lock()
 	s, ok := c.series[sk]
 	if !ok {
@@ -227,7 +214,7 @@ func (c *Cache) train(k Key, fetch func(since int64) (*trace.Trace, error)) (*sm
 	}
 	if m == nil {
 		// Behind the series position: a standalone model.
-		est := smc.NewEstimator(k.MaxSojourn)
+		est := smc.NewEstimator(smc.DefaultMaxSojourn)
 		est.Observe(hist)
 		if m, err = est.Model(); err != nil {
 			return nil, false, 0, err
@@ -284,7 +271,7 @@ func (s *series) train(k Key, fetch func(since int64) (*trace.Trace, error)) (m 
 		// backward after a reset elsewhere); rebuild it here so the next
 		// retrain is incremental again.
 	}
-	s.est = smc.NewWindowedEstimator(k.MaxSojourn)
+	s.est = smc.NewWindowedEstimator(smc.DefaultMaxSojourn)
 	if err = s.est.Advance(hist, hist.Start, hist.End); err != nil {
 		s.est = nil
 		return nil, false, nil, err

@@ -82,7 +82,7 @@ func (f *feed) get(t *testing.T, c *Cache, k Key) (*smc.Model, Outcome, []int64)
 func (f *feed) requireScratch(t *testing.T, where string, m *smc.Model, k Key) {
 	t.Helper()
 	hist := f.PriceHistory(k.From, k.Until)
-	scratch := smc.NewEstimator(k.MaxSojourn)
+	scratch := smc.NewEstimator(smc.DefaultMaxSojourn)
 	scratch.Observe(hist)
 	want, err := scratch.Model()
 	if err != nil {
@@ -414,23 +414,6 @@ func TestConcurrentSingleFlight(t *testing.T) {
 	s := c.Stats()
 	if s.Misses != 1 || s.Hits != workers-1 {
 		t.Fatalf("stats %+v, want 1 miss / %d hits", s, workers-1)
-	}
-}
-
-// MaxSojourn 0 and the explicit default share one slot.
-func TestKeyNormalization(t *testing.T) {
-	tr := genTrace(t, 4)
-	c := New()
-	fetch := func() (*trace.Trace, error) { return tr.Window(0, 2*week), nil }
-	if _, _, err := c.Get(Key{Zone: "a", Until: 2 * week}, fetch); err != nil {
-		t.Fatal(err)
-	}
-	_, out, err := c.Get(Key{Zone: "a", Until: 2 * week, MaxSojourn: smc.DefaultMaxSojourn}, fetch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Hit {
-		t.Fatal("default and explicit sojourn caps did not share a slot")
 	}
 }
 

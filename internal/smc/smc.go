@@ -318,21 +318,24 @@ type Support struct {
 	States             int
 	TotalTransitions   int64
 	MinStateDepartures int64
-	// SparseStates counts states with fewer departures than the
-	// threshold passed to SupportSummary.
+	// SparseStates counts states with fewer than SparseDepartures
+	// departures.
 	SparseStates int
 }
 
-// SupportSummary reports per-state training support; states with fewer
-// than minDepartures observations count as sparse.
-func (m *Model) SupportSummary(minDepartures int64) Support {
+// SparseDepartures is the fewest observed departures a state needs not
+// to count as sparse.
+const SparseDepartures = 30
+
+// SupportSummary reports per-state training support.
+func (m *Model) SupportSummary() Support {
 	s := Support{States: len(m.prices), MinStateDepartures: -1}
 	for _, out := range m.out {
 		s.TotalTransitions += out
 		if s.MinStateDepartures < 0 || out < s.MinStateDepartures {
 			s.MinStateDepartures = out
 		}
-		if out < minDepartures {
+		if out < SparseDepartures {
 			s.SparseStates++
 		}
 	}

@@ -180,7 +180,7 @@ func TestForecastLevels(t *testing.T) {
 
 func TestSupportSummary(t *testing.T) {
 	m := altModel(t) // 50 cycles: 50 departures from A, 49 from B
-	s := m.SupportSummary(10)
+	s := m.SupportSummary()
 	if s.States != 2 {
 		t.Fatalf("States = %d", s.States)
 	}
@@ -193,8 +193,17 @@ func TestSupportSummary(t *testing.T) {
 	if s.SparseStates != 0 {
 		t.Fatalf("SparseStates = %d", s.SparseStates)
 	}
-	if s2 := m.SupportSummary(60); s2.SparseStates != 2 {
-		t.Fatalf("SparseStates(60) = %d, want 2", s2.SparseStates)
+	// SparseDepartures cycles: A departs SparseDepartures times, B once
+	// fewer, so B alone is sparse.
+	e := NewEstimator(0)
+	e.Observe(alternating(pA, pB, 10, 5, SparseDepartures))
+	few, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2 := few.SupportSummary(); s2.MinStateDepartures != SparseDepartures-1 || s2.SparseStates != 1 {
+		t.Fatalf("%d cycles: min departures %d, SparseStates %d, want %d and 1",
+			SparseDepartures, s2.MinStateDepartures, s2.SparseStates, SparseDepartures-1)
 	}
 }
 

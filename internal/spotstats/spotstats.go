@@ -95,12 +95,14 @@ type CKReport struct {
 	RowsTested int
 }
 
+// ckMinSupport is the fewest two-step departures a state needs for its
+// row to be compared.
+const ckMinSupport = 20
+
 // ChapmanKolmogorov runs the Markov-property check on a trace's price
-// sequence. minSupport drops sparse rows (default 20 when <= 0).
-func ChapmanKolmogorov(tr *trace.Trace, minSupport int) (*CKReport, error) {
-	if minSupport <= 0 {
-		minSupport = 20
-	}
+// sequence, over the rows of states with at least ckMinSupport two-step
+// departures.
+func ChapmanKolmogorov(tr *trace.Trace) (*CKReport, error) {
 	runs := tr.Sojourns()
 	if len(runs) < 3 {
 		return nil, fmt.Errorf("spotstats: trace too short for a CK check")
@@ -155,7 +157,7 @@ func ChapmanKolmogorov(tr *trace.Trace, minSupport int) (*CKReport, error) {
 	rep := &CKReport{States: n}
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if twoCount[i] < minSupport {
+		if twoCount[i] < ckMinSupport {
 			continue
 		}
 		for j := 0; j < n; j++ {

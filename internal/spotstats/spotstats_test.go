@@ -69,7 +69,7 @@ func TestChapmanKolmogorovOnMarkovData(t *testing.T) {
 	// Generated traces ARE semi-Markov, so the embedded chain is
 	// Markov: CK deviations should be small sampling noise.
 	tr := genZone(t, "us-west-2a", 2, 13)
-	rep, err := ChapmanKolmogorov(tr, 30)
+	rep, err := ChapmanKolmogorov(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestChapmanKolmogorovRejectsNonMarkov(t *testing.T) {
 		tr.Points = append(tr.Points, trace.PricePoint{Minute: int64(i * 10), Price: p})
 	}
 	tr.End = int64(len(seqPrices) * 10)
-	rep, err := ChapmanKolmogorov(tr, 10)
+	rep, err := ChapmanKolmogorov(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,31 @@ func TestChapmanKolmogorovRejectsNonMarkov(t *testing.T) {
 	}
 }
 
+// TestChapmanKolmogorovMinSupport: a state's row is compared from
+// ckMinSupport two-step departures on. Alternating A, B, A, … over 41
+// runs gives A 20 two-step departures and B 19, so only A's row of two
+// entries is tested; one run more gives B its 20th.
+func TestChapmanKolmogorovMinSupport(t *testing.T) {
+	for _, c := range []struct{ runs, rows int }{{41, 2}, {42, 4}} {
+		tr := &trace.Trace{Zone: "x", Type: market.M1Small}
+		for i := 0; i < c.runs; i++ {
+			tr.Points = append(tr.Points, trace.PricePoint{Minute: int64(i * 10), Price: market.Money(100 + 100*(i%2))})
+		}
+		tr.End = int64(c.runs * 10)
+		rep, err := ChapmanKolmogorov(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RowsTested != c.rows {
+			t.Errorf("%d runs: %d entries tested, want %d", c.runs, rep.RowsTested, c.rows)
+		}
+	}
+}
+
 func TestChapmanKolmogorovTooShort(t *testing.T) {
 	tr := &trace.Trace{Zone: "x", Type: market.M1Small, Start: 0, End: 10,
 		Points: []trace.PricePoint{{Minute: 0, Price: 100}}}
-	if _, err := ChapmanKolmogorov(tr, 0); err == nil {
+	if _, err := ChapmanKolmogorov(tr); err == nil {
 		t.Fatal("short trace accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"cmp"
 	"slices"
 	"strings"
 
@@ -30,14 +29,13 @@ func FeasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
 }
 
 // comparePerUnit is the order every rival ranks pools in: cheapest per
-// capacity unit first, price_a/units_a against price_b/units_b
-// cross-multiplied to stay in integers, ties broken by pool key. For a
+// capacity unit first (market.ComparePerUnit), ties broken by pool key. For a
 // single-type view every pool has equal units, so this is exactly the
 // by-price order the paper's strategies always used. Pool keys are
 // unique within a view, so the order is total (pinned by
 // TestSortPerUnitIsATotalOrder).
 func comparePerUnit(a, b pricedPool) int {
-	if c := cmp.Compare(int64(a.price)*int64(b.units), int64(b.price)*int64(a.units)); c != 0 {
+	if c := market.ComparePerUnit(a.price, a.units, b.price, b.units); c != 0 {
 		return c
 	}
 	return strings.Compare(a.key, b.key)

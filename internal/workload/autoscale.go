@@ -1,44 +1,34 @@
 package workload
 
-import "fmt"
+// The autoscaler's controller. One node serves nodeRPS requests/sec,
+// which puts the generated workload's diurnal mean near a five-node
+// group. Utilization above upFraction grows the group at once to the
+// smallest size back under it; utilization below downFraction may
+// shrink it once holdMinutes have passed since the last change. The
+// gap between the two fractions is the hysteresis band, the hold the
+// classic scale-down cooldown: together they keep an oscillating load
+// from flapping the group size. The target never exceeds maxFactor
+// times the base size.
+const (
+	nodeRPS      = 1000
+	maxFactor    = 3
+	upFraction   = 0.75
+	downFraction = 0.45
+	holdMinutes  = 60
+)
 
 // Autoscaler maps a request-rate trace to a target group-size plan.
 // Scale-up is immediate (a flash crowd must be met head-on); scale-
-// down waits out a hold period after the last change, the classic
-// cooldown hysteresis that keeps an oscillating load from flapping
-// the group size.
+// down waits out the cooldown.
 type Autoscaler struct {
-	// NodeRPS is one node's serving capacity in requests/sec.
-	NodeRPS float64
-	// MinNodes and MaxNodes clamp the target (MinNodes also seeds the
-	// initial size). MaxNodes <= 0 means unclamped above.
-	MinNodes, MaxNodes int
-	// UpFraction is the utilization above which the group grows, and
-	// the headroom target the grown size is chosen for (default 0.75).
-	UpFraction float64
-	// DownFraction is the utilization below which the group may
-	// shrink, strictly less than UpFraction (default 0.45) — the gap
-	// between the two is the hysteresis band.
-	DownFraction float64
-	// HoldMinutes is the scale-down cooldown: no shrink within this
-	// long of the previous target change (default 60).
-	HoldMinutes int64
+	// BaseNodes is the group's floor: the paper's deployment size.
+	BaseNodes int
 }
 
-// DefaultAutoscaler returns the autoscaler used by the replay harness
-// when a workload is supplied without explicit tuning: floor at the
-// paper's deployment size, 75%/45% hysteresis band, one-hour
-// scale-down cooldown, and a per-node capacity that puts the default
-// generated workload's diurnal mean near baseNodes nodes.
+// DefaultAutoscaler returns the autoscaler the replay harness arms
+// for a workload over a baseNodes-node deployment.
 func DefaultAutoscaler(baseNodes int) Autoscaler {
-	return Autoscaler{
-		NodeRPS:      1000,
-		MinNodes:     baseNodes,
-		MaxNodes:     3 * baseNodes,
-		UpFraction:   0.75,
-		DownFraction: 0.45,
-		HoldMinutes:  60,
-	}
+	return Autoscaler{BaseNodes: baseNodes}
 }
 
 // TargetStep is one step of a group-size plan: from Minute on, the
@@ -94,56 +84,20 @@ func (p *Plan) NextDeviation(from int64, size int) (int64, bool) {
 }
 
 // Plan walks the trace minute by minute through the hysteresis
-// controller and returns the resulting target schedule. The plan is a
-// pure function of the autoscaler and the trace: no randomness, so a
-// seeded workload yields a deterministic plan.
+// controller and returns the resulting target schedule, which stays
+// within [BaseNodes, 3·BaseNodes]. The plan is a pure function of the
+// autoscaler and the trace: no randomness, so a seeded workload yields
+// a deterministic plan. The error is always nil.
 func (a Autoscaler) Plan(t *Trace) (*Plan, error) {
-	if a.NodeRPS <= 0 {
-		return nil, fmt.Errorf("workload: autoscaler node capacity %v not positive", a.NodeRPS)
-	}
-	min := a.MinNodes
-	if min < 1 {
-		min = 1
-	}
-	if a.MaxNodes > 0 && a.MaxNodes < min {
-		return nil, fmt.Errorf("workload: autoscaler max %d below min %d", a.MaxNodes, min)
-	}
-	up := a.UpFraction
-	if up == 0 {
-		up = 0.75
-	}
-	down := a.DownFraction
-	if down == 0 {
-		down = 0.45
-	}
-	if up <= 0 || up > 1 || down < 0 || down >= up {
-		return nil, fmt.Errorf("workload: autoscaler thresholds down %v / up %v invalid", down, up)
-	}
-	hold := a.HoldMinutes
-	if hold == 0 {
-		hold = 60
-	}
-
-	clamp := func(n int) int {
-		if n < min {
-			n = min
-		}
-		if a.MaxNodes > 0 && n > a.MaxNodes {
-			n = a.MaxNodes
+	floor, ceiling := a.BaseNodes, maxFactor*a.BaseNodes
+	// sized returns the smallest group within [floor, ceiling] that
+	// serves rps at utilization at most upFraction, or the ceiling.
+	sized := func(rps float64) int {
+		n := floor
+		for n < ceiling && float64(n)*nodeRPS*upFraction < rps {
+			n++
 		}
 		return n
-	}
-	// sized returns the smallest group that serves rps at utilization
-	// at most up.
-	sized := func(rps float64) int {
-		n := min
-		for float64(n)*a.NodeRPS*up < rps {
-			n++
-			if a.MaxNodes > 0 && n >= a.MaxNodes {
-				break
-			}
-		}
-		return clamp(n)
 	}
 
 	// rpsAt is t.RPSAt for ascending minutes: a forward cursor over the
@@ -156,18 +110,18 @@ func (a Autoscaler) Plan(t *Trace) (*Plan, error) {
 		return pts[i].RPS
 	}
 
-	cur := clamp(sized(rpsAt(t.Start)))
+	cur := sized(rpsAt(t.Start))
 	plan := &Plan{Start: t.Start, End: t.End, Steps: []TargetStep{{Minute: t.Start, Target: cur}}}
 	lastChange := t.Start
 	for m := t.Start + 1; m < t.End; m++ {
 		rps := rpsAt(m)
-		capacity := float64(cur) * a.NodeRPS
+		capacity := float64(cur) * nodeRPS
 		want := cur
 		switch {
-		case rps > capacity*up:
+		case rps > capacity*upFraction:
 			// Over the band: grow immediately to regain headroom.
 			want = sized(rps)
-		case rps < capacity*down && m-lastChange >= hold:
+		case rps < capacity*downFraction && m-lastChange >= holdMinutes:
 			// Under the band and out of cooldown: shrink, but only to a
 			// size that would not itself be over the band.
 			want = sized(rps)

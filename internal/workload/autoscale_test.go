@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -37,17 +40,17 @@ func TestPlanFlashCrowdStepResponse(t *testing.T) {
 	}
 	// Scale-up is immediate: the minute the crowd lands, the target
 	// must already cover it at <= 75% utilization.
-	if got := plan.TargetAt(601); float64(got)*a.NodeRPS*a.UpFraction < 9000 {
+	if got := plan.TargetAt(601); float64(got)*nodeRPS*upFraction < 9000 {
 		t.Errorf("target %d at minute 601 does not cover the flash crowd", got)
 	}
 	// Scale-down waits out the hold: still big right after the crowd...
 	upTarget := plan.TargetAt(601)
 	// (cooldown runs from the up-scale at 600, so it expires at 660)
-	if got := plan.TargetAt(630 + a.HoldMinutes/4); got != upTarget {
+	if got := plan.TargetAt(630 + holdMinutes/4); got != upTarget {
 		t.Errorf("target dropped to %d inside the cooldown, want hold at %d", got, upTarget)
 	}
 	// ...and back at the floor once the cooldown expires.
-	if got := plan.TargetAt(600 + a.HoldMinutes + 1); got != 5 {
+	if got := plan.TargetAt(600 + holdMinutes + 1); got != 5 {
 		t.Errorf("target %d after cooldown, want back at the 5-node floor", got)
 	}
 }
@@ -56,7 +59,7 @@ func TestPlanHysteresisNoFlap(t *testing.T) {
 	a := DefaultAutoscaler(4)
 	// Oscillate inside the band: between down (45%) and up (75%) of a
 	// 5-node group's capacity, the target must never move once set.
-	base := 5 * a.NodeRPS
+	base := float64(5 * nodeRPS)
 	var points []Point
 	for m := int64(0); m < 2000; m += 10 {
 		r := base * 0.6
@@ -75,23 +78,32 @@ func TestPlanHysteresisNoFlap(t *testing.T) {
 }
 
 func TestPlanRespectsBounds(t *testing.T) {
-	a := Autoscaler{NodeRPS: 1000, MinNodes: 3, MaxNodes: 6, UpFraction: 0.75, DownFraction: 0.45, HoldMinutes: 30}
-	plan, err := a.Plan(step(t, 1000, 300, 100, 1e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range plan.Steps {
-		if s.Target < 3 || s.Target > 6 {
-			t.Errorf("plan step %+v outside [3, 6]", s)
+	for _, n := range []int{1, 2, 3, 5, 8} {
+		plan, err := DefaultAutoscaler(n).Plan(step(t, 1000, 300, 100, 1e6))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := plan.TargetAt(500); got != 6 {
-		t.Errorf("unbounded demand -> target %d, want the 6-node cap", got)
+		for _, s := range plan.Steps {
+			if s.Target < n || s.Target > 3*n {
+				t.Errorf("base %d: plan step %+v outside [%d, %d]", n, s, n, 3*n)
+			}
+		}
+		if got := plan.TargetAt(0); got != n {
+			t.Errorf("base %d: light demand -> target %d, want the floor", n, got)
+		}
+		if got := plan.TargetAt(500); got != 3*n {
+			t.Errorf("base %d: unbounded demand -> target %d, want the %d-node cap", n, got, 3*n)
+		}
 	}
 }
 
+// TestPlanDeterministicFromSeed: a seeded trace and its plan come out
+// the same every time, and byte for byte as they did when the
+// generator's and the autoscaler's constants were still configuration
+// fields with these values: the sha256 of the trace's CSV and of the
+// default five-node plan's steps are pinned.
 func TestPlanDeterministicFromSeed(t *testing.T) {
-	gen := func() *Plan {
+	gen := func() (*Trace, *Plan) {
 		tr, err := Generate(GenConfig{Seed: 42, Start: 0, End: 7 * 24 * 60})
 		if err != nil {
 			t.Fatal(err)
@@ -100,24 +112,29 @@ func TestPlanDeterministicFromSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return tr, p
 	}
-	if a, b := gen(), gen(); !reflect.DeepEqual(a, b) {
+	tr, a := gen()
+	if _, b := gen(); !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different plans")
 	}
-}
-
-func TestPlanRejectsBadConfig(t *testing.T) {
-	tr := mustTrace(t, 0, 100, []Point{{0, 1000}})
-	bad := []Autoscaler{
-		{NodeRPS: 0},
-		{NodeRPS: 1000, MinNodes: 5, MaxNodes: 3},
-		{NodeRPS: 1000, UpFraction: 0.5, DownFraction: 0.6},
-		{NodeRPS: 1000, UpFraction: 1.5},
+	var csv, steps bytes.Buffer
+	if err := tr.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
 	}
-	for i, a := range bad {
-		if _, err := a.Plan(tr); err == nil {
-			t.Errorf("config %d accepted: %+v", i, a)
+	for _, s := range a.Steps {
+		fmt.Fprintf(&steps, "%d,%d\n", s.Minute, s.Target)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"generated CSV", csv.Bytes(), "896789c2876877a57e31aa5f2d3c837266cf471d2f506c97c5f6aa10bdf2c5e0"},
+		{"plan steps", steps.Bytes(), "2fc952f597b4f8f8db912f147c425ee9f974227d354fc56cc19f741e54bf1f66"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.data)); got != c.want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, got, c.want)
 		}
 	}
 }
@@ -125,30 +142,21 @@ func TestPlanRejectsBadConfig(t *testing.T) {
 // planReference is the oracle of Plan: the same controller, reading
 // the rate with RPSAt's binary search at every minute.
 func planReference(a Autoscaler, t *Trace) *Plan {
-	min, up, down, hold := max(a.MinNodes, 1), a.UpFraction, a.DownFraction, a.HoldMinutes
-	if up == 0 {
-		up = 0.75
-	}
-	if down == 0 {
-		down = 0.45
-	}
-	if hold == 0 {
-		hold = 60
-	}
+	floor, ceiling := a.BaseNodes, 3*a.BaseNodes
 	clamp := func(n int) int {
-		if n < min {
-			n = min
+		if n < floor {
+			n = floor
 		}
-		if a.MaxNodes > 0 && n > a.MaxNodes {
-			n = a.MaxNodes
+		if n > ceiling {
+			n = ceiling
 		}
 		return n
 	}
 	sized := func(rps float64) int {
-		n := min
-		for float64(n)*a.NodeRPS*up < rps {
+		n := floor
+		for float64(n)*nodeRPS*upFraction < rps {
 			n++
-			if a.MaxNodes > 0 && n >= a.MaxNodes {
+			if n >= ceiling {
 				break
 			}
 		}
@@ -159,12 +167,12 @@ func planReference(a Autoscaler, t *Trace) *Plan {
 	lastChange := t.Start
 	for m := t.Start + 1; m < t.End; m++ {
 		rps := t.RPSAt(m)
-		capacity := float64(cur) * a.NodeRPS
+		capacity := float64(cur) * nodeRPS
 		want := cur
 		switch {
-		case rps > capacity*up:
+		case rps > capacity*upFraction:
 			want = sized(rps)
-		case rps < capacity*down && m-lastChange >= hold:
+		case rps < capacity*downFraction && m-lastChange >= holdMinutes:
 			want = sized(rps)
 			if want >= cur {
 				want = cur
@@ -196,19 +204,15 @@ func TestPlanMatchesPerMinuteReference(t *testing.T) {
 		"generated":               gen,
 		"flash crowd":             gen.Scale(2000, 2240, 3.5).Scale(5000, 5100, 0.2),
 	}
-	scalers := []Autoscaler{
-		DefaultAutoscaler(5),
-		{NodeRPS: 700, MinNodes: 2, MaxNodes: 9, UpFraction: 0.8, DownFraction: 0.3, HoldMinutes: 15},
-		{NodeRPS: 1500},
-	}
 	for name, tr := range traces {
-		for i, a := range scalers {
+		for _, n := range []int{1, 2, 5, 9} {
+			a := DefaultAutoscaler(n)
 			got, err := a.Plan(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := planReference(a, tr); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, autoscaler %d: plan %+v, want %+v", name, i, got.Steps, want.Steps)
+				t.Errorf("%s, base %d: plan %+v, want %+v", name, n, got.Steps, want.Steps)
 			}
 		}
 	}

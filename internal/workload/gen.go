@@ -8,74 +8,26 @@ import (
 	"repro/internal/stats"
 )
 
-// GenConfig tunes the synthetic request-rate generator.
+// The generator's shape. Flash crowds arrive crowdsPerWeek times per
+// week of span on average; each multiplies the rate by a factor drawn
+// in [2, flashFactor] for a duration around flashMinutes, ramping
+// linearly up and down.
+const (
+	baseRPS        = 4000 // diurnal mean request rate
+	dailyAmplitude = 0.45 // a quiet night runs at ~55% of the mean, the evening peak at ~145%
+	crowdsPerWeek  = 2
+	flashFactor    = 4
+	flashMinutes   = 120
+	stepMinutes    = 5 // sampling interval between change points
+)
+
+// GenConfig selects one synthetic request-rate trace.
 type GenConfig struct {
 	// Seed drives every random choice; equal configs generate
 	// byte-identical traces.
 	Seed uint64
 	// Start and End bound the trace span, in minutes.
 	Start, End int64
-	// BaseRPS is the diurnal mean request rate (default 4000).
-	BaseRPS float64
-	// DailyAmplitude is the sinusoid's relative swing around BaseRPS,
-	// in [0, 1) (default 0.45: a quiet night runs at ~55% of the mean,
-	// the evening peak at ~145%).
-	DailyAmplitude float64
-	// FlashCrowdsPerWeek is the expected number of flash crowds per
-	// week of span (default 2). Each multiplies the rate by a factor
-	// drawn in [2, FlashFactor] for a duration around FlashMinutes,
-	// ramping linearly up and down.
-	FlashCrowdsPerWeek float64
-	// FlashFactor is the maximum flash-crowd multiplier (default 4).
-	FlashFactor float64
-	// FlashMinutes is the mean flash-crowd duration (default 120).
-	FlashMinutes int64
-	// StepMinutes is the sampling interval between change points
-	// (default 5).
-	StepMinutes int64
-}
-
-func (c *GenConfig) defaults() error {
-	if c.End <= c.Start {
-		return fmt.Errorf("workload: empty span [%d, %d)", c.Start, c.End)
-	}
-	if c.BaseRPS == 0 {
-		c.BaseRPS = 4000
-	}
-	if c.BaseRPS < 0 || math.IsNaN(c.BaseRPS) || math.IsInf(c.BaseRPS, 0) {
-		return fmt.Errorf("workload: base rps %v is not a non-negative finite number", c.BaseRPS)
-	}
-	if c.DailyAmplitude == 0 {
-		c.DailyAmplitude = 0.45
-	}
-	if c.DailyAmplitude < 0 || c.DailyAmplitude >= 1 {
-		return fmt.Errorf("workload: daily amplitude %v outside [0, 1)", c.DailyAmplitude)
-	}
-	if c.FlashCrowdsPerWeek == 0 {
-		c.FlashCrowdsPerWeek = 2
-	}
-	if c.FlashCrowdsPerWeek < 0 {
-		return fmt.Errorf("workload: %v flash crowds per week", c.FlashCrowdsPerWeek)
-	}
-	if c.FlashFactor == 0 {
-		c.FlashFactor = 4
-	}
-	if c.FlashFactor < 1 {
-		return fmt.Errorf("workload: flash factor %v below 1", c.FlashFactor)
-	}
-	if c.FlashMinutes == 0 {
-		c.FlashMinutes = 120
-	}
-	if c.FlashMinutes < 1 {
-		return fmt.Errorf("workload: flash duration %d below 1 minute", c.FlashMinutes)
-	}
-	if c.StepMinutes == 0 {
-		c.StepMinutes = 5
-	}
-	if c.StepMinutes < 1 {
-		return fmt.Errorf("workload: step %d below 1 minute", c.StepMinutes)
-	}
-	return nil
 }
 
 // flashCrowd is one generated surge: a linear ramp up over the first
@@ -104,23 +56,20 @@ func (f flashCrowd) multiplier(m int64) float64 {
 }
 
 // Generate builds a deterministic synthetic request-rate trace: a
-// diurnal sinusoid around BaseRPS overlaid with seeded flash crowds.
+// diurnal sinusoid around baseRPS overlaid with seeded flash crowds.
 func Generate(cfg GenConfig) (*Trace, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.End <= cfg.Start {
+		return nil, fmt.Errorf("workload: empty span [%d, %d)", cfg.Start, cfg.End)
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x776f726b6c6f6164) // "workload"
 	span := cfg.End - cfg.Start
 	weeks := float64(span) / float64(7*24*60)
-	n := int(cfg.FlashCrowdsPerWeek*weeks + 0.5)
+	n := int(crowdsPerWeek*weeks + 0.5)
 	crowds := make([]flashCrowd, 0, n)
 	for i := 0; i < n; i++ {
 		from := cfg.Start + rng.Int63n(span)
-		dur := cfg.FlashMinutes/2 + rng.Int63n(cfg.FlashMinutes+1)
-		peak := 2 + (cfg.FlashFactor-2)*rng.Float64()
-		if cfg.FlashFactor < 2 {
-			peak = cfg.FlashFactor
-		}
+		dur := flashMinutes/2 + rng.Int63n(flashMinutes+1)
+		peak := 2 + (flashFactor-2)*rng.Float64()
 		until := from + dur
 		if until > cfg.End {
 			until = cfg.End
@@ -130,12 +79,12 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	sort.Slice(crowds, func(i, j int) bool { return crowds[i].from < crowds[j].from })
 
 	const day = 24 * 60
-	points := make([]Point, 0, span/cfg.StepMinutes+1)
-	for m := cfg.Start; m < cfg.End; m += cfg.StepMinutes {
+	points := make([]Point, 0, span/stepMinutes+1)
+	for m := cfg.Start; m < cfg.End; m += stepMinutes {
 		// Peak in the evening: the sinusoid bottoms out at 04:40 and
 		// tops out at 16:40 simulated time.
 		phase := 2 * math.Pi * float64(m%day) / day
-		rps := cfg.BaseRPS * (1 + cfg.DailyAmplitude*math.Sin(phase-2*math.Pi/3))
+		rps := baseRPS * (1 + dailyAmplitude*math.Sin(phase-2*math.Pi/3))
 		for _, f := range crowds {
 			rps *= f.multiplier(m)
 		}
