@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -269,6 +270,18 @@ func TestAttributeTotalsMatchTheRun(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "== strategy "+res.Strategy+", service lock, interval 3h, seed 2014 ==") {
 			t.Errorf("%s: run label missing:\n%s", spec, out.String())
+		}
+	}
+}
+
+// TestEmptySyntheticMarketRejected: -weeks below 1 on the synthetic
+// path is a usage error naming the flag, before any market is
+// generated.
+func TestEmptySyntheticMarketRejected(t *testing.T) {
+	for _, weeks := range []int64{0, -2} {
+		err := run("", "m1.small", weeks, 2014, "us-east-1a", false)
+		if want := fmt.Sprintf("-weeks %d:", weeks); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("-weeks %d: %v, want an error starting %q", weeks, err, want)
 		}
 	}
 }

@@ -125,6 +125,9 @@ func runDiff(args []string, out *os.File) (bool, error) {
 }
 
 func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, lenient bool) error {
+	if traceFile == "" && weeks < 1 {
+		return fmt.Errorf("-weeks %d: want at least 1 week of synthetic market", weeks)
+	}
 	it := market.InstanceType(itype)
 	zs := strings.Split(zoneList, ",")
 	var set *trace.Set

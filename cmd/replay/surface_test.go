@@ -321,6 +321,36 @@ func TestSpansSampleNeedsManifest(t *testing.T) {
 	}
 }
 
+// TestScaleFlagsRejected: a scale that leaves no week to train on or to
+// replay, or a negative worker count, is a usage error that names its
+// flag before anything replays; -j 0 replays one cell at a time, as
+// -j 1 does.
+func TestScaleFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		set  func(*options)
+		want string
+	}{
+		{func(o *options) { o.Weeks = 0 }, "-weeks 0"},
+		{func(o *options) { o.Train = 0 }, "-train 0"},
+		{func(o *options) { o.Jobs = -3 }, "-j -3"},
+	} {
+		o := quick("extra(2, 0.2)", "3")
+		c.set(&o)
+		if out, err := runCaptured(t, o); err == nil || !strings.HasPrefix(err.Error(), c.want+":") || out != "" {
+			t.Errorf("%s: %v, printed %q", c.want, err, out)
+		}
+	}
+	want, err := runCaptured(t, quick("extra(2, 0.2)", "3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := quick("extra(2, 0.2)", "3")
+	o.Jobs = 0
+	if got, err := runCaptured(t, o); err != nil || got != want {
+		t.Errorf("-j 0: %v, printed\n%s\nwant\n%s", err, got, want)
+	}
+}
+
 // TestStrategyErrorsAreTheRegistrys: there is no second name table; a
 // bad -strategy gets the strategy table's own message.
 func TestStrategyErrorsAreTheRegistrys(t *testing.T) {

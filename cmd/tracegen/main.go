@@ -88,6 +88,9 @@ func openOut(out string) (io.Writer, func() error, error) {
 }
 
 func run(itype, types string, weeks int64, seed uint64, zones, format, out string) error {
+	if weeks < 1 {
+		return fmt.Errorf("-weeks %d: want at least 1 week of trace", weeks)
+	}
 	it := market.InstanceType(itype)
 	if _, err := market.Shape(it); err != nil {
 		return fmt.Errorf("unknown instance type %q", itype)

@@ -1,12 +1,11 @@
 // Offline pipeline: the production-shaped workflow around the bidding
 // framework — collect price history, validate the modeling assumptions
 // (Markov property, non-memoryless sojourns, zone independence), train
-// per-zone failure models, checkpoint them to disk, reload, and produce
-// bid recommendations without touching the market again.
+// per-zone failure models, and produce bid recommendations from them
+// without touching the market again.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -47,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("  cross-zone correlation %s x %s: %+.3f (independence holds)\n\n", zones[0], zones[1], r)
 
-	// 2. Train, checkpoint, and reload the failure models.
+	// 2. Train the failure models.
 	models := map[string]*smc.Model{}
 	for _, z := range zones {
 		est := smc.NewEstimator(0)
@@ -56,23 +55,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
-			log.Fatal(err)
-		}
-		size := buf.Len()
-		reloaded, err := smc.ReadModel(&buf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		models[z] = reloaded
-		sup := reloaded.SupportSummary()
-		fmt.Printf("model %-12s: %d states, %d transitions (%d bytes serialized)\n",
-			z, sup.States, sup.TotalTransitions, size)
+		models[z] = m
+		sup := m.SupportSummary()
+		fmt.Printf("model %-12s: %d states, %d transitions\n", z, sup.States, sup.TotalTransitions)
 	}
 	fmt.Println()
 
-	// 3. Offline bid recommendations from the reloaded models.
+	// 3. Offline bid recommendations from the trained models.
 	fmt.Println("bid recommendations (1h interval, out-of-bid targets 0.05 / 0.01):")
 	for _, z := range zones {
 		tr := set.ByZone[z]

@@ -32,8 +32,9 @@ func traced(j *Jupiter) *Jupiter {
 // size skipped.
 func lastCandidates(j *Jupiter) []candidate {
 	var out []candidate
-	for _, s := range j.prov.Spans() {
-		if s.Decision == j.prov.Decisions() && s.Kind == provenance.SpanCandidate && s.Outcome != "pruned" {
+	spans := j.prov.Spans()
+	for _, s := range spans {
+		if s.Decision == spans[len(spans)-1].Decision && s.Kind == provenance.SpanCandidate && s.Outcome != "pruned" {
 			out = append(out, candidate{s.Nodes, s.FPTarget, s.Outcome == "feasible", market.Money(s.CostMicroUSD)})
 		}
 	}

@@ -51,6 +51,7 @@ func (q *Queue[T]) PopDue(minute int64) (t Timer[T], ok bool) {
 	t = q.heap[0]
 	last := len(q.heap) - 1
 	q.heap[0] = q.heap[last]
+	q.heap[last] = Timer[T]{} // drop the popped payload's references
 	q.heap = q.heap[:last]
 	if last > 0 {
 		q.down(0)

@@ -42,9 +42,6 @@ func TestGFIdentityAndInverse(t *testing.T) {
 		if gfMul(b, gfInv(b)) != 1 {
 			t.Fatalf("%d * inv(%d) != 1", a, a)
 		}
-		if gfDiv(b, b) != 1 {
-			t.Fatalf("%d / %d != 1", a, a)
-		}
 	}
 }
 
@@ -52,15 +49,12 @@ func TestGFZeroRules(t *testing.T) {
 	if gfMul(0, 77) != 0 || gfMul(77, 0) != 0 {
 		t.Fatal("multiplication by zero nonzero")
 	}
-	if gfDiv(0, 5) != 0 {
-		t.Fatal("0/5 != 0")
-	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("division by zero did not panic")
+			t.Fatal("inverting zero did not panic")
 		}
 	}()
-	gfDiv(1, 0)
+	gfInv(0)
 }
 
 func TestGFExp(t *testing.T) {
@@ -82,6 +76,15 @@ func TestGFExp(t *testing.T) {
 }
 
 // --- matrix ---
+
+// identity returns the n-by-n identity matrix.
+func identity(n int) *matrix {
+	m := newMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.set(i, i, 1)
+	}
+	return m
+}
 
 func TestMatrixInvertIdentity(t *testing.T) {
 	id := identity(5)

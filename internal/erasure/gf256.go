@@ -38,17 +38,6 @@ func gfMul(a, b byte) byte {
 	return expTable[logTable[a]+logTable[b]]
 }
 
-// gfDiv divides a by b. It panics on division by zero.
-func gfDiv(a, b byte) byte {
-	if b == 0 {
-		panic("erasure: division by zero in GF(2^8)")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[logTable[a]+255-logTable[b]]
-}
-
 // gfInv returns the multiplicative inverse. It panics on zero.
 func gfInv(a byte) byte {
 	if a == 0 {

@@ -16,15 +16,6 @@ func (m *matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m *matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 func (m *matrix) row(r int) []byte     { return m.data[r*m.cols : (r+1)*m.cols] }
 
-// identity returns the n-by-n identity matrix.
-func identity(n int) *matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
-	}
-	return m
-}
-
 // vandermonde returns the rows-by-cols matrix with entry (r, c) = r^c,
 // any cols rows of which are linearly independent for distinct r.
 func vandermonde(rows, cols int) *matrix {

@@ -8,18 +8,15 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/lockservice"
-	"repro/internal/paxos"
 	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/strategy"
 )
 
 // rotatingService is what the feasibility driver needs of a replicated
-// service: make-before-break rotation onto fresh replicas, and the
-// Paxos cluster to settle between intervals.
+// service: make-before-break rotation onto fresh replicas.
 type rotatingService interface {
 	Rotate(add, remove []simnet.NodeID) error
-	Cluster() *paxos.Cluster
 }
 
 // driveFeasibility is the §5.4 experiment in miniature, closing the
@@ -110,7 +107,7 @@ func driveFeasibility(t *testing.T, env Env, spec strategy.ServiceSpec, interval
 				t.Fatalf("interval %d rotation: %v", interval, err)
 			}
 		}
-		svc.Cluster().Settle(100000)
+		snet.Run(100000) // settle between intervals
 		check(interval)
 	}
 }

@@ -101,7 +101,7 @@ func lenientOpen(t *testing.T, bad ...string) (string, *Sink) {
 	if err := os.WriteFile(file, []byte(header+"\n"+strings.Join(append(bad, rows), "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, sink, err := Flags{Weeks: 1, Trace: file, Lenient: true, Manifest: "-"}.Open("test", LockSpec())
+	_, sink, err := Flags{Train: 1, Weeks: 1, Trace: file, Lenient: true, Manifest: "-"}.Open("test", LockSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

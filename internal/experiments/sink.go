@@ -69,7 +69,7 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.Uint64Var(&f.Seed, "seed", def.Seed, "master seed for trace generation and replay")
 	all.Int64Var(&f.Train, "train", def.TrainWeeks, "training prefix in weeks (paper: ~13)")
 	all.Int64Var(&f.Weeks, "weeks", def.ReplayWeeks, "replay length in weeks (paper: 11)")
-	all.IntVar(&f.Jobs, "j", runtime.NumCPU(), "worker-pool width for replay cells (1 = sequential; results are identical either way)")
+	all.IntVar(&f.Jobs, "j", runtime.NumCPU(), "worker-pool width for replay cells (0 or 1 = sequential; results are identical either way)")
 	all.StringVar(&f.Trace, "trace", "", "replay over this trace file instead of the synthetic market; format auto-detected, colbin binary or CSV (CSV rows are filtered against the service's base type and -types)")
 	all.StringVar(&f.Types, "types", "", "comma-separated extra instance types: bid across (zone, type) pools instead of zones only")
 	all.IntVar(&f.MinVCPU, "min-vcpu", 0, "minimum vCPUs an instance type must offer to host the service (0 = unconstrained)")
@@ -124,6 +124,15 @@ func (f *Flags) meta(command string, kv []string) map[string]string {
 // kv are the command's own metadata pairs ("run", "fig6"); the run's
 // clock starts here. Close the Sink when the run ends.
 func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (Env, *Sink, error) {
+	if f.Train < 1 {
+		return Env{}, nil, fmt.Errorf("-train %d: want at least 1 week of training history", f.Train)
+	}
+	if f.Weeks < 1 {
+		return Env{}, nil, fmt.Errorf("-weeks %d: want at least 1 week to replay", f.Weeks)
+	}
+	if f.Jobs < 0 {
+		return Env{}, nil, fmt.Errorf("-j %d: want 0 or more workers (0 and 1 both replay one cell at a time)", f.Jobs)
+	}
 	if f.SpansSample < 0 {
 		return Env{}, nil, fmt.Errorf("-spans-sample %d: want 0 (no spans) or N >= 1 (every Nth decision)", f.SpansSample)
 	}

@@ -199,7 +199,7 @@ func TestRotationKeepsState(t *testing.T) {
 		t.Fatalf("post-rotation acquire: ok=%v err=%v", ok, err)
 	}
 	// The rotated view no longer contains the removed replicas.
-	view := s.cluster.Node("fresh-0").CurrentView()
+	view := replicas(s.cluster)["fresh-0"].CurrentView()
 	if len(view) != 5 {
 		t.Fatalf("view size %d", len(view))
 	}
@@ -309,15 +309,16 @@ func TestRestartedLeaderStepsDown(t *testing.T) {
 	}
 	for _, id := range []simnet.NodeID{"az-a", "az-b"} {
 		net.Restart(id)
-		if s.Cluster().Node(id).IsLeader() {
+		if replicas(s.cluster)[id].IsLeader() {
 			t.Fatalf("%s claims leadership right after its restart", id)
 		}
 	}
 	for event := 1; event <= 2000; event++ {
 		net.Step()
 		var leaders []simnet.NodeID
+		running := replicas(s.cluster)
 		for _, id := range ids {
-			if !net.Crashed(id) && s.Cluster().Node(id).IsLeader() {
+			if n := running[id]; n != nil && n.IsLeader() {
 				leaders = append(leaders, id)
 			}
 		}
@@ -360,4 +361,17 @@ func TestSnapshotIsTheTable(t *testing.T) {
 	if got := string(r.Snapshot()); got != want {
 		t.Fatalf("restored snapshot\n%s\nwant\n%s", got, want)
 	}
+}
+
+// replicas returns the running members of c's current view by ID: the
+// replicas a read quorum is drawn from.
+func replicas(c *paxos.Cluster) map[simnet.NodeID]*paxos.Node {
+	nodes := map[simnet.NodeID]*paxos.Node{}
+	// ReadQuorum visits every running member of the view; its error says
+	// only that fewer than a quorum of them run.
+	_, _ = c.ReadQuorum(func(n *paxos.Node) bool {
+		nodes[n.ID] = n
+		return true
+	})
+	return nodes
 }

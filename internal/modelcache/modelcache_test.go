@@ -1,9 +1,8 @@
 package modelcache
 
 import (
-	"bytes"
 	"errors"
-	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -28,15 +27,6 @@ func genTrace(t *testing.T, weeks int64) *trace.Trace {
 		t.Fatal(err)
 	}
 	return set.ByZone["us-east-1a"]
-}
-
-func modelJSON(t *testing.T, m *smc.Model) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // feed stands in for a market view: PriceHistory clamps the way
@@ -77,8 +67,9 @@ func (f *feed) get(t *testing.T, c *Cache, k Key) (*smc.Model, Outcome, []int64)
 }
 
 // requireScratch holds a model to what a from-scratch Estimator over the
-// feed's PriceHistory(From, Until) yields: the same kernel bytes and,
-// bit for bit, the same forecast at every learned level.
+// feed's PriceHistory(From, Until) yields: a deeply equal model (neither
+// has answered a query yet, so neither holds a forecast table) and a
+// deeply equal forecast: the same occupancy and out-of-bid table.
 func (f *feed) requireScratch(t *testing.T, where string, m *smc.Model, k Key) {
 	t.Helper()
 	hist := f.PriceHistory(k.From, k.Until)
@@ -88,7 +79,7 @@ func (f *feed) requireScratch(t *testing.T, where string, m *smc.Model, k Key) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(modelJSON(t, m), modelJSON(t, want)) {
+	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("%s: model differs from from-scratch estimation over [%d, %d)", where, hist.Start, hist.End)
 	}
 	cur := hist.PriceAt(hist.End - 1)
@@ -100,10 +91,8 @@ func (f *feed) requireScratch(t *testing.T, where string, m *smc.Model, k Key) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lv := range ref.Levels() {
-		if g, w := got.OutOfBidFraction(lv), ref.OutOfBidFraction(lv); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s: forecast above %v is %v, from scratch %v", where, lv, g, w)
-		}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("%s: forecast differs from the from-scratch model's", where)
 	}
 }
 
@@ -172,7 +161,7 @@ func TestIncrementalRetrainMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(modelJSON(t, m), modelJSON(t, want)) {
+	if !reflect.DeepEqual(m, want) {
 		t.Fatal("incremental model differs from from-scratch estimation")
 	}
 
@@ -232,7 +221,7 @@ func TestBehindSeriesRequestDoesNotDisturbIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(modelJSON(t, m), modelJSON(t, want)) {
+	if !reflect.DeepEqual(m, want) {
 		t.Fatal("standalone model differs from from-scratch estimation")
 	}
 	// The series still sits at 4w and keeps advancing incrementally.

@@ -52,9 +52,6 @@ func (c *Cluster) running(n *Node) bool {
 	return !n.stopped && !c.Net.Crashed(n.ID)
 }
 
-// Node returns the replica with the given ID, or nil.
-func (c *Cluster) Node(id simnet.NodeID) *Node { return c.nodes[id] }
-
 // Leader returns the first running replica in ID order that leads, or
 // nil when none does.
 func (c *Cluster) Leader() *Node {

@@ -146,7 +146,7 @@ func NewNode(id simnet.NodeID, members []simnet.NodeID, net *simnet.Network, sm 
 		gatherBallot: make(map[uint64]Ballot),
 	}
 	n.lastHeartbeat = net.Now() // grant a full election timeout at birth
-	net.Register(id, simnet.HandlerFunc(n.receive))
+	net.Register(id, n.receive)
 	net.OnRestart(id, n.restart)
 	n.scheduleTick()
 	return n

@@ -285,7 +285,7 @@ func TestPartitionMajoritySideProgresses(t *testing.T) {
 	// Majority side elects (or keeps) a leader and commits.
 	ok := c.Net.RunUntil(func() bool {
 		for _, id := range majority {
-			if n := c.Node(id); n != nil && n.IsLeader() {
+			if n := c.nodes[id]; n != nil && n.IsLeader() {
 				return true
 			}
 		}
@@ -296,8 +296,8 @@ func TestPartitionMajoritySideProgresses(t *testing.T) {
 	}
 	var mleader *Node
 	for _, id := range majority {
-		if c.Node(id).IsLeader() {
-			mleader = c.Node(id)
+		if c.nodes[id].IsLeader() {
+			mleader = c.nodes[id]
 		}
 	}
 	cmdID := c.NextCmdID()
@@ -305,7 +305,7 @@ func TestPartitionMajoritySideProgresses(t *testing.T) {
 	ok = c.Net.RunUntil(func() bool {
 		n := 0
 		for _, id := range majority {
-			if c.Node(id).dedup[cmdID] {
+			if c.nodes[id].dedup[cmdID] {
 				n++
 			}
 		}
@@ -326,7 +326,7 @@ func TestPartitionMajoritySideProgresses(t *testing.T) {
 	c.Net.Heal()
 	ok = c.Net.RunUntil(func() bool {
 		for _, id := range minority {
-			if !c.Node(id).dedup[cmdID] {
+			if !c.nodes[id].dedup[cmdID] {
 				return false
 			}
 		}
@@ -356,7 +356,7 @@ func TestReconfigurationAddNode(t *testing.T) {
 		t.Fatalf("joiner applied %q", apps)
 	}
 	// Its view matches.
-	if got := c.Node("n3").CurrentView(); len(got) != 4 {
+	if got := c.nodes["n3"].CurrentView(); len(got) != 4 {
 		t.Fatalf("joiner view %v", got)
 	}
 }
@@ -386,7 +386,7 @@ func TestReconfigurationRotateNode(t *testing.T) {
 	if len(apps) != 2 || string(apps[0]) != "a" || string(apps[1]) != "b" {
 		t.Fatalf("replacement applied %q", apps)
 	}
-	view := c.Node("n5").CurrentView()
+	view := c.nodes["n5"].CurrentView()
 	if len(view) != 5 {
 		t.Fatalf("view size %d, want 5", len(view))
 	}

@@ -57,7 +57,7 @@ func TestRepeatedRotation(t *testing.T) {
 		}
 	}
 	// View size stayed constant at 5 across 8 rotations.
-	if v := c.Node(current[0]).CurrentView(); len(v) != 5 {
+	if v := c.nodes[current[0]].CurrentView(); len(v) != 5 {
 		t.Fatalf("final view size %d", len(v))
 	}
 }
@@ -153,7 +153,7 @@ func TestRotationWithConcurrentFailure(t *testing.T) {
 	if !ok {
 		t.Fatalf("victim applied %d commands after restart", len(appsOf(sms[victim])))
 	}
-	if v := c.Node(victim).CurrentView(); len(v) != 5 || indexOf(v, out) >= 0 {
+	if v := c.nodes[victim].CurrentView(); len(v) != 5 || indexOf(v, out) >= 0 {
 		t.Fatalf("victim's view after catch-up: %v", v)
 	}
 }

@@ -191,14 +191,6 @@ func (d *DecisionTrace) Emit(s Span) {
 	r.n++
 }
 
-// Decisions returns how many decisions the run made (sampled or not).
-func (r *Recorder) Decisions() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.decisions
-}
-
 // Spans returns the recorded spans in emission order, assembled into a
 // fresh slice on every call (nil when there are none): the caller owns
 // it, and later emissions do not reach it.

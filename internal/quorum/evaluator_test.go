@@ -32,6 +32,17 @@ func randProbs(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
+// baselineAvailability is the evaluator's availability at its baseline
+// vector, summed from its last prefix row (the full survivor
+// distribution) as WeightedThresholdAvailability sums its own.
+func baselineAvailability(ev *WeightedThresholdEvaluator) float64 {
+	a := 0.0
+	for _, d := range ev.prefix[ev.preOff[ev.n]+ev.t:] {
+		a += d
+	}
+	return min(a, 1)
+}
+
 // TestEvaluatorAvailabilityBitIdentical pins that the evaluator's
 // baseline availability is bit-identical to the DP oracle: the prefix
 // build uses the oracle's exact recurrence and summation order.
@@ -42,7 +53,7 @@ func TestEvaluatorAvailabilityBitIdentical(t *testing.T) {
 		k := rng.Intn(n + 1)
 		p := randProbs(rng, n)
 		ev := NewWeightedThresholdEvaluator(k, ones(n), p)
-		if got, want := ev.Availability(), ThresholdAvailability(k, p); got != want {
+		if got, want := baselineAvailability(ev), ThresholdAvailability(k, p); got != want {
 			t.Fatalf("trial %d (n=%d k=%d): Availability %v, oracle %v", trial, n, k, got, want)
 		}
 	}
@@ -83,7 +94,7 @@ func TestEvaluatorWithNodeUnchanged(t *testing.T) {
 		k := rng.Intn(n + 1)
 		p := randProbs(rng, n)
 		ev := NewWeightedThresholdEvaluator(k, ones(n), p)
-		base := ev.Availability()
+		base := baselineAvailability(ev)
 		for i := 0; i < n; i++ {
 			if got := ev.WithNode(i, p[i]); math.Abs(got-base) > 1e-12 {
 				t.Fatalf("trial %d (n=%d k=%d): WithNode(%d, p[%d]) = %v, baseline %v",
@@ -97,7 +108,7 @@ func TestEvaluatorWithNodeUnchanged(t *testing.T) {
 func TestEvaluatorEdgeCases(t *testing.T) {
 	// k = 0: always available, whatever the probe.
 	ev := NewWeightedThresholdEvaluator(0, ones(2), []float64{0.3, 0.9})
-	if a := ev.Availability(); a != 1 {
+	if a := baselineAvailability(ev); a != 1 {
 		t.Fatalf("k=0 availability %v", a)
 	}
 	if a := ev.WithNode(1, 1); a != 1 {
@@ -106,7 +117,7 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 	// k = n with a certain failure: unavailable unless that node is probed
 	// back to certainty.
 	ev = NewWeightedThresholdEvaluator(2, ones(2), []float64{0, 1})
-	if a := ev.Availability(); a != 0 {
+	if a := baselineAvailability(ev); a != 0 {
 		t.Fatalf("certain-failure availability %v", a)
 	}
 	if a := ev.WithNode(1, 0); a != 1 {
@@ -114,7 +125,7 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 	}
 	// Single node.
 	ev = NewWeightedThresholdEvaluator(1, ones(1), []float64{0.25})
-	if a := ev.Availability(); a != 0.75 {
+	if a := baselineAvailability(ev); a != 0.75 {
 		t.Fatalf("1-of-1 availability %v", a)
 	}
 	if a := ev.WithNode(0, 0.5); a != 0.5 {
@@ -146,7 +157,7 @@ func TestEvaluatorGCDNormalisationIsExact(t *testing.T) {
 			if palette[0] == 16 && len(got.sufTail) >= len(want.sufTail) {
 				t.Fatalf("units %v: %d table entries, un-normalised %d", units, len(got.sufTail), len(want.sufTail))
 			}
-			if g, w := math.Float64bits(got.Availability()), math.Float64bits(want.Availability()); g != w {
+			if g, w := math.Float64bits(baselineAvailability(got)), math.Float64bits(baselineAvailability(want)); g != w {
 				t.Fatalf("units %v t=%d: Availability %x, un-normalised %x", units, thr, g, w)
 			}
 			for i := 0; i < n; i++ {

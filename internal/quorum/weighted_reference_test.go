@@ -102,7 +102,7 @@ func TestWeightedDPMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: one-shot %x, reference %x (t=%d units=%v p=%v)", trial, got, want, thr, units, p)
 		}
 		if thr >= 1 && thr <= total { // at t = 0 the evaluator sums the row, the function returns 1
-			if got := math.Float64bits(NewWeightedThresholdEvaluator(thr, units, p).Availability()); got != want {
+			if got := math.Float64bits(baselineAvailability(NewWeightedThresholdEvaluator(thr, units, p))); got != want {
 				t.Fatalf("trial %d: evaluator %x, reference %x (t=%d units=%v p=%v)", trial, got, want, thr, units, p)
 			}
 		}

@@ -153,7 +153,6 @@ type WeightedThresholdEvaluator struct {
 	// units of nodes i..n-1 alive) for b = 0..totalUnits+1.
 	sufTail []float64
 	stride  int
-	total   float64
 }
 
 // NewWeightedThresholdEvaluator builds the evaluator for the
@@ -213,14 +212,6 @@ func newWeightedEvaluator(t int, units []int, p []float64) *WeightedThresholdEva
 		foldNode(dist, 0, cum, units[i], pi)
 		copy(ev.prefix[ev.preOff[i+1]:], dist[:cum+1])
 	}
-	// The full-vector availability from the completed distribution —
-	// bit-identical to WeightedThresholdAvailability by construction.
-	for b := t; b <= totalU; b++ {
-		ev.total += dist[b]
-	}
-	if ev.total > 1 {
-		ev.total = 1
-	}
 	// Suffix tail tables, built right to left.
 	for b := range dist {
 		dist[b] = 0
@@ -266,11 +257,6 @@ func (ev *WeightedThresholdEvaluator) tailWithout(i, t int) float64 {
 	}
 	return s
 }
-
-// Availability returns the weighted availability of the baseline
-// vector, bit-identical to WeightedThresholdAvailability over the same
-// inputs.
-func (ev *WeightedThresholdEvaluator) Availability() float64 { return ev.total }
 
 // WithNode returns the availability with node i's failure probability
 // replaced by pi. O(total units).

@@ -25,7 +25,7 @@ func TestWeightedUnitWeightsBitIdentical(t *testing.T) {
 		if got := WeightedThresholdAvailability(k, units, p); got != want {
 			t.Fatalf("trial %d: WeightedThresholdAvailability(%d) = %v, ThresholdAvailability = %v", trial, k, got, want)
 		}
-		if got := NewWeightedThresholdEvaluator(k, units, p).Availability(); got != want {
+		if got := baselineAvailability(NewWeightedThresholdEvaluator(k, units, p)); got != want {
 			t.Fatalf("trial %d: evaluator Availability %v != %v", trial, got, want)
 		}
 	}

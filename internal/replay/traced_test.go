@@ -128,7 +128,7 @@ func TestTracedJupiterMatchesUntraced(t *testing.T) {
 			units, fps = units[:0], fps[:0]
 		}
 	}
-	if chosen == 0 || int64(len(traced.log.decisions)) != traced.rec.Decisions() {
-		t.Fatalf("%d chosen spans over %d decisions (recorder counted %d)", chosen, len(traced.log.decisions), traced.rec.Decisions())
+	if chosen == 0 || len(traced.log.decisions) != traced.res.Decisions {
+		t.Fatalf("%d chosen spans over %d decisions (result counted %d)", chosen, len(traced.log.decisions), traced.res.Decisions)
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 func BenchmarkMessageRoundTrip(b *testing.B) {
 	n := New(1)
 	count := 0
-	n.Register("dst", HandlerFunc(func(*Network, Message) { count++ }))
+	n.Register("dst", func(*Network, Message) { count++ })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Send("src", "dst", i)
@@ -22,7 +22,7 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 func BenchmarkFanout(b *testing.B) {
 	n := New(1)
 	for _, id := range []NodeID{"a", "b", "c", "d", "e", "f", "g", "h", "i"} {
-		n.Register(id, HandlerFunc(func(*Network, Message) {}))
+		n.Register(id, func(*Network, Message) {})
 	}
 	targets := []NodeID{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
 	b.ResetTimer()

@@ -7,9 +7,10 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -23,55 +24,24 @@ type Message struct {
 	Payload interface{}
 }
 
-// Handler consumes delivered messages. Implementations are invoked
-// sequentially by the network; no internal locking is needed.
-type Handler interface {
-	Receive(net *Network, msg Message)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(net *Network, msg Message)
-
-// Receive implements Handler.
-func (f HandlerFunc) Receive(net *Network, msg Message) { f(net, msg) }
-
 // event is a scheduled occurrence: a message delivery or a timer firing.
 type event struct {
-	at  int64
-	seq int64 // tiebreaker preserving scheduling order
 	msg *Message
 	fn  func()
 	// timer events may be addressed to a node so crashes cancel them.
 	owner NodeID
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
 // Network is the simulated transport and virtual clock. It is not safe
-// for concurrent use: all activity happens inside Step/Run.
+// for concurrent use: all activity happens inside Step/Run. Events wait
+// in an engine.Queue keyed by tick, all at one priority, so events due
+// at the same tick fire in the order they were scheduled.
 type Network struct {
-	now     int64
-	seq     int64
-	queue   eventQueue
-	nodes   map[NodeID]Handler
+	now   int64
+	queue engine.Queue[event]
+	// nodes holds each address's handler, invoked sequentially by the
+	// network, so a handler needs no locking.
+	nodes   map[NodeID]func(*Network, Message)
 	crashed map[NodeID]bool
 	// onRestart holds each node's hook for coming back from a crash.
 	onRestart map[NodeID]func()
@@ -93,7 +63,7 @@ type Network struct {
 // 1 tick and no loss.
 func New(seed uint64) *Network {
 	return &Network{
-		nodes:      make(map[NodeID]Handler),
+		nodes:      make(map[NodeID]func(*Network, Message)),
 		crashed:    make(map[NodeID]bool),
 		onRestart:  make(map[NodeID]func()),
 		group:      make(map[NodeID]int),
@@ -108,7 +78,7 @@ func (n *Network) Now() int64 { return n.now }
 
 // Register attaches a handler to an address. Re-registering replaces
 // the handler (used by restarts).
-func (n *Network) Register(id NodeID, h Handler) {
+func (n *Network) Register(id NodeID, h func(*Network, Message)) {
 	if h == nil {
 		panic("simnet: nil handler")
 	}
@@ -199,15 +169,14 @@ func (n *Network) Send(from, to NodeID, payload interface{}) {
 		lat += n.rng.Int63n(n.maxLatency - n.minLatency + 1)
 	}
 	drop := n.dropProb > 0 && n.rng.Bool(n.dropProb)
-	n.seq++
-	ev := &event{at: n.now + lat, seq: n.seq, msg: &Message{From: from, To: to, Payload: payload}}
+	ev := event{msg: &Message{From: from, To: to, Payload: payload}}
 	if drop {
 		// Still consume queue determinism but mark as dropped by
 		// clearing the message handler path at delivery.
 		ev.fn = func() { n.dropped++ }
 		ev.msg = nil
 	}
-	heap.Push(&n.queue, ev)
+	n.queue.Schedule(n.now+lat, 0, ev)
 }
 
 // After schedules fn to run at now+delay on behalf of owner; the timer
@@ -217,40 +186,33 @@ func (n *Network) After(delay int64, owner NodeID, fn func()) {
 	if delay < 0 {
 		panic("simnet: negative delay")
 	}
-	n.seq++
-	heap.Push(&n.queue, &event{at: n.now + delay, seq: n.seq, fn: fn, owner: owner})
+	n.queue.Schedule(n.now+delay, 0, event{fn: fn, owner: owner})
 }
 
 // Step delivers the next event. It returns false when the queue is
 // empty.
 func (n *Network) Step() bool {
-	for n.queue.Len() > 0 {
-		ev := heap.Pop(&n.queue).(*event)
-		n.now = ev.at
-		switch {
-		case ev.msg != nil:
-			m := *ev.msg
-			if n.crashed[m.From] || n.crashed[m.To] || !n.sameSide(m.From, m.To) {
-				n.dropped++
-				return true
-			}
-			h, ok := n.nodes[m.To]
-			if !ok {
-				n.dropped++
-				return true
-			}
-			n.delivered++
-			h.Receive(n, m)
-			return true
-		case ev.fn != nil:
-			if ev.owner != "" && n.crashed[ev.owner] {
-				return true
-			}
-			ev.fn()
-			return true
-		}
+	t, ok := n.queue.PopDue(math.MaxInt64)
+	if !ok {
+		return false
 	}
-	return false
+	n.now = t.Minute
+	ev := t.Payload
+	if ev.msg == nil { // a timer, or the tally of a message Send lost
+		if ev.owner == "" || !n.crashed[ev.owner] {
+			ev.fn()
+		}
+		return true
+	}
+	m := *ev.msg
+	h, ok := n.nodes[m.To]
+	if !ok || n.crashed[m.From] || n.crashed[m.To] || !n.sameSide(m.From, m.To) {
+		n.dropped++
+		return true
+	}
+	n.delivered++
+	h(n, m)
+	return true
 }
 
 // Run steps until the queue drains or maxEvents deliveries happen,

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"testing"
+
+	"repro/internal/engine"
 )
 
 type recorder struct {
@@ -13,8 +15,8 @@ func (r *recorder) Receive(_ *Network, m Message) { r.got = append(r.got, m) }
 func TestSendDeliver(t *testing.T) {
 	n := New(1)
 	a, b := &recorder{}, &recorder{}
-	n.Register("a", a)
-	n.Register("b", b)
+	n.Register("a", a.Receive)
+	n.Register("b", b.Receive)
 	n.Send("a", "b", "hello")
 	if !n.Step() {
 		t.Fatal("no event to step")
@@ -35,8 +37,8 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 		n := New(42)
 		n.SetLatency(1, 10)
 		r := &recorder{}
-		n.Register("dst", r)
-		n.Register("src", &recorder{})
+		n.Register("dst", r.Receive)
+		n.Register("src", (&recorder{}).Receive)
 		for i := 0; i < 50; i++ {
 			n.Send("src", "dst", i)
 		}
@@ -57,7 +59,7 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 func TestLatencyAdvancesClock(t *testing.T) {
 	n := New(1)
 	n.SetLatency(5, 5)
-	n.Register("b", &recorder{})
+	n.Register("b", (&recorder{}).Receive)
 	n.Send("a", "b", 1)
 	n.Step()
 	if n.Now() != 5 {
@@ -68,7 +70,7 @@ func TestLatencyAdvancesClock(t *testing.T) {
 func TestCrashDropsTraffic(t *testing.T) {
 	n := New(1)
 	b := &recorder{}
-	n.Register("b", b)
+	n.Register("b", b.Receive)
 	n.Crash("b")
 	n.Send("a", "b", 1)
 	n.Step()
@@ -89,7 +91,7 @@ func TestCrashDropsTraffic(t *testing.T) {
 func TestCrashEvaluatedAtDelivery(t *testing.T) {
 	n := New(1)
 	b := &recorder{}
-	n.Register("b", b)
+	n.Register("b", b.Receive)
 	n.SetLatency(10, 10)
 	n.Send("a", "b", 1) // in flight
 	n.Crash("b")        // crashes before delivery
@@ -102,9 +104,9 @@ func TestCrashEvaluatedAtDelivery(t *testing.T) {
 func TestPartition(t *testing.T) {
 	n := New(1)
 	a, b, c := &recorder{}, &recorder{}, &recorder{}
-	n.Register("a", a)
-	n.Register("b", b)
-	n.Register("c", c)
+	n.Register("a", a.Receive)
+	n.Register("b", b.Receive)
+	n.Register("c", c.Receive)
 	n.Partition([]NodeID{"a", "b"}, []NodeID{"c"})
 	n.Send("a", "b", 1)
 	n.Send("a", "c", 2)
@@ -126,7 +128,7 @@ func TestPartition(t *testing.T) {
 func TestDropProbability(t *testing.T) {
 	n := New(7)
 	r := &recorder{}
-	n.Register("dst", r)
+	n.Register("dst", r.Receive)
 	n.SetDropProbability(0.5)
 	const total = 2000
 	for i := 0; i < total; i++ {
@@ -153,7 +155,7 @@ func TestTimers(t *testing.T) {
 func TestTimerSkippedWhenOwnerCrashed(t *testing.T) {
 	n := New(1)
 	fired := false
-	n.Register("x", &recorder{})
+	n.Register("x", (&recorder{}).Receive)
 	n.After(5, "x", func() { fired = true })
 	n.Crash("x")
 	n.Run(10)
@@ -197,7 +199,7 @@ func TestUnknownDestinationDropped(t *testing.T) {
 func TestDeregister(t *testing.T) {
 	n := New(1)
 	r := &recorder{}
-	n.Register("a", r)
+	n.Register("a", r.Receive)
 	n.Deregister("a")
 	n.Send("x", "a", 1)
 	n.Step()
@@ -211,7 +213,7 @@ func TestDeregister(t *testing.T) {
 // after Deregister.
 func TestRestartHook(t *testing.T) {
 	n := New(1)
-	n.Register("a", &recorder{})
+	n.Register("a", (&recorder{}).Receive)
 	runs := 0
 	n.OnRestart("a", func() { runs++ })
 	n.Restart("a")
@@ -232,7 +234,7 @@ func TestRestartHook(t *testing.T) {
 	}
 	n.Crash("a")
 	n.Deregister("a")
-	n.Register("a", &recorder{})
+	n.Register("a", (&recorder{}).Receive)
 	n.Crash("a")
 	n.Restart("a")
 	if runs != 2 {
@@ -245,10 +247,7 @@ func TestStepEmptyQueue(t *testing.T) {
 	if n.Step() {
 		t.Fatal("Step on empty queue returned true")
 	}
-	if n.Pending() != 0 {
-		t.Fatal("Pending != 0")
+	if next := n.queue.NextMinute(); next != engine.NoMinute {
+		t.Fatalf("an event still queued at tick %d", next)
 	}
 }
-
-// Pending returns the number of queued events.
-func (n *Network) Pending() int { return n.queue.Len() }

@@ -427,8 +427,8 @@ type Forecast struct {
 	avgOcc stateDist
 	// suffix[x] is the total occupancy of price states x and above —
 	// the out-of-bid fraction for any bid in [prices[x-1], prices[x]).
-	// With it, OutOfBidFraction/FailureProbability are table lookups and
-	// MinimalBid a binary search over the monotone step function.
+	// With it, FailureProbability is a table lookup and MinimalBid a
+	// binary search over the monotone step function.
 	suffix  []float64
 	horizon int64
 }
@@ -565,13 +565,6 @@ func (f *Forecast) failureAt(x int, fp0 float64) float64 {
 		return 1
 	}
 	return fp
-}
-
-// OutOfBidFraction returns the expected fraction of the interval during
-// which the spot price strictly exceeds the bid. O(log n) via the
-// suffix-sum table.
-func (f *Forecast) OutOfBidFraction(bid market.Money) float64 {
-	return f.outAt(f.levelAbove(bid))
 }
 
 // FailureProbability composes the out-of-bid fraction with the

@@ -69,7 +69,7 @@ func TestForecastMatchesReference(t *testing.T) {
 					if g, w := got.FailureProbability(bid, 0.01), refFailureProbability(want, bid, 0.01); g != w {
 						t.Fatalf("seed %d h=%d age=%d bid=%v: FP %v, want %v", seed, horizon, age, bid, g, w)
 					}
-					if g, w := got.OutOfBidFraction(bid), refOutOfBidFraction(want, bid); g != w {
+					if g, w := outOfBidFraction(got, bid), refOutOfBidFraction(want, bid); g != w {
 						t.Fatalf("seed %d h=%d age=%d bid=%v: out %v, want %v", seed, horizon, age, bid, g, w)
 					}
 				}
@@ -87,7 +87,7 @@ func TestStationaryMatchesSuffixTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range f.prices {
-		if g, w := f.OutOfBidFraction(p), refOutOfBidFraction(f, p); g != w {
+		if g, w := outOfBidFraction(f, p), refOutOfBidFraction(f, p); g != w {
 			t.Fatalf("bid %v: %v != %v", p, g, w)
 		}
 	}

@@ -3,9 +3,9 @@ package smc
 // Reference implementations, kept verbatim from the code they replaced,
 // that the equality tests pin the current paths bit-identical to:
 //
-//   - refEstimator / refModel / refWriteJSON: the three-level-map
-//     Equation 13 estimator, its map-of-maps kernel and its serializer,
-//     as they were before the flat kernel;
+//   - refEstimator / refModel / refModel.WriteJSON: the three-level-map
+//     Equation 13 estimator, its map-of-maps kernel and its dump in the
+//     canonical form of modelJSON, as they were before the flat kernel;
 //   - refSojournData / refSojourn: the per-state sojourn tables built by
 //     iterating and sorting those maps, with one dense n-wide destination
 //     vector per duration, as they were before the flat non-zero ranges;
@@ -177,6 +177,23 @@ func (m *refModel) SojournPMF(p market.Money, k int64) float64 {
 		return 0
 	}
 	return m.sojPMF[i][k]
+}
+
+// jsonModel is a model's canonical dump: the sojourn cap, the price
+// states, the out counts and every kernel cell in (from, sojourn, to)
+// order, so equal models dump to equal bytes.
+type jsonModel struct {
+	MaxSojourn int64            `json:"max_sojourn"`
+	Prices     []int64          `json:"prices_micro_usd"`
+	Out        []int64          `json:"out_counts"`
+	Kernel     []jsonKernelCell `json:"kernel"`
+}
+
+type jsonKernelCell struct {
+	From    int   `json:"from"`
+	To      int   `json:"to"`
+	Sojourn int64 `json:"sojourn"`
+	Count   int64 `json:"count"`
 }
 
 func (m *refModel) WriteJSON(w io.Writer) error {

@@ -70,7 +70,7 @@ func encodeTrace(tr *trace.Trace) (levels uint16, data []byte) {
 // model, bits 1–2 pick the history handed over (the full trace, the
 // window's own copy, or the suffix past the previous end), bit 3 shrinks
 // the window from its start by the high nibble's sixteenths of the
-// width. Every model asked for, and the last, must serialize to the
+// width. Every model asked for, and the last, must dump to the
 // bytes of a from-scratch Estimator's over the same window; nothing may
 // panic. The seeds include a long churn — fifteen hundred slides with
 // no model in between — and the smallest caps.

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"runtime"
 	"sync"
@@ -11,15 +12,23 @@ import (
 	"repro/internal/trace"
 )
 
-// modelJSON renders a model through the deterministic serializer so two
-// models can be compared byte for byte.
+// modelJSON dumps a model in its canonical form (jsonModel; its cells
+// are already in kernel order) so two models can be compared byte for
+// byte.
 func modelJSON(t *testing.T, m *Model, err error) []byte {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
+	jm := jsonModel{MaxSojourn: m.maxSojourn, Out: m.out}
+	for _, p := range m.prices {
+		jm.Prices = append(jm.Prices, int64(p))
+	}
+	for _, c := range m.cells {
+		jm.Kernel = append(jm.Kernel, jsonKernelCell{From: c.from, To: c.to, Sojourn: c.k, Count: c.count})
+	}
 	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(jm); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -34,7 +43,7 @@ func mustJSON(t *testing.T, mk func() (*Model, error)) []byte {
 // TestWindowedEstimatorMatchesScratch is the incremental-vs-from-scratch
 // equivalence pin: sliding a WindowedEstimator across a generated trace
 // must leave counts — and therefore the frozen model, compared through
-// its canonical serialization — identical to an estimator trained from
+// its canonical dump — identical to an estimator trained from
 // scratch on the same window. The window schedule mimics the bidding
 // framework: a 13-unit training window advanced by irregular steps,
 // including zero-length slides and a jump past the whole window.

@@ -97,7 +97,7 @@ func TestMinimalBidOneStepNonIncreasingInTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	for seed := uint64(1); seed <= 4; seed++ {
 		m, _ := fastTestModel(t, seed, 6)
-		prices := m.Prices()
+		prices := m.prices
 		for trial := 0; trial < 100; trial++ {
 			cur := prices[rng.Intn(len(prices))]
 			k := 1 + rng.Int63n(2*DefaultMaxSojourn)

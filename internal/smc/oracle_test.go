@@ -2,6 +2,7 @@ package smc
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -125,7 +126,7 @@ func oracleTraces(t *testing.T) []*trace.Trace {
 }
 
 // TestModelMatchesMapReference pins the flat Equation 13 kernel to the
-// map-of-maps one: the same serialized bytes, the same Kernel and
+// map-of-maps one: the same dumped bytes, the same Kernel and
 // SojournPMF values, and sojourn tables equal in every field.
 func TestModelMatchesMapReference(t *testing.T) {
 	for ti, tr := range oracleTraces(t) {
@@ -145,15 +146,12 @@ func TestModelMatchesMapReference(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			var got, want bytes.Buffer
-			if err := m.WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
+			var want bytes.Buffer
 			if err := rm.WriteJSON(&want); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("trace %d cap %d: serialized model differs\n got %s\nwant %s", ti, maxSojourn, got.Bytes(), want.Bytes())
+			if got := modelJSON(t, m, nil); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("trace %d cap %d: model dump differs\n got %s\nwant %s", ti, maxSojourn, got, want.Bytes())
 			}
 			probe := append([]market.Money{0, m.prices[0] + 1}, m.prices...)
 			for i, si := range probe {
@@ -175,11 +173,21 @@ func TestModelMatchesMapReference(t *testing.T) {
 	}
 }
 
+// compareCells orders cells in kernel order, (from, k, to).
+func compareCells(a, b kernelCell) int {
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	if a.k != b.k {
+		return cmp.Compare(a.k, b.k)
+	}
+	return cmp.Compare(a.to, b.to)
+}
+
 // randomModel builds a model straight from random kernel cells over n
 // states, some absorbing, some with more distinct sojourns than the
 // merge cap (so their next vectors come out dense), sojourns up to the
-// one-day cap, and the occasional self-transition only ReadModel could
-// introduce.
+// one-day cap, and the occasional self-transition no trace yields.
 func randomModel(rng *rand.Rand, n int) *Model {
 	prices := make([]market.Money, n)
 	for i := range prices {

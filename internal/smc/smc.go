@@ -16,13 +16,12 @@
 // price gets a level id once, each level a table indexed by sojourn k
 // whose slot chains that (i, k)'s destinations by price. Walking levels
 // by price, k ascending, each chain in order lists the non-zero counts
-// in kernel order (compareCells), and they are the integers any store
+// in kernel order, (from, k, to), and they are the integers any store
 // would hold, so every model is bit for bit a from-scratch one
 // (TestModelMatchesMapReference, FuzzWindowedEstimator).
 package smc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -189,7 +188,7 @@ func (e *Estimator) remove(from, to int32, k int64) {
 // errors when no transition has been observed. The levels some counter
 // names become the states, in price order; walking them in that order,
 // each by sojourn and each chain by destination price, lists the cells
-// in compareCells order, so nothing is sorted.
+// in kernel order, (from, k, to), so nothing is sorted.
 func (e *Estimator) Model() (*Model, error) {
 	if e.observations == 0 {
 		return nil, fmt.Errorf("smc: no transitions observed")
@@ -218,22 +217,13 @@ func (e *Estimator) Model() (*Model, error) {
 	return newModel(e.maxSojourn, prices, cells), nil
 }
 
-// kernelCell is one non-zero counter N^k_{i,j} over state indices.
+// kernelCell is one non-zero counter N^k_{i,j} over state indices. A
+// model's cells are in kernel order, (from, k, to): the order every
+// reader of the kernel, the sojourn tables and the forecast DP, walks
+// them in.
 type kernelCell struct {
 	from, to int
 	k, count int64
-}
-
-// compareCells orders cells by (from, k, to): the order every reader of
-// the kernel — the sojourn tables, the serializer — walks it in.
-func compareCells(a, b kernelCell) int {
-	if a.from != b.from {
-		return cmp.Compare(a.from, b.from)
-	}
-	if a.k != b.k {
-		return cmp.Compare(a.k, b.k)
-	}
-	return cmp.Compare(a.to, b.to)
 }
 
 // kernelRow is the kernel of one (source state, sojourn) pair: the
@@ -245,7 +235,7 @@ type kernelRow struct {
 }
 
 // newModel builds a model over the ascending price levels from cells
-// sorted by compareCells, no two sharing (from, k, to). The model keeps
+// in kernel order, no two sharing (from, k, to). The model keeps
 // cells; each state's rows are windows into it.
 func newModel(maxSojourn int64, prices []market.Money, cells []kernelCell) *Model {
 	n := len(prices)
@@ -296,18 +286,13 @@ func newModel(maxSojourn int64, prices []market.Money, cells []kernelCell) *Mode
 type Model struct {
 	maxSojourn int64
 	prices     []market.Money
-	cells      []kernelCell  // every non-zero N^k_{i,j}, sorted by compareCells
+	cells      []kernelCell  // every non-zero N^k_{i,j}, in kernel order
 	out        []int64       // N_i
 	kernel     [][]kernelRow // per source state: rows ascending by k
 
 	mu       sync.Mutex                    // serializes the lazy builds below
 	soj      []atomic.Pointer[sojournData] // published per-state sojourn tables
 	profiles atomic.Pointer[freshProfiles] // published fresh-entry occupancy cache
-}
-
-// Prices returns the learned price state space, ascending.
-func (m *Model) Prices() []market.Money {
-	return append([]market.Money(nil), m.prices...)
 }
 
 // Support summarizes how much training data backs each state — the

@@ -55,6 +55,12 @@ func sojournPMF(m *Model, p market.Money, k int64) float64 {
 	return float64(r.total) / float64(m.out[i])
 }
 
+// outOfBidFraction returns the expected fraction of the forecast's
+// interval during which the spot price strictly exceeds bid.
+func outOfBidFraction(f *Forecast, bid market.Money) float64 {
+	return f.outAt(f.levelAbove(bid))
+}
+
 // alternating builds a trace flipping between priceA (durA minutes) and
 // priceB (durB minutes) for the given number of cycles.
 func alternating(priceA, priceB market.Money, durA, durB int64, cycles int) *trace.Trace {
@@ -321,11 +327,11 @@ func TestForecastDeterministicAlternation(t *testing.T) {
 		t.Fatalf("occupancy sums to %v, want 1", sum)
 	}
 	wantB := 5.0 / 14.0
-	if got := f.OutOfBidFraction(pA); math.Abs(got-wantB) > 1e-9 {
-		t.Errorf("OutOfBidFraction(A) = %v, want %v", got, wantB)
+	if got := outOfBidFraction(f, pA); math.Abs(got-wantB) > 1e-9 {
+		t.Errorf("outOfBidFraction(A) = %v, want %v", got, wantB)
 	}
-	if got := f.OutOfBidFraction(pB); got != 0 {
-		t.Errorf("OutOfBidFraction(B) = %v, want 0", got)
+	if got := outOfBidFraction(f, pB); got != 0 {
+		t.Errorf("outOfBidFraction(B) = %v, want 0", got)
 	}
 }
 
@@ -337,8 +343,8 @@ func TestForecastMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.OutOfBidFraction(pA); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("OutOfBidFraction(A) = %v, want 0.5", got)
+	if got := outOfBidFraction(f, pA); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("outOfBidFraction(A) = %v, want 0.5", got)
 	}
 }
 
@@ -348,7 +354,7 @@ func TestForecastFailureProbabilityComposesFP0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := f.OutOfBidFraction(pA)
+	out := outOfBidFraction(f, pA)
 	want := 1 - (1-0.01)*(1-out)
 	if got := f.FailureProbability(pA, 0.01); math.Abs(got-want) > 1e-12 {
 		t.Errorf("FailureProbability = %v, want %v", got, want)
@@ -368,8 +374,8 @@ func TestForecastAgeBeyondObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// B occupies the whole 5-minute horizon.
-	if got := f.OutOfBidFraction(pA); math.Abs(got-1) > 1e-9 {
-		t.Errorf("OutOfBidFraction(A) = %v, want 1 (all mass in B)", got)
+	if got := outOfBidFraction(f, pA); math.Abs(got-1) > 1e-9 {
+		t.Errorf("outOfBidFraction(A) = %v, want 1 (all mass in B)", got)
 	}
 }
 
@@ -383,7 +389,7 @@ func TestForecastUnknownPriceMapsToNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(f1.OutOfBidFraction(pA)-f2.OutOfBidFraction(pA)) > 1e-12 {
+	if math.Abs(outOfBidFraction(f1, pA)-outOfBidFraction(f2, pA)) > 1e-12 {
 		t.Error("near-A price forecast differs from A forecast")
 	}
 }
@@ -520,10 +526,10 @@ func TestForecastAbsorbingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.OutOfBidFraction(market.Money(20000)); got != 0 {
+	if got := outOfBidFraction(f, market.Money(20000)); got != 0 {
 		t.Errorf("absorbing state escaped: out fraction %v", got)
 	}
-	if got := f.OutOfBidFraction(pB); math.Abs(got-1) > 1e-9 {
+	if got := outOfBidFraction(f, pB); math.Abs(got-1) > 1e-9 {
 		t.Errorf("absorbing state occupancy = %v, want all above B", got)
 	}
 }

@@ -16,10 +16,10 @@ func TestStationaryAlternation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.OutOfBidFraction(pA); math.Abs(got-1.0/3.0) > 1e-9 {
+	if got := outOfBidFraction(f, pA); math.Abs(got-1.0/3.0) > 1e-9 {
 		t.Fatalf("stationary P(price > A) = %v, want 1/3", got)
 	}
-	if got := f.OutOfBidFraction(pB); got != 0 {
+	if got := outOfBidFraction(f, pB); got != 0 {
 		t.Fatalf("stationary P(price > B) = %v, want 0", got)
 	}
 }
@@ -45,9 +45,9 @@ func TestStationaryMatchesEmpiricalOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.Prices() {
+	for _, p := range m.prices {
 		want := tr.FractionAbove(p)
-		got := f.OutOfBidFraction(p)
+		got := outOfBidFraction(f, p)
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("price %v: stationary %v vs empirical %v", p, got, want)
 		}

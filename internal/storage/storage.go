@@ -139,9 +139,6 @@ func New(net *simnet.Network, members []simnet.NodeID, m int) (*Service, error) 
 	return s, nil
 }
 
-// Cluster exposes the underlying Paxos cluster.
-func (s *Service) Cluster() *paxos.Cluster { return s.cluster }
-
 // Put stores value under key, driving the network until the write is
 // committed by the RS-Paxos quorum.
 func (s *Service) Put(key string, value []byte) error {

@@ -174,9 +174,6 @@ func (c *Counter) Inc() { c.s.num.Add(1) }
 // Add adds n; n must not be negative.
 func (c *Counter) Add(n int64) { c.s.num.Add(n) }
 
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.s.num.Load() }
-
 // GaugeVec is a labeled family of instantaneous values.
 type GaugeVec struct{ fam *family }
 
@@ -195,9 +192,6 @@ type Gauge struct{ s *series }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.s.num.Store(int64(math.Float64bits(v))) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(uint64(g.s.num.Load())) }
 
 // HistogramVec is a labeled family of log-bucketed histograms
 // (stats.LogHistogram): lo and hi bound the covered range and

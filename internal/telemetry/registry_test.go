@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -13,13 +14,13 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	c := reg.Counter("c_total", "a counter", "zone").With("us-east-1a")
 	c.Inc()
 	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
+	if got := c.s.num.Load(); got != 5 {
+		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := reg.Gauge("g", "a gauge").With()
 	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %g, want 2.5", g.Value())
+	if got := math.Float64frombits(uint64(g.s.num.Load())); got != 2.5 {
+		t.Fatalf("gauge = %g, want 2.5", got)
 	}
 	h := reg.Histogram("h", "a histogram", 1, 1000, 1).With()
 	h.Observe(5)
@@ -40,7 +41,7 @@ func TestRegistrationIdempotent(t *testing.T) {
 	a := reg.Counter("x_total", "", "zone")
 	b := reg.Counter("x_total", "", "zone")
 	a.With("z").Add(3)
-	if got := b.With("z").Value(); got != 3 {
+	if got := b.With("z").s.num.Load(); got != 3 {
 		t.Fatalf("re-registered family lost state: %d, want 3", got)
 	}
 	defer func() {
@@ -57,10 +58,10 @@ func TestHandleIdentity(t *testing.T) {
 	vec.With("a").Inc()
 	vec.With("a").Inc()
 	vec.With("b").Inc()
-	if got := vec.With("a").Value(); got != 2 {
+	if got := vec.With("a").s.num.Load(); got != 2 {
 		t.Fatalf("series a = %d, want 2", got)
 	}
-	if got := vec.With("b").Value(); got != 1 {
+	if got := vec.With("b").s.num.Load(); got != 1 {
 		t.Fatalf("series b = %d, want 1", got)
 	}
 }
