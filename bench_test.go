@@ -170,7 +170,7 @@ func BenchmarkExample3Quorum(b *testing.B) {
 }
 
 // BenchmarkAblationEstimators compares Jupiter's interval forecaster
-// against the stationary and one-step variants (DESIGN.md §6); the gap
+// against the stationary and one-step variants (DESIGN.md §2.10); the gap
 // is the lock service's at a 6 h interval.
 func BenchmarkAblationEstimators(b *testing.B) {
 	env := quickEnv()

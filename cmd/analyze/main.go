@@ -34,7 +34,7 @@
 // The attribute subcommand renders the cost/downtime attribution
 // ledger — every billed cent and downtime minute in one (pool, cause)
 // cell — for every replay cell a run manifest (`-manifest`) records.
-// See DESIGN.md §2.8.
+// See DESIGN.md §2.14.
 package main
 
 import (

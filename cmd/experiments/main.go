@@ -19,10 +19,10 @@
 // a family of the strategy table (-list prints them), or the shipped
 // arena roster — replays under every chaos scenario and seed,
 // and a leaderboard ranks them by availability bounds met, then mean
-// cost (see DESIGN.md §2.7). With -autoscale, every cell and the
+// cost (see DESIGN.md §2.16). With -autoscale, every cell and the
 // clean baseline replay under a per-seed synthetic request-rate trace
 // (diurnal sinusoid plus flash crowds), so strategies are judged while
-// their fleets resize gradually (DESIGN.md §2.9).
+// their fleets resize gradually (DESIGN.md §2.13).
 //
 // Everything from -seed down is the shared flag set of
 // internal/experiments.Flags — cmd/replay takes the same flags, the
@@ -53,7 +53,7 @@
 // Provenance: -spans-sample N puts every Nth decision's provenance
 // spans (why each bid was chosen) into its replay cell's manifest
 // record; inspect them with "analyze explain manifest.json". It needs
-// -manifest, and 0, the default, records none. See DESIGN.md §2.8.
+// -manifest, and 0, the default, records none. See DESIGN.md §2.14.
 package main
 
 import (

@@ -48,39 +48,24 @@ func runTournament(args []string) error {
 		return nil
 	}
 
-	if *strategies != "" {
-		specs, err := experiments.SplitSpecList(*strategies)
-		if err != nil {
-			return err
-		}
-		cfg.Specs = specs
-	}
-	if *scenarios != "" {
-		var names []string
-		for _, s := range strings.Split(*scenarios, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				names = append(names, s)
-			}
-		}
-		if len(names) > 0 {
-			cfg.Scenarios = names
+	// A list flag that is given must list something: a blank element
+	// is an error naming the flag, never a fall back to the default.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	var err error
+	if given["strategies"] {
+		if cfg.Specs, err = experiments.SplitSpecList(*strategies); err != nil {
+			return fmt.Errorf("tournament: -strategies: %w", err)
 		}
 	}
-	if *seedsSpec != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*seedsSpec, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			seed, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("tournament: bad seed %q: %w", s, err)
-			}
-			seeds = append(seeds, seed)
+	if given["scenarios"] {
+		if cfg.Scenarios, err = splitList(*scenarios); err != nil {
+			return fmt.Errorf("tournament: -scenarios: %w", err)
 		}
-		if len(seeds) > 0 {
-			cfg.Seeds = seeds
+	}
+	if given["seeds"] {
+		if cfg.Seeds, err = parseSeeds(*seedsSpec); err != nil {
+			return fmt.Errorf("tournament: -seeds: %w", err)
 		}
 	}
 	// The run's record names the grid: the manifest's seed is the first
@@ -99,6 +84,33 @@ func runTournament(args []string) error {
 		return err
 	}
 	return sink.Close(arena(env, cfg, *jsonOut))
+}
+
+// splitList splits a comma-separated flag value, trimming each element;
+// a blank element, and so an empty list, is an error.
+func splitList(s string) ([]string, error) {
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		if parts[i] = strings.TrimSpace(p); parts[i] == "" {
+			return nil, fmt.Errorf("empty element in list %q", s)
+		}
+	}
+	return parts, nil
+}
+
+// parseSeeds parses -seeds' comma-separated replay seeds.
+func parseSeeds(s string) ([]uint64, error) {
+	parts, err := splitList(s)
+	if err != nil {
+		return nil, err
+	}
+	seeds := make([]uint64, len(parts))
+	for i, p := range parts {
+		if seeds[i], err = strconv.ParseUint(p, 10, 64); err != nil {
+			return nil, fmt.Errorf("bad seed %q: %w", p, err)
+		}
+	}
+	return seeds, nil
 }
 
 // joinSeeds renders seeds the way -seeds takes them.

@@ -45,3 +45,29 @@ func TestTournamentFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTournamentEmptyListsRejected: an empty -strategies, -scenarios or
+// -seeds list, or one with a blank element, is an error naming the
+// flag, not an empty arena or a silent fall back to the defaults. The
+// other flags keep the grid one cell wide, so a run that wrongly
+// proceeds is short.
+func TestTournamentEmptyListsRejected(t *testing.T) {
+	small := map[string]string{"strategies": "baseline", "scenarios": "calm", "seeds": "2014"}
+	for _, c := range []struct{ flag, value string }{
+		{"strategies", ","}, {"strategies", ""}, {"strategies", "baseline,,jupiter"},
+		{"scenarios", ","}, {"scenarios", " "}, {"scenarios", "calm,"},
+		{"seeds", ","}, {"seeds", ""}, {"seeds", "2014,,2015"},
+	} {
+		args := []string{"-weeks", "1", "-train", "6"}
+		for name, v := range small {
+			if name == c.flag {
+				v = c.value
+			}
+			args = append(args, "-"+name, v)
+		}
+		_, err := captured(t, func() error { return runTournament(args) })
+		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {
+			t.Errorf("tournament -%s %q: error %v, want one naming -%s", c.flag, c.value, err, c.flag)
+		}
+	}
+}

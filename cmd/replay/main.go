@@ -67,7 +67,7 @@
 // rejected alternatives, the chosen bids and their Eq. 10 margin — into
 // the cell's manifest record (inspect with "analyze explain
 // manifest.json"). It needs -manifest; 0, the default, records none.
-// See DESIGN.md §2.8.
+// See DESIGN.md §2.14.
 package main
 
 import (

@@ -9,7 +9,7 @@
 // erasure-coded storage service, and a trace-replay harness that
 // regenerates the paper's evaluation.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
+// See README.md for a tour, DESIGN.md for the package map and the
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured
 // results. The root-level bench_test.go regenerates each table and
 // figure as a go-test benchmark, as a smoke reproduction; performance is

@@ -54,7 +54,7 @@ func main() {
 	if err := svc.Rotate([]simnet.NodeID{"az-f", "az-g"}, []simnet.NodeID{"az-a", "az-b"}); err != nil {
 		log.Fatal(err)
 	}
-	svc.Cluster().Settle(100000)
+	net.Run(100000)
 	fmt.Println("rotated az-a, az-b out; az-f, az-g in")
 
 	if holder, err = svc.Holder("/db/leader"); err != nil {

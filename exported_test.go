@@ -15,7 +15,7 @@ import (
 )
 
 // faultKnobs are the methods kept for fault injection with no production
-// caller (DESIGN.md §5): a test or a user drives the simulated network's
+// caller (DESIGN.md §2.18): a test or a user drives the simulated network's
 // latency, drops and partitions, and checks a stripe's parity, through
 // them.
 var faultKnobs = map[string]bool{
@@ -27,17 +27,18 @@ var faultKnobs = map[string]bool{
 }
 
 // TestExportedFunctionsHaveProductionCallers fails on a production name
-// that only tests call: an exported top-level function under internal/,
-// an exported method of a type under internal/, or an unexported
-// top-level function anywhere in the module. Such helpers and oracles
-// belong in _test.go files. It type-checks every non-test file of the
-// module, bench/ included, and counts a name as called when a non-test
-// file refers to it outside the name's own body. A method is exempt when
-// its type implements an interface that has it (a call through the
-// interface names the interface's method, not this one), as are the
-// faultKnobs. For functions this test replaces staticcheck's unused check
-// (U1000), which counts every exported name as used and does not run with
-// the go test steps; U1000 keeps unexported methods, types and variables.
+// that only tests use: an exported top-level function, or an exported
+// method of a type, under internal/, or anywhere in the module an
+// unexported function or method and any top-level type, constant or
+// variable. Such helpers and oracles belong in _test.go files. It
+// type-checks every non-test file of the module, bench/ included, and
+// counts a name as used when a non-test file refers to it outside the
+// name's own declaration (a method's receiver does not use its type). A
+// method is exempt when its type implements an interface that has it (a
+// call through the interface names the interface's method, not this
+// one), as are the faultKnobs. Staticcheck's unused check (U1000) counts
+// every exported name as used and does not run with the go test steps;
+// this test replaces it for every top-level name and method.
 func TestExportedFunctionsHaveProductionCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	dirs := map[string][]*ast.File{} // import path -> non-test files
@@ -100,32 +101,54 @@ func TestExportedFunctionsHaveProductionCallers(t *testing.T) {
 		}
 	}
 
-	// The declarations held to the rule, and where each body lies.
+	// The declarations held to the rule, where each lies, and the
+	// receivers, whose mention of their type is no use of it.
 	type decl struct {
-		fn       *types.Func
+		obj      types.Object
 		pos, end token.Pos
 	}
 	var decls []decl
+	receiver := map[token.Pos]bool{}
 	for _, p := range paths {
 		internal := strings.HasPrefix(p, "repro/internal/")
 		for _, f := range dirs[p] {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn := info.Defs[fd.Name].(*types.Func)
-				var held bool
-				switch {
-				case fd.Recv != nil:
-					held = fd.Name.IsExported() && internal && !faultKnobs[fn.FullName()]
-				case fd.Name.IsExported():
-					held = internal
-				default:
-					held = fd.Name.Name != "main" && fd.Name.Name != "init"
-				}
-				if held {
-					decls = append(decls, decl{fn, fd.Pos(), fd.End()})
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := info.Defs[d.Name].(*types.Func)
+					var held bool
+					switch {
+					case d.Recv != nil:
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receiver[id.Pos()] = true
+							}
+							return true
+						})
+						held = (!d.Name.IsExported() || internal) && !faultKnobs[fn.FullName()]
+					case d.Name.IsExported():
+						held = internal
+					default:
+						held = d.Name.Name != "main" && d.Name.Name != "init"
+					}
+					if held {
+						decls = append(decls, decl{fn, d.Pos(), d.End()})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{spec.Name}
+						case *ast.ValueSpec:
+							names = spec.Names
+						}
+						for _, id := range names {
+							if id.Name != "_" {
+								decls = append(decls, decl{info.Defs[id], spec.Pos(), spec.End()})
+							}
+						}
+					}
 				}
 			}
 		}
@@ -134,30 +157,36 @@ func TestExportedFunctionsHaveProductionCallers(t *testing.T) {
 		t.Fatal("found no declarations under the rule")
 	}
 
-	// A reference inside the referenced function's own body is no caller.
-	body := map[*types.Func]decl{}
+	// A reference inside the referenced name's own declaration is no use.
+	own := map[types.Object]decl{}
 	for _, d := range decls {
-		body[d.fn] = d
+		own[d.obj] = d
 	}
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for id, obj := range info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if d, ok := own[obj]; !ok || receiver[id.Pos()] || d.pos <= id.Pos() && id.Pos() < d.end {
 			continue
 		}
-		fn = fn.Origin()
-		if d, ok := body[fn]; ok && d.pos <= id.Pos() && id.Pos() < d.end {
-			continue
-		}
-		used[fn] = true
+		used[obj] = true
 	}
 
 	ifaces := interfaces(info, checked)
 	for _, d := range decls {
-		if used[d.fn] || implementsInterface(d.fn, ifaces) {
+		fn, isFunc := d.obj.(*types.Func)
+		if used[d.obj] || isFunc && implementsInterface(fn, ifaces) {
 			continue
 		}
-		t.Errorf("%s: %s has no caller outside _test.go files; move it into one", fset.Position(d.pos), d.fn.FullName())
+		name := d.obj.Pkg().Path() + "." + d.obj.Name()
+		if isFunc {
+			name = fn.FullName()
+		}
+		t.Errorf("%s: %s has no use outside _test.go files; move it into one", fset.Position(d.pos), name)
 	}
 }
 

@@ -11,7 +11,7 @@
 // pool carries market.UnitsPerNode units: the per-unit orders are then
 // the cheapest-bid order, every group is W base nodes, and what runs is
 // the paper's algorithm as printed — no exact check, no rebid, one
-// candidate family (DESIGN.md §2.6).
+// candidate family (DESIGN.md §2.10).
 package core
 
 import (

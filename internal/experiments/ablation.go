@@ -34,7 +34,7 @@ func (e Env) variants(vs []variant) ([]SweepRow, error) {
 }
 
 // AblationEstimators compares Jupiter under its failure estimators
-// (DESIGN.md §6) — the interval forecast (the framework's default),
+// (DESIGN.md §2.10) — the interval forecast (the framework's default),
 // the stationary occupancy, and the forecast over one minute, the
 // paper's one-step Equation 14 — as one grid: every estimator at 1, 6
 // and 12 h bidding intervals for both services, each row labelled like

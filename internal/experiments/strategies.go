@@ -172,16 +172,19 @@ func BuildSpecs(specs []string) ([]strategy.Builder, error) {
 }
 
 // SplitSpecList splits a comma-separated spec list at top-level commas,
-// leaving parenthesized argument lists intact. Blank elements are
-// skipped; unbalanced parentheses are an error.
+// leaving parenthesized argument lists intact. A blank element (and so
+// an empty list) and unbalanced parentheses are errors.
 func SplitSpecList(s string) ([]string, error) {
 	var specs []string
 	depth, start := 0, 0
-	flush := func(end int) {
-		if spec := strings.TrimSpace(s[start:end]); spec != "" {
-			specs = append(specs, spec)
+	flush := func(end int) error {
+		spec := strings.TrimSpace(s[start:end])
+		if spec == "" {
+			return fmt.Errorf("strategy: empty element in list %q", s)
 		}
+		specs = append(specs, spec)
 		start = end + 1
+		return nil
 	}
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -194,14 +197,18 @@ func SplitSpecList(s string) ([]string, error) {
 			}
 		case ',':
 			if depth == 0 {
-				flush(i)
+				if err := flush(i); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	if depth != 0 {
 		return nil, fmt.Errorf("strategy: unbalanced '(' in list %q", s)
 	}
-	flush(len(s))
+	if err := flush(len(s)); err != nil {
+		return nil, err
+	}
 	return specs, nil
 }
 

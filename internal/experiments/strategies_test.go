@@ -75,7 +75,7 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestSplitSpecList(t *testing.T) {
-	got, err := SplitSpecList(" jupiter, extra(2, 0.2) ,, baseline ")
+	got, err := SplitSpecList(" jupiter, extra(2, 0.2) , baseline ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,11 @@ func TestSplitSpecList(t *testing.T) {
 	}
 	if _, err := SplitSpecList("extra)1,2("); err == nil {
 		t.Error("unbalanced ')' accepted")
+	}
+	for _, list := range []string{"", " ", ",", "jupiter,,baseline", "jupiter,"} {
+		if _, err := SplitSpecList(list); err == nil {
+			t.Errorf("SplitSpecList(%q) accepted a blank element", list)
+		}
 	}
 }
 

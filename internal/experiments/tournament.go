@@ -161,6 +161,12 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
 	}
+	if len(cfg.Specs) == 0 {
+		return nil, fmt.Errorf("experiments: no strategies")
+	}
+	if len(cfg.Scenarios) == 0 {
+		return nil, fmt.Errorf("experiments: no scenarios")
+	}
 	specs, scenarioNames, seeds, hours := cfg.Specs, cfg.Scenarios, cfg.Seeds, cfg.IntervalHours
 	builders, err := BuildSpecs(specs)
 	if err != nil {

@@ -172,7 +172,8 @@ func TestTournamentZeroEpsilon(t *testing.T) {
 }
 
 // TestTournamentRejectsBadConfig: an interval below one hour, a
-// negative or NaN epsilon and an empty seed list are errors.
+// negative or NaN epsilon and an empty seed, strategy or scenario list
+// are errors.
 func TestTournamentRejectsBadConfig(t *testing.T) {
 	for name, edit := range map[string]func(*TournamentConfig){
 		"zero interval":     func(c *TournamentConfig) { c.IntervalHours = 0 },
@@ -180,6 +181,8 @@ func TestTournamentRejectsBadConfig(t *testing.T) {
 		"negative epsilon":  func(c *TournamentConfig) { c.Epsilon = -0.01 },
 		"NaN epsilon":       func(c *TournamentConfig) { c.Epsilon = math.NaN() },
 		"no seeds":          func(c *TournamentConfig) { c.Seeds = nil },
+		"no strategies":     func(c *TournamentConfig) { c.Specs = nil },
+		"no scenarios":      func(c *TournamentConfig) { c.Scenarios = nil },
 	} {
 		cfg := DefaultTournamentConfig()
 		edit(&cfg)

@@ -142,10 +142,6 @@ func New(net *simnet.Network, members []simnet.NodeID) *Service {
 	return s
 }
 
-// Cluster exposes the underlying Paxos cluster (for membership rotation
-// by the bidding framework and for tests).
-func (s *Service) Cluster() *paxos.Cluster { return s.cluster }
-
 // Acquire attempts to take the lock for the client, optionally bounded
 // by a lease in ticks. It returns the grant plus the lock sequencer.
 func (s *Service) Acquire(client, lock string, leaseTicks int64) (bool, uint64, error) {

@@ -189,7 +189,7 @@ func TestRotationKeepsState(t *testing.T) {
 	if err := s.Rotate([]simnet.NodeID{"fresh-0", "fresh-1"}, []simnet.NodeID{"replica-0", "replica-1"}); err != nil {
 		t.Fatal(err)
 	}
-	s.cluster.Settle(100000)
+	s.cluster.Net.Run(100000)
 	if h, err := s.Holder("/l"); err != nil || h != "a" {
 		t.Fatalf("lock state lost in rotation: holder=%q (err %v)", h, err)
 	}
@@ -272,7 +272,7 @@ func TestSameSeedSameRun(t *testing.T) {
 		if err := s.Rotate([]simnet.NodeID{"az-f", "az-g"}, []simnet.NodeID{"az-a", "az-b"}); err != nil {
 			t.Fatal(err)
 		}
-		s.Cluster().Settle(100000)
+		net.Run(100000)
 		delivered, _ := net.Stats()
 		h, err := s.Holder("/db/leader")
 		if err != nil {

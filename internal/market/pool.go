@@ -83,7 +83,7 @@ func typeIndex(it InstanceType) (int, bool) {
 // other type's weight is rounded to whole units. Quorum arithmetic runs
 // over units, which keeps the weighted threshold rule exactly equal to
 // the node-count rule whenever all pools are the base type (see
-// DESIGN.md §2.6).
+// DESIGN.md §2.2).
 const UnitsPerNode = 16
 
 // CapacityWeight returns the capacity of an instance type relative to

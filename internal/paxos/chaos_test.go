@@ -91,7 +91,7 @@ func runChaos(t *testing.T, seed uint64, dataShards int) {
 	for id := range crashed {
 		net.Restart(id)
 	}
-	c.Settle(400000)
+	c.Net.Run(400000)
 
 	// Invariant: applied sequences are prefix-consistent and complete
 	// on at least a quorum.

@@ -29,7 +29,7 @@ func TestCompactionBoundsLogSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	for id, n := range c.Nodes() {
 		if len(n.log) > 30 {
 			t.Errorf("node %s retains %d log entries after compaction", id, len(n.log))
@@ -47,7 +47,7 @@ func TestCompactionDoesNotBreakCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	for id, sm := range sms {
 		apps := appsOf(sm)
 		if len(apps) != 40 {
@@ -130,7 +130,7 @@ func TestCompactionWithFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(100000)
+	c.Net.Run(100000)
 	for id, sm := range sms {
 		if id == leader.ID {
 			continue

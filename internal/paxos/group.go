@@ -218,9 +218,3 @@ func (c *Cluster) StopNode(id simnet.NodeID) {
 		c.Net.Deregister(id)
 	}
 }
-
-// Settle runs the network until it is quiescent or the event budget is
-// exhausted, useful after fault injection.
-func (c *Cluster) Settle(maxEvents int) {
-	c.Net.Run(maxEvents)
-}

@@ -89,7 +89,7 @@ func TestLeaderElection(t *testing.T) {
 		t.Fatal("no leader")
 	}
 	// Exactly one leader once settled.
-	c.Settle(2000)
+	c.Net.Run(2000)
 	count := 0
 	for _, n := range c.Nodes() {
 		if n.IsLeader() {
@@ -108,7 +108,7 @@ func TestProposeCommitsEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(20000)
+	c.Net.Run(20000)
 	// All live nodes applied the same sequence of app commands.
 	var ref []appliedEntry
 	for id, sm := range sms {
@@ -143,7 +143,7 @@ func TestDedupSuppressesDoubleApply(t *testing.T) {
 	// Submit the same command twice (client retry).
 	leader.Submit(KindApp, cmdID, nil, []byte("once"))
 	leader.Submit(KindApp, cmdID, nil, []byte("once"))
-	c.Settle(20000)
+	c.Net.Run(20000)
 	for id, sm := range sms {
 		count := 0
 		for _, e := range sm.applied {
@@ -178,7 +178,7 @@ func TestLeaderFailover(t *testing.T) {
 	if _, err := c.Propose([]byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(20000)
+	c.Net.Run(20000)
 	// Every live node has both commands in order.
 	for id, sm := range sms {
 		if id == leader.ID {
@@ -212,7 +212,7 @@ func TestMinorityCrashStillCommits(t *testing.T) {
 	if _, err := c.Propose([]byte("with-minority-down")); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(20000)
+	c.Net.Run(20000)
 	liveApplied := 0
 	for id, sm := range sms {
 		if c.Net.Crashed(id) {
@@ -349,7 +349,7 @@ func TestReconfigurationAddNode(t *testing.T) {
 	if _, err := c.Propose([]byte("post")); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	// The joiner learned the full history via snapshot + commits.
 	apps := appsOf(sms["n3"])
 	if len(apps) != 2 || string(apps[0]) != "pre" || string(apps[1]) != "post" {
@@ -381,7 +381,7 @@ func TestReconfigurationRotateNode(t *testing.T) {
 	if _, err := c.Propose([]byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	apps := appsOf(sms["n5"])
 	if len(apps) != 2 || string(apps[0]) != "a" || string(apps[1]) != "b" {
 		t.Fatalf("replacement applied %q", apps)
@@ -406,7 +406,7 @@ func TestLossyNetworkStillCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(100000)
+	c.Net.Run(100000)
 	// At least a quorum applied everything, in identical order.
 	complete := 0
 	var ref [][]byte

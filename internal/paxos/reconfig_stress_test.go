@@ -46,7 +46,7 @@ func TestRepeatedRotation(t *testing.T) {
 		}
 		total++
 	}
-	c.Settle(200000)
+	c.Net.Run(200000)
 
 	// The final membership consists entirely of nodes that joined via
 	// snapshot; each must hold the full applied history.
@@ -89,7 +89,7 @@ func TestFullClusterRestart(t *testing.T) {
 	if _, err := c.Propose([]byte("after-blackout")); err != nil {
 		t.Fatalf("propose after full restart: %v", err)
 	}
-	c.Settle(100000)
+	c.Net.Run(100000)
 	for id, sm := range sms {
 		apps := appsOf(sm)
 		if len(apps) != 2 {

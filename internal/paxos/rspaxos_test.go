@@ -111,7 +111,7 @@ func TestRSPaxosCommitStoresShards(t *testing.T) {
 	if _, err := c.Propose(value); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	// Find the slot that holds the value.
 	var slot uint64
 	found := false
@@ -165,7 +165,7 @@ func TestRSPaxosQuorumIsLarger(t *testing.T) {
 	cmdID := c.NextCmdID()
 	c.Leader().Submit(KindApp, cmdID, nil, []byte("should-stall"))
 	// Run a generous budget; the command must NOT commit anywhere.
-	c.Settle(100000)
+	c.Net.Run(100000)
 	for _, n := range c.Nodes() {
 		if n.dedup[cmdID] {
 			t.Fatal("write committed with only 3/5 acceptors (needs 4)")
@@ -188,7 +188,7 @@ func TestRSPaxosOneFailureTolerated(t *testing.T) {
 	if _, err := c.Propose(value); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(50000)
+	c.Net.Run(50000)
 	var slot uint64
 	found := false
 	for _, sm := range sms {
@@ -228,7 +228,7 @@ func TestRSPaxosLeaderFailoverRecoversValue(t *testing.T) {
 	if _, err := c.Propose(after); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(100000)
+	c.Net.Run(100000)
 	// Both values reconstructible from live replicas' shards.
 	delete(sms, leader.ID)
 	var slots []uint64
@@ -309,7 +309,7 @@ func TestRSPaxosManyValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Settle(100000)
+	c.Net.Run(100000)
 	slotSet := map[uint64]bool{}
 	for _, sm := range sms {
 		for s := range sm.shards {

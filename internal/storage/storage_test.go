@@ -115,7 +115,7 @@ func TestStorageSavingVsReplication(t *testing.T) {
 	if err := s.Put("big", value); err != nil {
 		t.Fatal(err)
 	}
-	s.cluster.Settle(50000)
+	s.cluster.Net.Run(50000)
 	stored := s.shardBytesStored()
 	if stored >= 3*len(value) {
 		t.Fatalf("coded cluster stores %d bytes for a %d-byte value (>= 3x)", stored, len(value))
@@ -213,7 +213,7 @@ func TestRotateRebalancesShards(t *testing.T) {
 	if err := s.Rotate([]simnet.NodeID{"fresh-0", "fresh-1"}, []simnet.NodeID{"store-0", "store-1"}); err != nil {
 		t.Fatal(err)
 	}
-	s.cluster.Settle(100000)
+	s.cluster.Net.Run(100000)
 	for k, want := range values {
 		got, found, err := s.Get(k)
 		if err != nil || !found {

@@ -21,9 +21,9 @@ import (
 //
 // (out-of-bid time plus restart overhead per upward crossing of b) and
 // takes the cheapest level whose expected lost time stays under
-// MaxLostFraction of the interval, falling back to the level with the
-// least lost time when none qualifies. Pools are then ranked by bid per
-// capacity unit and BaseNodes·UnitsPerNode units are filled.
+// checkpointMaxLostFraction of the interval, falling back to the level
+// with the least lost time when none qualifies. Pools are then ranked by
+// bid per capacity unit and BaseNodes·UnitsPerNode units are filled.
 //
 // The tournament stresses exactly its weak spot: lost(b) prices
 // interruptions in time, not in the §3 availability guarantee, so under
@@ -31,21 +31,20 @@ import (
 type CheckpointRestart struct {
 	// RestartMinutes is the recovery cost charged per interruption.
 	RestartMinutes int64
-	// MaxLostFraction bounds acceptable expected lost time per interval.
-	MaxLostFraction float64
-	// LookbackMinutes is the estimation window (default three days).
-	LookbackMinutes int64
 }
 
-// NewCheckpointRestart returns a checkpointing bidder with the
-// tournament defaults: 30-minute restarts, 5% acceptable lost time,
-// three-day lookback.
+// The checkpointing bidder's tuning: checkpointMaxLostFraction bounds
+// the acceptable expected lost time per interval, and
+// checkpointLookbackMinutes is the estimation window.
+const (
+	checkpointMaxLostFraction = 0.05
+	checkpointLookbackMinutes = 3 * 24 * 60
+)
+
+// NewCheckpointRestart returns a checkpointing bidder that charges
+// restartMinutes per interruption.
 func NewCheckpointRestart(restartMinutes int64) *CheckpointRestart {
-	return &CheckpointRestart{
-		RestartMinutes:  restartMinutes,
-		MaxLostFraction: 0.05,
-		LookbackMinutes: 3 * 24 * 60,
-	}
+	return &CheckpointRestart{RestartMinutes: restartMinutes}
 }
 
 // Name implements Strategy.
@@ -75,7 +74,7 @@ func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMi
 			return Decision{}, err
 		}
 		bid := cur
-		if hist, err := view.PriceHistory(z, now-c.LookbackMinutes, now); err == nil && hist != nil && hist.End > hist.Start {
+		if hist, err := view.PriceHistory(z, now-checkpointLookbackMinutes, now); err == nil && hist != nil && hist.End > hist.Start {
 			bid = c.chooseBid(hist, cur, od, intervalMinutes)
 		}
 		sel.offer(pricedPool{key: z, price: bid, units: u})
@@ -92,7 +91,7 @@ func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMi
 func (c *CheckpointRestart) chooseBid(hist *trace.Trace, cur, od market.Money, intervalMinutes int64) market.Money {
 	levels := candidateLevels(hist, cur, od)
 	span := float64(hist.End - hist.Start)
-	budget := c.MaxLostFraction * float64(intervalMinutes)
+	budget := checkpointMaxLostFraction * float64(intervalMinutes)
 	best, bestLost := levels[0], 0.0
 	haveBest := false
 	for _, b := range levels {

@@ -27,12 +27,6 @@ type FeedbackControl struct {
 	// TargetOutOfBid is ε, the reference out-of-bid fraction the
 	// controller steers each pool toward.
 	TargetOutOfBid float64
-	// Kp and Ki are the proportional and integral gains.
-	Kp, Ki float64
-	// LookbackMinutes is the measurement window (default one day).
-	LookbackMinutes int64
-	// InitialMargin seeds a pool's first bid at spot·(1+InitialMargin).
-	InitialMargin float64
 
 	state map[string]*feedbackState
 }
@@ -43,17 +37,20 @@ type feedbackState struct {
 	integral float64
 }
 
-// NewFeedbackControl returns a controller with the defaults used by the
-// tournament roster: ε = 3%, Kp = 2, Ki = 0.5, one-day lookback, 10%
-// initial margin.
+// The controller's tuning. feedbackKp and feedbackKi are the
+// proportional and integral gains, feedbackLookbackMinutes the
+// measurement window, and feedbackInitialMargin seeds a pool's first
+// bid at spot·(1+feedbackInitialMargin).
+const (
+	feedbackKp              = 2.0
+	feedbackKi              = 0.5
+	feedbackLookbackMinutes = 24 * 60
+	feedbackInitialMargin   = 0.10
+)
+
+// NewFeedbackControl returns a controller steering toward ε = target.
 func NewFeedbackControl(target float64) *FeedbackControl {
-	return &FeedbackControl{
-		TargetOutOfBid:  target,
-		Kp:              2.0,
-		Ki:              0.5,
-		LookbackMinutes: 24 * 60,
-		InitialMargin:   0.10,
-	}
+	return &FeedbackControl{TargetOutOfBid: target}
 }
 
 // Name implements Strategy.
@@ -91,10 +88,10 @@ func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinu
 		}
 		st := f.state[z]
 		if st == nil {
-			st = &feedbackState{bid: cur.Scale(1 + f.InitialMargin)}
+			st = &feedbackState{bid: cur.Scale(1 + feedbackInitialMargin)}
 			f.state[z] = st
 		} else {
-			hist, err := view.PriceHistory(z, now-f.LookbackMinutes, now)
+			hist, err := view.PriceHistory(z, now-feedbackLookbackMinutes, now)
 			if err == nil && hist != nil && hist.End > hist.Start {
 				e := hist.FractionAbove(st.bid) - f.TargetOutOfBid
 				st.integral += e
@@ -103,7 +100,7 @@ func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinu
 				} else if st.integral < -integralClamp {
 					st.integral = -integralClamp
 				}
-				factor := 1 + f.Kp*e + f.Ki*st.integral
+				factor := 1 + feedbackKp*e + feedbackKi*st.integral
 				// The actuator saturates well before the bid could go
 				// negative or explode within one interval.
 				if factor < 0.5 {

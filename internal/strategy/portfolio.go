@@ -30,21 +30,19 @@ type PortfolioContract struct {
 	// CostCapFraction is β, the expected-cost budget relative to
 	// running the whole group on demand.
 	CostCapFraction float64
-	// BidQuantile sets each spot bid at this time-weighted quantile of
-	// the pool's recent price history.
-	BidQuantile float64
-	// LookbackMinutes is the estimation window (default three days).
-	LookbackMinutes int64
 }
 
-// NewPortfolioContract returns a portfolio bidder with the tournament
-// defaults: β = 0.6, 95th-percentile bids, three-day lookback.
+// The portfolio bidder's tuning: each spot bid sits at the
+// portfolioBidQuantile time-weighted quantile of the pool's price
+// history over the last portfolioLookbackMinutes.
+const (
+	portfolioBidQuantile     = 0.95
+	portfolioLookbackMinutes = 3 * 24 * 60
+)
+
+// NewPortfolioContract returns a portfolio bidder with β = capFraction.
 func NewPortfolioContract(capFraction float64) *PortfolioContract {
-	return &PortfolioContract{
-		CostCapFraction: capFraction,
-		BidQuantile:     0.95,
-		LookbackMinutes: 3 * 24 * 60,
-	}
+	return &PortfolioContract{CostCapFraction: capFraction}
 }
 
 // Name implements Strategy.
@@ -84,8 +82,8 @@ func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMi
 			return Decision{}, err
 		}
 		pp := portfolioPool{key: z, units: u, od: od, bid: cur, eprice: cur, qout: 0}
-		if hist, err := view.PriceHistory(z, now-p.LookbackMinutes, now); err == nil && hist != nil && hist.End > hist.Start {
-			pp.bid = quantilePrice(hist, p.BidQuantile)
+		if hist, err := view.PriceHistory(z, now-portfolioLookbackMinutes, now); err == nil && hist != nil && hist.End > hist.Start {
+			pp.bid = quantilePrice(hist, portfolioBidQuantile)
 			pp.eprice = hist.MeanPrice()
 			pp.qout = hist.FractionAbove(pp.bid)
 		}

@@ -41,7 +41,7 @@ func rivalSpec() strategy.ServiceSpec {
 }
 
 // TestFeedbackInitialMarginAndPricedOut: a fresh controller seeds each
-// pool's bid at spot times (1 + InitialMargin); once the spiky pool's
+// pool's bid at spot times 1.1 (a 10% initial margin); once the spiky pool's
 // price exceeds the standing bid, the controller refuses the market
 // instead of chasing it, and the standing bid survives for recovery.
 func TestFeedbackInitialMarginAndPricedOut(t *testing.T) {
@@ -55,7 +55,7 @@ func TestFeedbackInitialMarginAndPricedOut(t *testing.T) {
 	if len(before.Bids) != 2 {
 		t.Fatalf("pre-spike decision bids %d pools, want 2", len(before.Bids))
 	}
-	wantSeed := market.FromDollars(0.01).Scale(1 + f.InitialMargin)
+	wantSeed := market.FromDollars(0.01).Scale(1.1)
 	for _, b := range before.Bids {
 		if b.Price != wantSeed {
 			t.Errorf("pool %s seeded at %v, want %v", b.Zone, b.Price, wantSeed)
