@@ -38,9 +38,14 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/market"
@@ -92,9 +97,12 @@ func main() {
 	}
 }
 
-// runDiff loads two event traces and reports their first divergence.
-// It returns whether the traces are equal.
-func runDiff(args []string, out *os.File) (bool, error) {
+// runDiff compares two event traces line by line and reports the
+// first event where they diverge. Header meta differences are listed but
+// never make two traces differ: runs of different configurations are
+// expected to carry different provenance. It returns whether the event
+// sequences are equal.
+func runDiff(args []string, out io.Writer) (bool, error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: analyze diff a.jsonl b.jsonl")
@@ -106,22 +114,99 @@ func runDiff(args []string, out *os.File) (bool, error) {
 	if fs.NArg() != 2 {
 		return false, fmt.Errorf("want exactly two trace files, got %d", fs.NArg())
 	}
-	fa, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return false, err
+	var lines [2]*bufio.Scanner
+	// read decodes line n of trace i into v; it reports false at the end
+	// of the file.
+	read := func(i, n int, v any) (bool, error) {
+		if !lines[i].Scan() {
+			if err := lines[i].Err(); err != nil {
+				return false, fmt.Errorf("%s: %w", fs.Arg(i), err)
+			}
+			return false, nil
+		}
+		if err := json.Unmarshal(lines[i].Bytes(), v); err != nil {
+			return false, fmt.Errorf("%s: line %d: %w", fs.Arg(i), n, err)
+		}
+		return true, nil
 	}
-	defer fa.Close()
-	fb, err := os.Open(fs.Arg(1))
-	if err != nil {
-		return false, err
+	var hdr [2]telemetry.TraceHeader
+	for i, name := range fs.Args() {
+		f, err := os.Open(name)
+		if err != nil {
+			return false, err
+		}
+		defer f.Close()
+		lines[i] = bufio.NewScanner(f)
+		lines[i].Buffer(nil, 16<<20)
+		ok, err := read(i, 1, &hdr[i])
+		switch {
+		case err != nil:
+			return false, err
+		case !ok:
+			return false, fmt.Errorf("%s: empty %s stream", name, telemetry.TraceSchema)
+		case hdr[i].Schema != telemetry.TraceSchema:
+			return false, fmt.Errorf("%s: not a %s stream (schema %q)", name, telemetry.TraceSchema, hdr[i].Schema)
+		case hdr[i].Version > telemetry.TraceVersion:
+			return false, fmt.Errorf("%s: %s version %d newer than supported %d", name, telemetry.TraceSchema, hdr[i].Version, telemetry.TraceVersion)
+		}
 	}
-	defer fb.Close()
-	d, err := telemetry.DiffTraces(fa, fb)
-	if err != nil {
-		return false, err
+	// Both traces advance one line per step, so line n holds event n-2
+	// on either side; both are read to the end for the event counts.
+	var count [2]int64
+	at := int64(-1) // index of the first divergent event
+	var first [2]*telemetry.TraceEvent
+	for n := 2; ; n++ {
+		var ev [2]*telemetry.TraceEvent // nil once a trace has ended
+		for i := range lines {
+			e := new(telemetry.TraceEvent)
+			ok, err := read(i, n, e)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				ev[i] = e
+				count[i]++
+			}
+		}
+		if ev[0] == nil && ev[1] == nil {
+			break
+		}
+		if at < 0 && (ev[0] == nil || ev[1] == nil || *ev[0] != *ev[1]) {
+			at, first = int64(n-2), ev
+		}
 	}
-	fmt.Fprint(out, d.Report())
-	return d.Equal, nil
+	if at < 0 {
+		fmt.Fprintf(out, "traces EQUAL: %d events\n", count[0])
+	} else {
+		fmt.Fprintf(out, "traces DIFFER: %d vs %d events, first divergence at event %d\n", count[0], count[1], at)
+		for i, e := range first {
+			text := []byte("(trace ended)")
+			if e != nil {
+				text, _ = json.Marshal(e) // strings, ints and bools: cannot fail
+			}
+			fmt.Fprintf(out, "  %c: %s\n", 'A'+i, text)
+		}
+	}
+	var keys []string
+	for _, h := range hdr {
+		for k := range h.Meta {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		var v [2]string
+		for i, h := range hdr {
+			v[i] = "(absent)"
+			if s, ok := h.Meta[k]; ok {
+				v[i] = strconv.Quote(s)
+			}
+		}
+		if v[0] != v[1] {
+			fmt.Fprintf(out, "  header meta %q: %s vs %s\n", k, v[0], v[1])
+		}
+	}
+	return at < 0, nil
 }
 
 func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, lenient bool) error {

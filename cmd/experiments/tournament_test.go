@@ -71,3 +71,30 @@ func TestTournamentEmptyListsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTournamentRejectsRepeats: a strategy, scenario or seed listed
+// twice would replay the same cells twice and rank them as two rows or
+// average them as two markets, so each is an error naming the list and
+// the repeated entry — also when two specs differ only in spelling but
+// build the same strategy.
+func TestTournamentRejectsRepeats(t *testing.T) {
+	small := map[string]string{"strategies": "baseline", "scenarios": "calm", "seeds": "2014"}
+	for _, c := range []struct{ flag, value, want string }{
+		{"strategies", "baseline,baseline", `strategies "baseline" and "baseline" both build Baseline`},
+		{"strategies", "extra(2, 0.2),extra(2,0.2)", `strategies "extra(2, 0.2)" and "extra(2,0.2)" both build Extra(2, 0.2)`},
+		{"scenarios", "calm,reclaim-storm,calm", `scenarios list "calm" twice`},
+		{"seeds", "2014,7,2014", "seeds list 2014 twice"},
+	} {
+		args := []string{"-weeks", "1", "-train", "6"}
+		for name, v := range small {
+			if name == c.flag {
+				v = c.value
+			}
+			args = append(args, "-"+name, v)
+		}
+		_, err := captured(t, func() error { return runTournament(args) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("tournament -%s %q: error %v, want %q", c.flag, c.value, err, c.want)
+		}
+	}
+}

@@ -75,6 +75,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -130,6 +131,9 @@ func parseIntervals(s string) ([]int64, error) {
 		}
 		if h <= 0 {
 			return nil, fmt.Errorf("interval %q is not positive (want hours >= 1)", part)
+		}
+		if slices.Contains(out, h) {
+			return nil, fmt.Errorf("-interval list %q repeats %dh", s, h)
 		}
 		out = append(out, h)
 	}

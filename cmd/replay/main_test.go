@@ -40,6 +40,8 @@ func TestParseIntervals(t *testing.T) {
 		"3,0,6":  "not positive",
 		"6,-1":   "not positive",
 		"9999e9": "not a whole number",
+		"3,3":    `-interval list "3,3" repeats 3h`,
+		"1,3,03": `-interval list "1,3,03" repeats 3h`,
 	}
 	for in, wantSub := range bad {
 		got, err := parseIntervals(in)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -168,9 +169,29 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		return nil, fmt.Errorf("experiments: no scenarios")
 	}
 	specs, scenarioNames, seeds, hours := cfg.Specs, cfg.Scenarios, cfg.Seeds, cfg.IntervalHours
+	// A repeated entry would replay the same cells twice and rank or
+	// average them as if they were distinct.
+	for i, seed := range seeds {
+		if slices.Contains(seeds[:i], seed) {
+			return nil, fmt.Errorf("experiments: seeds list %d twice", seed)
+		}
+	}
+	for i, name := range scenarioNames {
+		if slices.Contains(scenarioNames[:i], name) {
+			return nil, fmt.Errorf("experiments: scenarios list %q twice", name)
+		}
+	}
 	builders, err := BuildSpecs(specs)
 	if err != nil {
 		return nil, err
+	}
+	built := map[string]string{} // strategy name -> the spec that built it
+	for i, build := range builders {
+		name := build().Name()
+		if first, ok := built[name]; ok {
+			return nil, fmt.Errorf("experiments: strategies %q and %q both build %s", first, specs[i], name)
+		}
+		built[name] = specs[i]
 	}
 	scenarios := make([]chaos.Scenario, len(scenarioNames))
 	for i, s := range scenarioNames {

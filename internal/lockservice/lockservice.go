@@ -138,7 +138,7 @@ func New(net *simnet.Network, members []simnet.NodeID) *Service {
 		m := newSM()
 		s.sms[id] = m
 		return m
-	}, paxos.DefaultOptions(1))
+	}, 1)
 	return s
 }
 

@@ -12,7 +12,7 @@ func benchCluster(b *testing.B, n, m int) *Cluster {
 	net := simnet.New(1)
 	c := NewCluster(net, ids(n), func(id simnet.NodeID) StateMachine {
 		return &logSM{id: id}
-	}, DefaultOptions(m))
+	}, m)
 	if _, err := c.WaitForLeader(); err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func BenchmarkLeaderElection(b *testing.B) {
 				net := simnet.New(uint64(i))
 				c := NewCluster(net, ids(n), func(id simnet.NodeID) StateMachine {
 					return &logSM{id: id}
-				}, DefaultOptions(1))
+				}, 1)
 				if _, err := c.WaitForLeader(); err != nil {
 					b.Fatal(err)
 				}

@@ -34,14 +34,11 @@ func runChaos(t *testing.T, seed uint64, dataShards int) {
 	net.SetLatency(1, 4)
 	rng := stats.NewRNG(seed ^ 0xdeadbeef)
 	sms := map[simnet.NodeID]*logSM{}
-	opts := DefaultOptions(dataShards)
-	opts.CompactEvery = 12
-	opts.CompactKeepTail = 10
 	c := NewCluster(net, ids(nodes), func(id simnet.NodeID) StateMachine {
 		sm := &logSM{id: id}
 		sms[id] = sm
 		return sm
-	}, opts)
+	}, dataShards)
 
 	crashed := map[simnet.NodeID]bool{}
 	crashedCount := 0

@@ -12,9 +12,9 @@ import (
 // replicas, submitting commands, waiting for commits, and changing
 // membership. It is the harness the lock and storage services build on.
 type Cluster struct {
-	Net   *simnet.Network
-	Opts  Options
-	nodes map[simnet.NodeID]*Node
+	Net        *simnet.Network
+	dataShards int // m of the θ(m, n) value code; 1 is full copies
+	nodes      map[simnet.NodeID]*Node
 	// order lists every replica ID ever created, sorted, so scans over
 	// the replicas replay the same for the same seed.
 	order   []simnet.NodeID
@@ -24,15 +24,16 @@ type Cluster struct {
 	maxEvents int
 }
 
-// NewCluster builds a cluster with the given member IDs. smMake
-// constructs each replica's state machine.
-func NewCluster(net *simnet.Network, members []simnet.NodeID, smMake func(id simnet.NodeID) StateMachine, opts Options) *Cluster {
+// NewCluster builds a cluster with the given member IDs over a θ(m, n)
+// value code with m = dataShards. smMake constructs each replica's state
+// machine.
+func NewCluster(net *simnet.Network, members []simnet.NodeID, smMake func(id simnet.NodeID) StateMachine, dataShards int) *Cluster {
 	c := &Cluster{
-		Net:       net,
-		Opts:      opts,
-		nodes:     make(map[simnet.NodeID]*Node),
-		smMake:    smMake,
-		maxEvents: 200000,
+		Net:        net,
+		dataShards: dataShards,
+		nodes:      make(map[simnet.NodeID]*Node),
+		smMake:     smMake,
+		maxEvents:  200000,
 	}
 	for _, id := range members {
 		c.add(id, members)
@@ -42,7 +43,7 @@ func NewCluster(net *simnet.Network, members []simnet.NodeID, smMake func(id sim
 
 // add creates the replica id with the given initial view.
 func (c *Cluster) add(id simnet.NodeID, members []simnet.NodeID) {
-	c.nodes[id] = NewNode(id, members, c.Net, c.smMake(id), c.Opts)
+	c.nodes[id] = NewNode(id, members, c.Net, c.smMake(id), c.dataShards)
 	i, _ := slices.BinarySearch(c.order, id)
 	c.order = slices.Insert(c.order, i, id)
 }
@@ -89,7 +90,7 @@ func (c *Cluster) ReadQuorum(ok func(*Node) bool) ([]*Node, error) {
 			nodes = append(nodes, n)
 		}
 	}
-	if need := quorum.RSPaxosQuorumSize(len(view), c.Opts.DataShards); len(nodes) < need {
+	if need := quorum.RSPaxosQuorumSize(len(view), c.dataShards); len(nodes) < need {
 		return nil, fmt.Errorf("paxos: read quorum %d of a %d-member view not reached (%d qualify)", need, len(view), len(nodes))
 	}
 	return nodes, nil
@@ -194,8 +195,8 @@ func (c *Cluster) Rotate(add, remove []simnet.NodeID, then func() error) error {
 	})
 	slices.Sort(next)
 	next = slices.Compact(next)
-	if len(next) < c.Opts.DataShards {
-		return fmt.Errorf("paxos: view of %d below m=%d", len(next), c.Opts.DataShards)
+	if len(next) < c.dataShards {
+		return fmt.Errorf("paxos: view of %d below m=%d", len(next), c.dataShards)
 	}
 	if err := c.Reconfigure(next); err != nil {
 		return err

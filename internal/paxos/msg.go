@@ -110,7 +110,7 @@ type learnMsg struct {
 // snapshotMsg carries a full state snapshot: the sender's state-machine
 // state at its apply frontier, plus views and the applied-command dedup
 // set. It bootstraps joining members and rescues laggards behind the
-// log compaction point.
+// first slot a joiner's log holds.
 type snapshotMsg struct {
 	Ballot   Ballot
 	Frontier uint64

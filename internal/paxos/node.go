@@ -37,25 +37,6 @@ const (
 	electionTimeoutBase = 100
 )
 
-// Options tunes a node.
-type Options struct {
-	// DataShards is m of the θ(m, n) value code; 1 means classic
-	// replication with full copies.
-	DataShards int
-	// CompactEvery trims applied log entries every this many slots
-	// (0 = never). Catch-up below the compaction point is served by
-	// full snapshot instead of per-slot replay.
-	CompactEvery uint64
-	// CompactKeepTail retains this many applied slots behind the
-	// frontier for cheap per-slot catch-up (default 64 when compacting).
-	CompactKeepTail uint64
-}
-
-// DefaultOptions returns the tuning used by tests and services.
-func DefaultOptions(dataShards int) Options {
-	return Options{DataShards: dataShards}
-}
-
 // entry is one log slot as stored at this node.
 type entry struct {
 	ballot    Ballot
@@ -81,10 +62,10 @@ type proposal struct {
 
 // Node is one Paxos replica.
 type Node struct {
-	ID   simnet.NodeID
-	net  *simnet.Network
-	sm   StateMachine
-	opts Options
+	ID         simnet.NodeID
+	net        *simnet.Network
+	sm         StateMachine
+	dataShards int // m of the θ(m, n) value code; 1 is full copies
 
 	views    []viewEpoch
 	promised Ballot
@@ -108,10 +89,10 @@ type Node struct {
 	lastTickSent  int64
 	stopped       bool
 
-	// Log compaction state: every slot below compactedBelow has been
-	// applied and physically dropped from the log.
-	compactedBelow uint64
-	lastCompactAt  uint64
+	// logStart is the first slot this replica's log can serve: the
+	// slots below it arrived inside an installed snapshot, never as
+	// log entries (0 until a snapshot is installed).
+	logStart uint64
 
 	// fullValues retains full payloads of committed coded slots when
 	// known (proposer or reconstructor), for serving catch-up.
@@ -126,9 +107,10 @@ type Node struct {
 
 // NewNode creates a replica with the given initial view and registers it
 // on the network. All members of a group must share the initial view.
-func NewNode(id simnet.NodeID, members []simnet.NodeID, net *simnet.Network, sm StateMachine, opts Options) *Node {
-	if opts.DataShards < 1 {
-		panic("paxos: DataShards must be >= 1")
+// dataShards is m of the θ(m, n) value code; 1 is full copies.
+func NewNode(id simnet.NodeID, members []simnet.NodeID, net *simnet.Network, sm StateMachine, dataShards int) *Node {
+	if dataShards < 1 {
+		panic("paxos: dataShards must be >= 1")
 	}
 	ms := append([]simnet.NodeID(nil), members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
@@ -136,7 +118,7 @@ func NewNode(id simnet.NodeID, members []simnet.NodeID, net *simnet.Network, sm 
 		ID:           id,
 		net:          net,
 		sm:           sm,
-		opts:         opts,
+		dataShards:   dataShards,
 		views:        []viewEpoch{{FromSlot: 0, Members: ms}},
 		log:          make(map[uint64]*entry),
 		proposals:    make(map[uint64]*proposal),
@@ -284,9 +266,10 @@ func (n *Node) onPrepare(from simnet.NodeID, p prepareMsg) {
 		n.net.Send(n.ID, from, rejectMsg{Ballot: n.promised})
 		return
 	}
-	if p.FromSlot < n.compactedBelow && from != n.ID {
-		// The campaigner is behind our compaction point: bring it up
-		// with a snapshot; it will re-campaign from its new frontier.
+	if p.FromSlot < n.logStart && from != n.ID {
+		// The campaigner is behind the slots our log holds (we joined
+		// from a snapshot): bring it up with a snapshot; it will
+		// re-campaign from its new frontier.
 		n.sendSnapshot(from)
 		n.net.Send(n.ID, from, rejectMsg{Ballot: p.Ballot})
 		return
@@ -323,7 +306,7 @@ func (n *Node) onPromise(pm promiseMsg) {
 	}
 	n.promises[pm.From] = &pm
 	view := n.viewAt(n.campaignAt)
-	if len(n.promises) < quorum.RSPaxosQuorumSize(len(view), n.opts.DataShards) {
+	if len(n.promises) < quorum.RSPaxosQuorumSize(len(view), n.dataShards) {
 		return
 	}
 	// Won the election.
@@ -376,7 +359,7 @@ func (n *Node) recoverSlots() {
 			if si == nil || sv.CmdID != si.cmdID || sv.Kind != si.kind {
 				continue
 			}
-			if sv.Kind != KindApp || n.opts.DataShards == 1 {
+			if sv.Kind != KindApp || n.dataShards == 1 {
 				if sv.Payload != nil {
 					si.full = sv.Payload
 				}
@@ -393,8 +376,8 @@ func (n *Node) recoverSlots() {
 		si := info[s]
 		full := si.full
 		kind := si.kind
-		if full == nil && si.kind == KindApp && n.opts.DataShards > 1 {
-			full, _ = erasure.DecodeValue(n.opts.DataShards, len(n.viewAt(s)), si.shards)
+		if full == nil && si.kind == KindApp && n.dataShards > 1 {
+			full, _ = erasure.DecodeValue(n.dataShards, len(n.viewAt(s)), si.shards)
 		}
 		if full == nil && kind == KindApp {
 			kind = KindNoop
@@ -482,8 +465,8 @@ func (n *Node) sendAccepts(p *proposal) {
 	p.lastSent = n.net.Now()
 	// A view smaller than m cannot hold the code: the value goes whole.
 	var shards [][]byte
-	if p.kind == KindApp && n.opts.DataShards > 1 {
-		shards, _ = erasure.EncodeValue(n.opts.DataShards, len(view), p.full)
+	if p.kind == KindApp && n.dataShards > 1 {
+		shards, _ = erasure.EncodeValue(n.dataShards, len(view), p.full)
 	}
 	for i, m := range view {
 		if p.acks[m] {
@@ -552,11 +535,11 @@ func (n *Node) onAccepted(am acceptedMsg) {
 	}
 	p.acks[am.From] = true
 	view := n.viewAt(am.Slot)
-	if len(p.acks) < quorum.RSPaxosQuorumSize(len(view), n.opts.DataShards) {
+	if len(p.acks) < quorum.RSPaxosQuorumSize(len(view), n.dataShards) {
 		return
 	}
 	delete(n.proposals, am.Slot)
-	if p.kind == KindApp && n.opts.DataShards > 1 && p.full != nil {
+	if p.kind == KindApp && n.dataShards > 1 && p.full != nil {
 		n.fullValues[am.Slot] = p.full
 	}
 	cm := commitMsg{Ballot: n.ballot, Slot: am.Slot}
@@ -598,33 +581,6 @@ func (n *Node) applyFrontier() {
 		n.frontier++
 		n.applyEntry(slot, e)
 	}
-	n.maybeCompact()
-}
-
-// maybeCompact trims applied log entries once the frontier has advanced
-// far enough, keeping a short tail for per-slot catch-up.
-func (n *Node) maybeCompact() {
-	if n.opts.CompactEvery == 0 || n.frontier < n.lastCompactAt+n.opts.CompactEvery {
-		return
-	}
-	tail := n.opts.CompactKeepTail
-	if tail == 0 {
-		tail = 64
-	}
-	if n.frontier <= tail {
-		return
-	}
-	keepFrom := n.frontier - tail
-	for slot := range n.log {
-		if slot < keepFrom {
-			delete(n.log, slot)
-			delete(n.fullValues, slot)
-		}
-	}
-	if keepFrom > n.compactedBelow {
-		n.compactedBelow = keepFrom
-	}
-	n.lastCompactAt = n.frontier
 }
 
 func (n *Node) applyEntry(slot uint64, e *entry) {
@@ -699,7 +655,7 @@ func (n *Node) sendSnapshot(to simnet.NodeID) {
 // machine is restored to the sender's apply frontier, superseded log
 // entries are dropped, and the views and dedup set are adopted. Used to
 // bootstrap joining members and to rescue laggards that fell behind the
-// cluster's log compaction point.
+// first slot a snapshot-installed member's log holds.
 func (n *Node) onSnapshot(s snapshotMsg) {
 	if s.Frontier <= n.frontier {
 		return // stale or redundant
@@ -712,10 +668,7 @@ func (n *Node) onSnapshot(s snapshotMsg) {
 		}
 	}
 	n.frontier = s.Frontier
-	if s.Frontier > n.compactedBelow {
-		n.compactedBelow = s.Frontier
-	}
-	n.lastCompactAt = n.frontier
+	n.logStart = s.Frontier
 	n.views = make([]viewEpoch, 0, len(s.Views))
 	for _, ve := range s.Views {
 		n.views = append(n.views, viewEpoch{FromSlot: ve.FromSlot, Members: append([]simnet.NodeID(nil), ve.Members...)})
@@ -734,8 +687,8 @@ func (n *Node) onSnapshot(s snapshotMsg) {
 // --- catch-up ---
 
 func (n *Node) onCatchupRequest(from simnet.NodeID, req catchupRequestMsg) {
-	if req.From < n.compactedBelow {
-		// The requested range is compacted away; serve a snapshot.
+	if req.From < n.logStart {
+		// The requested range predates our snapshot; serve one.
 		n.sendSnapshot(from)
 		return
 	}
@@ -744,7 +697,7 @@ func (n *Node) onCatchupRequest(from simnet.NodeID, req catchupRequestMsg) {
 		if !ok || !e.committed {
 			continue
 		}
-		if e.kind == KindApp && n.opts.DataShards > 1 {
+		if e.kind == KindApp && n.dataShards > 1 {
 			full, ok := n.fullValues[slot]
 			if !ok {
 				// We only hold our shard; the requester gathers shards
@@ -839,8 +792,8 @@ func (n *Node) onShardReply(r shardReplyMsg) {
 		// are unique per slot), so they combine across ballots.
 		g[r.ShardIdx] = r.Payload
 	}
-	if len(g) >= n.opts.DataShards {
-		full, err := erasure.DecodeValue(n.opts.DataShards, r.ViewSize, g)
+	if len(g) >= n.dataShards {
+		full, err := erasure.DecodeValue(n.dataShards, r.ViewSize, g)
 		if err == nil {
 			payload, shardIdx := n.shardOf(r.Slot, n.ID, full)
 			n.log[r.Slot] = &entry{
@@ -863,7 +816,7 @@ func (n *Node) shardOf(slot uint64, member simnet.NodeID, full []byte) ([]byte, 
 	if idx < 0 {
 		return full, -1
 	}
-	shards, err := erasure.EncodeValue(n.opts.DataShards, len(view), full)
+	shards, err := erasure.EncodeValue(n.dataShards, len(view), full)
 	if err != nil {
 		return full, -1
 	}

@@ -75,7 +75,7 @@ func newTestCluster(t *testing.T, n, dataShards int, seed uint64) (*Cluster, map
 		sm := &logSM{id: id}
 		sms[id] = sm
 		return sm
-	}, DefaultOptions(dataShards))
+	}, dataShards)
 	return c, sms
 }
 
@@ -259,6 +259,59 @@ func TestCrashedFollowerCatchesUpOnRestart(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if string(apps[i]) != fmt.Sprintf("missed-%d", i) {
 			t.Fatalf("victim applied %q at %d", apps[i], i)
+		}
+	}
+}
+
+// TestLaggardCatchesUpFromAJoiner: a joiner's log starts at the
+// frontier of the snapshot that bootstrapped it, so it cannot replay the
+// slots below it. A follower that was down across the whole rotation and
+// comes back to a group of joiners only must be brought up by snapshot,
+// and still apply the full history in order.
+func TestLaggardCatchesUpFromAJoiner(t *testing.T) {
+	c, sms := newTestCluster(t, 5, 1, 33)
+	if _, err := c.WaitForLeader(); err != nil {
+		t.Fatal(err)
+	}
+	view := c.View()
+	victim, survivor := view[3], view[4]
+	c.Net.Crash(victim)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Propose([]byte(fmt.Sprintf("far-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joiners := []simnet.NodeID{"j0", "j1", "j2"}
+	if err := c.Rotate(joiners, view[:3], nil); err != nil {
+		t.Fatal(err)
+	}
+	laggard := c.Nodes()[victim]
+	bootstrapped := func() bool {
+		for _, id := range joiners {
+			if c.Nodes()[id].logStart <= laggard.frontier {
+				return false
+			}
+		}
+		return true
+	}
+	if !c.Net.RunUntil(bootstrapped, 200000) {
+		t.Fatal("a joiner's log does not start past the laggard's frontier")
+	}
+	c.Net.Crash(survivor) // only joiners run now
+	c.Net.Restart(victim)
+	ok := c.Net.RunUntil(func() bool {
+		return len(appsOf(sms[victim])) >= 20
+	}, 600000)
+	if !ok {
+		t.Fatalf("victim applied only %d commands", len(appsOf(sms[victim])))
+	}
+	if laggard.logStart == 0 {
+		t.Fatal("victim caught up without a snapshot")
+	}
+	apps := appsOf(sms[victim])
+	for i := 0; i < 20; i++ {
+		if string(apps[i]) != fmt.Sprintf("far-%d", i) {
+			t.Fatalf("victim order broken at %d: %q", i, apps[i])
 		}
 	}
 }

@@ -13,15 +13,13 @@ import (
 func TestRepeatedRotation(t *testing.T) {
 	net := simnet.New(51)
 	sms := map[simnet.NodeID]*logSM{}
-	opts := DefaultOptions(1)
-	opts.CompactEvery = 20
 	mk := func(id simnet.NodeID) StateMachine {
 		sm := &logSM{id: id}
 		sms[id] = sm
 		return sm
 	}
 	members := ids(5)
-	c := NewCluster(net, members, mk, opts)
+	c := NewCluster(net, members, mk, 1)
 
 	current := append([]simnet.NodeID(nil), members...)
 	nextID := 5
@@ -72,7 +70,7 @@ func TestFullClusterRestart(t *testing.T) {
 		sm := &logSM{id: id}
 		sms[id] = sm
 		return sm
-	}, DefaultOptions(1))
+	}, 1)
 	if _, err := c.Propose([]byte("before-blackout")); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +106,7 @@ func TestRotationWithConcurrentFailure(t *testing.T) {
 		sm := &logSM{id: id}
 		sms[id] = sm
 		return sm
-	}, DefaultOptions(1))
+	}, 1)
 	if _, err := c.Propose([]byte("pre")); err != nil {
 		t.Fatal(err)
 	}

@@ -74,12 +74,11 @@ func newCodedCluster(t *testing.T, n, m int, seed uint64) (*Cluster, map[simnet.
 	t.Helper()
 	net := simnet.New(seed)
 	sms := map[simnet.NodeID]*shardSM{}
-	opts := DefaultOptions(m)
 	c := NewCluster(net, ids(n), func(id simnet.NodeID) StateMachine {
 		sm := newShardSM(id)
 		sms[id] = sm
 		return sm
-	}, opts)
+	}, m)
 	return c, sms
 }
 

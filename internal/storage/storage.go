@@ -135,7 +135,7 @@ func New(net *simnet.Network, members []simnet.NodeID, m int) (*Service, error) 
 		sm := newKVSM(id)
 		s.sms[id] = sm
 		return sm
-	}, paxos.DefaultOptions(m))
+	}, m)
 	return s, nil
 }
 

@@ -3,22 +3,21 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/market"
 )
 
-// This file's codec writes and reads the run's JSONL event trace: line 1
-// is a TraceHeader naming the schema (TraceSchema), every further line
-// one TraceEvent. TraceVersion versions the codec. The encoding is
-// deterministic — fixed field order, sorted meta keys — so two runs with
-// identical inputs write byte-identical files, making traces diffable
-// across runs, binaries, and machines (the cross-process version of the
-// in-process TestKernelsAgree pin).
+// This file writes the run's JSONL event trace: line 1 is a TraceHeader
+// naming the schema (TraceSchema), every further line one TraceEvent.
+// TraceVersion versions the format. The encoding is deterministic —
+// fixed field order, sorted meta keys — so two runs with identical
+// inputs write byte-identical files, which `cmp`, the sha256 goldens and
+// `analyze diff` (the one reader, in cmd/analyze) compare across runs,
+// binaries and machines: the cross-process version of the in-process
+// TestKernelsAgree pin.
 const (
 	TraceSchema  = "jupiter-events"
 	TraceVersion = 1
@@ -29,7 +28,7 @@ type TraceHeader struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
 	// Meta records the run configuration (strategy, seed, interval,
-	// ...) for provenance; the differ reports — but tolerates — meta
+	// ...) for provenance; `analyze diff` reports — but tolerates — meta
 	// mismatches.
 	Meta map[string]string `json:"meta,omitempty"`
 }
@@ -182,85 +181,4 @@ func SortedMeta(kv ...string) map[string]string {
 		m[kv[i]] = kv[i+1]
 	}
 	return m
-}
-
-// TraceReader streams an event trace back in.
-type TraceReader struct {
-	header TraceHeader
-	sc     *bufio.Scanner
-	line   int
-}
-
-// OpenTrace validates an event trace's header line and returns a reader
-// positioned at the first event.
-func OpenTrace(r io.Reader) (*TraceReader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("telemetry: empty %s stream", TraceSchema)
-	}
-	var hdr TraceHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("telemetry: bad %s header: %w", TraceSchema, err)
-	}
-	if hdr.Schema != TraceSchema {
-		return nil, fmt.Errorf("telemetry: not a %s stream (schema %q)", TraceSchema, hdr.Schema)
-	}
-	if hdr.Version > TraceVersion {
-		return nil, fmt.Errorf("telemetry: %s version %d newer than supported %d", TraceSchema, hdr.Version, TraceVersion)
-	}
-	return &TraceReader{header: hdr, sc: sc, line: 1}, nil
-}
-
-// Header returns the trace header.
-func (tr *TraceReader) Header() TraceHeader { return tr.header }
-
-// Next returns the next event, or io.EOF after the last one. A
-// malformed line is an error naming its number.
-func (tr *TraceReader) Next() (TraceEvent, error) {
-	var te TraceEvent
-	if !tr.sc.Scan() {
-		if err := tr.sc.Err(); err != nil {
-			return te, err
-		}
-		return te, io.EOF
-	}
-	tr.line++
-	if err := json.Unmarshal(tr.sc.Bytes(), &te); err != nil {
-		return te, fmt.Errorf("telemetry: %s line %d: %w", TraceSchema, tr.line, err)
-	}
-	return te, nil
-}
-
-// metaDiff lists human-readable header meta differences.
-func metaDiff(a, b map[string]string) []string {
-	keys := map[string]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	var out []string
-	for _, k := range sorted {
-		av, aok := a[k]
-		bv, bok := b[k]
-		switch {
-		case aok && !bok:
-			out = append(out, fmt.Sprintf("meta %q: %q vs (absent)", k, av))
-		case !aok && bok:
-			out = append(out, fmt.Sprintf("meta %q: (absent) vs %q", k, bv))
-		case av != bv:
-			out = append(out, fmt.Sprintf("meta %q: %q vs %q", k, av, bv))
-		}
-	}
-	return out
 }
