@@ -285,3 +285,42 @@ func TestEmptySyntheticMarketRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestListFlags: -zones follows the one list rule. A blank entry or a
+// repeated zone is an error naming the flag and the 1-based entry, and
+// so is an empty list; padding around an entry is trimmed.
+func TestListFlags(t *testing.T) {
+	for zones, want := range map[string]string{
+		"us-east-1a,,us-west-2b": `-zones entry 2 (""): empty`,
+		"us-east-1a,":            `-zones entry 2 (""): empty`,
+		"us-east-1a,us-east-1a":  `-zones entry 2 ("us-east-1a"): repeats entry 1`,
+		"":                       "-zones: empty list",
+	} {
+		if err := run("", "m1.small", 1, 2014, zones, false); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("-zones %q: %v, want an error starting %q", zones, err, want)
+		}
+	}
+	analyze := func(zones string) string {
+		f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		old := os.Stdout
+		os.Stdout = f
+		err = run("", "m1.small", 1, 2014, zones, false)
+		os.Stdout = old
+		if err != nil {
+			t.Fatalf("-zones %q: %v", zones, err)
+		}
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	got, want := analyze(" us-east-1a , us-west-2b"), analyze("us-east-1a,us-west-2b")
+	if got != want || strings.Count(got, "== us-") != 2 {
+		t.Errorf("padded -zones print\n%s\nwant\n%s", got, want)
+	}
+}

@@ -46,14 +46,13 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/market"
 	"repro/internal/smc"
 	"repro/internal/spotstats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/trace/colbin"
 )
 
 func main() {
@@ -214,22 +213,16 @@ func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, len
 		return fmt.Errorf("-weeks %d: want at least 1 week of synthetic market", weeks)
 	}
 	it := market.InstanceType(itype)
-	zs := strings.Split(zoneList, ",")
+	zs, err := experiments.ParseList("zones", zoneList, market.ParseZone)
+	if err != nil {
+		return err
+	}
+	if traceFile == "" && len(zs) == 0 {
+		return fmt.Errorf("-zones: empty list (want the zones of the synthetic market)")
+	}
 	var set *trace.Set
-	var err error
 	if traceFile != "" {
-		f, ferr := os.Open(traceFile)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		mode := trace.Strict
-		if lenient {
-			mode = trace.Lenient
-		}
-		var rep *trace.ReadReport
-		set, rep, err = colbin.ReadAny(f, it, nil, 0, weeks*7*24*60, mode)
-		fmt.Fprint(os.Stderr, rep.Summary("analyze", "trace"))
+		set, _, err = experiments.ReadTrace("analyze", traceFile, it, nil, weeks*7*24*60, lenient)
 	} else {
 		set, err = trace.Generate(trace.GenConfig{
 			Seed: seed, Type: it, Zones: zs,

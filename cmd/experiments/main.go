@@ -75,10 +75,7 @@ type options struct {
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "tournament" {
-		if err := runTournament(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: tournament:", err)
-			os.Exit(1)
-		}
+		exit("experiments: tournament:", runTournament(os.Args[2:]))
 		return
 	}
 	var o options
@@ -87,10 +84,26 @@ func main() {
 	flag.StringVar(&o.csv, "csv", "", "also write the sweep rows (figs 6-9) the selection replays as CSV to this file ('-' = stdout)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+	exit("experiments:", run(o))
+}
+
+// exit prints a failed run's error line and exits 1.
+func exit(prefix string, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, errorLine(prefix, err))
 		os.Exit(1)
 	}
+}
+
+// errorLine puts the command's prefix before err — unless the
+// experiments package produced err, whose text already starts with the
+// command's name.
+func errorLine(prefix string, err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "experiments: ") {
+		return msg
+	}
+	return prefix + " " + msg
 }
 
 // run resolves the selection against the experiment index, opens the

@@ -18,9 +18,9 @@ import (
 func runTournament(args []string) error {
 	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
 	cfg := experiments.DefaultTournamentConfig()
-	strategies := fs.String("strategies", "", "comma-separated strategy specs (default: the shipped arena roster); see -list")
-	scenarios := fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
-	seedsSpec := fs.String("seeds", "", "comma-separated replay seeds (default "+joinSeeds(cfg.Seeds)+")")
+	fs.String("strategies", "", "comma-separated strategy specs (default: the shipped arena roster); see -list")
+	fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
+	fs.String("seeds", "", "comma-separated replay seeds (default "+joinSeeds(cfg.Seeds)+")")
 	fs.Int64Var(&cfg.IntervalHours, "interval", cfg.IntervalHours, "bidding interval in hours (at least 1)")
 	fs.Float64Var(&cfg.Epsilon, "epsilon", cfg.Epsilon, "availability slack below the clean baseline (at least 0)")
 	fs.BoolVar(&cfg.Autoscale, "autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
@@ -48,25 +48,18 @@ func runTournament(args []string) error {
 		return nil
 	}
 
-	// A list flag that is given must list something: a blank element
-	// is an error naming the flag, never a fall back to the default.
-	given := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	var err error
-	if given["strategies"] {
-		if cfg.Specs, err = experiments.SplitSpecList(*strategies); err != nil {
-			return fmt.Errorf("tournament: -strategies: %w", err)
-		}
+	err := parseGiven(fs, "strategies", &cfg.Specs, func(spec string) (string, error) {
+		_, err := experiments.Build(spec)
+		return spec, err
+	})
+	if err == nil {
+		err = parseGiven(fs, "scenarios", &cfg.Scenarios, func(name string) (string, error) { return name, nil })
 	}
-	if given["scenarios"] {
-		if cfg.Scenarios, err = splitList(*scenarios); err != nil {
-			return fmt.Errorf("tournament: -scenarios: %w", err)
-		}
+	if err == nil {
+		err = parseGiven(fs, "seeds", &cfg.Seeds, func(seed string) (uint64, error) { return strconv.ParseUint(seed, 10, 64) })
 	}
-	if given["seeds"] {
-		if cfg.Seeds, err = parseSeeds(*seedsSpec); err != nil {
-			return fmt.Errorf("tournament: -seeds: %w", err)
-		}
+	if err != nil {
+		return err
 	}
 	// The run's record names the grid: the manifest's seed is the first
 	// market's, and its config carries every seed and scenario.
@@ -86,31 +79,24 @@ func runTournament(args []string) error {
 	return sink.Close(arena(env, cfg, *jsonOut))
 }
 
-// splitList splits a comma-separated flag value, trimming each element;
-// a blank element, and so an empty list, is an error.
-func splitList(s string) ([]string, error) {
-	parts := strings.Split(s, ",")
-	for i, p := range parts {
-		if parts[i] = strings.TrimSpace(p); parts[i] == "" {
-			return nil, fmt.Errorf("empty element in list %q", s)
+// parseGiven parses the list flag name into *dst when the command line
+// gives it. A given list must list something: an empty value is an
+// error naming the flag, never a fall back to the default.
+func parseGiven[T comparable](fs *flag.FlagSet, name string, dst *[]T, parse func(string) (T, error)) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != name {
+			return
 		}
-	}
-	return parts, nil
-}
-
-// parseSeeds parses -seeds' comma-separated replay seeds.
-func parseSeeds(s string) ([]uint64, error) {
-	parts, err := splitList(s)
-	if err != nil {
-		return nil, err
-	}
-	seeds := make([]uint64, len(parts))
-	for i, p := range parts {
-		if seeds[i], err = strconv.ParseUint(p, 10, 64); err != nil {
-			return nil, fmt.Errorf("bad seed %q: %w", p, err)
+		var list []T
+		if list, err = experiments.ParseList(name, f.Value.String(), parse); err == nil && len(list) == 0 {
+			err = fmt.Errorf("-%s: empty list", name)
 		}
-	}
-	return seeds, nil
+		if err == nil {
+			*dst = list
+		}
+	})
+	return err
 }
 
 // joinSeeds renders seeds the way -seeds takes them.

@@ -38,7 +38,7 @@
 //
 // Without -trace, a synthetic trace set is generated from the seed.
 // A trace file's format is detected from its bytes: the columnar
-// binary format (cmd/tracegen -format colbin, or "tracegen convert")
+// binary format (cmd/tracegen -format colbin, also from a -trace file)
 // or CSV. A binary trace is self-describing, so its base instance type
 // must match the service's and its span must cover -train + -weeks; CSV
 // is filtered against the requested types and span.
@@ -75,7 +75,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -111,33 +110,17 @@ func main() {
 	}
 }
 
-// parseIntervals parses the comma-separated -interval list. Every
-// element must be a positive whole number of hours; anything else —
-// an empty element, a non-integer, zero, a negative — is rejected with
-// an error naming the offending element.
-func parseIntervals(s string) ([]int64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty -interval list (want positive hours, e.g. -interval 1,3,6)")
+// parseHours parses one -interval entry: a positive whole number of
+// hours.
+func parseHours(s string) (int64, error) {
+	h, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("not a whole number of hours")
 	}
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		p := strings.TrimSpace(part)
-		if p == "" {
-			return nil, fmt.Errorf("empty element in -interval list %q", s)
-		}
-		h, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("interval %q is not a whole number of hours", part)
-		}
-		if h <= 0 {
-			return nil, fmt.Errorf("interval %q is not positive (want hours >= 1)", part)
-		}
-		if slices.Contains(out, h) {
-			return nil, fmt.Errorf("-interval list %q repeats %dh", s, h)
-		}
-		out = append(out, h)
+	if h <= 0 {
+		return 0, fmt.Errorf("not positive (want hours >= 1)")
 	}
-	return out, nil
+	return h, nil
 }
 
 func run(o options) error {
@@ -156,9 +139,12 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	intervals, err := parseIntervals(o.intervals)
+	intervals, err := experiments.ParseList("interval", o.intervals, parseHours)
 	if err != nil {
 		return err
+	}
+	if len(intervals) == 0 {
+		return fmt.Errorf("-interval: empty list (want positive hours, e.g. -interval 1,3,6)")
 	}
 	if len(intervals) > 1 && o.series != "" {
 		return fmt.Errorf("-series needs a single -interval")

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tracegen [-type m1.small|m3.large] [-types a,b,c] [-weeks N] [-seed N] [-zones a,b,c] [-format csv|colbin] [-o file]
-//	tracegen convert -in file [-format csv|colbin] [-type t] [-types a,b,c] [-weeks N] [-lenient] [-o file]
+//	tracegen -trace file [-type t] [-types a,b,c] [-weeks N] [-lenient-traces] [-format csv|colbin] [-o file]
 //	tracegen workload [-weeks N] [-seed N] [-o file]
 //
 // -types adds correlated sibling pools: each listed type gets its own
@@ -21,10 +21,12 @@
 // decoded by cmd/replay without per-row parsing — the fast path for
 // large sweeps.
 //
-// The "convert" subcommand rewrites an existing trace file between the
-// two formats, detecting the input format from its bytes. A binary
-// input is self-describing; a CSV input is read against -type, -types,
-// and -weeks (the span CSV rows cannot declare themselves).
+// -trace rewrites an existing trace file instead of generating one,
+// reading it the way cmd/replay, cmd/experiments and cmd/analyze do:
+// the format is detected from its bytes, a binary input is
+// self-describing, and a CSV input is read against -type, -types and
+// -weeks (the span CSV rows cannot declare themselves). -seed and
+// -zones shape a generated market only, so they do not combine with it.
 //
 // The "workload" subcommand generates a synthetic request-rate trace
 // instead — a diurnal sinusoid overlaid with seeded flash crowds — in
@@ -36,8 +38,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/market"
 	"repro/internal/trace"
 	"repro/internal/trace/colbin"
@@ -45,149 +47,102 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "workload" {
-		if err := runWorkload(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "convert" {
-		if err := runConvert(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen: convert:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	itype := flag.String("type", "m1.small", "base instance type (any cataloged type, e.g. m1.small, m3.large)")
-	types := flag.String("types", "", "comma-separated extra instance types, one correlated pool per (zone, type)")
-	weeks := flag.Int64("weeks", 13, "trace length in weeks")
-	seed := flag.Uint64("seed", 2014, "generator seed")
-	zones := flag.String("zones", "", "comma-separated zones (default: the 17 experiment zones)")
-	format := flag.String("format", "csv", "output format: csv or colbin (columnar binary)")
-	out := flag.String("o", "-", "output file ('-' = stdout)")
-	flag.Parse()
-
-	if err := run(*itype, *types, *weeks, *seed, *zones, *format, *out); err != nil {
+	// -h has printed the usage it asked for.
+	if err := run(os.Args[1:]); err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-// openOut resolves the -o flag ('-' = stdout).
-func openOut(out string) (io.Writer, func() error, error) {
-	if out == "-" {
-		return os.Stdout, func() error { return nil }, nil
+// run parses the command line and writes the trace it asks for.
+func run(args []string) error {
+	if len(args) > 0 && args[0] == "workload" {
+		return runWorkload(args[1:])
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
-
-func run(itype, types string, weeks int64, seed uint64, zones, format, out string) error {
-	if weeks < 1 {
-		return fmt.Errorf("-weeks %d: want at least 1 week of trace", weeks)
-	}
-	it := market.InstanceType(itype)
-	if _, err := market.Shape(it); err != nil {
-		return fmt.Errorf("unknown instance type %q", itype)
-	}
-	extra, err := market.ParseTypes(types)
-	if err != nil {
-		return err
-	}
-	zs := market.ExperimentZones()
-	if zones != "" {
-		zs = strings.Split(zones, ",")
-	}
-	set, err := trace.Generate(trace.GenConfig{
-		Seed: seed, Type: it, Types: extra, Zones: zs,
-		Start: 0, End: weeks * 7 * 24 * 60,
-	})
-	if err != nil {
-		return err
-	}
-	w, closeOut, err := openOut(out)
-	if err != nil {
-		return err
-	}
-	if err := writeSet(w, set, format); err != nil {
-		closeOut()
-		return err
-	}
-	return closeOut()
-}
-
-// writeSet renders a trace set in one of the two supported formats.
-func writeSet(w io.Writer, set *trace.Set, format string) error {
-	switch format {
-	case "csv":
-		return set.WriteCSV(w)
-	case "colbin":
-		return colbin.Write(w, set)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-}
-
-// runConvert is the "convert" subcommand: rewrite a trace file between
-// CSV and the columnar binary format. The input format is detected from
-// the file's bytes.
-func runConvert(args []string) error {
-	fs := flag.NewFlagSet("tracegen convert", flag.ExitOnError)
-	in := fs.String("in", "", "input trace file (required); format auto-detected")
-	format := fs.String("format", "colbin", "output format: csv or colbin")
-	itype := fs.String("type", "m1.small", "base instance type of a CSV input (self-describing inputs carry their own)")
-	types := fs.String("types", "", "comma-separated extra instance types to admit from a CSV input")
-	weeks := fs.Int64("weeks", 13, "span of a CSV input in weeks (CSV rows cannot declare their own span)")
-	lenient := fs.Bool("lenient", false, "quarantine malformed input rows instead of failing the read")
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	itype := fs.String("type", "m1.small", "base instance type (any cataloged type, e.g. m1.small, m3.large)")
+	types := fs.String("types", "", "comma-separated extra instance types, one correlated pool per (zone, type)")
+	weeks := fs.Int64("weeks", 13, "trace length in weeks (of a CSV -trace: its span, which CSV rows cannot declare)")
+	seed := fs.Uint64("seed", 2014, "generator seed")
+	zones := fs.String("zones", "", "comma-separated zones (default: the 17 experiment zones)")
+	traceFile := fs.String("trace", "", "rewrite this trace file, CSV or colbin (detected from its bytes), instead of generating one")
+	lenient := fs.Bool("lenient-traces", false, "quarantine malformed -trace rows instead of failing the read (default: strict, first bad row is an error)")
+	format := fs.String("format", "csv", "output format: csv or colbin (columnar binary)")
 	out := fs.String("o", "-", "output file ('-' = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("-in is required")
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	it := market.InstanceType(*itype)
-	if _, err := market.Shape(it); err != nil {
-		return fmt.Errorf("unknown instance type %q", *itype)
+	if *weeks < 1 {
+		return fmt.Errorf("-weeks %d: want at least 1 week of trace", *weeks)
 	}
-	extra, err := market.ParseTypes(*types)
+	if *format != "csv" && *format != "colbin" {
+		return fmt.Errorf("-format %q: want csv or colbin", *format)
+	}
+	it, err := market.ParseType(*itype)
+	if err != nil {
+		return fmt.Errorf("-type: %w", err)
+	}
+	extra, err := experiments.ParseList("types", *types, market.ParseType)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(*in)
+	end := *weeks * 7 * 24 * 60
+	var set *trace.Set
+	if *traceFile != "" {
+		var misplaced error
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" || f.Name == "zones" {
+				misplaced = fmt.Errorf("-%s shapes a generated market; -trace reads one", f.Name)
+			}
+		})
+		if misplaced != nil {
+			return misplaced
+		}
+		set, _, err = experiments.ReadTrace("tracegen", *traceFile, it, extra, end, *lenient)
+	} else {
+		zs, zerr := experiments.ParseList("zones", *zones, market.ParseZone)
+		if zerr != nil {
+			return zerr
+		}
+		if len(zs) == 0 {
+			zs = market.ExperimentZones()
+		}
+		set, err = trace.Generate(trace.GenConfig{Seed: *seed, Type: it, Types: extra, Zones: zs, Start: 0, End: end})
+	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	mode := trace.Strict
-	if *lenient {
-		mode = trace.Lenient
+	return writeOut(*out, func(w io.Writer) error {
+		if *format == "colbin" {
+			return colbin.Write(w, set)
+		}
+		return set.WriteCSV(w)
+	})
+}
+
+// writeOut writes to the -o file ('-' = stdout), which it closes.
+func writeOut(out string, write func(io.Writer) error) error {
+	if out == "-" {
+		return write(os.Stdout)
 	}
-	set, report, err := colbin.ReadAny(f, it, extra, 0, *weeks*7*24*60, mode)
+	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(os.Stderr, report.Summary("tracegen: convert", "input"))
-	w, closeOut, err := openOut(*out)
-	if err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := writeSet(w, set, *format); err != nil {
-		closeOut()
-		return err
-	}
-	return closeOut()
+	return f.Close()
 }
 
 // runWorkload is the "workload" subcommand: a synthetic request-rate
 // trace in the minute,rps CSV layout of internal/workload.
 func runWorkload(args []string) error {
-	fs := flag.NewFlagSet("tracegen workload", flag.ExitOnError)
+	fs := flag.NewFlagSet("tracegen workload", flag.ContinueOnError)
 	weeks := fs.Int64("weeks", 1, "workload length in weeks")
 	seed := fs.Uint64("seed", 2014, "generator seed")
 	out := fs.String("o", "-", "output file ('-' = stdout)")
@@ -198,13 +153,5 @@ func runWorkload(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, closeOut, err := openOut(*out)
-	if err != nil {
-		return err
-	}
-	if err := wl.WriteCSV(w); err != nil {
-		closeOut()
-		return err
-	}
-	return closeOut()
+	return writeOut(*out, wl.WriteCSV)
 }

@@ -63,7 +63,8 @@ type Injector struct {
 	// Zone scopes the fault to one availability zone. Empty means
 	// every zone (not allowed for zone-blackout). On a (zone × type)
 	// pool market the fault hits every pool of the zone, whatever the
-	// instance type.
+	// instance type. A zone that holds no pool of the replayed market
+	// fails the replay.
 	Zone string `json:"zone,omitempty"`
 	// From is the injection minute, relative to the replay start.
 	From int64 `json:"from"`
@@ -194,7 +195,7 @@ func Load(path string) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("chaos: parsing %s: %w", path, err)
 	}
 	if err := sc.Validate(); err != nil {
-		return Scenario{}, fmt.Errorf("chaos: %s: %w", path, err)
+		return Scenario{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return sc, nil
 }

@@ -42,10 +42,19 @@ func (e *Engine) abs(m int64) int64 { return e.start + m }
 // set with change points inserted at the window boundaries. Without
 // spike injectors the input set is returned unchanged, so the
 // zero-injector path keeps the original traces (and fingerprint); a
-// pool no spike changes keeps its *Trace.
+// pool no spike changes keeps its *Trace. An injector whose zone
+// matches no pool of the set is an error: a typo there would inject
+// nothing.
 func (e *Engine) TransformTraces(set *trace.Set) (*trace.Set, error) {
 	var spikes []Injector
-	for _, inj := range e.sc.Injectors {
+	for i, inj := range e.sc.Injectors {
+		found := inj.Zone == ""
+		for key := range set.ByZone {
+			found = found || inj.covers(key)
+		}
+		if !found {
+			return nil, fmt.Errorf("chaos: injector %d (%s): zone %q matches no pool of the market", i, inj.Kind, inj.Zone)
+		}
 		if inj.Kind == PriceSpike {
 			spikes = append(spikes, inj)
 		}

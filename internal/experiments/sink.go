@@ -87,6 +87,74 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	})
 }
 
+// ParseList parses s, the value of the list flag -name: the empty
+// string is the empty list, and otherwise the list splits at top-level
+// commas, so a strategy spec's argument list ("extra(2, 0.2)") stays one
+// element. Each element is trimmed and handed to parse. A blank element,
+// one parse rejects, and one that parses to an earlier element's value
+// are errors of the form `-name entry N ("element"): reason`.
+func ParseList[T comparable](name, s string, parse func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var elems []string
+	depth, start := 0, 0
+	for i, c := range s {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				elems = append(elems, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	elems = append(elems, s[start:])
+	out := make([]T, 0, len(elems))
+	for i, elem := range elems {
+		elem = strings.TrimSpace(elem)
+		at := fmt.Sprintf("-%s entry %d (%q)", name, i+1, elem)
+		if elem == "" {
+			return nil, fmt.Errorf("%s: empty", at)
+		}
+		v, err := parse(elem)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", at, err)
+		}
+		if j := slices.Index(out, v); j >= 0 {
+			return nil, fmt.Errorf("%s: repeats entry %d", at, j+1)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ReadTrace reads the trace file at path through colbin.ReadAny, which
+// detects the format from its bytes: a CSV file is read against base
+// and types over [0, end), a colbin file describes itself. The read is
+// strict, or with lenient quarantines malformed rows, which it reports
+// on stderr under command's name.
+func ReadTrace(command, path string, base market.InstanceType, types []market.InstanceType, end int64, lenient bool) (*trace.Set, *trace.ReadReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	mode := trace.Strict
+	if lenient {
+		mode = trace.Lenient
+	}
+	set, rep, err := colbin.ReadAny(f, base, types, 0, end, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprint(os.Stderr, rep.Summary(command, "trace"))
+	return set, rep, nil
+}
+
 // has reports whether the command offers the named shared flag.
 func (f *Flags) has(name string) bool {
 	return len(f.only) == 0 || slices.Contains(f.only, name)
@@ -150,7 +218,7 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		f.Jobs = 1
 	}
 	s := &Sink{flags: f, command: command, start: time.Now()}
-	types, err := market.ParseTypes(f.Types)
+	types, err := ParseList("types", f.Types, market.ParseType)
 	if err != nil {
 		return Env{}, nil, err
 	}
@@ -170,22 +238,13 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		e.Chaos, e.ChaosSeed = &sc, f.ChaosSeed
 		fmt.Fprintf(os.Stderr, "%s: chaos scenario %q armed (%d injectors)\n", command, sc.Name, len(sc.Injectors))
 	}
-	mode := trace.Strict
-	if f.Lenient {
-		mode = trace.Lenient
-	}
 	span := (f.Train + f.Weeks) * Week
 	if f.Trace != "" {
-		file, err := os.Open(f.Trace)
+		set, rep, err := ReadTrace(command, f.Trace, spec.Type, types, span, f.Lenient)
 		if err != nil {
 			return Env{}, nil, err
 		}
-		set, rep, err := colbin.ReadAny(file, spec.Type, types, 0, span, mode)
-		file.Close()
-		if err != nil {
-			return Env{}, nil, err
-		}
-		s.quarantined("trace", f.Trace, rep)
+		s.quarantined(f.Trace, rep)
 		e.TraceSet = set
 	}
 	if f.Workload != "" {
@@ -193,12 +252,17 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		if err != nil {
 			return Env{}, nil, err
 		}
+		mode := trace.Strict
+		if f.Lenient {
+			mode = trace.Lenient
+		}
 		wl, rep, err := workload.ReadCSVMode(file, f.Train*Week, span, mode)
 		file.Close()
 		if err != nil {
 			return Env{}, nil, err
 		}
-		s.quarantined("workload", f.Workload, rep)
+		fmt.Fprint(os.Stderr, rep.Summary(command, "workload"))
+		s.quarantined(f.Workload, rep)
 		e.Workload = wl
 		// The workload key follows the replay kernel's arming rule
 		// (workload.Plan.Holds): it appears only when the plan can move
@@ -264,11 +328,9 @@ type sinkCell struct {
 	res   *replay.Result
 }
 
-// quarantined reports a lenient read's quarantined rows: one line on
-// stderr, and the counts by reason for the manifest. Silent for a clean
-// read.
-func (s *Sink) quarantined(input, source string, rep *trace.ReadReport) {
-	fmt.Fprint(os.Stderr, rep.Summary(s.command, input))
+// quarantined keeps a lenient read's quarantined-row counts by reason
+// for the manifest. A clean read keeps nothing.
+func (s *Sink) quarantined(source string, rep *trace.ReadReport) {
 	if rep != nil && rep.Quarantined > 0 {
 		if s.quarantine == nil {
 			s.quarantine = map[string]map[string]int{}

@@ -164,52 +164,11 @@ func BuildSpecs(specs []string) ([]strategy.Builder, error) {
 	for i, spec := range specs {
 		b, err := Build(spec)
 		if err != nil {
-			return nil, fmt.Errorf("strategy: list entry %d (%q): %w", i+1, spec, err)
+			return nil, fmt.Errorf("list entry %d (%q): %w", i+1, spec, err)
 		}
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-// SplitSpecList splits a comma-separated spec list at top-level commas,
-// leaving parenthesized argument lists intact. A blank element (and so
-// an empty list) and unbalanced parentheses are errors.
-func SplitSpecList(s string) ([]string, error) {
-	var specs []string
-	depth, start := 0, 0
-	flush := func(end int) error {
-		spec := strings.TrimSpace(s[start:end])
-		if spec == "" {
-			return fmt.Errorf("strategy: empty element in list %q", s)
-		}
-		specs = append(specs, spec)
-		start = end + 1
-		return nil
-	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("strategy: unbalanced ')' in list %q", s)
-			}
-		case ',':
-			if depth == 0 {
-				if err := flush(i); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if depth != 0 {
-		return nil, fmt.Errorf("strategy: unbalanced '(' in list %q", s)
-	}
-	if err := flush(len(s)); err != nil {
-		return nil, err
-	}
-	return specs, nil
 }
 
 // splitSpec parses "name" or "name(a, b)" into the lower-cased name and

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -74,39 +75,49 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestSplitSpecList(t *testing.T) {
-	got, err := SplitSpecList(" jupiter, extra(2, 0.2) , baseline ")
-	if err != nil {
-		t.Fatal(err)
+// TestParseList pins the one rule every list flag follows: the empty
+// string is the empty list; elements split at top-level commas only, so
+// a spec's argument list stays whole, and are trimmed; a blank element,
+// one the element parser rejects, and a repeated parsed value are
+// errors naming the flag and the 1-based entry.
+func TestParseList(t *testing.T) {
+	spec := func(s string) (string, error) { _, err := Build(s); return s, err }
+	got, err := ParseList("strategies", " jupiter, extra(2, 0.2) , baseline ", spec)
+	if want := []string{"jupiter", "extra(2, 0.2)", "baseline"}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ParseList = %q, %v; want %q", got, err, want)
 	}
-	want := []string{"jupiter", "extra(2, 0.2)", "baseline"}
-	if len(got) != len(want) {
-		t.Fatalf("SplitSpecList = %v, want %v", got, want)
+	if got, err := ParseList("strategies", "", spec); err != nil || len(got) != 0 {
+		t.Fatalf(`ParseList("") = %q, %v; want the empty list`, got, err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SplitSpecList[%d] = %q, want %q", i, got[i], want[i])
+	seconds := func(s string) (int, error) { return strconv.Atoi(s) }
+	for _, c := range []struct{ list, want string }{
+		{" ", `-x entry 1 (""): empty`},
+		{",", `-x entry 1 (""): empty`},
+		{"1,,3", `-x entry 2 (""): empty`},
+		{"1,", `-x entry 2 (""): empty`},
+		{"1, 3,03", `-x entry 3 ("03"): repeats entry 2`},
+		{"1,x", `-x entry 2 ("x"): strconv.Atoi: parsing "x": invalid syntax`},
+	} {
+		if _, err := ParseList("x", c.list, seconds); err == nil || err.Error() != c.want {
+			t.Errorf("ParseList(%q): %v, want %q", c.list, err, c.want)
 		}
 	}
-	if _, err := SplitSpecList("extra(1, 0.2"); err == nil {
-		t.Error("unbalanced '(' accepted")
-	}
-	if _, err := SplitSpecList("extra)1,2("); err == nil {
-		t.Error("unbalanced ')' accepted")
-	}
-	for _, list := range []string{"", " ", ",", "jupiter,,baseline", "jupiter,"} {
-		if _, err := SplitSpecList(list); err == nil {
-			t.Errorf("SplitSpecList(%q) accepted a blank element", list)
+	for _, c := range []struct{ list, want string }{
+		{"extra(1, 0.2", `-strategies entry 1 ("extra(1, 0.2"): strategy: malformed spec`},
+		{"extra)1,2(", `-strategies entry 1 ("extra)1,2("): strategy: malformed spec`},
+		{"baseline,extra(2,0.2),extra(2,0.2)", `-strategies entry 3 ("extra(2,0.2)"): repeats entry 2`},
+	} {
+		if _, err := ParseList("strategies", c.list, spec); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("ParseList(%q): %v, want it to start %q", c.list, err, c.want)
 		}
 	}
 }
 
-// TestBuildList builds a comma-separated roster the way the tournament
-// command does: SplitSpecList, then BuildSpecs, whose errors number the
-// entry.
+// TestBuildList builds a comma-separated roster: ParseList, then
+// BuildSpecs, whose errors number the entry.
 func TestBuildList(t *testing.T) {
 	build := func(list string) ([]strategy.Builder, error) {
-		specs, err := SplitSpecList(list)
+		specs, err := ParseList("strategies", list, func(s string) (string, error) { return s, nil })
 		if err != nil {
 			return nil, err
 		}

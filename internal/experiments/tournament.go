@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -17,7 +16,9 @@ import (
 // TournamentConfig shapes a strategy tournament: every strategy of the
 // roster replays under every chaos scenario and every seed, and the
 // per-cell results fold into a leaderboard. Env.Tournament takes it as
-// given; DefaultTournamentConfig holds the defaults.
+// given; DefaultTournamentConfig holds the defaults. No list may repeat
+// an entry: a repeated seed or scenario would replay the same cells
+// twice and average them as if they were distinct.
 type TournamentConfig struct {
 	// Specs is the roster as strategy specs ("jupiter", "extra(2, 0.2)",
 	// ...).
@@ -169,18 +170,6 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		return nil, fmt.Errorf("experiments: no scenarios")
 	}
 	specs, scenarioNames, seeds, hours := cfg.Specs, cfg.Scenarios, cfg.Seeds, cfg.IntervalHours
-	// A repeated entry would replay the same cells twice and rank or
-	// average them as if they were distinct.
-	for i, seed := range seeds {
-		if slices.Contains(seeds[:i], seed) {
-			return nil, fmt.Errorf("experiments: seeds list %d twice", seed)
-		}
-	}
-	for i, name := range scenarioNames {
-		if slices.Contains(scenarioNames[:i], name) {
-			return nil, fmt.Errorf("experiments: scenarios list %q twice", name)
-		}
-	}
 	builders, err := BuildSpecs(specs)
 	if err != nil {
 		return nil, err

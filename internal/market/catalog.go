@@ -149,6 +149,13 @@ func RegionOfZone(zone string) (Region, error) {
 	}, nil
 }
 
+// ParseZone returns zone, or an error when the catalog holds no such
+// availability zone.
+func ParseZone(zone string) (string, error) {
+	_, err := RegionOfZone(zone)
+	return zone, err
+}
+
 // OnDemandPrice returns the hourly on-demand price for the instance type
 // in the given zone. Prices are uniform within a region, as on EC2.
 // Allocation-free: this sits on the bidding framework's per-zone

@@ -241,26 +241,10 @@ func FilterPools(keys []string, base InstanceType, minVCPU int, minMemGiB float6
 	return out, nil
 }
 
-// ParseTypes parses a comma-separated instance-type list ("m1.medium,
-// c3.large"), rejecting unknown types and duplicates. Empty input and
-// blank elements yield an empty list.
-func ParseTypes(s string) ([]InstanceType, error) {
-	var out []InstanceType
-	seen := map[InstanceType]bool{}
-	for i, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		it := InstanceType(name)
-		if _, err := Shape(it); err != nil {
-			return nil, fmt.Errorf("market: types list entry %d: %w", i+1, err)
-		}
-		if seen[it] {
-			return nil, fmt.Errorf("market: types list entry %d: duplicate type %q", i+1, name)
-		}
-		seen[it] = true
-		out = append(out, it)
-	}
-	return out, nil
+// ParseType returns the cataloged instance type named s, or the error
+// Shape gives for a type outside the catalog.
+func ParseType(s string) (InstanceType, error) {
+	it := InstanceType(s)
+	_, err := Shape(it)
+	return it, err
 }

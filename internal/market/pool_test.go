@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -172,22 +171,20 @@ func TestPoolCapacityUnitsTable(t *testing.T) {
 	}
 }
 
-func TestParseTypes(t *testing.T) {
-	got, err := ParseTypes(" m1.medium, c3.large ")
-	if err != nil {
-		t.Fatal(err)
+// TestParseTypeAndZone: the element parsers of the -types and -zones
+// flags accept the catalog's names and reject every other one.
+func TestParseTypeAndZone(t *testing.T) {
+	if it, err := ParseType("c3.large"); it != C3Large || err != nil {
+		t.Errorf("ParseType(c3.large) = %q, %v", it, err)
 	}
-	if len(got) != 2 || got[0] != M1Medium || got[1] != C3Large {
-		t.Fatalf("ParseTypes = %v", got)
+	if _, err := ParseType("z9.huge"); err == nil || err.Error() != `market: unknown instance type "z9.huge"` {
+		t.Errorf("ParseType(z9.huge): %v", err)
 	}
-	if got, err := ParseTypes(""); err != nil || len(got) != 0 {
-		t.Fatalf("ParseTypes(\"\") = %v, %v", got, err)
+	if z, err := ParseZone("us-west-2b"); z != "us-west-2b" || err != nil {
+		t.Errorf("ParseZone(us-west-2b) = %q, %v", z, err)
 	}
-	if _, err := ParseTypes("m1.medium,z9.huge"); err == nil || !strings.Contains(err.Error(), "entry 2") {
-		t.Fatalf("unknown type error = %v, want entry 2 named", err)
-	}
-	if _, err := ParseTypes("c3.large,c3.large"); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate type error = %v", err)
+	if _, err := ParseZone("us-east-1z"); err == nil || err.Error() != `market: unknown availability zone "us-east-1z"` {
+		t.Errorf("ParseZone(us-east-1z): %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/quorum"
 	"repro/internal/simnet"
 )
 
@@ -509,5 +510,74 @@ func TestEncodeDecodeMembers(t *testing.T) {
 	}
 	if decodeMembers(nil) != nil {
 		t.Fatal("decode of empty payload should be nil")
+	}
+}
+
+// TestNewLeaderRecoversAcceptedValue: the leader stops after a quorum
+// accepted slot s but before any replica learned the commit. The value
+// may have been chosen, so the next leader must commit that same value
+// at s, never a no-op: whole from any acceptor's promise for m = 1, and
+// rebuilt from the promised shards for m = 3.
+func TestNewLeaderRecoversAcceptedValue(t *testing.T) {
+	for _, m := range []int{1, 3} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			c, sms := newTestCluster(t, 5, m, 41)
+			if _, err := c.Propose([]byte("warm-up")); err != nil {
+				t.Fatal(err)
+			}
+			old := c.Leader()
+			slot, cmdID := old.nextSlot, c.NextCmdID()
+			value := []byte("the value a quorum accepted before its leader stopped")
+			old.Submit(KindApp, cmdID, nil, value)
+			holders := func() (accepted int, committed bool) {
+				for _, n := range c.Nodes() {
+					if e := n.log[slot]; e != nil && e.cmdID == cmdID {
+						accepted++
+						committed = committed || e.committed
+					}
+				}
+				return accepted, committed
+			}
+			q := quorum.RSPaxosQuorumSize(5, m)
+			c.Net.RunUntil(func() bool { a, done := holders(); return a >= q || done }, 10000)
+			if a, done := holders(); a < q || done {
+				t.Fatalf("fixture: %d replicas accepted slot %d, committed %v; want a quorum of %d, uncommitted", a, slot, done, q)
+			}
+			c.StopNode(old.ID)
+
+			applied := func() bool {
+				for id, n := range c.Nodes() {
+					if id != old.ID && n.frontier <= slot {
+						return false
+					}
+				}
+				return true
+			}
+			if !c.Net.RunUntil(applied, 20000) {
+				t.Fatalf("slot %d not applied on every live replica", slot)
+			}
+			if c.Leader() == nil || c.Leader() == old {
+				t.Fatal("no new leader took over")
+			}
+			for id, sm := range sms {
+				if id == old.ID {
+					continue
+				}
+				var e *appliedEntry
+				for i := range sm.applied {
+					if sm.applied[i].slot == slot {
+						e = &sm.applied[i]
+					}
+				}
+				if e == nil || e.kind != KindApp || e.cmdID != cmdID || (m == 1 && !bytes.Equal(e.payload, value)) {
+					t.Errorf("%s applied slot %d as %+v; want the accepted value, command %d", id, slot, e, cmdID)
+				}
+			}
+			// Coded replicas apply their shard; the new leader holds the
+			// whole value it rebuilt and re-proposed.
+			if got := c.Leader().fullValues[slot]; m > 1 && !bytes.Equal(got, value) {
+				t.Errorf("new leader rebuilt slot %d as %q, want %q", slot, got, value)
+			}
+		})
 	}
 }

@@ -389,3 +389,33 @@ func TestTraceFingerprintOnDemand(t *testing.T) {
 		t.Fatalf("Jupiter replay under chaos: fingerprint %#x, want %#x", f.value, want)
 	}
 }
+
+// TestChaosZoneMustHoldAPool: a zoned injector whose zone holds no pool
+// of the replayed market — a typo, or a zone the market leaves out —
+// fails the replay with an error naming the injector, instead of
+// replaying as if there were no chaos at all.
+func TestChaosZoneMustHoldAPool(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a", "us-west-2b", "eu-west-1a"},
+		Start: 0, End: 14 * week,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for zone, want := range map[string]string{
+		"us-east-1z": `chaos: injector 1 (zone-blackout): zone "us-east-1z" matches no pool of the market`,
+		"sa-east-1a": `chaos: injector 1 (zone-blackout): zone "sa-east-1a" matches no pool of the market`,
+	} {
+		sc := chaos.Scenario{Name: "typo", Injectors: []chaos.Injector{
+			{Kind: chaos.RequestLoss, From: 60, Until: 120},
+			{Kind: chaos.ZoneBlackout, Zone: zone, From: 60, Until: 720},
+		}}
+		_, err := Run(Config{
+			Traces: set, Start: 13 * week, Spec: lockSpec(), Strategy: strategy.OnDemand{},
+			IntervalMinutes: 180, Seed: 5, Chaos: &sc,
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("blackout of %s: %v, want %q", zone, err, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package replay
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/market"
+	"repro/internal/provenance"
 	"repro/internal/strategy"
 	"repro/internal/workload"
 )
@@ -321,5 +323,143 @@ func TestDetachRefusedBelowAvailabilityTarget(t *testing.T) {
 	}
 	if len(r.fleet) != 5 {
 		t.Fatalf("refused detach still shrank the fleet to %d", len(r.fleet))
+	}
+}
+
+// resizeRecord is what the resize tests watch of a replay: the resize
+// steps by phase, the instance and fault events, and the run's ledger.
+type resizeRecord struct {
+	steps     map[string][]engine.Event
+	launched  []engine.Event
+	ended     []engine.Event
+	lost      []engine.Event
+	triggered []int64
+	ledger    *provenance.Ledger
+}
+
+// replayResize replays cfg with the record's observers attached.
+func replayResize(t *testing.T, cfg Config) *resizeRecord {
+	t.Helper()
+	rec := &resizeRecord{steps: map[string][]engine.Event{}, ledger: provenance.NewLedger()}
+	cfg.Observers = []engine.Observer{&engine.Hooks{
+		Decision: func(e engine.Event) {
+			switch e.Kind {
+			case engine.KindResizeTarget:
+				rec.triggered = append(rec.triggered, e.Minute)
+			case engine.KindResizeStep:
+				rec.steps[e.Fault] = append(rec.steps[e.Fault], e)
+			}
+		},
+		Instance: func(e engine.Event) {
+			switch e.Kind {
+			case engine.KindInstanceLaunched:
+				rec.launched = append(rec.launched, e)
+			case engine.KindInstanceTerminated:
+				rec.ended = append(rec.ended, e)
+			}
+		},
+		Fault: func(e engine.Event) {
+			if e.Kind == engine.KindFaultInjected && e.Fault == chaos.RequestLoss {
+				rec.lost = append(rec.lost, e)
+			}
+		},
+	}, rec.ledger}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestGrowStepSubstitutesOnDemand: a flash crowd's grow step runs into
+// a request-loss gate, which drops spot requests only. Every pool whose
+// spot request the gate dropped gets an on-demand member in the same
+// minute, and the grow step still installs.
+func TestGrowStepSubstitutesOnDemand(t *testing.T) {
+	set := genTraces(t, 17, 1, market.M1Small)
+	start := 13 * week
+	loss := chaos.Scenario{Name: "lossy-crowd", Injectors: []chaos.Injector{{Kind: chaos.RequestLoss, From: 1490, Until: 1520}}}
+	rec := replayResize(t, Config{
+		Traces: set, Start: start, Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 1, Portion: 0.15},
+		IntervalMinutes: 180, Seed: 17, Chaos: &loss,
+		Workload: crowdWorkload(t, start, set.End, 1500, 240, 9000),
+	})
+	grow := start + 1500
+	if !slices.Contains(rec.triggered, grow) {
+		t.Fatalf("no resize trigger at the crowd's minute %d: %v", grow, rec.triggered)
+	}
+	if len(rec.lost) == 0 {
+		t.Fatal("the request-loss gate dropped no spot request of the grow step")
+	}
+	for _, e := range rec.lost {
+		if e.Minute != grow {
+			t.Errorf("spot request dropped at minute %d, want only the grow step's %d", e.Minute, grow)
+		}
+		if !slices.ContainsFunc(rec.launched, func(l engine.Event) bool {
+			return l.Minute == grow && l.Zone == e.Zone && !l.Spot
+		}) {
+			t.Errorf("pool %s lost its spot request at %d and got no on-demand member", e.Zone, grow)
+		}
+	}
+	if !slices.ContainsFunc(rec.steps[phaseInstall], func(e engine.Event) bool { return e.Minute > grow }) {
+		t.Error("the grow step never installed")
+	}
+}
+
+// TestResizeOverPersistentRequests: with persistent spot requests every
+// member is a request. A grow step waits for the requests' instances, a
+// drain retires members by request — their time bills to the ledger's
+// resize cause — and a grow step triggered a minute before an interval
+// decision is aborted there, cancelling the requests it raised.
+func TestResizeOverPersistentRequests(t *testing.T) {
+	set := genTraces(t, 17, 1, market.M1Small)
+	start := 13 * week
+	// The second crowd starts one minute before the decision of the
+	// boundary at 12 intervals: decisions run leadMinutes early.
+	late := start + 12*180 - leadMinutes - 1
+	wl, err := workload.New(start, set.End, []workload.Point{
+		{Minute: start, RPS: 3000},
+		{Minute: start + 1500, RPS: 9000},
+		{Minute: start + 1740, RPS: 3000},
+		{Minute: late, RPS: 9000},
+		{Minute: late + 240, RPS: 3000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := replayResize(t, Config{
+		Traces: set, Start: start, Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 1, Portion: 0.15},
+		IntervalMinutes: 180, Seed: 17, PersistentRequests: true, Workload: wl,
+	})
+	if len(rec.steps[phaseInstall]) == 0 {
+		t.Error("no grow step installed")
+	}
+	detached := 0
+	for _, e := range rec.steps[phaseDetach] {
+		if e.Request == "" {
+			t.Errorf("detach at %d retired a member with no persistent request: %+v", e.Minute, e)
+		}
+		detached++
+	}
+	if detached == 0 {
+		t.Error("no drain detached a member")
+	}
+	if !slices.ContainsFunc(rec.steps[phaseAbort], func(e engine.Event) bool { return e.Minute == late+1 }) {
+		t.Fatalf("no abort at the decision a minute after the late grow step: aborts %v", rec.steps[phaseAbort])
+	}
+	for _, l := range rec.launched {
+		if l.Minute == late && l.Spot && !slices.ContainsFunc(rec.ended, func(e engine.Event) bool {
+			return e.Instance == l.Instance && e.Minute == late+1
+		}) {
+			t.Errorf("instance %s of request %s, raised by the aborted grow step, outlived the abort", l.Instance, l.Request)
+		}
+	}
+	resized := int64(0)
+	for _, c := range rec.ledger.Attribution().Cells {
+		if c.Cause == provenance.CauseResize {
+			resized += c.CostMicroUSD
+		}
+	}
+	if resized == 0 {
+		t.Error("the ledger bills nothing to the resize cause")
 	}
 }
