@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/market"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 // record replays the lock service at the quick scale through the shared
@@ -279,7 +281,7 @@ func TestAttributeTotalsMatchTheRun(t *testing.T) {
 // generated.
 func TestEmptySyntheticMarketRejected(t *testing.T) {
 	for _, weeks := range []int64{0, -2} {
-		err := run("", "m1.small", weeks, 2014, "us-east-1a", false)
+		err := run([]string{"-weeks", fmt.Sprint(weeks), "-zones", "us-east-1a"})
 		if want := fmt.Sprintf("-weeks %d:", weeks); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("-weeks %d: %v, want an error starting %q", weeks, err, want)
 		}
@@ -296,7 +298,7 @@ func TestListFlags(t *testing.T) {
 		"us-east-1a,us-east-1a":  `-zones entry 2 ("us-east-1a"): repeats entry 1`,
 		"":                       "-zones: empty list",
 	} {
-		if err := run("", "m1.small", 1, 2014, zones, false); err == nil || !strings.HasPrefix(err.Error(), want) {
+		if err := run([]string{"-weeks", "1", "-zones", zones}); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("-zones %q: %v, want an error starting %q", zones, err, want)
 		}
 	}
@@ -308,7 +310,7 @@ func TestListFlags(t *testing.T) {
 		defer f.Close()
 		old := os.Stdout
 		os.Stdout = f
-		err = run("", "m1.small", 1, 2014, zones, false)
+		err = run([]string{"-weeks", "1", "-zones", zones})
 		os.Stdout = old
 		if err != nil {
 			t.Fatalf("-zones %q: %v", zones, err)
@@ -322,5 +324,39 @@ func TestListFlags(t *testing.T) {
 	got, want := analyze(" us-east-1a , us-west-2b"), analyze("us-east-1a,us-west-2b")
 	if got != want || strings.Count(got, "== us-") != 2 {
 		t.Errorf("padded -zones print\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestTraceRejectsGeneratorFlags: -seed and -zones shape the synthetic
+// market, so either set beside -trace is an error naming it, instead of
+// being ignored while the file's own zones are analyzed.
+func TestTraceRejectsGeneratorFlags(t *testing.T) {
+	set, err := trace.Generate(trace.GenConfig{Seed: 2014, Type: market.M1Small, Zones: []string{"us-east-1a", "us-west-2b"}, End: 7 * 24 * 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "z.csv")
+	var buf bytes.Buffer
+	if err := set.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for flag, value := range map[string]string{"zones": "eu-west-1a", "seed": "7"} {
+		want := "-" + flag + " shapes a generated market; -trace reads one"
+		if err := run([]string{"-trace", file, "-weeks", "1", "-" + flag, value}); err == nil || err.Error() != want {
+			t.Errorf("-trace with -%s: %v, want %q", flag, err, want)
+		}
+	}
+	stdout := os.Stdout
+	if os.Stdout, err = os.Create(filepath.Join(t.TempDir(), "stdout")); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-trace", file, "-weeks", "1"})
+	os.Stdout.Close()
+	os.Stdout = stdout
+	if err != nil {
+		t.Errorf("-trace alone: %v", err)
 	}
 }

@@ -14,6 +14,8 @@
 // Without -trace a synthetic trace set is generated. A -trace file may
 // be CSV (read against -type and -weeks, which CSV rows cannot declare)
 // or colbin (self-describing); the format is detected from its bytes.
+// -seed and -zones shape the synthetic set, so either is an error with
+// -trace.
 //
 // The diff subcommand compares two JSONL event traces written by
 // `replay -events-out` (or `experiments -events-out`): equal-seed runs
@@ -82,15 +84,8 @@ func main() {
 		return
 	}
 
-	traceFile := flag.String("trace", "", "trace file, CSV or colbin (default: synthetic)")
-	itype := flag.String("type", "m1.small", "instance type")
-	weeks := flag.Int64("weeks", 13, "synthetic trace length in weeks")
-	seed := flag.Uint64("seed", 2014, "synthetic generator seed")
-	zones := flag.String("zones", "us-east-1a,us-west-2b,ap-northeast-1a", "comma-separated zones")
-	lenient := flag.Bool("lenient-traces", false, "quarantine malformed trace rows instead of failing the read (default: strict, first bad row is an error)")
-	flag.Parse()
-
-	if err := run(*traceFile, *itype, *weeks, *seed, *zones, *lenient); err != nil {
+	// -h has printed the usage it asked for.
+	if err := run(os.Args[1:]); err != nil && err != flag.ErrHelp {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
@@ -208,25 +203,39 @@ func runDiff(args []string, out io.Writer) (bool, error) {
 	return at < 0, nil
 }
 
-func run(traceFile, itype string, weeks int64, seed uint64, zoneList string, lenient bool) error {
-	if traceFile == "" && weeks < 1 {
-		return fmt.Errorf("-weeks %d: want at least 1 week of synthetic market", weeks)
+// run parses the command line and prints the analysis it asks for.
+func run(args []string) error {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	traceFile := fs.String("trace", "", "trace file, CSV or colbin (default: synthetic)")
+	itype := fs.String("type", "m1.small", "instance type")
+	weeks := fs.Int64("weeks", 13, "synthetic trace length in weeks")
+	seed := fs.Uint64("seed", 2014, "synthetic generator seed")
+	zoneList := fs.String("zones", "us-east-1a,us-west-2b,ap-northeast-1a", "comma-separated zones")
+	lenient := fs.Bool("lenient-traces", false, "quarantine malformed trace rows instead of failing the read (default: strict, first bad row is an error)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	it := market.InstanceType(itype)
-	zs, err := experiments.ParseList("zones", zoneList, market.ParseZone)
+	if err := experiments.GeneratorFlagsWithTrace(fs); *traceFile != "" && err != nil {
+		return err
+	}
+	if *traceFile == "" && *weeks < 1 {
+		return fmt.Errorf("-weeks %d: want at least 1 week of synthetic market", *weeks)
+	}
+	it := market.InstanceType(*itype)
+	zs, err := experiments.ParseList("zones", *zoneList, market.ParseZone)
 	if err != nil {
 		return err
 	}
-	if traceFile == "" && len(zs) == 0 {
+	if *traceFile == "" && len(zs) == 0 {
 		return fmt.Errorf("-zones: empty list (want the zones of the synthetic market)")
 	}
 	var set *trace.Set
-	if traceFile != "" {
-		set, _, err = experiments.ReadTrace("analyze", traceFile, it, nil, weeks*7*24*60, lenient)
+	if *traceFile != "" {
+		set, _, err = experiments.ReadTrace("analyze", *traceFile, it, nil, *weeks*7*24*60, *lenient)
 	} else {
 		set, err = trace.Generate(trace.GenConfig{
-			Seed: seed, Type: it, Zones: zs,
-			Start: 0, End: weeks * 7 * 24 * 60,
+			Seed: *seed, Type: it, Zones: zs,
+			Start: 0, End: *weeks * 7 * 24 * 60,
 		})
 	}
 	if err != nil {

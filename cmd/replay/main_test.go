@@ -83,6 +83,23 @@ func TestListFlags(t *testing.T) {
 	}
 }
 
+// TestTypesRejectsTheBaseType: a -types entry equal to the service's
+// base type (m1.small, the lock service's) adds no pool, so it is an
+// error naming the flag and the entry, before anything replays — never
+// a replay of the market without it.
+func TestTypesRejectsTheBaseType(t *testing.T) {
+	for types, want := range map[string]string{
+		"m1.small":           `-types entry 1 ("m1.small"): is the base type`,
+		"m1.medium,m1.small": `-types entry 2 ("m1.small"): is the base type`,
+	} {
+		o := quick("extra(2, 0.2)", "3")
+		o.Types = types
+		if out, err := runCaptured(t, o); err == nil || !strings.HasPrefix(err.Error(), want) || out != "" {
+			t.Errorf("-types %q: %v, printed %q; want an error starting %q", types, err, out, want)
+		}
+	}
+}
+
 // TestChaosErrorNamesTheFileOnce: a scenario file that fails validation
 // reads as the command, the file, then the chaos package's own message
 // — each prefix once.

@@ -85,21 +85,15 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-type: %w", err)
 	}
-	extra, err := experiments.ParseList("types", *types, market.ParseType)
+	extra, err := experiments.ParseTypes(*types, it)
 	if err != nil {
 		return err
 	}
 	end := *weeks * 7 * 24 * 60
 	var set *trace.Set
 	if *traceFile != "" {
-		var misplaced error
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" || f.Name == "zones" {
-				misplaced = fmt.Errorf("-%s shapes a generated market; -trace reads one", f.Name)
-			}
-		})
-		if misplaced != nil {
-			return misplaced
+		if err := experiments.GeneratorFlagsWithTrace(fs); err != nil {
+			return err
 		}
 		set, _, err = experiments.ReadTrace("tracegen", *traceFile, it, extra, end, *lenient)
 	} else {

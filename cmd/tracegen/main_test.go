@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +63,34 @@ func TestListFlags(t *testing.T) {
 	plain := generate(t, "plain.csv", "-weeks", "1", "-types", "m1.medium", "-zones", "us-east-1a,us-west-2b")
 	if !bytes.Equal(padded, plain) {
 		t.Error("padded -types and -zones write another trace than unpadded ones")
+	}
+}
+
+// TestTypesRejectsTheBaseType: a -types entry equal to -type adds no
+// pool, so generating or reading a market with it is an error naming
+// the flag and the entry; the same type beside another base is an
+// extra like any other.
+func TestTypesRejectsTheBaseType(t *testing.T) {
+	csvFile := filepath.Join(t.TempDir(), "base.csv")
+	if err := run([]string{"-weeks", "1", "-zones", "us-east-1a", "-o", csvFile}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		base string
+	}{
+		{[]string{"-types", "m1.medium,m1.small"}, "m1.small"},
+		{[]string{"-type", "m3.large", "-types", "m1.medium,m3.large"}, "m3.large"},
+		{[]string{"-trace", csvFile, "-types", "m1.medium,m1.small"}, "m1.small"},
+	} {
+		out := filepath.Join(t.TempDir(), "trace.csv")
+		want := fmt.Sprintf("-types entry 2 (%q): is the base type; -types lists the extra ones", c.base)
+		if err := run(append(c.args, "-weeks", "1", "-o", out)); err == nil || err.Error() != want {
+			t.Errorf("tracegen %v: %v, want %q", c.args, err, want)
+		}
+	}
+	if got := generate(t, "extra.csv", "-type", "m3.large", "-types", "m1.small", "-weeks", "1", "-zones", "us-east-1a"); !bytes.Contains(got, []byte("m1.small")) {
+		t.Error("-type m3.large -types m1.small wrote no m1.small pool")
 	}
 }
 

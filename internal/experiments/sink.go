@@ -132,6 +132,30 @@ func ParseList[T comparable](name, s string, parse func(string) (T, error)) ([]T
 	return out, nil
 }
 
+// ParseTypes parses a -types list of extra instance types against the
+// base type, whose pools every market already holds: an entry equal to
+// it adds no pool, and is an error rather than a market without it.
+func ParseTypes(s string, base market.InstanceType) ([]market.InstanceType, error) {
+	return ParseList("types", s, func(e string) (market.InstanceType, error) {
+		t, err := market.ParseType(e)
+		if err == nil && t == base {
+			err = fmt.Errorf("is the base type; -types lists the extra ones")
+		}
+		return t, err
+	})
+}
+
+// GeneratorFlagsWithTrace reports -seed or -zones set on fs, where
+// -trace names a file to read: both shape a generated market.
+func GeneratorFlagsWithTrace(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && (f.Name == "seed" || f.Name == "zones") {
+			err = fmt.Errorf("-%s shapes a generated market; -trace reads one", f.Name)
+		}
+	})
+	return err
+}
+
 // ReadTrace reads the trace file at path through colbin.ReadAny, which
 // detects the format from its bytes: a CSV file is read against base
 // and types over [0, end), a colbin file describes itself. The read is
@@ -218,7 +242,7 @@ func (f Flags) Open(command string, spec strategy.ServiceSpec, kv ...string) (En
 		f.Jobs = 1
 	}
 	s := &Sink{flags: f, command: command, start: time.Now()}
-	types, err := ParseList("types", f.Types, market.ParseType)
+	types, err := ParseTypes(f.Types, spec.Type)
 	if err != nil {
 		return Env{}, nil, err
 	}

@@ -21,24 +21,25 @@ import (
 // current run and convolves departures with the precomputed fresh
 // profiles.
 //
-// Decide-time fast path: the lazily built tables (per-state sojourn
-// data, fresh profiles) are published through atomic pointers with
-// copy-on-write builds, so cache hits — the overwhelming majority of
-// reads once a model is warm, and *every* read when a shared modelcache
-// serves parallel sweep cells — take no lock at all. The model mutex
-// only serializes the builds themselves. The fresh-profile DP runs over
-// one flat []float64 with stride indexing, and compiles each state's
-// departures once per build into a flat hop list, so a minute's step
-// has no zero to skip and no table to search: one pass over a state's
-// live hops finishes its whole row of n cells out of registers (rows
-// wider than eight are cut into chunks of four to eight). The hops are
-// in the order the original per-minute slices added their terms —
-// sojourn ascending, then destination ascending — and every cell adds
-// them to its survival term in that order, so the sums, and with them
-// every forecast, stay bit-identical (TestFreshMatchesReference). What
-// bounds the kernel is scalar floating-point issue — one multiply-add
-// per cell per hop, no padding lanes — and only SIMD assembly would go
-// below that, which this package does not want.
+// Decide-time fast path: the sojourn tables are built at freeze, and
+// the lazily built fresh profiles are published through an atomic
+// pointer with copy-on-write builds, so cache hits — the overwhelming
+// majority of reads once a model is warm, and *every* read when a
+// shared modelcache serves parallel sweep cells — take no lock at all.
+// The model mutex only serializes the builds themselves. The
+// fresh-profile DP runs over one flat []float64 with stride indexing,
+// and compiles each state's departures once per build into a flat hop
+// list, so a minute's step has no zero to skip and no table to search:
+// one pass over a state's live hops finishes its whole row of n cells
+// out of registers (rows wider than eight are cut into chunks of four
+// to eight). The hops are in the order the original per-minute slices
+// added their terms — sojourn ascending, then destination ascending —
+// and every cell adds them to its survival term in that order, so the
+// sums, and with them every forecast, stay bit-identical
+// (TestFreshMatchesReference). What bounds the kernel is scalar
+// floating-point issue — one multiply-add per cell per hop, no padding
+// lanes — and only SIMD assembly would go below that, which this
+// package does not want.
 
 // stateDist is an occupancy vector over the model's price states.
 type stateDist []float64
@@ -61,18 +62,17 @@ func (fp *freshProfiles) at(i int, u int64) []float64 {
 	return fp.cum[off : off+fp.n : off+fp.n]
 }
 
-// sojournData is one state's sojourn tables, derived lazily from the
-// kernel. The destinations of durations[x] are the range
-// next[first[x]:first[x+1]] of one flat list: only the destinations with
-// a non-zero probability, ascending — a kernel row names one or two of
-// the n states, so dense rows would be mostly zeros that every reader
-// skips anyway.
+// sojournData is one state's sojourn tables, built at freeze. The
+// destinations of durations[x] are the range next[first[x]:first[x+1]]
+// of one flat list: only the destinations with a non-zero probability,
+// ascending — a kernel row names one or two of the n states, so dense
+// rows would be mostly zeros that every reader skips anyway.
 type sojournData struct {
 	durations []int64   // sorted distinct observed sojourns
 	pmf       []float64 // P(K = durations[x])
+	survival  []float64 // P(K > durations[x]), clamped at 0 step by step
 	first     []int     // len(durations)+1 offsets into next
 	next      []dest    // P(destination | K = durations[x]), non-zeros only
-	survival  []float64 // survival[a] = P(K >= a), a in [0, maxDur+1]
 	marginal  stateDist // destination distribution ignoring K
 	maxDur    int64
 	absorbing bool // state observed only as a destination: never departs
@@ -87,104 +87,27 @@ type dest struct {
 // dests returns the destination distribution given K = durations[x].
 func (sd *sojournData) dests(x int) []dest { return sd.next[sd.first[x]:sd.first[x+1]] }
 
-// sojourn returns (building if needed) the per-state sojourn tables.
-// The hit path is a single atomic load; builds happen under the model's
-// mutex and publish an immutable table copy-on-write.
-func (m *Model) sojourn(i int) *sojournData {
-	if sd := m.soj[i].Load(); sd != nil {
-		return sd
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sojournLocked(i)
+// survivalCursor reads a state's P(K >= a) at non-decreasing a. The
+// survival is a step function: 1 through the first duration, then
+// survival[x] up to durations[x+1] — the last value, at maxDur+1, is
+// what rounding left of the mass — and 0 beyond, where every observed
+// run has ended. An absorbing state, with no duration, survives forever.
+type survivalCursor struct {
+	sd *sojournData
+	x  int // how many durations lie below the last a read
 }
 
-func (m *Model) sojournLocked(i int) *sojournData {
-	if sd := m.soj[i].Load(); sd != nil {
-		return sd
+func (c *survivalCursor) at(a int64) float64 {
+	for c.x < len(c.sd.durations) && c.sd.durations[c.x] < a {
+		c.x++
 	}
-	n := len(m.prices)
-	sd := &sojournData{marginal: make(stateDist, n)}
-	if m.out[i] == 0 {
-		// Absorbing state: observed only as a destination.
-		sd.absorbing = true
-		m.soj[i].Store(sd)
-		return sd
+	switch {
+	case c.x == 0:
+		return 1
+	case a > c.sd.maxDur+1:
+		return 0
 	}
-	// The kernel rows are already ascending by sojourn and, within one,
-	// by destination, so the tables fill in one walk. Cap the duration
-	// support so the fresh-profile DP stays cheap: a long tail of distinct
-	// sojourns merges, group adjacent rows at a time, into buckets with
-	// probability-weighted representative durations and destinations. This
-	// only coarsens *when* within the interval a transition lands, never
-	// whether.
-	const maxDurations = 96
-	rows := m.kernel[i]
-	group := (len(rows) + maxDurations - 1) / maxDurations
-	groups := (len(rows) + group - 1) / group
-	ncells := 0
-	for _, r := range rows {
-		ncells += len(r.cells)
-	}
-	out := float64(m.out[i])
-	sd.durations = make([]int64, groups)
-	sd.pmf = make([]float64, groups)
-	sd.first = make([]int, groups+1)
-	sd.next = make([]dest, 0, min(ncells, groups*n))
-	var dist stateDist // a merged bucket's destinations, cleared as they are read out
-	if group > 1 {
-		dist = make(stateDist, n)
-	}
-	for x := range sd.durations {
-		bucket := rows[x*group : min((x+1)*group, len(rows))]
-		var pSum, dSum float64
-		for _, r := range bucket {
-			p := float64(r.total) / out
-			pSum += p
-			dSum += float64(r.k) * p
-			for _, c := range r.cells {
-				g := float64(c.count) / float64(r.total)
-				sd.marginal[c.to] += float64(c.count) / out
-				if group == 1 {
-					sd.next = append(sd.next, dest{to: c.to, g: g})
-				} else {
-					dist[c.to] += g * p
-				}
-			}
-		}
-		d := bucket[0].k
-		if group > 1 {
-			for s, v := range dist {
-				if g := v / pSum; g != 0 {
-					sd.next = append(sd.next, dest{to: s, g: g})
-				}
-				dist[s] = 0
-			}
-			d = max(int64(dSum/pSum+0.5), 1)
-			if x > 0 && sd.durations[x-1] >= d {
-				d = sd.durations[x-1] + 1
-			}
-		}
-		sd.durations[x], sd.pmf[x], sd.first[x+1] = d, pSum, len(sd.next)
-	}
-	sd.maxDur = sd.durations[groups-1]
-	// survival[a] = P(K >= a): survival[0] = survival[1] = 1 since K >= 1.
-	sd.survival = make([]float64, sd.maxDur+2)
-	tail := 1.0
-	x := 0
-	for a := int64(1); a <= sd.maxDur+1; a++ {
-		sd.survival[a] = tail
-		for x < len(sd.durations) && sd.durations[x] == a {
-			tail -= sd.pmf[x]
-			x++
-		}
-		if tail < 0 {
-			tail = 0
-		}
-	}
-	sd.survival[0] = 1
-	m.soj[i].Store(sd)
-	return sd
+	return c.sd.survival[c.x-1]
 }
 
 // hop is one term of a state's fresh-entry recursion: leaving after d
@@ -352,12 +275,12 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	// order the recursion adds them: sojourn ascending, then destination
 	// ascending. A hop of d >= horizon can never fire. first[i] is where
 	// state i's hops begin.
-	sds := make([]*sojournData, n)
 	first := make([]int, n+1)
 	hops := sc.hops[:0]
-	for i := range sds {
-		sd := m.sojournLocked(i)
-		sds[i] = sd
+	surv := make([]survivalCursor, n) // read at t+1 in the pass below
+	for i := range m.soj {
+		sd := &m.soj[i]
+		surv[i].sd = sd
 		for x, d := range sd.durations {
 			if d >= horizon {
 				break
@@ -382,11 +305,11 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
 	live := make([]int, n) // how many of state i's hops have d <= t
 	for t := 0; t < h; t++ {
-		for i, sd := range sds {
+		for i := range surv {
 			row := occ[(i*h+t)*n:][:n]
 			clear(row)
 			// Still in the entered state through minute t iff K >= t+1.
-			row[i] = sd.survivalAt(int64(t) + 1)
+			row[i] = surv[i].at(int64(t) + 1)
 			// Departures at minute d <= t hand off to fresh profiles.
 			hs := hops[first[i]:first[i+1]]
 			for live[i] < len(hs) && hs[live[i]].d <= t {
@@ -401,22 +324,6 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 		}
 	}
 	return fp
-}
-
-// survivalAt returns P(K >= a), extending beyond the observed maximum
-// as zero (every observed run ended by then). Absorbing states survive
-// forever.
-func (sd *sojournData) survivalAt(a int64) float64 {
-	if sd.absorbing {
-		return 1
-	}
-	if a < 0 {
-		a = 0
-	}
-	if a >= int64(len(sd.survival)) {
-		return 0
-	}
-	return sd.survival[a]
 }
 
 // Forecast is the model's price distribution averaged over a bidding
@@ -469,11 +376,12 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 	}
 	n := len(m.prices)
 	i := m.nearestState(cur)
-	sd := m.sojourn(i)
+	sd := &m.soj[i]
 	fp := m.fresh(horizon)
 
 	tot := make(stateDist, n)
-	condSurv := sd.survivalAt(age)
+	surv := survivalCursor{sd: sd}
+	condSurv := surv.at(age)
 	if condSurv <= 0 {
 		// The run has outlived every observed sojourn: assume departure
 		// now with the marginal destination distribution.
@@ -486,22 +394,26 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 				tot[s] += g * c[s]
 			}
 		}
-		if m.out[i] == 0 {
-			// Truly absorbing: stay put.
-			tot[i] += float64(horizon)
-		}
 	} else {
 		// Stay term: still in state i during interval minute t iff
-		// K >= age + t + 1. Past the longest observed sojourn that is
-		// exactly zero, and adding zero moves no bit, so the sum stops
-		// there.
+		// K >= age + t + 1, which is 0 past the longest observed sojourn
+		// (adding zero moves no bit, so the sum stops there) and holds from
+		// one duration to the next, so each step is divided once.
 		stay := horizon
 		if !sd.absorbing {
 			stay = min(horizon, sd.maxDur+1-age)
 		}
-		for t := int64(0); t < stay; t++ {
-			tot[i] += sd.survivalAt(age+t+1) / condSurv
+		var held float64 // tot[i] is 0 until here
+		for a, end := age+1, age+stay; a <= end; {
+			q, hi := surv.at(a)/condSurv, end
+			if surv.x < len(sd.durations) {
+				hi = min(hi, sd.durations[surv.x])
+			}
+			for ; a <= hi; a++ {
+				held += q
+			}
 		}
+		tot[i] = held
 		// Departure terms: K = age + d for d in [0, horizon).
 		for x, k := range sd.durations {
 			if k < age {

@@ -30,12 +30,26 @@ func fastTestModel(t *testing.T, seed uint64, weeks int64) (*Model, *trace.Trace
 	return m, tr
 }
 
+// refModelOn trains the map-based reference estimator on tr at the
+// default sojourn cap.
+func refModelOn(t *testing.T, tr *trace.Trace) *refModel {
+	t.Helper()
+	e := newRefEstimator(0)
+	e.Observe(tr)
+	m, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestForecastMatchesReference pins the flat-matrix DP and suffix-sum
 // read path bit-identical to the pre-rewrite slice-of-slices
 // implementation, across seeds, horizons, and run ages.
 func TestForecastMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 42, 2014} {
 		m, tr := fastTestModel(t, seed, 13)
+		rm := refModelOn(t, tr)
 		cur := tr.PriceAt(tr.End - 1)
 		for _, horizon := range []int64{1, 60, 180, 360} {
 			for _, age := range []int64{1, 5, 77, 500, 3 * 24 * 60} {
@@ -43,7 +57,7 @@ func TestForecastMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := refForecast(m, cur, age, horizon)
+				want := refForecast(rm, cur, age, horizon)
 				if len(got.avgOcc) != len(want.avgOcc) {
 					t.Fatalf("seed %d h=%d age=%d: %d states, want %d",
 						seed, horizon, age, len(got.avgOcc), len(want.avgOcc))
@@ -241,9 +255,10 @@ func TestForecastColdConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	rm := refModelOn(t, tr)
 	for g, f := range results {
 		h := horizons[g%len(horizons)]
-		want := refForecast(m, cur, int64(1+g), h)
+		want := refForecast(rm, cur, int64(1+g), h)
 		for s := range f.avgOcc {
 			if f.avgOcc[s] != want.avgOcc[s] {
 				t.Fatalf("goroutine %d: avgOcc[%d] = %v, want %v", g, s, f.avgOcc[s], want.avgOcc[s])

@@ -5,7 +5,7 @@ package smc
 //
 //   - refEstimator / refModel / refModel.WriteJSON: the three-level-map
 //     Equation 13 estimator, its map-of-maps kernel and its dump in the
-//     canonical form of modelJSON, as they were before the flat kernel;
+//     canonical form of countsJSON, as they were before the flat kernel;
 //   - refSojournData / refSojourn: the per-state sojourn tables built by
 //     iterating and sorting those maps, with one dense n-wide destination
 //     vector per duration, as they were before the flat non-zero ranges;
@@ -15,6 +15,9 @@ package smc
 //   - refFreshCum / refForecast / refOutOfBidFraction / refMinimalBid:
 //     the older slice-of-slices DP and the linear out-of-bid scans from
 //     before the flat-matrix/suffix-sum rewrite.
+//
+// Every reference reads a refModel frozen by refEstimator, never a
+// Model, so nothing the code under test builds feeds its own oracle.
 
 import (
 	"encoding/json"
@@ -219,22 +222,23 @@ func (m *refModel) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(jm)
 }
 
-// refModelOf recasts a model's kernel in the map form the reference
-// code reads, for references that start from a trained Model.
-func refModelOf(m *Model) *refModel {
-	r := &refModel{
-		maxSojourn: m.maxSojourn,
-		prices:     m.prices,
-		out:        m.out,
-		kernel:     make([]map[int64][]kernelEntry, len(m.prices)),
+// nearestState is Model.nearestState as a linear scan: the closest
+// price, ties going to the higher one.
+func (m *refModel) nearestState(p market.Money) int {
+	best := 0
+	for i, q := range m.prices {
+		if abs(q-p) <= abs(m.prices[best]-p) {
+			best = i
+		}
 	}
-	for i := range r.kernel {
-		r.kernel[i] = make(map[int64][]kernelEntry)
+	return best
+}
+
+func abs(d market.Money) market.Money {
+	if d < 0 {
+		return -d
 	}
-	for _, c := range m.cells {
-		r.kernel[c.from][c.k] = append(r.kernel[c.from][c.k], kernelEntry{to: c.to, count: c.count})
-	}
-	return r
+	return d
 }
 
 // refSojournData is sojournData with the dense destination table:
@@ -263,7 +267,7 @@ func (sd *refSojournData) survivalAt(a int64) float64 {
 }
 
 // refSojourn rebuilds a state's sojourn tables from the map kernel,
-// fully independently of the model's published cache.
+// fully independently of the model's.
 func refSojourn(m *refModel, i int) *refSojournData {
 	n := len(m.prices)
 	sd := &refSojournData{marginal: make(stateDist, n)}
@@ -417,7 +421,7 @@ func refFreshCum(m *refModel, horizon int64, soj []*refSojournData) [][]stateDis
 // dense next[x] vector scanned for its non-zero destinations, and the
 // cumulative table built in a second pass. It returns the flat cum
 // table, indexed like freshProfiles.cum.
-func refFresh(m *Model, horizon int64) []float64 {
+func refFresh(m *refModel, horizon int64) []float64 {
 	n := len(m.prices)
 	h := int(horizon)
 	occ := make([]float64, n*h*n)
@@ -425,10 +429,9 @@ func refFresh(m *Model, horizon int64) []float64 {
 		off := (i*h + int(t)) * n
 		return occ[off : off+n : off+n]
 	}
-	rm := refModelOf(m)
 	soj := make([]*refSojournData, n)
 	for i := range soj {
-		soj[i] = refSojourn(rm, i)
+		soj[i] = refSojourn(m, i)
 	}
 	for t := int64(0); t < horizon; t++ {
 		for i := 0; i < n; i++ {
@@ -475,7 +478,7 @@ func refFresh(m *Model, horizon int64) []float64 {
 
 // refForecast is the pre-rewrite Forecast: same conditioning and
 // convolution, reading the slice-of-slices profiles.
-func refForecast(m *Model, cur market.Money, age, horizon int64) *Forecast {
+func refForecast(m *refModel, cur market.Money, age, horizon int64) *Forecast {
 	if age < 1 {
 		age = 1
 	}
@@ -483,14 +486,13 @@ func refForecast(m *Model, cur market.Money, age, horizon int64) *Forecast {
 		age = m.maxSojourn
 	}
 	n := len(m.prices)
-	rm := refModelOf(m)
 	soj := make([]*refSojournData, n)
 	for i := range soj {
-		soj[i] = refSojourn(rm, i)
+		soj[i] = refSojourn(m, i)
 	}
 	i := m.nearestState(cur)
 	sd := soj[i]
-	cum := refFreshCum(rm, horizon, soj)
+	cum := refFreshCum(m, horizon, soj)
 
 	tot := make(stateDist, n)
 	condSurv := sd.survivalAt(age)

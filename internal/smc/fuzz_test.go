@@ -1,8 +1,8 @@
 package smc
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,8 +70,9 @@ func encodeTrace(tr *trace.Trace) (levels uint16, data []byte) {
 // model, bits 1–2 pick the history handed over (the full trace, the
 // window's own copy, or the suffix past the previous end), bit 3 shrinks
 // the window from its start by the high nibble's sixteenths of the
-// width. Every model asked for, and the last, must dump to the
-// bytes of a from-scratch Estimator's over the same window; nothing may
+// width. At every model asked for, and at the last, the counts must
+// dump to the bytes of a from-scratch Estimator's over the same window
+// and the frozen tables must equal its model's bit for bit; nothing may
 // panic. The seeds include a long churn — fifteen hundred slides with
 // no model in between — and the smallest caps.
 func FuzzWindowedEstimator(f *testing.F) {
@@ -111,12 +112,7 @@ func FuzzWindowedEstimator(f *testing.F) {
 				}
 				return
 			}
-			got, err := w.Model()
-			inc := modelJSON(t, got, err)
-			sm, err := scratch.Model()
-			if ref := modelJSON(t, sm, err); !bytes.Equal(inc, ref) {
-				t.Fatalf("slide %d [%d, %d): incremental model diverges from scratch\nincremental: %s\nscratch:     %s", slide, from, until, inc, ref)
-			}
+			requireMatchesScratch(t, fmt.Sprintf("slide %d [%d, %d)", slide, from, until), w, scratch)
 		}
 		for x := 0; x+1 < len(slides) && x < 2*maxFuzzSlides; x += 2 {
 			step, flags := slides[x], slides[x+1]

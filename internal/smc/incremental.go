@@ -26,19 +26,19 @@ import (
 // price run — so the two training paths are interchangeable.
 
 // windowRec is one complete observed transition: the source price run
-// occupied [start, end) and handed off to price `to` at minute end.
-// Prices are the estimator's level ids.
+// handed off to level `to` at minute end. Source runs tile time, so a
+// record's source run began at the previous record's end, at the level
+// that record handed off to.
 type windowRec struct {
-	start, end int64
-	from, to   int32
+	end int64
+	to  int32
 }
 
-// effSojourn is the sojourn the Equation 13 counts see for a record
-// under a window starting at winStart: the source run left-truncated at
-// the window boundary, clamped to [1, maxSojourn] exactly as
-// Estimator.Observe clamps.
-func (r windowRec) effSojourn(winStart, maxSojourn int64) int64 {
-	return clampSojourn(r.end-max(r.start, winStart), maxSojourn)
+// effSojourn is the sojourn the Equation 13 counts see for a run over
+// [start, end) under a window starting at winStart: left-truncated at
+// the window boundary, clamped exactly as Estimator.Observe clamps.
+func effSojourn(start, end, winStart, maxSojourn int64) int64 {
+	return clampSojourn(end-max(start, winStart), maxSojourn)
 }
 
 // WindowedEstimator maintains an Estimator's transition counts over a
@@ -52,9 +52,13 @@ func (r windowRec) effSojourn(winStart, maxSojourn int64) int64 {
 type WindowedEstimator struct {
 	est *Estimator
 	// recs[head:] are the live transitions, ascending by end minute;
-	// recs[:head] is the space of evicted ones, kept for reuse.
-	recs []windowRec
-	head int
+	// recs[:head] is the space of evicted ones, kept for reuse. The
+	// source run recs[head] ends began at headStart at level headFrom
+	// (or the tail's, if no record is live).
+	recs      []windowRec
+	head      int
+	headStart int64
+	headFrom  int32
 
 	// tail is the price run still open at until: its price, and the
 	// minute it began (or the window start of the time, if it began
@@ -135,6 +139,7 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 		if until > from {
 			w.tail = trace.PricePoint{Minute: from, Price: tr.Points[next-1].Price}
 			w.tailLevel = w.est.level(w.tail.Price)
+			w.headStart, w.headFrom = from, w.tailLevel
 		}
 	}
 	prevFrom := w.from
@@ -143,18 +148,19 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	// before the new start).
 	for ; w.head < len(w.recs) && w.recs[w.head].end <= from; w.head++ {
 		r := w.recs[w.head]
-		w.est.remove(r.from, r.to, r.effSojourn(prevFrom, w.est.maxSojourn))
+		w.est.remove(w.headFrom, r.to, effSojourn(w.headStart, r.end, prevFrom, w.est.maxSojourn))
+		w.headStart, w.headFrom = r.end, r.to
 	}
 	// Source runs tile time, so at most the first survivor can straddle
 	// the new window start; its counted sojourn shrinks to the new
 	// truncation.
-	if w.head < len(w.recs) && w.recs[w.head].start < from {
+	if w.head < len(w.recs) && w.headStart < from {
 		r := w.recs[w.head]
-		oldK := r.effSojourn(prevFrom, w.est.maxSojourn)
-		newK := r.effSojourn(from, w.est.maxSojourn)
+		oldK := effSojourn(w.headStart, r.end, prevFrom, w.est.maxSojourn)
+		newK := effSojourn(w.headStart, r.end, from, w.est.maxSojourn)
 		if oldK != newK {
-			w.est.remove(r.from, r.to, oldK)
-			w.est.add(r.from, r.to, newK)
+			w.est.remove(w.headFrom, r.to, oldK)
+			w.est.add(w.headFrom, r.to, newK)
 		}
 	}
 
@@ -167,15 +173,14 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 			continue
 		}
 		to := w.est.level(p.Price)
-		rec := windowRec{start: w.tail.Minute, end: p.Minute, from: w.tailLevel, to: to}
 		if len(w.recs) == cap(w.recs) && w.head > 0 {
 			// Full: move the live records down over the evicted ones
 			// before growing. A window sliding at a steady pace settles
 			// into this and stops allocating.
 			w.recs, w.head = w.recs[:copy(w.recs, w.recs[w.head:])], 0
 		}
-		w.recs = append(w.recs, rec)
-		w.est.add(rec.from, rec.to, rec.effSojourn(from, w.est.maxSojourn))
+		w.recs = append(w.recs, windowRec{end: p.Minute, to: to})
+		w.est.add(w.tailLevel, to, effSojourn(w.tail.Minute, p.Minute, from, w.est.maxSojourn))
 		w.tail, w.tailLevel = p, to
 	}
 

@@ -3,6 +3,7 @@ package smc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -12,19 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
-// modelJSON dumps a model in its canonical form (jsonModel; its cells
-// are already in kernel order) so two models can be compared byte for
-// byte.
-func modelJSON(t *testing.T, m *Model, err error) []byte {
+// countsJSON dumps an estimator's counts in their canonical form
+// (jsonModel, the cells in kernel order) so two can be compared byte
+// for byte.
+func countsJSON(t *testing.T, e *Estimator) []byte {
 	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jm := jsonModel{MaxSojourn: m.maxSojourn, Out: m.out}
-	for _, p := range m.prices {
+	kc := countsOf(e)
+	jm := jsonModel{MaxSojourn: kc.maxSojourn, Out: kc.out}
+	for _, p := range kc.prices {
 		jm.Prices = append(jm.Prices, int64(p))
 	}
-	for _, c := range m.cells {
+	for _, c := range kc.cells {
 		jm.Kernel = append(jm.Kernel, jsonKernelCell{From: c.from, To: c.to, Sojourn: c.k, Count: c.count})
 	}
 	var buf bytes.Buffer
@@ -34,10 +33,24 @@ func modelJSON(t *testing.T, m *Model, err error) []byte {
 	return buf.Bytes()
 }
 
-func mustJSON(t *testing.T, mk func() (*Model, error)) []byte {
+// requireMatchesScratch requires a windowed estimator's counts to dump
+// to the bytes of a from-scratch estimator's over the same window, and
+// the models the two freeze to be equal table for table, bit for bit.
+func requireMatchesScratch(t *testing.T, where string, w *WindowedEstimator, scratch *Estimator) (inc, ref *Model) {
 	t.Helper()
-	m, err := mk()
-	return modelJSON(t, m, err)
+	if got, want := countsJSON(t, w.est), countsJSON(t, scratch); !bytes.Equal(got, want) {
+		t.Fatalf("%s: incremental counts diverge from scratch\nincremental: %s\nscratch:     %s", where, got, want)
+	}
+	inc, err := w.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err = scratch.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireModelsEqual(t, where, inc, ref)
+	return inc, ref
 }
 
 // TestWindowedEstimatorMatchesScratch is the incremental-vs-from-scratch
@@ -82,12 +95,7 @@ func TestWindowedEstimatorMatchesScratch(t *testing.T) {
 				if w.est.observations == 0 {
 					continue
 				}
-				inc := mustJSON(t, w.Model)
-				ref := mustJSON(t, scratch.Model)
-				if !bytes.Equal(inc, ref) {
-					t.Fatalf("seed %d zone %s step %d: incremental model diverges from scratch\nincremental: %s\nscratch:     %s",
-						seed, zone, stepIdx, inc, ref)
-				}
+				requireMatchesScratch(t, fmt.Sprintf("seed %d zone %s step %d", seed, zone, stepIdx), w, scratch)
 			}
 		}
 	}
@@ -123,11 +131,7 @@ func TestWindowedEstimatorSmallSojournCap(t *testing.T) {
 			}
 			continue
 		}
-		inc := mustJSON(t, w.Model)
-		ref := mustJSON(t, scratch.Model)
-		if !bytes.Equal(inc, ref) {
-			t.Fatalf("now %d: incremental model diverges from scratch", now)
-		}
+		requireMatchesScratch(t, fmt.Sprintf("now %d", now), w, scratch)
 	}
 }
 
@@ -230,7 +234,6 @@ func TestModelConcurrentForecasts(t *testing.T) {
 					return
 				}
 				got[wkr][i] = f.FailureProbability(cur, 0.01)
-				kernelProb(shared, cur, cur, 10)
 				if _, err := shared.Stationary(); err != nil {
 					return
 				}
@@ -328,11 +331,13 @@ func TestAdvanceCostIndependentOfWindow(t *testing.T) {
 
 // TestScratchTrainAllocBudget bounds what training from nothing
 // allocates — Observe over a six-week window and Model(), the miss of
-// every pool a replay meets first. The budget is the measured 43.3 kB
-// (the per-level sojourn tables, the counters and the kernel) plus 10 %.
+// every pool a replay meets first. The budget is the measured 35.1 kB
+// (the per-level sojourn slots, the counters and the frozen sojourn
+// tables) plus 10 %; a copy of the kernel kept beside the tables put it
+// at 43.3 kB.
 func TestScratchTrainAllocBudget(t *testing.T) {
 	const week = 7 * 24 * 60
-	const budget = 47_500
+	const budget = 38_600
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: 6 * week,
 	})
@@ -359,15 +364,15 @@ func TestScratchTrainAllocBudget(t *testing.T) {
 
 // TestRetrainAllocBudget bounds what one retrain allocates — a one-week
 // slide of the 13-week window, Model(), and the first Forecast with its
-// fresh-profile build. The budget is the measured 152 kB (the profile
-// table, the sojourn tables and the kernel, which the model keeps) plus
-// 10 %; dense destination rows in the sojourn tables alone put it at
-// 171 kB.
+// fresh-profile build. The budget is the measured 122 kB (the profile
+// table and the sojourn tables, which the model keeps) plus 10 %; a
+// kernel copy, 24-byte window records and dense survival arrays put it
+// at 152 kB, and dense destination rows on top of those at 171 kB.
 // The best of a few retrains counts, since a collection — or the race
 // detector — may empty the scratch pool between two of them.
 func TestRetrainAllocBudget(t *testing.T) {
 	const week = 7 * 24 * 60
-	const budget = 167_500
+	const budget = 134_200
 	set, err := trace.Generate(trace.GenConfig{
 		Seed: 5, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: (13 + 6) * week,
 	})

@@ -2,7 +2,6 @@ package smc
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,22 +42,62 @@ func denseRows(sd *sojournData, n int) (rows []stateDist, ok bool) {
 	return rows, at == len(sd.next)
 }
 
+// denseSurvival reads a state's stepwise survival through the cursor at
+// every a in [0, maxDur+1] — the reference's dense P(K >= a), nil for an
+// absorbing state. ok is false unless it holds one value per duration
+// and reads 0 past maxDur+1 (an absorbing state: 1 everywhere).
+func denseSurvival(sd *sojournData) (dense []float64, ok bool) {
+	c := survivalCursor{sd: sd}
+	if sd.absorbing {
+		return nil, len(sd.survival) == 0 && c.at(0) == 1 && c.at(1<<40) == 1
+	}
+	for a := int64(0); a <= sd.maxDur+1; a++ {
+		dense = append(dense, c.at(a))
+	}
+	return dense, len(sd.survival) == len(sd.durations) && c.at(sd.maxDur+2) == 0 && c.at(1<<40) == 0
+}
+
 // requireSojournEqual compares a state's sojourn tables with the dense
-// reference's, the floats by bit pattern: every field, and range by
-// range the destination list against the dense row it stands for — a
-// cell is listed exactly when the row holds a non-zero there.
+// reference's, the floats by bit pattern: every field, the survival
+// read at every minute, and range by range the destination list
+// against the dense row it stands for — a cell is listed exactly when
+// the row holds a non-zero there.
 func requireSojournEqual(t *testing.T, where string, got *sojournData, want *refSojournData) {
 	t.Helper()
 	rows, ok := denseRows(got, len(want.marginal))
-	ok = ok && got.absorbing == want.absorbing && got.maxDur == want.maxDur &&
+	survival, sok := denseSurvival(got)
+	ok = ok && sok && got.absorbing == want.absorbing && got.maxDur == want.maxDur &&
 		slices.Equal(got.durations, want.durations) &&
-		bitsEqual(got.pmf, want.pmf) && bitsEqual(got.survival, want.survival) &&
+		bitsEqual(got.pmf, want.pmf) && bitsEqual(survival, want.survival) &&
 		bitsEqual(got.marginal, want.marginal) && len(rows) == len(want.next)
 	for x := 0; ok && x < len(rows); x++ {
 		ok = bitsEqual(rows[x], want.next[x])
 	}
 	if !ok {
 		t.Fatalf("%s: sojourn tables differ\n got %+v\nwant %+v", where, got, want)
+	}
+}
+
+// requireModelsEqual compares two frozen models field by field, the
+// floats by bit pattern.
+func requireModelsEqual(t *testing.T, where string, got, want *Model) {
+	t.Helper()
+	ok := got.maxSojourn == want.maxSojourn && slices.Equal(got.prices, want.prices) &&
+		slices.Equal(got.out, want.out) && len(got.soj) == len(want.soj)
+	for i := 0; ok && i < len(got.soj); i++ {
+		a, b := &got.soj[i], &want.soj[i]
+		ok = a.absorbing == b.absorbing && a.maxDur == b.maxDur &&
+			slices.Equal(a.durations, b.durations) && slices.Equal(a.first, b.first) &&
+			bitsEqual(a.pmf, b.pmf) && bitsEqual(a.survival, b.survival) && bitsEqual(a.marginal, b.marginal) &&
+			slices.EqualFunc(a.next, b.next, func(x, y dest) bool {
+				return x.to == y.to && math.Float64bits(x.g) == math.Float64bits(y.g)
+			})
+		if !ok {
+			t.Fatalf("%s: state %d (%v) tables differ\n got %+v\nwant %+v", where, i, got.prices[i], *a, *b)
+		}
+	}
+	if !ok {
+		t.Fatalf("%s: models differ: %d states at cap %d, want %d at cap %d", where, len(got.prices), got.maxSojourn, len(want.prices), want.maxSojourn)
 	}
 }
 
@@ -125,9 +164,10 @@ func oracleTraces(t *testing.T) []*trace.Trace {
 	return out
 }
 
-// TestModelMatchesMapReference pins the flat Equation 13 kernel to the
-// map-of-maps one: the same dumped bytes, the same Kernel and
-// SojournPMF values, and sojourn tables equal in every field.
+// TestModelMatchesMapReference pins the flat Equation 13 counts to the
+// map-of-maps ones: the same dumped bytes, the same Kernel and
+// SojournPMF values; and the tables the freeze builds to the
+// reference's, equal in every field.
 func TestModelMatchesMapReference(t *testing.T) {
 	for ti, tr := range oracleTraces(t) {
 		for _, maxSojourn := range []int64{0, 45} {
@@ -150,54 +190,66 @@ func TestModelMatchesMapReference(t *testing.T) {
 			if err := rm.WriteJSON(&want); err != nil {
 				t.Fatal(err)
 			}
-			if got := modelJSON(t, m, nil); !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("trace %d cap %d: model dump differs\n got %s\nwant %s", ti, maxSojourn, got, want.Bytes())
+			if got := countsJSON(t, est); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("trace %d cap %d: count dump differs\n got %s\nwant %s", ti, maxSojourn, got, want.Bytes())
 			}
+			if !slices.Equal(m.prices, rm.prices) || !slices.Equal(m.out, rm.out) {
+				t.Fatalf("trace %d cap %d: model over %v departing %v, reference %v departing %v", ti, maxSojourn, m.prices, m.out, rm.prices, rm.out)
+			}
+			kc := countsOf(est)
 			probe := append([]market.Money{0, m.prices[0] + 1}, m.prices...)
 			for i, si := range probe {
 				for _, k := range []int64{0, 1, 2, 7, 45, 60, 1439, 1440, 5000} {
-					if g, w := sojournPMF(m, si, k), rm.SojournPMF(si, k); math.Float64bits(g) != math.Float64bits(w) {
+					if g, w := sojournPMF(kc, si, k), rm.SojournPMF(si, k); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("trace %d: SojournPMF(%v, %d) = %v, reference %v", ti, si, k, g, w)
 					}
 					for _, sj := range probe {
-						if g, w := kernelProb(m, si, sj, k), rm.Kernel(si, sj, k); math.Float64bits(g) != math.Float64bits(w) {
+						if g, w := kernelProb(kc, si, sj, k), rm.Kernel(si, sj, k); math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("trace %d: Kernel(%v, %v, %d) = %v, reference %v", ti, si, sj, k, g, w)
 						}
 					}
 				}
 				if i >= 2 {
-					requireSojournEqual(t, "trained model", m.sojourn(i-2), refSojourn(rm, i-2))
+					requireSojournEqual(t, "trained model", &m.soj[i-2], refSojourn(rm, i-2))
 				}
 			}
 		}
 	}
 }
 
-// compareCells orders cells in kernel order, (from, k, to).
-func compareCells(a, b kernelCell) int {
-	if a.from != b.from {
-		return cmp.Compare(a.from, b.from)
-	}
-	if a.k != b.k {
-		return cmp.Compare(a.k, b.k)
-	}
-	return cmp.Compare(a.to, b.to)
-}
-
-// randomModel builds a model straight from random kernel cells over n
-// states, some absorbing, some with more distinct sojourns than the
-// merge cap (so their next vectors come out dense), sojourns up to the
-// one-day cap, and the occasional self-transition no trace yields.
-func randomModel(rng *rand.Rand, n int) *Model {
+// randomModel counts random kernel cells over n states into an
+// Estimator and into the map-based reference estimator, and freezes
+// both: some states absorbing (each entered from a departing one, so it
+// is a state of the model), some with more distinct sojourns than the
+// merge cap, sojourns up to the one-day cap, and the occasional
+// self-transition no trace yields.
+func randomModel(rng *rand.Rand, n int) (*Model, *refModel) {
 	prices := make([]market.Money, n)
 	for i := range prices {
 		prices[i] = market.Money(100*(i+1) + rng.Intn(50))
 	}
-	var cells []kernelCell
-	for i := 0; i < n; i++ {
-		if n > 1 && rng.Intn(5) == 0 {
-			continue // absorbing
+	est, ref := NewEstimator(0), newRefEstimator(0)
+	ids := make([]int32, n)
+	for i, p := range prices {
+		ids[i] = est.level(p)
+	}
+	add := func(i, j int, k, count int64) {
+		for ; count > 0; count-- {
+			est.add(ids[i], ids[j], k)
+			ref.add(prices[i], prices[j], k)
 		}
+	}
+	absorbing := make([]bool, n)
+	for i := range absorbing {
+		absorbing[i] = n > 1 && rng.Intn(5) == 0
+	}
+	absorbing[rng.Intn(n)] = false
+	var departing []int
+	for i := 0; i < n; i++ {
+		if absorbing[i] {
+			continue
+		}
+		departing = append(departing, i)
 		durations := 1 + rng.Intn(30)
 		if rng.Intn(4) == 0 {
 			durations = 97 + rng.Intn(130)
@@ -208,12 +260,21 @@ func randomModel(rng *rand.Rand, n int) *Model {
 				if j == i && n > 1 && rng.Intn(8) != 0 {
 					continue
 				}
-				cells = append(cells, kernelCell{from: i, to: j, k: int64(k) + 1, count: 1 + rng.Int63n(5)})
+				add(i, j, int64(k)+1, 1+rng.Int63n(5))
 			}
 		}
 	}
-	slices.SortFunc(cells, compareCells)
-	return newModel(DefaultMaxSojourn, prices, cells)
+	for j, a := range absorbing {
+		if a {
+			add(departing[rng.Intn(len(departing))], j, 1+rng.Int63n(DefaultMaxSojourn), 1)
+		}
+	}
+	m, err := est.Model()
+	rm, rerr := ref.Model()
+	if err != nil || rerr != nil || len(m.prices) != n {
+		panic(fmt.Sprintf("random model over %d states: %v, reference %v", n, err, rerr))
+	}
+	return m, rm
 }
 
 // TestSojournRangesMatchDense: over seeded random models, every state's
@@ -226,18 +287,17 @@ func TestSojournRangesMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	plain, merged, absorbing := 0, 0, 0
 	for trial := 0; trial < 130; trial++ {
-		m := randomModel(rng, 1+trial%13)
-		rm := refModelOf(m)
+		m, rm := randomModel(rng, 1+trial%13)
 		for i := range m.prices {
-			sd := m.sojourn(i)
+			sd := &m.soj[i]
 			requireSojournEqual(t, fmt.Sprintf("trial %d state %d", trial, i), sd, refSojourn(rm, i))
 			switch {
 			case sd.absorbing:
 				absorbing++
-			case len(m.kernel[i]) > 96:
+			case len(rm.kernel[i]) > 96:
 				merged++
-				if len(sd.durations) > 96 || len(sd.durations) == len(m.kernel[i]) {
-					t.Fatalf("trial %d state %d: %d kernel rows left %d durations", trial, i, len(m.kernel[i]), len(sd.durations))
+				if len(sd.durations) > 96 || len(sd.durations) == len(rm.kernel[i]) {
+					t.Fatalf("trial %d state %d: %d kernel rows left %d durations", trial, i, len(rm.kernel[i]), len(sd.durations))
 				}
 			default:
 				plain++
@@ -247,6 +307,96 @@ func TestSojournRangesMatchDense(t *testing.T) {
 	if plain < 50 || merged < 50 || absorbing < 50 {
 		t.Fatalf("%d plain, %d merged and %d absorbing states: the generator no longer covers all three", plain, merged, absorbing)
 	}
+}
+
+// trainBoth trains an Estimator and the map-based reference on tr and
+// freezes both.
+func trainBoth(t *testing.T, tr *trace.Trace) (*Model, *refModel) {
+	t.Helper()
+	est := NewEstimator(0)
+	est.Observe(tr)
+	m, err := est.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, refModelOn(t, tr)
+}
+
+// requireForecastsMatchReference compares the model's forecasts from
+// cur with the reference's, by bit pattern, at every age and horizon
+// given.
+func requireForecastsMatchReference(t *testing.T, m *Model, rm *refModel, cur market.Money, ages, horizons []int64) {
+	t.Helper()
+	for _, h := range horizons {
+		for _, age := range ages {
+			got, err := m.Forecast(cur, age, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refForecast(rm, cur, age, h); !bitsEqual(got.avgOcc, want.avgOcc) {
+				t.Fatalf("forecast from %v age %d over %d min: %v, reference %v", cur, age, h, got.avgOcc, want.avgOcc)
+			}
+		}
+	}
+}
+
+// TestMergedBucketsMatchReference: a state with more than 96 distinct
+// sojourns — 200 here, leaving for one of two states — is frozen into
+// merged buckets whose durations, probabilities, destinations and
+// survival are the reference's bit for bit, and so are the forecasts
+// and fresh profiles that read them.
+func TestMergedBucketsMatchReference(t *testing.T) {
+	const a, b, c = market.Money(1000), market.Money(2000), market.Money(3000)
+	tr := &trace.Trace{Zone: "test-1a", Type: market.M1Small}
+	for k := int64(1); k <= 200; k++ {
+		to := b
+		if k%3 == 0 {
+			to = c
+		}
+		tr.Points = append(tr.Points, trace.PricePoint{Minute: tr.End, Price: a}, trace.PricePoint{Minute: tr.End + k, Price: to})
+		tr.End += k + 1 + k%2
+	}
+	m, rm := trainBoth(t, tr)
+	sd := &m.soj[0]
+	if len(rm.kernel[0]) != 200 || len(sd.durations) > 96 {
+		t.Fatalf("%d sojourns left %d durations, want 200 merged into at most 96", len(rm.kernel[0]), len(sd.durations))
+	}
+	if len(sd.next) <= len(sd.durations) {
+		t.Fatalf("%d destinations over %d buckets: no bucket merged rows leaving for both states", len(sd.next), len(sd.durations))
+	}
+	for i := range m.prices {
+		requireSojournEqual(t, fmt.Sprintf("state %d", i), &m.soj[i], refSojourn(rm, i))
+	}
+	for _, h := range []int64{1, 90, 400} {
+		requireFreshEqual(t, fmt.Sprintf("h=%d", h), m.fresh(h), refFresh(rm, h))
+	}
+	requireForecastsMatchReference(t, m, rm, a, []int64{1, 2, 50, 150, 199, 200, 201, 300}, []int64{1, 60, 360})
+}
+
+// TestSurvivalResidualMatchesReference: a state left after 1, 2 and 3
+// minutes, once each, subtracts 1/3 three times from 1 and keeps the
+// rounding residual 2^-53 as its survival at maxDur+1 = 4, then 0. The
+// cursor reads it there, and the fresh profiles and the forecasts whose
+// stay loop crosses it are the reference's bit for bit.
+func TestSurvivalResidualMatchesReference(t *testing.T) {
+	const a, b = market.Money(1000), market.Money(2000)
+	tr := &trace.Trace{Zone: "test-1a", Type: market.M1Small, End: 10, Points: []trace.PricePoint{
+		{Minute: 0, Price: a}, {Minute: 1, Price: b}, {Minute: 2, Price: a}, {Minute: 4, Price: b},
+		{Minute: 5, Price: a}, {Minute: 8, Price: b}, {Minute: 9, Price: a},
+	}}
+	m, rm := trainBoth(t, tr)
+	sd := &m.soj[0]
+	c := survivalCursor{sd: sd}
+	if r := c.at(sd.maxDur + 1); sd.maxDur != 3 || r == 0 || r != sd.survival[2] || c.at(sd.maxDur+2) != 0 {
+		t.Fatalf("survival %v over durations %v: want a residual at minute 4 and 0 after it", sd.survival, sd.durations)
+	}
+	for i := range m.prices {
+		requireSojournEqual(t, fmt.Sprintf("state %d", i), &m.soj[i], refSojourn(rm, i))
+	}
+	for _, h := range []int64{1, 4, 5, 12} {
+		requireFreshEqual(t, fmt.Sprintf("h=%d", h), m.fresh(h), refFresh(rm, h))
+	}
+	requireForecastsMatchReference(t, m, rm, a, []int64{1, 2, 3, 4, 5}, []int64{1, 2, 3, 4, 8})
 }
 
 // requireFreshEqual compares a built cumulative table with the
@@ -278,9 +428,9 @@ func TestFreshMatchesReference(t *testing.T) {
 	for trial := 0; trial < models; trial++ {
 		n := 1 + trial%widths
 		perWidth[n]++
-		m := randomModel(rng, n)
+		m, rm := randomModel(rng, n)
 		for i := range m.prices {
-			if len(m.kernel[i]) > 96 {
+			if len(rm.kernel[i]) > 96 {
 				merged++
 			}
 			if m.out[i] == 0 {
@@ -293,7 +443,7 @@ func TestFreshMatchesReference(t *testing.T) {
 			if got.horizon != h || got.n != n {
 				t.Fatalf("trial %d: profiles for horizon %d over %d states, want %d over %d", trial, got.horizon, got.n, h, n)
 			}
-			requireFreshEqual(t, fmt.Sprintf("trial %d (n=%d) h=%d", trial, n, h), got, refFresh(m, h))
+			requireFreshEqual(t, fmt.Sprintf("trial %d (n=%d) h=%d", trial, n, h), got, refFresh(rm, h))
 		}
 	}
 	for n, models := range perWidth[1:] {
@@ -318,9 +468,9 @@ func TestFreshIgnoresScratchContents(t *testing.T) {
 		return m.buildFresh(h, sc)
 	}
 	for _, n := range []int{1, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
-		m := randomModel(rng, n)
+		m, rm := randomModel(rng, n)
 		const h = 150
-		want := refFresh(m, h)
+		want := refFresh(rm, h)
 
 		sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096)}
 		for c := range sc.occ {
@@ -332,7 +482,8 @@ func TestFreshIgnoresScratchContents(t *testing.T) {
 		requireFreshEqual(t, fmt.Sprintf("n=%d over NaN", n), build(m, h, sc), want)
 
 		sc = new(freshScratch)
-		build(randomModel(rng, 13), 2*h, sc)
+		wide, _ := randomModel(rng, 13)
+		build(wide, 2*h, sc)
 		requireFreshEqual(t, fmt.Sprintf("n=%d over a larger build", n), build(m, h, sc), want)
 	}
 }
@@ -346,7 +497,7 @@ func TestFreshIgnoresScratchContents(t *testing.T) {
 func TestFreshServesShorterHorizons(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, n := range []int{1, 4, 9, 13} {
-		m := randomModel(rng, n)
+		m, _ := randomModel(rng, n)
 		const H = 720
 		long := m.fresh(H)
 		for _, h := range []int64{1, 60, 180, 360, H} {
@@ -469,19 +620,14 @@ func TestWindowedEstimatorRandomSlides(t *testing.T) {
 			if scratch.observations == 0 {
 				continue
 			}
-			wm, err := w.Model()
-			live := make([]cellKey, len(wm.cells))
-			for x, c := range wm.cells {
-				live[x] = cellKey{wm.prices[c.from], wm.prices[c.to], c.k}
+			kc := countsOf(w.est)
+			live := make([]cellKey, len(kc.cells))
+			for x, c := range kc.cells {
+				live[x] = cellKey{kc.prices[c.from], kc.prices[c.to], c.k}
 			}
 			keysBack += keys.observe(live)
-			pricesBack += prices.observe(wm.prices)
-			inc := modelJSON(t, wm, err)
-			sm, err := scratch.Model()
-			if ref := modelJSON(t, sm, err); !bytes.Equal(inc, ref) {
-				t.Fatalf("trial %d step %d [%d, %d): incremental model diverges from scratch\nincremental: %s\nscratch:     %s",
-					trial, step, from, until, inc, ref)
-			}
+			pricesBack += prices.observe(kc.prices)
+			wm, sm := requireMatchesScratch(t, fmt.Sprintf("trial %d step %d [%d, %d)", trial, step, from, until), w, scratch)
 			if step%7 != 0 {
 				continue
 			}

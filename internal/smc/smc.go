@@ -187,111 +187,165 @@ func (e *Estimator) remove(from, to int32, k int64) {
 // Model freezes the counts into a queryable semi-Markov model. It
 // errors when no transition has been observed. The levels some counter
 // names become the states, in price order; walking them in that order,
-// each by sojourn and each chain by destination price, lists the cells
-// in kernel order, (from, k, to), so nothing is sorted.
+// each by sojourn and each chain by destination price, visits the
+// counts in kernel order, (from, k, to), and builds every state's
+// sojourn tables: nothing is sorted or copied out first.
 func (e *Estimator) Model() (*Model, error) {
 	if e.observations == 0 {
 		return nil, fmt.Errorf("smc: no transitions observed")
 	}
+	const maxDurations = 96 // per state; a state with more merges them into buckets
 	state := make([]int, len(e.levels))
-	prices := make([]market.Money, 0, len(e.levels))
+	m := &Model{maxSojourn: e.maxSojourn}
+	m.prices, m.out = make([]market.Money, 0, len(e.levels)), make([]int64, 0, len(e.levels))
 	for _, id := range e.byPrice {
 		if lv := &e.levels[id]; lv.out > 0 || lv.in > 0 {
-			state[id] = len(prices)
-			prices = append(prices, lv.price)
+			state[id] = len(m.prices)
+			m.prices, m.out = append(m.prices, lv.price), append(m.out, lv.out)
 		}
 	}
-	cells := make([]kernelCell, 0, e.live)
+	n := len(m.prices)
+	m.soj = make([]sojournData, n)
+
+	// The first walk sizes the tables: each kind is one exact allocation
+	// the states' tables are windows of. A state's rows are its non-empty
+	// sojourn slots, group adjacent ones make a duration, and a bucket's
+	// destinations are the distinct states its chains name.
+	rows := make([]int, len(e.levels)) // by level id
+	named := make([]int, n)            // the last bucket that named each state, counting from 1
+	var ndur, ndest, bucket int
 	for _, id := range e.byPrice {
 		lv := &e.levels[id]
 		if lv.out == 0 {
 			continue
 		}
-		for k, x := range lv.bySojourn {
+		for _, x := range lv.bySojourn {
+			if x != 0 {
+				rows[id]++
+			}
+		}
+		group := (rows[id] + maxDurations - 1) / maxDurations
+		ndur += (rows[id] + group - 1) / group
+		r := 0
+		for _, x := range lv.bySojourn {
+			if x == 0 {
+				continue
+			}
+			if r%group == 0 {
+				bucket++
+			}
+			r++
 			for ; x != 0; x = e.counters[x-1].next {
-				c := &e.counters[x-1]
-				cells = append(cells, kernelCell{from: state[id], to: state[c.to], k: int64(k) + 1, count: c.count})
+				if to := state[e.counters[x-1].to]; named[to] != bucket {
+					named[to] = bucket
+					ndest++
+				}
 			}
 		}
 	}
-	return newModel(e.maxSojourn, prices, cells), nil
-}
+	durations := make([]int64, ndur)
+	probs := make([]float64, 2*ndur) // each state's pmf, then its survival
+	first := make([]int, 0, ndur+n)
+	next := make([]dest, 0, ndest)
+	marginal := make([]float64, n*n)
+	dist := make(stateDist, n) // a merged bucket's destinations, cleared as they are read out
 
-// kernelCell is one non-zero counter N^k_{i,j} over state indices. A
-// model's cells are in kernel order, (from, k, to): the order every
-// reader of the kernel, the sojourn tables and the forecast DP, walks
-// them in.
-type kernelCell struct {
-	from, to int
-	k, count int64
-}
-
-// kernelRow is the kernel of one (source state, sojourn) pair: the
-// cells reached after exactly k minutes, ascending by destination, and
-// their total count.
-type kernelRow struct {
-	k, total int64
-	cells    []kernelCell
-}
-
-// newModel builds a model over the ascending price levels from cells
-// in kernel order, no two sharing (from, k, to). The model keeps
-// cells; each state's rows are windows into it.
-func newModel(maxSojourn int64, prices []market.Money, cells []kernelCell) *Model {
-	n := len(prices)
-	m := &Model{
-		maxSojourn: maxSojourn,
-		prices:     prices,
-		cells:      cells,
-		out:        make([]int64, n),
-		kernel:     make([][]kernelRow, n),
-		soj:        make([]atomic.Pointer[sojournData], n),
-	}
-	nrows := 0
-	for x, c := range cells {
-		if x == 0 || c.from != cells[x-1].from || c.k != cells[x-1].k {
-			nrows++
+	// The second walk fills them, summing each row's total before its
+	// cells are read. Merged buckets get probability-weighted durations
+	// and destinations, which keeps the fresh-profile DP cheap and only
+	// coarsens *when* within the interval a transition lands, never
+	// whether.
+	for _, id := range e.byPrice {
+		lv := &e.levels[id]
+		if lv.out == 0 && lv.in == 0 {
+			continue
 		}
-	}
-	// Sized exactly, so the appends below never reallocate and the
-	// per-state windows stay valid.
-	rows := make([]kernelRow, 0, nrows)
-	for lo := 0; lo < len(cells); {
-		from, first := cells[lo].from, len(rows)
-		for lo < len(cells) && cells[lo].from == from {
-			row := kernelRow{k: cells[lo].k}
-			hi := lo
-			for ; hi < len(cells) && cells[hi].from == from && cells[hi].k == row.k; hi++ {
-				row.total += cells[hi].count
+		i := state[id]
+		sd := &m.soj[i]
+		sd.marginal = marginal[i*n : (i+1)*n : (i+1)*n]
+		if lv.out == 0 {
+			sd.absorbing = true // observed only as a destination
+			continue
+		}
+		group := (rows[id] + maxDurations - 1) / maxDurations
+		groups := (rows[id] + group - 1) / group
+		sd.durations, durations = durations[:groups:groups], durations[groups:]
+		sd.pmf, sd.survival, probs = probs[:groups:groups], probs[groups:2*groups:2*groups], probs[2*groups:]
+		base := len(first)
+		first = append(first, 0)
+		at := len(next)
+		out := float64(lv.out)
+		var pSum, dSum float64
+		r, x, d, tail := 0, 0, int64(0), 1.0
+		for k, head := range lv.bySojourn {
+			if head == 0 {
+				continue
 			}
-			row.cells = cells[lo:hi:hi]
-			rows = append(rows, row)
-			m.out[from] += row.total
-			lo = hi
+			if r%group == 0 {
+				pSum, dSum, d = 0, 0, int64(k)+1
+			}
+			var total int64
+			for y := head; y != 0; y = e.counters[y-1].next {
+				total += e.counters[y-1].count
+			}
+			p := float64(total) / out
+			pSum += p
+			dSum += float64(k+1) * p
+			for y := head; y != 0; y = e.counters[y-1].next {
+				c := &e.counters[y-1]
+				to := state[c.to]
+				g := float64(c.count) / float64(total)
+				sd.marginal[to] += float64(c.count) / out
+				if group == 1 {
+					next = append(next, dest{to: to, g: g})
+				} else {
+					dist[to] += g * p
+				}
+			}
+			if r++; r%group != 0 && r != rows[id] {
+				continue
+			}
+			if group > 1 {
+				for s, v := range dist {
+					if g := v / pSum; g != 0 {
+						next = append(next, dest{to: s, g: g})
+					}
+					dist[s] = 0
+				}
+				d = max(int64(dSum/pSum+0.5), 1)
+				if x > 0 && sd.durations[x-1] >= d {
+					d = sd.durations[x-1] + 1
+				}
+			}
+			if tail -= pSum; tail < 0 {
+				tail = 0
+			}
+			sd.durations[x], sd.pmf[x], sd.survival[x] = d, pSum, tail
+			first = append(first, len(next)-at)
+			x++
 		}
-		m.kernel[from] = rows[first:len(rows):len(rows)]
+		sd.first = first[base:len(first):len(first)]
+		sd.next = next[at:len(next):len(next)]
+		sd.maxDur = sd.durations[groups-1]
 	}
-	return m
+	return m, nil
 }
 
 // Model is a frozen semi-Markov chain estimated from price history.
-// The estimated kernel itself is immutable; forecast state (sojourn
-// tables, fresh profiles) is built lazily, published copy-on-write
-// through atomic pointers, and immutable once published, so a Model is
-// safe for concurrent use — many goroutines may Forecast/Kernel/
-// Stationary the same instance, which is what lets the modelcache
-// provider train once and serve every parallel sweep cell. Cache hits
-// are lock-free (a single atomic load); the mutex only serializes the
-// builds themselves.
+// The sojourn tables are built at freeze and immutable; the fresh
+// profiles are built lazily, published copy-on-write through an atomic
+// pointer, and immutable once published, so a Model is safe for
+// concurrent use — many goroutines may Forecast/Stationary the same
+// instance, which is what lets the modelcache provider train once and
+// serve every parallel sweep cell. A profile hit is lock-free (a single
+// atomic load); the mutex only serializes the builds themselves.
 type Model struct {
 	maxSojourn int64
 	prices     []market.Money
-	cells      []kernelCell  // every non-zero N^k_{i,j}, in kernel order
 	out        []int64       // N_i
-	kernel     [][]kernelRow // per source state: rows ascending by k
+	soj        []sojournData // per state
 
-	mu       sync.Mutex                    // serializes the lazy builds below
-	soj      []atomic.Pointer[sojournData] // published per-state sojourn tables
+	mu       sync.Mutex                    // serializes profile builds
 	profiles atomic.Pointer[freshProfiles] // published fresh-entry occupancy cache
 }
 

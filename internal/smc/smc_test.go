@@ -10,49 +10,101 @@ import (
 	"repro/internal/trace"
 )
 
+// cell is one non-zero N^k_{i,j} over state indices.
+type cell struct {
+	from, to int
+	k, count int64
+}
+
+// compareCells orders cells in kernel order, (from, k, to).
+func compareCells(a, b cell) int {
+	if a.from != b.from {
+		return cmp.Compare(a.from, b.from)
+	}
+	if a.k != b.k {
+		return cmp.Compare(a.k, b.k)
+	}
+	return cmp.Compare(a.to, b.to)
+}
+
+// kernelCounts is an estimator's Equation 13 counts over the states its
+// model has: the ascending prices some count names, N_i, and every
+// non-zero N^k_{i,j} in kernel order. It reads the estimator's levels
+// and counter chains directly, so the counts are pinned apart from the
+// tables a freeze builds from them.
+type kernelCounts struct {
+	maxSojourn int64
+	prices     []market.Money
+	out        []int64
+	cells      []cell
+}
+
+func countsOf(e *Estimator) *kernelCounts {
+	kc := &kernelCounts{maxSojourn: e.maxSojourn}
+	state := make([]int, len(e.levels))
+	for _, id := range e.byPrice {
+		if lv := &e.levels[id]; lv.out > 0 || lv.in > 0 {
+			state[id] = len(kc.prices)
+			kc.prices = append(kc.prices, lv.price)
+			kc.out = append(kc.out, lv.out)
+		}
+	}
+	for _, id := range e.byPrice {
+		for k, x := range e.levels[id].bySojourn {
+			for ; x != 0; x = e.counters[x-1].next {
+				c := &e.counters[x-1]
+				kc.cells = append(kc.cells, cell{from: state[id], to: state[c.to], k: int64(k) + 1, count: c.count})
+			}
+		}
+	}
+	return kc
+}
+
+// row returns the cells of state i after a sojourn of k minutes.
+func (kc *kernelCounts) row(i int, k int64) []cell {
+	lo, _ := slices.BinarySearchFunc(kc.cells, cell{from: i, k: k}, compareCells)
+	hi := lo
+	for hi < len(kc.cells) && kc.cells[hi].from == i && kc.cells[hi].k == k {
+		hi++
+	}
+	return kc.cells[lo:hi]
+}
+
 // kernelProb evaluates q̂(i,j,k) = N^k_{i,j}/N_i for prices si, sj and
 // sojourn k (Equation 13). Unknown states or sojourns yield 0.
-func kernelProb(m *Model, si, sj market.Money, k int64) float64 {
-	i, ok := slices.BinarySearch(m.prices, si)
+func kernelProb(kc *kernelCounts, si, sj market.Money, k int64) float64 {
+	i, ok := slices.BinarySearch(kc.prices, si)
 	if !ok {
 		return 0
 	}
-	j, ok := slices.BinarySearch(m.prices, sj)
+	j, ok := slices.BinarySearch(kc.prices, sj)
 	if !ok {
 		return 0
 	}
-	for _, c := range kernelRowAt(m, i, k).cells {
+	for _, c := range kc.row(i, k) {
 		if c.to == j {
-			return float64(c.count) / float64(m.out[i])
+			return float64(c.count) / float64(kc.out[i])
 		}
 	}
 	return 0
 }
 
-// kernelRowAt returns state i's kernel row for a sojourn of k minutes;
-// the zero row when none was observed.
-func kernelRowAt(m *Model, i int, k int64) kernelRow {
-	rows := m.kernel[i]
-	x, ok := slices.BinarySearchFunc(rows, k, func(r kernelRow, k int64) int { return cmp.Compare(r.k, k) })
-	if !ok {
-		return kernelRow{}
-	}
-	return rows[x]
-}
-
 // sojournPMF returns P(sojourn = k minutes | current price = p), the
 // row-marginal of the kernel over destinations. Unknown prices or
 // sojourns yield 0.
-func sojournPMF(m *Model, p market.Money, k int64) float64 {
-	i, ok := slices.BinarySearch(m.prices, p)
+func sojournPMF(kc *kernelCounts, p market.Money, k int64) float64 {
+	i, ok := slices.BinarySearch(kc.prices, p)
 	if !ok {
 		return 0
 	}
-	r := kernelRowAt(m, i, k)
-	if r.total == 0 {
+	var total int64
+	for _, c := range kc.row(i, k) {
+		total += c.count
+	}
+	if total == 0 {
 		return 0
 	}
-	return float64(r.total) / float64(m.out[i])
+	return float64(total) / float64(kc.out[i])
 }
 
 // outOfBidFraction returns the expected fraction of the forecast's
@@ -81,11 +133,15 @@ const (
 	pB = market.Money(9000)
 )
 
-func altModel(t *testing.T) *Model {
-	t.Helper()
+func altEstimator() *Estimator {
 	e := NewEstimator(0)
 	e.Observe(alternating(pA, pB, 10, 5, 50))
-	m, err := e.Model()
+	return e
+}
+
+func altModel(t *testing.T) *Model {
+	t.Helper()
+	m, err := altEstimator().Model()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +164,7 @@ func TestEmptyEstimatorErrors(t *testing.T) {
 }
 
 func TestKernelValues(t *testing.T) {
-	m := altModel(t)
+	m := countsOf(altEstimator())
 	// Every departure from A is to B after exactly 10 minutes.
 	if q := kernelProb(m, pA, pB, 10); math.Abs(q-1) > 1e-12 {
 		t.Errorf("q(A->B, 10) = %v, want 1", q)
@@ -139,10 +195,7 @@ func TestKernelRowsSumToOne(t *testing.T) {
 	}
 	e := NewEstimator(0)
 	e.Observe(set.ByZone["us-east-1a"])
-	m, err := e.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := countsOf(e)
 	for i, src := range m.prices {
 		if m.out[i] == 0 {
 			continue
@@ -160,7 +213,7 @@ func TestKernelRowsSumToOne(t *testing.T) {
 }
 
 func TestSojournPMF(t *testing.T) {
-	m := altModel(t)
+	m := countsOf(altEstimator())
 	if got := sojournPMF(m, pA, 10); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SojournPMF(A, 10) = %v, want 1", got)
 	}
@@ -216,10 +269,7 @@ func TestSupportSummary(t *testing.T) {
 func TestMaxSojournClamp(t *testing.T) {
 	e := NewEstimator(8)
 	e.Observe(alternating(pA, pB, 10, 5, 3))
-	m, err := e.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := countsOf(e)
 	// 10-minute runs are clamped to 8.
 	if q := kernelProb(m, pA, pB, 8); q == 0 {
 		t.Error("clamped sojourn not recorded at the cap")
@@ -236,19 +286,25 @@ func TestMaxSojournClamp(t *testing.T) {
 // oracle sums the raw counts; the models keep at most 96 distinct
 // sojourns per state, so the forecast's sojourn tables are unbucketed.
 func TestOneMinuteForecastIsConditionalOneStep(t *testing.T) {
-	models := []*Model{altModel(t)}
+	ests := []*Estimator{altEstimator()}
 	for _, seed := range []uint64{1, 2, 3} {
-		m, _ := fastTestModel(t, seed, 1)
-		models = append(models, m)
+		_, tr := fastTestModel(t, seed, 1)
+		e := NewEstimator(0)
+		e.Observe(tr)
+		ests = append(ests, e)
 	}
 	checked := 0
-	for mi, m := range models {
+	for mi, e := range ests {
+		m, err := e.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, pi := range m.prices {
 			// surv[k] counts the departures from i after at least k
 			// minutes, jumps[k] the N^k_{i,j} by destination.
 			var surv []int64
 			jumps := map[int64]map[int]int64{}
-			for _, c := range m.cells {
+			for _, c := range countsOf(e).cells {
 				if c.from != i {
 					continue
 				}

@@ -25,7 +25,7 @@ func (m *Model) Stationary() (*Forecast, error) {
 	restart := make(stateDist, n)
 	var totalOut float64
 	for i := 0; i < n; i++ {
-		sd := m.sojourn(i)
+		sd := &m.soj[i]
 		P[i] = make(stateDist, n)
 		if sd.absorbing {
 			mu[i] = 1
@@ -49,7 +49,7 @@ func (m *Model) Stationary() (*Forecast, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if m.sojourn(i).absorbing {
+		if m.soj[i].absorbing {
 			copy(P[i], restart)
 		}
 	}
