@@ -33,6 +33,10 @@
 // experiments whose spec needs a different base type fail with a clear
 // error.
 //
+// -min-vcpu / -min-mem drop every smaller pool from the market of each
+// section that replays one; fig1 and fig4 draw fixed-type markets and
+// ignore them.
+//
 // -run names one section of the experiment index (DESIGN.md §3) or
 // "all" of them, in index order; fig6 and fig7 print the same section,
 // as do fig8 and fig9. An unknown name is an error, and so is -csv with

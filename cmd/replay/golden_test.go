@@ -84,3 +84,30 @@ func TestReplayEventTraceGoldenFlatWorkload(t *testing.T) {
 		t.Fatalf("flat-workload event trace hash %s, want %s — the constant workload perturbed the run", got, goldenEventsSHA256)
 	}
 }
+
+// TestReplayEventTraceGoldenConstrained pins constrained typed markets
+// end to end: -min-vcpu/-min-mem drop the pools whose type is too
+// small before any strategy sees the market, under Jupiter and under a
+// rival through a chaos scenario.
+func TestReplayEventTraceGoldenConstrained(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second full replays; skipped in -short")
+	}
+	const types = "m1.medium,c3.large,r3.large"
+	for _, tc := range []struct {
+		name  string
+		tweak func(*options)
+		want  string
+	}{
+		{"min-vcpu", func(o *options) { o.Types, o.MinVCPU = types, 2 }, "56343dce5e34efd37db4f355b3245571cde8f0579bf228b3472cc49d59941aa8"},
+		{"min-mem-chaos-extra", func(o *options) {
+			o.Types, o.MinMem, o.Chaos, o.strategy = types, 3, "storm-surge", "extra(1, 0.2)"
+		}, "275832b24fd0d9bb4f8861d1ee9b127e6180904bf8048bae09272a568d17b5a1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := goldenRun(t, tc.tweak); got != tc.want {
+				t.Fatalf("event trace hash %s, want %s — the constrained replay is no longer byte-identical", got, tc.want)
+			}
+		})
+	}
+}

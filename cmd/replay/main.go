@@ -24,8 +24,9 @@
 // pools: each listed type adds one correlated pool per zone (synthetic
 // runs) or admits that type's rows from the trace file, and pool-aware
 // strategies bid across the whole portfolio with capacity-weighted
-// quorums. -min-vcpu / -min-mem constrain which instance shapes may
-// host the service; a constraint rejecting every pool is an error.
+// quorums. -min-vcpu / -min-mem drop every pool whose type is smaller
+// from the market before it is replayed, so no strategy bids there; a
+// shape no pool offers is an error before any replay.
 //
 // -workload arms traffic-driven autoscaling from a request-rate CSV
 // ("minute,rps", see cmd/tracegen workload): between interval

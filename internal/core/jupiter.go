@@ -505,12 +505,5 @@ func (j *Jupiter) Decide(view strategy.MarketView, spec strategy.ServiceSpec, in
 	if intervalMinutes <= 0 {
 		return strategy.Decision{}, fmt.Errorf("core: interval %d <= 0", intervalMinutes)
 	}
-	// Minimum-shape constraint: an unsatisfiable one is a configuration
-	// error (market.ErrNoFeasiblePools), surfaced rather than silently
-	// falling back to on-demand.
-	pools, err := strategy.FeasiblePools(view, spec)
-	if err != nil {
-		return strategy.Decision{}, err
-	}
-	return j.decidePools(view, spec, pools, intervalMinutes)
+	return j.decidePools(view, spec, intervalMinutes)
 }

@@ -91,9 +91,10 @@ type poolSelection struct {
 	od        []odPoolCand
 }
 
-// decidePools is the enumeration behind Decide. pools has already passed
-// the spec's minimum-shape filter.
-func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpec, pools []string, intervalMinutes int64) (strategy.Decision, error) {
+// decidePools is the enumeration behind Decide, over every pool of the
+// view.
+func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpec, intervalMinutes int64) (strategy.Decision, error) {
+	pools := view.Zones()
 	target := spec.TargetAvailability()
 	now := view.Now()
 
@@ -142,11 +143,11 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 		return j.fallbackTraced(view, spec, dt, "no-usable-pools")
 	}
 
-	// One pass over the pools that passed the shape filter, usable this
-	// round or not, for two things. capUnits, what they could supply
-	// together, caps the enumeration below: quarantine shortens groups,
-	// not the enumeration, so a size it leaves unfillable is listed short
-	// and a load target clamps where it would on the healthy market. And
+	// One pass over the view's pools, usable this round or not, for
+	// two things. capUnits, what they could supply together, caps the
+	// enumeration below: quarantine shortens groups, not the
+	// enumeration, so a size it leaves unfillable is listed short and a
+	// load target clamps where it would on the healthy market. And
 	// odPool: under degradation, groups that quarantine leaves short of
 	// adequate spot capacity are padded with on-demand instances from the
 	// cheapest-per-unit non-quarantined pools. An on-demand node fails

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -122,60 +121,6 @@ func TestJupiterPoolPlanningCostNotWorse(t *testing.T) {
 	zc, pc := planned(dz), planned(dp)
 	if pc > zc {
 		t.Fatalf("heterogeneous plan costs %v, zone-only %v", pc, zc)
-	}
-}
-
-// TestJupiterPoolsMinShapeFilter: a satisfiable constraint restricts
-// bids to feasible pools; an unsatisfiable one surfaces the typed
-// market.ErrNoFeasiblePools instead of the generic on-demand fallback.
-func TestJupiterPoolsMinShapeFilter(t *testing.T) {
-	view := genPoolView(t, 42, 13)
-	spec := lockSpec()
-	spec.MinVCPU = 2 // only m3.large, c3.large, r3.large qualify
-	j := New()
-	d, err := j.Decide(view, spec, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The equalized per-node probability is derived for base-node
-	// groups; the group-specific rebid repair must still find a spot
-	// portfolio over the heavier feasible pools rather than falling
-	// back to on-demand.
-	if len(d.Bids) == 0 {
-		t.Fatal("constrained decision fell back to on-demand; rebid repair found no spot portfolio")
-	}
-	var units []int
-	var fps []float64
-	total := 0
-	for _, b := range d.Bids {
-		_, typ := market.ParsePool(b.Zone, spec.Type)
-		if !market.ShapeSatisfies(typ, spec.MinVCPU, spec.MinMemGiB) {
-			t.Fatalf("bid on infeasible pool %q (type %s)", b.Zone, typ)
-		}
-		u, err := market.PoolCapacityUnits(b.Zone, spec.Type)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units = append(units, u)
-		fps = append(fps, j.LastBidFailureProbabilities()[b.Zone])
-		total += u
-	}
-	target := spec.TargetAvailability()
-	if len(d.OnDemand) == 0 {
-		if avail := quorum.WeightedThresholdAvailability(spec.QuorumUnits(total), units, fps); avail < target {
-			t.Fatalf("constrained decision availability %v below target %v", avail, target)
-		}
-	}
-	for _, z := range d.OnDemand {
-		_, typ := market.ParsePool(z, spec.Type)
-		if !market.ShapeSatisfies(typ, spec.MinVCPU, spec.MinMemGiB) {
-			t.Fatalf("on-demand in infeasible pool %q (type %s)", z, typ)
-		}
-	}
-
-	spec.MinVCPU = 1024
-	if _, err := New().Decide(view, spec, 60); !errors.Is(err, market.ErrNoFeasiblePools) {
-		t.Fatalf("want market.ErrNoFeasiblePools, got %v", err)
 	}
 }
 

@@ -72,9 +72,9 @@ type Env struct {
 	// portfolio. Empty reproduces the paper's single-type market
 	// byte-identically.
 	Types []market.InstanceType
-	// MinVCPU and MinMemGiB, when non-zero, constrain every replayed
-	// spec's feasible instance shapes (strategy.ServiceSpec.MinVCPU /
-	// MinMemGiB).
+	// MinVCPU and MinMemGiB, when non-zero, are the smallest instance
+	// shape that may host the service: Traces drops every pool whose
+	// type offers less, so no replay sees it.
 	MinVCPU   int
 	MinMemGiB float64
 	// TraceSet, when set, replaces the synthetic market: every spec
@@ -128,41 +128,49 @@ func StorageSpec() strategy.ServiceSpec {
 	return strategy.ServiceSpec{Type: market.M3Large, BaseNodes: 5, DataShards: 3}
 }
 
-// Traces generates (deterministically) the market history for a spec:
-// a training prefix of TrainWeeks followed by ReplayWeeks of replayable
-// market, across the paper's 17 experiment zones — plus one correlated
-// sibling pool per (zone, Env.Types entry) when types are configured.
+// Traces returns the market history a spec replays over: a training
+// prefix of TrainWeeks followed by ReplayWeeks of replayable market.
+// That is TraceSet when set; otherwise it is generated
+// (deterministically) across the paper's 17 experiment zones, plus one
+// correlated sibling pool per (zone, Env.Types entry). MinVCPU and
+// MinMemGiB then drop every pool whose instance type offers less
+// (market.FilterPools), keeping each survivor's trace; a shape no pool
+// offers is an error.
 func (e Env) Traces(it market.InstanceType) (*trace.Set, error) {
-	if e.TraceSet != nil {
-		if e.TraceSet.Type != it {
-			return nil, fmt.Errorf("experiments: trace set holds %s pools, spec needs %s", e.TraceSet.Type, it)
+	set := e.TraceSet
+	if set != nil {
+		if set.Type != it {
+			return nil, fmt.Errorf("experiments: trace set holds %s pools, spec needs %s", set.Type, it)
 		}
-		if need := (e.TrainWeeks + e.ReplayWeeks) * Week; e.TraceSet.Start > 0 || e.TraceSet.End < need {
-			return nil, fmt.Errorf("experiments: trace set spans [%d, %d), need [0, %d)",
-				e.TraceSet.Start, e.TraceSet.End, need)
+		if need := (e.TrainWeeks + e.ReplayWeeks) * Week; set.Start > 0 || set.End < need {
+			return nil, fmt.Errorf("experiments: trace set spans [%d, %d), need [0, %d)", set.Start, set.End, need)
 		}
-		return e.TraceSet, nil
+	} else {
+		var err error
+		set, err = trace.Generate(trace.GenConfig{
+			Seed:  e.Seed,
+			Type:  it,
+			Types: e.Types,
+			Zones: market.ExperimentZones(),
+			Start: 0,
+			End:   (e.TrainWeeks + e.ReplayWeeks) * Week,
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return trace.Generate(trace.GenConfig{
-		Seed:  e.Seed,
-		Type:  it,
-		Types: e.Types,
-		Zones: market.ExperimentZones(),
-		Start: 0,
-		End:   (e.TrainWeeks + e.ReplayWeeks) * Week,
-	})
-}
-
-// applyConstraints stamps the Env's fleet-wide shape constraints onto a
-// spec.
-func (e Env) applyConstraints(spec strategy.ServiceSpec) strategy.ServiceSpec {
-	if e.MinVCPU > 0 {
-		spec.MinVCPU = e.MinVCPU
+	if e.MinVCPU <= 0 && e.MinMemGiB <= 0 {
+		return set, nil
 	}
-	if e.MinMemGiB > 0 {
-		spec.MinMemGiB = e.MinMemGiB
+	keys, err := market.FilterPools(set.Zones(), it, e.MinVCPU, e.MinMemGiB)
+	if err != nil {
+		return nil, err
 	}
-	return spec
+	shaped := trace.NewSet(it, set.Start, set.End)
+	for _, k := range keys {
+		shaped.ByZone[k] = set.ByZone[k]
+	}
+	return shaped, nil
 }
 
 // serviceName maps a spec back to the experiment's service label.
@@ -290,7 +298,6 @@ func (e Env) replayCell(c cell, slot int) (*replay.Result, error) {
 // intervals — a one-strategy grid, results in input order, every cell
 // on Env.Seed itself (cmd/replay's -seed, not a derived cell seed).
 func (e Env) ReplayIntervals(spec strategy.ServiceSpec, build strategy.Builder, intervals []int64) ([]*replay.Result, error) {
-	spec = e.applyConstraints(spec)
 	set, err := e.Traces(spec.Type)
 	if err != nil {
 		return nil, err
@@ -418,7 +425,6 @@ func forEachCell(n, jobs int, fn func(i int) error) error {
 // 6/7 for the lock service, 8/9 for storage): one grid of (interval,
 // strategy) cells, the rows in its interval-major order at any Jobs.
 func (e Env) Sweep(spec strategy.ServiceSpec, serviceName string) ([]SweepRow, error) {
-	spec = e.applyConstraints(spec)
 	set, err := e.Traces(spec.Type)
 	if err != nil {
 		return nil, err

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/market"
+	"repro/internal/quorum"
+	"repro/internal/strategy"
 )
 
 // heteroTypes is the 4-type catalog of the heterogeneous acceptance
@@ -85,16 +90,145 @@ func TestHeteroSweepRunsFullMatrix(t *testing.T) {
 	}
 }
 
-// TestEnvConstraintsPropagate: Env-level shape constraints reach the
-// replayed spec and an unsatisfiable one fails the sweep loudly.
-func TestEnvConstraintsPropagate(t *testing.T) {
-	env := QuickEnv()
-	env.MinVCPU = 1024
-	spec := env.applyConstraints(LockSpec())
-	if spec.MinVCPU != 1024 {
-		t.Fatalf("constraint not applied: %+v", spec)
+// shapeLaunches records every pool an instance is launched in, with
+// the type it runs as, through Env.Observe.
+type shapeLaunches struct {
+	engine.BaseObserver
+	base market.InstanceType
+	mu   *sync.Mutex
+	seen map[string]market.InstanceType
+}
+
+func (o shapeLaunches) OnInstance(e engine.Event) {
+	if e.Kind != engine.KindInstanceLaunched {
+		return
 	}
-	if market.ShapeSatisfies(market.M1Small, spec.MinVCPU, spec.MinMemGiB) {
-		t.Fatal("m1.small cannot satisfy 1024 vCPUs")
+	_, it := market.ParsePool(e.Zone, o.base)
+	o.mu.Lock()
+	o.seen[e.Zone] = it
+	o.mu.Unlock()
+}
+
+// TestEverySectionHonoursShape: with Types [c3.large] and a 2-vCPU
+// minimum, no section that replays the market launches an instance in
+// a bare-zone m1.small (1 vCPU) pool, and the weighted-voting decision
+// picks none.
+func TestEverySectionHonoursShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays seven sections")
+	}
+	env := QuickEnv()
+	env.Types = []market.InstanceType{market.C3Large}
+	env.MinVCPU = 2
+	env.Jobs = 2
+	var mu sync.Mutex
+	seen := map[string]market.InstanceType{}
+	env.Observe = func(spec strategy.ServiceSpec, _ string, _ int64) []engine.Observer {
+		return []engine.Observer{shapeLaunches{base: spec.Type, mu: &mu, seen: seen}}
+	}
+	sections := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig5", func() error { _, err := env.Fig5(); return err }},
+		{"example3", func() error { _, err := env.Example3(); return err }},
+		{"sweep", func() error { _, err := env.Sweep(LockSpec(), "lock"); return err }},
+		{"ablation", func() error { _, err := env.AblationEstimators(); return err }},
+		{"adaptive", func() error { _, err := env.AblationAdaptiveInterval(); return err }},
+		{"refine", func() error { _, err := env.AblationRefinement(); return err }},
+	}
+	for _, sec := range sections {
+		clear(seen)
+		if err := sec.run(); err != nil {
+			t.Fatalf("%s: %v", sec.name, err)
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%s launched no instance", sec.name)
+		}
+		for pool, it := range seen {
+			if !market.ShapeSatisfies(it, env.MinVCPU, env.MinMemGiB) {
+				t.Errorf("%s launched in pool %s (%s) below the %d-vCPU shape", sec.name, pool, it, env.MinVCPU)
+			}
+		}
+	}
+	rep, err := env.WeightedVotingAnalysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range rep.Zones {
+		if _, it := market.ParsePool(pool, market.M1Small); !market.ShapeSatisfies(it, env.MinVCPU, env.MinMemGiB) {
+			t.Errorf("weighted: decision picked pool %s (%s) below the %d-vCPU shape", pool, it, env.MinVCPU)
+		}
+	}
+}
+
+// TestTracesDropsPoolsBelowShape: Env.Traces keeps exactly the pools
+// whose type meets the shape, each with its own trace; Jupiter still
+// finds a spot portfolio meeting Eq. 10 over the heavier survivors;
+// and a shape no pool offers fails before any replay, naming the shape
+// and the market's base type.
+func TestTracesDropsPoolsBelowShape(t *testing.T) {
+	env := QuickEnv()
+	env.Types = []market.InstanceType{market.M3Large, market.M1Medium, market.M3Medium, market.C3Large, market.R3Large}
+	full, err := env.Traces(market.M1Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.TraceSet = full
+	env.MinVCPU = 2 // only m3.large, c3.large, r3.large qualify
+	set, err := env.Traces(market.M1Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(set.ByZone), 3*len(market.ExperimentZones()); got != want {
+		t.Fatalf("shaped market has %d pools, want %d (3 types x 17 zones)", got, want)
+	}
+	for pool, tr := range full.ByZone {
+		_, it := market.ParsePool(pool, market.M1Small)
+		if kept, ok := set.ByZone[pool]; ok != market.ShapeSatisfies(it, env.MinVCPU, 0) || ok && kept != tr {
+			t.Fatalf("pool %s (%s): kept %v with trace %p, want kept iff it has 2 vCPU, with trace %p", pool, it, ok, kept, tr)
+		}
+	}
+
+	// The equalized per-node probability is derived for base-node
+	// groups; the group-specific rebid repair must still find a spot
+	// portfolio over the heavier pools rather than fall back to
+	// on-demand.
+	spec := LockSpec()
+	view := cloud.NewProvider(set, cloud.Config{})
+	view.AdvanceTo(env.TrainWeeks * Week)
+	j := core.New()
+	d, err := j.Decide(view, spec, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Bids) == 0 || len(d.OnDemand) > 0 {
+		t.Fatalf("shaped decision bids %d spot, %d on-demand; want an all-spot portfolio", len(d.Bids), len(d.OnDemand))
+	}
+	var units []int
+	var fps []float64
+	total := 0
+	for _, b := range d.Bids {
+		u, err := market.PoolCapacityUnits(b.Zone, spec.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, u)
+		fps = append(fps, j.LastBidFailureProbabilities()[b.Zone])
+		total += u
+	}
+	if avail := quorum.WeightedThresholdAvailability(spec.QuorumUnits(total), units, fps); avail < spec.TargetAvailability() {
+		t.Fatalf("shaped decision availability %v below target %v", avail, spec.TargetAvailability())
+	}
+
+	env.MinVCPU = 1024
+	cells := 0
+	env.Observe = func(strategy.ServiceSpec, string, int64) []engine.Observer { cells++; return nil }
+	_, err = env.Sweep(spec, "lock")
+	if err == nil || !strings.Contains(err.Error(), "m1.small market offers 1024 vCPU") {
+		t.Fatalf("unsatisfiable shape: error %v, want one naming 1024 vCPU and m1.small", err)
+	}
+	if cells != 0 {
+		t.Fatalf("unsatisfiable shape replayed %d cells before failing", cells)
 	}
 }

@@ -72,8 +72,8 @@ func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
 	all.IntVar(&f.Jobs, "j", runtime.NumCPU(), "worker-pool width for replay cells (0 or 1 = sequential; results are identical either way)")
 	all.StringVar(&f.Trace, "trace", "", "replay over this trace file instead of the synthetic market; format auto-detected, colbin binary or CSV (CSV rows are filtered against the service's base type and -types)")
 	all.StringVar(&f.Types, "types", "", "comma-separated extra instance types: bid across (zone, type) pools instead of zones only")
-	all.IntVar(&f.MinVCPU, "min-vcpu", 0, "minimum vCPUs an instance type must offer to host the service (0 = unconstrained)")
-	all.Float64Var(&f.MinMem, "min-mem", 0, "minimum memory in GiB an instance type must offer (0 = unconstrained)")
+	all.IntVar(&f.MinVCPU, "min-vcpu", 0, "drop every pool whose instance type offers fewer vCPUs from the replayed market (0 = unconstrained)")
+	all.Float64Var(&f.MinMem, "min-mem", 0, "drop every pool whose instance type offers less memory, in GiB, from the replayed market (0 = unconstrained)")
 	all.StringVar(&f.Chaos, "chaos", "", "arm every replay cell with a fault-injection scenario: a builtin name ("+strings.Join(chaos.BuiltinNames(), ", ")+") or a JSON scenario file")
 	all.Uint64Var(&f.ChaosSeed, "chaos-seed", 0, "override the chaos scenario's seed (0 = use the scenario's own)")
 	all.BoolVar(&f.ModelStats, "model-stats", false, "share one price-model cache across the whole run and print its hit/train counters at the end")

@@ -191,7 +191,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 		scenarios[i] = sc
 	}
 
-	spec := e.applyConstraints(LockSpec())
+	spec := LockSpec()
 
 	// Per-seed market histories, generated once and shared read-only by
 	// every cell of that seed; sc nil is the clean market.

@@ -2,7 +2,6 @@ package market
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -207,12 +206,6 @@ func ComparePerUnit(pa Money, ua int, pb Money, ub int) int {
 	return cmp.Compare(int64(pa)*int64(ub), int64(pb)*int64(ua))
 }
 
-// ErrNoFeasiblePools reports that a minimum-shape constraint rejected
-// every candidate pool. Callers surface it (errors.Is) instead of
-// falling back as if no price models existed: an over-constrained spec
-// is a configuration error, not a market condition.
-var ErrNoFeasiblePools = errors.New("market: no pools satisfy the minimum shape constraint")
-
 // ShapeSatisfies reports whether the instance type meets a minimum
 // shape of minVCPU vCPUs and minMemGiB GiB (zero means unconstrained).
 // Unknown types never satisfy.
@@ -224,9 +217,9 @@ func ShapeSatisfies(it InstanceType, minVCPU int, minMemGiB float64) bool {
 	return s.VCPU >= minVCPU && s.MemGiB >= minMemGiB
 }
 
-// FilterPools returns the pool keys whose instance type meets the
-// minimum shape, preserving order. If the constraint rejects every key
-// the error wraps ErrNoFeasiblePools.
+// FilterPools returns the pool keys of a base-type market whose
+// instance type meets the minimum shape, preserving order. A shape
+// that rejects every key is an error naming it and the base type.
 func FilterPools(keys []string, base InstanceType, minVCPU int, minMemGiB float64) ([]string, error) {
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
@@ -236,7 +229,7 @@ func FilterPools(keys []string, base InstanceType, minVCPU int, minMemGiB float6
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: min %d vCPU / %g GiB rejected all %d pools", ErrNoFeasiblePools, minVCPU, minMemGiB, len(keys))
+		return nil, fmt.Errorf("market: no pool of the %s market offers %d vCPU / %g GiB (all %d rejected)", base, minVCPU, minMemGiB, len(keys))
 	}
 	return out, nil
 }

@@ -1,9 +1,9 @@
 package market
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -118,9 +118,11 @@ func TestFilterPools(t *testing.T) {
 	if len(got) != 1 || got[0] != "us-east-1b/r3.large" {
 		t.Fatalf("FilterPools(min 8 GiB) = %v", got)
 	}
-	// An unsatisfiable constraint surfaces the typed error.
-	if _, err := FilterPools(keys, M1Small, 64, 0); !errors.Is(err, ErrNoFeasiblePools) {
-		t.Fatalf("FilterPools(min 64 vCPU) error = %v, want ErrNoFeasiblePools", err)
+	// An unsatisfiable constraint is an error naming the shape and the
+	// market's base type.
+	_, err = FilterPools(keys, M1Small, 64, 0)
+	if err == nil || !strings.Contains(err.Error(), "m1.small market offers 64 vCPU") {
+		t.Fatalf("FilterPools(min 64 vCPU) error = %v, want one naming the shape and m1.small", err)
 	}
 }
 

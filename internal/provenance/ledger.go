@@ -366,7 +366,6 @@ func (l *Ledger) OnQuorum(e engine.Event) {
 // evidence at all, a non-healthy degradation stage at the span's
 // opening minute marks it as quarantine-constrained.
 func (l *Ledger) closeSpan(endMinute int64) {
-	minutes := endMinute - l.downSince
 	cause, pool := CauseUnattributed, ""
 	switch {
 	case l.evFault != "":
@@ -382,13 +381,7 @@ func (l *Ledger) closeSpan(endMinute int64) {
 	case l.quarantinedAt(l.downSince):
 		cause = CauseQuarantine
 	}
-	if minutes > 0 {
-		l.downs[cellKey{pool, cause}] += minutes
-	} else {
-		// Zero-length spans still pass through the Collector's
-		// histogram (mass 0); keep the cell set identical anyway.
-		l.downs[cellKey{pool, cause}] += 0
-	}
+	l.downs[cellKey{pool, cause}] += endMinute - l.downSince
 	l.downSince = -1
 }
 

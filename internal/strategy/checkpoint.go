@@ -54,13 +54,9 @@ func (c *CheckpointRestart) Name() string {
 
 // Decide implements Strategy.
 func (c *CheckpointRestart) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := FeasiblePools(view, spec)
-	if err != nil {
-		return Decision{}, err
-	}
 	now := view.Now()
 	sel := cheapestUnits{need: TargetNodes(view, spec) * market.UnitsPerNode}
-	for _, z := range keys {
+	for _, z := range view.Zones() {
 		cur, err := view.SpotPrice(z)
 		if err != nil {
 			return Decision{}, err

@@ -27,12 +27,8 @@ func (e Extra) Name() string {
 
 // Decide implements Strategy.
 func (e Extra) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := FeasiblePools(view, spec)
-	if err != nil {
-		return Decision{}, err
-	}
 	sel := cheapestUnits{need: (TargetNodes(view, spec) + e.ExtraNodes) * market.UnitsPerNode}
-	for _, z := range keys {
+	for _, z := range view.Zones() {
 		p, err := view.SpotPrice(z)
 		if err != nil {
 			return Decision{}, err

@@ -64,10 +64,7 @@ const integralClamp = 0.5
 
 // Decide implements Strategy.
 func (f *FeedbackControl) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := FeasiblePools(view, spec)
-	if err != nil {
-		return Decision{}, err
-	}
+	keys := view.Zones()
 	if f.state == nil {
 		f.state = make(map[string]*feedbackState, len(keys))
 	}

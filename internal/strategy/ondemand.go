@@ -15,12 +15,8 @@ func (OnDemand) Name() string { return "Baseline" }
 
 // Decide implements Strategy.
 func (OnDemand) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := FeasiblePools(view, spec)
-	if err != nil {
-		return Decision{}, err
-	}
 	sel := cheapestUnits{need: TargetNodes(view, spec) * market.UnitsPerNode}
-	for _, z := range keys {
+	for _, z := range view.Zones() {
 		od, err := market.PoolOnDemandPrice(z, spec.Type)
 		if err != nil {
 			return Decision{}, err

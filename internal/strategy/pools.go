@@ -16,18 +16,6 @@ type pricedPool struct {
 	units int
 }
 
-// FeasiblePools returns the view's candidate pools after the spec's
-// minimum-shape constraint (market.FilterPools). Unconstrained specs
-// see the view untouched, so single-type decisions stay byte-identical
-// to the pre-filter behaviour.
-func FeasiblePools(view MarketView, spec ServiceSpec) ([]string, error) {
-	pools := view.Zones()
-	if !spec.Constrained() {
-		return pools, nil
-	}
-	return market.FilterPools(pools, spec.Type, spec.MinVCPU, spec.MinMemGiB)
-}
-
 // comparePerUnit is the order every rival ranks pools in: cheapest per
 // capacity unit first (market.ComparePerUnit), ties broken by pool key. For a
 // single-type view every pool has equal units, so this is exactly the

@@ -62,10 +62,7 @@ type portfolioPool struct {
 
 // Decide implements Strategy.
 func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMinutes int64) (Decision, error) {
-	keys, err := FeasiblePools(view, spec)
-	if err != nil {
-		return Decision{}, err
-	}
+	keys := view.Zones()
 	now := view.Now()
 	pools := make([]portfolioPool, 0, len(keys))
 	for _, z := range keys {

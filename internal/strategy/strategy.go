@@ -102,12 +102,6 @@ type ServiceSpec struct {
 	// DataShards is m of the service's quorum regime: 1 for the
 	// replicated lock service, 3 for the θ(3,5) storage service.
 	DataShards int
-	// MinVCPU and MinMemGiB constrain which instance types may host
-	// the service: pools whose type offers less are filtered out
-	// before bidding (zero means unconstrained). An unsatisfiable
-	// constraint surfaces market.ErrNoFeasiblePools.
-	MinVCPU   int
-	MinMemGiB float64
 }
 
 // QuorumSize returns the quorum for a deployment of n nodes.
@@ -122,12 +116,6 @@ func (s ServiceSpec) QuorumSize(n int) int {
 // base nodes.
 func (s ServiceSpec) QuorumUnits(totalUnits int) int {
 	return quorum.RSPaxosQuorumUnits(totalUnits, s.DataShards*market.UnitsPerNode)
-}
-
-// Constrained reports whether the spec carries a minimum-shape
-// constraint at all.
-func (s ServiceSpec) Constrained() bool {
-	return s.MinVCPU > 0 || s.MinMemGiB > 0
 }
 
 // TargetAvailability returns the availability of the baseline
