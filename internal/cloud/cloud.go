@@ -289,24 +289,17 @@ func (p *Provider) SpotPriceAge(zone string) (int64, error) {
 	return c.AgeAt(p.now), nil
 }
 
-// PriceHistory returns the price trace of a zone over [from, to),
-// clamped to available data. The bidding framework trains its failure
-// model on this, exactly as the paper's prototype polled EC2's history.
+// PriceHistory returns a view of a zone's prices over [from, to), both
+// ends clamped into [Start, now]: a (*trace.Trace).Window, one header
+// whatever the length. The bidding framework trains its failure model on this,
+// exactly as the paper's prototype polled EC2's history.
 func (p *Provider) PriceHistory(zone string, from, to int64) (*trace.Trace, error) {
 	t, ok := p.traces.ByZone[zone]
 	if !ok {
 		return nil, fmt.Errorf("cloud: unknown zone %q", zone)
 	}
-	if from < t.Start {
-		from = t.Start
-	}
-	if to > p.now {
-		to = p.now // history never includes the future
-	}
-	if to < from {
-		to = from
-	}
-	return t.Window(from, to), nil
+	from = min(max(from, t.Start), p.now)
+	return t.Window(from, min(max(to, from), p.now)), nil
 }
 
 // startupDelay models 200–700 s boot times, varying mainly by region.

@@ -231,15 +231,50 @@ func TestSpotPriceAge(t *testing.T) {
 	}
 }
 
+// TestPriceHistoryExcludesFuture: both ends of a request land in
+// [Start, now], so history stops at now, and a window past now — even
+// past the market's end — is the empty history at now, never a panic.
 func TestPriceHistoryExcludesFuture(t *testing.T) {
-	p := NewProvider(centsSet(t), Config{Seed: 9})
+	s := centsSet(t)
+	p := NewProvider(s, Config{Seed: 9})
 	p.AdvanceTo(100)
-	h, err := p.PriceHistory("us-east-1a", 0, 500)
+	for _, w := range [][4]int64{
+		{0, 500, 0, 100},
+		{s.End + 5, s.End + 10, 100, 100},
+		{150, 200, 100, 100},
+		{200, 150, 100, 100},
+		{-50, -10, 0, 0},
+	} {
+		h, err := p.PriceHistory("us-east-1a", w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Start != w[2] || h.End != w[3] {
+			t.Fatalf("PriceHistory(%d, %d) = [%d, %d), want [%d, %d)", w[0], w[1], h.Start, h.End, w[2], w[3])
+		}
+	}
+}
+
+// TestPriceHistoryAllocatesOneHeader: the history is a view of the
+// market's points, so a six-week window costs one allocation, as a
+// one-hour one does.
+func TestPriceHistoryAllocatesOneHeader(t *testing.T) {
+	const week = 7 * 24 * 60
+	set, err := trace.Generate(trace.GenConfig{Seed: 3, Type: market.M1Small, Zones: []string{"us-east-1a"}, Start: 0, End: 7 * week})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.End != 100 {
-		t.Fatalf("history end = %d, want clamped to now=100", h.End)
+	p := NewProvider(set, Config{Seed: 9})
+	p.AdvanceTo(6*week + 30)
+	for _, span := range []int64{60, 6 * week} {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := p.PriceHistory("us-east-1a", p.Now()-span, p.Now()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 1 {
+			t.Fatalf("a %d-minute history makes %v allocations, want 1", span, n)
+		}
 	}
 }
 

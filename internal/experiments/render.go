@@ -33,13 +33,13 @@ func renderTable1() string {
 	return b.String()
 }
 
-// renderFig1 prints the price sample as minute/price rows.
+// renderFig1 prints the price sample as minute/price rows from its start.
 func renderFig1(tr *trace.Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 1: spot price history, %s %s, 2h window [%d, %d)\n", tr.Zone, tr.Type, tr.Start, tr.End)
 	fmt.Fprintf(&b, "%-10s %s\n", "minute", "price")
 	for _, p := range tr.Points {
-		fmt.Fprintf(&b, "%-10d %s\n", p.Minute, p.Price)
+		fmt.Fprintf(&b, "%-10d %s\n", max(p.Minute, tr.Start), p.Price)
 	}
 	return b.String()
 }

@@ -67,14 +67,16 @@ func encodeTrace(tr *trace.Trace) (levels uint16, data []byte) {
 // window width, a trace as decodeTrace reads it, and two bytes a slide:
 // the step (0 stays, 1 moves a minute, 255 jumps past the whole window,
 // s otherwise moves s/96 of the width) and flags — bit 0 asks for a
-// model, bits 1–2 pick the history handed over (the full trace, the
-// window's own copy, or the suffix past the previous end), bit 3 shrinks
+// model, bits 1–2 pick the history handed over (the full trace, a view
+// of the window, a view of the suffix past the previous end, or one of
+// that suffix on to the trace's end), bit 3 shrinks
 // the window from its start by the high nibble's sixteenths of the
 // width. At every model asked for, and at the last, the counts must
 // dump to the bytes of a from-scratch Estimator's over the same window
 // and the frozen tables must equal its model's bit for bit; nothing may
 // panic. The seeds include a long churn — fifteen hundred slides with
-// no model in between — and the smallest caps.
+// no model in between — the smallest caps, and a run fed nothing but
+// suffix views of the one parent, as the model cache feeds it.
 func FuzzWindowedEstimator(f *testing.F) {
 	seed := func(tr *trace.Trace, capSel uint8, width uint16, slides []byte) {
 		levels, data := encodeTrace(tr)
@@ -90,6 +92,11 @@ func FuzzWindowedEstimator(f *testing.F) {
 		[]byte{0, 1, 1, 3, 40, 5, 255, 1, 20, 0x39, 48, 3, 60, 5, 0, 4, 96, 0x21, 1, 1})
 	seed(randomTrace(rand.New(rand.NewSource(2)), 300, 2000), 1, 19999,
 		[]byte{96, 1, 24, 5, 24, 3, 255, 0x71, 50, 1, 7, 0x8b})
+	suffixes := []byte{96, 1}
+	for x, step := range []byte{1, 8, 0, 24, 3, 48, 8, 1, 16, 5, 96, 8} {
+		suffixes = append(suffixes, step, []byte{0x05, 0x07, 0x2d, 0x4f}[x%4])
+	}
+	seed(randomTrace(rand.New(rand.NewSource(3)), 5, 3000), 3, 4999, suffixes)
 
 	f.Fuzz(func(t *testing.T, levels uint16, capSel uint8, width uint16, points, slides []byte) {
 		tr := decodeTrace(1+int(levels)%300, points)
@@ -138,6 +145,10 @@ func FuzzWindowedEstimator(f *testing.F) {
 			case 2:
 				if from < prevUntil {
 					hist = tr.Window(prevUntil, until)
+				}
+			case 3:
+				if from < prevUntil {
+					hist = tr.Window(prevUntil, tr.End)
 				}
 			}
 			if err := w.Advance(hist, from, until); err != nil {

@@ -25,15 +25,6 @@ import (
 // current window — including the left-truncation of the window's first
 // price run — so the two training paths are interchangeable.
 
-// windowRec is one complete observed transition: the source price run
-// handed off to level `to` at minute end. Source runs tile time, so a
-// record's source run began at the previous record's end, at the level
-// that record handed off to.
-type windowRec struct {
-	end int64
-	to  int32
-}
-
 // effSojourn is the sojourn the Equation 13 counts see for a run over
 // [start, end) under a window starting at winStart: left-truncated at
 // the window boundary, clamped exactly as Estimator.Observe clamps.
@@ -51,11 +42,13 @@ func effSojourn(start, end, winStart, maxSojourn int64) int64 {
 // share one (the modelcache provider) must serialize Advance/Model.
 type WindowedEstimator struct {
 	est *Estimator
-	// recs[head:] are the live transitions, ascending by end minute;
-	// recs[:head] is the space of evicted ones, kept for reuse. The
-	// source run recs[head] ends began at headStart at level headFrom
-	// (or the tail's, if no record is live).
-	recs      []windowRec
+	// chunks[head:] are the points read and not yet evicted, one slice
+	// of the history per Advance, in minute order; chunks[:head] is the
+	// space of evicted ones, kept for reuse. No transition is stored:
+	// eviction re-reads them. The oldest live source run began at
+	// headStart at level headFrom (the tail, if no transition is live);
+	// the first chunk point at another price ends it.
+	chunks    [][]trace.PricePoint
 	head      int
 	headStart int64
 	headFrom  int32
@@ -98,7 +91,8 @@ func (w *WindowedEstimator) Model() (*Model, error) { return w.est.Model() }
 // the old one, where the estimator simply rebuilds from scratch; that is
 // a semantic no-op, just without the incremental saving. The window can
 // only move forward: from and until must each be at least their
-// previous values.
+// previous values. Advance keeps references to the points it reads until
+// they leave the window: the caller must not modify them.
 func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 	if tr == nil {
 		return fmt.Errorf("smc: Advance on nil trace")
@@ -129,11 +123,7 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 			return fmt.Errorf("smc: history [%d, %d) has no price at minute %d", tr.Start, tr.End, from)
 		}
 		w.est = NewEstimator(w.est.maxSojourn)
-		// Every unread point is at most one transition.
-		if cap(w.recs) < len(unread) {
-			w.recs = make([]windowRec, 0, len(unread))
-		}
-		w.recs, w.head = w.recs[:0], 0
+		w.chunks, w.head = w.chunks[:0], 0
 		w.from, w.until = from, from
 		w.inited = true
 		if until > from {
@@ -146,21 +136,23 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 
 	// Evict transitions that left the window (source run hand-off at or
 	// before the new start).
-	for ; w.head < len(w.recs) && w.recs[w.head].end <= from; w.head++ {
-		r := w.recs[w.head]
-		w.est.remove(w.headFrom, r.to, effSojourn(w.headStart, r.end, prevFrom, w.est.maxSojourn))
-		w.headStart, w.headFrom = r.end, r.to
+	p, ok := w.peek()
+	for ; ok && p.Minute <= from; p, ok = w.peek() {
+		to := w.est.level(p.Price)
+		w.est.remove(w.headFrom, to, effSojourn(w.headStart, p.Minute, prevFrom, w.est.maxSojourn))
+		w.headStart, w.headFrom = p.Minute, to
+		w.chunks[w.head] = w.chunks[w.head][1:]
 	}
 	// Source runs tile time, so at most the first survivor can straddle
 	// the new window start; its counted sojourn shrinks to the new
 	// truncation.
-	if w.head < len(w.recs) && w.headStart < from {
-		r := w.recs[w.head]
-		oldK := effSojourn(w.headStart, r.end, prevFrom, w.est.maxSojourn)
-		newK := effSojourn(w.headStart, r.end, from, w.est.maxSojourn)
+	if ok && w.headStart < from {
+		to := w.est.level(p.Price)
+		oldK := effSojourn(w.headStart, p.Minute, prevFrom, w.est.maxSojourn)
+		newK := effSojourn(w.headStart, p.Minute, from, w.est.maxSojourn)
 		if oldK != newK {
-			w.est.remove(w.headFrom, r.to, oldK)
-			w.est.add(w.headFrom, r.to, newK)
+			w.est.remove(w.headFrom, to, oldK)
+			w.est.add(w.headFrom, to, newK)
 		}
 	}
 
@@ -173,17 +165,36 @@ func (w *WindowedEstimator) Advance(tr *trace.Trace, from, until int64) error {
 			continue
 		}
 		to := w.est.level(p.Price)
-		if len(w.recs) == cap(w.recs) && w.head > 0 {
-			// Full: move the live records down over the evicted ones
-			// before growing. A window sliding at a steady pace settles
-			// into this and stops allocating.
-			w.recs, w.head = w.recs[:copy(w.recs, w.recs[w.head:])], 0
-		}
-		w.recs = append(w.recs, windowRec{end: p.Minute, to: to})
 		w.est.add(w.tailLevel, to, effSojourn(w.tail.Minute, p.Minute, from, w.est.maxSojourn))
 		w.tail, w.tailLevel = p, to
+	}
+	if len(unread) > 0 {
+		if len(w.chunks) == cap(w.chunks) && w.head > 0 {
+			// Full: move the live chunks down over the evicted ones
+			// before growing. A window sliding at a steady pace settles
+			// into this and stops allocating.
+			w.chunks, w.head = w.chunks[:copy(w.chunks, w.chunks[w.head:])], 0
+		}
+		w.chunks = append(w.chunks, unread)
 	}
 
 	w.from, w.until = from, until
 	return nil
+}
+
+// peek returns the point that ends the oldest live source run — the
+// first chunk point at a price other than the head level's — dropping
+// the points before it, which repeat the head price and merged into the
+// run when they were read. ok is false when no transition is live.
+func (w *WindowedEstimator) peek() (p trace.PricePoint, ok bool) {
+	for ; w.head < len(w.chunks); w.head++ {
+		price, c := w.est.levels[w.headFrom].price, w.chunks[w.head]
+		for len(c) > 0 && c[0].Price == price {
+			c = c[1:]
+		}
+		if w.chunks[w.head] = c; len(c) > 0 {
+			return c[0], true
+		}
+	}
+	return p, false
 }

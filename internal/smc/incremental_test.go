@@ -298,12 +298,12 @@ func TestAdvanceCostIndependentOfWindow(t *testing.T) {
 		}
 		// Every slide does the same work, so the cheapest of a few is
 		// the one during which the runtime allocated nothing of its own.
-		// The first ones, unmeasured, let the record buffer reach the
-		// size it keeps.
+		// The first ones, unmeasured, let the chunk list reach the size
+		// it keeps.
 		bytes, objects = math.MaxUint64, math.MaxUint64
 		for i := int64(0); i < 2*window+8; i++ {
 			until += week
-			// The history is the window's own copy, as the model cache
+			// The history is a view of the window, as the model cache
 			// hands it over; making it is not the estimator's cost.
 			hist := tr.Window(until-window*week, until)
 			b, o := allocated(func() {
@@ -330,11 +330,13 @@ func TestAdvanceCostIndependentOfWindow(t *testing.T) {
 }
 
 // TestScratchTrainAllocBudget bounds what training from nothing
-// allocates — Observe over a six-week window and Model(), the miss of
-// every pool a replay meets first. The budget is the measured 35.1 kB
-// (the per-level sojourn slots, the counters and the frozen sojourn
-// tables) plus 10 %; a copy of the kernel kept beside the tables put it
-// at 43.3 kB.
+// allocates over a six-week window — Observe and Model(), and a fresh
+// WindowedEstimator's first Advance and Model(): the miss of every pool
+// a replay meets first. The budget is the measured 35.1 kB (the
+// per-level sojourn slots, the counters and the frozen sojourn tables)
+// plus 10 %; a copy of the kernel kept beside the tables put it at
+// 43.3 kB, and a copy of every transition as a 16-byte record put the
+// windowed train at 84.5 kB.
 func TestScratchTrainAllocBudget(t *testing.T) {
 	const week = 7 * 24 * 60
 	const budget = 38_600
@@ -345,20 +347,36 @@ func TestScratchTrainAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := set.ByZone["us-east-1a"]
-	best := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		bytes, _ := allocated(func() {
+	for _, c := range []struct {
+		name  string
+		train func() (*Model, error)
+	}{
+		{"scratch", func() (*Model, error) {
 			e := NewEstimator(0)
 			e.Observe(tr)
-			if _, err := e.Model(); err != nil {
-				t.Fatal(err)
+			return e.Model()
+		}},
+		{"windowed scratch", func() (*Model, error) {
+			w := NewWindowedEstimator(0)
+			if err := w.Advance(tr, tr.Start, tr.End); err != nil {
+				return nil, err
 			}
-		})
-		best = min(best, bytes)
-	}
-	t.Logf("a scratch train allocates %d B", best)
-	if best > budget {
-		t.Fatalf("a scratch train allocates %d B, budget %d", best, budget)
+			return w.Model()
+		}},
+	} {
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			bytes, _ := allocated(func() {
+				if _, err := c.train(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			best = min(best, bytes)
+		}
+		t.Logf("a %s train allocates %d B", c.name, best)
+		if best > budget {
+			t.Fatalf("a %s train allocates %d B, budget %d", c.name, best, budget)
+		}
 	}
 }
 

@@ -551,7 +551,7 @@ func (c *comebacks[K]) observe(now []K) (back int) {
 
 // TestWindowedEstimatorRandomSlides slides windows over random traces by
 // random steps — zero-length slides, single minutes, jumps past the
-// whole window — handing Advance now the window's own copy, now the full
+// whole window — handing Advance now a view of the window, now the full
 // trace and, when the window continues the last one, now only the suffix
 // past the previous until, and after every slide requires the model to equal a
 // from-scratch one over the same window: the same bytes, the same

@@ -101,13 +101,15 @@ func clampSojourn(k, maxSojourn int64) int64 {
 }
 
 // Observe folds a trace's complete price runs into the counts, merging
-// adjacent points of equal price exactly like Trace.Sojourns. The final
-// (truncated) run carries no departure information and is skipped.
+// adjacent points of equal price exactly like Trace.Sojourns; the first
+// run starts at Start. The final (truncated) run carries no departure
+// information and is skipped.
 func (e *Estimator) Observe(tr *trace.Trace) {
 	if len(tr.Points) == 0 {
 		return
 	}
 	run := tr.Points[0]
+	run.Minute = max(run.Minute, tr.Start)
 	from := e.level(run.Price)
 	for _, p := range tr.Points[1:] {
 		if p.Price == run.Price {

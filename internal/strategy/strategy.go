@@ -35,7 +35,7 @@ type MarketView interface {
 	// minutes.
 	SpotPriceAge(zone string) (int64, error)
 	// PriceHistory returns past prices over [from, to) clamped to
-	// what has been observed.
+	// what has been observed, read-only: a view of the market's points.
 	PriceHistory(zone string, from, to int64) (*trace.Trace, error)
 }
 

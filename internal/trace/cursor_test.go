@@ -67,26 +67,3 @@ func TestCursorPanicsOutsideSpan(t *testing.T) {
 		}()
 	}
 }
-
-// TestAppendPointsMatchesWindow pins the buffer-reusing API to the
-// allocating one across random windows, including empty windows and
-// reuse of a shared buffer.
-func TestAppendPointsMatchesWindow(t *testing.T) {
-	tr := cursorTestTrace(t)
-	rng := rand.New(rand.NewSource(3))
-	var buf []PricePoint
-	for i := 0; i < 500; i++ {
-		lo := rng.Int63n(tr.End - tr.Start)
-		hi := lo + rng.Int63n(tr.End-lo)
-		w := tr.Window(lo, hi)
-		buf = tr.AppendPoints(buf[:0], lo, hi)
-		if len(buf) != len(w.Points) {
-			t.Fatalf("window [%d,%d): AppendPoints %d points, Window %d", lo, hi, len(buf), len(w.Points))
-		}
-		for j := range buf {
-			if buf[j] != w.Points[j] {
-				t.Fatalf("window [%d,%d): point %d differs: %+v vs %+v", lo, hi, j, buf[j], w.Points[j])
-			}
-		}
-	}
-}

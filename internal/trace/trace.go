@@ -26,7 +26,8 @@ type PricePoint struct {
 
 // Trace is the spot-price history of one (zone, instance type) pair over
 // [Start, End). Points are sorted by minute; the first point must be at
-// Start so the price is defined over the whole span.
+// Start so the price is defined over the whole span, except in a
+// Window, a read-only view that no Set holds.
 type Trace struct {
 	Zone   string
 	Type   market.InstanceType
@@ -104,38 +105,25 @@ func (t *Trace) ageFrom(i int, minute int64) int64 {
 		i--
 		start = t.Points[i].Minute
 	}
-	return minute - start + 1
+	return minute - max(start, t.Start) + 1
 }
 
-// AppendPoints appends the window [lo, hi) of the trace's points to dst
-// and returns the extended slice, letting hot loops reuse one buffer
-// across windows instead of allocating per call. The first appended
-// point is forced to (lo, covering price) exactly as Window does. It
-// panics if [lo, hi) is not within [Start, End); an empty window
-// appends nothing.
-func (t *Trace) AppendPoints(dst []PricePoint, lo, hi int64) []PricePoint {
+// Window returns the sub-trace over [lo, hi) as a read-only view of t's
+// points, capacity clipped so an append cannot write into t. They start
+// at the point in effect at lo, which may lie before it (and fail
+// Validate); every method counts a run from Start at the earliest.
+// An empty window has no points. It panics if [lo, hi) is not within
+// [Start, End).
+func (t *Trace) Window(lo, hi int64) *Trace {
 	if lo < t.Start || hi > t.End || lo > hi {
 		panic(fmt.Sprintf("trace: window [%d, %d) outside [%d, %d)", lo, hi, t.Start, t.End))
 	}
-	if lo == hi {
-		return dst
-	}
-	// The points strictly inside (lo, hi), behind one forced at lo with
-	// the covering price; dst grows once, to exactly that.
-	first := sort.Search(len(t.Points), func(i int) bool { return t.Points[i].Minute > lo })
-	end := first + sort.Search(len(t.Points)-first, func(i int) bool { return t.Points[first+i].Minute >= hi })
-	if need := 1 + end - first; cap(dst)-len(dst) < need {
-		dst = append(make([]PricePoint, 0, len(dst)+need), dst...)
-	}
-	dst = append(dst, PricePoint{Minute: lo, Price: t.Points[first-1].Price})
-	return append(dst, t.Points[first:end]...)
-}
-
-// Window returns the sub-trace over [lo, hi). The result owns fresh
-// point storage. It panics if [lo, hi) is not within [Start, End).
-func (t *Trace) Window(lo, hi int64) *Trace {
 	w := &Trace{Zone: t.Zone, Type: t.Type, Start: lo, End: hi}
-	w.Points = t.AppendPoints(nil, lo, hi)
+	if lo < hi {
+		first := sort.Search(len(t.Points), func(i int) bool { return t.Points[i].Minute > lo })
+		end := first + sort.Search(len(t.Points)-first, func(i int) bool { return t.Points[first+i].Minute >= hi })
+		w.Points = t.Points[first-1 : end : end]
+	}
 	return w
 }
 
@@ -148,7 +136,7 @@ func (t *Trace) Sojourns() []Sojourn {
 	}
 	var runs []Sojourn
 	cur := Sojourn{Price: t.Points[0].Price}
-	curStart := t.Points[0].Minute
+	curStart := max(t.Points[0].Minute, t.Start)
 	for _, p := range t.Points[1:] {
 		if p.Price == cur.Price {
 			continue

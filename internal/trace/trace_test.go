@@ -81,20 +81,26 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestWindow: a window is a view whose first point, the one in effect
+// at its start, lies before it; every answer counts from the start.
 func TestWindow(t *testing.T) {
 	tr := mkTrace(t)
 	w := tr.Window(45, 95)
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if w.PriceAt(45) != market.FromDollars(0.0081) {
 		t.Errorf("window start price = %v", w.PriceAt(45))
 	}
 	if w.PriceAt(94) != market.FromDollars(0.0071) {
 		t.Errorf("window end price = %v", w.PriceAt(94))
 	}
-	if len(w.Points) != 3 {
-		t.Errorf("window has %d points, want 3", len(w.Points))
+	if len(w.Points) != 3 || &w.Points[0] != &tr.Points[1] {
+		t.Errorf("window points %v, want a view of the parent's last three", w.Points)
+	}
+	if got := w.AgeAt(50); got != 6 {
+		t.Errorf("window AgeAt(50) = %d, want 6 (from the window start)", got)
+	}
+	want := []Sojourn{{market.FromDollars(0.0081), 15}, {market.FromDollars(0.0117), 30}, {market.FromDollars(0.0071), 5}}
+	if got := w.Sojourns(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("window sojourns %v, want %v", got, want)
 	}
 }
 
