@@ -480,10 +480,11 @@ func (p *Provider) gate(zone string, spot bool) (int64, bool) {
 }
 
 // SetLaunchGate installs (or, with nil, removes) a gate consulted by
-// the one-shot RequestSpot/RequestOnDemand calls — the chaos layer's
-// market-request delay/loss injector. Persistent-request relaunches
-// bypass the gate: they model the provider's own refulfilment loop, not
-// a fresh control-plane round trip.
+// every control-plane launch call — RequestSpot, RequestOnDemand and
+// the opening RequestSpotPersistent — the chaos layer's market-request
+// delay/loss injector. A persistent request's relaunches bypass the
+// gate: they model the provider's own refulfilment loop, not a fresh
+// control-plane round trip.
 func (p *Provider) SetLaunchGate(g func(minute int64, zone string, spot bool) GateDecision) {
 	p.launchGate = g
 }

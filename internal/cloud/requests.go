@@ -22,6 +22,7 @@ type spotRequest struct {
 	Cancelled bool
 	Current   InstanceID   // live or starting instance, "" when none
 	History   []InstanceID // every instance ever launched by it
+	openDelay int64        // the opening call's gate delay, for the first instance only
 
 	// refulfilAt is the next minute the request may relaunch
 	// (engine.NoMinute when fulfilled, cancelled, or the price never
@@ -32,7 +33,9 @@ type spotRequest struct {
 
 // RequestSpotPersistent opens a persistent spot request. The first
 // instance launches immediately if the bid clears the current price,
-// otherwise as soon as the price falls to the bid.
+// otherwise as soon as the price falls to the bid. The launch gate sees
+// the opening call: a drop opens nothing, a delay stretches the first
+// instance's startup.
 func (p *Provider) RequestSpotPersistent(zone string, it market.InstanceType, bid market.Money) (RequestID, error) {
 	if it != p.traces.Type {
 		return "", fmt.Errorf("cloud: provider serves %s, requested %s", p.traces.Type, it)
@@ -47,11 +50,16 @@ func (p *Provider) RequestSpotPersistent(zone string, it market.InstanceType, bi
 	if _, ok := p.traces.ByZone[zone]; !ok {
 		return "", fmt.Errorf("cloud: unknown zone %q", zone)
 	}
+	delay, dropped := p.gate(zone, true)
+	if dropped {
+		return "", fmt.Errorf("cloud: spot request lost in %s", zone)
+	}
 	p.nextID++
 	req := &spotRequest{
 		ID:   RequestID(fmt.Sprintf("sir-%06d", p.nextID)),
 		Zone: zone, Type: it, Bid: bid,
 		refulfilAt: engine.NoMinute,
+		openDelay:  delay,
 	}
 	if p.requests == nil {
 		p.requests = make(map[RequestID]*spotRequest)
@@ -81,7 +89,8 @@ func (p *Provider) fulfil(req *spotRequest) {
 		p.scheduleRefulfil(req, until)
 		return
 	}
-	inst := p.launch(req.Zone, req.Type, true, req.Bid, req, 0)
+	inst := p.launch(req.Zone, req.Type, true, req.Bid, req, req.openDelay)
+	req.openDelay = 0
 	req.Current = inst.ID
 	req.History = append(req.History, inst.ID)
 	req.refulfilAt = engine.NoMinute

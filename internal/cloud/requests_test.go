@@ -145,3 +145,55 @@ func TestPersistentRequestValidation(t *testing.T) {
 		t.Fatal("unknown request alive")
 	}
 }
+
+// TestPersistentRequestGateDrop: opening a persistent request is a
+// control-plane call, so a dropping launch gate loses it — an error,
+// and no request and no instance left behind.
+func TestPersistentRequestGateDrop(t *testing.T) {
+	p := NewProvider(spikeSet(t), Config{Seed: 1})
+	calls := 0
+	p.SetLaunchGate(func(minute int64, zone string, spot bool) GateDecision {
+		calls++
+		return GateDecision{Drop: spot}
+	})
+	if _, err := p.RequestSpotPersistent("us-east-1a", market.M1Small, market.FromDollars(0.01)); err == nil {
+		t.Fatal("gated persistent request opened, want drop")
+	}
+	if calls != 1 {
+		t.Fatalf("gate consulted %d times, want 1", calls)
+	}
+	if len(p.requests) != 0 || len(p.active) != 0 {
+		t.Fatalf("dropped request left %d requests and %d instances", len(p.requests), len(p.active))
+	}
+}
+
+// TestPersistentRequestGateDelay: a delaying gate stretches the startup
+// of the request's first instance only; the relaunch after the spike is
+// the provider's own refulfilment loop, which the gate never sees.
+func TestPersistentRequestGateDelay(t *testing.T) {
+	p := NewProvider(spikeSet(t), Config{Seed: 1})
+	calls := 0
+	p.SetLaunchGate(func(minute int64, zone string, spot bool) GateDecision {
+		calls++
+		return GateDecision{DelayMinutes: 50}
+	})
+	req, err := p.RequestSpotPersistent("us-east-1a", market.M1Small, market.FromDollars(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := p.Instance(current(t, p, req))
+	if d := first.RunningAt - first.RequestedAt; d < 54 || d > 62 {
+		t.Fatalf("first instance started in %d minutes, want 54..62", d)
+	}
+	p.AdvanceTo(200)
+	second, _ := p.Instance(current(t, p, req))
+	if second.ID == first.ID {
+		t.Fatal("no relaunch after the spike")
+	}
+	if d := second.RunningAt - second.RequestedAt; d < 4 || d > 12 {
+		t.Fatalf("relaunch started in %d minutes, want the ungated 4..12", d)
+	}
+	if calls != 1 {
+		t.Fatalf("gate consulted %d times, want only for the opening call", calls)
+	}
+}

@@ -3,6 +3,7 @@ package replay
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/market"
 	"repro/internal/strategy"
@@ -78,5 +79,35 @@ func TestAdaptiveIntervalReplay(t *testing.T) {
 	// most ~336 decisions and at least ~28 (12h maximum interval).
 	if res.Decisions < 2 || res.Decisions > 340 {
 		t.Fatalf("decisions = %d", res.Decisions)
+	}
+}
+
+// TestPersistentRequestsSeeFlakyMarket: the flaky-market scenario loses
+// and delays spot launch calls for a day, and opening a persistent
+// request is such a call, so a persistent replay under it must differ
+// from the same replay on a calm market.
+func TestPersistentRequestsSeeFlakyMarket(t *testing.T) {
+	set := genTraces(t, 24, 1, market.M1Small)
+	sc, ok := chaos.Builtin("flaky-market")
+	if !ok {
+		t.Fatal("flaky-market builtin missing")
+	}
+	run := func(sc *chaos.Scenario) *Result {
+		res, err := Run(Config{
+			Traces: set, Start: 13 * week,
+			Spec: lockSpec(), Strategy: strategy.Extra{ExtraNodes: 0, Portion: 0.2},
+			IntervalMinutes: 60, Seed: 24, PersistentRequests: true, Chaos: sc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	calm, flaky := run(nil), run(&sc)
+	if flaky.FailedRequests == 0 {
+		t.Fatalf("no request failed under flaky-market (%d spot launches)", flaky.SpotLaunch)
+	}
+	if flaky.Cost == calm.Cost && flaky.Availability == calm.Availability {
+		t.Fatalf("flaky-market persistent replay equals calm: cost %v, availability %v", calm.Cost, calm.Availability)
 	}
 }

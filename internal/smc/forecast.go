@@ -29,17 +29,26 @@ import (
 // The model mutex only serializes the builds themselves. The
 // fresh-profile DP runs over one flat []float64 with stride indexing,
 // and compiles each state's departures once per build into a flat hop
-// list, so a minute's step has no zero to skip and no table to search:
-// one pass over a state's live hops finishes its whole row of n cells
-// out of registers (rows wider than eight are cut into chunks of four
-// to eight). The hops are in the order the original per-minute slices
-// added their terms — sojourn ascending, then destination ascending —
-// and every cell adds them to its survival term in that order, so the
-// sums, and with them every forecast, stay bit-identical
-// (TestFreshMatchesReference). What bounds the kernel is scalar
-// floating-point issue — one multiply-add per cell per hop, no padding
-// lanes — and only SIMD assembly would go below that, which this
-// package does not want.
+// list, so a minute's step has no zero to skip and no table to search.
+// One kernel call per row (addRow) takes a state's live hops over its
+// n cells held in registers and folds the finished row into the
+// cumulative table; rows wider than eight are cut into even chunks. A
+// forecast's departure sum goes through the same kernel.
+//
+// On amd64 the kernel is SSE2 assembly (fold_amd64.s): each hop's
+// weight is broadcast once and two cells share each packed multiply
+// and add. On storage-scale models (four to six states, 50–60 live hops
+// a row) that builds the profiles 1.5 to 2 times as fast as scalar Go
+// (BenchmarkForecastFreshBuild), which per-hop loads, bounds checks and
+// a multiply-add per cell held back; the assembly waits on each cell's
+// add latency instead. Other architectures and the purego tag run a
+// plain Go loop (fold_generic.go). The lanes are exact: a packed MULPD
+// or ADDPD rounds each lane as MULSD or ADDSD would, nothing is fused,
+// and Go keeps the default rounding mode. The hops are in the order the
+// original per-minute slices added their terms — sojourn ascending,
+// then destination ascending — and every cell adds them to its survival
+// term in that order, so every forecast stays bit-identical on every
+// build (TestFreshMatchesReference, TestAddRowMatchesLoop).
 
 // stateDist is an occupancy vector over the model's price states.
 type stateDist []float64
@@ -55,11 +64,10 @@ type freshProfiles struct {
 	cum     []float64
 }
 
-// at returns the cumulative occupancy vector u minutes after entering
-// state i, as a read-only window into the flat table.
-func (fp *freshProfiles) at(i int, u int64) []float64 {
-	off := (i*(int(fp.horizon)+1) + int(u)) * fp.n
-	return fp.cum[off : off+fp.n : off+fp.n]
+// offset is where the cumulative occupancy vector u minutes after
+// entering state i begins in the flat table.
+func (fp *freshProfiles) offset(i int, u int64) int {
+	return (i*(int(fp.horizon)+1) + int(u)) * fp.n
 }
 
 // sojournData is one state's sojourn tables, built at freeze. The
@@ -112,7 +120,8 @@ func (c *survivalCursor) at(a int64) float64 {
 
 // hop is one term of a state's fresh-entry recursion: leaving after d
 // minutes for some destination adds wg times the destination's own
-// fresh occupancy d minutes earlier.
+// fresh occupancy d minutes earlier. A forecast's departure terms are
+// hops too, with src an offset into the cumulative table and d unused.
 type hop struct {
 	d   int     // sojourn before the jump, minutes
 	src int     // offset in occ of the destination's minute-(t-d) row, less t rows
@@ -120,128 +129,87 @@ type hop struct {
 }
 
 // freshScratch is the working memory of one fresh-profile build: the
-// per-minute occupancy table and the compiled hop lists. Only the
-// cumulative table outlives a build, so the scratch is pooled across
-// builds and models. A build writes every cell of the table before it
-// reads it, so what an earlier build left there does not matter.
+// per-minute occupancy table, the compiled hop lists and each state's
+// run of live hops. Only the cumulative table outlives a build, so the
+// scratch is pooled across builds and models. A build writes every cell
+// of the table before it reads it, and clears the runs, so what an
+// earlier build left there does not matter.
 type freshScratch struct {
 	occ  []float64
 	hops []hop
+	live []hopRun
 }
 
 var freshScratchPool = sync.Pool{New: func() any { return new(freshScratch) }}
 
-// addRow adds every hop's term to the cells of a minute-t row: wg
-// times the same cells of the hop's source row, at being the row's
-// offset within the minute-t row of state 0. Each cell sums its terms
-// in hop order. A row of four to eight cells is one pass over the hops
-// with all of it in registers; a wider one is cut into as few such
+// hopRun counts a list of hops and bounds their sources: the kernel
+// reads tab[src+at:][:len(row)] for every hop, so the least and the
+// greatest src check every offset a row reads with two comparisons.
+type hopRun struct {
+	n, lo, hi int
+}
+
+func (r *hopRun) add(src int) {
+	if r.n == 0 {
+		r.lo, r.hi = src, src
+	}
+	r.lo, r.hi, r.n = min(r.lo, src), max(r.hi, src), r.n+1
+}
+
+// addRow adds every hop's term to the cells of a row — wg times the
+// same cells of tab at the hop's src+at, each cell summing its terms in
+// hop order — and, when next is non-nil, folds the finished row into
+// the cumulative profile: next = prev + row. lo and hi are the least
+// and greatest src among the hops; a read outside tab panics here,
+// before the kernel runs. The kernel takes one to eight cells at a
+// time, all of them in registers; a wider row is cut into as few such
 // chunks as cover it, sized evenly (nine cells are 5 + 4, never 8 + 1:
 // a pass costs the same whether it carries one cell or four).
-func addRow(row []float64, hops []hop, occ []float64, at int) {
-	if len(row) < 4 {
-		for _, hp := range hops {
-			s := occ[hp.src+at:][:len(row)]
-			for c := range row {
-				row[c] += hp.wg * s[c]
-			}
-		}
-		return
+func addRow(row, prev, next []float64, hops []hop, lo, hi int, tab []float64, at int) {
+	if len(hops) > 0 && (lo+at < 0 || hi+at+len(row) > len(tab)) {
+		panic(fmt.Sprintf("smc: hop sources [%d, %d] + %d read outside a table of %d cells", lo, hi+len(row)-1, at, len(tab)))
 	}
-	for chunks := (len(row) + 7) / 8; chunks > 0; chunks-- {
-		w := (len(row) + chunks - 1) / chunks
-		switch w {
-		case 4:
-			addHops(row, hops, occ, at)
-		case 5:
-			addHops5(row, hops, occ, at)
-		case 6:
-			addHops6(row, hops, occ, at)
-		case 7:
-			addHops7(row, hops, occ, at)
-		case 8:
-			addHops8(row, hops, occ, at)
+	for len(row) > 0 {
+		w := len(row)
+		if w > 8 {
+			chunks := (w + 7) / 8
+			w = (w + chunks - 1) / chunks
 		}
+		var p, q []float64
+		if next != nil {
+			p, q, prev, next = prev[:w], next[:w], prev[w:], next[w:]
+		}
+		addHops(row[:w], p, q, hops, tab, at)
 		row, at = row[w:], at+w
 	}
 }
 
-// addHops is the four-cell kernel: v[0:4] += wg · occ[src+at:][0:4]
-// over the hops, the cells held in registers throughout. addHops5 to
-// addHops8 are the same kernel over five to eight cells.
-func addHops(v []float64, hops []hop, occ []float64, at int) {
-	v = v[:4]
-	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-	for _, hp := range hops {
-		s := occ[hp.src+at:][:4]
-		v0 += hp.wg * s[0]
-		v1 += hp.wg * s[1]
-		v2 += hp.wg * s[2]
-		v3 += hp.wg * s[3]
-	}
-	v[0], v[1], v[2], v[3] = v0, v1, v2, v3
+// hopBuf gathers a forecast's departure terms on the stack and hands
+// them to the kernel a bufferful at a time: the row stays in memory
+// between flushes, so every cell still adds its terms in order.
+type hopBuf struct {
+	row, tab []float64 // each term adds wg times a row of tab to row
+	hops     [32]hop
+	n        int
 }
 
-func addHops5(v []float64, hops []hop, occ []float64, at int) {
-	v = v[:5]
-	v0, v1, v2, v3, v4 := v[0], v[1], v[2], v[3], v[4]
-	for _, hp := range hops {
-		s := occ[hp.src+at:][:5]
-		v0 += hp.wg * s[0]
-		v1 += hp.wg * s[1]
-		v2 += hp.wg * s[2]
-		v3 += hp.wg * s[3]
-		v4 += hp.wg * s[4]
+// push queues the term wg times tab[src:][:len(row)].
+func (b *hopBuf) push(src int, wg float64) {
+	if b.n == len(b.hops) {
+		b.flush()
 	}
-	v[0], v[1], v[2], v[3], v[4] = v0, v1, v2, v3, v4
+	b.hops[b.n] = hop{src: src, wg: wg}
+	b.n++
 }
 
-func addHops6(v []float64, hops []hop, occ []float64, at int) {
-	v = v[:6]
-	v0, v1, v2, v3, v4, v5 := v[0], v[1], v[2], v[3], v[4], v[5]
-	for _, hp := range hops {
-		s := occ[hp.src+at:][:6]
-		v0 += hp.wg * s[0]
-		v1 += hp.wg * s[1]
-		v2 += hp.wg * s[2]
-		v3 += hp.wg * s[3]
-		v4 += hp.wg * s[4]
-		v5 += hp.wg * s[5]
+// flush adds the queued terms to row.
+func (b *hopBuf) flush() {
+	var run hopRun
+	for _, hp := range b.hops[:b.n] {
+		run.add(hp.src)
 	}
-	v[0], v[1], v[2], v[3], v[4], v[5] = v0, v1, v2, v3, v4, v5
-}
-
-func addHops7(v []float64, hops []hop, occ []float64, at int) {
-	v = v[:7]
-	v0, v1, v2, v3, v4, v5, v6 := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
-	for _, hp := range hops {
-		s := occ[hp.src+at:][:7]
-		v0 += hp.wg * s[0]
-		v1 += hp.wg * s[1]
-		v2 += hp.wg * s[2]
-		v3 += hp.wg * s[3]
-		v4 += hp.wg * s[4]
-		v5 += hp.wg * s[5]
-		v6 += hp.wg * s[6]
-	}
-	v[0], v[1], v[2], v[3], v[4], v[5], v[6] = v0, v1, v2, v3, v4, v5, v6
-}
-
-func addHops8(v []float64, hops []hop, occ []float64, at int) {
-	v = v[:8]
-	v0, v1, v2, v3, v4, v5, v6, v7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
-	for _, hp := range hops {
-		s := occ[hp.src+at:][:8]
-		v0 += hp.wg * s[0]
-		v1 += hp.wg * s[1]
-		v2 += hp.wg * s[2]
-		v3 += hp.wg * s[3]
-		v4 += hp.wg * s[4]
-		v5 += hp.wg * s[5]
-		v6 += hp.wg * s[6]
-		v7 += hp.wg * s[7]
-	}
-	v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = v0, v1, v2, v3, v4, v5, v6, v7
+	addRow(b.row, nil, nil, b.hops[:b.n], run.lo, run.hi, b.tab, 0)
+	b.n = 0
 }
 
 // fresh returns (building if needed) fresh profiles covering at least
@@ -303,7 +271,8 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	}
 	occ := sc.occ[:n*h*n]
 	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
-	live := make([]int, n) // how many of state i's hops have d <= t
+	sc.live = append(sc.live[:0], make([]hopRun, n)...) // state i's hops with d <= t
+	live := sc.live
 	for t := 0; t < h; t++ {
 		for i := range surv {
 			row := occ[(i*h+t)*n:][:n]
@@ -311,16 +280,12 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 			// Still in the entered state through minute t iff K >= t+1.
 			row[i] = surv[i].at(int64(t) + 1)
 			// Departures at minute d <= t hand off to fresh profiles.
-			hs := hops[first[i]:first[i+1]]
-			for live[i] < len(hs) && hs[live[i]].d <= t {
-				live[i]++
+			hs, lr := hops[first[i]:first[i+1]], &live[i]
+			for lr.n < len(hs) && hs[lr.n].d <= t {
+				lr.add(hs[lr.n].src)
 			}
-			addRow(row, hs[:live[i]], occ, t*n)
-			prev := fp.cum[(i*(h+1)+t)*n:][:n]
-			next := fp.cum[(i*(h+1)+t+1)*n:][:n]
-			for s, v := range row {
-				next[s] = prev[s] + v
-			}
+			cum := fp.cum[(i*(h+1)+t)*n:][:2*n]
+			addRow(row, cum[:n], cum[n:], hs[:lr.n], lr.lo, lr.hi, occ, t*n)
 		}
 	}
 	return fp
@@ -380,18 +345,15 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 	fp := m.fresh(horizon)
 
 	tot := make(stateDist, n)
+	deps := hopBuf{row: tot, tab: fp.cum} // departure terms
 	surv := survivalCursor{sd: sd}
 	condSurv := surv.at(age)
 	if condSurv <= 0 {
 		// The run has outlived every observed sojourn: assume departure
 		// now with the marginal destination distribution.
 		for j, g := range sd.marginal {
-			if g == 0 {
-				continue
-			}
-			c := fp.at(j, horizon)
-			for s := range tot {
-				tot[s] += g * c[s]
+			if g != 0 {
+				deps.push(fp.offset(j, horizon), g)
 			}
 		}
 	} else {
@@ -429,14 +391,11 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 			}
 			rem := horizon - d
 			for _, e := range sd.dests(x) {
-				c := fp.at(e.to, rem)
-				wg := w * e.g
-				for s := range tot {
-					tot[s] += wg * c[s]
-				}
+				deps.push(fp.offset(e.to, rem), w*e.g)
 			}
 		}
 	}
+	deps.flush()
 
 	for s := range tot {
 		tot[s] = tot[s] / float64(horizon)

@@ -416,6 +416,13 @@ func refFreshCum(m *refModel, horizon int64, soj []*refSojournData) [][]stateDis
 	return cum
 }
 
+// at returns the cumulative occupancy vector u minutes after entering
+// state i, as a window into the flat table.
+func (fp *freshProfiles) at(i int, u int64) []float64 {
+	off := fp.offset(i, u)
+	return fp.cum[off : off+fp.n : off+fp.n]
+}
+
 // refFresh is the fresh-profile DP as it was before hop compilation: one
 // flat zero-initialized occ array read through an `at` closure, every
 // dense next[x] vector scanned for its non-zero destinations, and the

@@ -458,8 +458,9 @@ func TestFreshMatchesReference(t *testing.T) {
 
 // TestFreshIgnoresScratchContents: a build reads no cell of its scratch
 // that it has not written, so what the pool hands it — here NaN in
-// every cell and hop, then whatever a wider and longer build left
-// behind — changes no bit of the profiles.
+// every cell and hop and nonsense in every live-hop run, then whatever
+// a wider and longer build left behind — changes no bit of the
+// profiles.
 func TestFreshIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	build := func(m *Model, h int64, sc *freshScratch) *freshProfiles {
@@ -472,12 +473,15 @@ func TestFreshIgnoresScratchContents(t *testing.T) {
 		const h = 150
 		want := refFresh(rm, h)
 
-		sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096)}
+		sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096), live: make([]hopRun, 2*n)}
 		for c := range sc.occ {
 			sc.occ[c] = math.NaN()
 		}
 		for x := range sc.hops {
 			sc.hops[x] = hop{d: 1, src: -1 << 40, wg: math.NaN()}
+		}
+		for x := range sc.live {
+			sc.live[x] = hopRun{n: 4096, lo: -1 << 40, hi: 1 << 40}
 		}
 		requireFreshEqual(t, fmt.Sprintf("n=%d over NaN", n), build(m, h, sc), want)
 
