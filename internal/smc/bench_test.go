@@ -210,7 +210,9 @@ func BenchmarkForecastAfterSlide(b *testing.B) {
 
 // BenchmarkForecastFreshBuild is the fresh-profile build alone, per row
 // width: the model and its sojourn tables are fixed, and the published
-// profiles are dropped before each build.
+// profiles are dropped before each build. hops/row is the mean number
+// of live hops a row of the DP adds, the length of each cell's chain of
+// adds.
 func BenchmarkForecastFreshBuild(b *testing.B) {
 	for _, n := range []int{4, 5, 6, 7, 8, 10} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -230,6 +232,24 @@ func BenchmarkForecastFreshBuild(b *testing.B) {
 				m.profiles.Store(nil)
 				m.fresh(360)
 			}
+			b.ReportMetric(liveHopsPerRow(m, 360), "hops/row")
 		})
 	}
+}
+
+// liveHopsPerRow is the mean number of hops a row of the build over
+// horizon minutes adds: a hop of sojourn d is live in minutes d to
+// horizon-1 of each state's rows.
+func liveHopsPerRow(m *Model, horizon int64) float64 {
+	var live int64
+	for i := range m.soj {
+		sd := &m.soj[i]
+		for x, d := range sd.durations {
+			if d >= horizon {
+				break
+			}
+			live += int64(len(sd.dests(x))) * (horizon - d)
+		}
+	}
+	return float64(live) / float64(int64(len(m.soj))*horizon)
 }

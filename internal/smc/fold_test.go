@@ -7,16 +7,69 @@ import (
 	"testing"
 )
 
-// loopRow is the row kernel's contract written as the plain loop: each
-// cell adds its hops' terms in hop order, then next = prev + row.
-func loopRow(row, prev, next []float64, hops []hop, tab []float64, at int) {
-	for _, hp := range hops {
-		for c := range row {
-			row[c] += hp.wg * tab[hp.src+at+c]
+// forEachKernel runs f once per row kernel this binary can run — the
+// AVX assembly where the CPU has it, and the Go loop — and restores
+// the kernel the package picked.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	picked := useAVX
+	defer func() { useAVX = picked }()
+	for _, avx := range []bool{true, false} {
+		if avx && !picked {
+			continue
+		}
+		useAVX = avx
+		name := "loop"
+		if avx {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
+
+// loopRows is the row kernel's contract written as index arithmetic
+// over whole rows of any width: each job's row starts as surv in cell
+// lane and 0 elsewhere when folding, else as it is; each cell adds its
+// hops' terms in hop order; a fold then writes next = prev + row.
+func loopRows(jobs []rowJob, hops []hop, tab, rows, cum []float64, w, at, stride int) {
+	for _, j := range jobs {
+		r := j.row + at
+		if cum != nil {
+			for c := 0; c < w; c++ {
+				rows[r+c] = 0
+			}
+			if j.lane >= 0 {
+				rows[r+j.lane] = j.surv
+			}
+		}
+		for x := j.first; x < j.first+j.n; x++ {
+			for c := 0; c < w; c++ {
+				rows[r+c] += hops[x].wg * tab[hops[x].src+at+c]
+			}
+		}
+		if cum != nil {
+			p := j.cum + at
+			for c := 0; c < w; c++ {
+				cum[p+stride+c] = cum[p+c] + rows[r+c]
+			}
 		}
 	}
-	for c := range next {
-		next[c] = prev[c] + row[c]
+}
+
+// addRowsChunked is a production caller's use of addRows for rows of
+// any width: one call per rowChunk, each job's lane shifted into the
+// chunk that holds it.
+func addRowsChunked(jobs []rowJob, hops []hop, run hopRun, tab, rows, cum []float64, w, at, stride int) {
+	chunk := make([]rowJob, len(jobs))
+	for c0, cw := 0, 0; c0 < w; c0 += cw {
+		cw = rowChunk(w - c0)
+		for x, j := range jobs {
+			if j.lane -= c0; j.lane < 0 || j.lane >= cw {
+				j.lane = -1
+			}
+			chunk[x] = j
+		}
+		addRows(chunk, hops, run, tab, rows, cum, cw, at+c0, stride)
 	}
 }
 
@@ -38,61 +91,101 @@ func randomCell(rng *rand.Rand) float64 {
 	return rng.Float64()
 }
 
-// TestAddRowMatchesLoop pins the row kernel — SSE2 lanes on amd64, the
-// plain Go loop elsewhere and under the purego tag — bit for bit to
-// loopRow at every width from 1 to 16 (one pass up to eight cells, even
-// chunks above), over random hop lists whose reads reach the first and
-// the last cell of the table, with the fold into the cumulative rows
-// and without it. Guard cells around row and next must come back
-// untouched.
-func TestAddRowMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
+// rowCase is one random kernel call: jobs whose rows, each between
+// guard cells, share one table, and whose cumulative rows (prev, then
+// next stride cells on) share another, with their own guard cells.
+type rowCase struct {
+	jobs       []rowJob
+	hops       []hop
+	run        hopRun
+	tab        []float64
+	rows, cum  []float64
+	w, at, str int
+}
+
+// newRowCase draws a call of nJobs rows of w cells. lens fixes the
+// first two jobs' hop counts (-1: random). Each job's hops are its own
+// run of one shared list; the first hop reads the table's first cell
+// and the second its last.
+func newRowCase(rng *rand.Rand, w, nJobs int, lens [2]int) *rowCase {
 	const guard = 2
-	for w := 1; w <= 16; w++ {
-		for trial := 0; trial < 40; trial++ {
-			tab := make([]float64, w*(1+rng.Intn(30))+rng.Intn(w))
-			for c := range tab {
-				tab[c] = randomCell(rng)
+	rc := &rowCase{w: w, str: w + guard + rng.Intn(3)}
+	rc.tab = make([]float64, w*(1+rng.Intn(30))+rng.Intn(w))
+	for c := range rc.tab {
+		rc.tab[c] = randomCell(rng)
+	}
+	rc.at = rng.Intn(len(rc.tab)-w+1) - rng.Intn(len(rc.tab)) // sources shift by at
+	rc.rows = make([]float64, guard+nJobs*(w+guard))
+	rc.cum = make([]float64, guard+nJobs*(rc.str+w+guard))
+	for c := range rc.rows {
+		rc.rows[c] = randomCell(rng)
+	}
+	for c := range rc.cum {
+		rc.cum[c] = math.NaN()
+	}
+	for x := 0; x < nJobs; x++ {
+		n := rng.Intn(80)
+		if x < 2 && lens[x] >= 0 {
+			n = lens[x]
+		}
+		j := rowJob{
+			first: len(rc.hops), n: n,
+			row:  guard + x*(w+guard) - rc.at,
+			cum:  guard + x*(rc.str+w+guard) - rc.at,
+			lane: rng.Intn(w+1) - 1,
+			surv: randomCell(rng),
+		}
+		for c := 0; c < w; c++ {
+			rc.cum[j.cum+rc.at+c] = randomCell(rng) // prev
+		}
+		for k := 0; k < n; k++ {
+			src := rng.Intn(len(rc.tab)-w+1) - rc.at
+			switch len(rc.hops) {
+			case 0:
+				src = -rc.at // the table's first cell
+			case 1:
+				src = len(rc.tab) - w - rc.at // its last cell
 			}
-			at := rng.Intn(len(tab)-w+1) - rng.Intn(len(tab)) // sources shift by at
-			hops := make([]hop, rng.Intn(80))
-			var run hopRun
-			for x := range hops {
-				src := rng.Intn(len(tab)-w+1) - at
-				switch x {
-				case 0:
-					src = -at // the table's first cell
-				case 1:
-					src = len(tab) - w - at // its last cell
+			rc.hops = append(rc.hops, hop{src: src, wg: randomCell(rng)})
+			rc.run.add(src)
+		}
+		rc.jobs = append(rc.jobs, j)
+	}
+	return rc
+}
+
+// TestAddRowMatchesLoop pins the row kernel — AVX lanes on amd64 when
+// the CPU has them, the plain Go loop otherwise, and both in one binary
+// — bit for bit to loopRows at every width from 1 to 16 (one call up to
+// eight cells, even chunks above), over calls of one to five rows, so
+// that rows go in pairs with an odd one left, with hop lists of unequal
+// length, one empty or both, whose reads reach the first and the last
+// cell of the table, with the fold into the cumulative rows and
+// without it. Guard cells around rows and cumulative rows must come
+// back untouched.
+func TestAddRowMatchesLoop(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(52))
+		lens := [][2]int{{-1, -1}, {0, -1}, {-1, 0}, {0, 0}, {3, 70}, {70, 3}}
+		for w := 1; w <= 16; w++ {
+			for trial := 0; trial < 60; trial++ {
+				nJobs, pattern := 1+trial%5, lens[trial%len(lens)]
+				for _, fold := range []bool{true, false} {
+					rc := newRowCase(rng, w, nJobs, pattern)
+					where := fmt.Sprintf("w=%d trial %d fold=%v (%d rows, hop counts %v)", w, trial, fold, nJobs, rc.jobs)
+					rows, cum := append([]float64(nil), rc.rows...), append([]float64(nil), rc.cum...)
+					var c, cWant []float64
+					if fold {
+						c, cWant = rc.cum, cum
+					}
+					addRowsChunked(rc.jobs, rc.hops, rc.run, rc.tab, rc.rows, c, w, rc.at, rc.str)
+					loopRows(rc.jobs, rc.hops, rc.tab, rows, cWant, w, rc.at, rc.str)
+					requireBits(t, where+": rows", rc.rows, rows)
+					requireBits(t, where+": cum", rc.cum, cum)
 				}
-				hops[x] = hop{src: src, wg: randomCell(rng)}
-				run.add(src)
-			}
-			for _, fold := range []bool{true, false} {
-				where := fmt.Sprintf("w=%d trial %d fold=%v (%d hops)", w, trial, fold, len(hops))
-				rows := [2][]float64{make([]float64, w+2*guard), make([]float64, w+2*guard)}
-				nexts := [2][]float64{make([]float64, w+2*guard), make([]float64, w+2*guard)}
-				prev := make([]float64, w)
-				for c := range rows[0] {
-					rows[0][c] = randomCell(rng)
-					nexts[0][c] = math.NaN()
-				}
-				for c := range prev {
-					prev[c] = randomCell(rng)
-				}
-				copy(rows[1], rows[0])
-				copy(nexts[1], nexts[0])
-				var p, q, qWant []float64
-				if fold {
-					p, q, qWant = prev, nexts[0][guard:guard+w], nexts[1][guard:guard+w]
-				}
-				addRow(rows[0][guard:guard+w], p, q, hops, run.lo, run.hi, tab, at)
-				loopRow(rows[1][guard:guard+w], p, qWant, hops, tab, at)
-				requireBits(t, where+": row", rows[0], rows[1])
-				requireBits(t, where+": next", nexts[0], nexts[1])
 			}
 		}
-	}
+	})
 }
 
 // requireBits compares two slices cell for cell by bit pattern.
@@ -106,27 +199,59 @@ func requireBits(t *testing.T, where string, got, want []float64) {
 	}
 }
 
-// TestAddRowChecksEveryRead: a hop whose source lies one cell before the
-// table or whose row runs one cell past its end panics in addRow, before
-// the kernel reads anything.
+// TestAddRowChecksEveryRead: in either row of a pair, a hop whose
+// source lies one cell before the table or whose row runs one cell past
+// its end, a row or a cumulative row one cell outside its table, or a
+// lane outside the row, panics in addRows before the kernel writes
+// anything; so does a width the kernel does not take.
 func TestAddRowChecksEveryRead(t *testing.T) {
-	for _, w := range []int{1, 4, 5, 8, 9, 16} {
-		tab := make([]float64, 10*w)
-		const at = 3
-		for _, src := range []int{-at - 1, len(tab) - w - at + 1} {
-			hops := []hop{{src: 0, wg: 1}, {src: src, wg: 1}}
-			var run hopRun
-			for _, hp := range hops {
-				run.add(hp.src)
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("w=%d src=%d: read outside a %d-cell table did not panic", w, src, len(tab))
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, w := range []int{1, 3, 4, 5, 8} {
+			for x := 0; x < 2; x++ {
+				breaks := []struct {
+					name string
+					brk  func(rc *rowCase)
+				}{
+					{"source before the table", func(rc *rowCase) { rc.hops[rc.jobs[x].first].src = -rc.at - 1 }},
+					{"source past the table", func(rc *rowCase) { rc.hops[rc.jobs[x].first].src = len(rc.tab) - w - rc.at + 1 }},
+					{"row before its table", func(rc *rowCase) { rc.jobs[x].row = -rc.at - 1 }},
+					{"row past its table", func(rc *rowCase) { rc.jobs[x].row = len(rc.rows) - w - rc.at + 1 }},
+					{"cum before its table", func(rc *rowCase) { rc.jobs[x].cum = -rc.at - 1 }},
+					{"next past its table", func(rc *rowCase) { rc.jobs[x].cum = len(rc.cum) - rc.str - w - rc.at + 1 }},
+					{"lane past the row", func(rc *rowCase) { rc.jobs[x].lane = w }},
+					{"lane below -1", func(rc *rowCase) { rc.jobs[x].lane = -2 }},
+					{"hops past the list", func(rc *rowCase) { rc.jobs[x].n = len(rc.hops) - rc.jobs[x].first + 1 }},
+				}
+				for _, b := range breaks {
+					rc := newRowCase(rng, w, 2, [2]int{5, 5})
+					b.brk(rc)
+					rc.run = hopRun{}
+					for _, hp := range rc.hops {
+						rc.run.add(hp.src)
 					}
-				}()
-				addRow(make([]float64, w), nil, nil, hops, run.lo, run.hi, tab, at)
-			}()
+					requirePanicsUntouched(t, fmt.Sprintf("w=%d row %d: %s", w, x, b.name), rc, w)
+				}
+			}
 		}
-	}
+		rc := newRowCase(rng, 8, 2, [2]int{5, 5})
+		requirePanicsUntouched(t, "w=9", rc, 9)
+	})
+}
+
+// requirePanicsUntouched calls addRows on rc at width w, folding, and
+// requires a panic with every row and cumulative cell as it was.
+func requirePanicsUntouched(t *testing.T, where string, rc *rowCase, w int) {
+	t.Helper()
+	rows, cum := append([]float64(nil), rc.rows...), append([]float64(nil), rc.cum...)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: did not panic", where)
+			}
+		}()
+		addRows(rc.jobs, rc.hops, rc.run, rc.tab, rc.rows, rc.cum, w, rc.at, rc.str)
+	}()
+	requireBits(t, where+": rows", rc.rows, rows)
+	requireBits(t, where+": cum", rc.cum, cum)
 }

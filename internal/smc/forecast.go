@@ -2,6 +2,7 @@ package smc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -26,29 +27,29 @@ import (
 // pointer with copy-on-write builds, so cache hits — the overwhelming
 // majority of reads once a model is warm, and *every* read when a
 // shared modelcache serves parallel sweep cells — take no lock at all.
-// The model mutex only serializes the builds themselves. The
-// fresh-profile DP runs over one flat []float64 with stride indexing,
-// and compiles each state's departures once per build into a flat hop
-// list, so a minute's step has no zero to skip and no table to search.
-// One kernel call per row (addRow) takes a state's live hops over its
-// n cells held in registers and folds the finished row into the
-// cumulative table; rows wider than eight are cut into even chunks. A
-// forecast's departure sum goes through the same kernel.
+// The model mutex only serializes the builds themselves. The DP runs
+// over one flat []float64 and compiles each state's departures once per
+// build into a flat hop list, so a minute's step has no zero to skip
+// and no table to search. One kernel call (addRows) finishes every
+// state's row of a minute, each row's cells held in registers and
+// folded into the cumulative table before they leave them; the Go loop
+// per minute only grows each state's live hop prefix, reads its
+// survival term and checks every offset the kernel will touch. A
+// forecast's departure sum is the same kernel, one row.
 //
-// On amd64 the kernel is SSE2 assembly (fold_amd64.s): each hop's
-// weight is broadcast once and two cells share each packed multiply
-// and add. On storage-scale models (four to six states, 50–60 live hops
-// a row) that builds the profiles 1.5 to 2 times as fast as scalar Go
-// (BenchmarkForecastFreshBuild), which per-hop loads, bounds checks and
-// a multiply-add per cell held back; the assembly waits on each cell's
-// add latency instead. Other architectures and the purego tag run a
-// plain Go loop (fold_generic.go). The lanes are exact: a packed MULPD
-// or ADDPD rounds each lane as MULSD or ADDSD would, nothing is fused,
-// and Go keeps the default rounding mode. The hops are in the order the
-// original per-minute slices added their terms — sojourn ascending,
-// then destination ascending — and every cell adds them to its survival
-// term in that order, so every forecast stays bit-identical on every
-// build (TestFreshMatchesReference, TestAddRowMatchesLoop).
+// On amd64 with AVX (CPUID and XGETBV, read once) the kernel is
+// assembly (fold_amd64.s): a row of up to eight cells is two 4-lane
+// halves, and rows go two at a time, their hop lists in lockstep. Each
+// cell's sum is a serial chain of adds, one per live hop (40–65 a row),
+// so wider lanes leave one row waiting on add latency; a second,
+// independent row fills the wait. Rows under four cells, CPUs without
+// AVX, other architectures and the purego tag run a plain Go loop
+// (fold_generic.go). Exact: a VMULPD or VADDPD lane rounds as MULSD or
+// ADDSD would, nothing is fused, and every cell adds its hops to its
+// survival term in the order the original per-minute slices did —
+// sojourn ascending, then destination — so pairing rows changes which
+// cells share a pass, never the order of one cell's sum
+// (TestFreshMatchesReference, TestAddRowMatchesLoop, both kernels).
 
 // stateDist is an occupancy vector over the model's price states.
 type stateDist []float64
@@ -118,6 +119,18 @@ func (c *survivalCursor) at(a int64) float64 {
 	return c.sd.survival[c.x-1]
 }
 
+// holds returns the last age through which at keeps the value it
+// returned for a, the last age read.
+func (c *survivalCursor) holds(a int64) int64 {
+	switch {
+	case c.x < len(c.sd.durations):
+		return c.sd.durations[c.x]
+	case c.x > 0 && a <= c.sd.maxDur+1:
+		return c.sd.maxDur + 1
+	}
+	return math.MaxInt64
+}
+
 // hop is one term of a state's fresh-entry recursion: leaving after d
 // minutes for some destination adds wg times the destination's own
 // fresh occupancy d minutes earlier. A forecast's departure terms are
@@ -129,22 +142,22 @@ type hop struct {
 }
 
 // freshScratch is the working memory of one fresh-profile build: the
-// per-minute occupancy table, the compiled hop lists and each state's
-// run of live hops. Only the cumulative table outlives a build, so the
-// scratch is pooled across builds and models. A build writes every cell
-// of the table before it reads it, and clears the runs, so what an
-// earlier build left there does not matter.
+// per-minute occupancy table, the compiled hop lists and the kernel's
+// row jobs. Only the cumulative table outlives a build, so the scratch
+// is pooled across builds and models. A build writes every cell of the
+// table before it reads it, and sets every job, so what an earlier
+// build left there does not matter.
 type freshScratch struct {
 	occ  []float64
 	hops []hop
-	live []hopRun
+	jobs []rowJob
 }
 
 var freshScratchPool = sync.Pool{New: func() any { return new(freshScratch) }}
 
-// hopRun counts a list of hops and bounds their sources: the kernel
-// reads tab[src+at:][:len(row)] for every hop, so the least and the
-// greatest src check every offset a row reads with two comparisons.
+// hopRun bounds the sources of a set of hops: the kernel reads
+// tab[src+at:][:w] for every hop, so the least and the greatest src
+// check every offset a call reads with two comparisons.
 type hopRun struct {
 	n, lo, hi int
 }
@@ -156,32 +169,43 @@ func (r *hopRun) add(src int) {
 	r.lo, r.hi, r.n = min(r.lo, src), max(r.hi, src), r.n+1
 }
 
-// addRow adds every hop's term to the cells of a row — wg times the
-// same cells of tab at the hop's src+at, each cell summing its terms in
-// hop order — and, when next is non-nil, folds the finished row into
-// the cumulative profile: next = prev + row. lo and hi are the least
-// and greatest src among the hops; a read outside tab panics here,
-// before the kernel runs. The kernel takes one to eight cells at a
-// time, all of them in registers; a wider row is cut into as few such
-// chunks as cover it, sized evenly (nine cells are 5 + 4, never 8 + 1:
-// a pass costs the same whether it carries one cell or four).
-func addRow(row, prev, next []float64, hops []hop, lo, hi int, tab []float64, at int) {
-	if len(hops) > 0 && (lo+at < 0 || hi+at+len(row) > len(tab)) {
-		panic(fmt.Sprintf("smc: hop sources [%d, %d] + %d read outside a table of %d cells", lo, hi+len(row)-1, at, len(tab)))
+// rowJob is one row of a kernel call: w cells at rows[row+at:] that
+// add the terms hops[first:][:n], each wg times the w cells of tab at
+// its src+at. A call with a cumulative table folds: the row starts as
+// surv in cell lane (-1: none) and 0 elsewhere, and the finished row
+// is folded in, cum[cum+at+stride:] = cum[cum+at:] + row. A call
+// without one adds the terms to what the row holds.
+type rowJob struct {
+	first, n, row, cum, lane int
+	surv                     float64
+}
+
+// addRows fills every job's row, each cell summing its terms in hop
+// order; run bounds the sources of every hop the jobs add. Every offset
+// the kernel will touch is checked first: a bad one panics before it
+// runs. Rows hold one to eight cells; callers cut wider ones by rowChunk.
+func addRows(jobs []rowJob, hops []hop, run hopRun, tab, rows, cum []float64, w, at, stride int) {
+	fold := len(cum) > 0
+	lastRow, lastCum := len(rows)-w, len(cum)-w-stride // the last offsets a row and a prev may take
+	bad := w < 1 || w > 8 || lastRow < 0 || fold && (stride < w || lastCum < 0) ||
+		run.n > 0 && (run.lo+at < 0 || run.hi+at+w > len(tab))
+	for _, j := range jobs {
+		bad = bad || uint(j.first) > uint(len(hops)) || uint(j.n) > uint(len(hops)-j.first) || uint(j.row+at) > uint(lastRow) ||
+			fold && (uint(j.lane+1) > uint(w) || uint(j.cum+at) > uint(lastCum))
 	}
-	for len(row) > 0 {
-		w := len(row)
-		if w > 8 {
-			chunks := (w + 7) / 8
-			w = (w + chunks - 1) / chunks
-		}
-		var p, q []float64
-		if next != nil {
-			p, q, prev, next = prev[:w], next[:w], prev[w:], next[w:]
-		}
-		addHops(row[:w], p, q, hops, tab, at)
-		row, at = row[w:], at+w
+	if bad {
+		panic(fmt.Sprintf("smc: a %d-cell row kernel at %d reads outside its tables (hop sources [%d, %d], %d jobs)", w, at, run.lo, run.hi, len(jobs)))
 	}
+	rowKernel(jobs, hops, tab, rows, cum, w, at, stride)
+}
+
+// rowChunk returns the width of the next chunk of a row with left
+// cells to go: all of them up to eight, else as few chunks as cover
+// them, sized evenly (nine cells are 5 + 4, never 8 + 1: a pass costs
+// the same whether it carries one cell or four).
+func rowChunk(left int) int {
+	chunks := (left + 7) / 8
+	return (left + chunks - 1) / chunks
 }
 
 // hopBuf gathers a forecast's departure terms on the stack and hands
@@ -208,7 +232,11 @@ func (b *hopBuf) flush() {
 	for _, hp := range b.hops[:b.n] {
 		run.add(hp.src)
 	}
-	addRow(b.row, nil, nil, b.hops[:b.n], run.lo, run.hi, b.tab, 0)
+	job := [1]rowJob{{n: b.n}}
+	for at, w := 0, 0; at < len(b.row); at += w {
+		w = rowChunk(len(b.row) - at)
+		addRows(job[:], b.hops[:b.n], run, b.tab, b.row, nil, w, at, 0)
+	}
 	b.n = 0
 }
 
@@ -245,10 +273,13 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	// state i's hops begin.
 	first := make([]int, n+1)
 	hops := sc.hops[:0]
-	surv := make([]survivalCursor, n) // read at t+1 in the pass below
+	states := make([]struct {
+		surv survivalCursor // read at t+1 in the pass below
+		due  int64          // the next minute the term or the live hops change
+	}, n)
 	for i := range m.soj {
 		sd := &m.soj[i]
-		surv[i].sd = sd
+		states[i].surv.sd = sd
 		for x, d := range sd.durations {
 			if d >= horizon {
 				break
@@ -264,28 +295,47 @@ func (m *Model) buildFresh(horizon int64, sc *freshScratch) *freshProfiles {
 	// occ[(i*h+t)*n + s] is the minute-t occupancy of state s after
 	// entering state i. Minute t only reads minutes before t (every
 	// sojourn is at least a minute) and writes its own rows whole, so
-	// one pass in t fills the table, and each finished row is folded
-	// into the cumulative profile.
+	// one pass in t fills the table, one call per row chunk; each
+	// finished row is folded into the cumulative profile. jobs[c*n+i] is
+	// state i's row in chunk c; its live hops (d <= t) prefix its list.
 	if cap(sc.occ) < n*h*n {
 		sc.occ = make([]float64, n*h*n)
 	}
 	occ := sc.occ[:n*h*n]
 	fp := &freshProfiles{horizon: horizon, n: n, cum: make([]float64, n*(h+1)*n)}
-	sc.live = append(sc.live[:0], make([]hopRun, n)...) // state i's hops with d <= t
-	live := sc.live
-	for t := 0; t < h; t++ {
-		for i := range surv {
-			row := occ[(i*h+t)*n:][:n]
-			clear(row)
-			// Still in the entered state through minute t iff K >= t+1.
-			row[i] = surv[i].at(int64(t) + 1)
-			// Departures at minute d <= t hand off to fresh profiles.
-			hs, lr := hops[first[i]:first[i+1]], &live[i]
-			for lr.n < len(hs) && hs[lr.n].d <= t {
-				lr.add(hs[lr.n].src)
+	sc.jobs = append(sc.jobs[:0], make([]rowJob, (n+7)/8*n)...)
+	jobs := sc.jobs
+	for c, at, w := 0, 0, 0; at < n; c, at = c+1, at+w {
+		w = rowChunk(n - at)
+		for i := 0; i < n; i++ {
+			jobs[c*n+i] = rowJob{first: first[i], row: i * h * n, cum: i * (h + 1) * n, lane: -1}
+			if i >= at && i < at+w {
+				jobs[c*n+i].lane = i - at
 			}
-			cum := fp.cum[(i*(h+1)+t)*n:][:2*n]
-			addRow(row, cum[:n], cum[n:], hs[:lr.n], lr.lo, lr.hi, occ, t*n)
+		}
+	}
+	var run hopRun // every live hop
+	for t := 0; t < h; t++ {
+		for i := range states {
+			st, j := &states[i], &jobs[i]
+			if int64(t) < st.due {
+				continue
+			}
+			for j.first+j.n < first[i+1] && hops[j.first+j.n].d <= t {
+				run.add(hops[j.first+j.n].src)
+				j.n++
+			}
+			// Still in the entered state through minute t iff K >= t+1,
+			// a term that holds through age due; no hop goes live sooner.
+			j.surv = st.surv.at(int64(t) + 1)
+			st.due = st.surv.holds(int64(t) + 1)
+			for c := i + n; c < len(jobs); c += n {
+				jobs[c].n, jobs[c].surv = j.n, j.surv
+			}
+		}
+		for c, at, w := 0, 0, 0; at < n; c, at = c+1, at+w {
+			w = rowChunk(n - at)
+			addRows(jobs[c*n:][:n], hops, run, occ, occ, fp.cum, w, t*n+at, n)
 		}
 	}
 	return fp
@@ -367,10 +417,7 @@ func (m *Model) Forecast(cur market.Money, age, horizon int64) (*Forecast, error
 		}
 		var held float64 // tot[i] is 0 until here
 		for a, end := age+1, age+stay; a <= end; {
-			q, hi := surv.at(a)/condSurv, end
-			if surv.x < len(sd.durations) {
-				hi = min(hi, sd.durations[surv.x])
-			}
+			q, hi := surv.at(a)/condSurv, min(end, surv.holds(a))
 			for ; a <= hi; a++ {
 				held += q
 			}

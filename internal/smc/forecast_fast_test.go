@@ -45,51 +45,54 @@ func refModelOn(t *testing.T, tr *trace.Trace) *refModel {
 
 // TestForecastMatchesReference pins the flat-matrix DP and suffix-sum
 // read path bit-identical to the pre-rewrite slice-of-slices
-// implementation, across seeds, horizons, and run ages.
+// implementation, across seeds, horizons, and run ages, with every row
+// kernel the binary can run.
 func TestForecastMatchesReference(t *testing.T) {
-	for _, seed := range []uint64{1, 5, 42, 2014} {
-		m, tr := fastTestModel(t, seed, 13)
-		rm := refModelOn(t, tr)
-		cur := tr.PriceAt(tr.End - 1)
-		for _, horizon := range []int64{1, 60, 180, 360} {
-			for _, age := range []int64{1, 5, 77, 500, 3 * 24 * 60} {
-				got, err := m.Forecast(cur, age, horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refForecast(rm, cur, age, horizon)
-				if len(got.avgOcc) != len(want.avgOcc) {
-					t.Fatalf("seed %d h=%d age=%d: %d states, want %d",
-						seed, horizon, age, len(got.avgOcc), len(want.avgOcc))
-				}
-				for s := range got.avgOcc {
-					if got.avgOcc[s] != want.avgOcc[s] {
-						t.Fatalf("seed %d h=%d age=%d: avgOcc[%d] = %v, want %v (diff %g)",
-							seed, horizon, age, s, got.avgOcc[s], want.avgOcc[s],
-							got.avgOcc[s]-want.avgOcc[s])
+	forEachKernel(t, func(t *testing.T) {
+		for _, seed := range []uint64{1, 5, 42, 2014} {
+			m, tr := fastTestModel(t, seed, 13)
+			rm := refModelOn(t, tr)
+			cur := tr.PriceAt(tr.End - 1)
+			for _, horizon := range []int64{1, 60, 180, 360} {
+				for _, age := range []int64{1, 5, 77, 500, 3 * 24 * 60} {
+					got, err := m.Forecast(cur, age, horizon)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				// Failure probabilities bit-identical at every level, at
-				// midpoints between levels, and outside the learned range.
-				probe := []market.Money{0, got.prices[0] - 1}
-				for i, p := range got.prices {
-					probe = append(probe, p)
-					if i+1 < len(got.prices) {
-						probe = append(probe, (p+got.prices[i+1])/2)
+					want := refForecast(rm, cur, age, horizon)
+					if len(got.avgOcc) != len(want.avgOcc) {
+						t.Fatalf("seed %d h=%d age=%d: %d states, want %d",
+							seed, horizon, age, len(got.avgOcc), len(want.avgOcc))
 					}
-				}
-				probe = append(probe, got.prices[len(got.prices)-1]+1000)
-				for _, bid := range probe {
-					if g, w := got.FailureProbability(bid, 0.01), refFailureProbability(want, bid, 0.01); g != w {
-						t.Fatalf("seed %d h=%d age=%d bid=%v: FP %v, want %v", seed, horizon, age, bid, g, w)
+					for s := range got.avgOcc {
+						if got.avgOcc[s] != want.avgOcc[s] {
+							t.Fatalf("seed %d h=%d age=%d: avgOcc[%d] = %v, want %v (diff %g)",
+								seed, horizon, age, s, got.avgOcc[s], want.avgOcc[s],
+								got.avgOcc[s]-want.avgOcc[s])
+						}
 					}
-					if g, w := outOfBidFraction(got, bid), refOutOfBidFraction(want, bid); g != w {
-						t.Fatalf("seed %d h=%d age=%d bid=%v: out %v, want %v", seed, horizon, age, bid, g, w)
+					// Failure probabilities bit-identical at every level, at
+					// midpoints between levels, and outside the learned range.
+					probe := []market.Money{0, got.prices[0] - 1}
+					for i, p := range got.prices {
+						probe = append(probe, p)
+						if i+1 < len(got.prices) {
+							probe = append(probe, (p+got.prices[i+1])/2)
+						}
+					}
+					probe = append(probe, got.prices[len(got.prices)-1]+1000)
+					for _, bid := range probe {
+						if g, w := got.FailureProbability(bid, 0.01), refFailureProbability(want, bid, 0.01); g != w {
+							t.Fatalf("seed %d h=%d age=%d bid=%v: FP %v, want %v", seed, horizon, age, bid, g, w)
+						}
+						if g, w := outOfBidFraction(got, bid), refOutOfBidFraction(want, bid); g != w {
+							t.Fatalf("seed %d h=%d age=%d bid=%v: out %v, want %v", seed, horizon, age, bid, g, w)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestStationaryMatchesSuffixTable pins that Stationary's Forecast

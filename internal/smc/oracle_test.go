@@ -415,81 +415,86 @@ func requireFreshEqual(t *testing.T, where string, got *freshProfiles, want []fl
 
 // TestFreshMatchesReference pins the hop-compiled fresh-entry DP to the
 // dense-scan one, cell for cell of the cumulative table, on seeded
-// random models of one to thirteen states — every row kernel, the plain
-// loop below four cells and the chunked rows above eight — at a first
-// horizon and then at a longer one on the same model, which rebuilds
-// the profiles with the pooled scratch already dirty.
+// random models of one to thirteen states — with the AVX kernel and the
+// Go loop, the loop alone below four cells and chunked rows above
+// eight — at a first horizon and then at a longer one on the same
+// model, which rebuilds the profiles with the pooled scratch already
+// dirty.
 func TestFreshMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2014))
-	horizons := []int64{1, 60, 360, 720, 1000}
-	merged, absorbing := 0, 0
-	const models, widths = 260, 13
-	var perWidth [widths + 1]int
-	for trial := 0; trial < models; trial++ {
-		n := 1 + trial%widths
-		perWidth[n]++
-		m, rm := randomModel(rng, n)
-		for i := range m.prices {
-			if len(rm.kernel[i]) > 96 {
-				merged++
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2014))
+		horizons := []int64{1, 60, 360, 720, 1000}
+		merged, absorbing := 0, 0
+		const models, widths = 260, 13
+		var perWidth [widths + 1]int
+		for trial := 0; trial < models; trial++ {
+			n := 1 + trial%widths
+			perWidth[n]++
+			m, rm := randomModel(rng, n)
+			for i := range m.prices {
+				if len(rm.kernel[i]) > 96 {
+					merged++
+				}
+				if m.out[i] == 0 {
+					absorbing++
+				}
 			}
-			if m.out[i] == 0 {
-				absorbing++
+			first := (trial / widths) % 4
+			for _, h := range []int64{horizons[first], horizons[first+1]} {
+				got := m.fresh(h)
+				if got.horizon != h || got.n != n {
+					t.Fatalf("trial %d: profiles for horizon %d over %d states, want %d over %d", trial, got.horizon, got.n, h, n)
+				}
+				requireFreshEqual(t, fmt.Sprintf("trial %d (n=%d) h=%d", trial, n, h), got, refFresh(rm, h))
 			}
 		}
-		first := (trial / widths) % 4
-		for _, h := range []int64{horizons[first], horizons[first+1]} {
-			got := m.fresh(h)
-			if got.horizon != h || got.n != n {
-				t.Fatalf("trial %d: profiles for horizon %d over %d states, want %d over %d", trial, got.horizon, got.n, h, n)
+		for n, models := range perWidth[1:] {
+			if models < 20 {
+				t.Fatalf("%d models of %d states, want at least 20 at every width", models, n+1)
 			}
-			requireFreshEqual(t, fmt.Sprintf("trial %d (n=%d) h=%d", trial, n, h), got, refFresh(rm, h))
 		}
-	}
-	for n, models := range perWidth[1:] {
-		if models < 20 {
-			t.Fatalf("%d models of %d states, want at least 20 at every width", models, n+1)
+		if merged < 50 || absorbing < 50 {
+			t.Fatalf("%d merged and %d absorbing states over %d models: the generator no longer covers them", merged, absorbing, models)
 		}
-	}
-	if merged < 50 || absorbing < 50 {
-		t.Fatalf("%d merged and %d absorbing states over %d models: the generator no longer covers them", merged, absorbing, models)
-	}
+	})
 }
 
 // TestFreshIgnoresScratchContents: a build reads no cell of its scratch
 // that it has not written, so what the pool hands it — here NaN in
-// every cell and hop and nonsense in every live-hop run, then whatever
+// every cell and hop and nonsense in every row job, then whatever
 // a wider and longer build left behind — changes no bit of the
 // profiles.
 func TestFreshIgnoresScratchContents(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	build := func(m *Model, h int64, sc *freshScratch) *freshProfiles {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.buildFresh(h, sc)
-	}
-	for _, n := range []int{1, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
-		m, rm := randomModel(rng, n)
-		const h = 150
-		want := refFresh(rm, h)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		build := func(m *Model, h int64, sc *freshScratch) *freshProfiles {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.buildFresh(h, sc)
+		}
+		for _, n := range []int{1, 3, 4, 5, 6, 7, 8, 9, 10, 13} {
+			m, rm := randomModel(rng, n)
+			const h = 150
+			want := refFresh(rm, h)
 
-		sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096), live: make([]hopRun, 2*n)}
-		for c := range sc.occ {
-			sc.occ[c] = math.NaN()
-		}
-		for x := range sc.hops {
-			sc.hops[x] = hop{d: 1, src: -1 << 40, wg: math.NaN()}
-		}
-		for x := range sc.live {
-			sc.live[x] = hopRun{n: 4096, lo: -1 << 40, hi: 1 << 40}
-		}
-		requireFreshEqual(t, fmt.Sprintf("n=%d over NaN", n), build(m, h, sc), want)
+			sc := &freshScratch{occ: make([]float64, 2*n*h*n), hops: make([]hop, 4096), jobs: make([]rowJob, 4*n)}
+			for c := range sc.occ {
+				sc.occ[c] = math.NaN()
+			}
+			for x := range sc.hops {
+				sc.hops[x] = hop{d: 1, src: -1 << 40, wg: math.NaN()}
+			}
+			for x := range sc.jobs {
+				sc.jobs[x] = rowJob{first: -7, n: 4096, row: -1 << 40, cum: 1 << 40, lane: 99, surv: math.NaN()}
+			}
+			requireFreshEqual(t, fmt.Sprintf("n=%d over NaN", n), build(m, h, sc), want)
 
-		sc = new(freshScratch)
-		wide, _ := randomModel(rng, 13)
-		build(wide, 2*h, sc)
-		requireFreshEqual(t, fmt.Sprintf("n=%d over a larger build", n), build(m, h, sc), want)
-	}
+			sc = new(freshScratch)
+			wide, _ := randomModel(rng, 13)
+			build(wide, 2*h, sc)
+			requireFreshEqual(t, fmt.Sprintf("n=%d over a larger build", n), build(m, h, sc), want)
+		}
+	})
 }
 
 // TestFreshServesShorterHorizons pins the reuse a sweep dispatched

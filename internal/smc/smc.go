@@ -349,6 +349,10 @@ type Model struct {
 
 	mu       sync.Mutex                    // serializes profile builds
 	profiles atomic.Pointer[freshProfiles] // published fresh-entry occupancy cache
+
+	stationaryOnce sync.Once // Stationary computes once per model
+	stationary     *Forecast
+	stationaryErr  error
 }
 
 // Support summarizes how much training data backs each state — the

@@ -10,7 +10,14 @@ import "fmt"
 // μ_i the mean sojourn of state i. Absorbing states (never observed
 // departing) restart the chain from the overall destination marginal,
 // which keeps the iteration well-defined without biasing busy states.
+// The first call computes it, and every call on any goroutine returns
+// that one immutable Forecast (or error).
 func (m *Model) Stationary() (*Forecast, error) {
+	m.stationaryOnce.Do(func() { m.stationary, m.stationaryErr = m.computeStationary() })
+	return m.stationary, m.stationaryErr
+}
+
+func (m *Model) computeStationary() (*Forecast, error) {
 	n := len(m.prices)
 	if n == 0 {
 		return nil, fmt.Errorf("smc: empty model")

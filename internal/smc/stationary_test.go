@@ -2,6 +2,7 @@ package smc
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/market"
@@ -110,4 +111,49 @@ func TestStationaryMinimalBid(t *testing.T) {
 	if !ok || bid != pB {
 		t.Fatalf("MinimalBid = %v, %v; want B", bid, ok)
 	}
+}
+
+// TestStationaryConcurrentOnce: Stationary called on one model from
+// many goroutines at once is one computation — every caller, and every
+// later call, gets the same *Forecast — and that forecast has the bits
+// a fresh model trained on the same history computes.
+func TestStationaryConcurrentOnce(t *testing.T) {
+	m, tr := fastTestModel(t, 42, 13)
+	got := make([]*Forecast, 16)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			f, err := m.Stationary()
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = f
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if again, _ := m.Stationary(); again != got[0] {
+		t.Fatal("a later call returned a new forecast")
+	}
+	for g, f := range got {
+		if f != got[0] {
+			t.Fatalf("caller %d got forecast %p, caller 0 got %p", g, f, got[0])
+		}
+	}
+	e := NewEstimator(0)
+	e.Observe(tr)
+	fresh, err := e.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.computeStationary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBits(t, "avgOcc", got[0].avgOcc, want.avgOcc)
+	requireBits(t, "suffix", got[0].suffix, want.suffix)
 }
