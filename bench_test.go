@@ -15,7 +15,11 @@ import (
 	"repro/internal/trace"
 )
 
-func quickEnv() experiments.Env { return experiments.QuickEnv() }
+// quickEnv is a scaled-down environment: 6 training weeks, 1 replay
+// week.
+func quickEnv() experiments.Env {
+	return experiments.Env{Seed: 2014, TrainWeeks: 6, ReplayWeeks: 1}
+}
 
 // BenchmarkTable1Catalog regenerates Table 1.
 func BenchmarkTable1Catalog(b *testing.B) {

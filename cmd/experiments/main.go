@@ -11,18 +11,18 @@
 //	            [-chaos scenario] [-chaos-seed N]
 //	            [-events-out file.jsonl] [-manifest file.json [-spans-sample N]]
 //	experiments tournament [-strategies specs] [-scenarios names]
-//	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-epsilon F] [-j N]
+//	            [-seeds a,b,c] [-weeks N] [-train N] [-interval H] [-j N]
 //	            [-autoscale] [-json file] [-manifest file [-spans-sample N]] [-list]
 //
 // The tournament subcommand runs the strategy arena: every strategy of
 // the roster — a comma-separated -strategies list of specs, each naming
 // a family of the strategy table (-list prints them), or the shipped
-// arena roster — replays under every chaos scenario and seed,
-// and a leaderboard ranks them by availability bounds met, then mean
-// cost (see DESIGN.md §2.16). With -autoscale, every cell and the
-// clean baseline replay under a per-seed synthetic request-rate trace
-// (diurnal sinusoid plus flash crowds), so strategies are judged while
-// their fleets resize gradually (DESIGN.md §2.13).
+// arena roster — replays under every chaos scenario and seed at paper
+// length, and a leaderboard compares cost at equal down-minutes (see
+// DESIGN.md §2.16). With -autoscale, every cell replays under a
+// per-seed synthetic request-rate trace (diurnal sinusoid plus flash
+// crowds), so strategies are judged while their fleets resize
+// gradually (DESIGN.md §2.13).
 //
 // Everything from -seed down is the shared flag set of
 // internal/experiments.Flags — cmd/replay takes the same flags, the
@@ -51,7 +51,7 @@
 // rows a lenient read quarantined, and one record per replay cell, in
 // grid order and never merged, with its result and its cost/downtime
 // attribution (render with "analyze attribute"); with it the
-// tournament's leaderboard cites each missed scenario's worst cause.
+// tournament's JSON leaderboard cites each score's worst cause.
 // "-" sends an output to stdout, and several may share it.
 //
 // Provenance: -spans-sample N puts every Nth decision's provenance
@@ -83,7 +83,7 @@ func main() {
 		return
 	}
 	var o options
-	o.Register(flag.CommandLine, experiments.DefaultEnv())
+	o.Register(flag.CommandLine)
 	flag.StringVar(&o.run, "run", "all", "experiment to run: "+strings.Join(experiments.RunNames(), ", "))
 	flag.StringVar(&o.csv, "csv", "", "also write the sweep rows (figs 6-9) the selection replays as CSV to this file ('-' = stdout)")
 	flag.Parse()

@@ -13,8 +13,8 @@ import (
 
 // runTournament is the "experiments tournament" subcommand: the
 // strategy arena. Every roster strategy replays under every chaos
-// scenario and seed; the leaderboard ranks them by availability bounds
-// met, then mean cost.
+// scenario and seed at paper length; the leaderboard compares cost at
+// equal down-minutes.
 func runTournament(args []string) error {
 	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
 	cfg := experiments.DefaultTournamentConfig()
@@ -22,11 +22,10 @@ func runTournament(args []string) error {
 	fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
 	fs.String("seeds", "", "comma-separated replay seeds (default "+joinSeeds(cfg.Seeds)+")")
 	fs.Int64Var(&cfg.IntervalHours, "interval", cfg.IntervalHours, "bidding interval in hours (at least 1)")
-	fs.Float64Var(&cfg.Epsilon, "epsilon", cfg.Epsilon, "availability slack below the clean baseline (at least 0)")
-	fs.BoolVar(&cfg.Autoscale, "autoscale", false, "arm every cell (and the baseline) with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
+	fs.BoolVar(&cfg.Autoscale, "autoscale", false, "arm every cell with a per-seed synthetic diurnal+flash-crowd workload so fleets resize during the run")
 	jsonOut := fs.String("json", "", "write the leaderboard as JSON to this file ('-' = stdout)")
 	var shared experiments.Flags
-	shared.Register(fs, experiments.QuickEnv(), "weeks", "train", "j", "manifest", "spans-sample")
+	shared.Register(fs, "weeks", "train", "j", "manifest", "spans-sample")
 	list := fs.Bool("list", false, "list the strategy table's families and the builtin scenarios, then exit")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: experiments tournament [flags]")

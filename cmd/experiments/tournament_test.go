@@ -36,10 +36,10 @@ scenarios:
 	}
 }
 
-// TestTournamentFlagsRejected: -interval below 1 and a negative
-// -epsilon are errors, not silently replaced by the defaults.
+// TestTournamentFlagsRejected: -interval below 1 is an error, not
+// silently replaced by the default.
 func TestTournamentFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-interval", "0"}, {"-epsilon", "-0.5"}} {
+	for _, args := range [][]string{{"-interval", "0"}} {
 		if _, err := captured(t, func() error { return runTournament(args) }); err == nil {
 			t.Errorf("tournament %v: no error", args)
 		}

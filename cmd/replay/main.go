@@ -96,7 +96,7 @@ type options struct {
 
 func main() {
 	var o options
-	o.Register(flag.CommandLine, experiments.DefaultEnv())
+	o.Register(flag.CommandLine)
 	flag.StringVar(&o.strategy, "strategy", "jupiter", "strategy spec: jupiter, baseline, \"extra(2, 0.2)\", feedback, ... (one of "+strings.Join(experiments.Names(), ", ")+")")
 	flag.StringVar(&o.service, "service", "lock", "lock or storage")
 	flag.StringVar(&o.intervals, "interval", "1", "bidding interval in hours; comma-separate several to sweep them")

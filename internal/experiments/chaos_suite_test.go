@@ -22,8 +22,7 @@ import (
 // boundaries, so a mid-interval fault can structurally cost up to one
 // bidding interval of quorum (~180 accounted minutes at the quick
 // scale, ~0.018 of a week) before the next make-before-break repair.
-// The tournament judges its availability bound with the same slack.
-const chaosGuaranteeEpsilon = DefaultTournamentEpsilon
+const chaosGuaranteeEpsilon = 0.02
 
 // chaosQuickRun replays one quick-scale lock cell (6 train weeks, 1
 // replay week, 3h interval) under the given scenario — nil for a plain

@@ -111,11 +111,6 @@ func DefaultEnv() Env {
 	return Env{Seed: 2014, TrainWeeks: 13, ReplayWeeks: 11}
 }
 
-// QuickEnv is a scaled-down environment for benchmarks and smoke runs.
-func QuickEnv() Env {
-	return Env{Seed: 2014, TrainWeeks: 6, ReplayWeeks: 1}
-}
-
 // LockSpec is the distributed lock service deployment (§5.1.1/§5.2):
 // five m1.small replicas, majority quorum.
 func LockSpec() strategy.ServiceSpec {

@@ -8,6 +8,12 @@ import (
 	"repro/internal/market"
 )
 
+// QuickEnv is a scaled-down environment for tests: 6 training weeks,
+// 1 replay week.
+func QuickEnv() Env {
+	return Env{Seed: 2014, TrainWeeks: 6, ReplayWeeks: 1}
+}
+
 // quick returns a fast environment: 6 training weeks, 1 replay week.
 func quick() Env { return QuickEnv() }
 

@@ -61,10 +61,11 @@ type Flags struct {
 }
 
 // Register declares the shared flags on fs — all fourteen, or only
-// the named ones — bound to f's fields. def supplies the seed and scale
-// defaults (DefaultEnv for the paper's scale, QuickEnv for the arena).
-func (f *Flags) Register(fs *flag.FlagSet, def Env, only ...string) {
+// the named ones — bound to f's fields, with DefaultEnv's seed and
+// paper scale as their defaults.
+func (f *Flags) Register(fs *flag.FlagSet, only ...string) {
 	f.only = only
+	def := DefaultEnv()
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.Uint64Var(&f.Seed, "seed", def.Seed, "master seed for trace generation and replay")
 	all.Int64Var(&f.Train, "train", def.TrainWeeks, "training prefix in weeks (paper: ~13)")

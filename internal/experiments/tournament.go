@@ -1,24 +1,24 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/provenance"
-	"repro/internal/strategy"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // TournamentConfig shapes a strategy tournament: every strategy of the
 // roster replays under every chaos scenario and every seed, and the
-// per-cell results fold into a leaderboard. Env.Tournament takes it as
-// given; DefaultTournamentConfig holds the defaults. No list may repeat
-// an entry: a repeated seed or scenario would replay the same cells
-// twice and average them as if they were distinct.
+// per-cell results fold into a leaderboard at equal down-minutes.
+// Env.Tournament takes it as given; DefaultTournamentConfig holds the
+// defaults. No list may repeat an entry: a repeated seed or scenario
+// would replay the same cells twice and sum them as if distinct.
 type TournamentConfig struct {
 	// Specs is the roster as strategy specs ("jupiter", "extra(2, 0.2)",
 	// ...).
@@ -31,36 +31,25 @@ type TournamentConfig struct {
 	Seeds []uint64
 	// IntervalHours is the bidding interval, at least 1.
 	IntervalHours int64
-	// Epsilon is the availability slack below the clean on-demand
-	// baseline a strategy may keep and still "meet the bound" — the
-	// paper's Eq. 10 guarantee measured the way the chaos suite
-	// measures it; at least 0.
-	Epsilon float64
-	// Autoscale arms every cell — and the clean on-demand baseline —
-	// with a synthetic diurnal+flash-crowd request-rate trace generated
-	// per seed (workload.Generate), so the whole arena competes on
-	// traffic-driven gradual resizing instead of a fixed group size.
+	// Autoscale arms every cell with a synthetic diurnal+flash-crowd
+	// request-rate trace generated per seed (workload.Generate), so the
+	// whole arena competes on traffic-driven gradual resizing instead of
+	// a fixed group size.
 	Autoscale bool
 }
 
-// DefaultTournamentEpsilon is the default availability slack under
-// fault injection, matching the chaos guarantee suite: decisions land
-// only at interval boundaries, so a mid-interval fault can structurally
-// cost up to one bidding interval of quorum before the next
-// make-before-break repair.
-const DefaultTournamentEpsilon = 0.02
-
 // DefaultTournamentConfig is the shipped arena: the Jupiter family's
-// main variants, the paper's §5.2 comparisons and the rival strategies
-// from the literature, under every builtin scenario, over three
-// independent markets (the first is the seed every other experiment
-// uses), at the chaos suite's 3-hour interval.
+// main variants, the paper's §5.2 comparisons plus Extra(0, 1), and the
+// rival strategies from the literature, under every builtin scenario,
+// over three independent markets (the first is the seed every other
+// experiment uses), at the chaos suite's 3-hour interval.
 func DefaultTournamentConfig() TournamentConfig {
 	return TournamentConfig{
 		Specs: []string{
 			"jupiter",
 			"jupiter-adaptive",
 			"extra(2, 0.2)",
+			"extra(0, 1.0)",
 			"baseline",
 			"feedback",
 			"portfolio",
@@ -69,70 +58,61 @@ func DefaultTournamentConfig() TournamentConfig {
 		Scenarios:     chaos.BuiltinNames(),
 		Seeds:         []uint64{2014, 2015, 2016},
 		IntervalHours: 3,
-		Epsilon:       DefaultTournamentEpsilon,
 	}
 }
 
 // TournamentCell is one replay of the grid.
 type TournamentCell struct {
-	Strategy     string  `json:"strategy"`
-	Scenario     string  `json:"scenario"`
-	Seed         uint64  `json:"seed"`
-	CostDollars  float64 `json:"cost_dollars"`
-	Availability float64 `json:"availability"`
-	OutOfBid     int     `json:"out_of_bid"`
+	Strategy    string  `json:"strategy"`
+	Scenario    string  `json:"scenario"`
+	Seed        uint64  `json:"seed"`
+	CostDollars float64 `json:"cost_dollars"`
+	DownMinutes int64   `json:"down_minutes"`
+	OutOfBid    int     `json:"out_of_bid"`
 }
 
-// ScenarioScore aggregates one strategy's cells under one scenario
-// across the seed list.
+// ScenarioScore sums one strategy's cells under one scenario over the
+// seed list.
 type ScenarioScore struct {
-	Scenario         string  `json:"scenario"`
-	MeanCostDollars  float64 `json:"mean_cost_dollars"`
-	MeanAvailability float64 `json:"mean_availability"`
-	// MeetsBound is the availability verdict: mean availability at
-	// least the clean baseline's minus epsilon.
-	MeetsBound bool `json:"meets_bound"`
+	Scenario    string  `json:"scenario"`
+	CostDollars float64 `json:"cost_dollars"`
+	DownMinutes int64   `json:"down_minutes"`
+	// Cheaper names the cheapest other roster entry with no more
+	// down-minutes under this scenario, and Saving how much less it
+	// spends; an empty Cheaper puts this entry on the scenario's
+	// frontier.
+	Cheaper string  `json:"cheaper,omitempty"`
+	Saving  float64 `json:"saving_dollars,omitempty"`
 	// WorstCause, when the run's sink kept ledgers (-manifest), names
 	// the attribution cause with the most downtime minutes under this
 	// scenario, over its seeds ("" when the strategy had none).
 	WorstCause string `json:"worst_cause,omitempty"`
 }
 
-// TournamentRow is one strategy's leaderboard line.
+// TournamentRow is one strategy's leaderboard line; its cost and
+// down-minutes are summed over every scenario and seed.
 type TournamentRow struct {
-	Rank     int    `json:"rank"`
 	Strategy string `json:"strategy"`
 	Spec     string `json:"spec"`
-	// ScenariosMet counts scenarios whose availability bound held.
-	ScenariosMet     int             `json:"scenarios_met"`
-	MeanCostDollars  float64         `json:"mean_cost_dollars"`
-	MeanAvailability float64         `json:"mean_availability"`
-	Scenarios        []ScenarioScore `json:"scenarios"`
-	// DominatedOn lists scenarios where Jupiter Pareto-dominates this
-	// strategy: no dearer and no less available, strictly better in one.
-	DominatedOn []string `json:"dominated_on,omitempty"`
-	// BeatsJupiterOn lists scenarios where this strategy meets the
-	// bound at strictly lower mean cost than Jupiter.
-	BeatsJupiterOn []string `json:"beats_jupiter_on,omitempty"`
+	// Frontier counts the scenarios where no other entry is cheaper at
+	// no more down-minutes.
+	Frontier    int             `json:"frontier"`
+	CostDollars float64         `json:"cost_dollars"`
+	DownMinutes int64           `json:"down_minutes"`
+	Scenarios   []ScenarioScore `json:"scenarios"`
 }
 
-// TournamentResult is the full outcome: config echo, the availability
-// bound, the ranked leaderboard, and the raw cell grid. Marshalling it
-// is deterministic — every slice is explicitly ordered and nothing is
+// TournamentResult is the full outcome: config echo, the leaderboard
+// in rule order, and the raw cell grid. Marshalling it is
+// deterministic — every slice is explicitly ordered and nothing is
 // stamped with wall-clock time.
 type TournamentResult struct {
-	Service       string   `json:"service"`
-	IntervalHours int64    `json:"interval_hours"`
-	Epsilon       float64  `json:"epsilon"`
-	Seeds         []uint64 `json:"seeds"`
-	Scenarios     []string `json:"scenarios"`
-	// BaselineAvailability is the clean (chaos-free) on-demand
-	// baseline's mean availability over the seeds; the bound every
-	// scenario score is judged against is this minus Epsilon.
-	BaselineAvailability float64          `json:"baseline_availability"`
-	Bound                float64          `json:"bound"`
-	Rows                 []TournamentRow  `json:"rows"`
-	Cells                []TournamentCell `json:"cells"`
+	Service       string           `json:"service"`
+	IntervalHours int64            `json:"interval_hours"`
+	Seeds         []uint64         `json:"seeds"`
+	Scenarios     []string         `json:"scenarios"`
+	Rows          []TournamentRow  `json:"rows"`
+	Cells         []TournamentCell `json:"cells"`
 }
 
 // JSON renders the leaderboard for machines (leaderboard.json).
@@ -145,20 +125,16 @@ func (r *TournamentResult) JSON() ([]byte, error) {
 }
 
 // Tournament replays every roster strategy under every chaos scenario
-// and seed — the strategy arena — and ranks them: most availability
-// bounds met first, mean cost as the tiebreaker. The Env's TrainWeeks,
-// ReplayWeeks, Jobs, and Models are honoured; its Seed, Chaos, Workload
-// and Observe are superseded by the grid coordinates. Grid cells report
-// to the Env's sink labelled with their scenario — one slot per cell in
-// grid order, so the manifest's records, spans included, are
-// byte-identical at any Jobs setting; the clean baseline replays stay
-// unrecorded.
+// and seed — the strategy arena — and compares cost at equal
+// down-minutes, summed over the seeds (see frontier). The Env's
+// TrainWeeks, ReplayWeeks, Jobs, and Models are honoured; its Seed,
+// Chaos, Workload and Observe are superseded by the grid coordinates.
+// Grid cells report to the Env's sink labelled with their scenario —
+// one slot per cell in grid order, so the manifest's records, spans
+// included, are byte-identical at any Jobs setting.
 func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	if cfg.IntervalHours < 1 {
 		return nil, fmt.Errorf("experiments: interval %d h below 1", cfg.IntervalHours)
-	}
-	if !(cfg.Epsilon >= 0) {
-		return nil, fmt.Errorf("experiments: epsilon %v below 0", cfg.Epsilon)
 	}
 	if len(cfg.Seeds) == 0 {
 		return nil, fmt.Errorf("experiments: no seeds")
@@ -194,14 +170,9 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	spec := LockSpec()
 
 	// Per-seed market histories, generated once and shared read-only by
-	// every cell of that seed; sc nil is the clean market.
+	// every cell of that seed.
 	sets := make(map[uint64]*trace.Set, len(seeds))
 	workloads := make(map[uint64]*workload.Trace, len(seeds))
-	cellAt := func(build strategy.Builder, sc *chaos.Scenario, name string, seed uint64) cell {
-		return cell{set: sets[seed], spec: spec, build: build, hours: hours, seed: seed,
-			chaos: sc, workload: workloads[seed], scenario: name}
-	}
-	var baseline []cell
 	for _, seed := range seeds {
 		se := e
 		se.Seed = seed
@@ -218,24 +189,7 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 				return nil, err
 			}
 		}
-		baseline = append(baseline, cellAt(func() strategy.Strategy { return strategy.OnDemand{} }, nil, "", seed))
 	}
-
-	// The availability bound: the clean on-demand baseline, per seed,
-	// chaos-free and unrecorded — what the paper's Eq. 10 guarantee
-	// promises to match.
-	clean := e
-	clean.sink = nil
-	base, err := clean.runGrid(baseline)
-	if err != nil {
-		return nil, err
-	}
-	var baseAvail float64
-	for _, res := range base {
-		baseAvail += res.Availability
-	}
-	baseAvail /= float64(len(seeds))
-	bound := baseAvail - cfg.Epsilon
 
 	// The grid, strategy-major so each strategy's cells are contiguous.
 	// One model cache serves it: chaos overlays and seeds salt the trace
@@ -246,7 +200,8 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	for _, build := range builders {
 		for ci := range scenarios {
 			for _, seed := range seeds {
-				grid = append(grid, cellAt(build, &scenarios[ci], scenarioNames[ci], seed))
+				grid = append(grid, cell{set: sets[seed], spec: spec, build: build, hours: hours, seed: seed,
+					chaos: &scenarios[ci], workload: workloads[seed], scenario: scenarioNames[ci]})
 			}
 		}
 	}
@@ -258,12 +213,12 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 	cells := make([]TournamentCell, len(grid))
 	for i, res := range results {
 		cells[i] = TournamentCell{
-			Strategy:     res.Strategy,
-			Scenario:     grid[i].scenario,
-			Seed:         grid[i].seed,
-			CostDollars:  res.Cost.Dollars(),
-			Availability: res.Availability,
-			OutOfBid:     res.OutOfBid,
+			Strategy:    res.Strategy,
+			Scenario:    grid[i].scenario,
+			Seed:        grid[i].seed,
+			CostDollars: res.Cost.Dollars(),
+			DownMinutes: res.DownMinutes,
+			OutOfBid:    res.OutOfBid,
 		}
 	}
 
@@ -279,128 +234,81 @@ func (e Env) Tournament(cfg TournamentConfig) (*TournamentResult, error) {
 			ledgers := true
 			for ki := 0; ki < nK; ki++ {
 				i := (si*nC+ci)*nK + ki
-				score.MeanCostDollars += cells[i].CostDollars
-				score.MeanAvailability += cells[i].Availability
+				score.CostDollars += cells[i].CostDollars
+				score.DownMinutes += cells[i].DownMinutes
 				a, ok := e.sink.attribution(results[i])
 				merged, ledgers = merged.Merge(a), ledgers && ok
 			}
-			score.MeanCostDollars /= float64(nK)
-			score.MeanAvailability /= float64(nK)
-			score.MeetsBound = score.MeanAvailability >= bound
 			if ledgers {
 				score.WorstCause = merged.WorstCause()
 			}
-			if score.MeetsBound {
-				row.ScenariosMet++
-			}
-			row.MeanCostDollars += score.MeanCostDollars
-			row.MeanAvailability += score.MeanAvailability
+			row.CostDollars += score.CostDollars
+			row.DownMinutes += score.DownMinutes
 			row.Scenarios = append(row.Scenarios, score)
 		}
-		row.MeanCostDollars /= float64(nC)
-		row.MeanAvailability /= float64(nC)
 		rows[si] = row
 	}
-
-	// Dominance annotations against the Jupiter row, when present.
-	if ji := rowIndex(rows, "Jupiter"); ji >= 0 {
-		for i := range rows {
-			if i == ji {
-				continue
-			}
-			for ci := range rows[i].Scenarios {
-				r, j := rows[i].Scenarios[ci], rows[ji].Scenarios[ci]
-				if j.MeanCostDollars <= r.MeanCostDollars && j.MeanAvailability >= r.MeanAvailability &&
-					(j.MeanCostDollars < r.MeanCostDollars || j.MeanAvailability > r.MeanAvailability) {
-					rows[i].DominatedOn = append(rows[i].DominatedOn, r.Scenario)
-				}
-				if r.MeetsBound && r.MeanCostDollars < j.MeanCostDollars {
-					rows[i].BeatsJupiterOn = append(rows[i].BeatsJupiterOn, r.Scenario)
-				}
-			}
-		}
-	}
-
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].ScenariosMet != rows[j].ScenariosMet {
-			return rows[i].ScenariosMet > rows[j].ScenariosMet
-		}
-		if rows[i].MeanCostDollars != rows[j].MeanCostDollars {
-			return rows[i].MeanCostDollars < rows[j].MeanCostDollars
-		}
-		return rows[i].Strategy < rows[j].Strategy
-	})
-	for i := range rows {
-		rows[i].Rank = i + 1
-	}
+	frontier(rows)
 
 	return &TournamentResult{
-		Service:              "lock",
-		IntervalHours:        hours,
-		Epsilon:              cfg.Epsilon,
-		Seeds:                seeds,
-		Scenarios:            scenarioNames,
-		BaselineAvailability: baseAvail,
-		Bound:                bound,
-		Rows:                 rows,
-		Cells:                cells,
+		Service:       "lock",
+		IntervalHours: hours,
+		Seeds:         seeds,
+		Scenarios:     scenarioNames,
+		Rows:          rows,
+		Cells:         cells,
 	}, nil
 }
 
-// rowIndex finds a leaderboard row by strategy name.
-func rowIndex(rows []TournamentRow, name string) int {
-	for i, r := range rows {
-		if r.Strategy == name {
-			return i
+// frontier applies the tournament's one rule. It sorts rows fewest
+// down-minutes first, then cheapest, then by name; then, under each
+// scenario, every score cites the cheapest other entry that spends
+// strictly less at no more down-minutes (on a tie in cost, the one
+// listed first) and counts toward its row's Frontier when there is
+// none. Every row must score the same scenarios in the same order.
+func frontier(rows []TournamentRow) {
+	slices.SortFunc(rows, func(a, b TournamentRow) int {
+		return cmp.Or(cmp.Compare(a.DownMinutes, b.DownMinutes), cmp.Compare(a.CostDollars, b.CostDollars),
+			strings.Compare(a.Strategy, b.Strategy))
+	})
+	for i := range rows {
+		for ci := range rows[i].Scenarios {
+			s, best := &rows[i].Scenarios[ci], -1
+			for j := range rows {
+				o := rows[j].Scenarios[ci]
+				if j != i && o.DownMinutes <= s.DownMinutes && o.CostDollars < s.CostDollars &&
+					(best < 0 || o.CostDollars < rows[best].Scenarios[ci].CostDollars) {
+					best = j
+				}
+			}
+			if best < 0 {
+				rows[i].Frontier++
+				continue
+			}
+			s.Cheaper, s.Saving = rows[best].Strategy, s.CostDollars-rows[best].Scenarios[ci].CostDollars
 		}
 	}
-	return -1
 }
 
-// RenderTournament renders the leaderboard as a text table with
-// dominance annotations.
+// RenderTournament renders the leaderboard as a text table. A row's
+// note lists, per scenario where it is off the frontier, the cheapest
+// entry with no more down-minutes and what it saves.
 func RenderTournament(r *TournamentResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy arena: %d strategies x %d scenarios x %d seeds, %dh interval\n",
 		len(r.Rows), len(r.Scenarios), len(r.Seeds), r.IntervalHours)
-	fmt.Fprintf(&b, "availability bound: %.6f (clean baseline %.6f - epsilon %.2f)\n\n",
-		r.Bound, r.BaselineAvailability, r.Epsilon)
-	fmt.Fprintf(&b, "%-4s %-18s %-10s %13s %13s  %s\n",
-		"rank", "strategy", "bound met", "mean cost $", "mean avail", "notes")
+	fmt.Fprintf(&b, "cost and down-minutes summed over the seeds; a note names the cheapest entry with no more down-minutes\n\n")
+	fmt.Fprintf(&b, "%-18s %-9s %11s %9s  %s\n", "strategy", "frontier", "cost $", "down-min", "notes")
 	for _, row := range r.Rows {
-		note := ""
-		switch {
-		case len(row.BeatsJupiterOn) > 0:
-			note = "beats Jupiter on " + strings.Join(row.BeatsJupiterOn, ", ")
-		case len(row.DominatedOn) == len(r.Scenarios) && len(r.Scenarios) > 0:
-			note = "dominated by Jupiter everywhere"
-		case len(row.DominatedOn) > 0:
-			note = "dominated by Jupiter on " + strings.Join(row.DominatedOn, ", ")
-		}
-		fmt.Fprintf(&b, "%-4d %-18s %6d/%-3d %13.2f %13.6f  %s\n",
-			row.Rank, row.Strategy, row.ScenariosMet, len(r.Scenarios),
-			row.MeanCostDollars, row.MeanAvailability, note)
-	}
-	var worst []string
-	for _, row := range r.Rows {
-		if row.ScenariosMet < len(r.Scenarios) {
-			var miss []string
-			for _, s := range row.Scenarios {
-				if !s.MeetsBound {
-					// With attribution on, cite the cause that cost the
-					// most downtime under the missed scenario.
-					if s.WorstCause != "" {
-						miss = append(miss, fmt.Sprintf("%s (worst cause: %s)", s.Scenario, s.WorstCause))
-					} else {
-						miss = append(miss, s.Scenario)
-					}
-				}
+		var notes []string
+		for _, s := range row.Scenarios {
+			if s.Cheaper != "" {
+				notes = append(notes, fmt.Sprintf("%s: %s $%.2f cheaper", s.Scenario, s.Cheaper, s.Saving))
 			}
-			worst = append(worst, fmt.Sprintf("%s misses %s", row.Strategy, strings.Join(miss, ", ")))
 		}
-	}
-	if len(worst) > 0 {
-		fmt.Fprintf(&b, "\nbound violations: %s\n", strings.Join(worst, "; "))
+		line := fmt.Sprintf("%-18s %6d/%-2d %11.2f %9d  %s", row.Strategy, row.Frontier, len(r.Scenarios),
+			row.CostDollars, row.DownMinutes, strings.Join(notes, "; "))
+		fmt.Fprintln(&b, strings.TrimRight(line, " "))
 	}
 	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -21,52 +20,156 @@ func quickTournament(t *testing.T, sink *Sink) *TournamentResult {
 	return res
 }
 
-// TestTournamentAcceptance is the arena's headline property: Jupiter
-// meets the availability bound on every scenario, and every rival
-// either violates the bound somewhere or pays more on average.
-func TestTournamentAcceptance(t *testing.T) {
+// TestTournamentFrontier checks the arena's one rule on the shipped
+// arena: every score sums its cells, cites the cheapest other entry
+// with no more down-minutes when there is one and none otherwise, every
+// scenario has a frontier, and rows come in rule order.
+func TestTournamentFrontier(t *testing.T) {
 	res := quickTournament(t, nil)
-	if len(res.Rows) < 6 {
-		t.Fatalf("roster of %d strategies, want >= 6", len(res.Rows))
-	}
-	if len(res.Scenarios) < 5 {
-		t.Fatalf("%d scenarios, want >= 5", len(res.Scenarios))
-	}
-	if len(res.Seeds) < 3 {
-		t.Fatalf("%d seeds, want >= 3", len(res.Seeds))
-	}
-	ji := rowIndex(res.Rows, "Jupiter")
-	if ji < 0 {
-		t.Fatal("no Jupiter row")
-	}
-	jup := res.Rows[ji]
-	if jup.ScenariosMet != len(res.Scenarios) {
-		var miss []string
-		for _, s := range jup.Scenarios {
-			if !s.MeetsBound {
-				miss = append(miss, s.Scenario)
-			}
-		}
-		t.Fatalf("Jupiter misses the availability bound on %s", strings.Join(miss, ", "))
-	}
-	brokenRival := false
-	for _, row := range res.Rows {
-		if row.Strategy == "Jupiter" {
-			continue
-		}
-		if row.ScenariosMet < len(res.Scenarios) || row.MeanCostDollars > jup.MeanCostDollars {
-			brokenRival = true
-		} else {
-			t.Errorf("rival %s meets every bound at mean cost %.2f <= Jupiter's %.2f",
-				row.Strategy, row.MeanCostDollars, jup.MeanCostDollars)
-		}
-	}
-	if !brokenRival {
-		t.Error("no rival violates a bound or costs more than Jupiter — the arena proves nothing")
+	nS, nC, nK := len(res.Rows), len(res.Scenarios), len(res.Seeds)
+	if nS < 8 || nC < 5 || nK < 3 {
+		t.Fatalf("%d strategies x %d scenarios x %d seeds, want at least 8 x 5 x 3", nS, nC, nK)
 	}
 	// The grid must be complete: every (strategy, scenario, seed) cell.
-	if want := len(res.Rows) * len(res.Scenarios) * len(res.Seeds); len(res.Cells) != want {
-		t.Fatalf("%d cells, want %d", len(res.Cells), want)
+	if len(res.Cells) != nS*nC*nK {
+		t.Fatalf("%d cells, want %d", len(res.Cells), nS*nC*nK)
+	}
+	type key struct{ strategy, scenario string }
+	cost, down, seen := map[key]float64{}, map[key]int64{}, map[key]int{}
+	for _, c := range res.Cells {
+		k := key{c.Strategy, c.Scenario}
+		cost[k] += c.CostDollars
+		down[k] += c.DownMinutes
+		seen[k]++
+	}
+	frontiers := make([]int, nC)
+	for i, row := range res.Rows {
+		if i > 0 {
+			p := res.Rows[i-1]
+			if p.DownMinutes > row.DownMinutes || p.DownMinutes == row.DownMinutes &&
+				(p.CostDollars > row.CostDollars || p.CostDollars == row.CostDollars && p.Strategy >= row.Strategy) {
+				t.Errorf("row %d (%s) listed after %s out of rule order", i+1, row.Strategy, p.Strategy)
+			}
+		}
+		var rowCost float64
+		var rowDown int64
+		frontier := 0
+		for ci, s := range row.Scenarios {
+			k := key{row.Strategy, s.Scenario}
+			if seen[k] != nK || s.CostDollars != cost[k] || s.DownMinutes != down[k] {
+				t.Errorf("%v: score $%.2f / %d min, its %d cells sum to $%.2f / %d min",
+					k, s.CostDollars, s.DownMinutes, seen[k], cost[k], down[k])
+			}
+			rowCost += s.CostDollars
+			rowDown += s.DownMinutes
+			// The cheapest entry with no more down-minutes, on a cost
+			// tie the one listed first.
+			cheapest, best := "", s.CostDollars
+			for _, o := range res.Rows {
+				os := o.Scenarios[ci]
+				if o.Strategy != row.Strategy && os.DownMinutes <= s.DownMinutes && os.CostDollars < best {
+					cheapest, best = o.Strategy, os.CostDollars
+				}
+			}
+			if saving := s.CostDollars - best; s.Cheaper != cheapest || s.Saving != saving {
+				t.Errorf("%v cites %q saving $%.2f, want %q saving $%.2f", k, s.Cheaper, s.Saving, cheapest, saving)
+			}
+			if s.Cheaper == "" {
+				frontier++
+				frontiers[ci]++
+			}
+		}
+		if row.CostDollars != rowCost || row.DownMinutes != rowDown || row.Frontier != frontier {
+			t.Errorf("%s: row $%.2f / %d min / frontier %d, its scores give $%.2f / %d min / %d",
+				row.Strategy, row.CostDollars, row.DownMinutes, row.Frontier, rowCost, rowDown, frontier)
+		}
+	}
+	for ci, n := range frontiers {
+		if n == 0 {
+			t.Errorf("scenario %s has no frontier entry", res.Scenarios[ci])
+		}
+	}
+}
+
+// TestFrontierRule pins the rule on hand-built scores: only a strictly
+// cheaper entry with no more down-minutes is cited, the cheapest of
+// them wins, and rows list fewest down-minutes, then cheapest, then by
+// name.
+func TestFrontierRule(t *testing.T) {
+	type entry struct {
+		name string
+		cost float64
+		down int64
+	}
+	for _, c := range []struct {
+		name    string
+		entries []entry
+		order   []string
+		cheaper map[string]string
+		saving  map[string]float64
+	}{
+		{
+			name:    "equal cost is not cheaper",
+			entries: []entry{{"A", 10, 5}, {"B", 10, 0}},
+			order:   []string{"B", "A"},
+		},
+		{
+			name:    "equal down-minutes at lower cost is",
+			entries: []entry{{"A", 10, 5}, {"B", 8, 5}},
+			order:   []string{"B", "A"},
+			cheaper: map[string]string{"A": "B"},
+			saving:  map[string]float64{"A": 2},
+		},
+		{
+			name:    "cheaper at more down-minutes is not",
+			entries: []entry{{"A", 10, 5}, {"B", 1, 6}},
+			order:   []string{"A", "B"},
+		},
+		{
+			name:    "the cheapest qualifying entry wins",
+			entries: []entry{{"A", 10, 5}, {"B", 7, 4}, {"C", 4, 5}, {"D", 1, 9}},
+			order:   []string{"B", "C", "A", "D"},
+			cheaper: map[string]string{"A": "C"},
+			saving:  map[string]float64{"A": 6},
+		},
+		{
+			name:    "a tie in cost goes to the entry listed first",
+			entries: []entry{{"A", 10, 5}, {"C", 4, 3}, {"B", 4, 3}},
+			order:   []string{"B", "C", "A"},
+			cheaper: map[string]string{"A": "B"},
+			saving:  map[string]float64{"A": 6},
+		},
+		{
+			name:    "identical scores are both on the frontier",
+			entries: []entry{{"B", 3, 2}, {"A", 3, 2}},
+			order:   []string{"A", "B"},
+		},
+	} {
+		var rows []TournamentRow
+		for _, e := range c.entries {
+			rows = append(rows, TournamentRow{Strategy: e.name, CostDollars: e.cost, DownMinutes: e.down,
+				Scenarios: []ScenarioScore{{Scenario: "calm", CostDollars: e.cost, DownMinutes: e.down}}})
+		}
+		frontier(rows)
+		var order []string
+		for _, row := range rows {
+			order = append(order, row.Strategy)
+			s := row.Scenarios[0]
+			if s.Cheaper != c.cheaper[row.Strategy] || s.Saving != c.saving[row.Strategy] {
+				t.Errorf("%s: %s cites %q saving %v, want %q saving %v", c.name, row.Strategy,
+					s.Cheaper, s.Saving, c.cheaper[row.Strategy], c.saving[row.Strategy])
+			}
+			want := 0
+			if s.Cheaper == "" {
+				want = 1
+			}
+			if row.Frontier != want {
+				t.Errorf("%s: %s frontier %d, want %d", c.name, row.Strategy, row.Frontier, want)
+			}
+		}
+		if got, want := strings.Join(order, ","), strings.Join(c.order, ","); got != want {
+			t.Errorf("%s: rows %s, want %s", c.name, got, want)
+		}
 	}
 }
 
@@ -98,10 +201,8 @@ func TestTournamentDeterminism(t *testing.T) {
 }
 
 // TestTournamentAutoscaledCell: the Autoscale option arms every cell
-// (and the baseline) with a per-seed synthetic workload; Jupiter must
-// still meet the availability bound on a flash-crowd scenario while
-// the fleet actually resizes, and the autoscaled run must differ from
-// the fixed-size one.
+// with a per-seed synthetic workload, so the autoscaled run must differ
+// from the fixed-size one, and it is as repeatable.
 func TestTournamentAutoscaledCell(t *testing.T) {
 	e := QuickEnv()
 	cfg := DefaultTournamentConfig()
@@ -115,16 +216,12 @@ func TestTournamentAutoscaledCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ji := rowIndex(auto.Rows, "Jupiter")
-	if ji < 0 {
-		t.Fatal("no Jupiter row")
+	// The grid is strategy-major, so each run's first cell is Jupiter's.
+	f, a := fixed.Cells[0], auto.Cells[0]
+	if a.Strategy != "Jupiter" {
+		t.Fatalf("first cell replays %s, want Jupiter", a.Strategy)
 	}
-	if met := auto.Rows[ji].ScenariosMet; met != len(auto.Scenarios) {
-		t.Errorf("autoscaled Jupiter meets %d/%d bounds", met, len(auto.Scenarios))
-	}
-	fi := rowIndex(fixed.Rows, "Jupiter")
-	if fixed.Rows[fi].MeanCostDollars == auto.Rows[ji].MeanCostDollars &&
-		fixed.Rows[fi].MeanAvailability == auto.Rows[ji].MeanAvailability {
+	if f.CostDollars == a.CostDollars && f.DownMinutes == a.DownMinutes {
 		t.Error("autoscaled cell identical to fixed-size cell: the workload never armed")
 	}
 	// Determinism: the autoscaled arena is as repeatable as the fixed one.
@@ -156,30 +253,12 @@ func TestTournamentScenarioLabel(t *testing.T) {
 	}
 }
 
-// TestTournamentZeroEpsilon: an epsilon of 0 is honoured, not replaced
-// by the default slack — the bound is the clean baseline itself.
-func TestTournamentZeroEpsilon(t *testing.T) {
-	res, err := QuickEnv().Tournament(TournamentConfig{
-		Specs: []string{"baseline"}, Scenarios: []string{"calm"}, Seeds: []uint64{2014},
-		IntervalHours: 3, Epsilon: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epsilon != 0 || res.Bound != res.BaselineAvailability {
-		t.Errorf("epsilon %v, bound %v, want 0 and the baseline's %v", res.Epsilon, res.Bound, res.BaselineAvailability)
-	}
-}
-
-// TestTournamentRejectsBadConfig: an interval below one hour, a
-// negative or NaN epsilon and an empty seed, strategy or scenario list
-// are errors.
+// TestTournamentRejectsBadConfig: an interval below one hour and an
+// empty seed, strategy or scenario list are errors.
 func TestTournamentRejectsBadConfig(t *testing.T) {
 	for name, edit := range map[string]func(*TournamentConfig){
 		"zero interval":     func(c *TournamentConfig) { c.IntervalHours = 0 },
 		"negative interval": func(c *TournamentConfig) { c.IntervalHours = -3 },
-		"negative epsilon":  func(c *TournamentConfig) { c.Epsilon = -0.01 },
-		"NaN epsilon":       func(c *TournamentConfig) { c.Epsilon = math.NaN() },
 		"no seeds":          func(c *TournamentConfig) { c.Seeds = nil },
 		"no strategies":     func(c *TournamentConfig) { c.Specs = nil },
 		"no scenarios":      func(c *TournamentConfig) { c.Scenarios = nil },
