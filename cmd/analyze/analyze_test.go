@@ -232,16 +232,19 @@ func TestExplainEmptyStream(t *testing.T) {
 // TestExplainMatchesTheSpansStream: explain over the manifest prints,
 // byte for byte, what it printed for the same cell's first decision
 // from the separate JSONL spans stream the manifest replaced. The pin
-// was recorded at commit 63d825d, the last with that stream: replay
-// -strategy jupiter-refine -interval 6 -weeks 1 -train 6 -seed 2014,
-// its spans written to s.jsonl, then "analyze explain -decision 1
-// s.jsonl".
+// was recorded at commit 63d825d, the last with that stream, from a
+// replay -interval 6 -weeks 1 -train 6 -seed 2014 of the Jupiter variant
+// with the heterogeneous-bid descent, its spans written to s.jsonl, then
+// "analyze explain -decision 1 s.jsonl". The descent saved $0 on that
+// decision; when it was deleted the pin lost the line reporting that and
+// took plain Jupiter's name, and commit 4dc6420 prints the file byte for
+// byte for -strategy jupiter.
 func TestExplainMatchesTheSpansStream(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "explain_jupiter_refine_decision1.txt"))
+	want, err := os.ReadFile(filepath.Join("testdata", "explain_jupiter_decision1.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, _ := record(t, "jupiter-refine", 6)
+	manifest, _ := record(t, "jupiter", 6)
 	var out bytes.Buffer
 	if err := runExplain([]string{"-decision", "1", manifest}, &out); err != nil {
 		t.Fatal(err)

@@ -216,11 +216,6 @@ func renderDecision(out io.Writer, run provenance.Stamp, ds []provenance.Span) {
 			market.Money(s.CostMicroUSD), market.Money(s.CurMicroUSD),
 			market.Money(s.AltMicroUSD), market.Money(s.AltCurMicroUSD))
 	}
-	for _, s := range byKind(ds, provenance.SpanRefine) {
-		saved := market.Money(s.AltMicroUSD - s.CostMicroUSD)
-		fmt.Fprintf(out, "refine: bid sum %s -> %s (saved %s)\n",
-			market.Money(s.AltMicroUSD), market.Money(s.CostMicroUSD), saved)
-	}
 
 	if bids := byKind(ds, provenance.SpanBid); len(bids) > 0 {
 		fmt.Fprintln(out, "\nchosen group:")

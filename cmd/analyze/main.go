@@ -30,8 +30,8 @@
 // `-spans-sample N`), one record picked by its stamp or by its index in
 // the manifest (`-record N`): the pools considered, the candidate group
 // sizes and their feasibility, the dominance rule that rejected the
-// losing candidate family, the refine descent, and the chosen bids with
-// their exact Eq. 10 availability margin.
+// losing candidate family, and the chosen bids with their exact Eq. 10
+// availability margin.
 //
 // The attribute subcommand renders the cost/downtime attribution
 // ledger — every billed cent and downtime minute in one (pool, cause)

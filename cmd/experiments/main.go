@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|fig1|fig4|fig5|fig6|fig7|fig8|fig9|headline|example3|ablation|adaptive|refine|weighted]
+//	experiments [-run all|table1|fig1|fig4|fig5|fig6|fig7|fig8|fig9|headline|example3|ablation|adaptive|weighted]
 //	            [-csv file] [-seed N] [-weeks N] [-train N] [-j N] [-model-stats]
 //	            [-types a,b,c] [-min-vcpu N] [-min-mem G]
 //	            [-trace file]

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,7 +17,7 @@ import (
 // scenario and seed at paper length; the leaderboard compares cost at
 // equal down-minutes.
 func runTournament(args []string) error {
-	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
+	fs := flag.NewFlagSet("tournament", flag.ContinueOnError)
 	cfg := experiments.DefaultTournamentConfig()
 	fs.String("strategies", "", "comma-separated strategy specs (default: the shipped arena roster); see -list")
 	fs.String("scenarios", "", "comma-separated chaos scenarios, builtin names or JSON files (default: every builtin)")
@@ -32,6 +33,9 @@ func runTournament(args []string) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage
+		}
 		return err
 	}
 	if *list {

@@ -10,7 +10,8 @@ import (
 // TestStrategyListingsUnchanged pins, byte for byte, the strategy block
 // of "tournament -list" and the family names replay's -strategy help
 // lists, as both printed before the strategy table replaced the plug-in
-// registry they were read from.
+// registry they were read from, less the refinement family deleted
+// since.
 func TestStrategyListingsUnchanged(t *testing.T) {
 	out, err := captured(t, func() error { return runTournament([]string{"-list"}) })
 	if err != nil {
@@ -23,26 +24,30 @@ func TestStrategyListingsUnchanged(t *testing.T) {
   feedback | feedback(epsilon) PI-controller bidding toward a target out-of-bid fraction (arXiv 1708.01391)
   jupiter              the paper's bidding framework: availability-model DP over bid levels (§3–4)
   jupiter-adaptive     jupiter wrapped with the volatility-driven interval chooser
-  jupiter-refine       jupiter with the §4.3 refinement pass over adjacent bid levels
   portfolio | portfolio(beta) optimized on-demand/spot portfolio under an expected-cost cap (arXiv 1811.12901)
 scenarios:
 `
 	if !strings.HasPrefix(out, want) {
 		t.Errorf("tournament -list prints\n%s\nwant it to start\n%s", out, want)
 	}
-	const names = "baseline, checkpoint, extra, feedback, jupiter, jupiter-adaptive, jupiter-refine, portfolio"
+	const names = "baseline, checkpoint, extra, feedback, jupiter, jupiter-adaptive, portfolio"
 	if got := strings.Join(experiments.Names(), ", "); got != names {
 		t.Errorf("replay -strategy help lists %q, want %q", got, names)
 	}
 }
 
 // TestTournamentFlagsRejected: -interval below 1 is an error, not
-// silently replaced by the default.
+// silently replaced by the default, and so are an unknown flag and a
+// malformed value, which return rather than exit the process; -h prints
+// the usage and is no error.
 func TestTournamentFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-interval", "0"}} {
+	for _, args := range [][]string{{"-interval", "0"}, {"-no-such-flag"}, {"-interval", "x"}} {
 		if _, err := captured(t, func() error { return runTournament(args) }); err == nil {
 			t.Errorf("tournament %v: no error", args)
 		}
+	}
+	if _, err := captured(t, func() error { return runTournament([]string{"-h"}) }); err != nil {
+		t.Errorf("tournament -h: %v", err)
 	}
 }
 

@@ -13,12 +13,12 @@
 //
 // -strategy takes a strategy spec, the same strings "experiments
 // tournament -strategies" takes: jupiter, baseline, "extra(2, 0.2)",
-// jupiter-refine, jupiter-adaptive, feedback, "portfolio(0.4)",
-// checkpoint, ... ("experiments tournament -list" prints every family
-// of the one strategy table, internal/experiments.Families). Any of
-// them can be replayed and attributed ("analyze attribute") one cell
-// at a time, and the Jupiter family's decisions traced (-spans-sample)
-// and explained ("analyze explain").
+// jupiter-adaptive, feedback, "portfolio(0.4)", checkpoint, ...
+// ("experiments tournament -list" prints every family of the one
+// strategy table, internal/experiments.Families). Any of them can be
+// replayed and attributed ("analyze attribute") one cell at a time, and
+// the Jupiter family's decisions traced (-spans-sample) and explained
+// ("analyze explain").
 //
 // -types widens the market into heterogeneous (zone × instance type)
 // pools: each listed type adds one correlated pool per zone (synthetic

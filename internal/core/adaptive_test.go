@@ -111,9 +111,7 @@ func TestJupiterFamilyImplementsTheSameExtensions(t *testing.T) {
 		{"modelcache.Consumer", func(s strategy.Strategy) bool { _, ok := s.(modelcache.Consumer); return ok }},
 		{"provenance.Consumer", func(s strategy.Strategy) bool { _, ok := s.(provenance.Consumer); return ok }},
 	}
-	refine := New()
-	refine.Refine = true
-	for _, s := range []strategy.Strategy{New(), refine, NewAdaptive()} {
+	for _, s := range []strategy.Strategy{New(), NewAdaptive()} {
 		for _, ext := range extensions {
 			if !ext.has(s) {
 				t.Errorf("%s (%T) does not implement %s", s.Name(), s, ext.name)

@@ -81,12 +81,6 @@ type Jupiter struct {
 
 	// Mode selects the failure estimator (ablation hook).
 	Mode EstimatorMode
-	// Refine enables the heterogeneous-bid descent after the Fig. 3
-	// algorithm: zone bids are lowered one price level at a time, in
-	// order of largest saving, as long as the exact heterogeneous
-	// quorum availability still meets the target. An extension beyond
-	// the paper's equalized targets.
-	Refine bool
 
 	// models is the model provider training is routed through: a
 	// private cache until UseModelCache points it at a shared one.
@@ -126,8 +120,7 @@ type Jupiter struct {
 }
 
 // baseObserver is engine.BaseObserver under a name that keeps the
-// embedded field unexported: Mode and Refine are Jupiter's only exported
-// fields.
+// embedded field unexported: Mode is Jupiter's only exported field.
 type baseObserver = engine.BaseObserver
 
 // The paper's fixed inputs to every decision: fp0 is the failure
@@ -213,12 +206,7 @@ func (j *Jupiter) invertFP(n, k int, target float64) (float64, bool) {
 }
 
 // Name implements strategy.Strategy.
-func (j *Jupiter) Name() string {
-	if j.Refine {
-		return "Jupiter+refine"
-	}
-	return "Jupiter"
-}
+func (j *Jupiter) Name() string { return "Jupiter" }
 
 // LastBidFailureProbabilities returns, for the zones chosen by the most
 // recent Decide, the estimated per-interval failure probability of each
@@ -272,7 +260,7 @@ func publishStage(view strategy.MarketView, now int64, stage degradeStage) {
 }
 
 // poolBid is a bid on a pool: its minimal adequate bid for some failure
-// target, until a rebid or the refinement descent moves it.
+// target, until a rebid moves it.
 type poolBid struct {
 	pool *poolSnapshot
 	bid  market.Money
@@ -305,7 +293,6 @@ type poolSnapshot struct {
 	zone   string
 	minBid func(target float64) (market.Money, bool)
 	fpOf   func(bid market.Money) float64
-	levels []market.Money
 	cur    market.Money
 	units  int
 }
@@ -431,8 +418,7 @@ func (j *Jupiter) buildPoolSnapshots(view strategy.MarketView, spec strategy.Ser
 			fpOf: func(bid market.Money) float64 {
 				return fc.FailureProbability(bid, fp0)
 			},
-			levels: fc.Levels(),
-			cur:    w.cur,
+			cur: w.cur,
 		}
 	}
 

@@ -130,16 +130,16 @@ func TestJupiterBidsAreCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bidSum market.Money
+	var sum market.Money
 	for _, b := range d.Bids {
-		bidSum += b.Price
+		sum += b.Price
 	}
 	od, err := market.OnDemandPrice("us-east-1a", market.M1Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bidSum >= od*5/2 {
-		t.Fatalf("bid sum %v not clearly below half the on-demand cost %v", bidSum, od*5)
+	if sum >= od*5/2 {
+		t.Fatalf("bid sum %v not clearly below half the on-demand cost %v", sum, od*5)
 	}
 }
 

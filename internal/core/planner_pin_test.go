@@ -43,16 +43,22 @@ import (
 // node on demand in every Decide, now bids spot in all but 270 of the
 // zone pin's 5184 and 16 of the typed pin's 3456.
 //
+// Both were re-recorded again when the heterogeneous-bid descent was
+// deleted and the grid lost its refinement axis, halving the pins to
+// 7776 and 5184 Decides: this test source, run against the production
+// code of commit 4dc6420 (which still had the descent), gives the four
+// hashes below.
+//
 // A pin's short hash covers the first two markets (what -short and -race
 // run), its full hash all of them. A mismatch means a decision moved; -v
 // prints each cell's first Decide so that two commits can be diffed.
 // Never re-record to make a change pass: list the cell, both decisions
 // and the reason in CHANGES.md.
 const (
-	zonePinShort  = "391211be00de476eb81d7124047726f515491ab1b7e793b2ceabfdbaf66a518c"
-	zonePinFull   = "67d92261980cf9d42b9a1f9737fd781a0102b161134aca3d865062af1c71ae15"
-	typedPinShort = "a9cd53463f58fe8d2aed4726172b5672686537c924e16ead896241591fef0c47"
-	typedPinFull  = "909b4cb3802e4f1ba67573b49b591b33f357e1d11bcb0518f18a9ad7ff29b53c"
+	zonePinShort  = "c11df3cf60fe8f9bf683ce0fd542e3f973fea731bc354d0cfb727013a969ae8f"
+	zonePinFull   = "bb2d8c5b823c449b65202c4746101cdf4a596db715a124057a80e4135b2ed283"
+	typedPinShort = "b21367572e82f0f646e73190e59804aa44c1c6bec1047d6e7620b3a575619476"
+	typedPinFull  = "261e32e33ad300a07556d2369408386d8ec5292f7652bc41820c374ba9674aa4"
 )
 
 // loadView attaches an autoscaler load target to a view.
@@ -104,8 +110,7 @@ func renderDecide(j *Jupiter, d strategy.Decision, err error) string {
 }
 
 // pinPlanner hashes the grid — per market, the lock and θ(3,5) services ×
-// every estimator mode × refinement off and on × no, one and thirteen
-// faulted zones × load targets 0, 7 and 20 × 24 consecutive 3 h Decides —
+// every estimator mode × no, one and thirteen faulted zones × load targets 0, 7 and 20 × 24 consecutive 3 h Decides —
 // over the 17 experiment zones, each carrying the service's type and one
 // pool of every type in types. It checks the first two markets against
 // pinShort, and under -short or -race stops there; otherwise all of them
@@ -144,22 +149,19 @@ func pinPlanner(t *testing.T, markets int, types []market.InstanceType, pinShort
 			type cell struct {
 				name       string
 				mode       EstimatorMode
-				refine     bool
 				faulted    []string
 				loadTarget int
 				lines      []string
 			}
 			var cells []*cell
 			for _, mode := range []EstimatorMode{ModeInterval, ModeStationary, ModeOneStep} {
-				for _, refine := range []bool{false, true} {
-					for _, load := range faultLoads {
-						for _, loadTarget := range []int{0, 7, 20} {
-							cells = append(cells, &cell{
-								name: fmt.Sprintf("market %d %s mode %d refine %v %s load-target %d",
-									seed, sp.name, mode, refine, load.name, loadTarget),
-								mode: mode, refine: refine, faulted: load.zones, loadTarget: loadTarget,
-							})
-						}
+				for _, load := range faultLoads {
+					for _, loadTarget := range []int{0, 7, 20} {
+						cells = append(cells, &cell{
+							name: fmt.Sprintf("market %d %s mode %d %s load-target %d",
+								seed, sp.name, mode, load.name, loadTarget),
+							mode: mode, faulted: load.zones, loadTarget: loadTarget,
+						})
 					}
 				}
 			}
@@ -174,7 +176,7 @@ func pinPlanner(t *testing.T, markets int, types []market.InstanceType, pinShort
 					defer wg.Done()
 					for c := range next {
 						j := New()
-						j.Mode, j.Refine = c.mode, c.refine
+						j.Mode = c.mode
 						j.UseModelCache(models)
 						for _, z := range c.faulted {
 							j.OnFault(fault(z, trainWeeks*week-1))

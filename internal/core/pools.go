@@ -517,22 +517,6 @@ func (j *Jupiter) decidePools(view strategy.MarketView, spec strategy.ServiceSpe
 	if stage == stageCritical {
 		bestSpot, bestOD = hardenQuorumPools(bestSpot, bestOD, spec)
 	}
-	// The heterogeneous descent models spot bids only; a mixed
-	// spot/on-demand group keeps its equalized solution.
-	if j.Refine && len(bestOD) == 0 && len(bestSpot) > 0 {
-		tot := 0
-		for _, pb := range bestSpot {
-			tot += pb.pool.units
-		}
-		var before market.Money
-		if dt != nil {
-			before = bidSum(bestSpot)
-		}
-		refineBidsWeighted(bestSpot, spec.QuorumUnits(tot), target)
-		if dt != nil {
-			dt.Emit(provenance.Span{Kind: provenance.SpanRefine, AltMicroUSD: int64(before), CostMicroUSD: int64(bidSum(bestSpot))})
-		}
-	}
 	if dt != nil {
 		j.emitChosenPools(dt, spec, bestSpot, bestOD, target)
 	}
@@ -689,61 +673,4 @@ func (j *Jupiter) fitStep(s *fitState, t int, units []int, target float64) {
 	}
 	s.iters++
 	s.settle()
-}
-
-// refineBidsWeighted lowers bids one price level at a time — always the
-// largest available saving first — while the exact weighted quorum
-// availability (unit threshold t) stays at or above the target. Each
-// iteration builds one quorum.WeightedThresholdEvaluator over the current
-// probability vector and probes every pool's next level with its
-// leave-one-out query, so on n base nodes an iteration costs O(n²) where
-// swap-and-recompute was O(n³).
-func refineBidsWeighted(bids []poolBid, t int, target float64) {
-	n := len(bids)
-	units := make([]int, n)
-	fps := make([]float64, n)
-	for i, pb := range bids {
-		units[i] = pb.pool.units
-		fps[i] = pb.pool.fpOf(pb.bid)
-	}
-	// nextLower returns the largest candidate level strictly below the
-	// current bid but not below the pool's current spot price. Levels
-	// are the model's learned prices, strictly ascending, so the
-	// predecessor of the first level >= bid is the only candidate.
-	nextLower := func(i int) (market.Money, bool) {
-		levels := bids[i].pool.levels
-		x := sort.Search(len(levels), func(j int) bool { return levels[j] >= bids[i].bid })
-		if x == 0 || levels[x-1] < bids[i].pool.cur {
-			return 0, false
-		}
-		return levels[x-1], true
-	}
-	for iter := 0; iter < 64*n; iter++ {
-		ev := quorum.NewWeightedThresholdEvaluator(t, units, fps)
-		bestIdx := -1
-		var bestSave market.Money
-		var bestBid market.Money
-		var bestFP float64
-		for i := range bids {
-			lower, ok := nextLower(i)
-			if !ok {
-				continue
-			}
-			newFP := bids[i].pool.fpOf(lower)
-			if ev.WithNode(i, newFP) < target {
-				continue
-			}
-			if save := bids[i].bid - lower; save > bestSave {
-				bestSave = save
-				bestIdx = i
-				bestBid = lower
-				bestFP = newFP
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		bids[bestIdx].bid = bestBid
-		fps[bestIdx] = bestFP
-	}
 }

@@ -216,11 +216,11 @@ func benchPoolSet(tb testing.TB) *trace.Set { return poolSet(tb, 2014, 6, 2*24*6
 // TestDecidePoolsMatchesReferenceFit pins the decisions. Twelve seeded
 // 68-pool markets, 24 consecutive 3 h Decides on each — the span over
 // which the fit memo goes from empty to mostly resumed hits — under
-// every estimator mode, with and without the refinement descent, and at
-// three fault loads: none; one faulted zone (degraded, then healthy
-// again as the pressure decays); thirteen of the seventeen zones faulted
-// (critical, quarantine leaving so few pools that groups are padded with
-// on-demand members, which the rebid then sees). A Jupiter that reads
+// every estimator mode and at three fault loads: none; one faulted zone
+// (degraded, then healthy again as the pressure decays); thirteen of the
+// seventeen zones faulted (critical, quarantine leaving so few pools
+// that groups are padded with on-demand members, which the rebid then
+// sees). A Jupiter that reads
 // bisection prefixes must return the Decision, candidate table, bid
 // failure probabilities and provenance spans of one whose every rebid
 // reads the exhaustive reference's converged answer.
@@ -265,51 +265,49 @@ func TestDecidePoolsMatchesReferenceFit(t *testing.T) {
 			return v.fp, v.ok
 		}
 		for _, mode := range []EstimatorMode{ModeInterval, ModeStationary, ModeOneStep} {
-			for _, refine := range []bool{false, true} {
-				for _, load := range faultLoads {
-					name := fmt.Sprintf("mode %d refine %v %s", mode, refine, load.name)
-					fast, ref := New(), New()
-					ref.fit = refFit
-					for _, j := range []*Jupiter{fast, ref} {
-						j.Mode, j.Refine = mode, refine
-						j.UseModelCache(models)
-						j.UseRecorder(provenance.NewRecorder(1))
-						for _, z := range load.zones {
-							j.OnFault(fault(z, trainWeeks*week-1))
-						}
+			for _, load := range faultLoads {
+				name := fmt.Sprintf("mode %d %s", mode, load.name)
+				fast, ref := New(), New()
+				ref.fit = refFit
+				for _, j := range []*Jupiter{fast, ref} {
+					j.Mode = mode
+					j.UseModelCache(models)
+					j.UseRecorder(provenance.NewRecorder(1))
+					for _, z := range load.zones {
+						j.OnFault(fault(z, trainWeeks*week-1))
 					}
-					for d := int64(0); d < decides; d++ {
-						view := traceView{set: set, now: trainWeeks*week + d*interval}
-						got, err := fast.Decide(view, spec, interval)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := ref.Decide(view, spec, interval)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if d == 0 && fast.lastStage != load.stage {
-							t.Fatalf("%s: first Decide at stage %v", name, fast.lastStage)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s decision %d: %+v, reference %+v", name, d, got, want)
-						}
-						if !reflect.DeepEqual(lastCandidates(fast), lastCandidates(ref)) {
-							t.Fatalf("%s decision %d: candidates %+v, reference %+v", name, d, lastCandidates(fast), lastCandidates(ref))
-						}
-						if !reflect.DeepEqual(fast.LastBidFailureProbabilities(), ref.LastBidFailureProbabilities()) {
-							t.Fatalf("%s decision %d: bid failure probabilities %+v, reference %+v", name, d,
-								fast.LastBidFailureProbabilities(), ref.LastBidFailureProbabilities())
-						}
-						if len(want.OnDemand) > 0 && len(want.Bids) > 0 {
-							padded.Add(1)
-						}
-					}
-					if got, want := fast.prov.Spans(), ref.prov.Spans(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %d spans, reference %d, or they differ", name, len(got), len(want))
-					}
-					rebids.Add(int64(len(fast.fitCache)))
 				}
+				for d := int64(0); d < decides; d++ {
+					view := traceView{set: set, now: trainWeeks*week + d*interval}
+					got, err := fast.Decide(view, spec, interval)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.Decide(view, spec, interval)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d == 0 && fast.lastStage != load.stage {
+						t.Fatalf("%s: first Decide at stage %v", name, fast.lastStage)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s decision %d: %+v, reference %+v", name, d, got, want)
+					}
+					if !reflect.DeepEqual(lastCandidates(fast), lastCandidates(ref)) {
+						t.Fatalf("%s decision %d: candidates %+v, reference %+v", name, d, lastCandidates(fast), lastCandidates(ref))
+					}
+					if !reflect.DeepEqual(fast.LastBidFailureProbabilities(), ref.LastBidFailureProbabilities()) {
+						t.Fatalf("%s decision %d: bid failure probabilities %+v, reference %+v", name, d,
+							fast.LastBidFailureProbabilities(), ref.LastBidFailureProbabilities())
+					}
+					if len(want.OnDemand) > 0 && len(want.Bids) > 0 {
+						padded.Add(1)
+					}
+				}
+				if got, want := fast.prov.Spans(), ref.prov.Spans(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d spans, reference %d, or they differ", name, len(got), len(want))
+				}
+				rebids.Add(int64(len(fast.fitCache)))
 			}
 		}
 	}

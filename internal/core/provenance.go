@@ -30,20 +30,12 @@ func (j *Jupiter) fallbackTraced(view strategy.MarketView, spec strategy.Service
 	return strategy.OnDemand{}.Decide(view, spec, 0)
 }
 
-func bidSum(bids []poolBid) market.Money {
-	var sum market.Money
-	for _, zb := range bids {
-		sum += zb.bid
-	}
-	return sum
-}
-
 // emitChosenPools records the chosen group: one bid span per member —
 // an on-demand member carries its fixed price as the bid — and the
 // closing chosen span with the group's planned cost (the figure its
-// candidate span carried, unless hardening or the descent moved it
-// since), its exact unit-quorum availability and the Eq. 10 margin over
-// the target. It evaluates in the planner's scratch vectors and row.
+// candidate span carried, unless hardening moved it since), its exact
+// unit-quorum availability and the Eq. 10 margin over the target. It
+// evaluates in the planner's scratch vectors and row.
 func (j *Jupiter) emitChosenPools(dt *provenance.DecisionTrace, spec strategy.ServiceSpec, spot []poolBid, od []odPoolCand, target float64) {
 	units, fps := j.ws.units[:0], j.ws.fps[:0]
 	tot := 0

@@ -9,30 +9,6 @@ import (
 	"repro/internal/strategy"
 )
 
-// variant is one row of a labelled-variant table — the
-// adaptive-interval and refinement extensions: a Jupiter variant
-// replaying the lock service at a bidding interval.
-type variant struct {
-	label string
-	hours int64
-	build strategy.Builder
-}
-
-// variants replays the lock service once per variant, as one grid; each
-// row's Strategy is its variant's label.
-func (e Env) variants(vs []variant) ([]SweepRow, error) {
-	set, err := e.Traces(market.M1Small)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]cell, len(vs))
-	labels := make([]string, len(vs))
-	for i, v := range vs {
-		cells[i], labels[i] = e.cell(set, LockSpec(), v.build, v.hours), v.label
-	}
-	return e.tabulate(cells, labels...)
-}
-
 // AblationEstimators compares Jupiter under its failure estimators
 // (DESIGN.md §2.10) — the interval forecast (the framework's default),
 // the stationary occupancy, and the forecast over one minute, the
@@ -63,25 +39,20 @@ func (e Env) AblationEstimators() ([]SweepRow, error) {
 
 // AblationAdaptiveInterval compares fixed 1h, 6h and 12h bidding
 // intervals against the adaptive interval chooser (paper §5.5 future
-// work).
+// work), replaying the lock service as one grid.
 func (e Env) AblationAdaptiveInterval() ([]SweepRow, error) {
+	set, err := e.Traces(market.M1Small)
+	if err != nil {
+		return nil, err
+	}
 	fixed := func() strategy.Strategy { return core.New() }
-	return e.variants([]variant{
-		{"fixed-1h", 1, fixed},
-		{"fixed-6h", 6, fixed},
-		{"fixed-12h", 12, fixed},
-		{"adaptive", 6, func() strategy.Strategy { return core.NewAdaptive() }},
-	})
-}
-
-// AblationRefinement compares the equalized-target Fig. 3 algorithm
-// against the heterogeneous-bid refinement descent (an extension beyond
-// the paper) at a 6-hour interval.
-func (e Env) AblationRefinement() ([]SweepRow, error) {
-	return e.variants([]variant{
-		{"Jupiter", 6, func() strategy.Strategy { return core.New() }},
-		{"Jupiter+refine", 6, func() strategy.Strategy { j := core.New(); j.Refine = true; return j }},
-	})
+	adaptive := func() strategy.Strategy { return core.NewAdaptive() }
+	return e.tabulate([]cell{
+		e.cell(set, LockSpec(), fixed, 1),
+		e.cell(set, LockSpec(), fixed, 6),
+		e.cell(set, LockSpec(), fixed, 12),
+		e.cell(set, LockSpec(), adaptive, 6),
+	}, "fixed-1h", "fixed-6h", "fixed-12h", "adaptive")
 }
 
 // variantTable renders a labelled-variant table under title: the

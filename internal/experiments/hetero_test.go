@@ -115,7 +115,7 @@ func (o shapeLaunches) OnInstance(e engine.Event) {
 // picks none.
 func TestEverySectionHonoursShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays seven sections")
+		t.Skip("replays six sections")
 	}
 	env := QuickEnv()
 	env.Types = []market.InstanceType{market.C3Large}
@@ -135,7 +135,6 @@ func TestEverySectionHonoursShape(t *testing.T) {
 		{"sweep", func() error { _, err := env.Sweep(LockSpec(), "lock"); return err }},
 		{"ablation", func() error { _, err := env.AblationEstimators(); return err }},
 		{"adaptive", func() error { _, err := env.AblationAdaptiveInterval(); return err }},
-		{"refine", func() error { _, err := env.AblationRefinement(); return err }},
 	}
 	for _, sec := range sections {
 		clear(seen)

@@ -35,8 +35,6 @@ var index = []Experiment{
 		variantTable("Ablation: Jupiter failure estimator (lock and storage services, 1h/6h/12h intervals)", "estimator", 22, "out-of-bid"))},
 	{names: []string{"adaptive"}, title: "Extension: adaptive bidding interval", render: table(Env.AblationAdaptiveInterval,
 		variantTable("Extension: adaptive bidding interval (lock service)", "variant", 12, "decisions"))},
-	{names: []string{"refine"}, title: "Extension: heterogeneous-bid refinement", render: table(Env.AblationRefinement,
-		variantTable("Extension: heterogeneous-bid refinement (lock service, 6h interval)", "variant", 16, "out-of-bid"))},
 	{names: []string{"weighted"}, title: "Analysis: weighted voting", render: table(Env.WeightedVotingAnalysis, renderWeightedVoting)},
 }
 

@@ -92,12 +92,6 @@ var Families = []Family{
 		bare("jupiter", func() strategy.Strategy { return core.New() })},
 	{"jupiter-adaptive", "jupiter-adaptive", "jupiter wrapped with the volatility-driven interval chooser",
 		bare("jupiter-adaptive", func() strategy.Strategy { return core.NewAdaptive() })},
-	{"jupiter-refine", "jupiter-refine", "jupiter with the §4.3 refinement pass over adjacent bid levels",
-		bare("jupiter-refine", func() strategy.Strategy {
-			j := core.New()
-			j.Refine = true
-			return j
-		})},
 	{"portfolio", "portfolio | portfolio(beta)", "optimized on-demand/spot portfolio under an expected-cost cap (arXiv 1811.12901)",
 		func(args []string) (strategy.Builder, error) {
 			if err := wantArgs("portfolio(beta)", args, 0, 1); err != nil {

@@ -15,8 +15,7 @@ func TestBuild(t *testing.T) {
 		name string
 	}{
 		{"jupiter", "Jupiter"},
-		{"Jupiter-Refine", "Jupiter+refine"},
-		{"jupiter-adaptive", "Jupiter-adaptive"},
+		{"JUPITER-ADAPTIVE", "Jupiter-adaptive"},
 		{"baseline", "Baseline"},
 		{"Baseline", "Baseline"}, // names are case-insensitive in specs
 		{"extra(2, 0.2)", "Extra(2, 0.2)"},

@@ -6,11 +6,10 @@
 // implementing Consumer) emits one span per pipeline step of a sampled
 // decision — model fetch and forecast build per pool, candidate
 // enumeration per group size, the dominance rule between candidate
-// families, the quorum refine descent, degradation-stage transitions,
-// and the chosen configuration with its exact Eq. 10 availability
-// margin. A run's spans go into its replay cell's record in the run
-// manifest (internal/experiments), and `analyze explain` reconstructs
-// decisions from there.
+// families, degradation-stage transitions, and the chosen configuration
+// with its exact Eq. 10 availability margin. A run's spans go into its
+// replay cell's record in the run manifest (internal/experiments), and
+// `analyze explain` reconstructs decisions from there.
 //
 // The ledger (ledger.go) answers "where did every cent and every
 // downtime minute go": a pure fold of the simulation event stream, it
@@ -47,9 +46,6 @@ const (
 	// A Decide whose every candidate is one base node has one family
 	// and emits none.
 	SpanDominance = "dominance"
-	// SpanRefine reports the heterogeneous-bid descent: AltMicroUSD is
-	// the bid sum before, CostMicroUSD after.
-	SpanRefine = "refine"
 	// SpanBid reports one member of the chosen group: the placed bid,
 	// the pool's current price, and the bid's estimated per-interval
 	// failure probability. On-demand members carry Outcome "on-demand"
@@ -57,10 +53,9 @@ const (
 	SpanBid = "bid"
 	// SpanChosen closes a decision: Outcome "ok" with the group size,
 	// planned cost (bids plus on-demand members' prices, the figure the
-	// winning candidate span carried unless hardening or refinement
-	// moved it), exact quorum availability, target, and Eq. 10 margin —
-	// or "fallback" with Detail naming why the framework went all
-	// on-demand.
+	// winning candidate span carried unless hardening moved it), exact
+	// quorum availability, target, and Eq. 10 margin — or "fallback"
+	// with Detail naming why the framework went all on-demand.
 	SpanChosen = "chosen"
 	// SpanResize reports that a workload load target raised the
 	// decision's minimum group size above the spec's quorum floor:

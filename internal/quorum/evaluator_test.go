@@ -137,8 +137,8 @@ func TestEvaluatorEdgeCases(t *testing.T) {
 // in units of the weights' gcd. Against the same tables built in the
 // units given — once per group, below — every answer is the same to the
 // bit: the benchmark's four type weights (gcd 2), a fleet of base-type
-// nodes (gcd 16, which is what a zone-only market's refinement descent
-// builds), and coprime weights the normalisation leaves alone.
+// nodes (gcd 16, a zone-only market's group), and coprime weights the
+// normalisation leaves alone.
 func TestEvaluatorGCDNormalisationIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, palette := range [][]int{{16, 24, 34, 68}, {16}, {3, 5, 7}} {
@@ -171,9 +171,8 @@ func TestEvaluatorGCDNormalisationIsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluatorProbe measures a full descent iteration's
-// feasibility probes — build once, probe every node — against the
-// oracle-per-probe pattern it replaced.
+// BenchmarkEvaluatorProbe measures one probe of every node — build
+// once, probe every node — against the oracle-per-probe pattern.
 func BenchmarkEvaluatorProbe(b *testing.B) {
 	for _, n := range []int{5, 9, 15, 24} {
 		rng := rand.New(rand.NewSource(int64(n)))

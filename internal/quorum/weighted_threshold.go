@@ -127,11 +127,11 @@ func WeightedThresholdAvailability(t int, units []int, p []float64) float64 {
 // WeightedThresholdEvaluator answers "what is the availability of the
 // unit-threshold-t system if node i's failure probability were pi?" in
 // O(total units) per query, against a fixed baseline probability
-// vector. The heterogeneous-bid descent in the bidding framework probes
-// every node's next-lower price level on every iteration; with the plain
-// DP each probe costs O(n · total units). The evaluator pays that once,
-// for prefix survivor distributions and suffix tail tables, after which
-// a leave-one-out probe combines the two halves around the probed node.
+// vector; with the plain DP each probe costs O(n · total units). The
+// evaluator pays that once, for prefix survivor distributions and suffix
+// tail tables, after which a leave-one-out probe combines the two halves
+// around the probed node. The bidding framework no longer calls it: its
+// callers are the benchmark's quorum.evaluator_probe_ns probe and tests.
 //
 // For node i of u units with probability replaced by pi:
 //
