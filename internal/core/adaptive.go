@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/strategy"
+import (
+	"repro/internal/strategy"
+	"repro/internal/trace"
+)
 
 // The adaptive chooser's tuning. The interval is clamped to the paper's
 // 1h–12h sweep range, measured over the last two days of history, and
@@ -48,7 +51,8 @@ func (a *Adaptive) ChooseInterval(view strategy.MarketView, spec strategy.Servic
 		if err != nil || hist.End <= hist.Start {
 			continue
 		}
-		changes := len(hist.Sojourns())
+		changes := 0
+		hist.EachRun(func(trace.Sojourn) { changes++ })
 		if changes < 2 {
 			continue
 		}

@@ -124,9 +124,7 @@ func candidateLevels(hist *trace.Trace, cur, od market.Money) []market.Money {
 		}
 	}
 	add(cur)
-	for _, s := range hist.Sojourns() {
-		add(s.Price)
-	}
+	hist.EachRun(func(s trace.Sojourn) { add(s.Price) })
 	if od >= cur {
 		add(od)
 	}
@@ -142,13 +140,12 @@ func candidateLevels(hist *trace.Trace, cur, od market.Money) []market.Money {
 // node bidding b.
 func upwardCrossings(hist *trace.Trace, b market.Money) int {
 	n := 0
-	prevAbove := false
-	for i, s := range hist.Sojourns() {
-		above := s.Price > b
-		if i > 0 && above && !prevAbove {
+	prevAbove := true // the first run crosses nothing
+	hist.EachRun(func(s trace.Sojourn) {
+		if s.Price > b && !prevAbove {
 			n++
 		}
-		prevAbove = above
-	}
+		prevAbove = s.Price > b
+	})
 	return n
 }

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/market"
@@ -177,24 +178,27 @@ func (p *PortfolioContract) Decide(view MarketView, spec ServiceSpec, intervalMi
 
 // quantilePrice returns the time-weighted q-quantile of the trace's
 // prices: the smallest observed price level such that the trace spent
-// at least fraction q of its span at or below it.
+// at least fraction q of its span at or below it. It sums the minutes
+// at each distinct price and walks the prices ascending.
 func quantilePrice(t *trace.Trace, q float64) market.Money {
-	sojourns := t.Sojourns()
-	if len(sojourns) == 0 {
-		return 0
-	}
-	sort.Slice(sojourns, func(i, j int) bool { return sojourns[i].Price < sojourns[j].Price })
+	minutes := map[market.Money]int64{}
 	var total int64
-	for _, s := range sojourns {
+	t.EachRun(func(s trace.Sojourn) {
+		minutes[s.Price] += s.Minutes
 		total += s.Minutes
+	})
+	prices := make([]market.Money, 0, len(minutes))
+	for p := range minutes {
+		prices = append(prices, p)
 	}
+	slices.Sort(prices)
 	threshold := int64(q * float64(total))
 	var cum int64
-	for _, s := range sojourns {
-		cum += s.Minutes
-		if cum >= threshold {
-			return s.Price
+	var last market.Money // zero for an empty history
+	for _, last = range prices {
+		if cum += minutes[last]; cum >= threshold {
+			return last
 		}
 	}
-	return sojourns[len(sojourns)-1].Price
+	return last
 }

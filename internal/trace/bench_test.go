@@ -61,3 +61,18 @@ func BenchmarkSojourns(b *testing.B) {
 		tr.Sojourns()
 	}
 }
+
+// BenchmarkGenerate measures Generate on the 68-pool market (17 zones
+// × 4 types) over the paper's 24 weeks.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := GenConfig{
+		Seed: 2014, Type: market.M1Small, Zones: market.ExperimentZones(), Start: 0, End: 24 * week,
+		Types: []market.InstanceType{market.M1Medium, market.C3Large, market.R3Large},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

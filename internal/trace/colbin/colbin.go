@@ -45,6 +45,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/market"
 	"repro/internal/trace"
@@ -62,63 +63,90 @@ func IsColbin(prefix []byte) bool {
 	return len(prefix) >= len(Magic) && string(prefix[:len(Magic)]) == Magic
 }
 
-// Encode serializes the set into the colbin layout.
+// Encode serializes the set into the colbin layout. Its pools' column
+// groups are sized, then written, in parallel (trace.Parallel), each
+// straight into its place in the stream, which is allocated once at its
+// final length.
 func Encode(s *trace.Set) []byte {
 	keys := s.Zones()
-	type group struct {
-		zone, typ string
-		n         int
-		data      []byte
-	}
-	groups := make([]group, 0, len(keys))
-	var cols int
-	for _, key := range keys {
+	sizes, offs := make([]int, len(keys)), make([]int, len(keys))
+	trace.Parallel(len(keys), func(indices <-chan int) {
+		for i := range indices {
+			sizes[i] = groupLen(s.ByZone[keys[i]], s.Start)
+		}
+	})
+
+	head := make([]byte, 0, 64+len(keys)*32)
+	head = append(head, Magic...)
+	head = append(head, Version)
+	head = appendString(head, string(s.Type))
+	head = binary.AppendVarint(head, s.Start)
+	head = binary.AppendVarint(head, s.End)
+	head = binary.AppendUvarint(head, uint64(len(keys)))
+	off := 0
+	for i, key := range keys {
 		t := s.ByZone[key]
-		g := group{zone: t.Zone, n: len(t.Points)}
-		if t.Type != s.Type {
-			g.typ = string(t.Type)
+		typ := string(t.Type)
+		if t.Type == s.Type {
+			typ = ""
 		}
-		var buf []byte
-		prev := s.Start
-		for i, p := range t.Points {
-			if i == 0 {
-				buf = binary.AppendVarint(buf, p.Minute-prev)
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(p.Minute-prev))
-			}
-			prev = p.Minute
-		}
-		var prevPrice int64
-		for _, p := range t.Points {
-			buf = binary.AppendVarint(buf, int64(p.Price)-prevPrice)
-			prevPrice = int64(p.Price)
-		}
-		g.data = buf
-		cols += len(buf)
-		groups = append(groups, g)
+		head = appendString(head, t.Zone)
+		head = appendString(head, typ)
+		head = binary.AppendUvarint(head, uint64(len(t.Points)))
+		head = binary.AppendUvarint(head, uint64(off))
+		head = binary.AppendUvarint(head, uint64(sizes[i]))
+		offs[i], off = off, off+sizes[i]
 	}
 
-	out := make([]byte, 0, 64+len(keys)*32+cols)
-	out = append(out, Magic...)
-	out = append(out, Version)
-	out = appendString(out, string(s.Type))
-	out = binary.AppendVarint(out, s.Start)
-	out = binary.AppendVarint(out, s.End)
-	out = binary.AppendUvarint(out, uint64(len(groups)))
-	off := 0
-	for _, g := range groups {
-		out = appendString(out, g.zone)
-		out = appendString(out, g.typ)
-		out = binary.AppendUvarint(out, uint64(g.n))
-		out = binary.AppendUvarint(out, uint64(off))
-		out = binary.AppendUvarint(out, uint64(len(g.data)))
-		off += len(g.data)
-	}
-	for _, g := range groups {
-		out = append(out, g.data...)
-	}
+	out := append(head, make([]byte, off)...)
+	cols := out[len(head):]
+	trace.Parallel(len(keys), func(indices <-chan int) {
+		for i := range indices {
+			putGroup(cols[offs[i]:offs[i]+sizes[i]], s.ByZone[keys[i]], s.Start)
+		}
+	})
 	return out
 }
+
+// groupLen is the length of the column group putGroup writes.
+func groupLen(t *trace.Trace, start int64) int {
+	n, prev, prevPrice := 0, start, int64(0)
+	for i, p := range t.Points {
+		d := uint64(p.Minute - prev)
+		if i == 0 {
+			d = zigzag(p.Minute - prev)
+		}
+		n += uvarintLen(d) + uvarintLen(zigzag(int64(p.Price)-prevPrice))
+		prev, prevPrice = p.Minute, int64(p.Price)
+	}
+	return n
+}
+
+// putGroup writes a pool's column group, its minute column and then
+// its price column, into dst, which is exactly groupLen long.
+func putGroup(dst []byte, t *trace.Trace, start int64) {
+	n, prev := 0, start
+	for i, p := range t.Points {
+		if i == 0 {
+			n += binary.PutVarint(dst[n:], p.Minute-prev)
+		} else {
+			n += binary.PutUvarint(dst[n:], uint64(p.Minute-prev))
+		}
+		prev = p.Minute
+	}
+	var prevPrice int64
+	for _, p := range t.Points {
+		n += binary.PutVarint(dst[n:], int64(p.Price)-prevPrice)
+		prevPrice = int64(p.Price)
+	}
+}
+
+// zigzag maps a signed value to the unsigned one binary.PutVarint
+// writes.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Write serializes the set to w in the colbin layout.
 func Write(w io.Writer, s *trace.Set) error {

@@ -2,8 +2,11 @@ package colbin
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -536,5 +539,64 @@ func BenchmarkSetFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fingerprintSink = set.Fingerprint()
+	}
+}
+
+// typedMarket is the market `tracegen -types m1.medium -weeks 2`
+// writes: the 17 experiment zones, m1.small plus m1.medium, two weeks
+// at seed 2014.
+func typedMarket(t testing.TB) *trace.Set {
+	t.Helper()
+	set, err := trace.Generate(trace.GenConfig{
+		Seed: 2014, Type: market.M1Small, Types: []market.InstanceType{market.M1Medium},
+		Zones: market.ExperimentZones(), Start: 0, End: 2 * 7 * 24 * 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestEncodeDigest pins the bytes of a generated, encoded market: the
+// generator and the encoder must keep writing this stream, whatever
+// their internal layout.
+func TestEncodeDigest(t *testing.T) {
+	sum := sha256.Sum256(Encode(typedMarket(t)))
+	const want = "7382a8ec74273f2d99600e542ccfaa85dfec773ac99d5537573cebbfc5da81fe"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("sha256 of the encoded market = %s, want %s", got, want)
+	}
+}
+
+// TestGenerateIndependentOfWorkers generates and encodes the same
+// market on one, two and four processors: the bytes and the
+// fingerprint must not depend on how many goroutines built them.
+func TestGenerateIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	var wantFP uint64
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		set := typedMarket(t)
+		data, fp := Encode(set), set.Fingerprint()
+		if want == nil {
+			want, wantFP = data, fp
+			continue
+		}
+		if !bytes.Equal(data, want) || fp != wantFP {
+			t.Fatalf("GOMAXPROCS %d: market differs from GOMAXPROCS 1", procs)
+		}
+	}
+}
+
+// BenchmarkEncode measures Encode on benchMarket.
+func BenchmarkEncode(b *testing.B) {
+	set := benchMarket(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(Encode(set)) == 0 {
+			b.Fatal("empty stream")
+		}
 	}
 }

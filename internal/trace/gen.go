@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/market"
 	"repro/internal/stats"
@@ -175,12 +177,10 @@ type walkStep struct {
 
 // walk draws the level walk of the semi-Markov process over
 // [start, end) — the zone's demand shock, independent of the price
-// ladder it is rendered on. Correlated sibling types replay the same
-// walk on their own ladders (see Generate).
-func (m *ZoneModel) walk(r *stats.RNG, start, end int64) []walkStep {
-	if end <= start {
-		return nil
-	}
+// ladder it is rendered on — into steps[:0], and returns it. Correlated
+// sibling types replay the same walk on their own ladders (see
+// Generate).
+func (m *ZoneModel) walk(r *stats.RNG, steps []walkStep, start, end int64) []walkStep {
 	cats := make([]*stats.Categorical, len(m.Trans))
 	for i, row := range m.Trans {
 		cats[i] = stats.NewCategorical(row)
@@ -189,7 +189,7 @@ func (m *ZoneModel) walk(r *stats.RNG, start, end int64) []walkStep {
 	// of its time there, mirroring real spot floors.
 	level := r.Intn(2)
 	now := start
-	var steps []walkStep
+	steps = steps[:0]
 	for now < end {
 		steps = append(steps, walkStep{minute: now, level: level})
 		d := int64(m.sampleSojourn(r, level))
@@ -202,18 +202,19 @@ func (m *ZoneModel) walk(r *stats.RNG, start, end int64) []walkStep {
 	return steps
 }
 
-// renderWalk renders a sibling type's trace from the zone's shared
-// level walk: the same change minutes and base levels (the demand
-// shock), the sibling's own price ladder, plus a deterministic
-// per-type level offset drawn from the sibling's RNG so the columns
-// are correlated but not copies. Spikes are shared — when the zone
-// spikes, every type in it spikes.
+// renderWalk renders a type's column from the zone's shared level
+// walk into a slice allocated once, at the walk's length. With a nil
+// RNG — the base type — each step keeps its level. A sibling type
+// keeps the change minutes and base levels (the demand shock) on its
+// own price ladder, plus a deterministic per-type level offset drawn
+// from its RNG, so the columns are correlated but not copies. Spikes
+// are shared — when the zone spikes, every type in it spikes.
 func (m *ZoneModel) renderWalk(r *stats.RNG, steps []walkStep, start, end int64) *Trace {
-	t := &Trace{Zone: m.Zone, Type: m.Type, Start: start, End: end}
+	t := &Trace{Zone: m.Zone, Type: m.Type, Start: start, End: end, Points: make([]PricePoint, len(steps))}
 	spikeIdx := len(m.Levels) - 1
-	for _, s := range steps {
+	for i, s := range steps {
 		lvl := s.level
-		if lvl < spikeIdx {
+		if r != nil && lvl < spikeIdx {
 			switch u := r.Float64(); {
 			case u < 0.12:
 				lvl++
@@ -227,7 +228,7 @@ func (m *ZoneModel) renderWalk(r *stats.RNG, steps []walkStep, start, end int64)
 				lvl = spikeIdx - 1
 			}
 		}
-		t.Points = append(t.Points, PricePoint{Minute: s.minute, Price: m.Levels[lvl]})
+		t.Points[i] = PricePoint{Minute: s.minute, Price: m.Levels[lvl]}
 	}
 	return t
 }
@@ -256,10 +257,20 @@ type GenConfig struct {
 // plus, when cfg.Types is set, one correlated trace per (zone, extra
 // type) pool keyed "zone/type". Traces are reproducible: the same
 // config yields the same set, and each zone's traces are independent of
-// the order or presence of other zones.
+// the order or presence of other zones. That independence lets the
+// zones be generated in parallel (see Parallel); the set is assembled
+// in cfg.Zones order, so an error is the first failing zone's. A zone
+// listed twice is an error.
 func Generate(cfg GenConfig) (*Set, error) {
 	if cfg.End < cfg.Start {
 		return nil, fmt.Errorf("trace: generate span [%d, %d) invalid", cfg.Start, cfg.End)
+	}
+	listed := make(map[string]bool, len(cfg.Zones))
+	for _, zone := range cfg.Zones {
+		if listed[zone] {
+			return nil, fmt.Errorf("trace: generate zone %s listed twice", zone)
+		}
+		listed[zone] = true
 	}
 	var extras []market.InstanceType
 	seen := map[market.InstanceType]bool{cfg.Type: true}
@@ -269,31 +280,73 @@ func Generate(cfg GenConfig) (*Set, error) {
 			extras = append(extras, it)
 		}
 	}
+	pools := make([][]*Trace, len(cfg.Zones))
+	errs := make([]error, len(cfg.Zones))
+	Parallel(len(cfg.Zones), func(zones <-chan int) {
+		var steps []walkStep
+		for i := range zones {
+			pools[i], steps, errs[i] = generateZone(cfg, extras, cfg.Zones[i], steps)
+		}
+	})
 	set := NewSet(cfg.Type, cfg.Start, cfg.End)
-	for _, zone := range cfg.Zones {
-		model, err := ZoneModelFor(zone, cfg.Type, cfg.Seed)
-		if err != nil {
+	for i, zp := range pools {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if err := set.Add(zp[0]); err != nil {
 			return nil, err
 		}
-		r := stats.NewRNG(cfg.Seed ^ hashZone(zone, cfg.Type) ^ 0xabcdef123456)
-		steps := model.walk(r, cfg.Start, cfg.End)
-		tr := &Trace{Zone: model.Zone, Type: model.Type, Start: cfg.Start, End: cfg.End}
-		for _, s := range steps {
-			tr.Points = append(tr.Points, PricePoint{Minute: s.minute, Price: model.Levels[s.level]})
-		}
-		if err := set.Add(tr); err != nil {
-			return nil, err
-		}
-		for _, it := range extras {
-			sib, err := ZoneModelFor(zone, it, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			rs := stats.NewRNG(cfg.Seed ^ hashZone(zone, it) ^ 0xabcdef123456)
-			if err := set.AddPool(sib.renderWalk(rs, steps, cfg.Start, cfg.End)); err != nil {
+		for _, sib := range zp[1:] {
+			if err := set.AddPool(sib); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return set, nil
+}
+
+// generateZone draws one zone's walk into steps, the caller's buffer,
+// and renders its pools from it: the base type's, then one per extra
+// type. It returns the buffer for the caller's next zone.
+func generateZone(cfg GenConfig, extras []market.InstanceType, zone string, steps []walkStep) ([]*Trace, []walkStep, error) {
+	model, err := ZoneModelFor(zone, cfg.Type, cfg.Seed)
+	if err != nil {
+		return nil, steps, err
+	}
+	r := stats.NewRNG(cfg.Seed ^ hashZone(zone, cfg.Type) ^ 0xabcdef123456)
+	steps = model.walk(r, steps, cfg.Start, cfg.End)
+	pools := make([]*Trace, 1, 1+len(extras))
+	pools[0] = model.renderWalk(nil, steps, cfg.Start, cfg.End)
+	for _, it := range extras {
+		sib, err := ZoneModelFor(zone, it, cfg.Seed)
+		if err != nil {
+			return nil, steps, err
+		}
+		rs := stats.NewRNG(cfg.Seed ^ hashZone(zone, it) ^ 0xabcdef123456)
+		pools = append(pools, sib.renderWalk(rs, steps, cfg.Start, cfg.End))
+	}
+	return pools, steps, nil
+}
+
+// Parallel hands the indices [0, n) to worker on min(GOMAXPROCS, n)
+// goroutines, the calling one among them, and returns once every
+// worker has. Each index is received exactly once; a worker ranges
+// over indices and may keep scratch across the ones it gets. The
+// generator and the colbin encoder fan their pools out with it.
+func Parallel(n int, worker func(indices <-chan int)) {
+	indices := make(chan int, n)
+	for i := 0; i < n; i++ {
+		indices <- i
+	}
+	close(indices)
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(indices)
+		}()
+	}
+	worker(indices)
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/market"
@@ -170,6 +171,20 @@ func TestGenerateRejectsBadSpan(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsRepeatedZone: a zone listed twice is an error
+// naming it, on a single-type market (which used to collapse the two
+// into one trace) and on a typed one (which used to blame a duplicate
+// pool).
+func TestGenerateRejectsRepeatedZone(t *testing.T) {
+	for _, types := range [][]market.InstanceType{nil, {market.M1Medium}} {
+		_, err := Generate(GenConfig{Seed: 1, Type: market.M1Small, Types: types,
+			Zones: []string{"us-east-1a", "us-west-2b", "us-east-1a"}, Start: 0, End: week})
+		if err == nil || !strings.Contains(err.Error(), "zone us-east-1a listed twice") {
+			t.Errorf("types %v: err = %v, want the repeated zone named", types, err)
+		}
+	}
+}
+
 func TestGenerateUnknownZone(t *testing.T) {
 	_, err := Generate(GenConfig{Seed: 1, Type: market.M1Small, Zones: []string{"atlantis-1a"}, Start: 0, End: 10})
 	if err == nil {
@@ -181,9 +196,5 @@ func TestGenerateUnknownZone(t *testing.T) {
 // [start, end). The caller supplies the RNG so multiple draws from the
 // same model are independent.
 func (m *ZoneModel) Generate(r *stats.RNG, start, end int64) *Trace {
-	t := &Trace{Zone: m.Zone, Type: m.Type, Start: start, End: end}
-	for _, s := range m.walk(r, start, end) {
-		t.Points = append(t.Points, PricePoint{Minute: s.minute, Price: m.Levels[s.level]})
-	}
-	return t
+	return m.renderWalk(nil, m.walk(r, nil, start, end), start, end)
 }

@@ -127,14 +127,14 @@ func (t *Trace) Window(lo, hi int64) *Trace {
 	return w
 }
 
-// Sojourns returns the observed (price, duration-in-minutes) runs of the
-// trace, merging adjacent points with equal price. The final run is
-// truncated at End.
-func (t *Trace) Sojourns() []Sojourn {
+// EachRun calls yield with each observed (price, duration-in-minutes)
+// run of the trace in order, merging adjacent points with equal price.
+// A run starts at Start at the earliest; the final one is truncated at
+// End. It builds nothing: the history scans walk the points in place.
+func (t *Trace) EachRun(yield func(Sojourn)) {
 	if len(t.Points) == 0 {
-		return nil
+		return
 	}
-	var runs []Sojourn
 	cur := Sojourn{Price: t.Points[0].Price}
 	curStart := max(t.Points[0].Minute, t.Start)
 	for _, p := range t.Points[1:] {
@@ -142,12 +142,18 @@ func (t *Trace) Sojourns() []Sojourn {
 			continue
 		}
 		cur.Minutes = p.Minute - curStart
-		runs = append(runs, cur)
+		yield(cur)
 		cur = Sojourn{Price: p.Price}
 		curStart = p.Minute
 	}
 	cur.Minutes = t.End - curStart
-	runs = append(runs, cur)
+	yield(cur)
+}
+
+// Sojourns returns the runs EachRun yields.
+func (t *Trace) Sojourns() []Sojourn {
+	var runs []Sojourn
+	t.EachRun(func(s Sojourn) { runs = append(runs, s) })
 	return runs
 }
 
@@ -164,9 +170,7 @@ func (t *Trace) MeanPrice() market.Money {
 		return 0
 	}
 	var weighted int64
-	for _, s := range t.Sojourns() {
-		weighted += int64(s.Price) * s.Minutes
-	}
+	t.EachRun(func(s Sojourn) { weighted += int64(s.Price) * s.Minutes })
 	return market.Money(weighted / (t.End - t.Start))
 }
 
@@ -189,11 +193,11 @@ func (t *Trace) FractionAbove(threshold market.Money) float64 {
 		return 0
 	}
 	var above int64
-	for _, s := range t.Sojourns() {
+	t.EachRun(func(s Sojourn) {
 		if s.Price > threshold {
 			above += s.Minutes
 		}
-	}
+	})
 	return float64(above) / float64(t.End-t.Start)
 }
 

@@ -118,3 +118,63 @@ func TestWindowViewMatchesCopy(t *testing.T) {
 		}
 	}
 }
+
+// sojournsReference is Sojourns as it was before EachRun: it builds
+// the runs in a slice of its own. EachRun must yield exactly these.
+func sojournsReference(t *trace.Trace) []trace.Sojourn {
+	if len(t.Points) == 0 {
+		return nil
+	}
+	var runs []trace.Sojourn
+	cur := trace.Sojourn{Price: t.Points[0].Price}
+	curStart := max(t.Points[0].Minute, t.Start)
+	for _, p := range t.Points[1:] {
+		if p.Price == cur.Price {
+			continue
+		}
+		cur.Minutes = p.Minute - curStart
+		runs = append(runs, cur)
+		cur = trace.Sojourn{Price: p.Price}
+		curStart = p.Minute
+	}
+	cur.Minutes = t.End - curStart
+	return append(runs, cur)
+}
+
+// TestEachRunMatchesReference: over whole traces and random windows —
+// views whose first point usually precedes their Start, and empty ones
+// — EachRun yields the reference's runs in order, and Sojourns collects
+// the same.
+func TestEachRunMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tr := range viewTestTraces(t) {
+		for i := 0; i < 300; i++ {
+			view := tr
+			if i > 0 {
+				lo := tr.Start + rng.Int63n(tr.End-tr.Start)
+				view = tr.Window(lo, lo+rng.Int63n(tr.End-lo+1))
+			}
+			var got []trace.Sojourn
+			view.EachRun(func(s trace.Sojourn) { got = append(got, s) })
+			want := sojournsReference(view)
+			if !slices.Equal(got, want) || !slices.Equal(view.Sojourns(), want) {
+				t.Fatalf("window [%d, %d): EachRun %v, reference %v", view.Start, view.End, got, want)
+			}
+		}
+	}
+}
+
+// TestHistoryScansAllocateNothing: MeanPrice and FractionAbove walk the
+// runs in place.
+func TestHistoryScansAllocateNothing(t *testing.T) {
+	tr := viewTestTraces(t)[0]
+	view := tr.Window(tr.Start+90, tr.End-90)
+	for _, x := range []*trace.Trace{tr, view} {
+		if n := testing.AllocsPerRun(20, func() { x.MeanPrice() }); n != 0 {
+			t.Errorf("MeanPrice allocates %v times per call", n)
+		}
+		if n := testing.AllocsPerRun(20, func() { x.FractionAbove(x.Points[0].Price) }); n != 0 {
+			t.Errorf("FractionAbove allocates %v times per call", n)
+		}
+	}
+}
